@@ -25,8 +25,8 @@ import (
 	"chronos/internal/agent"
 	"chronos/internal/core"
 	"chronos/internal/experiments"
-	"chronos/internal/mongoagent"
 	"chronos/internal/metrics"
+	"chronos/internal/mongoagent"
 	"chronos/internal/mongosim"
 	"chronos/internal/params"
 	"chronos/internal/relstore"
@@ -342,11 +342,23 @@ func BenchmarkRelstoreWALGroupCommit(b *testing.B) {
 	}
 }
 
+// TestGroupCommitAllocs pins the allocation cost of a durable commit:
+// writers=4 group commit stays at or below 16 allocs/op, half of what a
+// commit cost when WAL frames carried JSON rows (32). Allocation counts
+// do not depend on the host's speed, so the bound is exact.
+func TestGroupCommitAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a one-second benchmark; skipped in -short")
+	}
+	r := testing.Benchmark(func(b *testing.B) { benchGroupCommit(b, 4, false) })
+	if got := r.AllocsPerOp(); got > 16 {
+		t.Errorf("writers=4 group commit: %d allocs/op, want <= 16", got)
+	}
+}
+
 // BenchmarkRelstoreWALGroupCommitMetrics is the instrumented twin of
 // the writers=4 group-commit bench: the same load against a store whose
-// commit path records into a live metrics registry. Its p50 must stay
-// within 10% of the uninstrumented figure — the bound TestBenchObsRecord
-// enforces when it refreshes BENCH_obs.json.
+// commit path records into a live metrics registry.
 func BenchmarkRelstoreWALGroupCommitMetrics(b *testing.B) {
 	b.Run("writers=4", func(b *testing.B) {
 		benchGroupCommitOpts(b, 4, false, &relstore.Options{Metrics: metrics.NewRegistry()})
@@ -354,16 +366,14 @@ func BenchmarkRelstoreWALGroupCommitMetrics(b *testing.B) {
 }
 
 // benchGroupCommit is the body of one BenchmarkRelstoreWALGroupCommit
-// configuration, extracted so the BENCH_codec.json/BENCH_scaling.json
-// recorder tests can rerun it through testing.Benchmark.
+// configuration, shared with TestGroupCommitAllocs.
 func benchGroupCommit(b *testing.B, par int, compacting bool) {
 	benchGroupCommitOpts(b, par, compacting, nil)
 }
 
-// benchGroupCommitOpts additionally lets callers tune the store — the
-// observability recorder runs the same load with the commit path
-// instrumented by a live registry, and in SyncBatched mode to take the
-// fsync variance out of its overhead comparison.
+// benchGroupCommitOpts additionally lets callers tune the store: the
+// Metrics variant runs the same load with the commit path instrumented
+// by a live registry.
 func benchGroupCommitOpts(b *testing.B, par int, compacting bool, opts *relstore.Options) {
 	db, err := relstore.Open(b.TempDir(), opts)
 	if err != nil {
@@ -570,9 +580,7 @@ func BenchmarkSchedulerClaim(b *testing.B) {
 	}
 }
 
-// benchSchedulerClaim is the body of one BenchmarkSchedulerClaim depth,
-// extracted so the BENCH_codec.json recorder test can rerun it through
-// testing.Benchmark.
+// benchSchedulerClaim is the body of one BenchmarkSchedulerClaim depth.
 func benchSchedulerClaim(b *testing.B, depth int) {
 	svc, err := core.NewService(relstore.OpenMemory(), nil)
 	if err != nil {

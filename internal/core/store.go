@@ -510,12 +510,6 @@ func jobsByStatusQuery(status JobStatus, systemID string) *relstore.Query {
 	return q
 }
 
-// ListJobsByStatus returns jobs with the given status, optionally
-// restricted to a system.
-func (s *Store) ListJobsByStatus(tx *relstore.Tx, status JobStatus, systemID string) ([]*Job, error) {
-	return selectJSON[Job](tx, tableJobs, jobsByStatusQuery(status, systemID))
-}
-
 // FirstJobByStatus returns the oldest (lowest-id, i.e. first-created)
 // job with the given status, optionally restricted to a system. It is
 // the scheduler's claim lookup: a Limit(1) indexed select that decodes
@@ -527,17 +521,6 @@ func (s *Store) FirstJobByStatus(tx *relstore.Tx, status JobStatus, systemID str
 		return false
 	})
 	return j, err
-}
-
-// CountJobsByStatus reports queue depth without decoding any job.
-func (s *Store) CountJobsByStatus(tx *relstore.Tx, status JobStatus, systemID string) (int, error) {
-	return tx.Count(tableJobs, jobsByStatusQuery(status, systemID))
-}
-
-// EachJobByStatus streams jobs with the given status in creation order,
-// decoding one at a time; fn returns false to stop.
-func (s *Store) EachJobByStatus(tx *relstore.Tx, status JobStatus, systemID string, fn func(*Job) bool) error {
-	return eachJSON[Job](tx, tableJobs, jobsByStatusQuery(status, systemID), fn)
 }
 
 // EachJobIDByStatus streams just the ids of jobs with the given status
@@ -596,12 +579,6 @@ func (s *Store) ListLogs(tx *relstore.Tx, jobID string) ([]*LogChunk, error) {
 	// Chunk ids embed a zero-padded sequence number, so id order == seq
 	// order, which the scan already guarantees.
 	return selectJSON[LogChunk](tx, tableLogs, relstore.NewQuery().Eq("jobId", jobID))
-}
-
-// EachLog streams a job's log chunks in sequence order, decoding one at
-// a time; fn returns false to stop.
-func (s *Store) EachLog(tx *relstore.Tx, jobID string, fn func(*LogChunk) bool) error {
-	return eachJSON[LogChunk](tx, tableLogs, relstore.NewQuery().Eq("jobId", jobID), fn)
 }
 
 // --- Events ---

@@ -14,11 +14,9 @@ package faultnet_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -380,21 +378,20 @@ func TestClaimFanoutExactlyOnce(t *testing.T) {
 		agents, jobs, granted, float64(granted)/waves.Seconds(), served0, served1, f.claimErrs.Load())
 }
 
-// benchSeries is one followers-count data point in BENCH_claims.json.
+// benchSeries is one followers-count data point of the trajectory.
 type benchSeries struct {
-	Followers    int     `json:"followers"`
-	ClaimsPerSec float64 `json:"claimsPerSec"`
-	P50Ms        float64 `json:"p50Ms"`
-	P99Ms        float64 `json:"p99Ms"`
+	Followers    int
+	ClaimsPerSec float64
+	P50Ms        float64
+	P99Ms        float64
 }
 
 // TestClaimThroughputTrajectory measures claims/s and claim latency at
-// 0, 1 and 2 delegating followers on a healthy network and refreshes
-// BENCH_claims.json (full, non-race runs only — the race detector's
-// slowdown would publish noise). The "more followers = more claims/s"
-// assertion only fires with enough cores to actually run the extra
-// servers in parallel; on small CI boxes the numbers are logged and
-// recorded without the comparison.
+// 0, 1 and 2 delegating followers on a healthy network and logs the
+// series. The "more followers = more claims/s" assertion only fires on
+// full, non-race runs with enough cores to actually run the extra
+// servers in parallel; on small CI boxes the numbers are logged without
+// the comparison.
 func TestClaimThroughputTrajectory(t *testing.T) {
 	jobs, conc := 1500, 96
 	if testing.Short() {
@@ -410,22 +407,6 @@ func TestClaimThroughputTrajectory(t *testing.T) {
 		if series[2].ClaimsPerSec <= series[0].ClaimsPerSec {
 			t.Errorf("two delegating followers (%.0f claims/s) did not beat the leader alone (%.0f claims/s)",
 				series[2].ClaimsPerSec, series[0].ClaimsPerSec)
-		}
-	}
-	if !testing.Short() && !raceEnabled {
-		out := struct {
-			Generated   string        `json:"generated"`
-			Jobs        int           `json:"jobs"`
-			Concurrency int           `json:"concurrency"`
-			CPUs        int           `json:"cpus"`
-			Series      []benchSeries `json:"series"`
-		}{time.Now().UTC().Format(time.RFC3339), jobs, conc, runtime.NumCPU(), series}
-		b, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile("../../BENCH_claims.json", append(b, '\n'), 0o644); err != nil {
-			t.Fatalf("writing BENCH_claims.json: %v", err)
 		}
 	}
 }

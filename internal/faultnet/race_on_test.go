@@ -2,6 +2,6 @@
 
 package faultnet_test
 
-// raceEnabled gates perf assertions and BENCH_claims.json refreshes:
-// the race detector's slowdown would publish meaningless numbers.
+// raceEnabled gates perf assertions: the race detector's slowdown would
+// make them meaningless.
 const raceEnabled = true

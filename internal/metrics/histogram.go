@@ -1,8 +1,8 @@
 // Package metrics provides the standard measurements the Chronos Agent
 // library records during an evaluation run (paper §2.2: "the agent library
 // already measures basic metrics which are returned to Chronos Control
-// along with the results"): latency histograms with quantiles, throughput
-// meters, and per-phase timers.
+// along with the results"): latency histograms with quantiles and
+// per-phase timers.
 //
 // The histogram is a log-bucketed (HDR-style) structure: values are placed
 // into buckets whose width grows exponentially, giving a bounded relative
@@ -20,11 +20,9 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"time"
 )
 
@@ -38,7 +36,8 @@ const (
 )
 
 // Histogram is a log-bucketed value recorder. The zero value is ready to
-// use. Histogram is not safe for concurrent use; see ConcurrentHistogram.
+// use. Histogram is not safe for concurrent use: record into one per
+// worker and Merge them.
 type Histogram struct {
 	counts [bucketCount]uint64
 	total  uint64
@@ -219,42 +218,4 @@ func (s Snapshot) String() string {
 		time.Duration(s.P95).Round(time.Microsecond),
 		time.Duration(s.P99).Round(time.Microsecond),
 		time.Duration(s.Max).Round(time.Microsecond))
-}
-
-// ConcurrentHistogram wraps Histogram with a mutex for use from many
-// worker goroutines. For high-throughput recording prefer per-worker
-// histograms merged at the end; the wrapper exists for convenience paths
-// like progress sampling.
-type ConcurrentHistogram struct {
-	mu sync.Mutex
-	h  Histogram
-}
-
-// Record adds a value under lock.
-func (c *ConcurrentHistogram) Record(v int64) {
-	c.mu.Lock()
-	c.h.Record(v)
-	c.mu.Unlock()
-}
-
-// RecordDuration adds a duration under lock.
-func (c *ConcurrentHistogram) RecordDuration(d time.Duration) { c.Record(int64(d)) }
-
-// Snapshot returns a consistent summary.
-func (c *ConcurrentHistogram) Snapshot() Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.h.Snapshot()
-}
-
-// Merge adds all samples of o (not locked) into c.
-func (c *ConcurrentHistogram) Merge(o *Histogram) {
-	c.mu.Lock()
-	c.h.Merge(o)
-	c.mu.Unlock()
-}
-
-// MarshalJSON serialises the snapshot form.
-func (c *ConcurrentHistogram) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.Snapshot())
 }

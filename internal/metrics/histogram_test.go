@@ -1,10 +1,8 @@
 package metrics
 
 import (
-	"encoding/json"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -218,35 +216,5 @@ func TestSnapshotString(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("snapshot string empty")
-	}
-}
-
-func TestConcurrentHistogram(t *testing.T) {
-	var ch ConcurrentHistogram
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				ch.Record(int64(i + w))
-			}
-		}(w)
-	}
-	wg.Wait()
-	s := ch.Snapshot()
-	if s.Count != 8000 {
-		t.Fatalf("concurrent count = %d, want 8000", s.Count)
-	}
-	data, err := json.Marshal(&ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var round Snapshot
-	if err := json.Unmarshal(data, &round); err != nil {
-		t.Fatal(err)
-	}
-	if round.Count != 8000 {
-		t.Fatalf("marshalled count = %d", round.Count)
 	}
 }

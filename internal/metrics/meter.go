@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -45,75 +44,6 @@ func (c *ManualClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	c.now = c.now.Add(d)
 	c.mu.Unlock()
-}
-
-// Meter counts events and reports a rate per second over the elapsed
-// wall time since Start. Safe for concurrent use.
-type Meter struct {
-	clock Clock
-	count atomic.Int64
-
-	mu      sync.Mutex
-	started time.Time
-	stopped time.Time
-	running bool
-}
-
-// NewMeter returns a Meter using the given clock (nil means real time).
-func NewMeter(clock Clock) *Meter {
-	if clock == nil {
-		clock = RealClock()
-	}
-	return &Meter{clock: clock}
-}
-
-// Start begins (or restarts) the measurement window.
-func (m *Meter) Start() {
-	m.mu.Lock()
-	m.started = m.clock.Now()
-	m.running = true
-	m.stopped = time.Time{}
-	m.mu.Unlock()
-	m.count.Store(0)
-}
-
-// Stop freezes the measurement window.
-func (m *Meter) Stop() {
-	m.mu.Lock()
-	if m.running {
-		m.stopped = m.clock.Now()
-		m.running = false
-	}
-	m.mu.Unlock()
-}
-
-// Add counts n events.
-func (m *Meter) Add(n int64) { m.count.Add(n) }
-
-// Count returns the number of counted events.
-func (m *Meter) Count() int64 { return m.count.Load() }
-
-// Elapsed returns the length of the measurement window so far.
-func (m *Meter) Elapsed() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.started.IsZero() {
-		return 0
-	}
-	end := m.stopped
-	if m.running {
-		end = m.clock.Now()
-	}
-	return end.Sub(m.started)
-}
-
-// Rate returns events per second over the window, or 0 before Start.
-func (m *Meter) Rate() float64 {
-	el := m.Elapsed()
-	if el <= 0 {
-		return 0
-	}
-	return float64(m.count.Load()) / el.Seconds()
 }
 
 // PhaseTimer measures the named phases of an evaluation run — the paper's

@@ -2,78 +2,9 @@ package metrics
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
-
-func TestMeterRate(t *testing.T) {
-	clock := NewManualClock(time.Unix(0, 0))
-	m := NewMeter(clock)
-	if m.Rate() != 0 {
-		t.Fatal("rate before start should be 0")
-	}
-	m.Start()
-	m.Add(500)
-	clock.Advance(2 * time.Second)
-	m.Stop()
-	if got := m.Rate(); got != 250 {
-		t.Fatalf("Rate = %v, want 250", got)
-	}
-	if m.Count() != 500 {
-		t.Fatalf("Count = %d, want 500", m.Count())
-	}
-	if m.Elapsed() != 2*time.Second {
-		t.Fatalf("Elapsed = %v, want 2s", m.Elapsed())
-	}
-	// Advancing after Stop must not change the window.
-	clock.Advance(time.Hour)
-	if got := m.Rate(); got != 250 {
-		t.Fatalf("Rate after stop = %v, want 250", got)
-	}
-}
-
-func TestMeterRestartResetsCount(t *testing.T) {
-	clock := NewManualClock(time.Unix(0, 0))
-	m := NewMeter(clock)
-	m.Start()
-	m.Add(10)
-	m.Stop()
-	m.Start()
-	clock.Advance(time.Second)
-	if m.Count() != 0 {
-		t.Fatalf("restart should reset count, got %d", m.Count())
-	}
-}
-
-func TestMeterConcurrentAdd(t *testing.T) {
-	clock := NewManualClock(time.Unix(0, 0))
-	m := NewMeter(clock)
-	m.Start()
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				m.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if m.Count() != 16000 {
-		t.Fatalf("concurrent count = %d", m.Count())
-	}
-}
-
-func TestMeterRealClockDefault(t *testing.T) {
-	m := NewMeter(nil)
-	m.Start()
-	m.Add(1)
-	if m.Elapsed() < 0 {
-		t.Fatal("elapsed should be non-negative")
-	}
-}
 
 func TestPhaseTimer(t *testing.T) {
 	clock := NewManualClock(time.Unix(0, 0))

@@ -27,11 +27,6 @@ const (
 	TypeRatio Type = "ratio"
 )
 
-// ValidTypes lists all parameter types in UI display order.
-func ValidTypes() []Type {
-	return []Type{TypeBoolean, TypeCheckbox, TypeValue, TypeInterval, TypeRatio}
-}
-
 // Definition declares one parameter of a system: what the evaluation
 // client expects, how the UI should render it, and how values validate.
 type Definition struct {

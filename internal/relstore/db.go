@@ -22,6 +22,13 @@ import (
 // write to the leader.
 var ErrReadOnly = errors.New("relstore: store is open in read-only follower mode")
 
+// ErrLegacyFormat is wrapped by Open and FollowerApply when they meet an
+// on-disk format this version does not read: a JSON snapshot, a
+// single-file store.wal, or a WAL frame holding JSON rows. Open refuses
+// before it changes anything in the directory.
+var ErrLegacyFormat = errors.New("relstore: the store was written in a pre-binary on-disk format; " +
+	"open it once with the last build that reads JSON rows and let one compaction run, then open it with this one")
+
 // SyncMode controls when the WAL is flushed to stable storage.
 type SyncMode int
 
@@ -272,12 +279,11 @@ func Open(dir string, opts *Options) (*DB, error) {
 	db.walCond = sync.NewCond(&db.walMu)
 	db.walNotify = make(chan struct{})
 	db.appliedNotify = make(chan struct{})
-	snapSeq, err := db.loadSnapshot()
-	if err == nil && !opts.Follower {
-		// A replica directory is only ever written by this code; there is
-		// no legacy single-file layout to migrate.
-		err = db.migrateLegacyWAL(snapSeq)
+	if _, serr := os.Stat(filepath.Join(dir, "store.wal")); serr == nil {
+		lock.release()
+		return nil, fmt.Errorf("%w (the directory holds a single-file store.wal)", ErrLegacyFormat)
 	}
+	snapSeq, err := db.loadSnapshot()
 	var maxSeq int64
 	if err == nil {
 		maxSeq, err = db.recoverSegments(snapSeq)
@@ -719,20 +725,11 @@ func (t *table) applyDelete(id string) {
 }
 
 // apply installs a committed WAL operation into the in-memory state,
-// used on replay and snapshot load. The caller holds the write lock.
-// Binary put rows (every record written by this version) decode through
-// the table's codec; JSON row maps survive only for frames written by
-// older binaries.
+// used on replay and follower apply. The caller holds the write lock.
 func (t *table) apply(op walOp) error {
 	switch op.Op {
 	case opPut:
-		var row Row
-		var err error
-		if op.rowBin != nil {
-			row, err = t.codec.decodeRow(op.rowBin)
-		} else {
-			row, err = t.schema.decodeRow(op.Row)
-		}
+		row, err := t.codec.decodeRow(op.rowBin)
 		if err != nil {
 			return err
 		}

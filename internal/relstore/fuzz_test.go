@@ -3,55 +3,55 @@ package relstore
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"hash/crc32"
 	"testing"
 )
 
-// fuzzSegment builds a well-formed segment byte stream of n records in
-// the legacy JSON frame format.
+// fuzzSchema is the table the fuzz corpus writes to.
+var fuzzSchema = Schema{Name: "t", Key: "r", Columns: []Column{
+	{Name: "r", Type: TString},
+	{Name: "v", Type: TFloat, Nullable: true},
+}}
+
+// opsFrame frames one ops record the way the WAL writer would.
+func opsFrame(t testing.TB, ops ...walOp) []byte {
+	t.Helper()
+	payload, err := appendBinRecord(nil, walRecord{Ops: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame(payload)
+}
+
+// fuzzRow encodes one fuzzSchema row through the rowcodec.
+func fuzzRow(t testing.TB, v float64) []byte {
+	t.Helper()
+	codec := newRowCodec(fuzzSchema)
+	rb, err := codec.appendRow(nil, Row{"v": v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rb
+}
+
+// fuzzSegment builds a well-formed segment byte stream of n records.
 func fuzzSegment(t testing.TB, n int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for i := 0; i < n; i++ {
-		rec := walRecord{Ops: []walOp{
-			{Op: opPut, Table: "t", ID: "r1", Row: map[string]any{"v": float64(i)}},
-			{Op: opSeq, Table: "t", Seq: int64(i + 1)},
-		}}
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(frame(payload))
+		buf.Write(opsFrame(t,
+			walOp{Op: opPut, Table: "t", ID: "r1", rowBin: fuzzRow(t, float64(i))},
+			walOp{Op: opSeq, Table: "t", Seq: int64(i + 1)}))
 	}
 	return buf.Bytes()
 }
 
-// fuzzBinSegment builds the same record stream in the binary frame
-// format, rows encoded through the rowcodec.
-func fuzzBinSegment(t testing.TB, n int) []byte {
-	t.Helper()
-	codec := newRowCodec(Schema{Name: "t", Key: "r", Columns: []Column{
-		{Name: "r", Type: TString},
-		{Name: "v", Type: TFloat, Nullable: true},
-	}})
-	var buf bytes.Buffer
-	for i := 0; i < n; i++ {
-		rb, err := codec.appendRow(nil, Row{"v": float64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload, err := appendBinRecord(nil, walRecord{Ops: []walOp{
-			{Op: opPut, Table: "t", ID: "r1", rowBin: rb},
-			{Op: opSeq, Table: "t", Seq: int64(i + 1)},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(frame(payload))
-	}
-	return buf.Bytes()
-}
+// jsonOpsFrame is a frame of JSON rows: its checksum holds, and the
+// reader refuses it with ErrLegacyFormat.
+var jsonOpsFrame = frame([]byte(`{"ops":[{"op":"put","table":"t","id":"r1","row":{"v":1}},{"op":"seq","table":"t","seq":1}]}`))
+
+// lyingLengthFrame is a 16-byte input whose header claims a 512 MiB
+// payload: the length, then a 4-byte checksum and 8 payload bytes.
+var lyingLengthFrame = append(binary.LittleEndian.AppendUint32(nil, 512<<20), make([]byte, 12)...)
 
 // FuzzReadWAL throws arbitrary bytes — seeded with valid segments and
 // targeted corruptions (truncations, bit flips, lying length fields,
@@ -85,18 +85,18 @@ func FuzzReadWAL(f *testing.F) {
 	evil := frame([]byte("not json"))
 	f.Add(append(append([]byte{}, valid...), evil...))
 	f.Add(frame([]byte{}))
-	// Binary-format frames: valid, torn, bit-flipped, mixed with JSON
-	// frames in one stream, and checksum-valid binary garbage.
-	binValid := fuzzBinSegment(f, 3)
-	f.Add(binValid)
-	f.Add(binValid[:len(binValid)-1])
-	binFlip := append([]byte{}, binValid...)
-	binFlip[len(binFlip)/2] ^= 0x40
-	f.Add(binFlip)
-	f.Add(append(append([]byte{}, valid...), binValid...))
+	// What is refused although its checksum holds: JSON rows (alone, and
+	// after frames that must still be returned) and a CreateTable frame
+	// that smuggles ops. And what is accepted: a CreateTable frame ahead
+	// of the ops that use it.
+	f.Add(jsonOpsFrame)
+	f.Add(append(append([]byte{}, valid...), jsonOpsFrame...))
+	f.Add(frame([]byte(`{"createTable":{"name":"t","key":"r","columns":[{"name":"r","type":"string"}]},"ops":[{"op":"seq","table":"t","seq":1}]}`)))
+	f.Add(append(frameCreate(f, fuzzSchema), valid...))
 	f.Add(frame([]byte{binRecordTag}))
 	f.Add(frame([]byte{binRecordTag, 0xFF, 0xFF, 0xFF}))
 	f.Add(frame(append([]byte{binRecordTag}, []byte("garbage after tag")...)))
+	f.Add(lyingLengthFrame)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, n, err := readWAL(bytes.NewReader(data))
@@ -145,17 +145,16 @@ func TestReadWALSurfacesMidStreamCorruption(t *testing.T) {
 // read with altered content.
 func TestReadWALChecksumCatchesEveryBitFlip(t *testing.T) {
 	seg := fuzzSegment(t, 1)
-	want := string(seg[8:])
 	for i := 0; i < len(seg)*8; i++ {
 		mut := append([]byte{}, seg...)
 		mut[i/8] ^= 1 << (i % 8)
 		recs, _, err := readWAL(bytes.NewReader(mut))
 		if err == nil && len(recs) == 1 {
 			// Only acceptable if the flip cancelled out to the identical
-			// payload — impossible for a single flip, so re-marshal and
+			// payload — impossible for a single flip, so re-encode and
 			// compare to be sure nothing altered slipped through.
-			payload, _ := json.Marshal(recs[0])
-			if crc32.ChecksumIEEE(payload) != crc32.ChecksumIEEE([]byte(want)) {
+			payload, _ := appendBinRecord(nil, recs[0])
+			if !bytes.Equal(payload, seg[8:]) {
 				t.Fatalf("bit %d: altered record accepted", i)
 			}
 		}

@@ -489,20 +489,6 @@ func (f *Follower) noteCleanRound() {
 	f.mu.Unlock()
 }
 
-// Staleness reports how long ago the follower last proved itself caught
-// up with the leader's durable tip. ok is false until the first
-// catch-up. The clock keeps running while the leader is unreachable —
-// staleness measures what the follower can currently prove, not whether
-// any write actually happened in the window.
-func (f *Follower) Staleness() (time.Duration, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.caughtUpAt.IsZero() {
-		return 0, false
-	}
-	return time.Since(f.caughtUpAt), true
-}
-
 func (f *Follower) setTip(tip relstore.ShipPosition) {
 	f.mu.Lock()
 	f.leaderTip = tip

@@ -135,12 +135,13 @@ func (db *DB) FollowerAppliedPosition() (seq, offset int64) {
 // consumes the whole frames before the cut and returns an IsTornFrame
 // error — the caller re-requests from the advanced position. No byte of
 // a damaged, partial or undecodable frame is ever applied or written: a
-// frame that is checksum-valid but not valid JSON is refused like torn
-// damage (nothing durable, no poison), just distinguishable via
-// IsTornFrame. Only a frame that decodes but cannot be applied —
-// divergent history referencing unknown state — poisons the store after
-// it is already durable locally; FollowerReinit (or, after a crash, the
-// follower-mode Open reset) clears that.
+// frame that is checksum-valid but does not decode — ErrLegacyFormat for
+// one holding JSON rows — is refused like torn damage (nothing durable,
+// no poison), just distinguishable via IsTornFrame. Only a frame that
+// decodes but cannot be applied — divergent history referencing unknown
+// state — poisons the store after it is already durable locally;
+// FollowerReinit (or, after a crash, the follower-mode Open reset)
+// clears that.
 func (db *DB) FollowerApply(data []byte) (int64, error) {
 	if !db.opts.Follower {
 		return 0, errors.New("relstore: FollowerApply on a store not opened in follower mode")

@@ -259,11 +259,7 @@ func TestFollowerApplyUndecodableFramePoisons(t *testing.T) {
 func TestFollowerUnappliableHistoryResetsOnReopen(t *testing.T) {
 	dir := t.TempDir()
 	follower := openFollower(t, dir)
-	payload, err := json.Marshal(walRecord{Ops: []walOp{{Op: opPut, Table: "ghost", ID: "x", Row: map[string]any{"v": 1.0}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := frame(payload)
+	bad := opsFrame(t, walOp{Op: opPut, Table: "ghost", ID: "x", rowBin: fuzzRow(t, 1)})
 	n, aerr := follower.FollowerApply(bad)
 	if aerr == nil || IsTornFrame(aerr) {
 		t.Fatalf("unappliable frame: %v", aerr)
@@ -362,33 +358,24 @@ func FuzzFollowerApply(f *testing.F) {
 	f.Add(flip)
 	f.Add(append(append([]byte{}, valid...), frame([]byte("not json"))...))
 	f.Add(frame([]byte{}))
-	// Binary-format frames ship over the same protocol: valid, torn,
-	// flipped, and interleaved with legacy JSON frames.
-	binValid := fuzzBinSegment(f, 3)
-	f.Add(binValid)
-	f.Add(binValid[:len(binValid)-1])
-	binFlip := append([]byte{}, binValid...)
-	binFlip[len(binFlip)/2] ^= 0x40
-	f.Add(binFlip)
-	f.Add(append(append([]byte{}, valid...), binValid...))
+	// Refused although the checksum holds: JSON rows, alone and after
+	// frames that must still apply. Unappliable: a put into a table the
+	// replica has never seen.
+	f.Add(jsonOpsFrame)
+	f.Add(append(append([]byte{}, valid...), jsonOpsFrame...))
+	f.Add(opsFrame(f, walOp{Op: opPut, Table: "ghost", ID: "x", rowBin: fuzzRow(f, 1)}))
+	f.Add(append(frameCreate(f, replTestSchema()), valid...))
 	f.Add(frame([]byte{binRecordTag, 0x01}))
+	f.Add(lyingLengthFrame)
 
 	// The fuzz corpus references table "t"; ship its creation as the
 	// first frame so valid puts apply.
-	schema := Schema{Name: "t", Key: "r", Columns: []Column{
-		{Name: "r", Type: TString},
-		{Name: "v", Type: TFloat, Nullable: true},
-	}}
-	createPayload := frameCreate(f, schema)
+	createPayload := frameCreate(f, fuzzSchema)
 
 	// probe is a harmless frame used to detect poisoning observationally:
 	// it applies cleanly on a healthy replica and is refused on one that
 	// durably mirrored an unappliable frame.
-	probePayload, err := json.Marshal(walRecord{Ops: []walOp{{Op: opSeq, Table: "t", Seq: 1}}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	probe := frame(probePayload)
+	probe := opsFrame(f, walOp{Op: opSeq, Table: "t", Seq: 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -457,7 +444,7 @@ func FuzzFollowerApply(f *testing.F) {
 // writer would.
 func frameCreate(t testing.TB, s Schema) []byte {
 	t.Helper()
-	payload, err := json.Marshal(walRecord{CreateTable: &s})
+	payload, err := json.Marshal(schemaRecord{CreateTable: &s})
 	if err != nil {
 		t.Fatal(err)
 	}

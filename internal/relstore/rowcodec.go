@@ -8,10 +8,8 @@ import (
 	"time"
 )
 
-// This file implements the binary row codec: the native on-disk form of a
-// row in WAL frames and snapshots. The JSON row maps produced by
-// Schema.encodeRow survive only for replaying logs written by older
-// binaries (and at the REST edge, which never sees this layer).
+// This file implements the binary row codec: the one on-disk form of a
+// row, in WAL frames and in snapshots.
 //
 // A row encodes as:
 //
@@ -24,17 +22,16 @@ import (
 //
 // Field names make the format self-describing: a row encoded under an
 // older compatible schema (fewer columns) decodes correctly against the
-// upgraded one, exactly as the JSON maps did — which matters because a
-// snapshot can carry a newer schema than WAL rows replayed over it. The
-// schema hash versions the layout without being a decode precondition:
-// when it matches the decoder's schema the sequential-match fast path
-// resolves every field name in O(1), when it differs (upgrade window)
-// decoding falls back to a name lookup.
+// upgraded one — which matters because a snapshot can carry a newer
+// schema than WAL rows replayed over it. The schema hash versions the
+// layout without being a decode precondition: when it matches the
+// decoder's schema the sequential-match fast path resolves every field
+// name in O(1), when it differs (upgrade window) decoding falls back to
+// a name lookup.
 //
-// Value encodings are chosen to be lossless where JSON was not: floats
-// travel as raw IEEE-754 bits (NaN and -0.0 survive), times as (seconds,
-// nanoseconds) pairs (no RFC 3339 formatting, no UnixNano overflow for
-// pre-1678/post-2262 instants), bytes raw (no base64).
+// Value encodings are lossless: floats travel as raw IEEE-754 bits (NaN
+// and -0.0 survive), times as (seconds, nanoseconds) pairs (no UnixNano
+// overflow for pre-1678/post-2262 instants), bytes raw.
 
 // Value tag bytes. The tag describes the wire form of the value that
 // follows, so a reader can skip or validate a row without any schema.
@@ -281,9 +278,8 @@ func readLenBytes(b []byte) ([]byte, []byte, error) {
 // header present, every field name and tagged value well-formed, no
 // trailing garbage. readWAL uses it so a checksum-valid frame whose row
 // payload is not a row surfaces as a decode error at read time (never
-// silently dropped), exactly as undecodable JSON always has — schema-
-// dependent checks (names, types) then happen at apply time, when replay
-// order guarantees the table's schema matches.
+// silently dropped) — schema-dependent checks (names, types) then happen
+// at apply time, when replay order guarantees the table's schema matches.
 func validateRowBytes(b []byte) error {
 	if len(b) < 4 {
 		return fmt.Errorf("short binary row")

@@ -1,12 +1,10 @@
 package relstore
 
 import (
-	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
 	"time"
-	"unicode/utf8"
 )
 
 func codecSchema() Schema {
@@ -42,26 +40,6 @@ func binRoundTrip(t *testing.T, c *rowCodec, row Row) Row {
 	return dec
 }
 
-// jsonRoundTrip pushes a row through the legacy JSON WAL forms: encodeRow
-// → marshal → unmarshal → decodeRow, exactly the path an old binary's
-// frames take on replay.
-func jsonRoundTrip(t *testing.T, s *Schema, row Row) Row {
-	t.Helper()
-	raw, err := json.Marshal(s.encodeRow(row))
-	if err != nil {
-		t.Fatalf("marshal json row: %v", err)
-	}
-	var enc map[string]any
-	if err := json.Unmarshal(raw, &enc); err != nil {
-		t.Fatalf("unmarshal json row: %v", err)
-	}
-	dec, err := s.decodeRow(enc)
-	if err != nil {
-		t.Fatalf("decodeRow json: %v", err)
-	}
-	return dec
-}
-
 func TestRowCodecRoundTrip(t *testing.T) {
 	s := codecSchema()
 	c := newRowCodec(s)
@@ -77,17 +55,13 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, row) {
 			t.Errorf("binary round trip: got %#v, want %#v", got, row)
 		}
-		// The two codecs must agree wherever JSON can represent the row.
-		if jgot := jsonRoundTrip(t, &s, row); !reflect.DeepEqual(jgot, got) {
-			t.Errorf("codec divergence: json %#v, binary %#v", jgot, got)
-		}
 	}
 }
 
-// TestRowCodecEdgeValues pins the cases the binary codec exists to get
-// right: float bit patterns JSON cannot carry or mangles, and times
-// outside both the RFC 3339 four-digit-year window and the UnixNano
-// int64 range (pre-1678 / post-2262).
+// TestRowCodecEdgeValues pins the values a text encoding would mangle:
+// float bit patterns (NaN, ±Inf, -0.0) and times outside both the
+// RFC 3339 four-digit-year window and the UnixNano int64 range
+// (pre-1678 / post-2262).
 func TestRowCodecEdgeValues(t *testing.T) {
 	s := codecSchema()
 	c := newRowCodec(s)
@@ -218,13 +192,10 @@ func TestRowCodecUpgradeWindow(t *testing.T) {
 	}
 }
 
-// FuzzRowCodecEquivalence is the cross-codec oracle: for arbitrary
-// column values, the binary codec must round-trip exactly, and wherever
-// the legacy JSON forms can represent the row at all, both codecs must
-// produce identical typed rows. Floats JSON cannot carry (NaN, ±Inf) and
-// times outside RFC 3339's four-digit-year window are binary-only; for
-// those the JSON leg is skipped and exact binary round-tripping is still
-// required.
+// FuzzRowCodecEquivalence: for arbitrary column values the codec must
+// round-trip to an equivalent row, bit for bit — including floats and
+// times no text encoding carries (NaN, ±Inf, years outside 1..9999),
+// integers beyond 2⁵³ and invalid UTF-8.
 func FuzzRowCodecEquivalence(f *testing.F) {
 	f.Add(int64(1), uint64(0x400921FB54442D18), "s", []byte{1}, true, int64(0), uint32(0))
 	f.Add(int64(-1), math.Float64bits(math.NaN()), "", []byte{}, false, int64(-9220000000), uint32(999999999))
@@ -253,46 +224,6 @@ func FuzzRowCodecEquivalence(f *testing.F) {
 		for k, v := range row {
 			if !valueEqualBits(got[k], v) {
 				t.Fatalf("binary round trip of %q: %#v != %#v", k, got[k], v)
-			}
-		}
-
-		// JSON leg, where representable: identical typed rows. JSON
-		// cannot carry NaN/±Inf, years outside 1..9999, or — because
-		// numbers decode as float64 — integers beyond 2⁵³ (the fuzzer
-		// surfaced that last one: the legacy codec silently rounds such
-		// ints, which is precisely the lossiness the binary codec fixes).
-		if math.IsNaN(fv) || math.IsInf(fv, 0) {
-			return
-		}
-		if y := at.Year(); y < 1 || y > 9999 {
-			return
-		}
-		if n > 1<<53 || n < -(1<<53) {
-			return
-		}
-		if !utf8.ValidString(s) {
-			// json.Marshal rewrites invalid UTF-8 to U+FFFD; the binary
-			// codec carries string bytes verbatim.
-			return
-		}
-		raw, err := json.Marshal(schema.encodeRow(row))
-		if err != nil {
-			t.Fatalf("json marshal: %v", err)
-		}
-		var jenc map[string]any
-		if err := json.Unmarshal(raw, &jenc); err != nil {
-			t.Fatalf("json unmarshal: %v", err)
-		}
-		jrow, err := schema.decodeRow(jenc)
-		if err != nil {
-			t.Fatalf("json decodeRow: %v", err)
-		}
-		if len(jrow) != len(got) {
-			t.Fatalf("codecs disagree on field count: json %v, binary %v", jrow, got)
-		}
-		for k, v := range got {
-			if !valueEqualBits(jrow[k], v) {
-				t.Fatalf("codec divergence on %q: json %#v, binary %#v", k, jrow[k], v)
 			}
 		}
 	})
@@ -371,34 +302,6 @@ func BenchmarkRowCodecDecode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.decodeRow(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRowCodecEncodeJSON(b *testing.B) {
-	s, row := benchRow()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(s.encodeRow(row)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRowCodecDecodeJSON(b *testing.B) {
-	s, row := benchRow()
-	raw, err := json.Marshal(s.encodeRow(row))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var enc map[string]any
-		if err := json.Unmarshal(raw, &enc); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.decodeRow(enc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,10 +8,9 @@
 // CRUD over typed tables with secondary indexes and predicate scans.
 //
 // Durability follows the classic write-ahead log design: every committed
-// transaction is recorded in a WAL of length- and CRC-framed records —
-// binary row payloads in the native format, JSON for legacy logs and
-// schema records — before it is acknowledged; a snapshot plus WAL replay
-// restores the state on open.
+// transaction is recorded in a WAL of length- and CRC-framed records
+// before it is acknowledged; a snapshot plus WAL replay restores the
+// state on open.
 //
 // # Segmented WAL and background compaction
 //
@@ -73,27 +72,36 @@
 //
 // # Row format and versioning
 //
-// Rows travel in a compact schema-versioned binary encoding (rowcodec.go)
-// everywhere inside the store: WAL frames, snapshots, and the replication
-// stream, which ships WAL bytes verbatim. JSON appears only at the REST
-// edge and in logs written by older binaries. A binary row carries a
-// uint32 schema hash followed by self-describing (name, tag, value)
-// fields in schema column order; the hash fingerprints the (key, column
-// name, column type) layout, so when it matches the decoder's schema a
+// There is one on-disk format. Rows travel in a compact schema-versioned
+// binary encoding (rowcodec.go) everywhere inside the store: WAL frames,
+// snapshots, and the replication stream, which ships WAL bytes verbatim.
+// JSON rows appear only at the REST edge. A binary row carries a uint32
+// schema hash followed by self-describing (name, tag, value) fields in
+// schema column order; the hash fingerprints the (key, column name,
+// column type) layout, so when it matches the decoder's schema a
 // sequential fast path resolves every field in O(1), and when it differs
 // (a row logged before a schema upgrade) decoding falls back to by-name
-// lookup — the same forward-compatibility contract the JSON maps had.
-// Value encodings are lossless where JSON was not: floats as raw
-// IEEE-754 bits, times as (seconds, nanoseconds), bytes raw.
+// lookup, so rows written under an older compatible schema still decode.
+// Value encodings are lossless: floats as raw IEEE-754 bits, times as
+// (seconds, nanoseconds), bytes raw.
 //
-// The WAL record envelope (walcodec.go) is format-tagged by its first
-// payload byte: binary records start with 0x01, JSON records with '{'.
-// Recovery replays both side by side, so a store written by an older
-// binary upgrades in place — old frames stay JSON forever, new commits
-// append binary frames after them; mixedformat_test.go proves the
-// mixed-version replay and the cross-codec fuzz target proves the two
-// row encodings decode to equal rows. CreateTable records, which are
-// rare and carry a full Schema, stay JSON deliberately.
+// A WAL frame payload (walcodec.go) is either an ops record, which
+// starts with 0x01 and carries a transaction's puts, deletes and
+// sequence bumps, or a CreateTable record, which is rare, starts with
+// '{' and carries one Schema as JSON and nothing else. A snapshot starts
+// with the magic "CHRSNAP2" and holds each table's Schema as JSON ahead
+// of its binary rows.
+//
+// What a build that wrote JSON rows leaves behind is refused with
+// ErrLegacyFormat: a snapshot that starts with '{', a single-file
+// store.wal in the directory, or a '{' frame that carries ops, whether
+// recovery finds it or a leader ships it to FollowerApply. Open refuses
+// before it truncates, renames or deletes anything, and the error names
+// the way forward: open the store once with the last build that reads
+// JSON rows and let one compaction run, which leaves a binary snapshot
+// and no JSON-row frames. (A follower's directory is a copy, so a
+// JSON snapshot or frame in it is handled like any other unrecoverable
+// replica state: the replica resets and re-bootstraps.)
 //
 // # Schema upgrades
 //
@@ -218,9 +226,7 @@
 package relstore
 
 import (
-	"encoding/base64"
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -236,7 +242,7 @@ const (
 	TString ColType = "string"
 	// TBool is a boolean column.
 	TBool ColType = "bool"
-	// TBytes is an arbitrary byte-string column (base64 in the WAL).
+	// TBytes is an arbitrary byte-string column.
 	TBytes ColType = "bytes"
 	// TTime is a timestamp column with nanosecond precision.
 	TTime ColType = "time"
@@ -392,81 +398,4 @@ func typeMatches(t ColType, v any) bool {
 		return ok
 	}
 	return false
-}
-
-// encodeValue converts a typed value into its JSON-safe WAL form.
-func encodeValue(t ColType, v any) any {
-	switch t {
-	case TBytes:
-		return base64.StdEncoding.EncodeToString(v.([]byte))
-	case TTime:
-		return v.(time.Time).UTC().Format(time.RFC3339Nano)
-	default:
-		return v
-	}
-}
-
-// decodeValue converts a JSON-decoded WAL value back into its typed form
-// using the schema. JSON numbers arrive as float64.
-func decodeValue(t ColType, v any) (any, error) {
-	switch t {
-	case TInt:
-		switch n := v.(type) {
-		case float64:
-			if n != math.Trunc(n) {
-				return nil, fmt.Errorf("relstore: non-integral value %v for int column", n)
-			}
-			return int64(n), nil
-		case int64:
-			return n, nil
-		}
-	case TFloat:
-		if f, ok := v.(float64); ok {
-			return f, nil
-		}
-	case TString:
-		if s, ok := v.(string); ok {
-			return s, nil
-		}
-	case TBool:
-		if b, ok := v.(bool); ok {
-			return b, nil
-		}
-	case TBytes:
-		if s, ok := v.(string); ok {
-			return base64.StdEncoding.DecodeString(s)
-		}
-	case TTime:
-		if s, ok := v.(string); ok {
-			return time.Parse(time.RFC3339Nano, s)
-		}
-	}
-	return nil, fmt.Errorf("relstore: cannot decode %T as %s", v, t)
-}
-
-// encodeRow converts a validated row to its WAL representation.
-func (s *Schema) encodeRow(r Row) map[string]any {
-	out := make(map[string]any, len(r))
-	for name, v := range r {
-		col, _ := s.column(name)
-		out[name] = encodeValue(col.Type, v)
-	}
-	return out
-}
-
-// decodeRow converts a WAL representation back into a typed row.
-func (s *Schema) decodeRow(enc map[string]any) (Row, error) {
-	out := make(Row, len(enc))
-	for name, v := range enc {
-		col, ok := s.column(name)
-		if !ok {
-			return nil, fmt.Errorf("relstore: table %q has no column %q", s.Name, name)
-		}
-		dv, err := decodeValue(col.Type, v)
-		if err != nil {
-			return nil, fmt.Errorf("relstore: table %q column %q: %w", s.Name, name, err)
-		}
-		out[name] = dv
-	}
-	return out, nil
 }

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -21,25 +22,22 @@ const (
 )
 
 // walOp is one mutation within a committed transaction. A put carries
-// its row exactly one way: rowBin (the binary rowcodec form — every
-// record written by this version) or Row (the JSON map form, seen only
-// when replaying frames written by older binaries). rowBin is captured
-// under the table's write lock at enqueue time, so the bytes a frame
-// ships are fixed before any schema upgrade can follow.
+// its row as rowBin, the binary rowcodec form, captured under the
+// table's write lock at enqueue time, so the bytes a frame ships are
+// fixed before any schema upgrade can follow.
 type walOp struct {
-	Op     string         `json:"op"`
-	Table  string         `json:"table"`
-	ID     string         `json:"id,omitempty"`
-	Row    map[string]any `json:"row,omitempty"`
-	Seq    int64          `json:"seq,omitempty"`
+	Op     string
+	Table  string
+	ID     string
+	Seq    int64
 	rowBin []byte
 }
 
 // walRecord is one framed WAL entry: either a table creation or a batch
 // of operations from a single transaction.
 type walRecord struct {
-	CreateTable *Schema `json:"createTable,omitempty"`
-	Ops         []walOp `json:"ops,omitempty"`
+	CreateTable *Schema
+	Ops         []walOp
 }
 
 // walFile is the file surface the segment writer appends through. It is
@@ -64,10 +62,9 @@ type walFile interface {
 //	uint32 little-endian CRC-32 (IEEE) of the payload
 //	payload
 //
-// The payload's first byte selects its format: '{' is a JSON record
-// (legacy logs, and CreateTable records), binRecordTag a binary record
-// (see walcodec.go). Frames of both formats replay side by side in one
-// recovery, so old stores upgrade in place.
+// The payload's first byte names its kind: binRecordTag opens a batch of
+// operations, '{' a CreateTable record (see walcodec.go). Any other
+// payload whose checksum holds is refused.
 //
 // A torn final frame (short write during a crash) is detected by length
 // or checksum mismatch on replay. It is tolerated — and truncated away —
@@ -222,14 +219,14 @@ func FrameSize(hdr []byte) int64 {
 	return FrameHeaderSize + int64(binary.LittleEndian.Uint32(hdr[0:4]))
 }
 
-// append frames one record into the write buffer. Ops-only records
-// (every commit) encode binary through a pooled scratch buffer — zero
-// steady-state allocation; CreateTable records (rare, carry a Schema)
-// encode as JSON. Nothing is durable until commit is called, letting the
-// group committer amortise a single flush+fsync over many records.
+// append frames one record into the write buffer. Ops records (every
+// commit) encode through a pooled scratch buffer — zero steady-state
+// allocation; CreateTable records (rare) carry their Schema as JSON.
+// Nothing is durable until commit is called, letting the group committer
+// amortise a single flush+fsync over many records.
 func (w *walWriter) append(rec walRecord) error {
 	if rec.CreateTable != nil {
-		payload, err := json.Marshal(rec)
+		payload, err := json.Marshal(schemaRecord{CreateTable: rec.CreateTable})
 		if err != nil {
 			return fmt.Errorf("relstore: marshal wal record: %w", err)
 		}
@@ -316,8 +313,9 @@ func readWAL(r io.Reader) ([]walRecord, int64, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	var out []walRecord
 	var n int64
+	var scratch bytes.Buffer
 	for {
-		rec, size, err := readOneRecord(br)
+		rec, size, err := readOneRecord(br, &scratch)
 		if err == io.EOF {
 			return out, n, nil
 		}
@@ -329,8 +327,12 @@ func readWAL(r io.Reader) ([]walRecord, int64, error) {
 	}
 }
 
-func readOneRecord(br *bufio.Reader) (walRecord, int64, error) {
-	var hdr [8]byte
+// readOneRecord reads one frame from br, staging its payload in scratch.
+// scratch grows only as payload bytes arrive, so a header that lies about
+// its length (a flipped bit in a torn tail or a shipped chunk) costs what
+// the input actually holds, not what the header claims.
+func readOneRecord(br *bufio.Reader, scratch *bytes.Buffer) (walRecord, int64, error) {
+	var hdr [FrameHeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		if err == io.EOF {
 			return walRecord{}, 0, io.EOF
@@ -342,31 +344,22 @@ func readOneRecord(br *bufio.Reader) (walRecord, int64, error) {
 	if length > 1<<30 {
 		return walRecord{}, 0, fmt.Errorf("%w: absurd frame length %d", errTornRecord, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	scratch.Reset()
+	if _, err := io.CopyN(scratch, br, int64(length)); err != nil {
 		return walRecord{}, 0, fmt.Errorf("%w: short payload", errTornRecord)
 	}
+	payload := scratch.Bytes()
 	if crc32.ChecksumIEEE(payload) != sum {
 		return walRecord{}, 0, fmt.Errorf("%w: checksum mismatch", errTornRecord)
 	}
-	// The checksum held, so the payload is exactly what was written:
-	// dispatch on the format byte. Anything else is corruption that a
-	// torn write cannot produce, and is never silently dropped.
-	if len(payload) > 0 && payload[0] == binRecordTag {
-		rec, err := decodeBinRecord(payload)
-		if err != nil {
-			return walRecord{}, 0, err
-		}
-		return rec, int64(8 + len(payload)), nil
+	// The checksum held, so the payload is exactly what was written: a
+	// payload that does not decode is corruption a torn write cannot
+	// produce, and is never silently dropped.
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		return walRecord{}, 0, err
 	}
-	if len(payload) == 0 || payload[0] != '{' {
-		return walRecord{}, 0, fmt.Errorf("relstore: decode wal record: unknown payload format")
-	}
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return walRecord{}, 0, fmt.Errorf("relstore: decode wal record: %w", err)
-	}
-	return rec, int64(8 + len(payload)), nil
+	return rec, int64(FrameHeaderSize + len(payload)), nil
 }
 
 // applyRecord installs one replayed record into the in-memory state
@@ -474,52 +467,6 @@ func (db *DB) applyRecordSynced(rec walRecord) error {
 	return err
 }
 
-// migrateLegacyWAL converts a pre-segment store.wal into segment
-// snapSeq+1. The frame format is identical, so conversion is a rename;
-// a torn tail (legal in the old single-file layout) is truncated first
-// so the file is a well-formed sealed segment afterwards. Idempotent
-// across crashes: either the legacy file still exists and is converted
-// again, or the rename completed and the segment replays normally.
-func (db *DB) migrateLegacyWAL(snapSeq int64) error {
-	legacy := filepath.Join(db.dir, "store.wal")
-	f, err := os.OpenFile(legacy, os.O_RDWR, 0)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	_, n, rerr := readWAL(f)
-	if rerr != nil && !errors.Is(rerr, errTornRecord) {
-		f.Close()
-		return fmt.Errorf("relstore: legacy wal: %w", rerr)
-	}
-	if err := f.Truncate(n); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	target := filepath.Join(db.dir, segmentName(snapSeq+1))
-	if _, err := os.Stat(target); err == nil {
-		// A store that already has segment snapSeq+1 AND a legacy
-		// store.wal was run by a mixed set of binary versions; renaming
-		// over the segment would silently destroy its acknowledged
-		// commits. Refuse loudly instead — the operator must pick which
-		// history is the real one.
-		return fmt.Errorf("relstore: both a legacy store.wal and wal segment %d exist; refusing to overwrite (was an old binary run against this directory?)", snapSeq+1)
-	}
-	if err := os.Rename(legacy, target); err != nil {
-		return err
-	}
-	return syncDir(db.dir)
-}
-
 // recoverSegments replays every live segment in order and returns the
 // highest segment number seen (snapSeq when none). Segments at or below
 // snapSeq are stale leftovers of a compaction cycle that crashed between
@@ -528,29 +475,21 @@ func (db *DB) migrateLegacyWAL(snapSeq int64) error {
 // snapshot does not cover is missing, which is unrecoverable data loss,
 // so the store refuses to open. A torn tail is tolerated only in the
 // final segment and is truncated away so it can never shadow later
-// writes once new segments stack above it.
+// writes once new segments stack above it. Nothing on disk is touched
+// until every live segment has been read, so a refused open leaves the
+// directory as it found it.
 func (db *DB) recoverSegments(snapSeq int64) (int64, error) {
 	seqs, err := listSegments(db.dir)
 	if err != nil {
 		return 0, err
 	}
-	live := seqs[:0]
-	for _, seq := range seqs {
-		if seq <= snapSeq {
-			// Covered by the snapshot; delete is best-effort (a survivor
-			// is ignored again on the next open).
-			os.Remove(filepath.Join(db.dir, segmentName(seq)))
-			continue
-		}
-		live = append(live, seq)
-	}
-	if len(live) == 0 {
-		return snapSeq, nil
-	}
-	if live[0] != snapSeq+1 {
+	stale := sort.Search(len(seqs), func(i int) bool { return seqs[i] > snapSeq })
+	live := seqs[stale:]
+	if len(live) > 0 && live[0] != snapSeq+1 {
 		return 0, fmt.Errorf("relstore: wal segment %d missing (snapshot covers through %d, oldest on disk is %d)",
 			snapSeq+1, snapSeq, live[0])
 	}
+	maxSeq := snapSeq
 	for i, seq := range live {
 		if i > 0 && seq != live[i-1]+1 {
 			return 0, fmt.Errorf("relstore: wal segment %d missing (gap before segment %d)", live[i-1]+1, seq)
@@ -586,24 +525,14 @@ func (db *DB) recoverSegments(snapSeq int64) (int64, error) {
 				return 0, err
 			}
 		}
+		maxSeq = seq
 	}
-	return live[len(live)-1], nil
-}
-
-// snapshotFile is the JSON layout of a full store snapshot.
-type snapshotFile struct {
-	Version int `json:"version"`
-	// WALSeq is the highest WAL segment wholly covered by this snapshot:
-	// recovery loads the snapshot and replays only segments above it.
-	// This makes the live-segment set unambiguous without a manifest.
-	WALSeq int64           `json:"walSeq,omitempty"`
-	Tables []snapshotTable `json:"tables"`
-}
-
-type snapshotTable struct {
-	Schema Schema                    `json:"schema"`
-	Seq    int64                     `json:"seq"`
-	Rows   map[string]map[string]any `json:"rows"`
+	for _, seq := range seqs[:stale] {
+		// Covered by the snapshot; delete is best-effort (a survivor is
+		// ignored again on the next open).
+		os.Remove(filepath.Join(db.dir, segmentName(seq)))
+	}
+	return maxSeq, nil
 }
 
 // tableClone is a shallow, immutable copy of one table's state: the rows
@@ -669,13 +598,10 @@ func (db *DB) cloneState() ([]tableClone, int64) {
 	return clones, lsn
 }
 
-// snapshotMagic opens a binary snapshot file. Legacy JSON snapshots
-// start with '{', so the first byte alone distinguishes the formats and
-// the reader accepts both — a store written by an older binary recovers
-// from its JSON snapshot and compacts into a binary one.
+// snapshotMagic opens every snapshot file.
 const snapshotMagic = "CHRSNAP2"
 
-// writeSnapshot streams clones to w in the binary snapshot layout:
+// writeSnapshot streams clones to w in the snapshot layout:
 //
 //	8-byte magic "CHRSNAP2"
 //	uvarint walSeq
@@ -735,49 +661,6 @@ func writeUvarint(bw *bufio.Writer, scratch []byte, v uint64) {
 	bw.Write(scratch[:binary.PutUvarint(scratch, v)])
 }
 
-// writeSnapshotJSON streams clones to w in the legacy snapshotFile JSON
-// layout. Production code writes binary snapshots only; this writer
-// survives so the mixed-version recovery tests can fabricate the files
-// an older binary would have left behind.
-func writeSnapshotJSON(w io.Writer, clones []tableClone, walSeq int64) error {
-	bw := bufio.NewWriterSize(w, 64<<10)
-	fmt.Fprintf(bw, `{"version":1,"walSeq":%d,"tables":[`, walSeq)
-	for i, c := range clones {
-		if i > 0 {
-			bw.WriteByte(',')
-		}
-		schema, err := json.Marshal(c.schema)
-		if err != nil {
-			return fmt.Errorf("relstore: marshal snapshot schema: %w", err)
-		}
-		fmt.Fprintf(bw, `{"schema":%s,"seq":%d,"rows":{`, schema, c.seq)
-		first := true
-		for id, row := range c.rows {
-			key, err := json.Marshal(id)
-			if err != nil {
-				return fmt.Errorf("relstore: marshal snapshot key: %w", err)
-			}
-			enc, err := json.Marshal(c.schema.encodeRow(row))
-			if err != nil {
-				return fmt.Errorf("relstore: marshal snapshot row: %w", err)
-			}
-			if !first {
-				bw.WriteByte(',')
-			}
-			first = false
-			bw.Write(key)
-			bw.WriteByte(':')
-			bw.Write(enc)
-		}
-		bw.WriteString("}}")
-	}
-	bw.WriteString("]}")
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("relstore: write snapshot: %w", err)
-	}
-	return nil
-}
-
 // writeSnapshotTmp streams the snapshot for clones into path and fsyncs
 // it. The caller installs it with commitSnapshotTmp once every commit
 // the clones contain is durably logged.
@@ -813,13 +696,13 @@ func (db *DB) commitSnapshotTmp(tmp string) error {
 	return syncDir(db.dir)
 }
 
-// readSnapshotFile parses the snapshot at path into a fresh table set
-// and returns it with the highest WAL segment it covers. A missing file
-// yields an empty table set and seq 0 (fresh or legacy store). The
-// first byte selects the format — binary (snapshotMagic) or legacy JSON
-// ('{') — and both readers stream table by table, row by row, so peak
-// memory is the restored tables plus O(one encoded row), never a second
-// whole-store decoded copy.
+// readSnapshotFile parses the snapshot at path (the layout writeSnapshot
+// documents) into a fresh table set and returns it with the highest WAL
+// segment it covers. A missing file yields an empty table set and seq 0
+// (a store that has never compacted). Tables stream row by row through
+// a reused buffer, so peak memory is the restored tables plus O(one
+// encoded row). A file that opens with '{' is a JSON snapshot:
+// ErrLegacyFormat.
 func readSnapshotFile(path string) (map[string]*table, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -830,24 +713,11 @@ func readSnapshotFile(path string) (map[string]*table, int64, error) {
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 64<<10)
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, 0, fmt.Errorf("relstore: read snapshot: %w", err)
-	}
-	switch first[0] {
-	case snapshotMagic[0]:
-		return readSnapshotBin(br)
-	case '{':
-		return readSnapshotJSON(br)
-	}
-	return nil, 0, fmt.Errorf("relstore: snapshot %s: unknown format", filepath.Base(path))
-}
-
-// readSnapshotBin parses the binary snapshot layout written by
-// writeSnapshot, one row at a time through a reused buffer.
-func readSnapshotBin(br *bufio.Reader) (map[string]*table, int64, error) {
 	var magic [len(snapshotMagic)]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != snapshotMagic {
+		if magic[0] == '{' {
+			return nil, 0, fmt.Errorf("%w (the snapshot is JSON)", ErrLegacyFormat)
+		}
 		return nil, 0, fmt.Errorf("relstore: snapshot: bad magic")
 	}
 	walSeq, err := binary.ReadUvarint(br)
@@ -913,150 +783,8 @@ func readSnapshotBin(br *bufio.Reader) (map[string]*table, int64, error) {
 	return tables, int64(walSeq), nil
 }
 
-// readSnapshotJSON parses the legacy snapshotFile JSON layout written by
-// older binaries. Unlike the one-shot Decode it replaces, it walks the
-// token stream and decodes one row at a time, so restoring a large
-// legacy store no longer materialises the whole file's worth of
-// intermediate maps beside the tables being built.
-func readSnapshotJSON(r io.Reader) (map[string]*table, int64, error) {
-	dec := json.NewDecoder(r)
-	if err := expectDelim(dec, '{'); err != nil {
-		return nil, 0, fmt.Errorf("relstore: decode snapshot: %w", err)
-	}
-	tables := make(map[string]*table)
-	var walSeq int64
-	for dec.More() {
-		key, err := jsonKey(dec)
-		if err != nil {
-			return nil, 0, fmt.Errorf("relstore: decode snapshot: %w", err)
-		}
-		switch key {
-		case "walSeq":
-			if err := dec.Decode(&walSeq); err != nil {
-				return nil, 0, fmt.Errorf("relstore: decode snapshot walSeq: %w", err)
-			}
-		case "tables":
-			if err := expectDelim(dec, '['); err != nil {
-				return nil, 0, fmt.Errorf("relstore: decode snapshot: %w", err)
-			}
-			for dec.More() {
-				t, err := readSnapshotJSONTable(dec)
-				if err != nil {
-					return nil, 0, err
-				}
-				tables[t.schema.Name] = t
-			}
-			if err := expectDelim(dec, ']'); err != nil {
-				return nil, 0, fmt.Errorf("relstore: decode snapshot: %w", err)
-			}
-		default: // "version" and any future additions
-			var skip any
-			if err := dec.Decode(&skip); err != nil {
-				return nil, 0, fmt.Errorf("relstore: decode snapshot %q: %w", key, err)
-			}
-		}
-	}
-	if err := expectDelim(dec, '}'); err != nil {
-		return nil, 0, fmt.Errorf("relstore: decode snapshot: %w", err)
-	}
-	return tables, walSeq, nil
-}
-
-// readSnapshotJSONTable parses one element of the "tables" array. The
-// writer emits schema before rows; rows arriving first would leave the
-// row types undefined, so that ordering is required.
-func readSnapshotJSONTable(dec *json.Decoder) (*table, error) {
-	if err := expectDelim(dec, '{'); err != nil {
-		return nil, fmt.Errorf("relstore: decode snapshot table: %w", err)
-	}
-	var t *table
-	for dec.More() {
-		key, err := jsonKey(dec)
-		if err != nil {
-			return nil, fmt.Errorf("relstore: decode snapshot table: %w", err)
-		}
-		switch key {
-		case "schema":
-			var s Schema
-			if err := dec.Decode(&s); err != nil {
-				return nil, fmt.Errorf("relstore: decode snapshot schema: %w", err)
-			}
-			t = newTable(s)
-		case "seq":
-			if t == nil {
-				return nil, fmt.Errorf("relstore: decode snapshot: table seq precedes schema")
-			}
-			if err := dec.Decode(&t.seq); err != nil {
-				return nil, fmt.Errorf("relstore: decode snapshot seq: %w", err)
-			}
-		case "rows":
-			if t == nil {
-				return nil, fmt.Errorf("relstore: decode snapshot: table rows precede schema")
-			}
-			if err := expectDelim(dec, '{'); err != nil {
-				return nil, fmt.Errorf("relstore: decode snapshot rows: %w", err)
-			}
-			for dec.More() {
-				id, err := jsonKey(dec)
-				if err != nil {
-					return nil, fmt.Errorf("relstore: decode snapshot row key: %w", err)
-				}
-				var enc map[string]any
-				if err := dec.Decode(&enc); err != nil {
-					return nil, fmt.Errorf("relstore: decode snapshot row %q: %w", id, err)
-				}
-				row, err := t.schema.decodeRow(enc)
-				if err != nil {
-					return nil, err
-				}
-				t.applyPut(id, row)
-			}
-			if err := expectDelim(dec, '}'); err != nil {
-				return nil, fmt.Errorf("relstore: decode snapshot rows: %w", err)
-			}
-		default:
-			var skip any
-			if err := dec.Decode(&skip); err != nil {
-				return nil, fmt.Errorf("relstore: decode snapshot table %q: %w", key, err)
-			}
-		}
-	}
-	if err := expectDelim(dec, '}'); err != nil {
-		return nil, fmt.Errorf("relstore: decode snapshot table: %w", err)
-	}
-	if t == nil {
-		return nil, fmt.Errorf("relstore: decode snapshot: table without schema")
-	}
-	return t, nil
-}
-
-// expectDelim consumes one token and requires it to be the delimiter d.
-func expectDelim(dec *json.Decoder, d json.Delim) error {
-	tok, err := dec.Token()
-	if err != nil {
-		return err
-	}
-	if got, ok := tok.(json.Delim); !ok || got != d {
-		return fmt.Errorf("expected %q, got %v", d.String(), tok)
-	}
-	return nil
-}
-
-// jsonKey consumes one token and requires it to be an object key.
-func jsonKey(dec *json.Decoder) (string, error) {
-	tok, err := dec.Token()
-	if err != nil {
-		return "", err
-	}
-	s, ok := tok.(string)
-	if !ok {
-		return "", fmt.Errorf("expected object key, got %v", tok)
-	}
-	return s, nil
-}
-
 // loadSnapshot restores the snapshot file if present and returns the
-// highest WAL segment it covers (0 for fresh or legacy stores).
+// highest WAL segment it covers (0 when there is none).
 func (db *DB) loadSnapshot() (int64, error) {
 	if db.dir == "" {
 		return 0, nil

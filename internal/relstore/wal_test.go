@@ -1,8 +1,6 @@
 package relstore
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -218,90 +216,6 @@ func TestTornTailRepairedBeforeNewWrites(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-// TestLegacyWALMigration: a pre-segment store.wal (same frame format,
-// single file, possibly with a torn tail) is converted into the first
-// live segment on open.
-func TestLegacyWALMigration(t *testing.T) {
-	dir := t.TempDir()
-	// Hand-build a legacy store.wal: createTable + two puts + torn tail.
-	s := usersSchema()
-	var buf bytes.Buffer
-	writeRec := func(rec walRecord) {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(frame(payload))
-	}
-	writeRec(walRecord{CreateTable: &s})
-	for i, id := range []string{"u1", "u2"} {
-		row, err := s.decodeRow(s.encodeRow(userRow(id, "legacy", int64(i))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		writeRec(walRecord{Ops: []walOp{{Op: opPut, Table: "users", ID: id, Row: s.encodeRow(row)}}})
-	}
-	buf.Write([]byte{9, 0, 0, 0, 1, 2}) // torn frame: header promises more bytes
-	if err := os.WriteFile(filepath.Join(dir, "store.wal"), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := os.Stat(filepath.Join(dir, "store.wal")); !os.IsNotExist(err) {
-		t.Fatal("legacy store.wal not migrated away")
-	}
-	db.View(func(tx *Tx) error {
-		for _, id := range []string{"u1", "u2"} {
-			if ok, _ := tx.Exists("users", id); !ok {
-				t.Errorf("%s lost in migration", id)
-			}
-		}
-		return nil
-	})
-	// The migrated store accepts writes and survives another reopen.
-	if err := db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u3", "post", 3)) }); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-	db2, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	db2.View(func(tx *Tx) error {
-		n, _ := tx.Count("users", NewQuery())
-		if n != 3 {
-			t.Errorf("post-migration rows = %d, want 3", n)
-		}
-		return nil
-	})
-}
-
-// TestLegacyWALCollisionRefusesStartup: a legacy store.wal alongside an
-// already-migrated segment history (a mixed-version deployment wrote
-// both) must refuse to open rather than silently rename one history
-// over the other.
-func TestLegacyWALCollisionRefusesStartup(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, &Options{CompactEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.CreateTable(usersSchema())
-	db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u1", "a", 1)) })
-	db.Close()
-	if err := os.WriteFile(filepath.Join(dir, "store.wal"), frame([]byte("{}")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, nil); err == nil || !strings.Contains(err.Error(), "refusing to overwrite") {
-		t.Fatalf("open with colliding legacy wal: %v", err)
-	}
 }
 
 // TestStaleSegmentsCleanedOnOpen: segments at or below the snapshot

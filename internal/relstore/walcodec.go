@@ -1,21 +1,17 @@
 package relstore
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"sync"
 )
 
-// Binary WAL record envelope.
+// WAL record envelope.
 //
-// A frame payload's first byte selects its format: JSON records (legacy
-// logs, and CreateTable records, which are rare and carry a full Schema)
-// start with '{'; binary records start with binRecordTag. The two replay
-// side by side in one recovery, so a store written by an older binary
-// upgrades in place — its old frames stay JSON forever, new commits
-// append binary frames after them.
-//
-// A binary record is:
+// A frame payload's first byte names its kind. Every commit is an ops
+// record:
 //
 //	0x01 (binRecordTag)
 //	uvarint op count
@@ -25,6 +21,11 @@ import (
 //	  put:    uvarint id length, id, uvarint row length, row (rowcodec)
 //	  delete: uvarint id length, id
 //	  seq:    uvarint sequence value
+//
+// A table creation or schema upgrade is a CreateTable record, which is
+// rare and carries its Schema as JSON: {"createTable": <Schema>}, and
+// nothing else. A '{' payload that carries "ops" holds JSON rows, which
+// this version does not read: ErrLegacyFormat.
 const (
 	binRecordTag = 0x01
 
@@ -33,12 +34,41 @@ const (
 	binOpSeq    = 3
 )
 
+// schemaRecord is the JSON payload of a CreateTable frame. Ops exists
+// only so decoding can tell a JSON-rows frame from a malformed one.
+type schemaRecord struct {
+	CreateTable *Schema           `json:"createTable,omitempty"`
+	Ops         []json.RawMessage `json:"ops,omitempty"`
+}
+
+// decodeRecord parses one checksum-valid frame payload. Ops records get
+// their own copy of the payload because their decoded rows alias it.
+func decodeRecord(payload []byte) (walRecord, error) {
+	if len(payload) > 0 && payload[0] == binRecordTag {
+		return decodeBinRecord(bytes.Clone(payload))
+	}
+	if len(payload) == 0 || payload[0] != '{' {
+		return walRecord{}, fmt.Errorf("relstore: decode wal record: unknown payload format")
+	}
+	var rec schemaRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return walRecord{}, fmt.Errorf("relstore: decode wal record: %w", err)
+	}
+	switch {
+	case rec.CreateTable != nil && len(rec.Ops) == 0:
+		return walRecord{CreateTable: rec.CreateTable}, nil
+	case rec.CreateTable == nil && len(rec.Ops) > 0:
+		return walRecord{}, fmt.Errorf("%w (a WAL frame holds JSON rows)", ErrLegacyFormat)
+	}
+	return walRecord{}, fmt.Errorf("relstore: decode wal record: a JSON frame must hold createTable and nothing else")
+}
+
 // appendBinRecord appends the binary encoding of an ops-only record to
 // dst. Put ops must carry their pre-encoded row bytes (rowBin), captured
 // under the table's lock at enqueue time — the envelope itself is
 // schema-free, so assembling it here, after the locks are released,
 // cannot race a schema upgrade. CreateTable records never take this
-// path; they stay JSON.
+// path; they are JSON-framed.
 func appendBinRecord(dst []byte, rec walRecord) ([]byte, error) {
 	if rec.CreateTable != nil {
 		return nil, fmt.Errorf("relstore: CreateTable records are JSON-framed")
@@ -77,11 +107,11 @@ func appendLenBytes(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// decodeBinRecord parses a binary record payload (first byte already
+// decodeBinRecord parses an ops record payload (first byte already
 // known to be binRecordTag). Row payloads are structurally validated
 // here — the schema-free half of the decode contract — and kept as raw
-// bytes (aliasing payload, which readOneRecord allocates per frame);
-// the schema-dependent half happens at apply time via rowCodec.decodeRow,
+// bytes aliasing payload, which the caller must not reuse; the
+// schema-dependent half happens at apply time via rowCodec.decodeRow,
 // when replay order guarantees the table's schema matches. Any
 // malformation is a decode error: the frame's checksum held, so this is
 // not a torn write and is never silently dropped.

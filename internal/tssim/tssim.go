@@ -302,18 +302,3 @@ func (s *Series) latest() (Point, bool) {
 	}
 	return Point{}, false
 }
-
-// NumChunks returns the sealed-chunk count plus one if the head holds
-// samples; exposed for tests and diagnostics.
-func (s *Series) NumChunks() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := len(s.sealed)
-	if len(s.head) > 0 {
-		n++
-	}
-	return n
-}
-
-// SeriesRef returns the named series for chunk-level inspection, or nil.
-func (db *DB) SeriesRef(name string) *Series { return db.get(name) }

@@ -110,8 +110,7 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 		doneMu.Unlock()
 	}
 
-	meter := metrics.NewMeter(nil)
-	meter.Start()
+	runStart := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < threads; w++ {
 		wg.Add(1)
@@ -204,7 +203,7 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 		}(w)
 	}
 	wg.Wait()
-	meter.Stop()
+	elapsed := time.Since(runStart)
 	for _, err := range genErrs {
 		if err != nil {
 			return ScheduleMeasurements{}, err
@@ -258,8 +257,7 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 		sm.Total.Operations += pm.Measurements.Operations
 		sm.Phases = append(sm.Phases, pm)
 	}
-	meter.Add(sm.Total.Operations)
-	if el := meter.Elapsed().Seconds(); el > 0 {
+	if el := elapsed.Seconds(); el > 0 {
 		sm.Total.Throughput = float64(sm.Total.Operations) / el
 	}
 	sm.Total.Latency = allHist.Snapshot()
