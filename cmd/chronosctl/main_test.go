@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"log"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -154,5 +155,26 @@ func TestDispatchErrors(t *testing.T) {
 	}
 	if err := dispatch(c, []string{"login", "ghost", "pw"}); err == nil {
 		t.Fatal("login against authless server accepted")
+	}
+}
+
+// TestStatusMetricsShippingRatio feeds `status -metrics` a follower's
+// exposition: the repl line carries the commits/chunk figure, and leaves
+// it out while nothing has been shipped.
+func TestStatusMetricsShippingRatio(t *testing.T) {
+	for _, tc := range []struct{ counters, want string }{
+		{"chronos_repl_chunks_total 40\nchronos_repl_commits_applied_total 500\n",
+			"repl: lag 0 segment(s) (0 B), staleness 1ms, 0 bootstrap(s); shipped 500 commit(s) in 40 chunk(s), 12.5 commits/chunk\n"},
+		{"chronos_repl_chunks_total 0\nchronos_repl_commits_applied_total 0\n",
+			"repl: lag 0 segment(s) (0 B), staleness 1ms, 0 bootstrap(s)\n"},
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, "chronos_repl_lag_segments 0\nchronos_repl_lag_bytes 0\nchronos_repl_staleness_ms 1\nchronos_repl_bootstraps_total 0\n"+tc.counters)
+		}))
+		out := capture(t, client.NewClient(ts.URL), "status", "-metrics")
+		ts.Close()
+		if out != tc.want {
+			t.Errorf("status -metrics printed %q, want %q", out, tc.want)
+		}
 	}
 }

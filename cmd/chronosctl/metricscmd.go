@@ -72,7 +72,14 @@ func metricsStatus(c *client.Client) error {
 		if lagBytes >= 0 {
 			fmt.Printf(" (%s)", humanBytes(int64(lagBytes)))
 		}
-		fmt.Printf(", staleness %.0fms, %.0f bootstrap(s)\n", stale, boots)
+		fmt.Printf(", staleness %.0fms, %.0f bootstrap(s)", stale, boots)
+		// Shipping's batching ratio, the counterpart of the store's
+		// commits per fsync: no constant sets it, only the traffic.
+		if chunks, _ := find("chronos_repl_chunks_total"); chunks > 0 {
+			commits, _ := find("chronos_repl_commits_applied_total")
+			fmt.Printf("; shipped %.0f commit(s) in %.0f chunk(s), %.1f commits/chunk", commits, chunks, commits/chunks)
+		}
+		fmt.Println()
 	}
 	// Claim verdicts, whichever side of the delegation this server is on.
 	var verdicts []string

@@ -354,12 +354,15 @@ func (a *Agent) executeJob(parent context.Context, job *core.Job, defs []params.
 
 	close(reporterDone)
 	wg.Wait()
-	a.report(rc) // final flush
+	// Flush the trailing log only. A Progress here would be one more
+	// durable round trip that changes nothing: Complete sets progress to
+	// 100, and Complete and Fail both refuse a job that is no longer
+	// running, which is all the status answer could have told us.
+	if text := rc.takeLog(); text != "" {
+		a.Control.AppendLog(job.ID, text)
+	}
 
 	if runErr != nil {
-		if text := rc.takeLog(); text != "" {
-			a.Control.AppendLog(job.ID, text)
-		}
 		// An abort is already recorded server-side; anything else fails
 		// the job (and may trigger automatic re-scheduling there).
 		if runErr != ErrAborted {

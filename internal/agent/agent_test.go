@@ -6,7 +6,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -105,6 +107,91 @@ func newAgent(svc *core.Service, depID string, factory func() Runner) *Agent {
 		Factory:        factory,
 		PollInterval:   5 * time.Millisecond,
 		ReportInterval: 5 * time.Millisecond,
+	}
+}
+
+// recordingControl notes the name of every Control call, in order.
+type recordingControl struct {
+	Control
+	mu    sync.Mutex
+	calls []string
+}
+
+func (r *recordingControl) note(name string) {
+	r.mu.Lock()
+	r.calls = append(r.calls, name)
+	r.mu.Unlock()
+}
+
+func (r *recordingControl) seen() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.calls...)
+}
+
+func (r *recordingControl) ClaimJob(dep string) (*core.Job, []params.Definition, error) {
+	r.note("ClaimJob")
+	return r.Control.ClaimJob(dep)
+}
+func (r *recordingControl) Progress(id string, pct int64) (core.JobStatus, error) {
+	r.note("Progress")
+	return r.Control.Progress(id, pct)
+}
+func (r *recordingControl) Heartbeat(id string) (core.JobStatus, error) {
+	r.note("Heartbeat")
+	return r.Control.Heartbeat(id)
+}
+func (r *recordingControl) AppendLog(id, text string) error {
+	r.note("AppendLog")
+	return r.Control.AppendLog(id, text)
+}
+func (r *recordingControl) Complete(id string, resultJSON, archive []byte) error {
+	r.note("Complete")
+	return r.Control.Complete(id, resultJSON, archive)
+}
+func (r *recordingControl) Fail(id, reason string) error {
+	r.note("Fail")
+	return r.Control.Fail(id, reason)
+}
+
+// TestAgentCallSequence pins what a job that ends before the first
+// reporter tick costs the control plane: the claim, one flush of the
+// trailing log and the closing call — no end-of-job Progress, which
+// would be a durable round trip that Complete and Fail make redundant.
+func TestAgentCallSequence(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		runner testRunner
+		want   []string
+		status core.JobStatus
+	}{
+		{"finishes", testRunner{}, []string{"ClaimJob", "AppendLog", "Complete"}, core.StatusFinished},
+		// One failed attempt: the job is re-scheduled for its next one.
+		{"runner error", testRunner{executeErr: fmt.Errorf("disk exploded")}, []string{"ClaimJob", "AppendLog", "Fail"}, core.StatusScheduled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, depID := setupJobs(t, 1)
+			rec := &recordingControl{Control: &LocalControl{Svc: svc}}
+			a := newAgent(svc, depID, func() Runner { r := tc.runner; return &r })
+			a.Control = rec
+			a.ReportInterval = time.Hour // no reporter tick inside the job
+			if worked, err := a.RunOnce(context.Background()); err != nil || !worked {
+				t.Fatalf("RunOnce = %v, %v", worked, err)
+			}
+			if got := rec.seen(); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("control calls = %v, want %v", got, tc.want)
+			}
+			evs, _ := svc.ListEvaluations("")
+			jobs, _ := svc.ListJobs(evs[0].ID)
+			if jobs[0].Status != tc.status {
+				t.Fatalf("job is %s, want %s", jobs[0].Status, tc.status)
+			}
+			// The trailing flush carried every phase's log line.
+			logs, _ := svc.JobLogs(jobs[0].ID)
+			if len(logs) != 1 || !strings.Contains(logs[0].Text, "phase "+PhaseClean) {
+				t.Fatalf("trailing log not flushed in one chunk: %d chunk(s)", len(logs))
+			}
+		})
 	}
 }
 
@@ -239,6 +326,8 @@ func TestAgentObservesAbort(t *testing.T) {
 	a := newAgent(svc, depID, func() Runner {
 		return &testRunner{slow: 2 * time.Second} // long phase, interruptible
 	})
+	rec := &recordingControl{Control: a.Control}
+	a.Control = rec
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -274,6 +363,20 @@ func TestAgentObservesAbort(t *testing.T) {
 	j, _ := svc.GetJob(jobID)
 	if j.Status != core.StatusAborted {
 		t.Fatalf("status = %s", j.Status)
+	}
+	// It was a reporter tick's Progress answer that cancelled the job
+	// (the agent sends no other), and the agent never completed it.
+	ticks := 0
+	for _, call := range rec.seen() {
+		switch call {
+		case "Progress":
+			ticks++
+		case "Complete":
+			t.Fatalf("aborted job was completed: %v", rec.seen())
+		}
+	}
+	if ticks == 0 {
+		t.Fatalf("no reporter tick reached the control: %v", rec.seen())
 	}
 }
 

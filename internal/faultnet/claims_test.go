@@ -381,6 +381,7 @@ func TestClaimFanoutExactlyOnce(t *testing.T) {
 // benchSeries is one followers-count data point of the trajectory.
 type benchSeries struct {
 	Followers    int
+	Wall         time.Duration
 	ClaimsPerSec float64
 	P50Ms        float64
 	P99Ms        float64
@@ -391,7 +392,10 @@ type benchSeries struct {
 // series. The "more followers = more claims/s" assertion only fires on
 // full, non-race runs with enough cores to actually run the extra
 // servers in parallel; on small CI boxes the numbers are logged without
-// the comparison.
+// the comparison. What every run does check is that no series stalls: a
+// delegating series more than 5x slower than the leader alone in the
+// same run is not host noise (the measured gap is 1.5-2.5x) but claimable
+// jobs hidden from the followers — the skipTTL stall, which cost 10 s.
 func TestClaimThroughputTrajectory(t *testing.T) {
 	jobs, conc := 1500, 96
 	if testing.Short() {
@@ -401,7 +405,10 @@ func TestClaimThroughputTrajectory(t *testing.T) {
 	for _, followers := range []int{0, 1, 2} {
 		s := runClaimTrajectory(t, followers, jobs, conc)
 		series = append(series, s)
-		t.Logf("followers=%d: %.0f claims/s, p50 %.1fms, p99 %.1fms", s.Followers, s.ClaimsPerSec, s.P50Ms, s.P99Ms)
+		t.Logf("followers=%d: %.0f claims/s in %v, p50 %.1fms, p99 %.1fms", s.Followers, s.ClaimsPerSec, s.Wall.Round(time.Millisecond), s.P50Ms, s.P99Ms)
+		if s.Wall > 5*series[0].Wall {
+			t.Errorf("followers=%d took %v, over 5x the leader alone (%v): claims stalled", s.Followers, s.Wall, series[0].Wall)
+		}
 	}
 	if !testing.Short() && !raceEnabled && runtime.NumCPU() >= 4 {
 		if series[2].ClaimsPerSec <= series[0].ClaimsPerSec {
@@ -456,6 +463,7 @@ func runClaimTrajectory(t *testing.T, followers, jobs, conc int) benchSeries {
 	}
 	return benchSeries{
 		Followers:    followers,
+		Wall:         elapsed,
 		ClaimsPerSec: float64(len(lats)) / elapsed.Seconds(),
 		P50Ms:        float64(lats[len(lats)/2].Microseconds()) / 1000,
 		P99Ms:        float64(lats[len(lats)*99/100].Microseconds()) / 1000,

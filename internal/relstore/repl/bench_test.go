@@ -3,6 +3,7 @@ package repl
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"os"
 	"sort"
 	"sync"
@@ -145,11 +146,79 @@ func BenchmarkLeaderCommitWithFollowers(b *testing.B) {
 			for _, l := range lats {
 				all = append(all, l...)
 			}
-			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-			if len(all) > 0 {
-				b.ReportMetric(float64(all[len(all)/2]), "p50-ns")
-				b.ReportMetric(float64(all[len(all)*99/100]), "p99-ns")
-			}
+			reportPercentiles(b, all)
 		})
 	}
+}
+
+// reportPercentiles adds the p50 and p99 of per-operation timings to a
+// benchmark's output (ns/op is a mean).
+func reportPercentiles(b *testing.B, lats []time.Duration) {
+	if len(lats) == 0 {
+		return
+	}
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	b.ReportMetric(float64(lats[len(lats)/2]), "p50-ns")
+	b.ReportMetric(float64(lats[len(lats)*99/100]), "p99-ns")
+}
+
+// BenchmarkShipLatency is the read-your-write wait in isolation: one
+// writer commits on the leader and, from the moment the commit is
+// acknowledged, waits until a live follower has applied it — the wait a
+// follower read carrying that commit's X-Chronos-Read-After token parks
+// in. Each commit is held back until the follower's next tail request
+// has reached the leader, so the request is long-polling when the commit
+// becomes durable (back to back, it would queue behind the commit's
+// fsync on the WAL lock and never park). An operation is then one
+// wake-up of the tail request, one response, one local fsync and one
+// apply; any delay the ship path adds on top shows in the p50.
+func BenchmarkShipLatency(b *testing.B) {
+	tailArrived := make(chan struct{}, 1)
+	l := startLeader(b, &relstore.Options{SegmentBytes: 1 << 20, CompactEvery: -1}, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if isTailRequest(r) {
+				select {
+				case tailArrived <- struct{}{}:
+				default:
+				}
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+	db := l.DB()
+	if err := db.CreateTable(kvSchema()); err != nil {
+		b.Fatal(err)
+	}
+	f, err := Start(Config{
+		Dir:        b.TempDir(),
+		Leader:     l.srv.URL,
+		PollWait:   time.Second,
+		RetryEvery: 10 * time.Millisecond,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	ctx := context.Background()
+	if err := f.WaitCaughtUp(ctx); err != nil {
+		b.Fatal(err)
+	}
+
+	lats := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		<-tailArrived
+		put(b, db, "kv", fmt.Sprintf("k%d", i%1000), int64(i))
+		acked := time.Now()
+		seq, off, ok := db.CommitPosition()
+		if !ok {
+			b.Fatal("leader has no commit position")
+		}
+		if err := f.DB().WaitFollowerApplied(ctx, seq, off); err != nil {
+			b.Fatal(err)
+		}
+		lats = append(lats, time.Since(acked))
+	}
+	b.StopTimer()
+	reportPercentiles(b, lats)
 }

@@ -52,8 +52,8 @@ type Config struct {
 	Logger *log.Logger
 	// Metrics, when non-nil, instruments both the replica store
 	// (chronos_store_* series, threaded into relstore.Open) and the
-	// replication loop itself (chronos_repl_* gauges: lag, staleness,
-	// re-bootstrap count).
+	// replication loop itself (chronos_repl_* series: lag, staleness,
+	// re-bootstrap count, chunks and commits applied).
 	Metrics *metrics.Registry
 }
 
@@ -82,6 +82,11 @@ type Follower struct {
 	// something (a clean tail round, applied bytes, or a bootstrap);
 	// run() resets its reconnect backoff when it did.
 	progress atomic.Bool
+
+	// chunks counts tail responses that applied at least one frame and
+	// commits the frames (one per leader commit) they carried: their
+	// ratio is how well shipping batches on its own.
+	chunks, commits atomic.Int64
 
 	// Torn-frame strike tracking (touched only by the run goroutine): a
 	// frame that keeps failing its CRC at the same offset is not a
@@ -142,8 +147,8 @@ func Start(cfg Config) (*Follower, error) {
 }
 
 // registerMetrics exposes the replication loop's progress as pull-time
-// gauges: every value is already maintained for Status(), so scrapes
-// cost the loop nothing.
+// series: the gauges read what Status() already maintains and the two
+// shipping counters cost the loop one atomic add per chunk each.
 func (f *Follower) registerMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -160,6 +165,12 @@ func (f *Follower) registerMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("chronos_repl_bootstraps_total",
 		"Snapshot re-bootstraps (1 is the initial one of a fresh replica).",
 		func() float64 { return float64(f.Status().Bootstraps) })
+	reg.CounterFunc("chronos_repl_chunks_total",
+		"Shipped WAL chunks applied (one tail response, one local fsync each).",
+		func() float64 { return float64(f.chunks.Load()) })
+	reg.CounterFunc("chronos_repl_commits_applied_total",
+		"Leader commits applied from shipped WAL chunks.",
+		func() float64 { return float64(f.commits.Load()) })
 }
 
 // DB returns the read-only replica store. Local writes on it fail with
@@ -295,6 +306,10 @@ func (f *Follower) replicate(ctx context.Context) error {
 		f.observeTip(seq, chunk)
 		if len(chunk.Data) > 0 {
 			n, aerr := f.db.FollowerApply(chunk.Data)
+			if n > 0 && (aerr == nil || relstore.IsTornFrame(aerr)) {
+				f.chunks.Add(1)
+				f.commits.Add(countFrames(chunk.Data[:n]))
+			}
 			if aerr != nil {
 				if relstore.IsTornFrame(aerr) {
 					// A frame cut mid-byte (short response, flipped bits
@@ -524,25 +539,40 @@ func (f *Follower) setErr(err error) {
 }
 
 // WaitCaughtUp blocks until the replica's applied position reaches the
-// leader's durable tip as observed when the position is polled — the
-// convergence barrier tests, benches and orderly role switches use. It
-// compares the applied position, not the locally durable one: shipped
-// bytes are durable before they are applied, and a barrier that returned
-// in that window would let the caller read state older than the tip it
-// was promised. It returns the first error from ctx.
+// leader's durable tip as of this call — the convergence barrier tests,
+// benches and orderly role switches use. It asks the leader once and
+// then parks on the replica's applied-position channel, so it returns
+// when the position is reached, not a poll later. It waits on the
+// applied position, not the locally durable one: shipped bytes are
+// durable before they are applied, and a barrier that returned in that
+// window would let the caller read state older than the tip it was
+// promised. It returns ctx's error, or the store's once it is closed.
 func (f *Follower) WaitCaughtUp(ctx context.Context) error {
 	for {
 		tip, err := f.client.Status(ctx)
 		if err == nil {
-			seq, off := f.db.FollowerAppliedPosition()
-			if seq > tip.WALSeq || (seq == tip.WALSeq && off >= tip.Durable) {
-				return nil
-			}
+			return f.db.WaitFollowerApplied(ctx, tip.WALSeq, tip.Durable)
 		}
+		// The leader is unreachable or restarting: ask again shortly.
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
+}
+
+// countFrames reports how many whole WAL frames b holds. Every commit is
+// one frame, so over the prefix FollowerApply consumed this is the
+// number of commits it applied.
+func countFrames(b []byte) (n int64) {
+	for len(b) >= relstore.FrameHeaderSize {
+		size := relstore.FrameSize(b)
+		if size > int64(len(b)) {
+			break
+		}
+		b = b[size:]
+		n++
+	}
+	return n
 }

@@ -18,6 +18,21 @@
 // misbehaving transport can delay replication but never corrupt a
 // replica.
 //
+// # Self-clocked shipping
+//
+// Shipping has no timer of its own. A tail request that finds the
+// follower at the tip parks on the store's durable-progress channel and
+// serves [from, Durable) the moment it is woken, so an acknowledged
+// commit reaches a caught-up follower one request cycle later. Bursts
+// batch through two mechanisms that exist anyway: group commit (one
+// durable advance covers a whole fsync batch) and the follower's own
+// cycle — it asks again only after FollowerApply returns, so whatever
+// became durable while it fetched, fsynced and applied chunk N is chunk
+// N+1. The busier the leader, the larger the chunks; an idle pair pays
+// one round trip per commit and nothing else. The follower's
+// chronos_repl_chunks_total and chronos_repl_commits_applied_total
+// counters show the resulting commits per chunk.
+//
 // Consistency contract (mechanically checked by this package's tests,
 // in the spirit of online transactional isolation checking): every
 // commit acknowledged on the leader becomes visible on every follower
@@ -93,14 +108,6 @@ const (
 // returning 204 No Content.
 const DefaultMaxWait = 25 * time.Second
 
-// DefaultCoalesce is how long a tail request lingers after being woken
-// by new durable bytes before serving them. Waking per commit would
-// cost the pair one ship round-trip and one follower fsync per commit;
-// a few milliseconds of coalescing batch a burst of commits into one
-// chunk, keeping an attached follower nearly free for the leader's
-// commit path at the price of that much extra replication lag.
-const DefaultCoalesce = 2 * time.Millisecond
-
 // DefaultMaxChunkBytes caps one WAL response's byte range, bounding the
 // follower's per-chunk buffering (it reads each response fully before
 // applying) regardless of how large segments are configured. The
@@ -115,9 +122,6 @@ type Handler struct {
 	db *relstore.DB
 	// MaxWait caps the long-poll duration (DefaultMaxWait when zero).
 	MaxWait time.Duration
-	// Coalesce overrides the post-wake batching delay (DefaultCoalesce
-	// when zero, negative to disable).
-	Coalesce time.Duration
 	// MaxChunkBytes overrides the per-response range cap
 	// (DefaultMaxChunkBytes when zero).
 	MaxChunkBytes int64
@@ -165,9 +169,10 @@ func (h *Handler) Snapshot(w http.ResponseWriter, r *http.Request) {
 // parameter from. Sealed segments are served to EOF with HeaderSealed
 // set; the active segment is served up to the durable boundary,
 // long-polling (query parameter wait, in milliseconds, capped by
-// MaxWait) when the follower is already at the tip. 410 Gone means the
-// segment — or the requested offset — is no longer shippable and the
-// follower must re-bootstrap from the snapshot.
+// MaxWait) when the follower is already at the tip and answering as soon
+// as the durable boundary moves. 410 Gone means the segment — or the
+// requested offset — is no longer shippable and the follower must
+// re-bootstrap from the snapshot.
 func (h *Handler) WAL(w http.ResponseWriter, r *http.Request) {
 	h.setGenHeader(w)
 	seq, err := strconv.ParseInt(r.PathValue("seq"), 10, 64)
@@ -243,23 +248,8 @@ func (h *Handler) WAL(w http.ResponseWriter, r *http.Request) {
 		t := time.NewTimer(remaining)
 		select {
 		case <-notify:
-			t.Stop()
-			// Woken by fresh durable bytes: linger briefly so a burst of
-			// commits ships as one chunk (one response, one follower
-			// fsync) instead of one per commit.
-			coalesce := h.Coalesce
-			if coalesce == 0 {
-				coalesce = DefaultCoalesce
-			}
-			if coalesce > 0 {
-				ct := time.NewTimer(coalesce)
-				select {
-				case <-ct.C:
-				case <-r.Context().Done():
-					ct.Stop()
-					return
-				}
-			}
+			// Fresh durable bytes (or a rotation): the next turn re-reads
+			// the position and serves [from, Durable) at once.
 		case <-t.C:
 		case <-r.Context().Done():
 			t.Stop()

@@ -181,7 +181,8 @@ func (c *Claimer) EnableMetrics(reg *metrics.Registry) {
 // skipTTL bounds how long a job id stays locally non-claimable after
 // this follower queued or shipped it. It only suppresses wasted intents
 // while the replica still shows the job as scheduled; correctness never
-// depends on it (a re-shipped id just earns a conflict verdict).
+// depends on it (a re-shipped id just earns a conflict verdict). Claim
+// drops an id from the set early when its intent came back undecided.
 const skipTTL = 10 * time.Second
 
 type pendingIntent struct {
@@ -255,6 +256,15 @@ func (c *Claimer) Claim(ctx context.Context, deploymentID string) (*core.Job, bo
 			return nil, false, nil
 		}
 		v, err := c.commitIntent(ctx, core.ClaimIntent{JobID: id, DeploymentID: deploymentID})
+		if err != nil || (v.Code != core.ClaimGranted && v.Code != core.ClaimConflict) {
+			// Undecided: the leader neither granted the job nor found it
+			// taken, so it is still scheduled and may still be ours after
+			// the re-grant. Offer it again on the next refill; left in
+			// skip it would stay invisible for skipTTL.
+			c.mu.Lock()
+			delete(c.skip, id)
+			c.mu.Unlock()
+		}
 		if err != nil {
 			if errors.Is(err, core.ErrLeaseInvalid) {
 				// The grant is gone (expiry or leader restart): re-grant

@@ -23,7 +23,7 @@ import (
 // dereferences the db through the box so tests can restart the leader
 // process in place.
 type testLeader struct {
-	t     *testing.T
+	t     testing.TB
 	dir   string
 	srv   *httptest.Server
 	tweak func(*Handler) // optional per-request handler config
@@ -58,7 +58,7 @@ func newLeaderServer(l *testLeader, middleware ...func(http.Handler) http.Handle
 
 // startLeader opens a leader store and serves the ship protocol over
 // HTTP.
-func startLeader(t *testing.T, opts *relstore.Options, middleware func(http.Handler) http.Handler) *testLeader {
+func startLeader(t testing.TB, opts *relstore.Options, middleware func(http.Handler) http.Handler) *testLeader {
 	t.Helper()
 	dir := t.TempDir()
 	db, err := relstore.Open(dir, opts)
