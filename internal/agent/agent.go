@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -364,8 +365,9 @@ func (a *Agent) executeJob(parent context.Context, job *core.Job, defs []params.
 
 	if runErr != nil {
 		// An abort is already recorded server-side; anything else fails
-		// the job (and may trigger automatic re-scheduling there).
-		if runErr != ErrAborted {
+		// the job (and may trigger automatic re-scheduling there). A
+		// runner that returns rc.Err() from a phase arrives here wrapped.
+		if !errors.Is(runErr, ErrAborted) {
 			a.Control.Fail(job.ID, runErr.Error())
 		}
 		return

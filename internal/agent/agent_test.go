@@ -24,6 +24,7 @@ type testRunner struct {
 	executeErr error
 	panicIn    string
 	slow       time.Duration
+	slowIn     string // the one phase slow applies to; empty: every phase
 	result     map[string]any
 	phases     []string
 }
@@ -34,7 +35,7 @@ func (r *testRunner) phase(rc *RunContext, name string) error {
 	if r.panicIn == name {
 		panic("deliberate panic in " + name)
 	}
-	if r.slow > 0 {
+	if r.slow > 0 && (r.slowIn == "" || r.slowIn == name) {
 		select {
 		case <-rc.Context().Done():
 			return rc.Err()
@@ -324,7 +325,9 @@ func TestAgentCleansUpAfterPhaseError(t *testing.T) {
 func TestAgentObservesAbort(t *testing.T) {
 	svc, depID := setupJobs(t, 1)
 	a := newAgent(svc, depID, func() Runner {
-		return &testRunner{slow: 2 * time.Second} // long phase, interruptible
+		// A long, interruptible execute phase that ends the way both
+		// simulators' Execute does: return rc.Err().
+		return &testRunner{slow: 2 * time.Second, slowIn: PhaseExecute}
 	})
 	rec := &recordingControl{Control: a.Control}
 	a.Control = rec
@@ -365,14 +368,17 @@ func TestAgentObservesAbort(t *testing.T) {
 		t.Fatalf("status = %s", j.Status)
 	}
 	// It was a reporter tick's Progress answer that cancelled the job
-	// (the agent sends no other), and the agent never completed it.
+	// (the agent sends no other), and the agent sent no closing call: the
+	// abort reaches it wrapped by the phase that returned it ("agent:
+	// phase execute: ..."), and is an abort all the same — the server
+	// would refuse a Fail with 409.
 	ticks := 0
 	for _, call := range rec.seen() {
 		switch call {
 		case "Progress":
 			ticks++
-		case "Complete":
-			t.Fatalf("aborted job was completed: %v", rec.seen())
+		case "Complete", "Fail":
+			t.Fatalf("aborted job was closed with %s: %v", call, rec.seen())
 		}
 	}
 	if ticks == 0 {

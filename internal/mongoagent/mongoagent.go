@@ -219,15 +219,16 @@ func (r *Runner) Execute(rc *agent.RunContext) error {
 // Analyze renders the result document Chronos Control visualises.
 func (r *Runner) Analyze(rc *agent.RunContext) (map[string]any, error) {
 	st := r.coll.Stats()
-	rc.Logf("analyze: %.0f ops/s, p95=%dus", r.meas.Throughput, r.meas.Latency.P95/1000)
+	lat := r.meas.Latency
+	rc.Logf("analyze: %.0f ops/s, p95=%.1fus", r.meas.Throughput, micros(lat.P95))
 	result := map[string]any{
 		"throughput":      r.meas.Throughput,
 		"operations":      r.meas.Operations,
 		"errors":          r.meas.Errors,
-		"latency_mean_us": int64(r.meas.Latency.Mean) / 1000,
-		"latency_p50_us":  r.meas.Latency.P50 / 1000,
-		"latency_p95_us":  r.meas.Latency.P95 / 1000,
-		"latency_p99_us":  r.meas.Latency.P99 / 1000,
+		"latency_mean_us": lat.Mean / 1000,
+		"latency_p50_us":  micros(lat.P50),
+		"latency_p95_us":  micros(lat.P95),
+		"latency_p99_us":  micros(lat.P99),
 		"engine":          st.Engine,
 		"engineStats": map[string]any{
 			"documents":        st.Documents,
@@ -250,6 +251,10 @@ func (r *Runner) Analyze(rc *agent.RunContext) (map[string]any, error) {
 	rc.AttachFile("latencies.csv", []byte(csv))
 	return result, nil
 }
+
+// micros renders nanoseconds as fractional microseconds: a whole-number
+// division reads a sub-microsecond SUT's percentiles as zero.
+func micros(ns int64) float64 { return float64(ns) / 1000 }
 
 // Clean shuts the simulator down.
 func (r *Runner) Clean(rc *agent.RunContext) error {
@@ -295,12 +300,19 @@ func LoadCollection(coll *mongosim.Collection, cfg workload.Config, loaders int)
 	}
 }
 
-// recordToDoc converts generated fields into a document.
-func recordToDoc(key string, fields map[string][]byte) mongosim.Document {
-	doc := make(mongosim.Document, len(fields)+1)
+// recordToDoc converts generated fields into a document keyed by key.
+func recordToDoc(key string, fields []workload.Field) mongosim.Document {
+	doc := patchDoc(fields)
 	doc[mongosim.IDField] = key
-	for k, v := range fields {
-		doc[k] = string(v)
+	return doc
+}
+
+// patchDoc copies generated fields into a document: the payload is only
+// lent for the length of the call, the simulator keeps what it is given.
+func patchDoc(fields []workload.Field) mongosim.Document {
+	doc := make(mongosim.Document, len(fields)+1)
+	for _, f := range fields {
+		doc[f.Name] = string(f.Value)
 	}
 	return doc
 }
@@ -332,11 +344,7 @@ func applyOp(coll *mongosim.Collection, op workload.Op) error {
 		_, err := coll.FindOne(op.Key)
 		return ignoreMissing(err)
 	case workload.OpUpdate:
-		patch := make(mongosim.Document, len(op.Fields))
-		for k, v := range op.Fields {
-			patch[k] = string(v)
-		}
-		return ignoreMissing(coll.UpdateOne(op.Key, patch))
+		return ignoreMissing(coll.UpdateOne(op.Key, patchDoc(op.Fields)))
 	case workload.OpInsert:
 		return coll.ReplaceOne(recordToDoc(op.Key, op.Fields))
 	case workload.OpScan:
@@ -346,11 +354,7 @@ func applyOp(coll *mongosim.Collection, op workload.Op) error {
 		if _, err := coll.FindOne(op.Key); err != nil {
 			return ignoreMissing(err)
 		}
-		patch := make(mongosim.Document, len(op.Fields))
-		for k, v := range op.Fields {
-			patch[k] = string(v)
-		}
-		return ignoreMissing(coll.UpdateOne(op.Key, patch))
+		return ignoreMissing(coll.UpdateOne(op.Key, patchDoc(op.Fields)))
 	default:
 		return fmt.Errorf("mongoagent: unknown op %q", op.Type)
 	}

@@ -1,8 +1,11 @@
 package mongoagent
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -353,6 +356,78 @@ func TestAllOpTypesApply(t *testing.T) {
 	}
 }
 
+// TestPayloadsStayReadOnly: payload values alias the generator's pool, so
+// an adapter or engine that wrote through one would corrupt every later
+// value cut from the same bytes. Every value a run with all five operation
+// types shows the simulator is kept — the slice itself beside a copy of its
+// bytes at that moment — and compared after the run; a payload's capacity
+// is clipped to its length, so these are all the pool bytes reachable
+// through one. Run under -race, which also sees a late write from another
+// goroutine.
+func TestPayloadsStayReadOnly(t *testing.T) {
+	for _, engine := range mongosim.EngineNames() {
+		srv, _ := mongosim.NewServer(engine, fastOpts())
+		coll := srv.Database("db").Collection("usertable")
+		cfg := workload.Config{
+			RecordCount: 200, OperationCount: 4000,
+			Mix: workload.Mix{
+				workload.OpRead: 1, workload.OpUpdate: 1, workload.OpInsert: 1,
+				workload.OpScan: 1, workload.OpReadModifyWrite: 1,
+			},
+			Distribution: "zipfian", Seed: 5,
+		}.WithDefaults()
+		if err := LoadCollection(coll, cfg, 2); err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var shown, copies [][]byte
+		sm, err := workload.RunSchedule(cfg.Schedule(), 2, func(op workload.Op) error {
+			mu.Lock()
+			for _, f := range op.Fields {
+				shown, copies = append(shown, f.Value), append(copies, bytes.Clone(f.Value))
+			}
+			mu.Unlock()
+			return applyOp(coll, op)
+		}, nil, nil)
+		if err != nil || sm.Total.Errors != 0 || len(sm.Total.PerOperation) != 5 {
+			t.Fatalf("%s: %v, %d errors, per-op = %v", engine, err, sm.Total.Errors, sm.Total.PerOperation)
+		}
+		if len(shown) < 4000 {
+			t.Fatalf("%s: the run showed the simulator only %d payload values", engine, len(shown))
+		}
+		for i := range shown {
+			if !bytes.Equal(shown[i], copies[i]) {
+				t.Fatalf("%s: payload value %d was written through", engine, i)
+			}
+		}
+		srv.Close()
+	}
+}
+
+// TestLoadedDataCompressesAsBefore: the simulator under evaluation must
+// see the same kind of data whatever the generator does to produce it
+// cheaply. The wiredTiger engine stored the benchmark's 5000-record
+// collection at 2.262 times compression when every value was drawn byte by
+// byte; values cut from a pool read 2.258.
+func TestLoadedDataCompressesAsBefore(t *testing.T) {
+	srv, err := mongosim.NewServer(mongosim.EngineWiredTiger, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	coll := srv.Database("db").Collection("usertable")
+	cfg := workload.Config{
+		RecordCount: 5000, OperationCount: 1,
+		Mix: workload.MixFromRatio(50, 50), Distribution: "zipfian", Seed: 42,
+	}.WithDefaults()
+	if err := LoadCollection(coll, cfg, 8); err != nil {
+		t.Fatal(err)
+	}
+	if ratio := coll.Stats().CompressionRatio(); math.Abs(ratio-2.26) > 0.05 {
+		t.Fatalf("compression ratio of the loaded collection = %.3f, want 2.26 ± 0.05", ratio)
+	}
+}
+
 // TestEndToEndThroughChronos runs the complete paper demo in miniature:
 // register the system, define the engine x threads experiment, run the
 // evaluation through a real agent, and check the results look sane.
@@ -415,6 +490,10 @@ func TestEndToEndThroughChronos(t *testing.T) {
 		}
 		if doc["throughput"].(float64) <= 0 {
 			t.Fatalf("job %s throughput = %v", j.ID, doc["throughput"])
+		}
+		p50, p95, p99 := doc["latency_p50_us"].(float64), doc["latency_p95_us"].(float64), doc["latency_p99_us"].(float64)
+		if p50 <= 0 || p50 > p95 || p95 > p99 {
+			t.Fatalf("job %s latency percentiles = %v / %v / %v us", j.ID, p50, p95, p99)
 		}
 		wantEngine := j.Params.String("engine", "")
 		if doc["engine"] != wantEngine {

@@ -124,7 +124,7 @@ func NewFactory(opts tssim.Options) func() agent.Runner {
 // the preloaded cardinality address existing series; the generator's
 // partitioned insert keyspace yields fresh indexes — and therefore fresh
 // series — for cardinality growth.
-func SeriesName(i int64) string { return fmt.Sprintf("sensor%09d", i) }
+func SeriesName(i int64) string { return workload.PaddedKey("sensor", i, 9) }
 
 // configFromParams derives the workload configuration and schedule from
 // job params; the series cardinality doubles as the workload's record
@@ -236,15 +236,16 @@ func (r *Runner) Execute(rc *agent.RunContext) error {
 // Analyze renders the result document Chronos Control visualises.
 func (r *Runner) Analyze(rc *agent.RunContext) (map[string]any, error) {
 	st := r.db.Stats()
-	rc.Logf("analyze: %.0f ops/s, p95=%dus, cardinality=%d", r.meas.Throughput, r.meas.Latency.P95/1000, st.Series)
+	lat := r.meas.Latency
+	rc.Logf("analyze: %.0f ops/s, p95=%.1fus, cardinality=%d", r.meas.Throughput, micros(lat.P95), st.Series)
 	result := map[string]any{
 		"throughput":      r.meas.Throughput,
 		"operations":      r.meas.Operations,
 		"errors":          r.meas.Errors,
-		"latency_mean_us": int64(r.meas.Latency.Mean) / 1000,
-		"latency_p50_us":  r.meas.Latency.P50 / 1000,
-		"latency_p95_us":  r.meas.Latency.P95 / 1000,
-		"latency_p99_us":  r.meas.Latency.P99 / 1000,
+		"latency_mean_us": lat.Mean / 1000,
+		"latency_p50_us":  micros(lat.P50),
+		"latency_p95_us":  micros(lat.P95),
+		"latency_p99_us":  micros(lat.P99),
 		"cardinality":     st.Series,
 		"engineStats": map[string]any{
 			"series":       st.Series,
@@ -267,6 +268,10 @@ func (r *Runner) Analyze(rc *agent.RunContext) (map[string]any, error) {
 	rc.AttachFile("latencies.csv", []byte(csv))
 	return result, nil
 }
+
+// micros renders nanoseconds as fractional microseconds: a whole-number
+// division reads a sub-microsecond SUT's percentiles as zero.
+func micros(ns int64) float64 { return float64(ns) / 1000 }
 
 // Clean releases the store.
 func (r *Runner) Clean(rc *agent.RunContext) error {

@@ -1,8 +1,12 @@
 package tsagent
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -116,6 +120,57 @@ func TestRunWorkloadAllOps(t *testing.T) {
 	}
 }
 
+// TestPayloadsStayReadOnly is mongoagent's test of the same name for this
+// family: the store takes no payload, and the adapter must leave the ones
+// it is shown alone.
+func TestPayloadsStayReadOnly(t *testing.T) {
+	db := tssim.NewDB(tssim.Options{ChunkPoints: 32, Seed: 5})
+	var clock atomic.Int64
+	LoadDB(db, &clock, 100, 4, 4)
+	sched := workload.Config{
+		RecordCount: 100, OperationCount: 4000,
+		Mix: workload.Mix{
+			workload.OpRead: 1, workload.OpUpdate: 1, workload.OpInsert: 1,
+			workload.OpScan: 1, workload.OpReadModifyWrite: 1,
+		},
+		Distribution: "latest", Seed: 7,
+	}.Schedule()
+	var mu sync.Mutex
+	var shown, copies [][]byte
+	sm, err := workload.RunSchedule(sched, 2, func(op workload.Op) error {
+		mu.Lock()
+		for _, f := range op.Fields {
+			shown, copies = append(shown, f.Value), append(copies, bytes.Clone(f.Value))
+		}
+		mu.Unlock()
+		return applyOp(db, &clock, 64, op)
+	}, nil, nil)
+	if err != nil || sm.Total.Errors != 0 || len(sm.Total.PerOperation) != 5 {
+		t.Fatalf("%v, %d errors, per-op = %v", err, sm.Total.Errors, sm.Total.PerOperation)
+	}
+	if len(shown) < 4000 {
+		t.Fatalf("the run showed the adapter only %d payload values", len(shown))
+	}
+	for i := range shown {
+		if !bytes.Equal(shown[i], copies[i]) {
+			t.Fatalf("payload value %d was written through", i)
+		}
+	}
+}
+
+// TestSeriesNameMatchesFmt: the hand-rolled formatting names the series
+// fmt named, at the padding boundaries, below zero and past the pad width.
+func TestSeriesNameMatchesFmt(t *testing.T) {
+	for _, i := range []int64{
+		0, 7, 999, 99_999_999, 999_999_999, 1_000_000_000, 1_000_000_000_000,
+		-1, -99_999_999, -100_000_000, math.MaxInt64, math.MinInt64,
+	} {
+		if got, want := SeriesName(i), fmt.Sprintf("sensor%09d", i); got != want {
+			t.Errorf("SeriesName(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
 func TestRunWorkloadExactCountAndUniqueSeries(t *testing.T) {
 	// The remainder-distribution and partitioned-insert-keyspace
 	// guarantees hold for this SUT family too: exactly OperationCount
@@ -203,6 +258,12 @@ func TestEndToEndThroughChronos(t *testing.T) {
 		}
 		if doc["throughput"].(float64) <= 0 {
 			t.Fatalf("job %s throughput = %v", j.ID, doc["throughput"])
+		}
+		// The store answers in well under a microsecond: whole
+		// microseconds read its median latency as zero.
+		p50, p95, p99 := doc["latency_p50_us"].(float64), doc["latency_p95_us"].(float64), doc["latency_p99_us"].(float64)
+		if p50 <= 0 || p50 > p95 || p95 > p99 {
+			t.Fatalf("job %s latency percentiles = %v / %v / %v us", j.ID, p50, p95, p99)
 		}
 		wantSeries := j.Params.Int("series", 0)
 		if int64(doc["cardinality"].(float64)) < wantSeries {

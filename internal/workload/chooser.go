@@ -14,6 +14,22 @@
 // the textual phase DSL). A static Config is the one-phase degenerate
 // case of a Schedule, and RunSchedule is the shared multi-threaded run
 // loop every SUT agent drives its engine with.
+//
+// The engine is the instrument, so what it spends per operation is kept
+// to its bookkeeping: one draw for the type, one for the key, the key
+// string (the one allocation), a clock read on each side of apply and two
+// histogram records. Payloads cost a draw per value: each generator owns
+// one pool of run-structured text (64 KiB plus one field length, built
+// from its own seeded stream on the first payload it draws) and a value
+// is a FieldLength-long window into it at a drawn offset; Op.Fields is a
+// prefix of the generator's one field buffer. The contract that buys this:
+// a payload — the Fields slice and every Value in it — is read-only and
+// valid only until apply returns. An adapter that hands a payload to
+// something that keeps it copies it first (mongoagent builds its Document
+// of strings; tsagent's store takes no payload at all). BenchmarkEngineOverhead
+// reports the cost per operation type, TestEngineAllocsPerOp holds the
+// allocation count and TestSeededStreamGolden the exact bytes of a seeded
+// stream.
 package workload
 
 import (
@@ -225,19 +241,29 @@ func (s *Sequential) Next(_ *rand.Rand) int64 {
 	return k
 }
 
+// choosers maps a distribution name to its constructor over n items.
+var choosers = map[string]func(n int64) KeyChooser{
+	"uniform":    func(n int64) KeyChooser { return NewUniform(n) },
+	"zipfian":    func(n int64) KeyChooser { return NewScrambledZipfian(n) },
+	"latest":     func(n int64) KeyChooser { return NewLatest(n) },
+	"sequential": func(n int64) KeyChooser { return NewSequential(n) },
+}
+
 // NewChooser builds a chooser by distribution name: "uniform", "zipfian",
 // "latest" or "sequential".
 func NewChooser(distribution string, n int64) (KeyChooser, error) {
-	switch distribution {
-	case "uniform":
-		return NewUniform(n), nil
-	case "zipfian":
-		return NewScrambledZipfian(n), nil
-	case "latest":
-		return NewLatest(n), nil
-	case "sequential":
-		return NewSequential(n), nil
-	default:
-		return nil, fmt.Errorf("workload: unknown distribution %q", distribution)
+	if err := checkDistribution(distribution); err != nil {
+		return nil, err
 	}
+	return choosers[distribution](n), nil
+}
+
+// checkDistribution refuses a name NewChooser does not know. Validation
+// checks the name with it and builds nothing: a zipfian or latest chooser
+// costs a zeta sum over the whole key domain.
+func checkDistribution(distribution string) error {
+	if choosers[distribution] == nil {
+		return fmt.Errorf("workload: unknown distribution %q", distribution)
+	}
+	return nil
 }

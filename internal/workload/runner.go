@@ -88,7 +88,7 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 
 	type phaseOut struct {
 		hist   metrics.Histogram
-		perOp  map[string]*metrics.Histogram
+		perOp  perOpHists
 		errors int64
 		done   int64
 	}
@@ -117,9 +117,6 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 		go func(w int) {
 			defer wg.Done()
 			out := make([]phaseOut, nPhases)
-			for i := range out {
-				out[i].perOp = map[string]*metrics.Histogram{}
-			}
 			outs[w] = out
 			gen, err := NewScheduleGenerator(sched, w, threads)
 			if err != nil {
@@ -139,7 +136,7 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 			for {
 				// Runner-side advance for duration-bounded phases: the
 				// generator cannot see wall time.
-				if p := gen.CurrentPhase(); p.Duration > 0 && time.Since(phaseStart) >= p.Duration {
+				if d := sched.Phases[gen.PhaseIndex()].Duration; d > 0 && time.Since(phaseStart) >= d {
 					if !gen.AdvancePhase() {
 						return
 					}
@@ -158,17 +155,20 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 					debt = 0
 				}
 
-				start := time.Now()
+				// One monotonic clock read on each side of apply: the
+				// operation, payload included, exists before the first.
+				start := time.Since(runStart)
 				po := &out[cur]
 				if err := apply(op); err != nil {
 					po.errors++
 				}
-				lat := time.Since(start).Nanoseconds()
+				lat := int64(time.Since(runStart) - start)
 				po.hist.Record(lat)
-				h := po.perOp[string(op.Type)]
+				ord := op.Type.ordinal()
+				h := po.perOp[ord]
 				if h == nil {
 					h = &metrics.Histogram{}
-					po.perOp[string(op.Type)] = h
+					po.perOp[ord] = h
 				}
 				h.Record(lat)
 				po.done++
@@ -176,14 +176,14 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 
 				// Arrival-rate pacing: accumulate this op's target
 				// interval and sleep once the debt is schedulable.
-				if rc := sched.Phases[op.Phase].Rate; rc.Throttled() {
+				if ph := &sched.Phases[cur]; ph.Rate.Throttled() {
 					var f float64
-					if d := sched.Phases[op.Phase].Duration; d > 0 {
+					if d := ph.Duration; d > 0 {
 						f = float64(time.Since(phaseStart)) / float64(d)
 					} else {
 						f = gen.PhaseFraction()
 					}
-					if r := rc.At(f); r > 0 {
+					if r := ph.Rate.At(f); r > 0 {
 						debt += time.Duration(float64(time.Second) * float64(threads) / r)
 						if debt >= time.Millisecond {
 							time.Sleep(debt)
@@ -214,10 +214,10 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 	// whole-run totals.
 	var sm ScheduleMeasurements
 	var allHist metrics.Histogram
-	allPerOp := map[string]*metrics.Histogram{}
+	var allPerOp perOpHists
 	for p := 0; p < nPhases; p++ {
 		var ph metrics.Histogram
-		perOp := map[string]*metrics.Histogram{}
+		var perOp perOpHists
 		pm := PhaseMeasurement{Index: p, Name: sched.Phases[p].Name}
 		for w := range outs {
 			if outs[w] == nil {
@@ -227,14 +227,7 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 			ph.Merge(&o.hist)
 			pm.Measurements.Errors += o.errors
 			pm.Measurements.Operations += o.done
-			for name, h := range o.perOp {
-				dst := perOp[name]
-				if dst == nil {
-					dst = &metrics.Histogram{}
-					perOp[name] = dst
-				}
-				dst.Merge(h)
-			}
+			perOp.merge(&o.perOp)
 		}
 		if windows[p].started && windows[p].end.After(windows[p].start) {
 			pm.Duration = windows[p].end.Sub(windows[p].start)
@@ -243,16 +236,9 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 			pm.Measurements.Throughput = float64(pm.Measurements.Operations) / pm.Duration.Seconds()
 		}
 		pm.Measurements.Latency = ph.Snapshot()
-		pm.Measurements.PerOperation = snapshotMap(perOp)
+		pm.Measurements.PerOperation = perOp.snapshots()
 		allHist.Merge(&ph)
-		for name, h := range perOp {
-			dst := allPerOp[name]
-			if dst == nil {
-				dst = &metrics.Histogram{}
-				allPerOp[name] = dst
-			}
-			dst.Merge(h)
-		}
+		allPerOp.merge(&perOp)
 		sm.Total.Errors += pm.Measurements.Errors
 		sm.Total.Operations += pm.Measurements.Operations
 		sm.Phases = append(sm.Phases, pm)
@@ -261,15 +247,35 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 		sm.Total.Throughput = float64(sm.Total.Operations) / el
 	}
 	sm.Total.Latency = allHist.Snapshot()
-	sm.Total.PerOperation = snapshotMap(allPerOp)
+	sm.Total.PerOperation = allPerOp.snapshots()
 	return sm, nil
 }
 
-// snapshotMap freezes a histogram map into snapshots.
-func snapshotMap(hs map[string]*metrics.Histogram) map[string]metrics.Snapshot {
+// perOpHists holds one latency histogram per operation type, indexed by
+// OpType.ordinal; a type that never occurred stays nil.
+type perOpHists [len(opTypes)]*metrics.Histogram
+
+// merge adds o's histograms into hs.
+func (hs *perOpHists) merge(o *perOpHists) {
+	for i, h := range o {
+		if h == nil {
+			continue
+		}
+		if hs[i] == nil {
+			hs[i] = &metrics.Histogram{}
+		}
+		hs[i].Merge(h)
+	}
+}
+
+// snapshots freezes the histograms of the types that occurred, keyed by
+// operation name as result documents carry them.
+func (hs *perOpHists) snapshots() map[string]metrics.Snapshot {
 	out := make(map[string]metrics.Snapshot, len(hs))
-	for name, h := range hs {
-		out[name] = h.Snapshot()
+	for i, h := range hs {
+		if h != nil {
+			out[string(opTypes[i])] = h.Snapshot()
+		}
 	}
 	return out
 }

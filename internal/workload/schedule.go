@@ -169,7 +169,7 @@ func (s *Schedule) Validate() error {
 			return fmt.Errorf("phase %d: %w", i, err)
 		}
 		if p.Distribution != "" {
-			if _, err := NewChooser(p.Distribution, s.RecordCount); err != nil {
+			if err := checkDistribution(p.Distribution); err != nil {
 				return fmt.Errorf("phase %d: %w", i, err)
 			}
 		}
@@ -241,6 +241,10 @@ type ScheduleGenerator struct {
 
 	nextInsert int64 // next insert key index owned by this worker
 	highWater  int64 // one past the highest key index this worker has seen
+
+	names  []string // field names, formatted once
+	fields []Field  // the one payload buffer every Op.Fields is a prefix of
+	pool   []byte   // payload text every value is cut from; see value
 }
 
 // NewScheduleGenerator builds the generator for worker (0-based) of
@@ -267,6 +271,11 @@ func NewScheduleGenerator(s Schedule, worker, workers int) (*ScheduleGenerator, 
 		// keyspace as the old single-stream generator.
 		nextInsert: s.RecordCount + int64(worker%workers),
 		highWater:  s.RecordCount,
+		names:      make([]string, s.FieldsPerRecord),
+		fields:     make([]Field, s.FieldsPerRecord),
+	}
+	for i := range g.names {
+		g.names[i] = fmt.Sprintf("field%d", i)
 	}
 	g.enterPhase(0)
 	return g, nil
@@ -275,7 +284,7 @@ func NewScheduleGenerator(s Schedule, worker, workers int) (*ScheduleGenerator, 
 // enterPhase installs phase i's choosers. The schedule was validated in
 // the constructor, so the chooser constructors cannot fail here.
 func (g *ScheduleGenerator) enterPhase(i int) {
-	p := g.sched.Phases[i]
+	p := &g.sched.Phases[i]
 	domain := g.sched.RecordCount
 	if p.GrowDomain && g.highWater > domain {
 		domain = g.highWater
@@ -321,9 +330,6 @@ func (g *ScheduleGenerator) AdvancePhase() bool { return g.advance() }
 // PhaseIndex returns the current phase index.
 func (g *ScheduleGenerator) PhaseIndex() int { return g.phase }
 
-// CurrentPhase returns the current phase (with defaults applied).
-func (g *ScheduleGenerator) CurrentPhase() Phase { return g.sched.Phases[g.phase] }
-
 // PhaseFraction estimates progress through an op-bounded phase in [0,1];
 // it returns 0 for duration-bounded phases (the runner tracks those by
 // wall clock).
@@ -347,63 +353,85 @@ func (g *ScheduleGenerator) Next() (Op, bool) {
 	return g.emit(), true
 }
 
-// emit draws one operation from the current phase. The rand-consumption
-// order matches the original static generator exactly, so the degenerate
-// one-phase schedule replays the same byte stream.
+// emit draws one operation from the current phase. The static Generator
+// is a view of this one path, so the degenerate one-phase schedule draws
+// the same stream it does.
 func (g *ScheduleGenerator) emit() Op {
 	t := g.ops.next(g.rng)
 	g.emitted++
-	var op Op
+	op := Op{Type: t, Phase: g.phase}
 	switch t {
 	case OpInsert:
-		idx := g.nextInsert
+		op.KeyIndex = g.nextInsert
 		g.nextInsert += int64(g.workers)
-		if idx+1 > g.highWater {
-			g.highWater = idx + 1
+		if op.KeyIndex+1 > g.highWater {
+			g.highWater = op.KeyIndex + 1
 		}
 		if g.latest != nil && g.grow {
 			g.latest.GrowTo(g.highWater)
 		}
-		op = Op{Type: t, Key: Key(idx), KeyIndex: idx, Fields: g.Record()}
+		op.Fields = g.Record()
 	case OpScan:
-		k := g.chooser.Next(g.rng)
-		op = Op{Type: t, Key: Key(k), KeyIndex: k, ScanLength: 1 + g.rng.IntN(g.sched.MaxScanLength)}
+		op.KeyIndex = g.chooser.Next(g.rng)
+		op.ScanLength = 1 + g.rng.IntN(g.sched.MaxScanLength)
 	case OpUpdate, OpReadModifyWrite:
-		k := g.chooser.Next(g.rng)
-		op = Op{Type: t, Key: Key(k), KeyIndex: k, Fields: g.OneField()}
-	default:
-		k := g.chooser.Next(g.rng)
-		op = Op{Type: OpRead, Key: Key(k), KeyIndex: k}
+		op.KeyIndex = g.chooser.Next(g.rng)
+		op.Fields = g.OneField()
+	default: // OpRead: a validated mix holds no other type
+		op.KeyIndex = g.chooser.Next(g.rng)
 	}
-	op.Phase = g.phase
+	op.Key = Key(op.KeyIndex)
 	return op
 }
 
-// Record generates a full record payload.
-func (g *ScheduleGenerator) Record() map[string][]byte {
-	fields := make(map[string][]byte, g.sched.FieldsPerRecord)
-	for i := 0; i < g.sched.FieldsPerRecord; i++ {
-		fields[fieldName(i)] = g.fieldValue()
+// Record generates a full record payload, one draw per field. It is valid
+// until the generator's next draw.
+func (g *ScheduleGenerator) Record() []Field {
+	for i, name := range g.names {
+		g.fields[i] = Field{Name: name, Value: g.value()}
 	}
-	return fields
+	return g.fields
 }
 
-// OneField generates a single-field update payload.
-func (g *ScheduleGenerator) OneField() map[string][]byte {
-	i := g.rng.IntN(g.sched.FieldsPerRecord)
-	return map[string][]byte{fieldName(i): g.fieldValue()}
+// OneField generates a single-field update payload in two draws, the
+// field and its value. It is valid until the generator's next draw.
+func (g *ScheduleGenerator) OneField() []Field {
+	i := g.rng.IntN(len(g.names))
+	g.fields[0] = Field{Name: g.names[i], Value: g.value()}
+	return g.fields[:1]
 }
 
-// fieldValue produces a compressible-but-not-constant byte string, so
-// engines with block compression see realistic ratios (~2-4x).
-func (g *ScheduleGenerator) fieldValue() []byte {
-	b := make([]byte, g.sched.FieldLength)
-	// Runs of repeated printable characters: compressible like real text.
-	i := 0
-	for i < len(b) {
+// poolSpan is the number of offsets a value can start at in the payload
+// pool. It is wider than DEFLATE's 32 KiB window, so that a compressing
+// SUT rarely finds one value's bytes by looking back at an earlier one and
+// sees the ratio of the text itself.
+const poolSpan = 64 << 10
+
+// value cuts one FieldLength-long value out of the generator's payload
+// pool at a drawn offset (db_bench's RandomGenerator technique): one draw
+// and no allocation per value, where drawing the value's text itself cost
+// some 45 draws per 100 bytes and made the generator dearer than the
+// systems it drives. The pool is built on the first payload draw, from the
+// generator's own rand stream, so a seed still fixes every byte; a
+// generator that only reads never builds one. The value's capacity is
+// clipped to its length and it aliases the pool: read-only for everyone.
+func (g *ScheduleGenerator) value() []byte {
+	n := g.sched.FieldLength
+	if g.pool == nil {
+		g.pool = g.poolText(poolSpan + n)
+	}
+	off := g.rng.IntN(poolSpan)
+	return g.pool[off : off+n : off+n]
+}
+
+// poolText draws n bytes of compressible-but-not-constant text, so engines
+// with block compression see realistic ratios (~2-4x): runs of one to
+// eight repeated lower-case letters, compressible like real text.
+func (g *ScheduleGenerator) poolText(n int) []byte {
+	b := make([]byte, n)
+	for i := 0; i < n; {
 		ch := byte('a' + g.rng.IntN(26))
-		run := 1 + g.rng.IntN(8)
-		for j := 0; j < run && i < len(b); j++ {
+		for run := 1 + g.rng.IntN(8); run > 0 && i < n; run-- {
 			b[i] = ch
 			i++
 		}

@@ -2,8 +2,11 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -119,8 +122,8 @@ func sameOp(a, b Op) bool {
 		a.ScanLength != b.ScanLength || len(a.Fields) != len(b.Fields) {
 		return false
 	}
-	for k, v := range a.Fields {
-		if !bytes.Equal(v, b.Fields[k]) {
+	for i, f := range a.Fields {
+		if f.Name != b.Fields[i].Name || !bytes.Equal(f.Value, b.Fields[i].Value) {
 			return false
 		}
 	}
@@ -177,6 +180,125 @@ func TestSeededReplayAcrossPhases(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds replayed the same stream")
+	}
+}
+
+// TestSeededStreamGolden is the mechanical form of "byte-identical": a
+// digest of everything a SUT sees of the first 10,000 operations of each
+// of two workers, compared with a constant. Work on the run loop (pacing,
+// timing, result plumbing) must leave it alone; a change to what the
+// generator draws has to change the constant and say so. The schedule is
+// threePhaseSchedule(200, 42) with every phase ten times as long, so that
+// 10,000 operations per worker cross all three phases.
+func TestSeededStreamGolden(t *testing.T) {
+	const golden = "2e7f074f975f7b6b65a0490348951c080c1531f9dbfc383dc00c7dcb5deeb41a"
+	sched := threePhaseSchedule(200, 42)
+	for i := range sched.Phases {
+		sched.Phases[i].OperationCount *= 10
+	}
+	h := sha256.New()
+	num := func(v int64) { binary.Write(h, binary.LittleEndian, v) }
+	str := func(s string) { num(int64(len(s))); h.Write([]byte(s)) }
+	for w := 0; w < 2; w++ {
+		g, err := NewScheduleGenerator(sched, w, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phases := map[int]bool{}
+		for i := 0; i < 10000; i++ {
+			op, ok := g.Next()
+			if !ok {
+				t.Fatalf("worker %d: stream ended after %d operations", w, i)
+			}
+			phases[op.Phase] = true
+			num(int64(op.Phase))
+			str(string(op.Type))
+			str(op.Key)
+			num(op.KeyIndex)
+			num(int64(op.ScanLength))
+			num(int64(len(op.Fields)))
+			for _, f := range op.Fields {
+				str(f.Name)
+				str(string(f.Value))
+			}
+		}
+		if len(phases) != 3 {
+			t.Fatalf("worker %d crossed %d phases, want 3", w, len(phases))
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != golden {
+		t.Fatalf("seeded stream digest = %s, want %s", got, golden)
+	}
+}
+
+// TestPayloadPoolReadOnly: the engine builds a generator's pool once and
+// never writes to it again, whatever it draws afterwards, and a payload
+// cannot be grown into its neighbour's bytes.
+func TestPayloadPoolReadOnly(t *testing.T) {
+	sched := Config{
+		RecordCount: 100, OperationCount: 1,
+		Mix:          Mix{OpRead: 1, OpUpdate: 1, OpInsert: 1, OpScan: 1, OpReadModifyWrite: 1},
+		Distribution: "zipfian", Seed: 9,
+	}.Schedule()
+	g, err := NewScheduleGenerator(sched, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.pool != nil {
+		t.Fatal("pool built before the first payload draw")
+	}
+	g.OneField()
+	if len(g.pool) != poolSpan+g.sched.FieldLength {
+		t.Fatalf("pool is %d bytes, want %d", len(g.pool), poolSpan+g.sched.FieldLength)
+	}
+	sum := crc32.ChecksumIEEE(g.pool)
+	for i := 0; i < 20000; i++ {
+		op := g.emit()
+		for _, f := range op.Fields {
+			if grown := append(f.Value, 'X'); &grown[0] == &f.Value[0] {
+				t.Fatalf("op %d: appending to a payload wrote into the pool", i)
+			}
+		}
+	}
+	if crc32.ChecksumIEEE(g.pool) != sum {
+		t.Fatal("drawing operations changed the pool")
+	}
+}
+
+// TestValidateBuildsNoChooser: validation checks a distribution by name.
+// Building the chooser to find out is a zeta sum over the whole key
+// domain, which at this record count never returns.
+func TestValidateBuildsNoChooser(t *testing.T) {
+	done := make(chan error, 2)
+	go func() {
+		s := Schedule{RecordCount: 1 << 40, Phases: []Phase{
+			{Mix: Mix{OpRead: 1}, Distribution: "zipfian", OperationCount: 1},
+			{Mix: Mix{OpRead: 1}, Distribution: "latest", OperationCount: 1},
+		}}.WithDefaults()
+		done <- s.Validate()
+		c := Config{RecordCount: 1 << 40, OperationCount: 1, Mix: Mix{OpRead: 1}, Distribution: "latest"}
+		done <- c.Validate()
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("Validate is still summing zeta over 2^40 records")
+		}
+	}
+	s := Schedule{RecordCount: 10, Phases: []Phase{{Mix: Mix{OpRead: 1}, Distribution: "pareto", OperationCount: 1}}}
+	if err := s.Validate(); err == nil || err.Error() != `phase 0: workload: unknown distribution "pareto"` {
+		t.Fatalf("unknown distribution: %v", err)
+	}
+	c := Config{RecordCount: 10, Mix: Mix{OpRead: 1}, Distribution: "pareto"}
+	if err := c.Validate(); err == nil || err.Error() != `workload: unknown distribution "pareto"` {
+		t.Fatalf("unknown distribution: %v", err)
+	}
+	if _, err := NewChooser("pareto", 10); err == nil || err.Error() != `workload: unknown distribution "pareto"` {
+		t.Fatalf("unknown distribution: %v", err)
 	}
 }
 

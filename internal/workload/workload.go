@@ -23,6 +23,20 @@ const (
 	OpReadModifyWrite OpType = "rmw"
 )
 
+// opTypes lists the known operation types; a type's position is the
+// ordinal the run loop indexes its per-type histograms with.
+var opTypes = [...]OpType{OpRead, OpUpdate, OpInsert, OpScan, OpReadModifyWrite}
+
+// ordinal is the position of t in opTypes, or -1 for an unknown type.
+func (t OpType) ordinal() int {
+	for i, known := range opTypes {
+		if t == known {
+			return i
+		}
+	}
+	return -1
+}
+
 // Mix assigns proportions to operation types. Proportions are relative
 // weights; they do not need to sum to 1.
 type Mix map[OpType]float64
@@ -34,9 +48,7 @@ func (m Mix) Validate() error {
 		if w < 0 {
 			return fmt.Errorf("workload: negative weight for %s", op)
 		}
-		switch op {
-		case OpRead, OpUpdate, OpInsert, OpScan, OpReadModifyWrite:
-		default:
+		if op.ordinal() < 0 {
 			return fmt.Errorf("workload: unknown operation %q", op)
 		}
 		total += w
@@ -144,7 +156,7 @@ func (c *Config) Validate() error {
 	if c.Distribution == "" {
 		return fmt.Errorf("workload: missing distribution")
 	}
-	if _, err := NewChooser(c.Distribution, c.RecordCount); err != nil {
+	if err := checkDistribution(c.Distribution); err != nil {
 		return err
 	}
 	if err := checkFieldKnobs(c.FieldsPerRecord, c.FieldLength, c.MaxScanLength); err != nil {
@@ -248,10 +260,21 @@ type Op struct {
 	KeyIndex int64
 	// ScanLength is the number of records a scan touches.
 	ScanLength int
-	// Fields holds generated field values for insert/update/rmw.
-	Fields map[string][]byte
+	// Fields holds generated field values for insert/update/rmw. The
+	// slice and the value bytes belong to the generator: they are
+	// read-only and valid only until apply returns (see Field).
+	Fields []Field
 	// Phase is the index of the schedule phase that produced the op.
 	Phase int
+}
+
+// Field is one named payload value. Value is cut from the generator's
+// payload pool and Fields from its one field buffer, so a SUT adapter must
+// neither write through Value nor keep either past the call that received
+// them; an adapter that stores a payload copies it first.
+type Field struct {
+	Name  string
+	Value []byte
 }
 
 // Generator produces the operation stream of a run. Each worker should
@@ -291,7 +314,35 @@ func NewGeneratorWorkers(cfg Config, worker, workers int) (*Generator, error) {
 
 // Key renders record index i as its canonical key, zero-padded so that
 // lexicographic and numeric orders agree (YCSB's "user" keys).
-func Key(i int64) string { return fmt.Sprintf("user%012d", i) }
+func Key(i int64) string { return PaddedKey("user", i, 12) }
+
+// PaddedKey renders prefix followed by i in decimal, zero-padded to width
+// characters (a minus sign counts towards the width): byte for byte
+// fmt.Sprintf(prefix+"%0*d", width, i), at the cost of the returned
+// string's allocation alone — every operation formats one.
+func PaddedKey(prefix string, i int64, width int) string {
+	var buf [48]byte
+	b := append(buf[:0], prefix...)
+	u := uint64(i)
+	if i < 0 {
+		b = append(b, '-')
+		u = -u
+		width--
+	}
+	var digits [20]byte
+	n := len(digits)
+	for {
+		n--
+		digits[n] = byte('0' + u%10)
+		if u /= 10; u == 0 {
+			break
+		}
+	}
+	for pad := width - (len(digits) - n); pad > 0; pad-- {
+		b = append(b, '0')
+	}
+	return string(append(b, digits[n:]...))
+}
 
 // NextOp generates the next operation. The generator does not stop at
 // cfg.OperationCount — callers that count ops themselves keep drawing
@@ -303,14 +354,9 @@ func (g *Generator) NextOp() Op {
 	return g.sg.emit()
 }
 
-// Record generates a full record payload.
-func (g *Generator) Record() map[string][]byte { return g.sg.Record() }
+// Record generates a full record payload, valid until the next draw.
+func (g *Generator) Record() []Field { return g.sg.Record() }
 
-// OneField generates a single-field update payload.
-func (g *Generator) OneField() map[string][]byte { return g.sg.OneField() }
-
-func fieldName(i int) string { return fmt.Sprintf("field%d", i) }
-
-// fieldValue produces a compressible-but-not-constant byte string, so
-// engines with block compression see realistic ratios (~2-4x).
-func (g *Generator) fieldValue() []byte { return g.sg.fieldValue() }
+// OneField generates a single-field update payload, valid until the next
+// draw.
+func (g *Generator) OneField() []Field { return g.sg.OneField() }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -308,25 +310,50 @@ func TestKeyPaddingSortsNumerically(t *testing.T) {
 	if !(Key(9) < Key(10) && Key(999) < Key(1000)) {
 		t.Fatal("key padding does not preserve numeric order")
 	}
+	// The hand-rolled formatting is fmt's, byte for byte, at the padding
+	// boundaries, below zero and past the pad width.
+	for _, i := range []int64{
+		0, 1, 9, 10, 99_999_999, 999_999_999, 1_000_000_000, 99_999_999_999,
+		999_999_999_999, 1_000_000_000_000, 1_000_000_000_001, 123_456_789_012_345,
+		-1, -9, -10, -99_999_999_999, -100_000_000_000, -1_000_000_000_000,
+		math.MaxInt64, math.MinInt64,
+	} {
+		if got, want := Key(i), fmt.Sprintf("user%012d", i); got != want {
+			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		}
+	}
+	long := strings.Repeat("p", 100) // longer than the stack buffer
+	if got, want := PaddedKey(long, 7, 3), long+"007"; got != want {
+		t.Errorf("PaddedKey with a long prefix = %q, want %q", got, want)
+	}
 }
 
+// TestFieldValueCompressible: values cut from the pool are FieldLength
+// long, as compressible as the run-structured text they are cut from
+// (uniform random letters repeat an adjacent byte ~4% of the time), and
+// nearly all distinct.
 func TestFieldValueCompressible(t *testing.T) {
 	cfg := WorkloadA(10, 10)
 	cfg.Seed = 1
 	g, _ := NewGenerator(cfg, 0)
-	v := g.fieldValue()
-	if len(v) != cfg.FieldLength {
-		t.Fatalf("field length = %d, want %d", len(v), cfg.FieldLength)
-	}
-	// Count repeated adjacent bytes: the run-generation should produce
-	// noticeably more repeats than uniform random bytes (~1/26 ≈ 4%).
-	repeats := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] == v[i-1] {
-			repeats++
+	distinct := map[string]bool{}
+	for n := 0; n < 1000; n++ {
+		v := g.OneField()[0].Value
+		if len(v) != cfg.FieldLength || cap(v) != cfg.FieldLength {
+			t.Fatalf("value %d: len %d cap %d, want both %d", n, len(v), cap(v), cfg.FieldLength)
 		}
+		repeats := 0
+		for i := 1; i < len(v); i++ {
+			if v[i] == v[i-1] {
+				repeats++
+			}
+		}
+		if float64(repeats)/float64(len(v)) < 0.3 {
+			t.Fatalf("value %d not compressible: %d repeats in %d bytes", n, repeats, len(v))
+		}
+		distinct[string(v)] = true
 	}
-	if float64(repeats)/float64(len(v)) < 0.3 {
-		t.Fatalf("field values not compressible: %d repeats in %d bytes", repeats, len(v))
+	if len(distinct) < 900 {
+		t.Fatalf("%d distinct values in 1000, want at least 900", len(distinct))
 	}
 }
