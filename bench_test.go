@@ -1,7 +1,7 @@
 // Package chronos holds the repository-level benchmark harness
 // (deliverable d): one benchmark per paper figure, regenerating the
 // series the paper's evaluation shows, plus ablation benches for the
-// design choices called out in DESIGN.md §5.
+// store's and scheduler's design choices.
 //
 // Run everything with:
 //
@@ -154,7 +154,7 @@ func BenchmarkE8_FailureRecovery(b *testing.B) {
 	}
 }
 
-// --- ablation benches (DESIGN.md §5) ---
+// --- ablation benches ---
 
 // engineThroughput measures ops/sec of a raw engine under a mix.
 func engineThroughput(b *testing.B, engine string, opts mongosim.Options, mix workload.Mix, threads int) float64 {
@@ -278,7 +278,7 @@ func BenchmarkAblation_Distribution(b *testing.B) {
 }
 
 // BenchmarkRelstoreWAL compares the WAL flush policies: per-commit fsync
-// vs batched (DESIGN.md §5).
+// vs batched.
 func BenchmarkRelstoreWAL(b *testing.B) {
 	for _, mode := range []struct {
 		name string

@@ -1,6 +1,6 @@
 // Command chronos-bench regenerates the paper's figures (deliverable d).
-// Each experiment id corresponds to one figure of the paper; see
-// DESIGN.md §4 for the index and EXPERIMENTS.md for recorded outputs.
+// Each experiment id corresponds to one figure of the paper; the suite
+// table in main is the index.
 //
 // Usage:
 //
@@ -23,7 +23,7 @@ import (
 func main() {
 	var (
 		which = flag.String("experiment", "all", "experiment id (e1..e9) or 'all'")
-		full  = flag.Bool("full", false, "full-scale configuration (slower, EXPERIMENTS.md numbers)")
+		full  = flag.Bool("full", false, "full-scale configuration (slower: longer runs, full thread sweep)")
 	)
 	flag.Parse()
 

@@ -167,10 +167,30 @@ func runFollower(addr, dataDir, leader, agentToken, replToken, claimDelegate str
 		log.Printf("session auth enabled against replicated credentials")
 	}
 
-	ui, err := webui.New(svc)
+	log.Printf("chronos-control follower listening on %s (replica of %s in %s)", addr, leader, dataDir)
+	return serve(addr, server, svc)
+}
+
+// serve runs the process's one listener until it fails; leader and
+// follower share it.
+func serve(addr string, server *rest.Server, svc *core.Service) error {
+	h, err := mount(server, svc)
 	if err != nil {
 		return err
 	}
+	return http.ListenAndServe(addr, h)
+}
+
+// mount puts the REST API and the web UI on one handler.
+func mount(server *rest.Server, svc *core.Service) (http.Handler, error) {
+	ui, err := webui.New(svc)
+	if err != nil {
+		return nil, err
+	}
+	// The pages sit behind the same sessions as the API: a leader started
+	// with -admin, or a follower with -session-auth, serves neither to
+	// strangers.
+	ui.Auth = server.Auth
 	mux := http.NewServeMux()
 	api := server.Handler()
 	mux.Handle("/api/", api)
@@ -179,9 +199,7 @@ func runFollower(addr, dataDir, leader, agentToken, replToken, claimDelegate str
 	mux.Handle("GET /metrics", api)
 	mux.Handle("/debug/pprof/", api)
 	mux.Handle("/", ui.Handler())
-
-	log.Printf("chronos-control follower listening on %s (replica of %s in %s)", addr, leader, dataDir)
-	return http.ListenAndServe(addr, mux)
+	return mux, nil
 }
 
 func run(addr, dataDir, agentToken, replToken, adminName, adminPassword, extensions string, watchdog, hbTimeout, slowOp time.Duration, storeOpts *relstore.Options) error {
@@ -240,19 +258,8 @@ func run(addr, dataDir, agentToken, replToken, adminName, adminPassword, extensi
 		log.Printf("extension %s: %d systems installed", repo.Source(), len(systems))
 	}
 
-	ui, err := webui.New(svc)
-	if err != nil {
-		return err
-	}
-	mux := http.NewServeMux()
-	api := server.Handler()
-	mux.Handle("/api/", api)
-	mux.Handle("GET /metrics", api)
-	mux.Handle("/debug/pprof/", api)
-	mux.Handle("/", ui.Handler())
-
 	log.Printf("chronos-control listening on %s (data in %s)", addr, dataDir)
-	return http.ListenAndServe(addr, mux)
+	return serve(addr, server, svc)
 }
 
 // bootstrapAdmin creates the admin account once; subsequent starts only

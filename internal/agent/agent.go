@@ -399,47 +399,64 @@ func (a *Agent) report(rc *RunContext) {
 	}
 }
 
-// runPhases executes the five workflow phases with panic isolation.
-func (a *Agent) runPhases(rc *RunContext) (err error) {
+// isolate runs fn with panic isolation: a panicking runner fails its job,
+// not the agent.
+func isolate(fn func() error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("agent: runner panic: %v", p)
 		}
 	}()
-	runner := a.Factory()
-	phases := []struct {
-		name string
-		fn   func(*RunContext) error
-	}{
-		{PhasePrepare, runner.Prepare},
-		{PhaseWarmUp, runner.WarmUp},
-		{PhaseExecute, runner.Execute},
-		{PhaseAnalyze, func(rc *RunContext) error {
-			res, err := runner.Analyze(rc)
-			if err != nil {
-				return err
+	return fn()
+}
+
+// runPhases executes the five workflow phases. Clean runs however the
+// first four ended — finished, failed, aborted or panicked — so a
+// long-lived agent never leaks an SuE instance.
+func (a *Agent) runPhases(rc *RunContext) error {
+	var runner Runner
+	err := isolate(func() error {
+		runner = a.Factory()
+		phases := []struct {
+			name string
+			fn   func(*RunContext) error
+		}{
+			{PhasePrepare, runner.Prepare},
+			{PhaseWarmUp, runner.WarmUp},
+			{PhaseExecute, runner.Execute},
+			{PhaseAnalyze, func(rc *RunContext) error {
+				res, err := runner.Analyze(rc)
+				if err != nil {
+					return err
+				}
+				rc.mu.Lock()
+				rc.result = res
+				rc.mu.Unlock()
+				return nil
+			}},
+		}
+		for _, ph := range phases {
+			if rc.Err() != nil {
+				return ErrAborted
 			}
-			rc.mu.Lock()
-			rc.result = res
-			rc.mu.Unlock()
-			return nil
-		}},
-	}
-	for _, ph := range phases {
-		if rc.Err() != nil {
-			// Still clean up the SuE after an abort.
-			rc.Timer.Time(PhaseClean, func() error { return runner.Clean(rc) })
-			return ErrAborted
+			if err := rc.Timer.Time(ph.name, func() error { return ph.fn(rc) }); err != nil {
+				return fmt.Errorf("agent: phase %s: %w", ph.name, err)
+			}
 		}
-		if err := rc.Timer.Time(ph.name, func() error { return ph.fn(rc) }); err != nil {
-			rc.Timer.Time(PhaseClean, func() error { return runner.Clean(rc) })
-			return fmt.Errorf("agent: phase %s: %w", ph.name, err)
-		}
+		return nil
+	})
+	if runner == nil {
+		return err // the factory itself panicked: nothing to clean
 	}
-	if err := rc.Timer.Time(PhaseClean, func() error { return runner.Clean(rc) }); err != nil {
-		return fmt.Errorf("agent: phase clean: %w", err)
-	}
-	if rc.Err() != nil {
+	cleanErr := isolate(func() error {
+		return rc.Timer.Time(PhaseClean, func() error { return runner.Clean(rc) })
+	})
+	switch {
+	case err != nil:
+		return err
+	case cleanErr != nil:
+		return fmt.Errorf("agent: phase clean: %w", cleanErr)
+	case rc.Err() != nil:
 		return ErrAborted
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -286,8 +287,10 @@ func TestAgentReportsFailure(t *testing.T) {
 
 func TestAgentRunnerPanicBecomesFailure(t *testing.T) {
 	svc, depID := setupJobs(t, 1)
+	var r *testRunner
 	a := newAgent(svc, depID, func() Runner {
-		return &testRunner{panicIn: PhaseWarmUp}
+		r = &testRunner{panicIn: PhaseWarmUp}
+		return r
 	})
 	if _, err := a.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -299,6 +302,11 @@ func TestAgentRunnerPanicBecomesFailure(t *testing.T) {
 	}
 	if !strings.Contains(jobs[0].Error, "panic") {
 		t.Fatalf("error = %q", jobs[0].Error)
+	}
+	// The panic must not skip Clean: a long-lived agent would leak one
+	// SuE instance per panicking job.
+	if !slices.Contains(r.phases, PhaseClean) {
+		t.Fatalf("clean not run after a panic: %v", r.phases)
 	}
 }
 

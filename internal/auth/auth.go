@@ -164,13 +164,22 @@ func (a *Authenticator) Login(userName, password string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	now := a.clock()
 	s := &Session{
 		Token:   hex.EncodeToString(tok),
 		UserID:  user.ID,
 		Role:    user.Role,
-		Expires: a.clock().Add(a.SessionTTL),
+		Expires: now.Add(a.SessionTTL),
 	}
 	a.mu.Lock()
+	// Sweep here what Validate will never see again: a session that is not
+	// presented after it expires would otherwise live as long as the
+	// process. Beside the hashing a login just paid for, the pass is noise.
+	for tok, old := range a.sessions {
+		if now.After(old.Expires) {
+			delete(a.sessions, tok)
+		}
+	}
 	a.sessions[s.Token] = s
 	a.mu.Unlock()
 	return s, nil
@@ -197,28 +206,6 @@ func (a *Authenticator) Logout(token string) {
 	a.mu.Lock()
 	delete(a.sessions, token)
 	a.mu.Unlock()
-}
-
-// SessionCount reports live (possibly expired but uncollected) sessions.
-func (a *Authenticator) SessionCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.sessions)
-}
-
-// PurgeExpired drops expired sessions; called periodically by the server.
-func (a *Authenticator) PurgeExpired() int {
-	now := a.clock()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	purged := 0
-	for tok, s := range a.sessions {
-		if now.After(s.Expires) {
-			delete(a.sessions, tok)
-			purged++
-		}
-	}
-	return purged
 }
 
 // Authorize checks role-based access: admins may do anything; the

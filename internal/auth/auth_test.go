@@ -112,22 +112,31 @@ func TestSessionExpiry(t *testing.T) {
 	}
 }
 
+// TestPurgeExpired: sessions nobody presents again are swept by the next
+// login rather than living as long as the process.
 func TestPurgeExpired(t *testing.T) {
 	a, svc, clock := newAuthFixture(t)
 	u, _ := svc.CreateUser("u", core.RoleMember)
 	a.SetPassword(u.ID, "longenough")
 	a.SessionTTL = time.Minute
-	a.Login("u", "longenough")
-	a.Login("u", "longenough")
-	if a.SessionCount() != 2 {
-		t.Fatalf("sessions = %d", a.SessionCount())
+	for i := 0; i < 5; i++ {
+		if _, err := a.Login("u", "longenough"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(a.sessions) != 5 {
+		t.Fatalf("sessions = %d, want 5", len(a.sessions))
 	}
 	clock.Advance(2 * time.Minute)
-	if purged := a.PurgeExpired(); purged != 2 {
-		t.Fatalf("purged = %d", purged)
+	s, err := a.Login("u", "longenough")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.SessionCount() != 0 {
-		t.Fatalf("sessions after purge = %d", a.SessionCount())
+	if len(a.sessions) != 1 {
+		t.Fatalf("sessions after a login past the TTL = %d, want only the new one", len(a.sessions))
+	}
+	if _, err := a.Validate(s.Token); err != nil {
+		t.Fatalf("the new session was swept with the old: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"chronos/internal/metrics"
 	"chronos/internal/workload"
 )
 
@@ -24,10 +25,11 @@ type PhaseResult struct {
 	Throughput float64 `json:"throughput"`
 	// DurationMs is the phase's wall window in milliseconds.
 	DurationMs float64 `json:"durationMs"`
-	// Latency percentiles in microseconds.
-	LatencyP50Us int64 `json:"latencyP50Us"`
-	LatencyP95Us int64 `json:"latencyP95Us"`
-	LatencyP99Us int64 `json:"latencyP99Us"`
+	// Latency percentiles in fractional microseconds (results stored
+	// before they were fractional hold whole numbers and parse the same).
+	LatencyP50Us float64 `json:"latencyP50Us"`
+	LatencyP95Us float64 `json:"latencyP95Us"`
+	LatencyP99Us float64 `json:"latencyP99Us"`
 	// Mix and Distribution echo the phase's workload shape.
 	Mix          string `json:"mix,omitempty"`
 	Distribution string `json:"distribution,omitempty"`
@@ -49,9 +51,9 @@ func PhaseResultsFrom(sched workload.Schedule, phases []workload.PhaseMeasuremen
 			Errors:       pm.Measurements.Errors,
 			Throughput:   pm.Measurements.Throughput,
 			DurationMs:   float64(pm.Duration.Microseconds()) / 1000,
-			LatencyP50Us: pm.Measurements.Latency.P50 / 1000,
-			LatencyP95Us: pm.Measurements.Latency.P95 / 1000,
-			LatencyP99Us: pm.Measurements.Latency.P99 / 1000,
+			LatencyP50Us: metrics.Micros(pm.Measurements.Latency.P50),
+			LatencyP95Us: metrics.Micros(pm.Measurements.Latency.P95),
+			LatencyP99Us: metrics.Micros(pm.Measurements.Latency.P99),
 		}
 		if pm.Index < len(sched.Phases) {
 			p := sched.Phases[pm.Index]

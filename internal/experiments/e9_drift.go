@@ -110,8 +110,8 @@ func E9DynamicDrift(cfg Config) (*Report, *E9Result, error) {
 		out.Families[system] = fam
 		rep.Printf("%s: %.0f ops/s overall, +%d dataset items", system, fam.Throughput, fam.Growth)
 		for _, p := range phases {
-			rep.Printf("  phase %d %-7s %-26s %-10s ops=%-6d %.0f ops/s p95=%dus",
-				p.Index, p.Phase, p.Mix, p.Distribution, p.Operations, p.Throughput, p.LatencyP95Us)
+			rep.Printf("  phase %d %-7s %-26s %-10s ops=%-6d %.0f ops/s p50=%.2fus p95=%.2fus",
+				p.Index, p.Phase, p.Mix, p.Distribution, p.Operations, p.Throughput, p.LatencyP50Us, p.LatencyP95Us)
 		}
 		return nil
 	}

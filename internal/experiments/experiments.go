@@ -1,5 +1,5 @@
 // Package experiments regenerates every figure of the paper's
-// demonstration (see DESIGN.md §4 for the experiment index E1-E8). Each
+// demonstration (E1-E8, plus the E9 drift experiment). Each
 // experiment returns a Report with human-readable output — the rows and
 // series the paper's figures show — plus structured data that the test
 // suite asserts the expected *shape* on (who wins, where the crossover
@@ -50,8 +50,8 @@ func Quick() Config {
 	}
 }
 
-// Full returns the configuration used for the recorded EXPERIMENTS.md
-// numbers (longer runs, full thread sweep).
+// Full returns the full-scale configuration (longer runs, full thread
+// sweep).
 func Full() Config {
 	return Config{
 		Records:      10000,

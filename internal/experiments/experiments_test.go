@@ -249,6 +249,11 @@ func TestE9DynamicDriftShape(t *testing.T) {
 			if p.Operations <= 0 || p.Throughput <= 0 || p.DurationMs <= 0 {
 				t.Fatalf("%s phase %s empty: %+v", system, name, p)
 			}
+			// timeseries-sim answers in under a microsecond: whole-number
+			// microseconds read its p50 as 0.
+			if p.LatencyP50Us <= 0 || p.LatencyP95Us < p.LatencyP50Us {
+				t.Fatalf("%s phase %s latencies p50=%v p95=%v us", system, name, p.LatencyP50Us, p.LatencyP95Us)
+			}
 			sum += p.Operations
 		}
 		if sum != cfg.Operations {

@@ -27,20 +27,20 @@ type envelope struct {
 
 // WriteJSON writes a success envelope.
 func WriteJSON(w http.ResponseWriter, status int, data any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	// Encoding errors after the header is out can only be logged.
-	if err := json.NewEncoder(w).Encode(envelope{Data: data}); err != nil {
-		log.Printf("httputil: encode response: %v", err)
-	}
+	write(w, status, envelope{Data: data})
 }
 
 // WriteError writes an error envelope.
 func WriteError(w http.ResponseWriter, status int, err error) {
+	write(w, status, envelope{Error: err.Error()})
+}
+
+func write(w http.ResponseWriter, status int, env envelope) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if encErr := json.NewEncoder(w).Encode(envelope{Error: err.Error()}); encErr != nil {
-		log.Printf("httputil: encode error response: %v", encErr)
+	// Encoding errors after the header is out can only be logged.
+	if err := json.NewEncoder(w).Encode(env); err != nil {
+		log.Printf("httputil: encode response: %v", err)
 	}
 }
 
@@ -100,8 +100,7 @@ func (r *statusRecorder) WriteHeader(code int) {
 const defaultSlowOp = 500 * time.Millisecond
 
 // AccessLog is the access-logging middleware with trace propagation,
-// slow-op flagging and per-route metrics. LogRequests remains the
-// zero-config form.
+// slow-op flagging, per-route metrics and panic recovery.
 type AccessLog struct {
 	// Logger receives the access log; nil uses the default logger.
 	Logger *log.Logger
@@ -118,7 +117,9 @@ type AccessLog struct {
 // Wrap applies the middleware to next. Every request gets a trace id —
 // the caller's X-Chronos-Trace if it sent one, a freshly minted one
 // otherwise — installed in the request context (TraceID), echoed on the
-// response, and printed on every log line for the request.
+// response, and printed on every log line for the request. A panicking
+// handler yields a 500 instead of killing the control server
+// (requirement iii: reliability).
 func (a AccessLog) Wrap(next http.Handler) http.Handler {
 	logger := a.Logger
 	if logger == nil {
@@ -165,11 +166,4 @@ func (a AccessLog) Wrap(next http.Handler) http.Handler {
 		}()
 		next.ServeHTTP(rec, r)
 	})
-}
-
-// LogRequests wraps a handler with access logging, request ids, trace
-// propagation and panic recovery. A panicking handler yields a 500
-// instead of killing the control server (requirement iii: reliability).
-func LogRequests(logger *log.Logger, next http.Handler) http.Handler {
-	return AccessLog{Logger: logger}.Wrap(next)
 }

@@ -76,7 +76,7 @@ func TestDecodeJSON(t *testing.T) {
 func TestLogRequestsRecoversPanics(t *testing.T) {
 	var buf bytes.Buffer
 	logger := log.New(&buf, "", 0)
-	h := LogRequests(logger, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := AccessLog{Logger: logger}.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
 	}))
 	ts := httptest.NewServer(h)
@@ -102,7 +102,7 @@ func TestLogRequestsRecoversPanics(t *testing.T) {
 func TestLogRequestsRecordsStatus(t *testing.T) {
 	var buf bytes.Buffer
 	logger := log.New(&buf, "", 0)
-	h := LogRequests(logger, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := AccessLog{Logger: logger}.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusTeapot, fmt.Errorf("short and stout"))
 	}))
 	ts := httptest.NewServer(h)

@@ -209,6 +209,11 @@ type Snapshot struct {
 	P999  int64   `json:"p999"`
 }
 
+// Micros renders nanoseconds as fractional microseconds, the unit result
+// documents report latencies in: a whole-number division reads a
+// sub-microsecond SUT's percentiles as zero.
+func Micros(ns int64) float64 { return float64(ns) / 1000 }
+
 // String renders the snapshot with durations in human units.
 func (s Snapshot) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",

@@ -10,104 +10,155 @@ import (
 	"chronos/internal/relstore"
 )
 
-// Wire types live in internal/api so the Go client SDK shares them; the
-// aliases below keep the handlers readable.
-type (
-	CreateUserRequest        = api.CreateUserRequest
-	CreateProjectRequest     = api.CreateProjectRequest
-	AddMemberRequest         = api.AddMemberRequest
-	RegisterSystemRequest    = api.RegisterSystemRequest
-	CreateDeploymentRequest  = api.CreateDeploymentRequest
-	SetActiveRequest         = api.SetActiveRequest
-	CreateExperimentRequest  = api.CreateExperimentRequest
-	CreateEvaluationRequest  = api.CreateEvaluationRequest
-	CreateEvaluationResponse = api.CreateEvaluationResponse
-	ClaimRequest             = api.ClaimRequest
-	ClaimResponse            = api.ClaimResponse
-	ProgressRequest          = api.ProgressRequest
-	StatusResponse           = api.StatusResponse
-	LogRequest               = api.LogRequest
-	CompleteRequest          = api.CompleteRequest
-	FailRequest              = api.FailRequest
-	BatchUpdateRequest       = api.BatchUpdateRequest
-)
+// --- adapters: one per endpoint shape ---
+//
+// Most endpoints only decode, call one core.Service method, map its error
+// through fail and write the envelope. The route table feeds the service
+// method to the adapter of its shape. Every request body in the package
+// is decoded in decode, and every adapter answers through reply.
 
-// --- users ---
-
-func (s *Server) handleCreateUser(w http.ResponseWriter, r *http.Request) {
-	var req CreateUserRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
+// decode parses the JSON request body into dst; on a malformed body it
+// answers 400 and reports false.
+func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
+	if err := httputil.DecodeJSON(r, dst); err != nil {
 		httputil.WriteError(w, http.StatusBadRequest, err)
-		return
+		return false
 	}
-	u, err := s.svc.CreateUser(req.Name, req.Role)
+	return true
+}
+
+// reply answers with the outcome of a service call: the error mapped
+// through fail, or data in a success envelope.
+func reply(w http.ResponseWriter, status int, data any, err error) {
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	httputil.WriteJSON(w, http.StatusCreated, u)
+	httputil.WriteJSON(w, status, data)
 }
 
-func (s *Server) handleListUsers(w http.ResponseWriter, r *http.Request) {
-	us, err := s.svc.ListUsers()
-	if err != nil {
-		fail(w, err)
-		return
+// byID serves a call keyed by the path's {id}.
+func byID[T any](f func(id string) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		v, err := f(r.PathValue("id"))
+		reply(w, http.StatusOK, v, err)
 	}
-	httputil.WriteJSON(w, http.StatusOK, us)
 }
 
-func (s *Server) handleGetUser(w http.ResponseWriter, r *http.Request) {
-	u, err := s.svc.GetUser(r.PathValue("id"))
-	if err != nil {
-		fail(w, err)
-		return
+// byQuery serves a list filtered by one query parameter ("" lists all).
+func byQuery[T any](param string, f func(filter string) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		v, err := f(r.URL.Query().Get(param))
+		reply(w, http.StatusOK, v, err)
 	}
-	httputil.WriteJSON(w, http.StatusOK, u)
 }
 
-// --- projects ---
-
-func (s *Server) handleCreateProject(w http.ResponseWriter, r *http.Request) {
-	var req CreateProjectRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
-		httputil.WriteError(w, http.StatusBadRequest, err)
-		return
+// all serves an unfiltered list.
+func all[T any](f func() (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		v, err := f()
+		reply(w, http.StatusOK, v, err)
 	}
-	p, err := s.svc.CreateProject(req.Name, req.Description, req.OwnerID, req.MemberIDs)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusCreated, p)
 }
 
-func (s *Server) handleListProjects(w http.ResponseWriter, r *http.Request) {
-	ps, err := s.svc.ListProjects()
-	if err != nil {
-		fail(w, err)
-		return
+// act serves a body-less action on {id}, answering with the word done.
+func act(done string, f func(id string) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		reply(w, http.StatusOK, done, f(r.PathValue("id")))
 	}
-	httputil.WriteJSON(w, http.StatusOK, ps)
 }
 
-func (s *Server) handleGetProject(w http.ResponseWriter, r *http.Request) {
-	p, err := s.svc.GetProject(r.PathValue("id"))
-	if err != nil {
-		fail(w, err)
-		return
+// body serves a JSON-body call: f gets the path's {id} ("" on collection
+// routes) and the decoded request, and its value is answered with status.
+func body[Req, T any](status int, f func(id string, req Req) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !decode(w, r, &req) {
+			return
+		}
+		v, err := f(r.PathValue("id"), req)
+		reply(w, status, v, err)
 	}
-	httputil.WriteJSON(w, http.StatusOK, p)
 }
 
-func (s *Server) handleArchiveProject(w http.ResponseWriter, r *http.Request) {
-	if err := s.svc.ArchiveProject(r.PathValue("id")); err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, "archived")
+// --- JSON-body calls: wire request -> core.Service arguments ---
+
+func (s *Server) createUser(_ string, q api.CreateUserRequest) (*core.User, error) {
+	return s.svc.CreateUser(q.Name, q.Role)
 }
 
+func (s *Server) createProject(_ string, q api.CreateProjectRequest) (*core.Project, error) {
+	return s.svc.CreateProject(q.Name, q.Description, q.OwnerID, q.MemberIDs)
+}
+
+func (s *Server) addProjectMember(id string, q api.AddMemberRequest) (string, error) {
+	return "added", s.svc.AddProjectMember(id, q.UserID)
+}
+
+func (s *Server) registerSystem(_ string, q api.RegisterSystemRequest) (*core.System, error) {
+	return s.svc.RegisterSystem(q.Name, q.Description, q.Parameters, q.Diagrams)
+}
+
+func (s *Server) createDeployment(_ string, q api.CreateDeploymentRequest) (*core.Deployment, error) {
+	return s.svc.CreateDeployment(q.SystemID, q.Name, q.Environment, q.Version)
+}
+
+func (s *Server) setDeploymentActive(id string, q api.SetActiveRequest) (string, error) {
+	return "updated", s.svc.SetDeploymentActive(id, q.Active)
+}
+
+func (s *Server) createExperiment(_ string, q api.CreateExperimentRequest) (*core.Experiment, error) {
+	return s.svc.CreateExperiment(q.ProjectID, q.SystemID, q.Name, q.Description, q.Settings, q.MaxAttempts)
+}
+
+func (s *Server) createEvaluation(_ string, q api.CreateEvaluationRequest) (api.CreateEvaluationResponse, error) {
+	ev, jobs, err := s.svc.CreateEvaluation(q.ExperimentID)
+	return api.CreateEvaluationResponse{Evaluation: ev, Jobs: jobs}, err
+}
+
+// jobStatus wraps the job status agents read back to observe aborts.
+func jobStatus(st core.JobStatus, err error) (api.StatusResponse, error) {
+	return api.StatusResponse{Status: st}, err
+}
+
+func (s *Server) progress(id string, q api.ProgressRequest) (api.StatusResponse, error) {
+	return jobStatus(s.svc.Progress(id, q.Percent))
+}
+
+func (s *Server) heartbeat(id string) (api.StatusResponse, error) {
+	return jobStatus(s.svc.Heartbeat(id))
+}
+
+func (s *Server) appendLog(id string, q api.LogRequest) (string, error) {
+	return "logged", s.svc.AppendJobLog(id, q.Text)
+}
+
+func (s *Server) complete(id string, q api.CompleteRequest) (string, error) {
+	return "completed", s.svc.CompleteJob(id, q.ResultJSON, q.Archive)
+}
+
+func (s *Server) failJob(id string, q api.FailRequest) (string, error) {
+	return "failed", s.svc.FailJob(id, q.Reason)
+}
+
+// batchUpdate is v2's combined agent call: an optional log chunk, then
+// progress when a percentage is given and a bare heartbeat otherwise.
+func (s *Server) batchUpdate(id string, q api.BatchUpdateRequest) (api.StatusResponse, error) {
+	if q.Log != "" {
+		if err := s.svc.AppendJobLog(id, q.Log); err != nil {
+			return api.StatusResponse{}, err
+		}
+	}
+	if q.Percent != nil {
+		return jobStatus(s.svc.Progress(id, *q.Percent))
+	}
+	return jobStatus(s.svc.Heartbeat(id))
+}
+
+// --- handlers with logic of their own ---
+
+// handleExportProject answers with the project archive itself, not an
+// envelope.
 func (s *Server) handleExportProject(w http.ResponseWriter, r *http.Request) {
 	data, err := s.svc.ExportProject(r.PathValue("id"))
 	if err != nil {
@@ -120,257 +171,10 @@ func (s *Server) handleExportProject(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-func (s *Server) handleAddProjectMember(w http.ResponseWriter, r *http.Request) {
-	var req AddMemberRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
-		httputil.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.svc.AddProjectMember(r.PathValue("id"), req.UserID); err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, "added")
-}
-
-// --- systems ---
-
-func (s *Server) handleRegisterSystem(w http.ResponseWriter, r *http.Request) {
-	var req RegisterSystemRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
-		httputil.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	sys, err := s.svc.RegisterSystem(req.Name, req.Description, req.Parameters, req.Diagrams)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusCreated, sys)
-}
-
-func (s *Server) handleListSystems(w http.ResponseWriter, r *http.Request) {
-	out, err := s.svc.ListSystems()
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleGetSystem(w http.ResponseWriter, r *http.Request) {
-	sys, err := s.svc.GetSystem(r.PathValue("id"))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, sys)
-}
-
-// --- deployments ---
-
-func (s *Server) handleCreateDeployment(w http.ResponseWriter, r *http.Request) {
-	var req CreateDeploymentRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
-		httputil.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	d, err := s.svc.CreateDeployment(req.SystemID, req.Name, req.Environment, req.Version)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusCreated, d)
-}
-
-func (s *Server) handleListDeployments(w http.ResponseWriter, r *http.Request) {
-	out, err := s.svc.ListDeployments(r.URL.Query().Get("system"))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleSetDeploymentActive(w http.ResponseWriter, r *http.Request) {
-	var req SetActiveRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
-		httputil.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.svc.SetDeploymentActive(r.PathValue("id"), req.Active); err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, "updated")
-}
-
-// --- experiments ---
-
-func (s *Server) handleCreateExperiment(w http.ResponseWriter, r *http.Request) {
-	var req CreateExperimentRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
-		httputil.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	e, err := s.svc.CreateExperiment(req.ProjectID, req.SystemID, req.Name, req.Description, req.Settings, req.MaxAttempts)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusCreated, e)
-}
-
-func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
-	out, err := s.svc.ListExperiments(r.URL.Query().Get("project"))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleGetExperiment(w http.ResponseWriter, r *http.Request) {
-	e, err := s.svc.GetExperiment(r.PathValue("id"))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, e)
-}
-
-func (s *Server) handleArchiveExperiment(w http.ResponseWriter, r *http.Request) {
-	if err := s.svc.ArchiveExperiment(r.PathValue("id")); err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, "archived")
-}
-
-// --- evaluations ---
-
-func (s *Server) handleCreateEvaluation(w http.ResponseWriter, r *http.Request) {
-	var req CreateEvaluationRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
-		httputil.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	ev, jobs, err := s.svc.CreateEvaluation(req.ExperimentID)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusCreated, CreateEvaluationResponse{Evaluation: ev, Jobs: jobs})
-}
-
-func (s *Server) handleListEvaluations(w http.ResponseWriter, r *http.Request) {
-	out, err := s.svc.ListEvaluations(r.URL.Query().Get("experiment"))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleGetEvaluation(w http.ResponseWriter, r *http.Request) {
-	ev, err := s.svc.GetEvaluation(r.PathValue("id"))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, ev)
-}
-
-func (s *Server) handleEvaluationStatus(w http.ResponseWriter, r *http.Request) {
-	st, err := s.svc.EvaluationStatusOf(r.PathValue("id"))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleEvaluationJobs(w http.ResponseWriter, r *http.Request) {
-	jobs, err := s.svc.ListJobs(r.PathValue("id"))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, jobs)
-}
-
-// --- job management ---
-
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	j, err := s.svc.GetJob(r.PathValue("id"))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, j)
-}
-
-func (s *Server) handleAbortJob(w http.ResponseWriter, r *http.Request) {
-	if err := s.svc.AbortJob(r.PathValue("id")); err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, "aborted")
-}
-
-func (s *Server) handleRescheduleJob(w http.ResponseWriter, r *http.Request) {
-	if err := s.svc.RescheduleJob(r.PathValue("id")); err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, "rescheduled")
-}
-
-func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	res, err := s.svc.GetJobResult(r.PathValue("id"))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, res)
-}
-
-// handleJobPhases returns the per-phase result rows of a dynamic-
-// workload job; a static job yields an empty list.
-func (s *Server) handleJobPhases(w http.ResponseWriter, r *http.Request) {
-	phases, err := s.svc.JobPhaseResults(r.PathValue("id"))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, phases)
-}
-
-func (s *Server) handleJobLogs(w http.ResponseWriter, r *http.Request) {
-	logs, err := s.svc.JobLogs(r.PathValue("id"))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, logs)
-}
-
-func (s *Server) handleJobTimeline(w http.ResponseWriter, r *http.Request) {
-	events, err := s.svc.JobTimeline(r.PathValue("id"))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, events)
-}
-
-// --- job execution (agent side) ---
-
 func (s *Server) handleClaim(version string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req ClaimRequest
-		if err := httputil.DecodeJSON(r, &req); err != nil {
-			httputil.WriteError(w, http.StatusBadRequest, err)
+		var req api.ClaimRequest
+		if !decode(w, r, &req) {
 			return
 		}
 		var (
@@ -390,7 +194,7 @@ func (s *Server) handleClaim(version string) http.HandlerFunc {
 			fail(w, err)
 			return
 		}
-		resp := ClaimResponse{}
+		resp := api.ClaimResponse{}
 		if ok {
 			resp.Job = job
 			if version == "v2" {
@@ -403,132 +207,27 @@ func (s *Server) handleClaim(version string) http.HandlerFunc {
 	}
 }
 
-// handleLeaseGrant grants or renews a follower's claim lease (leader
-// side; a follower's store refuses the implied writes anyway, but the
-// explicit guard gives a precise error).
-func (s *Server) handleLeaseGrant(w http.ResponseWriter, r *http.Request) {
-	if s.Repl != nil {
-		fail(w, relstore.ErrReadOnly)
-		return
-	}
-	var req api.LeaseRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
-		httputil.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	l, err := s.svc.GrantClaimLease(req.FollowerID, time.Duration(req.TTLMs)*time.Millisecond)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, l)
-}
-
-// handleClaimIntents commits a follower's claim-intent batch
-// authoritatively and answers one verdict per intent.
-func (s *Server) handleClaimIntents(w http.ResponseWriter, r *http.Request) {
-	if s.Repl != nil {
-		fail(w, relstore.ErrReadOnly)
-		return
-	}
-	var req api.ClaimIntentsRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
-		httputil.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	verdicts, err := s.svc.CommitClaimIntents(req.LeaseID, req.FollowerID, req.Intents)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, api.ClaimIntentsResponse{Verdicts: verdicts})
-}
-
-func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	var req ProgressRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
-		httputil.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	st, err := s.svc.Progress(r.PathValue("id"), req.Percent)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, StatusResponse{Status: st})
-}
-
-func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	st, err := s.svc.Heartbeat(r.PathValue("id"))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, StatusResponse{Status: st})
-}
-
-func (s *Server) handleAppendLog(w http.ResponseWriter, r *http.Request) {
-	var req LogRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
-		httputil.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.svc.AppendJobLog(r.PathValue("id"), req.Text); err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, "logged")
-}
-
-func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req CompleteRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
-		httputil.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.svc.CompleteJob(r.PathValue("id"), req.ResultJSON, req.Archive); err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, "completed")
-}
-
-func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
-	var req FailRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
-		httputil.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.svc.FailJob(r.PathValue("id"), req.Reason); err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, "failed")
-}
-
-func (s *Server) handleBatchUpdate(w http.ResponseWriter, r *http.Request) {
-	var req BatchUpdateRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
-		httputil.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	id := r.PathValue("id")
-	if req.Log != "" {
-		if err := s.svc.AppendJobLog(id, req.Log); err != nil {
-			fail(w, err)
+// leaderOnly guards the claim-delegation calls, which only a leader can
+// serve. A follower's store refuses the implied writes anyway, but the
+// explicit guard gives a precise error before the body is even read.
+func (s *Server) leaderOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.Repl != nil {
+			fail(w, relstore.ErrReadOnly)
 			return
 		}
+		h(w, r)
 	}
-	var st core.JobStatus
-	var err error
-	if req.Percent != nil {
-		st, err = s.svc.Progress(id, *req.Percent)
-	} else {
-		st, err = s.svc.Heartbeat(id)
-	}
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	httputil.WriteJSON(w, http.StatusOK, StatusResponse{Status: st})
+}
+
+// grantLease grants or renews a follower's claim lease.
+func (s *Server) grantLease(_ string, q api.LeaseRequest) (core.Lease, error) {
+	return s.svc.GrantClaimLease(q.FollowerID, time.Duration(q.TTLMs)*time.Millisecond)
+}
+
+// commitClaimIntents commits a follower's claim-intent batch
+// authoritatively and answers one verdict per intent.
+func (s *Server) commitClaimIntents(_ string, q api.ClaimIntentsRequest) (api.ClaimIntentsResponse, error) {
+	verdicts, err := s.svc.CommitClaimIntents(q.LeaseID, q.FollowerID, q.Intents)
+	return api.ClaimIntentsResponse{Verdicts: verdicts}, err
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"chronos/internal/api"
 	"chronos/internal/core"
 	"chronos/internal/params"
 	"chronos/pkg/client"
@@ -257,7 +258,7 @@ func TestExportEndpointErrors(t *testing.T) {
 
 func TestStatusResponseJSONShape(t *testing.T) {
 	// The agent-visible status payload keeps its wire shape.
-	data, err := json.Marshal(StatusResponse{Status: core.StatusRunning})
+	data, err := json.Marshal(api.StatusResponse{Status: core.StatusRunning})
 	if err != nil {
 		t.Fatal(err)
 	}

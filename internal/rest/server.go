@@ -14,9 +14,11 @@ package rest
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -108,105 +110,171 @@ func (s *Server) Handler() http.Handler {
 	return al.Wrap(s.withCommitPosition(s.mux))
 }
 
-// routes wires both API versions onto the mux.
-func (s *Server) routes() {
-	ship := repl.NewHandler(s.svc.Store().DB())
-	// view gates data reads: viewer role plus, on followers, the session
-	// guarantees (staleness budget + X-Chronos-Read-After). The status
-	// endpoint stays on the bare viewer gate — it must keep answering
-	// precisely when the follower is degraded.
-	view := func(h http.HandlerFunc) http.HandlerFunc { return s.viewer(s.read(h)) }
-	for _, v := range APIVersions {
-		p := "/api/" + v
-		s.mux.HandleFunc("GET "+p+"/ping", s.handlePing(v))
-		s.mux.HandleFunc("GET "+p+"/status", s.viewer(s.handleStatus))
+// gate names who may call a route. Every route states one; there is no
+// default, and a route whose gate is unknown serves nobody.
+type gate string
+
+const (
+	// open: anyone. Ping, and login/logout — a session cannot be required
+	// of the calls that start and end one.
+	open gate = "open"
+	// viewer, member, admin: a session of at least that role when session
+	// auth is enabled; with auth disabled every caller counts as admin.
+	viewer gate = "viewer"
+	member gate = "member"
+	admin  gate = "admin"
+	// view gates data reads: viewer plus, on followers, the session
+	// guarantees (staleness budget + X-Chronos-Read-After, see readable).
+	view gate = "view"
+	// agent: the shared agent token, when one is configured.
+	agent gate = "agent"
+	// ship: the replication token or an admin session (see refusal).
+	ship gate = "ship"
+)
+
+// route is one line of the API surface.
+type route struct {
+	// since is the first entry of APIVersions that serves the route; every
+	// later version serves it too. Root routes, outside /api/{v}, leave it
+	// empty.
+	since        string
+	method, path string
+	gate         gate
+	handler      http.HandlerFunc
+}
+
+// api is the versioned API, stated once: the routes served under
+// /api/{v}, for v and every later version from each route's since on.
+// internal/rest/testdata/routes.golden lists what this expands to.
+func (s *Server) api(v string) []route {
+	svc := s.svc
+	wal := repl.NewHandler(svc.Store().DB())
+	return []route{
+		{"v1", "GET", "/ping", open, s.handlePing(v)},
+		// Status stays on the bare viewer gate, not view — it must keep
+		// answering precisely when the follower is degraded.
+		{"v1", "GET", "/status", viewer, s.handleStatus},
 
 		// WAL shipping (replication followers). Works on leaders and on
-		// followers alike — a follower's segments mirror the leader's,
-		// so replicas can be chained.
-		s.mux.HandleFunc("GET "+p+"/repl/status", s.ship(ship.Status))
-		s.mux.HandleFunc("GET "+p+"/repl/snapshot", s.ship(ship.Snapshot))
-		s.mux.HandleFunc("GET "+p+"/repl/wal/{seq}", s.ship(ship.WAL))
+		// followers alike — a follower's segments mirror the leader's, so
+		// replicas can be chained.
+		{"v1", "GET", "/repl/status", ship, wal.Status},
+		{"v1", "GET", "/repl/snapshot", ship, wal.Snapshot},
+		{"v1", "GET", "/repl/wal/{seq}", ship, wal.WAL},
 
-		// Claim delegation (leader side): followers obtain leases and
-		// ship claim intents back on the same channel, with the same
-		// credential — delegated claims are follower traffic, not agent
-		// traffic.
-		s.mux.HandleFunc("POST "+p+"/repl/lease", s.ship(s.handleLeaseGrant))
-		s.mux.HandleFunc("POST "+p+"/repl/claims", s.ship(s.handleClaimIntents))
+		// Claim delegation (leader side): followers obtain leases and ship
+		// claim intents back on the same channel, with the same credential
+		// — delegated claims are follower traffic, not agent traffic.
+		{"v1", "POST", "/repl/lease", ship, s.leaderOnly(body(http.StatusOK, s.grantLease))},
+		{"v1", "POST", "/repl/claims", ship, s.leaderOnly(body(http.StatusOK, s.commitClaimIntents))},
 
 		// Session management.
-		s.mux.HandleFunc("POST "+p+"/login", s.handleLogin)
-		s.mux.HandleFunc("POST "+p+"/logout", s.handleLogout)
+		{"v1", "POST", "/login", open, s.handleLogin},
+		{"v1", "POST", "/logout", open, s.handleLogout},
 
 		// Users (admin).
-		s.mux.HandleFunc("POST "+p+"/users", s.admin(s.handleCreateUser))
-		s.mux.HandleFunc("GET "+p+"/users", view(s.handleListUsers))
-		s.mux.HandleFunc("GET "+p+"/users/{id}", view(s.handleGetUser))
+		{"v1", "POST", "/users", admin, body(http.StatusCreated, s.createUser)},
+		{"v1", "GET", "/users", view, all(svc.ListUsers)},
+		{"v1", "GET", "/users/{id}", view, byID(svc.GetUser)},
 
 		// Projects.
-		s.mux.HandleFunc("POST "+p+"/projects", s.member(s.handleCreateProject))
-		s.mux.HandleFunc("GET "+p+"/projects", view(s.handleListProjects))
-		s.mux.HandleFunc("GET "+p+"/projects/{id}", view(s.handleGetProject))
-		s.mux.HandleFunc("POST "+p+"/projects/{id}/archive", s.member(s.handleArchiveProject))
-		s.mux.HandleFunc("GET "+p+"/projects/{id}/export", view(s.handleExportProject))
-		s.mux.HandleFunc("POST "+p+"/projects/{id}/members", s.member(s.handleAddProjectMember))
+		{"v1", "POST", "/projects", member, body(http.StatusCreated, s.createProject)},
+		{"v1", "GET", "/projects", view, all(svc.ListProjects)},
+		{"v1", "GET", "/projects/{id}", view, byID(svc.GetProject)},
+		{"v1", "POST", "/projects/{id}/archive", member, act("archived", svc.ArchiveProject)},
+		{"v1", "GET", "/projects/{id}/export", view, s.handleExportProject},
+		{"v1", "POST", "/projects/{id}/members", member, body(http.StatusOK, s.addProjectMember)},
 
 		// Systems.
-		s.mux.HandleFunc("POST "+p+"/systems", s.member(s.handleRegisterSystem))
-		s.mux.HandleFunc("GET "+p+"/systems", view(s.handleListSystems))
-		s.mux.HandleFunc("GET "+p+"/systems/{id}", view(s.handleGetSystem))
+		{"v1", "POST", "/systems", member, body(http.StatusCreated, s.registerSystem)},
+		{"v1", "GET", "/systems", view, all(svc.ListSystems)},
+		{"v1", "GET", "/systems/{id}", view, byID(svc.GetSystem)},
 
 		// Deployments.
-		s.mux.HandleFunc("POST "+p+"/deployments", s.member(s.handleCreateDeployment))
-		s.mux.HandleFunc("GET "+p+"/deployments", view(s.handleListDeployments))
-		s.mux.HandleFunc("POST "+p+"/deployments/{id}/active", s.member(s.handleSetDeploymentActive))
+		{"v1", "POST", "/deployments", member, body(http.StatusCreated, s.createDeployment)},
+		{"v1", "GET", "/deployments", view, byQuery("system", svc.ListDeployments)},
+		{"v1", "POST", "/deployments/{id}/active", member, body(http.StatusOK, s.setDeploymentActive)},
 
 		// Experiments.
-		s.mux.HandleFunc("POST "+p+"/experiments", s.member(s.handleCreateExperiment))
-		s.mux.HandleFunc("GET "+p+"/experiments", view(s.handleListExperiments))
-		s.mux.HandleFunc("GET "+p+"/experiments/{id}", view(s.handleGetExperiment))
-		s.mux.HandleFunc("POST "+p+"/experiments/{id}/archive", s.member(s.handleArchiveExperiment))
+		{"v1", "POST", "/experiments", member, body(http.StatusCreated, s.createExperiment)},
+		{"v1", "GET", "/experiments", view, byQuery("project", svc.ListExperiments)},
+		{"v1", "GET", "/experiments/{id}", view, byID(svc.GetExperiment)},
+		{"v1", "POST", "/experiments/{id}/archive", member, act("archived", svc.ArchiveExperiment)},
 
 		// Evaluations. POST is also the build-bot scheduling hook.
-		s.mux.HandleFunc("POST "+p+"/evaluations", s.member(s.handleCreateEvaluation))
-		s.mux.HandleFunc("GET "+p+"/evaluations", view(s.handleListEvaluations))
-		s.mux.HandleFunc("GET "+p+"/evaluations/{id}", view(s.handleGetEvaluation))
-		s.mux.HandleFunc("GET "+p+"/evaluations/{id}/status", view(s.handleEvaluationStatus))
-		s.mux.HandleFunc("GET "+p+"/evaluations/{id}/jobs", view(s.handleEvaluationJobs))
+		{"v1", "POST", "/evaluations", member, body(http.StatusCreated, s.createEvaluation)},
+		{"v1", "GET", "/evaluations", view, byQuery("experiment", svc.ListEvaluations)},
+		{"v1", "GET", "/evaluations/{id}", view, byID(svc.GetEvaluation)},
+		{"v1", "GET", "/evaluations/{id}/status", view, byID(svc.EvaluationStatusOf)},
+		{"v1", "GET", "/evaluations/{id}/jobs", view, byID(svc.ListJobs)},
 
-		// Job management (UI side).
-		s.mux.HandleFunc("GET "+p+"/jobs/{id}", view(s.handleGetJob))
-		s.mux.HandleFunc("POST "+p+"/jobs/{id}/abort", s.member(s.handleAbortJob))
-		s.mux.HandleFunc("POST "+p+"/jobs/{id}/reschedule", s.member(s.handleRescheduleJob))
-		s.mux.HandleFunc("GET "+p+"/jobs/{id}/result", view(s.handleJobResult))
-		s.mux.HandleFunc("GET "+p+"/jobs/{id}/phases", view(s.handleJobPhases))
-		s.mux.HandleFunc("GET "+p+"/jobs/{id}/logs", view(s.handleJobLogs))
-		s.mux.HandleFunc("GET "+p+"/jobs/{id}/timeline", view(s.handleJobTimeline))
+		// Job management (UI side). A static job's phases are an empty list.
+		{"v1", "GET", "/jobs/{id}", view, byID(svc.GetJob)},
+		{"v1", "POST", "/jobs/{id}/abort", member, act("aborted", svc.AbortJob)},
+		{"v1", "POST", "/jobs/{id}/reschedule", member, act("rescheduled", svc.RescheduleJob)},
+		{"v1", "GET", "/jobs/{id}/result", view, byID(svc.GetJobResult)},
+		{"v1", "GET", "/jobs/{id}/phases", view, byID(svc.JobPhaseResults)},
+		{"v1", "GET", "/jobs/{id}/logs", view, byID(svc.JobLogs)},
+		{"v1", "GET", "/jobs/{id}/timeline", view, byID(svc.JobTimeline)},
 
 		// Job execution (agent side).
-		s.mux.HandleFunc("POST "+p+"/jobs/claim", s.agent(s.handleClaim(v)))
-		s.mux.HandleFunc("POST "+p+"/jobs/{id}/progress", s.agent(s.handleProgress))
-		s.mux.HandleFunc("POST "+p+"/jobs/{id}/heartbeat", s.agent(s.handleHeartbeat))
-		s.mux.HandleFunc("POST "+p+"/jobs/{id}/log", s.agent(s.handleAppendLog))
-		s.mux.HandleFunc("POST "+p+"/jobs/{id}/complete", s.agent(s.handleComplete))
-		s.mux.HandleFunc("POST "+p+"/jobs/{id}/fail", s.agent(s.handleFail))
+		{"v1", "POST", "/jobs/claim", agent, s.handleClaim(v)},
+		{"v1", "POST", "/jobs/{id}/progress", agent, body(http.StatusOK, s.progress)},
+		{"v1", "POST", "/jobs/{id}/heartbeat", agent, byID(s.heartbeat)},
+		{"v1", "POST", "/jobs/{id}/log", agent, body(http.StatusOK, s.appendLog)},
+		{"v1", "POST", "/jobs/{id}/complete", agent, body(http.StatusOK, s.complete)},
+		{"v1", "POST", "/jobs/{id}/fail", agent, body(http.StatusOK, s.failJob)},
+		// Batched agent update: log + progress-or-heartbeat in one call.
+		{"v2", "POST", "/jobs/{id}/update", agent, body(http.StatusOK, s.batchUpdate)},
 	}
-	// v2-only: batched agent update.
-	s.mux.HandleFunc("POST /api/v2/jobs/{id}/update", s.agent(s.handleBatchUpdate))
+}
 
-	// Observability. /metrics shares the ship gate: scraping exposes
-	// operational detail (row counts, per-route traffic) that belongs to
-	// operators, and every deployment that wires a follower already
-	// holds the repl token — so one credential covers both servers of a
-	// pair. /debug/pprof is admin-only: profiles can capture memory
-	// contents, a strictly stronger exposure than counters.
-	s.mux.HandleFunc("GET /metrics", s.ship(s.handleMetrics))
-	s.mux.HandleFunc("GET /debug/pprof/", s.admin(pprof.Index))
-	s.mux.HandleFunc("GET /debug/pprof/cmdline", s.admin(pprof.Cmdline))
-	s.mux.HandleFunc("GET /debug/pprof/profile", s.admin(pprof.Profile))
-	s.mux.HandleFunc("GET /debug/pprof/symbol", s.admin(pprof.Symbol))
-	s.mux.HandleFunc("GET /debug/pprof/trace", s.admin(pprof.Trace))
+// root is the observability surface, outside the versioned API. /metrics
+// shares the ship gate: scraping exposes operational detail (row counts,
+// per-route traffic) that belongs to operators, and every deployment that
+// wires a follower already holds the repl token — so one credential
+// covers both servers of a pair. /debug/pprof is admin-only: profiles can
+// capture memory contents, a strictly stronger exposure than counters.
+func (s *Server) root() []route {
+	return []route{
+		{"", "GET", "/metrics", ship, s.handleMetrics},
+		{"", "GET", "/debug/pprof/", admin, pprof.Index},
+		{"", "GET", "/debug/pprof/cmdline", admin, pprof.Cmdline},
+		{"", "GET", "/debug/pprof/profile", admin, pprof.Profile},
+		{"", "GET", "/debug/pprof/symbol", admin, pprof.Symbol},
+		{"", "GET", "/debug/pprof/trace", admin, pprof.Trace},
+	}
+}
+
+// each visits every pattern the server registers: the versioned table
+// once per entry of APIVersions, then the root routes.
+func (s *Server) each(visit func(pattern string, rt route)) {
+	for i, v := range APIVersions {
+		for _, rt := range s.api(v) {
+			if slices.Index(APIVersions, rt.since) <= i {
+				visit(rt.method+" /api/"+v+rt.path, rt)
+			}
+		}
+	}
+	for _, rt := range s.root() {
+		visit(rt.method+" "+rt.path, rt)
+	}
+}
+
+// routes wires the table onto the mux, each handler behind its gate.
+func (s *Server) routes() {
+	s.each(func(pattern string, rt route) {
+		s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			if status, err := s.refusal(rt.gate, r); err != nil {
+				httputil.WriteError(w, status, err)
+				return
+			}
+			if rt.gate == view && !s.readable(w, r) {
+				return
+			}
+			rt.handler(w, r)
+		})
+	})
 }
 
 // handleMetrics renders the registry in Prometheus text exposition
@@ -220,79 +288,71 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.Registry.WritePrometheus(w)
 }
 
-// --- middleware ---
+// --- gates ---
 
-// session resolves the request's session when auth is enabled.
-func (s *Server) session(r *http.Request) (*auth.Session, error) {
+// bearer returns the session token the request presents ("" if none).
+func bearer(r *http.Request) string {
+	if tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer "); ok {
+		return tok
+	}
+	return ""
+}
+
+// require checks the request's session against a role; with session auth
+// disabled every caller passes.
+func (s *Server) require(role core.Role, r *http.Request) (int, error) {
 	if s.Auth == nil {
-		return nil, nil // auth disabled: treated as admin below
+		return 0, nil
 	}
-	h := r.Header.Get("Authorization")
-	const prefix = "Bearer "
-	if !strings.HasPrefix(h, prefix) {
-		return nil, auth.ErrNoSession
+	sess, err := s.Auth.Validate(bearer(r)) // no token is no session
+	if err != nil {
+		return http.StatusUnauthorized, err
 	}
-	return s.Auth.Validate(strings.TrimPrefix(h, prefix))
+	if err := auth.Authorize(sess, role); err != nil {
+		return http.StatusForbidden, err
+	}
+	return 0, nil
 }
 
-// require wraps a handler with a role requirement.
-func (s *Server) require(role core.Role, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.Auth != nil {
-			sess, err := s.session(r)
-			if err != nil {
-				httputil.WriteError(w, http.StatusUnauthorized, err)
-				return
-			}
-			if err := auth.Authorize(sess, role); err != nil {
-				httputil.WriteError(w, http.StatusForbidden, err)
-				return
-			}
-		}
-		h(w, r)
-	}
-}
-
-func (s *Server) admin(h http.HandlerFunc) http.HandlerFunc  { return s.require(core.RoleAdmin, h) }
-func (s *Server) member(h http.HandlerFunc) http.HandlerFunc { return s.require(core.RoleMember, h) }
-func (s *Server) viewer(h http.HandlerFunc) http.HandlerFunc { return s.require(core.RoleViewer, h) }
-
-// agent guards the job execution endpoints with the shared agent token.
-func (s *Server) agent(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+// refusal is the one place a request is turned away for who sent it: it
+// returns the status and error to answer with, or a nil error when the
+// request may pass gate g.
+func (s *Server) refusal(g gate, r *http.Request) (int, error) {
+	switch g {
+	case open:
+		return 0, nil
+	case viewer, view:
+		return s.require(core.RoleViewer, r)
+	case member:
+		return s.require(core.RoleMember, r)
+	case admin:
+		return s.require(core.RoleAdmin, r)
+	case agent:
 		if s.AgentToken != "" && r.Header.Get("X-Chronos-Agent-Token") != s.AgentToken {
-			httputil.WriteError(w, http.StatusUnauthorized, errors.New("rest: invalid agent token"))
-			return
+			return http.StatusUnauthorized, errors.New("rest: invalid agent token")
 		}
-		h(w, r)
-	}
-}
-
-// ship guards the WAL-shipping endpoints. Shipping streams the whole
-// store byte-for-byte — including the auth credentials table, which no
-// viewer- or agent-facing endpoint exposes — so the gate is strict: the
-// dedicated replication token, or an admin session. Only on a server
-// with no auth mechanism at all (no repl token, no agent token, no
-// session auth — the open local-demo configuration) is shipping open
-// like everything else.
-func (s *Server) ship(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+		return 0, nil
+	case ship:
+		// Shipping streams the whole store byte-for-byte — including the
+		// auth credentials table, which no viewer- or agent-facing endpoint
+		// exposes — so the gate is strict: the dedicated replication token,
+		// or an admin session. Only on a server with no auth mechanism at
+		// all (no repl token, no agent token, no session auth — the open
+		// local-demo configuration) is shipping open like everything else.
 		if s.ReplToken == "" && s.AgentToken == "" && s.Auth == nil {
-			h(w, r)
-			return
+			return 0, nil
 		}
 		if s.ReplToken != "" && r.Header.Get(repl.HeaderReplToken) == s.ReplToken {
-			h(w, r)
-			return
+			return 0, nil
 		}
 		if s.Auth != nil {
-			if sess, err := s.session(r); err == nil && auth.Authorize(sess, core.RoleAdmin) == nil {
-				h(w, r)
-				return
+			if _, err := s.require(core.RoleAdmin, r); err == nil {
+				return 0, nil
 			}
 		}
-		httputil.WriteError(w, http.StatusUnauthorized, errors.New("rest: replication requires the replication token or an admin session"))
+		return http.StatusUnauthorized, errors.New("rest: replication requires the replication token or an admin session")
 	}
+	return http.StatusInternalServerError, fmt.Errorf("rest: route has no gate (%q)", g)
 }
 
 // fail maps service errors onto HTTP status codes.
@@ -320,14 +380,12 @@ func fail(w http.ResponseWriter, err error) {
 	}
 }
 
-// --- basic handlers ---
-
-// PingResponse is re-exported for handler readability.
-type PingResponse = api.PingResponse
+// --- handlers with logic of their own (the rest are adapters, see
+// handlers.go) ---
 
 func (s *Server) handlePing(version string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		httputil.WriteJSON(w, http.StatusOK, PingResponse{
+		httputil.WriteJSON(w, http.StatusOK, api.PingResponse{
 			Service: "chronos-control", Version: version, Versions: APIVersions,
 		})
 	}
@@ -366,20 +424,13 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	httputil.WriteJSON(w, http.StatusOK, resp)
 }
 
-// LoginRequest and LoginResponse are re-exported wire types.
-type (
-	LoginRequest  = api.LoginRequest
-	LoginResponse = api.LoginResponse
-)
-
 func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 	if s.Auth == nil {
 		httputil.WriteError(w, http.StatusNotImplemented, errors.New("rest: auth disabled"))
 		return
 	}
-	var req LoginRequest
-	if err := httputil.DecodeJSON(r, &req); err != nil {
-		httputil.WriteError(w, http.StatusBadRequest, err)
+	var req api.LoginRequest
+	if !decode(w, r, &req) {
 		return
 	}
 	sess, err := s.Auth.Login(req.User, req.Password)
@@ -387,24 +438,12 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 		httputil.WriteError(w, http.StatusUnauthorized, err)
 		return
 	}
-	httputil.WriteJSON(w, http.StatusOK, LoginResponse{Token: sess.Token, UserID: sess.UserID, Role: sess.Role})
+	httputil.WriteJSON(w, http.StatusOK, api.LoginResponse{Token: sess.Token, UserID: sess.UserID, Role: sess.Role})
 }
 
 func (s *Server) handleLogout(w http.ResponseWriter, r *http.Request) {
-	if s.Auth == nil {
-		httputil.WriteJSON(w, http.StatusOK, "ok")
-		return
-	}
-	h := r.Header.Get("Authorization")
-	if strings.HasPrefix(h, "Bearer ") {
-		s.Auth.Logout(strings.TrimPrefix(h, "Bearer "))
+	if tok := bearer(r); s.Auth != nil && tok != "" {
+		s.Auth.Logout(tok)
 	}
 	httputil.WriteJSON(w, http.StatusOK, "ok")
-}
-
-// ListenAndServe runs the server on addr until the process exits; used by
-// cmd/chronos-control.
-func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{Addr: addr, Handler: s.Handler()}
-	return srv.ListenAndServe()
 }

@@ -94,10 +94,11 @@ func (s *Server) withCommitPosition(next http.Handler) http.Handler {
 	})
 }
 
-// read is the follower-side session gate on data reads. Leaders serve
-// directly: they are the authority every token points at. A follower
-// first proves it is within the staleness budget, then honours any
-// X-Chronos-Read-After token:
+// readable is the follower-side session gate on data reads (the view
+// gate's second half); it reports whether the read may proceed, having
+// written the response otherwise. Leaders serve directly: they are the
+// authority every token points at. A follower first proves it is within
+// the staleness budget, then honours any X-Chronos-Read-After token:
 //
 //   - same generation: wait (up to ReadAfterWait) for the applied
 //     position to cover the token; deadline → 503 + Retry-After.
@@ -106,32 +107,25 @@ func (s *Server) withCommitPosition(next http.Handler) http.Handler {
 //     retry can succeed, so 503 + Retry-After.
 //   - token from an older epoch or another store: this follower can
 //     never prove it holds that history — 412, go to the leader.
-func (s *Server) read(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		// Checked per request: Repl is assigned after NewServer wires
-		// the routes.
-		if s.Repl == nil {
-			h(w, r)
-			return
-		}
-		if !s.freshEnough(w) {
-			return
-		}
-		raw := r.Header.Get(api.HeaderReadAfter)
-		if raw == "" {
-			h(w, r)
-			return
-		}
-		tok, err := api.ParseCommitToken(raw)
-		if err != nil {
-			httputil.WriteError(w, http.StatusBadRequest, err)
-			return
-		}
-		if !s.waitReadAfter(w, r, tok) {
-			return
-		}
-		h(w, r)
+func (s *Server) readable(w http.ResponseWriter, r *http.Request) bool {
+	// Checked per request: Repl is assigned after NewServer wires the
+	// routes.
+	if s.Repl == nil {
+		return true
 	}
+	if !s.freshEnough(w) {
+		return false
+	}
+	raw := r.Header.Get(api.HeaderReadAfter)
+	if raw == "" {
+		return true
+	}
+	tok, err := api.ParseCommitToken(raw)
+	if err != nil {
+		httputil.WriteError(w, http.StatusBadRequest, err)
+		return false
+	}
+	return s.waitReadAfter(w, r, tok)
 }
 
 // freshEnough enforces the bounded-staleness budget; it reports whether

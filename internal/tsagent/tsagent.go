@@ -237,15 +237,15 @@ func (r *Runner) Execute(rc *agent.RunContext) error {
 func (r *Runner) Analyze(rc *agent.RunContext) (map[string]any, error) {
 	st := r.db.Stats()
 	lat := r.meas.Latency
-	rc.Logf("analyze: %.0f ops/s, p95=%.1fus, cardinality=%d", r.meas.Throughput, micros(lat.P95), st.Series)
+	rc.Logf("analyze: %.0f ops/s, p95=%.1fus, cardinality=%d", r.meas.Throughput, metrics.Micros(lat.P95), st.Series)
 	result := map[string]any{
 		"throughput":      r.meas.Throughput,
 		"operations":      r.meas.Operations,
 		"errors":          r.meas.Errors,
 		"latency_mean_us": lat.Mean / 1000,
-		"latency_p50_us":  micros(lat.P50),
-		"latency_p95_us":  micros(lat.P95),
-		"latency_p99_us":  micros(lat.P99),
+		"latency_p50_us":  metrics.Micros(lat.P50),
+		"latency_p95_us":  metrics.Micros(lat.P95),
+		"latency_p99_us":  metrics.Micros(lat.P99),
 		"cardinality":     st.Series,
 		"engineStats": map[string]any{
 			"series":       st.Series,
@@ -268,10 +268,6 @@ func (r *Runner) Analyze(rc *agent.RunContext) (map[string]any, error) {
 	rc.AttachFile("latencies.csv", []byte(csv))
 	return result, nil
 }
-
-// micros renders nanoseconds as fractional microseconds: a whole-number
-// division reads a sub-microsecond SUT's percentiles as zero.
-func micros(ns int64) float64 { return float64(ns) / 1000 }
 
 // Clean releases the store.
 func (r *Runner) Clean(rc *agent.RunContext) error {

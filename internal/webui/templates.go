@@ -44,6 +44,7 @@ button.danger { background: #c62828; }
 <a href="/systems">Systems</a>
 <a href="/deployments">Deployments</a>
 <a href="/status">Status</a>
+{{if .SignedIn}}<form class="inline" method="post" action="/logout"><button type="submit">Sign out</button></form>{{end}}
 </nav>
 <main>
 {{end}}
@@ -64,6 +65,18 @@ button.danger { background: #c62828; }
 <p class="muted">Chronos automates the entire evaluation workflow: define experiments,
 schedule evaluations, monitor jobs, analyze results.</p>
 </div>
+{{template "layout_bottom" .}}
+{{end}}
+
+{{define "login"}}
+{{template "layout_top" .}}
+<h1>Sign in</h1>
+{{if .Data}}<p class="status-failed">{{.Data}}</p>{{end}}
+<form class="card" method="post" action="/login">
+<p><label>User <input name="user" required autofocus></label></p>
+<p><label>Password <input name="password" type="password" required></label></p>
+<button type="submit">Sign in</button>
+</form>
 {{template "layout_bottom" .}}
 {{end}}
 
@@ -356,7 +369,7 @@ On an auth-enabled server the scrape needs the replication token or an admin ses
 <tr><td>{{.Index}}</td><td>{{.Phase}}</td><td class="muted">{{.Mix}}</td>
 <td class="muted">{{.Distribution}}</td><td>{{.Operations}}</td><td>{{.Errors}}</td>
 <td>{{printf "%.0f" .Throughput}}</td><td>{{printf "%.1f" .DurationMs}}</td>
-<td>{{.LatencyP50Us}}</td><td>{{.LatencyP95Us}}</td><td>{{.LatencyP99Us}}</td></tr>
+<td>{{printf "%.2f" .LatencyP50Us}}</td><td>{{printf "%.2f" .LatencyP95Us}}</td><td>{{printf "%.2f" .LatencyP99Us}}</td></tr>
 {{end}}
 </table>
 {{end}}

@@ -15,11 +15,17 @@ import (
 	"strings"
 
 	"chronos/internal/analysis"
+	"chronos/internal/auth"
 	"chronos/internal/core"
 )
 
 // UI serves the HTML pages.
 type UI struct {
+	// Auth, when non-nil, closes the UI behind the sessions the REST API
+	// uses (see session.go): viewer to look, member to act. Nil serves
+	// every page to everyone, like the auth-less REST API.
+	Auth *auth.Authenticator
+
 	svc *core.Service
 	tpl *template.Template
 	mux *http.ServeMux
@@ -32,42 +38,57 @@ func New(svc *core.Service) (*UI, error) {
 		return nil, fmt.Errorf("webui: parse templates: %w", err)
 	}
 	ui := &UI{svc: svc, tpl: tpl, mux: http.NewServeMux()}
-	ui.routes()
+	for pattern, h := range ui.routes() {
+		ui.mux.HandleFunc(pattern, h)
+	}
 	return ui, nil
 }
 
 // Handler returns the page handler; mount it beside the REST API.
-func (u *UI) Handler() http.Handler { return u.mux }
+func (u *UI) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if u.Auth == nil || u.admit(w, r) {
+			u.mux.ServeHTTP(w, r)
+		}
+	})
+}
 
-func (u *UI) routes() {
-	u.mux.HandleFunc("GET /{$}", u.dashboard)
-	u.mux.HandleFunc("GET /status", u.status)
-	u.mux.HandleFunc("GET /projects", u.projects)
-	u.mux.HandleFunc("GET /projects/{id}", u.project)
-	u.mux.HandleFunc("GET /systems", u.systems)
-	u.mux.HandleFunc("GET /systems/{id}", u.system)
-	u.mux.HandleFunc("GET /deployments", u.deployments)
-	u.mux.HandleFunc("GET /projects/{id}/experiments/new", u.newExperiment)
-	u.mux.HandleFunc("POST /projects/{id}/experiments", u.createExperiment)
-	u.mux.HandleFunc("GET /experiments/{id}", u.experiment)
-	u.mux.HandleFunc("POST /experiments/{id}/run", u.runExperiment)
-	u.mux.HandleFunc("GET /evaluations/{id}", u.evaluation)
-	u.mux.HandleFunc("GET /evaluations/{id}/results", u.results)
-	u.mux.HandleFunc("GET /jobs/{id}", u.job)
-	u.mux.HandleFunc("POST /jobs/{id}/abort", u.abortJob)
-	u.mux.HandleFunc("POST /jobs/{id}/reschedule", u.rescheduleJob)
+// routes lists the pages by mux pattern.
+func (u *UI) routes() map[string]http.HandlerFunc {
+	return map[string]http.HandlerFunc{
+		"GET /{$}":                           u.dashboard,
+		"GET /status":                        u.status,
+		"GET /projects":                      u.projects,
+		"GET /projects/{id}":                 u.project,
+		"GET /systems":                       u.systems,
+		"GET /systems/{id}":                  u.system,
+		"GET /deployments":                   u.deployments,
+		"GET /projects/{id}/experiments/new": u.newExperiment,
+		"POST /projects/{id}/experiments":    u.createExperiment,
+		"GET /experiments/{id}":              u.experiment,
+		"POST /experiments/{id}/run":         u.runExperiment,
+		"GET /evaluations/{id}":              u.evaluation,
+		"GET /evaluations/{id}/results":      u.results,
+		"GET /jobs/{id}":                     u.job,
+		"POST /jobs/{id}/abort":              u.abortJob,
+		"POST /jobs/{id}/reschedule":         u.rescheduleJob,
+	}
 }
 
 // page is the template context.
 type page struct {
 	Title string
 	Data  any
+	// SignedIn puts the sign-out button in the navigation bar: with
+	// session auth on, every page but the login form sits behind admit.
+	SignedIn bool
 }
 
 // render executes a named page template.
 func (u *UI) render(w http.ResponseWriter, name, title string, data any) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := u.tpl.ExecuteTemplate(w, name, page{Title: title, Data: data}); err != nil {
+	p := page{Title: title, Data: data, SignedIn: u.Auth != nil && name != "login"}
+	if err := u.tpl.ExecuteTemplate(w, name, p); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

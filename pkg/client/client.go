@@ -58,9 +58,10 @@ func WithSessionToken(tok string) Option { return func(c *Client) { c.token = to
 // WithAgentToken sets the shared secret for the agent endpoints.
 func WithAgentToken(tok string) Option { return func(c *Client) { c.agentToken = tok } }
 
-// WithReplToken sets the replication credential. The only client-facing
-// endpoint it opens is GET /metrics, which shares the ship gate so
-// scrapers can reuse the secret the follower fleet already holds.
+// WithReplToken sets the replication credential, presented with every
+// request like the other two. The only client-facing endpoint it opens is
+// GET /metrics, which shares the ship gate so scrapers can reuse the
+// secret the follower fleet already holds.
 func WithReplToken(tok string) Option { return func(c *Client) { c.replToken = tok } }
 
 // NewClient creates a client for the server at baseURL (e.g.
@@ -91,24 +92,32 @@ func (c *Client) SetSessionToken(tok string) { c.token = tok }
 // GETs through the retrying read path with leader fallback (session.go).
 func (c *Client) do(method, path string, body, out any) error {
 	if method == http.MethodGet {
-		return c.doRead(path, out)
+		return c.readLoop(func(base string) error {
+			return c.doOnce(base, method, path, nil, out)
+		})
 	}
 	return c.doOnce(c.writeBase(), method, path, body, out)
 }
 
+// call makes one API call and decodes the response's data into a fresh T.
+// The pointer is never nil: beside an error it points at whatever was
+// decoded before the error, usually the zero T.
+func call[T any](c *Client, method, path string, body any) (*T, error) {
+	out := new(T)
+	return out, c.do(method, path, body, out)
+}
+
 // Ping checks connectivity and returns the server's version info.
 func (c *Client) Ping() (api.PingResponse, error) {
-	var out api.PingResponse
-	err := c.do(http.MethodGet, "/ping", nil, &out)
-	return out, err
+	out, err := call[api.PingResponse](c, http.MethodGet, "/ping", nil)
+	return *out, err
 }
 
 // ServerStatus returns the server's storage counters and, when it is a
 // replication follower, its replication progress.
 func (c *Client) ServerStatus() (api.ServerStatusResponse, error) {
-	var out api.ServerStatusResponse
-	err := c.do(http.MethodGet, "/status", nil, &out)
-	return out, err
+	out, err := call[api.ServerStatusResponse](c, http.MethodGet, "/status", nil)
+	return *out, err
 }
 
 // Login opens a session and installs its token on the client.
@@ -130,39 +139,31 @@ func (c *Client) Logout() error {
 
 // CreateUser registers an account (admin only when auth is enabled).
 func (c *Client) CreateUser(name string, role core.Role) (*core.User, error) {
-	var out core.User
-	err := c.do(http.MethodPost, "/users", api.CreateUserRequest{Name: name, Role: role}, &out)
-	return &out, err
+	return call[core.User](c, http.MethodPost, "/users", api.CreateUserRequest{Name: name, Role: role})
 }
 
 // GetUser fetches one user.
 func (c *Client) GetUser(id string) (*core.User, error) {
-	var out core.User
-	err := c.do(http.MethodGet, "/users/"+id, nil, &out)
-	return &out, err
+	return call[core.User](c, http.MethodGet, "/users/"+id, nil)
 }
 
 // ListUsers returns all users.
 func (c *Client) ListUsers() ([]*core.User, error) {
-	var out []*core.User
-	err := c.do(http.MethodGet, "/users", nil, &out)
-	return out, err
+	out, err := call[[]*core.User](c, http.MethodGet, "/users", nil)
+	return *out, err
 }
 
 // CreateProject creates a project.
 func (c *Client) CreateProject(name, description, ownerID string, memberIDs []string) (*core.Project, error) {
-	var out core.Project
-	err := c.do(http.MethodPost, "/projects", api.CreateProjectRequest{
+	return call[core.Project](c, http.MethodPost, "/projects", api.CreateProjectRequest{
 		Name: name, Description: description, OwnerID: ownerID, MemberIDs: memberIDs,
-	}, &out)
-	return &out, err
+	})
 }
 
 // ListProjects returns all projects.
 func (c *Client) ListProjects() ([]*core.Project, error) {
-	var out []*core.Project
-	err := c.do(http.MethodGet, "/projects", nil, &out)
-	return out, err
+	out, err := call[[]*core.Project](c, http.MethodGet, "/projects", nil)
+	return *out, err
 }
 
 // ArchiveProject marks a project as archived.
@@ -174,45 +175,45 @@ func (c *Client) ArchiveProject(id string) error {
 // goes through the retrying read path: session token attached, leader
 // fallback when the follower cannot serve it.
 func (c *Client) ExportProject(id string) ([]byte, error) {
-	var data []byte
+	var zip []byte
+	path := "/projects/" + id + "/export"
 	err := c.readLoop(func(base string) error {
-		var err error
-		data, err = c.rawGet(base, "/projects/"+id+"/export")
-		return err
+		status, data, err := c.roundTrip(http.MethodGet, base+"/api/"+c.version+path, nil)
+		if err != nil {
+			return fmt.Errorf("client: GET %s: %w", path, err)
+		}
+		if status != http.StatusOK {
+			return fmt.Errorf("client: export: %s", data)
+		}
+		zip = data
+		return nil
 	})
-	return data, err
+	return zip, err
 }
 
 // RegisterSystem declares an SuE.
 func (c *Client) RegisterSystem(name, description string, defs []params.Definition, diagrams []core.DiagramSpec) (*core.System, error) {
-	var out core.System
-	err := c.do(http.MethodPost, "/systems", api.RegisterSystemRequest{
+	return call[core.System](c, http.MethodPost, "/systems", api.RegisterSystemRequest{
 		Name: name, Description: description, Parameters: defs, Diagrams: diagrams,
-	}, &out)
-	return &out, err
+	})
 }
 
 // GetSystem fetches one system.
 func (c *Client) GetSystem(id string) (*core.System, error) {
-	var out core.System
-	err := c.do(http.MethodGet, "/systems/"+id, nil, &out)
-	return &out, err
+	return call[core.System](c, http.MethodGet, "/systems/"+id, nil)
 }
 
 // ListSystems returns all systems.
 func (c *Client) ListSystems() ([]*core.System, error) {
-	var out []*core.System
-	err := c.do(http.MethodGet, "/systems", nil, &out)
-	return out, err
+	out, err := call[[]*core.System](c, http.MethodGet, "/systems", nil)
+	return *out, err
 }
 
 // CreateDeployment registers an SuE instance.
 func (c *Client) CreateDeployment(systemID, name, environment, version string) (*core.Deployment, error) {
-	var out core.Deployment
-	err := c.do(http.MethodPost, "/deployments", api.CreateDeploymentRequest{
+	return call[core.Deployment](c, http.MethodPost, "/deployments", api.CreateDeploymentRequest{
 		SystemID: systemID, Name: name, Environment: environment, Version: version,
-	}, &out)
-	return &out, err
+	})
 }
 
 // ListDeployments returns deployments, filtered by system when non-empty.
@@ -221,9 +222,8 @@ func (c *Client) ListDeployments(systemID string) ([]*core.Deployment, error) {
 	if systemID != "" {
 		path += "?system=" + systemID
 	}
-	var out []*core.Deployment
-	err := c.do(http.MethodGet, path, nil, &out)
-	return out, err
+	out, err := call[[]*core.Deployment](c, http.MethodGet, path, nil)
+	return *out, err
 }
 
 // SetDeploymentActive toggles a deployment.
@@ -233,12 +233,10 @@ func (c *Client) SetDeploymentActive(id string, active bool) error {
 
 // CreateExperiment defines an evaluation.
 func (c *Client) CreateExperiment(projectID, systemID, name, description string, settings map[string][]params.Value, maxAttempts int) (*core.Experiment, error) {
-	var out core.Experiment
-	err := c.do(http.MethodPost, "/experiments", api.CreateExperimentRequest{
+	return call[core.Experiment](c, http.MethodPost, "/experiments", api.CreateExperimentRequest{
 		ProjectID: projectID, SystemID: systemID, Name: name,
 		Description: description, Settings: settings, MaxAttempts: maxAttempts,
-	}, &out)
-	return &out, err
+	})
 }
 
 // ListExperiments returns experiments, filtered by project when set.
@@ -247,9 +245,8 @@ func (c *Client) ListExperiments(projectID string) ([]*core.Experiment, error) {
 	if projectID != "" {
 		path += "?project=" + projectID
 	}
-	var out []*core.Experiment
-	err := c.do(http.MethodGet, path, nil, &out)
-	return out, err
+	out, err := call[[]*core.Experiment](c, http.MethodGet, path, nil)
+	return *out, err
 }
 
 // CreateEvaluation schedules a run of an experiment (the build-bot hook).
@@ -264,23 +261,19 @@ func (c *Client) CreateEvaluation(experimentID string) (*core.Evaluation, []*cor
 
 // EvaluationStatus fetches the aggregate job state of an evaluation.
 func (c *Client) EvaluationStatus(id string) (core.EvaluationStatus, error) {
-	var out core.EvaluationStatus
-	err := c.do(http.MethodGet, "/evaluations/"+id+"/status", nil, &out)
-	return out, err
+	out, err := call[core.EvaluationStatus](c, http.MethodGet, "/evaluations/"+id+"/status", nil)
+	return *out, err
 }
 
 // EvaluationJobs lists the jobs of an evaluation.
 func (c *Client) EvaluationJobs(id string) ([]*core.Job, error) {
-	var out []*core.Job
-	err := c.do(http.MethodGet, "/evaluations/"+id+"/jobs", nil, &out)
-	return out, err
+	out, err := call[[]*core.Job](c, http.MethodGet, "/evaluations/"+id+"/jobs", nil)
+	return *out, err
 }
 
 // GetJob fetches one job.
 func (c *Client) GetJob(id string) (*core.Job, error) {
-	var out core.Job
-	err := c.do(http.MethodGet, "/jobs/"+id, nil, &out)
-	return &out, err
+	return call[core.Job](c, http.MethodGet, "/jobs/"+id, nil)
 }
 
 // AbortJob cancels a scheduled or running job.
@@ -295,31 +288,26 @@ func (c *Client) RescheduleJob(id string) error {
 
 // JobResult fetches a job's uploaded result.
 func (c *Client) JobResult(id string) (*core.Result, error) {
-	var out core.Result
-	err := c.do(http.MethodGet, "/jobs/"+id+"/result", nil, &out)
-	return &out, err
+	return call[core.Result](c, http.MethodGet, "/jobs/"+id+"/result", nil)
 }
 
 // JobPhases fetches the per-phase result rows of a dynamic-workload
 // job; static jobs yield an empty list.
 func (c *Client) JobPhases(id string) ([]core.PhaseResult, error) {
-	var out []core.PhaseResult
-	err := c.do(http.MethodGet, "/jobs/"+id+"/phases", nil, &out)
-	return out, err
+	out, err := call[[]core.PhaseResult](c, http.MethodGet, "/jobs/"+id+"/phases", nil)
+	return *out, err
 }
 
 // JobLogs fetches a job's log chunks.
 func (c *Client) JobLogs(id string) ([]*core.LogChunk, error) {
-	var out []*core.LogChunk
-	err := c.do(http.MethodGet, "/jobs/"+id+"/logs", nil, &out)
-	return out, err
+	out, err := call[[]*core.LogChunk](c, http.MethodGet, "/jobs/"+id+"/logs", nil)
+	return *out, err
 }
 
 // JobTimeline fetches a job's event timeline.
 func (c *Client) JobTimeline(id string) ([]*core.Event, error) {
-	var out []*core.Event
-	err := c.do(http.MethodGet, "/jobs/"+id+"/timeline", nil, &out)
-	return out, err
+	out, err := call[[]*core.Event](c, http.MethodGet, "/jobs/"+id+"/timeline", nil)
+	return *out, err
 }
 
 // --- agent API (implements agent.Control) ---
@@ -349,15 +337,13 @@ func (c *Client) ClaimJob(deploymentID string) (*core.Job, []params.Definition, 
 // Progress reports completion percentage; the returned status lets the
 // agent observe aborts.
 func (c *Client) Progress(jobID string, percent int64) (core.JobStatus, error) {
-	var out api.StatusResponse
-	err := c.do(http.MethodPost, "/jobs/"+jobID+"/progress", api.ProgressRequest{Percent: percent}, &out)
+	out, err := call[api.StatusResponse](c, http.MethodPost, "/jobs/"+jobID+"/progress", api.ProgressRequest{Percent: percent})
 	return out.Status, err
 }
 
 // Heartbeat signals liveness without changing progress.
 func (c *Client) Heartbeat(jobID string) (core.JobStatus, error) {
-	var out api.StatusResponse
-	err := c.do(http.MethodPost, "/jobs/"+jobID+"/heartbeat", struct{}{}, &out)
+	out, err := call[api.StatusResponse](c, http.MethodPost, "/jobs/"+jobID+"/heartbeat", struct{}{})
 	return out.Status, err
 }
 
@@ -381,7 +367,6 @@ func (c *Client) BatchUpdate(jobID string, percent *int64, logText string) (core
 	if c.version != "v2" {
 		return "", fmt.Errorf("client: BatchUpdate requires API v2 (have %s)", c.version)
 	}
-	var out api.StatusResponse
-	err := c.do(http.MethodPost, "/jobs/"+jobID+"/update", api.BatchUpdateRequest{Percent: percent, Log: logText}, &out)
+	out, err := call[api.StatusResponse](c, http.MethodPost, "/jobs/"+jobID+"/update", api.BatchUpdateRequest{Percent: percent, Log: logText})
 	return out.Status, err
 }

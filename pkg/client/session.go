@@ -105,13 +105,6 @@ func (c *Client) noteToken(h http.Header) {
 	}
 }
 
-// doRead runs an idempotent GET through the retry/fallback loop.
-func (c *Client) doRead(path string, out any) error {
-	return c.readLoop(func(base string) error {
-		return c.doOnce(base, http.MethodGet, path, nil, out)
-	})
-}
-
 // readLoop is the shared read policy: up to c.retries attempts against
 // the read endpoint with jittered exponential backoff on ErrUnavailable,
 // then a final attempt at the leader on ErrStale or exhaustion.
@@ -142,84 +135,89 @@ func (c *Client) readLoop(attempt func(base string) error) error {
 	return err
 }
 
-// doOnce issues a single HTTP attempt against base and decodes the
-// enveloped response into out, mapping 503/412 onto the typed errors and
-// ratcheting the session token from the response.
+// doOnce makes one attempt at an API call against base and decodes the
+// enveloped response into out.
 func (c *Client) doOnce(base, method, path string, body, out any) error {
-	var rdr io.Reader
-	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("client: marshal request: %w", err)
-		}
-		rdr = bytes.NewReader(data)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.reqTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, base+"/api/"+c.version+path, rdr)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	c.setHeaders(req, method == http.MethodGet)
-	resp, err := c.httpClient.Do(req)
-	if err != nil {
-		return fmt.Errorf("client: %s %s: %w: %v", method, path, ErrUnavailable, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, httputil.MaxBodyBytes))
-	if err != nil {
-		return fmt.Errorf("client: %s %s: %w: %v", method, path, ErrUnavailable, err)
-	}
-	c.noteToken(resp.Header)
-	if err := c.statusError(resp, method, path, data); err != nil {
-		return err
-	}
-	if err := httputil.ReadEnvelope(data, out); err != nil {
+	_, data, err := c.roundTrip(method, base+"/api/"+c.version+path, body)
+	if err == nil {
+		err = httputil.ReadEnvelope(data, out)
 		if errors.Is(err, httputil.ErrInvalidEnvelope) {
 			// Not a server-stated error but a damaged transfer (e.g. a
 			// truncated body): retryable like any transport failure.
-			return fmt.Errorf("client: %s %s: %w: %v", method, path, ErrUnavailable, err)
+			err = fmt.Errorf("%w: %v", ErrUnavailable, err)
 		}
+	}
+	if err != nil {
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	return nil
 }
 
-// setHeaders applies auth, a fresh trace id and, on reads, the session
-// token. Each HTTP attempt gets its own trace id — a retried read is
-// two requests and shows up as two traces, which is what an operator
-// correlating server logs wants to see.
-func (c *Client) setHeaders(req *http.Request, read bool) {
+// roundTrip is the one place the SDK issues an HTTP request: a single
+// attempt at url under the per-attempt deadline, with body (if any) sent
+// as JSON. It returns the status and the raw response body, ratchets the
+// session token from the response, and maps what the retry loop keys on
+// onto the typed errors — transport failures and 503 to ErrUnavailable,
+// 412 to ErrStale. Other statuses are left to the caller: an envelope's
+// embedded error message is the server's authoritative description.
+func (c *Client) roundTrip(method, url string, body any) (int, []byte, error) {
+	var rdr io.Reader
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return 0, nil, fmt.Errorf("marshal request: %w", err)
+		}
+		rdr = bytes.NewReader(data)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), c.reqTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, url, rdr)
+	if err != nil {
+		return 0, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	c.setHeaders(req)
+	resp, err := c.httpClient.Do(req)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, httputil.MaxBodyBytes))
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
+	}
+	c.noteToken(resp.Header)
+	switch resp.StatusCode {
+	case http.StatusServiceUnavailable:
+		return 0, nil, fmt.Errorf("%w: %s", ErrUnavailable, envelopeMsg(data))
+	case http.StatusPreconditionFailed:
+		return 0, nil, fmt.Errorf("%w: %s", ErrStale, envelopeMsg(data))
+	}
+	return resp.StatusCode, data, nil
+}
+
+// setHeaders applies the credentials the client holds, a fresh trace id
+// and, on reads, the session token. Each HTTP attempt gets its own trace
+// id — a retried read is two requests and shows up as two traces, which
+// is what an operator correlating server logs wants to see.
+func (c *Client) setHeaders(req *http.Request) {
 	if c.token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.token)
 	}
 	if c.agentToken != "" {
 		req.Header.Set("X-Chronos-Agent-Token", c.agentToken)
 	}
-	if req.Header.Get(api.HeaderTrace) == "" {
-		req.Header.Set(api.HeaderTrace, httputil.MintTraceID())
+	if c.replToken != "" {
+		req.Header.Set(api.HeaderReplToken, c.replToken)
 	}
-	if read {
+	req.Header.Set(api.HeaderTrace, httputil.MintTraceID())
+	if req.Method == http.MethodGet {
 		if tok, ok := c.LastCommit(); ok {
 			req.Header.Set(api.HeaderReadAfter, tok.String())
 		}
 	}
-}
-
-// statusError maps the consistency-protocol statuses onto typed errors.
-// Other statuses are left to the envelope: its embedded error message is
-// the server's authoritative description.
-func (c *Client) statusError(resp *http.Response, method, path string, data []byte) error {
-	switch resp.StatusCode {
-	case http.StatusServiceUnavailable:
-		return fmt.Errorf("client: %s %s: %w: %s", method, path, ErrUnavailable, envelopeMsg(data))
-	case http.StatusPreconditionFailed:
-		return fmt.Errorf("client: %s %s: %w: %s", method, path, ErrStale, envelopeMsg(data))
-	}
-	return nil
 }
 
 // envelopeMsg extracts the error message from an error envelope, falling
@@ -231,60 +229,17 @@ func envelopeMsg(data []byte) string {
 	return string(bytes.TrimSpace(data))
 }
 
-// rawGet fetches a non-envelope (binary) endpoint; used by ExportProject.
-func (c *Client) rawGet(base, path string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.reqTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/"+c.version+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	c.setHeaders(req, true)
-	resp, err := c.httpClient.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: GET %s: %w: %v", path, ErrUnavailable, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, httputil.MaxBodyBytes))
-	if err != nil {
-		return nil, fmt.Errorf("client: GET %s: %w: %v", path, ErrUnavailable, err)
-	}
-	c.noteToken(resp.Header)
-	if err := c.statusError(resp, http.MethodGet, path, data); err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("client: export: %s", data)
-	}
-	return data, nil
-}
-
 // MetricsText fetches the server's Prometheus text exposition
 // (GET /metrics — a root-path endpoint, outside the versioned API
 // prefix). An admin session token or WithReplToken satisfies the
 // endpoint's gate; chronosctl's `status -metrics` builds on this.
 func (c *Client) MetricsText() (string, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.reqTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/metrics", nil)
+	status, data, err := c.roundTrip(http.MethodGet, c.baseURL+"/metrics", nil)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("client: GET /metrics: %w", err)
 	}
-	c.setHeaders(req, false)
-	if c.replToken != "" {
-		req.Header.Set(api.HeaderReplToken, c.replToken)
-	}
-	resp, err := c.httpClient.Do(req)
-	if err != nil {
-		return "", fmt.Errorf("client: GET /metrics: %w: %v", ErrUnavailable, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, httputil.MaxBodyBytes))
-	if err != nil {
-		return "", fmt.Errorf("client: GET /metrics: %w: %v", ErrUnavailable, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("client: GET /metrics: %s: %s", resp.Status, envelopeMsg(data))
+	if status != http.StatusOK {
+		return "", fmt.Errorf("client: GET /metrics: %d %s: %s", status, http.StatusText(status), envelopeMsg(data))
 	}
 	return string(data), nil
 }
