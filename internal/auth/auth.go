@@ -125,26 +125,18 @@ func (a *Authenticator) SetPassword(userID, password string) error {
 	})
 }
 
-// Login verifies credentials by user name and opens a session.
+// Login verifies credentials by user name and opens a session. The user
+// (found through the name index, so no other account is decoded) and its
+// credential row are read in one View: one cut, in which the two cannot
+// disagree.
 func (a *Authenticator) Login(userName, password string) (*Session, error) {
-	users, err := a.svc.ListUsers()
-	if err != nil {
-		return nil, err
-	}
 	var user *core.User
-	for _, u := range users {
-		if u.Name == userName {
-			user = u
-			break
-		}
-	}
-	if user == nil || user.Disabled {
-		// Burn the same hashing cost as a real check to level timing.
-		hashPassword(password, []byte("timing-equalizer"))
-		return nil, ErrBadCredentials
-	}
 	var salt, stored []byte
-	err = a.db.View(func(tx *relstore.Tx) error {
+	err := a.db.View(func(tx *relstore.Tx) error {
+		var err error
+		if user, err = a.svc.Store().FindUserByName(tx, userName); err != nil {
+			return err
+		}
 		row, err := tx.Get(credentialsTable, user.ID)
 		if err != nil {
 			return err
@@ -153,8 +145,12 @@ func (a *Authenticator) Login(userName, password string) (*Session, error) {
 		stored = row["hash"].([]byte)
 		return nil
 	})
-	if err != nil {
+	if err != nil || user.Disabled {
+		// Burn the same hashing cost as a real check to level timing.
 		hashPassword(password, []byte("timing-equalizer"))
+		if err != nil && !errors.Is(err, relstore.ErrNotFound) {
+			return nil, err
+		}
 		return nil, ErrBadCredentials
 	}
 	if subtle.ConstantTimeCompare(hashPassword(password, salt), stored) != 1 {

@@ -67,6 +67,29 @@ func TestLoginFailures(t *testing.T) {
 	}
 }
 
+// TestLoginReadsOnlyTheNamedAccount: Login finds its user through the
+// name index, so an unrelated account whose row does not decode locks
+// nobody else out.
+func TestLoginReadsOnlyTheNamedAccount(t *testing.T) {
+	a, svc, _ := newAuthFixture(t)
+	u, _ := svc.CreateUser("marco", core.RoleMember)
+	if err := a.SetPassword(u.ID, "hunter22"); err != nil {
+		t.Fatal(err)
+	}
+	err := a.db.Update(func(tx *relstore.Tx) error {
+		return tx.Put("users", relstore.Row{"id": "user-000000000", "name": "broken", "data": []byte("{not json")})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Login("marco", "hunter22"); err != nil {
+		t.Fatalf("login beside an undecodable account: %v", err)
+	}
+	if _, err := a.Login("broken", "whatever"); err == nil {
+		t.Fatal("login as the undecodable account succeeded")
+	}
+}
+
 func TestSetPasswordValidation(t *testing.T) {
 	a, svc, _ := newAuthFixture(t)
 	u, _ := svc.CreateUser("u", core.RoleMember)

@@ -48,16 +48,15 @@ type JobArchive struct {
 	Timeline []*Event
 }
 
-// ExportProject renders the complete archive zip of a project. The read
-// runs under a ViewTables snapshot spanning every exported table so the
-// archive is one consistent cut: with a plain View (one read lock per
-// operation) a job finishing mid-export could yield a zip whose job.json
-// still says running while result.json already exists.
+// ExportProject renders the complete archive zip of a project. The whole
+// read is one View, so the archive is one consistent cut: a job finishing
+// mid-export can never yield a zip whose job.json still says running
+// while result.json already exists.
 func (s *Service) ExportProject(projectID string) ([]byte, error) {
 	var buf bytes.Buffer
 	zw := zip.NewWriter(&buf)
 
-	err := s.store.db.ViewTables(func(tx *relstore.Tx) error {
+	err := s.store.db.View(func(tx *relstore.Tx) error {
 		p, err := s.store.GetProject(tx, projectID)
 		if err != nil {
 			return mapNotFound(err)
@@ -136,8 +135,7 @@ func (s *Service) ExportProject(projectID string) ([]byte, error) {
 			}
 		}
 		return nil
-	}, tableProjects, tableSystems, tableExperiments, tableEvaluations,
-		tableJobs, tableResults, tableLogs, tableEvents)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -48,110 +47,6 @@ func TestAttemptBudgetUsesScalarColumnNotBlob(t *testing.T) {
 	got, _ := svc.GetJob(jobID)
 	if got.Status != StatusFailed {
 		t.Fatalf("after 2 attempts with budget 2: %s", got.Status)
-	}
-}
-
-// TestAttemptBudgetLegacyRowFallsBackToBlob: experiment rows persisted
-// before the maxAttempts column existed carry the budget only inside
-// their JSON blob; the lookup must decode it rather than silently use
-// the default.
-func TestAttemptBudgetLegacyRowFallsBackToBlob(t *testing.T) {
-	svc, _ := newTestService(t)
-	_, _, depID, expID := registerDemo(t, svc)
-	svc.CreateEvaluation(expID)
-
-	// Rewrite the row as a pre-upgrade store would have it: no
-	// maxAttempts column (nullable, so a row without it is valid), the
-	// budget of 1 only inside the blob.
-	err := svc.store.db.Update(func(tx *relstore.Tx) error {
-		e, err := svc.store.GetExperiment(tx, expID)
-		if err != nil {
-			return err
-		}
-		e.MaxAttempts = 1
-		data, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		return tx.Put(tableExperiments, relstore.Row{
-			"id": e.ID, "projectId": e.ProjectID, "systemId": e.SystemID, "data": data,
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	j, ok, err := svc.ClaimJob(depID)
-	if err != nil || !ok {
-		t.Fatalf("claim: %v %v", ok, err)
-	}
-	if err := svc.FailJob(j.ID, "boom"); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := svc.GetJob(j.ID)
-	if got.Status != StatusFailed {
-		t.Fatalf("budget 1 from legacy blob not honoured: %s", got.Status)
-	}
-}
-
-// TestAttemptBudgetBackfillOnOpen: reopening a store whose experiment
-// rows predate the maxAttempts column rewrites them once, so the budget
-// is a scalar lookup from then on.
-func TestAttemptBudgetBackfillOnOpen(t *testing.T) {
-	dir := t.TempDir()
-	db, err := relstore.Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewService(db, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, expID := registerDemo(t, svc)
-	// Strip the scalar column, as a pre-upgrade store would have it.
-	err = svc.store.db.Update(func(tx *relstore.Tx) error {
-		e, err := svc.store.GetExperiment(tx, expID)
-		if err != nil {
-			return err
-		}
-		e.MaxAttempts = 7
-		data, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		return tx.Put(tableExperiments, relstore.Row{
-			"id": e.ID, "projectId": e.ProjectID, "systemId": e.SystemID, "data": data,
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-
-	db2, err := relstore.Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	svc2, err := NewService(db2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = svc2.store.db.View(func(tx *relstore.Tx) error {
-		v, err := tx.GetValue(tableExperiments, expID, "maxAttempts")
-		if err != nil {
-			return err
-		}
-		if v == nil {
-			t.Fatal("maxAttempts column not backfilled on open")
-		}
-		if v.(int64) != 7 {
-			t.Fatalf("backfilled budget = %v, want 7", v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -49,7 +49,6 @@ func (s *Service) CreateEvaluation(experimentID string) (*Evaluation, []*Job, er
 		if err := s.store.PutEvaluation(tx, ev); err != nil {
 			return err
 		}
-		jobs = nil
 		for i, assignment := range space.Expand() {
 			jn, err := tx.NextSeq(tableJobs)
 			if err != nil {
@@ -155,7 +154,6 @@ func (s *Service) transition(tx *relstore.Tx, j *Job, to JobStatus) error {
 // same job. ok is false when no work is available.
 func (s *Service) ClaimJob(deploymentID string) (job *Job, ok bool, err error) {
 	err = s.store.db.Update(func(tx *relstore.Tx) error {
-		job, ok = nil, false
 		// Scalar-column projection: every poll pays three column lookups
 		// instead of a full deployment JSON decode.
 		systemID, depName, active, err := s.store.DeploymentClaimInfo(tx, deploymentID)
@@ -426,14 +424,11 @@ func (s *Service) GetJobResult(jobID string) (*Result, error) {
 }
 
 // EvaluationStatusOf aggregates job states for the evaluation overview
-// (paper Fig. 3b). It reads under a ViewTables snapshot so the counts
-// are one consistent cut across the evaluations and jobs tables: a
-// plain View takes one table read lock per operation (read-committed),
-// which could tally a job set from a moment after the evaluation row it
-// just validated.
+// (paper Fig. 3b). One View, so the counts are one consistent cut across
+// the evaluations and jobs tables.
 func (s *Service) EvaluationStatusOf(evaluationID string) (EvaluationStatus, error) {
 	st := EvaluationStatus{EvaluationID: evaluationID}
-	err := s.store.db.ViewTables(func(tx *relstore.Tx) error {
+	err := s.store.db.View(func(tx *relstore.Tx) error {
 		if _, err := s.store.GetEvaluation(tx, evaluationID); err != nil {
 			return mapNotFound(err)
 		}
@@ -462,7 +457,7 @@ func (s *Service) EvaluationStatusOf(evaluationID string) (EvaluationStatus, err
 			st.Progress = float64(progress) / float64(st.Total)
 		}
 		return nil
-	}, tableEvaluations, tableJobs)
+	})
 	return st, err
 }
 

@@ -269,7 +269,6 @@ func (s *Service) CommitClaimIntents(leaseID, followerID string, intents []Claim
 	verdicts := make([]ClaimVerdict, len(intents))
 	var granted, rejected int64
 	err := s.store.db.Update(func(tx *relstore.Tx) error {
-		granted, rejected = 0, 0
 		deps := map[string]*Deployment{}
 		for i, in := range intents {
 			v := &verdicts[i]

@@ -67,11 +67,10 @@ func NewService(db *relstore.DB, clock func() time.Time) (*Service, error) {
 }
 
 // NewFollowerService builds a Service over a read-only replication
-// follower store. Unlike NewService it creates no tables and runs no
-// backfills — schema and rows arrive through WAL shipping, so until the
-// leader's table creations have replicated, reads of a missing table
-// fail cleanly. Every mutating method fails with relstore.ErrReadOnly;
-// writes belong on the leader.
+// follower store. Unlike NewService it creates no tables — schema and
+// rows arrive through WAL shipping, so until the leader's table creations
+// have replicated, reads of a missing table fail cleanly. Every mutating
+// method fails with relstore.ErrReadOnly; writes belong on the leader.
 func NewFollowerService(db *relstore.DB, clock func() time.Time) *Service {
 	if clock == nil {
 		clock = time.Now

@@ -68,8 +68,8 @@ func NewStore(db *relstore.DB) (*Store, error) {
 			// maxAttempts mirrors Experiment.MaxAttempts as a scalar so
 			// failJob reads the attempt budget without decoding the whole
 			// settings blob (which grows with the parameter sweep).
-			// Nullable so stores persisted before this column existed
-			// upgrade in place; such rows fall back to the JSON decode.
+			// Nullable because the column was added by an in-place schema
+			// upgrade; every row a store of this format can hold carries it.
 			{Name: "maxAttempts", Type: relstore.TInt, Nullable: true},
 			{Name: "data", Type: relstore.TBytes},
 		}},
@@ -88,9 +88,7 @@ func NewStore(db *relstore.DB) (*Store, error) {
 			// jobs only — so the watchdog's "status=running AND heartbeat
 			// < cutoff" scan is an indexed range slice over exactly the
 			// running set instead of decoding every running job. Nullable
-			// both for that and because stores persisted before this
-			// column existed upgrade in place (running rows from such
-			// stores are backfilled on open).
+			// for exactly that: scheduled and terminal rows leave it out.
 			{Name: "heartbeat", Type: relstore.TTime, Ordered: true, Nullable: true},
 			{Name: "data", Type: relstore.TBytes},
 		}},
@@ -124,84 +122,7 @@ func NewStore(db *relstore.DB) (*Store, error) {
 			return nil, fmt.Errorf("core: create table %s: %w", s.Name, err)
 		}
 	}
-	store := &Store{db: db}
-	if err := store.backfillHeartbeats(); err != nil {
-		return nil, err
-	}
-	if err := store.backfillAttemptBudgets(); err != nil {
-		return nil, err
-	}
-	return store, nil
-}
-
-// backfillAttemptBudgets rewrites experiment rows persisted before the
-// scalar maxAttempts column existed, so failJob's budget lookup never
-// has to fall back to decoding the settings blob. One pass over the
-// experiments table at open; up-to-date stores decode nothing.
-func (s *Store) backfillAttemptBudgets() error {
-	return s.db.Update(func(tx *relstore.Tx) error {
-		var fix []*Experiment
-		var derr error
-		err := tx.SelectFunc(tableExperiments, relstore.NewQuery(), func(row relstore.Row) bool {
-			if _, ok := row["maxAttempts"]; ok {
-				return true
-			}
-			var e Experiment
-			if derr = json.Unmarshal(row["data"].([]byte), &e); derr != nil {
-				return false
-			}
-			fix = append(fix, &e)
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if derr != nil {
-			return fmt.Errorf("core: decode experiment during attempt-budget backfill: %w", derr)
-		}
-		for _, e := range fix {
-			if err := s.PutExperiment(tx, e); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// backfillHeartbeats rewrites running jobs persisted before the scalar
-// heartbeat column existed, so the watchdog's indexed stale scan sees
-// them. Rows from such stores carry the heartbeat inside their JSON blob
-// but not as a column — and a job whose agent died before the upgrade
-// would otherwise never match the stale range and run forever. One
-// O(running) pass at open; up-to-date stores decode nothing.
-func (s *Store) backfillHeartbeats() error {
-	return s.db.Update(func(tx *relstore.Tx) error {
-		var fix []*Job
-		var derr error
-		err := tx.SelectFunc(tableJobs, relstore.NewQuery().Eq("status", string(StatusRunning)), func(row relstore.Row) bool {
-			if _, ok := row["heartbeat"]; ok {
-				return true
-			}
-			var j Job
-			if derr = json.Unmarshal(row["data"].([]byte), &j); derr != nil {
-				return false
-			}
-			fix = append(fix, &j)
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if derr != nil {
-			return fmt.Errorf("core: decode job during heartbeat backfill: %w", derr)
-		}
-		for _, j := range fix {
-			if err := s.PutJob(tx, j); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	return &Store{db: db}, nil
 }
 
 // DB exposes the underlying store for transaction control.
@@ -327,7 +248,10 @@ func (s *Store) PutDeployment(tx *relstore.Tx, d *Deployment) error {
 // Claiming is the scheduler's hottest write path: with agents polling
 // for work, decoding the full deployment blob per claim dominated the
 // transaction's allocations. Rows persisted before the scalar name
-// column existed fall back to decoding the blob once.
+// column existed fall back to decoding the blob once — they can still
+// exist: the column arrived with the binary row format and no build ever
+// rewrote them, so they survive the documented upgrade route (as do the
+// events rows eventFromRow falls back for).
 func (s *Store) DeploymentClaimInfo(tx *relstore.Tx, id string) (systemID, name string, active bool, err error) {
 	v, err := tx.GetValue(tableDeployments, id, "active")
 	if err != nil {
@@ -389,9 +313,8 @@ func (s *Store) PutExperiment(tx *relstore.Tx, e *Experiment) error {
 // decoded. This is failJob's hot path: every failure consults the
 // budget, and decoding the experiment's settings blob (which grows with
 // the parameter sweep) per failure made failure storms O(settings).
-// Rows persisted before the maxAttempts column existed fall back to
-// decoding the experiment JSON once. ok is false when the evaluation or
-// experiment is gone (caller applies its default).
+// ok is false when the evaluation or experiment is gone, or the row has
+// no budget column (caller applies its default).
 func (s *Store) AttemptBudget(tx *relstore.Tx, evaluationID string) (budget int64, ok bool, err error) {
 	expID, err := tx.GetValue(tableEvaluations, evaluationID, "experimentId")
 	if err != nil {
@@ -407,15 +330,8 @@ func (s *Store) AttemptBudget(tx *relstore.Tx, evaluationID string) (budget int6
 		}
 		return 0, false, err
 	}
-	if v == nil {
-		// Pre-upgrade row: the budget only lives inside the JSON blob.
-		var e Experiment
-		if err := getJSON(tx, tableExperiments, expID.(string), &e); err != nil {
-			return 0, false, err
-		}
-		return int64(e.MaxAttempts), true, nil
-	}
-	return v.(int64), true, nil
+	budget, ok = v.(int64)
+	return budget, ok, nil
 }
 
 // GetExperiment loads an experiment by id.
@@ -601,7 +517,7 @@ func (s *Store) PutEvent(tx *relstore.Tx, e *Event) error {
 
 // eventFromRow reconstructs an event from its scalar columns; rows
 // persisted before the kind/message columns existed fall back to their
-// JSON blob.
+// JSON blob (they survive the upgrade route: see DeploymentClaimInfo).
 func eventFromRow(row relstore.Row) (*Event, error) {
 	k, ok := row["kind"]
 	if !ok {

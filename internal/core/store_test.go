@@ -119,10 +119,11 @@ func TestTimestampsAreUTCAndTruncated(t *testing.T) {
 	}
 }
 
-// TestNewStoreUpgradesOldJobsTable simulates a store persisted before
-// the scalar heartbeat column existed: NewStore must upgrade the schema
-// in place and backfill the column for running jobs, so the watchdog's
-// indexed stale scan still finds agents that died before the upgrade.
+// TestNewStoreUpgradesOldJobsTable simulates a store whose jobs table
+// predates the scalar heartbeat column: NewStore must upgrade the schema
+// in place — the old row survives, and the new ordered column is live,
+// so a job written through it is found by the watchdog's indexed stale
+// scan.
 func TestNewStoreUpgradesOldJobsTable(t *testing.T) {
 	db := relstore.OpenMemory()
 	oldJobs := relstore.Schema{Name: "jobs", Key: "id", Columns: []relstore.Column{
@@ -139,7 +140,7 @@ func TestNewStoreUpgradesOldJobsTable(t *testing.T) {
 	stale := time.Date(2020, 3, 30, 9, 0, 0, 0, time.UTC)
 	j := &Job{
 		ID: "job-000000001", EvaluationID: "evaluation-000000001", SystemID: "system-000000001",
-		Status: StatusRunning, Created: stale, Started: stale, Heartbeat: stale, Attempts: 1,
+		Status: StatusScheduled, Created: stale,
 	}
 	data, _ := json.Marshal(j)
 	err := db.Update(func(tx *relstore.Tx) error {
@@ -156,12 +157,20 @@ func TestNewStoreUpgradesOldJobsTable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewService over old-schema store: %v", err)
 	}
+	got, err := svc.GetJob(j.ID)
+	if err != nil || got.Status != StatusScheduled {
+		t.Fatalf("pre-upgrade row after the upgrade: %+v, %v", got, err)
+	}
+	got.Status, got.Started, got.Heartbeat, got.Attempts = StatusRunning, stale, stale, 1
+	if err := db.Update(func(tx *relstore.Tx) error { return svc.store.PutJob(tx, got) }); err != nil {
+		t.Fatal(err)
+	}
 	failed, err := svc.CheckHeartbeats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(failed) != 1 || failed[0] != j.ID {
-		t.Fatalf("watchdog missed pre-upgrade running job: %v", failed)
+		t.Fatalf("watchdog missed a stale job on the upgraded table: %v", failed)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -389,13 +388,12 @@ type benchSeries struct {
 
 // TestClaimThroughputTrajectory measures claims/s and claim latency at
 // 0, 1 and 2 delegating followers on a healthy network and logs the
-// series. The "more followers = more claims/s" assertion only fires on
-// full, non-race runs with enough cores to actually run the extra
-// servers in parallel; on small CI boxes the numbers are logged without
-// the comparison. What every run does check is that no series stalls: a
-// delegating series more than 5x slower than the leader alone in the
-// same run is not host noise (the measured gap is 1.5-2.5x) but claimable
-// jobs hidden from the followers — the skipTTL stall, which cost 10 s.
+// series; the numbers carry no comparison between series (the armed
+// capacity assertion, leader CPU per granted claim, is ROADMAP item 3).
+// What every run does check is that no series stalls: a delegating
+// series more than 5x slower than the leader alone in the same run is
+// not host noise (the measured gap is 1.5-2.5x) but claimable jobs hidden
+// from the followers — the skipTTL stall, which cost 10 s.
 func TestClaimThroughputTrajectory(t *testing.T) {
 	jobs, conc := 1500, 96
 	if testing.Short() {
@@ -408,12 +406,6 @@ func TestClaimThroughputTrajectory(t *testing.T) {
 		t.Logf("followers=%d: %.0f claims/s in %v, p50 %.1fms, p99 %.1fms", s.Followers, s.ClaimsPerSec, s.Wall.Round(time.Millisecond), s.P50Ms, s.P99Ms)
 		if s.Wall > 5*series[0].Wall {
 			t.Errorf("followers=%d took %v, over 5x the leader alone (%v): claims stalled", s.Followers, s.Wall, series[0].Wall)
-		}
-	}
-	if !testing.Short() && !raceEnabled && runtime.NumCPU() >= 4 {
-		if series[2].ClaimsPerSec <= series[0].ClaimsPerSec {
-			t.Errorf("two delegating followers (%.0f claims/s) did not beat the leader alone (%.0f claims/s)",
-				series[2].ClaimsPerSec, series[0].ClaimsPerSec)
 		}
 	}
 }

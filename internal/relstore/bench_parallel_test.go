@@ -2,95 +2,22 @@ package relstore
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 )
 
-// Per-table lock scaling benches. Run with -cpu=1,2,4 so the sub-bench
-// names carry the GOMAXPROCS setting, e.g.:
-//
-//	go test -run=NONE -bench 'UpdateParallelTables|SelectParallel' -cpu=1,2,4 ./internal/relstore
-//
-// tables=1 is the fully contended baseline (every worker on one table —
-// the old global-lock shape); tables=N gives each worker its own table,
-// which is the shape per-table locks exist for: throughput should rise
-// with -cpu on a multi-core box, and the tables=1/-cpu=1 numbers must
-// stay within noise of the global-lock implementation.
-
-func benchTableName(i int) string { return fmt.Sprintf("b%02d", i) }
-
-// openBenchStore returns a store for lock-path benches: in-memory (no
-// WAL at all) isolates the table-lock protocol; "wal" adds the batched
-// group-commit pipeline without per-commit fsyncs, so the bench measures
-// lock and apply scaling, not the device.
-func openBenchStore(b *testing.B, kind string, tables int) *DB {
-	b.Helper()
-	var db *DB
-	switch kind {
-	case "mem":
-		db = OpenMemory()
-	case "wal":
-		var err error
-		db, err = Open(b.TempDir(), &Options{Sync: SyncBatched, CompactEvery: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-	default:
-		b.Fatalf("unknown store kind %q", kind)
-	}
-	b.Cleanup(func() { db.Close() })
-	for i := 0; i < tables; i++ {
-		s := usersSchema()
-		s.Name = benchTableName(i)
-		if err := db.CreateTable(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return db
-}
-
-// BenchmarkUpdateParallelTables commits single-row updates from parallel
-// workers. Each worker is pinned to table (worker % tables), so
-// tables=1 serialises everything on one lock while tables=8 gives every
-// worker its own.
-func BenchmarkUpdateParallelTables(b *testing.B) {
-	for _, kind := range []string{"mem", "wal"} {
-		for _, tables := range []int{1, 8} {
-			b.Run(fmt.Sprintf("store=%s/tables=%d", kind, tables), func(b *testing.B) {
-				db := openBenchStore(b, kind, tables)
-				var workerIDs atomic.Int64
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					worker := int(workerIDs.Add(1) - 1)
-					tbl := benchTableName(worker % tables)
-					i := 0
-					for pb.Next() {
-						// A bounded id set keeps the table size (and allocation
-						// profile) flat however long the bench runs.
-						id := fmt.Sprintf("w%d-r%d", worker, i%512)
-						i++
-						err := db.Update(func(tx *Tx) error {
-							return tx.Put(tbl, userRow(id, "bench", int64(i)))
-						})
-						if err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				})
-			})
-		}
-	}
-}
-
 // BenchmarkSelectParallel runs read-only point lookups and indexed
 // Limit(1) selects from parallel workers against one shared pre-filled
-// table: the read path takes only that table's read lock, so reads scale
-// with cores even without table disjointness.
+// table: Views share the store lock, so reads scale with cores. Run with
+// -cpu=1,2,4 so the sub-bench names carry the GOMAXPROCS setting.
 func BenchmarkSelectParallel(b *testing.B) {
 	const rows = 10000
-	db := openBenchStore(b, "mem", 1)
-	tbl := benchTableName(0)
+	// In-memory: the bench measures the lock and the read path, not the
+	// device.
+	db := OpenMemory()
+	const tbl = "users"
+	if err := db.CreateTable(usersSchema()); err != nil {
+		b.Fatal(err)
+	}
 	if err := db.Update(func(tx *Tx) error {
 		for i := 0; i < rows; i++ {
 			if err := tx.Put(tbl, userRow(fmt.Sprintf("r%06d", i), fmt.Sprintf("n%d", i%97), int64(i))); err != nil {

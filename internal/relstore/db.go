@@ -77,16 +77,9 @@ type Options struct {
 	fileHook func(walFile) walFile
 }
 
-// table is the in-memory state of one table.
+// table is the in-memory state of one table, guarded — like the tables
+// map that holds it — by DB.mu.
 type table struct {
-	// mu guards every field below. Readers share it, the commit apply
-	// phase and schema upgrades hold it exclusively. Per-table locks are
-	// what lets transactions on disjoint tables proceed on different
-	// cores; the multi-lock protocol (canonical sorted-name acquisition
-	// order) lives in tx.go. A *table pointer is stable for the lifetime
-	// of the DB — upgrades mutate the table in place, tables are never
-	// dropped — so holding t.mu is always sufficient to touch t.
-	mu     sync.RWMutex
 	schema Schema
 	rows   map[string]Row // key -> row
 	// keys lists the primary keys in sorted order so full scans iterate
@@ -98,39 +91,29 @@ type table struct {
 	ordered map[string]*orderedIndex
 	seq     int64 // auto-increment sequence
 	// codec is the binary row codec for the current schema, rebuilt on
-	// upgrade. Commits encode rows through it under this table's write
-	// lock, so the bytes a WAL frame ships can never race an upgrade.
+	// upgrade. Commits encode rows through it under DB.mu, so the bytes a
+	// WAL frame ships can never race an upgrade.
 	codec rowCodec
-	// rowCount mirrors len(rows). It is written under the table's write
-	// lock (applyPut/applyDelete are the only mutators of rows) but read
-	// lock-free, so Stats and the rows gauge never queue behind a commit
-	// apply.
-	rowCount atomic.Int64
 }
 
 // DB is an embedded, durable, transactional table store. All methods are
 // safe for concurrent use.
 //
-// Locking rules (the full hierarchy is documented in the package doc):
-//   - db.tablesMu guards only the tables map — which *table pointers
-//     exist. It is read-locked for the instant of a name lookup and
-//     write-locked only to register a new table or to swap the whole
-//     table set (follower re-initialisation). An exclusive holder never
-//     acquires a table lock, so lookups stay O(1) waits.
-//   - Each table carries its own RWMutex guarding its rows and indexes.
-//     Transactions lock only the tables they touch; multi-table
-//     acquisition follows a canonical sorted-name order (see tx.go), so
-//     writers on disjoint tables run on different cores and the lock
-//     graph is cycle-free.
+// Locking (the package doc has the contracts callers rely on):
+//   - db.mu guards the tables map and every table's contents. Update,
+//     CreateTable, follower apply and FollowerReinit's table-set swap hold
+//     it exclusively; View and the compactor's state clone share it. Tx
+//     operations take no lock of their own.
+//   - group.mu only orders commit batches; it is held for O(1) sections,
+//     and is the only lock ever taken with db.mu held.
 //   - db.walMu serialises WAL segment writes, rotation and close. The
 //     condition variable walCond (on walMu) publishes durable-LSN
 //     progress to the background compactor.
 //   - db.snapMu serialises compaction cycles (background and manual).
-//   - group.mu only orders commit batches; it is held for O(1) sections.
 //
-// A committing Update applies its writes under the written tables' locks,
-// then releases them and waits for the group committer to make the batch
-// durable (one WAL write + fsync may cover many concurrent commits).
+// A committing Update applies its writes under db.mu, then releases it
+// and waits for the group committer to make the batch durable (one WAL
+// write + fsync may cover many concurrent commits).
 // Update does not return success before its record is on stable storage,
 // but concurrent readers may observe a commit slightly before it is
 // durable — the same contract as group commit in classic databases. A WAL
@@ -146,8 +129,13 @@ type DB struct {
 	// without touching walMu, where a group leader may be mid-fsync.
 	durable bool
 
-	tablesMu sync.RWMutex // guards the tables map (not table contents)
-	tables   map[string]*table
+	mu     sync.RWMutex // guards the tables map and every table's contents
+	tables map[string]*table
+	// rowTotal and tableCount mirror the sum of len(rows) and len(tables).
+	// publishCounts stores them before every exclusive release of mu;
+	// RowCount and Stats read them without it, so a scrape or a status
+	// poll never queues behind a bulk write.
+	rowTotal, tableCount atomic.Int64
 
 	walMu   sync.Mutex // serialises WAL writes, rotation and close
 	walCond *sync.Cond // on walMu; signals durLSN/walErr/closed changes
@@ -308,6 +296,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 		snapSeq, maxSeq = 0, 0
 	}
 	db.snapSeq.Store(snapSeq)
+	db.publishCounts()
 	var w *walWriter
 	if opts.Follower && maxSeq > snapSeq {
 		// The newest local segment mirrors a leader segment that may
@@ -405,11 +394,8 @@ func (db *DB) Close() error {
 // schemaUpgradable) is migrated in place, so applications can grow their
 // schemas across versions without losing persisted data; any other
 // schema change fails. Table creations and upgrades are durable via the
-// WAL and ordered with commits that use the new table: a brand-new table
-// is registered (and its record enqueued) under the exclusive tables-map
-// lock, an upgrade rebuilds in place (and enqueues) under the table's own
-// write lock, so in both cases any commit touching the table must order
-// its WAL record after this one.
+// WAL and, enqueued under db.mu like any commit, ordered before every
+// commit that uses the new table or columns.
 func (db *DB) CreateTable(s Schema) error {
 	if db.opts.Follower {
 		return ErrReadOnly
@@ -417,61 +403,49 @@ func (db *DB) CreateTable(s Schema) error {
 	if err := s.Check(); err != nil {
 		return err
 	}
-	var batch *walBatch
-	for {
-		db.tablesMu.RLock()
-		existing := db.tables[s.Name]
-		db.tablesMu.RUnlock()
-		if existing == nil {
-			db.tablesMu.Lock()
-			if _, raced := db.tables[s.Name]; raced {
-				// Lost a creation race; retry as a no-op/upgrade check.
-				db.tablesMu.Unlock()
-				continue
-			}
-			db.tables[s.Name] = newTable(s)
-			if db.durable {
-				batch = db.enqueueCommit(walRecord{CreateTable: &s})
-			}
-			db.tablesMu.Unlock()
-			break
-		}
-		existing.mu.Lock()
-		if schemaEqual(existing.schema, s) {
-			existing.mu.Unlock()
-			return nil
-		}
-		if !schemaUpgradable(existing.schema, s) {
-			existing.mu.Unlock()
-			return fmt.Errorf("relstore: table %q already exists with an incompatible schema", s.Name)
-		}
-		existing.upgradeLocked(s)
-		if db.durable {
-			batch = db.enqueueCommit(walRecord{CreateTable: &s})
-		}
-		existing.mu.Unlock()
-		break
+	batch, err := db.createTableLocked(s)
+	if err != nil || batch == nil {
+		return err
 	}
-
-	if batch != nil {
-		if err := db.awaitCommit(batch); err != nil {
-			return err
-		}
+	if err := db.awaitCommit(batch); err != nil {
+		return err
 	}
 	db.maybeCompact()
 	return nil
 }
 
-// Tables returns the names of all tables, sorted. It touches only the
-// tables-map lock, never a table's own lock, so it cannot queue behind a
-// running commit apply.
+// createTableLocked is CreateTable's critical section; the returned batch
+// is nil when there is nothing to wait for (no change, or no WAL).
+func (db *DB) createTableLocked(s Schema) (*walBatch, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if t := db.tables[s.Name]; t != nil {
+		if schemaEqual(t.schema, s) {
+			return nil, nil
+		}
+		if !schemaUpgradable(t.schema, s) {
+			return nil, fmt.Errorf("relstore: table %q already exists with an incompatible schema", s.Name)
+		}
+	}
+	rec := walRecord{CreateTable: &s}
+	if err := db.applyRecord(rec); err != nil {
+		return nil, err
+	}
+	db.publishCounts()
+	if !db.durable {
+		return nil, nil
+	}
+	return db.enqueueCommit(rec), nil
+}
+
+// Tables returns the names of all tables, sorted.
 func (db *DB) Tables() []string {
-	db.tablesMu.RLock()
+	db.mu.RLock()
 	names := make([]string, 0, len(db.tables))
 	for n := range db.tables {
 		names = append(names, n)
 	}
-	db.tablesMu.RUnlock()
+	db.mu.RUnlock()
 	sort.Strings(names)
 	return names
 }
@@ -482,17 +456,15 @@ func (db *DB) Tables() []string {
 // errors.Is and retry.
 var ErrUnknownTable = errors.New("relstore: unknown table")
 
-// lookupTable resolves a table name to its stable *table pointer. The
-// tables-map lock is held only for the map read; the caller locks the
-// table itself as its access requires.
-func (db *DB) lookupTable(name string) (*table, error) {
-	db.tablesMu.RLock()
-	t := db.tables[name]
-	db.tablesMu.RUnlock()
-	if t == nil {
-		return nil, fmt.Errorf("%w %q", ErrUnknownTable, name)
+// publishCounts refreshes the lock-free mirrors RowCount and Stats read.
+// Caller holds db.mu exclusively (or owns the DB outright, at Open).
+func (db *DB) publishCounts() {
+	var rows int64
+	for _, t := range db.tables {
+		rows += int64(len(t.rows))
 	}
-	return t, nil
+	db.rowTotal.Store(rows)
+	db.tableCount.Store(int64(len(db.tables)))
 }
 
 func newTable(s Schema) *table {
@@ -507,7 +479,7 @@ func newTable(s Schema) *table {
 }
 
 // initIndexes builds empty secondary-index containers for the current
-// schema. Caller holds the write lock (or owns the table exclusively).
+// schema.
 func (t *table) initIndexes() {
 	t.indexes = make(map[string]map[string]*postingList)
 	t.ordered = make(map[string]*orderedIndex)
@@ -524,17 +496,12 @@ func (t *table) initIndexes() {
 	}
 }
 
-// upgradeLocked rebuilds the table in place under a compatible
-// replacement schema: the rows (and key list) carry over untouched, the
-// secondary indexes are rebuilt from scratch so added Indexed/Ordered
-// flags take effect. Iterating ids in key order keeps every per-value
-// posting-list insert an append, so the rebuild is linear in the table
-// size. The rebuild mutates the table rather than replacing it because
-// *table pointers must stay stable: concurrent transactions hold them
-// through the per-table locks, and a swapped-out copy sharing the row
-// maps would put the same data under two different mutexes. Caller holds
-// the table's write lock.
-func (t *table) upgradeLocked(s Schema) {
+// upgrade rebuilds the table in place under a compatible replacement
+// schema: the rows (and key list) carry over untouched, the secondary
+// indexes are rebuilt from scratch so added Indexed/Ordered flags take
+// effect. Iterating ids in key order keeps every per-value posting-list
+// insert an append, so the rebuild is linear in the table size.
+func (t *table) upgrade(s Schema) {
 	t.schema = s
 	t.codec = newRowCodec(s)
 	t.initIndexes()
@@ -653,7 +620,7 @@ func (t *table) removeFromIndexes(id string, r Row) {
 }
 
 // applyPut installs a typed row, maintaining the key list and secondary
-// indexes. Caller holds the write lock.
+// indexes.
 func (t *table) applyPut(id string, row Row) {
 	if old, ok := t.rows[id]; ok {
 		t.rows[id] = row
@@ -662,7 +629,6 @@ func (t *table) applyPut(id string, row Row) {
 	}
 	t.keys.add(id)
 	t.rows[id] = row
-	t.rowCount.Add(1)
 	t.addToIndexes(id, row)
 }
 
@@ -714,18 +680,17 @@ func (t *table) reindex(id string, old, new Row) {
 }
 
 // applyDelete removes a row. Missing rows are a no-op (idempotent WAL
-// replay). Caller holds the write lock.
+// replay).
 func (t *table) applyDelete(id string) {
 	if old, ok := t.rows[id]; ok {
 		t.removeFromIndexes(id, old)
 		delete(t.rows, id)
-		t.rowCount.Add(-1)
 		t.keys.remove(id)
 	}
 }
 
 // apply installs a committed WAL operation into the in-memory state,
-// used on replay and follower apply. The caller holds the write lock.
+// used on replay and follower apply.
 func (t *table) apply(op walOp) error {
 	switch op.Op {
 	case opPut:
@@ -752,57 +717,46 @@ func (t *table) apply(op walOp) error {
 // the commit is durable per the configured SyncMode; the fsync may be
 // shared with other transactions committing concurrently (group commit).
 //
-// The transaction write-locks each table on first touch (reads included)
-// and holds the locks through the commit apply, so Update callbacks are
-// fully serialisable with respect to every table they touch — two
-// transactions conflict only when their table sets overlap, and
-// transactions on disjoint tables run in parallel. To keep the lock
-// graph acyclic the transaction may need to restart: when it touches a
-// table that sorts before one it already holds and that table is
-// contended, every lock is dropped and fn runs again with the full set
-// pre-acquired in sorted order. fn must therefore be safe to re-run —
-// buffer all effects in the Tx (or in variables reset at the top of fn)
-// and keep side effects out, the same contract as any retrying
-// transaction closure.
+// fn runs exactly once, with the store locked exclusively from before its
+// first read until its writes are applied: Update callbacks are
+// serialisable, one at a time. fn must not open another transaction on
+// the same store.
 func (db *DB) Update(fn func(tx *Tx) error) error {
 	if db.opts.Follower {
 		return ErrReadOnly
 	}
-	var needed map[string]bool
-	for restarts := 0; ; restarts++ {
-		if restarts > maxTxRestarts {
-			return fmt.Errorf("relstore: transaction restarted %d times without converging on a lock set", restarts)
-		}
-		batch, retry, err := db.updateAttempt(fn, &needed)
-		if retry {
-			continue
-		}
-		if err != nil {
+	tx := takeTx(db, true)
+	batch, err := db.runUpdate(tx, fn)
+	putTx(tx) // a panicking fn leaves the handle to the GC
+	if err != nil {
+		return err
+	}
+	if batch != nil {
+		if err := db.awaitCommit(batch); err != nil {
 			return err
 		}
-		if batch != nil {
-			if err := db.awaitCommit(batch); err != nil {
-				return err
-			}
-		}
-		// Compaction is a background cycle: the commit path only checks a
-		// counter and, when due, hands the work to a goroutine — it never
-		// waits on snapshot marshalling or segment deletion.
-		db.maybeCompact()
-		return nil
 	}
+	// Compaction is a background cycle: the commit path only checks a
+	// counter and, when due, hands the work to a goroutine — it never
+	// waits on snapshot marshalling or segment deletion.
+	db.maybeCompact()
+	return nil
 }
 
-// maxTxRestarts bounds the Update restart loop. Each restart adds at
-// least one table to the pre-acquired set, so a transaction can restart
-// at most once per table it touches; this cap only guards against a
-// pathological fn that touches fresh tables without bound.
-const maxTxRestarts = 1000
+// runUpdate is Update's critical section: run fn, apply and enqueue on
+// success. The unlock is deferred so a panicking fn cannot strand db.mu.
+func (db *DB) runUpdate(tx *Tx, fn func(tx *Tx) error) (*walBatch, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := fn(tx); err != nil {
+		return nil, err
+	}
+	return db.commitApply(tx)
+}
 
 // txPool recycles Tx handles (and, through them, their bookkeeping maps
 // and slices) so the steady-state commit path allocates no per-
-// transaction machinery. A Tx goes back only on clean completion — see
-// putTx and the restart caveat in updateAttempt.
+// transaction machinery. A Tx goes back only on clean completion.
 var txPool = sync.Pool{New: func() any { return new(Tx) }}
 
 // takeTx returns a scrubbed transaction handle bound to db.
@@ -813,8 +767,6 @@ func takeTx(db *DB, writable bool) *Tx {
 	return tx
 }
 
-// putTx scrubs tx and returns it to the pool. The caller must already
-// have released the transaction's locks.
 // txPoolMaxEntries bounds the capacity a pooled Tx may carry back into
 // the pool. clear() zeroes a map's whole bucket array, whose size is the
 // map's high-water mark, not its current length — so recycling the maps
@@ -823,6 +775,7 @@ func takeTx(db *DB, writable bool) *Tx {
 // memclr. Oversized containers are dropped instead.
 const txPoolMaxEntries = 128
 
+// putTx scrubs tx and returns it to the pool.
 func putTx(tx *Tx) {
 	if len(tx.pending) > txPoolMaxEntries {
 		tx.pending = nil
@@ -838,147 +791,36 @@ func putTx(tx *Tx) {
 	} else {
 		clear(tx.seqs)
 	}
-	if len(tx.needed) > txPoolMaxEntries {
-		tx.needed = nil
-	} else {
-		clear(tx.needed)
-	}
-	// held/heldOrder/heldMax/scanTable/scanName were reset by releaseLocks.
-	// declared must not survive: beginRead treats any non-nil declared map
-	// as ViewTables mode, which would refuse all operations of a later
-	// plain View reusing this handle.
-	tx.declared = nil
-	tx.restart = false
 	tx.db = nil
 	tx.writable = false
 	txPool.Put(tx)
 }
 
-// updateAttempt runs one iteration of the Update restart loop: acquire
-// the lock set learned so far, run fn, apply and enqueue on success.
-// The locks are released before returning (releaseLocks is idempotent
-// and deferred so a panicking fn cannot strand a table lock).
-func (db *DB) updateAttempt(fn func(tx *Tx) error, needed *map[string]bool) (batch *walBatch, retry bool, err error) {
-	tx := takeTx(db, true)
-	if *needed != nil {
-		tx.needed = *needed // lock set learned by earlier attempts
-	}
-	recycle := false
-	defer func() {
-		tx.releaseLocks()
-		if recycle {
-			putTx(tx)
-		}
-	}()
-	if err := tx.prelock(); err != nil {
-		recycle = true
-		return nil, false, err
-	}
-	err = fn(tx)
-	if tx.restart {
-		// A contended out-of-order acquisition voided this attempt; fn's
-		// error (if any) is from operating on the voided transaction. The
-		// accumulated lock set is handed to the next attempt, so this Tx
-		// must NOT be recycled — putTx would clear the map out from under
-		// the retry.
-		*needed = tx.needed
-		return nil, true, nil
-	}
-	// From here the attempt is final (commit or rollback); the handle can
-	// be recycled. A panicking fn skips this, leaving the Tx to the GC —
-	// a recovered caller may still hold a reference to it.
-	recycle = true
-	if err != nil {
-		return nil, false, err
-	}
-	batch, err = db.commitApply(tx)
-	return batch, false, err
-}
-
-// View runs fn inside a read-only transaction. Each operation takes only
-// its target table's read lock for the duration of that operation, so
-// reads never queue behind writers of unrelated tables. Every single
-// operation observes a consistent committed state of its table — a
-// multi-table commit becomes visible in one step because the committer
-// holds all its write locks through the apply — but two successive
-// operations may observe different commits (read-committed). Callers
-// that need one consistent cut across several tables (or across several
-// reads of one table) use ViewTables.
+// View runs fn inside a read-only transaction with the store locked
+// shared for fn's whole duration: every read in fn, on any table,
+// observes one committed state — a commit is either fully visible or
+// not at all. The price is that writers wait while fn runs, so fn should
+// read and return, and must not open another transaction on the same
+// store (a writer queued between the two would deadlock them).
 func (db *DB) View(fn func(tx *Tx) error) error {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	tx := takeTx(db, false)
-	recycle := false
-	defer func() {
-		tx.releaseLocks()
-		if recycle { // a panicking fn leaves the handle to the GC
-			putTx(tx)
-		}
-	}()
 	err := fn(tx)
-	recycle = true
-	return err
-}
-
-// ViewTables runs fn inside a read-only transaction that holds the read
-// locks of all the named tables for fn's whole duration, acquired in
-// sorted-name order (the same canonical order writers use, so the lock
-// graph stays acyclic). Every operation on a declared table observes the
-// same consistent cut: a commit spanning several of the tables is either
-// fully visible or not at all. Operations on undeclared tables fail.
-func (db *DB) ViewTables(fn func(tx *Tx) error, tables ...string) error {
-	tx := takeTx(db, false)
-	tx.declared = make(map[string]*table, len(tables))
-	recycle := false
-	defer func() {
-		tx.releaseLocks()
-		if recycle {
-			putTx(tx)
-		}
-	}()
-	sorted := append([]string(nil), tables...)
-	sort.Strings(sorted)
-	// Resolve every pointer under one tables-map read lock, so the set
-	// comes from a single store generation: a follower re-initialisation
-	// swaps the whole map, and per-name lookups could otherwise mix
-	// tables from before and after the swap into one "snapshot".
-	db.tablesMu.RLock()
-	for i, name := range sorted {
-		if i > 0 && name == sorted[i-1] {
-			continue
-		}
-		t := db.tables[name]
-		if t == nil {
-			db.tablesMu.RUnlock()
-			recycle = true
-			return fmt.Errorf("%w %q", ErrUnknownTable, name)
-		}
-		tx.declared[name] = t
-	}
-	db.tablesMu.RUnlock()
-	for i, name := range sorted {
-		if i > 0 && name == sorted[i-1] {
-			continue
-		}
-		t := tx.declared[name]
-		t.mu.RLock()
-		tx.heldOrder = append(tx.heldOrder, t)
-	}
-	err := fn(tx)
-	recycle = true
+	putTx(tx) // a panicking fn leaves the handle to the GC
 	return err
 }
 
 // commitApply applies the transaction's buffered writes to the in-memory
 // tables directly from their typed form (no encode/decode round-trip)
-// and, for durable stores, enqueues the WAL record. The caller (Update)
-// still holds the write lock of every table the transaction touched —
-// the enqueue must happen before those locks are released so that WAL
-// order agrees with apply order on every table two transactions share,
-// and so each put's binary row bytes are fixed before any later schema
-// upgrade on its table. Rows are encoded in a first pass, before any
-// in-memory mutation: an encode failure (unreachable for rows that
-// passed validation, but never silently absorbed) rolls back clean.
-// The returned batch — nil for memory stores and empty transactions —
-// must be awaited after the locks are released.
+// and, for durable stores, enqueues the WAL record. The caller holds
+// db.mu exclusively — the enqueue happens before it is released so that
+// WAL order is apply order, and so each put's binary row bytes are fixed
+// before any later schema upgrade on its table. Rows are encoded in a
+// first pass, before any in-memory mutation: an encode failure
+// (unreachable for rows that passed validation, but never silently
+// absorbed) rolls back clean. The returned batch — nil for memory stores
+// and empty transactions — must be awaited after db.mu is released.
 func (db *DB) commitApply(tx *Tx) (*walBatch, error) {
 	if len(tx.pendingOrder) == 0 && len(tx.seqs) == 0 {
 		return nil, nil
@@ -993,14 +835,13 @@ func (db *DB) commitApply(tx *Tx) (*walBatch, error) {
 		encBuf := make([]byte, 0, 512)
 		for _, pk := range tx.pendingOrder {
 			row := tx.pending[pk]
-			t := tx.held[pk.table] // write-locked since the tx first touched it
 			if row == nil {
 				rec.Ops = append(rec.Ops, walOp{Op: opDelete, Table: pk.table, ID: pk.id})
 				continue
 			}
 			start := len(encBuf)
 			var err error
-			encBuf, err = t.codec.appendRow(encBuf, row)
+			encBuf, err = db.tables[pk.table].codec.appendRow(encBuf, row)
 			if err != nil {
 				return nil, err
 			}
@@ -1009,7 +850,7 @@ func (db *DB) commitApply(tx *Tx) (*walBatch, error) {
 	}
 	for _, pk := range tx.pendingOrder {
 		row := tx.pending[pk]
-		t := tx.held[pk.table]
+		t := db.tables[pk.table]
 		if row == nil {
 			t.applyDelete(pk.id)
 		} else {
@@ -1029,13 +870,14 @@ func (db *DB) commitApply(tx *Tx) (*walBatch, error) {
 	slices.Sort(tables)
 	for _, tbl := range tables {
 		n := tx.seqs[tbl]
-		if t := tx.held[tbl]; t != nil && n > t.seq {
+		if t := db.tables[tbl]; n > t.seq {
 			t.seq = n
 		}
 		if durable {
 			rec.Ops = append(rec.Ops, walOp{Op: opSeq, Table: tbl, Seq: n})
 		}
 	}
+	db.publishCounts()
 	if !durable || len(rec.Ops) == 0 {
 		return nil, nil
 	}
@@ -1043,10 +885,7 @@ func (db *DB) commitApply(tx *Tx) (*walBatch, error) {
 }
 
 // enqueueCommit appends rec to the currently accumulating batch. Callers
-// hold the write locks of every table rec touches (or the exclusive
-// tables-map lock, for new-table records), so for any two records that
-// share a table, batch order equals apply order — and records on
-// disjoint tables commute under replay, so their relative order is free.
+// hold db.mu exclusively, so batch order equals apply order.
 func (db *DB) enqueueCommit(rec walRecord) *walBatch {
 	g := &db.group
 	g.mu.Lock()
@@ -1213,7 +1052,7 @@ func (db *DB) WaitCompaction() {
 //  1. Rotate so every record so far lives in a sealed segment; the
 //     boundary is the sealed segment with the highest number. (Brief
 //     walMu hold — a file close+open.)
-//  2. Clone the table maps under a brief read lock, then encode and
+//  2. Clone the table maps under db.mu held shared, then encode and
 //     marshal the snapshot outside all locks. Commits proceed in
 //     parallel; replaying their segments over the snapshot is idempotent.
 //  3. Wait until every commit the clone contains is durably logged. If a
@@ -1345,34 +1184,16 @@ type Stats struct {
 }
 
 // RowCount reports the rows resident across all tables. It reads the
-// per-table atomic counters maintained at commit apply, so it never
-// takes a table lock and can run at any frequency — it is what the
-// chronos_store_rows gauge scrapes.
-func (db *DB) RowCount() int64 {
-	db.tablesMu.RLock()
-	defer db.tablesMu.RUnlock()
-	var n int64
-	for _, t := range db.tables {
-		n += t.rowCount.Load()
-	}
-	return n
-}
+// mirror publishCounts maintains and takes no lock, so it can run at any
+// frequency — it is what the chronos_store_rows gauge scrapes.
+func (db *DB) RowCount() int64 { return db.rowTotal.Load() }
 
-// Stats returns current store statistics. Row counts come from the
-// per-table atomic counters maintained at commit apply, so Stats never
-// takes a table lock and cannot contend with commits at all — a scrape
-// or UI poll is invisible to writers.
+// Stats returns current store statistics. Table and row counts come from
+// the mirrors publishCounts maintains, so Stats never takes db.mu and
+// cannot queue behind a transaction — a scrape or UI poll is invisible
+// to writers, and a bulk write is invisible to it.
 func (db *DB) Stats() Stats {
-	db.tablesMu.RLock()
-	tabs := make([]*table, 0, len(db.tables))
-	for _, t := range db.tables {
-		tabs = append(tabs, t)
-	}
-	db.tablesMu.RUnlock()
-	st := Stats{Tables: len(tabs)}
-	for _, t := range tabs {
-		st.Rows += int(t.rowCount.Load())
-	}
+	st := Stats{Tables: int(db.tableCount.Load()), Rows: int(db.rowTotal.Load())}
 	if db.dir != "" {
 		if seqs, err := listSegments(db.dir); err == nil {
 			st.WALSegments = len(seqs)

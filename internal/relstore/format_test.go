@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -152,6 +153,39 @@ func TestReadWALLyingLengthAllocatesLittle(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("decoding a 16-byte input allocated %d bytes", got)
+	}
+}
+
+// TestReadSnapshotLyingLengthAllocatesLittle: a snapshot is outside input
+// (a follower receives it from its leader), so a row length of 512 MiB
+// with no bytes behind it, or a table count in the millions with no
+// tables behind it, is refused at the cost of what the file holds.
+func TestReadSnapshotLyingLengthAllocatesLittle(t *testing.T) {
+	var empty bytes.Buffer
+	if err := writeSnapshot(&empty, []tableClone{{schema: usersSchema()}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	// The well-formed snapshot ends with its one table's row count, 0.
+	header := empty.Bytes()[:empty.Len()-1]
+	lyingRow := append(append([]byte(nil), header...), 1) // one row follows...
+	lyingRow = binary.AppendUvarint(lyingRow, 512<<20)    // ...of 512 MiB, and then nothing
+	lyingTables := binary.AppendUvarint(append([]byte(snapshotMagic), 1), 1<<24)
+
+	for name, file := range map[string][]byte{"row length": lyingRow, "table count": lyingTables} {
+		path := filepath.Join(t.TempDir(), "store.snapshot")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := readSnapshotFile(path)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("lying %s: snapshot accepted", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("lying %s: refusing a %d-byte snapshot allocated %d bytes", name, len(file), got)
+		}
 	}
 }
 

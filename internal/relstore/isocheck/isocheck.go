@@ -1,10 +1,10 @@
 // Package isocheck mechanically verifies relstore's isolation contract
 // under real concurrency, in the spirit of online timestamp-based
-// isolation checking: instead of trusting that the per-table lock
-// protocol is correct, it runs N writers against M readers over
-// overlapping table sets, records every observation together with
-// logical timestamps bounding when it happened, and checks the recorded
-// history against the store's documented guarantees:
+// isolation checking: instead of trusting that the store's locking is
+// correct, it runs N writers against M readers over overlapping table
+// sets, records every observation together with logical timestamps
+// bounding when it happened, and checks the recorded history against the
+// store's documented guarantees:
 //
 //   - No dirty reads: a transaction that rolls back (here: every writer
 //     deliberately aborts a marked transaction at a fixed cadence) is
@@ -16,10 +16,9 @@
 //     every later read observes it or something newer (observations are
 //     bounded below by the writer's acknowledged timestamp), and a
 //     single reader never sees a table's state move backwards.
-//   - Cross-table atomicity at commit points: a snapshot reader
-//     (DB.ViewTables) over a writer's whole table set always sees one
-//     commit — equal sequence numbers in every table — because commits
-//     apply under all their tables' write locks at once.
+//   - Cross-table atomicity: a View over a writer's whole table set
+//     always sees one commit — equal sequence numbers in every table —
+//     because a View is one cut of the store.
 //   - Serialisability of writers (no lost updates): every committed
 //     transaction increments a shared per-table counter read-modify-
 //     write style; the final counter must equal the exact number of
@@ -62,11 +61,6 @@ type Options struct {
 	// Span is how many tables each writer transaction touches
 	// (default 2; capped at Tables).
 	Span int
-	// Snapshot makes readers use DB.ViewTables over the writer's whole
-	// table set and assert cross-table atomicity. When false, readers
-	// use plain per-operation Views and the checker asserts only the
-	// per-table guarantees (bounds and monotonicity).
-	Snapshot bool
 	// Churn runs background compaction cycles for the duration of the
 	// run, so the checker also covers the snapshot clone path.
 	Churn bool
@@ -77,7 +71,7 @@ type Options struct {
 	// Follower relaxes the visibility lower bound: a replica may lag the
 	// leader's acknowledged commits, so readers only check that
 	// observations never run ahead of started commits, never move
-	// backwards, and (with Snapshot) stay cross-table atomic.
+	// backwards, and stay cross-table atomic.
 	Follower bool
 }
 
@@ -146,9 +140,6 @@ type Observation struct {
 	// returned. Every observed Seq must fall in [Lower, Upper] (Lower
 	// relaxed to 0 for follower reads).
 	Lower, Upper int64
-	// Snapshot marks a ViewTables read, for which the checker also
-	// asserts cross-table equality.
-	Snapshot bool
 }
 
 // history is one reader's observation log, in real-time order.
@@ -290,8 +281,7 @@ func runWriter(db *relstore.DB, w int, opt Options, started, acked *atomic.Int64
 					return err
 				}
 				// Read-modify-write on the shared counter: lost updates
-				// here mean two writers interleaved inside their table
-				// locks.
+				// here mean two writers' callbacks interleaved.
 				var n int64
 				switch v, err := tx.GetValue(tbl, "counter", "n"); {
 				case err == nil:
@@ -340,13 +330,12 @@ func observe(db *relstore.DB, w int, opt Options, started, acked *atomic.Int64) 
 	tables := writerTables(w, opt)
 	rowID := fmt.Sprintf("w%d", w)
 	obs := &Observation{
-		Writer:   w,
-		Tables:   tables,
-		Seqs:     make([]int64, len(tables)),
-		Lower:    acked.Load(),
-		Snapshot: opt.Snapshot,
+		Writer: w,
+		Tables: tables,
+		Seqs:   make([]int64, len(tables)),
+		Lower:  acked.Load(),
 	}
-	read := func(tx *relstore.Tx) error {
+	err := db.View(func(tx *relstore.Tx) error {
 		for i, tbl := range tables {
 			switch v, err := tx.GetValue(tbl, rowID, "seq"); {
 			case err == nil:
@@ -368,13 +357,7 @@ func observe(db *relstore.DB, w int, opt Options, started, acked *atomic.Int64) 
 			}
 		}
 		return nil
-	}
-	var err error
-	if opt.Snapshot {
-		err = db.ViewTables(read, tables...)
-	} else {
-		err = db.View(read)
-	}
+	})
 	if errors.Is(err, relstore.ErrUnknownTable) && opt.Follower {
 		return nil, nil // table not replicated yet
 	}
@@ -412,11 +395,9 @@ func checkHistory(h history, opt Options) error {
 			}
 			last[k] = seq
 		}
-		if obs.Snapshot {
-			for j := 1; j < len(obs.Seqs); j++ {
-				if obs.Seqs[j] != obs.Seqs[0] {
-					return fmt.Errorf("isocheck: torn snapshot: reader %d observation %d saw writer %d at seq %d in %s but %d in %s — a multi-table commit was observed half-applied", h.reader, i, obs.Writer, obs.Seqs[0], obs.Tables[0], obs.Seqs[j], obs.Tables[j])
-				}
+		for j := 1; j < len(obs.Seqs); j++ {
+			if obs.Seqs[j] != obs.Seqs[0] {
+				return fmt.Errorf("isocheck: torn view: reader %d observation %d saw writer %d at seq %d in %s but %d in %s — a multi-table commit was observed half-applied", h.reader, i, obs.Writer, obs.Seqs[0], obs.Tables[0], obs.Seqs[j], obs.Tables[j])
 			}
 		}
 	}

@@ -14,10 +14,10 @@ func runOpts() Options {
 	return Options{Tables: 4, Writers: 4, Readers: 4, Ops: 150, Span: 2}
 }
 
-// TestLeaderIsolationSnapshotReads is the main gate: writers × snapshot
-// readers × background compaction churn on a durable store with small
-// segments, under -race in CI. Cross-table atomicity is asserted on
-// every observation.
+// TestLeaderIsolationSnapshotReads is the main gate: writers × readers ×
+// background compaction churn on a durable store with small segments,
+// under -race in CI. Cross-table atomicity is asserted on every
+// observation, here and in every other run.
 func TestLeaderIsolationSnapshotReads(t *testing.T) {
 	db, err := relstore.Open(t.TempDir(), &relstore.Options{SegmentBytes: 16 << 10, CompactEvery: -1})
 	if err != nil {
@@ -25,17 +25,14 @@ func TestLeaderIsolationSnapshotReads(t *testing.T) {
 	}
 	defer db.Close()
 	opt := runOpts()
-	opt.Snapshot = true
 	opt.Churn = true
 	if err := Run(db, opt); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestLeaderIsolationPerOpReads covers the plain-View read path: each
-// operation takes one table read lock, so the checker asserts the
-// read-committed guarantees (bounds, per-table commit-order visibility)
-// without cross-table equality.
+// TestLeaderIsolationPerOpReads runs the same gate on a second store with
+// its own schedule of rotations and compaction cycles.
 func TestLeaderIsolationPerOpReads(t *testing.T) {
 	db, err := relstore.Open(t.TempDir(), &relstore.Options{SegmentBytes: 16 << 10, CompactEvery: -1})
 	if err != nil {
@@ -50,24 +47,21 @@ func TestLeaderIsolationPerOpReads(t *testing.T) {
 }
 
 // TestMemoryStoreIsolation runs the checker against the pure in-memory
-// store: no WAL, no group commit — isolating the table-lock protocol
-// itself.
+// store: no WAL, no group commit — isolating the store lock itself.
 func TestMemoryStoreIsolation(t *testing.T) {
 	db := relstore.OpenMemory()
-	opt := runOpts()
-	opt.Snapshot = true
-	if err := Run(db, opt); err != nil {
+	if err := Run(db, runOpts()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestWideTransactionsRestartCleanly drives writers whose table sets
-// span most of the store (Span = Tables-1), maximising out-of-order
-// acquisitions and therefore Update's restart path, and verifies the
-// isolation contract still holds end to end.
+// span most of the store (Span = Tables-1), so every writer overlaps
+// every other and every View is a three-table cut, and verifies the
+// isolation contract holds end to end.
 func TestWideTransactionsRestartCleanly(t *testing.T) {
 	db := relstore.OpenMemory()
-	opt := Options{Tables: 4, Writers: 6, Readers: 3, Ops: 100, Span: 3, Snapshot: true}
+	opt := Options{Tables: 4, Writers: 6, Readers: 3, Ops: 100, Span: 3}
 	if err := Run(db, opt); err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +71,10 @@ func TestWideTransactionsRestartCleanly(t *testing.T) {
 // hand-built history with a half-applied multi-table commit must be
 // rejected. A checker that cannot fail proves nothing.
 func TestCheckerCatchesTornSnapshot(t *testing.T) {
-	opt := Options{Tables: 2, Writers: 1, Readers: 1, Ops: 10, Span: 2, Snapshot: true}.withDefaults()
+	opt := Options{Tables: 2, Writers: 1, Readers: 1, Ops: 10, Span: 2}.withDefaults()
 	h := history{reader: 0, obs: []Observation{{
 		Writer: 0, Tables: []string{TableName(0), TableName(1)},
-		Seqs: []int64{5, 4}, Lower: 3, Upper: 6, Snapshot: true,
+		Seqs: []int64{5, 4}, Lower: 3, Upper: 6,
 	}}}
 	if err := checkHistory(h, opt); err == nil {
 		t.Fatal("torn snapshot not detected")

@@ -3,7 +3,7 @@ package relstore
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,64 +24,63 @@ func twoTables(t *testing.T) *DB {
 	return db
 }
 
-// TestUpdateRestartsOnLockOrderConflict pins the deadlock-avoidance
-// protocol: a transaction that touches "bb" first and then finds "aa"
-// contended must drop its locks, restart, and still commit correctly.
-func TestUpdateRestartsOnLockOrderConflict(t *testing.T) {
+// TestUpdateCallbackRunsOnce pins the one-writer contract on the
+// interleaving that is hardest on any finer-grained locking: two
+// transactions touch the same two tables in opposite orders, the first
+// parked inside its callback. Each callback runs exactly once, both
+// commit, nothing deadlocks.
+func TestUpdateCallbackRunsOnce(t *testing.T) {
 	db := twoTables(t)
 
+	var holderRuns, otherRuns atomic.Int32
 	holdingA := make(chan struct{})
 	releaseA := make(chan struct{})
-	done := make(chan error, 1)
+	holder := make(chan error, 1)
 	go func() {
-		done <- db.Update(func(tx *Tx) error {
+		holder <- db.Update(func(tx *Tx) error {
+			holderRuns.Add(1)
 			if err := tx.Put("aa", userRow("u1", "holder", 1)); err != nil {
 				return err
 			}
 			close(holdingA)
 			<-releaseA
-			return nil
+			return tx.Put("bb", userRow("u1", "holder", 1))
 		})
 	}()
 	<-holdingA
 
-	var runs atomic.Int32
-	conflicted := make(chan struct{})
+	other := make(chan error, 1)
 	go func() {
-		// Give the conflicting tx time to reach its TryLock("aa") failure
-		// before the holder releases; the protocol is correct regardless
-		// of timing — this ordering just makes the restart likely enough
-		// to assert on.
-		select {
-		case <-conflicted:
-		case <-time.After(2 * time.Second):
-		}
-		time.Sleep(20 * time.Millisecond)
-		close(releaseA)
+		other <- db.Update(func(tx *Tx) error {
+			otherRuns.Add(1)
+			if err := tx.Put("bb", userRow("u2", "other", 2)); err != nil {
+				return err
+			}
+			return tx.Put("aa", userRow("u2", "other", 2))
+		})
 	}()
-	err := db.Update(func(tx *Tx) error {
-		if runs.Add(1) == 1 {
-			defer close(conflicted)
+	// A goroutine waiting for the store lock cannot be observed, so give
+	// the second Update time to get there before the holder moves on. The
+	// assertions hold whatever the timing; the pause only makes the
+	// opposite-order overlap the likely schedule.
+	time.Sleep(20 * time.Millisecond)
+	close(releaseA)
+
+	for name, ch := range map[string]chan error{"holder": holder, "other": other} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("%s update: %v", name, err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatalf("deadlock: %s update never returned", name)
 		}
-		if err := tx.Put("bb", userRow("u2", "conflict", 2)); err != nil {
-			return err
-		}
-		// "aa" sorts before the held "bb": with the holder still inside
-		// its callback this TryLock fails and the transaction restarts.
-		return tx.Put("aa", userRow("u2", "conflict", 2))
-	})
-	if err != nil {
-		t.Fatalf("conflicting update: %v", err)
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("holder update: %v", err)
+	if h, o := holderRuns.Load(), otherRuns.Load(); h != 1 || o != 1 {
+		t.Fatalf("callbacks ran %d and %d times, want once each", h, o)
 	}
-	if n := runs.Load(); n != 2 {
-		t.Fatalf("conflicting callback ran %d times, want 2 (one restart)", n)
-	}
-	// Both commits landed.
-	err = db.View(func(tx *Tx) error {
-		for _, probe := range []struct{ tbl, id string }{{"aa", "u1"}, {"aa", "u2"}, {"bb", "u2"}} {
+	err := db.View(func(tx *Tx) error {
+		for _, probe := range []struct{ tbl, id string }{{"aa", "u1"}, {"bb", "u1"}, {"aa", "u2"}, {"bb", "u2"}} {
 			if _, err := tx.Get(probe.tbl, probe.id); err != nil {
 				return fmt.Errorf("%s/%s: %w", probe.tbl, probe.id, err)
 			}
@@ -93,60 +92,9 @@ func TestUpdateRestartsOnLockOrderConflict(t *testing.T) {
 	}
 }
 
-// TestUpdateRestartSurvivesSwallowedError pins the fail-fast contract: a
-// callback that ignores an operation error after the transaction voided
-// itself must still restart cleanly instead of committing garbage.
-func TestUpdateRestartSurvivesSwallowedError(t *testing.T) {
-	db := twoTables(t)
-	holdingA := make(chan struct{})
-	releaseA := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- db.Update(func(tx *Tx) error {
-			if err := tx.Put("aa", userRow("h", "holder", 1)); err != nil {
-				return err
-			}
-			close(holdingA)
-			<-releaseA
-			return nil
-		})
-	}()
-	<-holdingA
-	var once sync.Once
-	err := db.Update(func(tx *Tx) error {
-		if err := tx.Put("bb", userRow("s", "swallow", 1)); err != nil {
-			return err
-		}
-		tx.Put("aa", userRow("s", "swallow", 1)) // error deliberately ignored
-		once.Do(func() { close(releaseA) })
-		// Later operations on a voided tx must keep failing.
-		if err := tx.Put("bb", userRow("s2", "swallow", 2)); err != nil {
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("update: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	// The retried callback ran to completion: both rows present, and the
-	// "aa" write of the second attempt landed too.
-	db.View(func(tx *Tx) error {
-		for _, probe := range []struct{ tbl, id string }{{"bb", "s"}, {"bb", "s2"}, {"aa", "s"}} {
-			if _, err := tx.Get(probe.tbl, probe.id); err != nil {
-				t.Errorf("%s/%s missing after restart: %v", probe.tbl, probe.id, err)
-			}
-		}
-		return nil
-	})
-}
-
-// TestViewTablesSnapshotIsAtomic: a ViewTables reader over both tables
-// must never observe a multi-table commit half-applied, while plain
-// Views are documented read-committed (not asserted here).
-func TestViewTablesSnapshotIsAtomic(t *testing.T) {
+// TestViewIsOneCut: a plain View reading two tables, one operation each,
+// must never observe a two-table commit half-applied.
+func TestViewIsOneCut(t *testing.T) {
 	db := twoTables(t)
 	stop := make(chan struct{})
 	var writerErr error
@@ -173,7 +121,7 @@ func TestViewTablesSnapshotIsAtomic(t *testing.T) {
 	}()
 	for i := 0; i < 500; i++ {
 		var a, b int64
-		err := db.ViewTables(func(tx *Tx) error {
+		err := db.View(func(tx *Tx) error {
 			for _, p := range []struct {
 				tbl string
 				out *int64
@@ -185,14 +133,17 @@ func TestViewTablesSnapshotIsAtomic(t *testing.T) {
 				default:
 					return err
 				}
+				// Offer the writer the gap between the two reads: a View
+				// that let a commit in here would tear on most rounds.
+				runtime.Gosched()
 			}
 			return nil
-		}, "aa", "bb")
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a != b {
-			t.Fatalf("torn snapshot: aa at %d, bb at %d", a, b)
+			t.Fatalf("torn view: aa at %d, bb at %d", a, b)
 		}
 	}
 	close(stop)
@@ -202,51 +153,170 @@ func TestViewTablesSnapshotIsAtomic(t *testing.T) {
 	}
 }
 
-// TestViewTablesRefusesUndeclared: operations outside the declared set
-// must fail instead of silently taking unordered locks.
-func TestViewTablesRefusesUndeclared(t *testing.T) {
+// TestScanCallbackMayReadOtherTable: a scan callback is ordinary
+// transaction code — it may read the scanned table or any other, in a
+// View and in an Update alike.
+func TestScanCallbackMayReadOtherTable(t *testing.T) {
 	db := twoTables(t)
-	err := db.ViewTables(func(tx *Tx) error {
-		_, err := tx.Get("bb", "nope")
-		return err
-	}, "aa")
-	if err == nil || !strings.Contains(err.Error(), "not declared") {
-		t.Fatalf("undeclared access: %v", err)
+	if err := db.Update(func(tx *Tx) error {
+		if err := tx.Put("aa", userRow("u1", "x", 1)); err != nil {
+			return err
+		}
+		return tx.Put("bb", userRow("u1", "y", 2))
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if err := db.ViewTables(func(tx *Tx) error { return nil }, "aa", "zz"); !errors.Is(err, ErrUnknownTable) {
-		t.Fatalf("unknown declared table: %v", err)
+	scan := func(tx *Tx) error {
+		var inner error
+		emitted := 0
+		serr := tx.SelectFunc("aa", nil, func(Row) bool {
+			emitted++
+			for _, tbl := range []string{"aa", "bb"} {
+				if _, err := tx.Get(tbl, "u1"); err != nil {
+					inner = fmt.Errorf("get %s inside a scan of aa: %w", tbl, err)
+					return false
+				}
+			}
+			return true
+		})
+		if serr == nil && inner == nil && emitted != 1 {
+			inner = fmt.Errorf("scan emitted %d rows, want 1", emitted)
+		}
+		return errors.Join(serr, inner)
+	}
+	if err := db.View(scan); err != nil {
+		t.Fatalf("view: %v", err)
+	}
+	if err := db.Update(scan); err != nil {
+		t.Fatalf("update: %v", err)
 	}
 }
 
-// TestViewScanRefusesCrossTableOps: inside a plain View's scan the
-// transaction holds exactly one read lock; an operation on another table
-// would acquire locks in caller-determined order, so it is refused with
-// a pointer at ViewTables/Update. Same-table operations keep working.
-func TestViewScanRefusesCrossTableOps(t *testing.T) {
+// TestStatsDoesNotWaitForWriter: Stats and RowCount read store-level
+// mirrors and take no store lock, so they answer while an Update callback
+// is parked with the store locked exclusively — and report the committed
+// state, not the parked transaction's buffered writes.
+func TestStatsDoesNotWaitForWriter(t *testing.T) {
 	db := twoTables(t)
 	if err := db.Update(func(tx *Tx) error { return tx.Put("aa", userRow("u1", "x", 1)) }); err != nil {
 		t.Fatal(err)
 	}
-	err := db.View(func(tx *Tx) error {
-		var inner error
-		serr := tx.SelectFunc("aa", nil, func(Row) bool {
-			// Same table: fine (reuses the scan's lock).
-			if _, err := tx.Get("aa", "u1"); err != nil {
-				inner = fmt.Errorf("same-table get: %w", err)
-				return false
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- db.Update(func(tx *Tx) error {
+			if err := tx.Put("bb", userRow("u2", "y", 2)); err != nil {
+				return err
 			}
-			// Other table: refused.
-			_, err := tx.Get("bb", "u1")
-			inner = err
-			return false
+			close(parked)
+			<-release
+			return nil
 		})
-		if serr != nil {
-			return serr
+	}()
+	<-parked
+	type reading struct {
+		st   Stats
+		rows int64
+	}
+	got := make(chan reading, 1)
+	go func() { got <- reading{db.Stats(), db.RowCount()} }()
+	select {
+	case r := <-got:
+		if r.st.Tables != 2 || r.st.Rows != 1 || r.rows != 1 {
+			t.Errorf("while a writer is parked: %d tables, %d rows, RowCount %d; want 2, 1, 1", r.st.Tables, r.st.Rows, r.rows)
 		}
-		return inner
+	case <-time.After(10 * time.Second):
+		t.Error("Stats/RowCount queued behind a parked Update callback")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.Rows != 2 || db.RowCount() != 2 {
+		t.Fatalf("after the commit: %d rows, RowCount %d; want 2", st.Rows, db.RowCount())
+	}
+}
+
+// syncGate is a fileHook whose files, once armed, park inside Sync until
+// released: a commit's fsync held open at will.
+type syncGate struct {
+	armed   atomic.Bool
+	entered chan struct{} // one send per held Sync
+	release chan struct{}
+}
+
+type syncGateFile struct {
+	walFile
+	g *syncGate
+}
+
+func (f syncGateFile) Sync() error {
+	if f.g.armed.Load() {
+		f.g.entered <- struct{}{}
+		<-f.g.release
+	}
+	return f.walFile.Sync()
+}
+
+// TestViewCompletesDuringCommitSync: Update releases the store lock
+// before it waits for group commit, so while one commit's fsync is held
+// open a View completes (and already observes that commit, the
+// group-commit contract) and a second Update's callback runs.
+func TestViewCompletesDuringCommitSync(t *testing.T) {
+	gate := &syncGate{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	db, err := Open(t.TempDir(), &Options{
+		CompactEvery: -1,
+		fileHook:     func(f walFile) walFile { return syncGateFile{f, gate} },
 	})
-	if err == nil || !strings.Contains(err.Error(), "inside an active scan") {
-		t.Fatalf("cross-table op inside scan: %v", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable(usersSchema()); err != nil {
+		t.Fatal(err)
+	}
+	gate.armed.Store(true)
+	first := make(chan error, 1)
+	go func() {
+		first <- db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u1", "x", 1)) })
+	}()
+	<-gate.entered // the first commit is inside its fsync
+
+	viewed := make(chan error, 1)
+	go func() {
+		viewed <- db.View(func(tx *Tx) error {
+			_, err := tx.Get("users", "u1")
+			return err
+		})
+	}()
+	secondRan := make(chan struct{})
+	second := make(chan error, 1)
+	go func() {
+		second <- db.Update(func(tx *Tx) error {
+			close(secondRan)
+			return tx.Put("users", userRow("u2", "y", 2))
+		})
+	}()
+	select {
+	case err := <-viewed:
+		if err != nil {
+			t.Errorf("view during the fsync: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("a View queued behind a commit's fsync: the store lock is held across IO")
+	}
+	select {
+	case <-secondRan:
+	case <-time.After(10 * time.Second):
+		t.Error("a second Update's callback queued behind a commit's fsync")
+	}
+	gate.armed.Store(false)
+	close(gate.release)
+	for _, ch := range []chan error{first, second} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -284,8 +354,8 @@ func TestConcurrentCreateTable(t *testing.T) {
 }
 
 // TestUpdateSerialisesReadModifyWrite: the classic lost-update check on
-// one table — N goroutines increment the same row; with first-touch
-// write locks every increment must survive.
+// one table — N goroutines increment the same row; Update callbacks run
+// one at a time, so every increment must survive.
 func TestUpdateSerialisesReadModifyWrite(t *testing.T) {
 	db := twoTables(t)
 	const workers, rounds = 8, 50
@@ -324,80 +394,13 @@ func TestUpdateSerialisesReadModifyWrite(t *testing.T) {
 	})
 }
 
-// TestWritableScanAbortsWhenTransactionVoids pins the scan/restart
-// interaction: an operation issued from a scan callback that voids the
-// transaction (contended out-of-order acquisition) releases every lock,
-// including the scanned table's — the scan must stop iterating
-// immediately even when the callback swallows the error and asks to
-// continue, and the restarted attempt must run to completion.
-func TestWritableScanAbortsWhenTransactionVoids(t *testing.T) {
-	db := twoTables(t)
-	if err := db.Update(func(tx *Tx) error {
-		for i := 0; i < 3; i++ {
-			if err := tx.Put("bb", userRow(fmt.Sprintf("u%d", i), "x", int64(i))); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	holdingA := make(chan struct{})
-	releaseA := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- db.Update(func(tx *Tx) error {
-			if err := tx.Put("aa", userRow("h", "holder", 1)); err != nil {
-				return err
-			}
-			close(holdingA)
-			<-releaseA
-			return nil
-		})
-	}()
-	<-holdingA
-
-	var attempts atomic.Int32
-	emitsPerAttempt := make(map[int32]int)
-	var once sync.Once
-	err := db.Update(func(tx *Tx) error {
-		attempt := attempts.Add(1)
-		serr := tx.SelectFunc("bb", nil, func(Row) bool {
-			emitsPerAttempt[attempt]++
-			// "aa" sorts before the held "bb": on attempt 1 this voids the
-			// transaction. Swallow the error and ask to keep scanning —
-			// the scan must refuse (its lock is already gone).
-			tx.Put("aa", userRow("s", "scan", 1))
-			once.Do(func() { close(releaseA) })
-			return true
-		})
-		return serr
-	})
-	if err != nil {
-		t.Fatalf("update: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got := attempts.Load(); got != 2 {
-		t.Fatalf("callback ran %d times, want 2", got)
-	}
-	if emitsPerAttempt[1] != 1 {
-		t.Fatalf("voided scan emitted %d rows after the restart trigger, want 1 (abort immediately)", emitsPerAttempt[1])
-	}
-	if emitsPerAttempt[2] != 3 {
-		t.Fatalf("restarted scan emitted %d rows, want all 3", emitsPerAttempt[2])
-	}
-}
-
-// TestNoDeadlockLookupCreateCompact pins the three-way deadlock the
-// isolation review found: a transaction holding a table lock looks up
-// another table (tablesMu.RLock) while CreateTable has an exclusive
-// tablesMu claim pending and compaction's cloneState is blocked on the
-// transaction's held table. Go's RWMutex parks new readers behind the
-// pending writer, so if cloneState held tablesMu.RLock across its
-// table-lock acquisition the three would wait on each other forever.
+// TestNoDeadlockLookupCreateCompact pins a three-way interleaving: a
+// transaction parked mid-callback with one table written and another
+// still to read, a compaction whose state clone waits on it, and a
+// CreateTable queued behind both. Go's RWMutex parks new readers behind
+// a pending writer, so a parked transaction that had to take any further
+// lock could close a cycle here; under the one store lock it already
+// holds everything it needs.
 func TestNoDeadlockLookupCreateCompact(t *testing.T) {
 	db, err := Open(t.TempDir(), &Options{CompactEvery: -1})
 	if err != nil {
@@ -420,7 +423,7 @@ func TestNoDeadlockLookupCreateCompact(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(3)
 	finished := make(chan struct{})
-	go func() { // A: holds "aa", then looks up "bb"
+	go func() { // A: writes "aa", parks, then reads "bb"
 		defer wg.Done()
 		err := db.Update(func(tx *Tx) error {
 			if err := tx.Put("aa", userRow("r", "x", 2)); err != nil {
@@ -439,14 +442,14 @@ func TestNoDeadlockLookupCreateCompact(t *testing.T) {
 		}
 	}()
 	<-holdingA
-	go func() { // C: compaction clone blocks on "aa"
+	go func() { // C: compaction clone blocks on A
 		defer wg.Done()
 		if err := db.Compact(); err != nil {
 			t.Errorf("compact: %v", err)
 		}
 	}()
-	time.Sleep(20 * time.Millisecond) // let the clone reach aa.mu
-	go func() {                       // B: pending exclusive tablesMu claim
+	time.Sleep(20 * time.Millisecond) // let the clone queue for the store lock
+	go func() {                       // B: pending exclusive claim
 		defer wg.Done()
 		s := usersSchema()
 		s.Name = "cc"

@@ -107,7 +107,7 @@ func (p *postingList) compact() {
 
 // plCursor walks a posting list in id order, transparently skipping
 // stale entries. A nil list yields nothing. The list must not be
-// mutated while a cursor is open (scans run under the table lock).
+// mutated while a cursor is open (scans run under the store lock).
 type plCursor struct {
 	pl *postingList
 	i  int

@@ -281,7 +281,7 @@ func TestFollowerIsolation(t *testing.T) {
 
 	opt := isocheck.Options{
 		Tables: 4, Writers: 4, Readers: 3, Ops: 120, Span: 2,
-		Snapshot: true, ReadDB: f.DB(), Follower: true,
+		ReadDB: f.DB(), Follower: true,
 	}
 	if err := isocheck.Run(l.DB(), opt); err != nil {
 		t.Fatal(err)

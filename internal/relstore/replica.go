@@ -179,13 +179,15 @@ func (db *DB) FollowerApply(data []byte) (int64, error) {
 		durSeq, durOff := db.walSeq, db.wal.size
 		db.walMu.Unlock()
 
-		// Each record applies under the write locks of exactly the tables
-		// it touches (canonical order), so concurrent readers observe
-		// every replicated transaction atomically — and never queue
-		// behind applies to tables they are not reading.
+		// One exclusive hold of db.mu per record: readers observe every
+		// replicated transaction atomically and get a turn between two.
 		var aerr error
 		for _, rec := range recs {
-			if aerr = db.applyRecordSynced(rec); aerr != nil {
+			db.mu.Lock()
+			aerr = db.applyRecord(rec)
+			db.publishCounts()
+			db.mu.Unlock()
+			if aerr != nil {
 				break
 			}
 		}
@@ -348,17 +350,16 @@ func (db *DB) FollowerReinit(snapshot io.Reader) error {
 		return db.reinitFailed(err)
 	}
 
-	// Swap the whole table set under the exclusive tables-map lock. A
-	// reader mid-transaction may still hold old *table pointers (and
-	// their locks); that is safe — the old tables are immutable from now
-	// on — and its next lookup observes the new state.
-	db.tablesMu.Lock()
+	// Swap the whole table set: a View runs entirely before the swap or
+	// entirely after it.
+	db.mu.Lock()
 	db.tables = tables
+	db.publishCounts()
 	g := &db.group
 	g.mu.Lock()
 	g.enqueued = 0
 	g.mu.Unlock()
-	db.tablesMu.Unlock()
+	db.mu.Unlock()
 
 	db.walMu.Lock()
 	db.wal = w

@@ -51,20 +51,14 @@ func putKV(t *testing.T, db *DB, id string, v int64) {
 // dumpState captures every table's rows (and sequence counter) for
 // whole-store equality checks between replication peers.
 func dumpState(db *DB) map[string]map[string]Row {
-	db.tablesMu.RLock()
-	tabs := make(map[string]*table, len(db.tables))
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	out := make(map[string]map[string]Row, len(db.tables))
 	for name, t := range db.tables {
-		tabs[name] = t
-	}
-	db.tablesMu.RUnlock()
-	out := make(map[string]map[string]Row, len(tabs))
-	for name, t := range tabs {
-		t.mu.RLock()
 		rows := make(map[string]Row, len(t.rows))
 		for id, r := range t.rows {
 			rows[id] = r
 		}
-		t.mu.RUnlock()
 		out[name] = rows
 	}
 	return out

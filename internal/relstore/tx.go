@@ -1,11 +1,9 @@
 package relstore
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 )
@@ -13,16 +11,11 @@ import (
 // ErrNotFound is returned by Get when no row has the requested key.
 var ErrNotFound = fmt.Errorf("relstore: row not found")
 
-// Tx is a transaction handle passed to DB.Update, DB.View and
-// DB.ViewTables callbacks. Read operations observe the committed state
-// plus the transaction's own buffered writes (read-your-writes). Tx must
-// not escape the callback.
-//
-// Locking is per table. A writable Tx (Update) write-locks each table on
-// first touch and keeps the lock until the commit applies; a ViewTables
-// Tx holds the read locks of its declared tables for the whole callback;
-// a plain View Tx takes one read lock per operation. Multi-lock
-// acquisition follows the canonical sorted-name order — see acquire.
+// Tx is a transaction handle passed to DB.Update and DB.View callbacks.
+// Read operations observe the committed state plus the transaction's own
+// buffered writes (read-your-writes). Tx must not escape the callback:
+// its operations take no lock of their own, they run under the store lock
+// Update or View holds around the callback.
 //
 // Tx values are pooled (takeTx/putTx): every map and slice below is
 // cleared, not dropped, between transactions, so the steady-state write
@@ -37,165 +30,19 @@ type Tx struct {
 	pendingOrder []pendingKey
 	// seqs buffers sequence advances.
 	seqs map[string]int64
-
-	// held maps table name -> write-locked table for a writable Tx;
-	// heldOrder records every locked table (all modes) for release.
-	held      map[string]*table
-	heldOrder []*table
-	// heldMax is the highest held table name: blocking on any name above
-	// it is always safe under the canonical sorted-name lock order.
-	heldMax string
-	// needed accumulates, across restarts, every table this transaction
-	// is known to touch; Update pre-acquires it in sorted order on the
-	// next attempt.
-	needed map[string]bool
-	// restart marks the transaction void: a contended out-of-order lock
-	// acquisition released everything mid-flight, so all further
-	// operations fail fast and Update re-runs the callback.
-	restart bool
-
-	// declared holds the read-locked tables of a ViewTables transaction
-	// (nil otherwise). Operations on undeclared tables are refused.
-	declared map[string]*table
-	// scanTable/scanName pin the table whose read lock a plain View scan
-	// currently holds, so the scan callback can keep operating on the
-	// same table without re-entrant locking (which could deadlock behind
-	// a queued writer). Operations on a different table inside such a
-	// scan are refused — cross-table consistency needs ViewTables or
-	// Update, whose lock protocols are deadlock-free.
-	scanTable *table
-	scanName  string
 }
 
 type pendingKey struct {
 	table, id string
 }
 
-// errTxRestart voids a writable transaction whose deadlock-free lock
-// order could not be kept without dropping every held lock. DB.Update
-// re-runs the callback with the full lock set pre-acquired; callbacks
-// that swallow errors are still safe because the transaction refuses all
-// further operations once voided.
-var errTxRestart = errors.New("relstore: transaction must restart to acquire locks in canonical order")
-
-// acquire write-locks the named table on behalf of a writable
-// transaction and returns its stable pointer; a table the transaction
-// already holds is returned as is. Locks are taken in canonical
-// sorted-name order: blocking on a name above every held name cannot
-// close a cycle (every waiter would need a strictly larger name than all
-// it holds — an infinite ascent), while a name below is only tried
-// without waiting. If that try fails, all locks are dropped and the
-// transaction voids itself for a restart with the full set known up
-// front.
-func (tx *Tx) acquire(name string) (*table, error) {
-	if tx.restart {
-		return nil, errTxRestart
-	}
-	if t := tx.held[name]; t != nil {
-		return t, nil
-	}
-	t, err := tx.db.lookupTable(name)
-	if err != nil {
-		return nil, err
-	}
-	if tx.needed == nil {
-		tx.needed = make(map[string]bool)
-	}
-	tx.needed[name] = true
-	if len(tx.heldOrder) == 0 || name > tx.heldMax {
-		t.mu.Lock()
-	} else if !t.mu.TryLock() {
-		tx.releaseLocks()
-		tx.restart = true
-		return nil, errTxRestart
-	}
-	if tx.held == nil {
-		tx.held = make(map[string]*table)
-	}
-	tx.held[name] = t
-	tx.heldOrder = append(tx.heldOrder, t)
-	if name > tx.heldMax {
-		tx.heldMax = name
+// table resolves a table name.
+func (tx *Tx) table(name string) (*table, error) {
+	t := tx.db.tables[name]
+	if t == nil {
+		return nil, fmt.Errorf("%w %q", ErrUnknownTable, name)
 	}
 	return t, nil
-}
-
-// prelock acquires, in sorted order, every table a previous attempt of
-// this transaction touched. Tables that have not been created yet are
-// skipped — the retried callback will fail on them the same way the
-// first run did.
-func (tx *Tx) prelock() error {
-	if len(tx.needed) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(tx.needed))
-	for n := range tx.needed {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, err := tx.acquire(n); err != nil && err != errTxRestart {
-			// Unknown table: leave it to the callback.
-			continue
-		} else if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// releaseLocks drops every lock the transaction holds. Idempotent;
-// unlock order is irrelevant for correctness.
-func (tx *Tx) releaseLocks() {
-	for _, t := range tx.heldOrder {
-		if tx.writable {
-			t.mu.Unlock()
-		} else {
-			t.mu.RUnlock()
-		}
-	}
-	tx.heldOrder = tx.heldOrder[:0]
-	clear(tx.held) // keep the map for pooled reuse
-	tx.heldMax = ""
-	tx.scanTable, tx.scanName = nil, ""
-}
-
-// beginRead makes the named table readable for one operation and
-// reports whether this call took a lock the matching endRead must drop.
-// Writable transactions route through acquire (the write lock covers
-// reads); ViewTables and an active same-table scan reuse their held
-// locks; a plain View takes the table's read lock just for this
-// operation.
-func (tx *Tx) beginRead(name string) (t *table, locked bool, err error) {
-	if tx.writable {
-		t, err = tx.acquire(name)
-		return t, false, err
-	}
-	if tx.declared != nil {
-		if t := tx.declared[name]; t != nil {
-			return t, false, nil
-		}
-		return nil, false, fmt.Errorf("relstore: table %q is not declared in this ViewTables transaction", name)
-	}
-	if tx.scanTable != nil {
-		if name == tx.scanName {
-			return tx.scanTable, false, nil
-		}
-		return nil, false, fmt.Errorf("relstore: operation on table %q inside an active scan of %q: a plain View locks one table at a time (use ViewTables or Update for multi-table access)", name, tx.scanName)
-	}
-	t, err = tx.db.lookupTable(name)
-	if err != nil {
-		return nil, false, err
-	}
-	t.mu.RLock()
-	return t, true, nil
-}
-
-// endRead undoes a beginRead that took a per-operation lock.
-func (tx *Tx) endRead(t *table, locked bool) {
-	if locked {
-		t.mu.RUnlock()
-	}
 }
 
 // Get returns a copy of the row with the given key, or ErrNotFound.
@@ -206,11 +53,10 @@ func (tx *Tx) Get(tableName, id string) (Row, error) {
 		}
 		return p.Clone(), nil
 	}
-	t, locked, err := tx.beginRead(tableName)
+	t, err := tx.table(tableName)
 	if err != nil {
 		return nil, err
 	}
-	defer tx.endRead(t, locked)
 	row, ok := t.rows[id]
 	if !ok {
 		return nil, ErrNotFound
@@ -222,15 +68,14 @@ func (tx *Tx) Get(tableName, id string) (Row, error) {
 // ErrNotFound. Unlike Get it does not clone the row, so wide columns the
 // caller does not need (entity JSON blobs, say) cost nothing. The
 // returned value must be treated as read-only; callers that need a
-// mutable copy should use Get. (Returning the value after the table lock
-// is dropped is safe because committed rows are immutable — an update
-// replaces the map entry, it never mutates the old Row.)
+// mutable copy should use Get. (The value may outlive the transaction:
+// committed rows are immutable — an update replaces the map entry, it
+// never mutates the old Row.)
 func (tx *Tx) GetValue(tableName, id, col string) (any, error) {
-	t, locked, err := tx.beginRead(tableName)
+	t, err := tx.table(tableName)
 	if err != nil {
 		return nil, err
 	}
-	defer tx.endRead(t, locked)
 	row := tx.effectiveRow(t, tableName, id)
 	if row == nil {
 		return nil, ErrNotFound
@@ -263,7 +108,7 @@ func (tx *Tx) Put(tableName string, row Row) error {
 	if !tx.writable {
 		return fmt.Errorf("relstore: Put in read-only transaction")
 	}
-	t, err := tx.acquire(tableName)
+	t, err := tx.table(tableName)
 	if err != nil {
 		return err
 	}
@@ -285,7 +130,7 @@ func (tx *Tx) PutOwned(tableName string, row Row) error {
 	if !tx.writable {
 		return fmt.Errorf("relstore: PutOwned in read-only transaction")
 	}
-	t, err := tx.acquire(tableName)
+	t, err := tx.table(tableName)
 	if err != nil {
 		return err
 	}
@@ -302,7 +147,7 @@ func (tx *Tx) Insert(tableName string, row Row) error {
 	if !tx.writable {
 		return fmt.Errorf("relstore: Insert in read-only transaction")
 	}
-	t, err := tx.acquire(tableName)
+	t, err := tx.table(tableName)
 	if err != nil {
 		return err
 	}
@@ -326,9 +171,6 @@ func (tx *Tx) Insert(tableName string, row Row) error {
 func (tx *Tx) Delete(tableName, id string) error {
 	if !tx.writable {
 		return fmt.Errorf("relstore: Delete in read-only transaction")
-	}
-	if _, err := tx.acquire(tableName); err != nil {
-		return err
 	}
 	exists, err := tx.Exists(tableName, id)
 	if err != nil {
@@ -373,7 +215,7 @@ func (tx *Tx) NextSeq(tableName string) (int64, error) {
 	if !tx.writable {
 		return 0, fmt.Errorf("relstore: NextSeq in read-only transaction")
 	}
-	t, err := tx.acquire(tableName)
+	t, err := tx.table(tableName)
 	if err != nil {
 		return 0, err
 	}
@@ -520,24 +362,11 @@ func (tx *Tx) Count(tableName string, q *Query) (int, error) {
 // Both sources are sorted, so rows stream in key order and the walk
 // stops as soon as fn declines or the limit is reached.
 //
-// The table's lock is held for the whole walk (the cursor reads posting
-// lists in place). In a plain View that lock is this scan's own read
-// lock; the emit callback may keep reading the same table through tx but
-// must not touch other tables — that needs ViewTables or Update.
+// fn may issue further operations on tx, on this table or any other.
 func (tx *Tx) scan(tableName string, q *Query, fn func(Row) bool) error {
-	t, locked, err := tx.beginRead(tableName)
+	t, err := tx.table(tableName)
 	if err != nil {
 		return err
-	}
-	if locked {
-		// Publish the held lock so ops issued by fn on the same table
-		// reuse it instead of re-entrantly read-locking (which could
-		// deadlock behind a queued writer).
-		tx.scanTable, tx.scanName = t, tableName
-		defer func() {
-			tx.scanTable, tx.scanName = nil, ""
-			t.mu.RUnlock()
-		}()
 	}
 	if q == nil {
 		q = NewQuery()
@@ -564,14 +393,6 @@ func (tx *Tx) scan(tableName string, q *Query, fn func(Row) bool) error {
 		if !fn(row) {
 			return false
 		}
-		// fn may have issued operations on this tx; in a writable
-		// transaction a contended out-of-order acquisition voids it and
-		// RELEASES EVERY LOCK — including the one guarding the posting
-		// lists this scan is iterating. Stop immediately, even if fn
-		// swallowed the error and asked to continue.
-		if tx.restart {
-			return false
-		}
 		return q.limit <= 0 || matched < q.limit
 	}
 
@@ -587,35 +408,25 @@ func (tx *Tx) scan(tableName string, q *Query, fn func(Row) bool) error {
 		pok := pi < len(pend)
 		switch {
 		case !cok && !pok:
-			return tx.scanDone()
+			return nil
 		case cok && (!pok || cid < pend[pi]):
 			if !emit(cid) {
-				return tx.scanDone()
+				return nil
 			}
 			driver.next()
 		case pok && (!cok || pend[pi] < cid):
 			if !emit(pend[pi]) {
-				return tx.scanDone()
+				return nil
 			}
 			pi++
 		default: // same id: the pending write supersedes the committed row
 			if !emit(pend[pi]) {
-				return tx.scanDone()
+				return nil
 			}
 			driver.next()
 			pi++
 		}
 	}
-}
-
-// scanDone is every scan exit's result: nil normally, errTxRestart when
-// an operation issued from the emit callback voided the transaction —
-// the scan aborted because its table locks are already released.
-func (tx *Tx) scanDone() error {
-	if tx.restart {
-		return errTxRestart
-	}
-	return nil
 }
 
 // idCursor streams committed row ids in ascending order: the access path

@@ -22,9 +22,9 @@ const (
 )
 
 // walOp is one mutation within a committed transaction. A put carries
-// its row as rowBin, the binary rowcodec form, captured under the
-// table's write lock at enqueue time, so the bytes a frame ships are
-// fixed before any schema upgrade can follow.
+// its row as rowBin, the binary rowcodec form, captured under db.mu at
+// enqueue time, so the bytes a frame ships are fixed before any schema
+// upgrade can follow.
 type walOp struct {
 	Op     string
 	Table  string
@@ -362,9 +362,11 @@ func readOneRecord(br *bufio.Reader, scratch *bytes.Buffer) (walRecord, int64, e
 	return rec, int64(FrameHeaderSize + len(payload)), nil
 }
 
-// applyRecord installs one replayed record into the in-memory state
-// without taking any locks: only Open-time recovery may use it, while
-// the DB is still unpublished and single-threaded.
+// applyRecord installs one record into the in-memory state: a replayed
+// one at Open (the DB is still unpublished and single-threaded), a
+// shipped one on a live follower, or a leader's own CreateTable. Past
+// Open the caller holds db.mu exclusively, so readers observe each
+// replicated transaction atomically, exactly as they would on the leader.
 func (db *DB) applyRecord(rec walRecord) error {
 	if rec.CreateTable != nil {
 		s := *rec.CreateTable
@@ -375,7 +377,7 @@ func (db *DB) applyRecord(rec walRecord) error {
 			// log is trusted — compatibility was checked when the
 			// record was written.
 			if !schemaEqual(t.schema, s) {
-				t.upgradeLocked(s)
+				t.upgrade(s)
 			}
 		} else {
 			db.tables[s.Name] = newTable(s)
@@ -392,79 +394,6 @@ func (db *DB) applyRecord(rec walRecord) error {
 		}
 	}
 	return nil
-}
-
-// applyRecordSynced installs one shipped record on a live follower,
-// taking the same locks a leader-side commit would: a new table
-// registers under the exclusive tables-map lock, everything else applies
-// under the write locks of the record's tables, acquired in canonical
-// sorted-name order. Concurrent readers therefore observe each
-// replicated transaction atomically, exactly as they would on the
-// leader.
-func (db *DB) applyRecordSynced(rec walRecord) error {
-	if rec.CreateTable != nil {
-		s := *rec.CreateTable
-		db.tablesMu.RLock()
-		t := db.tables[s.Name]
-		db.tablesMu.RUnlock()
-		if t == nil {
-			db.tablesMu.Lock()
-			if _, raced := db.tables[s.Name]; !raced {
-				db.tables[s.Name] = newTable(s)
-			}
-			db.tablesMu.Unlock()
-			return nil
-		}
-		t.mu.Lock()
-		if !schemaEqual(t.schema, s) {
-			t.upgradeLocked(s)
-		}
-		t.mu.Unlock()
-		return nil
-	}
-	names := make([]string, 0, 4)
-	for _, op := range rec.Ops {
-		found := false
-		for _, n := range names {
-			if n == op.Table {
-				found = true
-				break
-			}
-		}
-		if !found {
-			names = append(names, op.Table)
-		}
-	}
-	sort.Strings(names)
-	tabs := make([]*table, len(names))
-	for i, name := range names {
-		t, err := db.lookupTable(name)
-		if err != nil {
-			for j := 0; j < i; j++ {
-				tabs[j].mu.Unlock()
-			}
-			return fmt.Errorf("relstore: wal references unknown table %q", name)
-		}
-		t.mu.Lock()
-		tabs[i] = t
-	}
-	var err error
-	for _, op := range rec.Ops {
-		var t *table
-		for i, n := range names {
-			if n == op.Table {
-				t = tabs[i]
-				break
-			}
-		}
-		if err = t.apply(op); err != nil {
-			break
-		}
-	}
-	for i := len(tabs) - 1; i >= 0; i-- {
-		tabs[i].mu.Unlock()
-	}
-	return err
 }
 
 // recoverSegments replays every live segment in order and returns the
@@ -546,54 +475,28 @@ type tableClone struct {
 }
 
 // cloneState captures a snapshot of the in-memory tables plus a commit
-// LSN that covers everything the clone contains. It resolves the table
-// set under one tables-map read lock, releases it, then read-locks
-// every table at once in the canonical sorted-name order writers use.
-// The map lock MUST be dropped before the table locks are taken: a
-// transaction holding a table lock looks names up via tablesMu.RLock,
-// and Go's RWMutex parks new readers behind a pending writer, so
-// holding tablesMu.RLock here while waiting on a table lock could close
-// a cycle through a pending CreateTable (clone waits on the table's
-// writer, the writer's lookup parks behind the pending tablesMu.Lock,
-// the pending writer waits for this reader to drain).
-//
-// Dropping the map lock early is sound for compaction's invariants. The
-// caller rotated before cloning, so any commit in a sealed segment
-// (which the snapshot must contain, because those segments get deleted)
-// was applied — and its table registered — strictly before this
-// function ran; tables created later can only have records in the
-// active segment, which survives and replays idempotently over the
-// snapshot. And because every commit enqueues its record while still
-// holding all its tables' write locks, any commit visible in the clone
-// (read under all table read locks at once) has already enqueued — so
-// reading the LSN after every lock is held counts it, and no
-// multi-table commit is ever seen half-applied.
+// LSN that covers everything the clone contains, under db.mu held shared:
+// every commit enqueues its record before it releases db.mu, so any
+// commit visible in the clone has already enqueued and the LSN counts it,
+// and no commit is ever seen half-applied. Tables are cloned in name
+// order, which is the order the snapshot lists them in.
 func (db *DB) cloneState() ([]tableClone, int64) {
-	db.tablesMu.RLock()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	lsn := db.group.enqueuedLSN()
 	names := make([]string, 0, len(db.tables))
 	for name := range db.tables {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	tabs := make([]*table, len(names))
-	for i, name := range names {
-		tabs[i] = db.tables[name]
-	}
-	db.tablesMu.RUnlock()
-	for _, t := range tabs {
-		t.mu.RLock()
-	}
-	lsn := db.group.enqueuedLSN()
-	clones := make([]tableClone, 0, len(tabs))
-	for _, t := range tabs {
+	clones := make([]tableClone, 0, len(names))
+	for _, name := range names {
+		t := db.tables[name]
 		rows := make(map[string]Row, len(t.rows))
 		for id, row := range t.rows {
 			rows[id] = row
 		}
 		clones = append(clones, tableClone{schema: t.schema, seq: t.seq, rows: rows})
-	}
-	for i := len(tabs) - 1; i >= 0; i-- {
-		tabs[i].mu.RUnlock()
 	}
 	return clones, lsn
 }
@@ -701,8 +604,10 @@ func (db *DB) commitSnapshotTmp(tmp string) error {
 // segment it covers. A missing file yields an empty table set and seq 0
 // (a store that has never compacted). Tables stream row by row through
 // a reused buffer, so peak memory is the restored tables plus O(one
-// encoded row). A file that opens with '{' is a JSON snapshot:
-// ErrLegacyFormat.
+// encoded row); the buffer grows only as row bytes arrive, because the
+// file may come from a leader (FollowerReinit) and a length that lies
+// must cost what the input holds, not what it claims. A file that opens
+// with '{' is a JSON snapshot: ErrLegacyFormat.
 func readSnapshotFile(path string) (map[string]*table, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -728,8 +633,8 @@ func readSnapshotFile(path string) (map[string]*table, int64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("relstore: snapshot: read table count: %w", err)
 	}
-	tables := make(map[string]*table, nTables)
-	var rowBuf []byte
+	tables := make(map[string]*table)
+	var rowBuf bytes.Buffer
 	for i := uint64(0); i < nTables; i++ {
 		schemaLen, err := binary.ReadUvarint(br)
 		if err != nil || schemaLen > 1<<20 {
@@ -758,14 +663,11 @@ func readSnapshotFile(path string) (map[string]*table, int64, error) {
 			if err != nil || rowLen > 1<<30 {
 				return nil, 0, fmt.Errorf("relstore: snapshot: bad row length")
 			}
-			if uint64(cap(rowBuf)) < rowLen {
-				rowBuf = make([]byte, rowLen)
-			}
-			rowBuf = rowBuf[:rowLen]
-			if _, err := io.ReadFull(br, rowBuf); err != nil {
+			rowBuf.Reset()
+			if _, err := io.CopyN(&rowBuf, br, int64(rowLen)); err != nil {
 				return nil, 0, fmt.Errorf("relstore: snapshot: read row: %w", err)
 			}
-			row, err := t.codec.decodeRow(rowBuf)
+			row, err := t.codec.decodeRow(rowBuf.Bytes())
 			if err != nil {
 				return nil, 0, fmt.Errorf("relstore: snapshot: %w", err)
 			}

@@ -65,8 +65,8 @@ func decodeRecord(payload []byte) (walRecord, error) {
 
 // appendBinRecord appends the binary encoding of an ops-only record to
 // dst. Put ops must carry their pre-encoded row bytes (rowBin), captured
-// under the table's lock at enqueue time — the envelope itself is
-// schema-free, so assembling it here, after the locks are released,
+// under the store lock at enqueue time — the envelope itself is
+// schema-free, so assembling it here, after the lock is released,
 // cannot race a schema upgrade. CreateTable records never take this
 // path; they are JSON-framed.
 func appendBinRecord(dst []byte, rec walRecord) ([]byte, error) {
