@@ -128,8 +128,10 @@ func TestSchedulerLifecycleAcrossRestarts(t *testing.T) {
 		t.Fatalf("watchdog after restart: failed=%v err=%v", failed, err)
 	}
 
-	// Stage 4: complete with a result.
-	if err := svc.CompleteJob(j.ID, []byte(`{"throughput": 42}`), nil); err != nil {
+	// Stage 4: complete with a result and the trailing log. They are one
+	// WAL record, so a restart right after finds all of it or none: there
+	// is no state in which a finished job lacks its last log lines.
+	if err := svc.CompleteJobWithLog(j.ID, []byte(`{"throughput": 42}`), nil, "done"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,6 +139,10 @@ func TestSchedulerLifecycleAcrossRestarts(t *testing.T) {
 	got, _ = svc.GetJob(j.ID)
 	if got.Status != core.StatusFinished || got.Progress != 100 {
 		t.Fatalf("after restart 4: %+v", got)
+	}
+	logs, err = svc.JobLogs(j.ID)
+	if err != nil || len(logs) != 2 || logs[1].Text != "done" || logs[1].Seq <= logs[0].Seq {
+		t.Fatalf("logs after restart 4: %v %v", logs, err)
 	}
 	res, err := svc.GetJobResult(j.ID)
 	if err != nil || len(res.JSON) == 0 {

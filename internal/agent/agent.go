@@ -8,6 +8,16 @@
 // Integrating an evaluation client "narrows down to calling already
 // existing methods": implement Runner's five phases and hand a factory to
 // the Agent.
+//
+// What that communication costs Chronos Control is part of the contract.
+// A job is two calls, ClaimJob and then Complete or Fail, and every
+// ReportInterval inside it one Progress; each is one request, one commit
+// and one fsync over REST. Log output costs none of its own: the agent
+// hands it to StageLog and it rides the call that follows — the tick's
+// Progress, the job's Complete or Fail — stored in that call's
+// transaction. The one log with no call after it, the trailing output of
+// an aborted job (the server would refuse a Complete or Fail), goes by
+// AppendLog.
 package agent
 
 import (
@@ -32,15 +42,27 @@ import (
 type Control interface {
 	// ClaimJob requests work for a deployment; job is nil when idle.
 	ClaimJob(deploymentID string) (*core.Job, []params.Definition, error)
-	// Progress reports percent complete and returns the current status.
+	// Progress reports percent complete and returns the current status;
+	// the agent sends one per reporting tick.
 	Progress(jobID string, percent int64) (core.JobStatus, error)
-	// Heartbeat signals liveness and returns the current status.
+	// Heartbeat signals liveness and returns the current status. The agent
+	// itself never calls it: its Progress doubles as the heartbeat.
 	Heartbeat(jobID string) (core.JobStatus, error)
-	// AppendLog streams log output.
+	// StageLog hands over log output that needs no acknowledgement of its
+	// own: it is stored no later than the next Progress, Complete or Fail
+	// for the job returns, ahead of that call's state change and even if
+	// the change is refused. A remote Control sends it inside that call —
+	// no request, commit or fsync of its own — so a caller stages only
+	// when such a call follows. Like AppendLog, at most once: the text is
+	// lost if the call carrying it is.
+	StageLog(jobID, text string)
+	// AppendLog stores log output before it returns, in a round trip of
+	// its own: for output no other call follows (the agent's one such case
+	// is the trailing log of an aborted job).
 	AppendLog(jobID, text string) error
-	// Complete uploads the result.
+	// Complete uploads the result and closes the job.
 	Complete(jobID string, resultJSON, archive []byte) error
-	// Fail reports an execution failure.
+	// Fail reports an execution failure and closes the attempt.
 	Fail(jobID, reason string) error
 }
 
@@ -355,21 +377,28 @@ func (a *Agent) executeJob(parent context.Context, job *core.Job, defs []params.
 
 	close(reporterDone)
 	wg.Wait()
-	// Flush the trailing log only. A Progress here would be one more
-	// durable round trip that changes nothing: Complete sets progress to
-	// 100, and Complete and Fail both refuse a job that is no longer
-	// running, which is all the status answer could have told us.
-	if text := rc.takeLog(); text != "" {
-		a.Control.AppendLog(job.ID, text)
-	}
+	// The trailing log rides the closing call. No Progress here: it would
+	// be one more durable round trip that changes nothing — Complete sets
+	// progress to 100, and Complete and Fail both refuse a job that is no
+	// longer running, which is all the status answer could have told us.
+	text := rc.takeLog()
 
-	if runErr != nil {
-		// An abort is already recorded server-side; anything else fails
-		// the job (and may trigger automatic re-scheduling there). A
+	if errors.Is(runErr, ErrAborted) {
+		// An abort is already recorded server-side and the server would
+		// refuse a closing call, so there is none for the log to ride. A
 		// runner that returns rc.Err() from a phase arrives here wrapped.
-		if !errors.Is(runErr, ErrAborted) {
-			a.Control.Fail(job.ID, runErr.Error())
+		if text != "" {
+			// Nothing is left to do about a failure: the job is closed.
+			_ = a.Control.AppendLog(job.ID, text)
 		}
+		return
+	}
+	if text != "" {
+		a.Control.StageLog(job.ID, text)
+	}
+	if runErr != nil {
+		// Failing the job may trigger automatic re-scheduling server-side.
+		a.Control.Fail(job.ID, runErr.Error())
 		return
 	}
 
@@ -384,11 +413,11 @@ func (a *Agent) executeJob(parent context.Context, job *core.Job, defs []params.
 	}
 }
 
-// report sends buffered logs and current progress; on an abort response
-// it cancels the job context.
+// report sends buffered logs and current progress in one call; on an abort
+// response it cancels the job context.
 func (a *Agent) report(rc *RunContext) {
 	if text := rc.takeLog(); text != "" {
-		a.Control.AppendLog(rc.Job.ID, text)
+		a.Control.StageLog(rc.Job.ID, text)
 	}
 	st, err := a.Control.Progress(rc.Job.ID, rc.currentProgress())
 	if err != nil {
@@ -524,6 +553,13 @@ func (l *LocalControl) Progress(jobID string, percent int64) (core.JobStatus, er
 // Heartbeat implements Control.
 func (l *LocalControl) Heartbeat(jobID string) (core.JobStatus, error) {
 	return l.Svc.Heartbeat(jobID)
+}
+
+// StageLog implements Control. In process there is no round trip to save,
+// so the text is stored at once.
+func (l *LocalControl) StageLog(jobID, text string) {
+	// A missing job or a failed store is reported by the call that follows.
+	_ = l.Svc.AppendJobLog(jobID, text)
 }
 
 // AppendLog implements Control.

@@ -143,6 +143,10 @@ func (r *recordingControl) Heartbeat(id string) (core.JobStatus, error) {
 	r.note("Heartbeat")
 	return r.Control.Heartbeat(id)
 }
+func (r *recordingControl) StageLog(id, text string) {
+	r.note("StageLog")
+	r.Control.StageLog(id, text)
+}
 func (r *recordingControl) AppendLog(id, text string) error {
 	r.note("AppendLog")
 	return r.Control.AppendLog(id, text)
@@ -157,9 +161,10 @@ func (r *recordingControl) Fail(id, reason string) error {
 }
 
 // TestAgentCallSequence pins what a job that ends before the first
-// reporter tick costs the control plane: the claim, one flush of the
-// trailing log and the closing call — no end-of-job Progress, which
-// would be a durable round trip that Complete and Fail make redundant.
+// reporter tick costs the control plane: the claim and the closing call,
+// which the trailing log rides (StageLog is no round trip) — no flush of
+// its own, and no end-of-job Progress, which would be a durable round trip
+// that Complete and Fail make redundant.
 func TestAgentCallSequence(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -167,9 +172,9 @@ func TestAgentCallSequence(t *testing.T) {
 		want   []string
 		status core.JobStatus
 	}{
-		{"finishes", testRunner{}, []string{"ClaimJob", "AppendLog", "Complete"}, core.StatusFinished},
+		{"finishes", testRunner{}, []string{"ClaimJob", "StageLog", "Complete"}, core.StatusFinished},
 		// One failed attempt: the job is re-scheduled for its next one.
-		{"runner error", testRunner{executeErr: fmt.Errorf("disk exploded")}, []string{"ClaimJob", "AppendLog", "Fail"}, core.StatusScheduled},
+		{"runner error", testRunner{executeErr: fmt.Errorf("disk exploded")}, []string{"ClaimJob", "StageLog", "Fail"}, core.StatusScheduled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			svc, depID := setupJobs(t, 1)
@@ -194,6 +199,74 @@ func TestAgentCallSequence(t *testing.T) {
 				t.Fatalf("trailing log not flushed in one chunk: %d chunk(s)", len(logs))
 			}
 		})
+	}
+}
+
+// tickRunner logs, waits in Execute until a reporter tick has reached the
+// control, and logs again.
+type tickRunner struct {
+	testRunner
+	ticked <-chan struct{}
+}
+
+func (r *tickRunner) Execute(rc *RunContext) error {
+	rc.Logf("before the tick")
+	<-r.ticked
+	rc.Logf("after the tick")
+	return nil
+}
+
+// tickControl closes ticked when the first Progress has been answered.
+type tickControl struct {
+	*recordingControl
+	once   sync.Once
+	ticked chan struct{}
+}
+
+func (c *tickControl) Progress(id string, pct int64) (core.JobStatus, error) {
+	st, err := c.recordingControl.Progress(id, pct)
+	c.once.Do(func() { close(c.ticked) })
+	return st, err
+}
+
+// TestAgentReporterTick pins a reporting tick: the log gathered since the
+// last one is staged and rides the tick's Progress — [StageLog, Progress],
+// one round trip — and staged text is always directly followed by a call
+// that carries it.
+func TestAgentReporterTick(t *testing.T) {
+	svc, depID := setupJobs(t, 1)
+	ctl := &tickControl{
+		recordingControl: &recordingControl{Control: &LocalControl{Svc: svc}},
+		ticked:           make(chan struct{}),
+	}
+	a := newAgent(svc, depID, func() Runner { return &tickRunner{ticked: ctl.ticked} })
+	a.Control = ctl
+	a.ReportInterval = 20 * time.Millisecond
+	if worked, err := a.RunOnce(context.Background()); err != nil || !worked {
+		t.Fatalf("RunOnce = %v, %v", worked, err)
+	}
+	calls := ctl.seen()
+	if want := []string{"ClaimJob", "StageLog", "Progress"}; len(calls) < 5 || !reflect.DeepEqual(calls[:3], want) {
+		t.Fatalf("control calls = %v, want %v first", calls, want)
+	}
+	if last := calls[len(calls)-1]; last != "Complete" {
+		t.Fatalf("control calls = %v, want Complete last", calls)
+	}
+	for i, call := range calls[:len(calls)-1] {
+		if next := calls[i+1]; call == "StageLog" && next != "Progress" && next != "Complete" {
+			t.Fatalf("StageLog followed by %s, which carries no log: %v", next, calls)
+		}
+		if call == "AppendLog" {
+			t.Fatalf("a finishing job flushed its log by a call of its own: %v", calls)
+		}
+	}
+	// The tick's chunk comes before the trailing one.
+	evs, _ := svc.ListEvaluations("")
+	jobs, _ := svc.ListJobs(evs[0].ID)
+	logs, _ := svc.JobLogs(jobs[0].ID)
+	if len(logs) < 2 || !strings.Contains(logs[0].Text, "before the tick") ||
+		!strings.Contains(logs[len(logs)-1].Text, "phase "+PhaseClean) {
+		t.Fatalf("chunks out of order: %+v", logs)
 	}
 }
 
@@ -391,6 +464,16 @@ func TestAgentObservesAbort(t *testing.T) {
 	}
 	if ticks == 0 {
 		t.Fatalf("no reporter tick reached the control: %v", rec.seen())
+	}
+	// With no closing call to ride, the trailing log (Clean ran after the
+	// abort) goes by a call of its own, last, and is stored.
+	calls := rec.seen()
+	if last := calls[len(calls)-1]; last != "AppendLog" {
+		t.Fatalf("aborted job's trailing log not sent by AppendLog: %v", calls)
+	}
+	logs, _ := svc.JobLogs(jobID)
+	if len(logs) == 0 || !strings.Contains(logs[len(logs)-1].Text, "phase "+PhaseClean) {
+		t.Fatalf("aborted job's trailing log not stored: %+v", logs)
 	}
 }
 

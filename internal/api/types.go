@@ -191,9 +191,15 @@ type ClaimResponse struct {
 	Parameters []params.Definition `json:"parameters,omitempty"`
 }
 
-// ProgressRequest reports completion percentage.
+// ProgressRequest reports completion percentage. Log, on this and on the
+// complete and fail requests, is agent log output riding the call: the
+// server stores it as one chunk in the call's own transaction, ahead of
+// the state change, and keeps it even when it refuses the state change —
+// what a POST .../log sent just before would have left behind, without
+// the request, the commit and the fsync of its own.
 type ProgressRequest struct {
-	Percent int64 `json:"percent"`
+	Percent int64  `json:"percent"`
+	Log     string `json:"log,omitempty"`
 }
 
 // StatusResponse reports the job's current status after an agent call,
@@ -212,15 +218,18 @@ type LogRequest struct {
 type CompleteRequest struct {
 	ResultJSON []byte `json:"resultJson"`
 	Archive    []byte `json:"archive,omitempty"`
+	Log        string `json:"log,omitempty"`
 }
 
 // FailRequest reports a job failure.
 type FailRequest struct {
 	Reason string `json:"reason"`
+	Log    string `json:"log,omitempty"`
 }
 
-// BatchUpdateRequest is the v2-only combined progress+log+heartbeat call,
-// reducing chatty agents to one request per reporting interval.
+// BatchUpdateRequest is the v2-only combined progress+log+heartbeat call:
+// one request and one transaction per reporting interval. A nil Percent
+// leaves the progress value alone (the heartbeat form).
 type BatchUpdateRequest struct {
 	Percent *int64 `json:"percent,omitempty"`
 	Log     string `json:"log,omitempty"`

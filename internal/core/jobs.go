@@ -196,50 +196,80 @@ func (s *Service) ClaimJob(deploymentID string) (job *Job, ok bool, err error) {
 	return job, ok, nil
 }
 
-// Progress records an agent's progress update (0-100) and doubles as a
-// heartbeat. It returns the job's current status so agents observe aborts
-// promptly.
-func (s *Service) Progress(jobID string, percent int64) (JobStatus, error) {
-	if percent < 0 {
-		percent = 0
-	}
-	if percent > 100 {
-		percent = 100
-	}
-	var status JobStatus
+// jobCall is the shape of every agent call about one claimed job: load
+// the job, store the log output the call carried, then make the call's own
+// change — one transaction, so one commit and one fsync, and the log is
+// durable exactly when the change is. A change refused for the job's state
+// (ErrInvalidTransition: it was aborted, or is no longer running) still
+// commits the log and still answers the refusal, which is what the agent
+// would have got had the log arrived by a request of its own just before.
+// change must therefore check before it writes.
+func (s *Service) jobCall(jobID, log string, change func(tx *relstore.Tx, j *Job) error) error {
+	var refused error
 	err := s.store.db.Update(func(tx *relstore.Tx) error {
 		j, err := s.store.GetJob(tx, jobID)
 		if err != nil {
 			return mapNotFound(err)
 		}
+		if log != "" {
+			if err := s.appendLog(tx, jobID, log); err != nil {
+				return err
+			}
+		}
+		err = change(tx, j)
+		if errors.Is(err, ErrInvalidTransition) {
+			refused, err = err, nil
+		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	return refused
+}
+
+// appendLog stores text as the job's next log chunk inside tx: the one
+// place a chunk is written, whichever call brought it.
+func (s *Service) appendLog(tx *relstore.Tx, jobID, text string) error {
+	n, err := tx.NextSeq(tableLogs)
+	if err != nil {
+		return err
+	}
+	return s.store.AppendLog(tx, &LogChunk{JobID: jobID, Seq: n, Text: text, Time: s.now()})
+}
+
+// UpdateJob is the agent's mid-job report, everything it has to say in
+// one transaction: log output since the last report (none when empty), the
+// progress value (0-100; nil leaves it alone) and, with either, a
+// heartbeat. It returns the job's current status so agents observe aborts
+// promptly; a job that is no longer running keeps the log and is otherwise
+// left untouched.
+func (s *Service) UpdateJob(jobID string, percent *int64, log string) (JobStatus, error) {
+	var status JobStatus
+	err := s.jobCall(jobID, log, func(tx *relstore.Tx, j *Job) error {
 		status = j.Status
 		if j.Status != StatusRunning {
 			return nil // job was aborted/failed meanwhile; just report
 		}
-		j.Progress = percent
+		if percent != nil {
+			j.Progress = min(max(*percent, 0), 100)
+		}
 		j.Heartbeat = s.now()
 		return s.store.PutJob(tx, j)
 	})
 	return status, err
 }
 
+// Progress records an agent's progress update (0-100) and doubles as a
+// heartbeat.
+func (s *Service) Progress(jobID string, percent int64) (JobStatus, error) {
+	return s.UpdateJob(jobID, &percent, "")
+}
+
 // Heartbeat refreshes the agent liveness timestamp without touching the
-// progress value, and reports the job's current status.
+// progress value.
 func (s *Service) Heartbeat(jobID string) (JobStatus, error) {
-	var status JobStatus
-	err := s.store.db.Update(func(tx *relstore.Tx) error {
-		j, err := s.store.GetJob(tx, jobID)
-		if err != nil {
-			return mapNotFound(err)
-		}
-		status = j.Status
-		if j.Status != StatusRunning {
-			return nil
-		}
-		j.Heartbeat = s.now()
-		return s.store.PutJob(tx, j)
-	})
-	return status, err
+	return s.UpdateJob(jobID, nil, "")
 }
 
 // AppendJobLog stores a chunk of agent log output (paper §2.2: the agent
@@ -249,11 +279,7 @@ func (s *Service) AppendJobLog(jobID, text string) error {
 		if _, err := s.store.GetJob(tx, jobID); err != nil {
 			return mapNotFound(err)
 		}
-		n, err := tx.NextSeq(tableLogs)
-		if err != nil {
-			return err
-		}
-		return s.store.AppendLog(tx, &LogChunk{JobID: jobID, Seq: n, Text: text, Time: s.now()})
+		return s.appendLog(tx, jobID, text)
 	})
 }
 
@@ -282,11 +308,14 @@ func (s *Service) JobTimeline(jobID string) ([]*Event, error) {
 // CompleteJob records a successful run with its result (JSON + optional
 // zip archive).
 func (s *Service) CompleteJob(jobID string, resultJSON, archive []byte) error {
-	return s.store.db.Update(func(tx *relstore.Tx) error {
-		j, err := s.store.GetJob(tx, jobID)
-		if err != nil {
-			return mapNotFound(err)
-		}
+	return s.CompleteJobWithLog(jobID, resultJSON, archive, "")
+}
+
+// CompleteJobWithLog is CompleteJob carrying the job's trailing log output:
+// the chunk is stored ahead of the result in the same transaction, so a
+// finished job never lacks its last log lines.
+func (s *Service) CompleteJobWithLog(jobID string, resultJSON, archive []byte, log string) error {
+	return s.jobCall(jobID, log, func(tx *relstore.Tx, j *Job) error {
 		if err := s.transition(tx, j, StatusFinished); err != nil {
 			return err
 		}
@@ -311,7 +340,13 @@ func (s *Service) CompleteJob(jobID string, resultJSON, archive []byte) error {
 // exhausted the job is automatically re-scheduled (requirement iii:
 // automated failure handling and recovery).
 func (s *Service) FailJob(jobID, reason string) error {
-	return s.failJob(jobID, reason, EventFailed, nil)
+	return s.failJob(jobID, reason, "", EventFailed, nil)
+}
+
+// FailJobWithLog is FailJob carrying the job's trailing log output, stored
+// ahead of the failure in the same transaction.
+func (s *Service) FailJobWithLog(jobID, reason, log string) error {
+	return s.failJob(jobID, reason, log, EventFailed, nil)
 }
 
 // errPreconditionChanged reports that a guarded failJob observed a job
@@ -325,12 +360,8 @@ var errPreconditionChanged = errors.New("core: job state changed before fail")
 // returned. This closes the watchdog's scan-then-fail race: a job whose
 // agent heartbeats between the stale scan and the fail transaction is
 // never killed.
-func (s *Service) failJob(jobID, reason string, kind EventKind, guard func(*Job) bool) error {
-	return s.store.db.Update(func(tx *relstore.Tx) error {
-		j, err := s.store.GetJob(tx, jobID)
-		if err != nil {
-			return mapNotFound(err)
-		}
+func (s *Service) failJob(jobID, reason, log string, kind EventKind, guard func(*Job) bool) error {
+	return s.jobCall(jobID, log, func(tx *relstore.Tx, j *Job) error {
 		if guard != nil && !guard(j) {
 			return errPreconditionChanged
 		}
@@ -496,7 +527,7 @@ func (s *Service) CheckHeartbeats() ([]string, error) {
 	var failed []string
 	reason := fmt.Sprintf("agent heartbeat lost (timeout %v)", s.HeartbeatTimeout)
 	for _, id := range stale {
-		err := s.failJob(id, reason, EventHeartbeatLost, func(j *Job) bool {
+		err := s.failJob(id, reason, "", EventHeartbeatLost, func(j *Job) bool {
 			return j.Status == StatusRunning && j.Heartbeat.Before(cutoff)
 		})
 		switch {

@@ -428,7 +428,7 @@ func TestWatchdogScanThenFailRace(t *testing.T) {
 	if _, err := svc.Heartbeat(j.ID); err != nil {
 		t.Fatal(err)
 	}
-	err := svc.failJob(j.ID, "agent heartbeat lost", EventHeartbeatLost, func(j *Job) bool {
+	err := svc.failJob(j.ID, "agent heartbeat lost", "", EventHeartbeatLost, func(j *Job) bool {
 		return j.Status == StatusRunning && j.Heartbeat.Before(cutoff)
 	})
 	if !errors.Is(err, errPreconditionChanged) {
@@ -445,7 +445,7 @@ func TestWatchdogScanThenFailRace(t *testing.T) {
 	if err := svc.CompleteJob(j.ID, []byte(`{}`), nil); err != nil {
 		t.Fatal(err)
 	}
-	err = svc.failJob(j.ID, "agent heartbeat lost", EventHeartbeatLost, func(j *Job) bool {
+	err = svc.failJob(j.ID, "agent heartbeat lost", "", EventHeartbeatLost, func(j *Job) bool {
 		return j.Status == StatusRunning && j.Heartbeat.Before(cutoff)
 	})
 	if !errors.Is(err, errPreconditionChanged) {

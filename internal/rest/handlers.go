@@ -122,7 +122,7 @@ func jobStatus(st core.JobStatus, err error) (api.StatusResponse, error) {
 }
 
 func (s *Server) progress(id string, q api.ProgressRequest) (api.StatusResponse, error) {
-	return jobStatus(s.svc.Progress(id, q.Percent))
+	return jobStatus(s.svc.UpdateJob(id, &q.Percent, q.Log))
 }
 
 func (s *Server) heartbeat(id string) (api.StatusResponse, error) {
@@ -134,25 +134,18 @@ func (s *Server) appendLog(id string, q api.LogRequest) (string, error) {
 }
 
 func (s *Server) complete(id string, q api.CompleteRequest) (string, error) {
-	return "completed", s.svc.CompleteJob(id, q.ResultJSON, q.Archive)
+	return "completed", s.svc.CompleteJobWithLog(id, q.ResultJSON, q.Archive, q.Log)
 }
 
 func (s *Server) failJob(id string, q api.FailRequest) (string, error) {
-	return "failed", s.svc.FailJob(id, q.Reason)
+	return "failed", s.svc.FailJobWithLog(id, q.Reason, q.Log)
 }
 
-// batchUpdate is v2's combined agent call: an optional log chunk, then
-// progress when a percentage is given and a bare heartbeat otherwise.
+// batchUpdate is v2's combined agent call — an optional log chunk, progress
+// when a percentage is given and a bare heartbeat otherwise — in the one
+// transaction progress itself is.
 func (s *Server) batchUpdate(id string, q api.BatchUpdateRequest) (api.StatusResponse, error) {
-	if q.Log != "" {
-		if err := s.svc.AppendJobLog(id, q.Log); err != nil {
-			return api.StatusResponse{}, err
-		}
-	}
-	if q.Percent != nil {
-		return jobStatus(s.svc.Progress(id, *q.Percent))
-	}
-	return jobStatus(s.svc.Heartbeat(id))
+	return jobStatus(s.svc.UpdateJob(id, q.Percent, q.Log))
 }
 
 // --- handlers with logic of their own ---

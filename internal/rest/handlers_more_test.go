@@ -4,13 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"chronos/internal/api"
 	"chronos/internal/core"
+	"chronos/internal/metrics"
 	"chronos/internal/params"
+	"chronos/internal/relstore"
 	"chronos/pkg/client"
 )
 
@@ -324,5 +330,141 @@ func TestJobPhasesEmptyForStaticResult(t *testing.T) {
 	}
 	if len(phases) != 0 {
 		t.Fatalf("static job has phases: %+v", phases)
+	}
+}
+
+// countedFixture is a control server over a disk-backed store whose commits
+// are counted, with one evaluation of four jobs scheduled.
+func countedFixture(t *testing.T) (f *fixture, commits *metrics.Counter, depID string) {
+	t.Helper()
+	reg := metrics.NewRegistry()
+	db, err := relstore.Open(t.TempDir(), &relstore.Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	svc, err := core.NewService(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f = &fixture{svc: svc, server: NewServer(svc)}
+	f.server.Logger = log.New(io.Discard, "", 0)
+	f.ts = httptest.NewServer(f.server.Handler())
+	t.Cleanup(f.ts.Close)
+	u, _ := svc.CreateUser("u", core.RoleAdmin)
+	p, _ := svc.CreateProject("p", "", u.ID, nil)
+	sys, _ := svc.RegisterSystem("mongodb", "", mongoDefs(), nil)
+	dep, _ := svc.CreateDeployment(sys.ID, "d", "", "")
+	exp, err := svc.CreateExperiment(p.ID, sys.ID, "e", "", map[string][]params.Value{
+		"threads": {params.Int(1), params.Int(2), params.Int(3), params.Int(4)},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := svc.CreateEvaluation(exp.ID); err != nil {
+		t.Fatal(err)
+	}
+	return f, reg.Counter("chronos_store_commits_total", ""), dep.ID
+}
+
+// TestBatchUpdateIsOneTransaction: v2's combined call stores its log chunk
+// and its progress in one commit (it was AppendJobLog and then Progress —
+// two commits, two fsyncs, and a store error between them left the log
+// without the heartbeat).
+func TestBatchUpdateIsOneTransaction(t *testing.T) {
+	f, commits, depID := countedFixture(t)
+	j, _, err := f.svc.ClaimJob(depID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := commits.Value()
+	code, body := f.raw(t, http.MethodPost, "/api/v2/jobs/"+j.ID+"/update", `{"percent":30,"log":"batched\n"}`)
+	if code != http.StatusOK || !strings.Contains(body, `"running"`) {
+		t.Fatalf("update: %d %s", code, body)
+	}
+	if got := commits.Value() - before; got != 1 {
+		t.Fatalf("batch with log and percent made %d commits, want 1", got)
+	}
+	got, _ := f.svc.GetJob(j.ID)
+	logs, _ := f.svc.JobLogs(j.ID)
+	if got.Progress != 30 || len(logs) != 1 || logs[0].Text != "batched\n" {
+		t.Fatalf("progress = %d, chunks = %+v", got.Progress, logs)
+	}
+
+	// A batch aimed at a missing job stores nothing.
+	before = commits.Value()
+	if code, body := f.raw(t, http.MethodPost, "/api/v2/jobs/job-999999999/update", `{"percent":30,"log":"lost\n"}`); code != http.StatusNotFound {
+		t.Fatalf("update on a missing job: %d %s", code, body)
+	}
+	if got := commits.Value() - before; got != 0 {
+		t.Fatalf("batch on a missing job made %d commit(s)", got)
+	}
+
+	// The heartbeat-only form: no percent, no log, progress untouched.
+	hb := got.Heartbeat
+	time.Sleep(2 * time.Millisecond) // the store keeps milliseconds
+	if code, body := f.raw(t, http.MethodPost, "/api/v2/jobs/"+j.ID+"/update", `{}`); code != http.StatusOK {
+		t.Fatalf("heartbeat-only update: %d %s", code, body)
+	}
+	got, _ = f.svc.GetJob(j.ID)
+	if !got.Heartbeat.After(hb) || got.Progress != 30 {
+		t.Fatalf("heartbeat-only update: heartbeat %v -> %v, progress %d", hb, got.Heartbeat, got.Progress)
+	}
+	if logs, _ := f.svc.JobLogs(j.ID); len(logs) != 1 {
+		t.Fatalf("heartbeat-only update stored a chunk: %d", len(logs))
+	}
+}
+
+// TestLogFieldOnAgentCalls pins the optional log field of progress,
+// complete and fail on both API versions: stored in the call's own commit,
+// and kept by a call the state machine refuses.
+func TestLogFieldOnAgentCalls(t *testing.T) {
+	for _, v := range APIVersions {
+		t.Run(v, func(t *testing.T) {
+			f, commits, depID := countedFixture(t)
+			post := func(id, call, body string, want int) {
+				t.Helper()
+				before := commits.Value()
+				if code, resp := f.raw(t, http.MethodPost, "/api/"+v+"/jobs/"+id+"/"+call, body); code != want {
+					t.Fatalf("%s: %d %s, want %d", call, code, resp, want)
+				}
+				if got := commits.Value() - before; got != 1 {
+					t.Fatalf("%s made %d commits, want 1", call, got)
+				}
+			}
+			texts := func(id string) (out []string) {
+				logs, _ := f.svc.JobLogs(id)
+				for _, c := range logs {
+					out = append(out, c.Text)
+				}
+				return out
+			}
+			// All three claimed up front: a failed job is re-scheduled and
+			// would be handed out again.
+			done, _, _ := f.svc.ClaimJob(depID)
+			failed, _, _ := f.svc.ClaimJob(depID)
+			aborted, _, _ := f.svc.ClaimJob(depID)
+			post(done.ID, "progress", `{"percent":50,"log":"tick\n"}`, http.StatusOK)
+			post(done.ID, "complete", `{"resultJson":"eyJ2IjoxfQ==","log":"tail\n"}`, http.StatusOK)
+			if got := texts(done.ID); !reflect.DeepEqual(got, []string{"tick\n", "tail\n"}) {
+				t.Fatalf("finished job's chunks = %q", got)
+			}
+			if j, _ := f.svc.GetJob(done.ID); j.Status != core.StatusFinished {
+				t.Fatalf("job is %s", j.Status)
+			}
+
+			post(failed.ID, "fail", `{"reason":"boom","log":"why\n"}`, http.StatusOK)
+			if got := texts(failed.ID); !reflect.DeepEqual(got, []string{"why\n"}) {
+				t.Fatalf("failed job's chunks = %q", got)
+			}
+
+			if err := f.svc.AbortJob(aborted.ID); err != nil {
+				t.Fatal(err)
+			}
+			post(aborted.ID, "complete", `{"resultJson":"eyJ2IjoxfQ==","log":"last words\n"}`, http.StatusConflict)
+			if got := texts(aborted.ID); !reflect.DeepEqual(got, []string{"last words\n"}) {
+				t.Fatalf("refused complete's chunks = %q", got)
+			}
+		})
 	}
 }

@@ -28,7 +28,6 @@ type Client struct {
 	baseURL    string
 	version    string
 	httpClient *http.Client
-	token      string // session bearer token
 	agentToken string // shared agent token
 	replToken  string // replication token (opens GET /metrics)
 
@@ -39,8 +38,10 @@ type Client struct {
 	retryMax   time.Duration // backoff cap
 
 	mu         sync.Mutex
+	token      string          // session bearer token
 	session    api.CommitToken // newest commit position seen (the ratchet)
 	hasSession bool
+	staged     map[string]string // job id -> log text waiting for that job's next call (StageLog)
 }
 
 // Option customises a Client.
@@ -75,6 +76,7 @@ func NewClient(baseURL string, opts ...Option) *Client {
 		retries:    3,
 		retryBase:  100 * time.Millisecond,
 		retryMax:   2 * time.Second,
+		staged:     make(map[string]string),
 	}
 	for _, o := range opts {
 		o(c)
@@ -86,7 +88,11 @@ func NewClient(baseURL string, opts ...Option) *Client {
 func (c *Client) Version() string { return c.version }
 
 // SetSessionToken installs a bearer token obtained via Login.
-func (c *Client) SetSessionToken(tok string) { c.token = tok }
+func (c *Client) SetSessionToken(tok string) {
+	c.mu.Lock()
+	c.token = tok
+	c.mu.Unlock()
+}
 
 // do routes one logical API call: mutations to the leader, idempotent
 // GETs through the retrying read path with leader fallback (session.go).
@@ -126,7 +132,7 @@ func (c *Client) Login(user, password string) error {
 	if err := c.do(http.MethodPost, "/login", api.LoginRequest{User: user, Password: password}, &out); err != nil {
 		return err
 	}
-	c.token = out.Token
+	c.SetSessionToken(out.Token)
 	return nil
 }
 
@@ -311,6 +317,12 @@ func (c *Client) JobTimeline(id string) ([]*core.Event, error) {
 }
 
 // --- agent API (implements agent.Control) ---
+//
+// An agent's steady state is two requests per job, ClaimJob and Complete
+// (or Fail), plus one Progress per reporting tick: log output handed to
+// StageLog rides whichever of Progress, Complete or Fail comes next for
+// that job and costs no request of its own. AppendLog is the call for log
+// output nothing follows, and for callers that read the log back.
 
 // ClaimJob asks for work on behalf of a deployment. Job is nil when the
 // queue is empty. With API v2 the response includes the system's
@@ -334,10 +346,37 @@ func (c *Client) ClaimJob(deploymentID string) (*core.Job, []params.Definition, 
 	return out.Job, out.Parameters, nil
 }
 
+// StageLog holds log output for jobID until the job's next Progress,
+// Complete or Fail, which carries it in its log field: the server stores
+// it in that call's transaction, ahead of the state change, and keeps it
+// even when it refuses the change. It issues no request and needs no
+// acknowledgement — the text is stored no later than that next call
+// returns. Text staged twice before one call arrives concatenated, in
+// order; text staged for one job never rides another job's call. Delivery
+// is at most once, as AppendLog's is: the text leaves the client with the
+// request, and a request lost in transit takes it along.
+func (c *Client) StageLog(jobID, text string) {
+	if text == "" {
+		return
+	}
+	c.mu.Lock()
+	c.staged[jobID] += text
+	c.mu.Unlock()
+}
+
+// takeStaged removes and returns the log output staged for jobID.
+func (c *Client) takeStaged(jobID string) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	text := c.staged[jobID]
+	delete(c.staged, jobID)
+	return text
+}
+
 // Progress reports completion percentage; the returned status lets the
 // agent observe aborts.
 func (c *Client) Progress(jobID string, percent int64) (core.JobStatus, error) {
-	out, err := call[api.StatusResponse](c, http.MethodPost, "/jobs/"+jobID+"/progress", api.ProgressRequest{Percent: percent})
+	out, err := call[api.StatusResponse](c, http.MethodPost, "/jobs/"+jobID+"/progress", api.ProgressRequest{Percent: percent, Log: c.takeStaged(jobID)})
 	return out.Status, err
 }
 
@@ -347,19 +386,20 @@ func (c *Client) Heartbeat(jobID string) (core.JobStatus, error) {
 	return out.Status, err
 }
 
-// AppendLog streams a chunk of log output.
+// AppendLog streams a chunk of log output in a request of its own: when
+// it returns nil the chunk is stored and JobLogs shows it.
 func (c *Client) AppendLog(jobID, text string) error {
 	return c.do(http.MethodPost, "/jobs/"+jobID+"/log", api.LogRequest{Text: text}, nil)
 }
 
 // Complete uploads the job result.
 func (c *Client) Complete(jobID string, resultJSON, archive []byte) error {
-	return c.do(http.MethodPost, "/jobs/"+jobID+"/complete", api.CompleteRequest{ResultJSON: resultJSON, Archive: archive}, nil)
+	return c.do(http.MethodPost, "/jobs/"+jobID+"/complete", api.CompleteRequest{ResultJSON: resultJSON, Archive: archive, Log: c.takeStaged(jobID)}, nil)
 }
 
 // Fail reports job failure.
 func (c *Client) Fail(jobID, reason string) error {
-	return c.do(http.MethodPost, "/jobs/"+jobID+"/fail", api.FailRequest{Reason: reason}, nil)
+	return c.do(http.MethodPost, "/jobs/"+jobID+"/fail", api.FailRequest{Reason: reason, Log: c.takeStaged(jobID)}, nil)
 }
 
 // BatchUpdate is the v2-only combined progress/log/heartbeat call.

@@ -203,8 +203,11 @@ func (c *Client) roundTrip(method, url string, body any) (int, []byte, error) {
 // id — a retried read is two requests and shows up as two traces, which
 // is what an operator correlating server logs wants to see.
 func (c *Client) setHeaders(req *http.Request) {
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
+	c.mu.Lock()
+	token, session, hasSession := c.token, c.session, c.hasSession
+	c.mu.Unlock()
+	if token != "" {
+		req.Header.Set("Authorization", "Bearer "+token)
 	}
 	if c.agentToken != "" {
 		req.Header.Set("X-Chronos-Agent-Token", c.agentToken)
@@ -213,10 +216,8 @@ func (c *Client) setHeaders(req *http.Request) {
 		req.Header.Set(api.HeaderReplToken, c.replToken)
 	}
 	req.Header.Set(api.HeaderTrace, httputil.MintTraceID())
-	if req.Method == http.MethodGet {
-		if tok, ok := c.LastCommit(); ok {
-			req.Header.Set(api.HeaderReadAfter, tok.String())
-		}
+	if req.Method == http.MethodGet && hasSession {
+		req.Header.Set(api.HeaderReadAfter, session.String())
 	}
 }
 
