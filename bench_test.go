@@ -472,7 +472,7 @@ func BenchmarkRelstoreSelect(b *testing.B) {
 		{Name: "id", Type: relstore.TString},
 		{Name: "status", Type: relstore.TString, Indexed: true},
 		{Name: "shard", Type: relstore.TString, Indexed: true},
-		{Name: "v", Type: relstore.TInt, Ordered: true},
+		{Name: "v", Type: relstore.TInt},
 	}}
 	if err := db.CreateTable(schema); err != nil {
 		b.Fatal(err)
@@ -541,24 +541,8 @@ func BenchmarkRelstoreSelect(b *testing.B) {
 		}
 		return err
 	})
-	// Range predicates over the ordered column: a narrow slice in the
-	// middle of the table (0.5% selectivity), the same slice under
-	// Limit(1) — the watchdog/claim pattern, expected depth-independent —
-	// and a range composed with an indexed equality.
-	run("range-slice", func(tx *relstore.Tx) error {
-		rows, err := tx.Select("t", relstore.NewQuery().Ge("v", int64(5000)).Lt("v", int64(5050)))
-		if err == nil && len(rows) != 50 {
-			return fmt.Errorf("got %d rows", len(rows))
-		}
-		return err
-	})
-	run("range-limit1", func(tx *relstore.Tx) error {
-		rows, err := tx.Select("t", relstore.NewQuery().Ge("v", int64(5000)).Lt("v", int64(5005)).Limit(1))
-		if err == nil && len(rows) != 1 {
-			return fmt.Errorf("got %d rows", len(rows))
-		}
-		return err
-	})
+	// The watchdog's shape: an indexed equality drives (100 rows) and a
+	// range predicate filters the rows it resolves.
 	run("range-intersect-eq", func(tx *relstore.Tx) error {
 		rows, err := tx.Select("t", relstore.NewQuery().Eq("status", "hot").Ge("v", int64(5000)).Lt("v", int64(5200)))
 		if err == nil && len(rows) != 2 {
@@ -628,11 +612,12 @@ func benchSchedulerClaim(b *testing.B, depth int) {
 }
 
 // BenchmarkCheckHeartbeats measures the watchdog at different running-job
-// counts with a fixed number of stale agents. With the heartbeat column's
-// ordered index the stale scan is an indexed range slice — the cost per
-// sweep tracks the stale count (here constant at 8), not the running-job
-// total, so ns/op should stay flat from 1k to 10k running jobs. The seed
-// path decoded every running job's JSON per sweep and grew linearly.
+// counts with a fixed number of stale agents (8). A sweep walks the
+// status index's running list and compares each row's scalar heartbeat
+// with the cutoff, so ns/op is a fixed part — failing and rescheduling
+// the 8 stale jobs, ~0.2 ms — plus ~0.16 µs per running job: ~0.3 ms at
+// 1k, ~1.8 ms at 10k on the 2-vCPU box. The scan decodes no job JSON;
+// the seed path did, and read 8 ms and 101 ms here.
 func BenchmarkCheckHeartbeats(b *testing.B) {
 	const staleCount = 8
 	for _, running := range []int{1000, 10000} {

@@ -106,7 +106,8 @@ const (
 )
 
 // ErrAborted is returned by RunContext.Err when Chronos Control aborted
-// the job; runners should return promptly once set.
+// the job or the agent itself is being stopped; runners should return
+// promptly once set.
 var ErrAborted = fmt.Errorf("agent: job aborted by chronos control")
 
 // RunContext carries everything a Runner needs during one job.
@@ -135,7 +136,8 @@ func (rc *RunContext) Params() params.Assignment { return rc.Job.Params }
 // Context returns a context cancelled when the job is aborted.
 func (rc *RunContext) Context() context.Context { return rc.ctx }
 
-// Err returns ErrAborted once the job has been aborted.
+// Err returns ErrAborted once the job's context is cancelled: by an abort
+// or by the agent stopping.
 func (rc *RunContext) Err() error {
 	if rc.ctx.Err() != nil {
 		return ErrAborted
@@ -383,15 +385,25 @@ func (a *Agent) executeJob(parent context.Context, job *core.Job, defs []params.
 	// longer running, which is all the status answer could have told us.
 	text := rc.takeLog()
 
+	// The job's context was cancelled; a runner that returns rc.Err() from
+	// a phase arrives here wrapped.
 	if errors.Is(runErr, ErrAborted) {
-		// An abort is already recorded server-side and the server would
-		// refuse a closing call, so there is none for the log to ride. A
-		// runner that returns rc.Err() from a phase arrives here wrapped.
-		if text != "" {
-			// Nothing is left to do about a failure: the job is closed.
-			_ = a.Control.AppendLog(job.ID, text)
+		if parent.Err() == nil {
+			// The server aborted the job: the abort is recorded there and
+			// a closing call would be refused, so there is none for the
+			// log to ride.
+			if text != "" {
+				// Nothing is left to do about a failure: the job is closed.
+				_ = a.Control.AppendLog(job.ID, text)
+			}
+			return
 		}
-		return
+		// The agent itself is being stopped (SIGINT/SIGTERM, Run's ctx) and
+		// the server knows nothing of it. Close the attempt now — the same
+		// attempt the watchdog would spend — instead of leaving the job
+		// running until its heartbeat times out. Had the job been aborted
+		// as well, the Fail is refused and still stores the log it carries.
+		runErr = fmt.Errorf("agent stopped: %w", parent.Err())
 	}
 	if text != "" {
 		a.Control.StageLog(job.ID, text)

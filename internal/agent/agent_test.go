@@ -26,6 +26,7 @@ type testRunner struct {
 	panicIn    string
 	slow       time.Duration
 	slowIn     string // the one phase slow applies to; empty: every phase
+	stop       func() // called on entering Execute, when set
 	result     map[string]any
 	phases     []string
 }
@@ -55,6 +56,9 @@ func (r *testRunner) Prepare(rc *RunContext) error {
 func (r *testRunner) WarmUp(rc *RunContext) error { return r.phase(rc, PhaseWarmUp) }
 func (r *testRunner) Execute(rc *RunContext) error {
 	rc.SetProgress(50)
+	if r.stop != nil {
+		r.stop()
+	}
 	if err := r.phase(rc, PhaseExecute); err != nil {
 		return err
 	}
@@ -164,25 +168,39 @@ func (r *recordingControl) Fail(id, reason string) error {
 // reporter tick costs the control plane: the claim and the closing call,
 // which the trailing log rides (StageLog is no round trip) — no flush of
 // its own, and no end-of-job Progress, which would be a durable round trip
-// that Complete and Fail make redundant.
+// that Complete and Fail make redundant. An agent stopped mid-job (its
+// own context cancelled: SIGTERM) closes the attempt the same way — the
+// server has recorded no abort, so without the Fail the job would sit
+// running until the watchdog's heartbeat timeout.
 func TestAgentCallSequence(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		runner testRunner
+		stop   bool // cancel RunOnce's context on entering Execute
 		want   []string
 		status core.JobStatus
+		reason string
 	}{
-		{"finishes", testRunner{}, []string{"ClaimJob", "StageLog", "Complete"}, core.StatusFinished},
+		{"finishes", testRunner{}, false, []string{"ClaimJob", "StageLog", "Complete"}, core.StatusFinished, ""},
 		// One failed attempt: the job is re-scheduled for its next one.
-		{"runner error", testRunner{executeErr: fmt.Errorf("disk exploded")}, []string{"ClaimJob", "StageLog", "Fail"}, core.StatusScheduled},
+		{"runner error", testRunner{executeErr: fmt.Errorf("disk exploded")}, false, []string{"ClaimJob", "StageLog", "Fail"}, core.StatusScheduled, "disk exploded"},
+		{"agent stopped", testRunner{slow: time.Minute, slowIn: PhaseExecute}, true, []string{"ClaimJob", "StageLog", "Fail"}, core.StatusScheduled, "agent stopped"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			svc, depID := setupJobs(t, 1)
 			rec := &recordingControl{Control: &LocalControl{Svc: svc}}
-			a := newAgent(svc, depID, func() Runner { r := tc.runner; return &r })
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			a := newAgent(svc, depID, func() Runner {
+				r := tc.runner
+				if tc.stop {
+					r.stop = cancel
+				}
+				return &r
+			})
 			a.Control = rec
 			a.ReportInterval = time.Hour // no reporter tick inside the job
-			if worked, err := a.RunOnce(context.Background()); err != nil || !worked {
+			if worked, err := a.RunOnce(ctx); err != nil || !worked {
 				t.Fatalf("RunOnce = %v, %v", worked, err)
 			}
 			if got := rec.seen(); !reflect.DeepEqual(got, tc.want) {
@@ -198,6 +216,17 @@ func TestAgentCallSequence(t *testing.T) {
 			if len(logs) != 1 || !strings.Contains(logs[0].Text, "phase "+PhaseClean) {
 				t.Fatalf("trailing log not flushed in one chunk: %d chunk(s)", len(logs))
 			}
+			if tc.reason == "" {
+				return
+			}
+			// A failed attempt's timeline says why.
+			events, _ := svc.JobTimeline(jobs[0].ID)
+			for _, ev := range events {
+				if ev.Kind == core.EventFailed && strings.Contains(ev.Message, tc.reason) {
+					return
+				}
+			}
+			t.Fatalf("no failed event says %q: %+v", tc.reason, events)
 		})
 	}
 }

@@ -497,13 +497,13 @@ func (s *Service) EvaluationStatusOf(evaluationID string) (EvaluationStatus, err
 // watchdog calls this periodically; tests call it directly with a manual
 // clock.
 //
-// The stale scan is an indexed range query — status=running AND
-// heartbeat < cutoff — over the jobs table's ordered heartbeat column,
-// so its cost is O(stale), independent of how many jobs are running and
-// with no per-job JSON decoding. Each stale id is then failed in its own
-// transaction that re-checks the job's status and heartbeat: a job that
-// finishes, aborts or heartbeats between the scan and the fail is left
-// alone.
+// The stale scan — status=running AND heartbeat < cutoff — walks the
+// status index's running list and compares the scalar heartbeat column
+// of each row: O(running), which is the number of agents working at that
+// moment, with no per-job JSON decoding. Each stale id is then failed in
+// its own transaction that re-checks the job's status and heartbeat: a
+// job that finishes, aborts or heartbeats between the scan and the fail
+// is left alone.
 func (s *Service) CheckHeartbeats() ([]string, error) {
 	if s.met != nil {
 		start := time.Now()

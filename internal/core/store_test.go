@@ -121,9 +121,8 @@ func TestTimestampsAreUTCAndTruncated(t *testing.T) {
 
 // TestNewStoreUpgradesOldJobsTable simulates a store whose jobs table
 // predates the scalar heartbeat column: NewStore must upgrade the schema
-// in place — the old row survives, and the new ordered column is live,
-// so a job written through it is found by the watchdog's indexed stale
-// scan.
+// in place — the old row survives, and the new column is live, so a job
+// written through it is found by the watchdog's stale scan.
 func TestNewStoreUpgradesOldJobsTable(t *testing.T) {
 	db := relstore.OpenMemory()
 	oldJobs := relstore.Schema{Name: "jobs", Key: "id", Columns: []relstore.Column{
@@ -176,8 +175,7 @@ func TestNewStoreUpgradesOldJobsTable(t *testing.T) {
 
 // TestHeartbeatColumnOnlyWhileRunning: the scalar heartbeat column must
 // exist exactly while the job runs — scheduled and terminal rows leave
-// the ordered index so the watchdog's stale range spans only the running
-// set and stays O(stale) as history accumulates.
+// it out, so the history that accumulates stays one column narrower.
 func TestHeartbeatColumnOnlyWhileRunning(t *testing.T) {
 	db := relstore.OpenMemory()
 	svc, err := NewService(db, nil)

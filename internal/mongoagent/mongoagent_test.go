@@ -161,11 +161,11 @@ func TestRunWorkloadExactCount(t *testing.T) {
 		ops     int64
 		threads int
 	}{
-		{4001, 4},  // remainder 1 was dropped
-		{1000, 7},  // remainder 6 was dropped
-		{3, 8},     // over-ran to 8 ops
-		{1, 16},    // over-ran to 16 ops
-		{4000, 4},  // even split: unchanged
+		{4001, 4}, // remainder 1 was dropped
+		{1000, 7}, // remainder 6 was dropped
+		{3, 8},    // over-ran to 8 ops
+		{1, 16},   // over-ran to 16 ops
+		{4000, 4}, // even split: unchanged
 	}
 	for _, tc := range cases {
 		cfg := workload.Config{

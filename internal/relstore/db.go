@@ -87,8 +87,6 @@ type table struct {
 	keys *postingList
 	// indexes holds one sorted posting list per (column, value) pair.
 	indexes map[string]map[string]*postingList
-	// ordered holds one ordered (range-capable) index per Ordered column.
-	ordered map[string]*orderedIndex
 	seq     int64 // auto-increment sequence
 	// codec is the binary row codec for the current schema, rebuilt on
 	// upgrade. Commits encode rows through it under DB.mu, so the bytes a
@@ -482,7 +480,6 @@ func newTable(s Schema) *table {
 // schema.
 func (t *table) initIndexes() {
 	t.indexes = make(map[string]map[string]*postingList)
-	t.ordered = make(map[string]*orderedIndex)
 	for _, c := range t.schema.Columns {
 		if c.Name == t.schema.Key {
 			continue
@@ -490,15 +487,12 @@ func (t *table) initIndexes() {
 		if c.Indexed {
 			t.indexes[c.Name] = make(map[string]*postingList)
 		}
-		if c.Ordered {
-			t.ordered[c.Name] = newOrderedIndex()
-		}
 	}
 }
 
 // upgrade rebuilds the table in place under a compatible replacement
 // schema: the rows (and key list) carry over untouched, the secondary
-// indexes are rebuilt from scratch so added Indexed/Ordered flags take
+// indexes are rebuilt from scratch so an added Indexed flag takes
 // effect. Iterating ids in key order keeps every per-value posting-list
 // insert an append, so the rebuild is linear in the table size.
 func (t *table) upgrade(s Schema) {
@@ -584,14 +578,6 @@ func (t *table) addToIndexes(id string, r Row) {
 		}
 		pl.add(id)
 	}
-	for col, oi := range t.ordered {
-		v, ok := r[col]
-		if !ok {
-			continue
-		}
-		c, _ := t.schema.column(col)
-		oi.add(ordKey(c.Type, v), id)
-	}
 }
 
 // removeFromIndexes unregisters a row from the secondary indexes.
@@ -608,14 +594,6 @@ func (t *table) removeFromIndexes(id string, r Row) {
 				delete(idx, k)
 			}
 		}
-	}
-	for col, oi := range t.ordered {
-		v, ok := r[col]
-		if !ok {
-			continue
-		}
-		c, _ := t.schema.column(col)
-		oi.remove(ordKey(c.Type, v), id)
 	}
 }
 
@@ -661,20 +639,6 @@ func (t *table) reindex(id string, old, new Row) {
 				idx[k] = pl
 			}
 			pl.add(id)
-		}
-	}
-	for col, oi := range t.ordered {
-		ov, ook := old[col]
-		nv, nok := new[col]
-		if ook && nok && valueEqual(ov, nv) {
-			continue
-		}
-		c, _ := t.schema.column(col)
-		if ook {
-			oi.remove(ordKey(c.Type, ov), id)
-		}
-		if nok {
-			oi.add(ordKey(c.Type, nv), id)
 		}
 	}
 }

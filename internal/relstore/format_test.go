@@ -3,6 +3,7 @@ package relstore
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -240,4 +241,107 @@ func TestSnapshotReadMemoryBounded(t *testing.T) {
 		t.Errorf("snapshot read allocated %d bytes restoring %d bytes of rows; not streaming", allocated, data)
 	}
 	runtime.KeepAlive(tables)
+}
+
+// TestPersistedOrderedFlagIsIgnored: builds up to PR 19 had a second
+// index kind, selected by an "ordered" flag on the column, and persisted
+// the flag wherever a Schema is persisted as JSON. A store that carries
+// it — in a CreateTable frame or in a snapshot header — opens under the
+// schema without it as the same table: CreateTable is a no-op that logs
+// nothing, and the range query the flag used to serve still answers.
+func TestPersistedOrderedFlagIsIgnored(t *testing.T) {
+	const flagged = `{"name":"jobs","key":"id","columns":[{"name":"id","type":"string"},` +
+		`{"name":"status","type":"string","indexed":true},{"name":"hb","type":"int","ordered":true,"nullable":true}]}`
+	plain := Schema{Name: "jobs", Key: "id", Columns: []Column{
+		{Name: "id", Type: TString},
+		{Name: "status", Type: TString, Indexed: true},
+		{Name: "hb", Type: TInt, Nullable: true},
+	}}
+	stale := func(db *DB) []string {
+		t.Helper()
+		return selectIDs(t, db, NewQuery().Eq("status", "running").Lt("hb", int64(2)))
+	}
+	dir := t.TempDir()
+	logged := func() string { // every segment's bytes, in segment order
+		t.Helper()
+		seqs, err := listSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all []byte
+		for _, seq := range seqs {
+			b, err := os.ReadFile(filepath.Join(dir, segmentName(seq)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, b...)
+		}
+		return string(all)
+	}
+
+	create := frame([]byte(`{"createTable":` + flagged + `}`))
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), create, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(dir, &Options{CompactEvery: -1})
+	if err != nil {
+		t.Fatalf("open a store with a flagged CreateTable frame: %v", err)
+	}
+	if err := db.CreateTable(plain); err != nil {
+		t.Fatal(err)
+	}
+	if got := logged(); got != string(create) {
+		t.Fatalf("CreateTable with the flag-less schema logged %d byte(s)", len(got)-len(create))
+	}
+	if err := db.Update(func(tx *Tx) error {
+		for i := 0; i < 4; i++ {
+			if err := tx.Insert("jobs", Row{"id": fmt.Sprintf("j%d", i), "status": "running", "hb": int64(i)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := stale(db); !sameIDs(got, "j0", "j1") {
+		t.Fatalf("range query over the frame-created table: %v", got)
+	}
+
+	// The same through a snapshot: compact, then put the flag back into
+	// the header's schema JSON, as the older build would have written it.
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snapPath := filepath.Join(dir, "store.snapshot")
+	snap, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, _ := json.Marshal(plain)
+	lenPrefixed := func(b []byte) []byte { return append(binary.AppendUvarint(nil, uint64(len(b))), b...) }
+	if bytes.Count(snap, lenPrefixed(written)) != 1 {
+		t.Fatal("fixture: snapshot does not hold the schema JSON once")
+	}
+	snap = bytes.Replace(snap, lenPrefixed(written), lenPrefixed([]byte(flagged)), 1)
+	if err := os.WriteFile(snapPath, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir, &Options{CompactEvery: -1})
+	if err != nil {
+		t.Fatalf("open a store with a flagged snapshot header: %v", err)
+	}
+	defer db.Close()
+	before := logged()
+	if err := db.CreateTable(plain); err != nil {
+		t.Fatal(err)
+	}
+	if got := logged(); got != before {
+		t.Fatalf("CreateTable after the snapshot reopen logged %d byte(s)", len(got)-len(before))
+	}
+	if got := stale(db); !sameIDs(got, "j0", "j1") {
+		t.Fatalf("range query over the snapshot-restored table: %v", got)
+	}
 }

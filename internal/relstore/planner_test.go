@@ -285,6 +285,51 @@ func TestMultiEqIntersection(t *testing.T) {
 	})
 }
 
+// TestPlanDrivesFromSmallestList pins which posting list drives a
+// two-Eq scan. Every row is re-checked by matchesQuery, so answers are
+// the same whichever list drives — only the cost differs (a claim walks
+// the whole scheduled queue instead of one system's share), which is why
+// this asks plan directly instead of timing a Select.
+func TestPlanDrivesFromSmallestList(t *testing.T) {
+	db := newPlannerDB(t)
+	if err := db.Update(func(tx *Tx) error {
+		for i := 0; i < 5010; i++ {
+			status, sys := "scheduled", "big"
+			if i%501 == 0 {
+				status, sys = "running", "small"
+			}
+			if err := tx.Insert("jobs", jobRow(fmt.Sprintf("j%04d", i), status, sys, 0)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tbl := db.tables["jobs"]
+	small, big := tbl.indexes["system"]["s:small"], tbl.indexes["status"]["s:scheduled"]
+	if small.len() != 10 || big.len() != 5000 {
+		t.Fatalf("fixture: %d rows under small, %d under scheduled", small.len(), big.len())
+	}
+	for _, q := range []*Query{
+		NewQuery().Eq("system", "small").Eq("status", "scheduled"),
+		NewQuery().Eq("status", "scheduled").Eq("system", "small"),
+	} {
+		driver, probes := tbl.plan(q)
+		if driver.pl != small {
+			t.Fatalf("driver walks a %d-row list, want the 10-row one", driver.pl.len())
+		}
+		if len(probes) != 1 || probes[0] != big {
+			t.Fatalf("probes = %d list(s), want exactly the 5000-row one", len(probes))
+		}
+	}
+	// An Eq no committed row satisfies: the empty driver, nothing probed.
+	driver, probes := tbl.plan(NewQuery().Eq("status", "scheduled").Eq("system", "absent"))
+	if _, ok := driver.peek(); ok || driver.pl != nil || probes != nil {
+		t.Fatalf("absent value: driver %+v, %d probe(s)", driver, len(probes))
+	}
+}
+
 // TestLimitWithPendingRows checks limit push-down across the merge of
 // committed and pending rows: the first rows in key order win, wherever
 // they come from.

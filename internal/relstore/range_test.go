@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 )
 
-// rangeSchema declares an ordered int column next to an indexed equality
+// rangeSchema declares a plain int column next to an indexed equality
 // column, mirroring the jobs table's status+heartbeat shape.
 func rangeSchema() Schema {
 	return Schema{
@@ -18,7 +17,7 @@ func rangeSchema() Schema {
 		Columns: []Column{
 			{Name: "id", Type: TString},
 			{Name: "status", Type: TString, Indexed: true},
-			{Name: "hb", Type: TInt, Ordered: true},
+			{Name: "hb", Type: TInt},
 			{Name: "note", Type: TString, Nullable: true},
 		},
 	}
@@ -66,8 +65,7 @@ func selectIDs(t *testing.T, db *DB, q *Query) []string {
 	return ids
 }
 
-// TestRangeBasicAndBoundaries checks inclusive vs exclusive bounds on an
-// ordered column, driven by the index.
+// TestRangeBasicAndBoundaries checks inclusive vs exclusive bounds.
 func TestRangeBasicAndBoundaries(t *testing.T) {
 	db := newRangeDB(t, 20)
 	cases := []struct {
@@ -128,18 +126,16 @@ func TestRangeEmptyAndContradictory(t *testing.T) {
 	}
 }
 
-// TestRangeEqIntersection checks composing an indexed range with indexed
-// equality conditions, in both driver configurations (narrow range wide
-// Eq, and wide range narrow Eq).
+// TestRangeEqIntersection checks composing a range with an indexed
+// equality condition, whichever of the two is the more selective.
 func TestRangeEqIntersection(t *testing.T) {
 	db := newRangeDB(t, 100)
-	// Narrow range (hb<10), wide Eq (cold = 90 rows): range drives.
+	// Narrow range (hb<10), wide Eq (cold = 90 rows).
 	got := selectIDs(t, db, NewQuery().Eq("status", "cold").Lt("hb", int64(10)))
 	if !sameIDs(got, "j0001", "j0002", "j0003", "j0004", "j0005", "j0006", "j0007", "j0008", "j0009") {
-		t.Fatalf("range-driven intersection: %v", got)
+		t.Fatalf("narrow-range intersection: %v", got)
 	}
-	// Wide range (hb>=0 = all rows), narrow Eq (hot = 10 rows): Eq drives,
-	// the range is a post-filter.
+	// Wide range (hb>=50 = half the rows), narrow Eq (hot = 10 rows).
 	got = selectIDs(t, db, NewQuery().Eq("status", "hot").Ge("hb", int64(50)))
 	if !sameIDs(got, "j0050", "j0060", "j0070", "j0080", "j0090") {
 		t.Fatalf("eq-driven intersection: %v", got)
@@ -156,8 +152,7 @@ func TestRangeEqIntersection(t *testing.T) {
 
 // TestRangeOverDeletedKeys deletes rows inside and at the edges of a
 // range — including the low head of the table, exercising the posting
-// lists' head-trimming — and checks the slice skips the retired value
-// slots.
+// lists' head-trimming — and checks the range skips them.
 func TestRangeOverDeletedKeys(t *testing.T) {
 	db := newRangeDB(t, 30)
 	err := db.Update(func(tx *Tx) error {
@@ -180,7 +175,7 @@ func TestRangeOverDeletedKeys(t *testing.T) {
 	if !sameIDs(got, "j0011", "j0013", "j0015") {
 		t.Fatalf("holes in range: %v", got)
 	}
-	// Re-inserting a deleted key with a new value moves it between slots.
+	// Re-inserting a deleted key with a new value brings it into range.
 	err = db.Update(func(tx *Tx) error {
 		return tx.Insert("jobs", Row{"id": "j0000", "status": "cold", "hb": int64(12)})
 	})
@@ -193,7 +188,7 @@ func TestRangeOverDeletedKeys(t *testing.T) {
 	}
 }
 
-// TestRangeLimitEarlyExit checks Limit push-down on a range-driven scan:
+// TestRangeLimitEarlyExit checks Limit push-down on a range-filtered scan:
 // the stream stops at the limit, in key order, merging pending rows.
 func TestRangeLimitEarlyExit(t *testing.T) {
 	db := newRangeDB(t, 50)
@@ -235,9 +230,8 @@ func TestRangeLimitEarlyExit(t *testing.T) {
 	}
 }
 
-// TestRangeUnorderedColumnFallsBack checks ranges on a column without an
-// ordered index: the planner cannot push down, but matchesQuery filters
-// correctly on a full scan.
+// TestRangeUnorderedColumnFallsBack checks ranges on a nullable string
+// column: matchesQuery filters correctly on a full scan.
 func TestRangeUnorderedColumnFallsBack(t *testing.T) {
 	db := newRangeDB(t, 20)
 	// note is unindexed; populate a few.
@@ -269,150 +263,89 @@ func TestRangeUnorderedColumnFallsBack(t *testing.T) {
 	}
 }
 
-// TestOrdKeyPreservesOrder fuzzes the order-preserving encodings: for
-// every supported type, ordKey comparisons must agree with the natural
-// value order — especially across sign boundaries.
-func TestOrdKeyPreservesOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	ints := []int64{-1 << 62, -100000, -2, -1, 0, 1, 2, 99, 1 << 40, 1<<62 + 7}
-	for i := 0; i < 100; i++ {
-		ints = append(ints, rng.Int63()-rng.Int63())
-	}
-	sort.Slice(ints, func(i, j int) bool { return ints[i] < ints[j] })
-	for i := 1; i < len(ints); i++ {
-		a, b := ordKey(TInt, ints[i-1]), ordKey(TInt, ints[i])
-		if ints[i-1] < ints[i] && !(a < b) {
-			t.Fatalf("int order broken: %d -> %q !< %d -> %q", ints[i-1], a, ints[i], b)
-		}
-	}
-	floats := []float64{-1e300, -2.5, -1, -0.25, 0, 0.25, 1, 2.5, 1e300}
-	for i := 0; i < 100; i++ {
-		floats = append(floats, (rng.Float64()-0.5)*1e9)
-	}
-	sort.Float64s(floats)
-	for i := 1; i < len(floats); i++ {
-		a, b := ordKey(TFloat, floats[i-1]), ordKey(TFloat, floats[i])
-		if floats[i-1] < floats[i] && !(a < b) {
-			t.Fatalf("float order broken: %v !< %v", floats[i-1], floats[i])
-		}
-	}
-	base := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
-	times := []time.Time{
-		// Pre-1678 values overflow UnixNano; the (seconds, nanos)
-		// encoding must still order them correctly.
-		{},
-		time.Date(1700, 1, 1, 0, 0, 0, 0, time.UTC),
-		time.Date(1969, 12, 31, 23, 59, 59, 999999999, time.UTC),
-		time.Unix(0, 0).UTC(),
-		base.Add(-time.Hour),
-		base,
-		base.Add(time.Nanosecond),
-		base.Add(time.Hour),
-		time.Date(2400, 1, 1, 0, 0, 0, 0, time.UTC),
-	}
-	for i := 1; i < len(times); i++ {
-		if !(ordKey(TTime, times[i-1]) < ordKey(TTime, times[i])) {
-			t.Fatalf("time order broken: %v !< %v", times[i-1], times[i])
-		}
-	}
-	if !(ordKey(TBool, false) < ordKey(TBool, true)) {
-		t.Fatal("bool order broken")
-	}
-	// -0.0 and +0.0 compare equal, so they must encode identically or an
-	// index-driven Ge(0.0) would drop -0.0 rows the filter path matches.
-	if ordKey(TFloat, math.Copysign(0, -1)) != ordKey(TFloat, float64(0)) {
-		t.Fatal("-0.0 and +0.0 encode differently")
-	}
-}
-
-// TestRangeNegativeZero checks index/full-scan agreement for a -0.0 row.
+// TestRangeNegativeZero checks that a -0.0 row compares equal to 0.
 func TestRangeNegativeZero(t *testing.T) {
-	for _, ordered := range []bool{true, false} {
-		db := OpenMemory()
-		schema := Schema{Name: "m", Key: "id", Columns: []Column{
-			{Name: "id", Type: TString},
-			{Name: "f", Type: TFloat, Ordered: ordered},
-		}}
-		if err := db.CreateTable(schema); err != nil {
-			t.Fatal(err)
+	db := OpenMemory()
+	schema := Schema{Name: "m", Key: "id", Columns: []Column{
+		{Name: "id", Type: TString},
+		{Name: "f", Type: TFloat},
+	}}
+	if err := db.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	err := db.Update(func(tx *Tx) error {
+		if err := tx.Insert("m", Row{"id": "rneg", "f": math.Copysign(0, -1)}); err != nil {
+			return err
 		}
-		err := db.Update(func(tx *Tx) error {
-			if err := tx.Insert("m", Row{"id": "rneg", "f": math.Copysign(0, -1)}); err != nil {
-				return err
-			}
-			return tx.Insert("m", Row{"id": "rpos", "f": 0.5})
-		})
+		return tx.Insert("m", Row{"id": "rpos", "f": 0.5})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.View(func(tx *Tx) error {
+		rows, err := tx.Select("m", NewQuery().Ge("f", 0.0).Lt("f", 1.0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.View(func(tx *Tx) error {
-			rows, err := tx.Select("m", NewQuery().Ge("f", 0.0).Lt("f", 1.0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rows) != 2 {
-				t.Fatalf("ordered=%v: Ge(0) matched %d rows, want 2 (-0.0 dropped?)", ordered, len(rows))
-			}
-			return nil
-		})
-	}
+		if len(rows) != 2 {
+			t.Fatalf("Ge(0) matched %d rows, want 2 (-0.0 dropped?)", len(rows))
+		}
+		return nil
+	})
 }
 
-// TestRangeNaNConsistency checks that NaN rows match no range predicate,
-// whether the plan is index-driven or a full-scan filter — the two paths
-// must agree.
+// TestRangeNaNConsistency checks that NaN matches no range predicate,
+// as a row value or as a bound.
 func TestRangeNaNConsistency(t *testing.T) {
 	nan := math.NaN()
-	for _, ordered := range []bool{true, false} {
-		db := OpenMemory()
-		schema := Schema{Name: "m", Key: "id", Columns: []Column{
-			{Name: "id", Type: TString},
-			{Name: "f", Type: TFloat, Ordered: ordered},
-		}}
-		if err := db.CreateTable(schema); err != nil {
-			t.Fatal(err)
-		}
-		err := db.Update(func(tx *Tx) error {
-			for i := 0; i < 10; i++ {
-				if err := tx.Insert("m", Row{"id": fmt.Sprintf("r%d", i), "f": float64(i)}); err != nil {
-					return err
-				}
+	db := OpenMemory()
+	schema := Schema{Name: "m", Key: "id", Columns: []Column{
+		{Name: "id", Type: TString},
+		{Name: "f", Type: TFloat},
+	}}
+	if err := db.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	err := db.Update(func(tx *Tx) error {
+		for i := 0; i < 10; i++ {
+			if err := tx.Insert("m", Row{"id": fmt.Sprintf("r%d", i), "f": float64(i)}); err != nil {
+				return err
 			}
-			return tx.Insert("m", Row{"id": "rnan", "f": nan})
-		})
+		}
+		return tx.Insert("m", Row{"id": "rnan", "f": nan})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.View(func(tx *Tx) error {
+		rows, err := tx.Select("m", NewQuery().Le("f", 3.0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.View(func(tx *Tx) error {
-			rows, err := tx.Select("m", NewQuery().Le("f", 3.0))
-			if err != nil {
-				t.Fatal(err)
+		if len(rows) != 4 {
+			t.Fatalf("Le(3) matched %d rows (NaN leaked?)", len(rows))
+		}
+		for _, r := range rows {
+			if r["id"] == "rnan" {
+				t.Fatal("NaN row matched a range")
 			}
-			if len(rows) != 4 {
-				t.Fatalf("ordered=%v: Le(3) matched %d rows (NaN leaked?)", ordered, len(rows))
-			}
-			for _, r := range rows {
-				if r["id"] == "rnan" {
-					t.Fatalf("ordered=%v: NaN row matched a range", ordered)
-				}
-			}
-			// A NaN bound matches nothing either.
-			n, _ := tx.Count("m", NewQuery().Lt("f", nan))
-			if n != 0 {
-				t.Fatalf("ordered=%v: NaN bound matched %d rows", ordered, n)
-			}
-			return nil
-		})
-	}
+		}
+		// A NaN bound matches nothing either.
+		n, _ := tx.Count("m", NewQuery().Lt("f", nan))
+		if n != 0 {
+			t.Fatalf("NaN bound matched %d rows", n)
+		}
+		return nil
+	})
 }
 
-// TestRangeOnPre1678Times verifies index-driven time ranges agree with
-// the brute-force filter for values outside UnixNano's defined span.
+// TestRangeOnPre1678Times verifies time ranges for values outside
+// UnixNano's defined span.
 func TestRangeOnPre1678Times(t *testing.T) {
 	db := OpenMemory()
 	schema := Schema{Name: "m", Key: "id", Columns: []Column{
 		{Name: "id", Type: TString},
-		{Name: "t", Type: TTime, Ordered: true},
+		{Name: "t", Type: TTime},
 		{Name: "pad", Type: TString, Indexed: true},
 	}}
 	if err := db.CreateTable(schema); err != nil {
@@ -453,13 +386,13 @@ func TestRangeOnPre1678Times(t *testing.T) {
 }
 
 // TestRangeOnTimeColumn runs the watchdog query shape end to end on a
-// TTime ordered column: status equality plus heartbeat cutoff.
+// TTime column: status equality plus heartbeat cutoff.
 func TestRangeOnTimeColumn(t *testing.T) {
 	db := OpenMemory()
 	schema := Schema{Name: "jobs", Key: "id", Columns: []Column{
 		{Name: "id", Type: TString},
 		{Name: "status", Type: TString, Indexed: true},
-		{Name: "heartbeat", Type: TTime, Ordered: true, Nullable: true},
+		{Name: "heartbeat", Type: TTime, Nullable: true},
 	}}
 	if err := db.CreateTable(schema); err != nil {
 		t.Fatal(err)
@@ -494,9 +427,9 @@ func TestRangeOnTimeColumn(t *testing.T) {
 	}
 }
 
-// TestRangeLimitAllocsScaleFree asserts the acceptance criterion that a
-// Limit(1) range select on an ordered column stays constant-cost as the
-// table grows: its allocation count must not scale with table depth.
+// TestRangeLimitAllocsScaleFree asserts that a Limit(1) range select
+// allocates the same however deep the table: the rows the filter walks
+// past cost compares, not allocations.
 func TestRangeLimitAllocsScaleFree(t *testing.T) {
 	fill := func(n int) *DB {
 		db := OpenMemory()
@@ -540,7 +473,7 @@ func TestRangeLimitAllocsScaleFree(t *testing.T) {
 }
 
 // TestRangeConsistentWithFullScan fuzzes random mutations and compares
-// every range plan against the brute-force Where() answer, inside and
+// every range query against the brute-force Where() answer, inside and
 // outside transactions.
 func TestRangeConsistentWithFullScan(t *testing.T) {
 	db := newRangeDB(t, 0)
@@ -599,12 +532,12 @@ func TestRangeConsistentWithFullScan(t *testing.T) {
 	}
 }
 
-// TestSchemaUpgradeAddsOrderedColumn persists a store under a v1 schema,
+// TestSchemaUpgradeAddsNullableColumn persists a store under a v1 schema,
 // reopens it and calls CreateTable with a compatible v2 schema that adds
-// a nullable ordered column: the rows must survive, the new index must
-// serve range queries for rewritten rows, and the upgrade must itself be
-// durable across another reopen (WAL replay of the upgrade record).
-func TestSchemaUpgradeAddsOrderedColumn(t *testing.T) {
+// a nullable column: the rows must survive, range queries must see the
+// new column on rewritten rows, and the upgrade must itself be durable
+// across another reopen (WAL replay of the upgrade record).
+func TestSchemaUpgradeAddsNullableColumn(t *testing.T) {
 	dir := t.TempDir()
 	v1 := Schema{Name: "jobs", Key: "id", Columns: []Column{
 		{Name: "id", Type: TString},
@@ -613,7 +546,7 @@ func TestSchemaUpgradeAddsOrderedColumn(t *testing.T) {
 	v2 := Schema{Name: "jobs", Key: "id", Columns: []Column{
 		{Name: "id", Type: TString},
 		{Name: "status", Type: TString, Indexed: true},
-		{Name: "hb", Type: TInt, Ordered: true, Nullable: true},
+		{Name: "hb", Type: TInt, Nullable: true},
 	}}
 	db, err := Open(dir, nil)
 	if err != nil {

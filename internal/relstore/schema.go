@@ -60,15 +60,9 @@
 // Select clones matching rows; SelectFunc streams them without cloning
 // and Count never clones or decodes at all.
 //
-// Columns declared Ordered additionally get an ordered index: a sorted
-// directory of order-preserving value encodings, each pointing at the
-// posting list of rows holding that value. Range predicates
-// (Lt/Le/Gt/Ge) binary-search the directory for the matching slice, and
-// when that slice is the narrowest candidate it drives the scan through
-// an id-ordered heap merge of its per-value lists — a narrow range
-// costs O(log v + match) regardless of table size, and composes with Eq
-// probes and Limit like any other driver. Ranges on unordered columns
-// still work as plain per-row filters.
+// Range predicates (Lt/Le/Gt/Ge) are row filters applied after the
+// driver: they compose with Eq drivers and Limit but never narrow which
+// rows a scan visits.
 //
 // # Row format and versioning
 //
@@ -232,12 +226,6 @@ type Column struct {
 	Type ColType `json:"type"`
 	// Indexed creates a secondary equality index over the column.
 	Indexed bool `json:"indexed,omitempty"`
-	// Ordered creates an ordered secondary index so range predicates
-	// (Lt/Le/Gt/Ge) on the column are index-assisted instead of full
-	// scans. Supported for int, float, string, bool and time columns;
-	// redundant (and rejected) on the primary key, whose sorted key list
-	// already provides ordered access.
-	Ordered bool `json:"ordered,omitempty"`
 	// Nullable permits the column to be absent from a row.
 	Nullable bool `json:"nullable,omitempty"`
 }
@@ -272,14 +260,6 @@ func (s *Schema) Check() error {
 		case TInt, TFloat, TString, TBool, TBytes, TTime:
 		default:
 			return fmt.Errorf("relstore: table %q column %q has unknown type %q", s.Name, c.Name, c.Type)
-		}
-		if c.Ordered {
-			if c.Type == TBytes {
-				return fmt.Errorf("relstore: table %q column %q: bytes columns cannot be ordered", s.Name, c.Name)
-			}
-			if c.Name == s.Key {
-				return fmt.Errorf("relstore: table %q key column is implicitly ordered", s.Name)
-			}
 		}
 		if c.Name == s.Key {
 			keyFound = true

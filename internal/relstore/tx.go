@@ -258,8 +258,9 @@ type rangePred struct {
 	op  rangeOp
 }
 
-// Query describes a Select: equality and range conditions (index-assisted
-// where the schema declares indexes) plus arbitrary predicate filters.
+// Query describes a Select: equality conditions (index-assisted where
+// the schema declares indexes), range conditions and arbitrary predicate
+// filters.
 type Query struct {
 	eq      []eqPredicate
 	ranges  []rangePred
@@ -284,8 +285,8 @@ func (q *Query) Eq(col string, val any) *Query {
 	return q
 }
 
-// Lt adds the condition col < v. On an Ordered column the planner can
-// drive the scan from the matching index slice instead of a full scan.
+// Lt adds the condition col < v. Range conditions are row filters: they
+// narrow what a scan returns, never which rows it visits.
 func (q *Query) Lt(col string, v any) *Query {
 	return q.addRange(rangePred{col, v, opLt})
 }
@@ -357,8 +358,10 @@ func (tx *Tx) Count(tableName string, q *Query) (int, error) {
 // scan is the query planner and executor behind Select, SelectFunc and
 // Count. Committed rows come from the access path chosen by plan (the
 // smallest matching posting list, probing the remaining indexed
-// conditions, or the primary-key list); pending writes are merged in by
-// id so uncommitted rows, overwrites and tombstones are all visible.
+// equalities, or the primary-key list) and every condition, range
+// predicates included, is then checked against the resolved row; pending
+// writes are merged in by id so uncommitted rows, overwrites and
+// tombstones are all visible.
 // Both sources are sorted, so rows stream in key order and the walk
 // stops as soon as fn declines or the limit is reached.
 //
@@ -429,28 +432,18 @@ func (tx *Tx) scan(tableName string, q *Query, fn func(Row) bool) error {
 	}
 }
 
-// idCursor streams committed row ids in ascending order: the access path
-// plan hands to scan. Implemented by *plCursor (a single posting list or
-// the primary-key list) and *rangeCursor (the id-ordered merge of an
-// ordered index's range slice).
-type idCursor interface {
-	peek() (string, bool)
-	next()
-}
-
 // plan chooses the committed-row access path for q. Candidates are the
-// posting list of each indexed equality condition and, for every Ordered
-// column with range predicates, the index slice covering the merged
-// interval (found by binary search over the sorted value directory). The
-// smallest candidate drives the scan; the remaining equality lists
-// become O(1) membership probes, and every condition is re-checked
-// against the resolved row by matchesQuery, so non-driving ranges cost
-// nothing extra. Without any indexed condition the sorted primary-key
-// list drives (full scan). A condition no committed row can satisfy — an
-// equality on an absent value, or a contradictory range — yields an
-// empty driver: only pending writes can match then.
-func (t *table) plan(q *Query) (driver idCursor, probes []*postingList) {
+// posting lists of the indexed equality conditions: the smallest drives
+// the scan and the rest become O(1) membership probes. Every condition —
+// range predicates and unindexed equalities included — is re-checked
+// against the resolved row by matchesQuery, so plan only has to narrow
+// the walk, not decide the answer. Without an indexed equality the
+// sorted primary-key list drives (full scan). An equality on a value no
+// committed row holds yields an empty driver: only pending writes can
+// match then.
+func (t *table) plan(q *Query) (driver *plCursor, probes []*postingList) {
 	var lists []*postingList
+	smallest := 0
 	for _, eq := range q.eq {
 		idx, ok := t.indexes[eq.col]
 		if !ok {
@@ -460,80 +453,19 @@ func (t *table) plan(q *Query) (driver idCursor, probes []*postingList) {
 		if pl == nil || pl.len() == 0 {
 			return &plCursor{}, nil
 		}
+		if len(lists) > 0 && pl.len() < lists[smallest].len() {
+			smallest = len(lists)
+		}
 		lists = append(lists, pl)
 	}
-	var rbounds map[string]*bounds
-	for _, r := range q.ranges {
-		oi := t.ordered[r.col]
-		if oi == nil {
-			continue // unindexed range: matchesQuery filters per row
-		}
-		col, _ := t.schema.column(r.col)
-		if !typeMatches(col.Type, r.val) {
-			continue // mistyped bound cannot drive; matchesQuery rejects
-		}
-		if rbounds == nil {
-			rbounds = make(map[string]*bounds)
-		}
-		b := rbounds[r.col]
-		if b == nil {
-			b = &bounds{}
-			rbounds[r.col] = b
-		}
-		key := ordKey(col.Type, r.val)
-		switch r.op {
-		case opLt:
-			b.tightenHi(key, false)
-		case opLe:
-			b.tightenHi(key, true)
-		case opGt:
-			b.tightenLo(key, false)
-		case opGe:
-			b.tightenLo(key, true)
-		}
-	}
-	smallest := -1
-	for i, pl := range lists {
-		if smallest < 0 || pl.len() < lists[smallest].len() {
-			smallest = i
-		}
-	}
-	bestSize := int(^uint(0) >> 1) // MaxInt: full scan is the fallback
-	if smallest >= 0 {
-		bestSize = lists[smallest].len()
-	}
-	var bestIdx *orderedIndex
-	var bestStart, bestEnd int
-	for col, b := range rbounds {
-		if b.empty {
-			return &plCursor{}, nil
-		}
-		oi := t.ordered[col]
-		start, end := oi.slice(*b)
-		// A slice spanning half the value directory is no better than the
-		// primary-key scan it would replace — on a high-cardinality
-		// column that is about as many rows, plus a heap merge over all
-		// its per-value cursors. Leave such a wide range to matchesQuery;
-		// the width check is O(1), so deciding costs nothing.
-		if (end-start)*2 >= t.keys.len() {
-			continue
-		}
-		// The walk stops as soon as it exceeds the best candidate so far,
-		// so sizing a range never costs more than scanning the cheaper
-		// path would.
-		if n := oi.estimate(start, end, bestSize); n < bestSize {
-			bestSize = n
-			bestIdx, bestStart, bestEnd = oi, start, end
-		}
-	}
-	if bestIdx != nil {
-		// A range drives: all equality lists demote to membership probes.
-		return bestIdx.cursor(bestStart, bestEnd), lists
-	}
-	if smallest < 0 {
+	if len(lists) == 0 {
 		return &plCursor{pl: t.keys}, nil
 	}
-	return &plCursor{pl: lists[smallest]}, append(lists[:smallest], lists[smallest+1:]...)
+	// The driver is read out before the append below closes the gap over
+	// its slot: Go leaves the order of the two unspecified within one
+	// expression, and reading second lets the larger list drive.
+	drive := lists[smallest]
+	return &plCursor{pl: drive}, append(lists[:smallest], lists[smallest+1:]...)
 }
 
 // inAll reports whether id is live in every posting list.
@@ -607,9 +539,8 @@ func compareValues(a, b any) (int, bool) {
 		if !ok {
 			return 0, false
 		}
-		// NaN is incomparable (matches no range), keeping the full-scan
-		// filter consistent with the ordered index, which sorts NaN's bit
-		// pattern above every real number.
+		// NaN is incomparable: it matches no range, as a row value or as
+		// a bound.
 		if math.IsNaN(x) || math.IsNaN(y) {
 			return 0, false
 		}
