@@ -3,6 +3,7 @@ package integration
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -42,26 +43,33 @@ func (lineRunner) Analyze(rc *agent.RunContext) (map[string]any, error) {
 }
 func (lineRunner) Clean(*agent.RunContext) error { return nil }
 
-// TestNoopJobIsTwoRequestsTwoCommits is the count gate on what a job costs
-// the control plane over real HTTP: a job that ends before the first
-// reporter tick is two requests and two commits (claim, complete — the log
-// rides the complete), and each reporter tick adds one of each (progress —
-// the log rides it). These counts repeat exactly, so they may gate; a
-// third request or commit per job means log output is travelling by a
-// round trip of its own again.
-func TestNoopJobIsTwoRequestsTwoCommits(t *testing.T) {
+// TestNoopJobIsOneRequestOneCommit is the count gate on what a job costs
+// the control plane over real HTTP. In steady state a job that ends before
+// the first reporter tick is one request and one commit: its complete, which
+// the log rides and which claims the next job in the same transaction. Only
+// the first job of a queue pays for a claim of its own (2 and 2), and each
+// reporter tick adds one of each (progress — the log rides it). Over n jobs
+// that is 2 + 1·(n−1). These counts repeat exactly, so they may gate; one
+// more request or commit per job means the claim, or log output, is
+// travelling by a round trip of its own again.
+//
+// The ends of the queue are pinned too: the complete that finds it empty
+// answers a claim response without a job and the ClaimJob after it is a
+// real request that commits nothing; a job claimed ahead and not wanted is
+// handed back by one request and one commit, scheduled as it was.
+func TestNoopJobIsOneRequestOneCommit(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		jobs     int
 		tick     bool
 		interval time.Duration
-		perJob   int64 // requests, and commits, per job
+		perJob   int64 // requests, and commits, per job in steady state
 		chunks   int
 	}{
-		{"no tick", 20, false, time.Hour, 2, 1},
+		{"no tick", 20, false, time.Hour, 1, 1},
 		// Long enough that a second tick cannot fall inside the job, which
 		// ends as soon as the first one is answered.
-		{"one tick", 5, true, 100 * time.Millisecond, 3, 2},
+		{"one tick", 5, true, 100 * time.Millisecond, 2, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := metrics.NewRegistry()
@@ -78,13 +86,27 @@ func TestNoopJobIsTwoRequestsTwoCommits(t *testing.T) {
 			server := rest.NewServer(svc)
 			server.Logger = log.New(io.Discard, "", 0)
 			var (
-				requests atomic.Int64
-				mu       sync.Mutex
-				ticked   chan struct{} // closed when the running job's first progress is answered
+				requests     atomic.Int64
+				mu           sync.Mutex
+				ticked       chan struct{} // closed when the running job's first progress is answered
+				lastComplete string        // body of the newest answer to a complete
 			)
 			api := server.Handler()
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				requests.Add(1)
+				if strings.HasSuffix(r.URL.Path, "/complete") {
+					rec := httptest.NewRecorder()
+					api.ServeHTTP(rec, r)
+					mu.Lock()
+					lastComplete = rec.Body.String()
+					mu.Unlock()
+					for k, v := range rec.Header() {
+						w.Header()[k] = v
+					}
+					w.WriteHeader(rec.Code)
+					w.Write(rec.Body.Bytes())
+					return
+				}
 				api.ServeHTTP(w, r)
 				if strings.HasSuffix(r.URL.Path, "/progress") {
 					mu.Lock()
@@ -103,7 +125,9 @@ func TestNoopJobIsTwoRequestsTwoCommits(t *testing.T) {
 				{Name: "v", Type: params.TypeInterval, Min: 1, Max: 1000, Default: params.Int(1)},
 			}, nil)
 			dep, _ := svc.CreateDeployment(sys.ID, "d", "", "")
-			vs := make([]params.Value, tc.jobs)
+			// One job more than the loop below runs: the one its last
+			// complete claims ahead, for the hand-back.
+			vs := make([]params.Value, tc.jobs+1)
 			for i := range vs {
 				vs[i] = params.Int(int64(i + 1))
 			}
@@ -117,35 +141,88 @@ func TestNoopJobIsTwoRequestsTwoCommits(t *testing.T) {
 			}
 
 			var tick chan struct{}
+			c := client.NewClient(ts.URL, client.WithVersion("v2"))
 			a := &agent.Agent{
-				Control:        client.NewClient(ts.URL, client.WithVersion("v2")),
+				Control:        c,
 				DeploymentID:   dep.ID,
 				Factory:        func() agent.Runner { return lineRunner{tick: tick} },
 				ReportInterval: tc.interval,
 			}
-			for i := 0; i < tc.jobs; i++ {
-				if tc.tick {
+			// cost runs do and returns the requests and commits it made.
+			cost := func(do func()) (int64, int64) {
+				reqs, coms := requests.Load(), commits.Value()
+				do()
+				return requests.Load() - reqs, commits.Value() - coms
+			}
+			runOne := func(what string, wantWorked bool, want, wantCommits int64) {
+				t.Helper()
+				if tc.tick && wantWorked {
 					tick = make(chan struct{})
 					mu.Lock()
 					ticked = tick
 					mu.Unlock()
 				}
-				reqs, coms := requests.Load(), commits.Value()
-				if worked, err := a.RunOnce(context.Background()); err != nil || !worked {
-					t.Fatalf("job %d: RunOnce = %v, %v", i, worked, err)
-				}
-				if r, c := requests.Load()-reqs, commits.Value()-coms; r != tc.perJob || c != tc.perJob {
-					t.Fatalf("job %d cost %d request(s) and %d commit(s), want %d and %d", i, r, c, tc.perJob, tc.perJob)
+				r, c := cost(func() {
+					if worked, err := a.RunOnce(context.Background()); err != nil || worked != wantWorked {
+						t.Fatalf("%s: RunOnce = %v, %v", what, worked, err)
+					}
+				})
+				if r != want || c != wantCommits {
+					t.Fatalf("%s cost %d request(s) and %d commit(s), want %d and %d", what, r, c, want, wantCommits)
 				}
 			}
+			// 2 + 1·(n−1): only the first job pays for its claim.
+			runOne("job 0", true, tc.perJob+1, tc.perJob+1)
+			for i := 1; i < tc.jobs; i++ {
+				runOne(fmt.Sprintf("job %d", i), true, tc.perJob, tc.perJob)
+			}
 
-			jobs, err := svc.ListJobs(ev.ID)
-			if err != nil || len(jobs) != tc.jobs {
+			// The last complete claimed the extra job ahead. Handing it back
+			// is one request and one commit and leaves it as it was.
+			jobs, _ := svc.ListJobs(ev.ID)
+			extra := jobs[tc.jobs]
+			if extra.Status != core.StatusRunning || extra.Attempts != 1 {
+				t.Fatalf("job claimed ahead = %+v", extra)
+			}
+			if r, c := cost(func() {
+				if err := a.Control.HandBack(dep.ID); err != nil {
+					t.Fatal(err)
+				}
+			}); r != 1 || c != 1 {
+				t.Fatalf("HandBack cost %d request(s) and %d commit(s), want 1 and 1", r, c)
+			}
+			if r, c := cost(func() { a.Control.HandBack(dep.ID) }); r != 0 || c != 0 {
+				t.Fatalf("HandBack with nothing held cost %d request(s) and %d commit(s)", r, c)
+			}
+			extra, _ = svc.GetJob(extra.ID)
+			if extra.Status != core.StatusScheduled || extra.Attempts != 0 || extra.DeploymentID != "" {
+				t.Fatalf("handed-back job = %+v", extra)
+			}
+			tl, _ := svc.JobTimeline(extra.ID)
+			if len(tl) != 3 || tl[1].Kind != core.EventClaimed || tl[2].Kind != core.EventReleased {
+				t.Fatalf("handed-back job's timeline = %+v, want created, claimed, released", tl)
+			}
+
+			// It is the queue's only job now: claimed by a request again, and
+			// its complete finds the queue empty — a claim response with no
+			// job in it — so the next ClaimJob is a real request, which
+			// commits nothing.
+			runOne("the handed-back job", true, tc.perJob+1, tc.perJob+1)
+			mu.Lock()
+			answer := lastComplete
+			mu.Unlock()
+			if strings.Contains(answer, `"job"`) || strings.Contains(answer, "completed") || !strings.Contains(answer, `"data":{}`) {
+				t.Fatalf("complete on an empty queue answered %s, want an empty claim response", answer)
+			}
+			runOne("the empty queue", false, 1, 0)
+
+			jobs, err = svc.ListJobs(ev.ID)
+			if err != nil || len(jobs) != tc.jobs+1 {
 				t.Fatalf("jobs: %d %v", len(jobs), err)
 			}
 			for _, j := range jobs {
-				if j.Status != core.StatusFinished {
-					t.Fatalf("job %s is %s (%s)", j.ID, j.Status, j.Error)
+				if j.Status != core.StatusFinished || j.Attempts != 1 {
+					t.Fatalf("job %s is %s after %d attempt(s) (%s)", j.ID, j.Status, j.Attempts, j.Error)
 				}
 				res, err := svc.GetJobResult(j.ID)
 				if err != nil {

@@ -10,14 +10,25 @@
 // the Agent.
 //
 // What that communication costs Chronos Control is part of the contract.
-// A job is two calls, ClaimJob and then Complete or Fail, and every
-// ReportInterval inside it one Progress; each is one request, one commit
-// and one fsync over REST. Log output costs none of its own: the agent
-// hands it to StageLog and it rides the call that follows — the tick's
-// Progress, the job's Complete or Fail — stored in that call's
+// In steady state a job is one call: the agent stages a claim before each
+// Complete (StageClaim), the Complete closes the job and claims the
+// deployment's next one in the same transaction, and the ClaimJob that
+// follows returns that job without a request. ClaimJob is a call of its own
+// for the first job, on an empty queue and after a Fail; every
+// ReportInterval inside a job adds one Progress. Each call is one request,
+// one commit and one fsync over REST. Log output costs none of its own: the
+// agent hands it to StageLog and it rides the call that follows — the
+// tick's Progress, the job's Complete or Fail — stored in that call's
 // transaction. The one log with no call after it, the trailing output of
 // an aborted job (the server would refuse a Complete or Fail), goes by
 // AppendLog.
+//
+// A job claimed ahead is running on the server before the agent has seen
+// it, so an agent that stops must give it back: Run and Drain call HandBack
+// on every return path, which returns the job to the queue with its attempt
+// unspent. A caller driving RunOnce by hand owns that duty — RunOnce
+// stages like Run does — and a killed agent strands the job until the
+// heartbeat timeout, exactly as it strands the job it was running.
 package agent
 
 import (
@@ -27,6 +38,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"sort"
 	"sync"
 	"time"
@@ -40,7 +52,10 @@ import (
 // implemented by pkg/client.Client (remote, REST) and by LocalControl
 // (in-process, used by examples and benchmarks).
 type Control interface {
-	// ClaimJob requests work for a deployment; job is nil when idle.
+	// ClaimJob requests work for a deployment; job is nil when idle. A job
+	// the last Complete claimed ahead (StageClaim) is returned first, at no
+	// cost. A disabled deployment is answered core.ErrInactiveDeployment,
+	// which Run and Drain take for an idle answer, not a failure.
 	ClaimJob(deploymentID string) (*core.Job, []params.Definition, error)
 	// Progress reports percent complete and returns the current status;
 	// the agent sends one per reporting tick.
@@ -60,10 +75,22 @@ type Control interface {
 	// its own: for output no other call follows (the agent's one such case
 	// is the trailing log of an aborted job).
 	AppendLog(jobID, text string) error
+	// StageClaim makes jobID's Complete also claim deploymentID's next job:
+	// the next ClaimJob(deploymentID) returns it without a request. It rides
+	// only that Complete — not a Fail, not another job's call — and a
+	// Complete that errs claims nothing the caller will see. A remote
+	// Control holds at most one such job per deployment; in process there
+	// is no round trip to save and it is a no-op. Whoever stages must
+	// follow with ClaimJob or HandBack.
+	StageClaim(jobID, deploymentID string)
 	// Complete uploads the result and closes the job.
 	Complete(jobID string, resultJSON, archive []byte) error
 	// Fail reports an execution failure and closes the attempt.
 	Fail(jobID, reason string) error
+	// HandBack gives back the job claimed ahead for deploymentID that
+	// ClaimJob has not yet returned: it is scheduled again as it was, its
+	// attempt unspent. A no-op when there is none.
+	HandBack(deploymentID string) error
 }
 
 // ArchiveStore stores result archives outside Chronos Control (paper:
@@ -261,32 +288,71 @@ func (a *Agent) withDefaults() {
 	}
 }
 
-// Run polls for and executes jobs until ctx is cancelled.
+// Run polls for and executes jobs until ctx is cancelled. It hands back a
+// job claimed ahead on every return path.
 func (a *Agent) Run(ctx context.Context) error {
+	_, err := a.work(ctx, false)
+	return err
+}
+
+// Drain executes jobs until the queue is empty, then returns the number
+// of jobs executed. Used by examples and benchmarks. Like Run it rides
+// out up to ClaimRetries consecutive claim failures — an empty answer
+// ends the drain, a flaky control plane does not — and ends with nothing
+// claimed ahead.
+func (a *Agent) Drain(ctx context.Context) (int, error) {
+	return a.work(ctx, true)
+}
+
+// work is the loop behind Run and Drain: RunOnce until ctx is cancelled
+// (Run) or until an idle answer (drain), n counting the jobs executed.
+func (a *Agent) work(ctx context.Context, drain bool) (n int, err error) {
 	a.withDefaults()
-	fails := 0
+	defer func() {
+		// The last Complete may have claimed a job this loop will not run.
+		if herr := a.Control.HandBack(a.DeploymentID); herr != nil {
+			log.Printf("agent: handing back the job claimed ahead for %s: %v", a.DeploymentID, herr)
+			if err == nil {
+				err = herr
+			}
+		}
+	}()
+	fails, inactive := 0, false
 	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
+		if !drain && ctx.Err() != nil {
+			return n, ctx.Err()
 		}
 		worked, err := a.RunOnce(ctx)
-		if err != nil {
+		switch {
+		case errors.Is(err, core.ErrInactiveDeployment):
+			// Disabled for scheduling is not broken: an idle answer, which
+			// the retry budget is not for, so that whoever enables the
+			// deployment again finds its agents still polling.
+			if !inactive {
+				log.Printf("agent: deployment %s is inactive; polling until it is enabled", a.DeploymentID)
+			}
+			inactive = true
+		case err != nil:
 			fails++
 			if a.ClaimRetries < 0 || fails > a.ClaimRetries {
-				return err
+				return n, err
 			}
 			if err := a.pollWait(ctx); err != nil {
-				return err
+				return n, err
 			}
 			continue
+		default:
+			fails, inactive = 0, false
 		}
-		fails = 0
-		if !worked {
-			if err := a.pollWait(ctx); err != nil {
-				return err
-			}
+		if worked {
+			n++
+			continue
+		}
+		if drain {
+			return n, nil
+		}
+		if err := a.pollWait(ctx); err != nil {
+			return n, err
 		}
 	}
 }
@@ -301,37 +367,11 @@ func (a *Agent) pollWait(ctx context.Context) error {
 	}
 }
 
-// Drain executes jobs until the queue is empty, then returns the number
-// of jobs executed. Used by examples and benchmarks. Like Run it rides
-// out up to ClaimRetries consecutive claim failures — an empty answer
-// ends the drain, a flaky control plane does not.
-func (a *Agent) Drain(ctx context.Context) (int, error) {
-	a.withDefaults()
-	n, fails := 0, 0
-	for {
-		worked, err := a.RunOnce(ctx)
-		if err != nil {
-			fails++
-			if a.ClaimRetries < 0 || fails > a.ClaimRetries {
-				return n, err
-			}
-			if err := a.pollWait(ctx); err != nil {
-				return n, err
-			}
-			continue
-		}
-		fails = 0
-		if !worked {
-			return n, nil
-		}
-		n++
-	}
-}
-
 // RunOnce claims and executes at most one job. worked reports whether a
 // job was executed. Errors from the runner are reported to Chronos
 // Control as job failures, not returned; only communication errors
-// surface here.
+// surface here. The job's Complete claims the next one ahead (StageClaim):
+// a caller that stops calling RunOnce owes the Control a HandBack.
 func (a *Agent) RunOnce(ctx context.Context) (worked bool, err error) {
 	a.withDefaults()
 	job, defs, err := a.Control.ClaimJob(a.DeploymentID)
@@ -418,6 +458,12 @@ func (a *Agent) executeJob(parent context.Context, job *core.Job, defs []params.
 	if err != nil {
 		a.Control.Fail(job.ID, fmt.Sprintf("agent: build result: %v", err))
 		return
+	}
+	// Steady state is this one call: it also claims the next job, which the
+	// coming ClaimJob returns. Not when the agent is already stopping — that
+	// job would only have to be handed back.
+	if parent.Err() == nil {
+		a.Control.StageClaim(job.ID, a.DeploymentID)
 	}
 	if err := a.Control.Complete(job.ID, resultJSON, archive); err != nil {
 		// Completion raced an abort or the control is gone; nothing to do.
@@ -578,6 +624,13 @@ func (l *LocalControl) StageLog(jobID, text string) {
 func (l *LocalControl) AppendLog(jobID, text string) error {
 	return l.Svc.AppendJobLog(jobID, text)
 }
+
+// StageClaim implements Control. In process a claim is a function call:
+// nothing is claimed ahead.
+func (l *LocalControl) StageClaim(jobID, deploymentID string) {}
+
+// HandBack implements Control: nothing is ever held.
+func (l *LocalControl) HandBack(deploymentID string) error { return nil }
 
 // Complete implements Control.
 func (l *LocalControl) Complete(jobID string, resultJSON, archive []byte) error {

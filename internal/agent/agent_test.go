@@ -155,9 +155,17 @@ func (r *recordingControl) AppendLog(id, text string) error {
 	r.note("AppendLog")
 	return r.Control.AppendLog(id, text)
 }
+func (r *recordingControl) StageClaim(id, dep string) {
+	r.note("StageClaim")
+	r.Control.StageClaim(id, dep)
+}
 func (r *recordingControl) Complete(id string, resultJSON, archive []byte) error {
 	r.note("Complete")
 	return r.Control.Complete(id, resultJSON, archive)
+}
+func (r *recordingControl) HandBack(dep string) error {
+	r.note("HandBack")
+	return r.Control.HandBack(dep)
 }
 func (r *recordingControl) Fail(id, reason string) error {
 	r.note("Fail")
@@ -168,10 +176,13 @@ func (r *recordingControl) Fail(id, reason string) error {
 // reporter tick costs the control plane: the claim and the closing call,
 // which the trailing log rides (StageLog is no round trip) — no flush of
 // its own, and no end-of-job Progress, which would be a durable round trip
-// that Complete and Fail make redundant. An agent stopped mid-job (its
-// own context cancelled: SIGTERM) closes the attempt the same way — the
-// server has recorded no abort, so without the Fail the job would sit
-// running until the watchdog's heartbeat timeout.
+// that Complete and Fail make redundant. A Complete is preceded by
+// StageClaim (no round trip either): it claims the next job, which is what
+// makes the following ClaimJob free over REST. A Fail never is. An agent
+// stopped mid-job (its own context cancelled: SIGTERM) closes the attempt
+// with a Fail — the server has recorded no abort, so without it the job
+// would sit running until the watchdog's heartbeat timeout — and, stopping,
+// stages no claim.
 func TestAgentCallSequence(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -181,7 +192,7 @@ func TestAgentCallSequence(t *testing.T) {
 		status core.JobStatus
 		reason string
 	}{
-		{"finishes", testRunner{}, false, []string{"ClaimJob", "StageLog", "Complete"}, core.StatusFinished, ""},
+		{"finishes", testRunner{}, false, []string{"ClaimJob", "StageLog", "StageClaim", "Complete"}, core.StatusFinished, ""},
 		// One failed attempt: the job is re-scheduled for its next one.
 		{"runner error", testRunner{executeErr: fmt.Errorf("disk exploded")}, false, []string{"ClaimJob", "StageLog", "Fail"}, core.StatusScheduled, "disk exploded"},
 		{"agent stopped", testRunner{slow: time.Minute, slowIn: PhaseExecute}, true, []string{"ClaimJob", "StageLog", "Fail"}, core.StatusScheduled, "agent stopped"},
@@ -260,8 +271,8 @@ func (c *tickControl) Progress(id string, pct int64) (core.JobStatus, error) {
 
 // TestAgentReporterTick pins a reporting tick: the log gathered since the
 // last one is staged and rides the tick's Progress — [StageLog, Progress],
-// one round trip — and staged text is always directly followed by a call
-// that carries it.
+// one round trip — and staged text is always followed by a call that
+// carries it, with nothing but the Complete's StageClaim in between.
 func TestAgentReporterTick(t *testing.T) {
 	svc, depID := setupJobs(t, 1)
 	ctl := &tickControl{
@@ -282,7 +293,11 @@ func TestAgentReporterTick(t *testing.T) {
 		t.Fatalf("control calls = %v, want Complete last", calls)
 	}
 	for i, call := range calls[:len(calls)-1] {
-		if next := calls[i+1]; call == "StageLog" && next != "Progress" && next != "Complete" {
+		next := calls[i+1]
+		if next == "StageClaim" { // no round trip either; its Complete follows
+			next = calls[i+2]
+		}
+		if call == "StageLog" && next != "Progress" && next != "Complete" {
 			t.Fatalf("StageLog followed by %s, which carries no log: %v", next, calls)
 		}
 		if call == "AppendLog" {

@@ -215,10 +215,22 @@ type LogRequest struct {
 
 // CompleteRequest uploads the job result. Archive travels base64-encoded
 // within the JSON body (the []byte JSON encoding).
+//
+// ClaimNext, a deployment id, asks for that deployment's next job in the
+// same call: the server claims it in the completing transaction — one
+// commit and one fsync for both — and answers with exactly what POST
+// /jobs/claim would have answered, a ClaimResponse (job absent on an empty
+// queue), instead of "completed". A refused completion claims nothing and
+// is answered as without it; an unknown or inactive deployment claims
+// nothing and the completion stands. A job claimed this way is running and
+// counts against its attempts like any other: a caller that will not run
+// it gives it back with POST /jobs/{id}/release. Without ClaimNext the
+// call is what it always was.
 type CompleteRequest struct {
 	ResultJSON []byte `json:"resultJson"`
 	Archive    []byte `json:"archive,omitempty"`
 	Log        string `json:"log,omitempty"`
+	ClaimNext  string `json:"claimNext,omitempty"`
 }
 
 // FailRequest reports a job failure.

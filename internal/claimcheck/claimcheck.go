@@ -12,6 +12,17 @@
 // so two acknowledged grants of the same (job, attempt) pair can only
 // mean the same claim was handed to two agents — the exact bug lease
 // delegation must never introduce.
+//
+// One commit decrements it again: core.ReleaseJob, the hand-back of a job
+// claimed ahead by a Complete (claimNext), returns the job to the queue
+// with the attempt unspent, so the next claim of that job reuses the epoch.
+// The epoch argument survives because a history records grants an agent
+// *acknowledged* — what ClaimJob returned — and pkg/client releases only
+// jobs it never returned from ClaimJob: the first use of a reused epoch
+// was never in any history, so no acknowledged grant repeats one. A caller
+// that released a job it had been handed would break that, and Check would
+// say so (duplicate-claim). The proof under stops and restarts is
+// faultnet's TestAgentStopsExactlyOnce.
 package claimcheck
 
 import (

@@ -154,46 +154,104 @@ func (s *Service) transition(tx *relstore.Tx, j *Job, to JobStatus) error {
 // same job. ok is false when no work is available.
 func (s *Service) ClaimJob(deploymentID string) (job *Job, ok bool, err error) {
 	err = s.store.db.Update(func(tx *relstore.Tx) error {
-		// Scalar-column projection: every poll pays three column lookups
-		// instead of a full deployment JSON decode.
-		systemID, depName, active, err := s.store.DeploymentClaimInfo(tx, deploymentID)
-		if err != nil {
-			return mapNotFound(err)
-		}
-		if !active {
-			return ErrInactiveDeployment
-		}
-		// Limit(1) indexed lookup: the planner drives from the smaller of
-		// the status/system posting lists and decodes exactly one job.
-		j, err := s.store.FirstJobByStatus(tx, StatusScheduled, systemID)
-		if err != nil {
-			return err
-		}
-		if j == nil {
-			return nil
-		}
-		if err := s.transition(tx, j, StatusRunning); err != nil {
-			return err
-		}
-		now := s.now()
-		j.DeploymentID = deploymentID
-		j.Attempts++
-		j.Started = now
-		j.Heartbeat = now
-		j.Progress = 0
-		if err := s.store.PutJob(tx, j); err != nil {
-			return err
-		}
-		if err := s.putEvent(tx, j.ID, EventClaimed, "claimed by "+depName+" ("+deploymentID+")"); err != nil {
-			return err
-		}
-		job, ok = j, true
-		return nil
+		job, err = s.claim(tx, deploymentID)
+		return err
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	return job, ok, nil
+	if job != nil && s.met != nil {
+		s.met.claimedByClaim.Inc()
+	}
+	return job, job != nil, nil
+}
+
+// claim is the body of a claim, inside the caller's transaction: ClaimJob
+// runs it in one of its own, a completion that asks for the next job
+// (CompleteJobClaimNext) in the completing one. It returns nil, nil when
+// the deployment's queue is empty, ErrNotFound for an unknown deployment
+// and ErrInactiveDeployment for a disabled one, having written nothing.
+func (s *Service) claim(tx *relstore.Tx, deploymentID string) (*Job, error) {
+	// Scalar-column projection: every poll pays three column lookups
+	// instead of a full deployment JSON decode.
+	systemID, depName, active, err := s.store.DeploymentClaimInfo(tx, deploymentID)
+	if err != nil {
+		return nil, mapNotFound(err)
+	}
+	if !active {
+		return nil, ErrInactiveDeployment
+	}
+	// Limit(1) indexed lookup: the planner drives from the smaller of
+	// the status/system posting lists and decodes exactly one job.
+	j, err := s.store.FirstJobByStatus(tx, StatusScheduled, systemID)
+	if err != nil || j == nil {
+		return nil, err
+	}
+	if err := s.grant(tx, j, deploymentID, "claimed by "+depName+" ("+deploymentID+")"); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// grant is the scheduled -> running write, the one copy of it: the job is
+// the deployment's, its attempt is spent and its heartbeat clock starts.
+func (s *Service) grant(tx *relstore.Tx, j *Job, deploymentID, event string) error {
+	if err := s.transition(tx, j, StatusRunning); err != nil {
+		return err
+	}
+	now := s.now()
+	j.DeploymentID = deploymentID
+	j.Attempts++
+	j.Started = now
+	j.Heartbeat = now
+	j.Progress = 0
+	if err := s.store.PutJob(tx, j); err != nil {
+		return err
+	}
+	return s.putEvent(tx, j.ID, EventClaimed, event)
+}
+
+// ReleaseJob hands a claimed job back unrun: running returns to scheduled
+// as it was before the claim — deployment, start, heartbeat and progress
+// cleared and the attempt not spent, so a job with one attempt still gets
+// it — at its old place in the queue. It is for the holder of a job it
+// never started, which is what an agent holds when it stops with a job
+// claimed ahead by its last Complete; the server cannot tell a started job
+// from an unstarted one and takes the caller's word. Any other status is
+// refused with ErrInvalidTransition.
+//
+// Un-spending the attempt reuses the (job, attempt) pair claimcheck treats
+// as the claim epoch. That is sound as long as released jobs are ones no
+// agent was ever handed: no acknowledged grant repeats an epoch then.
+func (s *Service) ReleaseJob(jobID string) error {
+	err := s.store.db.Update(func(tx *relstore.Tx) error {
+		j, err := s.store.GetJob(tx, jobID)
+		if err != nil {
+			return mapNotFound(err)
+		}
+		// failed -> scheduled is legal too (RescheduleJob); a release is
+		// only ever of a running job.
+		if j.Status != StatusRunning {
+			return fmt.Errorf("%w: release of a %s job (job %s)", ErrInvalidTransition, j.Status, j.ID)
+		}
+		if err := s.transition(tx, j, StatusScheduled); err != nil {
+			return err
+		}
+		from := j.DeploymentID
+		j.DeploymentID = ""
+		j.Attempts--
+		j.Started = time.Time{}
+		j.Heartbeat = time.Time{}
+		j.Progress = 0
+		if err := s.store.PutJob(tx, j); err != nil {
+			return err
+		}
+		return s.putEvent(tx, jobID, EventReleased, "handed back unrun by "+from+", attempt not spent")
+	})
+	if err == nil && s.met != nil {
+		s.met.released.Inc()
+	}
+	return err
 }
 
 // jobCall is the shape of every agent call about one claimed job: load
@@ -315,7 +373,23 @@ func (s *Service) CompleteJob(jobID string, resultJSON, archive []byte) error {
 // the chunk is stored ahead of the result in the same transaction, so a
 // finished job never lacks its last log lines.
 func (s *Service) CompleteJobWithLog(jobID string, resultJSON, archive []byte, log string) error {
-	return s.jobCall(jobID, log, func(tx *relstore.Tx, j *Job) error {
+	_, err := s.CompleteJobClaimNext(jobID, resultJSON, archive, log, "")
+	return err
+}
+
+// CompleteJobClaimNext is CompleteJobWithLog that also claims the next job
+// of deployment claimFor ("" claims nothing) in the completing transaction:
+// one commit and one fsync close this job and hand out that one, or
+// neither happens. next is what ClaimJob(claimFor) would have returned just
+// after the completion, nil on an empty queue.
+//
+// The claim runs only once the finish is accepted — a refused completion
+// (ErrInvalidTransition: the job was aborted, or is not running) claims
+// nothing — and never fails an accepted one: an unknown or inactive
+// deployment leaves next nil and the completion stands, and the agent
+// learns which it was from the ClaimJob it makes next.
+func (s *Service) CompleteJobClaimNext(jobID string, resultJSON, archive []byte, log, claimFor string) (next *Job, err error) {
+	err = s.jobCall(jobID, log, func(tx *relstore.Tx, j *Job) error {
 		if err := s.transition(tx, j, StatusFinished); err != nil {
 			return err
 		}
@@ -332,8 +406,33 @@ func (s *Service) CompleteJobWithLog(jobID string, resultJSON, archive []byte, l
 		if err := s.putEvent(tx, jobID, EventResult, fmt.Sprintf("result uploaded (%d bytes json, %d bytes archive)", len(resultJSON), len(archive))); err != nil {
 			return err
 		}
-		return s.putEvent(tx, jobID, EventFinished, "job finished")
+		if err := s.putEvent(tx, jobID, EventFinished, "job finished"); err != nil {
+			return err
+		}
+		if claimFor == "" {
+			return nil
+		}
+		next, err = s.claim(tx, claimFor)
+		switch {
+		case errors.Is(err, ErrNotFound), errors.Is(err, ErrInactiveDeployment):
+			return nil // claim wrote nothing; the finish stands
+		case errors.Is(err, ErrInvalidTransition):
+			// jobCall commits what change wrote when change returns this
+			// error, taking it for a refusal that wrote nothing. Here the
+			// finish is written, so it must not leave as one. (It cannot
+			// arise while the status index is sound: claim picked the job
+			// for being scheduled.)
+			return fmt.Errorf("core: claim after complete: %v", err)
+		}
+		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	if next != nil && s.met != nil {
+		s.met.claimedByComplete.Inc()
+	}
+	return next, nil
 }
 
 // FailJob records a failed run. If the experiment's attempt budget is not
@@ -429,6 +528,11 @@ func (s *Service) RescheduleJob(jobID string) error {
 		j, err := s.store.GetJob(tx, jobID)
 		if err != nil {
 			return mapNotFound(err)
+		}
+		// running -> scheduled is legal too (ReleaseJob); a re-schedule
+		// is only ever of a failed job.
+		if j.Status != StatusFailed {
+			return fmt.Errorf("%w: re-schedule of a %s job (job %s)", ErrInvalidTransition, j.Status, j.ID)
 		}
 		if err := s.transition(tx, j, StatusScheduled); err != nil {
 			return err

@@ -20,6 +20,7 @@ func TestJobStateMachine(t *testing.T) {
 		{StatusRunning, StatusFinished},
 		{StatusRunning, StatusFailed},
 		{StatusRunning, StatusAborted},
+		{StatusRunning, StatusScheduled}, // ReleaseJob: handed back unrun
 		{StatusFailed, StatusScheduled},
 	}
 	for _, c := range legal {
@@ -36,7 +37,6 @@ func TestJobStateMachine(t *testing.T) {
 		{StatusAborted, StatusRunning},
 		{StatusFailed, StatusRunning},
 		{StatusFailed, StatusFinished},
-		{StatusRunning, StatusScheduled},
 	}
 	for _, c := range illegal {
 		if CanTransition(c.from, c.to) {

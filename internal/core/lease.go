@@ -316,19 +316,7 @@ func (s *Service) CommitClaimIntents(leaseID, followerID string, intents []Claim
 				rejected++
 				continue
 			}
-			if err := s.transition(tx, j, StatusRunning); err != nil {
-				return err
-			}
-			now := s.now()
-			j.DeploymentID = dep.ID
-			j.Attempts++
-			j.Started = now
-			j.Heartbeat = now
-			j.Progress = 0
-			if err := s.store.PutJob(tx, j); err != nil {
-				return err
-			}
-			if err := s.putEvent(tx, j.ID, EventClaimed,
+			if err := s.grant(tx, j, dep.ID,
 				"claimed by "+dep.Name+" ("+dep.ID+") via follower "+followerID); err != nil {
 				return err
 			}

@@ -187,9 +187,11 @@ func (s JobStatus) Terminal() bool {
 
 // legalTransitions captures the job state machine (paper §2.1: jobs in
 // scheduled or running can be aborted; failed jobs can be re-scheduled).
+// running -> scheduled is the hand-back of a job its claimer never
+// started (ReleaseJob).
 var legalTransitions = map[JobStatus][]JobStatus{
 	StatusScheduled: {StatusRunning, StatusAborted},
-	StatusRunning:   {StatusFinished, StatusFailed, StatusAborted},
+	StatusRunning:   {StatusFinished, StatusFailed, StatusAborted, StatusScheduled},
 	StatusFailed:    {StatusScheduled},
 }
 
@@ -267,6 +269,9 @@ const (
 	EventAborted EventKind = "aborted"
 	// EventRescheduled marks a failed job returning to the queue.
 	EventRescheduled EventKind = "rescheduled"
+	// EventReleased marks a claimed job handed back unrun, its attempt
+	// not spent.
+	EventReleased EventKind = "released"
 	// EventHeartbeatLost marks watchdog-detected agent loss.
 	EventHeartbeatLost EventKind = "heartbeat-lost"
 	// EventResult marks a result upload.

@@ -1,7 +1,8 @@
 package core
 
-// Service observability: pre-resolved handles for the claim-delegation
-// and watchdog paths (chronos_claim_* / chronos_watchdog_* series).
+// Service observability: pre-resolved handles for how jobs leave the
+// queue and come back to it (chronos_jobs_*), the claim-delegation path
+// (chronos_claim_*) and the watchdog (chronos_watchdog_*).
 // SetMetrics resolves them once at wiring time; every instrumentation
 // site pays a single nil check when metrics are off.
 
@@ -13,6 +14,13 @@ import (
 
 // svcMetrics carries the service's instrumentation handles.
 type svcMetrics struct {
+	// Jobs handed out by the leader's own claim body, by the call that ran
+	// it: POST /jobs/claim, or a complete that asked for the next job.
+	// Delegated grants are chronos_claim_intents_total{verdict="granted"}.
+	claimedByClaim    *metrics.Counter
+	claimedByComplete *metrics.Counter
+	// released counts claimed jobs handed back unrun (ReleaseJob).
+	released    *metrics.Counter
 	leaseGrants *metrics.Counter
 	// intent verdict counters, one per ClaimVerdictCode.
 	intentsGranted       *metrics.Counter
@@ -32,7 +40,13 @@ func (s *Service) SetMetrics(reg *metrics.Registry) {
 	}
 	vec := reg.CounterVec("chronos_claim_intents_total",
 		"Delegated claim intents by verdict.", "verdict")
+	claimed := reg.CounterVec("chronos_jobs_claimed_total",
+		"Jobs handed out by the leader, by the call that claimed them.", "via")
 	s.met = &svcMetrics{
+		claimedByClaim:    claimed.With("claim"),
+		claimedByComplete: claimed.With("complete"),
+		released: reg.Counter("chronos_jobs_released_total",
+			"Claimed jobs handed back unrun, attempt not spent."),
 		leaseGrants: reg.Counter("chronos_claim_lease_grants_total",
 			"Claim-lease grants and renewals issued to followers."),
 		intentsGranted:       vec.With(ClaimGranted),

@@ -133,8 +133,16 @@ func (s *Server) appendLog(id string, q api.LogRequest) (string, error) {
 	return "logged", s.svc.AppendJobLog(id, q.Text)
 }
 
-func (s *Server) complete(id string, q api.CompleteRequest) (string, error) {
-	return "completed", s.svc.CompleteJobWithLog(id, q.ResultJSON, q.Archive, q.Log)
+// complete closes a job; with claimNext it also claims that deployment's
+// next job in the same transaction and answers what a claim would have.
+func (s *Server) complete(version string) func(id string, q api.CompleteRequest) (any, error) {
+	return func(id string, q api.CompleteRequest) (any, error) {
+		next, err := s.svc.CompleteJobClaimNext(id, q.ResultJSON, q.Archive, q.Log, q.ClaimNext)
+		if err != nil || q.ClaimNext == "" {
+			return "completed", err
+		}
+		return s.claimResponse(version, next), nil
+	}
 }
 
 func (s *Server) failJob(id string, q api.FailRequest) (string, error) {
@@ -170,34 +178,38 @@ func (s *Server) handleClaim(version string) http.HandlerFunc {
 		if !decode(w, r, &req) {
 			return
 		}
+		// job is nil when the queue is empty.
 		var (
 			job *core.Job
-			ok  bool
 			err error
 		)
 		if s.Claims != nil {
 			// Follower with a claim lease: serve locally from the
 			// replica; the delegate ships the intent to the leader and
 			// only returns a job the leader committed.
-			job, ok, err = s.Claims.Claim(r.Context(), req.DeploymentID)
+			job, _, err = s.Claims.Claim(r.Context(), req.DeploymentID)
 		} else {
-			job, ok, err = s.svc.ClaimJob(req.DeploymentID)
+			job, _, err = s.svc.ClaimJob(req.DeploymentID)
 		}
 		if err != nil {
 			fail(w, err)
 			return
 		}
-		resp := api.ClaimResponse{}
-		if ok {
-			resp.Job = job
-			if version == "v2" {
-				if sys, err := s.svc.GetSystem(job.SystemID); err == nil {
-					resp.Parameters = sys.Parameters
-				}
-			}
-		}
-		httputil.WriteJSON(w, http.StatusOK, resp)
+		httputil.WriteJSON(w, http.StatusOK, s.claimResponse(version, job))
 	}
+}
+
+// claimResponse is the answer to a claim, whichever call made it: the job
+// (nil: the queue was empty) and, from v2 on, its system's parameter
+// definitions.
+func (s *Server) claimResponse(version string, job *core.Job) api.ClaimResponse {
+	resp := api.ClaimResponse{Job: job}
+	if job != nil && version == "v2" {
+		if sys, err := s.svc.GetSystem(job.SystemID); err == nil {
+			resp.Parameters = sys.Parameters
+		}
+	}
+	return resp
 }
 
 // leaderOnly guards the claim-delegation calls, which only a leader can

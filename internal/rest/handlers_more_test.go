@@ -334,7 +334,8 @@ func TestJobPhasesEmptyForStaticResult(t *testing.T) {
 }
 
 // countedFixture is a control server over a disk-backed store whose commits
-// are counted, with one evaluation of four jobs scheduled.
+// are counted (and whose registry is served at /metrics), with one
+// evaluation of four jobs scheduled.
 func countedFixture(t *testing.T) (f *fixture, commits *metrics.Counter, depID string) {
 	t.Helper()
 	reg := metrics.NewRegistry()
@@ -347,8 +348,10 @@ func countedFixture(t *testing.T) (f *fixture, commits *metrics.Counter, depID s
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc.SetMetrics(reg)
 	f = &fixture{svc: svc, server: NewServer(svc)}
 	f.server.Logger = log.New(io.Discard, "", 0)
+	f.server.Registry = reg
 	f.ts = httptest.NewServer(f.server.Handler())
 	t.Cleanup(f.ts.Close)
 	u, _ := svc.CreateUser("u", core.RoleAdmin)

@@ -9,6 +9,14 @@
 // clients still use older versions of the REST API". v2 extends v1's
 // claim response with the system's parameter definitions (saving agents a
 // round-trip) and adds a batched status update endpoint.
+//
+// An agent's steady state is one request per job on either version:
+// complete takes an optional claimNext (a deployment id) and then answers
+// with that deployment's next job, claimed in the completing transaction —
+// the claim response of the version asked, v2's with the definitions. POST
+// /jobs/claim remains for the first job, for polling an empty queue and
+// after a fail; POST /jobs/{id}/release hands back a job claimed ahead
+// that the agent will not run, attempt not spent.
 package rest
 
 import (
@@ -222,8 +230,11 @@ func (s *Server) api(v string) []route {
 		{"v1", "POST", "/jobs/{id}/progress", agent, body(http.StatusOK, s.progress)},
 		{"v1", "POST", "/jobs/{id}/heartbeat", agent, byID(s.heartbeat)},
 		{"v1", "POST", "/jobs/{id}/log", agent, body(http.StatusOK, s.appendLog)},
-		{"v1", "POST", "/jobs/{id}/complete", agent, body(http.StatusOK, s.complete)},
+		{"v1", "POST", "/jobs/{id}/complete", agent, body(http.StatusOK, s.complete(v))},
 		{"v1", "POST", "/jobs/{id}/fail", agent, body(http.StatusOK, s.failJob)},
+		// Hand-back of a job claimed ahead (complete's claimNext) and never
+		// started: running -> scheduled, attempt not spent.
+		{"v1", "POST", "/jobs/{id}/release", agent, act("released", svc.ReleaseJob)},
 		// Batched agent update: log + progress-or-heartbeat in one call.
 		{"v2", "POST", "/jobs/{id}/update", agent, body(http.StatusOK, s.batchUpdate)},
 	}

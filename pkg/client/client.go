@@ -42,6 +42,11 @@ type Client struct {
 	session    api.CommitToken // newest commit position seen (the ratchet)
 	hasSession bool
 	staged     map[string]string // job id -> log text waiting for that job's next call (StageLog)
+	claimFor   map[string]string // job id -> deployment whose next job that job's Complete asks for (StageClaim)
+	// held is, per deployment, the claim answer a Complete brought back and
+	// ClaimJob has not yet returned: at most one, the slot reserved (a nil
+	// entry) while the Complete that asked is in flight.
+	held map[string]*api.ClaimResponse
 }
 
 // Option customises a Client.
@@ -77,6 +82,8 @@ func NewClient(baseURL string, opts ...Option) *Client {
 		retryBase:  100 * time.Millisecond,
 		retryMax:   2 * time.Second,
 		staged:     make(map[string]string),
+		claimFor:   make(map[string]string),
+		held:       make(map[string]*api.ClaimResponse),
 	}
 	for _, o := range opts {
 		o(c)
@@ -99,10 +106,12 @@ func (c *Client) SetSessionToken(tok string) {
 func (c *Client) do(method, path string, body, out any) error {
 	if method == http.MethodGet {
 		return c.readLoop(func(base string) error {
-			return c.doOnce(base, method, path, nil, out)
+			_, err := c.doOnce(base, method, path, nil, out)
+			return err
 		})
 	}
-	return c.doOnce(c.writeBase(), method, path, body, out)
+	_, err := c.doOnce(c.writeBase(), method, path, body, out)
+	return err
 }
 
 // call makes one API call and decodes the response's data into a fresh T.
@@ -318,16 +327,26 @@ func (c *Client) JobTimeline(id string) ([]*core.Event, error) {
 
 // --- agent API (implements agent.Control) ---
 //
-// An agent's steady state is two requests per job, ClaimJob and Complete
-// (or Fail), plus one Progress per reporting tick: log output handed to
-// StageLog rides whichever of Progress, Complete or Fail comes next for
-// that job and costs no request of its own. AppendLog is the call for log
-// output nothing follows, and for callers that read the log back.
+// An agent's steady state is one request per job: the Complete of a job
+// that StageClaim was called for also claims the deployment's next job, and
+// the ClaimJob that follows returns it without a request. ClaimJob is a
+// request of its own for the first job, on an empty queue and after a Fail;
+// a reporting tick is one Progress. Log output handed to StageLog rides
+// whichever of Progress, Complete or Fail comes next for that job and
+// costs no request of its own; AppendLog is the call for log output nothing
+// follows, and for callers that read the log back. The client asks for
+// nothing it was not told to: without a StageClaim, Complete is the plain
+// call, and a caller that stages owes the job a ClaimJob or a HandBack.
 
 // ClaimJob asks for work on behalf of a deployment. Job is nil when the
 // queue is empty. With API v2 the response includes the system's
-// parameter definitions.
+// parameter definitions. A job claimed ahead by a Complete (StageClaim) is
+// returned first, once, without a request. A disabled deployment is
+// answered with an error that wraps core.ErrInactiveDeployment.
 func (c *Client) ClaimJob(deploymentID string) (*core.Job, []params.Definition, error) {
+	if h := c.takeHeld(deploymentID); h != nil {
+		return h.Job, h.Parameters, nil
+	}
 	// Claims route like reads, not like writes: a follower holding a
 	// claim lease serves them locally (shipping the intent to the
 	// leader itself), and one without answers 503 — so the read loop's
@@ -338,7 +357,13 @@ func (c *Client) ClaimJob(deploymentID string) (*core.Job, []params.Definition, 
 	var out api.ClaimResponse
 	err := c.readLoop(func(base string) error {
 		out = api.ClaimResponse{}
-		return c.doOnce(base, http.MethodPost, "/jobs/claim", api.ClaimRequest{DeploymentID: deploymentID}, &out)
+		status, err := c.doOnce(base, http.MethodPost, "/jobs/claim", api.ClaimRequest{DeploymentID: deploymentID}, &out)
+		if status == http.StatusConflict {
+			// The one thing a claim conflicts with. The envelope's text is
+			// the sentinel's own; the sentinel is what Agent.Run keys on.
+			return fmt.Errorf("client: POST /jobs/claim: %w", core.ErrInactiveDeployment)
+		}
+		return err
 	})
 	if err != nil {
 		return nil, nil, err
@@ -362,6 +387,46 @@ func (c *Client) StageLog(jobID, text string) {
 	c.mu.Lock()
 	c.staged[jobID] += text
 	c.mu.Unlock()
+}
+
+// StageClaim makes jobID's Complete also claim deploymentID's next job, in
+// the completing transaction: the next ClaimJob(deploymentID) returns that
+// job without a request. It issues no request itself. The stage rides only
+// that job's Complete — a Fail for the job drops it, a Complete that errs
+// drops it too and holds nothing — and the client keeps at most one job
+// claimed ahead per deployment: a Complete that finds one held, or being
+// asked for, goes out plain. The held job is running on the server; whoever
+// stages must take it with ClaimJob or give it back with HandBack.
+func (c *Client) StageClaim(jobID, deploymentID string) {
+	c.mu.Lock()
+	c.claimFor[jobID] = deploymentID
+	c.mu.Unlock()
+}
+
+// HandBack releases the job claimed ahead for deploymentID that ClaimJob
+// has not returned, if there is one: it goes back to the queue as it was,
+// its attempt unspent (POST /jobs/{id}/release). With nothing held it
+// issues no request. Only jobs the caller was never handed are released
+// here, which is what keeps un-spending the attempt sound: no (job,
+// attempt) a caller has seen is ever granted again.
+func (c *Client) HandBack(deploymentID string) error {
+	h := c.takeHeld(deploymentID)
+	if h == nil {
+		return nil
+	}
+	return c.do(http.MethodPost, "/jobs/"+h.Job.ID+"/release", struct{}{}, nil)
+}
+
+// takeHeld removes and returns the claim answer held for deploymentID; nil
+// when there is none, or only the reservation of a Complete in flight.
+func (c *Client) takeHeld(deploymentID string) *api.ClaimResponse {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	h := c.held[deploymentID]
+	if h != nil {
+		delete(c.held, deploymentID)
+	}
+	return h
 }
 
 // takeStaged removes and returns the log output staged for jobID.
@@ -392,14 +457,52 @@ func (c *Client) AppendLog(jobID, text string) error {
 	return c.do(http.MethodPost, "/jobs/"+jobID+"/log", api.LogRequest{Text: text}, nil)
 }
 
-// Complete uploads the job result.
-func (c *Client) Complete(jobID string, resultJSON, archive []byte) error {
-	return c.do(http.MethodPost, "/jobs/"+jobID+"/complete", api.CompleteRequest{ResultJSON: resultJSON, Archive: archive, Log: c.takeStaged(jobID)}, nil)
+// takeClosing removes what is staged for jobID's closing call: its log
+// output, and the claim staged for its Complete. claimFor is the deployment
+// to ask for, its slot reserved, and is set only when the call is the
+// Complete (claim) and nothing is held or being asked for there already.
+func (c *Client) takeClosing(jobID string, claim bool) (log, claimFor string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	log = c.staged[jobID]
+	delete(c.staged, jobID)
+	dep, ok := c.claimFor[jobID]
+	delete(c.claimFor, jobID)
+	if !ok || !claim {
+		return log, ""
+	}
+	if _, taken := c.held[dep]; taken {
+		return log, "" // one job ahead per deployment, never two
+	}
+	c.held[dep] = nil
+	return log, dep
 }
 
-// Fail reports job failure.
+// Complete uploads the job result. After a StageClaim for the job it also
+// asks for the deployment's next job and holds the answer for ClaimJob.
+func (c *Client) Complete(jobID string, resultJSON, archive []byte) error {
+	log, dep := c.takeClosing(jobID, true)
+	req := api.CompleteRequest{ResultJSON: resultJSON, Archive: archive, Log: log, ClaimNext: dep}
+	path := "/jobs/" + jobID + "/complete"
+	if dep == "" {
+		return c.do(http.MethodPost, path, req, nil)
+	}
+	next, err := call[api.ClaimResponse](c, http.MethodPost, path, req)
+	c.mu.Lock()
+	if err == nil && next.Job != nil {
+		c.held[dep] = next
+	} else {
+		delete(c.held, dep) // nothing came of the reservation
+	}
+	c.mu.Unlock()
+	return err
+}
+
+// Fail reports job failure. A claim staged for the job's Complete is
+// dropped: it rides no other call.
 func (c *Client) Fail(jobID, reason string) error {
-	return c.do(http.MethodPost, "/jobs/"+jobID+"/fail", api.FailRequest{Reason: reason, Log: c.takeStaged(jobID)}, nil)
+	log, _ := c.takeClosing(jobID, false)
+	return c.do(http.MethodPost, "/jobs/"+jobID+"/fail", api.FailRequest{Reason: reason, Log: log}, nil)
 }
 
 // BatchUpdate is the v2-only combined progress/log/heartbeat call.

@@ -136,9 +136,11 @@ func (c *Client) readLoop(attempt func(base string) error) error {
 }
 
 // doOnce makes one attempt at an API call against base and decodes the
-// enveloped response into out.
-func (c *Client) doOnce(base, method, path string, body, out any) error {
-	_, data, err := c.roundTrip(method, base+"/api/"+c.version+path, body)
+// enveloped response into out. It also reports the HTTP status the server
+// answered with (0 when none arrived), for the caller that tells refusals
+// apart.
+func (c *Client) doOnce(base, method, path string, body, out any) (int, error) {
+	status, data, err := c.roundTrip(method, base+"/api/"+c.version+path, body)
 	if err == nil {
 		err = httputil.ReadEnvelope(data, out)
 		if errors.Is(err, httputil.ErrInvalidEnvelope) {
@@ -148,9 +150,9 @@ func (c *Client) doOnce(base, method, path string, body, out any) error {
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
+		return status, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
-	return nil
+	return status, nil
 }
 
 // roundTrip is the one place the SDK issues an HTTP request: a single
