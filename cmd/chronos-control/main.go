@@ -56,8 +56,6 @@ func main() {
 		sessionAuth   = flag.Bool("session-auth", false, "with -replicate-from: require sessions, validated against the credentials replicated from the leader")
 		maxStaleness  = flag.Duration("max-staleness", 0, "with -replicate-from: bounded-staleness budget; reads degrade to 503 when the replica cannot prove it is this fresh (0 = unbounded)")
 		readAfterWait = flag.Duration("read-after-wait", 0, "with -replicate-from: how long a read carrying an X-Chronos-Read-After token waits for the replica to catch up before answering 503 (0 = 5s default)")
-		claimDelegate = flag.String("claim-delegate", "", "with -replicate-from: serve agent claims locally under a leader-granted lease, identifying as this follower id (must be unique per follower)")
-		claimLeaseTTL = flag.Duration("claim-lease-ttl", 10*time.Second, "with -claim-delegate: requested claim-lease lifetime")
 		slowOp        = flag.Duration("slow-op", 0, "access-log slow-operation threshold (0 = 500ms default)")
 	)
 	flag.Parse()
@@ -81,13 +79,10 @@ func main() {
 				log.Fatalf("-%s cannot be combined with -replicate-from: %s", fl.Name, why)
 			}
 		})
-		if err := runFollower(*addr, *dataDir, *replicateFrom, *agentToken, *replToken, *claimDelegate, *compactEvery, *sessionAuth, *maxStaleness, *readAfterWait, *claimLeaseTTL, *slowOp); err != nil {
+		if err := runFollower(*addr, *dataDir, *replicateFrom, *agentToken, *replToken, *compactEvery, *sessionAuth, *maxStaleness, *readAfterWait, *slowOp); err != nil {
 			log.Fatal(err)
 		}
 		return
-	}
-	if *claimDelegate != "" {
-		log.Fatal("-claim-delegate only applies with -replicate-from: the leader already commits claims itself")
 	}
 	if *sessionAuth {
 		log.Fatal("-session-auth only applies with -replicate-from; use -admin/-admin-password on a leader")
@@ -104,11 +99,8 @@ func main() {
 // runFollower runs the read-only replica: a repl.Follower keeps the
 // local store converging with the leader while the REST API and web UI
 // serve reads from it. No watchdog runs here — job lifecycle management
-// is the leader's job. With claimDelegate set, agent claims are also
-// served here: candidates come from the replica under a leader-granted
-// partition lease, and the claim itself commits on the leader via
-// batched intents (every grant stays authoritative).
-func runFollower(addr, dataDir, leader, agentToken, replToken, claimDelegate string, compactEvery int, sessionAuth bool, maxStaleness, readAfterWait, claimLeaseTTL, slowOp time.Duration) error {
+// is the leader's job, and so is every write, an agent's claim included.
+func runFollower(addr, dataDir, leader, agentToken, replToken string, compactEvery int, sessionAuth bool, maxStaleness, readAfterWait, slowOp time.Duration) error {
 	reg := metrics.NewRegistry()
 	cfg := repl.Config{
 		Dir:          dataDir,
@@ -145,13 +137,6 @@ func runFollower(addr, dataDir, leader, agentToken, replToken, claimDelegate str
 	server.SlowOp = slowOp
 	if maxStaleness > 0 {
 		log.Printf("bounded staleness: reads degrade to 503 beyond %v of unproven freshness", maxStaleness)
-	}
-	if claimDelegate != "" {
-		claimer := repl.NewClaimer(claimDelegate, svc, repl.NewClient(leader, "", replToken, nil))
-		claimer.TTL = claimLeaseTTL
-		claimer.EnableMetrics(reg)
-		server.Claims = claimer
-		log.Printf("claim delegation enabled: serving agent claims as %q under leader leases (ttl %v)", claimDelegate, claimLeaseTTL)
 	}
 
 	if sessionAuth {

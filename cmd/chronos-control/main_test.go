@@ -1,8 +1,12 @@
 package main
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"chronos/internal/auth"
@@ -51,6 +55,38 @@ func TestMountGatesUIWithServerAuth(t *testing.T) {
 			if rec.Code != req.want {
 				t.Errorf("%s: %s %s -> %d, want %d", tc.name, req.method, req.path, rec.Code, req.want)
 			}
+		}
+	}
+}
+
+// TestMain lets a test run this binary as chronos-control itself: with
+// CHRONOS_CONTROL_AS_MAIN set, the process is main() over its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("CHRONOS_CONTROL_AS_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRemovedClaimFlagsAreUsageErrors: claim delegation is gone, not
+// switched off, and its flags with it — chronos-control refuses them the
+// way it refuses any flag it never had, before it opens a store. Bringing
+// one back has to change this test.
+func TestRemovedClaimFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-claim-delegate", "follower-a"},
+		{"-replicate-from", "http://127.0.0.1:1", "-claim-lease-ttl", "5s"},
+	} {
+		cmd := exec.Command(os.Args[0], append(args, "-data", t.TempDir())...)
+		cmd.Env = append(os.Environ(), "CHRONOS_CONTROL_AS_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("chronos-control %v: %v, want exit status 2\n%s", args, err, out)
+		}
+		if want := "flag provided but not defined: " + args[len(args)-2]; !strings.Contains(string(out), want) {
+			t.Fatalf("chronos-control %v printed\n%s\nwant %q", args, out, want)
 		}
 	}
 }

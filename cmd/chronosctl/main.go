@@ -292,27 +292,6 @@ func serverStatus(c *client.Client) error {
 			fmt.Printf("last replication error: %s\n", r.LastError)
 		}
 	}
-	// Claim delegation, from either side: a leader prints the leases it
-	// has granted, a delegating follower prints the lease it holds and
-	// its serving counters.
-	if l := st.Leases; l != nil {
-		fmt.Printf("claim leases (%d partitions):\n", l.NumPartitions)
-		fmt.Printf("  %-20s %-12s %-10s %s\n", "FOLLOWER", "LEASE", "EXPIRES", "PARTITIONS")
-		for _, lease := range l.Leases {
-			fmt.Printf("  %-20s %-12s %-10s %v\n",
-				lease.FollowerID, lease.ID, humanDuration(time.Duration(lease.ExpiresInMs)*time.Millisecond), lease.Partitions)
-		}
-	}
-	if cl := st.Claimer; cl != nil {
-		fmt.Printf("claim delegate %s: %d served, %d conflicts, %d lease faults", cl.FollowerID, cl.Served, cl.Conflicts, cl.LeaseFaults)
-		if cl.Lease != nil {
-			fmt.Printf("; lease %s over partitions %v (expires in %s)",
-				cl.Lease.ID, cl.Lease.Partitions, humanDuration(time.Duration(cl.Lease.ExpiresInMs)*time.Millisecond))
-		} else {
-			fmt.Printf("; no live lease (granted on next claim)")
-		}
-		fmt.Println()
-	}
 	return nil
 }
 

@@ -8,7 +8,6 @@ package main
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"chronos/internal/metrics"
@@ -80,24 +79,6 @@ func metricsStatus(c *client.Client) error {
 			fmt.Printf("; shipped %.0f commit(s) in %.0f chunk(s), %.1f commits/chunk", commits, chunks, commits/chunks)
 		}
 		fmt.Println()
-	}
-	// Claim verdicts, whichever side of the delegation this server is on.
-	var verdicts []string
-	for _, s := range samples {
-		if s.Name == "chronos_claim_intents_total" {
-			verdicts = append(verdicts, fmt.Sprintf("%s=%.0f", s.Label("verdict"), s.Value))
-		}
-	}
-	if len(verdicts) > 0 {
-		sort.Strings(verdicts)
-		grants, _ := find("chronos_claim_lease_grants_total")
-		fmt.Printf("claims: %s; %.0f lease grant(s)\n", strings.Join(verdicts, " "), grants)
-	}
-	if served, ok := find("chronos_claim_delegated_served_total"); ok {
-		conflicts, _ := find("chronos_claim_delegated_conflicts_total")
-		faults, _ := find("chronos_claim_delegated_lease_faults_total")
-		fmt.Printf("claim delegate: %.0f served, %.0f conflict(s), %.0f lease fault(s)\n",
-			served, conflicts, faults)
 	}
 	// Request traffic, aggregated across routes, errors split out.
 	var total, errors float64

@@ -19,6 +19,7 @@ import (
 	"chronos/internal/metrics"
 	"chronos/internal/params"
 	"chronos/internal/relstore"
+	"chronos/internal/relstore/repl"
 	"chronos/internal/rest"
 	"chronos/pkg/client"
 )
@@ -241,5 +242,110 @@ func TestNoopJobIsOneRequestOneCommit(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFleetClaimsAtTheLeaderOnly is the traffic probe for the one door
+// claims go through: a fleet whose clients read from a follower and write
+// to the leader (WithLeader) works a queue off, and every hand-out is the
+// leader's — a claim request for each agent's first job, then the
+// completes that claim the next — while the follower is never sent a
+// write. An empty poll claims nothing, so the two counters add up to the
+// queue exactly.
+func TestFleetClaimsAtTheLeaderOnly(t *testing.T) {
+	const agents, jobs = 4, 200
+	quiet := log.New(io.Discard, "", 0)
+	reg := metrics.NewRegistry()
+	db, err := relstore.Open(t.TempDir(), &relstore.Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	svc, err := core.NewService(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.SetMetrics(reg)
+	server := rest.NewServer(svc)
+	server.Logger = quiet
+	leaderTS := httptest.NewServer(server.Handler())
+	defer leaderTS.Close()
+
+	f, err := repl.Start(repl.Config{
+		Dir:        t.TempDir(),
+		Leader:     leaderTS.URL,
+		PollWait:   250 * time.Millisecond,
+		RetryEvery: 20 * time.Millisecond,
+		Logger:     quiet,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fserver := rest.NewServer(core.NewFollowerService(f.DB(), nil))
+	fserver.Repl = f
+	fserver.Logger = quiet
+	fapi := fserver.Handler()
+	var followerWrites atomic.Int64
+	followerTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			followerWrites.Add(1)
+		}
+		fapi.ServeHTTP(w, r)
+	}))
+	defer followerTS.Close()
+
+	u, _ := svc.CreateUser("op", core.RoleAdmin)
+	p, _ := svc.CreateProject("noop", "", u.ID, nil)
+	sys, _ := svc.RegisterSystem("noop", "", []params.Definition{
+		{Name: "v", Type: params.TypeInterval, Min: 1, Max: 1000, Default: params.Int(1)},
+	}, nil)
+	dep, _ := svc.CreateDeployment(sys.ID, "d", "", "")
+	vs := make([]params.Value, jobs)
+	for i := range vs {
+		vs[i] = params.Int(int64(i + 1))
+	}
+	exp, err := svc.CreateExperiment(p.ID, sys.ID, "sweep", "", map[string][]params.Value{"v": vs}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, _, err := svc.CreateEvaluation(exp.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	var ran atomic.Int64
+	for i := 0; i < agents; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a := &agent.Agent{
+				Control:        client.NewClient(followerTS.URL, client.WithVersion("v2"), client.WithLeader(leaderTS.URL)),
+				DeploymentID:   dep.ID,
+				Factory:        func() agent.Runner { return lineRunner{} },
+				ReportInterval: time.Hour,
+			}
+			n, err := a.Drain(context.Background())
+			if err != nil {
+				t.Errorf("drain: %v", err)
+			}
+			ran.Add(int64(n))
+		}()
+	}
+	wg.Wait()
+
+	st, err := svc.EvaluationStatusOf(ev.ID)
+	if err != nil || st.Finished != jobs || ran.Load() != jobs {
+		t.Fatalf("fleet ran %d job(s), evaluation status %+v, %v; want all %d finished", ran.Load(), st, err, jobs)
+	}
+	claimed := reg.CounterVec("chronos_jobs_claimed_total", "", "via")
+	byClaim, byComplete := claimed.With("claim").Value(), claimed.With("complete").Value()
+	if byClaim+byComplete != jobs || byClaim > agents {
+		t.Fatalf("leader handed out %d job(s) by claim and %d by complete, want %d in all and at most %d by claim (each agent's first)",
+			byClaim, byComplete, jobs, agents)
+	}
+	if n := followerWrites.Load(); n != 0 {
+		t.Fatalf("the follower was sent %d write(s)", n)
 	}
 }

@@ -266,12 +266,12 @@ type Agent struct {
 	ReportInterval time.Duration
 	// ClaimRetries bounds the consecutive failed claim attempts Run and
 	// Drain ride out (sleeping PollInterval between attempts) before
-	// surfacing the error. A follower renewing its claim lease or a
-	// restarting leader answers a few claims with transient errors; an
-	// agent fleet must poll through that, not die. Claiming again is
-	// always safe — a claim that committed but whose response was lost
-	// is reclaimed by the server's heartbeat watchdog, never handed to
-	// this agent twice. 0 means the default (8); negative fails fast.
+	// surfacing the error. A restarting leader answers a few claims with
+	// transient errors; an agent fleet must poll through that, not die.
+	// Claiming again is always safe — a claim that committed but whose
+	// response was lost is reclaimed by the server's heartbeat watchdog,
+	// never handed to this agent twice. 0 means the default (8);
+	// negative fails fast.
 	ClaimRetries int
 }
 

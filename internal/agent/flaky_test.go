@@ -80,8 +80,8 @@ func TestAgentSurfacesClaimErrors(t *testing.T) {
 }
 
 // flakyClaimControl injects claim-path faults: the first failBefore
-// claims answer with errs (cycled), as a follower whose claim lease is
-// being renewed or was invalidated answers ErrUnavailable/ErrStale.
+// claims answer with errs (cycled), as a leader that is restarting or
+// cut off answers ErrUnavailable.
 // Claims after that pass through. Each successful claim is recorded so
 // the test can prove no job was handed out twice.
 type flakyClaimControl struct {
@@ -106,9 +106,9 @@ func (f *flakyClaimControl) ClaimJob(depID string) (*core.Job, []params.Definiti
 }
 
 // TestAgentRidesOutClaimFaults pins the fleet-survival contract from the
-// agent side: ErrUnavailable (follower mid-lease-renewal, leader
-// restarting) and ErrStale (superseded session token after a leader
-// epoch bump) on the claim path make the agent retry — and once claims
+// agent side: ErrUnavailable (leader restarting or cut off) and ErrStale
+// (superseded session token after a leader epoch bump) on the claim path
+// make the agent retry — and once claims
 // heal, every job runs exactly once. The double-run check matters: a
 // retried claim must never yield the same job to this agent twice.
 func TestAgentRidesOutClaimFaults(t *testing.T) {

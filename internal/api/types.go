@@ -39,10 +39,8 @@ const (
 	// the replication machinery.
 	HeaderReplToken = "X-Chronos-Repl-Token"
 	// HeaderTrace carries the client-minted request id. The server's
-	// access middleware installs it in the request context and echoes it
-	// on the response; a follower forwards it on the leader legs of a
-	// delegated claim, so one request correlates across both servers'
-	// logs (see internal/httputil).
+	// access middleware echoes it on the response and stamps it on the
+	// request's log lines (see internal/httputil).
 	HeaderTrace = httputil.HeaderTrace
 )
 
@@ -258,38 +256,6 @@ type ServerStatusResponse struct {
 	Mode    string         `json:"mode"`
 	Storage relstore.Stats `json:"storage"`
 	Repl    *ReplStatus    `json:"repl,omitempty"`
-	// Leases is the leader's live claim-lease table (omitted until a
-	// follower requests claim delegation).
-	Leases *LeaseTableStatus `json:"leases,omitempty"`
-	// Claimer is a follower's claim-delegate state (omitted on leaders
-	// and on followers running without -claim-delegate).
-	Claimer *core.ClaimerStatus `json:"claimer,omitempty"`
-}
-
-// LeaseTableStatus reports the leader's claim-lease registry.
-type LeaseTableStatus struct {
-	NumPartitions int          `json:"numPartitions"`
-	Leases        []core.Lease `json:"leases"`
-}
-
-// LeaseRequest asks the leader for a claim lease (grant or renew).
-type LeaseRequest struct {
-	FollowerID string `json:"followerId"`
-	// TTLMs is the requested lease lifetime; 0 takes the server default.
-	TTLMs int64 `json:"ttlMs,omitempty"`
-}
-
-// ClaimIntentsRequest ships a follower's locally served claims to the
-// leader for authoritative commit.
-type ClaimIntentsRequest struct {
-	LeaseID    string             `json:"leaseId"`
-	FollowerID string             `json:"followerId"`
-	Intents    []core.ClaimIntent `json:"intents"`
-}
-
-// ClaimIntentsResponse carries one verdict per shipped intent, in order.
-type ClaimIntentsResponse struct {
-	Verdicts []core.ClaimVerdict `json:"verdicts"`
 }
 
 // ReplStatus is a follower's view of its replication progress.

@@ -1,7 +1,7 @@
 // Package claimcheck verifies exactly-once claim semantics from a
 // recorded claim history, in the style of internal/relstore/isocheck
 // (and of the online history-checking approach in arXiv 2504.01477):
-// rather than trusting that a fan-out scheme "looked right" under load,
+// rather than trusting that a hand-out scheme "looked right" under load,
 // the harness records every grant an agent acknowledged and this
 // checker mechanically asserts the invariants against the store's final
 // state — no job claimed twice at the same attempt, no claim the store
@@ -10,8 +10,10 @@
 // The attempt number doubles as the claim epoch: every authoritative
 // claim commit increments Job.Attempts inside the leader transaction,
 // so two acknowledged grants of the same (job, attempt) pair can only
-// mean the same claim was handed to two agents — the exact bug lease
-// delegation must never introduce.
+// mean the same claim was handed to two agents — the exact bug the two
+// ways a job leaves the queue (POST /jobs/claim and a Complete that
+// claims the next job) and the hand-back between them must never
+// introduce.
 //
 // One commit decrements it again: core.ReleaseJob, the hand-back of a job
 // claimed ahead by a Complete (claimNext), returns the job to the queue

@@ -613,10 +613,6 @@ func (s *Service) CheckHeartbeats() ([]string, error) {
 		start := time.Now()
 		defer func() { s.met.observeSweep(time.Since(start)) }()
 	}
-	// Claim-lease expiry rides the same sweep: a follower that stops
-	// renewing loses its partitions here, exactly like an agent that
-	// stops heartbeating loses its job (lease.go).
-	s.ExpireClaimLeases()
 	cutoff := s.now().Add(-s.HeartbeatTimeout)
 	var stale []string
 	err := s.store.db.View(func(tx *relstore.Tx) error {

@@ -187,8 +187,8 @@ func (s JobStatus) Terminal() bool {
 
 // legalTransitions captures the job state machine (paper §2.1: jobs in
 // scheduled or running can be aborted; failed jobs can be re-scheduled).
-// running -> scheduled is the hand-back of a job its claimer never
-// started (ReleaseJob).
+// running -> scheduled is the hand-back of a job the agent that claimed
+// it never started (ReleaseJob).
 var legalTransitions = map[JobStatus][]JobStatus{
 	StatusScheduled: {StatusRunning, StatusAborted},
 	StatusRunning:   {StatusFinished, StatusFailed, StatusAborted, StatusScheduled},

@@ -36,12 +36,6 @@ type Service struct {
 	// DefaultMaxAttempts bounds automatic re-scheduling when an
 	// experiment does not set its own limit.
 	DefaultMaxAttempts int
-	// ClaimPartitions sizes the job-id hash space claim leases divide
-	// (lease.go). Zero means DefaultClaimPartitions; the value is
-	// latched at the first grant, so set it before followers connect.
-	ClaimPartitions int
-
-	leases leaseTable
 
 	// met carries pre-resolved instrumentation handles (nil until
 	// SetMetrics: instrumentation off).

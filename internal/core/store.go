@@ -439,16 +439,6 @@ func (s *Store) FirstJobByStatus(tx *relstore.Tx, status JobStatus, systemID str
 	return j, err
 }
 
-// EachJobIDByStatus streams just the ids of jobs with the given status
-// in creation order — a scalar projection, no JSON decoded. The claim
-// lease path uses it to pick partition-filtered candidates on a replica
-// without paying for jobs it will skip.
-func (s *Store) EachJobIDByStatus(tx *relstore.Tx, status JobStatus, systemID string, fn func(id string) bool) error {
-	return tx.SelectFunc(tableJobs, jobsByStatusQuery(status, systemID), func(row relstore.Row) bool {
-		return fn(row["id"].(string))
-	})
-}
-
 // EachStaleRunningJobID streams the ids of running jobs whose heartbeat
 // is strictly before cutoff. The status index drives and the cutoff is
 // one scalar compare per running row — O(running), with no job JSON

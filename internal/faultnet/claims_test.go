@@ -1,23 +1,24 @@
 package faultnet_test
 
-// The claim fan-out harness: thousands of simulated agents claim jobs
-// through faultnet-proxied followers holding claim leases, while a
-// seeded chaos script injects latency, partitions, torn responses,
-// connection resets, a follower restart and a leader restart (which
-// wipes the soft-state lease table). Every acknowledged grant and
-// completion goes into a claimcheck history; at quiescence the checker
-// proves exactly-once semantics mechanically — zero duplicate grants,
-// zero phantom grants, zero lost jobs — rather than trusting that the
-// run "looked right". Claim losses are allowed (a partitioned follower
-// may refuse, an orphaned claim is reclaimed by the watchdog at the
-// next attempt number); a wrong grant never is.
+// The claim fan-out harness: thousands of simulated agents work a queue
+// off a leader through faultnet proxies, while a seeded chaos script
+// injects latency, partitions, torn responses, connection resets and a
+// leader restart. Half the agents drive ClaimJob and Complete by hand, one
+// job each; the other half stage claim-next, so their Complete also claims
+// the next job and the following ClaimJob returns it without a request —
+// and some of those vanish or stop while holding a job claimed ahead.
+// Every grant ClaimJob returned and every completion goes into a
+// claimcheck history; at quiescence the checker proves exactly-once
+// semantics mechanically — zero duplicate grants, zero phantom grants,
+// zero lost jobs — rather than trusting that the run "looked right". Claim
+// losses are allowed (a partitioned agent gives up, an orphaned claim is
+// reclaimed by the watchdog at the next attempt number); a wrong grant
+// never is.
 
 import (
-	"context"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,55 +32,44 @@ import (
 )
 
 // claimFixture owns the cluster for one claim-harness run: a leader
-// with a fast heartbeat watchdog and N claim-delegating followers, each
-// fronted by an agent-side faultnet proxy.
+// with a fast heartbeat watchdog, fronted by N agent-side faultnet
+// proxies that each carry a share of the fleet.
 type claimFixture struct {
 	t         *testing.T
 	lb        *leaderBox
-	followers []*followerBox
-	proxies   []*faultnet.Proxy // agent-side, one per follower REST endpoint
-	hc        *http.Client
+	proxies   []*faultnet.Proxy // agent-side, all in front of the leader
+	transport *http.Transport
 	depID     string
 	evalID    string
-	jobs      int
 	hbTimeout time.Duration
 	rec       *claimcheck.Recorder
 	granted   atomic.Int64
+	held      atomic.Int64 // grants ClaimJob returned without a request
 	claimErrs atomic.Int64
 }
 
-func startClaimFixture(t *testing.T, followers, jobs, maxAttempts int, hbTimeout, watchdog time.Duration) *claimFixture {
+func startClaimFixture(t *testing.T, proxies, jobs, maxAttempts int, hbTimeout, watchdog time.Duration) *claimFixture {
 	t.Helper()
 	f := &claimFixture{
 		t:         t,
-		jobs:      jobs,
 		hbTimeout: hbTimeout,
 		rec:       claimcheck.NewRecorder(),
 		// One shared transport for every simulated agent: without idle
 		// connection reuse at this fan-in the harness exhausts ports,
 		// which would measure the OS, not the claim path.
-		hc: &http.Client{
-			Transport: &http.Transport{MaxIdleConns: 4096, MaxIdleConnsPerHost: 2048},
-			Timeout:   30 * time.Second,
-		},
+		transport: &http.Transport{MaxIdleConns: 4096, MaxIdleConnsPerHost: 2048},
 	}
 	f.lb = startLeaderBox(t, func(lb *leaderBox) {
 		lb.hbTimeout = hbTimeout
 		lb.watchdog = watchdog
 		lb.segBytes = 1 << 20 // tens of thousands of commits: 4 KiB segments would mean thousands of files
 	})
-	for i := 0; i < followers; i++ {
-		id := fmt.Sprintf("follower-%d", i)
-		fb := startFollowerBox(t, f.lb.ss.Addr(), func(fb *followerBox) {
-			fb.claimID = id
-			fb.claimTTL = 2 * time.Second
-		})
-		proxy, err := faultnet.New(fb.ss.Addr())
+	for i := 0; i < proxies; i++ {
+		proxy, err := faultnet.New(f.lb.ss.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { proxy.Close() })
-		f.followers = append(f.followers, fb)
 		f.proxies = append(f.proxies, proxy)
 	}
 
@@ -121,48 +111,48 @@ func startClaimFixture(t *testing.T, followers, jobs, maxAttempts int, hbTimeout
 	}
 	f.depID = dep.ID
 	f.evalID = ev.ID
-
-	// Followers must see the deployment before they can serve claims;
-	// waiting here keeps the measurement about claims, not bootstrap.
-	wctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for _, fb := range f.followers {
-		if err := fb.Follower().WaitCaughtUp(wctx); err != nil {
-			t.Fatalf("follower never caught up before the run: %v", err)
-		}
-	}
 	return f
 }
 
-// newAgentClient builds the SDK client one simulated agent uses: claims
-// read-path through follower i's proxy, mutations and fallback to the
-// leader — the exact wiring a fleet deployment would use.
-func (f *claimFixture) newAgentClient(i int) *client.Client {
-	base := f.lb.ss.URL() // no followers: straight at the leader
+// countingTransport counts the requests one agent's client sends: a job
+// ClaimJob returned while the count stood still is one the client held,
+// claimed ahead by the Complete before.
+type countingTransport struct {
+	http.RoundTripper
+	n atomic.Int64
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return c.RoundTripper.RoundTrip(r)
+}
+
+// newAgentClient builds the SDK client one simulated agent uses: every
+// call goes to the leader, through the agent's proxy when the fixture has
+// any. sent counts its requests.
+func (f *claimFixture) newAgentClient(i int) (c *client.Client, sent *atomic.Int64) {
+	base := f.lb.ss.URL()
 	if len(f.proxies) > 0 {
 		base = f.proxies[i%len(f.proxies)].URL()
 	}
+	ct := &countingTransport{RoundTripper: f.transport}
 	return client.NewClient(base,
 		client.WithVersion("v2"),
-		client.WithLeader(f.lb.ss.URL()),
-		client.WithRetries(3),
-		client.WithBackoff(10*time.Millisecond, 200*time.Millisecond),
 		client.WithRequestTimeout(3*time.Second),
-		client.WithHTTPClient(f.hc))
+		client.WithHTTPClient(&http.Client{Transport: ct, Timeout: 30 * time.Second})), &ct.n
 }
 
+// via labels a grant with the path the agent asked through. Debug detail
+// only; the invariants never depend on it.
 func (f *claimFixture) via(i int) string {
 	if len(f.proxies) == 0 {
 		return "leader"
 	}
-	// Best-effort label: the endpoint the agent asked, which under
-	// fallback may not be the endpoint that answered. Debug detail only;
-	// the invariants never depend on it.
-	return fmt.Sprintf("follower-%d", i%len(f.proxies))
+	return fmt.Sprintf("proxy-%d", i%len(f.proxies))
 }
 
-// claimOnce drives one agent's claim with a bounded retry budget around
-// the SDK's own retry/fallback loop. A nil job with nil error means no
+// claimOnce drives one agent's claim with a bounded retry budget (the
+// SDK sends a claim once). A nil job with nil error means no
 // work was visible; any persistent error means this agent gives up (the
 // job it might have gotten stays for the drainers — an availability
 // loss, never a correctness one).
@@ -198,23 +188,46 @@ func (f *claimFixture) complete(c *client.Client, agent string, job *core.Job, c
 	}
 }
 
-// runAgent is one simulated agent's whole life: claim once through its
-// follower, record the grant, then either complete or — for roughly one
-// agent in abandonEvery — vanish, leaving the watchdog to reclaim the
-// job at the next attempt number.
-func (f *claimFixture) runAgent(id string, i int, rng *rand.Rand, abandonEvery int64) {
-	c := f.newAgentClient(i)
-	job := f.claimOnce(c, rng)
-	if job == nil {
-		return
+// runAgent is one simulated agent's whole life. It works off chain jobs:
+// 1 is the hand-driven agent — claim, record the grant, complete — and
+// more makes it stage claim-next before every Complete but the last, so
+// each following ClaimJob returns what that Complete claimed. Roughly one
+// time in abandonEvery it vanishes with a job running, leaving the
+// watchdog to reclaim it at the next attempt number; between two jobs of a
+// chain it may also vanish holding the job claimed ahead, or stop cleanly
+// and hand that job back with its attempt unspent.
+func (f *claimFixture) runAgent(id string, i, chain int, rng *rand.Rand, abandonEvery int64) {
+	c, sent := f.newAgentClient(i)
+	for n := 1; ; n++ {
+		before := sent.Load()
+		job := f.claimOnce(c, rng)
+		if job == nil {
+			return
+		}
+		f.rec.Claimed(id, job.ID, job.Attempts, f.via(i))
+		f.granted.Add(1)
+		if sent.Load() == before {
+			f.held.Add(1)
+		}
+		claimedAt := time.Now()
+		if rng.Int64N(abandonEvery) == 0 {
+			return
+		}
+		if n < chain {
+			c.StageClaim(job.ID, f.depID)
+		}
+		f.complete(c, id, job, claimedAt)
+		if n == chain {
+			return
+		}
+		switch rng.Int64N(abandonEvery) {
+		case 0:
+			return
+		case 1:
+			_ = c.HandBack(f.depID) // best effort: a hand-back that is lost leaves the job to the watchdog
+			return
+		}
 	}
-	f.rec.Claimed(id, job.ID, job.Attempts, f.via(i))
-	f.granted.Add(1)
-	claimedAt := time.Now()
-	if abandonEvery > 0 && rng.Int64N(abandonEvery) == 0 {
-		return
-	}
-	f.complete(c, id, job, claimedAt)
 }
 
 // drain runs a small pool of looping agents until every job is
@@ -243,7 +256,7 @@ func (f *claimFixture) drain(workers int, deadline time.Duration) {
 		go func(w int) {
 			defer wg.Done()
 			id := fmt.Sprintf("drain-%d", w)
-			c := f.newAgentClient(w)
+			c, _ := f.newAgentClient(w)
 			rng := rand.New(rand.NewPCG(0xd7a1a, uint64(w)))
 			for {
 				select {
@@ -288,56 +301,69 @@ func (f *claimFixture) verify(requireDrained bool) {
 }
 
 // TestClaimFanoutExactlyOnce is the headline harness described in the
-// file comment. The full run pushes >10k one-shot agents through two
-// leased followers under chaos; -short scales the fleet down but keeps
-// every fault class. Replay a failure with CHRONOS_SESSION_SEED.
+// file comment. The full run pushes over 5k agents — half of them working
+// chains of three jobs through claim-next — at the leader through two
+// proxies under chaos; -short scales the fleet down but keeps every fault
+// class. Replay a failure with CHRONOS_SESSION_SEED.
 func TestClaimFanoutExactlyOnce(t *testing.T) {
 	seed := faultnet.HarnessSeed(t.Logf)
 	chaosRng := rand.New(rand.NewPCG(uint64(seed), 1))
 
-	agents, jobs, conc := 10500, 10000, 500
+	// Hand-driven agents take one job and staging ones up to three, so the
+	// fleet has a few more hands than the queue has jobs.
+	agents, jobs, conc := 5250, 10000, 500
 	if testing.Short() {
-		agents, jobs, conc = 660, 600, 60
+		agents, jobs, conc = 330, 600, 60
 	}
 	const hbTimeout = 4 * time.Second
 	f := startClaimFixture(t, 2, jobs, 500, hbTimeout, 500*time.Millisecond)
 
-	jitter := func(d time.Duration) time.Duration {
-		return d + time.Duration(chaosRng.Int64N(int64(d)/2))
-	}
-
 	// The chaos script runs one pass concurrently with the agent waves:
-	// every fault class the delegation protocol must absorb, including
-	// the leader restart that forgets every lease.
+	// every fault class hand-out must absorb, including the leader
+	// restart. Its clock is the fleet's progress, not the wall: at waits
+	// until that share of the queue has been granted, so each fault lands
+	// on a working fleet however fast the machine is (the waves are over
+	// in a fraction of a second under -short).
+	wavesOver := make(chan struct{})
+	at := func(share float64) {
+		for f.granted.Load() < int64(share*float64(jobs)) {
+			select {
+			case <-wavesOver:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
 	chaosDone := make(chan struct{})
 	go func() {
 		defer close(chaosDone)
-		time.Sleep(jitter(500 * time.Millisecond))
-		// Laggy replication to follower 0: its replica trails, its
-		// lease renewals slow down.
-		f.followers[0].replProxy.SetLatency(10*time.Millisecond, 15*time.Millisecond)
-		time.Sleep(jitter(time.Second))
-		f.followers[0].replProxy.SetLatency(0, 0)
-		// Torn agent-side responses: acks lost after commit — the
-		// retried claim must get a different job, never the same grant.
+		at(0.05)
+		// A slow path for half the fleet: claims and completes in flight
+		// for longer, interleaving with the other half's.
+		f.proxies[0].SetLatency(10*time.Millisecond, 15*time.Millisecond)
+		at(0.20)
+		f.proxies[0].SetLatency(0, 0)
+		// Torn responses: acks lost after commit. A retried claim must
+		// get a different job, never the same grant; a job claimed by a
+		// Complete whose answer was lost is one no agent knows of, and is
+		// the watchdog's.
 		for i := 0; i < 3; i++ {
+			at(0.25 + 0.05*float64(i))
 			f.proxies[1].TearNext(16 + chaosRng.Int64N(112))
-			time.Sleep(jitter(300 * time.Millisecond))
+			time.Sleep(time.Duration(5+chaosRng.Int64N(20)) * time.Millisecond)
 			f.proxies[1].ResetAll()
 		}
-		// Hard partition of follower 1's repl channel: no lease
-		// renewal, no intent shipping; its agents fall back.
-		f.followers[1].replProxy.SetPartitioned(true)
-		time.Sleep(jitter(1500 * time.Millisecond))
-		f.followers[1].replProxy.SetPartitioned(false)
-		// Follower 0 process bounce: new claimer, fresh lease.
-		f.followers[0].restart()
-		time.Sleep(jitter(time.Second))
-		// Leader process bounce: the lease table is soft state, so
-		// every outstanding lease dies with it; intents in flight are
-		// refused with 412 and followers must re-grant.
+		// Hard partition of half the fleet from the leader: its agents
+		// run out of retries and give up, their jobs with them.
+		at(0.45)
+		f.proxies[1].SetPartitioned(true)
+		at(0.60)
+		f.proxies[1].SetPartitioned(false)
+		// Leader process bounce: requests 503 while it is down, and every
+		// running job's agent must find it again or lose the job.
+		at(0.75)
 		f.lb.restart()
-		time.Sleep(jitter(time.Second))
+		at(0.85)
 		f.proxies[0].ResetAll()
 	}()
 
@@ -350,12 +376,17 @@ func TestClaimFanoutExactlyOnce(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				rng := rand.New(rand.NewPCG(uint64(seed), uint64(2+i)))
-				f.runAgent(fmt.Sprintf("a-%05d", i), i, rng, 97)
+				chain := 1
+				if i/len(f.proxies)%2 == 1 { // both kinds behind each proxy
+					chain = 3
+				}
+				f.runAgent(fmt.Sprintf("a-%05d", i), i, chain, rng, 97)
 			}(i)
 		}
 		wg.Wait()
 	}
 	waves := time.Since(start)
+	close(wavesOver)
 	<-chaosDone
 
 	drainBudget := 120 * time.Second
@@ -365,99 +396,13 @@ func TestClaimFanoutExactlyOnce(t *testing.T) {
 	f.drain(16, drainBudget)
 
 	f.verify(true)
-	served0, served1 := f.followers[0].claimsServed(), f.followers[1].claimsServed()
-	if served0 == 0 || served1 == 0 {
-		t.Errorf("fan-out is vacuous: followers served %d and %d delegated claims", served0, served1)
+	granted, held := f.granted.Load(), f.held.Load()
+	if held == 0 {
+		t.Errorf("claim-next is vacuous: none of %d grants was a job claimed ahead", granted)
 	}
-	granted := f.granted.Load()
 	if granted < int64(jobs) {
 		t.Errorf("only %d grants recorded for %d jobs", granted, jobs)
 	}
-	t.Logf("%d agents, %d jobs: %d grants (%.0f claims/s in the wave phase), followers served %d+%d, %d transient claim errors",
-		agents, jobs, granted, float64(granted)/waves.Seconds(), served0, served1, f.claimErrs.Load())
-}
-
-// benchSeries is one followers-count data point of the trajectory.
-type benchSeries struct {
-	Followers    int
-	Wall         time.Duration
-	ClaimsPerSec float64
-	P50Ms        float64
-	P99Ms        float64
-}
-
-// TestClaimThroughputTrajectory measures claims/s and claim latency at
-// 0, 1 and 2 delegating followers on a healthy network and logs the
-// series; the numbers carry no comparison between series (the armed
-// capacity assertion, leader CPU per granted claim, is ROADMAP item 3).
-// What every run does check is that no series stalls: a delegating
-// series more than 5x slower than the leader alone in the same run is
-// not host noise (the measured gap is 1.5-2.5x) but claimable jobs hidden
-// from the followers — the skipTTL stall, which cost 10 s.
-func TestClaimThroughputTrajectory(t *testing.T) {
-	jobs, conc := 1500, 96
-	if testing.Short() {
-		jobs, conc = 240, 24
-	}
-	series := make([]benchSeries, 0, 3)
-	for _, followers := range []int{0, 1, 2} {
-		s := runClaimTrajectory(t, followers, jobs, conc)
-		series = append(series, s)
-		t.Logf("followers=%d: %.0f claims/s in %v, p50 %.1fms, p99 %.1fms", s.Followers, s.ClaimsPerSec, s.Wall.Round(time.Millisecond), s.P50Ms, s.P99Ms)
-		if s.Wall > 5*series[0].Wall {
-			t.Errorf("followers=%d took %v, over 5x the leader alone (%v): claims stalled", s.Followers, s.Wall, series[0].Wall)
-		}
-	}
-}
-
-// runClaimTrajectory drives one clean (chaos-free) fan-out run and
-// returns its throughput numbers. Even the bench run goes through the
-// full claimcheck gate: performance numbers from a run that broke
-// exactly-once would be worthless.
-func runClaimTrajectory(t *testing.T, followers, jobs, conc int) benchSeries {
-	f := startClaimFixture(t, followers, jobs, 0, 30*time.Second, 0)
-
-	var mu sync.Mutex
-	lats := make([]time.Duration, 0, jobs)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			id := fmt.Sprintf("b-%04d", w)
-			c := f.newAgentClient(w)
-			rng := rand.New(rand.NewPCG(0xbe7c4, uint64(w)))
-			for f.granted.Load() < int64(jobs) {
-				t0 := time.Now()
-				job := f.claimOnce(c, rng)
-				if job == nil {
-					time.Sleep(5 * time.Millisecond)
-					continue
-				}
-				lat := time.Since(t0)
-				f.rec.Claimed(id, job.ID, job.Attempts, f.via(w))
-				f.granted.Add(1)
-				mu.Lock()
-				lats = append(lats, lat)
-				mu.Unlock()
-				f.complete(c, id, job, time.Now())
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	f.verify(true)
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	if len(lats) == 0 {
-		t.Fatal("no claims granted at all")
-	}
-	return benchSeries{
-		Followers:    followers,
-		Wall:         elapsed,
-		ClaimsPerSec: float64(len(lats)) / elapsed.Seconds(),
-		P50Ms:        float64(lats[len(lats)/2].Microseconds()) / 1000,
-		P99Ms:        float64(lats[len(lats)*99/100].Microseconds()) / 1000,
-	}
+	t.Logf("%d agents, %d jobs: %d grants, %d of them claimed ahead (%.0f claims/s in the wave phase), %d transient claim errors",
+		agents, jobs, granted, held, float64(granted)/waves.Seconds(), f.claimErrs.Load())
 }

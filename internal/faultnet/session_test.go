@@ -80,9 +80,7 @@ func (ss *swapServer) swap(h http.Handler) { ss.h.Store(h) }
 
 // leaderBox runs a restartable leader: durable store + REST server.
 // Optional knobs (set via start options) give the claim harness a fast
-// heartbeat watchdog; a restart cancels the old incarnation's watchdog
-// and — because the lease table is soft state — forgets every claim
-// lease, exactly like a real leader process bounce.
+// heartbeat watchdog; a restart cancels the old incarnation's watchdog.
 type leaderBox struct {
 	t         *testing.T
 	dir       string
@@ -177,25 +175,17 @@ func (lb *leaderBox) Svc() *core.Service {
 }
 
 // followerBox runs a restartable follower: replication through a
-// faultnet proxy to the leader, REST server over the replica. With a
-// claimID set it also runs a claim delegate (repl.Claimer) whose lease
-// grants and intent batches travel the same proxied repl channel — so
-// partitioning replication also partitions claim delegation, as it
-// would a real follower.
+// faultnet proxy to the leader, REST server over the replica.
 type followerBox struct {
-	t          *testing.T
-	dir        string
-	ss         *swapServer
-	replProxy  *faultnet.Proxy
-	claimID    string        // optional: serve delegated claims as this follower
-	claimTTL   time.Duration // optional: claim-lease TTL override
-	mu         sync.Mutex
-	f          *repl.Follower
-	claimer    *repl.Claimer
-	servedPrev int64 // claims served by prior incarnations' claimers
+	t         *testing.T
+	dir       string
+	ss        *swapServer
+	replProxy *faultnet.Proxy
+	mu        sync.Mutex
+	f         *repl.Follower
 }
 
-func startFollowerBox(t *testing.T, leaderAddr string, opts ...func(*followerBox)) *followerBox {
+func startFollowerBox(t *testing.T, leaderAddr string) *followerBox {
 	t.Helper()
 	proxy, err := faultnet.New(leaderAddr)
 	if err != nil {
@@ -203,9 +193,6 @@ func startFollowerBox(t *testing.T, leaderAddr string, opts ...func(*followerBox
 	}
 	t.Cleanup(func() { proxy.Close() })
 	fb := &followerBox{t: t, dir: t.TempDir(), ss: newSwapServer(t), replProxy: proxy}
-	for _, o := range opts {
-		o(fb)
-	}
 	fb.open()
 	t.Cleanup(func() {
 		fb.mu.Lock()
@@ -233,17 +220,8 @@ func (fb *followerBox) open() {
 	server.Repl = f
 	server.Logger = quietLog
 	server.ReadAfterWait = 750 * time.Millisecond
-	var claimer *repl.Claimer
-	if fb.claimID != "" {
-		claimer = repl.NewClaimer(fb.claimID, svc, repl.NewClient(fb.replProxy.URL(), "v2", "", nil))
-		if fb.claimTTL > 0 {
-			claimer.TTL = fb.claimTTL
-		}
-		server.Claims = claimer
-	}
 	fb.mu.Lock()
 	fb.f = f
-	fb.claimer = claimer
 	fb.mu.Unlock()
 	fb.ss.swap(server.Handler())
 }
@@ -252,27 +230,12 @@ func (fb *followerBox) restart() {
 	fb.t.Helper()
 	fb.ss.swap(down)
 	fb.mu.Lock()
-	if fb.claimer != nil {
-		fb.servedPrev += fb.claimer.Status().Served
-	}
 	if err := fb.f.Close(); err != nil {
 		fb.mu.Unlock()
 		fb.t.Fatal(err)
 	}
 	fb.mu.Unlock()
 	fb.open()
-}
-
-// claimsServed totals delegated claims served across this follower's
-// incarnations — the harness's proof that fan-out actually fanned out.
-func (fb *followerBox) claimsServed() int64 {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	n := fb.servedPrev
-	if fb.claimer != nil {
-		n += fb.claimer.Status().Served
-	}
-	return n
 }
 
 func (fb *followerBox) Follower() *repl.Follower {

@@ -153,8 +153,9 @@ func TestAgentStopsExactlyOnce(t *testing.T) {
 				default:
 				}
 				// A restart is a new process: new client, nothing held.
+				c, _ := f.newAgentClient(slot)
 				ctl := &stoppableControl{
-					Control: f.newAgentClient(slot),
+					Control: c,
 					id:      fmt.Sprintf("slot-%d.%d", slot, life),
 					rec:     f.rec,
 					attempt: map[string]int64{},

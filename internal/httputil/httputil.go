@@ -106,7 +106,7 @@ type AccessLog struct {
 	Logger *log.Logger
 	// SlowOp is the duration at or above which a request additionally
 	// logs a "slow op" line carrying its trace id, so one slow claim or
-	// gated read can be chased across leader and follower logs. Zero
+	// gated read can be matched to the client attempt behind it. Zero
 	// means the 500ms default; negative flags every request (tests).
 	SlowOp time.Duration
 	// Metrics, when non-nil, records per-route request counts, status
@@ -116,10 +116,9 @@ type AccessLog struct {
 
 // Wrap applies the middleware to next. Every request gets a trace id —
 // the caller's X-Chronos-Trace if it sent one, a freshly minted one
-// otherwise — installed in the request context (TraceID), echoed on the
-// response, and printed on every log line for the request. A panicking
-// handler yields a 500 instead of killing the control server
-// (requirement iii: reliability).
+// otherwise — echoed on the response and printed on every log line for
+// the request. A panicking handler yields a 500 instead of killing the
+// control server (requirement iii: reliability).
 func (a AccessLog) Wrap(next http.Handler) http.Handler {
 	logger := a.Logger
 	if logger == nil {
@@ -135,7 +134,6 @@ func (a AccessLog) Wrap(next http.Handler) http.Handler {
 		if trace == "" {
 			trace = MintTraceID()
 		}
-		r = r.WithContext(WithTrace(r.Context(), trace))
 		w.Header().Set(HeaderTrace, trace)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()

@@ -1,14 +1,12 @@
 package httputil
 
-// Trace-id propagation. A request id minted in pkg/client rides the
-// X-Chronos-Trace header to the server, where the access middleware
-// installs it in the request context; anything downstream — the claim
-// delegate forwarding a batch to the leader, a gated read waiting on a
-// token — reads it back with TraceID and forwards or logs it, so one
-// slow operation can be correlated across leader and follower logs.
+// Trace ids. A request id minted in pkg/client rides the X-Chronos-Trace
+// header to the server, where the access middleware echoes it on the
+// response and stamps it on every log line for the request, so a slow
+// operation in a server's log can be matched to the client attempt that
+// caused it.
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"strconv"
@@ -18,23 +16,6 @@ import (
 
 // HeaderTrace carries the client-minted request id end to end.
 const HeaderTrace = "X-Chronos-Trace"
-
-type traceKey struct{}
-
-// WithTrace returns ctx carrying the trace id.
-func WithTrace(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, traceKey{}, id)
-}
-
-// TraceID returns the trace id installed by the access middleware ("" if
-// none).
-func TraceID(ctx context.Context) string {
-	id, _ := ctx.Value(traceKey{}).(string)
-	return id
-}
 
 // traceFallback distinguishes minted ids if crypto/rand ever fails.
 var traceFallback atomic.Int64

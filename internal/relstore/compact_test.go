@@ -3,8 +3,11 @@ package relstore
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // TestCompactionEquivalence: compacting at any point leaves the store
@@ -110,5 +113,96 @@ func TestCompactShrinksWAL(t *testing.T) {
 	}
 	if after.Rows != 100 {
 		t.Fatalf("rows after compact = %d", after.Rows)
+	}
+}
+
+// TestSnapshotIsAnExactCut: a compaction snapshot holds exactly the sealed
+// segments' commits and none of the segment that follows. A follower that
+// bootstraps from the snapshot serves reads while it applies that segment
+// from its first frame, so a snapshot already ahead of the frame would
+// show them a row going backwards. Writers bump one counter row while
+// Compact runs in a loop; after each cycle the counter in the snapshot
+// file is strictly below the counter in the first frame of segment
+// boundary+1.
+func TestSnapshotIsAnExactCut(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, &Options{CompactEvery: -1}) // only Compact rotates: segments are 4 MiB
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable(usersSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("counter", "c", 0)) }); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				err := db.Update(func(tx *Tx) error {
+					row, err := tx.Get("users", "counter")
+					if err != nil {
+						return err
+					}
+					row["age"] = row["age"].(int64) + 1
+					return tx.Put("users", row)
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(stop)
+
+	codec := newTable(usersSchema()).codec
+	for cycle := 0; cycle < 40; cycle++ {
+		if err := db.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		tables, boundary, err := readSnapshotFile(db.snapshotPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inSnapshot := tables["users"].rows["counter"]["age"].(int64)
+
+		// The segment is being appended to: wait for its first whole
+		// frame, and mind only that one.
+		var first walRecord
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			f, err := os.Open(db.SegmentPath(boundary + 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, _, _ := readWAL(f)
+			f.Close()
+			if len(recs) > 0 {
+				first = recs[0]
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: segment %d never got a frame", cycle, boundary+1)
+			}
+		}
+		row, err := codec.decodeRow(first.Ops[0].rowBin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after := row["age"].(int64); inSnapshot >= after {
+			t.Fatalf("cycle %d: snapshot at boundary %d holds counter %d, but segment %d starts at %d: the snapshot contains commits of the segment after its boundary",
+				cycle, boundary, inSnapshot, boundary+1, after)
+		}
 	}
 }

@@ -100,13 +100,14 @@ type table struct {
 // Locking (the package doc has the contracts callers rely on):
 //   - db.mu guards the tables map and every table's contents. Update,
 //     CreateTable, follower apply and FollowerReinit's table-set swap hold
-//     it exclusively; View and the compactor's state clone share it. Tx
-//     operations take no lock of their own.
-//   - group.mu only orders commit batches; it is held for O(1) sections,
-//     and is the only lock ever taken with db.mu held.
+//     it exclusively; View and the compactor's cut (sealAndClone) share
+//     it. Tx operations take no lock of their own.
+//   - group.mu only orders commit batches; it is held for O(1) sections.
+//     With db.mu held exclusively it is the only lock ever taken.
 //   - db.walMu serialises WAL segment writes, rotation and close. The
 //     condition variable walCond (on walMu) publishes durable-LSN
-//     progress to the background compactor.
+//     progress to the compactor, which alone takes walMu with db.mu
+//     held (shared): see sealAndClone for the order and why it is safe.
 //   - db.snapMu serialises compaction cycles (background and manual).
 //
 // A committing Update applies its writes under db.mu, then releases it
@@ -146,10 +147,10 @@ type DB struct {
 	// segment's tail to followers without busy-waiting. Guarded by walMu.
 	walNotify chan struct{}
 	// durLSN counts records durably committed to the WAL; guarded by
-	// walMu, published via walCond. The compactor refuses to make a
-	// snapshot durable before every commit it contains reaches the log,
-	// so a failed (unacknowledged) WAL write can never leak into
-	// durable state through a snapshot.
+	// walMu, published via walCond. The compactor clones the tables only
+	// once every commit they contain has reached the log, so a failed
+	// (unacknowledged) WAL write can never leak into durable state
+	// through a snapshot.
 	durLSN int64
 	// commitCount is written under walMu but read lock-free by
 	// maybeCompact, so committers don't queue on walMu (where a group
@@ -1011,20 +1012,81 @@ func (db *DB) WaitCompaction() {
 	db.compactWG.Wait()
 }
 
+// sealAndClone makes the cut a snapshot is taken at and returns the table
+// clones with the boundary they stand for (clones are nil when nothing
+// was sealed since the last snapshot).
+//
+// The cut is exact: the clone holds every record of segments <= boundary
+// and nothing of segment boundary+1. A follower that bootstraps from the
+// snapshot starts applying boundary+1 at offset 0 while it serves reads,
+// so a snapshot that already held some of that segment's commits would
+// show its readers state going backwards as the older frames re-apply.
+// Exactness needs three things to happen with no commit in between, and
+// db.mu held shared is what keeps commits out (applying and enqueueing
+// both need it exclusively): every record enqueued so far is durable — so
+// none is applied but still unwritten when the segment is cut, to land in
+// boundary+1 —, the segment is sealed, the tables are cloned.
+//
+// Lock order: snapMu (the caller's), then db.mu shared, then walMu. This
+// is the one place walMu is taken, and file IO done (a segment close and
+// open), with db.mu held; nothing takes db.mu with walMu held, and the
+// group leader that makes the awaited records durable needs only group.mu
+// and walMu, so the wait cannot block on this goroutine. Writers stall for
+// at most one group commit plus the rotation, once per cycle.
+func (db *DB) sealAndClone() (clones []tableClone, boundary int64, err error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	lsn := db.group.enqueuedLSN()
+
+	db.walMu.Lock()
+	for db.walErr == nil && !db.closed && db.durLSN < lsn {
+		db.walCond.Wait()
+	}
+	if db.closed {
+		db.walMu.Unlock()
+		return nil, 0, fmt.Errorf("relstore: store is closed")
+	}
+	if db.walErr != nil {
+		err := db.walErr
+		db.walMu.Unlock()
+		// The in-memory state may contain a transaction whose Update
+		// returned an error. Snapshotting it (and deleting segments)
+		// would silently make that failed commit durable, so a poisoned
+		// store refuses to compact.
+		return nil, 0, fmt.Errorf("relstore: store failed a previous WAL write: %w", err)
+	}
+	if !db.opts.Follower && db.wal.size > 0 {
+		// Followers never rotate: their segment numbering mirrors the
+		// leader's, so local compaction covers only the segments the
+		// leader has already sealed (and a follower's own snapshot is
+		// not an exact cut: it also holds what it applied of the active
+		// segment, which its recovery replays over it idempotently).
+		if err := db.rotateLocked(); err != nil {
+			db.walMu.Unlock()
+			return nil, 0, err
+		}
+	}
+	boundary = db.walSeq - 1
+	db.walMu.Unlock()
+
+	if boundary <= db.snapSeq.Load() {
+		return nil, boundary, nil
+	}
+	return db.cloneStateLocked(), boundary, nil
+}
+
 // compactCycle is one snapshot+delete round:
 //
-//  1. Rotate so every record so far lives in a sealed segment; the
-//     boundary is the sealed segment with the highest number. (Brief
-//     walMu hold — a file close+open.)
-//  2. Clone the table maps under db.mu held shared, then encode and
-//     marshal the snapshot outside all locks. Commits proceed in
-//     parallel; replaying their segments over the snapshot is idempotent.
-//  3. Wait until every commit the clone contains is durably logged. If a
-//     WAL write fails in that window the cycle aborts: renaming the
-//     snapshot would otherwise make a failed, unacknowledged commit
-//     durable (and deleting segments would orphan acknowledged ones).
-//  4. Fsync + rename the snapshot (the commit point), then delete the
-//     sealed segments it covers.
+//  1. Cut (sealAndClone): with the store locked shared, wait out the
+//     commits still on their way to disk, rotate so every record so far
+//     lives in a sealed segment — the boundary is the sealed segment with
+//     the highest number — and clone the table maps. The clone is exactly
+//     the contents of segments <= boundary.
+//  2. Encode and write the snapshot outside all locks. Commits proceed in
+//     parallel, into segments above the boundary.
+//  3. Fsync + rename the snapshot (the commit point), then delete the
+//     sealed segments it covers. A store that was closed or poisoned
+//     meanwhile aborts instead.
 func (db *DB) compactCycle() error {
 	var start time.Time
 	if db.met != nil {
@@ -1038,64 +1100,35 @@ func (db *DB) compactCycle() error {
 	// exactly when the disk is struggling.
 	db.commitCount.Store(0)
 
-	db.walMu.Lock()
-	if db.closed {
-		db.walMu.Unlock()
-		return fmt.Errorf("relstore: store is closed")
+	clones, boundary, err := db.sealAndClone()
+	if err != nil {
+		return err
 	}
-	if db.walErr != nil {
-		err := db.walErr
-		db.walMu.Unlock()
-		// The in-memory state may contain a transaction whose Update
-		// returned an error. Snapshotting it (and deleting segments)
-		// would silently make that failed commit durable, so a poisoned
-		// store refuses to compact.
-		return fmt.Errorf("relstore: store failed a previous WAL write: %w", err)
-	}
-	if !db.opts.Follower && db.wal.size > 0 {
-		// Followers never rotate: their segment numbering mirrors the
-		// leader's, so local compaction covers only the segments the
-		// leader has already sealed.
-		if err := db.rotateLocked(); err != nil {
-			db.walMu.Unlock()
-			return err
-		}
-	}
-	boundary := db.walSeq - 1
-	db.walMu.Unlock()
-
-	if boundary <= db.snapSeq.Load() {
+	if clones == nil {
 		return nil // nothing sealed since the last snapshot
 	}
 
-	// Stream the snapshot into the temp file right away — encoding
-	// overlaps the durability wait below, and memory stays O(one encoded
-	// row) instead of the whole marshalled store. The rename (the commit
-	// point) still happens only after every cloned commit is durably
-	// logged.
-	clones, cloneLSN := db.cloneState()
+	// Stream the snapshot into the temp file: memory stays O(one encoded
+	// row) instead of the whole marshalled store.
 	tmp := db.snapshotPath() + ".tmp"
 	if err := writeSnapshotTmp(tmp, clones, boundary); err != nil {
 		os.Remove(tmp)
 		return err
 	}
 
+	// Abort on close: Close may release the cross-process lock the moment
+	// we return, and a snapshot rename racing a new owner of the directory
+	// could orphan that owner's segments. A poisoned store refuses to
+	// compact whatever the clone holds.
 	db.walMu.Lock()
-	for db.walErr == nil && !db.closed && db.durLSN < cloneLSN {
-		db.walCond.Wait()
-	}
-	// Abort on close even when the clone is already durable: Close may
-	// release the cross-process lock the moment we return, and a
-	// snapshot rename racing a new owner of the directory could orphan
-	// that owner's segments.
-	ok := db.walErr == nil && !db.closed && db.durLSN >= cloneLSN
-	werr := db.walErr
+	closed, werr := db.closed, db.walErr
 	db.walMu.Unlock()
-	if !ok {
+	if werr != nil {
 		os.Remove(tmp)
-		if werr != nil {
-			return fmt.Errorf("relstore: store failed a previous WAL write: %w", werr)
-		}
+		return fmt.Errorf("relstore: store failed a previous WAL write: %w", werr)
+	}
+	if closed {
+		os.Remove(tmp)
 		return fmt.Errorf("relstore: store closed during compaction")
 	}
 

@@ -107,6 +107,11 @@ func TestIdleCommitsShipAsOneChunk(t *testing.T) {
 		}
 		gate.open()
 		assertConverged(t, l, f)
+		// The counters tick after FollowerApply returns, the applied
+		// position assertConverged watches inside it: give them a moment.
+		for deadline := time.Now().Add(5 * time.Second); f.commits.Load() < want.commits && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 		if chunks, commits := f.chunks.Load(), f.commits.Load(); chunks != want.chunks || commits != want.commits {
 			t.Fatalf("round %d: %d commits in %d chunk(s), want %d in %d", round, commits, chunks, want.commits, want.chunks)
 		}

@@ -18,14 +18,16 @@
 // ...): the writer appends to the highest-numbered (active) segment and
 // rotates to a fresh file — a close+open, nothing more — once it grows
 // past Options.SegmentBytes. Sealed segments are immutable. Compaction
-// is a background cycle, never part of the commit path: it rotates so
-// the boundary falls between segments, shallow-clones the table maps
-// under a brief read lock, marshals the snapshot outside every lock,
-// waits until each commit the clone contains is durably logged, then
-// atomically installs the snapshot (recording the boundary segment
-// number in its walSeq field) and deletes only the sealed segments it
-// covers. Commits therefore never wait on snapshot serialisation or
-// truncation; they share the WAL lock only with the O(1) rotation.
+// is a background cycle, never part of the commit path: under one brief
+// read lock it waits until every commit applied so far is durably
+// logged, rotates so the boundary falls between segments and
+// shallow-clones the table maps — the clone is exactly the sealed
+// segments' contents, which a follower bootstrapping from the snapshot
+// relies on — then marshals the snapshot outside every lock, atomically
+// installs it (recording the boundary segment number in its walSeq
+// field) and deletes only the sealed segments it covers. Commits
+// therefore never wait on snapshot serialisation or truncation; they
+// wait for the cut, one group commit and the O(1) rotation, once a cycle.
 //
 // Recovery loads the snapshot, then replays segments walSeq+1..N in
 // order — the walSeq recorded in the snapshot makes the live-segment
@@ -162,8 +164,10 @@
 // acknowledges a commit before it is on stable storage (in
 // SyncEveryCommit mode), but readers may observe a commit slightly
 // before its fsync completes — the standard group-commit contract. No
-// file IO — commit, rotation, snapshot write or rename — ever happens
-// with the store lock held.
+// file IO — commit, snapshot write or rename — ever happens with the
+// store lock held, with one exception: a compaction cycle seals the
+// active segment (a file close and open) holding it shared, which is what
+// makes its snapshot an exact cut.
 //
 // # Locking
 //
@@ -188,9 +192,11 @@
 // atomics published under the lock and take no store lock, so /metrics
 // and /status never queue behind a bulk write.
 //
-// Lock order: mu, then group.mu (O(1) sections ordering commit batches).
-// walMu (WAL writes, rotation, close) and snapMu (compaction cycles,
-// follower re-initialisation) are never acquired with mu held. The
+// Lock order: snapMu (compaction cycles, follower re-initialisation),
+// then mu, then group.mu (O(1) sections ordering commit batches) or walMu
+// (WAL writes, rotation, close). No writer and no View takes walMu with
+// mu held; the compactor does, with mu shared, once per cycle, to cut its
+// snapshot exactly at a segment boundary (DB.sealAndClone). The
 // isolation contract — no dirty or ghost reads, commit-order visibility,
 // every View a cross-table cut, writer serialisability — is verified
 // mechanically under the race detector by internal/relstore/isocheck, on

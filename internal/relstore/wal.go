@@ -474,16 +474,11 @@ type tableClone struct {
 	rows   map[string]Row
 }
 
-// cloneState captures a snapshot of the in-memory tables plus a commit
-// LSN that covers everything the clone contains, under db.mu held shared:
-// every commit enqueues its record before it releases db.mu, so any
-// commit visible in the clone has already enqueued and the LSN counts it,
-// and no commit is ever seen half-applied. Tables are cloned in name
-// order, which is the order the snapshot lists them in.
-func (db *DB) cloneState() ([]tableClone, int64) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	lsn := db.group.enqueuedLSN()
+// cloneStateLocked captures a snapshot of the in-memory tables. The caller
+// holds db.mu (shared is enough), so no commit is ever seen half-applied.
+// Tables are cloned in name order, which is the order the snapshot lists
+// them in.
+func (db *DB) cloneStateLocked() []tableClone {
 	names := make([]string, 0, len(db.tables))
 	for name := range db.tables {
 		names = append(names, name)
@@ -498,7 +493,7 @@ func (db *DB) cloneState() ([]tableClone, int64) {
 		}
 		clones = append(clones, tableClone{schema: t.schema, seq: t.seq, rows: rows})
 	}
-	return clones, lsn
+	return clones
 }
 
 // snapshotMagic opens every snapshot file.

@@ -2,12 +2,10 @@ package rest
 
 import (
 	"net/http"
-	"time"
 
 	"chronos/internal/api"
 	"chronos/internal/core"
 	"chronos/internal/httputil"
-	"chronos/internal/relstore"
 )
 
 // --- adapters: one per endpoint shape ---
@@ -133,6 +131,15 @@ func (s *Server) appendLog(id string, q api.LogRequest) (string, error) {
 	return "logged", s.svc.AppendJobLog(id, q.Text)
 }
 
+// claim hands out the deployment's next job (nil: its queue is empty). It
+// is a write like any other: a follower refuses it read-only.
+func (s *Server) claim(version string) func(_ string, q api.ClaimRequest) (api.ClaimResponse, error) {
+	return func(_ string, q api.ClaimRequest) (api.ClaimResponse, error) {
+		job, _, err := s.svc.ClaimJob(q.DeploymentID)
+		return s.claimResponse(version, job), err
+	}
+}
+
 // complete closes a job; with claimNext it also claims that deployment's
 // next job in the same transaction and answers what a claim would have.
 func (s *Server) complete(version string) func(id string, q api.CompleteRequest) (any, error) {
@@ -172,33 +179,6 @@ func (s *Server) handleExportProject(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-func (s *Server) handleClaim(version string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req api.ClaimRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		// job is nil when the queue is empty.
-		var (
-			job *core.Job
-			err error
-		)
-		if s.Claims != nil {
-			// Follower with a claim lease: serve locally from the
-			// replica; the delegate ships the intent to the leader and
-			// only returns a job the leader committed.
-			job, _, err = s.Claims.Claim(r.Context(), req.DeploymentID)
-		} else {
-			job, _, err = s.svc.ClaimJob(req.DeploymentID)
-		}
-		if err != nil {
-			fail(w, err)
-			return
-		}
-		httputil.WriteJSON(w, http.StatusOK, s.claimResponse(version, job))
-	}
-}
-
 // claimResponse is the answer to a claim, whichever call made it: the job
 // (nil: the queue was empty) and, from v2 on, its system's parameter
 // definitions.
@@ -210,29 +190,4 @@ func (s *Server) claimResponse(version string, job *core.Job) api.ClaimResponse 
 		}
 	}
 	return resp
-}
-
-// leaderOnly guards the claim-delegation calls, which only a leader can
-// serve. A follower's store refuses the implied writes anyway, but the
-// explicit guard gives a precise error before the body is even read.
-func (s *Server) leaderOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.Repl != nil {
-			fail(w, relstore.ErrReadOnly)
-			return
-		}
-		h(w, r)
-	}
-}
-
-// grantLease grants or renews a follower's claim lease.
-func (s *Server) grantLease(_ string, q api.LeaseRequest) (core.Lease, error) {
-	return s.svc.GrantClaimLease(q.FollowerID, time.Duration(q.TTLMs)*time.Millisecond)
-}
-
-// commitClaimIntents commits a follower's claim-intent batch
-// authoritatively and answers one verdict per intent.
-func (s *Server) commitClaimIntents(_ string, q api.ClaimIntentsRequest) (api.ClaimIntentsResponse, error) {
-	verdicts, err := s.svc.CommitClaimIntents(q.LeaseID, q.FollowerID, q.Intents)
-	return api.ClaimIntentsResponse{Verdicts: verdicts}, err
 }

@@ -1,7 +1,6 @@
 package rest
 
 import (
-	"context"
 	"io"
 	"log"
 	"net/http"
@@ -12,9 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"chronos/internal/api"
 	"chronos/internal/core"
 	"chronos/internal/metrics"
-	"chronos/internal/params"
 	"chronos/internal/relstore"
 	"chronos/internal/relstore/repl"
 	"chronos/pkg/client"
@@ -109,9 +108,6 @@ func TestMetricsExposition(t *testing.T) {
 		if q := s.Label("quantile"); q != "" {
 			key += "{q=" + q + "}"
 		}
-		if v := s.Label("verdict"); v != "" {
-			key += "{verdict=" + v + "}"
-		}
 		byKey[key] = s.Value
 	}
 	for _, want := range []string{
@@ -125,9 +121,8 @@ func TestMetricsExposition(t *testing.T) {
 		"chronos_store_compactions_total",
 		"chronos_store_rows",
 		// claim + watchdog layer
-		"chronos_claim_intents_total",
-		"chronos_claim_lease_grants_total",
-		"chronos_claim_intent_batch_records",
+		"chronos_jobs_claimed_total",
+		"chronos_jobs_released_total",
 		"chronos_watchdog_sweep_seconds",
 		// REST layer
 		"chronos_http_requests_total",
@@ -181,122 +176,54 @@ func TestMetricsNotEnabled(t *testing.T) {
 	}
 }
 
-// TestTraceCorrelatesLeaderAndFollower proves the trace id travels the
-// whole delegation path: the SDK mints it, the follower's access log
-// carries it on the agent's claim, and the leader's access log carries
-// the same id on the lease/intent legs the follower issued on the
-// request's behalf. SlowOp < 0 makes every request a "slow op" so the
-// test needs no real slowness.
-func TestTraceCorrelatesLeaderAndFollower(t *testing.T) {
-	var leaderLog, followerLog syncBuf
-	db, err := relstore.Open(t.TempDir(), &relstore.Options{SegmentBytes: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	svc, err := core.NewService(db, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := NewServer(svc)
-	server.ReplToken = "sesame"
-	server.Logger = log.New(&leaderLog, "", 0)
-	server.SlowOp = -1
-	leaderTS := httptest.NewServer(server.Handler())
-	t.Cleanup(leaderTS.Close)
+// TestTraceReachesServerLog follows one trace id end to end: the SDK
+// mints it per attempt, the server's access log carries it on the
+// request's lines and the response echoes it; a request that brings none
+// (curl) gets one minted on arrival. SlowOp < 0 makes every request a
+// "slow op" so the test needs no real slowness.
+func TestTraceReachesServerLog(t *testing.T) {
+	var serverLog syncBuf
+	f := newFixture(t, false, "")
+	f.server.Logger = log.New(&serverLog, "", 0)
+	f.server.SlowOp = -1
+	ts := httptest.NewServer(f.server.Handler())
+	t.Cleanup(ts.Close)
 
-	// One claimable job, created over the wire.
-	lc := client.NewClient(leaderTS.URL)
-	u, err := lc.CreateUser("marco", core.RoleAdmin)
-	if err != nil {
+	if _, err := client.NewClient(ts.URL).ListUsers(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := lc.CreateProject("obs", "", u.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := lc.RegisterSystem("mongodb", "", mongoDefs(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, err := lc.CreateDeployment(sys.ID, "sim-1", "local", "4.0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := lc.CreateExperiment(p.ID, sys.ID, "one", "", map[string][]params.Value{
-		"engine":  {params.String_("wiredtiger")},
-		"threads": {params.Int(1)},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := lc.CreateEvaluation(exp.ID); err != nil {
-		t.Fatal(err)
-	}
-
-	f, err := repl.Start(repl.Config{
-		Dir:        t.TempDir(),
-		Leader:     leaderTS.URL,
-		ReplToken:  "sesame",
-		PollWait:   250 * time.Millisecond,
-		RetryEvery: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := f.WaitCaughtUp(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	fsvc := core.NewFollowerService(f.DB(), nil)
-	fserver := NewServer(fsvc)
-	fserver.Repl = f
-	fserver.Logger = log.New(&followerLog, "", 0)
-	fserver.SlowOp = -1
-	fserver.Claims = repl.NewClaimer("f1", fsvc, repl.NewClient(leaderTS.URL, "v2", "sesame", nil))
-	followerTS := httptest.NewServer(fserver.Handler())
-	t.Cleanup(followerTS.Close)
-
-	// The agent claims against the follower; the SDK mints the trace.
-	fc := client.NewClient(followerTS.URL)
-	j, _, err := fc.ClaimJob(dep.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j == nil {
-		t.Fatal("no job claimed through the delegate")
-	}
-
-	// Pull the claim's trace id out of the follower's slow-op line.
-	claimLine := regexp.MustCompile(`req \d+ trace=([0-9a-f]{16}): slow op: POST /api/v\d/jobs/claim`)
-	m := claimLine.FindStringSubmatch(followerLog.String())
-	if m == nil {
-		t.Fatalf("no slow-op claim line in follower log:\n%s", followerLog.String())
-	}
-	trace := m[1]
-
-	// The leader saw the same id on the delegation legs. Its access-log
-	// line is written in a deferred func that can race the response by a
-	// hair, so poll briefly.
+	// The access-log line is written in a deferred func that can race the
+	// response by a hair, so poll briefly.
+	slowLine := regexp.MustCompile(`req \d+ trace=([0-9a-f]{16}): slow op: GET /api/v\d/users`)
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		got := leaderLog.String()
-		if i := strings.Index(got, "trace="+trace); i >= 0 {
-			line := got[i:]
-			if j := strings.IndexByte(line, '\n'); j >= 0 {
-				line = line[:j]
-			}
-			if !strings.Contains(line, "/repl/") {
-				t.Fatalf("leader line with the trace is not a delegation leg: %q", line)
-			}
-			break
-		}
+	for slowLine.FindString(serverLog.String()) == "" {
 		if time.Now().After(deadline) {
-			t.Fatalf("trace %s never appeared in leader log:\n%s", trace, got)
+			t.Fatalf("no slow-op line carrying a minted trace id:\n%s", serverLog.String())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+
+	// A caller's own id is used as sent and echoed; without one the server
+	// mints.
+	for _, sent := range []string{"feedfacecafe0001", ""} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/api/v2/ping", nil)
+		if sent != "" {
+			req.Header.Set(api.HeaderTrace, sent)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		got := resp.Header.Get(api.HeaderTrace)
+		if got == "" || (sent != "" && got != sent) {
+			t.Fatalf("sent trace %q, response echoes %q", sent, got)
+		}
+		for !strings.Contains(serverLog.String(), "trace="+got+": GET /api/v2/ping -> 200") {
+			if time.Now().After(deadline) {
+				t.Fatalf("trace %s never appeared in the server log:\n%s", got, serverLog.String())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 }

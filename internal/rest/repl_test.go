@@ -166,6 +166,20 @@ func TestFollowerServesReadPath(t *testing.T) {
 	if _, err := fc.CreateUser("bob", core.RoleMember); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("follower write: %v, want a read-only refusal", err)
 	}
+	// An agent's claim is such a write, on either API version: 503, go to
+	// the leader.
+	for _, v := range APIVersions {
+		resp, err := http.Post(followerTS.URL+"/api/"+v+"/jobs/claim", "application/json",
+			strings.NewReader(`{"deploymentId":"deployment-000000001"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(msg), "read-only") {
+			t.Fatalf("%s claim on a follower: %d %s, want 503 and the read-only refusal", v, resp.StatusCode, msg)
+		}
+	}
 
 	// New leader writes keep flowing to the follower's REST surface.
 	if _, err := leaderSvc.CreateUser("carol", core.RoleViewer); err != nil {

@@ -142,7 +142,7 @@ func TestFollowerRefusesEveryWrite(t *testing.T) {
 			t.Errorf("POST %s: 503 without Retry-After", path)
 		}
 	}
-	if sent < 40 {
+	if sent < 35 {
 		t.Fatalf("only %d write routes exercised", sent)
 	}
 }

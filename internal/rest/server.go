@@ -20,7 +20,6 @@
 package rest
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -71,10 +70,6 @@ type Server struct {
 	// this window, data reads degrade to 503 + Retry-After rather than
 	// serve arbitrarily stale state. Zero means unbounded (serve always).
 	MaxStaleness time.Duration
-	// Claims, when non-nil on a follower, serves POST /jobs/claim
-	// locally through a claim lease (satisfied by *repl.Claimer)
-	// instead of answering read-only 503. Leaders leave it nil.
-	Claims ClaimDelegate
 	// Registry, when non-nil, is rendered at GET /metrics (Prometheus
 	// text exposition) and feeds the per-route request metrics. The
 	// field is read per request, so it may be assigned any time before
@@ -85,12 +80,6 @@ type Server struct {
 	SlowOp time.Duration
 
 	mux *http.ServeMux
-}
-
-// ClaimDelegate serves delegated agent claims on a follower.
-type ClaimDelegate interface {
-	Claim(ctx context.Context, deploymentID string) (*core.Job, bool, error)
-	Status() core.ClaimerStatus
 }
 
 // ReplStatusProvider reports replication progress; satisfied by
@@ -170,12 +159,6 @@ func (s *Server) api(v string) []route {
 		{"v1", "GET", "/repl/snapshot", ship, wal.Snapshot},
 		{"v1", "GET", "/repl/wal/{seq}", ship, wal.WAL},
 
-		// Claim delegation (leader side): followers obtain leases and ship
-		// claim intents back on the same channel, with the same credential
-		// — delegated claims are follower traffic, not agent traffic.
-		{"v1", "POST", "/repl/lease", ship, s.leaderOnly(body(http.StatusOK, s.grantLease))},
-		{"v1", "POST", "/repl/claims", ship, s.leaderOnly(body(http.StatusOK, s.commitClaimIntents))},
-
 		// Session management.
 		{"v1", "POST", "/login", open, s.handleLogin},
 		{"v1", "POST", "/logout", open, s.handleLogout},
@@ -226,7 +209,7 @@ func (s *Server) api(v string) []route {
 		{"v1", "GET", "/jobs/{id}/timeline", view, byID(svc.JobTimeline)},
 
 		// Job execution (agent side).
-		{"v1", "POST", "/jobs/claim", agent, s.handleClaim(v)},
+		{"v1", "POST", "/jobs/claim", agent, body(http.StatusOK, s.claim(v))},
 		{"v1", "POST", "/jobs/{id}/progress", agent, body(http.StatusOK, s.progress)},
 		{"v1", "POST", "/jobs/{id}/heartbeat", agent, byID(s.heartbeat)},
 		{"v1", "POST", "/jobs/{id}/log", agent, body(http.StatusOK, s.appendLog)},
@@ -374,17 +357,10 @@ func fail(w http.ResponseWriter, err error) {
 	case errors.Is(err, core.ErrInvalidTransition), errors.Is(err, core.ErrArchived),
 		errors.Is(err, core.ErrInactiveDeployment):
 		httputil.WriteError(w, http.StatusConflict, err)
-	case errors.Is(err, core.ErrLeaseInvalid):
-		// The shipped claim lease is dead (expired or a leader restart
-		// dropped the soft-state table). 412 is definitive for this
-		// batch: the follower must re-grant, not retry as-is.
-		httputil.WriteError(w, http.StatusPreconditionFailed, err)
-	case errors.Is(err, relstore.ErrReadOnly), errors.Is(err, repl.ErrClaimUnavailable):
-		// This server is a replication follower: writes belong on the
-		// leader, and a claim delegate that cannot answer right now
-		// (no lease, leader unreachable, replica lagging) defers there
-		// too. 503 tells well-behaved clients to go there rather than
-		// retry here.
+	case errors.Is(err, relstore.ErrReadOnly):
+		// This server is a replication follower: writes — an agent's
+		// claim among them — belong on the leader. 503 tells
+		// well-behaved clients to go there rather than retry here.
 		writeUnavailable(w, err)
 	default:
 		httputil.WriteError(w, http.StatusBadRequest, err)
@@ -419,18 +395,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			rs.Degraded = rs.StalenessMs < 0 || rs.StalenessMs > rs.MaxStalenessMs
 		}
 		resp.Repl = &rs
-	}
-	if s.Claims != nil {
-		cs := s.Claims.Status()
-		resp.Claimer = &cs
-	}
-	if s.Repl == nil {
-		// Leader: publish the lease table once claim delegation is in
-		// use (kept out of the response otherwise, so leaders without
-		// delegating followers report exactly as before).
-		if n, leases := s.svc.ClaimLeases(); len(leases) > 0 {
-			resp.Leases = &api.LeaseTableStatus{NumPartitions: n, Leases: leases}
-		}
 	}
 	httputil.WriteJSON(w, http.StatusOK, resp)
 }

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"net/http"
 	"testing"
 	"time"
@@ -10,11 +11,11 @@ import (
 	"chronos/internal/httputil"
 )
 
-// Claim routing: POST /jobs/claim goes through the read loop — the
-// configured base first (a follower serving delegated claims), with
-// retries on 503 and a final leader fallback — because a follower
-// without a live lease answers 503 and one whose lease was invalidated
-// mid-claim does too. The scripted endpoints below pin each path.
+// Claim routing: a claim is a write. With WithLeader, POST /jobs/claim is
+// exactly one request, to the leader, whatever the leader answers — the
+// follower the client reads from never hears of it, and riding out a
+// leader that is unavailable is the caller's policy (Agent.ClaimRetries),
+// not the client's. The scripted leader below pins each answer.
 
 func serveClaim(w http.ResponseWriter, jobID string) {
 	httputil.WriteJSON(w, http.StatusOK, api.ClaimResponse{
@@ -24,116 +25,57 @@ func serveClaim(w http.ResponseWriter, jobID string) {
 
 func TestClaimRouting(t *testing.T) {
 	cases := []struct {
-		name string
-		// follower's script, by 1-based hit count; nil = always serve
-		follower func(n int64, w http.ResponseWriter)
-		leader   func(n int64, w http.ResponseWriter)
-		retries  int
+		name   string
+		leader func(w http.ResponseWriter)
 
-		wantJob          string
-		wantErr          bool
-		wantFollowerHits int64
-		wantLeaderHits   int64
+		wantJob string
+		wantErr error
 	}{
 		{
-			// The healthy path: a leased follower answers the claim
-			// itself; the leader never hears about it.
-			name:             "follower serves the claim",
-			follower:         func(n int64, w http.ResponseWriter) { serveClaim(w, "job-1") },
-			retries:          3,
-			wantJob:          "job-1",
-			wantFollowerHits: 1,
-			wantLeaderHits:   0,
+			name:    "the leader serves the claim",
+			leader:  func(w http.ResponseWriter) { serveClaim(w, "job-1") },
+			wantJob: "job-1",
 		},
 		{
-			// Lease invalidated mid-claim: the follower 503s once while
-			// it re-grants, then serves. The agent never notices.
-			name: "transient lease fault retries in place",
-			follower: func(n int64, w http.ResponseWriter) {
-				if n == 1 {
-					serve503(w)
-					return
-				}
-				serveClaim(w, "job-2")
-			},
-			retries:          3,
-			wantJob:          "job-2",
-			wantFollowerHits: 2,
-			wantLeaderHits:   0,
-		},
-		{
-			// The follower cannot recover a lease (leader partitioned
-			// from it, say): after exhausting retries the claim goes to
-			// the leader directly.
-			name:             "retry exhaustion falls back to the leader",
-			follower:         func(n int64, w http.ResponseWriter) { serve503(w) },
-			leader:           func(n int64, w http.ResponseWriter) { serveClaim(w, "job-3") },
-			retries:          2,
-			wantJob:          "job-3",
-			wantFollowerHits: 2,
-			wantLeaderHits:   1,
-		},
-		{
-			// 412 (a definitive stale/lease refusal) skips further
-			// follower attempts entirely.
-			name: "definitive refusal goes straight to the leader",
-			follower: func(n int64, w http.ResponseWriter) {
-				httputil.WriteError(w, http.StatusPreconditionFailed, core.ErrLeaseInvalid)
-			},
-			leader:           func(n int64, w http.ResponseWriter) { serveClaim(w, "job-4") },
-			retries:          4,
-			wantJob:          "job-4",
-			wantFollowerHits: 1,
-			wantLeaderHits:   1,
-		},
-		{
-			// A real answer (409 inactive deployment) is not retried
-			// and not re-asked at the leader: it is the claim's result.
-			name: "definitive conflict is not retried",
-			follower: func(n int64, w http.ResponseWriter) {
-				httputil.WriteError(w, http.StatusConflict, core.ErrInactiveDeployment)
-			},
-			leader:           func(n int64, w http.ResponseWriter) { serveClaim(w, "job-5") },
-			retries:          4,
-			wantErr:          true,
-			wantFollowerHits: 1,
-			wantLeaderHits:   0,
-		},
-		{
-			// No work is a success with a nil job, not a retryable.
+			// No work is a success with a nil job.
 			name: "empty claim is final",
-			follower: func(n int64, w http.ResponseWriter) {
+			leader: func(w http.ResponseWriter) {
 				httputil.WriteJSON(w, http.StatusOK, api.ClaimResponse{})
 			},
-			retries:          4,
-			wantFollowerHits: 1,
-			wantLeaderHits:   0,
+		},
+		{
+			// 409 is the claim's result and keeps the sentinel Agent.Run
+			// idles on.
+			name: "definitive conflict is not retried",
+			leader: func(w http.ResponseWriter) {
+				httputil.WriteError(w, http.StatusConflict, core.ErrInactiveDeployment)
+			},
+			wantErr: core.ErrInactiveDeployment,
+		},
+		{
+			// A restarting leader: the error surfaces after one attempt,
+			// and the follower is not asked in its place.
+			name:    "an unavailable leader is not retried here",
+			leader:  serve503,
+			wantErr: ErrUnavailable,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			follower := newFakeEndpoint(t, func(n int64, w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path != "/api/v2/jobs/claim" {
-					t.Errorf("unexpected path %s", r.URL.Path)
-				}
-				tc.follower(n, w)
+			follower := newFakeEndpoint(t, func(_ int64, w http.ResponseWriter, r *http.Request) {
+				serveClaim(w, "job-from-the-follower")
 			})
-			opts := []Option{WithVersion("v2"), WithRetries(tc.retries), WithBackoff(time.Millisecond, 5*time.Millisecond)}
-			var leader *fakeEndpoint
-			if tc.leader != nil {
-				leader = newFakeEndpoint(t, func(n int64, w http.ResponseWriter, r *http.Request) {
-					tc.leader(n, w)
-				})
-				opts = append(opts, WithLeader(leader.ts.URL))
-			}
-			c := NewClient(follower.ts.URL, opts...)
-			job, _, err := c.ClaimJob("dep-1")
-			if tc.wantErr {
-				if err == nil {
-					t.Fatal("want error, got success")
+			leader := newFakeEndpoint(t, func(_ int64, w http.ResponseWriter, r *http.Request) {
+				if r.Method != http.MethodPost || r.URL.Path != "/api/v2/jobs/claim" {
+					t.Errorf("unexpected request %s %s", r.Method, r.URL.Path)
 				}
-			} else if err != nil {
-				t.Fatalf("claim failed: %v", err)
+				tc.leader(w)
+			})
+			c := NewClient(follower.ts.URL, WithVersion("v2"), WithLeader(leader.ts.URL),
+				WithRetries(4), WithBackoff(time.Millisecond, 5*time.Millisecond))
+			job, _, err := c.ClaimJob("dep-1")
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("claim error = %v, want %v", err, tc.wantErr)
 			}
 			switch {
 			case tc.wantJob == "" && job != nil:
@@ -141,14 +83,30 @@ func TestClaimRouting(t *testing.T) {
 			case tc.wantJob != "" && (job == nil || job.ID != tc.wantJob):
 				t.Fatalf("want job %s, got %+v", tc.wantJob, job)
 			}
-			if n := follower.hits.Load(); n != tc.wantFollowerHits {
-				t.Errorf("follower saw %d attempts, want %d", n, tc.wantFollowerHits)
-			}
-			if leader != nil {
-				if n := leader.hits.Load(); n != tc.wantLeaderHits {
-					t.Errorf("leader saw %d attempts, want %d", n, tc.wantLeaderHits)
-				}
+			if l, f := leader.hits.Load(), follower.hits.Load(); l != 1 || f != 0 {
+				t.Errorf("leader saw %d request(s) and the follower %d, want 1 and 0", l, f)
 			}
 		})
 	}
+
+	// A job claimed ahead by a Complete came from the leader too, and
+	// handing it out is no request to anyone.
+	t.Run("a held job costs no request", func(t *testing.T) {
+		follower := newFakeEndpoint(t, func(_ int64, w http.ResponseWriter, r *http.Request) {
+			t.Errorf("the follower was asked: %s %s", r.Method, r.URL.Path)
+		})
+		leader := newQueueEndpoint(t)
+		c := NewClient(follower.ts.URL, WithVersion("v2"), WithLeader(leader.ts.URL))
+		c.StageClaim("job-a", "dep-1")
+		if err := c.Complete("job-a", []byte(`{}`), nil); err != nil {
+			t.Fatal(err)
+		}
+		job, _, err := c.ClaimJob("dep-1")
+		if err != nil || job == nil || job.ID != "dep-1/job-1" {
+			t.Fatalf("ClaimJob after a claiming Complete = %+v, %v", job, err)
+		}
+		if n := leader.hits.Load(); n != 1 {
+			t.Fatalf("leader saw %d request(s), want the one complete", n)
+		}
+	})
 }

@@ -347,24 +347,15 @@ func (c *Client) ClaimJob(deploymentID string) (*core.Job, []params.Definition, 
 	if h := c.takeHeld(deploymentID); h != nil {
 		return h.Job, h.Parameters, nil
 	}
-	// Claims route like reads, not like writes: a follower holding a
-	// claim lease serves them locally (shipping the intent to the
-	// leader itself), and one without answers 503 — so the read loop's
-	// retry/backoff/leader-fallback policy is exactly right. Retrying a
-	// claim is safe: a committed claim whose response was lost is never
-	// handed out twice — the job sits running unacked until the
-	// heartbeat watchdog reschedules it.
+	// A claim is a write: one request, to where writes go. Riding out a
+	// restarting leader is the caller's policy (Agent.ClaimRetries).
 	var out api.ClaimResponse
-	err := c.readLoop(func(base string) error {
-		out = api.ClaimResponse{}
-		status, err := c.doOnce(base, http.MethodPost, "/jobs/claim", api.ClaimRequest{DeploymentID: deploymentID}, &out)
-		if status == http.StatusConflict {
-			// The one thing a claim conflicts with. The envelope's text is
-			// the sentinel's own; the sentinel is what Agent.Run keys on.
-			return fmt.Errorf("client: POST /jobs/claim: %w", core.ErrInactiveDeployment)
-		}
-		return err
-	})
+	status, err := c.doOnce(c.writeBase(), http.MethodPost, "/jobs/claim", api.ClaimRequest{DeploymentID: deploymentID}, &out)
+	if status == http.StatusConflict {
+		// The one thing a claim conflicts with. The envelope's text is
+		// the sentinel's own; the sentinel is what Agent.Run keys on.
+		return nil, nil, fmt.Errorf("client: POST /jobs/claim: %w", core.ErrInactiveDeployment)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
