@@ -7,17 +7,19 @@
 //	chronos-control -addr :8080 -data ./chronos-data \
 //	    [-agent-token SECRET] [-admin NAME -admin-password PW]
 //
-// With -admin/-admin-password set, session authentication is enabled and
-// the named admin account is bootstrapped on first start; without them
-// the API is open (convenient for local demos, like the original
-// installation script's default).
+// With -admin/-admin-password set, the named admin account is bootstrapped
+// on first start. Session authentication is no flag: it is on exactly when
+// the store holds credentials — from this start's -admin or an earlier
+// one's — and a store that holds none serves everyone (convenient for
+// local demos, like the original installation script's default).
 //
 // With -replicate-from set, the process runs as a read-only replication
 // follower instead: it bootstraps its store from the leader's snapshot,
 // replays and tails the leader's WAL over HTTP, and serves the viewer
 // (GET) REST endpoints and the web UI from the replica — scaling the
 // read path horizontally while all writes stay on the leader. Write
-// endpoints answer 503 with a read-only error.
+// endpoints answer 503 with a read-only error, and sessions are checked
+// against the credentials replicated from the leader.
 package main
 
 import (
@@ -36,39 +38,46 @@ import (
 	"chronos/internal/relstore"
 	"chronos/internal/relstore/repl"
 	"chronos/internal/rest"
-	"chronos/internal/webui"
 )
 
+// config is what the flags say.
+type config struct {
+	addr, dataDir, agentToken, replToken string
+	adminName, adminPassword, extensions string
+	watchdog, hbTimeout                  time.Duration
+	segmentBytes                         int64
+	compactEvery                         int
+	replicateFrom                        string
+	maxStaleness, readAfterWait, slowOp  time.Duration
+}
+
 func main() {
-	var (
-		addr          = flag.String("addr", ":8080", "listen address for REST API and web UI")
-		dataDir       = flag.String("data", "chronos-data", "directory for the embedded store")
-		agentToken    = flag.String("agent-token", "", "shared token agents must present (empty = open)")
-		adminName     = flag.String("admin", "", "bootstrap admin user name (enables session auth)")
-		adminPassword = flag.String("admin-password", "", "bootstrap admin password")
-		extensions    = flag.String("extensions", "", "comma-separated extension repository directories")
-		watchdog      = flag.Duration("watchdog", 10*time.Second, "heartbeat watchdog interval")
-		hbTimeout     = flag.Duration("heartbeat-timeout", 60*time.Second, "running-job heartbeat timeout")
-		segmentBytes  = flag.Int64("wal-segment-bytes", 4<<20, "WAL segment rotation threshold in bytes")
-		compactEvery  = flag.Int("compact-every", 4096, "background compaction after this many commits (negative = never)")
-		replicateFrom = flag.String("replicate-from", "", "leader base URL; run as a read-only replication follower")
-		replToken     = flag.String("repl-token", "", "replication token: required from followers on a leader's ship endpoints, presented to the leader by a follower")
-		sessionAuth   = flag.Bool("session-auth", false, "with -replicate-from: require sessions, validated against the credentials replicated from the leader")
-		maxStaleness  = flag.Duration("max-staleness", 0, "with -replicate-from: bounded-staleness budget; reads degrade to 503 when the replica cannot prove it is this fresh (0 = unbounded)")
-		readAfterWait = flag.Duration("read-after-wait", 0, "with -replicate-from: how long a read carrying an X-Chronos-Read-After token waits for the replica to catch up before answering 503 (0 = 5s default)")
-		slowOp        = flag.Duration("slow-op", 0, "access-log slow-operation threshold (0 = 500ms default)")
-	)
+	var c config
+	flag.StringVar(&c.addr, "addr", ":8080", "listen address for REST API and web UI")
+	flag.StringVar(&c.dataDir, "data", "chronos-data", "directory for the embedded store")
+	flag.StringVar(&c.agentToken, "agent-token", "", "shared token agents must present (empty = open)")
+	flag.StringVar(&c.adminName, "admin", "", "bootstrap admin user name (its password is what turns session auth on)")
+	flag.StringVar(&c.adminPassword, "admin-password", "", "bootstrap admin password")
+	flag.StringVar(&c.extensions, "extensions", "", "comma-separated extension repository directories")
+	flag.DurationVar(&c.watchdog, "watchdog", 10*time.Second, "heartbeat watchdog interval")
+	flag.DurationVar(&c.hbTimeout, "heartbeat-timeout", 60*time.Second, "running-job heartbeat timeout")
+	flag.Int64Var(&c.segmentBytes, "wal-segment-bytes", 4<<20, "WAL segment rotation threshold in bytes")
+	flag.IntVar(&c.compactEvery, "compact-every", 4096, "background compaction after this many commits (negative = never)")
+	flag.StringVar(&c.replicateFrom, "replicate-from", "", "leader base URL; run as a read-only replication follower")
+	flag.StringVar(&c.replToken, "repl-token", "", "replication token: required from followers on a leader's ship endpoints, presented to the leader by a follower")
+	flag.DurationVar(&c.maxStaleness, "max-staleness", 0, "with -replicate-from: bounded-staleness budget; reads degrade to 503 when the replica cannot prove it is this fresh (0 = unbounded)")
+	flag.DurationVar(&c.readAfterWait, "read-after-wait", 0, "with -replicate-from: how long a read carrying an X-Chronos-Read-After token waits for the replica to catch up before answering 503 (0 = 5s default)")
+	flag.DurationVar(&c.slowOp, "slow-op", 0, "access-log slow-operation threshold (0 = 500ms default)")
 	flag.Parse()
 
-	if *replicateFrom != "" {
+	if c.replicateFrom != "" {
 		// Refuse leader-only flags loudly instead of silently ignoring
-		// them: a follower runs no auth bootstrap (sessions live on the
-		// leader), installs no extensions and runs no watchdog (both
-		// write), and never rotates on size (segment boundaries mirror
-		// the leader's).
+		// them: a follower bootstraps no account and installs no
+		// extensions (both write), runs no watchdog, and never rotates on
+		// size (segment boundaries mirror the leader's).
 		incompatible := map[string]string{
-			"admin":             "account bootstrap writes to the store; use -session-auth to validate against replicated credentials",
-			"admin-password":    "account bootstrap writes to the store; use -session-auth to validate against replicated credentials",
+			"admin":             "account bootstrap writes to the store; a follower checks sessions against the credentials replicated from its leader",
+			"admin-password":    "account bootstrap writes to the store; a follower checks sessions against the credentials replicated from its leader",
 			"extensions":        "installing systems writes to the store",
 			"watchdog":          "job lifecycle management is the leader's job",
 			"heartbeat-timeout": "job lifecycle management is the leader's job",
@@ -79,177 +88,124 @@ func main() {
 				log.Fatalf("-%s cannot be combined with -replicate-from: %s", fl.Name, why)
 			}
 		})
-		if err := runFollower(*addr, *dataDir, *replicateFrom, *agentToken, *replToken, *compactEvery, *sessionAuth, *maxStaleness, *readAfterWait, *slowOp); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *sessionAuth {
-		log.Fatal("-session-auth only applies with -replicate-from; use -admin/-admin-password on a leader")
-	}
-	if *maxStaleness != 0 || *readAfterWait != 0 {
+	} else if c.maxStaleness != 0 || c.readAfterWait != 0 {
 		log.Fatal("-max-staleness and -read-after-wait only apply with -replicate-from: a leader is never stale")
 	}
-	storeOpts := &relstore.Options{SegmentBytes: *segmentBytes, CompactEvery: *compactEvery}
-	if err := run(*addr, *dataDir, *agentToken, *replToken, *adminName, *adminPassword, *extensions, *watchdog, *hbTimeout, *slowOp, storeOpts); err != nil {
+	if err := run(c); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// runFollower runs the read-only replica: a repl.Follower keeps the
-// local store converging with the leader while the REST API and web UI
-// serve reads from it. No watchdog runs here — job lifecycle management
-// is the leader's job, and so is every write, an agent's claim included.
-func runFollower(addr, dataDir, leader, agentToken, replToken string, compactEvery int, sessionAuth bool, maxStaleness, readAfterWait, slowOp time.Duration) error {
-	reg := metrics.NewRegistry()
-	cfg := repl.Config{
-		Dir:          dataDir,
-		Leader:       leader,
-		ReplToken:    replToken,
-		CompactEvery: compactEvery,
-		Metrics:      reg,
-	}
-	if maxStaleness > 0 {
-		// Freshness is proven each time a tail poll returns; on an idle
-		// leader that is once per PollWait, during which staleness grows.
-		// Keep the poll cadence comfortably inside the budget, or an idle
-		// system would read as degraded despite being fully caught up.
-		cfg.PollWait = maxStaleness / 2
-	}
-	f, err := repl.Start(cfg)
+// run serves the assembled process on its one listener until that fails.
+func run(c config) error {
+	server, closeStore, err := assemble(context.Background(), c)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer closeStore()
+	log.Printf("chronos-control listening on %s (data in %s)", c.addr, c.dataDir)
+	return http.ListenAndServe(c.addr, server.Handler())
+}
 
-	svc := core.NewFollowerService(f.DB(), nil)
-	st := svc.Store().StorageStats()
-	log.Printf("replica recovered: %d rows in %d tables, resuming at segment %d offset %d",
-		st.Rows, st.Tables, st.WALSeq, st.AppliedBytes)
-
-	server := rest.NewServer(svc)
-	server.AgentToken = agentToken
-	server.ReplToken = replToken // replicas can be chained
-	server.Repl = f
-	server.MaxStaleness = maxStaleness
-	server.ReadAfterWait = readAfterWait
-	server.Registry = reg
-	server.SlowOp = slowOp
-	if maxStaleness > 0 {
-		log.Printf("bounded staleness: reads degrade to 503 beyond %v of unproven freshness", maxStaleness)
-	}
-
-	if sessionAuth {
-		// Logins verify against the credentials replicated from the
-		// leader (auth.Login only reads); without this flag, a follower
-		// of an auth-enabled leader would serve all replicated data
-		// openly.
-		a, err := auth.New(f.DB(), svc, nil)
-		if err != nil {
-			return err
+// assemble builds the process: a store, the service over it, and the one
+// HTTP edge serving the REST API and the web UI. Leader and follower are
+// the same assembly. They differ in how the store is opened — a follower's
+// is a repl.Follower's replica, kept converging with the leader — and in
+// the steps that write, which are the leader's alone: the watchdog, the
+// -admin bootstrap, the extensions. ctx bounds the watchdog; closeStore
+// ends replication and closes the store.
+func assemble(ctx context.Context, c config) (server *rest.Server, closeStore func() error, err error) {
+	reg := metrics.NewRegistry()
+	var db *relstore.DB
+	var follower *repl.Follower
+	if c.replicateFrom != "" {
+		cfg := repl.Config{
+			Dir:          c.dataDir,
+			Leader:       c.replicateFrom,
+			ReplToken:    c.replToken,
+			CompactEvery: c.compactEvery,
+			Metrics:      reg,
 		}
-		server.Auth = a
-		log.Printf("session auth enabled against replicated credentials")
+		if c.maxStaleness > 0 {
+			// Freshness is proven each time a tail poll returns; on an idle
+			// leader that is once per PollWait, during which staleness grows.
+			// Keep the poll cadence comfortably inside the budget, or an idle
+			// system would read as degraded despite being fully caught up.
+			cfg.PollWait = c.maxStaleness / 2
+			log.Printf("bounded staleness: reads degrade to 503 beyond %v of unproven freshness", c.maxStaleness)
+		}
+		if follower, err = repl.Start(cfg); err != nil {
+			return nil, nil, err
+		}
+		db, closeStore = follower.DB(), follower.Close
+	} else {
+		opts := &relstore.Options{SegmentBytes: c.segmentBytes, CompactEvery: c.compactEvery, Metrics: reg}
+		if db, err = relstore.Open(c.dataDir, opts); err != nil {
+			return nil, nil, err
+		}
+		closeStore = db.Close
 	}
-
-	log.Printf("chronos-control follower listening on %s (replica of %s in %s)", addr, leader, dataDir)
-	return serve(addr, server, svc)
-}
-
-// serve runs the process's one listener until it fails; leader and
-// follower share it.
-func serve(addr string, server *rest.Server, svc *core.Service) error {
-	h, err := mount(server, svc)
-	if err != nil {
-		return err
-	}
-	return http.ListenAndServe(addr, h)
-}
-
-// mount puts the REST API and the web UI on one handler.
-func mount(server *rest.Server, svc *core.Service) (http.Handler, error) {
-	ui, err := webui.New(svc)
-	if err != nil {
-		return nil, err
-	}
-	// The pages sit behind the same sessions as the API: a leader started
-	// with -admin, or a follower with -session-auth, serves neither to
-	// strangers.
-	ui.Auth = server.Auth
-	mux := http.NewServeMux()
-	api := server.Handler()
-	mux.Handle("/api/", api)
-	// Observability endpoints live at the root, beside the UI: route them
-	// to the REST handler (which gates them) rather than the page mux.
-	mux.Handle("GET /metrics", api)
-	mux.Handle("/debug/pprof/", api)
-	mux.Handle("/", ui.Handler())
-	return mux, nil
-}
-
-func run(addr, dataDir, agentToken, replToken, adminName, adminPassword, extensions string, watchdog, hbTimeout, slowOp time.Duration, storeOpts *relstore.Options) error {
-	reg := metrics.NewRegistry()
-	storeOpts.Metrics = reg
-	db, err := relstore.Open(dataDir, storeOpts)
-	if err != nil {
-		return err
-	}
-	defer db.Close()
+	defer func() {
+		if err != nil {
+			closeStore()
+		}
+	}()
 
 	svc, err := core.NewService(db, nil)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	svc.SetMetrics(reg)
-	st := svc.Store().StorageStats()
-	log.Printf("store recovered: %d rows in %d tables, %d WAL segment(s), %d bytes of log",
-		st.Rows, st.Tables, st.WALSegments, st.WALSizeB)
-	svc.HeartbeatTimeout = hbTimeout
-	svc.StartWatchdog(context.Background(), watchdog)
-
-	server := rest.NewServer(svc)
-	server.AgentToken = agentToken
-	server.ReplToken = replToken
+	server = rest.NewServer(svc)
+	server.AgentToken = c.agentToken
+	server.ReplToken = c.replToken // a follower's admits its own followers: replicas can be chained
 	server.Registry = reg
-	server.SlowOp = slowOp
+	server.SlowOp = c.slowOp
 
-	if adminName != "" {
-		if adminPassword == "" {
-			return fmt.Errorf("-admin requires -admin-password")
+	st := svc.Store().StorageStats()
+	if follower != nil {
+		log.Printf("replica recovered: %d rows in %d tables, resuming at segment %d offset %d; following %s",
+			st.Rows, st.Tables, st.WALSeq, st.AppliedBytes, c.replicateFrom)
+		server.Repl = follower
+		server.MaxStaleness = c.maxStaleness
+		server.ReadAfterWait = c.readAfterWait
+	} else {
+		log.Printf("store recovered: %d rows in %d tables, %d WAL segment(s), %d bytes of log",
+			st.Rows, st.Tables, st.WALSegments, st.WALSizeB)
+		svc.SetMetrics(reg)
+		svc.HeartbeatTimeout = c.hbTimeout
+		svc.StartWatchdog(ctx, c.watchdog)
+		if c.adminName != "" {
+			if err := bootstrapAdmin(svc, server.Auth(), c.adminName, c.adminPassword); err != nil {
+				return nil, nil, err
+			}
 		}
-		a, err := auth.New(db, svc, nil)
-		if err != nil {
-			return err
+		for _, dir := range splitNonEmpty(c.extensions) {
+			repo, err := extension.Load(dir)
+			if err != nil {
+				return nil, nil, fmt.Errorf("extension %s: %w", dir, err)
+			}
+			if err := repo.InstallDiagrams(); err != nil {
+				return nil, nil, err
+			}
+			systems, err := repo.InstallSystems(svc)
+			if err != nil {
+				return nil, nil, err
+			}
+			log.Printf("extension %s: %d systems installed", repo.Source(), len(systems))
 		}
-		server.Auth = a
-		if err := bootstrapAdmin(svc, a, adminName, adminPassword); err != nil {
-			return err
-		}
-		log.Printf("session auth enabled; admin account %q ready", adminName)
 	}
-
-	for _, dir := range splitNonEmpty(extensions) {
-		repo, err := extension.Load(dir)
-		if err != nil {
-			return fmt.Errorf("extension %s: %w", dir, err)
-		}
-		if err := repo.InstallDiagrams(); err != nil {
-			return err
-		}
-		systems, err := repo.InstallSystems(svc)
-		if err != nil {
-			return err
-		}
-		log.Printf("extension %s: %d systems installed", repo.Source(), len(systems))
+	if server.Auth().Enabled() {
+		log.Printf("session auth is on: the store holds credentials")
 	}
-
-	log.Printf("chronos-control listening on %s (data in %s)", addr, dataDir)
-	return serve(addr, server, svc)
+	return server, closeStore, nil
 }
 
 // bootstrapAdmin creates the admin account once; subsequent starts only
 // refresh the password.
 func bootstrapAdmin(svc *core.Service, a *auth.Authenticator, name, password string) error {
+	if password == "" {
+		return fmt.Errorf("-admin requires -admin-password")
+	}
 	users, err := svc.ListUsers()
 	if err != nil {
 		return err

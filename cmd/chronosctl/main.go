@@ -10,7 +10,7 @@
 // Commands:
 //
 //	ping
-//	login <user> <password>
+//	login <user> <password>           print a session token for -token
 //	users | projects | systems | deployments [systemID] | experiments [projectID]
 //	evaluate <experimentID>           schedule an evaluation
 //	status                            server storage + replication state
@@ -90,7 +90,9 @@ func dispatch(c *client.Client, args []string) error {
 		if err := c.Login(rest[0], rest[1]); err != nil {
 			return err
 		}
-		fmt.Println("login ok — reuse the session within this process")
+		// The session outlives this process only through its token: print
+		// it, and nothing else, so -token "$(chronosctl login u p)" works.
+		fmt.Println(c.SessionToken())
 	case "users":
 		us, err := c.ListUsers()
 		if err != nil {

@@ -178,3 +178,36 @@ func TestStatusMetricsShippingRatio(t *testing.T) {
 		}
 	}
 }
+
+// TestLoginPrintsTheToken: `login` exits with nothing but the token on
+// stdout, and that token carried by -token into another process (here:
+// another client) is the session — on a server that refuses anyone
+// without one.
+func TestLoginPrintsTheToken(t *testing.T) {
+	svc, err := core.NewService(relstore.OpenMemory(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := rest.NewServer(svc)
+	server.Logger = log.New(io.Discard, "", 0)
+	ts := httptest.NewServer(server.Handler())
+	t.Cleanup(ts.Close)
+	root, err := svc.CreateUser("root", core.RoleAdmin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.Auth().SetPassword(root.ID, "hunter22"); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := dispatch(client.NewClient(ts.URL), []string{"users"}); err == nil {
+		t.Fatal("users listed without a session")
+	}
+	token := strings.TrimSuffix(capture(t, client.NewClient(ts.URL), "login", "root", "hunter22"), "\n")
+	if len(token) != 32 || strings.ContainsAny(token, " \n") {
+		t.Fatalf("login printed %q, want the bare session token", token)
+	}
+	if out := capture(t, client.NewClient(ts.URL, client.WithSessionToken(token)), "users"); !strings.Contains(out, "root") {
+		t.Fatalf("users with -token from login: %q", out)
+	}
+}

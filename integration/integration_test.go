@@ -9,14 +9,12 @@ import (
 	"encoding/json"
 	"io"
 	"log"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"chronos/internal/agent"
-	"chronos/internal/auth"
 	"chronos/internal/core"
 	"chronos/internal/experiments"
 	"chronos/internal/ftpx"
@@ -25,7 +23,6 @@ import (
 	"chronos/internal/params"
 	"chronos/internal/relstore"
 	"chronos/internal/rest"
-	"chronos/internal/webui"
 	"chronos/pkg/client"
 )
 
@@ -37,7 +34,8 @@ type stack struct {
 	ftp *ftpx.Server
 }
 
-// newStack assembles control + UI + REST + auth like cmd/chronos-control.
+// newStack assembles control + the HTTP edge (REST API and web UI) like
+// cmd/chronos-control.
 func newStack(t *testing.T, dataDir string) *stack {
 	t.Helper()
 	db, err := relstore.Open(dataDir, nil)
@@ -50,14 +48,7 @@ func newStack(t *testing.T, dataDir string) *stack {
 	}
 	server := rest.NewServer(svc)
 	server.Logger = log.New(io.Discard, "", 0)
-	ui, err := webui.New(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/api/", server.Handler())
-	mux.Handle("/", ui.Handler())
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer(server.Handler())
 
 	ftp := &ftpx.Server{Store: ftpx.NewMemStore()}
 	if err := ftp.Listen("127.0.0.1:0"); err != nil {
@@ -223,12 +214,8 @@ func TestAuthenticatedStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	au, err := auth.New(db, svc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	server := rest.NewServer(svc)
-	server.Auth = au
+	au := server.Auth()
 	server.AgentToken = "agent-secret"
 	server.Logger = log.New(io.Discard, "", 0)
 	ts := httptest.NewServer(server.Handler())

@@ -68,8 +68,10 @@ func TestNoopJobIsOneRequestOneCommit(t *testing.T) {
 		chunks   int
 	}{
 		{"no tick", 20, false, time.Hour, 1, 1},
-		// Long enough that a second tick cannot fall inside the job, which
-		// ends as soon as the first one is answered.
+		// The job ends as soon as its first tick is answered, so it has one
+		// tick unless the box stalls for a whole interval just then. The
+		// ticks that do happen are counted (progress requests), not assumed
+		// from the timer: each is one request and one commit more.
 		{"one tick", 5, true, 100 * time.Millisecond, 2, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,6 +90,7 @@ func TestNoopJobIsOneRequestOneCommit(t *testing.T) {
 			server.Logger = log.New(io.Discard, "", 0)
 			var (
 				requests     atomic.Int64
+				ticks        atomic.Int64 // progress requests: one per reporter tick
 				mu           sync.Mutex
 				ticked       chan struct{} // closed when the running job's first progress is answered
 				lastComplete string        // body of the newest answer to a complete
@@ -110,6 +113,7 @@ func TestNoopJobIsOneRequestOneCommit(t *testing.T) {
 				}
 				api.ServeHTTP(w, r)
 				if strings.HasSuffix(r.URL.Path, "/progress") {
+					ticks.Add(1)
 					mu.Lock()
 					if ticked != nil {
 						close(ticked)
@@ -157,19 +161,24 @@ func TestNoopJobIsOneRequestOneCommit(t *testing.T) {
 			}
 			runOne := func(what string, wantWorked bool, want, wantCommits int64) {
 				t.Helper()
+				wantTicks := int64(0)
 				if tc.tick && wantWorked {
+					wantTicks = 1
 					tick = make(chan struct{})
 					mu.Lock()
 					ticked = tick
 					mu.Unlock()
 				}
+				before := ticks.Load()
 				r, c := cost(func() {
 					if worked, err := a.RunOnce(context.Background()); err != nil || worked != wantWorked {
 						t.Fatalf("%s: RunOnce = %v, %v", what, worked, err)
 					}
 				})
-				if r != want || c != wantCommits {
-					t.Fatalf("%s cost %d request(s) and %d commit(s), want %d and %d", what, r, c, want, wantCommits)
+				extra := ticks.Load() - before - wantTicks // ticks a loaded box squeezed in
+				if extra < 0 || r != want+extra || c != wantCommits+extra {
+					t.Fatalf("%s cost %d request(s) and %d commit(s) over %d tick(s), want %d and %d over %d",
+						what, r, c, wantTicks+extra, want, wantCommits, wantTicks)
 				}
 			}
 			// 2 + 1·(n−1): only the first job pays for its claim.
@@ -282,7 +291,11 @@ func TestFleetClaimsAtTheLeaderOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	fserver := rest.NewServer(core.NewFollowerService(f.DB(), nil))
+	fsvc, err := core.NewService(f.DB(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fserver := rest.NewServer(fsvc)
 	fserver.Repl = f
 	fserver.Logger = quiet
 	fapi := fserver.Handler()

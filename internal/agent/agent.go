@@ -58,11 +58,9 @@ type Control interface {
 	// which Run and Drain take for an idle answer, not a failure.
 	ClaimJob(deploymentID string) (*core.Job, []params.Definition, error)
 	// Progress reports percent complete and returns the current status;
-	// the agent sends one per reporting tick.
+	// the agent sends one per reporting tick, and it doubles as the job's
+	// heartbeat.
 	Progress(jobID string, percent int64) (core.JobStatus, error)
-	// Heartbeat signals liveness and returns the current status. The agent
-	// itself never calls it: its Progress doubles as the heartbeat.
-	Heartbeat(jobID string) (core.JobStatus, error)
 	// StageLog hands over log output that needs no acknowledgement of its
 	// own: it is stored no later than the next Progress, Complete or Fail
 	// for the job returns, ahead of that call's state change and even if
@@ -606,11 +604,6 @@ func (l *LocalControl) ClaimJob(deploymentID string) (*core.Job, []params.Defini
 // Progress implements Control.
 func (l *LocalControl) Progress(jobID string, percent int64) (core.JobStatus, error) {
 	return l.Svc.Progress(jobID, percent)
-}
-
-// Heartbeat implements Control.
-func (l *LocalControl) Heartbeat(jobID string) (core.JobStatus, error) {
-	return l.Svc.Heartbeat(jobID)
 }
 
 // StageLog implements Control. In process there is no round trip to save,

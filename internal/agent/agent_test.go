@@ -143,10 +143,6 @@ func (r *recordingControl) Progress(id string, pct int64) (core.JobStatus, error
 	r.note("Progress")
 	return r.Control.Progress(id, pct)
 }
-func (r *recordingControl) Heartbeat(id string) (core.JobStatus, error) {
-	r.note("Heartbeat")
-	return r.Control.Heartbeat(id)
-}
 func (r *recordingControl) StageLog(id, text string) {
 	r.note("StageLog")
 	r.Control.StageLog(id, text)

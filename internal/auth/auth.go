@@ -14,6 +14,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -33,8 +35,37 @@ var (
 // hashIterations is the number of chained SHA-256 applications.
 const hashIterations = 4096
 
-// credentialsTable persists password records.
+// credentialsTable persists password records. SetPassword creates it, so
+// a store holds it only once somebody has been given a password.
 const credentialsTable = "credentials"
+
+var credentialsSchema = relstore.Schema{
+	Name: credentialsTable,
+	Key:  "id", // user id
+	Columns: []relstore.Column{
+		{Name: "id", Type: relstore.TString},
+		{Name: "salt", Type: relstore.TBytes},
+		{Name: "hash", Type: relstore.TBytes},
+	},
+}
+
+// SessionCookie is the cookie the web UI's login form keeps the session
+// token in. HttpOnly keeps it from page scripts, and SameSite=Strict keeps
+// another site's form from spending it on a route that writes.
+const SessionCookie = "chronos_session"
+
+// RequestToken returns the session token a request presents: the bearer
+// header an API client sends, else the login cookie a browser carries,
+// else "".
+func RequestToken(r *http.Request) string {
+	if tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer "); ok {
+		return tok
+	}
+	if c, err := r.Cookie(SessionCookie); err == nil {
+		return c.Value
+	}
+	return ""
+}
 
 // Authenticator manages passwords and sessions on top of the core user
 // registry. Sessions are kept in memory (they are cheap to re-establish);
@@ -59,34 +90,40 @@ type Session struct {
 	Expires time.Time
 }
 
-// New creates an Authenticator backed by the same database as the
-// service. clock may be nil for wall time. On a read-only replication
-// follower the table creation is skipped — the credentials table (and
-// its rows) replicate from the leader, so Login and Validate work there
-// unchanged while SetPassword fails with the store's read-only error.
-func New(db *relstore.DB, svc *core.Service, clock func() time.Time) (*Authenticator, error) {
-	err := db.CreateTable(relstore.Schema{
-		Name: credentialsTable,
-		Key:  "id", // user id
-		Columns: []relstore.Column{
-			{Name: "id", Type: relstore.TString},
-			{Name: "salt", Type: relstore.TBytes},
-			{Name: "hash", Type: relstore.TBytes},
-		},
-	})
-	if err != nil && !errors.Is(err, relstore.ErrReadOnly) {
-		return nil, err
-	}
+// New creates an Authenticator over the service's database. clock may be
+// nil for wall time. It writes nothing: the
+// credentials table is created by the first SetPassword, and on a
+// replication follower table and rows arrive from the leader, so Login and
+// Validate work there unchanged while SetPassword fails with the store's
+// read-only error.
+func New(svc *core.Service, clock func() time.Time) *Authenticator {
 	if clock == nil {
 		clock = time.Now
 	}
 	return &Authenticator{
-		db:         db,
+		db:         svc.Store().DB(),
 		svc:        svc,
 		SessionTTL: 12 * time.Hour,
 		sessions:   make(map[string]*Session),
 		clock:      clock,
-	}, nil
+	}
+}
+
+// Enabled reports whether session auth is on, which is a fact of the data
+// and of nothing else: it is on exactly when the store holds credentials —
+// a leader's own, or the ones a follower replicated from its leader. A
+// store that cannot be read counts as closed, not as open.
+func (a *Authenticator) Enabled() bool {
+	var n int
+	err := a.db.View(func(tx *relstore.Tx) error {
+		var err error
+		n, err = tx.Count(credentialsTable, relstore.NewQuery().Limit(1))
+		return err
+	})
+	if err != nil {
+		return !errors.Is(err, relstore.ErrUnknownTable)
+	}
+	return n > 0
 }
 
 // hashPassword derives the stored digest for password and salt.
@@ -120,6 +157,9 @@ func (a *Authenticator) SetPassword(userID, password string) error {
 		return err
 	}
 	hash := hashPassword(password, salt)
+	if err := a.db.CreateTable(credentialsSchema); err != nil {
+		return err
+	}
 	return a.db.Update(func(tx *relstore.Tx) error {
 		return tx.Put(credentialsTable, relstore.Row{"id": userID, "salt": salt, "hash": hash})
 	})
@@ -148,7 +188,7 @@ func (a *Authenticator) Login(userName, password string) (*Session, error) {
 	if err != nil || user.Disabled {
 		// Burn the same hashing cost as a real check to level timing.
 		hashPassword(password, []byte("timing-equalizer"))
-		if err != nil && !errors.Is(err, relstore.ErrNotFound) {
+		if err != nil && !errors.Is(err, relstore.ErrNotFound) && !errors.Is(err, relstore.ErrUnknownTable) {
 			return nil, err
 		}
 		return nil, ErrBadCredentials

@@ -2,6 +2,9 @@ package auth
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,11 +21,7 @@ func newAuthFixture(t *testing.T) (*Authenticator, *core.Service, *metrics.Manua
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(db, svc, clock.Now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a, svc, clock
+	return New(svc, clock.Now), svc, clock
 }
 
 func TestLoginFlow(t *testing.T) {
@@ -45,6 +44,44 @@ func TestLoginFlow(t *testing.T) {
 	a.Logout(s.Token)
 	if _, err := a.Validate(s.Token); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("after logout: %v", err)
+	}
+}
+
+// TestEnabledIsAFactOfTheData: session auth is on exactly when the store
+// holds credentials. A fresh store holds not even the table, a user
+// without a password changes nothing, the first SetPassword turns it on —
+// for every Authenticator over that store, with nothing passed to any.
+func TestEnabledIsAFactOfTheData(t *testing.T) {
+	a, svc, _ := newAuthFixture(t)
+	db := svc.Store().DB()
+	if a.Enabled() || slices.Contains(db.Tables(), credentialsTable) {
+		t.Fatalf("fresh store: enabled=%v, tables %v", a.Enabled(), db.Tables())
+	}
+	u, _ := svc.CreateUser("marco", core.RoleAdmin)
+	if _, err := a.Login("marco", ""); !errors.Is(err, ErrBadCredentials) || a.Enabled() {
+		t.Fatalf("a user without a password: login %v, enabled=%v", err, a.Enabled())
+	}
+	if err := a.SetPassword(u.ID, "hunter22"); err != nil {
+		t.Fatal(err)
+	}
+	if other := New(svc, nil); !a.Enabled() || !other.Enabled() {
+		t.Fatal("credentials in the store did not turn session auth on")
+	}
+}
+
+// TestRequestToken: the bearer header wins, the login cookie is next.
+func TestRequestToken(t *testing.T) {
+	r := httptest.NewRequest("GET", "/", nil)
+	if tok := RequestToken(r); tok != "" {
+		t.Fatalf("bare request presents %q", tok)
+	}
+	r.AddCookie(&http.Cookie{Name: SessionCookie, Value: "from-cookie"})
+	if tok := RequestToken(r); tok != "from-cookie" {
+		t.Fatalf("cookie: %q", tok)
+	}
+	r.Header.Set("Authorization", "Bearer from-header")
+	if tok := RequestToken(r); tok != "from-header" {
+		t.Fatalf("header beside cookie: %q", tok)
 	}
 }
 

@@ -3,14 +3,12 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-
-	"chronos/internal/metrics"
-	"chronos/internal/workload"
 )
 
 // PhaseResult is the per-phase slice of a dynamic-workload job result:
 // one row per schedule phase, surfaced as a first-class result through
-// the REST API and web UI. Agents embed the slice under the
+// the REST API and web UI. Agents build the slice from their workload
+// engine's measurements (agent.PhaseResultsFrom) and embed it under the
 // "phaseResults" key of the result document; ParsePhaseResults reads it
 // back out.
 type PhaseResult struct {
@@ -37,33 +35,6 @@ type PhaseResult struct {
 
 // PhaseResultsKey is the result-document key holding []PhaseResult.
 const PhaseResultsKey = "phaseResults"
-
-// PhaseResultsFrom converts a schedule run's per-phase measurements into
-// result rows; sched supplies the per-phase mix/distribution labels.
-func PhaseResultsFrom(sched workload.Schedule, phases []workload.PhaseMeasurement) []PhaseResult {
-	sched = sched.WithDefaults()
-	out := make([]PhaseResult, 0, len(phases))
-	for _, pm := range phases {
-		pr := PhaseResult{
-			Index:        pm.Index,
-			Phase:        pm.Name,
-			Operations:   pm.Measurements.Operations,
-			Errors:       pm.Measurements.Errors,
-			Throughput:   pm.Measurements.Throughput,
-			DurationMs:   float64(pm.Duration.Microseconds()) / 1000,
-			LatencyP50Us: metrics.Micros(pm.Measurements.Latency.P50),
-			LatencyP95Us: metrics.Micros(pm.Measurements.Latency.P95),
-			LatencyP99Us: metrics.Micros(pm.Measurements.Latency.P99),
-		}
-		if pm.Index < len(sched.Phases) {
-			p := sched.Phases[pm.Index]
-			pr.Mix = p.Mix.String()
-			pr.Distribution = p.Distribution
-		}
-		out = append(out, pr)
-	}
-	return out
-}
 
 // ParsePhaseResults extracts the per-phase rows from a result document.
 // A result without the phaseResults key yields an empty slice and no

@@ -1,10 +1,12 @@
-package core
+package core_test
 
 import (
 	"encoding/json"
 	"testing"
 	"time"
 
+	"chronos/internal/agent"
+	"chronos/internal/core"
 	"chronos/internal/metrics"
 	"chronos/internal/workload"
 )
@@ -17,16 +19,16 @@ func TestPhaseLatenciesAreFractionalMicros(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		h.Record(400) // ns
 	}
-	rows := PhaseResultsFrom(workload.Schedule{}, []workload.PhaseMeasurement{{
+	rows := agent.PhaseResultsFrom(workload.Schedule{}, []workload.PhaseMeasurement{{
 		Name:         "steady",
 		Measurements: metrics.Measurements{Operations: 1000, Latency: h.Snapshot()},
 		Duration:     time.Millisecond,
 	}})
-	doc, err := json.Marshal(map[string]any{PhaseResultsKey: rows})
+	doc, err := json.Marshal(map[string]any{core.PhaseResultsKey: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParsePhaseResults(doc)
+	got, err := core.ParsePhaseResults(doc)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("parse: %v, %d rows", err, len(got))
 	}
@@ -37,7 +39,7 @@ func TestPhaseLatenciesAreFractionalMicros(t *testing.T) {
 	}
 
 	// Results stored while the fields were whole numbers still parse.
-	old, err := ParsePhaseResults([]byte(`{"phaseResults":[{"index":0,"phase":"steady","latencyP50Us":3,"latencyP95Us":16,"latencyP99Us":40}]}`))
+	old, err := core.ParsePhaseResults([]byte(`{"phaseResults":[{"index":0,"phase":"steady","latencyP50Us":3,"latencyP95Us":16,"latencyP99Us":40}]}`))
 	if err != nil || len(old) != 1 || old[0].LatencyP50Us != 3 || old[0].LatencyP99Us != 40 {
 		t.Fatalf("integer-era result: %+v, %v", old, err)
 	}

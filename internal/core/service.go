@@ -43,7 +43,9 @@ type Service struct {
 }
 
 // NewService builds a Service on the given database. clock may be nil for
-// wall time; tests inject a manual clock.
+// wall time; tests inject a manual clock. Over a read-only replication
+// follower's store every mutating method fails with relstore.ErrReadOnly:
+// writes belong on the leader.
 func NewService(db *relstore.DB, clock func() time.Time) (*Service, error) {
 	store, err := NewStore(db)
 	if err != nil {
@@ -58,23 +60,6 @@ func NewService(db *relstore.DB, clock func() time.Time) (*Service, error) {
 		HeartbeatTimeout:   30 * time.Second,
 		DefaultMaxAttempts: 3,
 	}, nil
-}
-
-// NewFollowerService builds a Service over a read-only replication
-// follower store. Unlike NewService it creates no tables — schema and
-// rows arrive through WAL shipping, so until the leader's table creations
-// have replicated, reads of a missing table fail cleanly. Every mutating
-// method fails with relstore.ErrReadOnly; writes belong on the leader.
-func NewFollowerService(db *relstore.DB, clock func() time.Time) *Service {
-	if clock == nil {
-		clock = time.Now
-	}
-	return &Service{
-		store:              &Store{db: db},
-		clock:              clock,
-		HeartbeatTimeout:   30 * time.Second,
-		DefaultMaxAttempts: 3,
-	}
 }
 
 // Store exposes the persistence layer (used by the archive exporter).

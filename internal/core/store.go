@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -31,7 +32,10 @@ const (
 	tableEvents      = "events"
 )
 
-// NewStore creates all tables on the given database.
+// NewStore creates all tables on the given database. A read-only
+// replication follower's are not its to create: schema and rows arrive
+// through WAL shipping, and until the leader's table creations have, reads
+// of a missing table fail cleanly.
 func NewStore(db *relstore.DB) (*Store, error) {
 	schemas := []relstore.Schema{
 		{Name: tableUsers, Key: "id", Columns: []relstore.Column{
@@ -118,7 +122,9 @@ func NewStore(db *relstore.DB) (*Store, error) {
 		}},
 	}
 	for _, s := range schemas {
-		if err := db.CreateTable(s); err != nil {
+		if err := db.CreateTable(s); errors.Is(err, relstore.ErrReadOnly) {
+			break
+		} else if err != nil {
 			return nil, fmt.Errorf("core: create table %s: %w", s.Name, err)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"chronos/internal/agent"
-	"chronos/internal/auth"
 	"chronos/internal/core"
 	"chronos/internal/mongoagent"
 	"chronos/internal/params"
@@ -161,12 +160,7 @@ func E7APIVersioning() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := auth.New(db, svc, nil)
-	if err != nil {
-		return nil, err
-	}
 	server := rest.NewServer(svc)
-	server.Auth = a
 	server.Logger = discardLogger()
 	ts := httptest.NewServer(server.Handler())
 	defer ts.Close()
@@ -175,7 +169,7 @@ func E7APIVersioning() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := a.SetPassword(admin.ID, "paper-demo"); err != nil {
+	if err := server.Auth().SetPassword(admin.ID, "paper-demo"); err != nil {
 		return nil, err
 	}
 

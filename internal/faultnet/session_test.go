@@ -215,7 +215,10 @@ func (fb *followerBox) open() {
 	if err != nil {
 		fb.t.Fatal(err)
 	}
-	svc := core.NewFollowerService(f.DB(), nil)
+	svc, err := core.NewService(f.DB(), nil)
+	if err != nil {
+		fb.t.Fatal(err)
+	}
 	server := rest.NewServer(svc)
 	server.Repl = f
 	server.Logger = quietLog
@@ -451,7 +454,10 @@ func TestSessionGuaranteesUnderFaults(t *testing.T) {
 // userSet reads every user name straight from a store.
 func userSet(t *testing.T, db *relstore.DB) map[string]bool {
 	t.Helper()
-	svc := core.NewFollowerService(db, nil)
+	svc, err := core.NewService(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	users, err := svc.ListUsers()
 	if err != nil {
 		t.Fatal(err)

@@ -240,7 +240,7 @@ func (r *Runner) Analyze(rc *agent.RunContext) (map[string]any, error) {
 		},
 	}
 	if len(r.phases) > 1 {
-		result[core.PhaseResultsKey] = core.PhaseResultsFrom(r.sched, r.phases)
+		result[core.PhaseResultsKey] = agent.PhaseResultsFrom(r.sched, r.phases)
 	}
 	// Per-operation latency CSV as auxiliary artefact.
 	csv := "operation,count,mean_ns,p50_ns,p95_ns,p99_ns\n"

@@ -2,6 +2,7 @@ package mongosim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -449,4 +450,53 @@ func TestIOBatcherQuantum(t *testing.T) {
 		t.Fatalf("zero-latency batcher = %+v", b)
 	}
 	b.Tick() // must not sleep or panic
+}
+
+// TestWiredTigerCacheFollowsTheStore: the decompressed-document cache may
+// never hold an older value than the store. Two writers race on one key,
+// round after round; once both have returned, what Get serves (the cache)
+// must be what Apply is handed (the stored image). A cache filled after
+// the stripe lock is released lets the loser of the store race win the
+// cache race, and the stale value then stays cached for good — which is
+// how TestEngineConcurrentSameKeyApply lost an update once in ~60 runs.
+func TestWiredTigerCacheFollowsTheStore(t *testing.T) {
+	e, err := New(EngineWiredTiger, Options{Seed: 9, WriteLatency: NoIO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for round := 0; round < 2000; round++ {
+		key := fmt.Sprintf("k%d", round%7)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for _, val := range []string{"a", "b"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				e.Put(key, []byte(fmt.Sprint(val, round)))
+			}()
+		}
+		wg.Add(1)
+		go func() { // a reader filling the cache races them too
+			defer wg.Done()
+			<-start
+			e.Get(key)
+		}()
+		close(start)
+		wg.Wait()
+		// Apply is handed the stored image; refusing the change leaves
+		// store and cache as they are.
+		var stored []byte
+		peeked := errors.New("peeked")
+		if err := e.Apply(key, func(old []byte, _ bool) ([]byte, error) {
+			stored = append([]byte(nil), old...)
+			return nil, peeked
+		}); err != peeked {
+			t.Fatal(err)
+		}
+		if cached, _ := e.Get(key); !bytes.Equal(cached, stored) {
+			t.Fatalf("round %d: Get serves %q while the store holds %q", round, cached, stored)
+		}
+	}
 }

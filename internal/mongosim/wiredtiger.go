@@ -43,6 +43,10 @@ type wtStripe struct {
 	docs map[string][]byte // compressed "disk" image
 	io   ioBatcher         // per-stripe write I/O wait (doc-level concurrency)
 
+	// The cache mirrors docs, so a key's cache entry is written or dropped
+	// while mu is held (shared by a reader filling it, exclusive by a
+	// writer): in the order the stripe's writes happen, never after a later
+	// one. cacheMu only guards the map itself; it nests inside mu.
 	cacheMu   sync.Mutex
 	cache     map[string][]byte // decompressed documents
 	cacheFIFO []string
@@ -186,9 +190,17 @@ func (w *wiredTiger) Get(key string) ([]byte, bool) {
 		w.cnt.cacheHits.Add(1)
 		return v, true
 	}
+	return w.load(s, key)
+}
+
+// load reads a document that missed the cache from its stored image and
+// caches it, all under the stripe's shared lock: a write to the key
+// cannot fall between the read and the fill and leave the older value
+// cached over its own.
+func (w *wiredTiger) load(s *wtStripe, key string) ([]byte, bool) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	stored, ok := s.docs[key]
-	s.mu.RUnlock()
 	if !ok {
 		return nil, false
 	}
@@ -210,9 +222,9 @@ func (w *wiredTiger) Insert(key string, val []byte) error {
 	// Journal/page write wait under the *stripe* lock only: writers to
 	// other stripes overlap their I/O (document-level concurrency).
 	s.io.Tick()
+	s.cachePut(key, val, w.perCache)
 	s.mu.Unlock()
 	w.afterWrite(key, val, stored, true)
-	s.cachePut(key, val, w.perCache)
 	return nil
 }
 
@@ -223,9 +235,9 @@ func (w *wiredTiger) Put(key string, val []byte) {
 	_, existed := s.docs[key]
 	s.docs[key] = stored
 	s.io.Tick()
+	s.cachePut(key, val, w.perCache)
 	s.mu.Unlock()
 	w.afterWrite(key, val, stored, !existed)
-	s.cachePut(key, val, w.perCache)
 }
 
 func (w *wiredTiger) Apply(key string, fn func(old []byte, exists bool) ([]byte, error)) error {
@@ -244,11 +256,11 @@ func (w *wiredTiger) Apply(key string, fn func(old []byte, exists bool) ([]byte,
 	if repl == nil {
 		if exists {
 			delete(s.docs, key)
+			s.cacheDrop(key)
 		}
 		s.mu.Unlock()
 		if exists {
 			w.cnt.deletes.Add(1)
-			s.cacheDrop(key)
 			w.idx.mu.Lock()
 			w.idx.sl.remove(key)
 			w.idx.mu.Unlock()
@@ -258,9 +270,9 @@ func (w *wiredTiger) Apply(key string, fn func(old []byte, exists bool) ([]byte,
 	newStored := w.compress(repl)
 	s.docs[key] = newStored
 	s.io.Tick()
+	s.cachePut(key, repl, w.perCache)
 	s.mu.Unlock()
 	w.afterWrite(key, repl, newStored, !exists)
-	s.cachePut(key, repl, w.perCache)
 	return nil
 }
 
@@ -288,12 +300,12 @@ func (w *wiredTiger) Delete(key string) bool {
 	s.mu.Lock()
 	_, existed := s.docs[key]
 	delete(s.docs, key)
+	s.cacheDrop(key)
 	s.mu.Unlock()
 	if !existed {
 		return false
 	}
 	w.cnt.deletes.Add(1)
-	s.cacheDrop(key)
 	w.idx.mu.Lock()
 	w.idx.sl.remove(key)
 	w.idx.mu.Unlock()
@@ -315,16 +327,9 @@ func (w *wiredTiger) Scan(start string, limit int) []KV {
 			out = append(out, KV{Key: k, Value: v})
 			continue
 		}
-		s.mu.RLock()
-		stored, ok := s.docs[k]
-		s.mu.RUnlock()
-		if !ok {
-			continue // deleted between index read and fetch
+		if v, ok := w.load(s, k); ok { // else deleted between index read and fetch
+			out = append(out, KV{Key: k, Value: v})
 		}
-		w.cnt.cacheMisses.Add(1)
-		v := w.decompress(stored)
-		s.cachePut(k, v, w.perCache)
-		out = append(out, KV{Key: k, Value: v})
 	}
 	return out
 }

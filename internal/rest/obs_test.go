@@ -1,6 +1,7 @@
 package rest
 
 import (
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -226,4 +227,59 @@ func TestTraceReachesServerLog(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
+}
+
+// TestPagesGoThroughTheEdge: a web UI page is served by the handler that
+// serves the API, so it gets what an API call gets — a trace id echoed on
+// the response, an access-log line carrying it, a chronos_http_* sample
+// under its route pattern — and a handler that panics on that mux costs
+// its request a 500, not the server.
+func TestPagesGoThroughTheEdge(t *testing.T) {
+	var serverLog syncBuf
+	f := newFixture(t, false, "")
+	f.server.Logger = log.New(&serverLog, "", 0)
+	f.server.Registry = metrics.NewRegistry()
+	f.server.mux.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) { panic("boom") })
+	ts := httptest.NewServer(f.server.Handler())
+	t.Cleanup(ts.Close)
+
+	for _, tc := range []struct {
+		path string
+		want int
+	}{{"/boom", http.StatusInternalServerError}, {"/projects", http.StatusOK}} {
+		resp, err := http.Get(ts.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		trace := resp.Header.Get(api.HeaderTrace)
+		if resp.StatusCode != tc.want || trace == "" {
+			t.Fatalf("GET %s -> %d with trace %q, want %d and a trace id", tc.path, resp.StatusCode, trace, tc.want)
+		}
+		// The access-log line is written in a deferred func that can race
+		// the response by a hair, so poll briefly.
+		line := fmt.Sprintf("trace=%s: GET %s -> %d", trace, tc.path, tc.want)
+		for deadline := time.Now().Add(5 * time.Second); !strings.Contains(serverLog.String(), line); {
+			if time.Now().After(deadline) {
+				t.Fatalf("no access-log line %q:\n%s", line, serverLog.String())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	samples, err := metrics.ParseText(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range samples {
+		if s.Name == "chronos_http_requests_total" && s.Label("route") == "GET /projects" && s.Label("code") == "200" && s.Value == 1 {
+			return
+		}
+	}
+	t.Fatalf(`no chronos_http_requests_total{route="GET /projects",code="200"} 1 among %d samples`, len(samples))
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"chronos/internal/auth"
 	"chronos/internal/core"
 	"chronos/internal/relstore"
 	"chronos/internal/relstore/repl"
@@ -114,7 +113,10 @@ func TestFollowerServesReadPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fsvc := core.NewFollowerService(f.DB(), nil)
+	fsvc, err := core.NewService(f.DB(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fserver := NewServer(fsvc)
 	fserver.Repl = f
 	followerTS := httptest.NewServer(fserver.Handler())
@@ -197,17 +199,14 @@ func TestFollowerServesReadPath(t *testing.T) {
 	}
 }
 
-// TestFollowerSessionAuth enables session auth on a follower: logins
-// verify against the credentials replicated from the leader, sessions
-// live on the follower, and unauthenticated reads are refused — the
-// leader's auth boundary survives onto the scaled read path.
+// TestFollowerSessionAuth: a follower of a leader with credentials asks
+// for sessions with nothing switched on — logins verify against the
+// credentials replicated from the leader, sessions live on the follower,
+// and unauthenticated reads are refused. The leader's auth boundary
+// survives onto the scaled read path because it travels with the data.
 func TestFollowerSessionAuth(t *testing.T) {
 	server, leaderTS, leaderSvc := durableFixture(t, "sesame")
-	la, err := auth.New(leaderSvc.Store().DB(), leaderSvc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	server.Auth = la
+	la := server.Auth()
 	u, err := leaderSvc.CreateUser("alice", core.RoleAdmin)
 	if err != nil {
 		t.Fatal(err)
@@ -233,14 +232,12 @@ func TestFollowerSessionAuth(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fsvc := core.NewFollowerService(f.DB(), nil)
-	fa, err := auth.New(f.DB(), fsvc, nil) // must tolerate the read-only store
+	fsvc, err := core.NewService(f.DB(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fserver := NewServer(fsvc)
 	fserver.Repl = f
-	fserver.Auth = fa
 	followerTS := httptest.NewServer(fserver.Handler())
 	t.Cleanup(followerTS.Close)
 

@@ -1,7 +1,9 @@
-// Package rest implements Chronos Control's versioned RESTful web
-// service (paper §2.2): the interface through which agents fetch job
-// descriptions and upload results, and through which external tooling
-// (build bots, CLIs) schedules and inspects evaluations.
+// Package rest is Chronos Control's HTTP edge: the versioned RESTful web
+// service (paper §2.2) through which agents fetch job descriptions and
+// upload results and external tooling (build bots, CLIs) schedules and
+// inspects evaluations, and the web UI's pages beside it. Both are rows of
+// one route table, so who may see what, and how a refusal or an error is
+// answered, is decided in one place (see routes).
 //
 // Two API versions are served simultaneously, /api/v1 and /api/v2,
 // demonstrating the paper's smooth-evolution requirement: "new clients
@@ -26,7 +28,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"slices"
-	"strings"
 	"time"
 
 	"chronos/internal/api"
@@ -36,6 +37,7 @@ import (
 	"chronos/internal/metrics"
 	"chronos/internal/relstore"
 	"chronos/internal/relstore/repl"
+	"chronos/internal/webui"
 )
 
 // APIVersions lists the versions this server speaks, newest last.
@@ -44,8 +46,9 @@ var APIVersions = []string{"v1", "v2"}
 // Server exposes a core.Service over HTTP.
 type Server struct {
 	svc *core.Service
-	// Auth enables session auth for management endpoints when non-nil.
-	Auth *auth.Authenticator
+	// auth holds the sessions. Session auth is no setting: it is on exactly
+	// when the store holds credentials (auth.Authenticator.Enabled).
+	auth *auth.Authenticator
 	// AgentToken, when non-empty, is required from agents in the
 	// X-Chronos-Agent-Token header on job execution endpoints.
 	AgentToken string
@@ -90,10 +93,14 @@ type ReplStatusProvider interface {
 
 // NewServer builds the HTTP handler around the service.
 func NewServer(svc *core.Service) *Server {
-	s := &Server{svc: svc, mux: http.NewServeMux()}
+	s := &Server{svc: svc, auth: auth.New(svc, nil), mux: http.NewServeMux()}
 	s.routes()
 	return s
 }
+
+// Auth returns the server's authenticator: passwords set through it are
+// the credentials that turn session auth on.
+func (s *Server) Auth() *auth.Authenticator { return s.auth }
 
 // Handler returns the root handler including middleware: trace-id
 // install/echo, access + slow-op logging and, when Registry is set,
@@ -115,8 +122,9 @@ const (
 	// open: anyone. Ping, and login/logout — a session cannot be required
 	// of the calls that start and end one.
 	open gate = "open"
-	// viewer, member, admin: a session of at least that role when session
-	// auth is enabled; with auth disabled every caller counts as admin.
+	// viewer, member, admin: a session of at least that role — presented as
+	// a bearer header or as the UI's login cookie — when the store holds
+	// credentials; while it holds none every caller counts as admin.
 	viewer gate = "viewer"
 	member gate = "member"
 	admin  gate = "admin"
@@ -240,26 +248,53 @@ func (s *Server) root() []route {
 	}
 }
 
+// pages are the web UI's rows: what webui.Pages lists, each behind the
+// gate it names, its error answered through fail like an adapter's.
+func (s *Server) pages() []route {
+	var rows []route
+	for _, p := range webui.Pages(s.svc, s.auth) {
+		rows = append(rows, route{"", p.Method, p.Path, gate(p.Gate), func(w http.ResponseWriter, r *http.Request) {
+			if err := p.Serve(w, r); err != nil {
+				fail(w, err)
+			}
+		}})
+	}
+	return rows
+}
+
 // each visits every pattern the server registers: the versioned table
-// once per entry of APIVersions, then the root routes.
-func (s *Server) each(visit func(pattern string, rt route)) {
+// once per entry of APIVersions, then the root routes, then the pages.
+func (s *Server) each(visit func(pattern string, rt route, page bool)) {
 	for i, v := range APIVersions {
 		for _, rt := range s.api(v) {
 			if slices.Index(APIVersions, rt.since) <= i {
-				visit(rt.method+" /api/"+v+rt.path, rt)
+				visit(rt.method+" /api/"+v+rt.path, rt, false)
 			}
 		}
 	}
 	for _, rt := range s.root() {
-		visit(rt.method+" "+rt.path, rt)
+		visit(rt.method+" "+rt.path, rt, false)
+	}
+	for _, rt := range s.pages() {
+		visit(rt.method+" "+rt.path, rt, true)
 	}
 }
 
-// routes wires the table onto the mux, each handler behind its gate.
+// routes wires the table onto the mux, each handler behind its gate. The
+// closure is the one door: an API call and a page alike are admitted or
+// refused, held for a follower's freshness, and — through Handler's
+// middleware — traced, logged, counted and recovered here and nowhere
+// else. A page differs in one answer: a browser that merely has no
+// session yet is sent to the login form.
 func (s *Server) routes() {
-	s.each(func(pattern string, rt route) {
+	s.each(func(pattern string, rt route, page bool) {
 		s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 			if status, err := s.refusal(rt.gate, r); err != nil {
+				browsing := r.Method == http.MethodGet || r.Method == http.MethodHead
+				if page && status == http.StatusUnauthorized && browsing && r.Header.Get("Authorization") == "" {
+					http.Redirect(w, r, "/login", http.StatusSeeOther)
+					return
+				}
 				httputil.WriteError(w, status, err)
 				return
 			}
@@ -284,21 +319,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // --- gates ---
 
-// bearer returns the session token the request presents ("" if none).
-func bearer(r *http.Request) string {
-	if tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer "); ok {
-		return tok
-	}
-	return ""
-}
-
-// require checks the request's session against a role; with session auth
-// disabled every caller passes.
+// require checks the request's session against a role; while the store
+// holds no credentials every caller passes.
 func (s *Server) require(role core.Role, r *http.Request) (int, error) {
-	if s.Auth == nil {
+	if !s.auth.Enabled() {
 		return 0, nil
 	}
-	sess, err := s.Auth.Validate(bearer(r)) // no token is no session
+	sess, err := s.auth.Validate(auth.RequestToken(r)) // no token is no session
 	if err != nil {
 		return http.StatusUnauthorized, err
 	}
@@ -331,25 +358,25 @@ func (s *Server) refusal(g gate, r *http.Request) (int, error) {
 		// auth credentials table, which no viewer- or agent-facing endpoint
 		// exposes — so the gate is strict: the dedicated replication token,
 		// or an admin session. Only on a server with no auth mechanism at
-		// all (no repl token, no agent token, no session auth — the open
+		// all (no repl token, no agent token, no credentials — the open
 		// local-demo configuration) is shipping open like everything else.
-		if s.ReplToken == "" && s.AgentToken == "" && s.Auth == nil {
-			return 0, nil
-		}
 		if s.ReplToken != "" && r.Header.Get(repl.HeaderReplToken) == s.ReplToken {
 			return 0, nil
 		}
-		if s.Auth != nil {
+		if s.auth.Enabled() {
 			if _, err := s.require(core.RoleAdmin, r); err == nil {
 				return 0, nil
 			}
+		} else if s.ReplToken == "" && s.AgentToken == "" {
+			return 0, nil
 		}
 		return http.StatusUnauthorized, errors.New("rest: replication requires the replication token or an admin session")
 	}
 	return http.StatusInternalServerError, fmt.Errorf("rest: route has no gate (%q)", g)
 }
 
-// fail maps service errors onto HTTP status codes.
+// fail answers a service error, an adapter's or a page's: it is the one
+// map from errors onto HTTP status codes.
 func fail(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, core.ErrNotFound):
@@ -400,15 +427,15 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
-	if s.Auth == nil {
-		httputil.WriteError(w, http.StatusNotImplemented, errors.New("rest: auth disabled"))
+	if !s.auth.Enabled() {
+		httputil.WriteError(w, http.StatusNotImplemented, errors.New("rest: auth disabled: the store holds no credentials"))
 		return
 	}
 	var req api.LoginRequest
 	if !decode(w, r, &req) {
 		return
 	}
-	sess, err := s.Auth.Login(req.User, req.Password)
+	sess, err := s.auth.Login(req.User, req.Password)
 	if err != nil {
 		httputil.WriteError(w, http.StatusUnauthorized, err)
 		return
@@ -417,8 +444,6 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLogout(w http.ResponseWriter, r *http.Request) {
-	if tok := bearer(r); s.Auth != nil && tok != "" {
-		s.Auth.Logout(tok)
-	}
+	s.auth.Logout(auth.RequestToken(r))
 	httputil.WriteJSON(w, http.StatusOK, "ok")
 }

@@ -35,12 +35,7 @@ func newFixture(t *testing.T, withAuth bool, agentToken string) *fixture {
 	f.server = NewServer(svc)
 	f.server.AgentToken = agentToken
 	if withAuth {
-		a, err := auth.New(db, svc, clock.Now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.auth = a
-		f.server.Auth = a
+		f.auth = f.server.Auth()
 	}
 	f.ts = httptest.NewServer(f.server.Handler())
 	t.Cleanup(f.ts.Close)

@@ -49,7 +49,11 @@ func newSessionFixture(t testing.TB) *sessionFixture {
 	if err := f.WaitCaughtUp(ctx); err != nil {
 		t.Fatal(err)
 	}
-	fserver := NewServer(core.NewFollowerService(f.DB(), nil))
+	fsvc, err := core.NewService(f.DB(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fserver := NewServer(fsvc)
 	fserver.Repl = f
 	fserver.Logger = log.New(io.Discard, "", 0)
 	followerTS := httptest.NewServer(fserver.Handler())
@@ -183,6 +187,14 @@ func TestFollowerReadAfterVerdicts(t *testing.T) {
 	if resp := get(t, fx.followerTS.URL, "/api/v2/users", foreign.String()); resp.StatusCode != http.StatusPreconditionFailed {
 		t.Fatalf("foreign-store token: %d, want 412", resp.StatusCode)
 	}
+
+	// A page is a data read behind the same gate: it hears the token too.
+	if resp := get(t, fx.followerTS.URL, "/projects", tok.String()); resp.StatusCode != http.StatusOK {
+		t.Fatalf("page with a satisfied token: %d", resp.StatusCode)
+	}
+	if resp := get(t, fx.followerTS.URL, "/projects", foreign.String()); resp.StatusCode != http.StatusPreconditionFailed {
+		t.Fatalf("page with a foreign-store token: %d, want 412", resp.StatusCode)
+	}
 }
 
 // TestOldEpochTokenIs412 pins the superseded-history verdict: a token
@@ -229,7 +241,11 @@ func TestOldEpochTokenIs412(t *testing.T) {
 	if err := f.WaitCaughtUp(ctx); err != nil {
 		t.Fatal(err)
 	}
-	fserver := NewServer(core.NewFollowerService(f.DB(), nil))
+	fsvc, err := core.NewService(f.DB(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fserver := NewServer(fsvc)
 	fserver.Repl = f
 	fserver.Logger = log.New(io.Discard, "", 0)
 	followerTS := httptest.NewServer(fserver.Handler())
@@ -272,6 +288,16 @@ func TestStalenessBudgetDegrades(t *testing.T) {
 			t.Fatalf("follower never degraded past its 50ms budget (last status %d)", resp.StatusCode)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+
+	// The web UI's pages are data reads like the API's: beyond the budget
+	// they degrade with it, except the status page, which like the status
+	// call must keep answering precisely now.
+	if resp := get(t, fx.followerTS.URL, "/projects", ""); resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("page beyond the staleness budget: %d (Retry-After %q), want 503 with one", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if resp := get(t, fx.followerTS.URL, "/status", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status page on a degraded follower: %d, want 200", resp.StatusCode)
 	}
 
 	resp, err := http.Get(fx.followerTS.URL + "/api/v2/status")

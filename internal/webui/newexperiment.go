@@ -107,16 +107,14 @@ func parseNumber(name, s string) (params.Value, error) {
 
 // newExperiment renders the creation form for a chosen system (or the
 // system chooser when none is selected yet).
-func (u *UI) newExperiment(w http.ResponseWriter, r *http.Request) {
+func (u *ui) newExperiment(w http.ResponseWriter, r *http.Request) error {
 	p, err := u.svc.GetProject(r.PathValue("id"))
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	systems, err := u.svc.ListSystems()
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	sysID := r.URL.Query().Get("system")
 	data := struct {
@@ -130,8 +128,7 @@ func (u *UI) newExperiment(w http.ResponseWriter, r *http.Request) {
 	if sysID != "" {
 		sys, err := u.svc.GetSystem(sysID)
 		if err != nil {
-			httpErr(w, err)
-			return
+			return err
 		}
 		form := &systemForm{ID: sys.ID, Name: sys.Name}
 		for _, d := range sys.Parameters {
@@ -143,6 +140,7 @@ func (u *UI) newExperiment(w http.ResponseWriter, r *http.Request) {
 		data.System = form
 	}
 	u.render(w, "experiment_new", "New Experiment", data)
+	return nil
 }
 
 type projectRef struct{ ID, Name string }
@@ -184,25 +182,22 @@ func fieldHint(d params.Definition) string {
 }
 
 // createExperiment handles the form POST.
-func (u *UI) createExperiment(w http.ResponseWriter, r *http.Request) {
+func (u *ui) createExperiment(w http.ResponseWriter, r *http.Request) error {
 	if err := r.ParseForm(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return err
 	}
 	projectID := r.PathValue("id")
 	sysID := r.PostFormValue("system")
 	name := r.PostFormValue("name")
 	sys, err := u.svc.GetSystem(sysID)
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	settings := map[string][]params.Value{}
 	for _, d := range sys.Parameters {
 		variants, err := parseVariants(d, r.PostFormValue("param_"+d.Name))
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return err
 		}
 		if variants != nil {
 			settings[d.Name] = variants
@@ -217,8 +212,8 @@ func (u *UI) createExperiment(w http.ResponseWriter, r *http.Request) {
 	exp, err := u.svc.CreateExperiment(projectID, sysID, name,
 		r.PostFormValue("description"), settings, maxAttempts)
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	http.Redirect(w, r, "/experiments/"+exp.ID, http.StatusSeeOther)
+	return nil
 }

@@ -1,8 +1,6 @@
 package webui
 
 import (
-	"net/url"
-	"strings"
 	"testing"
 
 	"chronos/internal/params"
@@ -60,63 +58,8 @@ func TestParseVariants(t *testing.T) {
 	}
 }
 
-func TestNewExperimentFormFlow(t *testing.T) {
-	f := newFixture(t)
-	// Without a system: chooser page.
-	body := f.get(t, "/projects/"+f.projectID+"/experiments/new", 200)
-	if !strings.Contains(body, "Choose the System") {
-		t.Fatalf("chooser missing:\n%s", body)
-	}
-	// With a system: a form listing every parameter.
-	body = f.get(t, "/projects/"+f.projectID+"/experiments/new?system="+f.systemID, 200)
-	for _, want := range []string{"param_engine", "param_threads", "param_mix", "Create Experiment"} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("form missing %q", want)
-		}
-	}
-	// Submitting the form creates the experiment with parsed settings.
-	form := url.Values{
-		"system":        {f.systemID},
-		"name":          {"form-made"},
-		"description":   {"via UI"},
-		"param_engine":  {"wiredtiger,mmapv1"},
-		"param_threads": {"1,2"},
-		"param_mix":     {"95:5"},
-		"maxAttempts":   {"2"},
-	}
-	resp, err := f.ts.Client().PostForm(f.ts.URL+"/projects/"+f.projectID+"/experiments", form)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	exps, _ := f.svc.ListExperiments(f.projectID)
-	var found bool
-	for _, e := range exps {
-		if e.Name != "form-made" {
-			continue
-		}
-		found = true
-		if len(e.Settings["engine"]) != 2 || len(e.Settings["threads"]) != 2 || len(e.Settings["mix"]) != 1 {
-			t.Fatalf("settings = %+v", e.Settings)
-		}
-		if e.MaxAttempts != 2 {
-			t.Fatalf("maxAttempts = %d", e.MaxAttempts)
-		}
-		// The created experiment expands to 2x2 jobs.
-		_, jobs, err := f.svc.CreateEvaluation(e.ID)
-		if err != nil || len(jobs) != 4 {
-			t.Fatalf("evaluation of form experiment: %d jobs, %v", len(jobs), err)
-		}
-	}
-	if !found {
-		t.Fatal("form experiment not created")
-	}
-	// Invalid variants produce a 400, not a broken experiment.
-	form.Set("param_threads", "lots")
-	form.Set("name", "broken")
-	resp, _ = f.ts.Client().PostForm(f.ts.URL+"/projects/"+f.projectID+"/experiments", form)
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("invalid form -> %d", resp.StatusCode)
+func TestTrimFloat(t *testing.T) {
+	if trimFloat(5) != "5" || trimFloat(5.25) != "5.25" || trimFloat(5.256) != "5.26" {
+		t.Fatalf("trimFloat: %s %s %s", trimFloat(5), trimFloat(5.25), trimFloat(5.256))
 	}
 }

@@ -7,7 +7,6 @@
 package webui
 
 import (
-	"errors"
 	"fmt"
 	"html/template"
 	"net/http"
@@ -19,59 +18,51 @@ import (
 	"chronos/internal/core"
 )
 
-// UI serves the HTML pages.
-type UI struct {
-	// Auth, when non-nil, closes the UI behind the sessions the REST API
-	// uses (see session.go): viewer to look, member to act. Nil serves
-	// every page to everyone, like the auth-less REST API.
-	Auth *auth.Authenticator
-
-	svc *core.Service
-	tpl *template.Template
-	mux *http.ServeMux
+// ui renders the HTML pages.
+type ui struct {
+	svc  *core.Service
+	auth *auth.Authenticator
 }
 
-// New builds the UI over a service.
-func New(svc *core.Service) (*UI, error) {
-	tpl, err := template.New("webui").Parse(pageTemplates)
-	if err != nil {
-		return nil, fmt.Errorf("webui: parse templates: %w", err)
-	}
-	ui := &UI{svc: svc, tpl: tpl, mux: http.NewServeMux()}
-	for pattern, h := range ui.routes() {
-		ui.mux.HandleFunc(pattern, h)
-	}
-	return ui, nil
+var tpl = template.Must(template.New("webui").Parse(pageTemplates))
+
+// Page is one row the UI adds to the HTTP edge's route table. The UI owns
+// no mux and no gate: internal/rest admits, refuses, logs and counts a
+// page request in the one place it does so for an API call, and answers
+// the error Serve returns the way it answers a service error there.
+type Page struct {
+	Method, Path string
+	// Gate is who may ask, by the name of the edge's gate: view to look,
+	// member to act, viewer for the one page that must stay up while a
+	// follower is degraded, open for the session's own two ends.
+	Gate  string
+	Serve func(http.ResponseWriter, *http.Request) error
 }
 
-// Handler returns the page handler; mount it beside the REST API.
-func (u *UI) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if u.Auth == nil || u.admit(w, r) {
-			u.mux.ServeHTTP(w, r)
-		}
-	})
-}
-
-// routes lists the pages by mux pattern.
-func (u *UI) routes() map[string]http.HandlerFunc {
-	return map[string]http.HandlerFunc{
-		"GET /{$}":                           u.dashboard,
-		"GET /status":                        u.status,
-		"GET /projects":                      u.projects,
-		"GET /projects/{id}":                 u.project,
-		"GET /systems":                       u.systems,
-		"GET /systems/{id}":                  u.system,
-		"GET /deployments":                   u.deployments,
-		"GET /projects/{id}/experiments/new": u.newExperiment,
-		"POST /projects/{id}/experiments":    u.createExperiment,
-		"GET /experiments/{id}":              u.experiment,
-		"POST /experiments/{id}/run":         u.runExperiment,
-		"GET /evaluations/{id}":              u.evaluation,
-		"GET /evaluations/{id}/results":      u.results,
-		"GET /jobs/{id}":                     u.job,
-		"POST /jobs/{id}/abort":              u.abortJob,
-		"POST /jobs/{id}/reschedule":         u.rescheduleJob,
+// Pages lists the UI's pages over a service. sessions is the edge's
+// authenticator: the login form opens its sessions there.
+func Pages(svc *core.Service, sessions *auth.Authenticator) []Page {
+	u := &ui{svc: svc, auth: sessions}
+	return []Page{
+		{"GET", "/{$}", "view", u.dashboard},
+		{"GET", "/status", "viewer", u.status},
+		{"GET", "/projects", "view", u.projects},
+		{"GET", "/projects/{id}", "view", u.project},
+		{"GET", "/systems", "view", u.systems},
+		{"GET", "/systems/{id}", "view", u.system},
+		{"GET", "/deployments", "view", u.deployments},
+		{"GET", "/projects/{id}/experiments/new", "view", u.newExperiment},
+		{"POST", "/projects/{id}/experiments", "member", u.createExperiment},
+		{"GET", "/experiments/{id}", "view", u.experiment},
+		{"POST", "/experiments/{id}/run", "member", u.runExperiment},
+		{"GET", "/evaluations/{id}", "view", u.evaluation},
+		{"GET", "/evaluations/{id}/results", "view", u.results},
+		{"GET", "/jobs/{id}", "view", u.job},
+		{"POST", "/jobs/{id}/abort", "member", u.abortJob},
+		{"POST", "/jobs/{id}/reschedule", "member", u.rescheduleJob},
+		{"GET", "/login", "open", u.ifSessions(u.loginForm)},
+		{"POST", "/login", "open", u.ifSessions(u.login)},
+		{"POST", "/logout", "open", u.ifSessions(u.logout)},
 	}
 }
 
@@ -80,185 +71,164 @@ type page struct {
 	Title string
 	Data  any
 	// SignedIn puts the sign-out button in the navigation bar: with
-	// session auth on, every page but the login form sits behind admit.
+	// session auth on, every page but the login form sits behind a session.
 	SignedIn bool
 }
 
 // render executes a named page template.
-func (u *UI) render(w http.ResponseWriter, name, title string, data any) {
+func (u *ui) render(w http.ResponseWriter, name, title string, data any) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	p := page{Title: title, Data: data, SignedIn: u.Auth != nil && name != "login"}
-	if err := u.tpl.ExecuteTemplate(w, name, p); err != nil {
+	p := page{Title: title, Data: data, SignedIn: name != "login" && u.auth.Enabled()}
+	if err := tpl.ExecuteTemplate(w, name, p); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
 
-// httpErr maps service errors to status pages.
-func httpErr(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, core.ErrNotFound):
-		status = http.StatusNotFound
-	case errors.Is(err, core.ErrInvalidTransition), errors.Is(err, core.ErrArchived):
-		status = http.StatusConflict
-	}
-	http.Error(w, err.Error(), status)
-}
-
-func (u *UI) dashboard(w http.ResponseWriter, r *http.Request) {
+func (u *ui) dashboard(w http.ResponseWriter, r *http.Request) error {
 	projects, err := u.svc.ListProjects()
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	systems, err := u.svc.ListSystems()
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	deployments, err := u.svc.ListDeployments("")
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	u.render(w, "dashboard", "Dashboard", struct {
 		Projects, Systems, Deployments int
 	}{len(projects), len(systems), len(deployments)})
+	return nil
 }
 
 // status renders the live server-status page. The page itself is
 // static: a script polls GET /metrics (same origin, so the ship gate
 // applies as it would to any scraper) and draws sparklines client-side;
 // the server renders no metric values into the HTML.
-func (u *UI) status(w http.ResponseWriter, r *http.Request) {
+func (u *ui) status(w http.ResponseWriter, r *http.Request) error {
 	u.render(w, "serverstatus", "Server status", nil)
+	return nil
 }
 
-func (u *UI) projects(w http.ResponseWriter, r *http.Request) {
+func (u *ui) projects(w http.ResponseWriter, r *http.Request) error {
 	ps, err := u.svc.ListProjects()
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	u.render(w, "projects", "Projects", ps)
+	return nil
 }
 
-func (u *UI) project(w http.ResponseWriter, r *http.Request) {
+func (u *ui) project(w http.ResponseWriter, r *http.Request) error {
 	p, err := u.svc.GetProject(r.PathValue("id"))
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	exps, err := u.svc.ListExperiments(p.ID)
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	u.render(w, "project", "Project "+p.Name, struct {
 		Project     *core.Project
 		Experiments []*core.Experiment
 	}{p, exps})
+	return nil
 }
 
-func (u *UI) systems(w http.ResponseWriter, r *http.Request) {
+func (u *ui) systems(w http.ResponseWriter, r *http.Request) error {
 	out, err := u.svc.ListSystems()
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	u.render(w, "systems", "Systems", out)
+	return nil
 }
 
-func (u *UI) system(w http.ResponseWriter, r *http.Request) {
+func (u *ui) system(w http.ResponseWriter, r *http.Request) error {
 	sys, err := u.svc.GetSystem(r.PathValue("id"))
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	deps, err := u.svc.ListDeployments(sys.ID)
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	u.render(w, "system", "System "+sys.Name, struct {
 		System      *core.System
 		Deployments []*core.Deployment
 	}{sys, deps})
+	return nil
 }
 
-func (u *UI) deployments(w http.ResponseWriter, r *http.Request) {
+func (u *ui) deployments(w http.ResponseWriter, r *http.Request) error {
 	deps, err := u.svc.ListDeployments("")
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	u.render(w, "deployments", "Deployments", deps)
+	return nil
 }
 
-func (u *UI) experiment(w http.ResponseWriter, r *http.Request) {
+func (u *ui) experiment(w http.ResponseWriter, r *http.Request) error {
 	exp, err := u.svc.GetExperiment(r.PathValue("id"))
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	evs, err := u.svc.ListEvaluations(exp.ID)
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	u.render(w, "experiment", "Experiment "+exp.Name, struct {
 		Experiment  *core.Experiment
 		Evaluations []*core.Evaluation
 	}{exp, evs})
+	return nil
 }
 
-func (u *UI) runExperiment(w http.ResponseWriter, r *http.Request) {
+func (u *ui) runExperiment(w http.ResponseWriter, r *http.Request) error {
 	ev, _, err := u.svc.CreateEvaluation(r.PathValue("id"))
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	http.Redirect(w, r, "/evaluations/"+ev.ID, http.StatusSeeOther)
+	return nil
 }
 
-func (u *UI) evaluation(w http.ResponseWriter, r *http.Request) {
+func (u *ui) evaluation(w http.ResponseWriter, r *http.Request) error {
 	ev, err := u.svc.GetEvaluation(r.PathValue("id"))
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	jobs, err := u.svc.ListJobs(ev.ID)
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	st, err := u.svc.EvaluationStatusOf(ev.ID)
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	u.render(w, "evaluation", "Evaluation "+ev.ID, struct {
 		Evaluation *core.Evaluation
 		Jobs       []*core.Job
 		Status     core.EvaluationStatus
 	}{ev, jobs, st})
+	return nil
 }
 
-func (u *UI) job(w http.ResponseWriter, r *http.Request) {
+func (u *ui) job(w http.ResponseWriter, r *http.Request) error {
 	j, err := u.svc.GetJob(r.PathValue("id"))
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	timeline, err := u.svc.JobTimeline(j.ID)
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	logs, err := u.svc.JobLogs(j.ID)
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	var log strings.Builder
 	for _, c := range logs {
@@ -282,22 +252,23 @@ func (u *UI) job(w http.ResponseWriter, r *http.Request) {
 		CanAbort:      j.Status == core.StatusScheduled || j.Status == core.StatusRunning,
 		CanReschedule: j.Status == core.StatusFailed,
 	})
+	return nil
 }
 
-func (u *UI) abortJob(w http.ResponseWriter, r *http.Request) {
+func (u *ui) abortJob(w http.ResponseWriter, r *http.Request) error {
 	if err := u.svc.AbortJob(r.PathValue("id")); err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	http.Redirect(w, r, "/jobs/"+r.PathValue("id"), http.StatusSeeOther)
+	return nil
 }
 
-func (u *UI) rescheduleJob(w http.ResponseWriter, r *http.Request) {
+func (u *ui) rescheduleJob(w http.ResponseWriter, r *http.Request) error {
 	if err := u.svc.RescheduleJob(r.PathValue("id")); err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	http.Redirect(w, r, "/jobs/"+r.PathValue("id"), http.StatusSeeOther)
+	return nil
 }
 
 // resultsRow is one line of the raw-metric table.
@@ -309,26 +280,22 @@ type resultsRow struct {
 
 // results renders the analysis page: every diagram the system declares,
 // built from the evaluation's finished jobs (paper Fig. 3d).
-func (u *UI) results(w http.ResponseWriter, r *http.Request) {
+func (u *ui) results(w http.ResponseWriter, r *http.Request) error {
 	ev, err := u.svc.GetEvaluation(r.PathValue("id"))
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	exp, err := u.svc.GetExperiment(ev.ExperimentID)
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	sys, err := u.svc.GetSystem(exp.SystemID)
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 	jobs, err := u.svc.ListJobs(ev.ID)
 	if err != nil {
-		httpErr(w, err)
-		return
+		return err
 	}
 
 	var rows []analysis.ResultRow
@@ -407,6 +374,7 @@ func (u *UI) results(w http.ResponseWriter, r *http.Request) {
 		MetricNames []string
 		Rows        []resultsRow
 	}{ev, len(rows) > 0, diagrams, metricNames, tableRows})
+	return nil
 }
 
 // trimFloat renders numbers without trailing noise.

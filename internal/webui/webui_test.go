@@ -1,8 +1,9 @@
-package webui
+package webui_test
 
 import (
 	"context"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,13 +17,16 @@ import (
 	"chronos/internal/mongosim"
 	"chronos/internal/params"
 	"chronos/internal/relstore"
+	"chronos/internal/rest"
 )
 
 // fixture builds a service with the full demo state: finished evaluation
-// with results, a failed-able job etc., and serves the UI.
+// with results, a failed-able job etc., and serves the UI the way the
+// process does: as rows of the HTTP edge's route table.
 type fixture struct {
-	svc *core.Service
-	ts  *httptest.Server
+	svc    *core.Service
+	server *rest.Server
+	ts     *httptest.Server
 
 	projectID, systemID, deploymentID, experimentID, evaluationID string
 	jobIDs                                                        []string
@@ -78,11 +82,9 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 
-	ui, err := New(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.ts = httptest.NewServer(ui.Handler())
+	f.server = rest.NewServer(svc)
+	f.server.Logger = log.New(io.Discard, "", 0)
+	f.ts = httptest.NewServer(f.server.Handler())
 	t.Cleanup(f.ts.Close)
 	return f
 }

@@ -101,6 +101,14 @@ func (c *Client) SetSessionToken(tok string) {
 	c.mu.Unlock()
 }
 
+// SessionToken returns the bearer token in use, for a caller that hands
+// the session Login opened to another process.
+func (c *Client) SessionToken() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.token
+}
+
 // do routes one logical API call: mutations to the leader, idempotent
 // GETs through the retrying read path with leader fallback (session.go).
 func (c *Client) do(method, path string, body, out any) error {
