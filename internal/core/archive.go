@@ -48,101 +48,116 @@ type JobArchive struct {
 	Timeline []*Event
 }
 
-// ExportProject renders the complete archive zip of a project. The whole
-// read is one View, so the archive is one consistent cut: a job finishing
-// mid-export can never yield a zip whose job.json still says running
-// while result.json already exists.
+// ExportProject renders the complete archive zip of a project. Every row
+// it holds is read in one View, so the archive is one consistent cut: a
+// job finishing mid-export can never yield a zip whose job.json still says
+// running while result.json already exists. The View only takes the rows'
+// stored bytes, and the file names come from their key columns; decoding,
+// indenting and deflating — nearly all of an export's time — happen after
+// it, so agents' commits (and a follower's applies) do not wait for the
+// zip.
 func (s *Service) ExportProject(projectID string) ([]byte, error) {
-	var buf bytes.Buffer
-	zw := zip.NewWriter(&buf)
-
+	var files []archiveFile // in archive order
 	err := s.store.db.View(func(tx *relstore.Tx) error {
-		p, err := s.store.GetProject(tx, projectID)
+		p, err := tx.GetValue(tableProjects, projectID, "data")
 		if err != nil {
 			return mapNotFound(err)
 		}
-		if err := writeJSON(zw, "project.json", p); err != nil {
-			return err
-		}
-		exps, err := s.store.ListExperiments(tx, projectID)
-		if err != nil {
-			return err
-		}
+		files = append(files, entityFile[Project]("project.json", tableProjects, p.([]byte)))
 		seenSystems := map[string]bool{}
-		for _, exp := range exps {
-			if err := writeJSON(zw, "experiments/"+exp.ID+".json", exp); err != nil {
-				return err
-			}
-			if !seenSystems[exp.SystemID] {
-				seenSystems[exp.SystemID] = true
-				sys, err := s.store.GetSystem(tx, exp.SystemID)
+		return eachRow(tx, tableExperiments, relstore.NewQuery().Eq("projectId", projectID), func(exp relstore.Row) error {
+			files = append(files, entityFile[Experiment]("experiments/"+exp["id"].(string)+".json", tableExperiments, exp["data"].([]byte)))
+			if sysID := exp["systemId"].(string); !seenSystems[sysID] {
+				seenSystems[sysID] = true
+				sys, err := tx.GetValue(tableSystems, sysID, "data")
 				if err != nil {
 					return err
 				}
-				if err := writeJSON(zw, "systems/"+sys.ID+".json", sys); err != nil {
-					return err
-				}
+				files = append(files, entityFile[System]("systems/"+sysID+".json", tableSystems, sys.([]byte)))
 			}
-			evs, err := s.store.ListEvaluations(tx, exp.ID)
-			if err != nil {
-				return err
-			}
-			for _, ev := range evs {
-				base := "evaluations/" + ev.ID + "/"
-				if err := writeJSON(zw, base+"evaluation.json", ev); err != nil {
+			return eachRow(tx, tableEvaluations, relstore.NewQuery().Eq("experimentId", exp["id"]), func(ev relstore.Row) error {
+				base := "evaluations/" + ev["id"].(string) + "/"
+				files = append(files, entityFile[Evaluation](base+"evaluation.json", tableEvaluations, ev["data"].([]byte)))
+				return eachRow(tx, tableJobs, relstore.NewQuery().Eq("evaluationId", ev["id"]), func(job relstore.Row) error {
+					more, err := s.jobFiles(tx, base, job)
+					files = append(files, more...)
 					return err
-				}
-				jobs, err := s.store.ListJobsByEvaluation(tx, ev.ID)
-				if err != nil {
-					return err
-				}
-				for _, j := range jobs {
-					jb := base + "jobs/" + j.ID + "/"
-					if err := writeJSON(zw, jb+"job.json", j); err != nil {
-						return err
-					}
-					if res, err := s.store.GetResult(tx, j.ID); err == nil {
-						if err := writeRaw(zw, jb+"result.json", res.JSON); err != nil {
-							return err
-						}
-						if len(res.Archive) > 0 {
-							if err := writeRaw(zw, jb+"result.zip", res.Archive); err != nil {
-								return err
-							}
-						}
-					}
-					logs, err := s.store.ListLogs(tx, j.ID)
-					if err != nil {
-						return err
-					}
-					if len(logs) > 0 {
-						var lb bytes.Buffer
-						for _, c := range logs {
-							lb.WriteString(c.Text)
-						}
-						if err := writeRaw(zw, jb+"log.txt", lb.Bytes()); err != nil {
-							return err
-						}
-					}
-					events, err := s.store.ListEvents(tx, j.ID)
-					if err != nil {
-						return err
-					}
-					if err := writeJSON(zw, jb+"timeline.json", events); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
+				})
+			})
+		})
 	})
 	if err != nil {
 		return nil, err
+	}
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	for _, write := range files {
+		if err := write(zw); err != nil {
+			return nil, err
+		}
 	}
 	if err := zw.Close(); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// archiveFile writes one file of an export — or, for a result, the two or
+// none its row holds — from bytes taken in the export's View.
+type archiveFile func(*zip.Writer) error
+
+// jobFiles takes one job's rows inside tx: the job, its result, its log
+// chunks and its timeline, under base/jobs/<id>/.
+func (s *Service) jobFiles(tx *relstore.Tx, base string, job relstore.Row) ([]archiveFile, error) {
+	jobID := job["id"].(string)
+	dir := base + "jobs/" + jobID + "/"
+	files := []archiveFile{entityFile[Job](dir+"job.json", tableJobs, job["data"].([]byte))}
+	if data, err := tx.GetValue(tableResults, jobID, "data"); err == nil {
+		files = append(files, func(zw *zip.Writer) error {
+			// An undecodable result is left out, as a missing one is.
+			var res Result
+			if decodeJSON(tableResults, data.([]byte), &res) != nil {
+				return nil
+			}
+			if err := writeRaw(zw, dir+"result.json", res.JSON); err != nil || len(res.Archive) == 0 {
+				return err
+			}
+			return writeRaw(zw, dir+"result.zip", res.Archive)
+		})
+	}
+	logs, err := s.store.ListLogs(tx, jobID)
+	if err != nil {
+		return nil, err
+	}
+	events, err := s.store.ListEvents(tx, jobID)
+	if err != nil {
+		return nil, err
+	}
+	return append(files, func(zw *zip.Writer) error {
+		chunks, err := logs.decode()
+		if err != nil || len(chunks) == 0 {
+			return err
+		}
+		var lb bytes.Buffer
+		for _, c := range chunks {
+			lb.WriteString(c.Text)
+		}
+		return writeRaw(zw, dir+"log.txt", lb.Bytes())
+	}, func(zw *zip.Writer) error {
+		return writeJSON(zw, dir+"timeline.json", events)
+	}), nil
+}
+
+// entityFile is the archive file of one stored entity, decoded and
+// indented when the zip is written.
+func entityFile[T any](name, table string, data []byte) archiveFile {
+	return func(zw *zip.Writer) error {
+		var v T
+		if err := decodeJSON(table, data, &v); err != nil {
+			return err
+		}
+		return writeJSON(zw, name, &v)
+	}
 }
 
 func writeJSON(zw *zip.Writer, name string, v any) error {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"chronos/internal/params"
 	"chronos/internal/relstore"
 )
 
@@ -89,27 +88,9 @@ func BenchmarkFailJob(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			u, _ := svc.CreateUser("bench", RoleAdmin)
-			p, _ := svc.CreateProject("bench", "", u.ID, nil)
-			defs := []params.Definition{
-				{Name: "idx", Type: params.TypeInterval, Min: 1, Max: 1 << 30, Default: params.Int(1)},
-			}
-			sys, _ := svc.RegisterSystem("sue", "", defs, nil)
-			dep, _ := svc.CreateDeployment(sys.ID, "d", "", "")
-			vals := make([]params.Value, variants)
-			for i := range vals {
-				vals[i] = params.Int(int64(i) + 1)
-			}
 			// Huge budget so the job auto-reschedules forever.
-			exp, err := svc.CreateExperiment(p.ID, sys.ID, "e", "",
-				map[string][]params.Value{"idx": vals}, 1<<30)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := svc.CreateEvaluation(exp.ID); err != nil {
-				b.Fatal(err)
-			}
-			j, ok, err := svc.ClaimJob(dep.ID)
+			depID, _, _ := sweepFixture(b, svc, variants, 1<<30)
+			j, ok, err := svc.ClaimJob(depID)
 			if err != nil || !ok {
 				b.Fatalf("claim: %v %v", ok, err)
 			}

@@ -93,24 +93,16 @@ func (s *Service) GetEvaluation(id string) (*Evaluation, error) {
 
 // ListEvaluations returns the evaluations of an experiment.
 func (s *Service) ListEvaluations(experimentID string) ([]*Evaluation, error) {
-	var out []*Evaluation
-	err := s.store.db.View(func(tx *relstore.Tx) error {
-		var err error
-		out, err = s.store.ListEvaluations(tx, experimentID)
-		return err
+	return readRows(s.store.db, func(tx *relstore.Tx) (jsonRows[Evaluation], error) {
+		return s.store.ListEvaluations(tx, experimentID)
 	})
-	return out, err
 }
 
 // ListJobs returns the jobs of an evaluation in creation order.
 func (s *Service) ListJobs(evaluationID string) ([]*Job, error) {
-	var out []*Job
-	err := s.store.db.View(func(tx *relstore.Tx) error {
-		var err error
-		out, err = s.store.ListJobsByEvaluation(tx, evaluationID)
-		return err
+	return readRows(s.store.db, func(tx *relstore.Tx) (jsonRows[Job], error) {
+		return s.store.ListJobsByEvaluation(tx, evaluationID)
 	})
-	return out, err
 }
 
 // GetJob returns the job with the given id.
@@ -343,13 +335,9 @@ func (s *Service) AppendJobLog(jobID, text string) error {
 
 // JobLogs returns a job's log chunks in order.
 func (s *Service) JobLogs(jobID string) ([]*LogChunk, error) {
-	var out []*LogChunk
-	err := s.store.db.View(func(tx *relstore.Tx) error {
-		var err error
-		out, err = s.store.ListLogs(tx, jobID)
-		return err
+	return readRows(s.store.db, func(tx *relstore.Tx) (jsonRows[LogChunk], error) {
+		return s.store.ListLogs(tx, jobID)
 	})
-	return out, err
 }
 
 // JobTimeline returns a job's events in order (paper Fig. 3c).
@@ -560,40 +548,81 @@ func (s *Service) GetJobResult(jobID string) (*Result, error) {
 
 // EvaluationStatusOf aggregates job states for the evaluation overview
 // (paper Fig. 3b). One View, so the counts are one consistent cut across
-// the evaluations and jobs tables.
+// the evaluations and jobs tables; inside it the evaluation is a key
+// lookup and its jobs are counted by their scalar status column, and only
+// the running, failed and aborted jobs' JSON is decoded — after the View,
+// for their progress.
 func (s *Service) EvaluationStatusOf(evaluationID string) (EvaluationStatus, error) {
-	st := EvaluationStatus{EvaluationID: evaluationID}
+	var (
+		t    tally
+		rest jsonRows[jobProgress]
+	)
 	err := s.store.db.View(func(tx *relstore.Tx) error {
-		if _, err := s.store.GetEvaluation(tx, evaluationID); err != nil {
+		if _, err := tx.GetValue(tableEvaluations, evaluationID, "id"); err != nil {
 			return mapNotFound(err)
 		}
-		var progress int64
-		err := s.store.EachJobByEvaluation(tx, evaluationID, func(j *Job) bool {
-			st.Total++
-			progress += j.Progress
-			switch j.Status {
-			case StatusScheduled:
-				st.Scheduled++
-			case StatusRunning:
-				st.Running++
-			case StatusFinished:
-				st.Finished++
-			case StatusAborted:
-				st.Aborted++
-			case StatusFailed:
-				st.Failed++
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if st.Total > 0 {
-			st.Progress = float64(progress) / float64(st.Total)
-		}
-		return nil
+		var err error
+		rest, err = s.store.tallyJobs(tx, evaluationID, &t)
+		return err
 	})
-	return st, err
+	if err != nil {
+		return EvaluationStatus{}, err
+	}
+	jobs, err := rest.decode()
+	if err != nil {
+		return EvaluationStatus{}, err
+	}
+	for _, j := range jobs {
+		t.add(j.Status, j.Progress)
+	}
+	return t.status(evaluationID), nil
+}
+
+// StatusOfJobs aggregates jobs the caller has read — an evaluation's, in
+// one cut — exactly as EvaluationStatusOf aggregates the same store state,
+// so a page listing an evaluation's jobs shows their status from that one
+// read.
+func StatusOfJobs(evaluationID string, jobs []*Job) EvaluationStatus {
+	var t tally
+	for _, j := range jobs {
+		t.add(j.Status, j.Progress)
+	}
+	return t.status(evaluationID)
+}
+
+// tally is the one aggregation of job states into an EvaluationStatus,
+// behind EvaluationStatusOf and StatusOfJobs.
+type tally struct {
+	st       EvaluationStatus
+	progress int64
+}
+
+// add counts one job.
+func (t *tally) add(status JobStatus, progress int64) {
+	t.st.Total++
+	t.progress += progress
+	switch status {
+	case StatusScheduled:
+		t.st.Scheduled++
+	case StatusRunning:
+		t.st.Running++
+	case StatusFinished:
+		t.st.Finished++
+	case StatusAborted:
+		t.st.Aborted++
+	case StatusFailed:
+		t.st.Failed++
+	}
+}
+
+// status is the evaluation's status over the jobs counted so far.
+func (t *tally) status(evaluationID string) EvaluationStatus {
+	st := t.st
+	st.EvaluationID = evaluationID
+	if st.Total > 0 {
+		st.Progress = float64(t.progress) / float64(st.Total)
+	}
+	return st
 }
 
 // CheckHeartbeats fails every running job whose agent has not reported

@@ -133,13 +133,7 @@ func (s *Service) GetUser(id string) (*User, error) {
 
 // ListUsers returns all users.
 func (s *Service) ListUsers() ([]*User, error) {
-	var us []*User
-	err := s.store.db.View(func(tx *relstore.Tx) error {
-		var err error
-		us, err = s.store.ListUsers(tx)
-		return err
-	})
-	return us, err
+	return readRows(s.store.db, s.store.ListUsers)
 }
 
 // --- Projects ---
@@ -185,13 +179,7 @@ func (s *Service) GetProject(id string) (*Project, error) {
 
 // ListProjects returns all projects.
 func (s *Service) ListProjects() ([]*Project, error) {
-	var ps []*Project
-	err := s.store.db.View(func(tx *relstore.Tx) error {
-		var err error
-		ps, err = s.store.ListProjects(tx)
-		return err
-	})
-	return ps, err
+	return readRows(s.store.db, s.store.ListProjects)
 }
 
 // ArchiveProject marks a project (and implicitly its evaluation settings
@@ -293,13 +281,7 @@ func (s *Service) GetSystem(id string) (*System, error) {
 
 // ListSystems returns all registered systems.
 func (s *Service) ListSystems() ([]*System, error) {
-	var out []*System
-	err := s.store.db.View(func(tx *relstore.Tx) error {
-		var err error
-		out, err = s.store.ListSystems(tx)
-		return err
-	})
-	return out, err
+	return readRows(s.store.db, s.store.ListSystems)
 }
 
 // --- Deployments ---
@@ -338,13 +320,9 @@ func (s *Service) SetDeploymentActive(id string, active bool) error {
 
 // ListDeployments returns deployments, optionally filtered by system.
 func (s *Service) ListDeployments(systemID string) ([]*Deployment, error) {
-	var out []*Deployment
-	err := s.store.db.View(func(tx *relstore.Tx) error {
-		var err error
-		out, err = s.store.ListDeployments(tx, systemID)
-		return err
+	return readRows(s.store.db, func(tx *relstore.Tx) (jsonRows[Deployment], error) {
+		return s.store.ListDeployments(tx, systemID)
 	})
-	return out, err
 }
 
 // --- Experiments ---
@@ -403,13 +381,9 @@ func (s *Service) GetExperiment(id string) (*Experiment, error) {
 
 // ListExperiments returns the experiments of a project (all when empty).
 func (s *Service) ListExperiments(projectID string) ([]*Experiment, error) {
-	var out []*Experiment
-	err := s.store.db.View(func(tx *relstore.Tx) error {
-		var err error
-		out, err = s.store.ListExperiments(tx, projectID)
-		return err
+	return readRows(s.store.db, func(tx *relstore.Tx) (jsonRows[Experiment], error) {
+		return s.store.ListExperiments(tx, projectID)
 	})
-	return out, err
 }
 
 // ArchiveExperiment freezes an experiment.

@@ -14,6 +14,14 @@ import (
 // paths need it) plus the full entity as JSON, mirroring how the original
 // Chronos Control keeps its MySQL schema thin and reconstructs rich
 // objects in the application layer.
+//
+// Single-row reads decode inside the caller's transaction. Multi-row
+// reads return jsonRows — the matching rows' stored bytes — and the
+// Service decodes them after its View has returned (readRows): relstore
+// never mutates a committed value, so the bytes keep the View's cut, and
+// decoding, nearly all of such a read's cost, no longer holds the store
+// lock that every agent commit (and, on a follower, every apply) waits
+// for.
 type Store struct {
 	db *relstore.DB
 }
@@ -162,6 +170,76 @@ func getJSON(tx *relstore.Tx, table, id string, out any) error {
 	return json.Unmarshal(row["data"].([]byte), out)
 }
 
+// decodeJSON unmarshals one row's data column.
+func decodeJSON(table string, data []byte, out any) error {
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("core: decode %s row: %w", table, err)
+	}
+	return nil
+}
+
+// jsonRows is the data column of every row a multi-row read matched, in
+// key order, taken inside a transaction to be decoded after it.
+type jsonRows[T any] struct {
+	table string
+	data  [][]byte
+}
+
+// selectRows takes the data column of every row matching q. It decodes
+// nothing: relstore's committed values are immutable, so the slices stay
+// valid — and still the transaction's cut — once it has ended.
+func selectRows[T any](tx *relstore.Tx, table string, q *relstore.Query) (jsonRows[T], error) {
+	rows := jsonRows[T]{table: table}
+	err := tx.SelectFunc(table, q, func(row relstore.Row) bool {
+		rows.data = append(rows.data, row["data"].([]byte))
+		return true
+	})
+	return rows, err
+}
+
+// decode unmarshals every row, outside any transaction. The entities
+// share one backing array: one allocation for the lot, not one each.
+func (r jsonRows[T]) decode() ([]*T, error) {
+	vals := make([]T, len(r.data))
+	out := make([]*T, len(r.data))
+	for i, b := range r.data {
+		if err := decodeJSON(r.table, b, &vals[i]); err != nil {
+			return nil, err
+		}
+		out[i] = &vals[i]
+	}
+	return out, nil
+}
+
+// readRows runs read in a View and decodes what it took once the View has
+// returned: the store lock is held for the scan alone.
+func readRows[T any](db *relstore.DB, read func(*relstore.Tx) (jsonRows[T], error)) ([]*T, error) {
+	var rows jsonRows[T]
+	err := db.View(func(tx *relstore.Tx) error {
+		var err error
+		rows, err = read(tx)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows.decode()
+}
+
+// eachRow streams the rows matching q to fn inside tx, stopping at fn's
+// first error and returning it.
+func eachRow(tx *relstore.Tx, table string, q *relstore.Query, fn func(relstore.Row) error) error {
+	var ferr error
+	err := tx.SelectFunc(table, q, func(row relstore.Row) bool {
+		ferr = fn(row)
+		return ferr == nil
+	})
+	if err != nil {
+		return err
+	}
+	return ferr
+}
+
 // --- Users ---
 
 // PutUser stores a user.
@@ -195,8 +273,8 @@ func (s *Store) FindUserByName(tx *relstore.Tx, name string) (*User, error) {
 }
 
 // ListUsers returns all users ordered by id.
-func (s *Store) ListUsers(tx *relstore.Tx) ([]*User, error) {
-	return selectJSON[User](tx, tableUsers, relstore.NewQuery())
+func (s *Store) ListUsers(tx *relstore.Tx) (jsonRows[User], error) {
+	return selectRows[User](tx, tableUsers, relstore.NewQuery())
 }
 
 // --- Projects ---
@@ -216,8 +294,8 @@ func (s *Store) GetProject(tx *relstore.Tx, id string) (*Project, error) {
 }
 
 // ListProjects returns all projects ordered by id.
-func (s *Store) ListProjects(tx *relstore.Tx) ([]*Project, error) {
-	return selectJSON[Project](tx, tableProjects, relstore.NewQuery())
+func (s *Store) ListProjects(tx *relstore.Tx) (jsonRows[Project], error) {
+	return selectRows[Project](tx, tableProjects, relstore.NewQuery())
 }
 
 // --- Systems ---
@@ -237,8 +315,8 @@ func (s *Store) GetSystem(tx *relstore.Tx, id string) (*System, error) {
 }
 
 // ListSystems returns all systems ordered by id.
-func (s *Store) ListSystems(tx *relstore.Tx) ([]*System, error) {
-	return selectJSON[System](tx, tableSystems, relstore.NewQuery())
+func (s *Store) ListSystems(tx *relstore.Tx) (jsonRows[System], error) {
+	return selectRows[System](tx, tableSystems, relstore.NewQuery())
 }
 
 // --- Deployments ---
@@ -294,12 +372,12 @@ func (s *Store) GetDeployment(tx *relstore.Tx, id string) (*Deployment, error) {
 
 // ListDeployments returns the deployments of a system (all systems when
 // systemID is empty).
-func (s *Store) ListDeployments(tx *relstore.Tx, systemID string) ([]*Deployment, error) {
+func (s *Store) ListDeployments(tx *relstore.Tx, systemID string) (jsonRows[Deployment], error) {
 	q := relstore.NewQuery()
 	if systemID != "" {
 		q = q.Eq("systemId", systemID)
 	}
-	return selectJSON[Deployment](tx, tableDeployments, q)
+	return selectRows[Deployment](tx, tableDeployments, q)
 }
 
 // --- Experiments ---
@@ -350,12 +428,12 @@ func (s *Store) GetExperiment(tx *relstore.Tx, id string) (*Experiment, error) {
 }
 
 // ListExperiments returns the experiments of a project (all when empty).
-func (s *Store) ListExperiments(tx *relstore.Tx, projectID string) ([]*Experiment, error) {
+func (s *Store) ListExperiments(tx *relstore.Tx, projectID string) (jsonRows[Experiment], error) {
 	q := relstore.NewQuery()
 	if projectID != "" {
 		q = q.Eq("projectId", projectID)
 	}
-	return selectJSON[Experiment](tx, tableExperiments, q)
+	return selectRows[Experiment](tx, tableExperiments, q)
 }
 
 // --- Evaluations ---
@@ -377,12 +455,12 @@ func (s *Store) GetEvaluation(tx *relstore.Tx, id string) (*Evaluation, error) {
 
 // ListEvaluations returns the evaluations of an experiment (all when
 // empty).
-func (s *Store) ListEvaluations(tx *relstore.Tx, experimentID string) ([]*Evaluation, error) {
+func (s *Store) ListEvaluations(tx *relstore.Tx, experimentID string) (jsonRows[Evaluation], error) {
 	q := relstore.NewQuery()
 	if experimentID != "" {
 		q = q.Eq("experimentId", experimentID)
 	}
-	return selectJSON[Evaluation](tx, tableEvaluations, q)
+	return selectRows[Evaluation](tx, tableEvaluations, q)
 }
 
 // --- Jobs ---
@@ -417,8 +495,8 @@ func (s *Store) GetJob(tx *relstore.Tx, id string) (*Job, error) {
 }
 
 // ListJobsByEvaluation returns all jobs of an evaluation ordered by id.
-func (s *Store) ListJobsByEvaluation(tx *relstore.Tx, evaluationID string) ([]*Job, error) {
-	return selectJSON[Job](tx, tableJobs, relstore.NewQuery().Eq("evaluationId", evaluationID))
+func (s *Store) ListJobsByEvaluation(tx *relstore.Tx, evaluationID string) (jsonRows[Job], error) {
+	return selectRows[Job](tx, tableJobs, relstore.NewQuery().Eq("evaluationId", evaluationID))
 }
 
 // jobsByStatusQuery builds the indexed query for status (+ optional
@@ -437,12 +515,19 @@ func jobsByStatusQuery(status JobStatus, systemID string) *relstore.Query {
 // the scheduler's claim lookup: a Limit(1) indexed select that decodes
 // exactly one row. Returns (nil, nil) when no job matches.
 func (s *Store) FirstJobByStatus(tx *relstore.Tx, status JobStatus, systemID string) (*Job, error) {
-	var j *Job
-	err := eachJSON[Job](tx, tableJobs, jobsByStatusQuery(status, systemID).Limit(1), func(v *Job) bool {
-		j = v
+	var data []byte
+	err := tx.SelectFunc(tableJobs, jobsByStatusQuery(status, systemID).Limit(1), func(row relstore.Row) bool {
+		data = row["data"].([]byte)
 		return false
 	})
-	return j, err
+	if err != nil || data == nil {
+		return nil, err
+	}
+	var j Job
+	if err := decodeJSON(tableJobs, data, &j); err != nil {
+		return nil, err
+	}
+	return &j, nil
 }
 
 // EachStaleRunningJobID streams the ids of running jobs whose heartbeat
@@ -456,9 +541,31 @@ func (s *Store) EachStaleRunningJobID(tx *relstore.Tx, cutoff time.Time, fn func
 	})
 }
 
-// EachJobByEvaluation streams an evaluation's jobs in creation order.
-func (s *Store) EachJobByEvaluation(tx *relstore.Tx, evaluationID string, fn func(*Job) bool) error {
-	return eachJSON[Job](tx, tableJobs, relstore.NewQuery().Eq("evaluationId", evaluationID), fn)
+// jobProgress is the part of a job's JSON an evaluation's status needs.
+type jobProgress struct {
+	Status   JobStatus `json:"status"`
+	Progress int64     `json:"progress"`
+}
+
+// tallyJobs counts an evaluation's jobs into t by their scalar status
+// column, decoding nothing. Only running, failed and aborted jobs have a
+// progress their JSON alone knows — every write into scheduled sets it to
+// 0 and the one write into finished to 100 — so their data column is
+// returned, to be decoded after the transaction and added then.
+func (s *Store) tallyJobs(tx *relstore.Tx, evaluationID string, t *tally) (jsonRows[jobProgress], error) {
+	rest := jsonRows[jobProgress]{table: tableJobs}
+	err := tx.SelectFunc(tableJobs, relstore.NewQuery().Eq("evaluationId", evaluationID), func(row relstore.Row) bool {
+		switch st := JobStatus(row["status"].(string)); st {
+		case StatusScheduled:
+			t.add(st, 0)
+		case StatusFinished:
+			t.add(st, 100)
+		default:
+			rest.data = append(rest.data, row["data"].([]byte))
+		}
+		return true
+	})
+	return rest, err
 }
 
 // --- Results ---
@@ -487,10 +594,10 @@ func (s *Store) AppendLog(tx *relstore.Tx, c *LogChunk) error {
 }
 
 // ListLogs returns a job's log chunks in sequence order.
-func (s *Store) ListLogs(tx *relstore.Tx, jobID string) ([]*LogChunk, error) {
+func (s *Store) ListLogs(tx *relstore.Tx, jobID string) (jsonRows[LogChunk], error) {
 	// Chunk ids embed a zero-padded sequence number, so id order == seq
 	// order, which the scan already guarantees.
-	return selectJSON[LogChunk](tx, tableLogs, relstore.NewQuery().Eq("jobId", jobID))
+	return selectRows[LogChunk](tx, tableLogs, relstore.NewQuery().Eq("jobId", jobID))
 }
 
 // --- Events ---
@@ -560,43 +667,6 @@ func (s *Store) EachEvent(tx *relstore.Tx, jobID string, fn func(*Event) bool) e
 		return err
 	}
 	return derr
-}
-
-// eachJSON streams matching rows through relstore's non-cloning
-// iterator, decoding the data column one entity at a time. fn returns
-// false to stop early; with a Limit the scan also stops at the limit,
-// so callers never pay for entities they discard.
-func eachJSON[T any](tx *relstore.Tx, table string, q *relstore.Query, fn func(*T) bool) error {
-	var derr error
-	err := tx.SelectFunc(table, q, func(row relstore.Row) bool {
-		var v T
-		// json.Unmarshal does not retain its input, so decoding straight
-		// from the store's internal row is safe and skips Select's clone.
-		if derr = json.Unmarshal(row["data"].([]byte), &v); derr != nil {
-			return false
-		}
-		return fn(&v)
-	})
-	if err != nil {
-		return err
-	}
-	if derr != nil {
-		return fmt.Errorf("core: decode %s row: %w", table, derr)
-	}
-	return nil
-}
-
-// selectJSON decodes the data column of every matching row.
-func selectJSON[T any](tx *relstore.Tx, table string, q *relstore.Query) ([]*T, error) {
-	out := make([]*T, 0, 8)
-	err := eachJSON[T](tx, table, q, func(v *T) bool {
-		out = append(out, v)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // nowUTC truncates to microseconds so timestamps survive JSON and WAL

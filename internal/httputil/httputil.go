@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -61,23 +62,32 @@ func DecodeJSON(r *http.Request, dst any) error {
 var ErrInvalidEnvelope = errors.New("invalid response envelope")
 
 // ReadEnvelope parses a response produced by WriteJSON/WriteError into
-// data (may be nil to discard) and returns the embedded error if set.
-// Used by the Go client SDK.
+// data (a pointer, or nil to discard) and returns the embedded error if
+// set. Used by the Go client SDK.
+//
+// The body is parsed once, straight into data: encoding/json follows the
+// non-nil pointer the envelope's Data field holds. A body that is not
+// JSON (truncated, empty, damaged) or not an envelope (a value of the
+// wrong kind, at the top or in "error") is ErrInvalidEnvelope; an
+// envelope whose data does not fit data answers json's own error.
 func ReadEnvelope(body []byte, data any) error {
-	var env struct {
-		Data  json.RawMessage `json:"data"`
-		Error string          `json:"error"`
+	if data == nil {
+		data = new(json.RawMessage)
 	}
-	if err := json.Unmarshal(body, &env); err != nil {
+	env := struct {
+		Data  any    `json:"data"`
+		Error string `json:"error"`
+	}{Data: data}
+	err := json.Unmarshal(body, &env)
+	var syntax *json.SyntaxError
+	var mistyped *json.UnmarshalTypeError
+	if errors.As(err, &syntax) || errors.As(err, &mistyped) && mistyped.Field != "data" && !strings.HasPrefix(mistyped.Field, "data.") {
 		return fmt.Errorf("%w: %v", ErrInvalidEnvelope, err)
 	}
 	if env.Error != "" {
 		return fmt.Errorf("%s", env.Error)
 	}
-	if data != nil && len(env.Data) > 0 {
-		return json.Unmarshal(env.Data, data)
-	}
-	return nil
+	return err
 }
 
 var requestCounter atomic.Int64

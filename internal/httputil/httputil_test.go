@@ -10,6 +10,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"chronos/internal/core"
+	"chronos/internal/params"
 )
 
 func TestWriteAndReadEnvelope(t *testing.T) {
@@ -49,6 +53,89 @@ func TestReadEnvelopeDiscardsData(t *testing.T) {
 	}
 	if err := ReadEnvelope([]byte(`not json`), nil); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestReadEnvelopeCases: one pass over the body still tells apart what
+// pkg/client's retry loop keys on — ErrInvalidEnvelope for a body that is
+// not an envelope at all — from a server-stated error and from data that
+// does not fit the caller's type.
+func TestReadEnvelopeCases(t *testing.T) {
+	type item struct {
+		N int `json:"n"`
+	}
+	cases := []struct {
+		name, body string
+		nilTarget  bool
+		want       item   // the target afterwards
+		invalid    bool   // ErrInvalidEnvelope
+		errText    string // any other error, by substring
+	}{
+		{name: "success", body: `{"data":{"n":7}}`, want: item{7}},
+		{name: "success with newline", body: "{\"data\":{\"n\":7}}\n", want: item{7}},
+		{name: "discarded", body: `{"data":{"n":7}}`, nilTarget: true},
+		{name: "error", body: `{"error":"boom happened"}`, errText: "boom happened"},
+		{name: "empty data", body: `{}`},
+		{name: "null data", body: `{"data":null}`},
+		{name: "truncated", body: `{"data":{"n":7`, invalid: true},
+		{name: "truncated discarded", body: `{"data":{"n":7`, nilTarget: true, invalid: true},
+		{name: "empty body", body: ``, invalid: true},
+		{name: "not JSON", body: `<html>bad gateway</html>`, invalid: true},
+		{name: "not an object", body: `[1,2]`, invalid: true},
+		{name: "error not a string", body: `{"error":5}`, invalid: true},
+		{name: "data of the wrong kind", body: `{"data":"seven"}`, errText: "cannot unmarshal"},
+		{name: "data field of the wrong kind", body: `{"data":{"n":"seven"}}`, errText: "cannot unmarshal"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var got item
+			var target any = &got
+			if c.nilTarget {
+				target = nil
+			}
+			err := ReadEnvelope([]byte(c.body), target)
+			switch {
+			case c.invalid:
+				if !errors.Is(err, ErrInvalidEnvelope) {
+					t.Fatalf("err = %v, want ErrInvalidEnvelope", err)
+				}
+			case c.errText != "":
+				if err == nil || errors.Is(err, ErrInvalidEnvelope) || !strings.Contains(err.Error(), c.errText) {
+					t.Fatalf("err = %v, want one containing %q and not ErrInvalidEnvelope", err, c.errText)
+				}
+			case err != nil:
+				t.Fatalf("err = %v", err)
+			}
+			if got != c.want {
+				t.Fatalf("target = %+v, want %+v", got, c.want)
+			}
+		})
+	}
+}
+
+// BenchmarkReadEnvelope decodes a 500-job EvaluationJobs answer, the
+// largest body a viewer polls.
+func BenchmarkReadEnvelope(b *testing.B) {
+	jobs := make([]*core.Job, 500)
+	for i := range jobs {
+		jobs[i] = &core.Job{
+			ID: fmt.Sprintf("job-%09d", i+1), EvaluationID: "evaluation-000000001", SystemID: "system-000000001",
+			Index: int64(i), Params: params.Assignment{"engine": params.String_("wiredtiger"), "threads": params.Int(int64(i%8 + 1))},
+			Status: core.StatusFinished, DeploymentID: "deployment-000000001", Progress: 100, Attempts: 1,
+			Created: time.Date(2020, 3, 30, 9, 0, 0, 0, time.UTC), Started: time.Date(2020, 3, 30, 9, 1, 0, 0, time.UTC),
+			Finished: time.Date(2020, 3, 30, 9, 2, 0, 0, time.UTC), Heartbeat: time.Date(2020, 3, 30, 9, 1, 30, 0, time.UTC),
+		}
+	}
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, jobs)
+	body := rec.Body.Bytes()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var out []*core.Job
+		if err := ReadEnvelope(body, &out); err != nil || len(out) != len(jobs) {
+			b.Fatalf("decoded %d jobs, %v", len(out), err)
+		}
 	}
 }
 

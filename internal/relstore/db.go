@@ -767,6 +767,12 @@ func putTx(tx *Tx) {
 // not at all. The price is that writers wait while fn runs, so fn should
 // read and return, and must not open another transaction on the same
 // store (a writer queued between the two would deadlock them).
+//
+// What fn reads may be kept after View returns, read-only: a committed
+// row is never mutated — a commit replaces it, and every decode from the
+// log or a snapshot copies its bytes — so values taken in fn, []byte
+// columns included, stay valid and still belong to fn's cut. Take the
+// bytes in fn and decode them after it.
 func (db *DB) View(fn func(tx *Tx) error) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -173,7 +173,7 @@
 //
 // One RWMutex, DB.mu, guards the tables map and every table's contents:
 // one writer at a time, readers on a shared cut (the shape of SQLite in
-// WAL mode). Three contracts follow, and callers rely on them:
+// WAL mode). Four contracts follow, and callers rely on them:
 //
 //   - An Update callback runs exactly once, serialised against every
 //     other Update: it may capture results in outer variables and needs
@@ -182,6 +182,15 @@
 //     callback — a commit is fully visible or not at all — and delays
 //     writers for as long as it runs, so it should read and return, not
 //     do slow work.
+//   - Committed values are immutable: a commit replaces a row rather
+//     than editing it, and decoding a row from the log or a snapshot
+//     copies its bytes. What a View read — a []byte column's slice
+//     included — stays valid after the View and still belongs to its
+//     cut, on a leader across later commits and compactions, on a
+//     follower across later applies and a re-bootstrap. So a multi-row
+//     read takes the bytes in the View and decodes them after it: the
+//     decode is most of its cost, and writers wait for none of it
+//     (TestRetainedBytesOutliveTheView).
 //   - A callback must not open another transaction on the same store: an
 //     Update inside any callback deadlocks, a View inside a View
 //     deadlocks whenever a writer queues between the two.

@@ -341,8 +341,9 @@ func (tx *Tx) Select(tableName string, q *Query) ([]Row, error) {
 // SelectFunc streams matching rows to fn in key order, stopping early
 // when fn returns false. Unlike Select it does not clone: fn receives
 // the store's internal row (or the transaction's pending row) and must
-// neither mutate nor retain it after returning. Use Select when a
-// stable copy is needed.
+// not mutate it or its values. Those values may be kept read-only beyond
+// the transaction — no row is ever mutated once stored (see View); use
+// Select when a copy to mutate is needed.
 func (tx *Tx) SelectFunc(tableName string, q *Query, fn func(Row) bool) error {
 	return tx.scan(tableName, q, fn)
 }

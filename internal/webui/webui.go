@@ -205,15 +205,13 @@ func (u *ui) evaluation(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	st, err := u.svc.EvaluationStatusOf(ev.ID)
-	if err != nil {
-		return err
-	}
+	// The status bar counts the rows of the table below it: one read, one
+	// cut, so the two cannot disagree.
 	u.render(w, "evaluation", "Evaluation "+ev.ID, struct {
 		Evaluation *core.Evaluation
 		Jobs       []*core.Job
 		Status     core.EvaluationStatus
-	}{ev, jobs, st})
+	}{ev, jobs, core.StatusOfJobs(ev.ID, jobs)})
 	return nil
 }
 

@@ -2,10 +2,14 @@ package webui_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -156,6 +160,74 @@ func TestExperimentAndEvaluationPages(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("evaluation page missing %q", want)
 		}
+	}
+}
+
+// TestEvaluationPageCountsItsRows: the status bar above an evaluation's
+// jobs table counts that table's rows and averages their progress — it is
+// derived from the one listing the page reads, so a commit cannot land
+// between the bar and the table.
+func TestEvaluationPageCountsItsRows(t *testing.T) {
+	f := newFixture(t)
+	exp, err := f.svc.CreateExperiment(f.projectID, f.systemID, "mixed", "", map[string][]params.Value{
+		"engine":  {params.String_("wiredtiger"), params.String_("mmapv1")},
+		"threads": {params.Int(1), params.Int(2), params.Int(3)},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, jobs, err := f.svc.CreateEvaluation(exp.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One job of every state: aborted, running at 40 %, finished, failed
+	// (a budget of one attempt), the last two scheduled.
+	if err := f.svc.AbortJob(jobs[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	claim := func() string {
+		t.Helper()
+		j, ok, err := f.svc.ClaimJob(f.deploymentID)
+		if err != nil || !ok {
+			t.Fatalf("claim: %v %v", ok, err)
+		}
+		return j.ID
+	}
+	if _, err := f.svc.Progress(claim(), 40); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.svc.CompleteJob(claim(), []byte(`{"throughput": 1}`), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.svc.FailJob(claim(), "boom"); err != nil {
+		t.Fatal(err)
+	}
+
+	body := f.get(t, "/evaluations/"+ev.ID, 200)
+	bar := regexp.MustCompile(`(\d+)/(\d+) finished ·\s*(\d+) running · (\d+) scheduled ·\s*(\d+) failed · (\d+) aborted\s*</p>\s*<div class="progress"><div style="width: (\d+)%"`).FindStringSubmatch(body)
+	if bar == nil {
+		t.Fatalf("evaluation page without a status bar:\n%s", body)
+	}
+	rows := map[string]int{}
+	progress := 0
+	for _, m := range regexp.MustCompile(`<td><span class="status status-(\w+)">\w+</span></td>\s*<td><div class="progress"><div style="width: \d+%"></div></div> (\d+)%</td>`).FindAllStringSubmatch(body, -1) {
+		rows[m[1]]++
+		p, _ := strconv.Atoi(m[2])
+		progress += p
+	}
+	total := 0
+	for _, n := range rows {
+		total += n
+	}
+	want := []string{
+		strconv.Itoa(rows["finished"]), strconv.Itoa(total), strconv.Itoa(rows["running"]), strconv.Itoa(rows["scheduled"]),
+		strconv.Itoa(rows["failed"]), strconv.Itoa(rows["aborted"]), fmt.Sprintf("%.0f", float64(progress)/float64(total)),
+	}
+	if !slices.Equal(bar[1:], want) {
+		t.Fatalf("status bar %q, rows below it %q", bar[1:], want)
+	}
+	if total != len(jobs) || rows["aborted"] != 1 || rows["running"] != 1 || rows["finished"] != 1 || rows["failed"] != 1 || rows["scheduled"] != 2 {
+		t.Fatalf("rows by status %v, want one of each and two scheduled", rows)
 	}
 }
 
