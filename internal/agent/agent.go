@@ -590,13 +590,15 @@ var _ Control = (*LocalControl)(nil)
 
 // ClaimJob implements Control.
 func (l *LocalControl) ClaimJob(deploymentID string) (*core.Job, []params.Definition, error) {
-	job, ok, err := l.Svc.ClaimJob(deploymentID)
-	if err != nil || !ok {
+	job, raw, err := l.Svc.Claim(deploymentID)
+	if err != nil || job == nil {
 		return nil, nil, err
 	}
 	var defs []params.Definition
-	if sys, err := l.Svc.GetSystem(job.SystemID); err == nil {
-		defs = sys.Parameters
+	if raw != nil {
+		if err := json.Unmarshal(raw, &defs); err != nil {
+			return nil, nil, fmt.Errorf("agent: parameters of job %s: %w", job.ID, err)
+		}
 	}
 	return job, defs, nil
 }

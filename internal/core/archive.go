@@ -51,33 +51,33 @@ type JobArchive struct {
 // ExportProject renders the complete archive zip of a project. Every row
 // it holds is read in one View, so the archive is one consistent cut: a
 // job finishing mid-export can never yield a zip whose job.json still says
-// running while result.json already exists. The View only takes the rows'
-// stored bytes, and the file names come from their key columns; decoding,
+// running while result.json already exists. The View only takes the rows,
+// and the file names come from their key columns; building, encoding,
 // indenting and deflating — nearly all of an export's time — happen after
 // it, so agents' commits (and a follower's applies) do not wait for the
 // zip.
 func (s *Service) ExportProject(projectID string) ([]byte, error) {
 	var files []archiveFile // in archive order
 	err := s.store.db.View(func(tx *relstore.Tx) error {
-		p, err := tx.GetValue(tableProjects, projectID, "data")
+		p, err := tx.Peek(tableProjects, projectID)
 		if err != nil {
 			return mapNotFound(err)
 		}
-		files = append(files, entityFile[Project]("project.json", tableProjects, p.([]byte)))
+		files = append(files, entityFile("project.json", p, fromData[Project](tableProjects)))
 		seenSystems := map[string]bool{}
 		return eachRow(tx, tableExperiments, relstore.NewQuery().Eq("projectId", projectID), func(exp relstore.Row) error {
-			files = append(files, entityFile[Experiment]("experiments/"+exp["id"].(string)+".json", tableExperiments, exp["data"].([]byte)))
+			files = append(files, entityFile("experiments/"+exp["id"].(string)+".json", exp, fromData[Experiment](tableExperiments)))
 			if sysID := exp["systemId"].(string); !seenSystems[sysID] {
 				seenSystems[sysID] = true
-				sys, err := tx.GetValue(tableSystems, sysID, "data")
+				sys, err := tx.Peek(tableSystems, sysID)
 				if err != nil {
 					return err
 				}
-				files = append(files, entityFile[System]("systems/"+sysID+".json", tableSystems, sys.([]byte)))
+				files = append(files, entityFile("systems/"+sysID+".json", sys, fromData[System](tableSystems)))
 			}
 			return eachRow(tx, tableEvaluations, relstore.NewQuery().Eq("experimentId", exp["id"]), func(ev relstore.Row) error {
 				base := "evaluations/" + ev["id"].(string) + "/"
-				files = append(files, entityFile[Evaluation](base+"evaluation.json", tableEvaluations, ev["data"].([]byte)))
+				files = append(files, entityFile(base+"evaluation.json", ev, fromData[Evaluation](tableEvaluations)))
 				return eachRow(tx, tableJobs, relstore.NewQuery().Eq("evaluationId", ev["id"]), func(job relstore.Row) error {
 					more, err := s.jobFiles(tx, base, job)
 					files = append(files, more...)
@@ -111,14 +111,11 @@ type archiveFile func(*zip.Writer) error
 func (s *Service) jobFiles(tx *relstore.Tx, base string, job relstore.Row) ([]archiveFile, error) {
 	jobID := job["id"].(string)
 	dir := base + "jobs/" + jobID + "/"
-	files := []archiveFile{entityFile[Job](dir+"job.json", tableJobs, job["data"].([]byte))}
-	if data, err := tx.GetValue(tableResults, jobID, "data"); err == nil {
+	files := []archiveFile{entityFile(dir+"job.json", job, jobOf)}
+	if row, err := tx.Peek(tableResults, jobID); err == nil {
 		files = append(files, func(zw *zip.Writer) error {
-			// An undecodable result is left out, as a missing one is.
 			var res Result
-			if decodeJSON(tableResults, data.([]byte), &res) != nil {
-				return nil
-			}
+			resultOf(row, &res)
 			if err := writeRaw(zw, dir+"result.json", res.JSON); err != nil || len(res.Archive) == 0 {
 				return err
 			}
@@ -134,7 +131,7 @@ func (s *Service) jobFiles(tx *relstore.Tx, base string, job relstore.Row) ([]ar
 		return nil, err
 	}
 	return append(files, func(zw *zip.Writer) error {
-		chunks, err := logs.decode()
+		chunks, err := logs.build()
 		if err != nil || len(chunks) == 0 {
 			return err
 		}
@@ -148,12 +145,12 @@ func (s *Service) jobFiles(tx *relstore.Tx, base string, job relstore.Row) ([]ar
 	}), nil
 }
 
-// entityFile is the archive file of one stored entity, decoded and
-// indented when the zip is written.
-func entityFile[T any](name, table string, data []byte) archiveFile {
+// entityFile is the archive file of the entity a row holds, built by from
+// and indented when the zip is written.
+func entityFile[T any](name string, row relstore.Row, from func(relstore.Row, *T) error) archiveFile {
 	return func(zw *zip.Writer) error {
 		var v T
-		if err := decodeJSON(table, data, &v); err != nil {
+		if err := from(row, &v); err != nil {
 			return err
 		}
 		return writeJSON(zw, name, &v)

@@ -39,7 +39,7 @@ func TestCompleteClaimsNextInOneCommit(t *testing.T) {
 	}
 	j, _, _ := svc.ClaimJob(depID)
 	before := commits.Value()
-	next, err := svc.CompleteJobClaimNext(j.ID, []byte(`{"v":1}`), nil, "trailing line\n", depID)
+	next, _, err := svc.CompleteJobClaimNext(j.ID, []byte(`{"v":1}`), nil, "trailing line\n", depID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCompleteClaimsNextInOneCommit(t *testing.T) {
 		}
 	}
 	before = commits.Value()
-	none, err := svc.CompleteJobClaimNext(j4.ID, []byte(`{}`), nil, "", depID)
+	none, _, err := svc.CompleteJobClaimNext(j4.ID, []byte(`{}`), nil, "", depID)
 	if err != nil || none != nil {
 		t.Fatalf("complete on an empty queue = %+v, %v", none, err)
 	}
@@ -132,7 +132,7 @@ func TestCompleteClaimNextIsAtomicAcrossCrash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := svc.CompleteJobClaimNext(j.ID, []byte(`{"v":1}`), nil, "bye\n", depID); err != nil {
+			if _, _, err := svc.CompleteJobClaimNext(j.ID, []byte(`{"v":1}`), nil, "bye\n", depID); err != nil {
 				t.Fatal(err)
 			}
 			db.Close()
@@ -172,7 +172,7 @@ func TestCompleteClaimNextIsAtomicAcrossCrash(t *testing.T) {
 						first.Status, second.Status, second.Attempts, resErr, len(logs))
 				}
 				// The agent's retry after the restart does both again.
-				next, err := svc2.CompleteJobClaimNext(j.ID, []byte(`{"v":1}`), nil, "bye\n", depID)
+				next, _, err := svc2.CompleteJobClaimNext(j.ID, []byte(`{"v":1}`), nil, "bye\n", depID)
 				if err != nil || next == nil || next.ID != second.ID {
 					t.Fatalf("retry after the crash = %+v, %v", next, err)
 				}
@@ -202,7 +202,7 @@ func TestRefusedCompleteClaimsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := commits.Value()
-	next, err := svc.CompleteJobClaimNext(j.ID, []byte(`{"v":1}`), nil, "last words\n", depID)
+	next, _, err := svc.CompleteJobClaimNext(j.ID, []byte(`{"v":1}`), nil, "last words\n", depID)
 	if !errors.Is(err, ErrInvalidTransition) || next != nil {
 		t.Fatalf("completing an aborted job = %+v, %v, want nothing and ErrInvalidTransition", next, err)
 	}
@@ -244,7 +244,7 @@ func TestCompleteClaimNextForNoUsableDeployment(t *testing.T) {
 			t.Fatal(ok, err)
 		}
 		before := commits.Value()
-		next, err := svc.CompleteJobClaimNext(j.ID, []byte(`{"v":1}`), nil, "", claimFor)
+		next, _, err := svc.CompleteJobClaimNext(j.ID, []byte(`{"v":1}`), nil, "", claimFor)
 		if err != nil || next != nil {
 			t.Fatalf("claimNext %q = %+v, %v, want nothing and no error", claimFor, next, err)
 		}
@@ -290,7 +290,7 @@ func TestConcurrentCompletesShareOneJob(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				next[i], errs[i] = svc.CompleteJobClaimNext(id, []byte(`{}`), nil, "", depID)
+				next[i], _, errs[i] = svc.CompleteJobClaimNext(id, []byte(`{}`), nil, "", depID)
 			}()
 		}
 		wg.Wait()

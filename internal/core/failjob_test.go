@@ -98,12 +98,12 @@ func BenchmarkFailJob(b *testing.B) {
 			// so the loop isolates the failure-handling cost.
 			rearm := func() {
 				err := svc.store.db.Update(func(tx *relstore.Tx) error {
-					jj, err := svc.store.GetJob(tx, j.ID)
+					jj, err := svc.store.readJob(tx, j.ID)
 					if err != nil {
 						return err
 					}
 					jj.Status = StatusRunning
-					return svc.store.PutJob(tx, jj)
+					return svc.store.putJobRow(tx, jj)
 				})
 				if err != nil {
 					b.Fatal(err)

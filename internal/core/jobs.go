@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -93,27 +94,31 @@ func (s *Service) GetEvaluation(id string) (*Evaluation, error) {
 
 // ListEvaluations returns the evaluations of an experiment.
 func (s *Service) ListEvaluations(experimentID string) ([]*Evaluation, error) {
-	return readRows(s.store.db, func(tx *relstore.Tx) (jsonRows[Evaluation], error) {
+	return readRows(s.store.db, func(tx *relstore.Tx) (rowsOf[Evaluation], error) {
 		return s.store.ListEvaluations(tx, experimentID)
 	})
 }
 
 // ListJobs returns the jobs of an evaluation in creation order.
 func (s *Service) ListJobs(evaluationID string) ([]*Job, error) {
-	return readRows(s.store.db, func(tx *relstore.Tx) (jsonRows[Job], error) {
+	return readRows(s.store.db, func(tx *relstore.Tx) (rowsOf[Job], error) {
 		return s.store.ListJobsByEvaluation(tx, evaluationID)
 	})
 }
 
-// GetJob returns the job with the given id.
+// GetJob returns the job with the given id. Its columns are read in a
+// View, its params decoded after it.
 func (s *Service) GetJob(id string) (*Job, error) {
-	var j *Job
+	var r *jobRow
 	err := s.store.db.View(func(tx *relstore.Tx) error {
 		var err error
-		j, err = s.store.GetJob(tx, id)
+		r, err = s.store.readJob(tx, id)
 		return mapNotFound(err)
 	})
-	return j, err
+	if err != nil {
+		return nil, err
+	}
+	return r.job()
 }
 
 // putEvent appends a timeline event inside an existing transaction.
@@ -132,7 +137,7 @@ func (s *Service) putEvent(tx *relstore.Tx, jobID string, kind EventKind, msg st
 }
 
 // transition applies a validated job state change inside tx.
-func (s *Service) transition(tx *relstore.Tx, j *Job, to JobStatus) error {
+func (s *Service) transition(tx *relstore.Tx, j *jobRow, to JobStatus) error {
 	if !CanTransition(j.Status, to) {
 		return fmt.Errorf("%w: %s -> %s (job %s)", ErrInvalidTransition, j.Status, to, j.ID)
 	}
@@ -145,49 +150,72 @@ func (s *Service) transition(tx *relstore.Tx, j *Job, to JobStatus) error {
 // REST API). The claim is atomic: concurrent agents never receive the
 // same job. ok is false when no work is available.
 func (s *Service) ClaimJob(deploymentID string) (job *Job, ok bool, err error) {
-	err = s.store.db.Update(func(tx *relstore.Tx) error {
-		job, err = s.claim(tx, deploymentID)
-		return err
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	if job != nil && s.met != nil {
-		s.met.claimedByClaim.Inc()
-	}
-	return job, job != nil, nil
+	job, _, err = s.Claim(deploymentID)
+	return job, job != nil, err
 }
 
-// claim is the body of a claim, inside the caller's transaction: ClaimJob
+// Claim is ClaimJob answering also the parameter definitions of the
+// claimed job's system, as the system's parameters column holds them:
+// JSON, nil for a system that defines none. They are read in the
+// claiming transaction and decoded by nobody on the server; the v2 claim
+// answer carries them as they are.
+//
+// The job's params are decoded after the commit. A job whose params do
+// not decode is claimed all the same and answered as an error, as if the
+// answer had been lost: the watchdog hands it out again.
+func (s *Service) Claim(deploymentID string) (job *Job, parameters json.RawMessage, err error) {
+	var r *jobRow
+	err = s.store.db.Update(func(tx *relstore.Tx) error {
+		r, parameters, err = s.claim(tx, deploymentID)
+		return err
+	})
+	if err != nil || r == nil {
+		return nil, nil, err
+	}
+	if s.met != nil {
+		s.met.claimedByClaim.Inc()
+	}
+	if job, err = r.job(); err != nil {
+		return nil, nil, err
+	}
+	return job, parameters, nil
+}
+
+// claim is the body of a claim, inside the caller's transaction: Claim
 // runs it in one of its own, a completion that asks for the next job
-// (CompleteJobClaimNext) in the completing one. It returns nil, nil when
+// (CompleteJobClaimNext) in the completing one. It returns the granted
+// job's columns and its system's parameter definitions: nil, nil, nil when
 // the deployment's queue is empty, ErrNotFound for an unknown deployment
 // and ErrInactiveDeployment for a disabled one, having written nothing.
-func (s *Service) claim(tx *relstore.Tx, deploymentID string) (*Job, error) {
-	// Scalar-column projection: every poll pays three column lookups
-	// instead of a full deployment JSON decode.
+func (s *Service) claim(tx *relstore.Tx, deploymentID string) (*jobRow, json.RawMessage, error) {
+	// Scalar-column projection: every poll reads the deployment's row
+	// once instead of decoding the deployment's JSON.
 	systemID, depName, active, err := s.store.DeploymentClaimInfo(tx, deploymentID)
 	if err != nil {
-		return nil, mapNotFound(err)
+		return nil, nil, mapNotFound(err)
 	}
 	if !active {
-		return nil, ErrInactiveDeployment
+		return nil, nil, ErrInactiveDeployment
 	}
 	// Limit(1) indexed lookup: the planner drives from the smaller of
-	// the status/system posting lists and decodes exactly one job.
-	j, err := s.store.FirstJobByStatus(tx, StatusScheduled, systemID)
+	// the status/system posting lists and reads one job's columns.
+	j, err := s.store.firstJob(tx, StatusScheduled, systemID)
 	if err != nil || j == nil {
-		return nil, err
+		return nil, nil, err
+	}
+	defs, err := s.store.systemParameters(tx, systemID)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: claim: parameters of system %s: %v", systemID, err)
 	}
 	if err := s.grant(tx, j, deploymentID, "claimed by "+depName+" ("+deploymentID+")"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return j, nil
+	return j, defs, nil
 }
 
 // grant is the scheduled -> running write, the one copy of it: the job is
 // the deployment's, its attempt is spent and its heartbeat clock starts.
-func (s *Service) grant(tx *relstore.Tx, j *Job, deploymentID, event string) error {
+func (s *Service) grant(tx *relstore.Tx, j *jobRow, deploymentID, event string) error {
 	if err := s.transition(tx, j, StatusRunning); err != nil {
 		return err
 	}
@@ -197,7 +225,7 @@ func (s *Service) grant(tx *relstore.Tx, j *Job, deploymentID, event string) err
 	j.Started = now
 	j.Heartbeat = now
 	j.Progress = 0
-	if err := s.store.PutJob(tx, j); err != nil {
+	if err := s.store.putJobRow(tx, j); err != nil {
 		return err
 	}
 	return s.putEvent(tx, j.ID, EventClaimed, event)
@@ -217,7 +245,7 @@ func (s *Service) grant(tx *relstore.Tx, j *Job, deploymentID, event string) err
 // agent was ever handed: no acknowledged grant repeats an epoch then.
 func (s *Service) ReleaseJob(jobID string) error {
 	err := s.store.db.Update(func(tx *relstore.Tx) error {
-		j, err := s.store.GetJob(tx, jobID)
+		j, err := s.store.readJob(tx, jobID)
 		if err != nil {
 			return mapNotFound(err)
 		}
@@ -235,7 +263,7 @@ func (s *Service) ReleaseJob(jobID string) error {
 		j.Started = time.Time{}
 		j.Heartbeat = time.Time{}
 		j.Progress = 0
-		if err := s.store.PutJob(tx, j); err != nil {
+		if err := s.store.putJobRow(tx, j); err != nil {
 			return err
 		}
 		return s.putEvent(tx, jobID, EventReleased, "handed back unrun by "+from+", attempt not spent")
@@ -254,10 +282,10 @@ func (s *Service) ReleaseJob(jobID string) error {
 // commits the log and still answers the refusal, which is what the agent
 // would have got had the log arrived by a request of its own just before.
 // change must therefore check before it writes.
-func (s *Service) jobCall(jobID, log string, change func(tx *relstore.Tx, j *Job) error) error {
+func (s *Service) jobCall(jobID, log string, change func(tx *relstore.Tx, j *jobRow) error) error {
 	var refused error
 	err := s.store.db.Update(func(tx *relstore.Tx) error {
-		j, err := s.store.GetJob(tx, jobID)
+		j, err := s.store.readJob(tx, jobID)
 		if err != nil {
 			return mapNotFound(err)
 		}
@@ -296,7 +324,7 @@ func (s *Service) appendLog(tx *relstore.Tx, jobID, text string) error {
 // left untouched.
 func (s *Service) UpdateJob(jobID string, percent *int64, log string) (JobStatus, error) {
 	var status JobStatus
-	err := s.jobCall(jobID, log, func(tx *relstore.Tx, j *Job) error {
+	err := s.jobCall(jobID, log, func(tx *relstore.Tx, j *jobRow) error {
 		status = j.Status
 		if j.Status != StatusRunning {
 			return nil // job was aborted/failed meanwhile; just report
@@ -305,7 +333,7 @@ func (s *Service) UpdateJob(jobID string, percent *int64, log string) (JobStatus
 			j.Progress = min(max(*percent, 0), 100)
 		}
 		j.Heartbeat = s.now()
-		return s.store.PutJob(tx, j)
+		return s.store.putJobRow(tx, j)
 	})
 	return status, err
 }
@@ -326,7 +354,7 @@ func (s *Service) Heartbeat(jobID string) (JobStatus, error) {
 // periodically sends the logger output to Chronos Control).
 func (s *Service) AppendJobLog(jobID, text string) error {
 	return s.store.db.Update(func(tx *relstore.Tx) error {
-		if _, err := s.store.GetJob(tx, jobID); err != nil {
+		if _, err := tx.GetValue(tableJobs, jobID, "id"); err != nil {
 			return mapNotFound(err)
 		}
 		return s.appendLog(tx, jobID, text)
@@ -335,7 +363,7 @@ func (s *Service) AppendJobLog(jobID, text string) error {
 
 // JobLogs returns a job's log chunks in order.
 func (s *Service) JobLogs(jobID string) ([]*LogChunk, error) {
-	return readRows(s.store.db, func(tx *relstore.Tx) (jsonRows[LogChunk], error) {
+	return readRows(s.store.db, func(tx *relstore.Tx) (rowsOf[LogChunk], error) {
 		return s.store.ListLogs(tx, jobID)
 	})
 }
@@ -361,29 +389,32 @@ func (s *Service) CompleteJob(jobID string, resultJSON, archive []byte) error {
 // the chunk is stored ahead of the result in the same transaction, so a
 // finished job never lacks its last log lines.
 func (s *Service) CompleteJobWithLog(jobID string, resultJSON, archive []byte, log string) error {
-	_, err := s.CompleteJobClaimNext(jobID, resultJSON, archive, log, "")
+	_, _, err := s.CompleteJobClaimNext(jobID, resultJSON, archive, log, "")
 	return err
 }
 
 // CompleteJobClaimNext is CompleteJobWithLog that also claims the next job
 // of deployment claimFor ("" claims nothing) in the completing transaction:
 // one commit and one fsync close this job and hand out that one, or
-// neither happens. next is what ClaimJob(claimFor) would have returned just
-// after the completion, nil on an empty queue.
+// neither happens. next and parameters are what Claim(claimFor) would have
+// returned just after the completion, nil on an empty queue. The store
+// keeps resultJSON and archive as they are: the caller must not modify
+// them afterwards.
 //
 // The claim runs only once the finish is accepted — a refused completion
 // (ErrInvalidTransition: the job was aborted, or is not running) claims
 // nothing — and never fails an accepted one: an unknown or inactive
 // deployment leaves next nil and the completion stands, and the agent
 // learns which it was from the ClaimJob it makes next.
-func (s *Service) CompleteJobClaimNext(jobID string, resultJSON, archive []byte, log, claimFor string) (next *Job, err error) {
-	err = s.jobCall(jobID, log, func(tx *relstore.Tx, j *Job) error {
+func (s *Service) CompleteJobClaimNext(jobID string, resultJSON, archive []byte, log, claimFor string) (next *Job, parameters json.RawMessage, err error) {
+	var r *jobRow
+	err = s.jobCall(jobID, log, func(tx *relstore.Tx, j *jobRow) error {
 		if err := s.transition(tx, j, StatusFinished); err != nil {
 			return err
 		}
 		j.Progress = 100
 		j.Finished = s.now()
-		if err := s.store.PutJob(tx, j); err != nil {
+		if err := s.store.putJobRow(tx, j); err != nil {
 			return err
 		}
 		if err := s.store.PutResult(tx, &Result{
@@ -400,7 +431,7 @@ func (s *Service) CompleteJobClaimNext(jobID string, resultJSON, archive []byte,
 		if claimFor == "" {
 			return nil
 		}
-		next, err = s.claim(tx, claimFor)
+		r, parameters, err = s.claim(tx, claimFor)
 		switch {
 		case errors.Is(err, ErrNotFound), errors.Is(err, ErrInactiveDeployment):
 			return nil // claim wrote nothing; the finish stands
@@ -414,13 +445,16 @@ func (s *Service) CompleteJobClaimNext(jobID string, resultJSON, archive []byte,
 		}
 		return err
 	})
-	if err != nil {
-		return nil, err
+	if err != nil || r == nil {
+		return nil, nil, err
 	}
-	if next != nil && s.met != nil {
+	if s.met != nil {
 		s.met.claimedByComplete.Inc()
 	}
-	return next, nil
+	if next, err = r.job(); err != nil {
+		return nil, nil, err
+	}
+	return next, parameters, nil
 }
 
 // FailJob records a failed run. If the experiment's attempt budget is not
@@ -448,8 +482,8 @@ var errPreconditionChanged = errors.New("core: job state changed before fail")
 // agent heartbeats between the stale scan and the fail transaction is
 // never killed.
 func (s *Service) failJob(jobID, reason, log string, kind EventKind, guard func(*Job) bool) error {
-	return s.jobCall(jobID, log, func(tx *relstore.Tx, j *Job) error {
-		if guard != nil && !guard(j) {
+	return s.jobCall(jobID, log, func(tx *relstore.Tx, j *jobRow) error {
+		if guard != nil && !guard(&j.Job) {
 			return errPreconditionChanged
 		}
 		if err := s.transition(tx, j, StatusFailed); err != nil {
@@ -458,7 +492,7 @@ func (s *Service) failJob(jobID, reason, log string, kind EventKind, guard func(
 		j.Error = reason
 		j.Finished = s.now()
 		j.DeploymentID = ""
-		if err := s.store.PutJob(tx, j); err != nil {
+		if err := s.store.putJobRow(tx, j); err != nil {
 			return err
 		}
 		if err := s.putEvent(tx, jobID, kind, reason); err != nil {
@@ -479,7 +513,7 @@ func (s *Service) failJob(jobID, reason, log string, kind EventKind, guard func(
 			}
 			j.Error = ""
 			j.Progress = 0
-			if err := s.store.PutJob(tx, j); err != nil {
+			if err := s.store.putJobRow(tx, j); err != nil {
 				return err
 			}
 			return s.putEvent(tx, jobID, EventRescheduled,
@@ -494,7 +528,7 @@ func (s *Service) failJob(jobID, reason, log string, kind EventKind, guard func(
 // observe the abort through their next progress/heartbeat response.
 func (s *Service) AbortJob(jobID string) error {
 	return s.store.db.Update(func(tx *relstore.Tx) error {
-		j, err := s.store.GetJob(tx, jobID)
+		j, err := s.store.readJob(tx, jobID)
 		if err != nil {
 			return mapNotFound(err)
 		}
@@ -502,7 +536,7 @@ func (s *Service) AbortJob(jobID string) error {
 			return err
 		}
 		j.Finished = s.now()
-		if err := s.store.PutJob(tx, j); err != nil {
+		if err := s.store.putJobRow(tx, j); err != nil {
 			return err
 		}
 		return s.putEvent(tx, jobID, EventAborted, "aborted by user")
@@ -513,7 +547,7 @@ func (s *Service) AbortJob(jobID string) error {
 // "those which are failed can be re-scheduled").
 func (s *Service) RescheduleJob(jobID string) error {
 	return s.store.db.Update(func(tx *relstore.Tx) error {
-		j, err := s.store.GetJob(tx, jobID)
+		j, err := s.store.readJob(tx, jobID)
 		if err != nil {
 			return mapNotFound(err)
 		}
@@ -528,7 +562,7 @@ func (s *Service) RescheduleJob(jobID string) error {
 		j.Error = ""
 		j.Progress = 0
 		j.DeploymentID = ""
-		if err := s.store.PutJob(tx, j); err != nil {
+		if err := s.store.putJobRow(tx, j); err != nil {
 			return err
 		}
 		return s.putEvent(tx, jobID, EventRescheduled, "re-scheduled by user")
@@ -549,31 +583,18 @@ func (s *Service) GetJobResult(jobID string) (*Result, error) {
 // EvaluationStatusOf aggregates job states for the evaluation overview
 // (paper Fig. 3b). One View, so the counts are one consistent cut across
 // the evaluations and jobs tables; inside it the evaluation is a key
-// lookup and its jobs are counted by their scalar status column, and only
-// the running, failed and aborted jobs' JSON is decoded — after the View,
-// for their progress.
+// lookup and its jobs are counted by their status and progress columns.
+// Nothing is decoded.
 func (s *Service) EvaluationStatusOf(evaluationID string) (EvaluationStatus, error) {
-	var (
-		t    tally
-		rest jsonRows[jobProgress]
-	)
+	var t tally
 	err := s.store.db.View(func(tx *relstore.Tx) error {
 		if _, err := tx.GetValue(tableEvaluations, evaluationID, "id"); err != nil {
 			return mapNotFound(err)
 		}
-		var err error
-		rest, err = s.store.tallyJobs(tx, evaluationID, &t)
-		return err
+		return s.store.tallyJobs(tx, evaluationID, &t)
 	})
 	if err != nil {
 		return EvaluationStatus{}, err
-	}
-	jobs, err := rest.decode()
-	if err != nil {
-		return EvaluationStatus{}, err
-	}
-	for _, j := range jobs {
-		t.add(j.Status, j.Progress)
 	}
 	return t.status(evaluationID), nil
 }

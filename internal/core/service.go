@@ -320,7 +320,7 @@ func (s *Service) SetDeploymentActive(id string, active bool) error {
 
 // ListDeployments returns deployments, optionally filtered by system.
 func (s *Service) ListDeployments(systemID string) ([]*Deployment, error) {
-	return readRows(s.store.db, func(tx *relstore.Tx) (jsonRows[Deployment], error) {
+	return readRows(s.store.db, func(tx *relstore.Tx) (rowsOf[Deployment], error) {
 		return s.store.ListDeployments(tx, systemID)
 	})
 }
@@ -381,7 +381,7 @@ func (s *Service) GetExperiment(id string) (*Experiment, error) {
 
 // ListExperiments returns the experiments of a project (all when empty).
 func (s *Service) ListExperiments(projectID string) ([]*Experiment, error) {
-	return readRows(s.store.db, func(tx *relstore.Tx) (jsonRows[Experiment], error) {
+	return readRows(s.store.db, func(tx *relstore.Tx) (rowsOf[Experiment], error) {
 		return s.store.ListExperiments(tx, projectID)
 	})
 }

@@ -9,19 +9,25 @@ import (
 	"chronos/internal/relstore"
 )
 
-// Store maps the Chronos domain entities onto relstore tables. Each table
-// carries the scalar columns used in queries (indexed where the access
-// paths need it) plus the full entity as JSON, mirroring how the original
-// Chronos Control keeps its MySQL schema thin and reconstructs rich
-// objects in the application layer.
+// Store maps the Chronos domain entities onto relstore tables. Jobs,
+// results and log chunks are their columns: every field of a job is a
+// scalar column of its own except the parameter assignment, which is JSON
+// written once at creation; a result is its document, archive and upload
+// time, a log chunk its text and time. So the agent's calls — claim,
+// progress, complete, fail — read columns and write a fresh row, and
+// decode no JSON but the claimed job's params, which the wire needs;
+// JSON of a job is written only at the edge, from a Job a reader built
+// from its columns. Events are all scalars too. The other entities carry
+// the scalar columns their queries use plus the full entity as JSON,
+// mirroring how the original Chronos Control keeps its MySQL schema thin
+// and reconstructs rich objects in the application layer.
 //
-// Single-row reads decode inside the caller's transaction. Multi-row
-// reads return jsonRows — the matching rows' stored bytes — and the
-// Service decodes them after its View has returned (readRows): relstore
-// never mutates a committed value, so the bytes keep the View's cut, and
-// decoding, nearly all of such a read's cost, no longer holds the store
-// lock that every agent commit (and, on a follower, every apply) waits
-// for.
+// Single-row reads build their entity inside the caller's transaction.
+// Multi-row reads return rowsOf — the matching rows themselves — and the
+// Service turns them into entities after its View has returned
+// (readRows): relstore never mutates a committed row, so the rows keep
+// the View's cut, and decoding holds no store lock that an agent commit
+// (or, on a follower, an apply) waits for.
 type Store struct {
 	db *relstore.DB
 }
@@ -40,12 +46,9 @@ const (
 	tableEvents      = "events"
 )
 
-// NewStore creates all tables on the given database. A read-only
-// replication follower's are not its to create: schema and rows arrive
-// through WAL shipping, and until the leader's table creations have, reads
-// of a missing table fail cleanly.
-func NewStore(db *relstore.DB) (*Store, error) {
-	schemas := []relstore.Schema{
+// schemas are the tables of a store of this format.
+func schemas() []relstore.Schema {
+	return []relstore.Schema{
 		{Name: tableUsers, Key: "id", Columns: []relstore.Column{
 			{Name: "id", Type: relstore.TString},
 			{Name: "name", Type: relstore.TString, Indexed: true},
@@ -59,17 +62,22 @@ func NewStore(db *relstore.DB) (*Store, error) {
 		{Name: tableSystems, Key: "id", Columns: []relstore.Column{
 			{Name: "id", Type: relstore.TString},
 			{Name: "name", Type: relstore.TString, Indexed: true},
+			// parameters mirrors System.Parameters as JSON, absent for a
+			// system that defines none: a claim answers the claimed job's
+			// definitions as these bytes, decoding and encoding nothing.
+			// Nullable also because the column was added by an in-place
+			// upgrade (NewStore fills it in older stores' rows).
+			{Name: "parameters", Type: relstore.TBytes, Nullable: true},
 			{Name: "data", Type: relstore.TBytes},
 		}},
 		{Name: tableDeployments, Key: "id", Columns: []relstore.Column{
 			{Name: "id", Type: relstore.TString},
 			{Name: "systemId", Type: relstore.TString, Indexed: true},
 			{Name: "active", Type: relstore.TBool},
-			// name mirrors Deployment.Name as a scalar so ClaimJob can
-			// stamp its timeline event without decoding the deployment
-			// blob on every claim. Nullable so stores persisted before
-			// this column existed upgrade in place; such rows fall back
-			// to the JSON decode.
+			// name mirrors Deployment.Name as a scalar so a claim stamps
+			// its timeline event without decoding the deployment. Nullable
+			// because the column was added by an in-place upgrade; NewStore
+			// fills it in the rows of a store written before it.
 			{Name: "name", Type: relstore.TString, Nullable: true},
 			{Name: "data", Type: relstore.TBytes},
 		}},
@@ -96,47 +104,201 @@ func NewStore(db *relstore.DB) (*Store, error) {
 			{Name: "systemId", Type: relstore.TString, Indexed: true},
 			{Name: "status", Type: relstore.TString, Indexed: true},
 			{Name: "created", Type: relstore.TTime},
-			// heartbeat mirrors Job.Heartbeat as a scalar — for running
-			// jobs only — so the watchdog's "status=running AND heartbeat
-			// < cutoff" scan compares one column per running job instead
-			// of decoding its JSON. Nullable for exactly that: scheduled
-			// and terminal rows leave it out.
+			// Every other field of a Job is a nullable column, left out of
+			// a row while it holds its zero value (nullable, too, because a
+			// store written before the column stores gains them by an
+			// in-place upgrade). The watchdog's stale scan, status=running
+			// AND heartbeat < cutoff, compares heartbeat per running job; a
+			// job that stops running keeps its last one.
 			{Name: "heartbeat", Type: relstore.TTime, Nullable: true},
-			{Name: "data", Type: relstore.TBytes},
+			{Name: "index", Type: relstore.TInt, Nullable: true},
+			// params is Job.Params as JSON, written at creation and carried
+			// through every later write of the row untouched.
+			{Name: "params", Type: relstore.TBytes, Nullable: true},
+			{Name: "attempts", Type: relstore.TInt, Nullable: true},
+			{Name: "progress", Type: relstore.TInt, Nullable: true},
+			{Name: "deploymentId", Type: relstore.TString, Nullable: true},
+			{Name: "error", Type: relstore.TString, Nullable: true},
+			{Name: "started", Type: relstore.TTime, Nullable: true},
+			{Name: "finished", Type: relstore.TTime, Nullable: true},
+			// data held the whole job as JSON before the column stores; no
+			// row carries it once NewStore has upgraded the table. relstore
+			// drops no column, so it stays declared, as on results and logs.
+			{Name: "data", Type: relstore.TBytes, Nullable: true},
 		}},
 		{Name: tableResults, Key: "id", Columns: []relstore.Column{
 			{Name: "id", Type: relstore.TString}, // job id
-			{Name: "data", Type: relstore.TBytes},
+			// json is absent for a nil document, archive when empty.
+			{Name: "json", Type: relstore.TBytes, Nullable: true},
+			{Name: "archive", Type: relstore.TBytes, Nullable: true},
+			{Name: "uploaded", Type: relstore.TTime, Nullable: true},
+			{Name: "data", Type: relstore.TBytes, Nullable: true},
 		}},
 		{Name: tableLogs, Key: "id", Columns: []relstore.Column{
 			{Name: "id", Type: relstore.TString}, // jobId#seq
 			{Name: "jobId", Type: relstore.TString, Indexed: true},
 			{Name: "seq", Type: relstore.TInt},
-			{Name: "data", Type: relstore.TBytes},
+			{Name: "text", Type: relstore.TString, Nullable: true},
+			{Name: "time", Type: relstore.TTime, Nullable: true},
+			{Name: "data", Type: relstore.TBytes, Nullable: true},
 		}},
 		{Name: tableEvents, Key: "id", Columns: []relstore.Column{
 			{Name: "id", Type: relstore.TString},
 			{Name: "jobId", Type: relstore.TString, Indexed: true},
 			{Name: "time", Type: relstore.TTime},
 			// kind/message carry the whole event as scalars: events are
-			// tiny, write-heavy (one per job transition, two per claim
-			// poll cycle) and read rarely, so since this schema revision
-			// the write path marshals no JSON at all. All three trailing
-			// columns are nullable — rows persisted by older stores carry
-			// the JSON blob instead and decode through it on read.
+			// tiny, write-heavy (one per job transition) and read rarely,
+			// so the write path marshals no JSON at all. They are nullable
+			// because an in-place upgrade added them (NewStore rewrote the
+			// older rows, which carried the event in data); message is
+			// absent when empty.
 			{Name: "kind", Type: relstore.TString, Nullable: true},
 			{Name: "message", Type: relstore.TString, Nullable: true},
 			{Name: "data", Type: relstore.TBytes, Nullable: true},
 		}},
 	}
-	for _, s := range schemas {
-		if err := db.CreateTable(s); errors.Is(err, relstore.ErrReadOnly) {
-			break
+}
+
+// NewStore creates all tables on the given database, upgrading in place
+// the ones a store written by an older build holds. A read-only
+// replication follower's are not its to create or upgrade: schema and
+// rows arrive through WAL shipping — the leader's upgrade included — and
+// until the leader's table creations have, reads of a missing table fail
+// cleanly.
+//
+// A store written before the column stores holds jobs, results and log
+// chunks as JSON. Its jobs table is what tells: its data column is
+// required. Such a store is upgraded once, at its first open by a leader
+// of this build (upgradeRows); a later open writes nothing.
+func NewStore(db *relstore.DB) (*Store, error) {
+	s := &Store{db: db}
+	old, exists := db.Schema(tableJobs)
+	legacy := exists && dataRequired(old)
+	var jobs relstore.Schema
+	for _, sc := range schemas() {
+		if legacy && sc.Name == tableJobs {
+			// The blob stays required until every row has its columns:
+			// an open that stops midway leaves the signal for the next.
+			jobs, sc = sc, withDataRequired(sc)
+		}
+		if err := db.CreateTable(sc); errors.Is(err, relstore.ErrReadOnly) {
+			return s, nil
 		} else if err != nil {
-			return nil, fmt.Errorf("core: create table %s: %w", s.Name, err)
+			return nil, fmt.Errorf("core: create table %s: %w", sc.Name, err)
 		}
 	}
-	return &Store{db: db}, nil
+	if legacy {
+		if err := s.upgradeRows(jobs); err != nil {
+			return nil, fmt.Errorf("core: upgrade a store written before the column stores: %w", err)
+		}
+	}
+	return s, nil
+}
+
+// dataRequired reports whether a schema's data column must be present.
+func dataRequired(sc relstore.Schema) bool {
+	for _, c := range sc.Columns {
+		if c.Name == "data" {
+			return !c.Nullable
+		}
+	}
+	return false
+}
+
+// withDataRequired returns sc with its data column required.
+func withDataRequired(sc relstore.Schema) relstore.Schema {
+	cols := make([]relstore.Column, len(sc.Columns))
+	for i, c := range sc.Columns {
+		if c.Name == "data" {
+			c.Nullable = false
+		}
+		cols[i] = c
+	}
+	sc.Columns = cols
+	return sc
+}
+
+// upgradeRows rewrites a store written before the column stores, from
+// the JSON its rows carry: every job, result and log chunk gets its
+// columns, every system its parameters column, and the deployments and
+// events rows still older builds left without their scalar columns get
+// them. It is three commits. The first writes the columns, and leaves
+// each job its blob — the jobs table still requires it, which is what
+// makes an open that stops here upgrade again, from the same blobs. The
+// second installs the jobs schema, whose blob is optional: the step that
+// ends the upgrade. The third writes each job again without its blob; an
+// open that stops before it leaves the blobs unread until each job's next
+// write.
+func (s *Store) upgradeRows(jobs relstore.Schema) error {
+	all := func(relstore.Row) bool { return true }
+	has := func(col string) func(relstore.Row) bool {
+		return func(row relstore.Row) bool { _, ok := row[col]; return ok }
+	}
+	lacks := func(col string) func(relstore.Row) bool {
+		return func(row relstore.Row) bool { _, ok := row[col]; return !ok }
+	}
+	keepBlob := func(tx *relstore.Tx, j *Job) error {
+		r, err := newJobRow(j)
+		if err != nil {
+			return err
+		}
+		row := r.row()
+		if row["data"], err = json.Marshal(j); err != nil {
+			return err
+		}
+		return tx.PutOwned(tableJobs, row)
+	}
+	err := s.db.Update(func(tx *relstore.Tx) error {
+		if err := rewrite(tx, tableJobs, all, keepBlob); err != nil {
+			return err
+		}
+		if err := rewrite(tx, tableResults, has("data"), s.PutResult); err != nil {
+			return err
+		}
+		if err := rewrite(tx, tableLogs, has("data"), s.AppendLog); err != nil {
+			return err
+		}
+		if err := rewrite(tx, tableSystems, all, s.PutSystem); err != nil {
+			return err
+		}
+		if err := rewrite(tx, tableDeployments, lacks("name"), s.PutDeployment); err != nil {
+			return err
+		}
+		return rewrite(tx, tableEvents, lacks("kind"), s.PutEvent)
+	})
+	if err != nil {
+		return err
+	}
+	if err := s.db.CreateTable(jobs); err != nil {
+		return err
+	}
+	return s.db.Update(func(tx *relstore.Tx) error {
+		return rewrite(tx, tableJobs, has("data"), s.PutJob)
+	})
+}
+
+// rewrite writes, through put, the entity the data column holds of every
+// row of table that pick selects.
+func rewrite[T any](tx *relstore.Tx, table string, pick func(relstore.Row) bool, put func(*relstore.Tx, *T) error) error {
+	var picked []relstore.Row
+	if err := tx.SelectFunc(table, nil, func(row relstore.Row) bool {
+		if pick(row) {
+			picked = append(picked, row)
+		}
+		return true
+	}); err != nil {
+		return err
+	}
+	for _, row := range picked {
+		var v T
+		if err := decodeJSON(table, row["data"].([]byte), &v); err != nil {
+			return err
+		}
+		if err := put(tx, &v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // DB exposes the underlying store for transaction control.
@@ -163,11 +325,11 @@ func putJSON(tx *relstore.Tx, table string, row relstore.Row, entity any) error 
 
 // getJSON unmarshals the data column of the row with the given id.
 func getJSON(tx *relstore.Tx, table, id string, out any) error {
-	row, err := tx.Get(table, id)
+	v, err := tx.GetValue(table, id, "data")
 	if err != nil {
 		return err
 	}
-	return json.Unmarshal(row["data"].([]byte), out)
+	return decodeJSON(table, v.([]byte), out)
 }
 
 // decodeJSON unmarshals one row's data column.
@@ -178,32 +340,42 @@ func decodeJSON(table string, data []byte, out any) error {
 	return nil
 }
 
-// jsonRows is the data column of every row a multi-row read matched, in
-// key order, taken inside a transaction to be decoded after it.
-type jsonRows[T any] struct {
-	table string
-	data  [][]byte
+// setNonZero puts v in row[col] unless it is its type's zero value: an
+// absent column reads back as exactly that.
+func setNonZero[T comparable](row relstore.Row, col string, v T) {
+	var zero T
+	if v != zero {
+		row[col] = v
+	}
 }
 
-// selectRows takes the data column of every row matching q. It decodes
-// nothing: relstore's committed values are immutable, so the slices stay
-// valid — and still the transaction's cut — once it has ended.
-func selectRows[T any](tx *relstore.Tx, table string, q *relstore.Query) (jsonRows[T], error) {
-	rows := jsonRows[T]{table: table}
+// rowsOf is every row a multi-row read matched, in key order, taken
+// inside a transaction; from turns each into its entity after it.
+type rowsOf[T any] struct {
+	rows []relstore.Row
+	from func(relstore.Row, *T) error
+}
+
+// selectRows takes every row matching q. It builds nothing: relstore's
+// committed rows are immutable, so they stay valid — and still the
+// transaction's cut — once it has ended.
+func selectRows[T any](tx *relstore.Tx, table string, q *relstore.Query, from func(relstore.Row, *T) error) (rowsOf[T], error) {
+	r := rowsOf[T]{from: from}
 	err := tx.SelectFunc(table, q, func(row relstore.Row) bool {
-		rows.data = append(rows.data, row["data"].([]byte))
+		r.rows = append(r.rows, row)
 		return true
 	})
-	return rows, err
+	return r, err
 }
 
-// decode unmarshals every row, outside any transaction. The entities
-// share one backing array: one allocation for the lot, not one each.
-func (r jsonRows[T]) decode() ([]*T, error) {
-	vals := make([]T, len(r.data))
-	out := make([]*T, len(r.data))
-	for i, b := range r.data {
-		if err := decodeJSON(r.table, b, &vals[i]); err != nil {
+// build turns every row into its entity, outside any transaction. The
+// entities share one backing array: one allocation for the lot, not one
+// each.
+func (r rowsOf[T]) build() ([]*T, error) {
+	vals := make([]T, len(r.rows))
+	out := make([]*T, len(r.rows))
+	for i, row := range r.rows {
+		if err := r.from(row, &vals[i]); err != nil {
 			return nil, err
 		}
 		out[i] = &vals[i]
@@ -211,10 +383,18 @@ func (r jsonRows[T]) decode() ([]*T, error) {
 	return out, nil
 }
 
-// readRows runs read in a View and decodes what it took once the View has
+// fromData is the from of a table whose rows carry their entity as JSON
+// in the data column.
+func fromData[T any](table string) func(relstore.Row, *T) error {
+	return func(row relstore.Row, v *T) error {
+		return decodeJSON(table, row["data"].([]byte), v)
+	}
+}
+
+// readRows runs read in a View and builds what it took once the View has
 // returned: the store lock is held for the scan alone.
-func readRows[T any](db *relstore.DB, read func(*relstore.Tx) (jsonRows[T], error)) ([]*T, error) {
-	var rows jsonRows[T]
+func readRows[T any](db *relstore.DB, read func(*relstore.Tx) (rowsOf[T], error)) ([]*T, error) {
+	var rows rowsOf[T]
 	err := db.View(func(tx *relstore.Tx) error {
 		var err error
 		rows, err = read(tx)
@@ -223,7 +403,7 @@ func readRows[T any](db *relstore.DB, read func(*relstore.Tx) (jsonRows[T], erro
 	if err != nil {
 		return nil, err
 	}
-	return rows.decode()
+	return rows.build()
 }
 
 // eachRow streams the rows matching q to fn inside tx, stopping at fn's
@@ -273,8 +453,8 @@ func (s *Store) FindUserByName(tx *relstore.Tx, name string) (*User, error) {
 }
 
 // ListUsers returns all users ordered by id.
-func (s *Store) ListUsers(tx *relstore.Tx) (jsonRows[User], error) {
-	return selectRows[User](tx, tableUsers, relstore.NewQuery())
+func (s *Store) ListUsers(tx *relstore.Tx) (rowsOf[User], error) {
+	return selectRows(tx, tableUsers, relstore.NewQuery(), fromData[User](tableUsers))
 }
 
 // --- Projects ---
@@ -294,15 +474,23 @@ func (s *Store) GetProject(tx *relstore.Tx, id string) (*Project, error) {
 }
 
 // ListProjects returns all projects ordered by id.
-func (s *Store) ListProjects(tx *relstore.Tx) (jsonRows[Project], error) {
-	return selectRows[Project](tx, tableProjects, relstore.NewQuery())
+func (s *Store) ListProjects(tx *relstore.Tx) (rowsOf[Project], error) {
+	return selectRows(tx, tableProjects, relstore.NewQuery(), fromData[Project](tableProjects))
 }
 
 // --- Systems ---
 
 // PutSystem stores a system.
 func (s *Store) PutSystem(tx *relstore.Tx, sys *System) error {
-	return putJSON(tx, tableSystems, relstore.Row{"id": sys.ID, "name": sys.Name}, sys)
+	row := relstore.Row{"id": sys.ID, "name": sys.Name}
+	if len(sys.Parameters) > 0 {
+		defs, err := json.Marshal(sys.Parameters)
+		if err != nil {
+			return fmt.Errorf("core: marshal system %s parameters: %w", sys.ID, err)
+		}
+		row["parameters"] = defs
+	}
+	return putJSON(tx, tableSystems, row, sys)
 }
 
 // GetSystem loads a system by id.
@@ -314,9 +502,20 @@ func (s *Store) GetSystem(tx *relstore.Tx, id string) (*System, error) {
 	return &sys, nil
 }
 
+// systemParameters returns a system's parameter definitions as PutSystem
+// stored them: JSON, nil for a system that defines none.
+func (s *Store) systemParameters(tx *relstore.Tx, id string) (json.RawMessage, error) {
+	v, err := tx.GetValue(tableSystems, id, "parameters")
+	if err != nil {
+		return nil, err
+	}
+	defs, _ := v.([]byte)
+	return defs, nil
+}
+
 // ListSystems returns all systems ordered by id.
-func (s *Store) ListSystems(tx *relstore.Tx) (jsonRows[System], error) {
-	return selectRows[System](tx, tableSystems, relstore.NewQuery())
+func (s *Store) ListSystems(tx *relstore.Tx) (rowsOf[System], error) {
+	return selectRows(tx, tableSystems, relstore.NewQuery(), fromData[System](tableSystems))
 }
 
 // --- Deployments ---
@@ -327,38 +526,17 @@ func (s *Store) PutDeployment(tx *relstore.Tx, d *Deployment) error {
 	return putJSON(tx, tableDeployments, row, d)
 }
 
-// DeploymentClaimInfo returns the three deployment fields ClaimJob reads
-// — systemId, name, active — as scalar column lookups, no JSON decoded.
-// Claiming is the scheduler's hottest write path: with agents polling
-// for work, decoding the full deployment blob per claim dominated the
-// transaction's allocations. Rows persisted before the scalar name
-// column existed fall back to decoding the blob once — they can still
-// exist: the column arrived with the binary row format and no build ever
-// rewrote them, so they survive the documented upgrade route (as do the
-// events rows eventFromRow falls back for).
+// DeploymentClaimInfo returns the three deployment fields a claim reads —
+// systemId, name, active — from the deployment's scalar columns, no JSON
+// decoded: with agents polling for work, decoding the full deployment per
+// claim dominated the transaction's allocations.
 func (s *Store) DeploymentClaimInfo(tx *relstore.Tx, id string) (systemID, name string, active bool, err error) {
-	v, err := tx.GetValue(tableDeployments, id, "active")
+	row, err := tx.Peek(tableDeployments, id)
 	if err != nil {
 		return "", "", false, err
 	}
-	active = v.(bool)
-	sys, err := tx.GetValue(tableDeployments, id, "systemId")
-	if err != nil {
-		return "", "", false, err
-	}
-	n, err := tx.GetValue(tableDeployments, id, "name")
-	if err != nil {
-		return "", "", false, err
-	}
-	if n == nil {
-		// Pre-upgrade row: the name only lives inside the JSON blob.
-		var d Deployment
-		if err := getJSON(tx, tableDeployments, id, &d); err != nil {
-			return "", "", false, err
-		}
-		return d.SystemID, d.Name, active, nil
-	}
-	return sys.(string), n.(string), active, nil
+	name, _ = row["name"].(string)
+	return row["systemId"].(string), name, row["active"].(bool), nil
 }
 
 // GetDeployment loads a deployment by id.
@@ -372,12 +550,12 @@ func (s *Store) GetDeployment(tx *relstore.Tx, id string) (*Deployment, error) {
 
 // ListDeployments returns the deployments of a system (all systems when
 // systemID is empty).
-func (s *Store) ListDeployments(tx *relstore.Tx, systemID string) (jsonRows[Deployment], error) {
+func (s *Store) ListDeployments(tx *relstore.Tx, systemID string) (rowsOf[Deployment], error) {
 	q := relstore.NewQuery()
 	if systemID != "" {
 		q = q.Eq("systemId", systemID)
 	}
-	return selectRows[Deployment](tx, tableDeployments, q)
+	return selectRows(tx, tableDeployments, q, fromData[Deployment](tableDeployments))
 }
 
 // --- Experiments ---
@@ -428,12 +606,12 @@ func (s *Store) GetExperiment(tx *relstore.Tx, id string) (*Experiment, error) {
 }
 
 // ListExperiments returns the experiments of a project (all when empty).
-func (s *Store) ListExperiments(tx *relstore.Tx, projectID string) (jsonRows[Experiment], error) {
+func (s *Store) ListExperiments(tx *relstore.Tx, projectID string) (rowsOf[Experiment], error) {
 	q := relstore.NewQuery()
 	if projectID != "" {
 		q = q.Eq("projectId", projectID)
 	}
-	return selectRows[Experiment](tx, tableExperiments, q)
+	return selectRows(tx, tableExperiments, q, fromData[Experiment](tableExperiments))
 }
 
 // --- Evaluations ---
@@ -455,48 +633,147 @@ func (s *Store) GetEvaluation(tx *relstore.Tx, id string) (*Evaluation, error) {
 
 // ListEvaluations returns the evaluations of an experiment (all when
 // empty).
-func (s *Store) ListEvaluations(tx *relstore.Tx, experimentID string) (jsonRows[Evaluation], error) {
+func (s *Store) ListEvaluations(tx *relstore.Tx, experimentID string) (rowsOf[Evaluation], error) {
 	q := relstore.NewQuery()
 	if experimentID != "" {
 		q = q.Eq("experimentId", experimentID)
 	}
-	return selectRows[Evaluation](tx, tableEvaluations, q)
+	return selectRows(tx, tableEvaluations, q, fromData[Evaluation](tableEvaluations))
 }
 
 // --- Jobs ---
 
-// PutJob stores a job.
-func (s *Store) PutJob(tx *relstore.Tx, j *Job) error {
-	row := relstore.Row{
-		"id":           j.ID,
-		"evaluationId": j.EvaluationID,
-		"systemId":     j.SystemID,
-		"status":       string(j.Status),
-		"created":      j.Created,
-	}
-	// Only running jobs carry the scalar heartbeat: the watchdog reads it
-	// on running rows alone, so the finished/failed history that
-	// accumulates stays narrow — one column fewer in every terminal row
-	// logged, snapshotted and shipped. Scheduled and terminal rows keep
-	// the heartbeat only inside their JSON blob.
-	if j.Status == StatusRunning {
-		row["heartbeat"] = j.Heartbeat
-	}
-	return putJSON(tx, tableJobs, row, j)
+// jobRow is a job as its row holds it: every field a column, and Params
+// the stored JSON bytes, undecoded. Every transition reads a jobRow and
+// writes it back as a fresh row; job decodes the params for a reader or
+// the wire.
+type jobRow struct {
+	Job    // Params unset
+	params []byte
+	// src is the row the job was read from (nil for a new job). A fresh
+	// row takes over its values of the columns that did not change, so
+	// writing a job boxes only what the transition set.
+	src relstore.Row
 }
 
-// GetJob loads a job by id.
-func (s *Store) GetJob(tx *relstore.Tx, id string) (*Job, error) {
-	var j Job
-	if err := getJSON(tx, tableJobs, id, &j); err != nil {
+// newJobRow is j as a jobRow: its assignment encoded once, at creation.
+func newJobRow(j *Job) (*jobRow, error) {
+	r := &jobRow{Job: *j}
+	r.Params = nil
+	if j.Params != nil {
+		var err error
+		if r.params, err = json.Marshal(j.Params); err != nil {
+			return nil, fmt.Errorf("core: marshal job %s params: %w", j.ID, err)
+		}
+	}
+	return r, nil
+}
+
+// jobFields sets every field of j but Params from row's columns — an
+// absent column is its field's zero value — and returns the stored params.
+func jobFields(row relstore.Row, j *Job) (params []byte) {
+	j.ID = row["id"].(string)
+	j.EvaluationID = row["evaluationId"].(string)
+	j.SystemID = row["systemId"].(string)
+	j.Status = JobStatus(row["status"].(string))
+	j.Created = row["created"].(time.Time)
+	j.Heartbeat, _ = row["heartbeat"].(time.Time)
+	j.Index, _ = row["index"].(int64)
+	j.Attempts, _ = row["attempts"].(int64)
+	j.Progress, _ = row["progress"].(int64)
+	j.DeploymentID, _ = row["deploymentId"].(string)
+	j.Error, _ = row["error"].(string)
+	j.Started, _ = row["started"].(time.Time)
+	j.Finished, _ = row["finished"].(time.Time)
+	params, _ = row["params"].([]byte)
+	return params
+}
+
+// row is r as a fresh row, its stored params carried through.
+func (r *jobRow) row() relstore.Row {
+	row := make(relstore.Row, 14)
+	setCol(row, r.src, "id", r.ID)
+	setCol(row, r.src, "evaluationId", r.EvaluationID)
+	setCol(row, r.src, "systemId", r.SystemID)
+	setCol(row, r.src, "status", string(r.Status))
+	setCol(row, r.src, "created", r.Created)
+	setCol(row, r.src, "heartbeat", r.Heartbeat)
+	setCol(row, r.src, "index", r.Index)
+	if v, ok := r.src["params"]; ok {
+		row["params"] = v
+	} else if r.params != nil {
+		row["params"] = r.params
+	}
+	setCol(row, r.src, "attempts", r.Attempts)
+	setCol(row, r.src, "progress", r.Progress)
+	setCol(row, r.src, "deploymentId", r.DeploymentID)
+	setCol(row, r.src, "error", r.Error)
+	setCol(row, r.src, "started", r.Started)
+	setCol(row, r.src, "finished", r.Finished)
+	return row
+}
+
+// setCol is setNonZero that takes src's value when src holds the same one.
+func setCol[T comparable](row, src relstore.Row, col string, v T) {
+	if old, ok := src[col].(T); ok && old == v {
+		row[col] = src[col]
+		return
+	}
+	setNonZero(row, col, v)
+}
+
+// job is r for a reader or the wire, its params decoded.
+func (r *jobRow) job() (*Job, error) {
+	if err := decodeParams(&r.Job, r.params); err != nil {
 		return nil, err
 	}
-	return &j, nil
+	return &r.Job, nil
+}
+
+// decodeParams sets j.Params from the stored bytes (nil: none).
+func decodeParams(j *Job, params []byte) error {
+	if params == nil {
+		return nil
+	}
+	if err := json.Unmarshal(params, &j.Params); err != nil {
+		return fmt.Errorf("core: decode job %s params: %w", j.ID, err)
+	}
+	return nil
+}
+
+// jobOf is the from of the jobs table: the job its columns hold.
+func jobOf(row relstore.Row, j *Job) error {
+	return decodeParams(j, jobFields(row, j))
+}
+
+// PutJob stores a new job.
+func (s *Store) PutJob(tx *relstore.Tx, j *Job) error {
+	r, err := newJobRow(j)
+	if err != nil {
+		return err
+	}
+	return s.putJobRow(tx, r)
+}
+
+// putJobRow writes r as the job's row.
+func (s *Store) putJobRow(tx *relstore.Tx, r *jobRow) error {
+	return tx.PutOwned(tableJobs, r.row())
+}
+
+// readJob reads a job's columns, decoding nothing.
+func (s *Store) readJob(tx *relstore.Tx, id string) (*jobRow, error) {
+	row, err := tx.Peek(tableJobs, id)
+	if err != nil {
+		return nil, err
+	}
+	r := &jobRow{src: row}
+	r.params = jobFields(row, &r.Job)
+	return r, nil
 }
 
 // ListJobsByEvaluation returns all jobs of an evaluation ordered by id.
-func (s *Store) ListJobsByEvaluation(tx *relstore.Tx, evaluationID string) (jsonRows[Job], error) {
-	return selectRows[Job](tx, tableJobs, relstore.NewQuery().Eq("evaluationId", evaluationID))
+func (s *Store) ListJobsByEvaluation(tx *relstore.Tx, evaluationID string) (rowsOf[Job], error) {
+	return selectRows(tx, tableJobs, relstore.NewQuery().Eq("evaluationId", evaluationID), jobOf)
 }
 
 // jobsByStatusQuery builds the indexed query for status (+ optional
@@ -510,24 +787,18 @@ func jobsByStatusQuery(status JobStatus, systemID string) *relstore.Query {
 	return q
 }
 
-// FirstJobByStatus returns the oldest (lowest-id, i.e. first-created)
-// job with the given status, optionally restricted to a system. It is
-// the scheduler's claim lookup: a Limit(1) indexed select that decodes
-// exactly one row. Returns (nil, nil) when no job matches.
-func (s *Store) FirstJobByStatus(tx *relstore.Tx, status JobStatus, systemID string) (*Job, error) {
-	var data []byte
+// firstJob returns the oldest (lowest-id, i.e. first-created) job with the
+// given status, optionally restricted to a system. It is the scheduler's
+// claim lookup: a Limit(1) indexed select that reads one row's columns.
+// Returns (nil, nil) when no job matches.
+func (s *Store) firstJob(tx *relstore.Tx, status JobStatus, systemID string) (*jobRow, error) {
+	var r *jobRow
 	err := tx.SelectFunc(tableJobs, jobsByStatusQuery(status, systemID).Limit(1), func(row relstore.Row) bool {
-		data = row["data"].([]byte)
+		r = &jobRow{src: row}
+		r.params = jobFields(row, &r.Job)
 		return false
 	})
-	if err != nil || data == nil {
-		return nil, err
-	}
-	var j Job
-	if err := decodeJSON(tableJobs, data, &j); err != nil {
-		return nil, err
-	}
-	return &j, nil
+	return r, err
 }
 
 // EachStaleRunningJobID streams the ids of running jobs whose heartbeat
@@ -541,46 +812,48 @@ func (s *Store) EachStaleRunningJobID(tx *relstore.Tx, cutoff time.Time, fn func
 	})
 }
 
-// jobProgress is the part of a job's JSON an evaluation's status needs.
-type jobProgress struct {
-	Status   JobStatus `json:"status"`
-	Progress int64     `json:"progress"`
-}
-
-// tallyJobs counts an evaluation's jobs into t by their scalar status
-// column, decoding nothing. Only running, failed and aborted jobs have a
-// progress their JSON alone knows — every write into scheduled sets it to
-// 0 and the one write into finished to 100 — so their data column is
-// returned, to be decoded after the transaction and added then.
-func (s *Store) tallyJobs(tx *relstore.Tx, evaluationID string, t *tally) (jsonRows[jobProgress], error) {
-	rest := jsonRows[jobProgress]{table: tableJobs}
-	err := tx.SelectFunc(tableJobs, relstore.NewQuery().Eq("evaluationId", evaluationID), func(row relstore.Row) bool {
-		switch st := JobStatus(row["status"].(string)); st {
-		case StatusScheduled:
-			t.add(st, 0)
-		case StatusFinished:
-			t.add(st, 100)
-		default:
-			rest.data = append(rest.data, row["data"].([]byte))
-		}
+// tallyJobs counts an evaluation's jobs into t by their status and
+// progress columns, decoding nothing.
+func (s *Store) tallyJobs(tx *relstore.Tx, evaluationID string, t *tally) error {
+	return tx.SelectFunc(tableJobs, relstore.NewQuery().Eq("evaluationId", evaluationID), func(row relstore.Row) bool {
+		progress, _ := row["progress"].(int64)
+		t.add(JobStatus(row["status"].(string)), progress)
 		return true
 	})
-	return rest, err
 }
 
 // --- Results ---
 
-// PutResult stores a job result.
+// PutResult stores a job result. The row keeps r.JSON and r.Archive as
+// they are: the caller must not modify them afterwards.
 func (s *Store) PutResult(tx *relstore.Tx, r *Result) error {
-	return putJSON(tx, tableResults, relstore.Row{"id": r.JobID}, r)
+	row := relstore.Row{"id": r.JobID}
+	if r.JSON != nil {
+		row["json"] = r.JSON
+	}
+	if len(r.Archive) > 0 {
+		row["archive"] = r.Archive
+	}
+	setNonZero(row, "uploaded", r.Uploaded)
+	return tx.PutOwned(tableResults, row)
+}
+
+// resultOf is the result a results row's columns hold.
+func resultOf(row relstore.Row, r *Result) {
+	r.JobID = row["id"].(string)
+	r.JSON, _ = row["json"].([]byte)
+	r.Archive, _ = row["archive"].([]byte)
+	r.Uploaded, _ = row["uploaded"].(time.Time)
 }
 
 // GetResult loads the result of a job.
 func (s *Store) GetResult(tx *relstore.Tx, jobID string) (*Result, error) {
-	var r Result
-	if err := getJSON(tx, tableResults, jobID, &r); err != nil {
+	row, err := tx.Peek(tableResults, jobID)
+	if err != nil {
 		return nil, err
 	}
+	var r Result
+	resultOf(row, &r)
 	return &r, nil
 }
 
@@ -590,14 +863,25 @@ func (s *Store) GetResult(tx *relstore.Tx, jobID string) (*Result, error) {
 func (s *Store) AppendLog(tx *relstore.Tx, c *LogChunk) error {
 	id := fmt.Sprintf("%s#%012d", c.JobID, c.Seq)
 	row := relstore.Row{"id": id, "jobId": c.JobID, "seq": c.Seq}
-	return putJSON(tx, tableLogs, row, c)
+	setNonZero(row, "text", c.Text)
+	setNonZero(row, "time", c.Time)
+	return tx.PutOwned(tableLogs, row)
+}
+
+// logOf is the from of the logs table: the chunk its columns hold.
+func logOf(row relstore.Row, c *LogChunk) error {
+	c.JobID = row["jobId"].(string)
+	c.Seq = row["seq"].(int64)
+	c.Text, _ = row["text"].(string)
+	c.Time, _ = row["time"].(time.Time)
+	return nil
 }
 
 // ListLogs returns a job's log chunks in sequence order.
-func (s *Store) ListLogs(tx *relstore.Tx, jobID string) (jsonRows[LogChunk], error) {
+func (s *Store) ListLogs(tx *relstore.Tx, jobID string) (rowsOf[LogChunk], error) {
 	// Chunk ids embed a zero-padded sequence number, so id order == seq
 	// order, which the scan already guarantees.
-	return selectRows[LogChunk](tx, tableLogs, relstore.NewQuery().Eq("jobId", jobID))
+	return selectRows(tx, tableLogs, relstore.NewQuery().Eq("jobId", jobID), logOf)
 }
 
 // --- Events ---
@@ -612,34 +896,21 @@ func (s *Store) PutEvent(tx *relstore.Tx, e *Event) error {
 		"time":  e.Time,
 		"kind":  string(e.Kind),
 	}
-	if e.Message != "" {
-		row["message"] = e.Message
-	}
+	setNonZero(row, "message", e.Message)
 	return tx.PutOwned(tableEvents, row)
 }
 
-// eventFromRow reconstructs an event from its scalar columns; rows
-// persisted before the kind/message columns existed fall back to their
-// JSON blob (they survive the upgrade route: see DeploymentClaimInfo).
-func eventFromRow(row relstore.Row) (*Event, error) {
-	k, ok := row["kind"]
-	if !ok {
-		var e Event
-		if err := json.Unmarshal(row["data"].([]byte), &e); err != nil {
-			return nil, fmt.Errorf("core: decode events row: %w", err)
-		}
-		return &e, nil
-	}
+// eventFromRow is the event an events row's scalar columns hold.
+func eventFromRow(row relstore.Row) *Event {
 	e := &Event{
 		ID:    row["id"].(string),
 		JobID: row["jobId"].(string),
-		Kind:  EventKind(k.(string)),
 		Time:  row["time"].(time.Time),
 	}
-	if m, ok := row["message"]; ok {
-		e.Message = m.(string)
-	}
-	return e, nil
+	k, _ := row["kind"].(string)
+	e.Kind = EventKind(k)
+	e.Message, _ = row["message"].(string)
+	return e
 }
 
 // ListEvents returns a job's events in id (creation) order.
@@ -654,19 +925,9 @@ func (s *Store) ListEvents(tx *relstore.Tx, jobID string) ([]*Event, error) {
 
 // EachEvent streams a job's events in creation order.
 func (s *Store) EachEvent(tx *relstore.Tx, jobID string, fn func(*Event) bool) error {
-	var derr error
-	err := tx.SelectFunc(tableEvents, relstore.NewQuery().Eq("jobId", jobID), func(row relstore.Row) bool {
-		e, err := eventFromRow(row)
-		if err != nil {
-			derr = err
-			return false
-		}
-		return fn(e)
+	return tx.SelectFunc(tableEvents, relstore.NewQuery().Eq("jobId", jobID), func(row relstore.Row) bool {
+		return fn(eventFromRow(row))
 	})
-	if err != nil {
-		return err
-	}
-	return derr
 }
 
 // nowUTC truncates to microseconds so timestamps survive JSON and WAL

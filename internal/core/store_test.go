@@ -1,12 +1,10 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"testing"
 	"time"
 
-	"chronos/internal/metrics"
 	"chronos/internal/relstore"
 )
 
@@ -116,107 +114,5 @@ func TestTimestampsAreUTCAndTruncated(t *testing.T) {
 	}
 	if u.Created.Nanosecond()%1000 != 0 {
 		t.Fatalf("created not truncated to microseconds: %v", u.Created)
-	}
-}
-
-// TestNewStoreUpgradesOldJobsTable simulates a store whose jobs table
-// predates the scalar heartbeat column: NewStore must upgrade the schema
-// in place — the old row survives, and the new column is live, so a job
-// written through it is found by the watchdog's stale scan.
-func TestNewStoreUpgradesOldJobsTable(t *testing.T) {
-	db := relstore.OpenMemory()
-	oldJobs := relstore.Schema{Name: "jobs", Key: "id", Columns: []relstore.Column{
-		{Name: "id", Type: relstore.TString},
-		{Name: "evaluationId", Type: relstore.TString, Indexed: true},
-		{Name: "systemId", Type: relstore.TString, Indexed: true},
-		{Name: "status", Type: relstore.TString, Indexed: true},
-		{Name: "created", Type: relstore.TTime},
-		{Name: "data", Type: relstore.TBytes},
-	}}
-	if err := db.CreateTable(oldJobs); err != nil {
-		t.Fatal(err)
-	}
-	stale := time.Date(2020, 3, 30, 9, 0, 0, 0, time.UTC)
-	j := &Job{
-		ID: "job-000000001", EvaluationID: "evaluation-000000001", SystemID: "system-000000001",
-		Status: StatusScheduled, Created: stale,
-	}
-	data, _ := json.Marshal(j)
-	err := db.Update(func(tx *relstore.Tx) error {
-		return tx.Put("jobs", relstore.Row{
-			"id": j.ID, "evaluationId": j.EvaluationID, "systemId": j.SystemID,
-			"status": string(j.Status), "created": j.Created, "data": data,
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := metrics.NewManualClock(stale.Add(time.Hour))
-	svc, err := NewService(db, clock.Now)
-	if err != nil {
-		t.Fatalf("NewService over old-schema store: %v", err)
-	}
-	got, err := svc.GetJob(j.ID)
-	if err != nil || got.Status != StatusScheduled {
-		t.Fatalf("pre-upgrade row after the upgrade: %+v, %v", got, err)
-	}
-	got.Status, got.Started, got.Heartbeat, got.Attempts = StatusRunning, stale, stale, 1
-	if err := db.Update(func(tx *relstore.Tx) error { return svc.store.PutJob(tx, got) }); err != nil {
-		t.Fatal(err)
-	}
-	failed, err := svc.CheckHeartbeats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(failed) != 1 || failed[0] != j.ID {
-		t.Fatalf("watchdog missed a stale job on the upgraded table: %v", failed)
-	}
-}
-
-// TestHeartbeatColumnOnlyWhileRunning: the scalar heartbeat column must
-// exist exactly while the job runs — scheduled and terminal rows leave
-// it out, so the history that accumulates stays one column narrower.
-func TestHeartbeatColumnOnlyWhileRunning(t *testing.T) {
-	db := relstore.OpenMemory()
-	svc, err := NewService(db, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, _ := svc.CreateUser("w", RoleAdmin)
-	p, _ := svc.CreateProject("w", "", u.ID, nil)
-	sys, _ := svc.RegisterSystem("sue", "", mongoParams(), nil)
-	dep, _ := svc.CreateDeployment(sys.ID, "d", "", "")
-	exp, _ := svc.CreateExperiment(p.ID, sys.ID, "e", "", nil, 0)
-	_, jobs, err := svc.CreateEvaluation(exp.ID)
-	if err != nil || len(jobs) == 0 {
-		t.Fatal(err)
-	}
-	hasHB := func(id string) bool {
-		var ok bool
-		db.View(func(tx *relstore.Tx) error {
-			row, err := tx.Get("jobs", id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, ok = row["heartbeat"]
-			return nil
-		})
-		return ok
-	}
-	id := jobs[0].ID
-	if hasHB(id) {
-		t.Fatal("scheduled job carries a heartbeat column")
-	}
-	if _, ok, err := svc.ClaimJob(dep.ID); err != nil || !ok {
-		t.Fatal(ok, err)
-	}
-	if !hasHB(id) {
-		t.Fatal("running job missing the heartbeat column")
-	}
-	if err := svc.CompleteJob(id, []byte(`{}`), nil); err != nil {
-		t.Fatal(err)
-	}
-	if hasHB(id) {
-		t.Fatal("finished job still carries a heartbeat column")
 	}
 }

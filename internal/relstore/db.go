@@ -449,6 +449,21 @@ func (db *DB) Tables() []string {
 	return names
 }
 
+// Schema returns the named table's current schema, false when the store
+// has no such table. An application reads it before CreateTable to learn
+// which upgrade a store written by an older build needs.
+func (db *DB) Schema(name string) (Schema, bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	t := db.tables[name]
+	if t == nil {
+		return Schema{}, false
+	}
+	s := t.schema
+	s.Columns = slices.Clone(s.Columns)
+	return s, true
+}
+
 // ErrUnknownTable is wrapped by every operation that names a table the
 // store does not have. Callers racing table creation — a follower's
 // readers before the CreateTable record ships, say — test with

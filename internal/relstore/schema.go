@@ -105,7 +105,9 @@
 // (added nullable columns, added or dropped index flags, required
 // columns relaxed to nullable): the table is re-indexed in place and the
 // upgrade is logged, so applications can add columns across versions
-// without migrating data by hand.
+// without migrating data by hand. DB.Schema reports a table's schema as
+// it stands, so an application that must also rewrite rows an older
+// build wrote can tell from it, before CreateTable, whether they exist.
 //
 // # Follower mode (WAL-shipping replication)
 //

@@ -64,6 +64,24 @@ func (tx *Tx) Get(tableName, id string) (Row, error) {
 	return row.Clone(), nil
 }
 
+// Peek returns the row with the given key as the store holds it, or
+// ErrNotFound. Unlike Get it does not clone: the row and its values must
+// be treated as read-only, and may be kept beyond the transaction —
+// committed rows are immutable, an update replaces the map entry and
+// never mutates the old Row. A caller that writes the row back builds a
+// fresh one and may carry the old values into it.
+func (tx *Tx) Peek(tableName, id string) (Row, error) {
+	t, err := tx.table(tableName)
+	if err != nil {
+		return nil, err
+	}
+	row := tx.effectiveRow(t, tableName, id)
+	if row == nil {
+		return nil, ErrNotFound
+	}
+	return row, nil
+}
+
 // GetValue returns a single column of the row with the given key, or
 // ErrNotFound. Unlike Get it does not clone the row, so wide columns the
 // caller does not need (entity JSON blobs, say) cost nothing. The

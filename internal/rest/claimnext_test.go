@@ -3,12 +3,15 @@ package rest
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"chronos/internal/api"
 	"chronos/internal/core"
+	"chronos/internal/httputil"
 	"chronos/internal/metrics"
+	"chronos/internal/params"
 )
 
 // TestClaimNextOnBothVersions drives complete's claimNext and the release
@@ -196,4 +199,89 @@ func TestClaimedAndReleasedCounters(t *testing.T) {
 	post("/jobs/"+fourth+"/complete", `{"resultJson":"e30=","claimNext":"`+depID+`"}`)
 	post("/jobs/claim", `{"deploymentId":"`+depID+`"}`)
 	want("an empty queue", 2, 3, 1)
+}
+
+// TestClaimAnswersKeepTheirBytes: a claim and a complete with claimNext
+// answer, on each API version, the bytes the server wrote when it encoded
+// an api.ClaimResponse holding the job and its system's decoded parameter
+// definitions. The definitions go out as the store holds them, never
+// decoded, so they must match to the byte — characters JSON escapes
+// included — and a system without any answers no "parameters" key.
+func TestClaimAnswersKeepTheirBytes(t *testing.T) {
+	f := newFixture(t, false, "")
+	u, _ := f.svc.CreateUser("u", core.RoleAdmin)
+	p, _ := f.svc.CreateProject("p", "", u.ID, nil)
+	defs := mongoDefs()
+	defs[0].Description = "<storage> & \"engine\" "
+	rich, err := f.svc.RegisterSystem("rich", "", defs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := f.svc.RegisterSystem("bare", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// encoded is the claim answer as a decoded System made it.
+	encoded := func(version, jobID string) string {
+		t.Helper()
+		job, err := f.svc.GetJob(jobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := api.ClaimResponse{Job: job}
+		if version == "v2" {
+			sys, err := f.svc.GetSystem(job.SystemID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Parameters = sys.Parameters
+		}
+		rec := httptest.NewRecorder()
+		httputil.WriteJSON(rec, http.StatusOK, resp)
+		return rec.Body.String()
+	}
+	claimed := func(body string) string {
+		t.Helper()
+		var env struct {
+			Data api.ClaimResponse `json:"data"`
+		}
+		if err := json.Unmarshal([]byte(body), &env); err != nil || env.Data.Job == nil {
+			t.Fatalf("no job in %s (%v)", body, err)
+		}
+		return env.Data.Job.ID
+	}
+	for _, sys := range []*core.System{rich, bare} {
+		dep, err := f.svc.CreateDeployment(sys.ID, "d", "", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var settings map[string][]params.Value
+		if sys == rich {
+			settings = map[string][]params.Value{"threads": {params.Int(1), params.Int(2)}}
+		}
+		exp, err := f.svc.CreateExperiment(p.ID, sys.ID, "e", "", settings, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if _, _, err := f.svc.CreateEvaluation(exp.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, v := range APIVersions {
+			code, body := f.raw(t, http.MethodPost, "/api/"+v+"/jobs/claim", `{"deploymentId":"`+dep.ID+`"}`)
+			id := claimed(body)
+			if want := encoded(v, id); code != http.StatusOK || body != want {
+				t.Fatalf("%s %s claim answered %d\n%s\nwant\n%s", sys.Name, v, code, body, want)
+			}
+			if hasDefs := strings.Contains(body, `"parameters"`); hasDefs != (v == "v2" && sys == rich) {
+				t.Fatalf("%s %s claim: parameters present = %v: %s", sys.Name, v, hasDefs, body)
+			}
+			code, body = f.raw(t, http.MethodPost, "/api/"+v+"/jobs/"+id+"/complete",
+				`{"resultJson":"e30=","claimNext":"`+dep.ID+`"}`)
+			if want := encoded(v, claimed(body)); code != http.StatusOK || body != want {
+				t.Fatalf("%s %s complete with claimNext answered %d\n%s\nwant\n%s", sys.Name, v, code, body, want)
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package rest
 
 import (
+	"encoding/json"
 	"net/http"
 
 	"chronos/internal/api"
@@ -133,10 +134,10 @@ func (s *Server) appendLog(id string, q api.LogRequest) (string, error) {
 
 // claim hands out the deployment's next job (nil: its queue is empty). It
 // is a write like any other: a follower refuses it read-only.
-func (s *Server) claim(version string) func(_ string, q api.ClaimRequest) (api.ClaimResponse, error) {
-	return func(_ string, q api.ClaimRequest) (api.ClaimResponse, error) {
-		job, _, err := s.svc.ClaimJob(q.DeploymentID)
-		return s.claimResponse(version, job), err
+func (s *Server) claim(version string) func(_ string, q api.ClaimRequest) (claimAnswer, error) {
+	return func(_ string, q api.ClaimRequest) (claimAnswer, error) {
+		job, defs, err := s.svc.Claim(q.DeploymentID)
+		return answerClaim(version, job, defs), err
 	}
 }
 
@@ -144,11 +145,11 @@ func (s *Server) claim(version string) func(_ string, q api.ClaimRequest) (api.C
 // next job in the same transaction and answers what a claim would have.
 func (s *Server) complete(version string) func(id string, q api.CompleteRequest) (any, error) {
 	return func(id string, q api.CompleteRequest) (any, error) {
-		next, err := s.svc.CompleteJobClaimNext(id, q.ResultJSON, q.Archive, q.Log, q.ClaimNext)
+		next, defs, err := s.svc.CompleteJobClaimNext(id, q.ResultJSON, q.Archive, q.Log, q.ClaimNext)
 		if err != nil || q.ClaimNext == "" {
 			return "completed", err
 		}
-		return s.claimResponse(version, next), nil
+		return answerClaim(version, next, defs), nil
 	}
 }
 
@@ -179,15 +180,21 @@ func (s *Server) handleExportProject(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// claimResponse is the answer to a claim, whichever call made it: the job
+// claimAnswer is api.ClaimResponse as the server writes it: the parameter
+// definitions go out as the store holds them, JSON that is neither decoded
+// nor encoded again on the way. An empty Parameters is left out, as an
+// empty slice of definitions is.
+type claimAnswer struct {
+	Job        *core.Job       `json:"job,omitempty"`
+	Parameters json.RawMessage `json:"parameters,omitempty"`
+}
+
+// answerClaim is the answer to a claim, whichever call made it: the job
 // (nil: the queue was empty) and, from v2 on, its system's parameter
 // definitions.
-func (s *Server) claimResponse(version string, job *core.Job) api.ClaimResponse {
-	resp := api.ClaimResponse{Job: job}
-	if job != nil && version == "v2" {
-		if sys, err := s.svc.GetSystem(job.SystemID); err == nil {
-			resp.Parameters = sys.Parameters
-		}
+func answerClaim(version string, job *core.Job, defs json.RawMessage) claimAnswer {
+	if version != "v2" {
+		defs = nil
 	}
-	return resp
+	return claimAnswer{Job: job, Parameters: defs}
 }
