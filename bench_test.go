@@ -176,12 +176,12 @@ func engineThroughput(b *testing.B, engine string, opts mongosim.Options, mix wo
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	meas, err := mongoagent.RunWorkload(coll, cfg, threads, nil, nil)
+	sm, err := mongoagent.RunScheduleWorkload(coll, cfg.Schedule(), threads, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.StopTimer()
-	return meas.Throughput
+	return sm.Total.Throughput
 }
 
 // BenchmarkAblation_Compression isolates wiredTiger's block compression:
@@ -267,12 +267,12 @@ func BenchmarkAblation_Distribution(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			meas, err := mongoagent.RunWorkload(coll, cfg, 8, nil, nil)
+			sm, err := mongoagent.RunScheduleWorkload(coll, cfg.Schedule(), 8, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			b.ReportMetric(meas.Throughput, "ops/s")
+			b.ReportMetric(sm.Total.Throughput, "ops/s")
 		})
 	}
 }

@@ -17,19 +17,22 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"chronos/internal/agent"
+	"chronos/internal/agent/sims"
 	"chronos/internal/ftpx"
-	"chronos/internal/mongoagent"
-	"chronos/internal/mongosim"
-	"chronos/internal/tsagent"
-	"chronos/internal/tssim"
 	"chronos/pkg/client"
 )
 
 func main() {
+	var names []string
+	for _, f := range sims.Families {
+		names = append(names, f.Name)
+	}
+	families := strings.Join(names, " or ")
 	var (
 		controlURL = flag.String("control", "http://localhost:8080", "Chronos Control base URL")
 		deployment = flag.String("deployment", "", "deployment id this agent serves (required)")
@@ -41,7 +44,7 @@ func main() {
 		poll       = flag.Duration("poll", time.Second, "idle poll interval")
 		report     = flag.Duration("report", 2*time.Second, "progress/log reporting interval")
 		ioLatency  = flag.Duration("write-latency", 0, "simulated engine write latency (0 = engine default)")
-		system     = flag.String("system", mongoagent.SystemName, "SUT family this agent hosts (mongodb-sim or timeseries-sim)")
+		system     = flag.String("system", names[0], "SUT family this agent hosts ("+families+")")
 	)
 	flag.Parse()
 	if *deployment == "" {
@@ -52,14 +55,9 @@ func main() {
 	if *agentToken != "" {
 		opts = append(opts, client.WithAgentToken(*agentToken))
 	}
-	var factory func() agent.Runner
-	switch *system {
-	case mongoagent.SystemName:
-		factory = mongoagent.NewFactory(mongosim.Options{WriteLatency: *ioLatency})
-	case tsagent.SystemName:
-		factory = tsagent.NewFactory(tssim.Options{})
-	default:
-		log.Fatalf("chronos-agent: unknown -system %q (use %s or %s)", *system, mongoagent.SystemName, tsagent.SystemName)
+	family, ok := sims.Lookup(*system)
+	if !ok {
+		log.Fatalf("chronos-agent: unknown -system %q (use %s)", *system, families)
 	}
 
 	c := client.NewClient(*controlURL, opts...)
@@ -72,7 +70,7 @@ func main() {
 	a := &agent.Agent{
 		Control:        c,
 		DeploymentID:   *deployment,
-		Factory:        factory,
+		Factory:        family.Factory(*ioLatency, 0),
 		PollInterval:   *poll,
 		ReportInterval: *report,
 	}

@@ -103,21 +103,32 @@ func TestBuildChartGroupsAndSorts(t *testing.T) {
 	}
 }
 
+// TestBuildChartAveragesDuplicates: jobs with identical parameters chart
+// as the plain mean of their values, every duplicate weighted equally.
 func TestBuildChartAveragesDuplicates(t *testing.T) {
-	rows := []ResultRow{
-		{Params: params.Assignment{"threads": params.Int(1)}, Values: map[string]float64{"m": 10}},
-		{Params: params.Assignment{"threads": params.Int(1)}, Values: map[string]float64{"m": 20}},
-	}
 	spec := core.DiagramSpec{Type: "line", Title: "t", Metric: "m", XParam: "threads"}
-	chart, err := BuildChart(spec, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chart.Series) != 1 || len(chart.Series[0].Points) != 1 {
-		t.Fatalf("chart = %+v", chart)
-	}
-	if chart.Series[0].Points[0].Y != 15 {
-		t.Fatalf("averaged y = %v", chart.Series[0].Points[0].Y)
+	for _, tc := range []struct {
+		ys   []float64
+		want float64
+	}{
+		{[]float64{10, 20}, 15},
+		{[]float64{10, 20, 30}, 20},     // a running pairwise mean reads 22.5
+		{[]float64{10, 20, 30, 40}, 25}, // and 31.25
+	} {
+		var rows []ResultRow
+		for _, y := range tc.ys {
+			rows = append(rows, ResultRow{Params: params.Assignment{"threads": params.Int(1)}, Values: map[string]float64{"m": y}})
+		}
+		chart, err := BuildChart(spec, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chart.Series) != 1 || len(chart.Series[0].Points) != 1 {
+			t.Fatalf("%v: chart = %+v", tc.ys, chart)
+		}
+		if got := chart.Series[0].Points[0].Y; got != tc.want {
+			t.Errorf("%v: averaged y = %v, want %v", tc.ys, got, tc.want)
+		}
 	}
 }
 

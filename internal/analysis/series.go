@@ -135,15 +135,17 @@ func BuildChart(spec core.DiagramSpec, rows []ResultRow) (*Chart, error) {
 			return pts[i].X < pts[j].X
 		})
 		// Average duplicate x values (several jobs with identical params,
-		// e.g. repeated evaluations of one experiment).
+		// e.g. repeated evaluations of one experiment), each with equal
+		// weight.
 		merged := make([]Point, 0, len(pts))
-		for _, p := range pts {
-			if len(merged) > 0 && merged[len(merged)-1].X == p.X {
-				last := &merged[len(merged)-1]
-				last.Y = (last.Y + p.Y) / 2
-				continue
+		for i := 0; i < len(pts); {
+			p, j := pts[i], i+1
+			for ; j < len(pts) && pts[j].X == p.X; j++ {
+				p.Y += pts[j].Y
 			}
+			p.Y /= float64(j - i)
 			merged = append(merged, p)
+			i = j
 		}
 		chart.Series = append(chart.Series, Series{Name: n, Points: merged})
 	}

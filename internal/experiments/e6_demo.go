@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
-	"chronos/internal/agent"
 	"chronos/internal/analysis"
 	"chronos/internal/core"
 	"chronos/internal/mongoagent"
@@ -58,7 +56,7 @@ func E6EngineComparison(cfg Config) (*Report, *E6Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	sys, dep, err := tb.registerMongo()
+	sys, dep, err := tb.register(mongoagent.SystemName)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -79,12 +77,7 @@ func E6EngineComparison(cfg Config) (*Report, *E6Result, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		a := &agent.Agent{
-			Control:      &agent.LocalControl{Svc: tb.svc},
-			DeploymentID: dep.ID,
-			Factory:      mongoagent.NewFactory(engineOptions(cfg, 7)),
-		}
-		if _, err := a.Drain(context.Background()); err != nil {
+		if err := drain(tb.svc, dep, mongoagent.NewFactory(engineOptions(cfg, 7))); err != nil {
 			return nil, nil, err
 		}
 

@@ -1,16 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
-	"chronos/internal/agent"
+	"chronos/internal/agent/sims"
 	"chronos/internal/core"
 	"chronos/internal/mongoagent"
 	"chronos/internal/params"
 	"chronos/internal/tsagent"
-	"chronos/internal/tssim"
 	"chronos/internal/workload"
 )
 
@@ -62,13 +60,12 @@ func E9DynamicDrift(cfg Config) (*Report, *E9Result, error) {
 		return nil, nil, err
 	}
 
-	run := func(system string, settings map[string][]params.Value,
-		register func() (*core.System, *core.Deployment, error),
-		factory func() agent.Runner, growth func(doc map[string]any) int64) error {
-		sys, dep, err := register()
+	run := func(system string, settings map[string][]params.Value, growth func(doc map[string]any) int64) error {
+		sys, dep, err := tb.register(system)
 		if err != nil {
 			return err
 		}
+		family, _ := sims.Lookup(system)
 		settings["schedule"] = []params.Value{params.String_(spec)}
 		exp, err := tb.svc.CreateExperiment(tb.projectID, sys.ID, "drift-"+system, "", settings, 0)
 		if err != nil {
@@ -78,12 +75,7 @@ func E9DynamicDrift(cfg Config) (*Report, *E9Result, error) {
 		if err != nil {
 			return err
 		}
-		a := &agent.Agent{
-			Control:      &agent.LocalControl{Svc: tb.svc},
-			DeploymentID: dep.ID,
-			Factory:      factory,
-		}
-		if _, err := a.Drain(context.Background()); err != nil {
+		if err := drain(tb.svc, dep, family.Factory(cfg.WriteLatency, 7)); err != nil {
 			return err
 		}
 		if len(jobs) != 1 {
@@ -122,8 +114,6 @@ func E9DynamicDrift(cfg Config) (*Report, *E9Result, error) {
 			"operations": {params.Int(cfg.Operations)},
 			"threads":    {params.Int(4)},
 		},
-		tb.registerMongo,
-		mongoagent.NewFactory(engineOptions(cfg, 7)),
 		func(doc map[string]any) int64 {
 			es := doc["engineStats"].(map[string]any)
 			return int64(es["documents"].(float64)) - cfg.Records
@@ -139,8 +129,6 @@ func E9DynamicDrift(cfg Config) (*Report, *E9Result, error) {
 			"operations": {params.Int(cfg.Operations)},
 			"threads":    {params.Int(4)},
 		},
-		tb.registerTS,
-		tsagent.NewFactory(tssim.Options{}),
 		func(doc map[string]any) int64 {
 			return int64(doc["cardinality"].(float64)) - cfg.Records/4
 		})

@@ -16,12 +16,11 @@ import (
 	"time"
 
 	"chronos/internal/agent"
+	"chronos/internal/agent/sims"
 	"chronos/internal/core"
-	"chronos/internal/mongoagent"
 	"chronos/internal/mongosim"
 	"chronos/internal/params"
 	"chronos/internal/relstore"
-	"chronos/internal/tsagent"
 )
 
 // Config scales the experiments.
@@ -114,10 +113,15 @@ func newTestbed() (*testbed, error) {
 	return &testbed{svc: svc, userID: u.ID, projectID: p.ID}, nil
 }
 
-// registerMongo registers the demo SuE and one deployment.
-func (tb *testbed) registerMongo() (*core.System, *core.Deployment, error) {
-	defs, diagrams := mongoagent.SystemDefinition()
-	sys, err := tb.svc.RegisterSystem(mongoagent.SystemName, "simulated MongoDB", defs, diagrams)
+// register registers the simulator family called name and one
+// deployment of it.
+func (tb *testbed) register(name string) (*core.System, *core.Deployment, error) {
+	fam, ok := sims.Lookup(name)
+	if !ok {
+		return nil, nil, fmt.Errorf("experiments: no simulator family %q", name)
+	}
+	defs, diagrams := fam.Definition()
+	sys, err := tb.svc.RegisterSystem(fam.Name, fam.Description, defs, diagrams)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -128,23 +132,19 @@ func (tb *testbed) registerMongo() (*core.System, *core.Deployment, error) {
 	return sys, dep, nil
 }
 
-// registerTS registers the time-series SuE and one deployment.
-func (tb *testbed) registerTS() (*core.System, *core.Deployment, error) {
-	defs, diagrams := tsagent.SystemDefinition()
-	sys, err := tb.svc.RegisterSystem(tsagent.SystemName, "simulated time-series store", defs, diagrams)
-	if err != nil {
-		return nil, nil, err
-	}
-	dep, err := tb.svc.CreateDeployment(sys.ID, "tsdb-1", "inprocess", "1.0")
-	if err != nil {
-		return nil, nil, err
-	}
-	return sys, dep, nil
-}
-
 // engineOptions derives mongosim options from the config.
 func engineOptions(cfg Config, seed int64) mongosim.Options {
 	return mongosim.Options{WriteLatency: cfg.WriteLatency, Seed: seed}
+}
+
+// drain runs one agent at its default poll and report cadence until dep's
+// queue is empty. The measuring experiments use it so that progress
+// reporting competes with the measured threads no more than in a real
+// deployment.
+func drain(svc *core.Service, dep *core.Deployment, factory func() agent.Runner) error {
+	a := &agent.Agent{Control: &agent.LocalControl{Svc: svc}, DeploymentID: dep.ID, Factory: factory}
+	_, err := a.Drain(context.Background())
+	return err
 }
 
 // runAgents drains the queue with n parallel agents on the given

@@ -80,8 +80,7 @@ func E2SystemRegistration() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	defs, diagrams := mongoagent.SystemDefinition()
-	sys, err := tb.svc.RegisterSystem(mongoagent.SystemName, "simulated MongoDB", defs, diagrams)
+	sys, _, err := tb.register(mongoagent.SystemName)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +122,7 @@ func E3ParamSpace() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, _, err := tb.registerMongo()
+	sys, _, err := tb.register(mongoagent.SystemName)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +175,7 @@ func E5JobLifecycle() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, dep, err := tb.registerMongo()
+	sys, dep, err := tb.register(mongoagent.SystemName)
 	if err != nil {
 		return nil, err
 	}

@@ -1,17 +1,19 @@
-// Package mongoagent implements the evaluation client of the paper's
-// demonstration: a Chronos agent runner that benchmarks the MongoDB
-// simulator's two storage engines (wiredTiger vs mmapv1) under YCSB-style
-// workloads. It is the Go counterpart of the "MongoDB Chronos agent"
-// published with the paper.
+// Package mongoagent is the evaluation client of the paper's
+// demonstration: the MongoDB simulator's two storage engines (wiredTiger vs
+// mmapv1) under YCSB-style workloads, the Go counterpart of the "MongoDB
+// Chronos agent" published with the paper. It is one family of
+// agent.SimRunner: the package supplies the family's parameters and its
+// agent.SUT, which maps the generated operations onto the collection API:
 //
-// The runner understands the parameters declared by SystemDefinition:
+//	read    -> FindOne; a missing key is a counted success
+//	update  -> UpdateOne of one field; a missing key is a counted success
+//	insert  -> ReplaceOne of a full record under a fresh key
+//	scan    -> Scan of ScanLength documents from the key
+//	rmw     -> FindOne followed by UpdateOne
 //
-//	engine        value(string): wiredtiger | mmapv1
-//	threads       interval: number of client threads
-//	records       value(int): table size loaded in the prepare phase
-//	operations    value(int): operations executed in the execute phase
-//	mix           ratio: read:update proportions
-//	distribution  value(string): zipfian | uniform | latest | sequential
+// SystemDefinition declares the parameters. engine (wiredtiger | mmapv1)
+// is the family's own; agent.SimRunner reads the rest as it does for every
+// family, records sizing the data set and mix weighing read:update.
 package mongoagent
 
 import (
@@ -20,7 +22,6 @@ import (
 
 	"chronos/internal/agent"
 	"chronos/internal/core"
-	"chronos/internal/metrics"
 	"chronos/internal/mongosim"
 	"chronos/internal/params"
 	"chronos/internal/workload"
@@ -83,153 +84,77 @@ func SystemDefinition() ([]params.Definition, []core.DiagramSpec) {
 	return defs, diagrams
 }
 
-// Runner executes one benchmark job against a fresh simulator instance.
-type Runner struct {
-	// EngineOptions tunes the simulated engines (I/O latency, cache,
-	// compression); Seed is overridden per job for reproducibility.
-	EngineOptions mongosim.Options
-
-	server  *mongosim.Server
-	coll    *mongosim.Collection
-	cfg     workload.Config
-	sched   workload.Schedule
-	threads int
-	meas    metrics.Measurements
-	phases  []workload.PhaseMeasurement
-}
-
-var _ agent.Runner = (*Runner)(nil)
-
-// NewFactory returns an agent.Runner factory with shared engine options.
+// NewFactory returns an agent.Runner factory whose simulators share
+// opts; a zero opts.Seed is replaced per job by the job's workload seed.
 func NewFactory(opts mongosim.Options) func() agent.Runner {
-	return func() agent.Runner { return &Runner{EngineOptions: opts} }
+	f := agent.Family{
+		Name:       SystemName,
+		Definition: SystemDefinition,
+		Workload:   "chronos-demo",
+		Records:    "records",
+		Mix:        [2]workload.OpType{workload.OpRead, workload.OpUpdate},
+		Open: func(a params.Assignment) (agent.SUT, error) {
+			return &sut{opts: opts, engine: a.String("engine", "")}, nil
+		},
+	}
+	return func() agent.Runner { return &agent.SimRunner{Family: f} }
 }
 
-// configFromParams derives the workload configuration and schedule from
-// job params. With no "schedule" parameter the schedule is the config's
-// one-phase degenerate case; a non-empty schedule DSL replaces the phase
-// list while keeping the config's table shape and seed.
-func configFromParams(a params.Assignment) (workload.Config, workload.Schedule, int, string, error) {
-	fail := func(err error) (workload.Config, workload.Schedule, int, string, error) {
-		return workload.Config{}, workload.Schedule{}, 0, "", err
-	}
-	engine := a.String("engine", mongosim.EngineWiredTiger)
-	threads := int(a.Int("threads", 1))
-	if threads < 1 {
-		return fail(fmt.Errorf("mongoagent: %d threads", threads))
-	}
-	mixVal, ok := a["mix"]
-	readPart, updatePart := 50, 50
-	if ok {
-		if parts, ok := mixVal.AsRatio(); ok && len(parts) == 2 {
-			readPart, updatePart = parts[0], parts[1]
-		}
-	}
-	cfg := workload.Config{
-		Name:           "chronos-demo",
-		RecordCount:    a.Int("records", 10000),
-		OperationCount: a.Int("operations", 20000),
-		Mix:            workload.MixFromRatio(readPart, updatePart),
-		Distribution:   a.String("distribution", "zipfian"),
-		// Seed precedence: explicit job parameter, then
-		// CHRONOS_SESSION_SEED (so harness replays pin the workload
-		// stream too), then the fixed default.
-		Seed: a.Int("seed", workload.SeedFromEnv(42)),
-	}
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		return fail(err)
-	}
-	sched := cfg.Schedule()
-	if spec := a.String("schedule", ""); spec != "" {
-		phases, err := workload.ParseSchedulePhases(spec)
-		if err != nil {
-			return fail(err)
-		}
-		sched.Phases = phases
-		sched = sched.WithDefaults()
-		if err := sched.Validate(); err != nil {
-			return fail(err)
-		}
-	}
-	return cfg, sched, threads, engine, nil
+// sut is one simulator deployment serving one job.
+type sut struct {
+	opts   mongosim.Options
+	engine string
+	cfg    workload.Config
+	server *mongosim.Server
+	coll   *mongosim.Collection
 }
 
-// Prepare creates the simulator deployment and loads the records
-// (paper §1: "the generation of benchmark data and their ingestion").
-func (r *Runner) Prepare(rc *agent.RunContext) error {
-	cfg, sched, threads, engine, err := configFromParams(rc.Params())
-	if err != nil {
-		return err
-	}
-	r.cfg, r.sched, r.threads = cfg, sched, threads
-	opts := r.EngineOptions
+// Load creates the simulator deployment and loads the records.
+func (s *sut) Load(rc *agent.RunContext, cfg workload.Config) error {
+	s.cfg = cfg
+	opts := s.opts
 	if opts.Seed == 0 {
 		// Pin engine-internal randomness (skiplist tower heights) to the
 		// same replayable seed as the workload stream.
 		opts.Seed = cfg.Seed
 	}
-	srv, err := mongosim.NewServer(engine, opts)
+	srv, err := mongosim.NewServer(s.engine, opts)
 	if err != nil {
 		return err
 	}
-	r.server = srv
-	r.coll = srv.Database("benchmark").Collection("usertable")
-	rc.Logf("prepare: engine=%s records=%d", engine, cfg.RecordCount)
+	s.server = srv
+	s.coll = srv.Database("benchmark").Collection("usertable")
+	rc.Logf("prepare: engine=%s records=%d", s.engine, cfg.RecordCount)
 
 	// Parallel load: each loader owns a key stripe.
-	return LoadCollection(r.coll, cfg, 8)
+	return LoadCollection(s.coll, cfg, 8)
 }
 
 // WarmUp reads a sample of the table so caches are populated.
-func (r *Runner) WarmUp(rc *agent.RunContext) error {
-	rc.Logf("warmup: reading %d sample keys", r.cfg.RecordCount/10+1)
-	gen, err := workload.NewGenerator(r.cfg, 9999)
+func (s *sut) WarmUp(rc *agent.RunContext) error {
+	n := s.cfg.RecordCount/10 + 1
+	rc.Logf("warmup: reading %d sample keys", n)
+	sched := s.cfg.Schedule()
+	sched.Phases[0].OperationCount = n
+	gen, err := workload.NewScheduleGenerator(sched, 9999, 1)
 	if err != nil {
 		return err
 	}
-	for i := int64(0); i < r.cfg.RecordCount/10+1; i++ {
+	for i := int64(0); i < n; i++ {
 		if i%1024 == 0 && rc.Err() != nil {
 			return rc.Err()
 		}
-		op := gen.NextOp()
-		r.coll.FindOne(op.Key)
+		op, _ := gen.Next()
+		s.coll.FindOne(op.Key)
 	}
 	return nil
 }
 
-// Execute runs the measured operation schedule.
-func (r *Runner) Execute(rc *agent.RunContext) error {
-	total, _ := r.sched.TotalOperations()
-	rc.Logf("execute: phases=%d ops=%d threads=%d", len(r.sched.Phases), total, r.threads)
-	for i, p := range r.sched.Phases {
-		rc.Logf("  phase %d %q: mix=%s dist=%s", i, p.Name, p.Mix, p.Distribution)
-	}
-	sm, err := RunScheduleWorkload(r.coll, r.sched, r.threads, func(done, total int64) {
-		rc.SetProgress(done * 100 / total)
-	}, rc.Err)
-	if err != nil {
-		return err
-	}
-	r.meas = sm.Total
-	r.phases = sm.Phases
-	return rc.Err()
-}
-
-// Analyze renders the result document Chronos Control visualises.
-func (r *Runner) Analyze(rc *agent.RunContext) (map[string]any, error) {
-	st := r.coll.Stats()
-	lat := r.meas.Latency
-	rc.Logf("analyze: %.0f ops/s, p95=%.1fus", r.meas.Throughput, metrics.Micros(lat.P95))
-	result := map[string]any{
-		"throughput":      r.meas.Throughput,
-		"operations":      r.meas.Operations,
-		"errors":          r.meas.Errors,
-		"latency_mean_us": lat.Mean / 1000,
-		"latency_p50_us":  metrics.Micros(lat.P50),
-		"latency_p95_us":  metrics.Micros(lat.P95),
-		"latency_p99_us":  metrics.Micros(lat.P99),
-		"engine":          st.Engine,
+// Stats reports the engine and its storage counters.
+func (s *sut) Stats() (map[string]any, string) {
+	st := s.coll.Stats()
+	return map[string]any{
+		"engine": st.Engine,
 		"engineStats": map[string]any{
 			"documents":        st.Documents,
 			"compressionRatio": st.CompressionRatio(),
@@ -238,24 +163,13 @@ func (r *Runner) Analyze(rc *agent.RunContext) (map[string]any, error) {
 			"moves":            st.Moves,
 			"checkpoints":      st.Checkpoints,
 		},
-	}
-	if len(r.phases) > 1 {
-		result[core.PhaseResultsKey] = agent.PhaseResultsFrom(r.sched, r.phases)
-	}
-	// Per-operation latency CSV as auxiliary artefact.
-	csv := "operation,count,mean_ns,p50_ns,p95_ns,p99_ns\n"
-	for _, name := range r.meas.SortedOperationNames() {
-		s := r.meas.PerOperation[name]
-		csv += fmt.Sprintf("%s,%d,%.0f,%d,%d,%d\n", name, s.Count, s.Mean, s.P50, s.P95, s.P99)
-	}
-	rc.AttachFile("latencies.csv", []byte(csv))
-	return result, nil
+	}, ""
 }
 
-// Clean shuts the simulator down.
-func (r *Runner) Clean(rc *agent.RunContext) error {
-	if r.server != nil {
-		return r.server.Close()
+// Close shuts the simulator down.
+func (s *sut) Close() error {
+	if s.server != nil {
+		return s.server.Close()
 	}
 	return nil
 }
@@ -273,7 +187,7 @@ func LoadCollection(coll *mongosim.Collection, cfg workload.Config, loaders int)
 		wg.Add(1)
 		go func(l int) {
 			defer wg.Done()
-			gen, err := workload.NewGenerator(cfg, 10000+l)
+			gen, err := workload.NewScheduleGenerator(cfg.Schedule(), 10000+l, 1)
 			if err != nil {
 				errc <- err
 				return
@@ -313,44 +227,33 @@ func patchDoc(fields []workload.Field) mongosim.Document {
 	return doc
 }
 
-// RunWorkload executes the configured mix against the collection with the
-// given number of client threads and returns the standard measurements.
-// progress (may be nil) receives (done, total) counts of *completed*
-// operations; abortErr (may be nil) is polled between batches and stops
-// workers when non-nil. Exactly cfg.OperationCount operations execute:
-// the remainder of an uneven split lands on the low worker indexes, and
-// surplus workers stay idle when threads exceed the op count.
-func RunWorkload(coll *mongosim.Collection, cfg workload.Config, threads int, progress func(done, total int64), abortErr func() error) (metrics.Measurements, error) {
-	sm, err := RunScheduleWorkload(coll, cfg.Schedule(), threads, progress, abortErr)
-	return sm.Total, err
-}
-
 // RunScheduleWorkload drives a multi-phase schedule against the
-// collection and returns whole-run plus per-phase measurements.
+// collection with the given number of client threads and returns
+// whole-run plus per-phase measurements. progress (may be nil) receives
+// (done, total) counts of completed operations; abortErr (may be nil) is
+// polled between batches and stops workers when non-nil.
 func RunScheduleWorkload(coll *mongosim.Collection, sched workload.Schedule, threads int, progress func(done, total int64), abortErr func() error) (workload.ScheduleMeasurements, error) {
-	return workload.RunSchedule(sched, threads, func(op workload.Op) error {
-		return applyOp(coll, op)
-	}, progress, abortErr)
+	return workload.RunSchedule(sched, threads, (&sut{coll: coll}).Apply, progress, abortErr)
 }
 
-// applyOp maps one generated operation onto the collection API.
-func applyOp(coll *mongosim.Collection, op workload.Op) error {
+// Apply maps one generated operation onto the collection API.
+func (s *sut) Apply(op workload.Op) error {
 	switch op.Type {
 	case workload.OpRead:
-		_, err := coll.FindOne(op.Key)
+		_, err := s.coll.FindOne(op.Key)
 		return ignoreMissing(err)
 	case workload.OpUpdate:
-		return ignoreMissing(coll.UpdateOne(op.Key, patchDoc(op.Fields)))
+		return ignoreMissing(s.coll.UpdateOne(op.Key, patchDoc(op.Fields)))
 	case workload.OpInsert:
-		return coll.ReplaceOne(recordToDoc(op.Key, op.Fields))
+		return s.coll.ReplaceOne(recordToDoc(op.Key, op.Fields))
 	case workload.OpScan:
-		_, err := coll.Scan(op.Key, op.ScanLength)
+		_, err := s.coll.Scan(op.Key, op.ScanLength)
 		return err
 	case workload.OpReadModifyWrite:
-		if _, err := coll.FindOne(op.Key); err != nil {
+		if _, err := s.coll.FindOne(op.Key); err != nil {
 			return ignoreMissing(err)
 		}
-		return ignoreMissing(coll.UpdateOne(op.Key, patchDoc(op.Fields)))
+		return ignoreMissing(s.coll.UpdateOne(op.Key, patchDoc(op.Fields)))
 	default:
 		return fmt.Errorf("mongoagent: unknown op %q", op.Type)
 	}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -43,55 +46,82 @@ func TestSystemDefinitionIsValid(t *testing.T) {
 	}
 }
 
+// phase renders what a test pins of one schedule phase.
+func phase(name string, ops int64, mix workload.Mix, dist string) string {
+	return fmt.Sprintf("%s ops=%d mix=%s dist=%s", name, ops, mix, dist)
+}
+
+// withDefaults returns a over the declared defaults, as the runner hands
+// it to Open.
+func withDefaults(a params.Assignment) params.Assignment {
+	defs, _ := SystemDefinition()
+	out := params.Assignment{}
+	for _, d := range defs {
+		out[d.Name] = d.Default
+	}
+	maps.Copy(out, a)
+	return out
+}
+
+// TestConfigFromParams: the shared parser reads this family's parameter
+// names over its declared defaults, and Open reads the engine.
 func TestConfigFromParams(t *testing.T) {
-	a := params.Assignment{
-		"engine":       params.String_("mmapv1"),
-		"threads":      params.Int(4),
-		"records":      params.Int(500),
-		"operations":   params.Int(1000),
-		"mix":          params.Ratio(95, 5),
-		"distribution": params.String_("uniform"),
+	t.Setenv("CHRONOS_SESSION_SEED", "5")
+	fam := NewFactory(fastOpts())().(*agent.SimRunner).Family
+	cases := []struct {
+		name    string
+		params  params.Assignment
+		fail    bool
+		engine  string
+		records int64
+		threads int
+		seed    int64
+		phases  []string
+	}{
+		{name: "explicit", params: params.Assignment{
+			"engine": params.String_(mongosim.EngineMMAPv1), "threads": params.Int(4), "records": params.Int(500),
+			"operations": params.Int(1000), "mix": params.Ratio(95, 5), "distribution": params.String_("uniform"), "seed": params.Int(9),
+		}, engine: mongosim.EngineMMAPv1, records: 500, threads: 4, seed: 9,
+			phases: []string{phase("chronos-demo", 1000, workload.Mix{workload.OpRead: 95, workload.OpUpdate: 5}, "uniform")}},
+		{name: "defaults", params: params.Assignment{}, engine: mongosim.EngineWiredTiger, records: 10000, threads: 1, seed: 5,
+			phases: []string{phase("chronos-demo", 20000, workload.Mix{workload.OpRead: 50, workload.OpUpdate: 50}, "zipfian")}},
+		{name: "zero threads", params: params.Assignment{"threads": params.Int(0)}, fail: true},
+		// A schedule DSL replaces the phase list but keeps the table shape.
+		{name: "schedule keeps the table shape", params: params.Assignment{
+			"records":  params.Int(500),
+			"schedule": params.String_("phase=warm,ops=400,mix=read:95+update:5;phase=churn,ops=600,mix=insert:50+read:50,dist=latest,grow=1"),
+		}, engine: mongosim.EngineWiredTiger, records: 500, threads: 1, seed: 5, phases: []string{
+			phase("warm", 400, workload.Mix{workload.OpRead: 95, workload.OpUpdate: 5}, "zipfian"),
+			phase("churn", 600, workload.Mix{workload.OpInsert: 50, workload.OpRead: 50}, "latest"),
+		}},
+		// A malformed schedule fails the job up front, not mid-run.
+		{name: "malformed schedule", params: params.Assignment{"schedule": params.String_("phase=broken,ops=ten")}, fail: true},
 	}
-	cfg, sched, threads, engine, err := configFromParams(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if engine != "mmapv1" || threads != 4 || cfg.RecordCount != 500 {
-		t.Fatalf("cfg = %+v threads=%d engine=%s", cfg, threads, engine)
-	}
-	if cfg.Mix[workload.OpRead] != 95 || cfg.Mix[workload.OpUpdate] != 5 {
-		t.Fatalf("mix = %v", cfg.Mix)
-	}
-	// Without a schedule param the schedule is the one-phase degenerate
-	// case of the static config.
-	if len(sched.Phases) != 1 || sched.Phases[0].OperationCount != 1000 {
-		t.Fatalf("schedule = %+v", sched)
-	}
-	// Defaults.
-	cfg, _, threads, engine, err = configFromParams(params.Assignment{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if engine != mongosim.EngineWiredTiger || threads != 1 || cfg.RecordCount != 10000 {
-		t.Fatalf("defaults: %+v %d %s", cfg, threads, engine)
-	}
-	// Invalid thread count.
-	if _, _, _, _, err := configFromParams(params.Assignment{"threads": params.Int(0)}); err == nil {
-		t.Fatal("0 threads accepted")
-	}
-	// A schedule DSL replaces the phase list but keeps the table shape.
-	a["schedule"] = params.String_("phase=warm,ops=400,mix=read:95+update:5;phase=churn,ops=600,mix=insert:50+read:50,dist=latest,grow=1")
-	_, sched, _, _, err = configFromParams(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sched.Phases) != 2 || sched.Phases[1].Name != "churn" || sched.RecordCount != 500 {
-		t.Fatalf("schedule = %+v", sched)
-	}
-	// A malformed schedule fails the job up front, not mid-run.
-	a["schedule"] = params.String_("phase=broken,ops=ten")
-	if _, _, _, _, err := configFromParams(a); err == nil {
-		t.Fatal("malformed schedule accepted")
+	for _, tc := range cases {
+		_, sched, threads, err := fam.Config(tc.params)
+		var s agent.SUT
+		if err == nil {
+			s, err = fam.Open(withDefaults(tc.params))
+		}
+		if tc.fail {
+			if err == nil {
+				t.Errorf("%s: accepted", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		var phases []string
+		for _, p := range sched.Phases {
+			phases = append(phases, phase(p.Name, p.OperationCount, p.Mix, p.Distribution))
+		}
+		if engine := s.(*sut).engine; engine != tc.engine || sched.RecordCount != tc.records || threads != tc.threads ||
+			sched.Seed != tc.seed || strings.Join(phases, "; ") != strings.Join(tc.phases, "; ") {
+			t.Errorf("%s: engine=%s records=%d threads=%d seed=%d phases=%q, want %s %d %d %d %q", tc.name, engine,
+				sched.RecordCount, threads, sched.Seed, phases, tc.engine, tc.records, tc.threads, tc.seed, tc.phases)
+		}
 	}
 }
 
@@ -114,7 +144,7 @@ func TestRunWorkloadMeasures(t *testing.T) {
 		t.Fatalf("loaded %d", coll.Count())
 	}
 	var lastDone int64
-	meas, err := RunWorkload(coll, cfg, 4, func(done, total int64) {
+	sm, err := RunScheduleWorkload(coll, cfg.Schedule(), 4, func(done, total int64) {
 		if done < lastDone {
 			t.Errorf("progress went backwards: %d -> %d", lastDone, done)
 		}
@@ -123,20 +153,20 @@ func TestRunWorkloadMeasures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meas.Operations < 3900 || meas.Operations > 4000 {
-		t.Fatalf("operations = %d", meas.Operations)
+	if sm.Total.Operations < 3900 || sm.Total.Operations > 4000 {
+		t.Fatalf("operations = %d", sm.Total.Operations)
 	}
-	if meas.Errors != 0 {
-		t.Fatalf("errors = %d", meas.Errors)
+	if sm.Total.Errors != 0 {
+		t.Fatalf("errors = %d", sm.Total.Errors)
 	}
-	if meas.Throughput <= 0 {
-		t.Fatalf("throughput = %v", meas.Throughput)
+	if sm.Total.Throughput <= 0 {
+		t.Fatalf("throughput = %v", sm.Total.Throughput)
 	}
-	if meas.Latency.Count == 0 || meas.Latency.P95 < meas.Latency.P50 {
-		t.Fatalf("latency = %+v", meas.Latency)
+	if sm.Total.Latency.Count == 0 || sm.Total.Latency.P95 < sm.Total.Latency.P50 {
+		t.Fatalf("latency = %+v", sm.Total.Latency)
 	}
-	if len(meas.PerOperation) != 2 {
-		t.Fatalf("per-op = %v", meas.PerOperation)
+	if len(sm.Total.PerOperation) != 2 {
+		t.Fatalf("per-op = %v", sm.Total.PerOperation)
 	}
 }
 
@@ -172,12 +202,12 @@ func TestRunWorkloadExactCount(t *testing.T) {
 			RecordCount: 200, OperationCount: tc.ops,
 			Mix: workload.MixFromRatio(100, 0), Distribution: "uniform", Seed: 3,
 		}.WithDefaults()
-		meas, err := RunWorkload(coll, cfg, tc.threads, nil, nil)
+		sm, err := RunScheduleWorkload(coll, cfg.Schedule(), tc.threads, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if meas.Operations != tc.ops {
-			t.Errorf("ops=%d threads=%d: executed %d", tc.ops, tc.threads, meas.Operations)
+		if sm.Total.Operations != tc.ops {
+			t.Errorf("ops=%d threads=%d: executed %d", tc.ops, tc.threads, sm.Total.Operations)
 		}
 	}
 }
@@ -201,11 +231,11 @@ func TestConcurrentInsertKeysUnique(t *testing.T) {
 	if err := LoadCollection(coll, cfg, 2); err != nil {
 		t.Fatal(err)
 	}
-	meas, err := RunWorkload(coll, cfg, 4, nil, nil)
+	sm, err := RunScheduleWorkload(coll, cfg.Schedule(), 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inserts := int64(meas.PerOperation["insert"].Count)
+	inserts := int64(sm.Total.PerOperation["insert"].Count)
 	if inserts == 0 {
 		t.Fatal("no inserts executed")
 	}
@@ -240,17 +270,17 @@ func TestRunWorkloadProgressNeverOvercounts(t *testing.T) {
 		}
 		return nil
 	}
-	meas, err := RunWorkload(coll, cfg, 4, func(done, total int64) {
+	sm, err := RunScheduleWorkload(coll, cfg.Schedule(), 4, func(done, total int64) {
 		lastDone = done
 	}, abort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meas.Operations >= cfg.OperationCount {
+	if sm.Total.Operations >= cfg.OperationCount {
 		t.Fatal("abort did not stop the run")
 	}
-	if lastDone > meas.Operations {
-		t.Fatalf("progress reported %d ops but only %d executed", lastDone, meas.Operations)
+	if lastDone > sm.Total.Operations {
+		t.Fatalf("progress reported %d ops but only %d executed", lastDone, sm.Total.Operations)
 	}
 }
 
@@ -318,11 +348,11 @@ func TestRunWorkloadAborts(t *testing.T) {
 		}
 		return nil
 	}
-	meas, err := RunWorkload(coll, cfg, 2, nil, abort)
+	sm, err := RunScheduleWorkload(coll, cfg.Schedule(), 2, nil, abort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meas.Operations >= cfg.OperationCount {
+	if sm.Total.Operations >= cfg.OperationCount {
 		t.Fatal("abort did not stop the run")
 	}
 }
@@ -342,15 +372,15 @@ func TestAllOpTypesApply(t *testing.T) {
 		if err := LoadCollection(coll, cfg, 2); err != nil {
 			t.Fatal(err)
 		}
-		meas, err := RunWorkload(coll, cfg, 2, nil, nil)
+		sm, err := RunScheduleWorkload(coll, cfg.Schedule(), 2, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
-		if meas.Errors != 0 {
-			t.Fatalf("%s: %d errors", engine, meas.Errors)
+		if sm.Total.Errors != 0 {
+			t.Fatalf("%s: %d errors", engine, sm.Total.Errors)
 		}
-		if len(meas.PerOperation) != 5 {
-			t.Fatalf("%s: per-op = %v", engine, meas.PerOperation)
+		if len(sm.Total.PerOperation) != 5 {
+			t.Fatalf("%s: per-op = %v", engine, sm.Total.PerOperation)
 		}
 		srv.Close()
 	}
@@ -387,7 +417,7 @@ func TestPayloadsStayReadOnly(t *testing.T) {
 				shown, copies = append(shown, f.Value), append(copies, bytes.Clone(f.Value))
 			}
 			mu.Unlock()
-			return applyOp(coll, op)
+			return (&sut{coll: coll}).Apply(op)
 		}, nil, nil)
 		if err != nil || sm.Total.Errors != 0 || len(sm.Total.PerOperation) != 5 {
 			t.Fatalf("%s: %v, %d errors, per-op = %v", engine, err, sm.Total.Errors, sm.Total.PerOperation)

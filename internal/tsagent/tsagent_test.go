@@ -5,9 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,51 +40,96 @@ func TestSystemDefinitionIsValid(t *testing.T) {
 	}
 }
 
+// phase renders what a test pins of one schedule phase.
+func phase(name string, ops int64, mix workload.Mix, dist string) string {
+	return fmt.Sprintf("%s ops=%d mix=%s dist=%s", name, ops, mix, dist)
+}
+
+// withDefaults returns a over the declared defaults, as the runner hands
+// it to Open.
+func withDefaults(a params.Assignment) params.Assignment {
+	defs, _ := SystemDefinition()
+	out := params.Assignment{}
+	for _, d := range defs {
+		out[d.Name] = d.Default
+	}
+	maps.Copy(out, a)
+	return out
+}
+
+// TestConfigFromParams: the shared parser reads this family's parameter
+// names over its declared defaults, series sizing the data set and mix
+// weighing append:window, and Open reads window and points.
 func TestConfigFromParams(t *testing.T) {
-	a := params.Assignment{
-		"series":     params.Int(200),
-		"points":     params.Int(8),
-		"threads":    params.Int(4),
-		"operations": params.Int(1000),
-		"mix":        params.Ratio(80, 20),
-		"window":     params.Int(64),
+	t.Setenv("CHRONOS_SESSION_SEED", "5")
+	fam := NewFactory(tssim.Options{})().(*agent.SimRunner).Family
+	cases := []struct {
+		name           string
+		params         params.Assignment
+		fail           bool
+		window, points int64
+		records        int64
+		threads        int
+		seed           int64
+		phases         []string
+	}{
+		{name: "explicit", params: params.Assignment{
+			"series": params.Int(200), "points": params.Int(8), "threads": params.Int(4), "operations": params.Int(1000),
+			"mix": params.Ratio(80, 20), "window": params.Int(64), "seed": params.Int(9),
+		}, window: 64, points: 8, records: 200, threads: 4, seed: 9,
+			phases: []string{phase("chronos-tsdemo", 1000, workload.Mix{workload.OpUpdate: 80, workload.OpRead: 20}, "latest")}},
+		{name: "defaults", params: params.Assignment{}, window: 128, points: 32, records: 1000, threads: 1, seed: 5,
+			phases: []string{phase("chronos-tsdemo", 20000, workload.Mix{workload.OpUpdate: 90, workload.OpRead: 10}, "latest")}},
+		{name: "schedule", params: params.Assignment{
+			"schedule": params.String_("phase=fill,ops=400,mix=insert:60+read:40,dist=latest,grow=1;phase=query,ops=300,mix=read:80+scan:20,dist=zipfian"),
+		}, window: 128, points: 32, records: 1000, threads: 1, seed: 5, phases: []string{
+			phase("fill", 400, workload.Mix{workload.OpInsert: 60, workload.OpRead: 40}, "latest"),
+			phase("query", 300, workload.Mix{workload.OpRead: 80, workload.OpScan: 20}, "zipfian"),
+		}},
+		{name: "malformed schedule", params: params.Assignment{"schedule": params.String_("phase=broken,ops=ten")}, fail: true},
+		{name: "zero window", params: params.Assignment{"window": params.Int(0)}, fail: true},
+		{name: "negative points", params: params.Assignment{"points": params.Int(-1)}, fail: true},
 	}
-	cfg, sched, threads, window, points, err := configFromParams(a)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		// The job fails up front, not mid-run: parsing or opening the SUT
+		// refuses it.
+		_, sched, threads, err := fam.Config(tc.params)
+		var s agent.SUT
+		if err == nil {
+			s, err = fam.Open(withDefaults(tc.params))
+		}
+		if tc.fail {
+			if err == nil {
+				t.Errorf("%s: accepted", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		var phases []string
+		for _, p := range sched.Phases {
+			phases = append(phases, phase(p.Name, p.OperationCount, p.Mix, p.Distribution))
+		}
+		if st := s.(*sut); st.window != tc.window || st.points != tc.points || sched.RecordCount != tc.records ||
+			threads != tc.threads || sched.Seed != tc.seed || strings.Join(phases, "; ") != strings.Join(tc.phases, "; ") {
+			t.Errorf("%s: window=%d points=%d records=%d threads=%d seed=%d phases=%q, want %d %d %d %d %d %q", tc.name,
+				st.window, st.points, sched.RecordCount, threads, sched.Seed, phases,
+				tc.window, tc.points, tc.records, tc.threads, tc.seed, tc.phases)
+		}
 	}
-	if threads != 4 || window != 64 || points != 8 || cfg.RecordCount != 200 {
-		t.Fatalf("cfg=%+v threads=%d window=%d points=%d", cfg, threads, window, points)
-	}
-	if cfg.Mix[workload.OpUpdate] != 80 || cfg.Mix[workload.OpRead] != 20 {
-		t.Fatalf("mix = %v", cfg.Mix)
-	}
-	if cfg.Distribution != "latest" {
-		t.Fatalf("distribution = %s", cfg.Distribution)
-	}
-	if len(sched.Phases) != 1 || sched.Phases[0].OperationCount != 1000 {
-		t.Fatalf("schedule = %+v", sched)
-	}
-
-	a["schedule"] = params.String_("phase=fill,ops=400,mix=insert:60+read:40,dist=latest,grow=1;phase=query,ops=300,mix=read:80+scan:20,dist=zipfian")
-	_, sched, _, _, _, err = configFromParams(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sched.Phases) != 2 || sched.Phases[0].Name != "fill" || !sched.Phases[0].GrowDomain {
-		t.Fatalf("schedule = %+v", sched)
-	}
-
-	a["schedule"] = params.String_("phase=broken,ops=ten")
-	if _, _, _, _, _, err := configFromParams(a); err == nil {
-		t.Fatal("malformed schedule accepted")
+	// A two-phase schedule keeps each phase's grow flag.
+	_, sched, _, err := fam.Config(params.Assignment{"schedule": params.String_("phase=fill,ops=400,mix=insert:60+read:40,dist=latest,grow=1;phase=query,ops=300,mix=read:80+scan:20")})
+	if err != nil || !sched.Phases[0].GrowDomain || sched.Phases[1].GrowDomain {
+		t.Fatalf("schedule = %+v, %v", sched, err)
 	}
 }
 
 func TestRunWorkloadAllOps(t *testing.T) {
 	db := tssim.NewDB(tssim.Options{ChunkPoints: 32, Seed: 5})
-	var clock atomic.Int64
-	LoadDB(db, &clock, 100, 4, 4)
+	s := &sut{db: db, window: 64}
+	LoadDB(db, &s.clock, 100, 4, 4)
 	if got := db.NumSeries(); got != 100 {
 		t.Fatalf("preloaded %d series", got)
 	}
@@ -98,7 +144,7 @@ func TestRunWorkloadAllOps(t *testing.T) {
 		},
 		Distribution: "latest", Seed: 7,
 	}.WithDefaults().Schedule()
-	sm, err := RunScheduleWorkload(db, &clock, 64, sched, 4, nil, nil)
+	sm, err := workload.RunSchedule(sched, 4, s.Apply, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +171,8 @@ func TestRunWorkloadAllOps(t *testing.T) {
 // it is shown alone.
 func TestPayloadsStayReadOnly(t *testing.T) {
 	db := tssim.NewDB(tssim.Options{ChunkPoints: 32, Seed: 5})
-	var clock atomic.Int64
-	LoadDB(db, &clock, 100, 4, 4)
+	s := &sut{db: db, window: 64}
+	LoadDB(db, &s.clock, 100, 4, 4)
 	sched := workload.Config{
 		RecordCount: 100, OperationCount: 4000,
 		Mix: workload.Mix{
@@ -143,7 +189,7 @@ func TestPayloadsStayReadOnly(t *testing.T) {
 			shown, copies = append(shown, f.Value), append(copies, bytes.Clone(f.Value))
 		}
 		mu.Unlock()
-		return applyOp(db, &clock, 64, op)
+		return s.Apply(op)
 	}, nil, nil)
 	if err != nil || sm.Total.Errors != 0 || len(sm.Total.PerOperation) != 5 {
 		t.Fatalf("%v, %d errors, per-op = %v", err, sm.Total.Errors, sm.Total.PerOperation)
@@ -176,14 +222,14 @@ func TestRunWorkloadExactCountAndUniqueSeries(t *testing.T) {
 	// guarantees hold for this SUT family too: exactly OperationCount
 	// ops, and every insert creates a distinct series.
 	db := tssim.NewDB(tssim.Options{Seed: 5})
-	var clock atomic.Int64
-	LoadDB(db, &clock, 50, 2, 4)
+	s := &sut{db: db, window: 32}
+	LoadDB(db, &s.clock, 50, 2, 4)
 	sched := workload.Config{
 		RecordCount: 50, OperationCount: 1001,
 		Mix:          workload.Mix{workload.OpInsert: 0.5, workload.OpRead: 0.5},
 		Distribution: "latest", Seed: 3,
 	}.WithDefaults().Schedule()
-	sm, err := RunScheduleWorkload(db, &clock, 32, sched, 7, nil, nil)
+	sm, err := workload.RunSchedule(sched, 7, s.Apply, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,9 +218,9 @@ func (c Config) Schedule() Schedule {
 }
 
 // ScheduleGenerator produces one worker's operation stream across every
-// phase of a schedule. Like Generator, each worker owns one instance and
-// instances share nothing mutable except a Latest chooser's high-water
-// mark, which converges on the global maximum.
+// phase of a schedule. Each worker owns one instance, and instances share
+// nothing mutable except a Latest chooser's high-water mark, which
+// converges on the global maximum.
 //
 // The insert keyspace is partitioned YCSB-style: worker w of W owns key
 // indexes RecordCount+w, RecordCount+w+W, ... so concurrent workers
@@ -267,8 +267,8 @@ func NewScheduleGenerator(s Schedule, worker, workers int) (*ScheduleGenerator, 
 		workers: workers,
 		rng:     rand.New(rand.NewPCG(uint64(s.Seed), uint64(worker)*1_000_003+17)),
 		// worker%workers keeps auxiliary generators (loaders, warm-up)
-		// that pass large worker indexes with workers=1 on the same
-		// keyspace as the old single-stream generator.
+		// that pass large worker indexes with workers=1 on the insert
+		// keyspace of worker 0.
 		nextInsert: s.RecordCount + int64(worker%workers),
 		highWater:  s.RecordCount,
 		names:      make([]string, s.FieldsPerRecord),
@@ -353,9 +353,7 @@ func (g *ScheduleGenerator) Next() (Op, bool) {
 	return g.emit(), true
 }
 
-// emit draws one operation from the current phase. The static Generator
-// is a view of this one path, so the degenerate one-phase schedule draws
-// the same stream it does.
+// emit draws one operation from the current phase.
 func (g *ScheduleGenerator) emit() Op {
 	t := g.ops.next(g.rng)
 	g.emitted++
@@ -567,10 +565,11 @@ func EncodeSchedulePhases(phases []Phase) string {
 		if p.Name != "" {
 			toks = append(toks, "phase="+p.Name)
 		}
-		if p.Duration > 0 {
-			toks = append(toks, "dur="+p.Duration.String())
-		} else {
+		if p.OperationCount != 0 || p.Duration == 0 {
 			toks = append(toks, "ops="+strconv.FormatInt(p.OperationCount, 10))
+		}
+		if p.Duration != 0 {
+			toks = append(toks, "dur="+p.Duration.String())
 		}
 		if len(p.Mix) > 0 {
 			ops := make([]string, 0, len(p.Mix))
@@ -580,19 +579,18 @@ func EncodeSchedulePhases(phases []Phase) string {
 			sort.Strings(ops)
 			parts := make([]string, 0, len(ops))
 			for _, op := range ops {
-				parts = append(parts, op+":"+strconv.FormatFloat(p.Mix[OpType(op)], 'g', -1, 64))
+				// '+' joins the parts, so a weight is written without one
+				// ("1e21", "Inf"); ParseFloat reads it back the same.
+				w := strings.ReplaceAll(strconv.FormatFloat(p.Mix[OpType(op)], 'g', -1, 64), "+", "")
+				parts = append(parts, op+":"+w)
 			}
 			toks = append(toks, "mix="+strings.Join(parts, "+"))
 		}
 		if p.Distribution != "" {
 			toks = append(toks, "dist="+p.Distribution)
 		}
-		if p.Rate.Throttled() {
-			shape := p.Rate.Shape
-			if shape == "" {
-				shape = RateConstant
-			}
-			r := "rate=" + string(shape) + ":" + strconv.FormatFloat(p.Rate.StartOPS, 'g', -1, 64)
+		if p.Rate != (RateCurve{}) {
+			r := "rate=" + string(p.Rate.Shape) + ":" + strconv.FormatFloat(p.Rate.StartOPS, 'g', -1, 64)
 			if p.Rate.EndOPS != 0 {
 				r += ":" + strconv.FormatFloat(p.Rate.EndOPS, 'g', -1, 64)
 			}

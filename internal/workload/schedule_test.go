@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"sync/atomic"
 	"testing"
@@ -79,40 +80,56 @@ func TestConfigValidateNegativeKnobs(t *testing.T) {
 		}
 		// The generator constructor must refuse too (it used to panic
 		// later inside rand.IntN instead).
-		if _, err := NewGenerator(cfg, 0); err == nil {
-			t.Fatalf("%s: NewGenerator accepted negative knob", tc.name)
+		if _, err := NewScheduleGenerator(cfg.Schedule(), 0, 1); err == nil {
+			t.Fatalf("%s: NewScheduleGenerator accepted negative knob", tc.name)
 		}
 	}
 }
 
 // TestDegenerateScheduleMatchesGenerator pins the compatibility contract:
-// the one-phase schedule draws the byte-identical stream the static
-// generator always has.
+// a config's one-phase schedule draws the byte-identical stream the static
+// generator it replaced always drew, for every distribution, and past the
+// configured operation count too. The digest was taken from that
+// generator.
 func TestDegenerateScheduleMatchesGenerator(t *testing.T) {
+	const golden = "30ddbe0d6786f65c7b14e6382a4807fa60b09c1b05529b4adf579519cbc2fd1e"
+	h := sha256.New()
 	for _, dist := range []string{"zipfian", "uniform", "latest", "sequential"} {
 		cfg := Config{
 			Name: "compat", RecordCount: 500, OperationCount: 1000,
 			Mix:          Mix{OpRead: 1, OpUpdate: 1, OpInsert: 1, OpScan: 1, OpReadModifyWrite: 1},
 			Distribution: dist, Seed: 77,
 		}.WithDefaults()
-		g, err := NewGenerator(cfg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
 		sg, err := NewScheduleGenerator(cfg.Schedule(), 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2000; i++ {
-			a := g.NextOp()
-			b, ok := sg.Next()
+			op, ok := sg.Next()
 			if !ok {
-				b = sg.emit()
+				op = sg.emit()
 			}
-			if !sameOp(a, b) {
-				t.Fatalf("%s: diverged at op %d: %+v vs %+v", dist, i, a, b)
-			}
+			digestOp(h, op)
 		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != golden {
+		t.Fatalf("one-phase stream digest = %s, want %s", got, golden)
+	}
+}
+
+// digestOp adds everything a SUT sees of op to h.
+func digestOp(h hash.Hash, op Op) {
+	num := func(v int64) { binary.Write(h, binary.LittleEndian, v) }
+	str := func(s string) { num(int64(len(s))); h.Write([]byte(s)) }
+	num(int64(op.Phase))
+	str(string(op.Type))
+	str(op.Key)
+	num(op.KeyIndex)
+	num(int64(op.ScanLength))
+	num(int64(len(op.Fields)))
+	for _, f := range op.Fields {
+		str(f.Name)
+		str(string(f.Value))
 	}
 }
 
@@ -197,8 +214,6 @@ func TestSeededStreamGolden(t *testing.T) {
 		sched.Phases[i].OperationCount *= 10
 	}
 	h := sha256.New()
-	num := func(v int64) { binary.Write(h, binary.LittleEndian, v) }
-	str := func(s string) { num(int64(len(s))); h.Write([]byte(s)) }
 	for w := 0; w < 2; w++ {
 		g, err := NewScheduleGenerator(sched, w, 2)
 		if err != nil {
@@ -211,16 +226,7 @@ func TestSeededStreamGolden(t *testing.T) {
 				t.Fatalf("worker %d: stream ended after %d operations", w, i)
 			}
 			phases[op.Phase] = true
-			num(int64(op.Phase))
-			str(string(op.Type))
-			str(op.Key)
-			num(op.KeyIndex)
-			num(int64(op.ScanLength))
-			num(int64(len(op.Fields)))
-			for _, f := range op.Fields {
-				str(f.Name)
-				str(string(f.Value))
-			}
+			digestOp(h, op)
 		}
 		if len(phases) != 3 {
 			t.Fatalf("worker %d crossed %d phases, want 3", w, len(phases))
@@ -634,4 +640,47 @@ func TestRunScheduleRatePacing(t *testing.T) {
 	if sm.Total.Operations != 200 {
 		t.Fatalf("ops = %d", sm.Total.Operations)
 	}
+}
+
+// FuzzParseSchedulePhases: the phase DSL arrives as an untrusted job
+// parameter. Parsing it never panics, and whatever it accepts survives
+// EncodeSchedulePhases and a second parse unchanged.
+func FuzzParseSchedulePhases(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		phases, err := ParseSchedulePhases(spec)
+		if err != nil {
+			return
+		}
+		enc := EncodeSchedulePhases(phases)
+		back, err := ParseSchedulePhases(enc)
+		if err != nil {
+			t.Fatalf("%q encodes as %q, which does not parse: %v", spec, enc, err)
+		}
+		if len(back) != len(phases) {
+			t.Fatalf("%q encodes as %q: %d phases, want %d", spec, enc, len(back), len(phases))
+		}
+		for i := range phases {
+			if !samePhase(phases[i], back[i]) {
+				t.Fatalf("%q encodes as %q: phase %d %+v, want %+v", spec, enc, i, back[i], phases[i])
+			}
+		}
+	})
+}
+
+// samePhase compares two phases field by field, floats by value (NaN
+// equals NaN).
+func samePhase(a, b Phase) bool {
+	eq := func(x, y float64) bool { return x == y || (x != x && y != y) }
+	if len(a.Mix) != len(b.Mix) {
+		return false
+	}
+	for op, w := range a.Mix {
+		if v, ok := b.Mix[op]; !ok || !eq(w, v) {
+			return false
+		}
+	}
+	return a.Name == b.Name && a.Distribution == b.Distribution &&
+		a.OperationCount == b.OperationCount && a.Duration == b.Duration &&
+		a.Rate.Shape == b.Rate.Shape && eq(a.Rate.StartOPS, b.Rate.StartOPS) &&
+		eq(a.Rate.EndOPS, b.Rate.EndOPS) && a.GrowDomain == b.GrowDomain
 }

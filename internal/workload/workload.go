@@ -277,41 +277,6 @@ type Field struct {
 	Value []byte
 }
 
-// Generator produces the operation stream of a run. Each worker should
-// own one Generator (they share nothing). It is the single-stream view
-// of a ScheduleGenerator over the config's one-phase schedule.
-type Generator struct {
-	sg *ScheduleGenerator
-}
-
-// NewGenerator builds a generator for the given worker index; distinct
-// workers derive distinct deterministic seeds. Each generator owns its
-// rand source (a PCG seeded from cfg.Seed and the worker index), so
-// workers share no generator state and a seeded run replays exactly.
-//
-// NewGenerator does NOT partition the insert keyspace: every instance
-// starts inserting at cfg.RecordCount. Concurrent workers that insert
-// must use NewGeneratorWorkers so their insert keys stay distinct.
-func NewGenerator(cfg Config, worker int) (*Generator, error) {
-	return NewGeneratorWorkers(cfg, worker, 1)
-}
-
-// NewGeneratorWorkers builds a generator for worker (0-based) of workers
-// concurrent streams. The insert keyspace is partitioned YCSB-style:
-// worker w owns key indexes RecordCount+w, RecordCount+w+workers, ... so
-// concurrent workers never generate the same insert key.
-func NewGeneratorWorkers(cfg Config, worker, workers int) (*Generator, error) {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	sg, err := NewScheduleGenerator(cfg.Schedule(), worker, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Generator{sg: sg}, nil
-}
-
 // Key renders record index i as its canonical key, zero-padded so that
 // lexicographic and numeric orders agree (YCSB's "user" keys).
 func Key(i int64) string { return PaddedKey("user", i, 12) }
@@ -343,20 +308,3 @@ func PaddedKey(prefix string, i int64, width int) string {
 	}
 	return string(append(b, digits[n:]...))
 }
-
-// NextOp generates the next operation. The generator does not stop at
-// cfg.OperationCount — callers that count ops themselves keep drawing
-// from the same stream past the configured volume.
-func (g *Generator) NextOp() Op {
-	if op, ok := g.sg.Next(); ok {
-		return op
-	}
-	return g.sg.emit()
-}
-
-// Record generates a full record payload, valid until the next draw.
-func (g *Generator) Record() []Field { return g.sg.Record() }
-
-// OneField generates a single-field update payload, valid until the next
-// draw.
-func (g *Generator) OneField() []Field { return g.sg.OneField() }

@@ -214,22 +214,22 @@ func TestConfigValidate(t *testing.T) {
 func TestGeneratorDeterministic(t *testing.T) {
 	cfg := WorkloadA(1000, 100)
 	cfg.Seed = 99
-	g1, err := NewGenerator(cfg, 0)
+	g1, err := NewScheduleGenerator(cfg.Schedule(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, _ := NewGenerator(cfg, 0)
+	g2, _ := NewScheduleGenerator(cfg.Schedule(), 0, 1)
 	for i := 0; i < 200; i++ {
-		a, b := g1.NextOp(), g2.NextOp()
+		a, b := g1.emit(), g2.emit()
 		if a.Type != b.Type || a.Key != b.Key {
 			t.Fatalf("generators diverged at op %d: %v vs %v", i, a, b)
 		}
 	}
 	// Different workers must diverge.
-	g3, _ := NewGenerator(cfg, 1)
+	g3, _ := NewScheduleGenerator(cfg.Schedule(), 1, 1)
 	same := 0
 	for i := 0; i < 100; i++ {
-		a, b := g1.NextOp(), g3.NextOp()
+		a, b := g1.emit(), g3.emit()
 		if a.Type == b.Type && a.Key == b.Key {
 			same++
 		}
@@ -246,13 +246,13 @@ func TestGeneratorOpShapes(t *testing.T) {
 		Distribution: "zipfian", Seed: 5,
 		MaxScanLength: 50,
 	}
-	g, err := NewGenerator(cfg, 0)
+	g, err := NewScheduleGenerator(cfg.Schedule(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[OpType]bool{}
 	for i := 0; i < 2000; i++ {
-		op := g.NextOp()
+		op := g.emit()
 		seen[op.Type] = true
 		if !strings.HasPrefix(op.Key, "user") {
 			t.Fatalf("bad key %q", op.Key)
@@ -286,13 +286,13 @@ func TestGeneratorOpShapes(t *testing.T) {
 func TestGeneratorInsertKeysUniqueAndFresh(t *testing.T) {
 	cfg := WorkloadD(100, 1000)
 	cfg.Seed = 13
-	g, err := NewGenerator(cfg, 0)
+	g, err := NewScheduleGenerator(cfg.Schedule(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
 	for i := 0; i < 5000; i++ {
-		op := g.NextOp()
+		op := g.emit()
 		if op.Type != OpInsert {
 			continue
 		}
@@ -335,7 +335,7 @@ func TestKeyPaddingSortsNumerically(t *testing.T) {
 func TestFieldValueCompressible(t *testing.T) {
 	cfg := WorkloadA(10, 10)
 	cfg.Seed = 1
-	g, _ := NewGenerator(cfg, 0)
+	g, _ := NewScheduleGenerator(cfg.Schedule(), 0, 1)
 	distinct := map[string]bool{}
 	for n := 0; n < 1000; n++ {
 		v := g.OneField()[0].Value
