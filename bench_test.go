@@ -516,8 +516,13 @@ func BenchmarkRelstoreSelect(b *testing.B) {
 		return err
 	})
 	run("full-scan", func(tx *relstore.Tx) error {
-		rows, err := tx.Select("t", relstore.NewQuery().
-			Where(func(r relstore.Row) bool { return r["v"].(int64)%100 == 0 }))
+		var rows []relstore.Row
+		err := tx.SelectFunc("t", relstore.NewQuery(), func(r relstore.Row) bool {
+			if r["v"].(int64)%100 == 0 {
+				rows = append(rows, r.Clone())
+			}
+			return true
+		})
 		if err == nil && len(rows) != n/100 {
 			return fmt.Errorf("got %d rows", len(rows))
 		}
@@ -541,10 +546,16 @@ func BenchmarkRelstoreSelect(b *testing.B) {
 		}
 		return err
 	})
-	// The watchdog's shape: an indexed equality drives (100 rows) and a
-	// range predicate filters the rows it resolves.
+	// The watchdog's shape: an indexed equality drives (100 rows) and the
+	// callback keeps the rows in range.
 	run("range-intersect-eq", func(tx *relstore.Tx) error {
-		rows, err := tx.Select("t", relstore.NewQuery().Eq("status", "hot").Ge("v", int64(5000)).Lt("v", int64(5200)))
+		var rows []relstore.Row
+		err := tx.SelectFunc("t", relstore.NewQuery().Eq("status", "hot"), func(r relstore.Row) bool {
+			if v := r["v"].(int64); v >= 5000 && v < 5200 {
+				rows = append(rows, r.Clone())
+			}
+			return true
+		})
 		if err == nil && len(rows) != 2 {
 			return fmt.Errorf("got %d rows", len(rows))
 		}

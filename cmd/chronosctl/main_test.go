@@ -179,6 +179,21 @@ func TestStatusMetricsShippingRatio(t *testing.T) {
 	}
 }
 
+// TestStatusMetricsStoreLine: the store line is the server's counters and
+// batch quantiles as exposed; no rate is derived or expected.
+func TestStatusMetricsStoreLine(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "chronos_store_commits_total 120\nchronos_store_wal_fsyncs_total 40\n"+
+			"chronos_store_commit_batch_seconds{quantile=\"0.5\"} 0.001\n"+
+			"chronos_store_commit_batch_seconds{quantile=\"0.99\"} 0.0025\n")
+	}))
+	defer ts.Close()
+	want := "store: 120 commits; batch p50 1.00ms p99 2.50ms; 40 fsyncs\n"
+	if out := capture(t, client.NewClient(ts.URL), "status", "-metrics"); out != want {
+		t.Errorf("status -metrics printed %q, want %q", out, want)
+	}
+}
+
 // TestLoginPrintsTheToken: `login` exits with nothing but the token on
 // stdout, and that token carried by -token into another process (here:
 // another client) is the session — on a server that refuses anyone

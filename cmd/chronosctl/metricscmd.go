@@ -51,9 +51,8 @@ func metricsStatus(c *client.Client) error {
 	}
 
 	if commits, ok := find("chronos_store_commits_total"); ok {
-		rate, _ := find("chronos_store_commit_records_per_second")
-		fmt.Printf("store: %.0f commits, %.0f records/s; batch p50 %s p99 %s; %.0f fsyncs\n",
-			commits, rate,
+		fmt.Printf("store: %.0f commits; batch p50 %s p99 %s; %.0f fsyncs\n",
+			commits,
 			ms("chronos_store_commit_batch_seconds", "0.5"),
 			ms("chronos_store_commit_batch_seconds", "0.99"),
 			firstOr(find("chronos_store_wal_fsyncs_total")))

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"chronos/internal/relstore"
 )
@@ -184,8 +185,6 @@ func ReadProjectArchive(data []byte) (*ProjectArchive, error) {
 	evals := map[string]*EvaluationArchive{}
 	jobs := map[string]*JobArchive{}
 
-	// jobDir extracts evaluation and job ids from an archive path of the
-	// form evaluations/<eid>/jobs/<jid>/<file>.
 	readAll := func(f *zip.File) ([]byte, error) {
 		rc, err := f.Open()
 		if err != nil {
@@ -200,9 +199,11 @@ func ReadProjectArchive(data []byte) (*ProjectArchive, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: archive read %s: %w", f.Name, err)
 		}
+		// evaluations/<eid>/evaluation.json or
+		// evaluations/<eid>/jobs/<jid>/<file>.
 		var evalID, jobID, file string
-		if hasPrefix(f.Name, "evaluations/") {
-			parts := splitPath(f.Name)
+		if strings.HasPrefix(f.Name, "evaluations/") {
+			parts := strings.Split(strings.TrimSuffix(f.Name, "/"), "/")
 			if len(parts) >= 3 {
 				evalID = parts[1]
 				if len(parts) >= 5 && parts[2] == "jobs" {
@@ -219,13 +220,13 @@ func ReadProjectArchive(data []byte) (*ProjectArchive, error) {
 			if err := json.Unmarshal(data, arch.Project); err != nil {
 				return nil, err
 			}
-		case hasPrefix(f.Name, "systems/"):
+		case strings.HasPrefix(f.Name, "systems/"):
 			var sys System
 			if err := json.Unmarshal(data, &sys); err != nil {
 				return nil, err
 			}
 			arch.Systems = append(arch.Systems, &sys)
-		case hasPrefix(f.Name, "experiments/"):
+		case strings.HasPrefix(f.Name, "experiments/"):
 			var exp Experiment
 			if err := json.Unmarshal(data, &exp); err != nil {
 				return nil, err
@@ -277,25 +278,4 @@ func ReadProjectArchive(data []byte) (*ProjectArchive, error) {
 		return nil, fmt.Errorf("core: archive has no project.json")
 	}
 	return arch, nil
-}
-
-func splitPath(p string) []string {
-	var parts []string
-	cur := ""
-	for i := 0; i < len(p); i++ {
-		if p[i] == '/' {
-			parts = append(parts, cur)
-			cur = ""
-			continue
-		}
-		cur += string(p[i])
-	}
-	if cur != "" {
-		parts = append(parts, cur)
-	}
-	return parts
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
 }

@@ -92,13 +92,3 @@ func TestReadProjectArchiveErrors(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 }
-
-func TestSplitPathAndHasPrefix(t *testing.T) {
-	parts := splitPath("a/b/c")
-	if len(parts) != 3 || parts[0] != "a" || parts[2] != "c" {
-		t.Fatalf("splitPath = %v", parts)
-	}
-	if !hasPrefix("systems/x.json", "systems/") || hasPrefix("sys", "systems/") {
-		t.Fatal("hasPrefix wrong")
-	}
-}

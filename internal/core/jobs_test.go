@@ -495,3 +495,78 @@ func TestWatchdogScalesWithStaleNotRunning(t *testing.T) {
 		t.Fatalf("failed = %v, want exactly %v", failed, want)
 	}
 }
+
+// staleIDs runs the watchdog's stale scan at cutoff on its own, without
+// the re-check CheckHeartbeats makes before failing a job.
+func staleIDs(svc *Service, cutoff time.Time) []string {
+	var stale []string
+	svc.store.db.View(func(tx *relstore.Tx) error {
+		return svc.store.EachStaleRunningJobID(tx, cutoff, func(id string) bool {
+			stale = append(stale, id)
+			return true
+		})
+	})
+	return stale
+}
+
+// TestWatchdogHeartbeatAtCutoffIsNotStale pins the stale scan's strict
+// comparison: a heartbeat exactly HeartbeatTimeout old is still live, one
+// microsecond (the service clock's resolution) older is lost.
+func TestWatchdogHeartbeatAtCutoffIsNotStale(t *testing.T) {
+	svc, clock := newTestService(t)
+	_, _, depID, expID := registerDemo(t, svc)
+	svc.CreateEvaluation(expID)
+	svc.HeartbeatTimeout = 30 * time.Second
+
+	j, _, _ := svc.ClaimJob(depID)
+	clock.Advance(svc.HeartbeatTimeout)
+	if stale := staleIDs(svc, svc.now().Add(-svc.HeartbeatTimeout)); len(stale) != 0 {
+		t.Fatalf("stale scan at the cutoff = %v, want none", stale)
+	}
+	failed, err := svc.CheckHeartbeats()
+	if err != nil || len(failed) != 0 {
+		t.Fatalf("heartbeat at the cutoff failed: %v %v", failed, err)
+	}
+	if got, _ := svc.GetJob(j.ID); got.Status != StatusRunning {
+		t.Fatalf("status = %s, want running", got.Status)
+	}
+	clock.Advance(time.Microsecond)
+	failed, err = svc.CheckHeartbeats()
+	if err != nil || len(failed) != 1 || failed[0] != j.ID {
+		t.Fatalf("heartbeat past the cutoff: failed = %v, %v", failed, err)
+	}
+}
+
+// TestWatchdogSkipsRunningRowWithoutHeartbeat checks that a running row
+// whose heartbeat column is absent never counts as stale, however old.
+func TestWatchdogSkipsRunningRowWithoutHeartbeat(t *testing.T) {
+	svc, clock := newTestService(t)
+	_, _, depID, expID := registerDemo(t, svc)
+	svc.CreateEvaluation(expID)
+	svc.HeartbeatTimeout = 30 * time.Second
+
+	bare, _, _ := svc.ClaimJob(depID)
+	beating, _, _ := svc.ClaimJob(depID)
+	err := svc.store.db.Update(func(tx *relstore.Tx) error {
+		row, err := tx.Get(tableJobs, bare.ID)
+		if err != nil {
+			return err
+		}
+		delete(row, "heartbeat")
+		return tx.PutOwned(tableJobs, row)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(time.Hour)
+	if stale := staleIDs(svc, svc.now().Add(-svc.HeartbeatTimeout)); len(stale) != 1 || stale[0] != beating.ID {
+		t.Fatalf("stale scan = %v, want only %s", stale, beating.ID)
+	}
+	failed, err := svc.CheckHeartbeats()
+	if err != nil || len(failed) != 1 || failed[0] != beating.ID {
+		t.Fatalf("failed = %v, %v; want only %s", failed, err, beating.ID)
+	}
+	if got, _ := svc.GetJob(bare.ID); got.Status != StatusRunning {
+		t.Fatalf("heartbeat-less job status = %s, want running", got.Status)
+	}
+}

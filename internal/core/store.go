@@ -802,13 +802,16 @@ func (s *Store) firstJob(tx *relstore.Tx, status JobStatus, systemID string) (*j
 }
 
 // EachStaleRunningJobID streams the ids of running jobs whose heartbeat
-// is strictly before cutoff. The status index drives and the cutoff is
-// one scalar compare per running row — O(running), with no job JSON
-// decoded at all.
+// is strictly before cutoff; a running row without a heartbeat is never
+// stale. The status index drives and the cutoff is one scalar compare per
+// running row — O(running), with no job JSON decoded at all.
 func (s *Store) EachStaleRunningJobID(tx *relstore.Tx, cutoff time.Time, fn func(id string) bool) error {
-	q := relstore.NewQuery().Eq("status", string(StatusRunning)).Lt("heartbeat", cutoff)
+	q := relstore.NewQuery().Eq("status", string(StatusRunning))
 	return tx.SelectFunc(tableJobs, q, func(row relstore.Row) bool {
-		return fn(row["id"].(string))
+		if hb, ok := row["heartbeat"].(time.Time); ok && hb.Before(cutoff) {
+			return fn(row["id"].(string))
+		}
+		return true
 	})
 }
 

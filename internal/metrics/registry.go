@@ -153,81 +153,6 @@ func (s *Summary) snapshot() (Snapshot, int64) {
 	return h.Snapshot(), sum
 }
 
-// RateGauge tracks a windowed event rate: Mark events land in a ring of
-// time slots and Rate reports events per second over the whole window.
-// The clock is injectable so tests drive it with a ManualClock.
-type RateGauge struct {
-	mu      sync.Mutex
-	clock   Clock
-	slotDur time.Duration
-	slots   []int64
-	cur     int       // index of the slot containing lastTick
-	lastTik time.Time // start of the current slot
-}
-
-const rateSlots = 10
-
-func newRateGauge(window time.Duration, clock Clock) *RateGauge {
-	if window <= 0 {
-		window = 10 * time.Second
-	}
-	if clock == nil {
-		clock = RealClock()
-	}
-	r := &RateGauge{
-		clock:   clock,
-		slotDur: window / rateSlots,
-		slots:   make([]int64, rateSlots),
-	}
-	r.lastTik = clock.Now()
-	return r
-}
-
-// advance rotates the ring forward to the slot containing now, zeroing
-// every slot the window slid past. Caller holds r.mu.
-func (r *RateGauge) advance(now time.Time) {
-	steps := int64(now.Sub(r.lastTik) / r.slotDur)
-	if steps <= 0 {
-		return
-	}
-	if steps > int64(len(r.slots)) {
-		steps = int64(len(r.slots))
-		r.lastTik = now
-	} else {
-		r.lastTik = r.lastTik.Add(time.Duration(steps) * r.slotDur)
-	}
-	for i := int64(0); i < steps; i++ {
-		r.cur = (r.cur + 1) % len(r.slots)
-		r.slots[r.cur] = 0
-	}
-}
-
-// Mark records n events at the current time.
-func (r *RateGauge) Mark(n int64) { r.MarkAt(r.clock.Now(), n) }
-
-// MarkAt records n events at a caller-supplied timestamp, sparing a hot
-// path that already holds a fresh clock reading a second read. now must
-// come from the same clock the gauge was built with.
-func (r *RateGauge) MarkAt(now time.Time, n int64) {
-	r.mu.Lock()
-	r.advance(now)
-	r.slots[r.cur] += n
-	r.mu.Unlock()
-}
-
-// Rate reports events per second over the window.
-func (r *RateGauge) Rate() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.advance(r.clock.Now())
-	var total int64
-	for _, v := range r.slots {
-		total += v
-	}
-	window := r.slotDur * time.Duration(len(r.slots))
-	return float64(total) / window.Seconds()
-}
-
 // series is one (label values → value) entry of a family.
 type series struct {
 	labelVals []string
@@ -235,7 +160,6 @@ type series struct {
 	gauge     *Gauge
 	fn        func() float64 // counter/gauge funcs (pull-time values)
 	summary   *Summary
-	rate      *RateGauge
 }
 
 // family is one named metric with a fixed label-key set.
@@ -368,13 +292,6 @@ func (sv *SummaryVec) With(values ...string) *Summary {
 	return sv.f.get(sv.r, values, func() *series { return &series{summary: newSummary()} }).summary
 }
 
-// Rate registers (or returns) a windowed rate gauge exposed as events
-// per second. clock nil means the real clock.
-func (r *Registry) Rate(name, help string, window time.Duration, clock Clock) *RateGauge {
-	f := r.register(name, help, kindGauge, 0, nil)
-	return f.get(r, nil, func() *series { return &series{rate: newRateGauge(window, clock)} }).rate
-}
-
 // summaryQuantiles are the quantiles every summary exposes.
 var summaryQuantiles = []struct {
 	q   string
@@ -466,8 +383,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, labels, formatFloat(s.gauge.Value()))
 			case s.fn != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, labels, formatFloat(s.fn()))
-			case s.rate != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, labels, formatFloat(s.rate.Rate()))
 			case s.summary != nil:
 				snap, sum := s.summary.snapshot()
 				for _, q := range summaryQuantiles {

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestRegistryConcurrent hammers every metric kind from parallel writers
@@ -19,7 +18,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	conflict := vec.With("conflict")
 	g := reg.Gauge("test_depth", "depth")
 	sum := reg.Summary("test_latency_seconds", "latency", 1e-9)
-	rate := reg.Rate("test_rate", "rate", time.Second, nil)
 	reg.GaugeFunc("test_pulled", "pulled", func() float64 { return 42 })
 
 	const writers, perWriter = 8, 2000
@@ -34,7 +32,6 @@ func TestRegistryConcurrent(t *testing.T) {
 				conflict.Add(2)
 				g.Add(1)
 				sum.Observe(int64(i)*1000 + 1)
-				rate.Mark(1)
 			}
 		}()
 	}
@@ -169,43 +166,31 @@ chronos_store_rows 1234
 	}
 }
 
-// TestRateGaugeManualClock drives the windowed rate gauge with a
-// ManualClock: marks inside the window count, marks the window slid past
-// do not.
-func TestRateGaugeManualClock(t *testing.T) {
-	clock := NewManualClock(time.Unix(1000, 0))
-	reg := NewRegistry()
-	rate := reg.Rate("test_commit_rate", "Commits per second.", 10*time.Second, clock)
+// FuzzParseText holds ParseText to two properties: no input panics it,
+// and whatever WritePrometheus renders for a labelled series — label
+// values with quotes, backslashes, braces and newlines included — parses
+// back to exactly that series.
+func FuzzParseText(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text, route, code string, n int64) {
+		ParseText(strings.NewReader(text))
 
-	if got := rate.Rate(); got != 0 {
-		t.Fatalf("empty rate = %v, want 0", got)
-	}
-	rate.Mark(100)
-	if got := rate.Rate(); got != 10 {
-		t.Fatalf("rate after 100 marks = %v, want 10/s", got)
-	}
-	clock.Advance(5 * time.Second)
-	rate.Mark(50)
-	if got := rate.Rate(); got != 15 {
-		t.Fatalf("rate after +50 at t+5s = %v, want 15/s", got)
-	}
-	// Slide the first burst out of the window: only the 50 remain.
-	clock.Advance(6 * time.Second)
-	if got := rate.Rate(); got != 5 {
-		t.Fatalf("rate at t+11s = %v, want 5/s", got)
-	}
-	// Far beyond the window everything expires.
-	clock.Advance(time.Minute)
-	if got := rate.Rate(); got != 0 {
-		t.Fatalf("rate after a quiet minute = %v, want 0", got)
-	}
-
-	// The rendered form is a plain gauge.
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	if !strings.Contains(buf.String(), "test_commit_rate 0\n") {
-		t.Errorf("rate gauge not rendered as gauge:\n%s", buf.String())
-	}
+		reg := NewRegistry()
+		reg.CounterVec("fuzz_requests_total", "Requests.", "route", "code").With(route, code).Add(n)
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := ParseText(&buf)
+		if err != nil {
+			t.Fatalf("route %q code %q: %v", route, code, err)
+		}
+		if len(samples) != 1 {
+			t.Fatalf("route %q code %q: parsed %d samples, want 1", route, code, len(samples))
+		}
+		s := samples[0]
+		if s.Name != "fuzz_requests_total" || len(s.Labels) != 2 ||
+			s.Label("route") != route || s.Label("code") != code || s.Value != float64(n) {
+			t.Fatalf("route %q code %q value %d parsed back as %+v", route, code, n, s)
+		}
+	})
 }

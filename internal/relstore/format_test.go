@@ -248,7 +248,7 @@ func TestSnapshotReadMemoryBounded(t *testing.T) {
 // the flag wherever a Schema is persisted as JSON. A store that carries
 // it — in a CreateTable frame or in a snapshot header — opens under the
 // schema without it as the same table: CreateTable is a no-op that logs
-// nothing, and the range query the flag used to serve still answers.
+// nothing, and the stale scan the flag used to serve still answers.
 func TestPersistedOrderedFlagIsIgnored(t *testing.T) {
 	const flagged = `{"name":"jobs","key":"id","columns":[{"name":"id","type":"string"},` +
 		`{"name":"status","type":"string","indexed":true},{"name":"hb","type":"int","ordered":true,"nullable":true}]}`
@@ -259,7 +259,7 @@ func TestPersistedOrderedFlagIsIgnored(t *testing.T) {
 	}}
 	stale := func(db *DB) []string {
 		t.Helper()
-		return selectIDs(t, db, NewQuery().Eq("status", "running").Lt("hb", int64(2)))
+		return selectIDs(t, db, NewQuery().Eq("status", "running"), hbIn(0, 2))
 	}
 	dir := t.TempDir()
 	logged := func() string { // every segment's bytes, in segment order
@@ -304,7 +304,7 @@ func TestPersistedOrderedFlagIsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := stale(db); !sameIDs(got, "j0", "j1") {
-		t.Fatalf("range query over the frame-created table: %v", got)
+		t.Fatalf("stale scan over the frame-created table: %v", got)
 	}
 
 	// The same through a snapshot: compact, then put the flag back into
@@ -342,6 +342,6 @@ func TestPersistedOrderedFlagIsIgnored(t *testing.T) {
 		t.Fatalf("CreateTable after the snapshot reopen logged %d byte(s)", len(got)-len(before))
 	}
 	if got := stale(db); !sameIDs(got, "j0", "j1") {
-		t.Fatalf("range query over the snapshot-restored table: %v", got)
+		t.Fatalf("stale scan over the snapshot-restored table: %v", got)
 	}
 }

@@ -27,15 +27,10 @@ type dbMetrics struct {
 	commitRecords *metrics.Summary
 	commitsTotal  *metrics.Counter
 	fsyncsTotal   *metrics.Counter
-	commitRate    *metrics.RateGauge
 	compactSecs   *metrics.Summary
 
-	// batchCtr drives the 1-in-8 latency sampling; pendingRate carries
-	// the record counts of unsampled batches until a sampled one folds
-	// them into the rate gauge, so the rate stays exact in volume while
-	// paying its clock read only on sampled batches.
-	batchCtr    atomic.Uint64
-	pendingRate atomic.Int64
+	// batchCtr drives the 1-in-8 latency sampling.
+	batchCtr atomic.Uint64
 }
 
 // newDBMetrics resolves the store's handles and registers its pull-time
@@ -53,8 +48,6 @@ func newDBMetrics(reg *metrics.Registry, db *DB) *dbMetrics {
 			"Commit records durably written to the WAL."),
 		fsyncsTotal: reg.Counter("chronos_store_wal_fsyncs_total",
 			"WAL fsyncs issued (SyncEveryCommit batches)."),
-		commitRate: reg.Rate("chronos_store_commit_records_per_second",
-			"Commit records per second over a 10s window.", 10*time.Second, nil),
 		compactSecs: reg.Summary("chronos_store_compaction_seconds",
 			"Duration of completed snapshot+delete compaction cycles.", 1e-9),
 	}
@@ -79,19 +72,14 @@ func (m *dbMetrics) sampleLatency() bool {
 // runs under the WAL lock, so every saved nanosecond is shared by the
 // whole batch behind it: unsampled batches pay only atomic adds, and a
 // sampled batch reads the clock once more via time.Since (monotonic
-// only, about half the cost of time.Now) and reconstructs its completion
-// timestamp for the rate slot with start.Add(elapsed).
+// only, about half the cost of time.Now).
 func (m *dbMetrics) commitObserved(recs int, start time.Time, fsynced bool) {
 	m.commitRecords.Observe(int64(recs))
 	m.commitsTotal.Add(int64(recs))
 	if fsynced {
 		m.fsyncsTotal.Inc()
 	}
-	if start.IsZero() {
-		m.pendingRate.Add(int64(recs))
-		return
+	if !start.IsZero() {
+		m.commitSeconds.ObserveDuration(time.Since(start))
 	}
-	elapsed := time.Since(start)
-	m.commitSeconds.ObserveDuration(elapsed)
-	m.commitRate.MarkAt(start.Add(elapsed), int64(recs)+m.pendingRate.Swap(0))
 }

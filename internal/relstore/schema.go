@@ -5,7 +5,7 @@
 // evaluations, jobs, systems, deployments, users) in MySQL/MariaDB. This
 // reproduction is offline and stdlib-only, so relstore provides the same
 // contract as the thin data layer Chronos needs: durable, transactional
-// CRUD over typed tables with secondary indexes and predicate scans.
+// CRUD over typed tables with secondary indexes and equality scans.
 //
 // Durability follows the classic write-ahead log design: every committed
 // transaction is recorded in a WAL of length- and CRC-framed records
@@ -50,21 +50,20 @@
 //
 // # Query planner
 //
+// A query is equality conditions and a limit, nothing more: callers that
+// need another comparison apply it to the rows SelectFunc streams them.
 // Reads go through a small planner (Tx.scan). Every secondary index and
 // the per-table primary-key list are sorted posting lists maintained on
 // apply. For a query the planner picks the smallest posting list among
 // all indexed Eq conditions as the scan driver and turns the remaining
 // indexed conditions into O(1) membership probes; without an indexed
 // condition the primary-key list drives, so even full scans never sort
-// per query. Because both the driver and the transaction's pending
+// per query. Unindexed Eq conditions are checked against each row the
+// driver yields. Because both the driver and the transaction's pending
 // writes stream in key order, Limit pushes down: the scan stops at the
 // limit instead of materialising and sorting the full candidate set.
 // Select clones matching rows; SelectFunc streams them without cloning
 // and Count never clones or decodes at all.
-//
-// Range predicates (Lt/Le/Gt/Ge) are row filters applied after the
-// driver: they compose with Eq drivers and Limit but never narrow which
-// rows a scan visits.
 //
 // # Row format and versioning
 //

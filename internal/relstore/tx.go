@@ -2,10 +2,8 @@ package relstore
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
-	"time"
 )
 
 // ErrNotFound is returned by Get when no row has the requested key.
@@ -249,46 +247,21 @@ func (tx *Tx) NextSeq(tableName string) (int64, error) {
 	return cur, nil
 }
 
-// Predicate filters rows in Select.
-type Predicate func(Row) bool
-
-// Eq matches rows whose column equals v. When the column is indexed the
-// scan is index-assisted.
+// eqPredicate is one equality condition of a Query.
 type eqPredicate struct {
 	col string
 	val any
 }
 
-// rangeOp enumerates the ordered comparison operators.
-type rangeOp int
-
-const (
-	opLt rangeOp = iota // column < value
-	opLe                // column <= value
-	opGt                // column > value
-	opGe                // column >= value
-)
-
-// rangePred is one ordered comparison condition on a column.
-type rangePred struct {
-	col string
-	val any
-	op  rangeOp
-}
-
-// Query describes a Select: equality conditions (index-assisted where
-// the schema declares indexes), range conditions and arbitrary predicate
-// filters.
+// Query describes a Select: equality conditions, index-assisted where the
+// schema declares indexes, and a row limit.
 type Query struct {
-	eq      []eqPredicate
-	ranges  []rangePred
-	filters []Predicate
-	limit   int
-	// Inline backing for the first two conditions of each kind: the
-	// status+system point lookups on the scheduler hot path stay within
-	// the Query's own allocation.
+	eq    []eqPredicate
+	limit int
+	// Inline backing for the first two conditions: the status+system
+	// point lookups on the scheduler hot path stay within the Query's own
+	// allocation.
 	eq0 [2]eqPredicate
-	rg0 [2]rangePred
 }
 
 // NewQuery returns an empty query matching all rows.
@@ -300,41 +273,6 @@ func (q *Query) Eq(col string, val any) *Query {
 		q.eq = q.eq0[:0]
 	}
 	q.eq = append(q.eq, eqPredicate{col, val})
-	return q
-}
-
-// Lt adds the condition col < v. Range conditions are row filters: they
-// narrow what a scan returns, never which rows it visits.
-func (q *Query) Lt(col string, v any) *Query {
-	return q.addRange(rangePred{col, v, opLt})
-}
-
-func (q *Query) addRange(r rangePred) *Query {
-	if q.ranges == nil {
-		q.ranges = q.rg0[:0]
-	}
-	q.ranges = append(q.ranges, r)
-	return q
-}
-
-// Le adds the condition col <= v.
-func (q *Query) Le(col string, v any) *Query {
-	return q.addRange(rangePred{col, v, opLe})
-}
-
-// Gt adds the condition col > v.
-func (q *Query) Gt(col string, v any) *Query {
-	return q.addRange(rangePred{col, v, opGt})
-}
-
-// Ge adds the condition col >= v.
-func (q *Query) Ge(col string, v any) *Query {
-	return q.addRange(rangePred{col, v, opGe})
-}
-
-// Where adds an arbitrary predicate.
-func (q *Query) Where(p Predicate) *Query {
-	q.filters = append(q.filters, p)
 	return q
 }
 
@@ -377,8 +315,8 @@ func (tx *Tx) Count(tableName string, q *Query) (int, error) {
 // scan is the query planner and executor behind Select, SelectFunc and
 // Count. Committed rows come from the access path chosen by plan (the
 // smallest matching posting list, probing the remaining indexed
-// equalities, or the primary-key list) and every condition, range
-// predicates included, is then checked against the resolved row; pending
+// equalities, or the primary-key list) and every equality, unindexed ones
+// included, is then checked against the resolved row; pending
 // writes are merged in by id so uncommitted rows, overwrites and
 // tombstones are all visible.
 // Both sources are sorted, so rows stream in key order and the walk
@@ -453,13 +391,12 @@ func (tx *Tx) scan(tableName string, q *Query, fn func(Row) bool) error {
 
 // plan chooses the committed-row access path for q. Candidates are the
 // posting lists of the indexed equality conditions: the smallest drives
-// the scan and the rest become O(1) membership probes. Every condition —
-// range predicates and unindexed equalities included — is re-checked
-// against the resolved row by matchesQuery, so plan only has to narrow
-// the walk, not decide the answer. Without an indexed equality the
-// sorted primary-key list drives (full scan). An equality on a value no
-// committed row holds yields an empty driver: only pending writes can
-// match then.
+// the scan and the rest become O(1) membership probes. Every equality —
+// unindexed ones included — is re-checked against the resolved row by
+// matchesQuery, so plan only has to narrow the walk, not decide the
+// answer. Without an indexed equality the sorted primary-key list drives
+// (full scan). An equality on a value no committed row holds yields an
+// empty driver: only pending writes can match then.
 func (t *table) plan(q *Query) (driver *plCursor, probes []*postingList) {
 	var lists []*postingList
 	smallest := 0
@@ -505,6 +442,7 @@ func (tx *Tx) effectiveRow(t *table, tableName, id string) Row {
 	return t.rows[id]
 }
 
+// matchesQuery reports whether row satisfies every equality of q.
 func matchesQuery(row Row, q *Query) bool {
 	for _, eq := range q.eq {
 		v, ok := row[eq.col]
@@ -512,97 +450,7 @@ func matchesQuery(row Row, q *Query) bool {
 			return false
 		}
 	}
-	for _, r := range q.ranges {
-		v, ok := row[r.col]
-		if !ok {
-			return false // absent (nullable) columns match no range
-		}
-		c, ok := compareValues(v, r.val)
-		if !ok {
-			return false
-		}
-		switch r.op {
-		case opLt:
-			ok = c < 0
-		case opLe:
-			ok = c <= 0
-		case opGt:
-			ok = c > 0
-		case opGe:
-			ok = c >= 0
-		}
-		if !ok {
-			return false
-		}
-	}
-	for _, f := range q.filters {
-		if !f(row) {
-			return false
-		}
-	}
 	return true
-}
-
-// compareValues orders two column values of the same supported type,
-// returning -1/0/+1 and whether the pair is comparable at all.
-func compareValues(a, b any) (int, bool) {
-	switch x := a.(type) {
-	case int64:
-		y, ok := b.(int64)
-		if !ok {
-			return 0, false
-		}
-		return cmpOrdered(x, y), true
-	case float64:
-		y, ok := b.(float64)
-		if !ok {
-			return 0, false
-		}
-		// NaN is incomparable: it matches no range, as a row value or as
-		// a bound.
-		if math.IsNaN(x) || math.IsNaN(y) {
-			return 0, false
-		}
-		return cmpOrdered(x, y), true
-	case string:
-		y, ok := b.(string)
-		if !ok {
-			return 0, false
-		}
-		return cmpOrdered(x, y), true
-	case bool:
-		y, ok := b.(bool)
-		if !ok {
-			return 0, false
-		}
-		bx, by := 0, 0
-		if x {
-			bx = 1
-		}
-		if y {
-			by = 1
-		}
-		return cmpOrdered(bx, by), true
-	case time.Time:
-		y, ok := b.(time.Time)
-		if !ok {
-			return 0, false
-		}
-		return x.Compare(y), true
-	}
-	return 0, false
-}
-
-// cmpOrdered is three-way comparison for ordered primitives.
-func cmpOrdered[T int | int64 | float64 | string](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // valueEqual compares two column values of the supported types.

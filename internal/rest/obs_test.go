@@ -117,7 +117,6 @@ func TestMetricsExposition(t *testing.T) {
 		"chronos_store_commit_batch_records",
 		"chronos_store_commits_total",
 		"chronos_store_wal_fsyncs_total",
-		"chronos_store_commit_records_per_second",
 		"chronos_store_compaction_seconds",
 		"chronos_store_compactions_total",
 		"chronos_store_rows",

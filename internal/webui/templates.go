@@ -98,9 +98,12 @@ On an auth-enabled server the scrape needs the replication token or an admin ses
 </div>
 <script>
 (function () {
-	var hist = {}, MAX = 60;
+	var hist = {}, prev = {}, MAX = 60;
+	// [metric, labels, element id, scale, per second]: a per-second panel
+	// shows the counter's increase since the previous sample over the time
+	// between the two.
 	var panels = [
-		["chronos_store_commit_records_per_second", "", "rate", 1],
+		["chronos_store_commits_total", "", "rate", 1, true],
 		["chronos_store_commit_batch_seconds", 'quantile="0.99"', "p99", 1000],
 		["chronos_store_rows", "", "rows", 1],
 		["chronos_http_in_flight", "", "http", 1],
@@ -135,7 +138,7 @@ On an auth-enabled server the scrape needs the replication token or an admin ses
 			if (!r.ok) throw new Error("GET /metrics -> " + r.status);
 			return r.text();
 		}).then(function (text) {
-			var samples = parse(text);
+			var samples = parse(text), now = Date.now();
 			document.getElementById("obs-err").style.display = "none";
 			document.getElementById("obs-cards").style.display = "";
 			panels.forEach(function (p) {
@@ -144,6 +147,12 @@ On an auth-enabled server the scrape needs the replication token or an admin ses
 				if (v === undefined) {
 					document.getElementById("v-" + p[2]).textContent = "n/a";
 					return;
+				}
+				if (p[4]) {
+					var last = prev[p[2]];
+					prev[p[2]] = {v: v, t: now};
+					if (!last || now <= last.t) return;
+					v = Math.max(0, v - last.v) / ((now - last.t) / 1000);
 				}
 				v *= p[3];
 				var h = hist[p[2]] = (hist[p[2]] || []).concat([v]).slice(-MAX);
