@@ -49,8 +49,8 @@ func TestAttemptBudgetUsesScalarColumnNotBlob(t *testing.T) {
 	}
 }
 
-// TestAttemptBudgetMissingEvaluationUsesDefault: a job whose evaluation
-// vanished (pruned project, say) falls back to the service default
+// TestAttemptBudgetMissingEvaluationUsesDefault: a job whose
+// evaluationId names no evaluation falls back to the service default
 // instead of erroring.
 func TestAttemptBudgetMissingEvaluationUsesDefault(t *testing.T) {
 	svc, _ := newTestService(t)
@@ -61,7 +61,12 @@ func TestAttemptBudgetMissingEvaluationUsesDefault(t *testing.T) {
 		t.Fatalf("claim: %v %v", ok, err)
 	}
 	err = svc.store.db.Update(func(tx *relstore.Tx) error {
-		return tx.Delete(tableEvaluations, j.EvaluationID)
+		row, err := tx.Get(tableJobs, j.ID)
+		if err != nil {
+			return err
+		}
+		row["evaluationId"] = "evaluation-missing"
+		return tx.Put(tableJobs, row)
 	})
 	if err != nil {
 		t.Fatal(err)

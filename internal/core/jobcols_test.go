@@ -466,7 +466,7 @@ func BenchmarkCompleteClaimNext(b *testing.B) {
 // speed, so the bound is exact.
 func TestCompleteClaimNextAllocs(t *testing.T) {
 	f := newClaimNextFixture(t)
-	if got := testing.AllocsPerRun(200, func() { f.step(t) }); got > 95 {
-		t.Errorf("complete with claimNext: %v allocs/op, want <= 95", got)
+	if got := testing.AllocsPerRun(200, func() { f.step(t) }); got > 85 {
+		t.Errorf("complete with claimNext: %v allocs/op, want <= 85", got)
 	}
 }

@@ -93,9 +93,6 @@ func (h *Histogram) Record(v int64) {
 	h.sum += float64(v)
 }
 
-// RecordDuration adds a duration in nanoseconds.
-func (h *Histogram) RecordDuration(d time.Duration) { h.Record(int64(d)) }
-
 // Count returns the number of recorded values.
 func (h *Histogram) Count() uint64 { return h.total }
 

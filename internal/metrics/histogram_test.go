@@ -209,7 +209,7 @@ func TestHistogramMergeEmpty(t *testing.T) {
 
 func TestSnapshotString(t *testing.T) {
 	var h Histogram
-	h.RecordDuration(2 * time.Millisecond)
+	h.Record(int64(2 * time.Millisecond))
 	s := h.Snapshot()
 	if s.Count != 1 {
 		t.Fatalf("snapshot count = %d", s.Count)

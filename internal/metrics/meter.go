@@ -136,9 +136,8 @@ func (p PhaseDuration) String() string {
 }
 
 // Measurements is the bundle of standard metrics a Chronos agent attaches
-// to every job result: per-operation latency snapshots, overall
-// throughput, and phase durations. It serialises into the result JSON
-// (paper §2.1, Result).
+// to every job result: per-operation latency snapshots and overall
+// throughput. It serialises into the result JSON (paper §2.1, Result).
 type Measurements struct {
 	// Throughput is in operations per second over the execute phase.
 	Throughput float64 `json:"throughput"`
@@ -152,8 +151,6 @@ type Measurements struct {
 	// PerOperation breaks latency down by operation type (read, update,
 	// insert, scan, ...).
 	PerOperation map[string]Snapshot `json:"perOperation,omitempty"`
-	// Phases lists the measured workflow phase durations.
-	Phases []PhaseDuration `json:"phases,omitempty"`
 }
 
 // SortedOperationNames returns the PerOperation keys in sorted order for

@@ -455,7 +455,7 @@ func TestIOBatcherQuantum(t *testing.T) {
 // TestWiredTigerCacheFollowsTheStore: the decompressed-document cache may
 // never hold an older value than the store. Two writers race on one key,
 // round after round; once both have returned, what Get serves (the cache)
-// must be what Apply is handed (the stored image). A cache filled after
+// and what Apply is handed must be the stored image. A cache filled after
 // the stripe lock is released lets the loser of the store race win the
 // cache race, and the stale value then stays cached for good — which is
 // how TestEngineConcurrentSameKeyApply lost an update once in ~60 runs.
@@ -485,15 +485,20 @@ func TestWiredTigerCacheFollowsTheStore(t *testing.T) {
 		}()
 		close(start)
 		wg.Wait()
-		// Apply is handed the stored image; refusing the change leaves
-		// store and cache as they are.
-		var stored []byte
+		// Apply, which reads through the cache, is handed the stored
+		// image; refusing the change leaves store and cache as they are.
+		w := e.(*wiredTiger)
+		stored := w.decompress(w.stripe(key).docs[key])
+		var handed []byte
 		peeked := errors.New("peeked")
 		if err := e.Apply(key, func(old []byte, _ bool) ([]byte, error) {
-			stored = append([]byte(nil), old...)
+			handed = append([]byte(nil), old...)
 			return nil, peeked
 		}); err != peeked {
 			t.Fatal(err)
+		}
+		if !bytes.Equal(handed, stored) {
+			t.Fatalf("round %d: Apply is handed %q while the store holds %q", round, handed, stored)
 		}
 		if cached, _ := e.Get(key); !bytes.Equal(cached, stored) {
 			t.Fatalf("round %d: Get serves %q while the store holds %q", round, cached, stored)

@@ -244,9 +244,16 @@ func (w *wiredTiger) Apply(key string, fn func(old []byte, exists bool) ([]byte,
 	s := w.stripe(key)
 	s.mu.Lock()
 	stored, exists := s.docs[key]
+	// The read half of a read-modify-write is a read like any other: a
+	// cached document costs no decompression. Under the exclusive stripe
+	// lock the cache entry, when present, is the stored image.
 	var old []byte
 	if exists {
-		old = w.decompress(stored)
+		if v, ok := s.cacheGet(key); ok {
+			old = v
+		} else {
+			old = w.decompress(stored)
+		}
 	}
 	repl, err := fn(old, exists)
 	if err != nil {

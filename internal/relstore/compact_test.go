@@ -23,18 +23,14 @@ func TestCompactionEquivalence(t *testing.T) {
 		if err := db.CreateTable(usersSchema()); err != nil {
 			return false
 		}
-		model := map[string]int64{}
+		model := map[string]modelRow{}
+		names := []string{"c", "c", "d"}
 		ops := 20 + r.Intn(60)
 		for i := 0; i < ops; i++ {
 			id := fmt.Sprintf("u%d", r.Intn(15))
-			if r.Intn(4) == 0 {
-				db.Update(func(tx *Tx) error { tx.Delete("users", id); return nil })
-				delete(model, id)
-			} else {
-				age := r.Int63n(100)
-				db.Update(func(tx *Tx) error { return tx.Put("users", userRow(id, "c", age)) })
-				model[id] = age
-			}
+			e := modelRow{names[r.Intn(len(names))], r.Int63n(100)}
+			db.Update(func(tx *Tx) error { return tx.Put("users", userRow(id, e.name, e.age)) })
+			model[id] = e
 			// Random manual compaction points.
 			if r.Intn(10) == 0 {
 				if err := db.Compact(); err != nil {
@@ -54,12 +50,19 @@ func TestCompactionEquivalence(t *testing.T) {
 					ok = false
 					return nil
 				}
-				for id, age := range model {
+				inC := 0
+				for id, e := range model {
 					row, err := tx.Get("users", id)
-					if err != nil || row["age"].(int64) != age {
+					if err != nil || row["age"].(int64) != e.age || row["name"] != e.name {
 						ok = false
 						return nil
 					}
+					if e.name == "c" {
+						inC++
+					}
+				}
+				if n, _ := tx.Count("users", NewQuery().Eq("name", "c")); n != inC {
+					ok = false
 				}
 				return nil
 			})
@@ -134,7 +137,7 @@ func TestSnapshotIsAnExactCut(t *testing.T) {
 	if err := db.CreateTable(usersSchema()); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("counter", "c", 0)) }); err != nil {
+	if err := db.Update(func(tx *Tx) error { return tx.Put("users", userRow("counter", "c", 0)) }); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})

@@ -32,14 +32,15 @@ func crashTableSchema() Schema {
 
 // crashCommit applies commit i of the scripted workload inside tx: it
 // upserts row r<i>, advances the sequence, records i in the "latest"
-// row, and every 5th commit also deletes an older row — so recovery has
-// puts, deletes and sequence advances to get right, atomically.
+// row, and every 5th commit also overwrites an older row — so recovery
+// has new rows, overwrites and sequence advances to get right,
+// atomically.
 func crashCommit(tx *Tx, i int) error {
 	if err := tx.Put("t", Row{"id": fmt.Sprintf("r%05d", i), "v": int64(i)}); err != nil {
 		return err
 	}
 	if i%5 == 4 {
-		if err := tx.Delete("t", fmt.Sprintf("r%05d", i-2)); err != nil {
+		if err := tx.Put("t", Row{"id": fmt.Sprintf("r%05d", i-2), "v": int64(-i)}); err != nil {
 			return err
 		}
 	}
@@ -60,7 +61,7 @@ func crashModel(m int) map[string]int64 {
 	for i := 0; i < m; i++ {
 		rows[fmt.Sprintf("r%05d", i)] = int64(i)
 		if i%5 == 4 {
-			delete(rows, fmt.Sprintf("r%05d", i-2))
+			rows[fmt.Sprintf("r%05d", i-2)] = int64(-i)
 		}
 	}
 	rows["latest"] = int64(m - 1)
@@ -185,7 +186,7 @@ func verifyRecovery(t *testing.T, dir string, cutBytes int64, acked int) {
 		t.Fatalf("cut=%d: ghost commits: recovered %d > acked %d + the one in flight", cutBytes, recovered, acked)
 	}
 	// The state must be byte-for-byte the scripted prefix: the right
-	// rows with the right values, deletes applied, sequence matching.
+	// rows with the right values, overwrites applied, sequence matching.
 	want := crashModel(recovered)
 	db.View(func(tx *Tx) error {
 		if want == nil {

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,6 +85,7 @@ type table struct {
 	// without sorting per query.
 	keys *postingList
 	// indexes holds one sorted posting list per (column, value) pair.
+	// Only string columns are indexed, so a value is its own map key.
 	indexes map[string]map[string]*postingList
 	seq     int64 // auto-increment sequence
 	// codec is the binary row codec for the current schema, rebuilt on
@@ -563,54 +563,23 @@ func schemaEqual(a, b Schema) bool {
 	return true
 }
 
-// indexKey renders an indexed column value as a map key.
-func indexKey(v any) string {
-	switch x := v.(type) {
-	case string:
-		return "s:" + x
-	case int64:
-		return "i:" + strconv.FormatInt(x, 10)
-	case float64:
-		return "f:" + strconv.FormatFloat(x, 'g', -1, 64)
-	case bool:
-		return "b:" + strconv.FormatBool(x)
-	default:
-		return fmt.Sprintf("x:%v", x)
-	}
-}
-
 // addToIndexes registers a row in the table's secondary indexes.
 func (t *table) addToIndexes(id string, r Row) {
 	for col, idx := range t.indexes {
-		v, ok := r[col]
-		if !ok {
-			continue
+		if v, ok := r[col].(string); ok {
+			indexAdd(idx, v, id)
 		}
-		k := indexKey(v)
-		pl := idx[k]
-		if pl == nil {
-			pl = newPostingList()
-			idx[k] = pl
-		}
-		pl.add(id)
 	}
 }
 
-// removeFromIndexes unregisters a row from the secondary indexes.
-func (t *table) removeFromIndexes(id string, r Row) {
-	for col, idx := range t.indexes {
-		v, ok := r[col]
-		if !ok {
-			continue
-		}
-		k := indexKey(v)
-		if pl := idx[k]; pl != nil {
-			pl.remove(id)
-			if pl.len() == 0 {
-				delete(idx, k)
-			}
-		}
+// indexAdd files id under value v of one secondary index.
+func indexAdd(idx map[string]*postingList, v, id string) {
+	pl := idx[v]
+	if pl == nil {
+		pl = newPostingList()
+		idx[v] = pl
 	}
+	pl.add(id)
 }
 
 // applyPut installs a typed row, maintaining the key list and secondary
@@ -629,43 +598,25 @@ func (t *table) applyPut(id string, row Row) {
 // reindex moves id between index entries for the columns whose value
 // actually changed between old and new. An update that flips one status
 // field — the scheduler's entire steady state — touches exactly that
-// column's posting lists; every unchanged column costs one comparison
-// and no key rendering.
+// column's posting lists; every unchanged column costs one comparison.
 func (t *table) reindex(id string, old, new Row) {
 	for col, idx := range t.indexes {
-		ov, ook := old[col]
-		nv, nok := new[col]
-		if ook && nok && valueEqual(ov, nv) {
+		ov, ook := old[col].(string)
+		nv, nok := new[col].(string)
+		if ook && nok && ov == nv {
 			continue
 		}
 		if ook {
-			k := indexKey(ov)
-			if pl := idx[k]; pl != nil {
+			if pl := idx[ov]; pl != nil {
 				pl.remove(id)
 				if pl.len() == 0 {
-					delete(idx, k)
+					delete(idx, ov)
 				}
 			}
 		}
 		if nok {
-			k := indexKey(nv)
-			pl := idx[k]
-			if pl == nil {
-				pl = newPostingList()
-				idx[k] = pl
-			}
-			pl.add(id)
+			indexAdd(idx, nv, id)
 		}
-	}
-}
-
-// applyDelete removes a row. Missing rows are a no-op (idempotent WAL
-// replay).
-func (t *table) applyDelete(id string) {
-	if old, ok := t.rows[id]; ok {
-		t.removeFromIndexes(id, old)
-		delete(t.rows, id)
-		t.keys.remove(id)
 	}
 }
 
@@ -679,8 +630,6 @@ func (t *table) apply(op walOp) error {
 			return err
 		}
 		t.applyPut(op.ID, row)
-	case opDelete:
-		t.applyDelete(op.ID)
 	case opSeq:
 		if op.Seq > t.seq {
 			t.seq = op.Seq
@@ -820,14 +769,9 @@ func (db *DB) commitApply(tx *Tx) (*walBatch, error) {
 		// leaves earlier subslices valid in the old array.
 		encBuf := make([]byte, 0, 512)
 		for _, pk := range tx.pendingOrder {
-			row := tx.pending[pk]
-			if row == nil {
-				rec.Ops = append(rec.Ops, walOp{Op: opDelete, Table: pk.table, ID: pk.id})
-				continue
-			}
 			start := len(encBuf)
 			var err error
-			encBuf, err = db.tables[pk.table].codec.appendRow(encBuf, row)
+			encBuf, err = db.tables[pk.table].codec.appendRow(encBuf, tx.pending[pk])
 			if err != nil {
 				return nil, err
 			}
@@ -835,15 +779,9 @@ func (db *DB) commitApply(tx *Tx) (*walBatch, error) {
 		}
 	}
 	for _, pk := range tx.pendingOrder {
-		row := tx.pending[pk]
-		t := db.tables[pk.table]
-		if row == nil {
-			t.applyDelete(pk.id)
-		} else {
-			// The pending row was cloned on Put and the tx is recycled with
-			// this commit, so ownership transfers without another copy.
-			t.applyPut(pk.id, row)
-		}
+		// The pending row was cloned on Put and the tx is recycled with
+		// this commit, so ownership transfers without another copy.
+		db.tables[pk.table].applyPut(pk.id, tx.pending[pk])
 	}
 	// Deterministic sequence ordering. Most transactions advance zero or
 	// one sequence, so the names fit an inline array and slices.Sort

@@ -19,7 +19,7 @@ func usersSchema() Schema {
 			{Name: "id", Type: TString},
 			{Name: "name", Type: TString, Indexed: true},
 			{Name: "age", Type: TInt},
-			{Name: "score", Type: TFloat, Nullable: true},
+			{Name: "score", Type: TInt, Nullable: true},
 			{Name: "admin", Type: TBool},
 			{Name: "avatar", Type: TBytes, Nullable: true},
 			{Name: "created", Type: TTime},
@@ -46,17 +46,26 @@ func TestSchemaCheck(t *testing.T) {
 		{},                     // no name
 		{Name: "t"},            // no key
 		{Name: "t", Key: "id"}, // key column missing
-		{Name: "t", Key: "id", Columns: []Column{{Name: "id", Type: TInt}}},                               // key not string
-		{Name: "t", Key: "id", Columns: []Column{{Name: "id", Type: TString, Nullable: true}}},            // nullable key
-		{Name: "t", Key: "id", Columns: []Column{{Name: "id", Type: TString}, {Name: "id", Type: TInt}}},  // dup col
-		{Name: "t", Key: "id", Columns: []Column{{Name: "id", Type: TString}, {Name: "x", Type: "blob"}}}, // bad type
-		{Name: "t", Key: "id", Columns: []Column{{Name: "id", Type: TString}, {Name: "", Type: TString}}}, // unnamed
+		{Name: "t", Key: "id", Columns: []Column{{Name: "id", Type: TInt}}},                                // key not string
+		{Name: "t", Key: "id", Columns: []Column{{Name: "id", Type: TString, Nullable: true}}},             // nullable key
+		{Name: "t", Key: "id", Columns: []Column{{Name: "id", Type: TString}, {Name: "id", Type: TInt}}},   // dup col
+		{Name: "t", Key: "id", Columns: []Column{{Name: "id", Type: TString}, {Name: "x", Type: "blob"}}},  // bad type
+		{Name: "t", Key: "id", Columns: []Column{{Name: "id", Type: TString}, {Name: "", Type: TString}}},  // unnamed
+		{Name: "t", Key: "id", Columns: []Column{{Name: "id", Type: TString}, {Name: "x", Type: "float"}}}, // retired type
+		{Name: "t", Key: "id", Columns: []Column{{Name: "id", Type: TString}, {Name: "x", Type: TInt, Indexed: true}}},
+		{Name: "t", Key: "id", Columns: []Column{{Name: "id", Type: TString}, {Name: "x", Type: TTime, Indexed: true}}},
 	}
 	for i, s := range bad {
 		if err := s.Check(); err == nil {
 			t.Errorf("case %d: expected schema error", i)
 		}
 	}
+}
+
+// has reports whether tx sees a row with the given key.
+func has(tx *Tx, table, id string) bool {
+	_, err := tx.Get(table, id)
+	return err == nil
 }
 
 func newTestDB(t *testing.T) *DB {
@@ -75,9 +84,9 @@ func newTestDB(t *testing.T) *DB {
 func TestCRUDRoundTrip(t *testing.T) {
 	db := newTestDB(t)
 	row := userRow("u1", "ada", 36)
-	row["score"] = 99.5
+	row["score"] = int64(99)
 	row["avatar"] = []byte{1, 2, 3}
-	if err := db.Update(func(tx *Tx) error { return tx.Insert("users", row) }); err != nil {
+	if err := db.Update(func(tx *Tx) error { return tx.Put("users", row) }); err != nil {
 		t.Fatal(err)
 	}
 	err := db.View(func(tx *Tx) error {
@@ -85,7 +94,7 @@ func TestCRUDRoundTrip(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if got["name"] != "ada" || got["age"] != int64(36) || got["score"] != 99.5 {
+		if got["name"] != "ada" || got["age"] != int64(36) || got["score"] != int64(99) {
 			return fmt.Errorf("bad row: %v", got)
 		}
 		if b := got["avatar"].([]byte); len(b) != 3 || b[0] != 1 {
@@ -99,40 +108,31 @@ func TestCRUDRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Update via Put.
-	row2 := row.Clone()
-	row2["age"] = int64(37)
+	// Update via Put: the row is replaced, absent columns included.
+	row2 := userRow("u1", "ada", 37)
 	if err := db.Update(func(tx *Tx) error { return tx.Put("users", row2) }); err != nil {
 		t.Fatal(err)
 	}
-	// Delete.
-	if err := db.Update(func(tx *Tx) error { return tx.Delete("users", "u1") }); err != nil {
-		t.Fatal(err)
-	}
 	db.View(func(tx *Tx) error {
-		if _, err := tx.Get("users", "u1"); err != ErrNotFound {
-			t.Errorf("expected ErrNotFound, got %v", err)
+		got, err := tx.Get("users", "u1")
+		if err != nil || got["age"] != int64(37) {
+			t.Errorf("after overwrite: %v, %v", got, err)
+		}
+		if _, ok := got["score"]; ok {
+			t.Errorf("overwrite kept a column the new row lacks: %v", got)
+		}
+		if _, err := tx.Get("users", "u2"); err != ErrNotFound {
+			t.Errorf("missing row: expected ErrNotFound, got %v", err)
 		}
 		return nil
 	})
-}
-
-func TestInsertDuplicateFails(t *testing.T) {
-	db := newTestDB(t)
-	if err := db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u1", "a", 1)) }); err != nil {
-		t.Fatal(err)
-	}
-	err := db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u1", "b", 2)) })
-	if err == nil || !strings.Contains(err.Error(), "already has row") {
-		t.Fatalf("expected duplicate error, got %v", err)
-	}
 }
 
 func TestRollbackOnError(t *testing.T) {
 	db := newTestDB(t)
 	boom := fmt.Errorf("boom")
 	err := db.Update(func(tx *Tx) error {
-		if err := tx.Insert("users", userRow("u9", "x", 1)); err != nil {
+		if err := tx.Put("users", userRow("u9", "x", 1)); err != nil {
 			return err
 		}
 		return boom
@@ -141,7 +141,7 @@ func TestRollbackOnError(t *testing.T) {
 		t.Fatalf("expected boom, got %v", err)
 	}
 	db.View(func(tx *Tx) error {
-		if ok, _ := tx.Exists("users", "u9"); ok {
+		if has(tx, "users", "u9") {
 			t.Error("rolled-back insert is visible")
 		}
 		return nil
@@ -151,7 +151,7 @@ func TestRollbackOnError(t *testing.T) {
 func TestReadYourWrites(t *testing.T) {
 	db := newTestDB(t)
 	err := db.Update(func(tx *Tx) error {
-		if err := tx.Insert("users", userRow("u1", "a", 1)); err != nil {
+		if err := tx.Put("users", userRow("u1", "a", 1)); err != nil {
 			return err
 		}
 		got, err := tx.Get("users", "u1")
@@ -161,14 +161,8 @@ func TestReadYourWrites(t *testing.T) {
 		if got["name"] != "a" {
 			return fmt.Errorf("bad row: %v", got)
 		}
-		if err := tx.Delete("users", "u1"); err != nil {
-			return err
-		}
-		if _, err := tx.Get("users", "u1"); err != ErrNotFound {
-			return fmt.Errorf("tombstone not visible, got %v", err)
-		}
-		// Re-insert after delete within the same transaction.
-		return tx.Insert("users", userRow("u1", "b", 2))
+		// Overwrite within the same transaction.
+		return tx.Put("users", userRow("u1", "b", 2))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +203,7 @@ func TestSelectWithIndexAndPredicates(t *testing.T) {
 			if i%2 == 1 {
 				name = "odd"
 			}
-			if err := tx.Insert("users", userRow(fmt.Sprintf("u%02d", i), name, int64(i))); err != nil {
+			if err := tx.Put("users", userRow(fmt.Sprintf("u%02d", i), name, int64(i))); err != nil {
 				return err
 			}
 		}
@@ -256,7 +250,7 @@ func TestSelectWithIndexAndPredicates(t *testing.T) {
 
 func TestSelectSeesPendingWrites(t *testing.T) {
 	db := newTestDB(t)
-	db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u1", "old", 1)) })
+	db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u1", "old", 1)) })
 	err := db.Update(func(tx *Tx) error {
 		// Update u1's indexed column, insert a new matching row and check
 		// the index-assisted path sees both states correctly.
@@ -264,7 +258,7 @@ func TestSelectSeesPendingWrites(t *testing.T) {
 		if err := tx.Put("users", row); err != nil {
 			return err
 		}
-		if err := tx.Insert("users", userRow("u2", "new", 2)); err != nil {
+		if err := tx.Put("users", userRow("u2", "new", 2)); err != nil {
 			return err
 		}
 		rows, err := tx.Select("users", NewQuery().Eq("name", "new"))
@@ -288,29 +282,30 @@ func TestSelectSeesPendingWrites(t *testing.T) {
 	}
 }
 
-func TestNextIDSequence(t *testing.T) {
+func TestNextSeqSequence(t *testing.T) {
 	db := newTestDB(t)
-	var first, second string
+	var first, second int64
 	db.Update(func(tx *Tx) error {
-		first, _ = tx.NextID("users", "user")
-		second, _ = tx.NextID("users", "user")
+		first, _ = tx.NextSeq("users")
+		second, _ = tx.NextSeq("users")
 		return nil
 	})
-	if first != "user-1" || second != "user-2" {
-		t.Fatalf("ids = %q, %q", first, second)
+	if first != 1 || second != 2 {
+		t.Fatalf("sequence = %d, %d", first, second)
 	}
-	// Sequence must survive reopen (below) and not regress on rollback.
+	// Sequence must survive reopen (TestDurabilityAcrossReopen) and not
+	// move on rollback.
 	db.Update(func(tx *Tx) error {
-		tx.NextID("users", "user")
+		tx.NextSeq("users")
 		return fmt.Errorf("rollback")
 	})
-	var third string
+	var third int64
 	db.Update(func(tx *Tx) error {
-		third, _ = tx.NextID("users", "user")
+		third, _ = tx.NextSeq("users")
 		return nil
 	})
-	if third != "user-3" {
-		t.Fatalf("third id = %q, want user-3", third)
+	if third != 3 {
+		t.Fatalf("third value = %d, want 3", third)
 	}
 }
 
@@ -323,9 +318,9 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 	if err := db.CreateTable(usersSchema()); err != nil {
 		t.Fatal(err)
 	}
-	db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u1", "ada", 36)) })
-	var id string
-	db.Update(func(tx *Tx) error { id, _ = tx.NextID("users", "u"); return nil })
+	db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u1", "ada", 36)) })
+	var id int64
+	db.Update(func(tx *Tx) error { id, _ = tx.NextSeq("users"); return nil })
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -345,10 +340,10 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 		}
 		return nil
 	})
-	var id2 string
-	db2.Update(func(tx *Tx) error { id2, _ = tx.NextID("users", "u"); return nil })
-	if id != "u-1" || id2 != "u-2" {
-		t.Fatalf("sequence not durable: %q then %q", id, id2)
+	var id2 int64
+	db2.Update(func(tx *Tx) error { id2, _ = tx.NextSeq("users"); return nil })
+	if id != 1 || id2 != 2 {
+		t.Fatalf("sequence not durable: %d then %d", id, id2)
 	}
 }
 
@@ -363,7 +358,7 @@ func TestDurabilityAcrossCompaction(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		id := fmt.Sprintf("u%02d", i)
-		if err := db.Update(func(tx *Tx) error { return tx.Insert("users", userRow(id, "n", int64(i))) }); err != nil {
+		if err := db.Update(func(tx *Tx) error { return tx.Put("users", userRow(id, "n", int64(i))) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -405,8 +400,8 @@ func TestTornWALTailIsDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.CreateTable(usersSchema())
-	db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u1", "a", 1)) })
-	db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u2", "b", 2)) })
+	db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u1", "a", 1)) })
+	db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u2", "b", 2)) })
 	db.Close()
 
 	// Simulate a crash mid-append: chop bytes off the last record of the
@@ -426,16 +421,16 @@ func TestTornWALTailIsDiscarded(t *testing.T) {
 	}
 	defer db2.Close()
 	db2.View(func(tx *Tx) error {
-		if ok, _ := tx.Exists("users", "u1"); !ok {
+		if !has(tx, "users", "u1") {
 			t.Error("u1 lost")
 		}
-		if ok, _ := tx.Exists("users", "u2"); ok {
+		if has(tx, "users", "u2") {
 			t.Error("torn u2 should be discarded")
 		}
 		return nil
 	})
 	// The store must accept new writes after recovery.
-	if err := db2.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u3", "c", 3)) }); err != nil {
+	if err := db2.Update(func(tx *Tx) error { return tx.Put("users", userRow("u3", "c", 3)) }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -444,7 +439,7 @@ func TestCorruptWALChecksumDiscardsTail(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := Open(dir, nil)
 	db.CreateTable(usersSchema())
-	db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u1", "a", 1)) })
+	db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u1", "a", 1)) })
 	db.Close()
 
 	walPath := lastSegmentPath(t, dir)
@@ -458,7 +453,7 @@ func TestCorruptWALChecksumDiscardsTail(t *testing.T) {
 	}
 	defer db2.Close()
 	db2.View(func(tx *Tx) error {
-		if ok, _ := tx.Exists("users", "u1"); ok {
+		if has(tx, "users", "u1") {
 			t.Error("corrupt record should be discarded")
 		}
 		return nil
@@ -494,14 +489,11 @@ func TestReadOnlyTxRejectsWrites(t *testing.T) {
 		if err := tx.Put("users", userRow("u", "x", 1)); err == nil {
 			t.Error("Put allowed in View")
 		}
-		if err := tx.Insert("users", userRow("u", "x", 1)); err == nil {
-			t.Error("Insert allowed in View")
+		if err := tx.PutOwned("users", userRow("u", "x", 1)); err == nil {
+			t.Error("PutOwned allowed in View")
 		}
-		if err := tx.Delete("users", "u"); err == nil || err == ErrNotFound {
-			t.Error("Delete allowed in View")
-		}
-		if _, err := tx.NextID("users", "u"); err == nil {
-			t.Error("NextID allowed in View")
+		if _, err := tx.NextSeq("users"); err == nil {
+			t.Error("NextSeq allowed in View")
 		}
 		return nil
 	})
@@ -517,7 +509,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				id := fmt.Sprintf("w%d-%d", w, i)
 				err := db.Update(func(tx *Tx) error {
-					return tx.Insert("users", userRow(id, "conc", int64(i)))
+					return tx.Put("users", userRow(id, "conc", int64(i)))
 				})
 				if err != nil {
 					t.Errorf("writer %d: %v", w, err)
@@ -554,7 +546,7 @@ func TestOpenMemory(t *testing.T) {
 	if err := db.CreateTable(usersSchema()); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u1", "m", 1)) }); err != nil {
+	if err := db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u1", "m", 1)) }); err != nil {
 		t.Fatal(err)
 	}
 	st := db.Stats()
@@ -608,7 +600,7 @@ func TestSchemaUpgradeAddsNullableColumn(t *testing.T) {
 	}
 	if err := db.Update(func(tx *Tx) error {
 		for i := 0; i < 10; i++ {
-			if err := tx.Insert("jobs", Row{"id": fmt.Sprintf("j%02d", i), "status": "scheduled"}); err != nil {
+			if err := tx.Put("jobs", Row{"id": fmt.Sprintf("j%02d", i), "status": "scheduled"}); err != nil {
 				return err
 			}
 		}

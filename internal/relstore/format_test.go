@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -74,44 +75,10 @@ func TestLegacyFormatRefused(t *testing.T) {
 	for _, tc := range openCases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			db := smallSegments(t, dir, -1)
-			if err := db.CreateTable(usersSchema()); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 16; i++ {
-				if err := db.Update(func(tx *Tx) error {
-					return tx.Insert("users", userRow(fmt.Sprintf("u%d", i), "kept", int64(i)))
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if i == 3 {
-					if err := db.Compact(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-			seqs, err := listSegments(dir)
-			if err != nil || len(seqs) < 2 {
-				t.Fatalf("segments %v, %v", seqs, err)
-			}
-			final := filepath.Join(dir, segmentName(seqs[len(seqs)-1]))
+			final := closedStore(t, dir)
 			tc.plant(t, dir, final)
-			// A segment the snapshot covers, and a frame cut short at the
-			// tail of the final segment.
-			if err := os.WriteFile(filepath.Join(dir, segmentName(1)), []byte("stale"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			appendFile(t, final, fuzzSegment(t, 1)[:11])
-
-			before := dirContents(t, dir)
-			if _, err := Open(dir, nil); !errors.Is(err, ErrLegacyFormat) {
+			if err := refusedOpen(t, dir, final); !errors.Is(err, ErrLegacyFormat) {
 				t.Fatalf("Open: %v, want ErrLegacyFormat", err)
-			}
-			if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
-				t.Fatalf("refused Open changed the directory: %d files before, %d after", len(before), len(after))
 			}
 		})
 	}
@@ -139,6 +106,161 @@ func TestLegacyFormatRefused(t *testing.T) {
 			t.Fatalf("replica poisoned by a refused frame: %d, %v", n, err)
 		}
 	})
+}
+
+// closedStore writes a closed store into dir — a snapshot and several
+// segments — and returns the path of its final segment.
+func closedStore(t *testing.T, dir string) string {
+	t.Helper()
+	db := smallSegments(t, dir, -1)
+	if err := db.CreateTable(usersSchema()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if err := db.Update(func(tx *Tx) error {
+			return tx.Put("users", userRow(fmt.Sprintf("u%d", i), "kept", int64(i)))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 3 {
+			if err := db.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seqs, err := listSegments(dir)
+	if err != nil || len(seqs) < 2 {
+		t.Fatalf("segments %v, %v", seqs, err)
+	}
+	return filepath.Join(dir, segmentName(seqs[len(seqs)-1]))
+}
+
+// refusedOpen plants what a successful Open would change — a segment the
+// snapshot covers, and a frame cut short at the tail of the final
+// segment — then opens dir, asserts the open failed without touching the
+// directory, and returns its error.
+func refusedOpen(t *testing.T, dir, final string) error {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	appendFile(t, final, fuzzSegment(t, 1)[:11])
+	before := dirContents(t, dir)
+	db, err := Open(dir, nil)
+	if err == nil {
+		db.Close()
+		t.Fatal("Open succeeded")
+	}
+	if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused Open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+	return err
+}
+
+// retiredForms are checksum-valid inputs of what this store no longer
+// writes: a delete op, a put whose row carries the float tag, and
+// CreateTable records that declare a float column or index an int one.
+// Each comes as a WAL frame and, where a snapshot can hold it, as a
+// snapshot file.
+func retiredForms(t testing.TB) []struct {
+	name            string
+	frame, snapshot []byte
+} {
+	deleteOp := []byte{binRecordTag, 1, 2} // one op, opcode 2
+	deleteOp = appendLenBytes(deleteOp, "t")
+	deleteOp = appendLenBytes(deleteOp, "r1")
+	floatRow := floatTaggedRow(schemaHash(fuzzSchema), "v", math.Float64bits(0.5))
+	floatColumn := Schema{Name: "f", Key: "id", Columns: []Column{{Name: "id", Type: TString}, {Name: "x", Type: "float"}}}
+	indexedInt := Schema{Name: "n", Key: "id", Columns: []Column{{Name: "id", Type: TString}, {Name: "x", Type: TInt, Indexed: true}}}
+	snapshot := func(s Schema, row []byte) []byte {
+		var b bytes.Buffer
+		if err := writeSnapshot(&b, []tableClone{{schema: s}}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if row == nil {
+			return b.Bytes()
+		}
+		// The snapshot ends with its one table's row count, 0: make it 1.
+		out := append(b.Bytes()[:b.Len()-1], 1)
+		return append(binary.AppendUvarint(out, uint64(len(row))), row...)
+	}
+	return []struct {
+		name            string
+		frame, snapshot []byte
+	}{
+		{"delete-op", frame(deleteOp), nil},
+		{"float-tagged-row", opsFrame(t, walOp{Op: opPut, Table: "t", ID: "r1", rowBin: floatRow}), snapshot(fuzzSchema, floatRow)},
+		{"float-column", frameCreate(t, floatColumn), snapshot(floatColumn, nil)},
+		{"indexed-int-column", frameCreate(t, indexedInt), snapshot(indexedInt, nil)},
+	}
+}
+
+// TestRetiredFormsRefused: recovery, FollowerApply and snapshot load
+// refuse each retired form as a decode error before applying anything.
+// A refused Open leaves the directory byte-identical; a refused frame
+// reaches neither the replica's disk nor its tables, and does not
+// poison it; a refused snapshot leaves the tables a follower serves.
+func TestRetiredFormsRefused(t *testing.T) {
+	for _, tc := range retiredForms(t) {
+		t.Run(tc.name+"/recovery", func(t *testing.T) {
+			dir := t.TempDir()
+			final := closedStore(t, dir)
+			appendFile(t, final, tc.frame)
+			t.Log(refusedOpen(t, dir, final))
+		})
+		t.Run(tc.name+"/FollowerApply", func(t *testing.T) {
+			dir := t.TempDir()
+			follower := openFollower(t, dir)
+			create := frameCreate(t, fuzzSchema)
+			if _, err := follower.FollowerApply(create); err != nil {
+				t.Fatal(err)
+			}
+			before, state := dirContents(t, dir), dumpState(follower)
+			n, err := follower.FollowerApply(tc.frame)
+			if err == nil || IsTornFrame(err) || n != 0 {
+				t.Fatalf("FollowerApply: consumed %d, %v; want 0 and a decode error", n, err)
+			}
+			if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatal("refused frame reached the replica's disk")
+			}
+			if !reflect.DeepEqual(dumpState(follower), state) {
+				t.Fatal("refused frame changed the replica's tables")
+			}
+			if _, off := follower.FollowerPosition(); off != int64(len(create)) {
+				t.Fatalf("position moved to %d", off)
+			}
+			valid := fuzzSegment(t, 1)
+			if n, err := follower.FollowerApply(valid); err != nil || n != int64(len(valid)) {
+				t.Fatalf("replica poisoned by a refused frame: %d, %v", n, err)
+			}
+		})
+		if tc.snapshot == nil {
+			continue
+		}
+		t.Run(tc.name+"/snapshot", func(t *testing.T) {
+			dir := t.TempDir()
+			final := closedStore(t, dir)
+			if err := os.WriteFile(filepath.Join(dir, "store.snapshot"), tc.snapshot, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Log(refusedOpen(t, dir, final))
+
+			follower := openFollower(t, t.TempDir())
+			if _, err := follower.FollowerApply(append(frameCreate(t, fuzzSchema), fuzzSegment(t, 2)...)); err != nil {
+				t.Fatal(err)
+			}
+			state := dumpState(follower)
+			if err := follower.FollowerReinit(bytes.NewReader(tc.snapshot)); err == nil {
+				t.Fatal("FollowerReinit accepted the snapshot")
+			}
+			if !reflect.DeepEqual(dumpState(follower), state) {
+				t.Fatal("refused snapshot replaced the tables the follower serves")
+			}
+		})
+	}
 }
 
 // TestReadWALLyingLengthAllocatesLittle: a header that claims 512 MiB
@@ -295,7 +417,7 @@ func TestPersistedOrderedFlagIsIgnored(t *testing.T) {
 	}
 	if err := db.Update(func(tx *Tx) error {
 		for i := 0; i < 4; i++ {
-			if err := tx.Insert("jobs", Row{"id": fmt.Sprintf("j%d", i), "status": "running", "hb": int64(i)}); err != nil {
+			if err := tx.Put("jobs", Row{"id": fmt.Sprintf("j%d", i), "status": "running", "hb": int64(i)}); err != nil {
 				return err
 			}
 		}

@@ -9,7 +9,7 @@ import (
 // fuzzSchema is the table the fuzz corpus writes to.
 var fuzzSchema = Schema{Name: "t", Key: "r", Columns: []Column{
 	{Name: "r", Type: TString},
-	{Name: "v", Type: TFloat, Nullable: true},
+	{Name: "v", Type: TInt, Nullable: true},
 }}
 
 // opsFrame frames one ops record the way the WAL writer would.
@@ -23,7 +23,7 @@ func opsFrame(t testing.TB, ops ...walOp) []byte {
 }
 
 // fuzzRow encodes one fuzzSchema row through the rowcodec.
-func fuzzRow(t testing.TB, v float64) []byte {
+func fuzzRow(t testing.TB, v int64) []byte {
 	t.Helper()
 	codec := newRowCodec(fuzzSchema)
 	rb, err := codec.appendRow(nil, Row{"v": v})
@@ -39,7 +39,7 @@ func fuzzSegment(t testing.TB, n int) []byte {
 	var buf bytes.Buffer
 	for i := 0; i < n; i++ {
 		buf.Write(opsFrame(t,
-			walOp{Op: opPut, Table: "t", ID: "r1", rowBin: fuzzRow(t, float64(i))},
+			walOp{Op: opPut, Table: "t", ID: "r1", rowBin: fuzzRow(t, int64(i))},
 			walOp{Op: opSeq, Table: "t", Seq: int64(i + 1)}))
 	}
 	return buf.Bytes()
@@ -97,6 +97,11 @@ func FuzzReadWAL(f *testing.F) {
 	f.Add(frame([]byte{binRecordTag, 0xFF, 0xFF, 0xFF}))
 	f.Add(frame(append([]byte{binRecordTag}, []byte("garbage after tag")...)))
 	f.Add(lyingLengthFrame)
+	// Refused although the checksum holds: what the store no longer
+	// writes (a delete, a float, a float column, an int index).
+	for _, rf := range retiredForms(f) {
+		f.Add(append(append([]byte{}, valid...), rf.frame...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, n, err := readWAL(bytes.NewReader(data))

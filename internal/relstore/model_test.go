@@ -12,9 +12,10 @@ import (
 )
 
 // TestStoreAgreesWithMapModel is the central property test: a random
-// sequence of Put/Delete operations applied both to the store and to a
-// plain map must end in identical states — including after a close and
-// reopen, which additionally exercises the WAL replay path.
+// sequence of puts — new rows, overwrites, and moves between the values
+// of the indexed name column — applied both to the store and to a plain
+// map must end in identical states, including after a close and reopen,
+// which additionally exercises the WAL replay path.
 func TestStoreAgreesWithMapModel(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -28,32 +29,24 @@ func TestStoreAgreesWithMapModel(t *testing.T) {
 			t.Logf("create: %v", err)
 			return false
 		}
-		model := map[string]int64{} // id -> age
+		model := map[string]modelRow{}
+		names := []string{"model", "model", "other"}
 
 		nOps := 30 + r.Intn(120)
 		for i := 0; i < nOps; i++ {
 			id := fmt.Sprintf("u%d", r.Intn(20))
-			switch r.Intn(3) {
-			case 0, 1: // put
-				age := r.Int63n(100)
-				row := userRow(id, "model", age)
-				if err := db.Update(func(tx *Tx) error { return tx.Put("users", row) }); err != nil {
-					t.Logf("put: %v", err)
-					return false
-				}
-				model[id] = age
-			case 2: // delete
-				err := db.Update(func(tx *Tx) error { return tx.Delete("users", id) })
-				_, existed := model[id]
-				if existed && err != nil {
-					t.Logf("delete existing: %v", err)
-					return false
-				}
-				if !existed && err != ErrNotFound {
-					t.Logf("delete missing: got %v", err)
-					return false
-				}
-				delete(model, id)
+			e := modelRow{names[r.Intn(len(names))], r.Int63n(100)}
+			row := userRow(id, e.name, e.age)
+			if err := db.Update(func(tx *Tx) error { return tx.Put("users", row) }); err != nil {
+				t.Logf("put: %v", err)
+				return false
+			}
+			model[id] = e
+		}
+		inModel := 0
+		for _, e := range model {
+			if e.name == "model" {
+				inModel++
 			}
 		}
 
@@ -66,24 +59,24 @@ func TestStoreAgreesWithMapModel(t *testing.T) {
 					ok = false
 					return nil
 				}
-				for id, age := range model {
+				for id, e := range model {
 					row, err := tx.Get("users", id)
 					if err != nil {
 						t.Logf("%s: get %s: %v", label, id, err)
 						ok = false
 						return nil
 					}
-					if row["age"].(int64) != age {
-						t.Logf("%s: %s age %v != %d", label, id, row["age"], age)
+					if row["age"].(int64) != e.age || row["name"] != e.name {
+						t.Logf("%s: %s = %v, model %+v", label, id, row, e)
 						ok = false
 						return nil
 					}
 				}
-				// Index consistency: every row with name=model must be found
-				// via the index-assisted path.
+				// Index consistency: exactly the rows with name=model must be
+				// found via the index-assisted path.
 				rows, _ := tx.Select("users", NewQuery().Eq("name", "model"))
-				if len(rows) != len(model) {
-					t.Logf("%s: index path found %d, want %d", label, len(rows), len(model))
+				if len(rows) != inModel {
+					t.Logf("%s: index path found %d, want %d", label, len(rows), inModel)
 					ok = false
 				}
 				return nil
@@ -112,11 +105,18 @@ func TestStoreAgreesWithMapModel(t *testing.T) {
 	}
 }
 
+// modelRow is what the model tests track of a users row.
+type modelRow struct {
+	name string
+	age  int64
+}
+
 // TestConcurrentStoreAgreesWithModel runs interleaved random workers
 // against the store and a single-threaded reference model. Each worker
 // owns a disjoint key range of a shared set of tables (so the final
 // per-key state is deterministic no matter how commits interleave) and
-// randomly puts, deletes, multi-table-commits and reads; readers scan
+// randomly puts, moves rows out of the indexed name, multi-table-commits
+// and reads; readers scan
 // concurrently the whole time. At the end the store must agree with the
 // merged reference model — and still agree after a close and reopen,
 // which replays the interleaved WAL. The seed is logged for replay and
@@ -152,15 +152,16 @@ func TestConcurrentStoreAgreesWithModel(t *testing.T) {
 		}
 	}
 
-	// models[w][table][id] = age; each worker is the only writer of its
-	// keys, so its model needs no locking and the merged result is exact.
-	models := make([]map[string]map[string]int64, workers)
+	// models[w][table][id] is the row's name and age; each worker is the
+	// only writer of its keys, so its model needs no locking and the
+	// merged result is exact.
+	models := make([]map[string]map[string]modelRow, workers)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
-		models[w] = make(map[string]map[string]int64, tables)
+		models[w] = make(map[string]map[string]modelRow, tables)
 		for i := 0; i < tables; i++ {
-			models[w][tableName(i)] = make(map[string]int64)
+			models[w][tableName(i)] = make(map[string]modelRow)
 		}
 		wg.Add(1)
 		go func(w int) {
@@ -171,18 +172,13 @@ func TestConcurrentStoreAgreesWithModel(t *testing.T) {
 				id := fmt.Sprintf("w%d-u%d", w, r.Intn(keysPerW))
 				tbl := tableName(r.Intn(tables))
 				switch r.Intn(5) {
-				case 0: // delete
-					err := db.Update(func(tx *Tx) error { return tx.Delete(tbl, id) })
-					_, existed := model[tbl][id]
-					if existed && err != nil {
-						errs <- fmt.Errorf("worker %d: delete existing: %w", w, err)
+				case 0: // move out of the indexed name
+					age := r.Int63n(100)
+					if err := db.Update(func(tx *Tx) error { return tx.Put(tbl, userRow(id, "moved", age)) }); err != nil {
+						errs <- fmt.Errorf("worker %d: move: %w", w, err)
 						return
 					}
-					if !existed && err != ErrNotFound {
-						errs <- fmt.Errorf("worker %d: delete missing: %v", w, err)
-						return
-					}
-					delete(model[tbl], id)
+					model[tbl][id] = modelRow{"moved", age}
 				case 1: // multi-table commit (same id into every table)
 					age := r.Int63n(100)
 					err := db.Update(func(tx *Tx) error {
@@ -198,7 +194,7 @@ func TestConcurrentStoreAgreesWithModel(t *testing.T) {
 						return
 					}
 					for j := 0; j < tables; j++ {
-						model[tableName(j)][id] = age
+						model[tableName(j)][id] = modelRow{"model", age}
 					}
 				case 2: // read-modify-write through the store
 					err := db.Update(func(tx *Tx) error {
@@ -214,14 +210,14 @@ func TestConcurrentStoreAgreesWithModel(t *testing.T) {
 						errs <- fmt.Errorf("worker %d: rmw: %w", w, err)
 						return
 					}
-					model[tbl][id] = model[tbl][id] + 1
+					model[tbl][id] = modelRow{"model", model[tbl][id].age + 1}
 				default: // put
 					age := r.Int63n(100)
 					if err := db.Update(func(tx *Tx) error { return tx.Put(tbl, userRow(id, "model", age)) }); err != nil {
 						errs <- fmt.Errorf("worker %d: put: %w", w, err)
 						return
 					}
-					model[tbl][id] = age
+					model[tbl][id] = modelRow{"model", age}
 				}
 			}
 		}(w)
@@ -269,14 +265,14 @@ func TestConcurrentStoreAgreesWithModel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	merged := make(map[string]map[string]int64, tables)
+	merged := make(map[string]map[string]modelRow, tables)
 	for i := 0; i < tables; i++ {
-		merged[tableName(i)] = make(map[string]int64)
+		merged[tableName(i)] = make(map[string]modelRow)
 	}
 	for w := 0; w < workers; w++ {
 		for tbl, rows := range models[w] {
-			for id, age := range rows {
-				merged[tbl][id] = age
+			for id, e := range rows {
+				merged[tbl][id] = e
 			}
 		}
 	}
@@ -290,14 +286,21 @@ func TestConcurrentStoreAgreesWithModel(t *testing.T) {
 				if n != len(rows) {
 					t.Errorf("%s: %s has %d rows, model %d", label, tbl, n, len(rows))
 				}
-				for id, age := range rows {
+				inModel := 0
+				for id, e := range rows {
 					row, err := tx.Get(tbl, id)
 					if err != nil {
 						return fmt.Errorf("get %s/%s: %w", tbl, id, err)
 					}
-					if row["age"].(int64) != age {
-						t.Errorf("%s: %s/%s age %v, model %d", label, tbl, id, row["age"], age)
+					if row["age"].(int64) != e.age || row["name"] != e.name {
+						t.Errorf("%s: %s/%s = %v, model %+v", label, tbl, id, row, e)
 					}
+					if e.name == "model" {
+						inModel++
+					}
+				}
+				if n, _ := tx.Count(tbl, NewQuery().Eq("name", "model")); n != inModel {
+					t.Errorf("%s: %s index finds %d rows, model %d", label, tbl, n, inModel)
 				}
 				return nil
 			})
@@ -339,7 +342,7 @@ func TestWALRoundTripProperty(t *testing.T) {
 					"id":      id,
 					"name":    fmt.Sprintf("n%d", r.Intn(5)),
 					"age":     r.Int63n(1000),
-					"score":   float64(r.Intn(100)) / 3.0,
+					"score":   int64(r.Intn(100)),
 					"admin":   r.Intn(2) == 0,
 					"avatar":  []byte{byte(r.Intn(256)), byte(r.Intn(256))},
 					"created": time.Unix(r.Int63n(1e9), r.Int63n(1e9)).UTC(),

@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,8 +10,8 @@ import (
 // A query is equalities and a limit; a caller that wants a range filters
 // the rows an Eq or key-order scan streams it, as the watchdog's stale
 // scan does. These tests pin what such a filter is handed: every row it
-// must see, in key order, through deletions, pending writes, limits and
-// absent nullable columns.
+// must see, in key order, through rows moving between index values,
+// pending writes, limits and absent nullable columns.
 
 // rangeSchema declares a plain int column next to an indexed equality
 // column, mirroring the jobs table's status+heartbeat shape.
@@ -43,7 +42,7 @@ func newRangeDB(t *testing.T, n int) *DB {
 					status = "hot"
 				}
 				row := Row{"id": fmt.Sprintf("j%04d", i), "status": status, "hb": int64(i)}
-				if err := tx.Insert("jobs", row); err != nil {
+				if err := tx.Put("jobs", row); err != nil {
 					return err
 				}
 			}
@@ -95,7 +94,7 @@ func TestRangeEmptyAndContradictory(t *testing.T) {
 		t.Fatalf("contradictory unindexed equalities matched %v", got)
 	}
 	err := db.Update(func(tx *Tx) error {
-		if err := tx.Insert("jobs", Row{"id": "j9999", "status": "warm", "hb": int64(100)}); err != nil {
+		if err := tx.Put("jobs", Row{"id": "j9999", "status": "warm", "hb": int64(100)}); err != nil {
 			return err
 		}
 		var ids []string
@@ -132,37 +131,46 @@ func TestRangeEqIntersection(t *testing.T) {
 	}
 }
 
-// TestRangeOverDeletedKeys deletes rows inside and at the edges of a
-// range — including the low head of the table, exercising the posting
-// lists' head-trimming — and checks the key-order scan skips them.
+// TestRangeOverDeletedKeys moves rows out of their indexed value, inside
+// and at the edges of a range — including the low head of both posting
+// lists, exercising their head-trimming, the way a claimed job leaves the
+// scheduled queue — and checks the Eq scans skip them.
 func TestRangeOverDeletedKeys(t *testing.T) {
 	db := newRangeDB(t, 30)
-	err := db.Update(func(tx *Tx) error {
-		// Delete the entire head (queue-style) plus holes inside the range.
-		for _, id := range []string{"j0000", "j0001", "j0002", "j0003", "j0010", "j0012", "j0014"} {
-			if err := tx.Delete("jobs", id); err != nil {
-				return err
+	move := func(status string, hb int64, ids ...string) {
+		t.Helper()
+		err := db.Update(func(tx *Tx) error {
+			for _, id := range ids {
+				if err := tx.Put("jobs", Row{"id": id, "status": status, "hb": hb}); err != nil {
+					return err
+				}
 			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if got := selectIDs(t, db, NewQuery(), hbIn(0, 6)); !sameIDs(got, "j0004", "j0005") {
+	// Move out the head of "cold" (queue-style) plus holes inside the
+	// range, and the first two rows of "hot" (j0000, j0010).
+	move("done", -1, "j0000", "j0001", "j0002", "j0003", "j0010", "j0012", "j0014")
+	cold, hot := NewQuery().Eq("status", "cold"), NewQuery().Eq("status", "hot")
+	if got := selectIDs(t, db, cold, hbIn(0, 6)); !sameIDs(got, "j0004", "j0005") {
 		t.Fatalf("head-trimmed range: %v", got)
 	}
-	if got := selectIDs(t, db, NewQuery(), hbIn(10, 16)); !sameIDs(got, "j0011", "j0013", "j0015") {
+	if got := selectIDs(t, db, cold, hbIn(10, 16)); !sameIDs(got, "j0011", "j0013", "j0015") {
 		t.Fatalf("holes in range: %v", got)
 	}
-	// Re-inserting a deleted key with a new value brings it into range.
-	err = db.Update(func(tx *Tx) error {
-		return tx.Insert("jobs", Row{"id": "j0000", "status": "cold", "hb": int64(12)})
-	})
-	if err != nil {
-		t.Fatal(err)
+	if got := selectIDs(t, db, hot, nil); !sameIDs(got, "j0020") {
+		t.Fatalf("head-trimmed hot list: %v", got)
 	}
-	if got := selectIDs(t, db, NewQuery(), hbIn(10, 16)); !sameIDs(got, "j0000", "j0011", "j0013", "j0015") {
+	if got := selectIDs(t, db, NewQuery().Eq("status", "done"), nil); len(got) != 7 {
+		t.Fatalf("moved rows: %v", got)
+	}
+	// Moving a key back in with a new value brings it into range, in key
+	// order ahead of the trimmed head.
+	move("cold", 12, "j0001")
+	if got := selectIDs(t, db, cold, hbIn(10, 16)); !sameIDs(got, "j0001", "j0011", "j0013", "j0015") {
 		t.Fatalf("resurrected key: %v", got)
 	}
 }
@@ -189,7 +197,7 @@ func TestRangeLimitEarlyExit(t *testing.T) {
 	// A pending row that sorts first wins under Limit, and an unindexed
 	// Eq walks past the rows it rejects without spending the limit.
 	err := db.Update(func(tx *Tx) error {
-		if err := tx.Insert("jobs", Row{"id": "j0009a", "status": "cold", "hb": int64(11)}); err != nil {
+		if err := tx.Put("jobs", Row{"id": "j0009a", "status": "cold", "hb": int64(11)}); err != nil {
 			return err
 		}
 		var ids []string
@@ -248,56 +256,6 @@ func TestRangeUnorderedColumnFallsBack(t *testing.T) {
 	}
 }
 
-// TestRangeNaNConsistency checks that a NaN matches no equality, on an
-// indexed column (where NaN has a posting list of its own) or an unindexed
-// one, as a row value or as the query's value, and that a range filter is
-// handed the NaN row to reject itself.
-func TestRangeNaNConsistency(t *testing.T) {
-	nan := math.NaN()
-	db := OpenMemory()
-	schema := Schema{Name: "m", Key: "id", Columns: []Column{
-		{Name: "id", Type: TString},
-		{Name: "f", Type: TFloat},
-		{Name: "g", Type: TFloat, Indexed: true},
-	}}
-	if err := db.CreateTable(schema); err != nil {
-		t.Fatal(err)
-	}
-	err := db.Update(func(tx *Tx) error {
-		for i := 0; i < 4; i++ {
-			if err := tx.Insert("m", Row{"id": fmt.Sprintf("r%d", i), "f": float64(i), "g": float64(i)}); err != nil {
-				return err
-			}
-		}
-		return tx.Insert("m", Row{"id": "rnan", "f": nan, "g": nan})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.View(func(tx *Tx) error {
-		for _, col := range []string{"f", "g"} {
-			if n, _ := tx.Count("m", NewQuery().Eq(col, nan)); n != 0 {
-				t.Fatalf("Eq(%s, NaN) matched %d rows", col, n)
-			}
-			if n, _ := tx.Count("m", NewQuery().Eq(col, 3.0)); n != 1 {
-				t.Fatalf("Eq(%s, 3) matched %d rows, want 1", col, n)
-			}
-		}
-		var seen, kept int
-		tx.SelectFunc("m", NewQuery(), func(r Row) bool {
-			seen++
-			if r["f"].(float64) <= 3 {
-				kept++
-			}
-			return true
-		})
-		if seen != 5 || kept != 4 {
-			t.Fatalf("filter saw %d rows and kept %d, want 5 and 4", seen, kept)
-		}
-		return nil
-	})
-}
-
 // TestRangeOnTimeColumn runs the watchdog's stale-scan shape end to end on
 // a nullable TTime column: the status equality drives, the callback keeps
 // heartbeats strictly before the cutoff, and a row without a heartbeat is
@@ -323,7 +281,7 @@ func TestRangeOnTimeColumn(t *testing.T) {
 			if i != 1 { // j001 runs without a heartbeat
 				row["heartbeat"] = base.Add(time.Duration(i) * time.Second)
 			}
-			if err := tx.Insert("jobs", row); err != nil {
+			if err := tx.Put("jobs", row); err != nil {
 				return err
 			}
 		}
@@ -355,7 +313,7 @@ func TestRangeLimitAllocsScaleFree(t *testing.T) {
 		err := db.Update(func(tx *Tx) error {
 			for i := 0; i < n; i++ {
 				row := Row{"id": fmt.Sprintf("j%06d", i), "status": "cold", "hb": int64(i)}
-				if err := tx.Insert("jobs", row); err != nil {
+				if err := tx.Put("jobs", row); err != nil {
 					return err
 				}
 			}
@@ -435,12 +393,6 @@ func TestRangeConsistentWithFullScan(t *testing.T) {
 		err := db.Update(func(tx *Tx) error {
 			for i := 0; i < 15; i++ {
 				id := fmt.Sprintf("j%04d", rng.Intn(150))
-				if rng.Intn(4) == 0 {
-					if err := tx.Delete("jobs", id); err != nil && err != ErrNotFound {
-						return err
-					}
-					continue
-				}
 				row := Row{"id": id, "status": statuses[rng.Intn(2)], "hb": int64(rng.Intn(100))}
 				if err := tx.Put("jobs", row); err != nil {
 					return err

@@ -13,7 +13,7 @@ import (
 func replTestSchema() Schema {
 	return Schema{Name: "kv", Key: "id", Columns: []Column{
 		{Name: "id", Type: TString},
-		{Name: "v", Type: TInt, Indexed: true},
+		{Name: "v", Type: TInt},
 	}}
 }
 
@@ -361,6 +361,9 @@ func FuzzFollowerApply(f *testing.F) {
 	f.Add(append(frameCreate(f, replTestSchema()), valid...))
 	f.Add(frame([]byte{binRecordTag, 0x01}))
 	f.Add(lyingLengthFrame)
+	for _, rf := range retiredForms(f) {
+		f.Add(append(append([]byte{}, valid...), rf.frame...))
+	}
 
 	// The fuzz corpus references table "t"; ship its creation as the
 	// first frame so valid puts apply.

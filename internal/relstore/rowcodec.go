@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"time"
 )
 
@@ -17,7 +16,7 @@ import (
 //	uvarint field count
 //	per present field, in schema column order:
 //	  uvarint name length, name bytes
-//	  1 tag byte (binNull..binTime)
+//	  1 tag byte (binNull..binTime; 2 is retired)
 //	  tag-specific value bytes
 //
 // Field names make the format self-describing: a row encoded under an
@@ -29,16 +28,16 @@ import (
 // name in O(1), when it differs (upgrade window) decoding falls back to
 // a name lookup.
 //
-// Value encodings are lossless: floats travel as raw IEEE-754 bits (NaN
-// and -0.0 survive), times as (seconds, nanoseconds) pairs (no UnixNano
-// overflow for pre-1678/post-2262 instants), bytes raw.
+// Value encodings are lossless: times travel as (seconds, nanoseconds)
+// pairs (no UnixNano overflow for pre-1678/post-2262 instants), bytes
+// raw. Tag 2 (a float) is retired and must not be reused: no column type
+// maps to it, so validateRowBytes and decodeRow refuse a row carrying it.
 
 // Value tag bytes. The tag describes the wire form of the value that
 // follows, so a reader can skip or validate a row without any schema.
 const (
 	binNull   = 0 // no value bytes (absent column)
 	binInt    = 1 // zigzag varint
-	binFloat  = 2 // 8 bytes, IEEE-754 bits little-endian
 	binString = 3 // uvarint length + raw bytes
 	binFalse  = 4 // no value bytes
 	binTrue   = 5 // no value bytes
@@ -99,9 +98,6 @@ func (c *rowCodec) appendRow(dst []byte, r Row) ([]byte, error) {
 		case int64:
 			dst = append(dst, binInt)
 			dst = binary.AppendVarint(dst, x)
-		case float64:
-			dst = append(dst, binFloat)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 		case string:
 			dst = append(dst, binString)
 			dst = binary.AppendUvarint(dst, uint64(len(x)))
@@ -203,11 +199,6 @@ func decodeBinValue(b []byte, t ColType) (any, []byte, error) {
 			return nil, nil, fmt.Errorf("truncated int")
 		}
 		return v, b[n:], nil
-	case binFloat:
-		if len(b) < 8 {
-			return nil, nil, fmt.Errorf("truncated float")
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
 	case binString:
 		s, rest, err := readLenBytes(b)
 		if err != nil {
@@ -246,8 +237,6 @@ func typeTag(t ColType) byte {
 	switch t {
 	case TInt:
 		return binInt
-	case TFloat:
-		return binFloat
 	case TString:
 		return binString
 	case TBool:
@@ -315,11 +304,6 @@ func validateRowBytes(b []byte) error {
 				return fmt.Errorf("truncated int")
 			}
 			b = b[n:]
-		case binFloat:
-			if len(b) < 8 {
-				return fmt.Errorf("truncated float")
-			}
-			b = b[8:]
 		case binString, binBytes:
 			_, rest, err := readLenBytes(b)
 			if err != nil {

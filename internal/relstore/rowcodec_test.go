@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -14,7 +15,6 @@ func codecSchema() Schema {
 		Columns: []Column{
 			{Name: "id", Type: TString},
 			{Name: "n", Type: TInt, Nullable: true},
-			{Name: "f", Type: TFloat, Nullable: true},
 			{Name: "s", Type: TString, Nullable: true},
 			{Name: "b", Type: TBool, Nullable: true},
 			{Name: "blob", Type: TBytes, Nullable: true},
@@ -44,7 +44,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 	s := codecSchema()
 	c := newRowCodec(s)
 	rows := []Row{
-		{"id": "r1", "n": int64(42), "f": 3.5, "s": "hello", "b": true,
+		{"id": "r1", "n": int64(42), "s": "hello", "b": true,
 			"blob": []byte{0, 1, 2, 0xFF}, "at": time.Unix(1700000000, 123456789).UTC()},
 		{"id": "r2"}, // every nullable column absent
 		{"id": "r3", "n": int64(-1), "b": false, "s": "", "blob": []byte{}},
@@ -59,24 +59,12 @@ func TestRowCodecRoundTrip(t *testing.T) {
 }
 
 // TestRowCodecEdgeValues pins the values a text encoding would mangle:
-// float bit patterns (NaN, ±Inf, -0.0) and times outside both the
-// RFC 3339 four-digit-year window and the UnixNano int64 range
-// (pre-1678 / post-2262).
+// integers at both ends of int64 and times outside both the RFC 3339
+// four-digit-year window and the UnixNano int64 range (pre-1678 /
+// post-2262).
 func TestRowCodecEdgeValues(t *testing.T) {
 	s := codecSchema()
 	c := newRowCodec(s)
-
-	floats := []float64{
-		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
-		math.MaxFloat64, math.SmallestNonzeroFloat64, -math.MaxFloat64,
-	}
-	for _, f := range floats {
-		got := binRoundTrip(t, &c, Row{"id": "r", "f": f})
-		gf := got["f"].(float64)
-		if math.Float64bits(gf) != math.Float64bits(f) {
-			t.Errorf("float bits %x round-tripped to %x", math.Float64bits(f), math.Float64bits(gf))
-		}
-	}
 
 	ints := []int64{0, 1, -1, math.MaxInt64, math.MinInt64, 1 << 40, -(1 << 40)}
 	for _, n := range ints {
@@ -146,6 +134,25 @@ func TestRowCodecRejectsCorruptRows(t *testing.T) {
 	if _, err := c.decodeRow(wrongTag); err == nil {
 		t.Error("type-mismatched tag decoded")
 	}
+	// The retired float tag is refused with or without a schema.
+	floatTagged := floatTaggedRow(c.hash, "n", math.Float64bits(1.5))
+	if err := validateRowBytes(floatTagged); err == nil {
+		t.Error("float-tagged row validated")
+	}
+	if _, err := c.decodeRow(floatTagged); err == nil {
+		t.Error("float-tagged row decoded")
+	}
+}
+
+// floatTaggedRow hand-builds a row whose one field, col, carries the
+// retired float tag (2) and 8 value bytes, the way a build with float
+// columns encoded it.
+func floatTaggedRow(hash uint32, col string, bits uint64) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, hash)
+	b = binary.AppendUvarint(b, 1)
+	b = appendLenBytes(b, col)
+	b = append(b, 2)
+	return binary.LittleEndian.AppendUint64(b, bits)
 }
 
 // TestSchemaHashStability: the hash tracks the row layout (names, types,
@@ -164,7 +171,7 @@ func TestSchemaHashStability(t *testing.T) {
 		t.Error("added column kept the schema hash")
 	}
 	retyped := codecSchema()
-	retyped.Columns[1].Type = TFloat
+	retyped.Columns[1].Type = TString
 	if schemaHash(retyped) == base {
 		t.Error("retyped column kept the schema hash")
 	}
@@ -193,19 +200,27 @@ func TestRowCodecUpgradeWindow(t *testing.T) {
 }
 
 // FuzzRowCodecEquivalence: for arbitrary column values the codec must
-// round-trip to an equivalent row, bit for bit — including floats and
-// times no text encoding carries (NaN, ±Inf, years outside 1..9999),
-// integers beyond 2⁵³ and invalid UTF-8.
+// round-trip to an equivalent row, bit for bit — including times no
+// text encoding carries (years outside 1..9999), integers beyond 2⁵³
+// and invalid UTF-8. The fbits argument is a float's bit pattern, which
+// rows no longer carry: a row that tags it as a float must be refused.
 func FuzzRowCodecEquivalence(f *testing.F) {
 	f.Add(int64(1), uint64(0x400921FB54442D18), "s", []byte{1}, true, int64(0), uint32(0))
 	f.Add(int64(-1), math.Float64bits(math.NaN()), "", []byte{}, false, int64(-9220000000), uint32(999999999))
 	f.Add(int64(math.MinInt64), math.Float64bits(math.Copysign(0, -1)), "Ω", []byte{0xFF, 0}, true, int64(1e10), uint32(1))
 	f.Fuzz(func(t *testing.T, n int64, fbits uint64, s string, blob []byte, b bool, sec int64, nanos uint32) {
-		fv := math.Float64frombits(fbits)
 		at := time.Unix(sec, int64(nanos%1e9)).UTC()
-		row := Row{"id": "r", "n": n, "f": fv, "s": s, "b": b, "blob": blob, "at": at}
+		row := Row{"id": "r", "n": n, "s": s, "b": b, "blob": blob, "at": at}
 		schema := codecSchema()
 		codec := newRowCodec(schema)
+
+		floatTagged := floatTaggedRow(codec.hash, "n", fbits)
+		if err := validateRowBytes(floatTagged); err == nil {
+			t.Fatal("float-tagged row validated")
+		}
+		if _, err := codec.decodeRow(floatTagged); err == nil {
+			t.Fatal("float-tagged row decoded")
+		}
 
 		enc, err := codec.appendRow(nil, row)
 		if err != nil {
@@ -222,37 +237,20 @@ func FuzzRowCodecEquivalence(f *testing.F) {
 			t.Fatalf("binary round trip changed field count: %v vs %v", got, row)
 		}
 		for k, v := range row {
-			if !valueEqualBits(got[k], v) {
+			if !sameValue(got[k], v) {
 				t.Fatalf("binary round trip of %q: %#v != %#v", k, got[k], v)
 			}
 		}
 	})
 }
 
-// valueEqualBits compares two typed values, treating floats by bit
-// pattern (so -0.0 ≠ 0.0 and NaN = NaN) and times by instant.
-func valueEqualBits(a, b any) bool {
-	switch x := a.(type) {
-	case float64:
-		y, ok := b.(float64)
-		return ok && math.Float64bits(x) == math.Float64bits(y)
-	case time.Time:
+// sameValue compares two typed values, times by instant.
+func sameValue(a, b any) bool {
+	if x, ok := a.(time.Time); ok {
 		y, ok := b.(time.Time)
 		return ok && x.Equal(y)
-	case []byte:
-		y, ok := b.([]byte)
-		if !ok || len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-		return true
-	default:
-		return a == b
 	}
+	return valueEqual(a, b)
 }
 
 // benchRow is a representative mid-size row (the shape core's job table

@@ -52,16 +52,19 @@
 //
 // A query is equality conditions and a limit, nothing more: callers that
 // need another comparison apply it to the rows SelectFunc streams them.
-// Reads go through a small planner (Tx.scan). Every secondary index and
-// the per-table primary-key list are sorted posting lists maintained on
-// apply. For a query the planner picks the smallest posting list among
-// all indexed Eq conditions as the scan driver and turns the remaining
-// indexed conditions into O(1) membership probes; without an indexed
-// condition the primary-key list drives, so even full scans never sort
-// per query. Unindexed Eq conditions are checked against each row the
-// driver yields. Because both the driver and the transaction's pending
-// writes stream in key order, Limit pushes down: the scan stops at the
-// limit instead of materialising and sorting the full candidate set.
+// Reads go through a small planner (Tx.scan). Only string columns can be
+// indexed, and each index maps a column's string value to its rows; every
+// secondary index and the per-table primary-key list are sorted posting
+// lists maintained on apply. An Eq that gives an indexed column a value
+// that is not a string matches nothing. For a query the planner picks
+// the smallest posting list among all indexed Eq conditions as the scan
+// driver and turns the remaining indexed conditions into O(1) membership
+// probes; without an indexed condition the primary-key list drives, so
+// even full scans never sort per query. Unindexed Eq conditions are
+// checked against each row the driver yields. Because both the driver
+// and the transaction's pending writes stream in key order, Limit pushes
+// down: the scan stops at the limit instead of materialising and sorting
+// the full candidate set.
 // Select clones matching rows; SelectFunc streams them without cloning
 // and Count never clones or decodes at all.
 //
@@ -77,15 +80,19 @@
 // sequential fast path resolves every field in O(1), and when it differs
 // (a row logged before a schema upgrade) decoding falls back to by-name
 // lookup, so rows written under an older compatible schema still decode.
-// Value encodings are lossless: floats as raw IEEE-754 bits, times as
-// (seconds, nanoseconds), bytes raw.
+// A column holds an int, string, bool, bytes or time; value encodings
+// are lossless: times as (seconds, nanoseconds), bytes raw.
 //
-// A WAL frame payload (walcodec.go) is either an ops record, which
-// starts with 0x01 and carries a transaction's puts, deletes and
-// sequence bumps, or a CreateTable record, which is rare, starts with
-// '{' and carries one Schema as JSON and nothing else. A snapshot starts
-// with the magic "CHRSNAP2" and holds each table's Schema as JSON ahead
-// of its binary rows.
+// Chronos archives and never deletes, so a transaction writes puts and
+// sequence bumps, never deletes. A WAL frame payload (walcodec.go) is
+// either an ops record, which starts with 0x01 and carries a
+// transaction's puts and sequence bumps, or a CreateTable record, which
+// is rare, starts with '{' and carries one Schema as JSON and nothing
+// else. A snapshot starts with the magic "CHRSNAP2" and holds each
+// table's Schema as JSON ahead of its binary rows. Recovery,
+// FollowerApply and snapshot load refuse, as a decode error and before
+// anything is applied, a delete op (retired opcode 2), a value with the
+// retired float tag (2), and a schema that fails Schema.Check.
 //
 // What a build that wrote JSON rows leaves behind is refused with
 // ErrLegacyFormat: a snapshot that starts with '{', a single-file
@@ -224,8 +231,6 @@ type ColType string
 const (
 	// TInt is a 64-bit signed integer column.
 	TInt ColType = "int"
-	// TFloat is a 64-bit float column.
-	TFloat ColType = "float"
 	// TString is a UTF-8 string column.
 	TString ColType = "string"
 	// TBool is a boolean column.
@@ -240,7 +245,8 @@ const (
 type Column struct {
 	Name string  `json:"name"`
 	Type ColType `json:"type"`
-	// Indexed creates a secondary equality index over the column.
+	// Indexed creates a secondary equality index over the column, which
+	// must be a string column.
 	Indexed bool `json:"indexed,omitempty"`
 	// Nullable permits the column to be absent from a row.
 	Nullable bool `json:"nullable,omitempty"`
@@ -273,9 +279,12 @@ func (s *Schema) Check() error {
 		}
 		seen[c.Name] = true
 		switch c.Type {
-		case TInt, TFloat, TString, TBool, TBytes, TTime:
+		case TInt, TString, TBool, TBytes, TTime:
 		default:
 			return fmt.Errorf("relstore: table %q column %q has unknown type %q", s.Name, c.Name, c.Type)
+		}
+		if c.Indexed && c.Type != TString {
+			return fmt.Errorf("relstore: table %q column %q: only string columns can be indexed", s.Name, c.Name)
 		}
 		if c.Name == s.Key {
 			keyFound = true
@@ -304,7 +313,7 @@ func (s *Schema) column(name string) (Column, bool) {
 }
 
 // Row is a single record: column name to value. Value types are exactly
-// int64, float64, string, bool, []byte or time.Time, matching the column
+// int64, string, bool, []byte or time.Time, matching the column
 // declaration.
 type Row map[string]any
 
@@ -354,9 +363,6 @@ func typeMatches(t ColType, v any) bool {
 	switch t {
 	case TInt:
 		_, ok := v.(int64)
-		return ok
-	case TFloat:
-		_, ok := v.(float64)
 		return ok
 	case TString:
 		_, ok := v.(string)

@@ -1,9 +1,9 @@
 package relstore
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
-	"strconv"
 )
 
 // ErrNotFound is returned by Get when no row has the requested key.
@@ -21,9 +21,8 @@ var ErrNotFound = fmt.Errorf("relstore: row not found")
 type Tx struct {
 	db       *DB
 	writable bool
-	// pending maps (table, id) -> buffered write, in insertion order via
-	// pendingOrder for deterministic WAL layout. A nil Row value marks a
-	// tombstone (delete); presence in the map marks a buffered write.
+	// pending maps (table, id) -> buffered put, in insertion order via
+	// pendingOrder for deterministic WAL layout.
 	pending      map[pendingKey]Row
 	pendingOrder []pendingKey
 	// seqs buffers sequence advances.
@@ -46,9 +45,6 @@ func (tx *Tx) table(name string) (*table, error) {
 // Get returns a copy of the row with the given key, or ErrNotFound.
 func (tx *Tx) Get(tableName, id string) (Row, error) {
 	if p, ok := tx.pending[pendingKey{tableName, id}]; ok {
-		if p == nil {
-			return nil, ErrNotFound
-		}
 		return p.Clone(), nil
 	}
 	t, err := tx.table(tableName)
@@ -106,18 +102,6 @@ func (tx *Tx) GetValue(tableName, id, col string) (any, error) {
 	return v, nil
 }
 
-// Exists reports whether a row with the given key exists.
-func (tx *Tx) Exists(tableName, id string) (bool, error) {
-	_, err := tx.Get(tableName, id)
-	if err == ErrNotFound {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 // Put inserts or replaces a row (upsert). The row must carry the key
 // column and validate against the schema.
 func (tx *Tx) Put(tableName string, row Row) error {
@@ -158,49 +142,8 @@ func (tx *Tx) PutOwned(tableName string, row Row) error {
 	return nil
 }
 
-// Insert adds a new row, failing if the key already exists.
-func (tx *Tx) Insert(tableName string, row Row) error {
-	if !tx.writable {
-		return fmt.Errorf("relstore: Insert in read-only transaction")
-	}
-	t, err := tx.table(tableName)
-	if err != nil {
-		return err
-	}
-	if err := t.schema.validate(row); err != nil {
-		return err
-	}
-	id := row[t.schema.Key].(string)
-	exists, err := tx.Exists(tableName, id)
-	if err != nil {
-		return err
-	}
-	if exists {
-		return fmt.Errorf("relstore: table %q already has row %q", tableName, id)
-	}
-	tx.buffer(tableName, id, row.Clone())
-	return nil
-}
-
-// Delete removes the row with the given key. Deleting a missing row
-// returns ErrNotFound.
-func (tx *Tx) Delete(tableName, id string) error {
-	if !tx.writable {
-		return fmt.Errorf("relstore: Delete in read-only transaction")
-	}
-	exists, err := tx.Exists(tableName, id)
-	if err != nil {
-		return err
-	}
-	if !exists {
-		return ErrNotFound
-	}
-	tx.buffer(tableName, id, nil)
-	return nil
-}
-
-// buffer records a pending write (nil row = tombstone), replacing any
-// earlier write to the same row within this transaction.
+// buffer records a pending put, replacing any earlier put of the same
+// row within this transaction.
 func (tx *Tx) buffer(table, id string, row Row) {
 	if tx.pending == nil {
 		tx.pending = make(map[pendingKey]Row, 8)
@@ -210,18 +153,6 @@ func (tx *Tx) buffer(table, id string, row Row) {
 		tx.pendingOrder = append(tx.pendingOrder, k)
 	}
 	tx.pending[k] = row
-}
-
-// NextID reserves the next value of the table's auto-increment sequence
-// and returns it formatted with the given prefix, e.g. NextID("jobs",
-// "job") -> "job-17". The advance commits atomically with the rest of the
-// transaction.
-func (tx *Tx) NextID(tableName, prefix string) (string, error) {
-	n, err := tx.NextSeq(tableName)
-	if err != nil {
-		return "", err
-	}
-	return prefix + "-" + strconv.FormatInt(n, 10), nil
 }
 
 // NextSeq reserves and returns the next value of the table's
@@ -317,8 +248,8 @@ func (tx *Tx) Count(tableName string, q *Query) (int, error) {
 // smallest matching posting list, probing the remaining indexed
 // equalities, or the primary-key list) and every equality, unindexed ones
 // included, is then checked against the resolved row; pending
-// writes are merged in by id so uncommitted rows, overwrites and
-// tombstones are all visible.
+// writes are merged in by id so uncommitted rows and overwrites are
+// both visible.
 // Both sources are sorted, so rows stream in key order and the walk
 // stops as soon as fn declines or the limit is reached.
 //
@@ -346,7 +277,7 @@ func (tx *Tx) scan(tableName string, q *Query, fn func(Row) bool) error {
 	matched := 0
 	emit := func(id string) bool {
 		row := tx.effectiveRow(t, tableName, id)
-		if row == nil || !matchesQuery(row, q) {
+		if !matchesQuery(row, q) {
 			return true
 		}
 		matched++
@@ -396,7 +327,9 @@ func (tx *Tx) scan(tableName string, q *Query, fn func(Row) bool) error {
 // matchesQuery, so plan only has to narrow the walk, not decide the
 // answer. Without an indexed equality the sorted primary-key list drives
 // (full scan). An equality on a value no committed row holds yields an
-// empty driver: only pending writes can match then.
+// empty driver: only pending writes can match then. Indexed columns are
+// string columns, so an equality that gives one another type yields the
+// empty driver too, and no pending row matches it either.
 func (t *table) plan(q *Query) (driver *plCursor, probes []*postingList) {
 	var lists []*postingList
 	smallest := 0
@@ -405,8 +338,9 @@ func (t *table) plan(q *Query) (driver *plCursor, probes []*postingList) {
 		if !ok {
 			continue
 		}
-		pl := idx[indexKey(eq.val)]
-		if pl == nil || pl.len() == 0 {
+		v, isString := eq.val.(string)
+		pl := idx[v]
+		if !isString || pl == nil || pl.len() == 0 {
 			return &plCursor{}, nil
 		}
 		if len(lists) > 0 && pl.len() < lists[smallest].len() {
@@ -434,10 +368,11 @@ func inAll(pls []*postingList, id string) bool {
 	return true
 }
 
-// effectiveRow resolves a row id through the transaction's write buffer.
+// effectiveRow resolves a row id through the transaction's write buffer,
+// nil when neither holds it.
 func (tx *Tx) effectiveRow(t *table, tableName, id string) Row {
 	if p, ok := tx.pending[pendingKey{tableName, id}]; ok {
-		return p // may be nil (tombstone)
+		return p
 	}
 	return t.rows[id]
 }
@@ -456,16 +391,8 @@ func matchesQuery(row Row, q *Query) bool {
 // valueEqual compares two column values of the supported types.
 func valueEqual(a, b any) bool {
 	if ab, ok := a.([]byte); ok {
-		bb, ok2 := b.([]byte)
-		if !ok2 || len(ab) != len(bb) {
-			return false
-		}
-		for i := range ab {
-			if ab[i] != bb[i] {
-				return false
-			}
-		}
-		return true
+		bb, ok := b.([]byte)
+		return ok && bytes.Equal(ab, bb)
 	}
 	return a == b
 }

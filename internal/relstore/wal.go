@@ -16,9 +16,8 @@ import (
 
 // walOp codes.
 const (
-	opPut    = "put"
-	opDelete = "del"
-	opSeq    = "seq"
+	opPut = "put"
+	opSeq = "seq"
 )
 
 // walOp is one mutation within a committed transaction. A put carries
@@ -642,6 +641,9 @@ func readSnapshotFile(path string) (map[string]*table, int64, error) {
 		var s Schema
 		if err := json.Unmarshal(schemaJSON, &s); err != nil {
 			return nil, 0, fmt.Errorf("relstore: snapshot: decode schema: %w", err)
+		}
+		if err := s.Check(); err != nil {
+			return nil, 0, fmt.Errorf("relstore: snapshot: %w", err)
 		}
 		t := newTable(s)
 		seq, err := binary.ReadUvarint(br)

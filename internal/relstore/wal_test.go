@@ -54,7 +54,7 @@ func TestSegmentRotation(t *testing.T) {
 	}
 	for i := 0; i < 30; i++ {
 		id := fmt.Sprintf("u%02d", i)
-		if err := db.Update(func(tx *Tx) error { return tx.Insert("users", userRow(id, "rot", int64(i))) }); err != nil {
+		if err := db.Update(func(tx *Tx) error { return tx.Put("users", userRow(id, "rot", int64(i))) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestCompactionDeletesOnlySealedSegments(t *testing.T) {
 	db := smallSegments(t, dir, -1)
 	db.CreateTable(usersSchema())
 	for i := 0; i < 20; i++ {
-		db.Update(func(tx *Tx) error { return tx.Insert("users", userRow(fmt.Sprintf("u%02d", i), "c", int64(i))) })
+		db.Update(func(tx *Tx) error { return tx.Put("users", userRow(fmt.Sprintf("u%02d", i), "c", int64(i))) })
 	}
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestCompactionDeletesOnlySealedSegments(t *testing.T) {
 		t.Fatalf("snapshot walSeq = %d, active segment = %d", snapSeq, seqs[0])
 	}
 	// Post-compaction writes land in the new segment and survive reopen.
-	db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u99", "after", 99)) })
+	db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u99", "after", 99)) })
 	db.Close()
 	db2, err := Open(dir, nil)
 	if err != nil {
@@ -133,7 +133,7 @@ func TestMidSequenceCorruptionRefusesStartup(t *testing.T) {
 	db := smallSegments(t, dir, -1)
 	db.CreateTable(usersSchema())
 	for i := 0; i < 30; i++ {
-		db.Update(func(tx *Tx) error { return tx.Insert("users", userRow(fmt.Sprintf("u%02d", i), "m", int64(i))) })
+		db.Update(func(tx *Tx) error { return tx.Put("users", userRow(fmt.Sprintf("u%02d", i), "m", int64(i))) })
 	}
 	db.Close()
 	seqs, _ := listSegments(dir)
@@ -158,7 +158,7 @@ func TestMissingSegmentRefusesStartup(t *testing.T) {
 	db := smallSegments(t, dir, -1)
 	db.CreateTable(usersSchema())
 	for i := 0; i < 30; i++ {
-		db.Update(func(tx *Tx) error { return tx.Insert("users", userRow(fmt.Sprintf("u%02d", i), "g", int64(i))) })
+		db.Update(func(tx *Tx) error { return tx.Put("users", userRow(fmt.Sprintf("u%02d", i), "g", int64(i))) })
 	}
 	db.Close()
 	seqs, _ := listSegments(dir)
@@ -182,8 +182,8 @@ func TestTornTailRepairedBeforeNewWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.CreateTable(usersSchema())
-	db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u1", "a", 1)) })
-	db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u2", "b", 2)) })
+	db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u1", "a", 1)) })
+	db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u2", "b", 2)) })
 	db.Close()
 
 	seg := lastSegmentPath(t, dir)
@@ -195,8 +195,8 @@ func TestTornTailRepairedBeforeNewWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u3", "c", 3)) })
-	db2.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u4", "d", 4)) })
+	db2.Update(func(tx *Tx) error { return tx.Put("users", userRow("u3", "c", 3)) })
+	db2.Update(func(tx *Tx) error { return tx.Put("users", userRow("u4", "d", 4)) })
 	db2.Close()
 
 	// Second reopen must see u1 (intact), u3 and u4 (post-repair writes).
@@ -207,11 +207,11 @@ func TestTornTailRepairedBeforeNewWrites(t *testing.T) {
 	defer db3.Close()
 	db3.View(func(tx *Tx) error {
 		for _, id := range []string{"u1", "u3", "u4"} {
-			if ok, _ := tx.Exists("users", id); !ok {
+			if !has(tx, "users", id) {
 				t.Errorf("%s lost after torn-tail repair", id)
 			}
 		}
-		if ok, _ := tx.Exists("users", "u2"); ok {
+		if has(tx, "users", "u2") {
 			t.Error("torn u2 resurrected")
 		}
 		return nil
@@ -226,12 +226,12 @@ func TestStaleSegmentsCleanedOnOpen(t *testing.T) {
 	db := smallSegments(t, dir, -1)
 	db.CreateTable(usersSchema())
 	for i := 0; i < 20; i++ {
-		db.Update(func(tx *Tx) error { return tx.Insert("users", userRow(fmt.Sprintf("u%02d", i), "s", int64(i))) })
+		db.Update(func(tx *Tx) error { return tx.Put("users", userRow(fmt.Sprintf("u%02d", i), "s", int64(i))) })
 	}
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u99", "live", 99)) })
+	db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u99", "live", 99)) })
 	db.Close()
 	// Resurrect a stale pre-boundary segment with garbage content — it
 	// must be ignored (and removed) because the snapshot covers it.
@@ -265,7 +265,7 @@ func TestCloseRemovesEmptyActiveSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.CreateTable(usersSchema())
-	db.Update(func(tx *Tx) error { return tx.Insert("users", userRow("u1", "a", 1)) })
+	db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u1", "a", 1)) })
 	db.Close()
 	for i := 0; i < 5; i++ {
 		db, err := Open(dir, nil)
@@ -316,7 +316,7 @@ func TestBackgroundCompactionTriggersAutomatically(t *testing.T) {
 	defer db.Close()
 	db.CreateTable(usersSchema())
 	for i := 0; i < 40; i++ {
-		if err := db.Update(func(tx *Tx) error { return tx.Insert("users", userRow(fmt.Sprintf("u%02d", i), "bg", int64(i))) }); err != nil {
+		if err := db.Update(func(tx *Tx) error { return tx.Put("users", userRow(fmt.Sprintf("u%02d", i), "bg", int64(i))) }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,22 +16,22 @@ import (
 //	0x01 (binRecordTag)
 //	uvarint op count
 //	per op:
-//	  1 opcode byte (binOpPut / binOpDelete / binOpSeq)
+//	  1 opcode byte (binOpPut / binOpSeq)
 //	  uvarint table-name length, table name
-//	  put:    uvarint id length, id, uvarint row length, row (rowcodec)
-//	  delete: uvarint id length, id
-//	  seq:    uvarint sequence value
+//	  put: uvarint id length, id, uvarint row length, row (rowcodec)
+//	  seq: uvarint sequence value
 //
-// A table creation or schema upgrade is a CreateTable record, which is
-// rare and carries its Schema as JSON: {"createTable": <Schema>}, and
-// nothing else. A '{' payload that carries "ops" holds JSON rows, which
-// this version does not read: ErrLegacyFormat.
+// Opcode 2 is retired and must not be reused: the store never deletes,
+// and a frame carrying it fails to decode. A table creation or schema
+// upgrade is a CreateTable record, which is rare and carries its Schema
+// as JSON: {"createTable": <Schema>}, and nothing else; a schema that
+// fails Schema.Check fails to decode. A '{' payload that carries "ops"
+// holds JSON rows, which this version does not read: ErrLegacyFormat.
 const (
 	binRecordTag = 0x01
 
-	binOpPut    = 1
-	binOpDelete = 2
-	binOpSeq    = 3
+	binOpPut = 1
+	binOpSeq = 3
 )
 
 // schemaRecord is the JSON payload of a CreateTable frame. Ops exists
@@ -56,6 +56,9 @@ func decodeRecord(payload []byte) (walRecord, error) {
 	}
 	switch {
 	case rec.CreateTable != nil && len(rec.Ops) == 0:
+		if err := rec.CreateTable.Check(); err != nil {
+			return walRecord{}, fmt.Errorf("relstore: decode wal record: %w", err)
+		}
 		return walRecord{CreateTable: rec.CreateTable}, nil
 	case rec.CreateTable == nil && len(rec.Ops) > 0:
 		return walRecord{}, fmt.Errorf("%w (a WAL frame holds JSON rows)", ErrLegacyFormat)
@@ -87,10 +90,6 @@ func appendBinRecord(dst []byte, rec walRecord) ([]byte, error) {
 			dst = appendLenBytes(dst, op.ID)
 			dst = binary.AppendUvarint(dst, uint64(len(op.rowBin)))
 			dst = append(dst, op.rowBin...)
-		case opDelete:
-			dst = append(dst, binOpDelete)
-			dst = appendLenBytes(dst, op.Table)
-			dst = appendLenBytes(dst, op.ID)
 		case opSeq:
 			dst = append(dst, binOpSeq)
 			dst = appendLenBytes(dst, op.Table)
@@ -153,13 +152,6 @@ func decodeBinRecord(payload []byte) (walRecord, error) {
 				return walRecord{}, fmt.Errorf("relstore: decode wal record: row for table %q: %w", op.Table, err)
 			}
 			op.ID, op.rowBin, b = string(id), row, rest2
-		case binOpDelete:
-			op.Op = opDelete
-			id, rest, err := readLenBytes(b)
-			if err != nil {
-				return walRecord{}, fmt.Errorf("relstore: decode wal record: row id: %w", err)
-			}
-			op.ID, b = string(id), rest
 		case binOpSeq:
 			op.Op = opSeq
 			seq, n := binary.Uvarint(b)

@@ -274,7 +274,13 @@ func TestStalenessBudgetDegrades(t *testing.T) {
 		t.Fatalf("fresh follower within budget refused a read: %d", resp.StatusCode)
 	}
 
-	fx.leaderTS.Close() // silence the leader; staleness now only grows
+	// Silence the leader; staleness now only grows. Close alone waits out
+	// the follower's in-flight long poll, which then reaches the follower
+	// as a clean round and restarts its staleness clock after this test
+	// has already seen its first 503. Cutting the connections first fails
+	// that round instead.
+	fx.leaderTS.CloseClientConnections()
+	fx.leaderTS.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		resp := get(t, fx.followerTS.URL, "/api/v2/users", "")

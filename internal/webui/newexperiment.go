@@ -205,9 +205,11 @@ func (u *ui) createExperiment(w http.ResponseWriter, r *http.Request) error {
 	}
 	maxAttempts := 0
 	if s := r.PostFormValue("maxAttempts"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			maxAttempts = n
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return fmt.Errorf("max attempts %q is not an integer", s)
 		}
+		maxAttempts = n
 	}
 	exp, err := u.svc.CreateExperiment(projectID, sysID, name,
 		r.PostFormValue("description"), settings, maxAttempts)

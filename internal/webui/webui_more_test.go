@@ -143,3 +143,31 @@ func TestNewExperimentFormFlow(t *testing.T) {
 		t.Fatalf("invalid form -> %d", resp.StatusCode)
 	}
 }
+
+// TestNewExperimentMalformedMaxAttempts: a "Max attempts" that is not an
+// integer is answered 400, not swapped for the default budget.
+func TestNewExperimentMalformedMaxAttempts(t *testing.T) {
+	f := newFixture(t)
+	for _, bad := range []string{"two", "2.5", "3x"} {
+		form := url.Values{
+			"system":       {f.systemID},
+			"name":         {"bad-attempts"},
+			"param_engine": {"wiredtiger"},
+			"maxAttempts":  {bad},
+		}
+		resp, err := f.ts.Client().PostForm(f.ts.URL+"/projects/"+f.projectID+"/experiments", form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Fatalf("maxAttempts %q -> %d, want 400", bad, resp.StatusCode)
+		}
+	}
+	exps, _ := f.svc.ListExperiments(f.projectID)
+	for _, e := range exps {
+		if e.Name == "bad-attempts" {
+			t.Fatalf("experiment created with maxAttempts %d from a malformed value", e.MaxAttempts)
+		}
+	}
+}

@@ -55,7 +55,8 @@ func TestScheduleValidate(t *testing.T) {
 }
 
 func TestConfigValidateNegativeKnobs(t *testing.T) {
-	base := WorkloadA(100, 100)
+	base := Config{Name: "A", RecordCount: 100, OperationCount: 100,
+		Mix: Mix{OpRead: 0.5, OpUpdate: 0.5}, Distribution: "zipfian"}.WithDefaults()
 	cases := []struct {
 		name   string
 		mutate func(*Config)

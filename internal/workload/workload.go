@@ -182,67 +182,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Core workload constructors follow the YCSB letter suite.
-
-// WorkloadA is the update-heavy mix: 50% reads, 50% updates, zipfian.
-func WorkloadA(records, ops int64) Config {
-	return Config{Name: "A", RecordCount: records, OperationCount: ops,
-		Mix: Mix{OpRead: 0.5, OpUpdate: 0.5}, Distribution: "zipfian"}.WithDefaults()
-}
-
-// WorkloadB is the read-mostly mix: 95% reads, 5% updates, zipfian.
-func WorkloadB(records, ops int64) Config {
-	return Config{Name: "B", RecordCount: records, OperationCount: ops,
-		Mix: Mix{OpRead: 0.95, OpUpdate: 0.05}, Distribution: "zipfian"}.WithDefaults()
-}
-
-// WorkloadC is read-only, zipfian.
-func WorkloadC(records, ops int64) Config {
-	return Config{Name: "C", RecordCount: records, OperationCount: ops,
-		Mix: Mix{OpRead: 1}, Distribution: "zipfian"}.WithDefaults()
-}
-
-// WorkloadD is read-latest: 95% reads of recent records, 5% inserts.
-func WorkloadD(records, ops int64) Config {
-	return Config{Name: "D", RecordCount: records, OperationCount: ops,
-		Mix: Mix{OpRead: 0.95, OpInsert: 0.05}, Distribution: "latest"}.WithDefaults()
-}
-
-// WorkloadE is short scans: 95% scans, 5% inserts.
-func WorkloadE(records, ops int64) Config {
-	c := Config{Name: "E", RecordCount: records, OperationCount: ops,
-		Mix: Mix{OpScan: 0.95, OpInsert: 0.05}, Distribution: "zipfian"}.WithDefaults()
-	c.MaxScanLength = 20
-	return c
-}
-
-// WorkloadF is read-modify-write: 50% reads, 50% RMW, zipfian.
-func WorkloadF(records, ops int64) Config {
-	return Config{Name: "F", RecordCount: records, OperationCount: ops,
-		Mix: Mix{OpRead: 0.5, OpReadModifyWrite: 0.5}, Distribution: "zipfian"}.WithDefaults()
-}
-
-// CoreWorkload returns the named YCSB core workload (letter a-f, any
-// case).
-func CoreWorkload(name string, records, ops int64) (Config, error) {
-	switch strings.ToLower(name) {
-	case "a":
-		return WorkloadA(records, ops), nil
-	case "b":
-		return WorkloadB(records, ops), nil
-	case "c":
-		return WorkloadC(records, ops), nil
-	case "d":
-		return WorkloadD(records, ops), nil
-	case "e":
-		return WorkloadE(records, ops), nil
-	case "f":
-		return WorkloadF(records, ops), nil
-	default:
-		return Config{}, fmt.Errorf("workload: unknown core workload %q", name)
-	}
-}
-
 // MixFromRatio builds a read/update mix from integer ratio parts, the
 // form the Chronos parameter type "ratio" delivers (e.g. 95:5).
 func MixFromRatio(readPart, updatePart int) Mix {

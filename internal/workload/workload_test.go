@@ -181,21 +181,6 @@ func TestOpChooserProportions(t *testing.T) {
 	}
 }
 
-func TestCoreWorkloads(t *testing.T) {
-	for _, name := range []string{"a", "B", "c", "D", "e", "F"} {
-		cfg, err := CoreWorkload(name, 1000, 100)
-		if err != nil {
-			t.Fatalf("workload %s: %v", name, err)
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("workload %s invalid: %v", name, err)
-		}
-	}
-	if _, err := CoreWorkload("z", 10, 10); err == nil {
-		t.Fatal("unknown workload accepted")
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{RecordCount: 0, OperationCount: 1, Mix: Mix{OpRead: 1}, Distribution: "uniform"},
@@ -212,8 +197,8 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestGeneratorDeterministic(t *testing.T) {
-	cfg := WorkloadA(1000, 100)
-	cfg.Seed = 99
+	cfg := Config{Name: "A", RecordCount: 1000, OperationCount: 100,
+		Mix: Mix{OpRead: 0.5, OpUpdate: 0.5}, Distribution: "zipfian", Seed: 99}.WithDefaults()
 	g1, err := NewScheduleGenerator(cfg.Schedule(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -284,8 +269,8 @@ func TestGeneratorOpShapes(t *testing.T) {
 }
 
 func TestGeneratorInsertKeysUniqueAndFresh(t *testing.T) {
-	cfg := WorkloadD(100, 1000)
-	cfg.Seed = 13
+	cfg := Config{Name: "D", RecordCount: 100, OperationCount: 1000,
+		Mix: Mix{OpRead: 0.95, OpInsert: 0.05}, Distribution: "latest", Seed: 13}.WithDefaults()
 	g, err := NewScheduleGenerator(cfg.Schedule(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -333,8 +318,8 @@ func TestKeyPaddingSortsNumerically(t *testing.T) {
 // (uniform random letters repeat an adjacent byte ~4% of the time), and
 // nearly all distinct.
 func TestFieldValueCompressible(t *testing.T) {
-	cfg := WorkloadA(10, 10)
-	cfg.Seed = 1
+	cfg := Config{Name: "A", RecordCount: 10, OperationCount: 10,
+		Mix: Mix{OpRead: 0.5, OpUpdate: 0.5}, Distribution: "zipfian", Seed: 1}.WithDefaults()
 	g, _ := NewScheduleGenerator(cfg.Schedule(), 0, 1)
 	distinct := map[string]bool{}
 	for n := 0; n < 1000; n++ {
