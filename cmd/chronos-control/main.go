@@ -145,9 +145,11 @@ func assemble(ctx context.Context, c config) (server *rest.Server, closeStore fu
 		}
 		closeStore = db.Close
 	}
+	// A failed assembly returns no closeStore, so keep the one it opened.
+	opened := closeStore
 	defer func() {
 		if err != nil {
-			closeStore()
+			opened()
 		}
 	}()
 

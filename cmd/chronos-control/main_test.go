@@ -10,10 +10,14 @@ import (
 	"net/url"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"chronos/internal/relstore"
 )
 
 var update = flag.Bool("update", false, "rewrite the -h golden file from the binary's flags")
@@ -86,6 +90,42 @@ func TestRemovedClaimFlagsAreUsageErrors(t *testing.T) {
 		if want := "flag provided but not defined: " + removed; !strings.Contains(out, want) {
 			t.Fatalf("chronos-control %v printed\n%s\nwant %q", args, out, want)
 		}
+	}
+}
+
+// TestOlderFormatIsRefusedAtStart: a leader start over a store whose
+// tables differ from this build's — here a jobs table from before the
+// column stores — exits with relstore.ErrLegacyFormat, which names the
+// upgrade route, and leaves its snapshot and segments as they were.
+func TestOlderFormatIsRefusedAtStart(t *testing.T) {
+	dir := t.TempDir()
+	db, err := relstore.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := relstore.Schema{Name: "jobs", Key: "id", Columns: []relstore.Column{
+		{Name: "id", Type: relstore.TString},
+		{Name: "data", Type: relstore.TBytes},
+	}}
+	if err := db.CreateTable(old); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	segments := func() []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	before := segments()
+	out, status := asMain(t, "-addr", "127.0.0.1:0", "-data", dir)
+	if status != 1 || !strings.Contains(out, relstore.ErrLegacyFormat.Error()) {
+		t.Fatalf("chronos-control over an older store exited %d:\n%s", status, out)
+	}
+	if after := segments(); !slices.Equal(after, before) {
+		t.Fatalf("segments %v after the refused start, %v before", after, before)
 	}
 }
 

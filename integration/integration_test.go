@@ -328,10 +328,18 @@ func TestE6ShapeAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test skipped in -short mode")
 	}
+	// Sleeping on simulated write I/O, not the CPU share, bounds both
+	// engines at 500us a write: wiredTiger's 8-thread point needs about
+	// half a core (at the 100us default it is CPU-bound, and beside
+	// another test binary on 2 vCPUs the ratio fell to ~1.3). A longer
+	// wait starves mmapv1's collection lock on the read-mostly mix, past
+	// that mix's band below. Records and operations are cut so the test
+	// takes no longer than it did at the default.
 	cfg := experiments.Config{
-		Records:    1000,
-		Operations: 8000,
-		Threads:    []int64{1, 4, 8},
+		Records:      300,
+		Operations:   1600,
+		Threads:      []int64{1, 4, 8},
+		WriteLatency: 500 * time.Microsecond,
 	}
 	_, res, err := experiments.E6EngineComparison(cfg)
 	if err != nil {

@@ -65,8 +65,7 @@ func schemas() []relstore.Schema {
 			// parameters mirrors System.Parameters as JSON, absent for a
 			// system that defines none: a claim answers the claimed job's
 			// definitions as these bytes, decoding and encoding nothing.
-			// Nullable also because the column was added by an in-place
-			// upgrade (NewStore fills it in older stores' rows).
+			// Nullable as stores of this format were written.
 			{Name: "parameters", Type: relstore.TBytes, Nullable: true},
 			{Name: "data", Type: relstore.TBytes},
 		}},
@@ -76,8 +75,7 @@ func schemas() []relstore.Schema {
 			{Name: "active", Type: relstore.TBool},
 			// name mirrors Deployment.Name as a scalar so a claim stamps
 			// its timeline event without decoding the deployment. Nullable
-			// because the column was added by an in-place upgrade; NewStore
-			// fills it in the rows of a store written before it.
+			// as stores of this format were written; every row carries it.
 			{Name: "name", Type: relstore.TString, Nullable: true},
 			{Name: "data", Type: relstore.TBytes},
 		}},
@@ -88,8 +86,8 @@ func schemas() []relstore.Schema {
 			// maxAttempts mirrors Experiment.MaxAttempts as a scalar so
 			// failJob reads the attempt budget without decoding the whole
 			// settings blob (which grows with the parameter sweep).
-			// Nullable because the column was added by an in-place schema
-			// upgrade; every row a store of this format can hold carries it.
+			// Nullable as stores of this format were written; every row
+			// carries it.
 			{Name: "maxAttempts", Type: relstore.TInt, Nullable: true},
 			{Name: "data", Type: relstore.TBytes},
 		}},
@@ -105,11 +103,10 @@ func schemas() []relstore.Schema {
 			{Name: "status", Type: relstore.TString, Indexed: true},
 			{Name: "created", Type: relstore.TTime},
 			// Every other field of a Job is a nullable column, left out of
-			// a row while it holds its zero value (nullable, too, because a
-			// store written before the column stores gains them by an
-			// in-place upgrade). The watchdog's stale scan, status=running
-			// AND heartbeat < cutoff, compares heartbeat per running job; a
-			// job that stops running keeps its last one.
+			// a row while it holds its zero value. The watchdog's stale
+			// scan, status=running AND heartbeat < cutoff, compares
+			// heartbeat per running job; a job that stops running keeps
+			// its last one.
 			{Name: "heartbeat", Type: relstore.TTime, Nullable: true},
 			{Name: "index", Type: relstore.TInt, Nullable: true},
 			// params is Job.Params as JSON, written at creation and carried
@@ -122,8 +119,8 @@ func schemas() []relstore.Schema {
 			{Name: "started", Type: relstore.TTime, Nullable: true},
 			{Name: "finished", Type: relstore.TTime, Nullable: true},
 			// data held the whole job as JSON before the column stores; no
-			// row carries it once NewStore has upgraded the table. relstore
-			// drops no column, so it stays declared, as on results and logs.
+			// row of this format carries it. A table's schema never changes,
+			// so it stays declared, as on results and logs.
 			{Name: "data", Type: relstore.TBytes, Nullable: true},
 		}},
 		{Name: tableResults, Key: "id", Columns: []relstore.Column{
@@ -149,9 +146,8 @@ func schemas() []relstore.Schema {
 			// kind/message carry the whole event as scalars: events are
 			// tiny, write-heavy (one per job transition) and read rarely,
 			// so the write path marshals no JSON at all. They are nullable
-			// because an in-place upgrade added them (NewStore rewrote the
-			// older rows, which carried the event in data); message is
-			// absent when empty.
+			// as stores of this format were written; message is absent
+			// when empty.
 			{Name: "kind", Type: relstore.TString, Nullable: true},
 			{Name: "message", Type: relstore.TString, Nullable: true},
 			{Name: "data", Type: relstore.TBytes, Nullable: true},
@@ -159,146 +155,19 @@ func schemas() []relstore.Schema {
 	}
 }
 
-// NewStore creates all tables on the given database, upgrading in place
-// the ones a store written by an older build holds. A read-only
-// replication follower's are not its to create or upgrade: schema and
-// rows arrive through WAL shipping — the leader's upgrade included — and
-// until the leader's table creations have, reads of a missing table fail
-// cleanly.
-//
-// A store written before the column stores holds jobs, results and log
-// chunks as JSON. Its jobs table is what tells: its data column is
-// required. Such a store is upgraded once, at its first open by a leader
-// of this build (upgradeRows); a later open writes nothing.
+// NewStore creates all tables on the given database. A store written by
+// this format holds them already, and its open writes nothing; a store
+// whose tables differ — one written before the column stores, say — is
+// refused with relstore.ErrLegacyFormat before anything is written. A
+// read-only replication follower's tables are not its to create: schema
+// and rows arrive through WAL shipping, and until the leader's table
+// creations have, reads of a missing table fail cleanly.
 func NewStore(db *relstore.DB) (*Store, error) {
 	s := &Store{db: db}
-	old, exists := db.Schema(tableJobs)
-	legacy := exists && dataRequired(old)
-	var jobs relstore.Schema
-	for _, sc := range schemas() {
-		if legacy && sc.Name == tableJobs {
-			// The blob stays required until every row has its columns:
-			// an open that stops midway leaves the signal for the next.
-			jobs, sc = sc, withDataRequired(sc)
-		}
-		if err := db.CreateTable(sc); errors.Is(err, relstore.ErrReadOnly) {
-			return s, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("core: create table %s: %w", sc.Name, err)
-		}
-	}
-	if legacy {
-		if err := s.upgradeRows(jobs); err != nil {
-			return nil, fmt.Errorf("core: upgrade a store written before the column stores: %w", err)
-		}
+	if err := db.CreateTable(schemas()...); err != nil && !errors.Is(err, relstore.ErrReadOnly) {
+		return nil, fmt.Errorf("core: create tables: %w", err)
 	}
 	return s, nil
-}
-
-// dataRequired reports whether a schema's data column must be present.
-func dataRequired(sc relstore.Schema) bool {
-	for _, c := range sc.Columns {
-		if c.Name == "data" {
-			return !c.Nullable
-		}
-	}
-	return false
-}
-
-// withDataRequired returns sc with its data column required.
-func withDataRequired(sc relstore.Schema) relstore.Schema {
-	cols := make([]relstore.Column, len(sc.Columns))
-	for i, c := range sc.Columns {
-		if c.Name == "data" {
-			c.Nullable = false
-		}
-		cols[i] = c
-	}
-	sc.Columns = cols
-	return sc
-}
-
-// upgradeRows rewrites a store written before the column stores, from
-// the JSON its rows carry: every job, result and log chunk gets its
-// columns, every system its parameters column, and the deployments and
-// events rows still older builds left without their scalar columns get
-// them. It is three commits. The first writes the columns, and leaves
-// each job its blob — the jobs table still requires it, which is what
-// makes an open that stops here upgrade again, from the same blobs. The
-// second installs the jobs schema, whose blob is optional: the step that
-// ends the upgrade. The third writes each job again without its blob; an
-// open that stops before it leaves the blobs unread until each job's next
-// write.
-func (s *Store) upgradeRows(jobs relstore.Schema) error {
-	all := func(relstore.Row) bool { return true }
-	has := func(col string) func(relstore.Row) bool {
-		return func(row relstore.Row) bool { _, ok := row[col]; return ok }
-	}
-	lacks := func(col string) func(relstore.Row) bool {
-		return func(row relstore.Row) bool { _, ok := row[col]; return !ok }
-	}
-	keepBlob := func(tx *relstore.Tx, j *Job) error {
-		r, err := newJobRow(j)
-		if err != nil {
-			return err
-		}
-		row := r.row()
-		if row["data"], err = json.Marshal(j); err != nil {
-			return err
-		}
-		return tx.PutOwned(tableJobs, row)
-	}
-	err := s.db.Update(func(tx *relstore.Tx) error {
-		if err := rewrite(tx, tableJobs, all, keepBlob); err != nil {
-			return err
-		}
-		if err := rewrite(tx, tableResults, has("data"), s.PutResult); err != nil {
-			return err
-		}
-		if err := rewrite(tx, tableLogs, has("data"), s.AppendLog); err != nil {
-			return err
-		}
-		if err := rewrite(tx, tableSystems, all, s.PutSystem); err != nil {
-			return err
-		}
-		if err := rewrite(tx, tableDeployments, lacks("name"), s.PutDeployment); err != nil {
-			return err
-		}
-		return rewrite(tx, tableEvents, lacks("kind"), s.PutEvent)
-	})
-	if err != nil {
-		return err
-	}
-	if err := s.db.CreateTable(jobs); err != nil {
-		return err
-	}
-	return s.db.Update(func(tx *relstore.Tx) error {
-		return rewrite(tx, tableJobs, has("data"), s.PutJob)
-	})
-}
-
-// rewrite writes, through put, the entity the data column holds of every
-// row of table that pick selects.
-func rewrite[T any](tx *relstore.Tx, table string, pick func(relstore.Row) bool, put func(*relstore.Tx, *T) error) error {
-	var picked []relstore.Row
-	if err := tx.SelectFunc(table, nil, func(row relstore.Row) bool {
-		if pick(row) {
-			picked = append(picked, row)
-		}
-		return true
-	}); err != nil {
-		return err
-	}
-	for _, row := range picked {
-		var v T
-		if err := decodeJSON(table, row["data"].([]byte), &v); err != nil {
-			return err
-		}
-		if err := put(tx, &v); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // DB exposes the underlying store for transaction control.

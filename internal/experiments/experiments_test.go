@@ -109,12 +109,17 @@ func TestE5JobLifecycle(t *testing.T) {
 }
 
 func TestE6EngineComparisonShape(t *testing.T) {
-	// Use the faithful configuration (simulated write I/O on) with enough
-	// operations that the lock-granularity phenomenon dominates noise.
+	// Simulated write I/O of 500us a write makes both engines wait on it,
+	// not on the CPU: at 8 threads wiredTiger needs about half a core, so
+	// the shape holds beside another test binary on 2 vCPUs. At the 100us
+	// default wiredTiger's 8-thread point is CPU-bound and the ratio fell
+	// to ~1.3 there. Records and operations are cut so the test takes no
+	// longer than it did at the default.
 	cfg := Config{
-		Records:    500,
-		Operations: 8000,
-		Threads:    []int64{1, 8},
+		Records:      300,
+		Operations:   1600,
+		Threads:      []int64{1, 8},
+		WriteLatency: 500 * time.Microsecond,
 	}
 	rep, res, err := E6EngineComparison(cfg)
 	if err != nil {

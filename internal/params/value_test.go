@@ -246,3 +246,31 @@ func TestKindStringRoundTrip(t *testing.T) {
 		t.Fatal("expected error for bogus kind")
 	}
 }
+
+// FuzzValueJSON: experiment settings and system definitions arrive in
+// REST bodies as Value JSON. No input panics the decoder, and a value it
+// accepts marshals, parses back Equal, and marshals to the same bytes
+// again. The seeds are committed under testdata/fuzz/FuzzValueJSON.
+func FuzzValueJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var v Value
+		if err := json.Unmarshal(data, &v); err != nil {
+			return
+		}
+		enc, err := json.Marshal(v)
+		if err != nil {
+			t.Fatalf("%q parsed to %v, which does not marshal: %v", data, v, err)
+		}
+		var back Value
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("%q parsed to %v, whose JSON %s does not parse: %v", data, v, enc, err)
+		}
+		if !back.Equal(v) {
+			t.Fatalf("%q parsed to %v, and its JSON %s back to %v", data, v, enc, back)
+		}
+		again, err := json.Marshal(back)
+		if err != nil || string(again) != string(enc) {
+			t.Fatalf("%q: JSON %s marshals again as %s (%v)", data, enc, again, err)
+		}
+	})
+}

@@ -21,12 +21,19 @@ import (
 // write to the leader.
 var ErrReadOnly = errors.New("relstore: store is open in read-only follower mode")
 
-// ErrLegacyFormat is wrapped by Open and FollowerApply when they meet an
-// on-disk format this version does not read: a JSON snapshot, a
-// single-file store.wal, or a WAL frame holding JSON rows. Open refuses
-// before it changes anything in the directory.
-var ErrLegacyFormat = errors.New("relstore: the store was written in a pre-binary on-disk format; " +
-	"open it once with the last build that reads JSON rows and let one compaction run, then open it with this one")
+// ErrLegacyFormat is wrapped wherever the store meets what an older build
+// wrote and this one does not read, and each wrap names the form it met.
+// Open, FollowerApply and snapshot load meet a JSON snapshot, a
+// single-file store.wal, a WAL frame holding JSON rows, a CreateTable
+// record that re-declares a table with another schema, or a row whose
+// schema hash is not its table's; CreateTable meets a stored table whose
+// schema differs from the one it is given. Open and CreateTable refuse
+// before they change anything in the directory.
+var ErrLegacyFormat = errors.New("relstore: the store was written by an older build in a format this one does not read; " +
+	"upgrade it one hop at a time, each hop one open with chronos-control -compact-every 1 and one write: " +
+	"a store with JSON rows under the last build that reads them, then a store whose table schemas differ " +
+	"under a build from 9c11351 through f42ba31 (leader first), then this build " +
+	"(README: Upgrading a store written by an older build)")
 
 // SyncMode controls when the WAL is flushed to stable storage.
 type SyncMode int
@@ -88,9 +95,8 @@ type table struct {
 	// Only string columns are indexed, so a value is its own map key.
 	indexes map[string]map[string]*postingList
 	seq     int64 // auto-increment sequence
-	// codec is the binary row codec for the current schema, rebuilt on
-	// upgrade. Commits encode rows through it under DB.mu, so the bytes a
-	// WAL frame ships can never race an upgrade.
+	// codec is the binary row codec for the table's schema, which never
+	// changes while the table exists.
 	codec rowCodec
 }
 
@@ -387,25 +393,28 @@ func (db *DB) Close() error {
 	return err
 }
 
-// CreateTable registers a table. Creating an existing table with an equal
-// schema is a no-op. An existing table with a compatible extension of its
-// schema (added nullable columns, added or dropped index flags — see
-// schemaUpgradable) is migrated in place, so applications can grow their
-// schemas across versions without losing persisted data; any other
-// schema change fails. Table creations and upgrades are durable via the
-// WAL and, enqueued under db.mu like any commit, ordered before every
-// commit that uses the new table or columns.
-func (db *DB) CreateTable(s Schema) error {
+// CreateTable registers the store's tables. A table the store already
+// holds under an equal schema is left as it is; each new one is logged as
+// one CreateTable record, enqueued under db.mu like any commit and so
+// ordered before every commit that uses it. A table's schema never
+// changes: when a table the store holds differs from its schema here,
+// the whole call is refused with ErrLegacyFormat before anything is
+// written or created.
+func (db *DB) CreateTable(ss ...Schema) error {
 	if db.opts.Follower {
 		return ErrReadOnly
 	}
-	if err := s.Check(); err != nil {
-		return err
+	for i := range ss {
+		if err := ss[i].Check(); err != nil {
+			return err
+		}
 	}
-	batch, err := db.createTableLocked(s)
+	batch, err := db.createTablesLocked(ss)
 	if err != nil || batch == nil {
 		return err
 	}
+	// The records went out in order, so the batch of the last is durable
+	// only once every earlier one is.
 	if err := db.awaitCommit(batch); err != nil {
 		return err
 	}
@@ -413,28 +422,29 @@ func (db *DB) CreateTable(s Schema) error {
 	return nil
 }
 
-// createTableLocked is CreateTable's critical section; the returned batch
-// is nil when there is nothing to wait for (no change, or no WAL).
-func (db *DB) createTableLocked(s Schema) (*walBatch, error) {
+// createTablesLocked is CreateTable's critical section: it checks every
+// schema, then creates and enqueues the new tables. The returned batch is
+// nil when there is nothing to wait for (no new table, or no WAL).
+func (db *DB) createTablesLocked(ss []Schema) (*walBatch, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if t := db.tables[s.Name]; t != nil {
-		if schemaEqual(t.schema, s) {
-			return nil, nil
-		}
-		if !schemaUpgradable(t.schema, s) {
-			return nil, fmt.Errorf("relstore: table %q already exists with an incompatible schema", s.Name)
+	for _, s := range ss {
+		if t := db.tables[s.Name]; t != nil && !schemaEqual(t.schema, s) {
+			return nil, fmt.Errorf("%w (table %q exists with another schema)", ErrLegacyFormat, s.Name)
 		}
 	}
-	rec := walRecord{CreateTable: &s}
-	if err := db.applyRecord(rec); err != nil {
-		return nil, err
+	var batch *walBatch
+	for _, s := range ss {
+		if db.tables[s.Name] != nil {
+			continue
+		}
+		db.tables[s.Name] = newTable(s)
+		if db.durable {
+			batch = db.enqueueCommit(walRecord{CreateTable: &s})
+		}
 	}
 	db.publishCounts()
-	if !db.durable {
-		return nil, nil
-	}
-	return db.enqueueCommit(rec), nil
+	return batch, nil
 }
 
 // Tables returns the names of all tables, sorted.
@@ -447,21 +457,6 @@ func (db *DB) Tables() []string {
 	db.mu.RUnlock()
 	sort.Strings(names)
 	return names
-}
-
-// Schema returns the named table's current schema, false when the store
-// has no such table. An application reads it before CreateTable to learn
-// which upgrade a store written by an older build needs.
-func (db *DB) Schema(name string) (Schema, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t := db.tables[name]
-	if t == nil {
-		return Schema{}, false
-	}
-	s := t.schema
-	s.Columns = slices.Clone(s.Columns)
-	return s, true
 }
 
 // ErrUnknownTable is wrapped by every operation that names a table the
@@ -492,8 +487,7 @@ func newTable(s Schema) *table {
 	return t
 }
 
-// initIndexes builds empty secondary-index containers for the current
-// schema.
+// initIndexes builds empty secondary-index containers for the schema.
 func (t *table) initIndexes() {
 	t.indexes = make(map[string]map[string]*postingList)
 	for _, c := range t.schema.Columns {
@@ -504,51 +498,6 @@ func (t *table) initIndexes() {
 			t.indexes[c.Name] = make(map[string]*postingList)
 		}
 	}
-}
-
-// upgrade rebuilds the table in place under a compatible replacement
-// schema: the rows (and key list) carry over untouched, the secondary
-// indexes are rebuilt from scratch so an added Indexed flag takes
-// effect. Iterating ids in key order keeps every per-value posting-list
-// insert an append, so the rebuild is linear in the table size.
-func (t *table) upgrade(s Schema) {
-	t.schema = s
-	t.codec = newRowCodec(s)
-	t.initIndexes()
-	cur := plCursor{pl: t.keys}
-	for {
-		id, ok := cur.peek()
-		if !ok {
-			return
-		}
-		t.addToIndexes(id, t.rows[id])
-		cur.next()
-	}
-}
-
-// schemaUpgradable reports whether old can be migrated in place to new:
-// the table and key names match, every old column survives with the same
-// type (index flags may change freely, nullability may only loosen), and
-// any brand-new column is nullable so existing rows stay valid.
-func schemaUpgradable(old, new Schema) bool {
-	if old.Name != new.Name || old.Key != new.Key {
-		return false
-	}
-	for _, oc := range old.Columns {
-		nc, ok := new.column(oc.Name)
-		if !ok || nc.Type != oc.Type {
-			return false
-		}
-		if oc.Nullable && !nc.Nullable {
-			return false
-		}
-	}
-	for _, nc := range new.Columns {
-		if _, ok := old.column(nc.Name); !ok && !nc.Nullable {
-			return false
-		}
-	}
-	return true
 }
 
 func schemaEqual(a, b Schema) bool {
@@ -618,26 +567,6 @@ func (t *table) reindex(id string, old, new Row) {
 			indexAdd(idx, nv, id)
 		}
 	}
-}
-
-// apply installs a committed WAL operation into the in-memory state,
-// used on replay and follower apply.
-func (t *table) apply(op walOp) error {
-	switch op.Op {
-	case opPut:
-		row, err := t.codec.decodeRow(op.rowBin)
-		if err != nil {
-			return err
-		}
-		t.applyPut(op.ID, row)
-	case opSeq:
-		if op.Seq > t.seq {
-			t.seq = op.Seq
-		}
-	default:
-		return fmt.Errorf("relstore: unknown WAL op %q", op.Op)
-	}
-	return nil
 }
 
 // Update runs fn inside a read-write transaction. If fn returns an error
@@ -750,12 +679,11 @@ func (db *DB) View(fn func(tx *Tx) error) error {
 // tables directly from their typed form (no encode/decode round-trip)
 // and, for durable stores, enqueues the WAL record. The caller holds
 // db.mu exclusively — the enqueue happens before it is released so that
-// WAL order is apply order, and so each put's binary row bytes are fixed
-// before any later schema upgrade on its table. Rows are encoded in a
-// first pass, before any in-memory mutation: an encode failure
-// (unreachable for rows that passed validation, but never silently
-// absorbed) rolls back clean. The returned batch — nil for memory stores
-// and empty transactions — must be awaited after db.mu is released.
+// WAL order is apply order. Rows are encoded in a first pass, before
+// any in-memory mutation: an encode failure (unreachable for rows that
+// passed validation, but never silently absorbed) rolls back clean. The
+// returned batch — nil for memory stores and empty transactions — must
+// be awaited after db.mu is released.
 func (db *DB) commitApply(tx *Tx) (*walBatch, error) {
 	if len(tx.pendingOrder) == 0 && len(tx.seqs) == 0 {
 		return nil, nil

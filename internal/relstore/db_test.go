@@ -1,9 +1,11 @@
 package relstore
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -575,110 +577,72 @@ func TestTablesSorted(t *testing.T) {
 	}
 }
 
-// TestSchemaUpgradeAddsNullableColumn persists a store under a v1 schema,
-// reopens it and calls CreateTable with a compatible v2 schema that adds
-// a nullable column: the rows must survive, scans must see the new column
-// on rewritten rows, and the upgrade must itself be durable across
-// another reopen (WAL replay of the upgrade record).
-func TestSchemaUpgradeAddsNullableColumn(t *testing.T) {
+// TestCreateTableRefusesAnotherSchema: CreateTable takes the store's
+// whole schema list. Tables the store holds under an equal schema are
+// left as they are and new ones are logged, durably across a reopen; a
+// stored table whose schema differs refuses the whole call with
+// ErrLegacyFormat, and nothing is written or created — not even a new
+// table listed ahead of the differing one.
+func TestCreateTableRefusesAnotherSchema(t *testing.T) {
 	dir := t.TempDir()
-	v1 := Schema{Name: "jobs", Key: "id", Columns: []Column{
+	a := Schema{Name: "a", Key: "id", Columns: []Column{
 		{Name: "id", Type: TString},
 		{Name: "status", Type: TString, Indexed: true},
 	}}
-	v2 := Schema{Name: "jobs", Key: "id", Columns: []Column{
-		{Name: "id", Type: TString},
-		{Name: "status", Type: TString, Indexed: true},
-		{Name: "hb", Type: TInt, Nullable: true},
-	}}
-	db, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateTable(v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Update(func(tx *Tx) error {
-		for i := 0; i < 10; i++ {
-			if err := tx.Put("jobs", Row{"id": fmt.Sprintf("j%02d", i), "status": "scheduled"}); err != nil {
-				return err
-			}
+	b := Schema{Name: "b", Key: "id", Columns: []Column{{Name: "id", Type: TString}}}
+	wider := a
+	wider.Columns = append(slices.Clone(a.Columns), Column{Name: "hb", Type: TInt, Nullable: true})
+	relaxed := a
+	relaxed.Columns = slices.Clone(a.Columns)
+	relaxed.Columns[1].Nullable = true
+	open := func() *DB {
+		t.Helper()
+		db, err := Open(dir, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
+		return db
+	}
+	written := func(db *DB) int64 {
+		t.Helper()
+		pos, _, err := db.ShipPosition()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pos.Durable
+	}
+	db := open()
+	if err := db.CreateTable(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update(func(tx *Tx) error { return tx.Put("a", Row{"id": "x", "status": "s"}) }); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	db = open()
+	for _, other := range []Schema{wider, relaxed} {
+		if err := db.CreateTable(b, other); !errors.Is(err, ErrLegacyFormat) {
+			t.Fatalf("CreateTable over another schema: %v, want ErrLegacyFormat", err)
+		}
+	}
+	if got := db.Tables(); !slices.Equal(got, []string{"a"}) || written(db) != 0 {
+		t.Fatalf("refused calls left tables %v and wrote %d bytes", got, written(db))
+	}
+	if err := db.CreateTable(a, b); err != nil || !slices.Equal(db.Tables(), []string{"a", "b"}) || written(db) == 0 {
+		t.Fatalf("CreateTable(a, b): %v, tables %v, %d bytes", err, db.Tables(), written(db))
+	}
+	db.Close()
+
+	db = open()
+	defer db.Close()
+	if err := db.CreateTable(a, b); err != nil || written(db) != 0 {
+		t.Fatalf("CreateTable of the stored schemas: %v, %d bytes written", err, written(db))
+	}
+	if err := db.View(func(tx *Tx) error {
+		_, err := tx.Get("a", "x")
+		return err
 	}); err != nil {
 		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err = Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateTable(v2); err != nil {
-		t.Fatalf("compatible upgrade rejected: %v", err)
-	}
-	// Incompatible changes still fail.
-	bad := v2
-	bad.Columns = append([]Column{}, v2.Columns...)
-	bad.Columns[1].Type = TInt
-	if err := db.CreateTable(bad); err == nil {
-		t.Fatal("type change accepted as upgrade")
-	}
-	// Old rows survive and new writes use the new column.
-	err = db.Update(func(tx *Tx) error {
-		n, err := tx.Count("jobs", NewQuery())
-		if err != nil || n != 10 {
-			return fmt.Errorf("rows after upgrade: %d (%v)", n, err)
-		}
-		for i := 0; i < 5; i++ {
-			id := fmt.Sprintf("j%02d", i)
-			if err := tx.Put("jobs", Row{"id": id, "status": "running", "hb": int64(i)}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertUpgraded := func(db *DB) {
-		t.Helper()
-		db.View(func(tx *Tx) error {
-			var ids []string
-			err := tx.SelectFunc("jobs", NewQuery().Eq("status", "running"), func(r Row) bool {
-				if hb, ok := r["hb"].(int64); ok && hb < 3 {
-					ids = append(ids, r["id"].(string))
-				}
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameIDs(ids, "j00", "j01", "j02") {
-				t.Fatalf("scan over upgraded table: %v", ids)
-			}
-			n, _ := tx.Count("jobs", NewQuery())
-			if n != 10 {
-				t.Fatalf("row count %d after upgrade", n)
-			}
-			return nil
-		})
-	}
-	assertUpgraded(db)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen: WAL replay must re-apply the upgrade before the rewrites.
-	db, err = Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	assertUpgraded(db)
-	// And CreateTable with v2 is now a plain no-op.
-	if err := db.CreateTable(v2); err != nil {
-		t.Fatalf("idempotent create after upgrade: %v", err)
 	}
 }

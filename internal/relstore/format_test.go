@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -175,27 +176,31 @@ func retiredForms(t testing.TB) []struct {
 	floatRow := floatTaggedRow(schemaHash(fuzzSchema), "v", math.Float64bits(0.5))
 	floatColumn := Schema{Name: "f", Key: "id", Columns: []Column{{Name: "id", Type: TString}, {Name: "x", Type: "float"}}}
 	indexedInt := Schema{Name: "n", Key: "id", Columns: []Column{{Name: "id", Type: TString}, {Name: "x", Type: TInt, Indexed: true}}}
-	snapshot := func(s Schema, row []byte) []byte {
-		var b bytes.Buffer
-		if err := writeSnapshot(&b, []tableClone{{schema: s}}, 0); err != nil {
-			t.Fatal(err)
-		}
-		if row == nil {
-			return b.Bytes()
-		}
-		// The snapshot ends with its one table's row count, 0: make it 1.
-		out := append(b.Bytes()[:b.Len()-1], 1)
-		return append(binary.AppendUvarint(out, uint64(len(row))), row...)
-	}
 	return []struct {
 		name            string
 		frame, snapshot []byte
 	}{
 		{"delete-op", frame(deleteOp), nil},
-		{"float-tagged-row", opsFrame(t, walOp{Op: opPut, Table: "t", ID: "r1", rowBin: floatRow}), snapshot(fuzzSchema, floatRow)},
-		{"float-column", frameCreate(t, floatColumn), snapshot(floatColumn, nil)},
-		{"indexed-int-column", frameCreate(t, indexedInt), snapshot(indexedInt, nil)},
+		{"float-tagged-row", opsFrame(t, walOp{Op: opPut, Table: "t", ID: "r1", rowBin: floatRow}), snapshotOf(t, fuzzSchema, floatRow)},
+		{"float-column", frameCreate(t, floatColumn), snapshotOf(t, floatColumn, nil)},
+		{"indexed-int-column", frameCreate(t, indexedInt), snapshotOf(t, indexedInt, nil)},
 	}
+}
+
+// snapshotOf is a snapshot file of one table, s, holding the encoded row
+// when it is not nil.
+func snapshotOf(t testing.TB, s Schema, row []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := writeSnapshot(&b, []tableClone{{schema: s}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if row == nil {
+		return b.Bytes()
+	}
+	// The snapshot ends with its one table's row count, 0: make it 1.
+	out := append(b.Bytes()[:b.Len()-1], 1)
+	return append(binary.AppendUvarint(out, uint64(len(row))), row...)
 }
 
 // TestRetiredFormsRefused: recovery, FollowerApply and snapshot load
@@ -255,6 +260,108 @@ func TestRetiredFormsRefused(t *testing.T) {
 			state := dumpState(follower)
 			if err := follower.FollowerReinit(bytes.NewReader(tc.snapshot)); err == nil {
 				t.Fatal("FollowerReinit accepted the snapshot")
+			}
+			if !reflect.DeepEqual(dumpState(follower), state) {
+				t.Fatal("refused snapshot replaced the tables the follower serves")
+			}
+		})
+	}
+}
+
+// TestSchemaDriftRefused: a table's schema never changes, so what a build
+// that upgraded schemas in place wrote — a CreateTable record that adds a
+// nullable column to an existing table, a put whose row carries another
+// schema's hash, a snapshot row whose hash is not its header schema's —
+// is refused with ErrLegacyFormat, and nothing of it is applied. A
+// refused Open leaves the directory byte-identical and a refused
+// snapshot the tables a follower serves. A shipped frame is durable
+// before it applies, so the follower takes the unrecoverable-replica
+// path: it is poisoned, and reopening resets it.
+func TestSchemaDriftRefused(t *testing.T) {
+	wider := fuzzSchema
+	wider.Columns = append(slices.Clone(fuzzSchema.Columns), Column{Name: "extra", Type: TString, Nullable: true})
+	widerCodec := newRowCodec(wider)
+	foreign, err := widerCodec.appendRow(nil, Row{"r": "b", "v": int64(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name            string
+		frame, snapshot []byte
+	}{
+		{"create-adds-nullable-column", frameCreate(t, wider), nil},
+		// The first put is sound: the record applies all or nothing.
+		{"row-under-another-hash", opsFrame(t,
+			walOp{Op: opPut, Table: "t", ID: "a", rowBin: fuzzRow(t, 1)},
+			walOp{Op: opPut, Table: "t", ID: "b", rowBin: foreign}), snapshotOf(t, fuzzSchema, foreign)},
+	}
+	for _, tc := range cases {
+		if tc.frame != nil {
+			t.Run(tc.name+"/recovery", func(t *testing.T) {
+				dir := t.TempDir()
+				final := closedStore(t, dir)
+				appendFile(t, final, append(frameCreate(t, fuzzSchema), tc.frame...))
+				if err := refusedOpen(t, dir, final); !errors.Is(err, ErrLegacyFormat) {
+					t.Fatalf("Open: %v, want ErrLegacyFormat", err)
+				}
+			})
+			t.Run(tc.name+"/FollowerApply", func(t *testing.T) {
+				dir := t.TempDir()
+				follower, err := Open(dir, &Options{Follower: true, CompactEvery: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { follower.Close() }()
+				if _, err := follower.FollowerApply(append(frameCreate(t, fuzzSchema), fuzzSegment(t, 1)...)); err != nil {
+					t.Fatal(err)
+				}
+				state := dumpState(follower)
+				n, err := follower.FollowerApply(tc.frame)
+				if !errors.Is(err, ErrLegacyFormat) || n != int64(len(tc.frame)) {
+					t.Fatalf("FollowerApply: consumed %d, %v; want the frame and ErrLegacyFormat", n, err)
+				}
+				if !reflect.DeepEqual(dumpState(follower), state) {
+					t.Fatal("refused frame changed the replica's tables")
+				}
+				follower.mu.RLock()
+				same := schemaEqual(follower.tables["t"].schema, fuzzSchema)
+				follower.mu.RUnlock()
+				if !same {
+					t.Fatal("refused frame changed the table's schema")
+				}
+				if _, err := follower.FollowerApply(fuzzSegment(t, 1)); err == nil {
+					t.Fatal("replica applied a frame after a refused one: not poisoned")
+				}
+				follower.Close()
+				follower, err = Open(dir, &Options{Follower: true, CompactEvery: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !errors.Is(follower.OpenReset(), ErrLegacyFormat) || len(dumpState(follower)) != 0 {
+					t.Fatalf("reopened replica: reset %v, %d tables; want a reset for ErrLegacyFormat", follower.OpenReset(), len(dumpState(follower)))
+				}
+			})
+		}
+		if tc.snapshot == nil {
+			continue
+		}
+		t.Run(tc.name+"/snapshot", func(t *testing.T) {
+			dir := t.TempDir()
+			final := closedStore(t, dir)
+			if err := os.WriteFile(filepath.Join(dir, "store.snapshot"), tc.snapshot, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := refusedOpen(t, dir, final); !errors.Is(err, ErrLegacyFormat) {
+				t.Fatalf("Open: %v, want ErrLegacyFormat", err)
+			}
+
+			follower := openFollower(t, t.TempDir())
+			if _, err := follower.FollowerApply(append(frameCreate(t, fuzzSchema), fuzzSegment(t, 2)...)); err != nil {
+				t.Fatal(err)
+			}
+			state := dumpState(follower)
+			if err := follower.FollowerReinit(bytes.NewReader(tc.snapshot)); !errors.Is(err, ErrLegacyFormat) {
+				t.Fatalf("FollowerReinit: %v, want ErrLegacyFormat", err)
 			}
 			if !reflect.DeepEqual(dumpState(follower), state) {
 				t.Fatal("refused snapshot replaced the tables the follower serves")

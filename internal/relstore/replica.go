@@ -139,7 +139,9 @@ func (db *DB) FollowerAppliedPosition() (seq, offset int64) {
 // one holding JSON rows — is refused like torn damage (nothing durable,
 // no poison), just distinguishable via IsTornFrame. Only a frame that
 // decodes but cannot be applied — divergent history referencing unknown
-// state — poisons the store after it is already durable locally;
+// state, or ErrLegacyFormat for a table re-declared with another schema
+// or a row under another schema's hash — poisons the store after it is
+// already durable locally; nothing of that frame's record is applied.
 // FollowerReinit (or, after a crash, the follower-mode Open reset)
 // clears that.
 func (db *DB) FollowerApply(data []byte) (int64, error) {

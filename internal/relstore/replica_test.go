@@ -2,10 +2,12 @@ package relstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -327,6 +329,64 @@ func TestFollowerReinitFromSnapshot(t *testing.T) {
 	shipAll(t, leader, follower)
 	if got, want := dumpState(follower), dumpState(leader); !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot bootstrap diverged:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestFollowerApplyRecordIsAllOrNothing: a shipped record that cannot
+// apply installs none of its ops. The frame holds two puts; the second
+// row carries its table's schema hash but names an undeclared column.
+// A reader polling while the frame applies never sees the first row, and
+// neither does one after the replica is poisoned — a poisoned store
+// still serves reads.
+func TestFollowerApplyRecordIsAllOrNothing(t *testing.T) {
+	follower := openFollower(t, t.TempDir())
+	if _, err := follower.FollowerApply(frameCreate(t, fuzzSchema)); err != nil {
+		t.Fatal(err)
+	}
+	wider := fuzzSchema
+	wider.Columns = append(slices.Clone(fuzzSchema.Columns), Column{Name: "w", Type: TInt, Nullable: true})
+	codec := newRowCodec(wider)
+	undeclared, err := codec.appendRow(nil, Row{"r": "b", "w": int64(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(undeclared, schemaHash(fuzzSchema))
+	bad := opsFrame(t,
+		walOp{Op: opPut, Table: "t", ID: "a", rowBin: fuzzRow(t, 1)},
+		walOp{Op: opPut, Table: "t", ID: "b", rowBin: undeclared})
+
+	visible := func() bool {
+		var n int
+		follower.View(func(tx *Tx) error {
+			n, _ = tx.Count("t", nil)
+			return nil
+		})
+		return n != 0
+	}
+	stop := make(chan struct{})
+	seen := make(chan bool)
+	go func() {
+		saw := false
+		for {
+			select {
+			case <-stop:
+				seen <- saw
+				return
+			default:
+				saw = saw || visible()
+			}
+		}
+	}()
+	n, err := follower.FollowerApply(bad)
+	close(stop)
+	if err == nil || n != int64(len(bad)) {
+		t.Fatalf("FollowerApply: consumed %d, %v; want the frame and an apply error", n, err)
+	}
+	if <-seen {
+		t.Error("a reader saw a put of the refused record while it applied")
+	}
+	if visible() {
+		t.Error("a put of the refused record is visible after the poison")
 	}
 }
 

@@ -19,14 +19,12 @@ import (
 //	  1 tag byte (binNull..binTime; 2 is retired)
 //	  tag-specific value bytes
 //
-// Field names make the format self-describing: a row encoded under an
-// older compatible schema (fewer columns) decodes correctly against the
-// upgraded one — which matters because a snapshot can carry a newer
-// schema than WAL rows replayed over it. The schema hash versions the
-// layout without being a decode precondition: when it matches the
-// decoder's schema the sequential-match fast path resolves every field
-// name in O(1), when it differs (upgrade window) decoding falls back to
-// a name lookup.
+// A table's schema never changes while the table exists, so the schema
+// hash is a decode precondition: a row whose hash is not its table's was
+// written under another schema, by an older build, and is refused with
+// ErrLegacyFormat. Fields arrive in schema order as a subset of the
+// columns, so the decoder matches each name moving forward only; field
+// names keep a row readable without its schema (validateRowBytes).
 //
 // Value encodings are lossless: times travel as (seconds, nanoseconds)
 // pairs (no UnixNano overflow for pre-1678/post-2262 instants), bytes
@@ -45,8 +43,8 @@ const (
 	binTime   = 7 // zigzag varint unix seconds + uvarint nanoseconds
 )
 
-// rowCodec encodes and decodes rows for one schema version. A codec is
-// immutable; tables cache one and rebuild it on schema upgrade.
+// rowCodec encodes and decodes rows for one schema. A codec is
+// immutable; each table caches the one for its schema.
 type rowCodec struct {
 	schema Schema
 	hash   uint32
@@ -54,8 +52,7 @@ type rowCodec struct {
 
 // schemaHash fingerprints the row layout of a schema: the key name plus
 // every (column name, type) pair in declaration order. Index flags and
-// nullability do not change how a row encodes, so they are excluded —
-// an index-only upgrade keeps the hash stable.
+// nullability do not change how a row encodes, so they are excluded.
 func schemaHash(s Schema) uint32 {
 	h := crc32.NewIEEE()
 	h.Write([]byte(s.Key))
@@ -124,45 +121,41 @@ func (c *rowCodec) appendRow(dst []byte, r Row) ([]byte, error) {
 }
 
 // decodeRow parses a binary row into its typed form. String and byte
-// values are copied out of b, so the caller's buffer may be reused. A
-// hash mismatch is not an error by itself — rows written under an older
-// compatible schema replay against the upgraded one — but every field
-// name must resolve to a declared column and every tag must match the
-// column's type.
+// values are copied out of b, so the caller's buffer may be reused. The
+// row's schema hash must be the codec's (ErrLegacyFormat otherwise),
+// every field name must be a declared column later in schema order than
+// the one before it, and every tag must match its column's type.
 func (c *rowCodec) decodeRow(b []byte) (Row, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("relstore: table %q: short binary row", c.schema.Name)
 	}
-	b = b[4:] // schema hash: versioning metadata, not a decode precondition
+	if h := binary.LittleEndian.Uint32(b); h != c.hash {
+		return nil, fmt.Errorf("%w (a row of table %q carries schema hash %08x, the table's is %08x)",
+			ErrLegacyFormat, c.schema.Name, h, c.hash)
+	}
+	b = b[4:]
+	cols := c.schema.Columns
 	nf, n := binary.Uvarint(b)
-	if n <= 0 || nf > uint64(len(c.schema.Columns)) {
+	if n <= 0 || nf > uint64(len(cols)) {
 		return nil, fmt.Errorf("relstore: table %q: bad binary row field count", c.schema.Name)
 	}
 	b = b[n:]
 	row := make(Row, nf)
-	next := 0 // sequential-match cursor: fields arrive in schema order
+	next := 0 // fields arrive in schema order: the cursor only moves forward
 	for i := uint64(0); i < nf; i++ {
 		name, rest, err := readLenBytes(b)
 		if err != nil {
 			return nil, fmt.Errorf("relstore: table %q: binary row field name: %w", c.schema.Name, err)
 		}
 		b = rest
-		col := -1
-		if next < len(c.schema.Columns) && c.schema.Columns[next].Name == string(name) {
-			col = next
-		} else {
-			for j := range c.schema.Columns {
-				if c.schema.Columns[j].Name == string(name) {
-					col = j
-					break
-				}
-			}
+		for next < len(cols) && cols[next].Name != string(name) {
+			next++
 		}
-		if col < 0 {
-			return nil, fmt.Errorf("relstore: table %q has no column %q", c.schema.Name, name)
+		if next == len(cols) {
+			return nil, fmt.Errorf("relstore: table %q: field %q is not a column in schema order", c.schema.Name, name)
 		}
-		next = col + 1
-		cd := &c.schema.Columns[col]
+		cd := &cols[next]
+		next++
 		v, rest, err := decodeBinValue(b, cd.Type)
 		if err != nil {
 			return nil, fmt.Errorf("relstore: table %q column %q: %w", c.schema.Name, cd.Name, err)

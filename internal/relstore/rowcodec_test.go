@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -107,30 +108,43 @@ func TestRowCodecRejectsCorruptRows(t *testing.T) {
 	if err := validateRowBytes(append(append([]byte{}, enc...), 0xAB)); err == nil {
 		t.Error("trailing garbage validated")
 	}
+	// The rows below are encoded through other schemas and then given
+	// c's hash, so each reaches the check it is about.
+	withHash := func(s Schema, r Row) []byte {
+		t.Helper()
+		other := newRowCodec(s)
+		b, err := other.appendRow(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(b, c.hash)
+		return b
+	}
 	// A field naming an undeclared column is a schema-level decode error
 	// (validateRowBytes is schema-free and accepts it).
-	other := newRowCodec(Schema{Name: "o", Key: "k", Columns: []Column{{Name: "k", Type: TString}}})
-	foreign, err := other.appendRow(nil, Row{"k": "v"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	foreign := withHash(Schema{Name: "o", Key: "k", Columns: []Column{{Name: "k", Type: TString}}}, Row{"k": "v"})
 	if err := validateRowBytes(foreign); err != nil {
 		t.Errorf("structural validation should pass: %v", err)
 	}
 	if _, err := c.decodeRow(foreign); err == nil {
 		t.Error("row with unknown column decoded")
 	}
+	// Fields arrive in schema order: one that comes back to an earlier
+	// column is refused.
+	reordered := withHash(Schema{Name: "t", Key: "id", Columns: []Column{
+		{Name: "n", Type: TInt},
+		{Name: "id", Type: TString},
+	}}, Row{"id": "r1", "n": int64(7)})
+	if _, err := c.decodeRow(reordered); err == nil {
+		t.Error("row with fields out of schema order decoded")
+	}
 	// A tag that contradicts the declared column type must not decode.
 	// Rather than hand-compute the tag's offset, encode the row through a
 	// schema that lies about the column's type.
-	liar := newRowCodec(Schema{Name: "t", Key: "id", Columns: []Column{
+	wrongTag := withHash(Schema{Name: "t", Key: "id", Columns: []Column{
 		{Name: "id", Type: TString},
 		{Name: "n", Type: TString, Nullable: true},
-	}})
-	wrongTag, err := liar.appendRow(nil, Row{"id": "r1", "n": "not an int"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}}, Row{"id": "r1", "n": "not an int"})
 	if _, err := c.decodeRow(wrongTag); err == nil {
 		t.Error("type-mismatched tag decoded")
 	}
@@ -156,7 +170,7 @@ func floatTaggedRow(hash uint32, col string, bits uint64) []byte {
 }
 
 // TestSchemaHashStability: the hash tracks the row layout (names, types,
-// order) and nothing else, so index-flag upgrades keep it stable.
+// order) and nothing else: index flags do not move it.
 func TestSchemaHashStability(t *testing.T) {
 	s := codecSchema()
 	base := schemaHash(s)
@@ -177,25 +191,21 @@ func TestSchemaHashStability(t *testing.T) {
 	}
 }
 
-// TestRowCodecUpgradeWindow: a row encoded under an older schema decodes
-// against the upgraded one — the replay scenario where a compaction
-// snapshot carries a newer schema than WAL rows replayed over it.
-func TestRowCodecUpgradeWindow(t *testing.T) {
-	old := codecSchema()
-	oldCodec := newRowCodec(old)
-	enc, err := oldCodec.appendRow(nil, Row{"id": "r1", "n": int64(5)})
+// TestRowCodecRefusesAnotherSchemasRow: a table's schema never changes,
+// so a row encoded under another — here one column shorter, the shape an
+// in-place upgrade left behind — is refused with ErrLegacyFormat even
+// though each of its fields is a column of the table.
+func TestRowCodecRefusesAnotherSchemasRow(t *testing.T) {
+	old := newRowCodec(codecSchema())
+	enc, err := old.appendRow(nil, Row{"id": "r1", "n": int64(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	upgraded := codecSchema()
-	upgraded.Columns = append(upgraded.Columns, Column{Name: "extra", Type: TString, Nullable: true})
-	newCodec := newRowCodec(upgraded)
-	row, err := newCodec.decodeRow(enc)
-	if err != nil {
-		t.Fatalf("old-schema row failed to decode under upgraded schema: %v", err)
-	}
-	if !reflect.DeepEqual(row, Row{"id": "r1", "n": int64(5)}) {
-		t.Errorf("decoded %#v", row)
+	wider := codecSchema()
+	wider.Columns = append(wider.Columns, Column{Name: "extra", Type: TString, Nullable: true})
+	upgraded := newRowCodec(wider)
+	if _, err := upgraded.decodeRow(enc); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("row under another schema: %v, want ErrLegacyFormat", err)
 	}
 }
 

@@ -76,12 +76,11 @@
 // JSON rows appear only at the REST edge. A binary row carries a uint32
 // schema hash followed by self-describing (name, tag, value) fields in
 // schema column order; the hash fingerprints the (key, column name,
-// column type) layout, so when it matches the decoder's schema a
-// sequential fast path resolves every field in O(1), and when it differs
-// (a row logged before a schema upgrade) decoding falls back to by-name
-// lookup, so rows written under an older compatible schema still decode.
-// A column holds an int, string, bool, bytes or time; value encodings
-// are lossless: times as (seconds, nanoseconds), bytes raw.
+// column type) layout. A table's schema is fixed when the table is
+// created, so the hash must match: a row whose hash is not its table's
+// is refused with ErrLegacyFormat. A column holds an int, string, bool,
+// bytes or time; value encodings are lossless: times as (seconds,
+// nanoseconds), bytes raw.
 //
 // Chronos archives and never deletes, so a transaction writes puts and
 // sequence bumps, never deletes. A WAL frame payload (walcodec.go) is
@@ -94,26 +93,21 @@
 // anything is applied, a delete op (retired opcode 2), a value with the
 // retired float tag (2), and a schema that fails Schema.Check.
 //
-// What a build that wrote JSON rows leaves behind is refused with
-// ErrLegacyFormat: a snapshot that starts with '{', a single-file
-// store.wal in the directory, or a '{' frame that carries ops, whether
-// recovery finds it or a leader ships it to FollowerApply. Open refuses
-// before it truncates, renames or deletes anything, and the error names
-// the way forward: open the store once with the last build that reads
-// JSON rows and let one compaction run, which leaves a binary snapshot
-// and no JSON-row frames. (A follower's directory is a copy, so a
-// JSON snapshot or frame in it is handled like any other unrecoverable
+// What an older build left behind is refused with ErrLegacyFormat:
+// from a build that wrote JSON rows, a snapshot that starts with '{', a
+// single-file store.wal in the directory, or a '{' frame that carries
+// ops; from a build that upgraded schemas in place, a CreateTable record
+// that re-declares an existing table with another schema, or a row whose
+// schema hash is not its table's. Recovery, FollowerApply and snapshot
+// load apply nothing of such a record, and CreateTable refuses, before
+// it writes anything, a stored table whose schema differs from the one
+// it is given. Open refuses before it truncates, renames or deletes
+// anything, and the error names the way forward: open the store once
+// with a build that reads it and let a compaction run after one write,
+// which leaves a snapshot of that build's schemas and rows and no older
+// frames, one hop at a time. (A follower's directory is a copy, so such
+// a snapshot or frame in it is handled like any other unrecoverable
 // replica state: the replica resets and re-bootstraps.)
-//
-// # Schema upgrades
-//
-// CreateTable on an existing table accepts compatible schema extensions
-// (added nullable columns, added or dropped index flags, required
-// columns relaxed to nullable): the table is re-indexed in place and the
-// upgrade is logged, so applications can add columns across versions
-// without migrating data by hand. DB.Schema reports a table's schema as
-// it stands, so an application that must also rewrite rows an older
-// build wrote can tell from it, before CreateTable, whether they exist.
 //
 // # Follower mode (WAL-shipping replication)
 //

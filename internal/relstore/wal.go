@@ -21,9 +21,8 @@ const (
 )
 
 // walOp is one mutation within a committed transaction. A put carries
-// its row as rowBin, the binary rowcodec form, captured under db.mu at
-// enqueue time, so the bytes a frame ships are fixed before any schema
-// upgrade can follow.
+// its row as rowBin, the binary rowcodec form, encoded under db.mu at
+// enqueue time by its table's codec.
 type walOp struct {
 	Op     string
 	Table  string
@@ -362,34 +361,45 @@ func readOneRecord(br *bufio.Reader, scratch *bytes.Buffer) (walRecord, int64, e
 }
 
 // applyRecord installs one record into the in-memory state: a replayed
-// one at Open (the DB is still unpublished and single-threaded), a
-// shipped one on a live follower, or a leader's own CreateTable. Past
-// Open the caller holds db.mu exclusively, so readers observe each
-// replicated transaction atomically, exactly as they would on the leader.
+// one at Open (the DB is still unpublished and single-threaded) or a
+// shipped one on a live follower. Past Open the caller holds db.mu
+// exclusively, so readers observe each replicated transaction atomically,
+// exactly as they would on the leader. A record applies all or nothing:
+// every put's row is decoded before any is installed — the first-pass
+// rule commitApply follows for encoding — so one that cannot apply leaves
+// the state as it found it. A table's schema never changes, so a
+// CreateTable record that re-declares one with another schema is a logged
+// upgrade by an older build: ErrLegacyFormat.
 func (db *DB) applyRecord(rec walRecord) error {
-	if rec.CreateTable != nil {
-		s := *rec.CreateTable
-		if t, ok := db.tables[s.Name]; ok {
-			// A CreateTable record for an existing table is a logged
-			// schema upgrade: rows written before this point used the
-			// old schema, rows after it may use the new columns. The
-			// log is trusted — compatibility was checked when the
-			// record was written.
-			if !schemaEqual(t.schema, s) {
-				t.upgrade(s)
-			}
-		} else {
-			db.tables[s.Name] = newTable(s)
+	if s := rec.CreateTable; s != nil {
+		t := db.tables[s.Name]
+		switch {
+		case t == nil:
+			db.tables[s.Name] = newTable(*s)
+		case !schemaEqual(t.schema, *s):
+			return fmt.Errorf("%w (a CreateTable record re-declares table %q with another schema)", ErrLegacyFormat, s.Name)
 		}
 		return nil
 	}
-	for _, op := range rec.Ops {
+	rows := make([]Row, len(rec.Ops))
+	for i, op := range rec.Ops {
 		t := db.tables[op.Table]
 		if t == nil {
 			return fmt.Errorf("relstore: wal references unknown table %q", op.Table)
 		}
-		if err := t.apply(op); err != nil {
-			return err
+		if op.Op == opPut {
+			var err error
+			if rows[i], err = t.codec.decodeRow(op.rowBin); err != nil {
+				return err
+			}
+		}
+	}
+	for i, op := range rec.Ops {
+		t := db.tables[op.Table]
+		if op.Op == opPut {
+			t.applyPut(op.ID, rows[i])
+		} else if op.Seq > t.seq {
+			t.seq = op.Seq
 		}
 	}
 	return nil
@@ -404,8 +414,8 @@ func (db *DB) applyRecord(rec walRecord) error {
 // so the store refuses to open. A torn tail is tolerated only in the
 // final segment and is truncated away so it can never shadow later
 // writes once new segments stack above it. Nothing on disk is touched
-// until every live segment has been read, so a refused open leaves the
-// directory as it found it.
+// until every live segment has been read and applied, so a refused open
+// leaves the directory as it found it.
 func (db *DB) recoverSegments(snapSeq int64) (int64, error) {
 	seqs, err := listSegments(db.dir)
 	if err != nil {
@@ -418,6 +428,8 @@ func (db *DB) recoverSegments(snapSeq int64) (int64, error) {
 			snapSeq+1, snapSeq, live[0])
 	}
 	maxSeq := snapSeq
+	var tornPath string
+	var tornSize int64
 	for i, seq := range live {
 		if i > 0 && seq != live[i-1]+1 {
 			return 0, fmt.Errorf("relstore: wal segment %d missing (gap before segment %d)", live[i-1]+1, seq)
@@ -435,14 +447,8 @@ func (db *DB) recoverSegments(snapSeq int64) (int64, error) {
 			// Clean segment.
 		case errors.Is(rerr, errTornRecord) && final:
 			// The expected crash artefact: the last commit never
-			// acknowledged. Repair by truncating to the valid prefix so
-			// the segment is a well-formed sealed segment from now on —
-			// and fsync the repair: if it were lost to power failure
-			// after newer segments stack above this one, the returning
-			// garbage would read as mid-sequence corruption.
-			if err := truncateAndSync(path, n); err != nil {
-				return 0, err
-			}
+			// acknowledged. Repaired below, once everything applied.
+			tornPath, tornSize = path, n
 		case errors.Is(rerr, errTornRecord):
 			return 0, fmt.Errorf("relstore: mid-sequence corruption in wal segment %d: %w", seq, rerr)
 		default:
@@ -454,6 +460,16 @@ func (db *DB) recoverSegments(snapSeq int64) (int64, error) {
 			}
 		}
 		maxSeq = seq
+	}
+	if tornPath != "" {
+		// Truncate to the valid prefix so the segment is a well-formed
+		// sealed segment from now on — and fsync the repair: if it were
+		// lost to power failure after newer segments stack above this
+		// one, the returning garbage would read as mid-sequence
+		// corruption.
+		if err := truncateAndSync(tornPath, tornSize); err != nil {
+			return 0, err
+		}
 	}
 	for _, seq := range seqs[:stale] {
 		// Covered by the snapshot; delete is best-effort (a survivor is

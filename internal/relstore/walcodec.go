@@ -22,11 +22,13 @@ import (
 //	  seq: uvarint sequence value
 //
 // Opcode 2 is retired and must not be reused: the store never deletes,
-// and a frame carrying it fails to decode. A table creation or schema
-// upgrade is a CreateTable record, which is rare and carries its Schema
-// as JSON: {"createTable": <Schema>}, and nothing else; a schema that
-// fails Schema.Check fails to decode. A '{' payload that carries "ops"
-// holds JSON rows, which this version does not read: ErrLegacyFormat.
+// and a frame carrying it fails to decode. A table creation is a
+// CreateTable record, which is rare and carries its Schema as JSON:
+// {"createTable": <Schema>}, and nothing else; a schema that fails
+// Schema.Check fails to decode. One that re-declares an existing table
+// with another schema decodes, and applying it fails: ErrLegacyFormat.
+// A '{' payload that carries "ops" holds JSON rows, which this version
+// does not read: ErrLegacyFormat.
 const (
 	binRecordTag = 0x01
 
@@ -67,11 +69,10 @@ func decodeRecord(payload []byte) (walRecord, error) {
 }
 
 // appendBinRecord appends the binary encoding of an ops-only record to
-// dst. Put ops must carry their pre-encoded row bytes (rowBin), captured
-// under the store lock at enqueue time — the envelope itself is
-// schema-free, so assembling it here, after the lock is released,
-// cannot race a schema upgrade. CreateTable records never take this
-// path; they are JSON-framed.
+// dst. Put ops must carry their pre-encoded row bytes (rowBin), encoded
+// under the store lock at enqueue time; the envelope itself is
+// schema-free, so it is assembled here, after the lock is released.
+// CreateTable records never take this path; they are JSON-framed.
 func appendBinRecord(dst []byte, rec walRecord) ([]byte, error) {
 	if rec.CreateTable != nil {
 		return nil, fmt.Errorf("relstore: CreateTable records are JSON-framed")
