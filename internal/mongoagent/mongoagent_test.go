@@ -358,7 +358,7 @@ func TestRunWorkloadAborts(t *testing.T) {
 }
 
 func TestAllOpTypesApply(t *testing.T) {
-	for _, engine := range mongosim.EngineNames() {
+	for _, engine := range []string{mongosim.EngineWiredTiger, mongosim.EngineMMAPv1} {
 		srv, _ := mongosim.NewServer(engine, fastOpts())
 		coll := srv.Database("db").Collection("usertable")
 		cfg := workload.Config{
@@ -395,7 +395,7 @@ func TestAllOpTypesApply(t *testing.T) {
 // through one. Run under -race, which also sees a late write from another
 // goroutine.
 func TestPayloadsStayReadOnly(t *testing.T) {
-	for _, engine := range mongosim.EngineNames() {
+	for _, engine := range []string{mongosim.EngineWiredTiger, mongosim.EngineMMAPv1} {
 		srv, _ := mongosim.NewServer(engine, fastOpts())
 		coll := srv.Database("db").Collection("usertable")
 		cfg := workload.Config{

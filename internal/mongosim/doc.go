@@ -12,97 +12,62 @@
 // Both engines here implement exactly those mechanisms with real work
 // (real locks, real flate compression, real copying), so the measured
 // shapes transfer.
+//
+// The store keeps only what an evaluation does with it: YCSB-style
+// reads, inserts, updates, read-modify-writes and scans over documents
+// of string fields. Nothing is ever deleted.
 package mongosim
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
+	"maps"
 	"sort"
 )
 
-// Document is a flat-or-nested record, the unit of storage. Supported
-// value types: string, int64, float64, bool, []byte, Document and []any
-// (whose elements are themselves supported types).
-type Document map[string]any
+// Document is a flat record of string fields, the unit of storage: the
+// _id and the workload's generated field values.
+type Document map[string]string
 
 // IDField is the reserved primary-key field, like MongoDB's _id.
 const IDField = "_id"
 
-// ID returns the document's _id, or "" when absent/mistyped.
-func (d Document) ID() string {
-	s, _ := d[IDField].(string)
-	return s
-}
+// ID returns the document's _id, or "" when absent.
+func (d Document) ID() string { return d[IDField] }
 
-// Clone returns a deep copy of the document.
-func (d Document) Clone() Document {
-	out := make(Document, len(d))
-	for k, v := range d {
-		out[k] = cloneValue(v)
-	}
-	return out
-}
-
-func cloneValue(v any) any {
-	switch x := v.(type) {
-	case Document:
-		return x.Clone()
-	case []byte:
-		b := make([]byte, len(x))
-		copy(b, x)
-		return b
-	case []any:
-		l := make([]any, len(x))
-		for i, e := range x {
-			l[i] = cloneValue(e)
-		}
-		return l
-	default:
-		return v
-	}
-}
+// Clone returns a copy of the document.
+func (d Document) Clone() Document { return maps.Clone(d) }
 
 // Merge overlays the fields of patch onto a copy of d and returns it.
 func (d Document) Merge(patch Document) Document {
-	out := d.Clone()
-	for k, v := range patch {
-		out[k] = cloneValue(v)
-	}
+	out := make(Document, len(d)+len(patch))
+	maps.Copy(out, d)
+	maps.Copy(out, patch)
 	return out
 }
 
-// Value type tags of the binary codec.
-const (
-	tagString byte = 1
-	tagInt    byte = 2
-	tagFloat  byte = 3
-	tagBool   byte = 4
-	tagBytes  byte = 5
-	tagDoc    byte = 6
-	tagArray  byte = 7
-)
+// tagString marks a string value in the binary codec. It is the only
+// value tag: the byte stays so the stored layout — and with it
+// compression ratios and mmapv1 record sizes — is BSON-like.
+const tagString byte = 1
 
 // Encode serialises the document into the compact binary format the
-// engines store (a BSON-like layout: field count, then tagged
-// length-prefixed fields sorted by name for determinism).
-func Encode(d Document) ([]byte, error) {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(d)))
+// engines store (a BSON-like layout: field count, then each field's
+// length-prefixed name, the string tag and the length-prefixed value,
+// sorted by name for determinism).
+func Encode(d Document) []byte {
 	keys := make([]string, 0, len(d))
 	for k := range d {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	buf := binary.AppendUvarint(nil, uint64(len(d)))
 	for _, k := range keys {
 		buf = appendString(buf, k)
-		var err error
-		buf, err = appendValue(buf, d[k])
-		if err != nil {
-			return nil, fmt.Errorf("mongosim: field %q: %w", k, err)
-		}
+		buf = append(buf, tagString)
+		buf = appendString(buf, d[k])
 	}
-	return buf, nil
+	return buf
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -110,86 +75,34 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func appendValue(buf []byte, v any) ([]byte, error) {
-	switch x := v.(type) {
-	case string:
-		buf = append(buf, tagString)
-		return appendString(buf, x), nil
-	case int64:
-		buf = append(buf, tagInt)
-		return binary.AppendVarint(buf, x), nil
-	case int:
-		buf = append(buf, tagInt)
-		return binary.AppendVarint(buf, int64(x)), nil
-	case float64:
-		buf = append(buf, tagFloat)
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(x)), nil
-	case bool:
-		buf = append(buf, tagBool)
-		if x {
-			return append(buf, 1), nil
-		}
-		return append(buf, 0), nil
-	case []byte:
-		buf = append(buf, tagBytes)
-		buf = binary.AppendUvarint(buf, uint64(len(x)))
-		return append(buf, x...), nil
-	case Document:
-		buf = append(buf, tagDoc)
-		enc, err := Encode(x)
-		if err != nil {
-			return nil, err
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(enc)))
-		return append(buf, enc...), nil
-	case []any:
-		buf = append(buf, tagArray)
-		buf = binary.AppendUvarint(buf, uint64(len(x)))
-		for _, e := range x {
-			var err error
-			buf, err = appendValue(buf, e)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
-	default:
-		return nil, fmt.Errorf("unsupported value type %T", v)
-	}
-}
-
-// Decode parses a document encoded by Encode.
+// Decode parses a document encoded by Encode. It rejects truncated input,
+// any value tag but the string tag, and trailing bytes.
 func Decode(data []byte) (Document, error) {
-	d, rest, err := decodeDoc(data)
+	n, data, err := readUvarint(data)
 	if err != nil {
 		return nil, err
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("mongosim: %d trailing bytes after document", len(rest))
+	d := make(Document, min(n, uint64(len(data))))
+	for i := uint64(0); i < n; i++ {
+		var key, val string
+		if key, data, err = readString(data); err != nil {
+			return nil, err
+		}
+		if len(data) == 0 {
+			return nil, fmt.Errorf("mongosim: field %q: missing value tag", key)
+		}
+		if data[0] != tagString {
+			return nil, fmt.Errorf("mongosim: field %q: unknown value tag %d", key, data[0])
+		}
+		if val, data, err = readString(data[1:]); err != nil {
+			return nil, fmt.Errorf("mongosim: field %q: %w", key, err)
+		}
+		d[key] = val
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("mongosim: %d trailing bytes after document", len(data))
 	}
 	return d, nil
-}
-
-func decodeDoc(data []byte) (Document, []byte, error) {
-	n, data, err := readUvarint(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	d := make(Document, n)
-	for i := uint64(0); i < n; i++ {
-		var key string
-		key, data, err = readString(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		var v any
-		v, data, err = readValue(data)
-		if err != nil {
-			return nil, nil, fmt.Errorf("mongosim: field %q: %w", key, err)
-		}
-		d[key] = v
-	}
-	return d, data, nil
 }
 
 func readUvarint(data []byte) (uint64, []byte, error) {
@@ -209,77 +122,4 @@ func readString(data []byte) (string, []byte, error) {
 		return "", nil, fmt.Errorf("mongosim: truncated string")
 	}
 	return string(data[:n]), data[n:], nil
-}
-
-func readValue(data []byte) (any, []byte, error) {
-	if len(data) == 0 {
-		return nil, nil, fmt.Errorf("mongosim: missing value tag")
-	}
-	tag := data[0]
-	data = data[1:]
-	switch tag {
-	case tagString:
-		s, rest, err := readString(data)
-		return s, rest, err
-	case tagInt:
-		v, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("mongosim: truncated int")
-		}
-		return v, data[n:], nil
-	case tagFloat:
-		if len(data) < 8 {
-			return nil, nil, fmt.Errorf("mongosim: truncated float")
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(data[:8])), data[8:], nil
-	case tagBool:
-		if len(data) < 1 {
-			return nil, nil, fmt.Errorf("mongosim: truncated bool")
-		}
-		return data[0] == 1, data[1:], nil
-	case tagBytes:
-		n, rest, err := readUvarint(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		if uint64(len(rest)) < n {
-			return nil, nil, fmt.Errorf("mongosim: truncated bytes")
-		}
-		b := make([]byte, n)
-		copy(b, rest[:n])
-		return b, rest[n:], nil
-	case tagDoc:
-		n, rest, err := readUvarint(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		if uint64(len(rest)) < n {
-			return nil, nil, fmt.Errorf("mongosim: truncated subdocument")
-		}
-		sub, tail, err := decodeDoc(rest[:n])
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(tail) != 0 {
-			return nil, nil, fmt.Errorf("mongosim: trailing bytes in subdocument")
-		}
-		return sub, rest[n:], nil
-	case tagArray:
-		n, rest, err := readUvarint(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		arr := make([]any, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var v any
-			v, rest, err = readValue(rest)
-			if err != nil {
-				return nil, nil, err
-			}
-			arr = append(arr, v)
-		}
-		return arr, rest, nil
-	default:
-		return nil, nil, fmt.Errorf("mongosim: unknown value tag %d", tag)
-	}
 }

@@ -22,6 +22,7 @@ type KV struct {
 // are safe for concurrent use. Values returned by Get and Scan must be
 // treated as read-only and not retained across subsequent engine calls;
 // values passed to Insert/Put/Apply are owned by the engine afterwards.
+// Documents are only ever added or replaced: no evaluation deletes one.
 type Engine interface {
 	// Name returns the engine identifier (wiredtiger or mmapv1).
 	Name() string
@@ -32,12 +33,9 @@ type Engine interface {
 	// Put stores a document, replacing any existing one.
 	Put(key string, val []byte)
 	// Apply atomically transforms the document under key: fn receives the
-	// current value (nil, false when absent) and returns the replacement.
-	// Returning a nil slice deletes the key. Errors from fn abort without
-	// modification.
+	// current value (nil, false when absent) and returns the replacement,
+	// which is stored. Errors from fn abort without modification.
 	Apply(key string, fn func(old []byte, exists bool) ([]byte, error)) error
-	// Delete removes key, reporting whether it existed.
-	Delete(key string) bool
 	// Scan returns up to limit pairs with key >= start in key order.
 	Scan(start string, limit int) []KV
 	// Len returns the number of stored documents.
@@ -150,16 +148,12 @@ func New(name string, opts Options) (Engine, error) {
 	}
 }
 
-// EngineNames lists the available engines in demo display order.
-func EngineNames() []string { return []string{EngineWiredTiger, EngineMMAPv1} }
-
 // Stats is a snapshot of engine counters.
 type Stats struct {
 	Engine       string `json:"engine"`
 	Documents    int    `json:"documents"`
 	Reads        int64  `json:"reads"`
 	Writes       int64  `json:"writes"`
-	Deletes      int64  `json:"deletes"`
 	Scans        int64  `json:"scans"`
 	BytesLogical int64  `json:"bytesLogical"`
 	BytesStored  int64  `json:"bytesStored"`
@@ -182,10 +176,10 @@ func (s Stats) CompressionRatio() float64 {
 // counters aggregates hot-path counters with atomics shared by both
 // engines.
 type counters struct {
-	reads, writes, deletes, scans atomic.Int64
-	bytesLogical, bytesStored     atomic.Int64
-	cacheHits, cacheMisses        atomic.Int64
-	moves, checkpoints            atomic.Int64
+	reads, writes, scans      atomic.Int64
+	bytesLogical, bytesStored atomic.Int64
+	cacheHits, cacheMisses    atomic.Int64
+	moves, checkpoints        atomic.Int64
 }
 
 func (c *counters) snapshot(engine string, docs int) Stats {
@@ -194,7 +188,6 @@ func (c *counters) snapshot(engine string, docs int) Stats {
 		Documents:    docs,
 		Reads:        c.reads.Load(),
 		Writes:       c.writes.Load(),
-		Deletes:      c.deletes.Load(),
 		Scans:        c.scans.Load(),
 		BytesLogical: c.bytesLogical.Load(),
 		BytesStored:  c.bytesStored.Load(),

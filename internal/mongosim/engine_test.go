@@ -12,10 +12,13 @@ import (
 	"time"
 )
 
+// engineNames lists both storage engines.
+var engineNames = []string{EngineWiredTiger, EngineMMAPv1}
+
 func allEngines(t *testing.T, opts Options) []Engine {
 	t.Helper()
 	var out []Engine
-	for _, name := range EngineNames() {
+	for _, name := range engineNames {
 		e, err := New(name, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -55,12 +58,6 @@ func TestEngineCRUD(t *testing.T) {
 			e.Put("k2", []byte("fresh")) // upsert of missing key
 			if e.Len() != 2 {
 				t.Fatalf("Len = %d", e.Len())
-			}
-			if !e.Delete("k2") || e.Delete("k2") {
-				t.Fatal("delete semantics wrong")
-			}
-			if e.Len() != 1 {
-				t.Fatalf("Len after delete = %d", e.Len())
 			}
 		})
 	}
@@ -104,15 +101,8 @@ func TestEngineApply(t *testing.T) {
 			if v, _ := e.Get("k"); string(v) != "created!" {
 				t.Fatalf("failed apply modified value: %q", v)
 			}
-			// Returning nil deletes.
-			if err := e.Apply("k", func([]byte, bool) ([]byte, error) { return nil, nil }); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := e.Get("k"); ok {
-				t.Fatal("apply-delete did not delete")
-			}
-			if e.Len() != 0 {
-				t.Fatalf("Len = %d after apply-delete", e.Len())
+			if e.Len() != 1 {
+				t.Fatalf("Len = %d after apply-create and apply-update", e.Len())
 			}
 		})
 	}
@@ -154,7 +144,7 @@ func TestEnginesAgreeWithModel(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		engines := []Engine{}
-		for _, name := range EngineNames() {
+		for _, name := range engineNames {
 			e, err := New(name, Options{Seed: seed, CacheDocs: 64})
 			if err != nil {
 				return false
@@ -172,15 +162,18 @@ func TestEnginesAgreeWithModel(t *testing.T) {
 					e.Put(key, append([]byte(nil), val...))
 				}
 				model[key] = val
-			case 2: // delete
+			case 2: // insert: refused when the key exists
+				val := []byte(fmt.Sprintf("i%d", i))
 				_, existed := model[key]
 				for _, e := range engines {
-					if e.Delete(key) != existed {
-						t.Logf("%s: delete(%s) disagreed with model", e.Name(), key)
+					if err := e.Insert(key, append([]byte(nil), val...)); (err != nil) != existed {
+						t.Logf("%s: insert(%s) = %v, model has the key: %v", e.Name(), key, err, existed)
 						return false
 					}
 				}
-				delete(model, key)
+				if !existed {
+					model[key] = val
+				}
 			case 3: // get
 				want, exists := model[key]
 				for _, e := range engines {
@@ -381,22 +374,33 @@ func TestMMAPv1MovesOnGrowth(t *testing.T) {
 	}
 }
 
+// TestMMAPv1FreelistReuse: a record that moves leaves its slot on the
+// freelist, and a new record of that slot size takes it instead of
+// extending the extent.
 func TestMMAPv1FreelistReuse(t *testing.T) {
 	e, _ := New(EngineMMAPv1, Options{Seed: 10})
 	defer e.Close()
+	m := e.(*mmapV1)
 	for i := 0; i < 100; i++ {
-		e.Put(fmt.Sprintf("k%d", i), make([]byte, 50))
+		e.Put(fmt.Sprintf("k%d", i), make([]byte, 50)) // 64-byte slots
 	}
-	before := e.Stats().BytesStored
 	for i := 0; i < 100; i++ {
-		e.Delete(fmt.Sprintf("k%d", i))
+		e.Put(fmt.Sprintf("k%d", i), make([]byte, 100)) // move to 128-byte slots
 	}
+	if st := e.Stats(); st.Moves != 100 {
+		t.Fatalf("moves = %d, want 100", st.Moves)
+	}
+	brk := m.brk
 	for i := 0; i < 100; i++ {
 		e.Put(fmt.Sprintf("r%d", i), make([]byte, 50))
 	}
-	after := e.Stats().BytesStored
-	if after != before {
-		t.Fatalf("freelist not reused: stored %d -> %d", before, after)
+	if m.brk != brk || len(m.free[64]) != 0 {
+		t.Fatalf("freelist not reused: extent end %d -> %d, %d free 64-byte slots left", brk, m.brk, len(m.free[64]))
+	}
+	for i := 0; i < 100; i++ {
+		if v, ok := e.Get(fmt.Sprintf("k%d", i)); !ok || len(v) != 100 {
+			t.Fatalf("k%d = %d bytes, %v after its old slot was reused", i, len(v), ok)
+		}
 	}
 }
 
@@ -406,12 +410,11 @@ func TestEngineStatsSnapshot(t *testing.T) {
 		e.Get("a")
 		e.Get("nope")
 		e.Scan("", 5)
-		e.Delete("a")
 		st := e.Stats()
 		if st.Engine != e.Name() {
 			t.Errorf("stats engine = %q", st.Engine)
 		}
-		if st.Writes != 1 || st.Reads != 2 || st.Scans != 1 || st.Deletes != 1 {
+		if st.Writes != 1 || st.Reads != 2 || st.Scans != 1 || st.Documents != 1 {
 			t.Errorf("%s counters = %+v", e.Name(), st)
 		}
 		e.Close()

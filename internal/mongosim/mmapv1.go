@@ -3,6 +3,8 @@ package mongosim
 import (
 	"fmt"
 	"sync"
+
+	"chronos/internal/skiplist"
 )
 
 // mmapV1 models MongoDB's legacy mmapv1 engine:
@@ -28,7 +30,7 @@ type mmapV1 struct {
 	extents [][]byte
 	brk     int // bump-allocation offset within the last extent
 	free    map[int][]recordRef
-	idx     *skiplist
+	idx     *skiplist.List
 }
 
 // recordRef locates a record inside the extents.
@@ -50,7 +52,7 @@ func newMMAPv1(opts Options) *mmapV1 {
 		io:   newIOBatcher(opts.WriteLatency),
 		dir:  make(map[string]recordRef),
 		free: make(map[int][]recordRef),
-		idx:  newSkiplist(opts.Seed + 2),
+		idx:  skiplist.New(opts.Seed + 2),
 	}
 }
 
@@ -139,7 +141,7 @@ func (m *mmapV1) insertLocked(key string, val []byte) {
 	// reader and writer of the collection stalls behind it.
 	m.io.Tick()
 	m.dir[key] = ref
-	m.idx.insert(key)
+	m.idx.Insert(key)
 	m.cnt.writes.Add(1)
 	m.cnt.bytesLogical.Add(int64(len(val)))
 	m.cnt.bytesStored.Add(int64(ref.cap))
@@ -186,12 +188,6 @@ func (m *mmapV1) Apply(key string, fn func(old []byte, exists bool) ([]byte, err
 	if err != nil {
 		return err
 	}
-	if repl == nil {
-		if exists {
-			m.deleteLocked(key, old)
-		}
-		return nil
-	}
 	if exists {
 		m.updateLocked(key, old, repl)
 	} else {
@@ -200,38 +196,14 @@ func (m *mmapV1) Apply(key string, fn func(old []byte, exists bool) ([]byte, err
 	return nil
 }
 
-// deleteLocked frees the slot and unindexes the key.
-func (m *mmapV1) deleteLocked(key string, ref recordRef) {
-	m.free[ref.cap] = append(m.free[ref.cap], ref)
-	delete(m.dir, key)
-	m.idx.remove(key)
-	m.cnt.deletes.Add(1)
-	m.cnt.bytesStored.Add(-int64(ref.cap))
-}
-
-func (m *mmapV1) Delete(key string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ref, exists := m.dir[key]
-	if !exists {
-		return false
-	}
-	m.deleteLocked(key, ref)
-	return true
-}
-
 func (m *mmapV1) Scan(start string, limit int) []KV {
 	m.cnt.scans.Add(1)
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	keys := m.idx.from(start, limit)
-	out := make([]KV, 0, len(keys))
-	for _, k := range keys {
-		ref, ok := m.dir[k]
-		if !ok {
-			continue
-		}
-		out = append(out, KV{Key: k, Value: m.readCopy(ref)})
+	keys := m.idx.From(start, limit)
+	out := make([]KV, len(keys))
+	for i, k := range keys {
+		out[i] = KV{Key: k, Value: m.readCopy(m.dir[k])}
 	}
 	return out
 }
@@ -239,12 +211,12 @@ func (m *mmapV1) Scan(start string, limit int) []KV {
 func (m *mmapV1) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.idx.len()
+	return m.idx.Len()
 }
 
 func (m *mmapV1) Stats() Stats {
 	m.mu.RLock()
-	docs := m.idx.len()
+	docs := m.idx.Len()
 	m.mu.RUnlock()
 	return m.cnt.snapshot(EngineMMAPv1, docs)
 }

@@ -2,7 +2,6 @@ package mongosim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -27,31 +26,16 @@ func NewServer(engineName string, opts Options) (*Server, error) {
 	return &Server{engineName: engineName, opts: opts, dbs: make(map[string]*Database)}, nil
 }
 
-// EngineName returns the storage engine this deployment runs.
-func (s *Server) EngineName() string { return s.engineName }
-
 // Database returns (creating on first use) the named database.
 func (s *Server) Database(name string) *Database {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	db, ok := s.dbs[name]
 	if !ok {
-		db = &Database{server: s, name: name, colls: make(map[string]*Collection)}
+		db = &Database{server: s, colls: make(map[string]*Collection)}
 		s.dbs[name] = db
 	}
 	return db
-}
-
-// DatabaseNames lists existing databases, sorted.
-func (s *Server) DatabaseNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.dbs))
-	for n := range s.dbs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Close shuts down all collections.
@@ -72,14 +56,10 @@ func (s *Server) Close() error {
 // Database groups collections.
 type Database struct {
 	server *Server
-	name   string
 
 	mu    sync.Mutex
 	colls map[string]*Collection
 }
-
-// Name returns the database name.
-func (d *Database) Name() string { return d.name }
 
 // Collection returns (creating on first use) the named collection.
 func (d *Database) Collection(name string) *Collection {
@@ -93,43 +73,17 @@ func (d *Database) Collection(name string) *Collection {
 			// programming error, not a user error.
 			panic(err)
 		}
-		c = &Collection{name: name, engine: eng}
+		c = &Collection{engine: eng}
 		d.colls[name] = c
 	}
 	return c
 }
 
-// CollectionNames lists existing collections, sorted.
-func (d *Database) CollectionNames() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	names := make([]string, 0, len(d.colls))
-	for n := range d.colls {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Drop removes the named collection.
-func (d *Database) Drop(name string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if c, ok := d.colls[name]; ok {
-		c.engine.Close()
-		delete(d.colls, name)
-	}
-}
-
 // Collection is a keyed set of documents backed by a storage engine. All
 // methods are safe for concurrent use.
 type Collection struct {
-	name   string
 	engine Engine
 }
-
-// Name returns the collection name.
-func (c *Collection) Name() string { return c.name }
 
 // ErrNoDocument is returned when a looked-up document does not exist.
 var ErrNoDocument = fmt.Errorf("mongosim: no such document")
@@ -143,11 +97,7 @@ func (c *Collection) InsertOne(doc Document) error {
 	if id == "" {
 		return fmt.Errorf("mongosim: document without %s", IDField)
 	}
-	enc, err := Encode(doc)
-	if err != nil {
-		return err
-	}
-	if err := c.engine.Insert(id, enc); err != nil {
+	if err := c.engine.Insert(id, Encode(doc)); err != nil {
 		return ErrDuplicateKey
 	}
 	return nil
@@ -159,11 +109,7 @@ func (c *Collection) ReplaceOne(doc Document) error {
 	if id == "" {
 		return fmt.Errorf("mongosim: document without %s", IDField)
 	}
-	enc, err := Encode(doc)
-	if err != nil {
-		return err
-	}
-	c.engine.Put(id, enc)
+	c.engine.Put(id, Encode(doc))
 	return nil
 }
 
@@ -187,16 +133,8 @@ func (c *Collection) UpdateOne(id string, patch Document) error {
 		if err != nil {
 			return nil, err
 		}
-		return Encode(doc.Merge(patch))
+		return Encode(doc.Merge(patch)), nil
 	})
-}
-
-// DeleteOne removes the document with the given _id.
-func (c *Collection) DeleteOne(id string) error {
-	if !c.engine.Delete(id) {
-		return ErrNoDocument
-	}
-	return nil
 }
 
 // Scan returns up to limit documents with _id >= start in key order.

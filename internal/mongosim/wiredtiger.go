@@ -7,6 +7,8 @@ import (
 	"hash/fnv"
 	"io"
 	"sync"
+
+	"chronos/internal/skiplist"
 )
 
 // wiredTiger models MongoDB's wiredTiger engine with the three mechanisms
@@ -43,20 +45,20 @@ type wtStripe struct {
 	docs map[string][]byte // compressed "disk" image
 	io   ioBatcher         // per-stripe write I/O wait (doc-level concurrency)
 
-	// The cache mirrors docs, so a key's cache entry is written or dropped
-	// while mu is held (shared by a reader filling it, exclusive by a
-	// writer): in the order the stripe's writes happen, never after a later
-	// one. cacheMu only guards the map itself; it nests inside mu.
+	// The cache mirrors docs, so a key's cache entry is written while mu
+	// is held (shared by a reader filling it, exclusive by a writer): in
+	// the order the stripe's writes happen, never after a later one.
+	// cacheMu only guards the map itself; it nests inside mu.
 	cacheMu   sync.Mutex
 	cache     map[string][]byte // decompressed documents
 	cacheFIFO []string
 }
 
-// keyIndex is the ordered key structure shared by point inserts/deletes
-// and range scans (wiredTiger's B-tree stand-in). Updates never touch it.
+// keyIndex is the ordered key structure shared by point inserts and
+// range scans (wiredTiger's B-tree stand-in). Updates never touch it.
 type keyIndex struct {
 	mu sync.RWMutex
-	sl *skiplist
+	sl *skiplist.List
 }
 
 // journal models the write-ahead journal: bytes accumulate and a
@@ -72,7 +74,7 @@ func newWiredTiger(opts Options) *wiredTiger {
 	w := &wiredTiger{
 		opts:     opts,
 		stripes:  make([]*wtStripe, wtStripeCount),
-		idx:      keyIndex{sl: newSkiplist(opts.Seed + 1)},
+		idx:      keyIndex{sl: skiplist.New(opts.Seed + 1)},
 		perCache: opts.CacheDocs / wtStripeCount,
 	}
 	if w.perCache < 4 {
@@ -176,13 +178,6 @@ func (s *wtStripe) cachePut(key string, val []byte, capDocs int) {
 	s.cacheMu.Unlock()
 }
 
-// cacheDrop removes a key from the cache (on delete).
-func (s *wtStripe) cacheDrop(key string) {
-	s.cacheMu.Lock()
-	delete(s.cache, key)
-	s.cacheMu.Unlock()
-}
-
 func (w *wiredTiger) Get(key string) ([]byte, bool) {
 	w.cnt.reads.Add(1)
 	s := w.stripe(key)
@@ -260,20 +255,6 @@ func (w *wiredTiger) Apply(key string, fn func(old []byte, exists bool) ([]byte,
 		s.mu.Unlock()
 		return err
 	}
-	if repl == nil {
-		if exists {
-			delete(s.docs, key)
-			s.cacheDrop(key)
-		}
-		s.mu.Unlock()
-		if exists {
-			w.cnt.deletes.Add(1)
-			w.idx.mu.Lock()
-			w.idx.sl.remove(key)
-			w.idx.mu.Unlock()
-		}
-		return nil
-	}
 	newStored := w.compress(repl)
 	s.docs[key] = newStored
 	s.io.Tick()
@@ -290,7 +271,7 @@ func (w *wiredTiger) afterWrite(key string, val, stored []byte, newKey bool) {
 	w.cnt.bytesStored.Add(int64(len(stored)))
 	if newKey {
 		w.idx.mu.Lock()
-		w.idx.sl.insert(key)
+		w.idx.sl.Insert(key)
 		w.idx.mu.Unlock()
 	}
 	w.journal.mu.Lock()
@@ -302,41 +283,25 @@ func (w *wiredTiger) afterWrite(key string, val, stored []byte, newKey bool) {
 	w.journal.mu.Unlock()
 }
 
-func (w *wiredTiger) Delete(key string) bool {
-	s := w.stripe(key)
-	s.mu.Lock()
-	_, existed := s.docs[key]
-	delete(s.docs, key)
-	s.cacheDrop(key)
-	s.mu.Unlock()
-	if !existed {
-		return false
-	}
-	w.cnt.deletes.Add(1)
-	w.idx.mu.Lock()
-	w.idx.sl.remove(key)
-	w.idx.mu.Unlock()
-	return true
-}
-
 func (w *wiredTiger) Scan(start string, limit int) []KV {
 	w.cnt.scans.Add(1)
 	w.idx.mu.RLock()
-	keys := w.idx.sl.from(start, limit)
+	keys := w.idx.sl.From(start, limit)
 	w.idx.mu.RUnlock()
-	out := make([]KV, 0, len(keys))
-	for _, k := range keys {
+	out := make([]KV, len(keys))
+	for i, k := range keys {
 		// Benefit from / populate the cache like point reads do, without
-		// counting each fetch as a logical read.
+		// counting each fetch as a logical read. A key is indexed only once
+		// its document is stored, and no document is ever removed, so the
+		// load finds it.
 		s := w.stripe(k)
-		if v, ok := s.cacheGet(k); ok {
+		v, ok := s.cacheGet(k)
+		if ok {
 			w.cnt.cacheHits.Add(1)
-			out = append(out, KV{Key: k, Value: v})
-			continue
+		} else {
+			v, _ = w.load(s, k)
 		}
-		if v, ok := w.load(s, k); ok { // else deleted between index read and fetch
-			out = append(out, KV{Key: k, Value: v})
-		}
+		out[i] = KV{Key: k, Value: v}
 	}
 	return out
 }
@@ -344,7 +309,7 @@ func (w *wiredTiger) Scan(start string, limit int) []KV {
 func (w *wiredTiger) Len() int {
 	w.idx.mu.RLock()
 	defer w.idx.mu.RUnlock()
-	return w.idx.sl.len()
+	return w.idx.sl.Len()
 }
 
 func (w *wiredTiger) Stats() Stats { return w.cnt.snapshot(EngineWiredTiger, w.Len()) }

@@ -144,7 +144,7 @@ func (s *sut) Load(rc *agent.RunContext, cfg workload.Config) error {
 	}
 	s.series = cfg.RecordCount
 	s.db = tssim.NewDB(opts)
-	rc.Logf("prepare: series=%d points=%d chunk=%d", s.series, s.points, opts.ChunkPoints)
+	rc.Logf("prepare: series=%d points=%d chunk=%d", s.series, s.points, tssim.DefaultChunkPoints)
 	LoadDB(s.db, &s.clock, s.series, s.points, 8)
 	return rc.Err()
 }

@@ -127,7 +127,7 @@ func TestConfigFromParams(t *testing.T) {
 }
 
 func TestRunWorkloadAllOps(t *testing.T) {
-	db := tssim.NewDB(tssim.Options{ChunkPoints: 32, Seed: 5})
+	db := tssim.NewDB(tssim.Options{Seed: 5})
 	s := &sut{db: db, window: 64}
 	LoadDB(db, &s.clock, 100, 4, 4)
 	if got := db.NumSeries(); got != 100 {
@@ -170,7 +170,7 @@ func TestRunWorkloadAllOps(t *testing.T) {
 // family: the store takes no payload, and the adapter must leave the ones
 // it is shown alone.
 func TestPayloadsStayReadOnly(t *testing.T) {
-	db := tssim.NewDB(tssim.Options{ChunkPoints: 32, Seed: 5})
+	db := tssim.NewDB(tssim.Options{Seed: 5})
 	s := &sut{db: db, window: 64}
 	LoadDB(db, &s.clock, 100, 4, 4)
 	sched := workload.Config{
@@ -317,6 +317,19 @@ func TestEndToEndThroughChronos(t *testing.T) {
 		}
 		if len(res.Archive) == 0 {
 			t.Fatalf("job %s missing archive", j.ID)
+		}
+		// The prepare line names the chunk size the store runs at.
+		chunks, err := svc.JobLogs(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log strings.Builder
+		for _, c := range chunks {
+			log.WriteString(c.Text)
+		}
+		want := fmt.Sprintf("prepare: series=%d points=4 chunk=%d\n", wantSeries, tssim.DefaultChunkPoints)
+		if !strings.Contains(log.String(), want) {
+			t.Fatalf("job %s log has no %q:\n%s", j.ID, want, log.String())
 		}
 	}
 }

@@ -14,29 +14,22 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"chronos/internal/skiplist"
 )
 
 // ErrNoSeries is returned by queries against a series that does not exist.
 var ErrNoSeries = errors.New("tssim: no such series")
 
-// DefaultChunkPoints is the sealed-chunk size when Options leaves it zero.
+// DefaultChunkPoints is the number of points per sealed chunk.
 const DefaultChunkPoints = 256
 
-// Options configures a DB.
+// Options configures a DB. The seed is its only setting: every
+// evaluation runs the store at DefaultChunkPoints.
 type Options struct {
-	// ChunkPoints is the number of points per sealed chunk; 0 means
-	// DefaultChunkPoints.
-	ChunkPoints int
 	// Seed fixes the series-name index's skiplist tower heights so runs
 	// are reproducible.
 	Seed int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.ChunkPoints <= 0 {
-		o.ChunkPoints = DefaultChunkPoints
-	}
-	return o
 }
 
 // Point is one sample of a series.
@@ -84,7 +77,6 @@ type chunk struct {
 // open head chunk that absorbs appends.
 type Series struct {
 	mu     sync.RWMutex
-	cp     int
 	sealed []*chunk
 	head   []Point
 	// dirty marks the head as out-of-order; it is sorted at seal time
@@ -98,19 +90,16 @@ type Series struct {
 // DB is the store: a series catalogue plus per-series storage.
 type DB struct {
 	mu     sync.RWMutex
-	opts   Options
 	series map[string]*Series
-	names  *skiplist
+	names  *skiplist.List
 	cnt    counters
 }
 
 // NewDB opens an empty store.
 func NewDB(opts Options) *DB {
-	opts = opts.withDefaults()
 	return &DB{
-		opts:   opts,
 		series: make(map[string]*Series),
-		names:  newSkiplist(opts.Seed),
+		names:  skiplist.New(opts.Seed),
 	}
 }
 
@@ -128,9 +117,9 @@ func (db *DB) getOrCreate(name string) *Series {
 	if s = db.series[name]; s != nil {
 		return s
 	}
-	s = &Series{cp: db.opts.ChunkPoints, cnt: &db.cnt}
+	s = &Series{cnt: &db.cnt}
 	db.series[name] = s
-	db.names.insert(name)
+	db.names.Insert(name)
 	return s
 }
 
@@ -178,7 +167,7 @@ func (db *DB) Latest(name string) (Point, error) {
 func (db *DB) SeriesNames(start string, limit int) []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.names.from(start, limit)
+	return db.names.From(start, limit)
 }
 
 // NumSeries returns the current cardinality.
@@ -215,7 +204,7 @@ func (s *Series) append(ts int64, value float64) {
 		s.any = true
 	}
 	s.head = append(s.head, Point{TS: ts, Value: value})
-	if len(s.head) >= s.cp {
+	if len(s.head) >= DefaultChunkPoints {
 		s.seal()
 	}
 	s.mu.Unlock()
@@ -234,7 +223,7 @@ func (s *Series) seal() {
 		minTS: pts[0].TS,
 		max:   pts[len(pts)-1].TS,
 	})
-	s.head = make([]Point, 0, s.cp)
+	s.head = make([]Point, 0, DefaultChunkPoints)
 	s.dirty = false
 	s.cnt.chunksSealed.Add(1)
 }

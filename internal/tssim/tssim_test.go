@@ -49,8 +49,9 @@ func (r *refStore) latest(name string) (Point, bool) {
 }
 
 func TestAppendWindowConformance(t *testing.T) {
-	// Small chunks force frequent seals so windows span chunk boundaries.
-	db := NewDB(Options{ChunkPoints: 8, Seed: 1})
+	// Enough samples for every series to seal many chunks, and windows
+	// wide enough that most span a chunk boundary.
+	db := NewDB(Options{Seed: 1})
 	ref := newRef()
 	rng := rand.New(rand.NewPCG(42, 0))
 
@@ -58,22 +59,27 @@ func TestAppendWindowConformance(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("sensor%09d", i)
 	}
+	// Spans scale with the chunk: a series takes about one clock tick in
+	// len(names), so a window covers up to 1.5 chunks of its series and a
+	// late sample falls up to half a chunk behind.
+	const samples = 40000
+	span := int64(DefaultChunkPoints * len(names))
 	var clock int64
-	for i := 0; i < 4000; i++ {
+	for i := 0; i < samples; i++ {
 		name := names[rng.IntN(len(names))]
 		clock++
 		ts := clock
 		if rng.IntN(10) == 0 {
 			// One in ten samples arrives late.
-			ts -= int64(rng.IntN(20)) + 1
+			ts -= rng.Int64N(span/2) + 1
 		}
 		v := float64(i)
 		db.Append(name, ts, v)
 		ref.append(name, ts, v)
 
 		if i%37 == 0 {
-			from := clock - int64(rng.IntN(100))
-			to := from + int64(rng.IntN(60))
+			from := clock - rng.Int64N(2*span)
+			to := from + rng.Int64N(span*3/2)
 			got, err := db.Window(name, from, to)
 			if err != nil {
 				t.Fatal(err)
@@ -103,7 +109,7 @@ func TestAppendWindowConformance(t *testing.T) {
 		}
 	}
 	st := db.Stats()
-	if st.Series != len(names) || st.Points != 4000 || st.Appends != 4000 {
+	if st.Series != len(names) || st.Points != samples || st.Appends != samples {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.OutOfOrder == 0 || st.ChunksSealed == 0 || st.Windows == 0 {
@@ -139,8 +145,9 @@ func samePoints(a, b []Point) bool {
 }
 
 func TestInOrderFastPath(t *testing.T) {
-	db := NewDB(Options{ChunkPoints: 4, Seed: 1})
-	for i := int64(1); i <= 10; i++ {
+	db := NewDB(Options{Seed: 1})
+	const n = 2*DefaultChunkPoints + DefaultChunkPoints/2
+	for i := int64(1); i <= n; i++ {
 		db.Append("s", i, float64(i))
 	}
 	st := db.Stats()
@@ -150,14 +157,21 @@ func TestInOrderFastPath(t *testing.T) {
 	if st.ChunksSealed != 2 {
 		t.Fatalf("chunks sealed = %d, want 2", st.ChunksSealed)
 	}
-	pts, err := db.Window("s", 3, 7)
+	// A window across both seals, into the head.
+	from, to := int64(DefaultChunkPoints-2), int64(2*DefaultChunkPoints+3)
+	pts, err := db.Window("s", from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 5 || pts[0].TS != 3 || pts[4].TS != 7 {
+	if len(pts) != int(to-from+1) || pts[0].TS != from || pts[len(pts)-1].TS != to {
 		t.Fatalf("window = %v", pts)
 	}
-	if p, _ := db.Latest("s"); p.TS != 10 || p.Value != 10 {
+	for i, p := range pts {
+		if p.TS != from+int64(i) {
+			t.Fatalf("window[%d] = %v", i, p)
+		}
+	}
+	if p, _ := db.Latest("s"); p.TS != n || p.Value != n {
 		t.Fatalf("latest = %v", p)
 	}
 }
@@ -195,32 +209,8 @@ func TestSeriesNamesOrdered(t *testing.T) {
 	}
 }
 
-func TestSkiplistSeeded(t *testing.T) {
-	a, b := newSkiplist(3), newSkiplist(3)
-	for i := 0; i < 200; i++ {
-		k := fmt.Sprintf("k%03d", (i*97)%200)
-		a.insert(k)
-		b.insert(k)
-	}
-	if a.len() != 200 || b.len() != 200 {
-		t.Fatalf("len = %d/%d", a.len(), b.len())
-	}
-	if !a.contains("k050") || a.contains("k999") {
-		t.Fatal("contains is wrong")
-	}
-	ka, kb := a.from("", 200), b.from("", 200)
-	for i := range ka {
-		if ka[i] != kb[i] {
-			t.Fatalf("seeded skiplists diverge at %d", i)
-		}
-	}
-	if !sort.StringsAreSorted(ka) {
-		t.Fatal("iteration not ordered")
-	}
-}
-
 func TestConcurrentAppendsAndWindows(t *testing.T) {
-	db := NewDB(Options{ChunkPoints: 16, Seed: 9})
+	db := NewDB(Options{Seed: 9})
 	var wg sync.WaitGroup
 	const workers, perWorker = 8, 500
 	for w := 0; w < workers; w++ {
