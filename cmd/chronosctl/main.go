@@ -272,6 +272,9 @@ func serverStatus(c *client.Client) error {
 	if s.LastCompactErr != "" {
 		fmt.Printf("last compaction error: %s\n", s.LastCompactErr)
 	}
+	if s.WALError != "" {
+		fmt.Printf("WAL FAILED, writes are refused: %s\n", s.WALError)
+	}
 	if r := st.Repl; r != nil {
 		fmt.Printf("replicating from %s: applied segment %d offset %d; leader at segment %d offset %d (lag: %d segment(s)",
 			r.Leader, r.AppliedSeq, r.AppliedBytes, r.LeaderSeq, r.LeaderBytes, r.LagSegments)

@@ -185,12 +185,11 @@ func TestSnapshotIsAnExactCut(t *testing.T) {
 		// frame, and mind only that one.
 		var first walRecord
 		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			f, err := os.Open(db.SegmentPath(boundary + 1))
+			data, err := os.ReadFile(db.SegmentPath(boundary + 1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs, _, _ := readWAL(f)
-			f.Close()
+			recs, _, _ := readWAL(data)
 			if len(recs) > 0 {
 				first = recs[0]
 				break

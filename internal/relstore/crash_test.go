@@ -1,9 +1,14 @@
 package relstore
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
+
+	"chronos/internal/metrics"
 )
 
 // The crash-injection recovery harness.
@@ -256,6 +261,74 @@ func TestCrashMidFirstFrame(t *testing.T) {
 		t.Fatalf("acked %d commits through a 10-byte WAL", acked)
 	}
 	verifyRecovery(t, dir, 10, 0)
+}
+
+// TestWALFailureIsVisible: the sticky WAL failure that refuses every
+// later write is what an operator sees, as storage.walError on /status
+// (Stats) and as the chronos_store_wal_failed gauge. A clean store reads
+// 0 and leaves the field out.
+func TestWALFailureIsVisible(t *testing.T) {
+	walFailed := func(reg *metrics.Registry) float64 {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := metrics.ParseText(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range samples {
+			if s.Name == "chronos_store_wal_failed" {
+				return s.Value
+			}
+		}
+		t.Fatal("no chronos_store_wal_failed sample")
+		return 0
+	}
+	open := func(budget int64) (*DB, *metrics.Registry) {
+		t.Helper()
+		reg := metrics.NewRegistry()
+		opts := crashOptions(-1, newCrashBudget(budget).hook())
+		opts.Metrics = reg
+		db, err := Open(t.TempDir(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		if err := db.CreateTable(crashTableSchema()); err != nil {
+			t.Fatal(err)
+		}
+		return db, reg
+	}
+
+	clean, reg := open(1 << 20)
+	createBytes := int64(clean.Stats().WALSizeB)
+	if err := clean.Update(func(tx *Tx) error { return crashCommit(tx, 0) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := walFailed(reg); got != 0 {
+		t.Fatalf("clean store: chronos_store_wal_failed = %v, want 0", got)
+	}
+	js, err := json.Marshal(clean.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(js), "walError") {
+		t.Fatalf("clean store's stats carry a WAL error: %s", js)
+	}
+
+	// Room for the CreateTable frame and not for the first commit.
+	tripped, reg := open(createBytes)
+	if err := tripped.Update(func(tx *Tx) error { return crashCommit(tx, 0) }); err == nil {
+		t.Fatal("a commit past the budget was acknowledged")
+	}
+	if got := walFailed(reg); got != 1 {
+		t.Fatalf("tripped store: chronos_store_wal_failed = %v, want 1", got)
+	}
+	if got := tripped.Stats().WALError; !strings.Contains(got, errCrashed.Error()) {
+		t.Fatalf("tripped store: Stats().WALError = %q, want the failpoint's error", got)
+	}
 }
 
 // TestCrashBudgetSemantics pins the failpoint itself: the prefix is

@@ -147,6 +147,9 @@ type DB struct {
 	wal     *walWriter // active segment writer
 	walSeq  int64      // sequence number of the active segment
 	walErr  error      // sticky WAL failure; guarded by walMu
+	// walFailed is 1 while walErr is set, for a gauge that must not
+	// queue on walMu behind a group commit's fsync.
+	walFailed atomic.Int64
 	// walNotify is closed and replaced whenever the durable WAL state
 	// advances (new durable bytes, rotation, poisoning, close). The
 	// replication ship handler long-polls it to stream the active
@@ -824,6 +827,7 @@ func (db *DB) writeBatch(recs []walRecord) error {
 func (db *DB) poisonLocked(err error) {
 	if db.walErr == nil {
 		db.walErr = err
+		db.walFailed.Store(1)
 	}
 	db.walCond.Broadcast()
 	db.bumpWALNotifyLocked()
@@ -1065,6 +1069,9 @@ type Stats struct {
 	// ("" when the last cycle succeeded).
 	Compactions    int64  `json:"compactions"`
 	LastCompactErr string `json:"lastCompactErr,omitempty"`
+	// WALError is the sticky WAL failure refusing every later write (""
+	// while the WAL is healthy); a follower's clears on FollowerReinit.
+	WALError string `json:"walError,omitempty"`
 }
 
 // RowCount reports the rows resident across all tables. It reads the
@@ -1094,6 +1101,9 @@ func (db *DB) Stats() Stats {
 	if db.durable {
 		db.walMu.Lock()
 		st.WALSeq = db.walSeq
+		if db.walErr != nil {
+			st.WALError = db.walErr.Error()
+		}
 		if db.opts.Follower {
 			st.Follower = true
 			if db.wal != nil {

@@ -376,12 +376,12 @@ func TestSchemaDriftRefused(t *testing.T) {
 func TestReadWALLyingLengthAllocatesLittle(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	recs, n, err := readWAL(bytes.NewReader(lyingLengthFrame))
+	recs, n, err := readWAL(lyingLengthFrame)
 	runtime.ReadMemStats(&after)
 	if !IsTornFrame(err) || len(recs) != 0 || n != 0 {
 		t.Fatalf("readWAL = %d recs, %d bytes, %v; want a torn frame", len(recs), n, err)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<10 {
 		t.Fatalf("decoding a 16-byte input allocated %d bytes", got)
 	}
 }

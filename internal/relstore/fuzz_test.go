@@ -104,7 +104,7 @@ func FuzzReadWAL(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, n, err := readWAL(bytes.NewReader(data))
+		recs, n, err := readWAL(data)
 		if n < 0 || n > int64(len(data)) {
 			t.Fatalf("valid prefix %d outside input of %d bytes", n, len(data))
 		}
@@ -116,7 +116,7 @@ func FuzzReadWAL(f *testing.F) {
 		}
 		// The reported records must be exactly what the valid prefix
 		// contains — nothing read past the corruption survives.
-		recs2, n2, err2 := readWAL(bytes.NewReader(data[:n]))
+		recs2, n2, err2 := readWAL(data[:n])
 		if err2 != nil {
 			t.Fatalf("re-reading the reported valid prefix failed: %v", err2)
 		}
@@ -136,7 +136,7 @@ func TestReadWALSurfacesMidStreamCorruption(t *testing.T) {
 	firstLen := binary.LittleEndian.Uint32(seg[0:4])
 	cut := 8 + int(firstLen)
 	seg[cut+8+2] ^= 0xFF
-	recs, n, err := readWAL(bytes.NewReader(seg))
+	recs, n, err := readWAL(seg)
 	if err == nil {
 		t.Fatal("corruption not surfaced")
 	}
@@ -153,7 +153,7 @@ func TestReadWALChecksumCatchesEveryBitFlip(t *testing.T) {
 	for i := 0; i < len(seg)*8; i++ {
 		mut := append([]byte{}, seg...)
 		mut[i/8] ^= 1 << (i % 8)
-		recs, _, err := readWAL(bytes.NewReader(mut))
+		recs, _, err := readWAL(mut)
 		if err == nil && len(recs) == 1 {
 			// Only acceptable if the flip cancelled out to the identical
 			// payload — impossible for a single flip, so re-encode and

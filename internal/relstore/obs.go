@@ -57,6 +57,9 @@ func newDBMetrics(reg *metrics.Registry, db *DB) *dbMetrics {
 	reg.CounterFunc("chronos_store_compactions_total",
 		"Completed snapshot+delete compaction cycles since open.",
 		func() float64 { return float64(db.compactions.Load()) })
+	reg.GaugeFunc("chronos_store_wal_failed",
+		"1 while a sticky WAL failure refuses every write (the text is storage.walError on /status), else 0.",
+		func() float64 { return float64(db.walFailed.Load()) })
 	return m
 }
 

@@ -19,7 +19,6 @@ package relstore
 // the leader has compacted the follower's position away.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -148,7 +147,7 @@ func (db *DB) FollowerApply(data []byte) (int64, error) {
 	if !db.opts.Follower {
 		return 0, errors.New("relstore: FollowerApply on a store not opened in follower mode")
 	}
-	recs, n, rerr := readWAL(bytes.NewReader(data))
+	recs, n, rerr := readWAL(data)
 	if len(recs) > 0 {
 		db.walMu.Lock()
 		if db.closed {
@@ -286,6 +285,7 @@ func (db *DB) FollowerReinit(snapshot io.Reader) error {
 		db.wal = nil
 	}
 	db.walErr = nil
+	db.walFailed.Store(0)
 	db.walMu.Unlock()
 
 	// The generation claim describes the state being discarded; forget it

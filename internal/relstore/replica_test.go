@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -445,7 +447,7 @@ func FuzzFollowerApply(f *testing.F) {
 		}
 		base := int64(len(createPayload))
 
-		_, wantN, wantErr := readWAL(bytes.NewReader(data))
+		_, wantN, wantErr := readWAL(data)
 		n, aerr := db.FollowerApply(data)
 		// Frames that parse but cannot apply still count as consumed
 		// (they are durable before apply); only framing damage bounds n.
@@ -506,4 +508,131 @@ func frameCreate(t testing.TB, s Schema) []byte {
 		t.Fatal(err)
 	}
 	return frame(payload)
+}
+
+// TestFollowerApplyAllocatesLittle applies a chunk shaped like one job's
+// two commits (about 1.7 KB of frames) over and over: parsing a shipped
+// chunk walks the bytes the follower already holds, so an apply costs
+// the records it installs, not a read buffer per chunk.
+func TestFollowerApplyAllocatesLittle(t *testing.T) {
+	leader, err := Open(t.TempDir(), &Options{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { leader.Close() })
+	if err := leader.CreateTable(usersSchema()); err != nil {
+		t.Fatal(err)
+	}
+	created, _, err := leader.ShipPosition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, size := range []int{700, 800} {
+		row := userRow(fmt.Sprintf("job-%d", i), "running", int64(i))
+		row["avatar"] = bytes.Repeat([]byte{'x'}, size)
+		if err := leader.Update(func(tx *Tx) error { return tx.Put("users", row) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pos, _, err := leader.ShipPosition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(leader.SegmentPath(pos.WALSeq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := seg[created.Durable:pos.Durable]
+
+	follower := openFollower(t, t.TempDir())
+	if _, err := follower.FollowerApply(seg[:created.Durable]); err != nil {
+		t.Fatal(err)
+	}
+	apply := func() {
+		if n, err := follower.FollowerApply(chunk); err != nil || n != int64(len(chunk)) {
+			t.Fatalf("FollowerApply = %d, %v; want %d, nil", n, err, len(chunk))
+		}
+	}
+	apply() // the first apply builds the rows the later ones replace
+	const applies = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < applies; i++ {
+		apply()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / applies; per > 16<<10 {
+		t.Fatalf("applying a %d-byte chunk allocated %d bytes per apply, want at most 16 KiB", len(chunk), per)
+	}
+}
+
+// TestWALFrameLargerThanAnyBuffer commits one record of about 1.5 MB, the
+// size of a 1,000-variant evaluation submit: it survives a close and
+// reopen, applies on a follower whole, and a chunk cut inside it is torn
+// at the frame's start, after which the rest applies.
+func TestWALFrameLargerThanAnyBuffer(t *testing.T) {
+	dir := t.TempDir()
+	leader, err := Open(dir, &Options{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { leader.Close() })
+	if err := leader.CreateTable(usersSchema()); err != nil {
+		t.Fatal(err)
+	}
+	created, _, err := leader.ShipPosition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := userRow("submit", "evaluation", 1000)
+	row["avatar"] = bytes.Repeat([]byte("variant "), 1500_000/8)
+	if err := leader.Update(func(tx *Tx) error { return tx.Put("users", row) }); err != nil {
+		t.Fatal(err)
+	}
+	want := dumpState(leader)
+	pos, _, err := leader.ShipPosition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(leader.SegmentPath(pos.WALSeq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = data[:pos.Durable]
+	if big := len(data) - int(created.Durable); big < 1500_000 {
+		t.Fatalf("the record's frame is %d bytes, want about 1.5 MB", big)
+	}
+
+	if err := leader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(dir, &Options{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reopened.Close() })
+	if got := dumpState(reopened); !reflect.DeepEqual(got, want) {
+		t.Fatal("the 1.5 MB record did not survive close and reopen")
+	}
+
+	whole := openFollower(t, t.TempDir())
+	if n, err := whole.FollowerApply(data); err != nil || n != int64(len(data)) {
+		t.Fatalf("FollowerApply(whole) = %d, %v; want %d, nil", n, err, len(data))
+	}
+	if got := dumpState(whole); !reflect.DeepEqual(got, want) {
+		t.Fatal("the follower's state differs from the leader's")
+	}
+
+	cut := openFollower(t, t.TempDir())
+	mid := int(created.Durable) + (len(data)-int(created.Durable))/2
+	n, err := cut.FollowerApply(data[:mid])
+	if !IsTornFrame(err) || n != created.Durable {
+		t.Fatalf("FollowerApply(cut mid-frame) = %d, %v; want %d and a torn frame", n, err, created.Durable)
+	}
+	if m, err := cut.FollowerApply(data[n:]); err != nil || n+m != int64(len(data)) {
+		t.Fatalf("FollowerApply(rest) = %d, %v; want %d, nil", m, err, int64(len(data))-n)
+	}
+	if got := dumpState(cut); !reflect.DeepEqual(got, want) {
+		t.Fatal("the follower's state after the cut differs from the leader's")
+	}
 }

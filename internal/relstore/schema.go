@@ -31,8 +31,9 @@
 //
 // Recovery loads the snapshot, then replays segments walSeq+1..N in
 // order — the walSeq recorded in the snapshot makes the live-segment
-// set unambiguous without a separate manifest. A torn record (short
-// frame or checksum mismatch, the expected artefact of a crash
+// set unambiguous without a separate manifest; each segment is read whole
+// and parsed in place by readWAL, the one frame parser. A torn record
+// (short frame or checksum mismatch, the expected artefact of a crash
 // mid-append) is tolerated only at the tail of the highest-numbered
 // segment, where it is truncated away so later writes can never be
 // shadowed behind it; a torn record anywhere else, a gap in the segment
@@ -113,7 +114,9 @@
 //
 // A store opened with Options.Follower is a read-only replica: Update
 // and CreateTable fail with ErrReadOnly, and state enters only through
-// FollowerApply, which ingests raw WAL frames shipped from a leader.
+// FollowerApply, which parses a chunk of raw WAL frames shipped from a
+// leader in place, with recovery's parser: a chunk cut mid-frame applies
+// its whole frames and is torn at the last frame boundary.
 // The replica's directory is a byte-for-byte mirror of the leader's
 // log: shipped frames are made durable locally first and applied to the
 // in-memory tables second (the order recovery replays, so a crash

@@ -299,65 +299,46 @@ func (w *walWriter) Close() error {
 // final segment only.
 var errTornRecord = errors.New("relstore: torn wal record")
 
-// readWAL parses records from r until EOF or the first damaged frame.
-// It returns the decoded records, the byte length of the valid prefix
-// they were read from, and the error that stopped the scan: nil on a
-// clean EOF at a frame boundary, errTornRecord (wrapped) on a short or
-// checksum-mismatched frame, or a decode error for a frame whose
-// checksum holds but whose payload is not a valid record (which cannot
-// be a torn-write artefact and is never silently dropped). No record
-// past the damage is ever returned.
-func readWAL(r io.Reader) ([]walRecord, int64, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
+// readWAL parses the frames of b in place, up to its end or the first
+// damaged frame, and returns the decoded records (none aliases b), the
+// byte length of the valid prefix they were read from, and the error that
+// stopped the scan: nil when b ends at a frame boundary, errTornRecord
+// (wrapped) on a short header, a length past the bytes left — a lying
+// length costs nothing — or a checksum mismatch, or a decode error for a
+// frame whose checksum holds but whose payload is not a valid record
+// (which cannot be a torn-write artefact and is never silently dropped).
+// No record past the damage is ever returned.
+func readWAL(b []byte) ([]walRecord, int64, error) {
 	var out []walRecord
 	var n int64
-	var scratch bytes.Buffer
-	for {
-		rec, size, err := readOneRecord(br, &scratch)
-		if err == io.EOF {
-			return out, n, nil
+	for len(b) > 0 {
+		if len(b) < FrameHeaderSize {
+			return out, n, fmt.Errorf("%w: short header", errTornRecord)
 		}
+		length := binary.LittleEndian.Uint32(b[0:4])
+		sum := binary.LittleEndian.Uint32(b[4:8])
+		if length > 1<<30 {
+			return out, n, fmt.Errorf("%w: absurd frame length %d", errTornRecord, length)
+		}
+		if uint64(length) > uint64(len(b)-FrameHeaderSize) {
+			return out, n, fmt.Errorf("%w: short payload", errTornRecord)
+		}
+		payload := b[FrameHeaderSize : FrameHeaderSize+int(length)]
+		if crc32.ChecksumIEEE(payload) != sum {
+			return out, n, fmt.Errorf("%w: checksum mismatch", errTornRecord)
+		}
+		// The checksum held, so the payload is exactly what was written:
+		// a payload that does not decode is corruption a torn write
+		// cannot produce, and is never silently dropped.
+		rec, err := decodeRecord(payload)
 		if err != nil {
 			return out, n, err
 		}
 		out = append(out, rec)
-		n += size
+		n += int64(FrameHeaderSize + len(payload))
+		b = b[FrameHeaderSize+len(payload):]
 	}
-}
-
-// readOneRecord reads one frame from br, staging its payload in scratch.
-// scratch grows only as payload bytes arrive, so a header that lies about
-// its length (a flipped bit in a torn tail or a shipped chunk) costs what
-// the input actually holds, not what the header claims.
-func readOneRecord(br *bufio.Reader, scratch *bytes.Buffer) (walRecord, int64, error) {
-	var hdr [FrameHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return walRecord{}, 0, io.EOF
-		}
-		return walRecord{}, 0, fmt.Errorf("%w: short header", errTornRecord)
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length > 1<<30 {
-		return walRecord{}, 0, fmt.Errorf("%w: absurd frame length %d", errTornRecord, length)
-	}
-	scratch.Reset()
-	if _, err := io.CopyN(scratch, br, int64(length)); err != nil {
-		return walRecord{}, 0, fmt.Errorf("%w: short payload", errTornRecord)
-	}
-	payload := scratch.Bytes()
-	if crc32.ChecksumIEEE(payload) != sum {
-		return walRecord{}, 0, fmt.Errorf("%w: checksum mismatch", errTornRecord)
-	}
-	// The checksum held, so the payload is exactly what was written: a
-	// payload that does not decode is corruption a torn write cannot
-	// produce, and is never silently dropped.
-	rec, err := decodeRecord(payload)
-	if err != nil {
-		return walRecord{}, 0, err
-	}
-	return rec, int64(FrameHeaderSize + len(payload)), nil
+	return out, n, nil
 }
 
 // applyRecord installs one record into the in-memory state: a replayed
@@ -435,12 +416,11 @@ func (db *DB) recoverSegments(snapSeq int64) (int64, error) {
 			return 0, fmt.Errorf("relstore: wal segment %d missing (gap before segment %d)", live[i-1]+1, seq)
 		}
 		path := filepath.Join(db.dir, segmentName(seq))
-		f, err := os.Open(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return 0, err
 		}
-		recs, n, rerr := readWAL(f)
-		f.Close()
+		recs, n, rerr := readWAL(data)
 		final := i == len(live)-1
 		switch {
 		case rerr == nil:
