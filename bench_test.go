@@ -16,6 +16,9 @@ package chronos
 import (
 	"context"
 	"fmt"
+	"io"
+	"log"
+	"net/http/httptest"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,7 +33,9 @@ import (
 	"chronos/internal/mongosim"
 	"chronos/internal/params"
 	"chronos/internal/relstore"
+	"chronos/internal/rest"
 	"chronos/internal/workload"
+	"chronos/pkg/client"
 )
 
 // benchConfig sizes the per-figure benches: small enough to iterate,
@@ -700,12 +705,17 @@ func BenchmarkCheckHeartbeats(b *testing.B) {
 }
 
 // BenchmarkAgentJobRoundTrip measures one complete job execution through
-// the in-process agent (claim -> phases -> result upload).
+// an agent talking to a loopback Chronos Control over REST (claim ->
+// phases -> result upload).
 func BenchmarkAgentJobRoundTrip(b *testing.B) {
 	svc, err := core.NewService(relstore.OpenMemory(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	server := rest.NewServer(svc)
+	server.Logger = log.New(io.Discard, "", 0)
+	ts := httptest.NewServer(server.Handler())
+	defer ts.Close()
 	u, _ := svc.CreateUser("bench", core.RoleAdmin)
 	p, _ := svc.CreateProject("bench", "", u.ID, nil)
 	defs, diagrams := mongoagent.SystemDefinition()
@@ -720,7 +730,7 @@ func BenchmarkAgentJobRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	a := &agent.Agent{
-		Control:      &agent.LocalControl{Svc: svc},
+		Control:      client.NewClient(ts.URL, client.WithVersion("v2")),
 		DeploymentID: dep.ID,
 		Factory:      mongoagent.NewFactory(mongosim.Options{WriteLatency: mongosim.NoIO, Seed: 1}),
 	}

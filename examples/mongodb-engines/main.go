@@ -1,7 +1,8 @@
 // mongodb-engines reproduces the paper's demonstration in full: the
 // comparative evaluation of MongoDB's wiredTiger and mmapv1 storage
 // engines across client thread counts, with the results analysed as line
-// and bar diagrams — the content of paper Fig. 3d.
+// and bar diagrams — the content of paper Fig. 3d. The agent reaches
+// Chronos Control over its REST API, served on a loopback port.
 //
 // Run with: go run ./examples/mongodb-engines [-records N] [-ops N]
 package main
@@ -10,7 +11,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net/http/httptest"
 	"os"
 
 	"chronos/internal/agent"
@@ -20,6 +23,8 @@ import (
 	"chronos/internal/mongosim"
 	"chronos/internal/params"
 	"chronos/internal/relstore"
+	"chronos/internal/rest"
+	"chronos/pkg/client"
 )
 
 func main() {
@@ -39,6 +44,12 @@ func run(records, ops int64, svgPath string) error {
 	if err != nil {
 		return err
 	}
+	// Chronos Control's REST API on a loopback port: the agent talks to
+	// it over HTTP, as a chronos-agent on another host would.
+	server := rest.NewServer(svc)
+	server.Logger = log.New(io.Discard, "", 0) // keep the demo output readable
+	ts := httptest.NewServer(server.Handler())
+	defer ts.Close()
 	defs, diagrams := mongoagent.SystemDefinition()
 	sys, err := svc.RegisterSystem(mongoagent.SystemName, "simulated MongoDB", defs, diagrams)
 	if err != nil {
@@ -78,7 +89,7 @@ func run(records, ops int64, svgPath string) error {
 		len(jobs), len(threads), ops)
 
 	a := &agent.Agent{
-		Control:      &agent.LocalControl{Svc: svc},
+		Control:      client.NewClient(ts.URL, client.WithVersion("v2")),
 		DeploymentID: dep.ID,
 		Factory:      mongoagent.NewFactory(mongosim.Options{}),
 	}

@@ -1,7 +1,8 @@
 // parallel-deployments demonstrates two reliability features of Chronos
 // (paper §2.1): parallelising an evaluation across multiple identical
 // deployments, and automatic recovery when an agent disappears mid-job
-// (heartbeat watchdog + re-scheduling).
+// (heartbeat watchdog + re-scheduling). The healthy agents reach Chronos
+// Control over its REST API, served on a loopback port.
 //
 // Run with: go run ./examples/parallel-deployments
 package main
@@ -9,7 +10,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"net/http/httptest"
 	"time"
 
 	"chronos/internal/agent"
@@ -18,6 +21,8 @@ import (
 	"chronos/internal/mongosim"
 	"chronos/internal/params"
 	"chronos/internal/relstore"
+	"chronos/internal/rest"
+	"chronos/pkg/client"
 )
 
 func main() {
@@ -33,6 +38,12 @@ func run() error {
 	}
 	svc.HeartbeatTimeout = 2 * time.Second
 	svc.StartWatchdog(context.Background(), 250*time.Millisecond)
+	// Chronos Control's REST API on a loopback port: the agents talk to
+	// it over HTTP, as chronos-agents on other hosts would.
+	server := rest.NewServer(svc)
+	server.Logger = log.New(io.Discard, "", 0) // keep the demo output readable
+	ts := httptest.NewServer(server.Handler())
+	defer ts.Close()
 
 	defs, diagrams := mongoagent.SystemDefinition()
 	sys, err := svc.RegisterSystem(mongoagent.SystemName, "simulated MongoDB", defs, diagrams)
@@ -86,7 +97,7 @@ func run() error {
 	for _, d := range deps[1:] {
 		go func(d *core.Deployment) {
 			a := &agent.Agent{
-				Control:        &agent.LocalControl{Svc: svc},
+				Control:        client.NewClient(ts.URL, client.WithVersion("v2")),
 				DeploymentID:   d.ID,
 				Factory:        factory,
 				PollInterval:   100 * time.Millisecond,

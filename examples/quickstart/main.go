@@ -1,4 +1,6 @@
-// Quickstart: the smallest complete Chronos workflow, in process.
+// Quickstart: the smallest complete Chronos workflow, in one process:
+// Chronos Control and its REST API on a loopback port, and one Chronos
+// agent talking to it over HTTP.
 //
 // It walks the two workflows of paper §3 end to end:
 //  1. register a System under Evaluation (the MongoDB simulator) with its
@@ -12,7 +14,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"net/http/httptest"
 
 	"chronos/internal/agent"
 	"chronos/internal/analysis"
@@ -21,6 +25,8 @@ import (
 	"chronos/internal/mongosim"
 	"chronos/internal/params"
 	"chronos/internal/relstore"
+	"chronos/internal/rest"
+	"chronos/pkg/client"
 )
 
 func main() {
@@ -35,6 +41,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Chronos Control's REST API on a loopback port: the agent talks to
+	// it over HTTP, as a chronos-agent on another host would.
+	server := rest.NewServer(svc)
+	server.Logger = log.New(io.Discard, "", 0) // keep the demo output readable
+	ts := httptest.NewServer(server.Handler())
+	defer ts.Close()
 
 	// Workflow 1 (paper §3): register the SuE.
 	defs, diagrams := mongoagent.SystemDefinition()
@@ -73,10 +85,9 @@ func run() error {
 	}
 	fmt.Printf("evaluation %s created with %d jobs\n", evaluation.ID, len(jobs))
 
-	// A Chronos agent executes the jobs (in process here; over REST in
-	// the real deployment — see examples/buildbot).
+	// A Chronos agent executes the jobs.
 	a := &agent.Agent{
-		Control:      &agent.LocalControl{Svc: svc},
+		Control:      client.NewClient(ts.URL, client.WithVersion("v2")),
 		DeploymentID: dep.ID,
 		Factory:      mongoagent.NewFactory(mongosim.Options{}),
 	}

@@ -131,7 +131,7 @@ func TestSchedulerLifecycleAcrossRestarts(t *testing.T) {
 	// Stage 4: complete with a result and the trailing log. They are one
 	// WAL record, so a restart right after finds all of it or none: there
 	// is no state in which a finished job lacks its last log lines.
-	if err := svc.CompleteJobWithLog(j.ID, []byte(`{"throughput": 42}`), nil, "done"); err != nil {
+	if _, _, err := svc.CompleteJobClaimNext(j.ID, []byte(`{"throughput": 42}`), nil, "done", ""); err != nil {
 		t.Fatal(err)
 	}
 

@@ -9,6 +9,11 @@
 // existing methods": implement Runner's five phases and hand a factory to
 // the Agent.
 //
+// An agent talks to Chronos Control over its REST API only: its Control is
+// a pkg/client.Client, in a separate chronos-agent process and in process
+// alike (examples, experiments, tests), so every agent runs the protocol
+// that ships.
+//
 // What that communication costs Chronos Control is part of the contract.
 // In steady state a job is one call: the agent stages a claim before each
 // Complete (StageClaim), the Complete closes the job and claims the
@@ -48,9 +53,8 @@ import (
 	"chronos/internal/params"
 )
 
-// Control is the slice of Chronos Control an agent needs. It is
-// implemented by pkg/client.Client (remote, REST) and by LocalControl
-// (in-process, used by examples and benchmarks).
+// Control is the slice of Chronos Control an agent needs, implemented by
+// pkg/client.Client over the REST API.
 type Control interface {
 	// ClaimJob requests work for a deployment; job is nil when idle. A job
 	// the last Complete claimed ahead (StageClaim) is returned first, at no
@@ -64,10 +68,10 @@ type Control interface {
 	// StageLog hands over log output that needs no acknowledgement of its
 	// own: it is stored no later than the next Progress, Complete or Fail
 	// for the job returns, ahead of that call's state change and even if
-	// the change is refused. A remote Control sends it inside that call —
-	// no request, commit or fsync of its own — so a caller stages only
-	// when such a call follows. Like AppendLog, at most once: the text is
-	// lost if the call carrying it is.
+	// the change is refused. It is sent inside that call — no request,
+	// commit or fsync of its own — so a caller stages only when such a
+	// call follows. Like AppendLog, at most once: the text is lost if the
+	// call carrying it is.
 	StageLog(jobID, text string)
 	// AppendLog stores log output before it returns, in a round trip of
 	// its own: for output no other call follows (the agent's one such case
@@ -76,9 +80,8 @@ type Control interface {
 	// StageClaim makes jobID's Complete also claim deploymentID's next job:
 	// the next ClaimJob(deploymentID) returns it without a request. It rides
 	// only that Complete — not a Fail, not another job's call — and a
-	// Complete that errs claims nothing the caller will see. A remote
-	// Control holds at most one such job per deployment; in process there
-	// is no round trip to save and it is a no-op. Whoever stages must
+	// Complete that errs claims nothing the caller will see. The Control
+	// holds at most one such job per deployment. Whoever stages must
 	// follow with ClaimJob or HandBack.
 	StageClaim(jobID, deploymentID string)
 	// Complete uploads the result and closes the job.
@@ -139,8 +142,8 @@ var ErrAborted = fmt.Errorf("agent: job aborted by chronos control")
 type RunContext struct {
 	// Job is the claimed job, including its parameter assignment.
 	Job *core.Job
-	// Definitions are the system's parameter definitions (populated when
-	// the control side provides them, e.g. API v2 or local control).
+	// Definitions are the system's parameter definitions, sent with the
+	// claim by API v2 (nil over v1).
 	Definitions []params.Definition
 	// Timer measures the workflow phases; the agent manages it.
 	Timer *metrics.PhaseTimer
@@ -249,7 +252,7 @@ func (rc *RunContext) buildArchive() ([]byte, error) {
 // Agent polls Chronos Control for jobs of one deployment and executes
 // them with runners from Factory.
 type Agent struct {
-	// Control connects to Chronos Control (REST client or local).
+	// Control connects to Chronos Control: a pkg/client.Client.
 	Control Control
 	// DeploymentID identifies the deployment this agent serves.
 	DeploymentID string
@@ -577,62 +580,4 @@ func (a *Agent) buildResult(rc *RunContext) (resultJSON, archive []byte, err err
 		return nil, nil, err
 	}
 	return resultJSON, archive, nil
-}
-
-// LocalControl adapts a core.Service to the Control interface for
-// in-process agents (examples, tests, benchmarks). It behaves like the v2
-// API: claims include the system's parameter definitions.
-type LocalControl struct {
-	Svc *core.Service
-}
-
-var _ Control = (*LocalControl)(nil)
-
-// ClaimJob implements Control.
-func (l *LocalControl) ClaimJob(deploymentID string) (*core.Job, []params.Definition, error) {
-	job, raw, err := l.Svc.Claim(deploymentID)
-	if err != nil || job == nil {
-		return nil, nil, err
-	}
-	var defs []params.Definition
-	if raw != nil {
-		if err := json.Unmarshal(raw, &defs); err != nil {
-			return nil, nil, fmt.Errorf("agent: parameters of job %s: %w", job.ID, err)
-		}
-	}
-	return job, defs, nil
-}
-
-// Progress implements Control.
-func (l *LocalControl) Progress(jobID string, percent int64) (core.JobStatus, error) {
-	return l.Svc.Progress(jobID, percent)
-}
-
-// StageLog implements Control. In process there is no round trip to save,
-// so the text is stored at once.
-func (l *LocalControl) StageLog(jobID, text string) {
-	// A missing job or a failed store is reported by the call that follows.
-	_ = l.Svc.AppendJobLog(jobID, text)
-}
-
-// AppendLog implements Control.
-func (l *LocalControl) AppendLog(jobID, text string) error {
-	return l.Svc.AppendJobLog(jobID, text)
-}
-
-// StageClaim implements Control. In process a claim is a function call:
-// nothing is claimed ahead.
-func (l *LocalControl) StageClaim(jobID, deploymentID string) {}
-
-// HandBack implements Control: nothing is ever held.
-func (l *LocalControl) HandBack(deploymentID string) error { return nil }
-
-// Complete implements Control.
-func (l *LocalControl) Complete(jobID string, resultJSON, archive []byte) error {
-	return l.Svc.CompleteJob(jobID, resultJSON, archive)
-}
-
-// Fail implements Control.
-func (l *LocalControl) Fail(jobID, reason string) error {
-	return l.Svc.FailJob(jobID, reason)
 }

@@ -106,9 +106,13 @@ func setupJobs(t *testing.T, jobs int) (*core.Service, string) {
 	return svc, dep.ID
 }
 
-func newAgent(svc *core.Service, depID string, factory func() Runner) *Agent {
+// newAgent returns an agent of depID whose Control is a v2 client of svc
+// served over HTTP.
+func newAgent(t *testing.T, svc *core.Service, depID string, factory func() Runner) *Agent {
+	t.Helper()
+	c, _ := restControl(t, svc, "")
 	return &Agent{
-		Control:        &LocalControl{Svc: svc},
+		Control:        c,
 		DeploymentID:   depID,
 		Factory:        factory,
 		PollInterval:   5 * time.Millisecond,
@@ -195,16 +199,16 @@ func TestAgentCallSequence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			svc, depID := setupJobs(t, 1)
-			rec := &recordingControl{Control: &LocalControl{Svc: svc}}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			a := newAgent(svc, depID, func() Runner {
+			a := newAgent(t, svc, depID, func() Runner {
 				r := tc.runner
 				if tc.stop {
 					r.stop = cancel
 				}
 				return &r
 			})
+			rec := &recordingControl{Control: a.Control}
 			a.Control = rec
 			a.ReportInterval = time.Hour // no reporter tick inside the job
 			if worked, err := a.RunOnce(ctx); err != nil || !worked {
@@ -271,11 +275,9 @@ func (c *tickControl) Progress(id string, pct int64) (core.JobStatus, error) {
 // carries it, with nothing but the Complete's StageClaim in between.
 func TestAgentReporterTick(t *testing.T) {
 	svc, depID := setupJobs(t, 1)
-	ctl := &tickControl{
-		recordingControl: &recordingControl{Control: &LocalControl{Svc: svc}},
-		ticked:           make(chan struct{}),
-	}
-	a := newAgent(svc, depID, func() Runner { return &tickRunner{ticked: ctl.ticked} })
+	ticked := make(chan struct{})
+	a := newAgent(t, svc, depID, func() Runner { return &tickRunner{ticked: ticked} })
+	ctl := &tickControl{recordingControl: &recordingControl{Control: a.Control}, ticked: ticked}
 	a.Control = ctl
 	a.ReportInterval = 20 * time.Millisecond
 	if worked, err := a.RunOnce(context.Background()); err != nil || !worked {
@@ -312,8 +314,10 @@ func TestAgentReporterTick(t *testing.T) {
 
 func TestAgentHappyPath(t *testing.T) {
 	svc, depID := setupJobs(t, 2)
+	reg := metrics.NewRegistry()
+	svc.SetMetrics(reg)
 	var runners []*testRunner
-	a := newAgent(svc, depID, func() Runner {
+	a := newAgent(t, svc, depID, func() Runner {
 		r := &testRunner{}
 		runners = append(runners, r)
 		return r
@@ -324,6 +328,12 @@ func TestAgentHappyPath(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("drained %d jobs", n)
+	}
+	// The agent ran the protocol that ships: the first job's Complete
+	// claimed the second. The loop below finds both finished, so nothing
+	// was left claimed ahead.
+	if got := reg.CounterVec("chronos_jobs_claimed_total", "", "via").With("complete").Value(); got != 1 {
+		t.Fatalf("%v job(s) claimed by a complete, want 1", got)
 	}
 	// Each runner went through all five phases in order.
 	for _, r := range runners {
@@ -375,7 +385,7 @@ func TestAgentHappyPath(t *testing.T) {
 
 func TestAgentReportsFailure(t *testing.T) {
 	svc, depID := setupJobs(t, 1)
-	a := newAgent(svc, depID, func() Runner {
+	a := newAgent(t, svc, depID, func() Runner {
 		return &testRunner{executeErr: fmt.Errorf("disk exploded")}
 	})
 	// DefaultMaxAttempts is 3: drain runs the job three times (auto
@@ -401,7 +411,7 @@ func TestAgentReportsFailure(t *testing.T) {
 func TestAgentRunnerPanicBecomesFailure(t *testing.T) {
 	svc, depID := setupJobs(t, 1)
 	var r *testRunner
-	a := newAgent(svc, depID, func() Runner {
+	a := newAgent(t, svc, depID, func() Runner {
 		r = &testRunner{panicIn: PhaseWarmUp}
 		return r
 	})
@@ -426,7 +436,7 @@ func TestAgentRunnerPanicBecomesFailure(t *testing.T) {
 func TestAgentCleansUpAfterPhaseError(t *testing.T) {
 	svc, depID := setupJobs(t, 1)
 	var r *testRunner
-	a := newAgent(svc, depID, func() Runner {
+	a := newAgent(t, svc, depID, func() Runner {
 		r = &testRunner{prepareErr: fmt.Errorf("no data")}
 		return r
 	})
@@ -445,7 +455,7 @@ func TestAgentCleansUpAfterPhaseError(t *testing.T) {
 
 func TestAgentObservesAbort(t *testing.T) {
 	svc, depID := setupJobs(t, 1)
-	a := newAgent(svc, depID, func() Runner {
+	a := newAgent(t, svc, depID, func() Runner {
 		// A long, interruptible execute phase that ends the way both
 		// simulators' Execute does: return rc.Err().
 		return &testRunner{slow: 2 * time.Second, slowIn: PhaseExecute}
@@ -519,7 +529,7 @@ func TestAgentObservesAbort(t *testing.T) {
 
 func TestAgentRunStopsOnContextCancel(t *testing.T) {
 	svc, depID := setupJobs(t, 1)
-	a := newAgent(svc, depID, func() Runner { return &testRunner{} })
+	a := newAgent(t, svc, depID, func() Runner { return &testRunner{} })
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- a.Run(ctx) }()
@@ -552,7 +562,7 @@ func (m *memStore) Store(jobID string, archive []byte) (string, error) {
 func TestAgentOffloadsArchive(t *testing.T) {
 	svc, depID := setupJobs(t, 1)
 	store := &memStore{}
-	a := newAgent(svc, depID, func() Runner { return &testRunner{} })
+	a := newAgent(t, svc, depID, func() Runner { return &testRunner{} })
 	a.ArchiveStore = store
 	if _, err := a.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -575,22 +585,5 @@ func TestAgentOffloadsArchive(t *testing.T) {
 	}
 	if len(store.stored[jobs[0].ID]) == 0 {
 		t.Fatal("store did not receive the archive")
-	}
-}
-
-func TestLocalControlProvidesDefinitions(t *testing.T) {
-	svc, depID := setupJobs(t, 1)
-	lc := &LocalControl{Svc: svc}
-	job, defs, err := lc.ClaimJob(depID)
-	if err != nil || job == nil {
-		t.Fatalf("claim: %v", err)
-	}
-	if len(defs) != 1 || defs[0].Name != "threads" {
-		t.Fatalf("defs = %v", defs)
-	}
-	// Empty queue claims return nil without error.
-	job2, _, err := lc.ClaimJob(depID)
-	if err != nil || job2 != nil {
-		t.Fatalf("empty claim = %v, %v", job2, err)
 	}
 }

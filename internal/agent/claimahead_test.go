@@ -77,7 +77,7 @@ func TestRunStoppedBetweenJobsHandsBack(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rec := &recordingControl{Control: c}
-	a := newAgent(svc, depID, func() Runner { return &testRunner{} })
+	a := newAgent(t, svc, depID, func() Runner { return &testRunner{} })
 	a.Control = stopAfterComplete{rec, cancel}
 	a.ReportInterval = time.Hour
 	if err := a.Run(ctx); err != context.Canceled {
@@ -106,7 +106,7 @@ func TestRunStoppedBetweenJobsHandsBack(t *testing.T) {
 
 	// A second agent finishes the queue; the handed-back job runs at the
 	// attempt it never used.
-	b := newAgent(svc, depID, func() Runner { return &testRunner{} })
+	b := newAgent(t, svc, depID, func() Runner { return &testRunner{} })
 	b.Control = c
 	if n, err := b.Drain(context.Background()); err != nil || n != 2 {
 		t.Fatalf("second agent drained %d, %v", n, err)
@@ -127,7 +127,7 @@ func TestDrainEndsWithNothingHeld(t *testing.T) {
 	svc, depID := setupJobs(t, 4)
 	c, claims := restControl(t, svc, "/jobs/claim")
 	rec := &recordingControl{Control: c}
-	a := newAgent(svc, depID, func() Runner { return &testRunner{} })
+	a := newAgent(t, svc, depID, func() Runner { return &testRunner{} })
 	a.Control = rec
 	a.ReportInterval = time.Hour
 	if n, err := a.Drain(context.Background()); err != nil || n != 4 {
@@ -185,74 +185,65 @@ func (l *lockedBuffer) String() string {
 // must not kill its agents. Run polls a disabled deployment for as long as
 // it stays disabled — far past ClaimRetries, which is for a control plane
 // that is broken, not one that said no — says so once, and picks the work
-// up when the deployment is enabled again. Over REST as well as in process:
-// the refusal has to survive the wire as core.ErrInactiveDeployment.
+// up when the deployment is enabled again. The refusal has to survive the
+// wire as core.ErrInactiveDeployment.
 func TestRunIdlesOnInactiveDeployment(t *testing.T) {
-	for _, remote := range []bool{false, true} {
-		name := "local"
-		if remote {
-			name = "rest"
+	// The agent reaches the control plane over REST.
+	t.Run("rest", func(t *testing.T) {
+		var logged lockedBuffer
+		log.SetOutput(&logged)
+		defer log.SetOutput(os.Stderr)
+		svc, depID := setupJobs(t, 1)
+		if err := svc.SetDeploymentActive(depID, false); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			var logged lockedBuffer
-			log.SetOutput(&logged)
-			defer log.SetOutput(os.Stderr)
-			svc, depID := setupJobs(t, 1)
-			if err := svc.SetDeploymentActive(depID, false); err != nil {
-				t.Fatal(err)
-			}
-			var ctl Control = &LocalControl{Svc: svc}
-			if remote {
-				ctl, _ = restControl(t, svc, "/jobs/claim")
-			}
-			cc := &countingClaims{Control: ctl}
-			a := newAgent(svc, depID, func() Runner { return &testRunner{} })
-			a.Control = cc
-			a.PollInterval = time.Millisecond
-			a.ClaimRetries = 2
+		a := newAgent(t, svc, depID, func() Runner { return &testRunner{} })
+		cc := &countingClaims{Control: a.Control}
+		a.Control = cc
+		a.PollInterval = time.Millisecond
+		a.ClaimRetries = 2
 
-			// Drain takes the refusal for the idle answer it is.
-			if n, err := a.Drain(context.Background()); n != 0 || err != nil {
-				t.Fatalf("Drain on a disabled deployment = %d, %v", n, err)
-			}
+		// Drain takes the refusal for the idle answer it is.
+		if n, err := a.Drain(context.Background()); n != 0 || err != nil {
+			t.Fatalf("Drain on a disabled deployment = %d, %v", n, err)
+		}
 
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			errc := make(chan error, 1)
-			go func() { errc <- a.Run(ctx) }()
-			deadline := time.After(5 * time.Second)
-			for cc.claims.Load() < 5*int64(a.ClaimRetries+1) {
-				select {
-				case err := <-errc:
-					t.Fatalf("Run gave up on a disabled deployment after %d polls: %v", cc.claims.Load(), err)
-				case <-deadline:
-					t.Fatalf("only %d polls in 5s", cc.claims.Load())
-				case <-time.After(time.Millisecond):
-				}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		errc := make(chan error, 1)
+		go func() { errc <- a.Run(ctx) }()
+		deadline := time.After(5 * time.Second)
+		for cc.claims.Load() < 5*int64(a.ClaimRetries+1) {
+			select {
+			case err := <-errc:
+				t.Fatalf("Run gave up on a disabled deployment after %d polls: %v", cc.claims.Load(), err)
+			case <-deadline:
+				t.Fatalf("only %d polls in 5s", cc.claims.Load())
+			case <-time.After(time.Millisecond):
 			}
+		}
 
-			if err := svc.SetDeploymentActive(depID, true); err != nil {
-				t.Fatal(err)
+		if err := svc.SetDeploymentActive(depID, true); err != nil {
+			t.Fatal(err)
+		}
+		evs, _ := svc.ListEvaluations("")
+		for done := false; !done; {
+			select {
+			case err := <-errc:
+				t.Fatalf("Run returned %v before running the job", err)
+			case <-deadline:
+				t.Fatal("job not finished after the deployment was enabled again")
+			case <-time.After(time.Millisecond):
 			}
-			evs, _ := svc.ListEvaluations("")
-			for done := false; !done; {
-				select {
-				case err := <-errc:
-					t.Fatalf("Run returned %v before running the job", err)
-				case <-deadline:
-					t.Fatal("job not finished after the deployment was enabled again")
-				case <-time.After(time.Millisecond):
-				}
-				jobs, _ := svc.ListJobs(evs[0].ID)
-				done = jobs[0].Status == core.StatusFinished
-			}
-			cancel()
-			if err := <-errc; !errors.Is(err, context.Canceled) {
-				t.Fatalf("Run = %v", err)
-			}
-			if n := strings.Count(logged.String(), "is inactive"); n != 2 {
-				t.Fatalf("inactive deployment logged %d time(s), want once per loop (Drain, Run):\n%s", n, logged.String())
-			}
-		})
-	}
+			jobs, _ := svc.ListJobs(evs[0].ID)
+			done = jobs[0].Status == core.StatusFinished
+		}
+		cancel()
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run = %v", err)
+		}
+		if n := strings.Count(logged.String(), "is inactive"); n != 2 {
+			t.Fatalf("inactive deployment logged %d time(s), want once per loop (Drain, Run):\n%s", n, logged.String())
+		}
+	})
 }

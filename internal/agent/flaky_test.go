@@ -36,8 +36,9 @@ func (f *flakyControl) AppendLog(jobID, text string) error {
 
 func TestAgentSurvivesTransientControlErrors(t *testing.T) {
 	svc, depID := setupJobs(t, 2)
+	c, _ := restControl(t, svc, "")
 	a := &Agent{
-		Control:        &flakyControl{Control: &LocalControl{Svc: svc}},
+		Control:        &flakyControl{Control: c},
 		DeploymentID:   depID,
 		Factory:        func() Runner { return &testRunner{slow: 30 * time.Millisecond} },
 		PollInterval:   5 * time.Millisecond,
@@ -69,8 +70,9 @@ func (c claimErrControl) ClaimJob(string) (*core.Job, []params.Definition, error
 
 func TestAgentSurfacesClaimErrors(t *testing.T) {
 	svc, depID := setupJobs(t, 1)
+	c, _ := restControl(t, svc, "")
 	a := &Agent{
-		Control:      claimErrControl{&LocalControl{Svc: svc}},
+		Control:      claimErrControl{c},
 		DeploymentID: depID,
 		Factory:      func() Runner { return &testRunner{} },
 	}
@@ -113,8 +115,9 @@ func (f *flakyClaimControl) ClaimJob(depID string) (*core.Job, []params.Definiti
 // retried claim must never yield the same job to this agent twice.
 func TestAgentRidesOutClaimFaults(t *testing.T) {
 	svc, depID := setupJobs(t, 3)
+	c, _ := restControl(t, svc, "")
 	fc := &flakyClaimControl{
-		Control:    &LocalControl{Svc: svc},
+		Control:    c,
 		errs:       []error{client.ErrUnavailable, client.ErrStale, client.ErrUnavailable},
 		failBefore: 5,
 	}
@@ -152,8 +155,9 @@ func TestAgentRidesOutClaimFaults(t *testing.T) {
 // failures instead of spinning forever.
 func TestAgentClaimRetryBudgetExhausts(t *testing.T) {
 	svc, depID := setupJobs(t, 1)
+	c, _ := restControl(t, svc, "")
 	fc := &flakyClaimControl{
-		Control:    &LocalControl{Svc: svc},
+		Control:    c,
 		errs:       []error{client.ErrUnavailable},
 		failBefore: 1 << 30,
 	}

@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"log"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -22,7 +24,9 @@ import (
 	"chronos/internal/mongosim"
 	"chronos/internal/params"
 	"chronos/internal/relstore"
+	"chronos/internal/rest"
 	"chronos/internal/tsagent"
+	"chronos/pkg/client"
 )
 
 var rewrite = flag.Bool("update", false, "rewrite the golden files under testdata from this run")
@@ -150,8 +154,8 @@ func TestRunnerOutputsGolden(t *testing.T) {
 }
 
 // runJob registers fam's system with an extra "seed" parameter, runs one
-// job of the given settings through an in-process agent without simulated
-// I/O waits, and returns its decoded result document, latencies.csv and
+// job of the given settings through an agent, over REST to a loopback
+// server, without simulated I/O waits, and returns its decoded result document, latencies.csv and
 // concatenated log.
 func runJob(t *testing.T, fam sims.Family, settings map[string][]params.Value) (map[string]any, string, string) {
 	t.Helper()
@@ -176,7 +180,11 @@ func runJob(t *testing.T, fam sims.Family, settings map[string][]params.Value) (
 	if err != nil || len(jobs) != 1 {
 		t.Fatalf("evaluation: %v, %d jobs", err, len(jobs))
 	}
-	a := &agent.Agent{Control: &agent.LocalControl{Svc: svc}, DeploymentID: dep.ID, Factory: fam.Factory(mongosim.NoIO, 0), ReportInterval: time.Hour}
+	server := rest.NewServer(svc)
+	server.Logger = log.New(io.Discard, "", 0)
+	ts := httptest.NewServer(server.Handler())
+	defer ts.Close()
+	a := &agent.Agent{Control: client.NewClient(ts.URL, client.WithVersion("v2")), DeploymentID: dep.ID, Factory: fam.Factory(mongosim.NoIO, 0), ReportInterval: time.Hour}
 	if n, err := a.Drain(context.Background()); err != nil || n != 1 {
 		t.Fatalf("drain: %d jobs, %v", n, err)
 	}
@@ -204,9 +212,9 @@ func runJob(t *testing.T, fam sims.Family, settings map[string][]params.Value) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	var log strings.Builder
+	var text strings.Builder
 	for _, c := range chunks {
-		log.WriteString(c.Text)
+		text.WriteString(c.Text)
 	}
-	return doc, string(csv), log.String()
+	return doc, string(csv), text.String()
 }

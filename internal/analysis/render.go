@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -42,18 +41,6 @@ func Lookup(diagramType string) (Renderer, error) {
 		return nil, fmt.Errorf("analysis: no renderer for diagram type %q", diagramType)
 	}
 	return r, nil
-}
-
-// Types lists the registered diagram types, sorted.
-func Types() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	out := make([]string, 0, len(registry.m))
-	for t := range registry.m {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RenderASCII renders the chart with its spec's registered renderer.

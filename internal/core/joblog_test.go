@@ -44,7 +44,8 @@ func TestLogRidesItsCall(t *testing.T) {
 			return err
 		}, StatusRunning},
 		{"complete", func(svc *Service, id, log string) error {
-			return svc.CompleteJobWithLog(id, []byte(`{"v":1}`), nil, log)
+			_, _, err := svc.CompleteJobClaimNext(id, []byte(`{"v":1}`), nil, log, "")
+			return err
 		}, StatusFinished},
 		// One failed attempt of three: the job is re-scheduled.
 		{"fail", func(svc *Service, id, log string) error {
@@ -117,7 +118,8 @@ func TestRefusedCompleteKeepsItsLog(t *testing.T) {
 		call func(svc *Service, jobID string) error
 	}{
 		{"complete", func(svc *Service, id string) error {
-			return svc.CompleteJobWithLog(id, []byte(`{"v":1}`), nil, "last words\n")
+			_, _, err := svc.CompleteJobClaimNext(id, []byte(`{"v":1}`), nil, "last words\n", "")
+			return err
 		}},
 		{"fail", func(svc *Service, id string) error {
 			return svc.FailJobWithLog(id, "disk exploded", "last words\n")
@@ -163,7 +165,7 @@ func TestRefusedCompleteKeepsItsLog(t *testing.T) {
 	// A call aimed at no job at all stores nothing.
 	svc, commits := durableService(t)
 	before := commits.Value()
-	if err := svc.CompleteJobWithLog("job-missing", nil, nil, "x\n"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := svc.CompleteJobClaimNext("job-missing", nil, nil, "x\n", ""); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("complete on a missing job: %v", err)
 	}
 	if got := commits.Value() - before; got != 0 {

@@ -382,20 +382,15 @@ func (s *Service) JobTimeline(jobID string) ([]*Event, error) {
 // CompleteJob records a successful run with its result (JSON + optional
 // zip archive).
 func (s *Service) CompleteJob(jobID string, resultJSON, archive []byte) error {
-	return s.CompleteJobWithLog(jobID, resultJSON, archive, "")
-}
-
-// CompleteJobWithLog is CompleteJob carrying the job's trailing log output:
-// the chunk is stored ahead of the result in the same transaction, so a
-// finished job never lacks its last log lines.
-func (s *Service) CompleteJobWithLog(jobID string, resultJSON, archive []byte, log string) error {
-	_, _, err := s.CompleteJobClaimNext(jobID, resultJSON, archive, log, "")
+	_, _, err := s.CompleteJobClaimNext(jobID, resultJSON, archive, "", "")
 	return err
 }
 
-// CompleteJobClaimNext is CompleteJobWithLog that also claims the next job
-// of deployment claimFor ("" claims nothing) in the completing transaction:
-// one commit and one fsync close this job and hand out that one, or
+// CompleteJobClaimNext is CompleteJob carrying the job's trailing log
+// output, and claiming the next job of deployment claimFor ("" claims
+// nothing), in the completing transaction: the log chunk is stored ahead
+// of the result, so a finished job never lacks its last log lines, and one
+// commit and one fsync close this job and hand out the next one, or
 // neither happens. next and parameters are what Claim(claimFor) would have
 // returned just after the completion, nil on an empty queue. The store
 // keeps resultJSON and archive as they are: the caller must not modify

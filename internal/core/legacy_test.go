@@ -140,7 +140,8 @@ func legacySource(t *testing.T) (*core.Service, legacyIDs) {
 		return j
 	}
 	done := claim()
-	must(svc.CompleteJobWithLog(done.ID, []byte(`{"throughput":7}`), []byte("PK\x03\x04"), "done\n"))
+	_, _, err = svc.CompleteJobClaimNext(done.ID, []byte(`{"throughput":7}`), []byte("PK\x03\x04"), "done\n", "")
+	must(err)
 	failed := claim()
 	must(svc.FailJobWithLog(failed.ID, "boom", "oops\n"))
 	must(svc.AbortJob(claim().ID))

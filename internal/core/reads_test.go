@@ -223,7 +223,7 @@ func TestExportDoesNotStallCommits(t *testing.T) {
 			t.Fatalf("claim: %v %v", ok, err)
 		}
 		if i < 1000 {
-			if err := svc.CompleteJobWithLog(j.ID, []byte(`{"throughput": 1}`), nil, "done\n"); err != nil {
+			if _, _, err := svc.CompleteJobClaimNext(j.ID, []byte(`{"throughput": 1}`), nil, "done\n", ""); err != nil {
 				t.Fatal(err)
 			}
 			continue

@@ -56,6 +56,7 @@ func E6EngineComparison(cfg Config) (*Report, *E6Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	defer tb.close()
 	sys, dep, err := tb.register(mongoagent.SystemName)
 	if err != nil {
 		return nil, nil, err
@@ -77,7 +78,7 @@ func E6EngineComparison(cfg Config) (*Report, *E6Result, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := drain(tb.svc, dep, mongoagent.NewFactory(engineOptions(cfg, 7))); err != nil {
+		if err := tb.drain(dep, mongoagent.NewFactory(engineOptions(cfg, 7))); err != nil {
 			return nil, nil, err
 		}
 

@@ -59,6 +59,7 @@ func E9DynamicDrift(cfg Config) (*Report, *E9Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	defer tb.close()
 
 	run := func(system string, settings map[string][]params.Value, growth func(doc map[string]any) int64) error {
 		sys, dep, err := tb.register(system)
@@ -75,7 +76,7 @@ func E9DynamicDrift(cfg Config) (*Report, *E9Result, error) {
 		if err != nil {
 			return err
 		}
-		if err := drain(tb.svc, dep, family.Factory(cfg.WriteLatency, 7)); err != nil {
+		if err := tb.drain(dep, family.Factory(cfg.WriteLatency, 7)); err != nil {
 			return err
 		}
 		if len(jobs) != 1 {

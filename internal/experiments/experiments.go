@@ -5,6 +5,11 @@
 // suite asserts the expected *shape* on (who wins, where the crossover
 // falls), since absolute numbers depend on the host.
 //
+// Agents reach Chronos Control the one way chronos-agent does: through
+// pkg/client over the REST API. The testbed of the experiments that run
+// agents (E4, E6, E9) serves its service on a loopback port, and E1 and
+// E7 start a server of their own.
+//
 // The same functions back cmd/chronos-bench, the repository-level
 // benchmarks in bench_test.go, and the integration tests.
 package experiments
@@ -12,6 +17,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"strings"
 	"time"
 
@@ -21,6 +27,8 @@ import (
 	"chronos/internal/mongosim"
 	"chronos/internal/params"
 	"chronos/internal/relstore"
+	"chronos/internal/rest"
+	"chronos/pkg/client"
 )
 
 // Config scales the experiments.
@@ -89,14 +97,18 @@ func (r *Report) String() string {
 	return sb.String()
 }
 
-// testbed is an in-process Chronos deployment shared by the experiments.
+// testbed is an in-process Chronos deployment shared by the experiments:
+// a memory-backed service served over HTTP, which its agents reach
+// through pkg/client like any chronos-agent.
 type testbed struct {
 	svc       *core.Service
+	server    *httptest.Server
 	userID    string
 	projectID string
 }
 
-// newTestbed boots a memory-backed control with the demo project.
+// newTestbed boots a memory-backed control with the demo project and
+// serves it on a loopback port; close stops the server.
 func newTestbed() (*testbed, error) {
 	svc, err := core.NewService(relstore.OpenMemory(), nil)
 	if err != nil {
@@ -110,8 +122,12 @@ func newTestbed() (*testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &testbed{svc: svc, userID: u.ID, projectID: p.ID}, nil
+	server := rest.NewServer(svc)
+	server.Logger = discardLogger()
+	return &testbed{svc: svc, server: httptest.NewServer(server.Handler()), userID: u.ID, projectID: p.ID}, nil
 }
+
+func (tb *testbed) close() { tb.server.Close() }
 
 // register registers the simulator family called name and one
 // deployment of it.
@@ -137,34 +153,38 @@ func engineOptions(cfg Config, seed int64) mongosim.Options {
 	return mongosim.Options{WriteLatency: cfg.WriteLatency, Seed: seed}
 }
 
+// agent returns an agent of dep that talks to the testbed over REST, as
+// its own v2 client: each agent holds its own job claimed ahead.
+func (tb *testbed) agent(dep *core.Deployment, factory func() agent.Runner) *agent.Agent {
+	return &agent.Agent{
+		Control:      client.NewClient(tb.server.URL, client.WithVersion("v2")),
+		DeploymentID: dep.ID,
+		Factory:      factory,
+	}
+}
+
 // drain runs one agent at its default poll and report cadence until dep's
-// queue is empty. The measuring experiments use it so that progress
-// reporting competes with the measured threads no more than in a real
-// deployment.
-func drain(svc *core.Service, dep *core.Deployment, factory func() agent.Runner) error {
-	a := &agent.Agent{Control: &agent.LocalControl{Svc: svc}, DeploymentID: dep.ID, Factory: factory}
-	_, err := a.Drain(context.Background())
+// queue is empty, over the testbed's REST API like a chronos-agent. The
+// measuring experiments use it so that progress reporting competes with
+// the measured threads no more than in a real deployment.
+func (tb *testbed) drain(dep *core.Deployment, factory func() agent.Runner) error {
+	_, err := tb.agent(dep, factory).Drain(context.Background())
 	return err
 }
 
 // runAgents drains the queue with n parallel agents on the given
 // deployments (cycled) and returns the wall time.
-func runAgents(svc *core.Service, deployments []*core.Deployment, n int, factory func() agent.Runner) (time.Duration, error) {
+func (tb *testbed) runAgents(deployments []*core.Deployment, n int, factory func() agent.Runner) (time.Duration, error) {
 	start := time.Now()
 	errc := make(chan error, n)
 	for i := 0; i < n; i++ {
-		dep := deployments[i%len(deployments)]
-		go func(dep *core.Deployment) {
-			a := &agent.Agent{
-				Control:        &agent.LocalControl{Svc: svc},
-				DeploymentID:   dep.ID,
-				Factory:        factory,
-				PollInterval:   10 * time.Millisecond,
-				ReportInterval: 50 * time.Millisecond,
-			}
+		a := tb.agent(deployments[i%len(deployments)], factory)
+		a.PollInterval = 10 * time.Millisecond
+		a.ReportInterval = 50 * time.Millisecond
+		go func() {
 			_, err := a.Drain(context.Background())
 			errc <- err
-		}(dep)
+		}()
 	}
 	for i := 0; i < n; i++ {
 		if err := <-errc; err != nil {

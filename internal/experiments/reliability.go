@@ -26,6 +26,7 @@ func E4ParallelDeployments(cfg Config) (*Report, error) {
 		if err != nil {
 			return 0, err
 		}
+		defer tb.close()
 		defs := []params.Definition{
 			{Name: "idx", Type: params.TypeInterval, Min: 1, Max: 64, Default: params.Int(1)},
 		}
@@ -54,7 +55,7 @@ func E4ParallelDeployments(cfg Config) (*Report, error) {
 		if err != nil {
 			return 0, err
 		}
-		elapsed, err := runAgents(tb.svc, deps, deployments, newSyntheticFactory(work, nil))
+		elapsed, err := tb.runAgents(deps, deployments, newSyntheticFactory(work, nil))
 		if err != nil {
 			return 0, err
 		}

@@ -80,6 +80,7 @@ func E2SystemRegistration() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer tb.close()
 	sys, _, err := tb.register(mongoagent.SystemName)
 	if err != nil {
 		return nil, err
@@ -122,6 +123,7 @@ func E3ParamSpace() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer tb.close()
 	sys, _, err := tb.register(mongoagent.SystemName)
 	if err != nil {
 		return nil, err
@@ -175,6 +177,7 @@ func E5JobLifecycle() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer tb.close()
 	sys, dep, err := tb.register(mongoagent.SystemName)
 	if err != nil {
 		return nil, err

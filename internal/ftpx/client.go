@@ -189,12 +189,6 @@ func (c *Client) List() ([]string, error) {
 	return names, nil
 }
 
-// Delete removes the named file.
-func (c *Client) Delete(name string) error {
-	_, err := c.expect(250, "DELE %s", name)
-	return err
-}
-
 // Quit ends the session.
 func (c *Client) Quit() error {
 	c.cmd("QUIT")

@@ -4,9 +4,10 @@
 // or a NAS for storing the results which also reduces the load and
 // storage requirements on the Chronos Control server").
 //
-// The server speaks passive mode only (PASV) with a pluggable in-memory
-// or on-disk file store; the client covers login, STOR, RETR, LIST and
-// DELE. Both sides are synchronous and safe for concurrent sessions.
+// The server speaks passive mode only (PASV) and keeps its files in
+// memory: it is the FTP peer the archive upload is tested against. The
+// client covers login, STOR, RETR and LIST. Both sides are synchronous and
+// safe for concurrent sessions.
 package ftpx
 
 import (
@@ -14,26 +15,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 )
 
-// FileStore is the backing storage of an FTP server.
-type FileStore interface {
-	// Put stores a file, replacing any previous content.
-	Put(name string, data []byte) error
-	// Get retrieves a file.
-	Get(name string) ([]byte, error)
-	// List returns the stored file names, sorted.
-	List() ([]string, error)
-	// Delete removes a file.
-	Delete(name string) error
-}
-
-// MemStore is an in-memory FileStore.
+// MemStore is the server's in-memory file store.
 type MemStore struct {
 	mu    sync.RWMutex
 	files map[string][]byte
@@ -42,7 +29,7 @@ type MemStore struct {
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{files: map[string][]byte{}} }
 
-// Put implements FileStore.
+// Put stores a file, replacing any previous content.
 func (m *MemStore) Put(name string, data []byte) error {
 	m.mu.Lock()
 	m.files[name] = append([]byte(nil), data...)
@@ -50,7 +37,7 @@ func (m *MemStore) Put(name string, data []byte) error {
 	return nil
 }
 
-// Get implements FileStore.
+// Get retrieves a file.
 func (m *MemStore) Get(name string) ([]byte, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -61,7 +48,7 @@ func (m *MemStore) Get(name string) ([]byte, error) {
 	return append([]byte(nil), data...), nil
 }
 
-// List implements FileStore.
+// List returns the stored file names, sorted.
 func (m *MemStore) List() ([]string, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -73,86 +60,10 @@ func (m *MemStore) List() ([]string, error) {
 	return names, nil
 }
 
-// Delete implements FileStore.
-func (m *MemStore) Delete(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.files[name]; !ok {
-		return fmt.Errorf("ftpx: no such file %q", name)
-	}
-	delete(m.files, name)
-	return nil
-}
-
-// DirStore stores files in a directory (the "NAS").
-type DirStore struct {
-	dir string
-}
-
-// NewDirStore creates (if needed) and wraps a directory.
-func NewDirStore(dir string) (*DirStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &DirStore{dir: dir}, nil
-}
-
-// clean rejects path traversal.
-func (d *DirStore) clean(name string) (string, error) {
-	base := filepath.Base(filepath.Clean("/" + name))
-	if base == "." || base == "/" || base == "" {
-		return "", fmt.Errorf("ftpx: invalid file name %q", name)
-	}
-	return filepath.Join(d.dir, base), nil
-}
-
-// Put implements FileStore.
-func (d *DirStore) Put(name string, data []byte) error {
-	p, err := d.clean(name)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(p, data, 0o644)
-}
-
-// Get implements FileStore.
-func (d *DirStore) Get(name string) ([]byte, error) {
-	p, err := d.clean(name)
-	if err != nil {
-		return nil, err
-	}
-	return os.ReadFile(p)
-}
-
-// List implements FileStore.
-func (d *DirStore) List() ([]string, error) {
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// Delete implements FileStore.
-func (d *DirStore) Delete(name string) error {
-	p, err := d.clean(name)
-	if err != nil {
-		return err
-	}
-	return os.Remove(p)
-}
-
 // Server is a minimal passive-mode FTP server.
 type Server struct {
-	// Store is the backing file store.
-	Store FileStore
+	// Store holds the uploaded files.
+	Store *MemStore
 	// User/Pass are the accepted credentials; empty User allows anonymous.
 	User, Pass string
 
@@ -388,15 +299,6 @@ func (s *session) handle(cmd, arg string) bool {
 		}
 		data.Close()
 		s.reply(226, "directory send ok")
-	case "DELE":
-		if !s.requireAuth() {
-			return true
-		}
-		if err := s.srv.Store.Delete(arg); err != nil {
-			s.reply(550, "delete failed")
-			return true
-		}
-		s.reply(250, "deleted")
 	case "QUIT":
 		s.reply(221, "goodbye")
 		return false

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"maps"
 	"math"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +21,9 @@ import (
 	"chronos/internal/mongosim"
 	"chronos/internal/params"
 	"chronos/internal/relstore"
+	"chronos/internal/rest"
 	"chronos/internal/workload"
+	"chronos/pkg/client"
 )
 
 // fastOpts disables the simulated I/O wait so unit tests stay quick.
@@ -492,8 +497,12 @@ func TestEndToEndThroughChronos(t *testing.T) {
 		t.Fatalf("jobs = %d", len(jobs))
 	}
 
+	server := rest.NewServer(svc)
+	server.Logger = log.New(io.Discard, "", 0)
+	ts := httptest.NewServer(server.Handler())
+	defer ts.Close()
 	a := &agent.Agent{
-		Control:        &agent.LocalControl{Svc: svc},
+		Control:        client.NewClient(ts.URL, client.WithVersion("v2")),
 		DeploymentID:   dep.ID,
 		Factory:        NewFactory(fastOpts()),
 		ReportInterval: 10 * time.Millisecond,

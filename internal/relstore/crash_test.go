@@ -265,8 +265,8 @@ func TestCrashMidFirstFrame(t *testing.T) {
 
 // TestWALFailureIsVisible: the sticky WAL failure that refuses every
 // later write is what an operator sees, as storage.walError on /status
-// (Stats) and as the chronos_store_wal_failed gauge. A clean store reads
-// 0 and leaves the field out.
+// (Stats) and as the chronos_store_wal_failed gauge, and what a writer
+// sees, as ErrWALFailed. A clean store reads 0 and leaves the field out.
 func TestWALFailureIsVisible(t *testing.T) {
 	walFailed := func(reg *metrics.Registry) float64 {
 		t.Helper()
@@ -320,8 +320,11 @@ func TestWALFailureIsVisible(t *testing.T) {
 
 	// Room for the CreateTable frame and not for the first commit.
 	tripped, reg := open(createBytes)
-	if err := tripped.Update(func(tx *Tx) error { return crashCommit(tx, 0) }); err == nil {
-		t.Fatal("a commit past the budget was acknowledged")
+	// The write that trips the store and the one it refuses afterwards.
+	for i := 0; i < 2; i++ {
+		if err := tripped.Update(func(tx *Tx) error { return crashCommit(tx, i) }); !errors.Is(err, ErrWALFailed) {
+			t.Fatalf("write %d on a tripped store = %v, want ErrWALFailed", i, err)
+		}
 	}
 	if got := walFailed(reg); got != 1 {
 		t.Fatalf("tripped store: chronos_store_wal_failed = %v, want 1", got)

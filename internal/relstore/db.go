@@ -21,6 +21,13 @@ import (
 // write to the leader.
 var ErrReadOnly = errors.New("relstore: store is open in read-only follower mode")
 
+// ErrWALFailed is wrapped by the error of a write whose WAL append or
+// fsync failed, and by that of every write the store refuses after a WAL
+// failure (an append, fsync or rotation, or on a follower an apply) until
+// it is reopened or re-bootstrapped. The fault is the store's, not the
+// caller's.
+var ErrWALFailed = errors.New("relstore: WAL failed")
+
 // ErrLegacyFormat is wrapped wherever the store meets what an older build
 // wrote and this one does not read, and each wrap names the form it met.
 // Open, FollowerApply and snapshot load meet a JSON snapshot, a
@@ -799,13 +806,11 @@ func (db *DB) writeBatch(recs []walRecord) error {
 	}
 	for _, rec := range recs {
 		if err := db.wal.append(rec); err != nil {
-			db.poisonLocked(err)
-			return err
+			return db.poisonLocked(err)
 		}
 	}
 	if err := db.wal.commit(); err != nil {
-		db.poisonLocked(err)
-		return err
+		return db.poisonLocked(err)
 	}
 	if db.met != nil {
 		db.met.commitObserved(len(recs), start, db.opts.Sync == SyncEveryCommit)
@@ -823,14 +828,16 @@ func (db *DB) writeBatch(recs []walRecord) error {
 	return nil
 }
 
-// poisonLocked records a sticky WAL failure. Caller holds walMu.
-func (db *DB) poisonLocked(err error) {
+// poisonLocked records a sticky WAL failure, wrapped in ErrWALFailed, and
+// returns it. Caller holds walMu.
+func (db *DB) poisonLocked(err error) error {
 	if db.walErr == nil {
-		db.walErr = err
+		db.walErr = fmt.Errorf("%w: %w", ErrWALFailed, err)
 		db.walFailed.Store(1)
 	}
 	db.walCond.Broadcast()
 	db.bumpWALNotifyLocked()
+	return db.walErr
 }
 
 // bumpWALNotifyLocked wakes everyone long-polling for WAL progress

@@ -164,12 +164,12 @@ func (db *DB) FollowerApply(data []byte) (int64, error) {
 			return 0, errors.New("relstore: store is re-initialising")
 		}
 		if err := db.wal.appendRaw(data[:n]); err != nil {
-			db.poisonLocked(err)
+			err = db.poisonLocked(err)
 			db.walMu.Unlock()
 			return 0, err
 		}
 		if err := db.wal.commit(); err != nil {
-			db.poisonLocked(err)
+			err = db.poisonLocked(err)
 			db.walMu.Unlock()
 			return 0, err
 		}

@@ -389,6 +389,10 @@ func fail(w http.ResponseWriter, err error) {
 		// claim among them — belong on the leader. 503 tells
 		// well-behaved clients to go there rather than retry here.
 		writeUnavailable(w, err)
+	case errors.Is(err, relstore.ErrWALFailed):
+		// The store could not make a write durable and refuses writes
+		// until it is reopened: the server's fault, not the request's.
+		httputil.WriteError(w, http.StatusInternalServerError, err)
 	default:
 		httputil.WriteError(w, http.StatusBadRequest, err)
 	}

@@ -1,6 +1,8 @@
 package rest
 
 import (
+	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -314,6 +316,12 @@ func TestErrorStatusMapping(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("bad body status = %d", resp.StatusCode)
+	}
+	// A store whose WAL failed -> 500 with the failure's text.
+	rec := httptest.NewRecorder()
+	fail(rec, fmt.Errorf("core: complete: %w: %w", relstore.ErrWALFailed, errors.New("no space left on device")))
+	if rec.Code != 500 || !strings.Contains(rec.Body.String(), "no space left on device") {
+		t.Fatalf("failed WAL: %d %s", rec.Code, rec.Body)
 	}
 }
 

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"maps"
 	"math"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -17,8 +20,10 @@ import (
 	"chronos/internal/metrics"
 	"chronos/internal/params"
 	"chronos/internal/relstore"
+	"chronos/internal/rest"
 	"chronos/internal/tssim"
 	"chronos/internal/workload"
+	"chronos/pkg/client"
 )
 
 func TestSystemDefinitionIsValid(t *testing.T) {
@@ -276,8 +281,12 @@ func TestEndToEndThroughChronos(t *testing.T) {
 		t.Fatalf("jobs = %d", len(jobs))
 	}
 
+	server := rest.NewServer(svc)
+	server.Logger = log.New(io.Discard, "", 0)
+	ts := httptest.NewServer(server.Handler())
+	defer ts.Close()
 	a := &agent.Agent{
-		Control:        &agent.LocalControl{Svc: svc},
+		Control:        client.NewClient(ts.URL, client.WithVersion("v2")),
 		DeploymentID:   dep.ID,
 		Factory:        NewFactory(tssim.Options{}),
 		ReportInterval: 10 * time.Millisecond,

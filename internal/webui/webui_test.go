@@ -22,6 +22,7 @@ import (
 	"chronos/internal/params"
 	"chronos/internal/relstore"
 	"chronos/internal/rest"
+	"chronos/pkg/client"
 )
 
 // fixture builds a service with the full demo state: finished evaluation
@@ -73,9 +74,13 @@ func newFixture(t *testing.T) *fixture {
 	for _, j := range jobs {
 		f.jobIDs = append(f.jobIDs, j.ID)
 	}
+	f.server = rest.NewServer(svc)
+	f.server.Logger = log.New(io.Discard, "", 0)
+	f.ts = httptest.NewServer(f.server.Handler())
+	t.Cleanup(f.ts.Close)
 	// Execute the evaluation so the results page has data.
 	a := &agent.Agent{
-		Control:      &agent.LocalControl{Svc: svc},
+		Control:      client.NewClient(f.ts.URL, client.WithVersion("v2")),
 		DeploymentID: dep.ID,
 		Factory: mongoagent.NewFactory(mongosim.Options{
 			WriteLatency: mongosim.NoIO, Seed: 1,
@@ -85,11 +90,6 @@ func newFixture(t *testing.T) *fixture {
 	if _, err := a.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-
-	f.server = rest.NewServer(svc)
-	f.server.Logger = log.New(io.Discard, "", 0)
-	f.ts = httptest.NewServer(f.server.Handler())
-	t.Cleanup(f.ts.Close)
 	return f
 }
 
@@ -323,7 +323,7 @@ func TestJobPageShowsWorkloadPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &agent.Agent{
-		Control:      &agent.LocalControl{Svc: f.svc},
+		Control:      client.NewClient(f.ts.URL, client.WithVersion("v2")),
 		DeploymentID: f.deploymentID,
 		Factory: mongoagent.NewFactory(mongosim.Options{
 			WriteLatency: mongosim.NoIO, Seed: 1,
