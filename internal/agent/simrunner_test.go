@@ -32,7 +32,7 @@ func fln() string {
 }
 
 func op(t workload.OpType, i int64, fields ...string) workload.Op {
-	o := workload.Op{Type: t, Key: workload.Key(i), KeyIndex: i}
+	o := workload.Op{Type: t, KeyIndex: i}
 	for n, v := range fields {
 		o.Fields = append(o.Fields, workload.Field{Name: fmt.Sprintf("field%d", n), Value: []byte(v)})
 	}
@@ -50,7 +50,7 @@ var (
 	update = func(i int64) workload.Op { return op(workload.OpUpdate, i, "updated") }
 	insert = func(i int64) workload.Op { return op(workload.OpInsert, i, "new", "record") }
 	rmw    = func(i int64) workload.Op { return op(workload.OpReadModifyWrite, i, "rmw") }
-	bogus  = workload.Op{Type: "bogus", Key: workload.Key(1), KeyIndex: 1}
+	bogus  = workload.Op{Type: "bogus", KeyIndex: 1}
 )
 
 // mongoScript is the mapping mongoagent's package doc promises, on a
@@ -117,9 +117,9 @@ func TestSUTConformance(t *testing.T) {
 		for _, s := range tg.script {
 			err := sut.Apply(s.op)
 			if s.fail && err == nil {
-				t.Errorf("%s%s %v: %s %s succeeded, want an error", s.fln, tg.system, tg.params, s.op.Type, s.op.Key)
+				t.Errorf("%s%s %v: %s %s succeeded, want an error", s.fln, tg.system, tg.params, s.op.Type, s.op.Key())
 			} else if !s.fail && err != nil {
-				t.Errorf("%s%s %v: %s %s: %v", s.fln, tg.system, tg.params, s.op.Type, s.op.Key, err)
+				t.Errorf("%s%s %v: %s %s: %v", s.fln, tg.system, tg.params, s.op.Type, s.op.Key(), err)
 			}
 			if len(s.stats) == 0 {
 				continue
@@ -132,7 +132,7 @@ func TestSUTConformance(t *testing.T) {
 					got = got.(map[string]any)[inner]
 				}
 				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%s%s %v: after %s %s, %s = %v, want %v", s.fln, tg.system, tg.params, s.op.Type, s.op.Key, key, got, want)
+					t.Errorf("%s%s %v: after %s %s, %s = %v, want %v", s.fln, tg.system, tg.params, s.op.Type, s.op.Key(), key, got, want)
 				}
 			}
 		}

@@ -145,7 +145,7 @@ func (s *sut) WarmUp(rc *agent.RunContext) error {
 			return rc.Err()
 		}
 		op, _ := gen.Next()
-		s.coll.FindOne(op.Key)
+		s.coll.FindOne(op.Key())
 	}
 	return nil
 }
@@ -238,22 +238,23 @@ func RunScheduleWorkload(coll *mongosim.Collection, sched workload.Schedule, thr
 
 // Apply maps one generated operation onto the collection API.
 func (s *sut) Apply(op workload.Op) error {
+	key := op.Key()
 	switch op.Type {
 	case workload.OpRead:
-		_, err := s.coll.FindOne(op.Key)
+		_, err := s.coll.FindOne(key)
 		return ignoreMissing(err)
 	case workload.OpUpdate:
-		return ignoreMissing(s.coll.UpdateOne(op.Key, patchDoc(op.Fields)))
+		return ignoreMissing(s.coll.UpdateOne(key, patchDoc(op.Fields)))
 	case workload.OpInsert:
-		return s.coll.ReplaceOne(recordToDoc(op.Key, op.Fields))
+		return s.coll.ReplaceOne(recordToDoc(key, op.Fields))
 	case workload.OpScan:
-		_, err := s.coll.Scan(op.Key, op.ScanLength)
+		_, err := s.coll.Scan(key, op.ScanLength)
 		return err
 	case workload.OpReadModifyWrite:
-		if _, err := s.coll.FindOne(op.Key); err != nil {
+		if _, err := s.coll.FindOne(key); err != nil {
 			return ignoreMissing(err)
 		}
-		return ignoreMissing(s.coll.UpdateOne(op.Key, patchDoc(op.Fields)))
+		return ignoreMissing(s.coll.UpdateOne(key, patchDoc(op.Fields)))
 	default:
 		return fmt.Errorf("mongoagent: unknown op %q", op.Type)
 	}

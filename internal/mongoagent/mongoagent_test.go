@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -267,10 +268,9 @@ func TestRunWorkloadProgressNeverOvercounts(t *testing.T) {
 	}.WithDefaults()
 	LoadCollection(coll, cfg, 2)
 	var lastDone int64
-	calls := 0
+	var calls atomic.Int32 // every worker polls abort
 	abort := func() error {
-		calls++
-		if calls > 3 {
+		if calls.Add(1) > 3 {
 			return agent.ErrAborted
 		}
 		return nil
@@ -345,10 +345,9 @@ func TestRunWorkloadAborts(t *testing.T) {
 		Distribution: "uniform", Seed: 3,
 	}.WithDefaults()
 	LoadCollection(coll, cfg, 2)
-	calls := 0
+	var calls atomic.Int32 // every worker polls abort
 	abort := func() error {
-		calls++
-		if calls > 3 {
+		if calls.Add(1) > 3 {
 			return agent.ErrAborted
 		}
 		return nil

@@ -16,25 +16,31 @@
 // loop every SUT agent drives its engine with.
 //
 // The engine is the instrument, so what it spends per operation is kept
-// to its bookkeeping: one draw for the type, one for the key, the key
-// string (the one allocation), a clock read on each side of apply and two
-// histogram records. Payloads cost a draw per value: each generator owns
-// one pool of run-structured text (64 KiB plus one field length, built
-// from its own seeded stream on the first payload it draws) and a value
-// is a FieldLength-long window into it at a drawn offset; Op.Fields is a
+// to its bookkeeping: one draw for the type, one for the key, a clock read
+// on each side of apply and one record into the histogram of the
+// operation's type, from which phase and run totals are merged at the end.
+// It allocates nothing per operation: Op carries the key's index and
+// Op.Key formats the key string only for an adapter that asks (tsagent
+// names its series from the index and never does). The choosers keep
+// their draws to arithmetic: Zipfian's constants are computed in its
+// constructor and the scramble hashes FNV-1a inline.
+//
+// Payloads cost a draw per value: each generator owns one pool of
+// run-structured text (64 KiB plus one field length, built from its own
+// seeded stream on the first payload it draws) and a value is a
+// FieldLength-long window into it at a drawn offset; Op.Fields is a
 // prefix of the generator's one field buffer. The contract that buys this:
 // a payload — the Fields slice and every Value in it — is read-only and
 // valid only until apply returns. An adapter that hands a payload to
 // something that keeps it copies it first (mongoagent builds its Document
 // of strings; tsagent's store takes no payload at all). BenchmarkEngineOverhead
 // reports the cost per operation type, TestEngineAllocsPerOp holds the
-// allocation count and TestSeededStreamGolden the exact bytes of a seeded
-// stream.
+// allocation count at zero, TestChooserDigests every distribution's draws
+// and TestSeededStreamGolden the exact bytes of a seeded stream.
 package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand/v2"
 	"sync"
@@ -73,15 +79,15 @@ const ZipfianTheta = 0.99
 // Zipfian chooses keys with a Zipfian distribution: item 0 is the most
 // popular, following the algorithm of Gray et al. ("Quickly generating
 // billion-record synthetic databases", SIGMOD 1994) as used by YCSB.
+// Everything but the draw is computed once, in the constructor.
 type Zipfian struct {
-	items          int64
-	theta          float64
-	alpha          float64
-	zetan          float64
-	eta            float64
-	zeta2theta     float64
-	countForZeta   int64
-	allowItemCount bool
+	items int64
+	alpha float64
+	zetan float64
+	eta   float64
+	// second is 1 + 0.5^theta: a draw whose u*zetan falls below it is
+	// item 1.
+	second float64
 }
 
 // NewZipfian returns a Zipfian chooser over n items with the standard
@@ -94,12 +100,15 @@ func NewZipfianTheta(n int64, theta float64) *Zipfian {
 	if n <= 0 {
 		panic(fmt.Sprintf("workload: zipfian over %d items", n))
 	}
-	z := &Zipfian{items: n, theta: theta, countForZeta: n}
-	z.zeta2theta = zetaStatic(2, theta)
-	z.alpha = 1.0 / (1.0 - theta)
-	z.zetan = zetaStatic(n, theta)
-	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2theta/z.zetan)
-	return z
+	zeta2theta := zetaStatic(2, theta)
+	zetan := zetaStatic(n, theta)
+	return &Zipfian{
+		items:  n,
+		alpha:  1.0 / (1.0 - theta),
+		zetan:  zetan,
+		eta:    (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - zeta2theta/zetan),
+		second: 1.0 + math.Pow(0.5, theta),
+	}
 }
 
 // zetaStatic computes the zeta(n, theta) normalisation constant.
@@ -118,7 +127,7 @@ func (z *Zipfian) Next(r *rand.Rand) int64 {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+math.Pow(0.5, z.theta) {
+	if uz < z.second {
 		return 1
 	}
 	return int64(float64(z.items) * math.Pow(z.eta*u-z.eta+1, z.alpha))
@@ -143,15 +152,22 @@ func (s *ScrambledZipfian) Next(r *rand.Rand) int64 {
 	return int64(fnvHash64(uint64(raw)) % uint64(s.items))
 }
 
-// fnvHash64 hashes a 64-bit value with FNV-1a.
+// FNV-1a's 64-bit offset basis and prime.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvHash64 hashes the eight little-endian bytes of v with FNV-1a, byte
+// for byte hash/fnv's New64a without the interface and the buffer.
 func fnvHash64(v uint64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
+	h := uint64(fnvOffset64)
 	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
 	}
-	h.Write(b[:])
-	return h.Sum64()
+	return h
 }
 
 // Latest skews towards recently inserted records: the newest record is
@@ -171,25 +187,13 @@ func NewLatest(n int64) *Latest {
 	return &Latest{z: NewZipfian(n), n: n}
 }
 
-// Grow tells the chooser a record was appended.
-func (l *Latest) Grow() {
-	l.mu.Lock()
-	l.growTo(l.n + 1)
-	l.mu.Unlock()
-}
-
 // GrowTo raises the chooser's item count to at least n; lower values are
 // ignored. Concurrent workers each report their own insert high-water
 // mark and the chooser converges on the global maximum of *distinct*
 // keys, instead of double-counting one insert per worker.
 func (l *Latest) GrowTo(n int64) {
 	l.mu.Lock()
-	l.growTo(n)
-	l.mu.Unlock()
-}
-
-// growTo implements Grow/GrowTo under l.mu.
-func (l *Latest) growTo(n int64) {
+	defer l.mu.Unlock()
 	if n <= l.n {
 		return
 	}

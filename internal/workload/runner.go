@@ -41,8 +41,8 @@ type ScheduleMeasurements struct {
 //   - every worker draws from its own partition of the insert keyspace,
 //     so concurrent inserts never collide.
 //
-// abortErr (may be nil) is polled between batches and stops workers when
-// non-nil. Rate-curved phases pace workers by accumulating sleep debt and
+// abortErr (may be nil) is polled by every worker between batches, so
+// concurrently, and stops workers when non-nil. Rate-curved phases pace workers by accumulating sleep debt and
 // flushing it at millisecond granularity.
 func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress func(done, total int64), abortErr func() error) (ScheduleMeasurements, error) {
 	if threads < 1 {
@@ -86,8 +86,10 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 		winMu.Unlock()
 	}
 
+	// A worker records each latency once, into its phase's histogram for
+	// the operation's type; phase and run histograms are merged from
+	// those at the end, and Merge is exact.
 	type phaseOut struct {
-		hist   metrics.Histogram
 		perOp  perOpHists
 		errors int64
 		done   int64
@@ -163,7 +165,6 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 					po.errors++
 				}
 				lat := int64(time.Since(runStart) - start)
-				po.hist.Record(lat)
 				ord := op.Type.ordinal()
 				h := po.perOp[ord]
 				if h == nil {
@@ -210,13 +211,12 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 		}
 	}
 
-	// Merge worker histograms phase-wise, then roll phases up into the
-	// whole-run totals.
+	// Merge worker histograms phase-wise per type, then types into the
+	// phase and phases into the whole-run totals.
 	var sm ScheduleMeasurements
 	var allHist metrics.Histogram
 	var allPerOp perOpHists
 	for p := 0; p < nPhases; p++ {
-		var ph metrics.Histogram
 		var perOp perOpHists
 		pm := PhaseMeasurement{Index: p, Name: sched.Phases[p].Name}
 		for w := range outs {
@@ -224,10 +224,13 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 				continue
 			}
 			o := &outs[w][p]
-			ph.Merge(&o.hist)
 			pm.Measurements.Errors += o.errors
 			pm.Measurements.Operations += o.done
 			perOp.merge(&o.perOp)
+		}
+		var ph metrics.Histogram
+		for _, h := range perOp {
+			ph.Merge(h)
 		}
 		if windows[p].started && windows[p].end.After(windows[p].start) {
 			pm.Duration = windows[p].end.Sub(windows[p].start)

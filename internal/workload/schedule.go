@@ -219,8 +219,8 @@ func (c Config) Schedule() Schedule {
 
 // ScheduleGenerator produces one worker's operation stream across every
 // phase of a schedule. Each worker owns one instance, and instances share
-// nothing mutable except a Latest chooser's high-water mark, which
-// converges on the global maximum.
+// nothing mutable: each builds its own choosers on entering a phase, and
+// its Latest chooser follows its own insert high-water mark.
 //
 // The insert keyspace is partitioned YCSB-style: worker w of W owns key
 // indexes RecordCount+w, RecordCount+w+W, ... so concurrent workers
@@ -378,7 +378,6 @@ func (g *ScheduleGenerator) emit() Op {
 	default: // OpRead: a validated mix holds no other type
 		op.KeyIndex = g.chooser.Next(g.rng)
 	}
-	op.Key = Key(op.KeyIndex)
 	return op
 }
 

@@ -124,7 +124,7 @@ func digestOp(h hash.Hash, op Op) {
 	str := func(s string) { num(int64(len(s))); h.Write([]byte(s)) }
 	num(int64(op.Phase))
 	str(string(op.Type))
-	str(op.Key)
+	str(op.Key())
 	num(op.KeyIndex)
 	num(int64(op.ScanLength))
 	num(int64(len(op.Fields)))
@@ -136,7 +136,7 @@ func digestOp(h hash.Hash, op Op) {
 
 // sameOp compares everything the SUT sees, fields included.
 func sameOp(a, b Op) bool {
-	if a.Type != b.Type || a.Key != b.Key || a.KeyIndex != b.KeyIndex ||
+	if a.Type != b.Type || a.Key() != b.Key() || a.KeyIndex != b.KeyIndex ||
 		a.ScanLength != b.ScanLength || len(a.Fields) != len(b.Fields) {
 		return false
 	}
@@ -508,7 +508,7 @@ func TestRunScheduleProgressCountsCompletedOps(t *testing.T) {
 	var applied atomic.Int64
 	var lastDone, lastTotal int64
 	abort := errors.New("stop")
-	calls := 0
+	var calls atomic.Int32 // every worker polls abort
 	sm, err := RunSchedule(sched, 3, func(Op) error {
 		applied.Add(1)
 		return nil
@@ -521,8 +521,7 @@ func TestRunScheduleProgressCountsCompletedOps(t *testing.T) {
 		}
 		lastDone, lastTotal = done, total
 	}, func() error {
-		calls++
-		if calls > 6 {
+		if calls.Add(1) > 6 {
 			return abort
 		}
 		return nil

@@ -191,11 +191,9 @@ func MixFromRatio(readPart, updatePart int) Mix {
 // Op is a single generated operation.
 type Op struct {
 	Type OpType
-	// Key is the record key for read/update/insert/rmw and the scan start.
-	Key string
-	// KeyIndex is the numeric record index behind Key, so engines with
-	// non-"user" key naming (e.g. time-series series names) can derive
-	// their own keys without parsing.
+	// KeyIndex is the record index for read/update/insert/rmw and the
+	// scan start. Key renders it as a "user" key; engines with their own
+	// key naming (e.g. time-series series names) derive theirs from it.
 	KeyIndex int64
 	// ScanLength is the number of records a scan touches.
 	ScanLength int
@@ -216,6 +214,10 @@ type Field struct {
 	Value []byte
 }
 
+// Key renders the op's record index as its canonical key. The engine
+// formats none: an adapter that needs the key string calls this once.
+func (op Op) Key() string { return Key(op.KeyIndex) }
+
 // Key renders record index i as its canonical key, zero-padded so that
 // lexicographic and numeric orders agree (YCSB's "user" keys).
 func Key(i int64) string { return PaddedKey("user", i, 12) }
@@ -223,7 +225,7 @@ func Key(i int64) string { return PaddedKey("user", i, 12) }
 // PaddedKey renders prefix followed by i in decimal, zero-padded to width
 // characters (a minus sign counts towards the width): byte for byte
 // fmt.Sprintf(prefix+"%0*d", width, i), at the cost of the returned
-// string's allocation alone — every operation formats one.
+// string's allocation alone.
 func PaddedKey(prefix string, i int64, width int) string {
 	var buf [48]byte
 	b := append(buf[:0], prefix...)

@@ -107,8 +107,8 @@ func TestLatestPrefersRecent(t *testing.T) {
 		t.Fatalf("latest chooser drew recent keys only %.2f of the time", float64(recent)/draws)
 	}
 	// Growing must keep bounds.
-	for i := 0; i < 3000; i++ {
-		l.Grow()
+	for n := int64(1001); n <= 4000; n++ {
+		l.GrowTo(n)
 	}
 	for i := 0; i < 1000; i++ {
 		k := l.Next(r)
@@ -206,7 +206,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 	g2, _ := NewScheduleGenerator(cfg.Schedule(), 0, 1)
 	for i := 0; i < 200; i++ {
 		a, b := g1.emit(), g2.emit()
-		if a.Type != b.Type || a.Key != b.Key {
+		if a.Type != b.Type || a.Key() != b.Key() {
 			t.Fatalf("generators diverged at op %d: %v vs %v", i, a, b)
 		}
 	}
@@ -215,7 +215,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 	same := 0
 	for i := 0; i < 100; i++ {
 		a, b := g1.emit(), g3.emit()
-		if a.Type == b.Type && a.Key == b.Key {
+		if a.Type == b.Type && a.Key() == b.Key() {
 			same++
 		}
 	}
@@ -239,8 +239,8 @@ func TestGeneratorOpShapes(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		op := g.emit()
 		seen[op.Type] = true
-		if !strings.HasPrefix(op.Key, "user") {
-			t.Fatalf("bad key %q", op.Key)
+		if !strings.HasPrefix(op.Key(), "user") {
+			t.Fatalf("bad key %q", op.Key())
 		}
 		switch op.Type {
 		case OpInsert:
@@ -281,12 +281,12 @@ func TestGeneratorInsertKeysUniqueAndFresh(t *testing.T) {
 		if op.Type != OpInsert {
 			continue
 		}
-		if seen[op.Key] {
-			t.Fatalf("duplicate insert key %s", op.Key)
+		if seen[op.Key()] {
+			t.Fatalf("duplicate insert key %s", op.Key())
 		}
-		seen[op.Key] = true
-		if op.Key < Key(100) {
-			t.Fatalf("insert key %s collides with loaded range", op.Key)
+		seen[op.Key()] = true
+		if op.Key() < Key(100) {
+			t.Fatalf("insert key %s collides with loaded range", op.Key())
 		}
 	}
 }
