@@ -122,6 +122,9 @@ type sut struct {
 	series int64
 	db     *tssim.DB
 	clock  atomic.Int64
+	// names holds the preloaded series' names, indexed by key, so an
+	// operation on one formats nothing.
+	names []string
 }
 
 // open reads the family's own parameters.
@@ -145,7 +148,7 @@ func (s *sut) Load(rc *agent.RunContext, cfg workload.Config) error {
 	s.series = cfg.RecordCount
 	s.db = tssim.NewDB(opts)
 	rc.Logf("prepare: series=%d points=%d chunk=%d", s.series, s.points, tssim.DefaultChunkPoints)
-	LoadDB(s.db, &s.clock, s.series, s.points, 8)
+	s.names = LoadDB(s.db, &s.clock, s.series, s.points, 8)
 	return rc.Err()
 }
 
@@ -154,11 +157,11 @@ func (s *sut) Load(rc *agent.RunContext, cfg workload.Config) error {
 func (s *sut) WarmUp(rc *agent.RunContext) error {
 	rc.Logf("warmup: scanning %d series", s.series)
 	now := s.clock.Load()
-	for i := int64(0); i < s.series; i++ {
+	for i, name := range s.names {
 		if i%1024 == 0 && rc.Err() != nil {
 			return rc.Err()
 		}
-		s.db.Window(SeriesName(i), now-s.window, now)
+		s.db.Window(name, now-s.window, now)
 	}
 	return nil
 }
@@ -187,11 +190,16 @@ func (s *sut) Close() error {
 }
 
 // LoadDB preloads series 0..series-1 with points samples each, advancing
-// the shared logical clock. Exported for tests and examples that need a
-// loaded store without the full agent workflow.
-func LoadDB(db *tssim.DB, clock *atomic.Int64, series, points int64, loaders int) {
+// the shared logical clock, and returns their names indexed by key.
+// Exported for tests and examples that need a loaded store without the
+// full agent workflow.
+func LoadDB(db *tssim.DB, clock *atomic.Int64, series, points int64, loaders int) []string {
 	if loaders < 1 {
 		loaders = 1
+	}
+	names := make([]string, series)
+	for i := range names {
+		names[i] = SeriesName(int64(i))
 	}
 	var wg sync.WaitGroup
 	for l := 0; l < loaders; l++ {
@@ -199,10 +207,9 @@ func LoadDB(db *tssim.DB, clock *atomic.Int64, series, points int64, loaders int
 		go func(l int) {
 			defer wg.Done()
 			for i := int64(l); i < series; i += int64(loaders) {
-				name := SeriesName(i)
 				for p := int64(0); p < points; p++ {
 					ts := clock.Add(1)
-					db.Append(name, ts, float64(ts%997))
+					db.Append(names[i], ts, float64(ts%997))
 				}
 			}
 		}(l)
@@ -211,15 +218,25 @@ func LoadDB(db *tssim.DB, clock *atomic.Int64, series, points int64, loaders int
 	// Series exist even with zero preloaded points, so window queries
 	// against the preloaded cardinality never miss.
 	if points == 0 {
-		for i := int64(0); i < series; i++ {
-			db.Append(SeriesName(i), clock.Add(1), 0)
+		for _, name := range names {
+			db.Append(name, clock.Add(1), 0)
 		}
 	}
+	return names
+}
+
+// name is the series an operation's key addresses: a preloaded one from
+// the table, a key past the preload (cardinality growth) formatted.
+func (s *sut) name(i int64) string {
+	if uint64(i) < uint64(len(s.names)) {
+		return s.names[i]
+	}
+	return SeriesName(i)
 }
 
 // Apply maps one generated operation onto the time-series API.
 func (s *sut) Apply(op workload.Op) error {
-	name := SeriesName(op.KeyIndex)
+	name := s.name(op.KeyIndex)
 	switch op.Type {
 	case workload.OpUpdate, workload.OpInsert:
 		// update appends to an existing series; insert's partitioned key

@@ -9,11 +9,14 @@ import (
 	"log"
 	"maps"
 	"math"
+	"math/rand/v2"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"chronos/internal/agent"
 	"chronos/internal/core"
@@ -134,7 +137,7 @@ func TestConfigFromParams(t *testing.T) {
 func TestRunWorkloadAllOps(t *testing.T) {
 	db := tssim.NewDB(tssim.Options{Seed: 5})
 	s := &sut{db: db, window: 64}
-	LoadDB(db, &s.clock, 100, 4, 4)
+	s.names = LoadDB(db, &s.clock, 100, 4, 4)
 	if got := db.NumSeries(); got != 100 {
 		t.Fatalf("preloaded %d series", got)
 	}
@@ -177,7 +180,7 @@ func TestRunWorkloadAllOps(t *testing.T) {
 func TestPayloadsStayReadOnly(t *testing.T) {
 	db := tssim.NewDB(tssim.Options{Seed: 5})
 	s := &sut{db: db, window: 64}
-	LoadDB(db, &s.clock, 100, 4, 4)
+	s.names = LoadDB(db, &s.clock, 100, 4, 4)
 	sched := workload.Config{
 		RecordCount: 100, OperationCount: 4000,
 		Mix: workload.Mix{
@@ -222,13 +225,94 @@ func TestSeriesNameMatchesFmt(t *testing.T) {
 	}
 }
 
+// evalShape builds the store eval_heavy's time-series job runs against:
+// 1,000 series of 32 points, built and named the way Load builds them,
+// and window 128. A run of 10,000 appends drawn from the latest
+// distribution follows, so a window over the newest span returns
+// samples. It returns the sut with the chooser and source that drew the
+// run, to draw more keys from.
+func evalShape() (*sut, workload.KeyChooser, *rand.Rand) {
+	s := &sut{db: tssim.NewDB(tssim.Options{Seed: 5}), window: 128, points: 32, series: 1000}
+	s.names = LoadDB(s.db, &s.clock, s.series, s.points, 8)
+	keys, err := workload.NewChooser("latest", s.series)
+	if err != nil {
+		panic(err)
+	}
+	r := rand.New(rand.NewPCG(611, 0))
+	for i := 0; i < 10_000; i++ {
+		s.Apply(workload.Op{Type: workload.OpUpdate, KeyIndex: keys.Next(r)})
+	}
+	return s, keys, r
+}
+
+// TestApplyAllocs pins what the adapter allocates on eval_heavy's store.
+// An append to a preloaded series allocates nothing once a run of them
+// amortises head growth and chunk seals: the series' name comes from the
+// table Load built. A window allocates at most twice the bytes it
+// returns, because it copies only the head samples inside its span, not
+// the whole head.
+func TestApplyAllocs(t *testing.T) {
+	s, keys, r := evalShape()
+	update := workload.Op{Type: workload.OpUpdate}
+	if a := testing.AllocsPerRun(50_000, func() {
+		update.KeyIndex = keys.Next(r)
+		if err := s.Apply(update); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("an append to a preloaded series allocates %v times, want 0", a)
+	}
+
+	// The windows a read Apply makes, kept to count what they return.
+	const windows = 2000
+	var before, after runtime.MemStats
+	var returned uint64
+	runtime.ReadMemStats(&before)
+	for i := 0; i < windows; i++ {
+		now := s.clock.Load()
+		pts, err := s.db.Window(s.name(keys.Next(r)), now-s.window, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		returned += uint64(len(pts)) * uint64(unsafe.Sizeof(tssim.Point{}))
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d windows allocated %d bytes to return %d", windows, allocated, returned)
+	if returned == 0 || allocated > 2*returned {
+		t.Errorf("%d windows allocated %d bytes to return %d, want at most twice that", windows, allocated, returned)
+	}
+}
+
+// BenchmarkApply is the adapter's cost per operation on eval_heavy's
+// store (evalShape), keys drawn from the latest distribution, for its
+// two operations: append (update) and window (read).
+func BenchmarkApply(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		typ  workload.OpType
+	}{{"append", workload.OpUpdate}, {"window", workload.OpRead}} {
+		b.Run(shape.name, func(b *testing.B) {
+			s, keys, r := evalShape()
+			op := workload.Op{Type: shape.typ}
+			b.ReportAllocs()
+			for b.Loop() {
+				op.KeyIndex = keys.Next(r)
+				if err := s.Apply(op); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestRunWorkloadExactCountAndUniqueSeries(t *testing.T) {
 	// The remainder-distribution and partitioned-insert-keyspace
 	// guarantees hold for this SUT family too: exactly OperationCount
 	// ops, and every insert creates a distinct series.
 	db := tssim.NewDB(tssim.Options{Seed: 5})
 	s := &sut{db: db, window: 32}
-	LoadDB(db, &s.clock, 50, 2, 4)
+	s.names = LoadDB(db, &s.clock, 50, 2, 4)
 	sched := workload.Config{
 		RecordCount: 50, OperationCount: 1001,
 		Mix:          workload.Mix{workload.OpInsert: 0.5, workload.OpRead: 0.5},

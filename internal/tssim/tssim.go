@@ -9,8 +9,10 @@
 package tssim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,7 +44,8 @@ type Point struct {
 type Stats struct {
 	// Series is the current cardinality (number of distinct series).
 	Series int
-	// Points is the total number of stored samples.
+	// Points is the total number of stored samples: every append stores
+	// one, so it equals Appends.
 	Points int64
 	// Appends counts Append calls; OutOfOrder counts the subset that
 	// arrived behind the series' newest timestamp.
@@ -57,7 +60,6 @@ type Stats struct {
 }
 
 type counters struct {
-	points       atomic.Int64
 	appends      atomic.Int64
 	outOfOrder   atomic.Int64
 	windows      atomic.Int64
@@ -79,8 +81,9 @@ type Series struct {
 	mu     sync.RWMutex
 	sealed []*chunk
 	head   []Point
-	// dirty marks the head as out-of-order; it is sorted at seal time
-	// (and copied+sorted for queries), keeping the append path O(1).
+	// dirty marks the head as out-of-order; it is sorted at seal time,
+	// keeping the append path O(1). A query copies only the head samples
+	// inside its window and stable-sorts those.
 	dirty bool
 	maxTS int64
 	any   bool
@@ -181,7 +184,7 @@ func (db *DB) NumSeries() int {
 func (db *DB) Stats() Stats {
 	return Stats{
 		Series:       db.NumSeries(),
-		Points:       db.cnt.points.Load(),
+		Points:       db.cnt.appends.Load(),
 		Appends:      db.cnt.appends.Load(),
 		OutOfOrder:   db.cnt.outOfOrder.Load(),
 		Windows:      db.cnt.windows.Load(),
@@ -209,14 +212,13 @@ func (s *Series) append(ts int64, value float64) {
 	}
 	s.mu.Unlock()
 	s.cnt.appends.Add(1)
-	s.cnt.points.Add(1)
 }
 
 // seal freezes the head into an immutable sorted chunk. Caller holds mu.
 func (s *Series) seal() {
 	pts := s.head
 	if s.dirty {
-		sort.SliceStable(pts, func(i, j int) bool { return pts[i].TS < pts[j].TS })
+		slices.SortStableFunc(pts, byTS)
 	}
 	s.sealed = append(s.sealed, &chunk{
 		pts:   pts,
@@ -231,11 +233,7 @@ func (s *Series) seal() {
 func (s *Series) window(from, to int64) []Point {
 	s.mu.RLock()
 	sealed := s.sealed
-	head := s.head
-	dirty := s.dirty
-	if len(head) > 0 {
-		head = append([]Point(nil), head...)
-	}
+	head := s.headWindow(from, to)
 	s.mu.RUnlock()
 
 	var out []Point
@@ -243,26 +241,49 @@ func (s *Series) window(from, to int64) []Point {
 		if c.max < from || c.minTS > to {
 			continue
 		}
-		// Chunks are sorted: binary-search the window's edges.
-		lo := sort.Search(len(c.pts), func(i int) bool { return c.pts[i].TS >= from })
-		hi := sort.Search(len(c.pts), func(i int) bool { return c.pts[i].TS > to })
+		lo, hi := span(c.pts, from, to)
 		out = append(out, c.pts[lo:hi]...)
 	}
-	if dirty {
-		sort.SliceStable(head, func(i, j int) bool { return head[i].TS < head[j].TS })
+	if len(out) == 0 {
+		return head
 	}
-	for _, p := range head {
-		if p.TS >= from && p.TS <= to {
-			out = append(out, p)
-		}
-	}
+	out = append(out, head...)
 	// Out-of-order head samples may time-travel behind sealed chunks;
 	// a final stable sort keeps the contract simple for callers.
-	if !sort.SliceIsSorted(out, func(i, j int) bool { return out[i].TS < out[j].TS }) {
-		sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
+	if !slices.IsSortedFunc(out, byTS) {
+		slices.SortStableFunc(out, byTS)
 	}
 	return out
 }
+
+// headWindow copies the head samples with from <= TS <= to, in stable
+// timestamp order: the filter of the stably sorted head, without
+// copying or sorting the samples outside the window. Caller holds mu.
+func (s *Series) headWindow(from, to int64) []Point {
+	if !s.dirty {
+		lo, hi := span(s.head, from, to)
+		return append([]Point(nil), s.head[lo:hi]...)
+	}
+	var pts []Point
+	for _, p := range s.head {
+		if p.TS >= from && p.TS <= to {
+			pts = append(pts, p)
+		}
+	}
+	slices.SortStableFunc(pts, byTS)
+	return pts
+}
+
+// span binary-searches the edges of [from, to] in time-sorted pts. The
+// upper edge is searched from the lower one, so a reversed window is an
+// empty span.
+func span(pts []Point, from, to int64) (lo, hi int) {
+	lo = sort.Search(len(pts), func(i int) bool { return pts[i].TS >= from })
+	hi = lo + sort.Search(len(pts)-lo, func(i int) bool { return pts[lo+i].TS > to })
+	return lo, hi
+}
+
+func byTS(a, b Point) int { return cmp.Compare(a.TS, b.TS) }
 
 func (s *Series) latest() (Point, bool) {
 	s.mu.RLock()

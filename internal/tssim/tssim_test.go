@@ -1,8 +1,11 @@
 package tssim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -117,6 +120,69 @@ func TestAppendWindowConformance(t *testing.T) {
 	}
 }
 
+// TestWindowDigest pins every window's answer bit for bit, tie order
+// included, which samePoints forgives: a SHA-256 over each returned
+// sample's (TS, Value), in returned order, after each window's length.
+// The seeded run shares timestamps between samples and, on two of its
+// three series, delivers late samples, so windows cross sealed chunks and
+// both sorted and out-of-order heads. The constant was taken before
+// window stopped copying the whole head, so a window that returns other
+// samples, or equal timestamps in another order, fails here.
+func TestWindowDigest(t *testing.T) {
+	const want = "bcf7e2159232665cf48089edf1b8bd53e643439d7a60f9965cf110b365d96214"
+	db := NewDB(Options{Seed: 3})
+	rng := rand.New(rand.NewPCG(611, 0))
+	names := []string{"late0", "late1", "inorder"}
+	span := int64(DefaultChunkPoints * len(names))
+	h := sha256.New()
+	var b [16]byte
+	hash := func(pts []Point) {
+		binary.LittleEndian.PutUint64(b[:8], uint64(len(pts)))
+		h.Write(b[:8])
+		for _, p := range pts {
+			binary.LittleEndian.PutUint64(b[:8], uint64(p.TS))
+			binary.LittleEndian.PutUint64(b[8:], math.Float64bits(p.Value))
+			h.Write(b[:])
+		}
+	}
+	window := func(name string, from, to int64) {
+		pts, err := db.Window(name, from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash(pts)
+	}
+	for k, name := range names {
+		db.Append(name, 0, float64(-1-k))
+	}
+	var clock int64
+	for i := 0; i < 30000; i++ {
+		n := rng.IntN(len(names))
+		if rng.IntN(4) != 0 {
+			// One in four samples shares its predecessor's timestamp.
+			clock++
+		}
+		ts := clock
+		if n < 2 && rng.IntN(8) == 0 {
+			ts -= rng.Int64N(span/2) + 1
+		}
+		db.Append(names[n], ts, float64(i))
+		if i%11 == 0 {
+			from := clock - rng.Int64N(2*span)
+			window(names[rng.IntN(len(names))], from, from+rng.Int64N(span*3/2))
+		}
+	}
+	for _, name := range names {
+		window(name, 0, clock)
+	}
+	if st := db.Stats(); st.OutOfOrder == 0 || st.ChunksSealed == 0 {
+		t.Fatalf("the run exercised no late samples or seals: %+v", st)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("digest of %d windows = %s, want %s", db.Stats().Windows, got, want)
+	}
+}
+
 // samePoints compares timestamp sequences and the multiset of values per
 // timestamp (ties may legally order differently between engine and ref).
 func samePoints(a, b []Point) bool {
@@ -169,6 +235,12 @@ func TestInOrderFastPath(t *testing.T) {
 	for i, p := range pts {
 		if p.TS != from+int64(i) {
 			t.Fatalf("window[%d] = %v", i, p)
+		}
+	}
+	// A reversed window is empty, inside a sealed chunk and the head alike.
+	for _, w := range [][2]int64{{200, 100}, {n - 10, n - 50}} {
+		if pts, err := db.Window("s", w[0], w[1]); err != nil || len(pts) != 0 {
+			t.Fatalf("reversed window %v = %v, %v", w, pts, err)
 		}
 	}
 	if p, _ := db.Latest("s"); p.TS != n || p.Value != n {
