@@ -159,7 +159,7 @@ func assemble(ctx context.Context, c config) (server *rest.Server, closeStore fu
 	}
 	server = rest.NewServer(svc)
 	server.AgentToken = c.agentToken
-	server.ReplToken = c.replToken // a follower's admits its own followers: replicas can be chained
+	server.ReplToken = c.replToken // a follower's admits its own followers: replicas can be chained (see the route table)
 	server.Registry = reg
 	server.SlowOp = c.slowOp
 

@@ -1,6 +1,10 @@
 package api
 
-import "testing"
+import (
+	"testing"
+
+	"chronos/internal/relstore"
+)
 
 // FuzzParseCommitToken feeds arbitrary X-Chronos-Read-After values to
 // the token parser. No input may panic it, and a token it accepts must
@@ -9,7 +13,7 @@ import "testing"
 // test run.
 func FuzzParseCommitToken(f *testing.F) {
 	f.Add("3f2a9c1e:1:7:4096")
-	f.Add(CommitToken{StoreID: "s", Epoch: 1 << 62, Seq: 1<<63 - 1, Off: 0}.String())
+	f.Add(CommitToken{Generation: relstore.Generation{StoreID: "s", Epoch: 1 << 62}, Position: relstore.Position{Seq: 1<<63 - 1}}.String())
 	f.Fuzz(func(t *testing.T, s string) {
 		tok, err := ParseCommitToken(s)
 		if err != nil {

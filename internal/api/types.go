@@ -45,52 +45,32 @@ const (
 )
 
 // CommitToken is a session token: a WAL commit position made portable.
-// StoreID and Epoch pin the generation (history identity) the position
-// is relative to — positions from different generations are never
-// compared, they fail closed instead (see relstore's generation.go).
+// The generation pins the history the position is relative to —
+// positions from different generations are never compared, they fail
+// closed instead (see relstore's generation.go).
 type CommitToken struct {
-	StoreID string `json:"storeId"`
-	Epoch   int64  `json:"epoch"`
-	Seq     int64  `json:"seq"`
-	Off     int64  `json:"off"`
+	relstore.Generation
+	relstore.Position
 }
 
 // String renders the wire form, "storeID:epoch:seq:off".
 func (t CommitToken) String() string {
-	return t.StoreID + ":" + strconv.FormatInt(t.Epoch, 10) + ":" +
-		strconv.FormatInt(t.Seq, 10) + ":" + strconv.FormatInt(t.Off, 10)
+	return t.Generation.String() + ":" + strconv.FormatInt(t.Seq, 10) + ":" + strconv.FormatInt(t.Off, 10)
 }
 
 // ParseCommitToken decodes the wire form produced by String.
 func ParseCommitToken(s string) (CommitToken, error) {
 	parts := strings.Split(s, ":")
-	if len(parts) != 4 || parts[0] == "" {
+	if len(parts) != 4 {
 		return CommitToken{}, fmt.Errorf("api: malformed commit token %q", s)
 	}
-	var nums [3]int64
-	for i, p := range parts[1:] {
-		n, err := strconv.ParseInt(p, 10, 64)
-		if err != nil || n < 0 {
-			return CommitToken{}, fmt.Errorf("api: malformed commit token %q", s)
-		}
-		nums[i] = n
+	gen, err := relstore.ParseGeneration(s[:len(parts[0])+1+len(parts[1])])
+	seq, serr := strconv.ParseInt(parts[2], 10, 64)
+	off, oerr := strconv.ParseInt(parts[3], 10, 64)
+	if err != nil || serr != nil || oerr != nil || seq < 0 || off < 0 {
+		return CommitToken{}, fmt.Errorf("api: malformed commit token %q", s)
 	}
-	if nums[0] < 1 {
-		return CommitToken{}, fmt.Errorf("api: malformed commit token %q (epoch must be >= 1)", s)
-	}
-	return CommitToken{StoreID: parts[0], Epoch: nums[0], Seq: nums[1], Off: nums[2]}, nil
-}
-
-// SameGeneration reports whether both tokens name positions in the same
-// WAL history, making their positions comparable.
-func (t CommitToken) SameGeneration(o CommitToken) bool {
-	return t.StoreID == o.StoreID && t.Epoch == o.Epoch
-}
-
-// Covers reports whether t's position is at or past o's. Only meaningful
-// when SameGeneration(o) holds.
-func (t CommitToken) Covers(o CommitToken) bool {
-	return t.Seq > o.Seq || (t.Seq == o.Seq && t.Off >= o.Off)
+	return CommitToken{Generation: gen, Position: relstore.Position{Seq: seq, Off: off}}, nil
 }
 
 // PingResponse reports the API version and server identity.

@@ -366,14 +366,14 @@ func TestReleaseJob(t *testing.T) {
 	// also take an attempt off it.
 	f, _, _ := svc.ClaimJob(depID)
 	for range svc.DefaultMaxAttempts - 1 {
-		if err := svc.FailJob(f.ID, "boom"); err != nil {
+		if err := svc.FailJob(f.ID, "boom", ""); err != nil {
 			t.Fatal(err)
 		}
 		if f, _, _ = svc.ClaimJob(depID); f == nil {
 			t.Fatal("failed job not re-scheduled")
 		}
 	}
-	if err := svc.FailJob(f.ID, "boom"); err != nil {
+	if err := svc.FailJob(f.ID, "boom", ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.ReleaseJob(f.ID); !errors.Is(err, ErrInvalidTransition) {
@@ -407,7 +407,7 @@ func TestReleaseKeepsTheOneAttempt(t *testing.T) {
 	if err != nil || !ok || j.ID != jobs[0].ID || j.Attempts != 1 {
 		t.Fatalf("claim after release = %+v %v %v", j, ok, err)
 	}
-	if err := svc.FailJob(j.ID, "disk exploded"); err != nil {
+	if err := svc.FailJob(j.ID, "disk exploded", ""); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := svc.GetJob(j.ID)

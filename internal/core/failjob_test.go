@@ -39,7 +39,7 @@ func TestAttemptBudgetUsesScalarColumnNotBlob(t *testing.T) {
 		if jobID == "" {
 			jobID = j.ID
 		}
-		if err := svc.FailJob(j.ID, "boom"); err != nil {
+		if err := svc.FailJob(j.ID, "boom", ""); err != nil {
 			t.Fatalf("fail attempt %d: %v", attempt, err)
 		}
 	}
@@ -71,7 +71,7 @@ func TestAttemptBudgetMissingEvaluationUsesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.FailJob(j.ID, "boom"); err != nil {
+	if err := svc.FailJob(j.ID, "boom", ""); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := svc.GetJob(j.ID)
@@ -117,7 +117,7 @@ func BenchmarkFailJob(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := svc.FailJob(j.ID, "bench"); err != nil {
+				if err := svc.FailJob(j.ID, "bench", ""); err != nil {
 					b.Fatal(err)
 				}
 				rearm()

@@ -228,7 +228,7 @@ func TestJobColumnsRoundTrip(t *testing.T) {
 				case 6:
 					op = "fail"
 					if id, ok := pick(StatusRunning); ok {
-						if err := svc.FailJob(id, "boom"); err != nil {
+						if err := svc.FailJob(id, "boom", ""); err != nil {
 							t.Fatalf("step %d fail: %v", step, err)
 						}
 						m.fail(id, "boom")
@@ -348,7 +348,7 @@ func TestAgentPathDecodesNoJobJSON(t *testing.T) {
 	if _, err := svc.Progress(a, 50); err != nil {
 		t.Fatalf("progress: %v", err)
 	}
-	if err := svc.FailJobWithLog(b, "boom", "last words\n"); err != nil {
+	if err := svc.FailJob(b, "boom", "last words\n"); err != nil {
 		t.Fatalf("fail: %v", err)
 	}
 	next, _, err := svc.CompleteJobClaimNext(c, []byte(`{}`), nil, "bye\n", depID)

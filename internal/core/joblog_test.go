@@ -49,7 +49,7 @@ func TestLogRidesItsCall(t *testing.T) {
 		}, StatusFinished},
 		// One failed attempt of three: the job is re-scheduled.
 		{"fail", func(svc *Service, id, log string) error {
-			return svc.FailJobWithLog(id, "disk exploded", log)
+			return svc.FailJob(id, "disk exploded", log)
 		}, StatusScheduled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,7 +122,7 @@ func TestRefusedCompleteKeepsItsLog(t *testing.T) {
 			return err
 		}},
 		{"fail", func(svc *Service, id string) error {
-			return svc.FailJobWithLog(id, "disk exploded", "last words\n")
+			return svc.FailJob(id, "disk exploded", "last words\n")
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -454,14 +454,10 @@ func (s *Service) CompleteJobClaimNext(jobID string, resultJSON, archive []byte,
 
 // FailJob records a failed run. If the experiment's attempt budget is not
 // exhausted the job is automatically re-scheduled (requirement iii:
-// automated failure handling and recovery).
-func (s *Service) FailJob(jobID, reason string) error {
-	return s.failJob(jobID, reason, "", EventFailed, nil)
-}
-
-// FailJobWithLog is FailJob carrying the job's trailing log output, stored
-// ahead of the failure in the same transaction.
-func (s *Service) FailJobWithLog(jobID, reason, log string) error {
+// automated failure handling and recovery). A non-empty log is the job's
+// trailing log output, stored ahead of the failure in the same
+// transaction.
+func (s *Service) FailJob(jobID, reason, log string) error {
 	return s.failJob(jobID, reason, log, EventFailed, nil)
 }
 

@@ -271,7 +271,7 @@ func TestFailAutoReschedulesUntilBudget(t *testing.T) {
 		if j.Attempts != int64(attempt) {
 			t.Fatalf("attempts = %d, want %d", j.Attempts, attempt)
 		}
-		if err := svc.FailJob(j.ID, "simulated crash"); err != nil {
+		if err := svc.FailJob(j.ID, "simulated crash", ""); err != nil {
 			t.Fatal(err)
 		}
 	}

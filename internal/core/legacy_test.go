@@ -143,7 +143,7 @@ func legacySource(t *testing.T) (*core.Service, legacyIDs) {
 	_, _, err = svc.CompleteJobClaimNext(done.ID, []byte(`{"throughput":7}`), []byte("PK\x03\x04"), "done\n", "")
 	must(err)
 	failed := claim()
-	must(svc.FailJobWithLog(failed.ID, "boom", "oops\n"))
+	must(svc.FailJob(failed.ID, "boom", "oops\n"))
 	must(svc.AbortJob(claim().ID))
 	half := int64(50)
 	_, err = svc.UpdateJob(claim().ID, &half, "half way\n")

@@ -157,7 +157,7 @@ func TestEvaluationStatusMatchesBruteForce(t *testing.T) {
 					// second one sticks.
 					op = "fail"
 					if id, ok := pick(StatusRunning); ok {
-						err = svc.FailJob(id, "boom")
+						err = svc.FailJob(id, "boom", "")
 					}
 				case 6:
 					op = "watchdog"

@@ -43,8 +43,6 @@ type Config struct {
 	// engines' default (the faithful simulation), mongosim.NoIO disables
 	// it for CPU-bound quick runs.
 	WriteLatency time.Duration
-	// Quiet suppresses per-job progress lines in reports.
-	Quiet bool
 }
 
 // Quick returns a configuration sized for CI / go test.

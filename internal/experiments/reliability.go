@@ -143,7 +143,7 @@ func E8FailureRecovery(cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("expected retry of %s, got %s", flakyID, j.ID)
 		}
 		if attempt < 3 {
-			if err := svc.FailJob(j.ID, fmt.Sprintf("flaky crash #%d", attempt)); err != nil {
+			if err := svc.FailJob(j.ID, fmt.Sprintf("flaky crash #%d", attempt), ""); err != nil {
 				return nil, err
 			}
 			rep.Printf("attempt %d: job failed -> auto-rescheduled", attempt)

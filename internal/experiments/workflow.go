@@ -227,7 +227,7 @@ func E5JobLifecycle() (*Report, error) {
 	if err != nil || !ok {
 		return nil, fmt.Errorf("claim 3: %v %v", ok, err)
 	}
-	if err := tb.svc.FailJob(j3.ID, "simulated crash"); err != nil {
+	if err := tb.svc.FailJob(j3.ID, "simulated crash", ""); err != nil {
 		return nil, err
 	}
 	if err := tb.svc.RescheduleJob(j3.ID); err != nil {

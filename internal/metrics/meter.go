@@ -7,21 +7,8 @@ import (
 	"time"
 )
 
-// Clock abstracts time for deterministic tests. The zero value of
-// components taking a Clock uses the real time functions.
-type Clock interface {
-	Now() time.Time
-}
-
-// realClock is the production Clock.
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
-
-// RealClock returns the wall Clock.
-func RealClock() Clock { return realClock{} }
-
-// ManualClock is a test Clock advanced explicitly. Safe for concurrent use.
+// ManualClock is a test clock advanced explicitly: pass its Now
+// wherever a func() time.Time clock is taken. Safe for concurrent use.
 type ManualClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -51,7 +38,7 @@ func (c *ManualClock) Advance(d time.Duration) {
 // durations. Safe for concurrent use, though phases normally run
 // sequentially.
 type PhaseTimer struct {
-	clock Clock
+	now func() time.Time
 
 	mu      sync.Mutex
 	order   []string
@@ -59,13 +46,14 @@ type PhaseTimer struct {
 	total   map[string]time.Duration
 }
 
-// NewPhaseTimer returns a PhaseTimer using the given clock (nil = real).
-func NewPhaseTimer(clock Clock) *PhaseTimer {
-	if clock == nil {
-		clock = RealClock()
+// NewPhaseTimer returns a PhaseTimer reading time from now (nil =
+// time.Now).
+func NewPhaseTimer(now func() time.Time) *PhaseTimer {
+	if now == nil {
+		now = time.Now
 	}
 	return &PhaseTimer{
-		clock:   clock,
+		now:     now,
 		started: make(map[string]time.Time),
 		total:   make(map[string]time.Duration),
 	}
@@ -81,7 +69,7 @@ func (p *PhaseTimer) Start(phase string) {
 			p.order = append(p.order, phase)
 		}
 	}
-	p.started[phase] = p.clock.Now()
+	p.started[phase] = p.now()
 }
 
 // Stop ends the named phase and accumulates its duration. Stopping a
@@ -94,7 +82,7 @@ func (p *PhaseTimer) Stop(phase string) {
 		return
 	}
 	delete(p.started, phase)
-	p.total[phase] += p.clock.Now().Sub(start)
+	p.total[phase] += p.now().Sub(start)
 }
 
 // Time runs fn inside a Start/Stop pair for the named phase.

@@ -8,7 +8,7 @@ import (
 
 func TestPhaseTimer(t *testing.T) {
 	clock := NewManualClock(time.Unix(0, 0))
-	pt := NewPhaseTimer(clock)
+	pt := NewPhaseTimer(clock.Now)
 	pt.Start("setup")
 	clock.Advance(100 * time.Millisecond)
 	pt.Stop("setup")
@@ -41,7 +41,7 @@ func TestPhaseTimerStopWithoutStart(t *testing.T) {
 
 func TestPhaseTimerAccumulates(t *testing.T) {
 	clock := NewManualClock(time.Unix(0, 0))
-	pt := NewPhaseTimer(clock)
+	pt := NewPhaseTimer(clock.Now)
 	for i := 0; i < 3; i++ {
 		pt.Start("warmup")
 		clock.Advance(50 * time.Millisecond)
@@ -57,7 +57,7 @@ func TestPhaseTimerAccumulates(t *testing.T) {
 
 func TestPhaseTimerTime(t *testing.T) {
 	clock := NewManualClock(time.Unix(0, 0))
-	pt := NewPhaseTimer(clock)
+	pt := NewPhaseTimer(clock.Now)
 	wantErr := errors.New("boom")
 	err := pt.Time("analyze", func() error {
 		clock.Advance(time.Second)

@@ -1,7 +1,6 @@
 package params
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 )
@@ -42,10 +41,8 @@ type Definition struct {
 	Required bool `json:"required,omitempty"`
 
 	// ValueKind restricts TypeValue parameters to one scalar kind
-	// (KindInt, KindFloat or KindString).
-	ValueKind Kind `json:"-"`
-	// ValueKindName is the serialised form of ValueKind.
-	ValueKindName string `json:"valueKind,omitempty"`
+	// (KindInt, KindFloat or KindString), serialised as its name.
+	ValueKind Kind `json:"valueKind,omitempty"`
 
 	// Options enumerates the legal selections for TypeCheckbox, and the
 	// legal string values for TypeValue parameters with KindString when
@@ -67,52 +64,10 @@ type Definition struct {
 	Default Value `json:"default"`
 }
 
-// defAlias breaks the MarshalJSON/UnmarshalJSON recursion.
-type defAlias Definition
-
-// MarshalJSON serialises the definition with ValueKindName synchronised
-// from ValueKind, so definitions constructed in code survive the wire.
-func (d Definition) MarshalJSON() ([]byte, error) {
-	if d.ValueKind != KindInvalid {
-		d.ValueKindName = d.ValueKind.String()
-	}
-	return json.Marshal(defAlias(d))
-}
-
-// UnmarshalJSON parses the definition and restores ValueKind from its
-// serialised name.
-func (d *Definition) UnmarshalJSON(data []byte) error {
-	var a defAlias
-	if err := json.Unmarshal(data, &a); err != nil {
-		return err
-	}
-	*d = Definition(a)
-	return d.normalizeKinds()
-}
-
-// normalizeKinds synchronises ValueKind and ValueKindName after JSON
-// decoding or manual construction.
-func (d *Definition) normalizeKinds() error {
-	if d.ValueKind == KindInvalid && d.ValueKindName != "" {
-		k, err := KindFromString(d.ValueKindName)
-		if err != nil {
-			return err
-		}
-		d.ValueKind = k
-	}
-	if d.ValueKind != KindInvalid {
-		d.ValueKindName = d.ValueKind.String()
-	}
-	return nil
-}
-
 // Check validates the definition itself (not a value against it).
 func (d *Definition) Check() error {
 	if d.Name == "" {
 		return fmt.Errorf("params: definition without name")
-	}
-	if err := d.normalizeKinds(); err != nil {
-		return fmt.Errorf("params: definition %q: %w", d.Name, err)
 	}
 	switch d.Type {
 	case TypeBoolean:
@@ -155,9 +110,6 @@ func (d *Definition) Check() error {
 
 // Validate checks a single concrete value against the definition.
 func (d *Definition) Validate(v Value) error {
-	if err := d.normalizeKinds(); err != nil {
-		return err
-	}
 	switch d.Type {
 	case TypeBoolean:
 		if v.Kind() != KindBool {

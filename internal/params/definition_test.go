@@ -6,8 +6,8 @@ import (
 )
 
 // FuzzDefinitionJSON: a system definition arrives in the body of POST
-// /systems, and Definition.UnmarshalJSON is what parses each of its
-// parameters. No input panics it, and a definition it accepts marshals,
+// /systems, and json.Unmarshal into a Definition is what parses each of
+// its parameters. No input panics it, and a definition it accepts marshals,
 // parses back and marshals to the same bytes again. The seeds, committed
 // under testdata/fuzz/FuzzDefinitionJSON, are the parameters the two
 // simulator families register plus the malformed kinds the parser must

@@ -69,6 +69,30 @@ func KindFromString(s string) (Kind, error) {
 	return KindInvalid, fmt.Errorf("params: unknown kind %q", s)
 }
 
+// MarshalText encodes the kind as its name, the form a definition's
+// valueKind carries on the wire.
+func (k Kind) MarshalText() ([]byte, error) {
+	if s, ok := kindNames[k]; ok {
+		return []byte(s), nil
+	}
+	return nil, fmt.Errorf("params: unknown kind %d", int(k))
+}
+
+// UnmarshalText decodes a kind name; an empty one is no kind, as an
+// omitted valueKind is.
+func (k *Kind) UnmarshalText(b []byte) error {
+	if len(b) == 0 {
+		*k = KindInvalid
+		return nil
+	}
+	kind, err := KindFromString(string(b))
+	if err != nil {
+		return err
+	}
+	*k = kind
+	return nil
+}
+
 // Value is a tagged union holding one concrete parameter value.
 // The zero Value has KindInvalid and is not a valid assignment.
 //

@@ -190,27 +190,26 @@ type DB struct {
 	// Set once at Open; read via OpenReset.
 	openReset error
 
-	// appliedSeq/appliedOff name the follower position whose records are
-	// applied to the in-memory tables, guarded by walMu. FollowerApply
-	// makes shipped bytes durable first and applies them second, so the
-	// durable position (wal.size — where shipping resumes) can briefly
-	// run ahead of this one; convergence barriers must wait on the
-	// applied position or they would declare a replica caught up while
-	// its reads still serve older state.
-	appliedSeq, appliedOff int64
+	// applied is the follower position whose records are applied to the
+	// in-memory tables, guarded by walMu. FollowerApply makes shipped
+	// bytes durable first and applies them second, so the durable
+	// position (wal.size — where shipping resumes) can briefly run ahead
+	// of this one; convergence barriers must wait on the applied
+	// position or they would declare a replica caught up while its reads
+	// still serve older state.
+	applied Position
 	// appliedNotify is closed and replaced whenever the applied position
 	// advances (or the store closes) — the wake-up primitive behind
 	// WaitFollowerApplied, which token-gated follower reads block on.
 	// Guarded by walMu.
 	appliedNotify chan struct{}
 
-	// genID/genEpoch are the store generation (see generation.go): the
-	// identity of the WAL history that positions and session tokens are
-	// relative to. Guarded by walMu; a leader's generation is fixed at
-	// Open, a follower's moves as the replication orchestrator verifies
-	// it against its leader.
-	genID    string
-	genEpoch int64
+	// gen is the store generation (see generation.go): the identity of
+	// the WAL history that positions and session tokens are relative to.
+	// Guarded by walMu; a leader's generation is fixed at Open, a
+	// follower's moves as the replication orchestrator verifies it
+	// against its leader.
+	gen Generation
 
 	// compacting gates the background compactor to one goroutine;
 	// compactWG lets Close wait for an in-flight cycle. compactions and
@@ -343,7 +342,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 	}
 	// Recovery replayed every durable byte, so the applied position
 	// starts equal to the durable one.
-	db.appliedSeq, db.appliedOff = db.walSeq, w.size
+	db.applied = Position{Seq: db.walSeq, Off: w.size}
 	db.met = newDBMetrics(opts.Metrics, db)
 	return db, nil
 }
@@ -360,7 +359,7 @@ func OpenMemory() *DB {
 	db.appliedNotify = make(chan struct{})
 	// A memory store still has an identity so its (never-replicated)
 	// positions are unambiguous; there is just no file to persist it in.
-	db.genID, db.genEpoch = newGenerationID(), 1
+	db.gen = Generation{StoreID: newGenerationID(), Epoch: 1}
 	return db
 }
 
@@ -1068,7 +1067,7 @@ type Stats struct {
 	// Follower reports read-only replication mode; AppliedBytes is then
 	// the locally durable byte offset within segment WALSeq — the
 	// position the follower resumes shipping from. (It can run a beat
-	// ahead of what reads observe: see FollowerAppliedPosition.)
+	// ahead of what reads observe: see ReadPosition.)
 	Follower     bool  `json:"follower,omitempty"`
 	AppliedBytes int64 `json:"appliedBytes,omitempty"`
 	// Compactions counts completed snapshot+delete cycles since open;

@@ -18,7 +18,8 @@ func TestGenerationMintedAndEpochBumps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id1, epoch1, ok := db.Generation()
+	gen1, _, ok := db.ReadPosition()
+	id1, epoch1 := gen1.StoreID, gen1.Epoch
 	if !ok || id1 == "" || epoch1 != 1 {
 		t.Fatalf("first open generation = (%q, %d, %v), want fresh id at epoch 1", id1, epoch1, ok)
 	}
@@ -30,7 +31,8 @@ func TestGenerationMintedAndEpochBumps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	id2, epoch2, ok := db2.Generation()
+	gen2, _, ok := db2.ReadPosition()
+	id2, epoch2 := gen2.StoreID, gen2.Epoch
 	if !ok || id2 != id1 {
 		t.Fatalf("reopen changed the store id: %q -> %q", id1, id2)
 	}
@@ -49,14 +51,14 @@ func TestFollowerGenerationIsAssignedNotMinted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id, epoch, ok := db.Generation(); ok {
-		t.Fatalf("fresh follower minted a generation (%q, %d)", id, epoch)
+	if gen, _, ok := db.ReadPosition(); ok {
+		t.Fatalf("fresh follower minted a generation (%q, %d)", gen.StoreID, gen.Epoch)
 	}
-	if err := db.SetFollowerGeneration("cafe00112233", 7); err != nil {
+	if err := db.SetFollowerGeneration(Generation{StoreID: "cafe00112233", Epoch: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if id, epoch, ok := db.Generation(); !ok || id != "cafe00112233" || epoch != 7 {
-		t.Fatalf("after assignment: (%q, %d, %v)", id, epoch, ok)
+	if gen, _, ok := db.ReadPosition(); !ok || gen.StoreID != "cafe00112233" || gen.Epoch != 7 {
+		t.Fatalf("after assignment: (%q, %d, %v)", gen.StoreID, gen.Epoch, ok)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -66,8 +68,8 @@ func TestFollowerGenerationIsAssignedNotMinted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if id, epoch, ok := db2.Generation(); !ok || id != "cafe00112233" || epoch != 7 {
-		t.Fatalf("assigned generation did not survive reopen: (%q, %d, %v)", id, epoch, ok)
+	if gen, _, ok := db2.ReadPosition(); !ok || gen.StoreID != "cafe00112233" || gen.Epoch != 7 {
+		t.Fatalf("assigned generation did not survive reopen: (%q, %d, %v)", gen.StoreID, gen.Epoch, ok)
 	}
 	// A leader must never accept the follower-assignment path.
 	leaderDir := t.TempDir()
@@ -76,7 +78,7 @@ func TestFollowerGenerationIsAssignedNotMinted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ldb.Close()
-	if err := ldb.SetFollowerGeneration("cafe00112233", 9); err == nil {
+	if err := ldb.SetFollowerGeneration(Generation{StoreID: "cafe00112233", Epoch: 9}); err == nil {
 		t.Fatal("SetFollowerGeneration on a leader succeeded")
 	}
 }
@@ -95,14 +97,16 @@ func TestCommitPositionTracksCommits(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	seq0, off0, ok := db.CommitPosition()
+	_, pos0, ok := db.ReadPosition()
+	seq0, off0 := pos0.Seq, pos0.Off
 	if !ok {
 		t.Fatal("durable store refused a commit position")
 	}
 	if err := db.Update(func(tx *Tx) error { return tx.Put("kv", Row{"id": "a"}) }); err != nil {
 		t.Fatal(err)
 	}
-	seq1, off1, ok := db.CommitPosition()
+	_, pos1, ok := db.ReadPosition()
+	seq1, off1 := pos1.Seq, pos1.Off
 	if !ok {
 		t.Fatal("commit position unavailable after a commit")
 	}
@@ -112,7 +116,7 @@ func TestCommitPositionTracksCommits(t *testing.T) {
 
 	mem := OpenMemory()
 	defer mem.Close()
-	if _, _, ok := mem.CommitPosition(); ok {
+	if _, _, ok := mem.ReadPosition(); ok {
 		t.Fatal("memory store handed out a commit position it cannot honour")
 	}
 }
@@ -142,19 +146,20 @@ func TestWaitFollowerApplied(t *testing.T) {
 	if _, err := fdb.FollowerApply(frames); err != nil {
 		t.Fatal(err)
 	}
-	aseq, aoff := fdb.FollowerAppliedPosition()
+	_, applied, _ := fdb.ReadPosition()
+	aseq, aoff := applied.Seq, applied.Off
 
 	// Already satisfied: returns immediately.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := fdb.WaitFollowerApplied(ctx, aseq, aoff); err != nil {
+	if err := fdb.WaitFollowerApplied(ctx, Position{Seq: aseq, Off: aoff}); err != nil {
 		t.Fatalf("wait for an already-applied position: %v", err)
 	}
 
 	// Not yet satisfied: a short deadline expires...
 	short, scancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer scancel()
-	if err := fdb.WaitFollowerApplied(short, aseq, aoff+1); !errors.Is(err, context.DeadlineExceeded) {
+	if err := fdb.WaitFollowerApplied(short, Position{Seq: aseq, Off: aoff + 1}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("wait past the tip = %v, want deadline exceeded", err)
 	}
 
@@ -167,7 +172,7 @@ func TestWaitFollowerApplied(t *testing.T) {
 	go func() {
 		wctx, wcancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer wcancel()
-		done <- fdb.WaitFollowerApplied(wctx, aseq, aoff+1)
+		done <- fdb.WaitFollowerApplied(wctx, Position{Seq: aseq, Off: aoff + 1})
 	}()
 	time.Sleep(20 * time.Millisecond) // let the waiter park
 	if _, err := fdb.FollowerApply(more); err != nil {
@@ -182,7 +187,7 @@ func TestWaitFollowerApplied(t *testing.T) {
 	go func() {
 		wctx, wcancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer wcancel()
-		done2 <- fdb.WaitFollowerApplied(wctx, aseq+100, 0)
+		done2 <- fdb.WaitFollowerApplied(wctx, Position{Seq: aseq + 100})
 	}()
 	time.Sleep(20 * time.Millisecond)
 	if err := fdb.Close(); err != nil {
@@ -206,4 +211,45 @@ func captureWAL(t *testing.T, db *DB) []byte {
 		t.Fatal(err)
 	}
 	return data[:pos.Durable]
+}
+
+// TestPositionCovers pins the one rule positions are compared by: a
+// position covers itself, a later offset in its segment and any offset
+// of an earlier segment — never the other way round.
+func TestPositionCovers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p, o Position
+		want bool
+	}{
+		{"equal", Position{Seq: 3, Off: 100}, Position{Seq: 3, Off: 100}, true},
+		{"same segment, further", Position{Seq: 3, Off: 101}, Position{Seq: 3, Off: 100}, true},
+		{"same segment, behind", Position{Seq: 3, Off: 99}, Position{Seq: 3, Off: 100}, false},
+		{"later segment, lower offset", Position{Seq: 4, Off: 0}, Position{Seq: 3, Off: 100}, true},
+		{"earlier segment, higher offset", Position{Seq: 2, Off: 500}, Position{Seq: 3, Off: 100}, false},
+	} {
+		if got := tc.p.Covers(tc.o); got != tc.want {
+			t.Errorf("%s: %+v.Covers(%+v) = %v, want %v", tc.name, tc.p, tc.o, got, tc.want)
+		}
+	}
+}
+
+// TestGenerationHeaderRoundTrip pins the "id:epoch" header form: what
+// String prints parses back equal, and anything that is not a store id
+// and an epoch of at least 1 is refused rather than read as unknown.
+func TestGenerationHeaderRoundTrip(t *testing.T) {
+	for _, g := range []Generation{{StoreID: "cafe00112233", Epoch: 1}, {StoreID: "s", Epoch: 1<<63 - 1}} {
+		back, err := ParseGeneration(g.String())
+		if err != nil || back != g {
+			t.Errorf("%+v printed %q and parsed back to %+v (%v)", g, g.String(), back, err)
+		}
+	}
+	if got := (Generation{StoreID: "cafe00112233", Epoch: 7}).String(); got != "cafe00112233:7" {
+		t.Errorf("String = %q, want cafe00112233:7", got)
+	}
+	for _, bad := range []string{"", "cafe", "cafe:", ":7", "cafe:0", "cafe:-1", "cafe:x", "cafe:7:1"} {
+		if g, err := ParseGeneration(bad); err == nil {
+			t.Errorf("ParseGeneration(%q) = %+v, want an error", bad, g)
+		}
+	}
 }

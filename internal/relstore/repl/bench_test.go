@@ -210,11 +210,11 @@ func BenchmarkShipLatency(b *testing.B) {
 		<-tailArrived
 		put(b, db, "kv", fmt.Sprintf("k%d", i%1000), int64(i))
 		acked := time.Now()
-		seq, off, ok := db.CommitPosition()
+		_, pos, ok := db.ReadPosition()
 		if !ok {
 			b.Fatal("leader has no commit position")
 		}
-		if err := f.DB().WaitFollowerApplied(ctx, seq, off); err != nil {
+		if err := f.DB().WaitFollowerApplied(ctx, pos); err != nil {
 			b.Fatal(err)
 		}
 		lats = append(lats, time.Since(acked))

@@ -7,41 +7,11 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"chronos/internal/httputil"
 	"chronos/internal/relstore"
 )
-
-// Gen names a store generation as carried in the X-Chronos-Gen header:
-// the identity of the WAL history a ship response's positions belong to.
-type Gen struct {
-	StoreID string
-	Epoch   int64
-}
-
-// Known reports whether the generation is populated (responses from a
-// pre-generation leader leave it zero).
-func (g Gen) Known() bool { return g.StoreID != "" && g.Epoch > 0 }
-
-// String renders the header form, "id:epoch".
-func (g Gen) String() string { return g.StoreID + ":" + strconv.FormatInt(g.Epoch, 10) }
-
-// parseGenHeader decodes an X-Chronos-Gen value; a missing or malformed
-// header yields an unknown Gen (fail open here — the follower treats an
-// unknown generation conservatively).
-func parseGenHeader(v string) Gen {
-	id, epochStr, ok := strings.Cut(v, ":")
-	if !ok || id == "" {
-		return Gen{}
-	}
-	epoch, err := strconv.ParseInt(epochStr, 10, 64)
-	if err != nil || epoch < 1 {
-		return Gen{}
-	}
-	return Gen{StoreID: id, Epoch: epoch}
-}
 
 // Sentinel errors the ship client maps HTTP statuses onto.
 var (
@@ -52,35 +22,45 @@ var (
 	// ErrNoSnapshot means the leader has never compacted; a
 	// bootstrapping follower starts empty at segment 1.
 	ErrNoSnapshot = errors.New("repl: leader has no snapshot")
+	// errNoGeneration refuses a ship response that names no store
+	// generation: its positions belong to no history the follower could
+	// verify, so not one of its bytes may be applied. Every leader of
+	// this build names one; a chained follower names none while it
+	// re-bootstraps, and the replicas behind it wait that out.
+	errNoGeneration = errors.New("repl: leader response names no store generation")
 )
 
 // Client speaks the ship protocol against a leader's REST endpoint.
 type Client struct {
-	base    string // leader base URL, e.g. http://leader:8080
-	version string // API version path element, e.g. "v2"
+	base string // leader base URL, e.g. http://leader:8080
 	// replToken authenticates via the dedicated replication token, the
 	// follower credential. (The leader's ship gate also accepts an
 	// admin session, but that path serves operators with curl, not this
 	// client.)
 	replToken string
-	hc        *http.Client
+	// hc has no overall timeout: WAL tails long-poll. Liveness comes
+	// from the per-request wait budget the server honours.
+	hc *http.Client
 }
 
-// NewClient builds a ship client. version defaults to "v2" when empty.
-func NewClient(base, version, replToken string, hc *http.Client) *Client {
-	if version == "" {
-		version = "v2"
-	}
-	if hc == nil {
-		// No overall client timeout: WAL tails long-poll. Liveness comes
-		// from the per-request wait budget the server honours.
-		hc = &http.Client{}
-	}
-	return &Client{base: base, version: version, replToken: replToken, hc: hc}
+// NewClient builds a ship client for the leader at base.
+func NewClient(base, replToken string) *Client {
+	return &Client{base: base, replToken: replToken, hc: &http.Client{}}
 }
 
 func (c *Client) url(suffix string) string {
-	return c.base + "/api/" + c.version + "/repl/" + suffix
+	return c.base + "/api/v2/repl/" + suffix
+}
+
+// responseGen reads the generation a ship response names in HeaderGen;
+// a response without one is refused.
+func responseGen(resp *http.Response) (relstore.Generation, error) {
+	v := resp.Header.Get(HeaderGen)
+	gen, err := relstore.ParseGeneration(v)
+	if err != nil {
+		return gen, fmt.Errorf("%w: %s %q", errNoGeneration, HeaderGen, v)
+	}
+	return gen, nil
 }
 
 func (c *Client) get(ctx context.Context, url string) (*http.Response, error) {
@@ -109,7 +89,13 @@ func (c *Client) Status(ctx context.Context) (relstore.ShipPosition, error) {
 	if resp.StatusCode != http.StatusOK {
 		return pos, fmt.Errorf("repl: leader status: HTTP %d: %s", resp.StatusCode, body)
 	}
-	return pos, httputil.ReadEnvelope(body, &pos)
+	if err := httputil.ReadEnvelope(body, &pos); err != nil {
+		return pos, err
+	}
+	if pos.Generation == (relstore.Generation{}) {
+		return pos, errNoGeneration
+	}
+	return pos, nil
 }
 
 // Snapshot opens a stream of the leader's latest snapshot, along with
@@ -117,22 +103,25 @@ func (c *Client) Status(ctx context.Context) (relstore.ShipPosition, error) {
 // stream. ErrNoSnapshot means the leader has never compacted — the
 // returned generation is still meaningful then (an empty replica is a
 // trivial prefix of that history).
-func (c *Client) Snapshot(ctx context.Context) (io.ReadCloser, Gen, error) {
+func (c *Client) Snapshot(ctx context.Context) (io.ReadCloser, relstore.Generation, error) {
 	resp, err := c.get(ctx, c.url("snapshot"))
 	if err != nil {
-		return nil, Gen{}, err
+		return nil, relstore.Generation{}, err
 	}
-	gen := parseGenHeader(resp.Header.Get(HeaderGen))
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return resp.Body, gen, nil
-	case http.StatusNotFound:
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+		resp.Body.Close()
+		return nil, relstore.Generation{}, fmt.Errorf("repl: leader snapshot: HTTP %d", resp.StatusCode)
+	}
+	gen, err := responseGen(resp)
+	if err != nil {
+		resp.Body.Close()
+		return nil, gen, err
+	}
+	if resp.StatusCode == http.StatusNotFound {
 		resp.Body.Close()
 		return nil, gen, ErrNoSnapshot
-	default:
-		resp.Body.Close()
-		return nil, Gen{}, fmt.Errorf("repl: leader snapshot: HTTP %d", resp.StatusCode)
 	}
+	return resp.Body, gen, nil
 }
 
 // WALChunk is one TailWAL response: raw frame bytes starting at the
@@ -147,13 +136,13 @@ type WALChunk struct {
 	// Gen is the generation of the store that served the chunk. A
 	// follower that sees it move away from the generation its state is
 	// verified against stops applying and re-verifies first.
-	Gen Gen
+	Gen relstore.Generation
 }
 
 // TailWAL fetches raw frame bytes of segment seq starting at offset
 // from, long-polling up to wait when the follower is at the leader's
-// tip. A zero-value chunk means the wait budget expired with no
-// progress — simply call again.
+// tip. A chunk with no data that is not sealed means the wait budget
+// expired with no progress — simply call again.
 func (c *Client) TailWAL(ctx context.Context, seq, from int64, wait time.Duration) (WALChunk, error) {
 	url := c.url("wal/" + strconv.FormatInt(seq, 10) +
 		"?from=" + strconv.FormatInt(from, 10) +
@@ -163,9 +152,15 @@ func (c *Client) TailWAL(ctx context.Context, seq, from int64, wait time.Duratio
 		return WALChunk{}, err
 	}
 	defer resp.Body.Close()
-	gen := parseGenHeader(resp.Header.Get(HeaderGen))
 	switch resp.StatusCode {
-	case http.StatusOK:
+	case http.StatusOK, http.StatusNoContent:
+		gen, err := responseGen(resp)
+		if err != nil {
+			return WALChunk{}, err
+		}
+		if resp.StatusCode == http.StatusNoContent {
+			return WALChunk{Gen: gen}, nil
+		}
 		chunk := WALChunk{Sealed: resp.Header.Get(HeaderSealed) == "1", Gen: gen}
 		chunk.End, err = strconv.ParseInt(resp.Header.Get(HeaderEnd), 10, 64)
 		if err != nil {
@@ -179,8 +174,6 @@ func (c *Client) TailWAL(ctx context.Context, seq, from int64, wait time.Duratio
 			return WALChunk{}, err
 		}
 		return chunk, nil
-	case http.StatusNoContent:
-		return WALChunk{Gen: gen}, nil
 	case http.StatusGone:
 		return WALChunk{}, ErrSegmentGone
 	default:

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand/v2"
-	"net/http"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -25,8 +24,6 @@ type Config struct {
 	Dir string
 	// Leader is the leader's base URL, e.g. http://leader:8080.
 	Leader string
-	// APIVersion selects the leader API version path ("v2" when empty).
-	APIVersion string
 	// ReplToken authenticates against the leader's ship endpoints.
 	// Empty works only against a leader with no auth at all.
 	ReplToken string
@@ -45,8 +42,6 @@ type Config struct {
 	// default, negative = never). Local compaction keeps a long-lived
 	// replica's disk bounded without any leader involvement.
 	CompactEvery int
-	// HTTPClient overrides the transport (tests); nil uses a default.
-	HTTPClient *http.Client
 	// Logger receives replication progress lines; nil uses the default
 	// logger.
 	Logger *log.Logger
@@ -69,7 +64,7 @@ type Follower struct {
 	done   chan struct{}
 
 	mu         sync.Mutex
-	leaderTip  relstore.ShipPosition // as of the last successful contact
+	leaderTip  relstore.Position // durable tip as of the last successful contact
 	tipKnown   bool
 	bootstraps int64
 	lastErr    error
@@ -135,7 +130,7 @@ func Start(cfg Config) (*Follower, error) {
 	f := &Follower{
 		cfg:    cfg,
 		db:     db,
-		client: NewClient(cfg.Leader, cfg.APIVersion, cfg.ReplToken, cfg.HTTPClient),
+		client: NewClient(cfg.Leader, cfg.ReplToken),
 		log:    cfg.Logger,
 		done:   make(chan struct{}),
 	}
@@ -189,20 +184,18 @@ func (f *Follower) Close() error {
 // the locally durable bytes while a shipped chunk is still being
 // applied.
 func (f *Follower) Status() api.ReplStatus {
-	seq, off := f.db.FollowerAppliedPosition()
-	genID, genEpoch, genKnown := f.db.Generation()
+	gen, applied, _ := f.db.ReadPosition()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	st := api.ReplStatus{
 		Leader:       f.cfg.Leader,
-		AppliedSeq:   seq,
-		AppliedBytes: off,
+		AppliedSeq:   applied.Seq,
+		AppliedBytes: applied.Off,
 		Bootstraps:   f.bootstraps,
 		LagBytes:     -1,
+		StoreID:      gen.StoreID,
+		Epoch:        gen.Epoch,
 		StalenessMs:  -1,
-	}
-	if genKnown {
-		st.StoreID, st.Epoch = genID, genEpoch
 	}
 	if !f.caughtUpAt.IsZero() {
 		st.StalenessMs = time.Since(f.caughtUpAt).Milliseconds()
@@ -211,11 +204,11 @@ func (f *Follower) Status() api.ReplStatus {
 		st.LastError = f.lastErr.Error()
 	}
 	if f.tipKnown {
-		st.LeaderSeq = f.leaderTip.WALSeq
-		st.LeaderBytes = f.leaderTip.Durable
-		st.LagSegments = max(f.leaderTip.WALSeq-seq, 0)
-		if f.leaderTip.WALSeq == seq {
-			st.LagBytes = max(f.leaderTip.Durable-off, 0)
+		st.LeaderSeq = f.leaderTip.Seq
+		st.LeaderBytes = f.leaderTip.Off
+		st.LagSegments = max(f.leaderTip.Seq-applied.Seq, 0)
+		if f.leaderTip.Seq == applied.Seq {
+			st.LagBytes = max(f.leaderTip.Off-applied.Off, 0)
 		}
 	}
 	return st
@@ -258,6 +251,8 @@ func (f *Follower) replicate(ctx context.Context) error {
 	// past our position — a fresh replica, or one the leader compacted
 	// out from under — segments we need are gone, so bootstrap from the
 	// snapshot instead of discovering it through a 410 per segment.
+	// A status that names no generation is refused here: nothing is
+	// applied from a leader whose history cannot be told apart.
 	tip, err := f.client.Status(ctx)
 	if err != nil {
 		return fmt.Errorf("leader status: %w", err)
@@ -267,16 +262,13 @@ func (f *Follower) replicate(ctx context.Context) error {
 		if err := f.bootstrap(ctx); err != nil {
 			return err
 		}
-	} else if tip.StoreID != "" {
-		// The leader names a generation. If it is not the one our state
-		// was verified against — a leader restart since last contact, a
-		// fresh replica, or a pre-generation replica directory — prove
-		// our history is a prefix of the leader's before trusting any
+	} else if gen, _, _ := f.db.ReadPosition(); gen != tip.Generation {
+		// Not the generation our state was verified against — a leader
+		// restart since last contact, or a fresh replica: prove our
+		// history is a prefix of the leader's before trusting any
 		// position comparison again.
-		if id, epoch, ok := f.db.Generation(); !ok || id != tip.StoreID || epoch != tip.Epoch {
-			if err := f.adoptGeneration(ctx, tip); err != nil {
-				return err
-			}
+		if err := f.adoptGeneration(ctx, tip); err != nil {
+			return err
 		}
 	}
 
@@ -294,14 +286,12 @@ func (f *Follower) replicate(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("tail segment %d: %w", seq, err)
 		}
-		if chunk.Gen.Known() {
+		if gen, _, _ := f.db.ReadPosition(); gen != chunk.Gen {
 			// A restarted leader may answer the next tail without any
 			// transport error (keep-alive reconnects transparently). The
 			// generation riding on the chunk betrays it: stop before
 			// applying anything and re-verify our history first.
-			if id, epoch, ok := f.db.Generation(); !ok || id != chunk.Gen.StoreID || epoch != chunk.Gen.Epoch {
-				return fmt.Errorf("leader generation moved to %s mid-tail; re-verifying", chunk.Gen)
-			}
+			return fmt.Errorf("leader generation moved to %s mid-tail; re-verifying", chunk.Gen)
 		}
 		f.observeTip(seq, chunk)
 		if len(chunk.Data) > 0 {
@@ -399,10 +389,8 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	n := f.bootstraps
 	f.lastErr = nil // a fresh bootstrap is a recovery
 	f.mu.Unlock()
-	if gen.Known() {
-		if err := f.db.SetFollowerGeneration(gen.StoreID, gen.Epoch); err != nil {
-			return fmt.Errorf("record generation: %w", err)
-		}
+	if err := f.db.SetFollowerGeneration(gen); err != nil {
+		return fmt.Errorf("record generation: %w", err)
 	}
 	seq, _ := f.db.FollowerPosition()
 	f.log.Printf("repl: follower bootstrapped from %s (bootstrap #%d, resuming at segment %d)", f.cfg.Leader, n, seq)
@@ -422,20 +410,20 @@ func (f *Follower) adoptGeneration(ctx context.Context, tip relstore.ShipPositio
 		// A virgin replica — no snapshot, not one byte mirrored — holds
 		// nothing any history could disagree with: adopt the generation
 		// as-is and let plain tailing fill it (no bootstrap needed).
-		if err := f.db.SetFollowerGeneration(tip.StoreID, tip.Epoch); err != nil {
+		if err := f.db.SetFollowerGeneration(tip.Generation); err != nil {
 			return fmt.Errorf("record generation: %w", err)
 		}
 		return nil
 	}
 	if f.verifyPrefix(ctx, tip) {
-		if err := f.db.SetFollowerGeneration(tip.StoreID, tip.Epoch); err != nil {
+		if err := f.db.SetFollowerGeneration(tip.Generation); err != nil {
 			return fmt.Errorf("record generation: %w", err)
 		}
 		f.progress.Store(true)
-		f.log.Printf("repl: follower verified local history against leader generation %s:%d", tip.StoreID, tip.Epoch)
+		f.log.Printf("repl: follower verified local history against leader generation %s", tip.Generation)
 		return nil
 	}
-	f.log.Printf("repl: follower cannot verify local history against leader generation %s:%d; re-bootstrapping", tip.StoreID, tip.Epoch)
+	f.log.Printf("repl: follower cannot verify local history against leader generation %s; re-bootstrapping", tip.Generation)
 	return f.bootstrap(ctx)
 }
 
@@ -477,7 +465,7 @@ func (f *Follower) verifyPrefix(ctx context.Context, tip relstore.ShipPosition) 
 			// mean the prefix cannot be confirmed.
 			return false
 		}
-		if chunk.Gen.Known() && (chunk.Gen.StoreID != tip.StoreID || chunk.Gen.Epoch != tip.Epoch) {
+		if chunk.Gen != tip.Generation {
 			return false // the leader restarted again mid-verification
 		}
 		n := min(int64(len(chunk.Data)), end-cursor)
@@ -495,10 +483,10 @@ func (f *Follower) verifyPrefix(ctx context.Context, tip relstore.ShipPosition) 
 // staleness clock.
 func (f *Follower) noteCleanRound() {
 	f.progress.Store(true)
-	aseq, aoff := f.db.FollowerAppliedPosition()
+	_, applied, _ := f.db.ReadPosition()
 	f.mu.Lock()
 	f.lastErr = nil
-	if f.tipKnown && (aseq > f.leaderTip.WALSeq || (aseq == f.leaderTip.WALSeq && aoff >= f.leaderTip.Durable)) {
+	if f.tipKnown && applied.Covers(f.leaderTip) {
 		f.caughtUpAt = time.Now()
 	}
 	f.mu.Unlock()
@@ -506,7 +494,7 @@ func (f *Follower) noteCleanRound() {
 
 func (f *Follower) setTip(tip relstore.ShipPosition) {
 	f.mu.Lock()
-	f.leaderTip = tip
+	f.leaderTip = relstore.Position{Seq: tip.WALSeq, Off: tip.Durable}
 	f.tipKnown = true
 	f.mu.Unlock()
 }
@@ -517,19 +505,15 @@ func (f *Follower) setTip(tip relstore.ShipPosition) {
 // response proves the leader is at least on the next segment; an active
 // one names its durable end exactly.
 func (f *Follower) observeTip(seq int64, chunk WALChunk) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	seen := relstore.Position{Seq: seq, Off: chunk.End}
 	if chunk.Sealed {
-		if seq+1 > f.leaderTip.WALSeq {
-			f.leaderTip.WALSeq = seq + 1
-			f.leaderTip.Durable = 0
-		}
-		return
+		seen = relstore.Position{Seq: seq + 1}
 	}
-	if seq > f.leaderTip.WALSeq || (seq == f.leaderTip.WALSeq && chunk.End > f.leaderTip.Durable) {
-		f.leaderTip.WALSeq = seq
-		f.leaderTip.Durable = chunk.End
+	f.mu.Lock()
+	if !f.leaderTip.Covers(seen) {
+		f.leaderTip = seen
 	}
+	f.mu.Unlock()
 }
 
 func (f *Follower) setErr(err error) {
@@ -551,7 +535,7 @@ func (f *Follower) WaitCaughtUp(ctx context.Context) error {
 	for {
 		tip, err := f.client.Status(ctx)
 		if err == nil {
-			return f.db.WaitFollowerApplied(ctx, tip.WALSeq, tip.Durable)
+			return f.db.WaitFollowerApplied(ctx, relstore.Position{Seq: tip.WALSeq, Off: tip.Durable})
 		}
 		// The leader is unreachable or restarting: ask again shortly.
 		select {

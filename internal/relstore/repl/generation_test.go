@@ -1,7 +1,9 @@
 package repl
 
 import (
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -26,8 +28,8 @@ func TestLeaderRestartAdoptsWithoutBootstrap(t *testing.T) {
 	}
 	f := startFollower(t, l, "")
 	assertConverged(t, l, f)
-	if _, epoch, ok := f.db.Generation(); !ok || epoch != 1 {
-		t.Fatalf("follower epoch before restart: %d (known %v), want 1", epoch, ok)
+	if gen, _, ok := f.db.ReadPosition(); !ok || gen.Epoch != 1 {
+		t.Fatalf("follower epoch before restart: %d (known %v), want 1", gen.Epoch, ok)
 	}
 
 	l.restart(opts)
@@ -39,8 +41,8 @@ func TestLeaderRestartAdoptsWithoutBootstrap(t *testing.T) {
 	if n := f.Status().Bootstraps; n != 0 {
 		t.Fatalf("clean leader restart forced %d bootstrap(s); prefix verification should adopt in place", n)
 	}
-	if _, epoch, ok := f.db.Generation(); !ok || epoch != 2 {
-		t.Fatalf("follower epoch after restart: %d (known %v), want 2", epoch, ok)
+	if gen, _, ok := f.db.ReadPosition(); !ok || gen.Epoch != 2 {
+		t.Fatalf("follower epoch after restart: %d (known %v), want 2", gen.Epoch, ok)
 	}
 	if st := f.Status(); st.Epoch != 2 || st.StoreID == "" {
 		t.Fatalf("follower status does not surface the adopted generation: %+v", st)
@@ -153,5 +155,91 @@ func TestRetryBackoffThrottlesDeadLeader(t *testing.T) {
 	}
 	if st := f.Status(); st.LastError == "" {
 		t.Fatalf("no error surfaced while the leader is failing: %+v", st)
+	}
+}
+
+// stripGeneration serves the ship protocol with the generation taken
+// out of every response: X-Chronos-Gen from the WAL and snapshot
+// responses and, when statusBody is set, storeId and epoch from the
+// /repl/status body.
+func stripGeneration(statusBody bool) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			next.ServeHTTP(rec, r)
+			body := rec.Body.Bytes()
+			if statusBody && strings.HasSuffix(r.URL.Path, "/repl/status") && rec.Code == http.StatusOK {
+				var env struct {
+					Data map[string]any `json:"data"`
+				}
+				if err := json.Unmarshal(body, &env); err != nil {
+					http.Error(w, err.Error(), http.StatusInternalServerError)
+					return
+				}
+				delete(env.Data, "storeId")
+				delete(env.Data, "epoch")
+				body, _ = json.Marshal(env)
+				rec.Header().Del("Content-Length")
+			}
+			for k, v := range rec.Header() {
+				if k != HeaderGen {
+					w.Header()[k] = v
+				}
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(body)
+		})
+	}
+}
+
+// TestShipResponseWithoutGenerationIsRefused pins the follower's
+// refusal of a ship response that names no store generation: its
+// positions belong to no history the follower could verify. Whether
+// the generation is missing from the status body, from a WAL chunk or
+// from the snapshot, the follower applies not one byte, backs off, and
+// names the missing generation in its status.
+func TestShipResponseWithoutGenerationIsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		statusBody bool // strip the status body's generation too
+		compact    bool // the leader has a snapshot: the follower must bootstrap
+	}{
+		{"status", true, false},
+		{"wal", false, false},
+		{"snapshot", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := startLeader(t, &relstore.Options{CompactEvery: -1}, stripGeneration(tc.statusBody))
+			if err := l.DB().CreateTable(kvSchema()); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				put(t, l.DB(), "kv", "row", int64(i))
+			}
+			if tc.compact {
+				if err := l.DB().Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f := startFollower(t, l, "")
+
+			deadline := time.Now().Add(10 * time.Second)
+			for !strings.Contains(f.Status().LastError, "names no store generation") {
+				if time.Now().After(deadline) {
+					t.Fatalf("follower never refused the generation-less leader: %+v", f.Status())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			time.Sleep(100 * time.Millisecond) // several more backed-off rounds
+			if seq, off := f.DB().FollowerPosition(); seq != 1 || off != 0 {
+				t.Fatalf("follower mirrored bytes of a generation-less leader: at segment %d offset %d", seq, off)
+			}
+			if st := f.Status(); st.AppliedSeq != 1 || st.AppliedBytes != 0 || st.Bootstraps != 0 {
+				t.Fatalf("follower applied state from a generation-less leader: %+v", st)
+			}
+			if tables := f.DB().Tables(); len(tables) != 0 {
+				t.Fatalf("follower holds tables %v from a generation-less leader", tables)
+			}
+		})
 	}
 }

@@ -44,15 +44,19 @@
 // # Generations and session tokens
 //
 // Positions are only comparable within one store generation — the
-// persistent (id, epoch) pair relstore mints per leader open (see
-// relstore's generation.go). Every ship response carries the serving
-// leader's generation (in the status body and the X-Chronos-Gen header
-// on snapshot and WAL responses), and a follower tracks the generation
-// its state was last verified against. When the leader's epoch moves —
-// any leader restart — the follower byte-compares its local WAL tail
-// with the leader's before adopting the new epoch; a mismatch (a leader
-// restored from diverged history) forces a snapshot re-bootstrap
-// instead. Session tokens (internal/rest's X-Chronos-Commit-Position /
+// persistent (id, epoch) pair relstore mints per leader open, a
+// relstore.Generation — and are compared by relstore.Position.Covers
+// alone (see relstore's generation.go). Every ship response carries the
+// serving leader's generation (in the status body and the X-Chronos-Gen
+// header on snapshot and WAL responses); a response that names none is
+// refused, nothing of it is applied, and the follower backs off and asks
+// again. A chained follower names no generation while it re-bootstraps,
+// so the replicas behind it fail closed until it has one again. A
+// follower tracks the generation its state was last verified against.
+// When the leader's epoch moves — any leader restart — the follower
+// byte-compares its local WAL tail with the leader's before adopting
+// the new epoch; a mismatch (a leader restored from diverged history)
+// forces a snapshot re-bootstrap instead. Session tokens (internal/rest's X-Chronos-Commit-Position /
 // X-Chronos-Read-After headers) embed the generation, so a token minted
 // by a pre-restart leader is never silently "satisfied" by a follower
 // whose state comes from a different history: the follower refuses it
@@ -260,11 +264,12 @@ func (h *Handler) WAL(w http.ResponseWriter, r *http.Request) {
 }
 
 // setGenHeader stamps the serving store's generation on the response.
-// Called before anything is written; a store without a known generation
-// (never, for a leader) just omits the header.
+// Called before anything is written. A store without a known generation
+// — never a leader; a chained follower while it re-bootstraps — omits
+// the header, and the follower behind it refuses the response.
 func (h *Handler) setGenHeader(w http.ResponseWriter) {
-	if id, epoch, ok := h.db.Generation(); ok {
-		w.Header().Set(HeaderGen, Gen{StoreID: id, Epoch: epoch}.String())
+	if gen, _, _ := h.db.ReadPosition(); gen.StoreID != "" {
+		w.Header().Set(HeaderGen, gen.String())
 	}
 }
 

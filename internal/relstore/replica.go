@@ -42,11 +42,11 @@ type ShipPosition struct {
 	// snapshot; segments at or below it may be deleted at any moment, so
 	// a follower needing one must bootstrap from the snapshot instead.
 	SnapshotSeq int64 `json:"snapshotSeq"`
-	// StoreID/Epoch name the generation (history identity) the position
-	// is relative to — see generation.go. A follower adopts them only
-	// after verifying its local state belongs to that history.
-	StoreID string `json:"storeId,omitempty"`
-	Epoch   int64  `json:"epoch,omitempty"`
+	// Generation names the history the position is relative to — see
+	// generation.go. A follower adopts it only after verifying its local
+	// state belongs to that history, and refuses a status that names
+	// none.
+	Generation
 }
 
 // ShipPosition reports the current durable position plus a channel that
@@ -71,7 +71,7 @@ func (db *DB) ShipPosition() (ShipPosition, <-chan struct{}, error) {
 		// ship from at this instant.
 		return ShipPosition{}, nil, errors.New("relstore: store is re-initialising")
 	}
-	pos := ShipPosition{WALSeq: db.walSeq, Durable: db.wal.size, SnapshotSeq: db.snapSeq.Load(), StoreID: db.genID, Epoch: db.genEpoch}
+	pos := ShipPosition{WALSeq: db.walSeq, Durable: db.wal.size, SnapshotSeq: db.snapSeq.Load(), Generation: db.gen}
 	return pos, db.walNotify, nil
 }
 
@@ -98,8 +98,8 @@ func IsTornFrame(err error) bool { return errors.Is(err, errTornRecord) }
 // active segment (mirroring the leader's numbering) and the number of
 // locally durable bytes it holds of it. Durable bytes may briefly run
 // ahead of what is applied in memory (FollowerApply persists first,
-// applies second — the order recovery replays); use
-// FollowerAppliedPosition for read-visibility barriers.
+// applies second — the order recovery replays); use ReadPosition and
+// WaitFollowerApplied for read-visibility barriers.
 func (db *DB) FollowerPosition() (seq, offset int64) {
 	db.walMu.Lock()
 	defer db.walMu.Unlock()
@@ -109,18 +109,6 @@ func (db *DB) FollowerPosition() (seq, offset int64) {
 		return db.walSeq, 0
 	}
 	return db.walSeq, db.wal.size
-}
-
-// FollowerAppliedPosition reports the newest position whose records are
-// applied to the in-memory tables — the position reads actually observe.
-// It trails FollowerPosition while a shipped chunk is durable locally
-// but still being applied (or can never be applied: a poisoned replica's
-// applied position stays put until a re-bootstrap). Convergence barriers
-// compare this, not the durable position, against the leader's tip.
-func (db *DB) FollowerAppliedPosition() (seq, offset int64) {
-	db.walMu.Lock()
-	defer db.walMu.Unlock()
-	return db.appliedSeq, db.appliedOff
 }
 
 // FollowerApply ingests a chunk of raw WAL frame bytes shipped from the
@@ -196,8 +184,8 @@ func (db *DB) FollowerApply(data []byte) (int64, error) {
 			db.walMu.Lock()
 			// Guard against a FollowerReinit that swapped the state out
 			// while this chunk was applying: its position supersedes ours.
-			if db.walSeq == durSeq && durOff > db.appliedOff {
-				db.appliedSeq, db.appliedOff = durSeq, durOff
+			if db.walSeq == durSeq && durOff > db.applied.Off {
+				db.applied = Position{Seq: durSeq, Off: durOff}
 				db.bumpAppliedNotifyLocked()
 			}
 			db.walMu.Unlock()
@@ -248,7 +236,7 @@ func (db *DB) FollowerAdvanceSegment() error {
 	}
 	// Advance is called only once every byte of the sealed segment is
 	// applied, so the applied position moves to the fresh segment's start.
-	db.appliedSeq, db.appliedOff = db.walSeq, 0
+	db.applied = Position{Seq: db.walSeq}
 	db.bumpAppliedNotifyLocked()
 	return nil
 }
@@ -366,7 +354,7 @@ func (db *DB) FollowerReinit(snapshot io.Reader) error {
 	db.walMu.Lock()
 	db.wal = w
 	db.walSeq = snapSeq + 1
-	db.appliedSeq, db.appliedOff = snapSeq+1, 0
+	db.applied = Position{Seq: snapSeq + 1}
 	db.durLSN = 0
 	db.commitCount.Store(0)
 	db.snapSeq.Store(snapSeq)

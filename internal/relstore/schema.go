@@ -137,12 +137,13 @@
 // # Store generations and commit positions
 //
 // Session-consistency tokens need two facts only the store can supply:
-// where in the WAL a response was served from, and which history that
-// position belongs to. CommitPosition returns the durable position of
-// the last acknowledged commit (leaders); FollowerAppliedPosition and
-// WaitFollowerApplied expose and await the applied position (replicas)
-// — WaitFollowerApplied is the primitive behind the REST layer's
-// read-after gate, waking on apply, context deadline, or store close.
+// which history a response was served from (a Generation) and how far
+// into it (a Position). ReadPosition answers both under one lock hold:
+// the durable position of the last acknowledged commit on a leader, the
+// applied position on a replica. WaitFollowerApplied awaits a replica's
+// applied position — the primitive behind the REST layer's read-after
+// gate, waking on apply, context deadline, or store close. Positions
+// are compared by Position.Covers alone.
 //
 // Positions from different histories must never be compared, so every
 // durable store carries a generation (store.gen): a store id minted on

@@ -154,7 +154,7 @@ func (s *Server) complete(version string) func(id string, q api.CompleteRequest)
 }
 
 func (s *Server) failJob(id string, q api.FailRequest) (string, error) {
-	return "failed", s.svc.FailJobWithLog(id, q.Reason, q.Log)
+	return "failed", s.svc.FailJob(id, q.Reason, q.Log)
 }
 
 // batchUpdate is v2's combined agent call — an optional log chunk, progress

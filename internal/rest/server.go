@@ -162,7 +162,9 @@ func (s *Server) api(v string) []route {
 
 		// WAL shipping (replication followers). Works on leaders and on
 		// followers alike — a follower's segments mirror the leader's, so
-		// replicas can be chained.
+		// replicas can be chained. A chained follower fails closed while
+		// its upstream re-bootstraps: the upstream names no generation
+		// then, and the follower refuses its responses until it does.
 		{"v1", "GET", "/repl/status", ship, wal.Status},
 		{"v1", "GET", "/repl/snapshot", ship, wal.Snapshot},
 		{"v1", "GET", "/repl/wal/{seq}", ship, wal.WAL},

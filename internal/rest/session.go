@@ -38,27 +38,6 @@ func writeUnavailable(w http.ResponseWriter, err error) {
 	httputil.WriteError(w, http.StatusServiceUnavailable, err)
 }
 
-// commitToken snapshots this server's store position as a session token:
-// the commit position on a leader, the applied position on a follower.
-// ok is false when there is nothing meaningful to hand out — an
-// in-memory store, or a follower whose generation is not yet verified.
-func (s *Server) commitToken() (api.CommitToken, bool) {
-	db := s.svc.Store().DB()
-	id, epoch, ok := db.Generation()
-	if !ok {
-		return api.CommitToken{}, false
-	}
-	var seq, off int64
-	if s.Repl != nil {
-		seq, off = db.FollowerAppliedPosition()
-	} else {
-		if seq, off, ok = db.CommitPosition(); !ok {
-			return api.CommitToken{}, false
-		}
-	}
-	return api.CommitToken{StoreID: id, Epoch: epoch, Seq: seq, Off: off}, true
-}
-
 // positionWriter injects the commit-position header at WriteHeader time,
 // so the token is captured after the handler's own mutation committed —
 // a leader's response token always covers the write it acknowledges.
@@ -72,8 +51,11 @@ func (pw *positionWriter) WriteHeader(code int) {
 	if !pw.wrote {
 		pw.wrote = true
 		if code >= 200 && code < 300 {
-			if tok, ok := pw.s.commitToken(); ok {
-				pw.Header().Set(api.HeaderCommitPosition, tok.String())
+			// What this store's readers observe: the commit position on
+			// a leader, the applied position on a follower — none from
+			// an in-memory store or a follower not yet verified.
+			if gen, pos, ok := pw.s.svc.Store().DB().ReadPosition(); ok {
+				pw.Header().Set(api.HeaderCommitPosition, api.CommitToken{Generation: gen, Position: pos}.String())
 			}
 		}
 	}
@@ -153,27 +135,27 @@ func (s *Server) freshEnough(w http.ResponseWriter) bool {
 func (s *Server) waitReadAfter(w http.ResponseWriter, r *http.Request, tok api.CommitToken) bool {
 	db := s.svc.Store().DB()
 	check := func() (proceed, decided bool) {
-		id, epoch, ok := db.Generation()
+		gen, _, ok := db.ReadPosition()
 		switch {
 		case !ok:
 			// Mid re-bootstrap: state is unverified right now, but a
 			// moment from now it will be — retryable.
 			writeUnavailable(w, errors.New("rest: follower state not yet verified against a leader generation"))
 			return false, true
-		case tok.StoreID != id || tok.Epoch < epoch:
+		case tok.StoreID != gen.StoreID || tok.Epoch < gen.Epoch:
 			// A foreign store, or an epoch this follower's verified
 			// history has superseded: no amount of waiting here can
 			// prove the token's position was preserved. Fail closed,
 			// definitively — only the leader is authoritative for it.
 			httputil.WriteError(w, http.StatusPreconditionFailed,
-				fmt.Errorf("rest: read-after token names generation %s:%d but this follower is verified against %s:%d; read from the leader",
-					tok.StoreID, tok.Epoch, id, epoch))
+				fmt.Errorf("rest: read-after token names generation %s but this follower is verified against %s; read from the leader",
+					tok.Generation, gen))
 			return false, true
-		case tok.Epoch > epoch:
+		case tok.Epoch > gen.Epoch:
 			// The leader restarted since this follower last verified;
 			// the follower will notice and adopt shortly — retryable.
 			writeUnavailable(w, fmt.Errorf("rest: read-after token names epoch %d but this follower is still verified against epoch %d",
-				tok.Epoch, epoch))
+				tok.Epoch, gen.Epoch))
 			return false, true
 		}
 		return true, false
@@ -187,7 +169,7 @@ func (s *Server) waitReadAfter(w http.ResponseWriter, r *http.Request, tok api.C
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), wait)
 	defer cancel()
-	if err := db.WaitFollowerApplied(ctx, tok.Seq, tok.Off); err != nil {
+	if err := db.WaitFollowerApplied(ctx, tok.Position); err != nil {
 		// Unless the client itself went away (a response would be moot),
 		// report retryably: the deadline expired or the store is mid
 		// close/reopen, and both can resolve on a retry.

@@ -85,12 +85,11 @@ func get(t testing.TB, base, path, readAfter string) *http.Response {
 func followerToken(t testing.TB, fx *sessionFixture) api.CommitToken {
 	t.Helper()
 	db := fx.follower.DB()
-	id, epoch, ok := db.Generation()
+	gen, pos, ok := db.ReadPosition()
 	if !ok {
 		t.Fatal("follower has no verified generation")
 	}
-	seq, off := db.FollowerAppliedPosition()
-	return api.CommitToken{StoreID: id, Epoch: epoch, Seq: seq, Off: off}
+	return api.CommitToken{Generation: gen, Position: pos}
 }
 
 // TestCommitPositionHeaderAdvances pins the token side of the contract:
@@ -112,10 +111,10 @@ func TestCommitPositionHeaderAdvances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tok2.SameGeneration(tok1) {
+	if tok2.Generation != tok1.Generation {
 		t.Fatalf("generation changed without a restart: %v -> %v", tok1, tok2)
 	}
-	if !tok2.Covers(tok1) || tok2 == tok1 {
+	if !tok2.Covers(tok1.Position) || tok2 == tok1 {
 		t.Fatalf("commit position did not advance across a mutation: %v -> %v", tok1, tok2)
 	}
 }
@@ -251,11 +250,11 @@ func TestOldEpochTokenIs412(t *testing.T) {
 	followerTS := httptest.NewServer(fserver.Handler())
 	t.Cleanup(followerTS.Close)
 
-	id, epoch, ok := f.DB().Generation()
-	if !ok || epoch != 2 {
-		t.Fatalf("follower verified at epoch %d (known %v), want 2", epoch, ok)
+	gen, _, ok := f.DB().ReadPosition()
+	if !ok || gen.Epoch != 2 {
+		t.Fatalf("follower verified at epoch %d (known %v), want 2", gen.Epoch, ok)
 	}
-	old := api.CommitToken{StoreID: id, Epoch: 1, Seq: 1, Off: 0}
+	old := api.CommitToken{Generation: relstore.Generation{StoreID: gen.StoreID, Epoch: 1}, Position: relstore.Position{Seq: 1}}
 	if resp := get(t, followerTS.URL, "/api/v2/users", old.String()); resp.StatusCode != http.StatusPreconditionFailed {
 		t.Fatalf("old-epoch token: %d, want 412", resp.StatusCode)
 	}

@@ -35,7 +35,7 @@ func TestRescheduleFromUI(t *testing.T) {
 	}
 	// Exhaust the attempt budget so the failure sticks.
 	for {
-		if err := f.svc.FailJob(j.ID, "ui-test failure"); err != nil {
+		if err := f.svc.FailJob(j.ID, "ui-test failure", ""); err != nil {
 			t.Fatal(err)
 		}
 		got, _ := f.svc.GetJob(j.ID)

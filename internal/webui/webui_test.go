@@ -199,7 +199,7 @@ func TestEvaluationPageCountsItsRows(t *testing.T) {
 	if err := f.svc.CompleteJob(claim(), []byte(`{"throughput": 1}`), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.svc.FailJob(claim(), "boom"); err != nil {
+	if err := f.svc.FailJob(claim(), "boom", ""); err != nil {
 		t.Fatal(err)
 	}
 

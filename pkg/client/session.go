@@ -96,8 +96,8 @@ func (c *Client) noteToken(h http.Header) {
 	switch {
 	case !c.hasSession:
 		c.session, c.hasSession = tok, true
-	case tok.SameGeneration(c.session):
-		if tok.Covers(c.session) {
+	case tok.Generation == c.session.Generation:
+		if tok.Covers(c.session.Position) {
 			c.session = tok
 		}
 	case tok.StoreID != c.session.StoreID || tok.Epoch > c.session.Epoch:

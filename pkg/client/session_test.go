@@ -12,6 +12,7 @@ import (
 	"chronos/internal/api"
 	"chronos/internal/core"
 	"chronos/internal/httputil"
+	"chronos/internal/relstore"
 )
 
 // fakeEndpoint is a handcrafted REST endpoint: the handler decides the
@@ -47,7 +48,7 @@ func serve503(w http.ResponseWriter) {
 func TestTokenRatchet(t *testing.T) {
 	c := NewClient("http://unused")
 	tok := func(epoch, seq, off int64) api.CommitToken {
-		return api.CommitToken{StoreID: "aaaa", Epoch: epoch, Seq: seq, Off: off}
+		return api.CommitToken{Generation: relstore.Generation{StoreID: "aaaa", Epoch: epoch}, Position: relstore.Position{Seq: seq, Off: off}}
 	}
 	set := func(tk api.CommitToken) {
 		h := http.Header{}
@@ -78,7 +79,7 @@ func TestTokenRatchet(t *testing.T) {
 	if got, _ := c.LastCommit(); got != tok(2, 1, 10) {
 		t.Fatalf("older epoch overwrote the session: %v", got)
 	}
-	other := api.CommitToken{StoreID: "bbbb", Epoch: 1, Seq: 1, Off: 1}
+	other := api.CommitToken{Generation: relstore.Generation{StoreID: "bbbb", Epoch: 1}, Position: relstore.Position{Seq: 1, Off: 1}}
 	h := http.Header{}
 	h.Set(api.HeaderCommitPosition, other.String())
 	c.noteToken(h) // different store: the old session is meaningless
