@@ -145,8 +145,10 @@ type RunContext struct {
 	// Definitions are the system's parameter definitions, sent with the
 	// claim by API v2 (nil over v1).
 	Definitions []params.Definition
-	// Timer measures the workflow phases; the agent manages it.
-	Timer *metrics.PhaseTimer
+
+	// phases records each workflow phase's duration in run order; only
+	// runPhases appends, and buildResult reads it after runPhases returns.
+	phases []metrics.PhaseDuration
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -393,7 +395,6 @@ func (a *Agent) executeJob(parent context.Context, job *core.Job, defs []params.
 	rc := &RunContext{
 		Job:         job,
 		Definitions: defs,
-		Timer:       metrics.NewPhaseTimer(nil),
 		ctx:         jobCtx,
 		cancel:      cancel,
 	}
@@ -527,7 +528,7 @@ func (a *Agent) runPhases(rc *RunContext) error {
 			if rc.Err() != nil {
 				return ErrAborted
 			}
-			if err := rc.Timer.Time(ph.name, func() error { return ph.fn(rc) }); err != nil {
+			if err := rc.timePhase(ph.name, ph.fn); err != nil {
 				return fmt.Errorf("agent: phase %s: %w", ph.name, err)
 			}
 		}
@@ -537,7 +538,7 @@ func (a *Agent) runPhases(rc *RunContext) error {
 		return err // the factory itself panicked: nothing to clean
 	}
 	cleanErr := isolate(func() error {
-		return rc.Timer.Time(PhaseClean, func() error { return runner.Clean(rc) })
+		return rc.timePhase(PhaseClean, runner.Clean)
 	})
 	switch {
 	case err != nil:
@@ -550,6 +551,16 @@ func (a *Agent) runPhases(rc *RunContext) error {
 	return nil
 }
 
+// timePhase runs fn and records its duration however it ends: returned,
+// failed or panicked.
+func (rc *RunContext) timePhase(name string, fn func(*RunContext) error) error {
+	start := time.Now()
+	defer func() {
+		rc.phases = append(rc.phases, metrics.PhaseDuration{Phase: name, Duration: time.Since(start)})
+	}()
+	return fn(rc)
+}
+
 // buildResult merges the runner's analysis with the standard metrics and
 // renders the result JSON plus the zip archive (possibly offloaded).
 func (a *Agent) buildResult(rc *RunContext) (resultJSON, archive []byte, err error) {
@@ -560,7 +571,7 @@ func (a *Agent) buildResult(rc *RunContext) (resultJSON, archive []byte, err err
 		result = map[string]any{}
 	}
 	// Standard metrics the agent library contributes automatically.
-	result["phases"] = rc.Timer.Durations()
+	result["phases"] = rc.phases
 	result["parameters"] = rc.Job.Params
 
 	archive, err = rc.buildArchive()

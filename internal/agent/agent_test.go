@@ -361,8 +361,16 @@ func TestAgentHappyPath(t *testing.T) {
 		if doc["throughput"] != 123.0 {
 			t.Fatalf("result = %v", doc)
 		}
-		if _, ok := doc["phases"]; !ok {
-			t.Fatal("standard phase metrics missing")
+		phases, _ := doc["phases"].([]any)
+		want := []string{PhasePrepare, PhaseWarmUp, PhaseExecute, PhaseAnalyze, PhaseClean}
+		if len(phases) != len(want) {
+			t.Fatalf("standard phase metrics = %v, want the five phases", doc["phases"])
+		}
+		for i, p := range phases {
+			ph, _ := p.(map[string]any)
+			if ns, ok := ph["durationNs"].(float64); ph["phase"] != want[i] || !ok || ns < 0 {
+				t.Fatalf("phase %d = %v, want %q with a non-negative durationNs", i, p, want[i])
+			}
 		}
 		if _, ok := doc["parameters"]; !ok {
 			t.Fatal("parameters missing from result")

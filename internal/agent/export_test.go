@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"chronos/internal/core"
-	"chronos/internal/metrics"
 	"chronos/internal/params"
 )
 
@@ -17,5 +16,5 @@ func (r *SimRunner) SUT() SUT { return r.sut }
 // NewTestRunContext returns the RunContext of a job with parameters a that
 // is never aborted.
 func NewTestRunContext(a params.Assignment) *RunContext {
-	return &RunContext{Job: &core.Job{Params: a}, Timer: metrics.NewPhaseTimer(nil), ctx: context.Background()}
+	return &RunContext{Job: &core.Job{Params: a}, ctx: context.Background()}
 }

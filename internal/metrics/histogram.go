@@ -1,8 +1,8 @@
 // Package metrics provides the standard measurements the Chronos Agent
 // library records during an evaluation run (paper §2.2: "the agent library
 // already measures basic metrics which are returned to Chronos Control
-// along with the results"): latency histograms with quantiles and
-// per-phase timers.
+// along with the results"): latency histograms with quantiles and the
+// per-phase durations a job result carries.
 //
 // The histogram is a log-bucketed (HDR-style) structure: values are placed
 // into buckets whose width grows exponentially, giving a bounded relative

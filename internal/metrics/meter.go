@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -33,94 +32,12 @@ func (c *ManualClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// PhaseTimer measures the named phases of an evaluation run — the paper's
-// workflow is set-up, warm-up, execution, analysis — and reports their
-// durations. Safe for concurrent use, though phases normally run
-// sequentially.
-type PhaseTimer struct {
-	now func() time.Time
-
-	mu      sync.Mutex
-	order   []string
-	started map[string]time.Time
-	total   map[string]time.Duration
-}
-
-// NewPhaseTimer returns a PhaseTimer reading time from now (nil =
-// time.Now).
-func NewPhaseTimer(now func() time.Time) *PhaseTimer {
-	if now == nil {
-		now = time.Now
-	}
-	return &PhaseTimer{
-		now:     now,
-		started: make(map[string]time.Time),
-		total:   make(map[string]time.Duration),
-	}
-}
-
-// Start begins timing the named phase. Starting an already-running phase
-// restarts it.
-func (p *PhaseTimer) Start(phase string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, seen := p.total[phase]; !seen {
-		if _, running := p.started[phase]; !running {
-			p.order = append(p.order, phase)
-		}
-	}
-	p.started[phase] = p.now()
-}
-
-// Stop ends the named phase and accumulates its duration. Stopping a
-// phase that is not running is a no-op.
-func (p *PhaseTimer) Stop(phase string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	start, ok := p.started[phase]
-	if !ok {
-		return
-	}
-	delete(p.started, phase)
-	p.total[phase] += p.now().Sub(start)
-}
-
-// Time runs fn inside a Start/Stop pair for the named phase.
-func (p *PhaseTimer) Time(phase string, fn func() error) error {
-	p.Start(phase)
-	defer p.Stop(phase)
-	return fn()
-}
-
-// Duration returns the accumulated duration of the named phase.
-func (p *PhaseTimer) Duration(phase string) time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.total[phase]
-}
-
-// Durations returns all finished phases in first-start order.
-func (p *PhaseTimer) Durations() []PhaseDuration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]PhaseDuration, 0, len(p.order))
-	for _, name := range p.order {
-		if d, ok := p.total[name]; ok {
-			out = append(out, PhaseDuration{Phase: name, Duration: d})
-		}
-	}
-	return out
-}
-
-// PhaseDuration is one row of a PhaseTimer report.
+// PhaseDuration is how long one workflow phase of an evaluation run took
+// — the paper's workflow is set-up, warm-up, execution, analysis. The
+// agent attaches the list to every job result.
 type PhaseDuration struct {
 	Phase    string        `json:"phase"`
 	Duration time.Duration `json:"durationNs"`
-}
-
-// String renders "phase=1.2s".
-func (p PhaseDuration) String() string {
-	return fmt.Sprintf("%s=%v", p.Phase, p.Duration.Round(time.Millisecond))
 }
 
 // Measurements is the bundle of standard metrics a Chronos agent attaches

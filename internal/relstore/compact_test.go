@@ -208,3 +208,71 @@ func TestSnapshotIsAnExactCut(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactionWaitsForEnqueuedCommit: the cut waits for a commit that
+// is applied and enqueued but not yet written. The snapshot then holds
+// the commit and the segment after its boundary does not; a cut taken
+// without the wait seals the segment first, the commit lands in
+// boundary+1, and a follower bootstrapping from the snapshot would show
+// its readers the commit before applying it again.
+func TestCompactionWaitsForEnqueuedCommit(t *testing.T) {
+	db, err := Open(t.TempDir(), &Options{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable(usersSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update(func(tx *Tx) error { return tx.Put("users", userRow("a", "c", 1)) }); err != nil {
+		t.Fatal(err)
+	}
+
+	// Update's critical section without its await: the commit is applied
+	// and enqueued, and nothing writes it until the test does.
+	tx := takeTx(db, true)
+	var batch *walBatch
+	db.mu.Lock()
+	err = tx.Put("users", userRow("b", "c", 2))
+	if err == nil {
+		batch, err = db.commitApply(tx)
+	}
+	db.mu.Unlock()
+	putTx(tx)
+	if err != nil || batch == nil {
+		t.Fatalf("commitApply: batch %v, err %v", batch, err)
+	}
+
+	var cerr error
+	compacted := make(chan struct{})
+	go func() {
+		cerr = db.Compact()
+		close(compacted)
+	}()
+	select {
+	case <-compacted:
+		t.Error("Compact returned while an enqueued commit was still unwritten")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := db.awaitCommit(batch); err != nil {
+		t.Fatal(err)
+	}
+	<-compacted
+	if cerr != nil {
+		t.Fatal(cerr)
+	}
+
+	tables, boundary, err := readSnapshotFile(db.snapshotPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(db.SegmentPath(boundary + 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _ := readWAL(data)
+	if n := len(tables["users"].rows); n != 2 || len(recs) != 0 {
+		t.Fatalf("snapshot holds %d, segment %d holds %d records: want the enqueued commit in the snapshot and nothing after the boundary",
+			n, boundary+1, len(recs))
+	}
+}

@@ -118,9 +118,8 @@ type table struct {
 //   - group.mu only orders commit batches; it is held for O(1) sections.
 //     With db.mu held exclusively it is the only lock ever taken.
 //   - db.walMu serialises WAL segment writes, rotation and close. The
-//     condition variable walCond (on walMu) publishes durable-LSN
-//     progress to the compactor, which alone takes walMu with db.mu
-//     held (shared): see sealAndClone for the order and why it is safe.
+//     compactor alone takes walMu with db.mu held (shared): see
+//     sealAndClone for the order and why it is safe.
 //   - db.snapMu serialises compaction cycles (background and manual).
 //
 // A committing Update applies its writes under db.mu, then releases it
@@ -134,40 +133,34 @@ type table struct {
 // compactions fail (the divergent state can never become durable) and
 // reopening the store recovers the last consistent logged state.
 type DB struct {
+	// dir is "" for OpenMemory and set once at Open otherwise, so "is
+	// there a WAL at all?" never touches walMu, where a group leader may
+	// be mid-fsync.
 	dir  string
 	opts Options
-	// durable is set once at Open (false for OpenMemory) and never
-	// changes, so the commit path can ask "is there a WAL at all?"
-	// without touching walMu, where a group leader may be mid-fsync.
-	durable bool
 
 	mu     sync.RWMutex // guards the tables map and every table's contents
 	tables map[string]*table
 	// rowTotal and tableCount mirror the sum of len(rows) and len(tables).
 	// publishCounts stores them before every exclusive release of mu;
 	// RowCount and Stats read them without it, so a scrape or a status
-	// poll never queues behind a bulk write.
+	// poll never queues on mu behind a bulk write.
 	rowTotal, tableCount atomic.Int64
 
-	walMu   sync.Mutex // serialises WAL writes, rotation and close
-	walCond *sync.Cond // on walMu; signals durLSN/walErr/closed changes
-	wal     *walWriter // active segment writer
-	walSeq  int64      // sequence number of the active segment
-	walErr  error      // sticky WAL failure; guarded by walMu
+	walMu  sync.Mutex // serialises WAL writes, rotation and close
+	wal    *walWriter // active segment writer
+	walSeq int64      // sequence number of the active segment
+	walErr error      // sticky WAL failure; guarded by walMu
 	// walFailed is 1 while walErr is set, for a gauge that must not
 	// queue on walMu behind a group commit's fsync.
 	walFailed atomic.Int64
-	// walNotify is closed and replaced whenever the durable WAL state
-	// advances (new durable bytes, rotation, poisoning, close). The
-	// replication ship handler long-polls it to stream the active
-	// segment's tail to followers without busy-waiting. Guarded by walMu.
+	// walNotify is closed and replaced whenever the WAL state or a
+	// follower's applied position advances (new durable bytes, rotation,
+	// poisoning, close, an applied chunk, a re-bootstrap). The replication
+	// ship handler long-polls it to stream the active segment's tail
+	// without busy-waiting, and WaitFollowerApplied blocks on it; each
+	// re-checks its own condition on waking. Guarded by walMu.
 	walNotify chan struct{}
-	// durLSN counts records durably committed to the WAL; guarded by
-	// walMu, published via walCond. The compactor clones the tables only
-	// once every commit they contain has reached the log, so a failed
-	// (unacknowledged) WAL write can never leak into durable state
-	// through a snapshot.
-	durLSN int64
 	// commitCount is written under walMu but read lock-free by
 	// maybeCompact, so committers don't queue on walMu (where a group
 	// leader may be mid-fsync) just to learn no compaction is due.
@@ -198,11 +191,6 @@ type DB struct {
 	// position or they would declare a replica caught up while its reads
 	// still serve older state.
 	applied Position
-	// appliedNotify is closed and replaced whenever the applied position
-	// advances (or the store closes) — the wake-up primitive behind
-	// WaitFollowerApplied, which token-gated follower reads block on.
-	// Guarded by walMu.
-	appliedNotify chan struct{}
 
 	// gen is the store generation (see generation.go): the identity of
 	// the WAL history that positions and session tokens are relative to.
@@ -230,21 +218,16 @@ type DB struct {
 // groupCommitter batches concurrently committing transactions into a
 // single WAL write + fsync. Records are enqueued in apply order (the
 // enqueuer holds db.mu) and one committer — the leader — drains whole
-// batches on behalf of everyone waiting on them.
+// batches on behalf of everyone waiting on them, in enqueue order.
 type groupCommitter struct {
 	mu      sync.Mutex
 	cur     *walBatch // batch currently accumulating, nil if none
 	writing bool      // a leader is flushing batches
-	// enqueued counts records ever enqueued. Together with DB.durLSN it
-	// tells the compactor when a state clone is fully logged.
-	enqueued int64
-}
-
-// enqueuedLSN reports how many records have been enqueued so far.
-func (g *groupCommitter) enqueuedLSN() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.enqueued
+	// last is the done channel of the batch the newest record joined
+	// (nil before the first). Batches are written in enqueue order, so
+	// once it is closed every record enqueued so far has been written or
+	// has failed: the compactor's cut waits on it.
+	last chan struct{}
 }
 
 // walBatch is one group of commit records flushed by a single WAL write.
@@ -278,9 +261,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 		tables: make(map[string]*table),
 		lock:   lock,
 	}
-	db.walCond = sync.NewCond(&db.walMu)
 	db.walNotify = make(chan struct{})
-	db.appliedNotify = make(chan struct{})
 	if _, serr := os.Stat(filepath.Join(dir, "store.wal")); serr == nil {
 		lock.release()
 		return nil, fmt.Errorf("%w (the directory holds a single-file store.wal)", ErrLegacyFormat)
@@ -334,7 +315,6 @@ func Open(dir string, opts *Options) (*DB, error) {
 		return nil, err
 	}
 	db.wal = w
-	db.durable = true
 	if err := db.initGeneration(); err != nil {
 		w.Close()
 		lock.release()
@@ -354,9 +334,7 @@ func OpenMemory() *DB {
 		opts:   Options{CompactEvery: -1},
 		tables: make(map[string]*table),
 	}
-	db.walCond = sync.NewCond(&db.walMu)
 	db.walNotify = make(chan struct{})
-	db.appliedNotify = make(chan struct{})
 	// A memory store still has an identity so its (never-replicated)
 	// positions are unambiguous; there is just no file to persist it in.
 	db.gen = Generation{StoreID: newGenerationID(), Epoch: 1}
@@ -384,9 +362,7 @@ func (db *DB) Close() error {
 			emptySeg = filepath.Join(db.dir, segmentName(db.walSeq))
 		}
 	}
-	db.walCond.Broadcast()
 	db.bumpWALNotifyLocked()
-	db.bumpAppliedNotifyLocked()
 	db.walMu.Unlock()
 	db.compactWG.Wait()
 	// A manual Compact() may still be mid-cycle (compactWG only covers
@@ -448,7 +424,7 @@ func (db *DB) createTablesLocked(ss []Schema) (*walBatch, error) {
 			continue
 		}
 		db.tables[s.Name] = newTable(s)
-		if db.durable {
+		if db.dir != "" {
 			batch = db.enqueueCommit(walRecord{CreateTable: &s})
 		}
 	}
@@ -697,7 +673,7 @@ func (db *DB) commitApply(tx *Tx) (*walBatch, error) {
 	if len(tx.pendingOrder) == 0 && len(tx.seqs) == 0 {
 		return nil, nil
 	}
-	durable := db.durable
+	durable := db.dir != ""
 	var rec walRecord
 	if durable {
 		rec.Ops = make([]walOp, 0, len(tx.pendingOrder)+len(tx.seqs))
@@ -755,7 +731,7 @@ func (db *DB) enqueueCommit(rec walRecord) *walBatch {
 	}
 	b := g.cur
 	b.recs = append(b.recs, rec)
-	g.enqueued++
+	g.last = b.done
 	g.mu.Unlock()
 	return b
 }
@@ -814,9 +790,7 @@ func (db *DB) writeBatch(recs []walRecord) error {
 	if db.met != nil {
 		db.met.commitObserved(len(recs), start, db.opts.Sync == SyncEveryCommit)
 	}
-	db.durLSN += int64(len(recs))
 	db.commitCount.Add(int64(len(recs)))
-	db.walCond.Broadcast()
 	db.bumpWALNotifyLocked()
 	if db.wal.size >= db.opts.SegmentBytes {
 		// The batch is already durable, so a rotation failure poisons
@@ -834,13 +808,12 @@ func (db *DB) poisonLocked(err error) error {
 		db.walErr = fmt.Errorf("%w: %w", ErrWALFailed, err)
 		db.walFailed.Store(1)
 	}
-	db.walCond.Broadcast()
 	db.bumpWALNotifyLocked()
 	return db.walErr
 }
 
-// bumpWALNotifyLocked wakes everyone long-polling for WAL progress
-// (replication ship handlers) by closing the current notification
+// bumpWALNotifyLocked wakes everyone waiting on WAL progress (replication
+// ship handlers, WaitFollowerApplied) by closing the current notification
 // channel and installing a fresh one. Caller holds walMu.
 func (db *DB) bumpWALNotifyLocked() {
 	close(db.walNotify)
@@ -871,7 +844,7 @@ func (db *DB) rotateLocked() error {
 // counter read and the cycle itself runs in its own goroutine (one at a
 // time). Must be called without holding db.mu.
 func (db *DB) maybeCompact() {
-	if !db.durable || db.opts.CompactEvery <= 0 {
+	if db.dir == "" || db.opts.CompactEvery <= 0 {
 		return
 	}
 	if db.commitCount.Load() < int64(db.opts.CompactEvery) {
@@ -896,7 +869,7 @@ func (db *DB) maybeCompact() {
 // any time and concurrently with commits — only the rotation itself
 // briefly holds the WAL lock.
 func (db *DB) Compact() error {
-	if !db.durable {
+	if db.dir == "" {
 		return nil
 	}
 	return db.compactCycle()
@@ -922,23 +895,27 @@ func (db *DB) WaitCompaction() {
 // db.mu held shared is what keeps commits out (applying and enqueueing
 // both need it exclusively): every record enqueued so far is durable — so
 // none is applied but still unwritten when the segment is cut, to land in
-// boundary+1 —, the segment is sealed, the tables are cloned.
+// boundary+1 —, the segment is sealed, the tables are cloned. Batches are
+// written in enqueue order, so the first of the three is one wait on the
+// last enqueued batch; a follower enqueues nothing and never waits.
 //
 // Lock order: snapMu (the caller's), then db.mu shared, then walMu. This
 // is the one place walMu is taken, and file IO done (a segment close and
 // open), with db.mu held; nothing takes db.mu with walMu held, and the
-// group leader that makes the awaited records durable needs only group.mu
-// and walMu, so the wait cannot block on this goroutine. Writers stall for
-// at most one group commit plus the rotation, once per cycle.
+// group leader that writes the awaited batch needs only group.mu and
+// walMu, so the wait cannot block on this goroutine. Writers stall for at
+// most one group commit plus the rotation, once per cycle.
 func (db *DB) sealAndClone() (clones []tableClone, boundary int64, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	lsn := db.group.enqueuedLSN()
+	db.group.mu.Lock()
+	last := db.group.last
+	db.group.mu.Unlock()
+	if last != nil {
+		<-last
+	}
 
 	db.walMu.Lock()
-	for db.walErr == nil && !db.closed && db.durLSN < lsn {
-		db.walCond.Wait()
-	}
 	if db.closed {
 		db.walMu.Unlock()
 		return nil, 0, fmt.Errorf("relstore: store is closed")
@@ -1087,8 +1064,9 @@ func (db *DB) RowCount() int64 { return db.rowTotal.Load() }
 
 // Stats returns current store statistics. Table and row counts come from
 // the mirrors publishCounts maintains, so Stats never takes db.mu and
-// cannot queue behind a transaction — a scrape or UI poll is invisible
-// to writers, and a bulk write is invisible to it.
+// cannot queue behind a transaction. The WAL fields take walMu, which a
+// group commit holds across its fsync, so Stats can wait out one group
+// commit; RowCount is the read that takes no lock at all.
 func (db *DB) Stats() Stats {
 	st := Stats{Tables: int(db.tableCount.Load()), Rows: int(db.rowTotal.Load())}
 	if db.dir != "" {
@@ -1103,8 +1081,6 @@ func (db *DB) Stats() Stats {
 		if _, err := os.Stat(db.snapshotPath()); err == nil {
 			st.Snapshots = 1
 		}
-	}
-	if db.durable {
 		db.walMu.Lock()
 		st.WALSeq = db.walSeq
 		if db.walErr != nil {

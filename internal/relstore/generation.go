@@ -183,7 +183,7 @@ func (db *DB) ReadPosition() (gen Generation, pos Position, ok bool) {
 	if db.opts.Follower {
 		return db.gen, db.applied, db.gen.StoreID != ""
 	}
-	if !db.durable || db.closed || db.walErr != nil || db.wal == nil {
+	if db.dir == "" || db.closed || db.walErr != nil || db.wal == nil {
 		return db.gen, Position{}, false
 	}
 	return db.gen, Position{Seq: db.walSeq, Off: db.wal.size}, true
@@ -241,7 +241,7 @@ func (db *DB) WaitFollowerApplied(ctx context.Context, pos Position) error {
 		db.walMu.Lock()
 		applied := db.applied
 		closed := db.closed
-		ch := db.appliedNotify
+		ch := db.walNotify
 		db.walMu.Unlock()
 		if applied.Covers(pos) {
 			return nil
@@ -255,11 +255,4 @@ func (db *DB) WaitFollowerApplied(ctx context.Context, pos Position) error {
 		case <-ch:
 		}
 	}
-}
-
-// bumpAppliedNotifyLocked wakes everyone blocked in WaitFollowerApplied.
-// Caller holds walMu.
-func (db *DB) bumpAppliedNotifyLocked() {
-	close(db.appliedNotify)
-	db.appliedNotify = make(chan struct{})
 }

@@ -55,7 +55,7 @@ type ShipPosition struct {
 // fails once the store is closed or poisoned, or when the store has no
 // WAL at all (OpenMemory).
 func (db *DB) ShipPosition() (ShipPosition, <-chan struct{}, error) {
-	if !db.durable {
+	if db.dir == "" {
 		return ShipPosition{}, nil, errors.New("relstore: memory store has no WAL to ship")
 	}
 	db.walMu.Lock()
@@ -161,9 +161,7 @@ func (db *DB) FollowerApply(data []byte) (int64, error) {
 			db.walMu.Unlock()
 			return 0, err
 		}
-		db.durLSN += int64(len(recs))
 		db.commitCount.Add(int64(len(recs)))
-		db.walCond.Broadcast()
 		db.bumpWALNotifyLocked()
 		durSeq, durOff := db.walSeq, db.wal.size
 		db.walMu.Unlock()
@@ -186,18 +184,9 @@ func (db *DB) FollowerApply(data []byte) (int64, error) {
 			// while this chunk was applying: its position supersedes ours.
 			if db.walSeq == durSeq && durOff > db.applied.Off {
 				db.applied = Position{Seq: durSeq, Off: durOff}
-				db.bumpAppliedNotifyLocked()
+				db.bumpWALNotifyLocked()
 			}
 			db.walMu.Unlock()
-		}
-		if aerr == nil {
-			// Keep the group-committer ledger in step with the applied
-			// state (enqueued <= durLSN always holds on a follower, so
-			// local compaction never waits on the durability condition).
-			g := &db.group
-			g.mu.Lock()
-			g.enqueued += int64(len(recs))
-			g.mu.Unlock()
 		}
 		if aerr != nil {
 			db.walMu.Lock()
@@ -235,9 +224,9 @@ func (db *DB) FollowerAdvanceSegment() error {
 		return err
 	}
 	// Advance is called only once every byte of the sealed segment is
-	// applied, so the applied position moves to the fresh segment's start.
+	// applied, so the applied position moves to the fresh segment's start
+	// (rotateLocked has bumped walNotify; waiters re-check under walMu).
 	db.applied = Position{Seq: db.walSeq}
-	db.bumpAppliedNotifyLocked()
 	return nil
 }
 
@@ -255,9 +244,9 @@ func (db *DB) FollowerReinit(snapshot io.Reader) error {
 		return errors.New("relstore: FollowerReinit on a store not opened in follower mode")
 	}
 	// Exclude compaction for the whole re-initialisation: a cycle
-	// walking the segment files mid-wipe would race the deletes. On a
-	// follower no cycle ever blocks inside snapMu (the durability
-	// condition is satisfied at clone time), so this wait is bounded.
+	// walking the segment files mid-wipe would race the deletes. A
+	// follower enqueues no commit, so its cut never waits on one and this
+	// wait is bounded.
 	db.snapMu.Lock()
 	defer db.snapMu.Unlock()
 
@@ -345,22 +334,15 @@ func (db *DB) FollowerReinit(snapshot io.Reader) error {
 	db.mu.Lock()
 	db.tables = tables
 	db.publishCounts()
-	g := &db.group
-	g.mu.Lock()
-	g.enqueued = 0
-	g.mu.Unlock()
 	db.mu.Unlock()
 
 	db.walMu.Lock()
 	db.wal = w
 	db.walSeq = snapSeq + 1
 	db.applied = Position{Seq: snapSeq + 1}
-	db.durLSN = 0
 	db.commitCount.Store(0)
 	db.snapSeq.Store(snapSeq)
-	db.walCond.Broadcast()
 	db.bumpWALNotifyLocked()
-	db.bumpAppliedNotifyLocked()
 	db.walMu.Unlock()
 	return nil
 }

@@ -19,8 +19,9 @@
 // rotates to a fresh file — a close+open, nothing more — once it grows
 // past Options.SegmentBytes. Sealed segments are immutable. Compaction
 // is a background cycle, never part of the commit path: under one brief
-// read lock it waits until every commit applied so far is durably
-// logged, rotates so the boundary falls between segments and
+// read lock it waits for the last enqueued group-commit batch (batches
+// are written in enqueue order, so every commit applied so far is then
+// durably logged), rotates so the boundary falls between segments and
 // shallow-clones the table maps — the clone is exactly the sealed
 // segments' contents, which a follower bootstrapping from the snapshot
 // relies on — then marshals the snapshot outside every lock, atomically
@@ -204,8 +205,10 @@
 // Knowingly given up: while a bulk Update holds the lock (a 1,000-variant
 // evaluation submit is ~50 ms) no View proceeds, whichever tables it
 // reads. RowCount and Stats are exempt on purpose — they read store-level
-// atomics published under the lock and take no store lock, so /metrics
-// and /status never queue behind a bulk write.
+// atomics published under the lock and never take mu, so /metrics and
+// /status never queue behind a bulk write. Stats does take walMu for its
+// WAL fields, so /status can wait out one group commit's fsync; RowCount
+// takes no lock at all.
 //
 // Lock order: snapMu (compaction cycles, follower re-initialisation),
 // then mu, then group.mu (O(1) sections ordering commit batches) or walMu
