@@ -524,7 +524,7 @@ func BenchmarkRelstoreSelect(b *testing.B) {
 		var rows []relstore.Row
 		err := tx.SelectFunc("t", relstore.NewQuery(), func(r relstore.Row) bool {
 			if r["v"].(int64)%100 == 0 {
-				rows = append(rows, r.Clone())
+				rows = append(rows, r)
 			}
 			return true
 		})
@@ -557,7 +557,7 @@ func BenchmarkRelstoreSelect(b *testing.B) {
 		var rows []relstore.Row
 		err := tx.SelectFunc("t", relstore.NewQuery().Eq("status", "hot"), func(r relstore.Row) bool {
 			if v := r["v"].(int64); v >= 5000 && v < 5200 {
-				rows = append(rows, r.Clone())
+				rows = append(rows, r)
 			}
 			return true
 		})

@@ -14,6 +14,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -126,9 +127,15 @@ func (a *Authenticator) Enabled() bool {
 	return n > 0
 }
 
-// hashPassword derives the stored digest for password and salt.
+// hashPassword derives the stored digest for password and salt. It only
+// reads salt, which Login hands it as the store holds it: the first round
+// hashes salt then password without joining them into one slice.
 func hashPassword(password string, salt []byte) []byte {
-	sum := sha256.Sum256(append(salt, []byte(password)...))
+	h := sha256.New()
+	h.Write(salt)
+	io.WriteString(h, password)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
 	for i := 1; i < hashIterations; i++ {
 		sum = sha256.Sum256(sum[:])
 	}

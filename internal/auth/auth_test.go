@@ -1,6 +1,8 @@
 package auth
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -261,5 +263,22 @@ func TestPasswordHashDeterministicAndSalted(t *testing.T) {
 	h4 := hashPassword("pw2", salt)
 	if string(h1) == string(h4) {
 		t.Fatal("password has no effect")
+	}
+}
+
+// TestPasswordHashLeavesTheSaltAlone checks that hashPassword only reads
+// its salt, even when the slice has room past its length (Login hashes
+// the stored salt itself), and that the digest is the one stored
+// credentials were written with.
+func TestPasswordHashLeavesTheSaltAlone(t *testing.T) {
+	salt := make([]byte, 16, 64)
+	copy(salt, "0123456789abcdef")
+	before := slices.Clone(salt[:cap(salt)])
+	got := hex.EncodeToString(hashPassword("secret-password", salt))
+	if after := salt[:cap(salt)]; !bytes.Equal(after, before) {
+		t.Fatalf("salt's backing array changed: %q", after)
+	}
+	if want := "0492cf6c1f2552ef07c167517606e41f20ec59fecceaa76a42bd6e52f33f3cd2"; got != want {
+		t.Fatalf("digest %s, want %s", got, want)
 	}
 }

@@ -60,7 +60,7 @@ type JobArchive struct {
 func (s *Service) ExportProject(projectID string) ([]byte, error) {
 	var files []archiveFile // in archive order
 	err := s.store.db.View(func(tx *relstore.Tx) error {
-		p, err := tx.Peek(tableProjects, projectID)
+		p, err := tx.Get(tableProjects, projectID)
 		if err != nil {
 			return mapNotFound(err)
 		}
@@ -70,7 +70,7 @@ func (s *Service) ExportProject(projectID string) ([]byte, error) {
 			files = append(files, entityFile("experiments/"+exp["id"].(string)+".json", exp, fromData[Experiment](tableExperiments)))
 			if sysID := exp["systemId"].(string); !seenSystems[sysID] {
 				seenSystems[sysID] = true
-				sys, err := tx.Peek(tableSystems, sysID)
+				sys, err := tx.Get(tableSystems, sysID)
 				if err != nil {
 					return err
 				}
@@ -113,7 +113,7 @@ func (s *Service) jobFiles(tx *relstore.Tx, base string, job relstore.Row) ([]ar
 	jobID := job["id"].(string)
 	dir := base + "jobs/" + jobID + "/"
 	files := []archiveFile{entityFile(dir+"job.json", job, jobOf)}
-	if row, err := tx.Peek(tableResults, jobID); err == nil {
+	if row, err := tx.Get(tableResults, jobID); err == nil {
 		files = append(files, func(zw *zip.Writer) error {
 			var res Result
 			resultOf(row, &res)

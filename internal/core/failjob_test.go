@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"chronos/internal/relstore"
@@ -22,6 +23,7 @@ func TestAttemptBudgetUsesScalarColumnNotBlob(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		row = maps.Clone(row)
 		row["maxAttempts"] = int64(2)
 		row["data"] = []byte("certainly not json")
 		return tx.Put(tableExperiments, row)
@@ -65,6 +67,7 @@ func TestAttemptBudgetMissingEvaluationUsesDefault(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		row = maps.Clone(row)
 		row["evaluationId"] = "evaluation-missing"
 		return tx.Put(tableJobs, row)
 	})

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -320,6 +321,7 @@ func TestAgentPathDecodesNoJobJSON(t *testing.T) {
 				if err != nil {
 					return err
 				}
+				row = maps.Clone(row)
 				row["params"] = []byte("{not json")
 				if err := tx.Put(tableJobs, row); err != nil {
 					return err

@@ -354,7 +354,7 @@ func (s *Service) Heartbeat(jobID string) (JobStatus, error) {
 // periodically sends the logger output to Chronos Control).
 func (s *Service) AppendJobLog(jobID, text string) error {
 	return s.store.db.Update(func(tx *relstore.Tx) error {
-		if _, err := tx.GetValue(tableJobs, jobID, "id"); err != nil {
+		if _, err := tx.Get(tableJobs, jobID); err != nil {
 			return mapNotFound(err)
 		}
 		return s.appendLog(tx, jobID, text)
@@ -579,7 +579,7 @@ func (s *Service) GetJobResult(jobID string) (*Result, error) {
 func (s *Service) EvaluationStatusOf(evaluationID string) (EvaluationStatus, error) {
 	var t tally
 	err := s.store.db.View(func(tx *relstore.Tx) error {
-		if _, err := tx.GetValue(tableEvaluations, evaluationID, "id"); err != nil {
+		if _, err := tx.Get(tableEvaluations, evaluationID); err != nil {
 			return mapNotFound(err)
 		}
 		return s.store.tallyJobs(tx, evaluationID, &t)

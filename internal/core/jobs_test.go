@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -552,8 +553,9 @@ func TestWatchdogSkipsRunningRowWithoutHeartbeat(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		row = maps.Clone(row)
 		delete(row, "heartbeat")
-		return tx.PutOwned(tableJobs, row)
+		return tx.Put(tableJobs, row)
 	})
 	if err != nil {
 		t.Fatal(err)

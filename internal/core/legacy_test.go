@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -197,7 +198,7 @@ func writeBeforeColumns(t *testing.T, db *relstore.DB, src *core.Service, ids le
 				continue
 			}
 			err := tx.SelectFunc(table, nil, func(row relstore.Row) bool {
-				old := row.Clone()
+				old := maps.Clone(row)
 				delete(old, "parameters")
 				if old["id"] == ids.nameless {
 					delete(old, "name")

@@ -181,24 +181,23 @@ func (s *Store) StorageStats() relstore.Stats { return s.db.Stats() }
 
 // putJSON marshals entity into the table's data column alongside the
 // scalar query columns. The row maps callers pass in are built for this
-// call and never touched again, so ownership transfers to the store
-// without a clone.
+// call and never touched again: Put keeps them as the stored rows.
 func putJSON(tx *relstore.Tx, table string, row relstore.Row, entity any) error {
 	data, err := json.Marshal(entity)
 	if err != nil {
 		return fmt.Errorf("core: marshal %s row: %w", table, err)
 	}
 	row["data"] = data
-	return tx.PutOwned(table, row)
+	return tx.Put(table, row)
 }
 
 // getJSON unmarshals the data column of the row with the given id.
 func getJSON(tx *relstore.Tx, table, id string, out any) error {
-	v, err := tx.GetValue(table, id, "data")
+	row, err := tx.Get(table, id)
 	if err != nil {
 		return err
 	}
-	return decodeJSON(table, v.([]byte), out)
+	return decodeJSON(table, row["data"].([]byte), out)
 }
 
 // decodeJSON unmarshals one row's data column.
@@ -374,11 +373,11 @@ func (s *Store) GetSystem(tx *relstore.Tx, id string) (*System, error) {
 // systemParameters returns a system's parameter definitions as PutSystem
 // stored them: JSON, nil for a system that defines none.
 func (s *Store) systemParameters(tx *relstore.Tx, id string) (json.RawMessage, error) {
-	v, err := tx.GetValue(tableSystems, id, "parameters")
+	row, err := tx.Get(tableSystems, id)
 	if err != nil {
 		return nil, err
 	}
-	defs, _ := v.([]byte)
+	defs, _ := row["parameters"].([]byte)
 	return defs, nil
 }
 
@@ -400,7 +399,7 @@ func (s *Store) PutDeployment(tx *relstore.Tx, d *Deployment) error {
 // decoded: with agents polling for work, decoding the full deployment per
 // claim dominated the transaction's allocations.
 func (s *Store) DeploymentClaimInfo(tx *relstore.Tx, id string) (systemID, name string, active bool, err error) {
-	row, err := tx.Peek(tableDeployments, id)
+	row, err := tx.Get(tableDeployments, id)
 	if err != nil {
 		return "", "", false, err
 	}
@@ -447,21 +446,21 @@ func (s *Store) PutExperiment(tx *relstore.Tx, e *Experiment) error {
 // ok is false when the evaluation or experiment is gone, or the row has
 // no budget column (caller applies its default).
 func (s *Store) AttemptBudget(tx *relstore.Tx, evaluationID string) (budget int64, ok bool, err error) {
-	expID, err := tx.GetValue(tableEvaluations, evaluationID, "experimentId")
+	ev, err := tx.Get(tableEvaluations, evaluationID)
 	if err != nil {
 		if err == relstore.ErrNotFound {
 			return 0, false, nil
 		}
 		return 0, false, err
 	}
-	v, err := tx.GetValue(tableExperiments, expID.(string), "maxAttempts")
+	exp, err := tx.Get(tableExperiments, ev["experimentId"].(string))
 	if err != nil {
 		if err == relstore.ErrNotFound {
 			return 0, false, nil
 		}
 		return 0, false, err
 	}
-	budget, ok = v.(int64)
+	budget, ok = exp["maxAttempts"].(int64)
 	return budget, ok, nil
 }
 
@@ -626,12 +625,12 @@ func (s *Store) PutJob(tx *relstore.Tx, j *Job) error {
 
 // putJobRow writes r as the job's row.
 func (s *Store) putJobRow(tx *relstore.Tx, r *jobRow) error {
-	return tx.PutOwned(tableJobs, r.row())
+	return tx.Put(tableJobs, r.row())
 }
 
 // readJob reads a job's columns, decoding nothing.
 func (s *Store) readJob(tx *relstore.Tx, id string) (*jobRow, error) {
-	row, err := tx.Peek(tableJobs, id)
+	row, err := tx.Get(tableJobs, id)
 	if err != nil {
 		return nil, err
 	}
@@ -707,7 +706,7 @@ func (s *Store) PutResult(tx *relstore.Tx, r *Result) error {
 		row["archive"] = r.Archive
 	}
 	setNonZero(row, "uploaded", r.Uploaded)
-	return tx.PutOwned(tableResults, row)
+	return tx.Put(tableResults, row)
 }
 
 // resultOf is the result a results row's columns hold.
@@ -720,7 +719,7 @@ func resultOf(row relstore.Row, r *Result) {
 
 // GetResult loads the result of a job.
 func (s *Store) GetResult(tx *relstore.Tx, jobID string) (*Result, error) {
-	row, err := tx.Peek(tableResults, jobID)
+	row, err := tx.Get(tableResults, jobID)
 	if err != nil {
 		return nil, err
 	}
@@ -737,7 +736,7 @@ func (s *Store) AppendLog(tx *relstore.Tx, c *LogChunk) error {
 	row := relstore.Row{"id": id, "jobId": c.JobID, "seq": c.Seq}
 	setNonZero(row, "text", c.Text)
 	setNonZero(row, "time", c.Time)
-	return tx.PutOwned(tableLogs, row)
+	return tx.Put(tableLogs, row)
 }
 
 // logOf is the from of the logs table: the chunk its columns hold.
@@ -769,7 +768,7 @@ func (s *Store) PutEvent(tx *relstore.Tx, e *Event) error {
 		"kind":  string(e.Kind),
 	}
 	setNonZero(row, "message", e.Message)
-	return tx.PutOwned(tableEvents, row)
+	return tx.Put(tableEvents, row)
 }
 
 // eventFromRow is the event an events row's scalar columns hold.

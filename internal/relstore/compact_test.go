@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"sync"
@@ -157,6 +158,7 @@ func TestSnapshotIsAnExactCut(t *testing.T) {
 					if err != nil {
 						return err
 					}
+					row = maps.Clone(row)
 					row["age"] = row["age"].(int64) + 1
 					return tx.Put("users", row)
 				})

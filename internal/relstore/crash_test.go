@@ -178,9 +178,9 @@ func verifyRecovery(t *testing.T, dir string, cutBytes int64, acked int) {
 			return nil // even CreateTable was torn away
 		}
 		seq = db.tables["t"].seq
-		v, err := tx.GetValue("t", "latest", "v")
+		row, err := tx.Get("t", "latest")
 		if err == nil {
-			recovered = int(v.(int64)) + 1
+			recovered = int(row["v"].(int64)) + 1
 		}
 		return nil
 	})

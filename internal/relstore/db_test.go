@@ -491,9 +491,6 @@ func TestReadOnlyTxRejectsWrites(t *testing.T) {
 		if err := tx.Put("users", userRow("u", "x", 1)); err == nil {
 			t.Error("Put allowed in View")
 		}
-		if err := tx.PutOwned("users", userRow("u", "x", 1)); err == nil {
-			t.Error("PutOwned allowed in View")
-		}
 		if _, err := tx.NextSeq("users"); err == nil {
 			t.Error("NextSeq allowed in View")
 		}

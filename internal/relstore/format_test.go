@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -415,6 +416,65 @@ func TestReadSnapshotLyingLengthAllocatesLittle(t *testing.T) {
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 			t.Errorf("lying %s: refusing a %d-byte snapshot allocated %d bytes", name, len(file), got)
+		}
+	}
+}
+
+// snapshotTableTwice is a snapshot, written by writeSnapshot, that
+// names table "users" twice, each time with a different row.
+func snapshotTableTwice(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeSnapshot(&buf, []tableClone{
+		{schema: usersSchema(), seq: 1, rows: map[string]Row{"u1": userRow("u1", "ada", 36)}},
+		{schema: usersSchema(), seq: 2, rows: map[string]Row{"u2": userRow("u2", "bob", 41)}},
+	}, 1); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// snapshotRowTwice is a snapshot of table "users" whose two rows, encoded
+// by hand through the rowcodec, carry the same id.
+func snapshotRowTwice(t testing.TB) []byte {
+	t.Helper()
+	schema, err := json.Marshal(usersSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := binary.AppendUvarint([]byte(snapshotMagic), 1) // walSeq
+	b = binary.AppendUvarint(b, 1)                      // one table
+	b = binary.AppendUvarint(b, uint64(len(schema)))
+	b = append(b, schema...)
+	b = binary.AppendUvarint(b, 1) // seq
+	b = binary.AppendUvarint(b, 2) // two rows
+	codec := newRowCodec(usersSchema())
+	for _, age := range []int64{36, 37} {
+		row, err := codec.appendRow(nil, userRow("u1", "ada", age))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = binary.AppendUvarint(b, uint64(len(row)))
+		b = append(b, row...)
+	}
+	return b
+}
+
+// TestSnapshotRepeatRefused: writeSnapshot names each table and each
+// row once, so a snapshot that repeats either — from disk at Open, or
+// from a leader in FollowerReinit — is corrupt, and the repeat must not
+// silently replace what came before it.
+func TestSnapshotRepeatRefused(t *testing.T) {
+	for _, tc := range []struct {
+		file []byte
+		want string
+	}{
+		{snapshotTableTwice(t), `table "users" appears twice`},
+		{snapshotRowTwice(t), `row "u1" appears twice`},
+	} {
+		_, _, err := readSnapshot(bytes.NewReader(tc.file))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("want %q, got err = %v", tc.want, err)
 		}
 	}
 }

@@ -283,9 +283,9 @@ func runWriter(db *relstore.DB, w int, opt Options, started, acked *atomic.Int64
 				// Read-modify-write on the shared counter: lost updates
 				// here mean two writers' callbacks interleaved.
 				var n int64
-				switch v, err := tx.GetValue(tbl, "counter", "n"); {
+				switch row, err := tx.Get(tbl, "counter"); {
 				case err == nil:
-					n = v.(int64)
+					n = row["n"].(int64)
 				case errors.Is(err, relstore.ErrNotFound):
 				default:
 					return err
@@ -337,18 +337,12 @@ func observe(db *relstore.DB, w int, opt Options, started, acked *atomic.Int64) 
 	}
 	err := db.View(func(tx *relstore.Tx) error {
 		for i, tbl := range tables {
-			switch v, err := tx.GetValue(tbl, rowID, "seq"); {
+			switch row, err := tx.Get(tbl, rowID); {
 			case err == nil:
-				if v != nil {
-					obs.Seqs[i] = v.(int64)
+				if v, ok := row["seq"].(int64); ok {
+					obs.Seqs[i] = v
 				}
-			case errors.Is(err, relstore.ErrNotFound):
-			default:
-				return err
-			}
-			switch v, err := tx.GetValue(tbl, rowID, "aborted"); {
-			case err == nil:
-				if b, ok := v.(bool); ok && b {
+				if b, _ := row["aborted"].(bool); b {
 					obs.Aborted = true
 				}
 			case errors.Is(err, relstore.ErrNotFound):
@@ -435,11 +429,11 @@ func FinalCheck(db *relstore.DB, o Options) error {
 			}
 		}
 		for tbl, want := range wantCounter {
-			v, err := tx.GetValue(tbl, "counter", "n")
+			row, err := tx.Get(tbl, "counter")
 			if err != nil {
 				return fmt.Errorf("isocheck: final state: counter in %s: %w", tbl, err)
 			}
-			if got := v.(int64); got != want {
+			if got := row["n"].(int64); got != want {
 				return fmt.Errorf("isocheck: lost update: counter in %s is %d, want %d", tbl, got, want)
 			}
 		}

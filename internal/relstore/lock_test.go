@@ -126,9 +126,9 @@ func TestViewIsOneCut(t *testing.T) {
 				tbl string
 				out *int64
 			}{{"aa", &a}, {"bb", &b}} {
-				switch v, err := tx.GetValue(p.tbl, "k", "age"); {
+				switch row, err := tx.Get(p.tbl, "k"); {
 				case err == nil:
-					*p.out = v.(int64)
+					*p.out = row["age"].(int64)
 				case errors.Is(err, ErrNotFound):
 				default:
 					return err

@@ -471,9 +471,10 @@ func TestIndexedLimitAllocsScaleFree(t *testing.T) {
 	if large > small {
 		t.Fatalf("Limit(1) allocs grow with table size: %v at 100 rows vs %v at 20k rows", small, large)
 	}
-	// The absolute budget: tx + query bookkeeping + one clone. The exact
-	// number is implementation detail; 25 is an order-of-magnitude guard
-	// against reintroducing full-candidate materialisation.
+	// The absolute budget: tx + query bookkeeping + the result slice.
+	// The exact number is implementation detail; 25 is an
+	// order-of-magnitude guard against reintroducing full-candidate
+	// materialisation.
 	if large > 25 {
 		t.Fatalf("Limit(1) indexed select allocates %v times, budget 25", large)
 	}

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 	"time"
@@ -231,6 +232,7 @@ func TestRangeUnorderedColumnFallsBack(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			r = maps.Clone(r)
 			r["note"] = fmt.Sprintf("n%02d", i)
 			if err := tx.Put("jobs", r); err != nil {
 				return err

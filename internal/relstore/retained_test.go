@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -148,4 +149,79 @@ func TestRetainedBytesOutliveTheView(t *testing.T) {
 	shipAll(t, leader, follower)
 	stop()
 	wantGeneration(t, follower, 6)
+}
+
+// TestRetainedRowIsThePutRow pins the ownership rule: a row goes in and
+// comes out as stored. The map a committed Put was handed is the map
+// Get, Select and SelectFunc return in a later View, and an update Puts
+// a fresh map, so a row held from before keeps its old values.
+func TestRetainedRowIsThePutRow(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) *DB
+	}{
+		{"memory", func(t *testing.T) *DB {
+			db := OpenMemory()
+			t.Cleanup(func() { db.Close() })
+			return db
+		}},
+		{"durable", func(t *testing.T) *DB { return openLeader(t, t.TempDir()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := tc.open(t)
+			if err := db.CreateTable(blobSchema()); err != nil {
+				t.Fatal(err)
+			}
+			put := Row{"id": "b", "data": []byte("first")}
+			if err := db.Update(func(tx *Tx) error { return tx.Put("blobs", put) }); err != nil {
+				t.Fatal(err)
+			}
+			same := func(how string, got Row) {
+				t.Helper()
+				if reflect.ValueOf(got).UnsafePointer() != reflect.ValueOf(put).UnsafePointer() {
+					t.Errorf("%s returned another map than the one Put was handed", how)
+				}
+			}
+			var held Row
+			if err := db.View(func(tx *Tx) error {
+				var err error
+				if held, err = tx.Get("blobs", "b"); err != nil {
+					return err
+				}
+				same("Get", held)
+				rows, err := tx.Select("blobs", NewQuery())
+				if err != nil {
+					return err
+				}
+				if len(rows) != 1 {
+					return fmt.Errorf("Select returned %d rows, want 1", len(rows))
+				}
+				same("Select", rows[0])
+				return tx.SelectFunc("blobs", NewQuery(), func(row Row) bool {
+					same("SelectFunc", row)
+					return true
+				})
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			if err := db.Update(func(tx *Tx) error {
+				return tx.Put("blobs", Row{"id": "b", "data": []byte("second")})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got := string(held["data"].([]byte)); got != "first" {
+				t.Errorf("held row reads %q after the update, want %q", got, "first")
+			}
+			if err := db.View(func(tx *Tx) error {
+				row, err := tx.Get("blobs", "b")
+				if err == nil && string(row["data"].([]byte)) != "second" {
+					err = fmt.Errorf("stored row reads %q, want %q", row["data"], "second")
+				}
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

@@ -197,7 +197,11 @@
 //     follower across later applies and a re-bootstrap. So a multi-row
 //     read takes the bytes in the View and decodes them after it: the
 //     decode is most of its cost, and writers wait for none of it
-//     (TestRetainedBytesOutliveTheView).
+//     (TestRetainedBytesOutliveTheView). The caller's half: Get, Select
+//     and SelectFunc hand out the stored row, to read and keep but never
+//     to write to, nor to its []byte values. To change a row, copy it
+//     (maps.Clone) and Put the copy; Put keeps the map it is given
+//     (TestRetainedRowIsThePutRow).
 //   - A callback must not open another transaction on the same store: an
 //     Update inside any callback deadlocks, a View inside a View
 //     deadlocks whenever a writer queues between the two.
@@ -317,21 +321,6 @@ func (s *Schema) column(name string) (Column, bool) {
 // int64, string, bool, []byte or time.Time, matching the column
 // declaration.
 type Row map[string]any
-
-// Clone returns a deep copy of the row ([]byte payloads are copied).
-func (r Row) Clone() Row {
-	cp := make(Row, len(r))
-	for k, v := range r {
-		if b, ok := v.([]byte); ok {
-			nb := make([]byte, len(b))
-			copy(nb, b)
-			cp[k] = nb
-			continue
-		}
-		cp[k] = v
-	}
-	return cp
-}
 
 // validate checks the row against the schema: key present, all columns
 // declared, types correct, non-nullable columns present.

@@ -11,7 +11,10 @@ var ErrNotFound = fmt.Errorf("relstore: row not found")
 
 // Tx is a transaction handle passed to DB.Update and DB.View callbacks.
 // Read operations observe the committed state plus the transaction's own
-// buffered writes (read-your-writes). Tx must not escape the callback:
+// buffered writes (read-your-writes). Rows go in and come out as stored:
+// Get, Select and SelectFunc hand out the store's row, and Put keeps the
+// map it is handed (see "Committed values are immutable" in the package
+// doc). Tx must not escape the callback:
 // its operations take no lock of their own, they run under the store lock
 // Update or View holds around the callback.
 //
@@ -42,29 +45,13 @@ func (tx *Tx) table(name string) (*table, error) {
 	return t, nil
 }
 
-// Get returns a copy of the row with the given key, or ErrNotFound.
+// Get returns the row with the given key as the store holds it (the
+// transaction's pending row, if it wrote one), or ErrNotFound. The row
+// is read-only and may be kept beyond the transaction: committed rows are
+// immutable, an update replaces the map entry and never edits the old
+// Row. A caller that writes the row back copies it (maps.Clone) or builds
+// a fresh one, and may carry the old values into it.
 func (tx *Tx) Get(tableName, id string) (Row, error) {
-	if p, ok := tx.pending[pendingKey{tableName, id}]; ok {
-		return p.Clone(), nil
-	}
-	t, err := tx.table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	row, ok := t.rows[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return row.Clone(), nil
-}
-
-// Peek returns the row with the given key as the store holds it, or
-// ErrNotFound. Unlike Get it does not clone: the row and its values must
-// be treated as read-only, and may be kept beyond the transaction —
-// committed rows are immutable, an update replaces the map entry and
-// never mutates the old Row. A caller that writes the row back builds a
-// fresh one and may carry the old values into it.
-func (tx *Tx) Peek(tableName, id string) (Row, error) {
 	t, err := tx.table(tableName)
 	if err != nil {
 		return nil, err
@@ -76,59 +63,13 @@ func (tx *Tx) Peek(tableName, id string) (Row, error) {
 	return row, nil
 }
 
-// GetValue returns a single column of the row with the given key, or
-// ErrNotFound. Unlike Get it does not clone the row, so wide columns the
-// caller does not need (entity JSON blobs, say) cost nothing. The
-// returned value must be treated as read-only; callers that need a
-// mutable copy should use Get. (The value may outlive the transaction:
-// committed rows are immutable — an update replaces the map entry, it
-// never mutates the old Row.)
-func (tx *Tx) GetValue(tableName, id, col string) (any, error) {
-	t, err := tx.table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	row := tx.effectiveRow(t, tableName, id)
-	if row == nil {
-		return nil, ErrNotFound
-	}
-	v, ok := row[col]
-	if !ok {
-		if _, ok := t.schema.column(col); !ok {
-			return nil, fmt.Errorf("relstore: table %q has no column %q", tableName, col)
-		}
-		return nil, nil // nullable column, absent in this row
-	}
-	return v, nil
-}
-
 // Put inserts or replaces a row (upsert). The row must carry the key
-// column and validate against the schema.
+// column and validate against the schema. The store keeps the map it is
+// handed as the committed row: the caller must not write to it, or to
+// its []byte values, after the call.
 func (tx *Tx) Put(tableName string, row Row) error {
 	if !tx.writable {
 		return fmt.Errorf("relstore: Put in read-only transaction")
-	}
-	t, err := tx.table(tableName)
-	if err != nil {
-		return err
-	}
-	if err := t.schema.validate(row); err != nil {
-		return err
-	}
-	id := row[t.schema.Key].(string)
-	tx.buffer(tableName, id, row.Clone())
-	return nil
-}
-
-// PutOwned is Put without the defensive clone: ownership of row
-// transfers to the store, which will keep it as the committed row map.
-// The caller must not read or mutate row after the call. For rows built
-// locally just to be stored — the pattern of every entity writer in this
-// codebase — the clone is pure waste on the hot path; callers holding a
-// row they still need must use Put.
-func (tx *Tx) PutOwned(tableName string, row Row) error {
-	if !tx.writable {
-		return fmt.Errorf("relstore: PutOwned in read-only transaction")
 	}
 	t, err := tx.table(tableName)
 	if err != nil {
@@ -213,30 +154,29 @@ func (q *Query) Limit(n int) *Query {
 	return q
 }
 
-// Select returns copies of all rows matching the query, ordered by key
-// for determinism. With Limit set, the scan stops as soon as the limit
-// is reached instead of materialising the full candidate set.
+// Select returns the stored rows matching the query, ordered by key for
+// determinism: the rows SelectFunc streams, read-only like Get's. With
+// Limit set, the scan stops as soon as the limit is reached instead of
+// materialising the full candidate set.
 func (tx *Tx) Select(tableName string, q *Query) ([]Row, error) {
 	var out []Row
 	err := tx.scan(tableName, q, func(row Row) bool {
-		out = append(out, row.Clone())
+		out = append(out, row)
 		return true
 	})
 	return out, err
 }
 
 // SelectFunc streams matching rows to fn in key order, stopping early
-// when fn returns false. Unlike Select it does not clone: fn receives
-// the store's internal row (or the transaction's pending row) and must
-// not mutate it or its values. Those values may be kept read-only beyond
-// the transaction — no row is ever mutated once stored (see View); use
-// Select when a copy to mutate is needed.
+// when fn returns false. fn receives the stored row (or the
+// transaction's pending row), read-only like Get's, and may keep it
+// beyond the transaction.
 func (tx *Tx) SelectFunc(tableName string, q *Query, fn func(Row) bool) error {
 	return tx.scan(tableName, q, fn)
 }
 
-// Count returns the number of rows matching the query without cloning
-// or materialising them.
+// Count returns the number of rows matching the query without
+// materialising them.
 func (tx *Tx) Count(tableName string, q *Query) (int, error) {
 	n := 0
 	err := tx.scan(tableName, q, func(Row) bool { n++; return true })

@@ -597,7 +597,9 @@ func (db *DB) commitSnapshotTmp(tmp string) error {
 // encoded row); the buffer grows only as row bytes arrive, because the
 // file may come from a leader (FollowerReinit) and a length that lies
 // must cost what the input holds, not what it claims. A file that opens
-// with '{' is a JSON snapshot: ErrLegacyFormat.
+// with '{' is a JSON snapshot: ErrLegacyFormat. writeSnapshot names each
+// table and each row once, so a repeat is refused as corrupt rather than
+// left to replace what came before it.
 func readSnapshotFile(path string) (map[string]*table, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -607,7 +609,12 @@ func readSnapshotFile(path string) (map[string]*table, int64, error) {
 		return nil, 0, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 64<<10)
+	return readSnapshot(f)
+}
+
+// readSnapshot parses one snapshot from r; see readSnapshotFile.
+func readSnapshot(r io.Reader) (map[string]*table, int64, error) {
+	br := bufio.NewReaderSize(r, 64<<10)
 	var magic [len(snapshotMagic)]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != snapshotMagic {
 		if magic[0] == '{' {
@@ -641,6 +648,9 @@ func readSnapshotFile(path string) (map[string]*table, int64, error) {
 		if err := s.Check(); err != nil {
 			return nil, 0, fmt.Errorf("relstore: snapshot: %w", err)
 		}
+		if tables[s.Name] != nil {
+			return nil, 0, fmt.Errorf("relstore: snapshot: table %q appears twice", s.Name)
+		}
 		t := newTable(s)
 		seq, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -667,6 +677,9 @@ func readSnapshotFile(path string) (map[string]*table, int64, error) {
 			id, ok := row[s.Key].(string)
 			if !ok || id == "" {
 				return nil, 0, fmt.Errorf("relstore: snapshot: table %q row without string key", s.Name)
+			}
+			if _, dup := t.rows[id]; dup {
+				return nil, 0, fmt.Errorf("relstore: snapshot: table %q: row %q appears twice", s.Name, id)
 			}
 			t.applyPut(id, row)
 		}
