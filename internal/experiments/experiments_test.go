@@ -164,6 +164,16 @@ func TestE7APIVersioning(t *testing.T) {
 	if rep.Data["v2Defs"].(int) == 0 {
 		t.Fatalf("v2 claim missing definitions: %v", rep.Data)
 	}
+	// A log line plus progress is one request in either version.
+	for _, v := range []string{"v1", "v2"} {
+		if n := rep.Data[v+"UpdateRequests"].(int64); n != 1 {
+			t.Errorf("%s update took %d requests, want 1", v, n)
+		}
+	}
+	if !strings.Contains(rep.Data["v1Log"].(string), "v1 log staged onto progress") ||
+		!strings.Contains(rep.Data["v2Log"].(string), "v2 batched log+progress") {
+		t.Errorf("JobLogs: v1 %q, v2 %q; want each update's log", rep.Data["v1Log"], rep.Data["v2Log"])
+	}
 }
 
 func TestE8FailureRecovery(t *testing.T) {

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"chronos/internal/agent"
@@ -173,8 +176,11 @@ func E7APIVersioning() (*Report, error) {
 		return nil, err
 	}
 
-	v1 := client.NewClient(ts.URL, client.WithVersion("v1"))
-	v2 := client.NewClient(ts.URL, client.WithVersion("v2"))
+	// Each client counts the requests it sends, so the report states what
+	// each version's update took on the wire.
+	var sent1, sent2 countingTransport
+	v1 := client.NewClient(ts.URL, client.WithVersion("v1"), client.WithHTTPClient(&http.Client{Transport: &sent1}))
+	v2 := client.NewClient(ts.URL, client.WithVersion("v2"), client.WithHTTPClient(&http.Client{Transport: &sent2}))
 	for name, c := range map[string]*client.Client{"v1": v1, "v2": v2} {
 		pong, err := c.Ping()
 		if err != nil {
@@ -223,18 +229,31 @@ func E7APIVersioning() (*Report, error) {
 	rep.Printf("v1 claim -> job + %d inline parameter definitions (backwards compatible)", len(defs1))
 	rep.Printf("v2 claim -> job + %d inline parameter definitions (new feature)", len(defs2))
 
-	// v2 batch update; v1 equivalent takes two calls.
+	// A log line plus progress: v2 batches them in one update, v1's
+	// progress carries the log staged for it.
 	pct := int64(40)
+	before2 := sent2.n.Load()
 	if _, err := v2.BatchUpdate(j2.ID, &pct, "v2 batched log+progress\n"); err != nil {
 		return nil, err
 	}
-	if err := v1.AppendLog(j1.ID, "v1 separate log\n"); err != nil {
-		return nil, err
-	}
+	before1 := sent1.n.Load()
+	v1.StageLog(j1.ID, "v1 log staged onto progress\n")
 	if _, err := v1.Progress(j1.ID, 40); err != nil {
 		return nil, err
 	}
-	rep.Printf("v2 batch update: 1 request; v1 equivalent: 2 requests")
+	updates1, updates2 := sent1.n.Load()-before1, sent2.n.Load()-before2
+	rep.Printf("log + progress: v2 batch update %d request(s), v1 progress with staged log %d request(s)", updates2, updates1)
+	for key, j := range map[string]*core.Job{"v1Log": j1, "v2Log": j2} {
+		chunks, err := v2.JobLogs(j.ID)
+		if err != nil {
+			return nil, err
+		}
+		var text strings.Builder
+		for _, c := range chunks {
+			text.WriteString(c.Text)
+		}
+		rep.Data[key] = text.String()
+	}
 
 	// Both complete fine.
 	for _, pair := range []struct {
@@ -247,7 +266,17 @@ func E7APIVersioning() (*Report, error) {
 	}
 	rep.Data["v1Defs"] = len(defs1)
 	rep.Data["v2Defs"] = len(defs2)
+	rep.Data["v1UpdateRequests"] = updates1
+	rep.Data["v2UpdateRequests"] = updates2
 	return rep, nil
+}
+
+// countingTransport counts the HTTP requests a client sends.
+type countingTransport struct{ n atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
 }
 
 // discardLogger silences the REST access log in experiment runs.

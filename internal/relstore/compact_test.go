@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -276,5 +277,85 @@ func TestCompactionWaitsForEnqueuedCommit(t *testing.T) {
 	if n := len(tables["users"].rows); n != 2 || len(recs) != 0 {
 		t.Fatalf("snapshot holds %d, segment %d holds %d records: want the enqueued commit in the snapshot and nothing after the boundary",
 			n, boundary+1, len(recs))
+	}
+}
+
+// TestSnapshotBytesAreAFunctionOfState: a snapshot lists tables by name
+// and each table's rows in key order, so its bytes depend on the state
+// alone. Two stores that reach one state by different commit orders —
+// one inserts in key order, the other in a shuffled order and then
+// rewrites every row, moving it between index entries — write identical
+// snapshots, and a second compaction of the same state, with no commit
+// between, leaves the file as it was and cuts the same bytes again.
+func TestSnapshotBytesAreAFunctionOfState(t *testing.T) {
+	const n = 300
+	final := func(i int) Row { return userRow(fmt.Sprintf("u%04d", i), fmt.Sprintf("team-%d", i%7), int64(i)) }
+	build := func(order []int, detour bool) (*DB, []byte) {
+		db, err := Open(t.TempDir(), &Options{Sync: SyncBatched, CompactEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		if err := db.CreateTable(usersSchema(), fuzzSchema); err != nil {
+			t.Fatal(err)
+		}
+		put := func(rows ...Row) {
+			err := db.Update(func(tx *Tx) error {
+				for _, r := range rows {
+					if err := tx.Put("users", r); err != nil {
+						return err
+					}
+				}
+				return tx.Put("t", Row{"r": "last", "v": rows[len(rows)-1]["age"]})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, i := range order {
+			if detour {
+				put(userRow(fmt.Sprintf("u%04d", i), "detour", -1))
+			}
+		}
+		for _, i := range order {
+			put(final(i))
+		}
+		put(final(n - 1)) // both stores end on the same "t" row
+		if err := db.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := os.ReadFile(db.snapshotPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, snap
+	}
+	inOrder := make([]int, n)
+	for i := range inOrder {
+		inOrder[i] = i
+	}
+	shuffled := rand.New(rand.NewSource(1)).Perm(n)
+	_, a := build(inOrder, false)
+	db, b := build(shuffled, true)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("one state, two commit orders: snapshots of %d and %d bytes differ", len(a), len(b))
+	}
+
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := os.ReadFile(db.snapshotPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cut bytes.Buffer
+	db.mu.RLock()
+	err = writeSnapshot(&cut, cloneTables(db.tables), db.snapSeq.Load())
+	db.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, b) || !bytes.Equal(cut.Bytes(), b) {
+		t.Fatal("compacting the same state again gave different bytes")
 	}
 }

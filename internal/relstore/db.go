@@ -3,6 +3,7 @@ package relstore
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -266,9 +267,10 @@ func Open(dir string, opts *Options) (*DB, error) {
 		lock.release()
 		return nil, fmt.Errorf("%w (the directory holds a single-file store.wal)", ErrLegacyFormat)
 	}
-	snapSeq, err := db.loadSnapshot()
+	tables, snapSeq, err := readSnapshotFile(db.snapshotPath())
 	var maxSeq int64
 	if err == nil {
+		db.tables = tables
 		maxSeq, err = db.recoverSegments(snapSeq)
 	}
 	if err != nil {
@@ -773,11 +775,8 @@ func (db *DB) writeBatch(recs []walRecord) error {
 	}
 	db.walMu.Lock()
 	defer db.walMu.Unlock()
-	if db.closed {
-		return fmt.Errorf("relstore: store is closed")
-	}
-	if db.walErr != nil {
-		return fmt.Errorf("relstore: store failed a previous WAL write: %w", db.walErr)
+	if err := db.walUsableLocked(); err != nil {
+		return err
 	}
 	for _, rec := range recs {
 		if err := db.wal.append(rec); err != nil {
@@ -797,6 +796,27 @@ func (db *DB) writeBatch(recs []walRecord) error {
 		// the store (no writer to append to any more) but still
 		// acknowledges this commit.
 		db.rotateLocked()
+	}
+	return nil
+}
+
+// errClosed is the error of every WAL operation on a closed store.
+var errClosed = errors.New("relstore: store is closed")
+
+// walUsableLocked reports why the WAL cannot take bytes, nil when it can:
+// the store is closed; a previous WAL write failed, so the in-memory state
+// may hold a transaction whose Update returned an error, and logging or
+// snapshotting past it would make that failed commit durable; or a
+// follower is mid re-bootstrap, with no active segment. Caller holds
+// walMu.
+func (db *DB) walUsableLocked() error {
+	switch {
+	case db.closed:
+		return errClosed
+	case db.walErr != nil:
+		return fmt.Errorf("relstore: store failed a previous WAL write: %w", db.walErr)
+	case db.wal == nil:
+		return errors.New("relstore: store is re-initialising")
 	}
 	return nil
 }
@@ -904,7 +924,9 @@ func (db *DB) WaitCompaction() {
 // open), with db.mu held; nothing takes db.mu with walMu held, and the
 // group leader that writes the awaited batch needs only group.mu and
 // walMu, so the wait cannot block on this goroutine. Writers stall for at
-// most one group commit plus the rotation, once per cycle.
+// most one group commit, the rotation and the clone, once per cycle; the
+// clone copies one pointer per stored row, so that part grows with the
+// store.
 func (db *DB) sealAndClone() (clones []tableClone, boundary int64, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -916,18 +938,9 @@ func (db *DB) sealAndClone() (clones []tableClone, boundary int64, err error) {
 	}
 
 	db.walMu.Lock()
-	if db.closed {
+	if err := db.walUsableLocked(); err != nil {
 		db.walMu.Unlock()
-		return nil, 0, fmt.Errorf("relstore: store is closed")
-	}
-	if db.walErr != nil {
-		err := db.walErr
-		db.walMu.Unlock()
-		// The in-memory state may contain a transaction whose Update
-		// returned an error. Snapshotting it (and deleting segments)
-		// would silently make that failed commit durable, so a poisoned
-		// store refuses to compact.
-		return nil, 0, fmt.Errorf("relstore: store failed a previous WAL write: %w", err)
+		return nil, 0, err
 	}
 	if !db.opts.Follower && db.wal.size > 0 {
 		// Followers never rotate: their segment numbering mirrors the
@@ -946,7 +959,7 @@ func (db *DB) sealAndClone() (clones []tableClone, boundary int64, err error) {
 	if boundary <= db.snapSeq.Load() {
 		return nil, boundary, nil
 	}
-	return db.cloneStateLocked(), boundary, nil
+	return cloneTables(db.tables), boundary, nil
 }
 
 // compactCycle is one snapshot+delete round:
@@ -954,8 +967,9 @@ func (db *DB) sealAndClone() (clones []tableClone, boundary int64, err error) {
 //  1. Cut (sealAndClone): with the store locked shared, wait out the
 //     commits still on their way to disk, rotate so every record so far
 //     lives in a sealed segment — the boundary is the sealed segment with
-//     the highest number — and clone the table maps. The clone is exactly
-//     the contents of segments <= boundary.
+//     the highest number — and cut each table's rows into a slice in key
+//     order (cloneTables). The clone is exactly the contents of segments
+//     <= boundary.
 //  2. Encode and write the snapshot outside all locks. Commits proceed in
 //     parallel, into segments above the boundary.
 //  3. Fsync + rename the snapshot (the commit point), then delete the
@@ -985,8 +999,7 @@ func (db *DB) compactCycle() error {
 	// Stream the snapshot into the temp file: memory stays O(one encoded
 	// row) instead of the whole marshalled store.
 	tmp := db.snapshotPath() + ".tmp"
-	if err := writeSnapshotTmp(tmp, clones, boundary); err != nil {
-		os.Remove(tmp)
+	if err := writeFileSync(tmp, func(w io.Writer) error { return writeSnapshot(w, clones, boundary) }); err != nil {
 		return err
 	}
 
@@ -995,19 +1008,13 @@ func (db *DB) compactCycle() error {
 	// could orphan that owner's segments. A poisoned store refuses to
 	// compact whatever the clone holds.
 	db.walMu.Lock()
-	closed, werr := db.closed, db.walErr
+	err = db.walUsableLocked()
 	db.walMu.Unlock()
-	if werr != nil {
+	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("relstore: store failed a previous WAL write: %w", werr)
+		return err
 	}
-	if closed {
-		os.Remove(tmp)
-		return fmt.Errorf("relstore: store closed during compaction")
-	}
-
-	if err := db.commitSnapshotTmp(tmp); err != nil {
-		os.Remove(tmp)
+	if err := installFile(tmp, db.snapshotPath()); err != nil {
 		return err
 	}
 	db.snapSeq.Store(boundary)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -426,8 +427,8 @@ func snapshotTableTwice(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := writeSnapshot(&buf, []tableClone{
-		{schema: usersSchema(), seq: 1, rows: map[string]Row{"u1": userRow("u1", "ada", 36)}},
-		{schema: usersSchema(), seq: 2, rows: map[string]Row{"u2": userRow("u2", "bob", 41)}},
+		{schema: usersSchema(), seq: 1, rows: []Row{userRow("u1", "ada", 36)}},
+		{schema: usersSchema(), seq: 2, rows: []Row{userRow("u2", "bob", 41)}},
 	}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -486,16 +487,16 @@ func snapshotMemFixture(dataBytes, blobSize int) []tableClone {
 		{Name: "id", Type: TString},
 		{Name: "data", Type: TBytes},
 	}}
-	rows := make(map[string]Row)
+	var rows []Row
 	for off := 0; off < dataBytes; off += blobSize {
 		blob := make([]byte, blobSize)
 		for i := range blob {
 			blob[i] = byte(i + off)
 		}
-		rows[fmt.Sprintf("row-%06d", off/blobSize)] = Row{
+		rows = append(rows, Row{
 			"id":   fmt.Sprintf("row-%06d", off/blobSize),
 			"data": blob,
-		}
+		})
 	}
 	return []tableClone{{schema: s, seq: 1, rows: rows}}
 }
@@ -511,7 +512,7 @@ func TestSnapshotReadMemoryBounded(t *testing.T) {
 	const data = 16 << 20
 	clones := snapshotMemFixture(data, 256<<10)
 	path := filepath.Join(t.TempDir(), "store.snapshot")
-	if err := writeSnapshotTmp(path, clones, 1); err != nil {
+	if err := writeFileSync(path, func(w io.Writer) error { return writeSnapshot(w, clones, 1) }); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats

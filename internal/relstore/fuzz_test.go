@@ -172,8 +172,11 @@ func TestReadWALChecksumCatchesEveryBitFlip(t *testing.T) {
 // what Open finds on disk:
 //
 //   - it never panics;
-//   - a snapshot it accepts, written back through writeSnapshot, reads
-//     back to equal tables (same schemas, sequences and rows).
+//   - a snapshot it accepts, cut as the compactor cuts it (cloneTables)
+//     and written back through writeSnapshot, reads back to equal tables
+//     (same schemas, sequences and rows);
+//   - the encoding is canonical: writing the re-read state gives the
+//     same bytes as the first write.
 func FuzzReadSnapshot(f *testing.F) {
 	// The committed corpus (testdata/fuzz/FuzzReadSnapshot) holds a valid
 	// two-table snapshot, snapshotTableTwice and a row length that lies.
@@ -185,17 +188,21 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var clones []tableClone
-		for _, tb := range tables {
-			clones = append(clones, tableClone{schema: tb.schema, seq: tb.seq, rows: tb.rows})
-		}
 		var out bytes.Buffer
-		if err := writeSnapshot(&out, clones, walSeq); err != nil {
+		if err := writeSnapshot(&out, cloneTables(tables), walSeq); err != nil {
 			t.Fatalf("accepted snapshot does not write back: %v", err)
 		}
-		again, walSeq2, err := readSnapshot(&out)
+		first := out.Bytes()
+		again, walSeq2, err := readSnapshot(bytes.NewReader(first))
 		if err != nil {
 			t.Fatalf("written-back snapshot refused: %v", err)
+		}
+		var second bytes.Buffer
+		if err := writeSnapshot(&second, cloneTables(again), walSeq2); err != nil {
+			t.Fatalf("re-read snapshot does not write back: %v", err)
+		}
+		if !bytes.Equal(second.Bytes(), first) {
+			t.Fatal("the re-read state wrote different bytes: the encoding is not canonical")
 		}
 		if walSeq2 != walSeq || len(again) != len(tables) {
 			t.Fatalf("read back walSeq %d with %d tables, want %d with %d", walSeq2, len(again), walSeq, len(tables))

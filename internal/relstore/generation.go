@@ -41,6 +41,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -111,38 +112,22 @@ func loadGeneration(dir string) (Generation, bool) {
 	return Generation{StoreID: g.ID, Epoch: g.Epoch}, true
 }
 
-// writeGeneration durably replaces dir's store.gen (write temp, fsync,
-// rename, fsync dir — a crash leaves either the old or the new file).
+// writeGeneration durably replaces dir's store.gen: a crash leaves
+// either the old or the new file.
 func writeGeneration(dir string, g Generation) error {
 	data, err := json.Marshal(genFile{ID: g.StoreID, Epoch: g.Epoch})
 	if err != nil {
 		return err
 	}
 	path := filepath.Join(dir, generationFile)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	err = writeFileSync(path+".tmp", func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
+	return installFile(path+".tmp", path)
 }
 
 // initGeneration establishes the store's generation at Open time, after
@@ -183,7 +168,7 @@ func (db *DB) ReadPosition() (gen Generation, pos Position, ok bool) {
 	if db.opts.Follower {
 		return db.gen, db.applied, db.gen.StoreID != ""
 	}
-	if db.dir == "" || db.closed || db.walErr != nil || db.wal == nil {
+	if db.dir == "" || db.walUsableLocked() != nil {
 		return db.gen, Position{}, false
 	}
 	return db.gen, Position{Seq: db.walSeq, Off: db.wal.size}, true
@@ -247,7 +232,7 @@ func (db *DB) WaitFollowerApplied(ctx context.Context, pos Position) error {
 			return nil
 		}
 		if closed {
-			return errors.New("relstore: store is closed")
+			return errClosed
 		}
 		select {
 		case <-ctx.Done():

@@ -20,7 +20,6 @@ package relstore
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -60,16 +59,8 @@ func (db *DB) ShipPosition() (ShipPosition, <-chan struct{}, error) {
 	}
 	db.walMu.Lock()
 	defer db.walMu.Unlock()
-	if db.closed {
-		return ShipPosition{}, nil, errors.New("relstore: store is closed")
-	}
-	if db.walErr != nil {
-		return ShipPosition{}, nil, fmt.Errorf("relstore: store failed a previous WAL write: %w", db.walErr)
-	}
-	if db.wal == nil {
-		// A follower mid-FollowerReinit: there is no active segment to
-		// ship from at this instant.
-		return ShipPosition{}, nil, errors.New("relstore: store is re-initialising")
+	if err := db.walUsableLocked(); err != nil {
+		return ShipPosition{}, nil, err
 	}
 	pos := ShipPosition{WALSeq: db.walSeq, Durable: db.wal.size, SnapshotSeq: db.snapSeq.Load(), Generation: db.gen}
 	return pos, db.walNotify, nil
@@ -138,18 +129,9 @@ func (db *DB) FollowerApply(data []byte) (int64, error) {
 	recs, n, rerr := readWAL(data)
 	if len(recs) > 0 {
 		db.walMu.Lock()
-		if db.closed {
+		if err := db.walUsableLocked(); err != nil {
 			db.walMu.Unlock()
-			return 0, errors.New("relstore: store is closed")
-		}
-		if db.walErr != nil {
-			err := db.walErr
-			db.walMu.Unlock()
-			return 0, fmt.Errorf("relstore: store failed a previous WAL write: %w", err)
-		}
-		if db.wal == nil {
-			db.walMu.Unlock()
-			return 0, errors.New("relstore: store is re-initialising")
+			return 0, err
 		}
 		if err := db.wal.appendRaw(data[:n]); err != nil {
 			err = db.poisonLocked(err)
@@ -211,14 +193,8 @@ func (db *DB) FollowerAdvanceSegment() error {
 	}
 	db.walMu.Lock()
 	defer db.walMu.Unlock()
-	if db.closed {
-		return errors.New("relstore: store is closed")
-	}
-	if db.walErr != nil {
-		return fmt.Errorf("relstore: store failed a previous WAL write: %w", db.walErr)
-	}
-	if db.wal == nil {
-		return errors.New("relstore: store is re-initialising")
+	if err := db.walUsableLocked(); err != nil {
+		return err
 	}
 	if err := db.rotateLocked(); err != nil {
 		return err
@@ -238,7 +214,9 @@ func (db *DB) FollowerAdvanceSegment() error {
 // away, and it clears a poisoned WAL state: the old history is being
 // replaced wholesale. The *DB stays valid throughout, so read traffic
 // keeps being served (from the old state until the swap, the new state
-// after).
+// after). The stream is parsed as it is written to disk, in one pass; a
+// snapshot the parser refuses is never installed, and leaves the store
+// poisoned, still serving its old tables, until a Reinit succeeds.
 func (db *DB) FollowerReinit(snapshot io.Reader) error {
 	if !db.opts.Follower {
 		return errors.New("relstore: FollowerReinit on a store not opened in follower mode")
@@ -252,8 +230,10 @@ func (db *DB) FollowerReinit(snapshot io.Reader) error {
 
 	db.walMu.Lock()
 	if db.closed {
+		// The one guard of walUsableLocked that applies: re-initialising
+		// is what clears a poisoned or writer-less WAL.
 		db.walMu.Unlock()
-		return errors.New("relstore: store is closed")
+		return errClosed
 	}
 	if db.wal != nil {
 		// The segment's contents are about to be deleted; a flush error
@@ -298,14 +278,21 @@ func (db *DB) FollowerReinit(snapshot io.Reader) error {
 	if err := syncDir(db.dir); err != nil {
 		return db.reinitFailed(err)
 	}
+	tables, snapSeq := make(map[string]*table), int64(0)
 	if snapshot != nil {
+		// Parse the stream as it lands in the temp file, and install the
+		// file only once it has parsed: the snapshot is read once, and a
+		// refused one never takes the snapshot's place (an old snapshot
+		// stays, with no segments: the old-history prefix above).
 		tmp := db.snapshotPath() + ".tmp"
-		if err := copyToFileSync(tmp, snapshot); err != nil {
-			os.Remove(tmp)
-			return db.reinitFailed(err)
+		err := writeFileSync(tmp, func(w io.Writer) (err error) {
+			tables, snapSeq, err = readSnapshot(io.TeeReader(snapshot, w))
+			return err
+		})
+		if err == nil {
+			err = installFile(tmp, db.snapshotPath())
 		}
-		if err := db.commitSnapshotTmp(tmp); err != nil {
-			os.Remove(tmp)
+		if err != nil {
 			return db.reinitFailed(err)
 		}
 	} else {
@@ -317,13 +304,7 @@ func (db *DB) FollowerReinit(snapshot io.Reader) error {
 		}
 	}
 
-	// Load the new state outside every lock, then swap it in.
-	tables, snapSeq, err := readSnapshotFile(db.snapshotPath())
-	if err != nil {
-		// A corrupt shipped snapshot must not survive to the next open.
-		os.Remove(db.snapshotPath())
-		return db.reinitFailed(err)
-	}
+	// The new state was loaded outside every lock; swap it in.
 	w, err := openSegment(filepath.Join(db.dir, segmentName(snapSeq+1)), db.opts.Sync == SyncEveryCommit, db.opts.fileHook)
 	if err != nil {
 		return db.reinitFailed(err)
@@ -388,22 +369,4 @@ func (db *DB) reinitFailed(err error) error {
 	db.poisonLocked(err)
 	db.walMu.Unlock()
 	return err
-}
-
-// copyToFileSync streams r into a freshly truncated file at path and
-// fsyncs it.
-func copyToFileSync(path string, r io.Reader) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(f, r); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -334,6 +334,55 @@ func TestFollowerReinitFromSnapshot(t *testing.T) {
 	}
 }
 
+// TestRefusedSnapshotIsNeverInstalled: FollowerReinit parses the shipped
+// stream as it lands and renames it into place only once it parsed. A
+// stream cut short is refused: the follower's snapshot file stays the
+// one it had, no temp file is left, the tables it serves stay, and the
+// store is poisoned until a Reinit from a sound snapshot clears it.
+func TestRefusedSnapshotIsNeverInstalled(t *testing.T) {
+	leader := openLeader(t, t.TempDir())
+	if err := leader.CreateTable(replTestSchema()); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 50; i++ {
+		putKV(t, leader, fmt.Sprintf("k%02d", i), i)
+	}
+	if err := leader.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(leader.SnapshotFilePath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := openFollower(t, t.TempDir())
+	if err := follower.FollowerReinit(bytes.NewReader(snap)); err != nil {
+		t.Fatal(err)
+	}
+	state := dumpState(follower)
+
+	if err := follower.FollowerReinit(bytes.NewReader(snap[:len(snap)-3])); err == nil {
+		t.Fatal("a truncated snapshot was accepted")
+	}
+	if got, err := os.ReadFile(follower.SnapshotFilePath()); err != nil || !bytes.Equal(got, snap) {
+		t.Fatalf("the refused snapshot replaced the installed one (err %v)", err)
+	}
+	if _, err := os.Stat(follower.SnapshotFilePath() + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
+	}
+	if !reflect.DeepEqual(dumpState(follower), state) {
+		t.Fatal("the refused snapshot changed the tables the follower serves")
+	}
+	if _, err := follower.FollowerApply(frameCreate(t, fuzzSchema)); !errors.Is(err, ErrWALFailed) {
+		t.Fatalf("FollowerApply after a refused snapshot: %v, want ErrWALFailed", err)
+	}
+	if err := follower.FollowerReinit(bytes.NewReader(snap)); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dumpState(follower), state) {
+		t.Fatal("re-bootstrap after a refused snapshot diverged")
+	}
+}
+
 // TestFollowerApplyRecordIsAllOrNothing: a shipped record that cannot
 // apply installs none of its ops. The frame holds two puts; the second
 // row carries its table's schema hash but names an undeclared column.

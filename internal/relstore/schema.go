@@ -22,13 +22,16 @@
 // read lock it waits for the last enqueued group-commit batch (batches
 // are written in enqueue order, so every commit applied so far is then
 // durably logged), rotates so the boundary falls between segments and
-// shallow-clones the table maps — the clone is exactly the sealed
-// segments' contents, which a follower bootstrapping from the snapshot
-// relies on — then marshals the snapshot outside every lock, atomically
-// installs it (recording the boundary segment number in its walSeq
-// field) and deletes only the sealed segments it covers. Commits
-// therefore never wait on snapshot serialisation or truncation; they
-// wait for the cut, one group commit and the O(1) rotation, once a cycle.
+// takes each table's rows as a slice in key order — the clone is exactly
+// the sealed segments' contents, which a follower bootstrapping from the
+// snapshot relies on — then marshals the snapshot outside every lock, in
+// that order (so one state always writes the same bytes, and a reload
+// appends every key), atomically installs it (recording the boundary
+// segment number in its walSeq field) and deletes only the sealed
+// segments it covers. Commits therefore never wait on snapshot
+// serialisation or truncation; they wait for the cut once a cycle: one
+// group commit, the O(1) rotation and the clone, one pointer copy per
+// stored row.
 //
 // Recovery loads the snapshot, then replays segments walSeq+1..N in
 // order — the walSeq recorded in the snapshot makes the live-segment

@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -196,6 +198,41 @@ func syncDir(dir string) error {
 		err = cerr
 	}
 	return err
+}
+
+// writeFileSync creates path and has write fill it, then fsyncs and
+// closes it: once it returns nil the bytes are on stable storage. On any
+// error the file is removed. installFile puts it in place.
+func writeFileSync(path string, write func(io.Writer) error) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
+}
+
+// installFile atomically replaces dst with tmp, a file writeFileSync
+// made durable, and fsyncs the directory: a crash leaves either the old
+// file or the new one, and the rename is durable before the caller acts
+// on it (deleting the segments a snapshot covers, say — power loss could
+// otherwise persist the deletes but not the rename). A failed rename
+// removes tmp.
+func installFile(tmp, dst string) error {
+	if err := os.Rename(tmp, dst); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(dst))
 }
 
 // FrameHeaderSize is the byte length of a WAL frame header.
@@ -459,34 +496,30 @@ func (db *DB) recoverSegments(snapSeq int64) (int64, error) {
 	return maxSeq, nil
 }
 
-// tableClone is a shallow, immutable copy of one table's state: the rows
-// map is copied (O(rows) pointer copies) but the Row values are shared —
-// safe because committed rows are never mutated in place (Put stores a
-// fresh clone; applyPut replaces the map entry).
+// tableClone is one table's state at a compaction cut: its committed rows
+// in key order. The Row values are shared, not copied — safe because
+// committed rows are never mutated in place (a commit replaces the row).
 type tableClone struct {
 	schema Schema
 	seq    int64
-	rows   map[string]Row
+	rows   []Row
 }
 
-// cloneStateLocked captures a snapshot of the in-memory tables. The caller
-// holds db.mu (shared is enough), so no commit is ever seen half-applied.
-// Tables are cloned in name order, which is the order the snapshot lists
-// them in.
-func (db *DB) cloneStateLocked() []tableClone {
-	names := make([]string, 0, len(db.tables))
-	for name := range db.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	clones := make([]tableClone, 0, len(names))
-	for _, name := range names {
-		t := db.tables[name]
-		rows := make(map[string]Row, len(t.rows))
-		for id, row := range t.rows {
-			rows[id] = row
+// cloneTables cuts tables for a snapshot: in name order, which is the
+// order the snapshot lists them in, and each table's rows in key order.
+// t.keys is add-only (applyPut is its one mutation), so it is exactly
+// the sorted key set. The caller holds db.mu (shared is enough), so no
+// commit is ever seen half-applied; the cost is one pointer copy per row.
+func cloneTables(tables map[string]*table) []tableClone {
+	names := slices.Sorted(maps.Keys(tables))
+	clones := make([]tableClone, len(names))
+	for i, name := range names {
+		t := tables[name]
+		rows := make([]Row, len(t.keys.ids))
+		for j, id := range t.keys.ids {
+			rows[j] = t.rows[id]
 		}
-		clones = append(clones, tableClone{schema: t.schema, seq: t.seq, rows: rows})
+		clones[i] = tableClone{schema: t.schema, seq: t.seq, rows: rows}
 	}
 	return clones
 }
@@ -506,10 +539,11 @@ const snapshotMagic = "CHRSNAP2"
 //	  per row: uvarint length, row (rowcodec; the key lives in its
 //	  key column, so rows need no separate id field)
 //
-// Memory stays O(one encoded row): each row is encoded into a reused
-// buffer and copied straight into the buffered writer. The same encoder
-// backs both compaction and snapshot shipping to followers. Pure CPU
-// work on immutable data; called without any lock held.
+// Rows go out in the clone's key order, so the same state always writes
+// the same bytes, and the reader's every insert into a table's sorted key
+// list is an append. Memory stays O(one encoded row): each row is encoded
+// into a reused buffer and copied straight into the buffered writer. Pure
+// CPU work on immutable data; called without any lock held.
 func writeSnapshot(w io.Writer, clones []tableClone, walSeq int64) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	// bufio latches the first write error and re-surfaces it on every
@@ -552,41 +586,6 @@ func writeSnapshot(w io.Writer, clones []tableClone, walSeq int64) error {
 // scratch must be at least binary.MaxVarintLen64 bytes.
 func writeUvarint(bw *bufio.Writer, scratch []byte, v uint64) {
 	bw.Write(scratch[:binary.PutUvarint(scratch, v)])
-}
-
-// writeSnapshotTmp streams the snapshot for clones into path and fsyncs
-// it. The caller installs it with commitSnapshotTmp once every commit
-// the clones contain is durably logged.
-func writeSnapshotTmp(path string, clones []tableClone, walSeq int64) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := writeSnapshot(f, clones, walSeq); err != nil {
-		f.Close()
-		return err
-	}
-	// The snapshot must be durable before any segment it covers is
-	// deleted, so the rename (the compaction commit point) is preceded
-	// by an fsync.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// commitSnapshotTmp atomically installs a fully written, fsynced temp
-// snapshot as the store's snapshot.
-func (db *DB) commitSnapshotTmp(tmp string) error {
-	if err := os.Rename(tmp, db.snapshotPath()); err != nil {
-		return err
-	}
-	// The rename must be durable before the caller deletes the segments
-	// this snapshot covers; otherwise power loss could persist the
-	// deletes but not the rename, leaving an old snapshot pointing at
-	// missing segments.
-	return syncDir(db.dir)
 }
 
 // readSnapshotFile parses the snapshot at path (the layout writeSnapshot
@@ -689,18 +688,4 @@ func readSnapshot(r io.Reader) (map[string]*table, int64, error) {
 		return nil, 0, fmt.Errorf("relstore: snapshot: trailing bytes after last table")
 	}
 	return tables, int64(walSeq), nil
-}
-
-// loadSnapshot restores the snapshot file if present and returns the
-// highest WAL segment it covers (0 when there is none).
-func (db *DB) loadSnapshot() (int64, error) {
-	if db.dir == "" {
-		return 0, nil
-	}
-	tables, seq, err := readSnapshotFile(db.snapshotPath())
-	if err != nil {
-		return 0, err
-	}
-	db.tables = tables
-	return seq, nil
 }
