@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"sync"
@@ -506,5 +507,27 @@ func TestWiredTigerCacheFollowsTheStore(t *testing.T) {
 		if cached, _ := e.Get(key); !bytes.Equal(cached, stored) {
 			t.Fatalf("round %d: Get serves %q while the store holds %q", round, cached, stored)
 		}
+	}
+}
+
+// TestStripeMatchesFNV: the inlined hash picks the stripe hash/fnv's
+// New32a picked, for the workload's "user" keys, the empty key and
+// non-ASCII keys, and picking one allocates nothing.
+func TestStripeMatchesFNV(t *testing.T) {
+	w := newWiredTiger(Options{Seed: 1, WriteLatency: NoIO})
+	keys := []string{"", "\x00", "\xff", "ключ", "キー", "user\u00e9", "caf\xc3"}
+	for i := int64(0); i < 5000; i += 7 {
+		keys = append(keys, fmt.Sprintf("user%012d", i))
+	}
+	for _, k := range keys {
+		h := fnv.New32a()
+		h.Write([]byte(k))
+		if got, want := w.stripe(k), w.stripes[h.Sum32()%wtStripeCount]; got != want {
+			t.Errorf("stripe(%q) differs from hash/fnv's", k)
+		}
+	}
+	key := keys[len(keys)-1]
+	if a := testing.AllocsPerRun(1000, func() { w.stripe(key) }); a != 0 {
+		t.Errorf("stripe allocates %v times, want 0", a)
 	}
 }

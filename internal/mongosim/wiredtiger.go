@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sync"
 
@@ -102,10 +101,21 @@ func newWiredTiger(opts Options) *wiredTiger {
 
 func (w *wiredTiger) Name() string { return EngineWiredTiger }
 
+// FNV-1a's 32-bit offset basis and prime.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+// stripe picks key's stripe by its FNV-1a hash, byte for byte hash/fnv's
+// New32a over the key without the hasher and the copy.
 func (w *wiredTiger) stripe(key string) *wtStripe {
-	h := fnv.New32a()
-	io.WriteString(h, key)
-	return w.stripes[h.Sum32()%wtStripeCount]
+	h := uint32(fnvOffset32)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= fnvPrime32
+	}
+	return w.stripes[h%wtStripeCount]
 }
 
 // compress produces the stored form: a marker byte (0 raw, 1 flate)

@@ -122,9 +122,9 @@ type sut struct {
 	series int64
 	db     *tssim.DB
 	clock  atomic.Int64
-	// names holds the preloaded series' names, indexed by key, so an
-	// operation on one formats nothing.
-	names []string
+	// handles holds the preloaded series, indexed by key, so an
+	// operation on one neither formats a name nor reads the catalogue.
+	handles []*tssim.Series
 }
 
 // open reads the family's own parameters.
@@ -148,7 +148,7 @@ func (s *sut) Load(rc *agent.RunContext, cfg workload.Config) error {
 	s.series = cfg.RecordCount
 	s.db = tssim.NewDB(opts)
 	rc.Logf("prepare: series=%d points=%d chunk=%d", s.series, s.points, tssim.DefaultChunkPoints)
-	s.names = LoadDB(s.db, &s.clock, s.series, s.points, 8)
+	s.handles = LoadDB(s.db, &s.clock, s.series, s.points, 8)
 	return rc.Err()
 }
 
@@ -157,11 +157,11 @@ func (s *sut) Load(rc *agent.RunContext, cfg workload.Config) error {
 func (s *sut) WarmUp(rc *agent.RunContext) error {
 	rc.Logf("warmup: scanning %d series", s.series)
 	now := s.clock.Load()
-	for i, name := range s.names {
+	for i, h := range s.handles {
 		if i%1024 == 0 && rc.Err() != nil {
 			return rc.Err()
 		}
-		s.db.Window(name, now-s.window, now)
+		h.Window(now-s.window, now)
 	}
 	return nil
 }
@@ -190,16 +190,18 @@ func (s *sut) Close() error {
 }
 
 // LoadDB preloads series 0..series-1 with points samples each, advancing
-// the shared logical clock, and returns their names indexed by key.
+// the shared logical clock, and returns their handles indexed by key.
 // Exported for tests and examples that need a loaded store without the
 // full agent workflow.
-func LoadDB(db *tssim.DB, clock *atomic.Int64, series, points int64, loaders int) []string {
+func LoadDB(db *tssim.DB, clock *atomic.Int64, series, points int64, loaders int) []*tssim.Series {
 	if loaders < 1 {
 		loaders = 1
 	}
-	names := make([]string, series)
-	for i := range names {
-		names[i] = SeriesName(int64(i))
+	// Series exist even with zero preloaded points, so window queries
+	// against the preloaded cardinality never miss.
+	handles := make([]*tssim.Series, series)
+	for i := range handles {
+		handles[i] = db.Series(SeriesName(int64(i)))
 	}
 	var wg sync.WaitGroup
 	for l := 0; l < loaders; l++ {
@@ -209,65 +211,88 @@ func LoadDB(db *tssim.DB, clock *atomic.Int64, series, points int64, loaders int
 			for i := int64(l); i < series; i += int64(loaders) {
 				for p := int64(0); p < points; p++ {
 					ts := clock.Add(1)
-					db.Append(names[i], ts, float64(ts%997))
+					handles[i].Append(ts, float64(ts%997))
 				}
 			}
 		}(l)
 	}
 	wg.Wait()
-	// Series exist even with zero preloaded points, so window queries
-	// against the preloaded cardinality never miss.
+	// With zero preloaded points each series still holds one sample, so
+	// a latest-sample lookup on it finds one.
 	if points == 0 {
-		for _, name := range names {
-			db.Append(name, clock.Add(1), 0)
+		for _, h := range handles {
+			h.Append(clock.Add(1), 0)
 		}
 	}
-	return names
+	return handles
 }
 
-// name is the series an operation's key addresses: a preloaded one from
-// the table, a key past the preload (cardinality growth) formatted.
+// handle is the preloaded series key i addresses, or nil for a key past
+// the preload (cardinality growth), which goes through the catalogue.
+func (s *sut) handle(i int64) *tssim.Series {
+	if uint64(i) < uint64(len(s.handles)) {
+		return s.handles[i]
+	}
+	return nil
+}
+
+// name is the series an operation's key addresses: a preloaded one's
+// from its handle, a key past the preload formatted.
 func (s *sut) name(i int64) string {
-	if uint64(i) < uint64(len(s.names)) {
-		return s.names[i]
+	if h := s.handle(i); h != nil {
+		return h.Name()
 	}
 	return SeriesName(i)
 }
 
 // Apply maps one generated operation onto the time-series API.
 func (s *sut) Apply(op workload.Op) error {
-	name := s.name(op.KeyIndex)
 	switch op.Type {
 	case workload.OpUpdate, workload.OpInsert:
 		// update appends to an existing series; insert's partitioned key
 		// index lands beyond the preload, creating a new series.
-		ts := s.clock.Add(1)
-		s.db.Append(name, ts, float64(ts%997))
+		s.append(op.KeyIndex)
 		return nil
 	case workload.OpRead:
 		now := s.clock.Load()
-		_, err := s.db.Window(name, now-s.window, now)
+		if h := s.handle(op.KeyIndex); h != nil {
+			h.Window(now-s.window, now)
+			return nil
+		}
+		_, err := s.db.Window(SeriesName(op.KeyIndex), now-s.window, now)
 		return ignoreMissing(err)
 	case workload.OpScan:
 		// A scan walks a run of adjacent series in the catalogue and
 		// windows each, like a multi-metric dashboard panel.
 		now := s.clock.Load()
-		for _, n := range s.db.SeriesNames(name, op.ScanLength) {
+		for _, n := range s.db.SeriesNames(s.name(op.KeyIndex), op.ScanLength) {
 			if _, err := s.db.Window(n, now-s.window, now); err != nil {
 				return err
 			}
 		}
 		return nil
 	case workload.OpReadModifyWrite:
-		if _, err := s.db.Latest(name); err != nil && !errors.Is(err, tssim.ErrNoSeries) {
+		if h := s.handle(op.KeyIndex); h != nil {
+			h.Latest()
+		} else if _, err := s.db.Latest(SeriesName(op.KeyIndex)); err != nil && !errors.Is(err, tssim.ErrNoSeries) {
 			return err
 		}
-		ts := s.clock.Add(1)
-		s.db.Append(name, ts, float64(ts%997))
+		s.append(op.KeyIndex)
 		return nil
 	default:
 		return fmt.Errorf("tsagent: unknown op %q", op.Type)
 	}
+}
+
+// append adds a sample stamped by the shared clock to the series key i
+// addresses.
+func (s *sut) append(i int64) {
+	ts := s.clock.Add(1)
+	if h := s.handle(i); h != nil {
+		h.Append(ts, float64(ts%997))
+		return
+	}
+	s.db.Append(SeriesName(i), ts, float64(ts%997))
 }
 
 // ignoreMissing drops no-such-series errors: under the latest

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -12,8 +13,10 @@ import (
 	"math/rand/v2"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -137,7 +140,7 @@ func TestConfigFromParams(t *testing.T) {
 func TestRunWorkloadAllOps(t *testing.T) {
 	db := tssim.NewDB(tssim.Options{Seed: 5})
 	s := &sut{db: db, window: 64}
-	s.names = LoadDB(db, &s.clock, 100, 4, 4)
+	s.handles = LoadDB(db, &s.clock, 100, 4, 4)
 	if got := db.NumSeries(); got != 100 {
 		t.Fatalf("preloaded %d series", got)
 	}
@@ -174,13 +177,107 @@ func TestRunWorkloadAllOps(t *testing.T) {
 	}
 }
 
+// applyByName is the reference for Apply: the same mapping of an
+// operation onto the store, through DB's by-name API only.
+func applyByName(s *sut, op workload.Op) error {
+	name := SeriesName(op.KeyIndex)
+	switch op.Type {
+	case workload.OpUpdate, workload.OpInsert:
+		ts := s.clock.Add(1)
+		s.db.Append(name, ts, float64(ts%997))
+	case workload.OpRead:
+		now := s.clock.Load()
+		_, err := s.db.Window(name, now-s.window, now)
+		return ignoreMissing(err)
+	case workload.OpScan:
+		now := s.clock.Load()
+		for _, n := range s.db.SeriesNames(name, op.ScanLength) {
+			if _, err := s.db.Window(n, now-s.window, now); err != nil {
+				return err
+			}
+		}
+	case workload.OpReadModifyWrite:
+		if _, err := s.db.Latest(name); err != nil && !errors.Is(err, tssim.ErrNoSeries) {
+			return err
+		}
+		ts := s.clock.Add(1)
+		s.db.Append(name, ts, float64(ts%997))
+	default:
+		return fmt.Errorf("unknown op %q", op.Type)
+	}
+	return nil
+}
+
+// TestHandlesBuildTheByNameStore: one seeded single-thread stream of all
+// five operation types, applied through Apply's preloaded handles and
+// through the by-name reference, leaves two stores with equal counters
+// and equal full-range windows for every series, grown ones included.
+// Zipfian keys send most operations to the preloaded series, so the
+// handles do most of the work, and their heads seal during the run.
+func TestHandlesBuildTheByNameStore(t *testing.T) {
+	const series, points, window, ops = 100, 200, 512, 6000
+	sched := workload.Config{
+		RecordCount: series, OperationCount: ops,
+		Mix: workload.Mix{
+			workload.OpUpdate: 1, workload.OpRead: 1, workload.OpInsert: 1,
+			workload.OpScan: 1, workload.OpReadModifyWrite: 1,
+		},
+		Distribution: "zipfian", Seed: 13,
+	}.WithDefaults().Schedule()
+	run := func(apply func(workload.Op) error) (preloaded int) {
+		sm, err := workload.RunSchedule(sched, 1, func(op workload.Op) error {
+			if op.KeyIndex < series {
+				preloaded++
+			}
+			return apply(op)
+		}, nil, nil)
+		if err != nil || sm.Total.Errors != 0 || len(sm.Total.PerOperation) != 5 {
+			t.Fatalf("%v, %d errors, per-op = %v", err, sm.Total.Errors, sm.Total.PerOperation)
+		}
+		return preloaded
+	}
+
+	s := &sut{db: tssim.NewDB(tssim.Options{Seed: 5}), window: window}
+	s.handles = LoadDB(s.db, &s.clock, series, points, 1)
+	preloaded := run(s.Apply)
+
+	ref := &sut{db: tssim.NewDB(tssim.Options{Seed: 5}), window: window}
+	for i := int64(0); i < series; i++ {
+		for p := 0; p < points; p++ {
+			ts := ref.clock.Add(1)
+			ref.db.Append(SeriesName(i), ts, float64(ts%997))
+		}
+	}
+	run(func(op workload.Op) error { return applyByName(ref, op) })
+
+	got, want := s.db.Stats(), ref.db.Stats()
+	if got != want {
+		t.Fatalf("stats through handles = %+v, by name = %+v", got, want)
+	}
+	if got.Series <= series || got.ChunksSealed == 0 || preloaded < ops/2 {
+		t.Fatalf("the stream grew no series, sealed no head or went past the preload: %d of its operations addressed it, %+v", preloaded, got)
+	}
+	names := ref.db.SeriesNames("", want.Series)
+	if gotNames := s.db.SeriesNames("", got.Series); !slices.Equal(gotNames, names) {
+		t.Fatalf("series through handles = %v, by name = %v", gotNames, names)
+	}
+	end := ref.clock.Load()
+	for _, n := range names {
+		a, errA := s.db.Window(n, 0, end)
+		b, errB := ref.db.Window(n, 0, end)
+		if errA != nil || errB != nil || !slices.Equal(a, b) {
+			t.Fatalf("series %s: through handles %v (%v), by name %v (%v)", n, a, errA, b, errB)
+		}
+	}
+}
+
 // TestPayloadsStayReadOnly is mongoagent's test of the same name for this
 // family: the store takes no payload, and the adapter must leave the ones
 // it is shown alone.
 func TestPayloadsStayReadOnly(t *testing.T) {
 	db := tssim.NewDB(tssim.Options{Seed: 5})
 	s := &sut{db: db, window: 64}
-	s.names = LoadDB(db, &s.clock, 100, 4, 4)
+	s.handles = LoadDB(db, &s.clock, 100, 4, 4)
 	sched := workload.Config{
 		RecordCount: 100, OperationCount: 4000,
 		Mix: workload.Mix{
@@ -233,7 +330,7 @@ func TestSeriesNameMatchesFmt(t *testing.T) {
 // run, to draw more keys from.
 func evalShape() (*sut, workload.KeyChooser, *rand.Rand) {
 	s := &sut{db: tssim.NewDB(tssim.Options{Seed: 5}), window: 128, points: 32, series: 1000}
-	s.names = LoadDB(s.db, &s.clock, s.series, s.points, 8)
+	s.handles = LoadDB(s.db, &s.clock, s.series, s.points, 8)
 	keys, err := workload.NewChooser("latest", s.series)
 	if err != nil {
 		panic(err)
@@ -286,7 +383,11 @@ func TestApplyAllocs(t *testing.T) {
 
 // BenchmarkApply is the adapter's cost per operation on eval_heavy's
 // store (evalShape), keys drawn from the latest distribution, for its
-// two operations: append (update) and window (read).
+// two operations: append (update) and window (read). parallel runs
+// eval_heavy's 90:10 append:window mix from every goroutine
+// b.RunParallel starts, each with its own chooser and source as each of
+// the runner's threads has its own generator: at -cpu=2 its ns/op is
+// wall time over both goroutines' operations.
 func BenchmarkApply(b *testing.B) {
 	for _, shape := range []struct {
 		name string
@@ -304,6 +405,32 @@ func BenchmarkApply(b *testing.B) {
 			}
 		})
 	}
+	b.Run("parallel", func(b *testing.B) {
+		s, _, _ := evalShape()
+		var streams atomic.Uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			keys, err := workload.NewChooser("latest", s.series)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			r := rand.New(rand.NewPCG(612, streams.Add(1)))
+			var op workload.Op
+			for pb.Next() {
+				op.Type = workload.OpUpdate
+				if r.IntN(10) == 0 {
+					op.Type = workload.OpRead
+				}
+				op.KeyIndex = keys.Next(r)
+				if err := s.Apply(op); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
 }
 
 func TestRunWorkloadExactCountAndUniqueSeries(t *testing.T) {
@@ -312,7 +439,7 @@ func TestRunWorkloadExactCountAndUniqueSeries(t *testing.T) {
 	// ops, and every insert creates a distinct series.
 	db := tssim.NewDB(tssim.Options{Seed: 5})
 	s := &sut{db: db, window: 32}
-	s.names = LoadDB(db, &s.clock, 50, 2, 4)
+	s.handles = LoadDB(db, &s.clock, 50, 2, 4)
 	sched := workload.Config{
 		RecordCount: 50, OperationCount: 1001,
 		Mix:          workload.Mix{workload.OpInsert: 0.5, workload.OpRead: 0.5},

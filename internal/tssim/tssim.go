@@ -6,6 +6,15 @@
 // chunks, and an ordered series-name index so cardinality scans behave
 // like a real TSDB's series catalogue. All randomness is seeded, so a
 // given workload against a given seed is fully reproducible.
+//
+// Two kinds of lock split the store. The DB's catalogue lock guards the
+// name map and the name index: a by-name call takes it to find its
+// series, and creating a series takes it exclusively. Each Series' own
+// mutex guards its head, its sealed-chunk list and its counters. A
+// caller holding a *Series handle (DB.Series) appends and queries
+// through it without touching the catalogue, so clients working on
+// different series write no memory in common. DB.Stats sums the
+// per-series counters.
 package tssim
 
 import (
@@ -59,14 +68,6 @@ type Stats struct {
 	ChunksSealed int64
 }
 
-type counters struct {
-	appends      atomic.Int64
-	outOfOrder   atomic.Int64
-	windows      atomic.Int64
-	windowPoints atomic.Int64
-	chunksSealed atomic.Int64
-}
-
 // chunk is an immutable, time-sorted run of points. Sealed chunks never
 // change, so window queries read them without the series lock held for
 // anything but the slice header.
@@ -76,18 +77,27 @@ type chunk struct {
 }
 
 // Series is one named time series: a sequence of sealed chunks plus an
-// open head chunk that absorbs appends.
+// open head chunk that absorbs appends. A *Series is a handle: it stays
+// valid for the DB's life, and its methods take only the series' own
+// mutex, never the catalogue lock.
 type Series struct {
-	mu     sync.RWMutex
+	name string
+
+	mu     sync.Mutex
 	sealed []*chunk
 	head   []Point
 	// dirty marks the head as out-of-order; it is sorted at seal time,
 	// keeping the append path O(1). A query copies only the head samples
 	// inside its window and stable-sorts those.
 	dirty bool
-	maxTS int64
 	any   bool
-	cnt   *counters
+	maxTS int64
+	// The append counters are guarded by mu.
+	appends, outOfOrder, chunksSealed int64
+
+	// The window counters are atomic: a window counts the samples it
+	// returns after releasing mu.
+	windows, windowPoints atomic.Int64
 }
 
 // DB is the store: a series catalogue plus per-series storage.
@@ -95,7 +105,6 @@ type DB struct {
 	mu     sync.RWMutex
 	series map[string]*Series
 	names  *skiplist.List
-	cnt    counters
 }
 
 // NewDB opens an empty store.
@@ -106,9 +115,10 @@ func NewDB(opts Options) *DB {
 	}
 }
 
-// getOrCreate returns the named series, creating it on first reference —
-// append-driven series creation is how a TSDB's cardinality grows.
-func (db *DB) getOrCreate(name string) *Series {
+// Series returns the named series, creating it on first reference —
+// append-driven series creation is how a TSDB's cardinality grows. Calls
+// through the handle skip the catalogue.
+func (db *DB) Series(name string) *Series {
 	db.mu.RLock()
 	s := db.series[name]
 	db.mu.RUnlock()
@@ -120,7 +130,7 @@ func (db *DB) getOrCreate(name string) *Series {
 	if s = db.series[name]; s != nil {
 		return s
 	}
-	s = &Series{cnt: &db.cnt}
+	s = &Series{name: name}
 	db.series[name] = s
 	db.names.Insert(name)
 	return s
@@ -136,7 +146,7 @@ func (db *DB) get(name string) *Series {
 // Append adds one sample to the named series, creating the series if it
 // does not exist yet.
 func (db *DB) Append(name string, ts int64, value float64) {
-	db.getOrCreate(name).append(ts, value)
+	db.Series(name).Append(ts, value)
 }
 
 // Window returns the samples of the named series with from <= TS <= to,
@@ -146,10 +156,7 @@ func (db *DB) Window(name string, from, to int64) ([]Point, error) {
 	if s == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNoSeries, name)
 	}
-	pts := s.window(from, to)
-	db.cnt.windows.Add(1)
-	db.cnt.windowPoints.Add(int64(len(pts)))
-	return pts, nil
+	return s.Window(from, to), nil
 }
 
 // Latest returns the newest sample of the named series.
@@ -158,7 +165,7 @@ func (db *DB) Latest(name string) (Point, error) {
 	if s == nil {
 		return Point{}, fmt.Errorf("%w: %q", ErrNoSeries, name)
 	}
-	p, ok := s.latest()
+	p, ok := s.Latest()
 	if !ok {
 		return Point{}, fmt.Errorf("%w: %q is empty", ErrNoSeries, name)
 	}
@@ -180,20 +187,30 @@ func (db *DB) NumSeries() int {
 	return len(db.series)
 }
 
-// Stats snapshots the engine counters.
+// Stats sums the per-series counters under the catalogue lock. It is
+// exact once the calls it should count have returned.
 func (db *DB) Stats() Stats {
-	return Stats{
-		Series:       db.NumSeries(),
-		Points:       db.cnt.appends.Load(),
-		Appends:      db.cnt.appends.Load(),
-		OutOfOrder:   db.cnt.outOfOrder.Load(),
-		Windows:      db.cnt.windows.Load(),
-		WindowPoints: db.cnt.windowPoints.Load(),
-		ChunksSealed: db.cnt.chunksSealed.Load(),
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	st := Stats{Series: len(db.series)}
+	for _, s := range db.series {
+		s.mu.Lock()
+		st.Appends += s.appends
+		st.OutOfOrder += s.outOfOrder
+		st.ChunksSealed += s.chunksSealed
+		s.mu.Unlock()
+		st.Windows += s.windows.Load()
+		st.WindowPoints += s.windowPoints.Load()
 	}
+	st.Points = st.Appends
+	return st
 }
 
-func (s *Series) append(ts int64, value float64) {
+// Name returns the series' name.
+func (s *Series) Name() string { return s.name }
+
+// Append adds one sample to the series.
+func (s *Series) Append(ts int64, value float64) {
 	s.mu.Lock()
 	if s.any && ts < s.maxTS {
 		// Out-of-order arrival: tolerated inside the open head, sorted
@@ -201,7 +218,7 @@ func (s *Series) append(ts int64, value float64) {
 		// still land here — a real TSDB would reject or re-open a chunk;
 		// the simulation keeps them and counts the disorder.
 		s.dirty = true
-		s.cnt.outOfOrder.Add(1)
+		s.outOfOrder++
 	} else {
 		s.maxTS = ts
 		s.any = true
@@ -210,8 +227,8 @@ func (s *Series) append(ts int64, value float64) {
 	if len(s.head) >= DefaultChunkPoints {
 		s.seal()
 	}
+	s.appends++
 	s.mu.Unlock()
-	s.cnt.appends.Add(1)
 }
 
 // seal freezes the head into an immutable sorted chunk. Caller holds mu.
@@ -227,14 +244,17 @@ func (s *Series) seal() {
 	})
 	s.head = make([]Point, 0, DefaultChunkPoints)
 	s.dirty = false
-	s.cnt.chunksSealed.Add(1)
+	s.chunksSealed++
 }
 
-func (s *Series) window(from, to int64) []Point {
-	s.mu.RLock()
+// Window returns the series' samples with from <= TS <= to, in ascending
+// timestamp order. It holds mu only to copy the head samples in its span;
+// the sealed chunks are read after releasing it.
+func (s *Series) Window(from, to int64) []Point {
+	s.mu.Lock()
 	sealed := s.sealed
 	head := s.headWindow(from, to)
-	s.mu.RUnlock()
+	s.mu.Unlock()
 
 	var out []Point
 	for _, c := range sealed {
@@ -245,14 +265,17 @@ func (s *Series) window(from, to int64) []Point {
 		out = append(out, c.pts[lo:hi]...)
 	}
 	if len(out) == 0 {
-		return head
+		out = head
+	} else {
+		out = append(out, head...)
+		// Out-of-order head samples may time-travel behind sealed chunks;
+		// a final stable sort keeps the contract simple for callers.
+		if !slices.IsSortedFunc(out, byTS) {
+			slices.SortStableFunc(out, byTS)
+		}
 	}
-	out = append(out, head...)
-	// Out-of-order head samples may time-travel behind sealed chunks;
-	// a final stable sort keeps the contract simple for callers.
-	if !slices.IsSortedFunc(out, byTS) {
-		slices.SortStableFunc(out, byTS)
-	}
+	s.windows.Add(1)
+	s.windowPoints.Add(int64(len(out)))
 	return out
 }
 
@@ -285,9 +308,11 @@ func span(pts []Point, from, to int64) (lo, hi int) {
 
 func byTS(a, b Point) int { return cmp.Compare(a.TS, b.TS) }
 
-func (s *Series) latest() (Point, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// Latest returns the series' newest sample; ok is false while the series
+// is empty.
+func (s *Series) Latest() (p Point, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.any {
 		return Point{}, false
 	}

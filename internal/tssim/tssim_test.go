@@ -319,3 +319,91 @@ func TestConcurrentAppendsAndWindows(t *testing.T) {
 		t.Fatalf("windows returned %d points", total)
 	}
 }
+
+// TestCountersStayExact: the per-series counters sum to exact totals
+// while goroutines append and window over shared series, half of them
+// through handles and half by name.
+func TestCountersStayExact(t *testing.T) {
+	db := NewDB(Options{Seed: 11})
+	names := []string{"a", "b", "c", "d", "e"}
+	const workers, perWorker = 8, 3000
+	var (
+		wg           sync.WaitGroup
+		mu           sync.Mutex
+		windows      int64
+		windowPoints int64
+		appended     = make([]int64, len(names))
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 2))
+			var handles []*Series
+			if w%2 == 0 {
+				for _, n := range names {
+					handles = append(handles, db.Series(n))
+				}
+			}
+			var wins, winPts int64
+			counts := make([]int64, len(names))
+			for i := 0; i < perWorker; i++ {
+				k := rng.IntN(len(names))
+				ts := int64(i*workers + w)
+				if rng.IntN(10) == 0 {
+					from := ts - rng.Int64N(2*DefaultChunkPoints)
+					var pts []Point
+					if handles != nil {
+						pts = handles[k].Window(from, ts)
+					} else {
+						var err error
+						if pts, err = db.Window(names[k], from, ts); errors.Is(err, ErrNoSeries) {
+							continue
+						} else if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					wins++
+					winPts += int64(len(pts))
+					continue
+				}
+				if handles != nil {
+					handles[k].Append(ts, float64(i))
+				} else {
+					db.Append(names[k], ts, float64(i))
+				}
+				counts[k]++
+			}
+			mu.Lock()
+			windows += wins
+			windowPoints += winPts
+			for k, c := range counts {
+				appended[k] += c
+			}
+			mu.Unlock()
+		}(w)
+	}
+	wg.Wait()
+	var appends, sealed int64
+	for _, n := range appended {
+		appends += n
+		sealed += n / DefaultChunkPoints
+	}
+	st := db.Stats()
+	if st.Appends != appends || st.Points != appends {
+		t.Errorf("appends = %d, points = %d, want %d", st.Appends, st.Points, appends)
+	}
+	if st.Windows != windows || st.WindowPoints != windowPoints {
+		t.Errorf("windows = %d returning %d points, want %d returning %d", st.Windows, st.WindowPoints, windows, windowPoints)
+	}
+	if st.ChunksSealed != sealed {
+		t.Errorf("chunks sealed = %d, want %d", st.ChunksSealed, sealed)
+	}
+	if st.Series != len(names) {
+		t.Errorf("series = %d, want %d", st.Series, len(names))
+	}
+	if st.OutOfOrder == 0 || windows == 0 || windowPoints == 0 {
+		t.Fatalf("the run exercised no late samples or windows: %+v", st)
+	}
+}
