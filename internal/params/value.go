@@ -10,11 +10,24 @@
 // The package is deliberately free of dependencies on the rest of the
 // toolkit so that storage, REST, and UI layers can all share one
 // definition of what a parameter is.
+//
+// A Value's JSON wire form is an object with the kind's name and the one
+// payload member that kind takes, {"kind":"int","int":1400}, with none
+// for an invalid value or an empty list or ratio. Job rows, WAL records,
+// snapshots and REST bodies carry it, so its bytes are fixed: they are
+// what encoding/json writes for the valueJSON struct. Value writes them
+// itself, and reads its own canonical form (no whitespace, members in
+// that order, strings of printable ASCII without escapes, numbers that
+// fit) without encoding/json; every other input, such as a hand-typed
+// settings body, goes to the general decoder, encoding/json into
+// valueJSON, and both give the same value or the same error.
 package params
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,7 +54,8 @@ const (
 	KindRatio
 )
 
-var kindNames = map[Kind]string{
+// kindNames is indexed by Kind.
+var kindNames = [...]string{
 	KindInvalid:    "invalid",
 	KindBool:       "bool",
 	KindInt:        "int",
@@ -51,9 +65,17 @@ var kindNames = map[Kind]string{
 	KindRatio:      "ratio",
 }
 
+// name returns the kind's name, and false for a kind outside the enum.
+func (k Kind) name() (string, bool) {
+	if k < 0 || int(k) >= len(kindNames) {
+		return "", false
+	}
+	return kindNames[k], true
+}
+
 // String returns the lower-case name of the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
+	if s, ok := k.name(); ok {
 		return s
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
@@ -61,18 +83,26 @@ func (k Kind) String() string {
 
 // KindFromString parses the name produced by Kind.String.
 func KindFromString(s string) (Kind, error) {
-	for k, name := range kindNames {
-		if name == s {
-			return k, nil
-		}
+	if k, ok := kindNamed(s); ok {
+		return k, nil
 	}
 	return KindInvalid, fmt.Errorf("params: unknown kind %q", s)
+}
+
+// kindNamed looks a kind up by its name.
+func kindNamed[T string | []byte](name T) (Kind, bool) {
+	for k, n := range kindNames {
+		if string(name) == n {
+			return Kind(k), true
+		}
+	}
+	return KindInvalid, false
 }
 
 // MarshalText encodes the kind as its name, the form a definition's
 // valueKind carries on the wire.
 func (k Kind) MarshalText() ([]byte, error) {
-	if s, ok := kindNames[k]; ok {
+	if s, ok := k.name(); ok {
 		return []byte(s), nil
 	}
 	return nil, fmt.Errorf("params: unknown kind %d", int(k))
@@ -275,7 +305,8 @@ func (v Value) Equal(o Value) bool {
 	}
 }
 
-// valueJSON is the wire representation of a Value.
+// valueJSON is the shape of a Value's wire form, as the general decoder
+// reads it.
 type valueJSON struct {
 	Kind  string   `json:"kind"`
 	Bool  *bool    `json:"bool,omitempty"`
@@ -287,36 +318,106 @@ type valueJSON struct {
 }
 
 // MarshalJSON implements json.Marshaler with an explicit kind tag so that
-// integers and floats survive a round-trip unambiguously.
+// integers and floats survive a round-trip unambiguously. It writes,
+// byte for byte, what encoding/json writes for valueJSON: the kind, then
+// the one payload member the kind takes, none for an invalid value or an
+// empty list or ratio. Stored rows, WAL records and snapshots hold these
+// bytes.
 func (v Value) MarshalJSON() ([]byte, error) {
-	w := valueJSON{Kind: v.kind.String()}
-	switch v.kind {
-	case KindBool:
-		w.Bool = &v.b
-	case KindInt:
-		w.Int = &v.i
-	case KindFloat:
-		w.Float = &v.f
-	case KindString:
-		w.Str = &v.s
-	case KindStringList:
-		w.List = v.list
-		if w.List == nil {
-			w.List = []string{}
-		}
-	case KindRatio:
-		w.Ratio = v.ratio
-		if w.Ratio == nil {
-			w.Ratio = []int{}
-		}
-	case KindInvalid:
-		// Serialise as the explicit invalid tag; decoding restores it.
-	}
-	return json.Marshal(w)
+	return v.appendJSON(make([]byte, 0, 64))
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// appendJSON appends the wire form of v to dst.
+func (v Value) appendJSON(dst []byte) ([]byte, error) {
+	dst = appendString(append(dst, `{"kind":`...), v.kind.String())
+	switch v.kind {
+	case KindBool:
+		dst = strconv.AppendBool(append(dst, `,"bool":`...), v.b)
+	case KindInt:
+		dst = strconv.AppendInt(append(dst, `,"int":`...), v.i, 10)
+	case KindFloat:
+		var err error
+		if dst, err = appendFloat(append(dst, `,"float":`...), v.f); err != nil {
+			return nil, err
+		}
+	case KindString:
+		dst = appendString(append(dst, `,"string":`...), v.s)
+	case KindStringList:
+		if len(v.list) > 0 {
+			dst = append(dst, `,"list":`...)
+			sep := byte('[')
+			for _, s := range v.list {
+				dst = appendString(append(dst, sep), s)
+				sep = ','
+			}
+			dst = append(dst, ']')
+		}
+	case KindRatio:
+		if len(v.ratio) > 0 {
+			dst = append(dst, `,"ratio":`...)
+			sep := byte('[')
+			for _, p := range v.ratio {
+				dst = strconv.AppendInt(append(dst, sep), int64(p), 10)
+				sep = ','
+			}
+			dst = append(dst, ']')
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// appendString appends s as a JSON string. A string of printable ASCII
+// without a quote, a backslash, '<', '>' or '&' is copied as it is; any
+// other string is written by encoding/json, whose HTML escaping,
+// U+2028/U+2029 escaping and invalid-UTF-8 replacement it thereby keeps.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that reads back as f, in exponent form below 1e-6 and from 1e21
+// on, with an exponent's leading zero dropped (1e-7, not 1e-07). NaN and
+// the infinities have no JSON form and return encoding/json's error.
+func appendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		_, err := json.Marshal(f)
+		return nil, err
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler. The form MarshalJSON writes
+// is read directly (see parseCanonical); any other input, such as a
+// hand-typed body with spaces, reordered members or escapes, goes to the
+// general decoder, encoding/json into valueJSON. Both give the same value,
+// or the same refusal, for every input.
 func (v *Value) UnmarshalJSON(data []byte) error {
+	if c, ok := parseCanonical(data); ok {
+		*v = c
+		return nil
+	}
+	return v.unmarshalGeneral(data)
+}
+
+// unmarshalGeneral decodes any JSON form of a Value through valueJSON.
+func (v *Value) unmarshalGeneral(data []byte) error {
 	var w valueJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
@@ -354,6 +455,193 @@ func (v *Value) UnmarshalJSON(data []byte) error {
 		*v = Value{}
 	}
 	return nil
+}
+
+// parseCanonical reads the form appendJSON writes, with no whitespace:
+// {"kind":"<name>", then the one payload member that kind takes or none,
+// then }. It reads the payloads it can check without encoding/json:
+// integers in JSON's grammar that fit, numbers in JSON's grammar that
+// strconv reads as a float64, strings of printable ASCII without a
+// backslash, true and false, and lists and ratios of those. It checks
+// all of that itself, since UnmarshalJSON may be handed bytes no one
+// validated, and reports false for anything else.
+func parseCanonical(data []byte) (Value, bool) {
+	rest, ok := bytes.CutPrefix(data, []byte(`{"kind":`))
+	if !ok {
+		return Value{}, false
+	}
+	name, rest, ok := scanString(rest)
+	if !ok {
+		return Value{}, false
+	}
+	kind, ok := kindNamed(name)
+	if !ok {
+		return Value{}, false
+	}
+	body, ok := bytes.CutSuffix(rest, []byte("}"))
+	if !ok {
+		return Value{}, false
+	}
+	switch kind {
+	case KindInvalid:
+		return Value{}, len(body) == 0
+	case KindBool:
+		switch string(body) {
+		case `,"bool":true`:
+			return Bool(true), true
+		case `,"bool":false`:
+			return Bool(false), true
+		}
+	case KindInt:
+		if p, ok := bytes.CutPrefix(body, []byte(`,"int":`)); ok {
+			n, tail, ok := scanInt(p, 64)
+			return Int(n), ok && len(tail) == 0
+		}
+	case KindFloat:
+		if p, ok := bytes.CutPrefix(body, []byte(`,"float":`)); ok {
+			f, tail, ok := scanFloat(p)
+			return Float(f), ok && len(tail) == 0
+		}
+	case KindString:
+		if p, ok := bytes.CutPrefix(body, []byte(`,"string":`)); ok {
+			if s, tail, ok := scanString(p); ok && len(tail) == 0 {
+				return String_(string(s)), true
+			}
+		}
+	case KindStringList:
+		list := []string{}
+		if len(body) == 0 {
+			return Value{kind: KindStringList, list: list}, true
+		}
+		if p, ok := bytes.CutPrefix(body, []byte(`,"list":`)); ok && scanArray(p, func(b []byte) ([]byte, bool) {
+			s, tail, ok := scanString(b)
+			list = append(list, string(s))
+			return tail, ok
+		}) {
+			return Value{kind: KindStringList, list: list}, true
+		}
+	case KindRatio:
+		parts := []int{}
+		if len(body) == 0 {
+			return Value{kind: KindRatio, ratio: parts}, true
+		}
+		if p, ok := bytes.CutPrefix(body, []byte(`,"ratio":`)); ok && scanArray(p, func(b []byte) ([]byte, bool) {
+			n, tail, ok := scanInt(b, strconv.IntSize)
+			parts = append(parts, int(n))
+			return tail, ok
+		}) {
+			return Value{kind: KindRatio, ratio: parts}, true
+		}
+	}
+	return Value{}, false
+}
+
+// scanString reads a JSON string of printable ASCII without escapes from
+// the front of b, and returns its contents and what follows it.
+func scanString(b []byte) (s, rest []byte, ok bool) {
+	if len(b) == 0 || b[0] != '"' {
+		return nil, nil, false
+	}
+	for i := 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return b[1:i], b[i+1:], true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return nil, nil, false
+		}
+	}
+	return nil, nil, false
+}
+
+// scanInt reads a JSON integer that fits in bits from the front of b.
+func scanInt(b []byte, bits int) (n int64, rest []byte, ok bool) {
+	end, integer := numberLen(b)
+	if end == 0 || !integer {
+		return 0, nil, false
+	}
+	n, err := strconv.ParseInt(string(b[:end]), 10, bits)
+	return n, b[end:], err == nil
+}
+
+// scanFloat reads a JSON number that strconv takes as a float64 from the
+// front of b.
+func scanFloat(b []byte) (f float64, rest []byte, ok bool) {
+	end, _ := numberLen(b)
+	if end == 0 {
+		return 0, nil, false
+	}
+	f, err := strconv.ParseFloat(string(b[:end]), 64)
+	return f, b[end:], err == nil
+}
+
+// numberLen returns the length of the JSON number at the front of b
+// (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?), 0 when there is none,
+// and whether it has neither fraction nor exponent.
+func numberLen(b []byte) (end int, integer bool) {
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i+1)
+	default:
+		return 0, false
+	}
+	integer = true
+	if i < len(b) && b[i] == '.' {
+		j := skipDigits(b, i+1)
+		if j == i+1 {
+			return 0, false
+		}
+		i, integer = j, false
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		j := i + 1
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		k := skipDigits(b, j)
+		if k == j {
+			return 0, false
+		}
+		i, integer = k, false
+	}
+	return i, integer
+}
+
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// scanArray reads a JSON array that is all of b, calling elem to read
+// each element from the front of what is left.
+func scanArray(b []byte, elem func([]byte) (rest []byte, ok bool)) bool {
+	if len(b) < 2 || b[0] != '[' {
+		return false
+	}
+	if b = b[1:]; b[0] == ']' {
+		return len(b) == 1
+	}
+	for {
+		var ok bool
+		if b, ok = elem(b); !ok || len(b) == 0 {
+			return false
+		}
+		switch b[0] {
+		case ']':
+			return len(b) == 1
+		case ',':
+			b = b[1:]
+		default:
+			return false
+		}
+	}
 }
 
 // Assignment maps parameter names to concrete values: the full

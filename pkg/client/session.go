@@ -160,8 +160,10 @@ func (c *Client) doOnce(base, method, path string, body, out any) (int, error) {
 // as JSON. It returns the status and the raw response body, ratchets the
 // session token from the response, and maps what the retry loop keys on
 // onto the typed errors — transport failures and 503 to ErrUnavailable,
-// 412 to ErrStale. Other statuses are left to the caller: an envelope's
-// embedded error message is the server's authoritative description.
+// 412 to ErrStale. A body over httputil.MaxBodyBytes is an error of its
+// own, which no retry cures. Other statuses are left to the caller: an
+// envelope's embedded error message is the server's authoritative
+// description.
 func (c *Client) roundTrip(method, url string, body any) (int, []byte, error) {
 	var rdr io.Reader
 	if body != nil {
@@ -186,11 +188,17 @@ func (c *Client) roundTrip(method, url string, body any) (int, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, httputil.MaxBodyBytes))
+	// Reading one byte past the limit tells a body over it from one at
+	// it. An oversized answer is refused, not retried: every attempt
+	// would download the same bytes again.
+	data, err := io.ReadAll(io.LimitReader(resp.Body, httputil.MaxBodyBytes+1))
 	if err != nil {
 		return 0, nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
 	c.noteToken(resp.Header)
+	if len(data) > httputil.MaxBodyBytes {
+		return 0, nil, fmt.Errorf("response body larger than the %d-byte limit", httputil.MaxBodyBytes)
+	}
 	switch resp.StatusCode {
 	case http.StatusServiceUnavailable:
 		return 0, nil, fmt.Errorf("%w: %s", ErrUnavailable, envelopeMsg(data))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -203,5 +204,31 @@ func TestSessionTokenThreadsThroughReads(t *testing.T) {
 	}
 	if got := lastReadAfter.Load().(string); got != "aaaa:1:2:0" {
 		t.Fatalf("third read carried read-after %q, want the ratcheted position", got)
+	}
+}
+
+// TestOversizedResponseIsRefusedOnce: a body over httputil.MaxBodyBytes
+// is not a damaged transfer. The read fails at once, naming the limit,
+// rather than downloading the same answer again on every retry.
+func TestOversizedResponseIsRefusedOnce(t *testing.T) {
+	chunk := make([]byte, 1<<20)
+	ep := newFakeEndpoint(t, func(n int64, w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		for left := httputil.MaxBodyBytes + 1; left > 0; left -= len(chunk) {
+			if _, err := w.Write(chunk[:min(left, len(chunk))]); err != nil {
+				return
+			}
+		}
+	})
+	c := NewClient(ep.ts.URL, WithRetries(3), WithBackoff(time.Millisecond, 5*time.Millisecond))
+	_, err := c.ListUsers()
+	if err == nil || errors.Is(err, ErrUnavailable) {
+		t.Fatalf("oversized response: err = %v, want a non-retryable error", err)
+	}
+	if want := fmt.Sprint(httputil.MaxBodyBytes); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the %s-byte limit", err, want)
+	}
+	if n := ep.hits.Load(); n != 1 {
+		t.Fatalf("server saw %d attempts, want 1", n)
 	}
 }
