@@ -8,84 +8,8 @@ import (
 	"os"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-// TestCompactionEquivalence: compacting at any point leaves the store
-// observably identical, before and after a reopen (property).
-func TestCompactionEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		dir := t.TempDir()
-		db, err := Open(dir, &Options{Sync: SyncBatched, CompactEvery: -1})
-		if err != nil {
-			return false
-		}
-		if err := db.CreateTable(usersSchema()); err != nil {
-			return false
-		}
-		model := map[string]modelRow{}
-		names := []string{"c", "c", "d"}
-		ops := 20 + r.Intn(60)
-		for i := 0; i < ops; i++ {
-			id := fmt.Sprintf("u%d", r.Intn(15))
-			e := modelRow{names[r.Intn(len(names))], r.Int63n(100)}
-			db.Update(func(tx *Tx) error { return tx.Put("users", userRow(id, e.name, e.age)) })
-			model[id] = e
-			// Random manual compaction points.
-			if r.Intn(10) == 0 {
-				if err := db.Compact(); err != nil {
-					t.Logf("compact: %v", err)
-					return false
-				}
-			}
-		}
-		if err := db.Compact(); err != nil {
-			return false
-		}
-		check := func(db *DB) bool {
-			ok := true
-			db.View(func(tx *Tx) error {
-				n, _ := tx.Count("users", NewQuery())
-				if n != len(model) {
-					ok = false
-					return nil
-				}
-				inC := 0
-				for id, e := range model {
-					row, err := tx.Get("users", id)
-					if err != nil || row["age"].(int64) != e.age || row["name"] != e.name {
-						ok = false
-						return nil
-					}
-					if e.name == "c" {
-						inC++
-					}
-				}
-				if n, _ := tx.Count("users", NewQuery().Eq("name", "c")); n != inC {
-					ok = false
-				}
-				return nil
-			})
-			return ok
-		}
-		if !check(db) {
-			db.Close()
-			return false
-		}
-		db.Close()
-		db2, err := Open(dir, nil)
-		if err != nil {
-			return false
-		}
-		defer db2.Close()
-		return check(db2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestCompactShrinksWAL: after compaction the WAL is empty and the
 // snapshot carries the state.

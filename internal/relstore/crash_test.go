@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"chronos/internal/metrics"
@@ -13,17 +16,15 @@ import (
 
 // The crash-injection recovery harness.
 //
-// A scripted workload of single-row transactions runs against a store
-// whose WAL segments rotate every few commits, first on a clean pass
-// that records the on-disk byte offset of every frame boundary, then
-// once per cut point with a crashBudget that severs writes at exactly
-// that offset. Each commit that returned nil was acknowledged; recovery
-// must replay all of them ("no loss") and at most the single commit
-// that was in flight when the budget tripped — whose frame may or may
-// not have fully reached the file before the failed fsync ("torn tail
-// may go either way, but nothing else appears": no ghosts).
+// The run's seeded script (forms_test.go) runs against a store whose WAL
+// segments rotate every few commits, first on a clean pass that records
+// the on-disk byte offset of every frame boundary, then once per cut
+// point with a crashBudget that severs writes at exactly that offset.
+// Recovery must hold the model's state after every acknowledged commit
+// ("no loss") and at most the one in flight when the budget tripped,
+// whose frame may or may not have reached the file ("no ghosts").
 
-// crashTableSchema is the workload's table.
+// crashTableSchema is the table of crashCommit's workload.
 func crashTableSchema() Schema {
 	return Schema{
 		Name: "t",
@@ -35,62 +36,37 @@ func crashTableSchema() Schema {
 	}
 }
 
-// crashCommit applies commit i of the scripted workload inside tx: it
-// upserts row r<i>, advances the sequence, records i in the "latest"
-// row, and every 5th commit also overwrites an older row — so recovery
-// has new rows, overwrites and sequence advances to get right,
-// atomically.
+// crashCommit applies commit i of a small workload on crashTableSchema's
+// table inside tx: it upserts row r<i> and advances the sequence.
 func crashCommit(tx *Tx, i int) error {
 	if err := tx.Put("t", Row{"id": fmt.Sprintf("r%05d", i), "v": int64(i)}); err != nil {
 		return err
 	}
-	if i%5 == 4 {
-		if err := tx.Put("t", Row{"id": fmt.Sprintf("r%05d", i-2), "v": int64(-i)}); err != nil {
-			return err
-		}
-	}
-	if _, err := tx.NextSeq("t"); err != nil {
-		return err
-	}
-	return tx.Put("t", Row{"id": "latest", "v": int64(i)})
+	_, err := tx.NextSeq("t")
+	return err
 }
 
-// crashModel computes the expected table contents after the first m
-// commits of the scripted workload. Returns nil for m == 0 (the table
-// may not even exist yet).
-func crashModel(m int) map[string]int64 {
-	if m == 0 {
-		return nil
-	}
-	rows := make(map[string]int64)
-	for i := 0; i < m; i++ {
-		rows[fmt.Sprintf("r%05d", i)] = int64(i)
-		if i%5 == 4 {
-			rows[fmt.Sprintf("r%05d", i-2)] = int64(-i)
-		}
-	}
-	rows["latest"] = int64(m - 1)
-	return rows
-}
-
-const crashCommits = 40
+// crashScript is the matrix's workload: a script of the run's seed, about
+// 40 commits long.
+var crashScript = sync.OnceValue(func() *script {
+	seed, _ := processSeed() // a bad CHRONOS_MODEL_SEED fails in modelSeed
+	return genScript(rand.New(rand.NewSource(seed)), 64)
+})
 
 // crashOptions configures the store under torture: tiny segments so the
 // workload spans several, and optionally aggressive auto-compaction so
 // snapshot cycles race the cut.
 func crashOptions(compactEvery int, hook func(walFile) walFile) *Options {
 	return &Options{
-		SegmentBytes: 512,
+		SegmentBytes: 1 << 10,
 		CompactEvery: compactEvery,
 		fileHook:     hook,
 	}
 }
 
-// recordBoundaries runs the workload cleanly and returns the cumulative
-// WAL byte offset after each acknowledged commit (index 0 = after
-// CreateTable). Compaction is off for the recording pass — snapshot
-// timing must not race the counter — but the offsets are identical for
-// the compacting configurations because snapshots bypass the WAL.
+// recordBoundaries runs the workload cleanly, without compaction, and
+// returns the cumulative WAL byte offset after each acknowledged commit;
+// snapshots bypass the WAL, so compacting runs have the same offsets.
 func recordBoundaries(t *testing.T) []int64 {
 	t.Helper()
 	var written int64
@@ -101,16 +77,8 @@ func recordBoundaries(t *testing.T) []int64 {
 	}
 	defer db.Close()
 	var bounds []int64
-	if err := db.CreateTable(crashTableSchema()); err != nil {
-		t.Fatal(err)
-	}
-	bounds = append(bounds, written)
-	for i := 0; i < crashCommits; i++ {
-		if err := db.Update(func(tx *Tx) error { return crashCommit(tx, i) }); err != nil {
-			t.Fatal(err)
-		}
-		bounds = append(bounds, written)
-	}
+	sc := crashScript()
+	sc.mustPlay(t, db, sc.steps, playOpts{lane: -1, afterCommit: func() { bounds = append(bounds, written) }})
 	if st := db.Stats(); st.WALSegments < 2 {
 		t.Fatalf("workload must span multiple segments, stats=%+v", st)
 	}
@@ -129,26 +97,15 @@ func runCrash(t *testing.T, cutBytes int64, compactEvery int) (dir string, acked
 		t.Fatal(err)
 	}
 	defer db.Close()
-	crashed := false
-	if err := db.CreateTable(crashTableSchema()); err != nil {
-		crashed = true
+	sc := crashScript()
+	acked, err = sc.play(db, sc.steps, allLanes)
+	if errors.Is(err, errDiffers) {
+		t.Fatalf("cut=%d: %v", cutBytes, err)
 	}
-	if !crashed {
-		for i := 0; i < crashCommits; i++ {
-			if err := db.Update(func(tx *Tx) error { return crashCommit(tx, i) }); err != nil {
-				crashed = true
-				break
-			}
-			acked++
-		}
-	}
-	if crashed {
+	if err != nil {
 		// The failure must be sticky: the in-memory state is ahead of the
 		// log, so no later write may be acknowledged.
-		err := db.Update(func(tx *Tx) error {
-			return tx.Put("t", Row{"id": "ghost", "v": int64(-1)})
-		})
-		if err == nil {
+		if bumpSeq(db, sc.steps[0].table) == nil {
 			t.Fatalf("cut=%d: write acknowledged after WAL failure", cutBytes)
 		}
 		// Nor may a poisoned store compact its divergent state into a
@@ -169,60 +126,30 @@ func verifyRecovery(t *testing.T, dir string, cutBytes int64, acked int) {
 		t.Fatalf("cut=%d: recovery failed: %v", cutBytes, err)
 	}
 	defer db.Close()
-	// How many commits does the recovered state reflect? The "latest"
-	// row pins it; absence means no commit survived.
-	recovered := 0
-	var seq int64
-	db.View(func(tx *Tx) error {
-		if len(db.tables) == 0 {
-			return nil // even CreateTable was torn away
-		}
-		seq = db.tables["t"].seq
-		row, err := tx.Get("t", "latest")
-		if err == nil {
-			recovered = int(row["v"].(int64)) + 1
-		}
-		return nil
-	})
-	if recovered < acked {
-		t.Fatalf("cut=%d: lost acknowledged commits: recovered %d < acked %d", cutBytes, recovered, acked)
+	// acked <= recovered <= acked+1: the state is the model's after the
+	// acknowledged commits, or after the one in flight as well.
+	sc := crashScript()
+	got := stateOf(db)
+	if acked+1 < len(sc.states) && slices.Equal(got, sc.states[acked+1]) {
+		acked++
 	}
-	if recovered > acked+1 {
-		t.Fatalf("cut=%d: ghost commits: recovered %d > acked %d + the one in flight", cutBytes, recovered, acked)
-	}
-	// The state must be byte-for-byte the scripted prefix: the right
-	// rows with the right values, overwrites applied, sequence matching.
-	want := crashModel(recovered)
-	db.View(func(tx *Tx) error {
-		if want == nil {
-			return nil
-		}
-		n, _ := tx.Count("t", NewQuery())
-		if n != len(want) {
-			t.Fatalf("cut=%d: %d rows recovered, want %d", cutBytes, n, len(want))
-		}
-		for id, v := range want {
-			got, err := tx.Get("t", id)
-			if err != nil {
-				t.Fatalf("cut=%d: row %s missing: %v", cutBytes, id, err)
-			}
-			if got["v"].(int64) != v {
-				t.Fatalf("cut=%d: row %s = %d, want %d", cutBytes, id, got["v"], v)
-			}
-		}
-		return nil
-	})
-	if recovered > 0 && seq != int64(recovered) {
-		t.Fatalf("cut=%d: sequence recovered as %d, want %d", cutBytes, seq, recovered)
-	}
+	checkState(t, fmt.Sprintf("cut=%d: the store recovered from %d acknowledged commits", cutBytes, acked), sc.states[acked], got)
 	// And the recovered store must accept new writes (recreating the
-	// table when even its creation record was torn away).
-	if err := db.CreateTable(crashTableSchema()); err != nil {
+	// tables when even their creation records were torn away).
+	if err := db.CreateTable(sc.created()...); err != nil {
 		t.Fatalf("cut=%d: CreateTable after recovery: %v", cutBytes, err)
 	}
-	if err := db.Update(func(tx *Tx) error { return crashCommit(tx, recovered) }); err != nil {
+	if err := bumpSeq(db, sc.steps[0].table); err != nil {
 		t.Fatalf("cut=%d: store not writable after recovery: %v", cutBytes, err)
 	}
+}
+
+// bumpSeq commits one NextSeq on table.
+func bumpSeq(db *DB, table string) error {
+	return db.Update(func(tx *Tx) error {
+		_, err := tx.NextSeq(table)
+		return err
+	})
 }
 
 // TestCrashRecoveryAtEveryFrameBoundary is the matrix: the store is
@@ -233,6 +160,7 @@ func verifyRecovery(t *testing.T, dir string, cutBytes int64, acked int) {
 // aggressive background compaction racing the workload, so snapshot
 // cycles and segment deletes are part of the tortured surface.
 func TestCrashRecoveryAtEveryFrameBoundary(t *testing.T) {
+	modelSeed(t)
 	bounds := recordBoundaries(t)
 	for _, cfg := range []struct {
 		name         string
@@ -242,6 +170,7 @@ func TestCrashRecoveryAtEveryFrameBoundary(t *testing.T) {
 		{"compact=10", 10},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
+			t.Parallel()
 			for _, b := range bounds {
 				for _, off := range []int64{0, 3, 11} {
 					cut := b + off

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -295,8 +294,8 @@ func TestNextSeqSequence(t *testing.T) {
 	if first != 1 || second != 2 {
 		t.Fatalf("sequence = %d, %d", first, second)
 	}
-	// Sequence must survive reopen (TestDurabilityAcrossReopen) and not
-	// move on rollback.
+	// Sequence must not move on rollback (TestStoreForms/reopened checks
+	// that it survives a reopen).
 	db.Update(func(tx *Tx) error {
 		tx.NextSeq("users")
 		return fmt.Errorf("rollback")
@@ -309,80 +308,6 @@ func TestNextSeqSequence(t *testing.T) {
 	if third != 3 {
 		t.Fatalf("third value = %d, want 3", third)
 	}
-}
-
-func TestDurabilityAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateTable(usersSchema()); err != nil {
-		t.Fatal(err)
-	}
-	db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u1", "ada", 36)) })
-	var id int64
-	db.Update(func(tx *Tx) error { id, _ = tx.NextSeq("users"); return nil })
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	db2.View(func(tx *Tx) error {
-		row, err := tx.Get("users", "u1")
-		if err != nil {
-			return err
-		}
-		if row["name"] != "ada" {
-			t.Errorf("reopened row = %v", row)
-		}
-		return nil
-	})
-	var id2 int64
-	db2.Update(func(tx *Tx) error { id2, _ = tx.NextSeq("users"); return nil })
-	if id != 1 || id2 != 2 {
-		t.Fatalf("sequence not durable: %d then %d", id, id2)
-	}
-}
-
-func TestDurabilityAcrossCompaction(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, &Options{CompactEvery: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateTable(usersSchema()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		id := fmt.Sprintf("u%02d", i)
-		if err := db.Update(func(tx *Tx) error { return tx.Put("users", userRow(id, "n", int64(i))) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Compaction runs in the background; wait for the cycle to finish.
-	db.WaitCompaction()
-	if st := db.Stats(); st.Snapshots != 1 {
-		t.Fatalf("expected snapshot after compaction, stats=%+v", st)
-	}
-	db.Close()
-
-	db2, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	db2.View(func(tx *Tx) error {
-		n, _ := tx.Count("users", NewQuery())
-		if n != 20 {
-			t.Errorf("after compaction+reopen: %d rows, want 20", n)
-		}
-		return nil
-	})
 }
 
 // lastSegmentPath returns the path of the highest-numbered WAL segment.
@@ -493,47 +418,6 @@ func TestReadOnlyTxRejectsWrites(t *testing.T) {
 		}
 		if _, err := tx.NextSeq("users"); err == nil {
 			t.Error("NextSeq allowed in View")
-		}
-		return nil
-	})
-}
-
-func TestConcurrentReadersAndWriters(t *testing.T) {
-	db := newTestDB(t)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				id := fmt.Sprintf("w%d-%d", w, i)
-				err := db.Update(func(tx *Tx) error {
-					return tx.Put("users", userRow(id, "conc", int64(i)))
-				})
-				if err != nil {
-					t.Errorf("writer %d: %v", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				db.View(func(tx *Tx) error {
-					_, err := tx.Count("users", NewQuery().Eq("name", "conc"))
-					return err
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	db.View(func(tx *Tx) error {
-		n, _ := tx.Count("users", NewQuery())
-		if n != 200 {
-			t.Errorf("final count = %d, want 200", n)
 		}
 		return nil
 	})

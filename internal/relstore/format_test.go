@@ -225,7 +225,7 @@ func TestRetiredFormsRefused(t *testing.T) {
 			if _, err := follower.FollowerApply(create); err != nil {
 				t.Fatal(err)
 			}
-			before, state := dirContents(t, dir), dumpState(follower)
+			before, state := dirContents(t, dir), stateOf(follower)
 			n, err := follower.FollowerApply(tc.frame)
 			if err == nil || IsTornFrame(err) || n != 0 {
 				t.Fatalf("FollowerApply: consumed %d, %v; want 0 and a decode error", n, err)
@@ -233,9 +233,7 @@ func TestRetiredFormsRefused(t *testing.T) {
 			if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
 				t.Fatal("refused frame reached the replica's disk")
 			}
-			if !reflect.DeepEqual(dumpState(follower), state) {
-				t.Fatal("refused frame changed the replica's tables")
-			}
+			checkState(t, "refused frame changed the replica's tables", state, stateOf(follower))
 			if _, off := follower.FollowerPosition(); off != int64(len(create)) {
 				t.Fatalf("position moved to %d", off)
 			}
@@ -259,13 +257,11 @@ func TestRetiredFormsRefused(t *testing.T) {
 			if _, err := follower.FollowerApply(append(frameCreate(t, fuzzSchema), fuzzSegment(t, 2)...)); err != nil {
 				t.Fatal(err)
 			}
-			state := dumpState(follower)
+			state := stateOf(follower)
 			if err := follower.FollowerReinit(bytes.NewReader(tc.snapshot)); err == nil {
 				t.Fatal("FollowerReinit accepted the snapshot")
 			}
-			if !reflect.DeepEqual(dumpState(follower), state) {
-				t.Fatal("refused snapshot replaced the tables the follower serves")
-			}
+			checkState(t, "refused snapshot replaced the tables the follower serves", state, stateOf(follower))
 		})
 	}
 }
@@ -317,14 +313,12 @@ func TestSchemaDriftRefused(t *testing.T) {
 				if _, err := follower.FollowerApply(append(frameCreate(t, fuzzSchema), fuzzSegment(t, 1)...)); err != nil {
 					t.Fatal(err)
 				}
-				state := dumpState(follower)
+				state := stateOf(follower)
 				n, err := follower.FollowerApply(tc.frame)
 				if !errors.Is(err, ErrLegacyFormat) || n != int64(len(tc.frame)) {
 					t.Fatalf("FollowerApply: consumed %d, %v; want the frame and ErrLegacyFormat", n, err)
 				}
-				if !reflect.DeepEqual(dumpState(follower), state) {
-					t.Fatal("refused frame changed the replica's tables")
-				}
+				checkState(t, "refused frame changed the replica's tables", state, stateOf(follower))
 				follower.mu.RLock()
 				same := schemaEqual(follower.tables["t"].schema, fuzzSchema)
 				follower.mu.RUnlock()
@@ -339,8 +333,8 @@ func TestSchemaDriftRefused(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !errors.Is(follower.OpenReset(), ErrLegacyFormat) || len(dumpState(follower)) != 0 {
-					t.Fatalf("reopened replica: reset %v, %d tables; want a reset for ErrLegacyFormat", follower.OpenReset(), len(dumpState(follower)))
+				if !errors.Is(follower.OpenReset(), ErrLegacyFormat) || len(stateOf(follower)) != 0 {
+					t.Fatalf("reopened replica: reset %v, %d lines of state; want a reset for ErrLegacyFormat", follower.OpenReset(), len(stateOf(follower)))
 				}
 			})
 		}
@@ -361,13 +355,11 @@ func TestSchemaDriftRefused(t *testing.T) {
 			if _, err := follower.FollowerApply(append(frameCreate(t, fuzzSchema), fuzzSegment(t, 2)...)); err != nil {
 				t.Fatal(err)
 			}
-			state := dumpState(follower)
+			state := stateOf(follower)
 			if err := follower.FollowerReinit(bytes.NewReader(tc.snapshot)); !errors.Is(err, ErrLegacyFormat) {
 				t.Fatalf("FollowerReinit: %v, want ErrLegacyFormat", err)
 			}
-			if !reflect.DeepEqual(dumpState(follower), state) {
-				t.Fatal("refused snapshot replaced the tables the follower serves")
-			}
+			checkState(t, "refused snapshot replaced the tables the follower serves", state, stateOf(follower))
 		})
 	}
 }

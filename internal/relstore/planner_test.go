@@ -3,9 +3,7 @@ package relstore
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 )
 
 // plannerSchema has two indexed columns so intersection plans are
@@ -514,66 +512,4 @@ func TestWALFailurePoisonsStore(t *testing.T) {
 	if err := db.Compact(); err == nil {
 		t.Fatal("poisoned store accepted a compaction")
 	}
-}
-
-// TestGroupCommitConcurrentDurability drives many concurrent committers
-// through the group-commit path on a durable store and verifies every
-// acknowledged write survives reopen.
-func TestGroupCommitConcurrentDurability(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateTable(plannerSchema()); err != nil {
-		t.Fatal(err)
-	}
-	const writers, perWriter = 8, 25
-	var wg sync.WaitGroup
-	errs := make(chan error, writers)
-	start := time.Now()
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				id := fmt.Sprintf("j%d-%d", w, i)
-				err := db.Update(func(tx *Tx) error {
-					return tx.Put("jobs", jobRow(id, "scheduled", "sysA", int64(i)))
-				})
-				if err != nil {
-					errs <- fmt.Errorf("writer %d: %w", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	t.Logf("%d fsynced commits in %v", writers*perWriter, time.Since(start))
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	re.View(func(tx *Tx) error {
-		n, err := tx.Count("jobs", NewQuery())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != writers*perWriter {
-			t.Fatalf("recovered %d rows, want %d", n, writers*perWriter)
-		}
-		n, _ = tx.Count("jobs", NewQuery().Eq("status", "scheduled"))
-		if n != writers*perWriter {
-			t.Fatalf("index recovered %d rows, want %d", n, writers*perWriter)
-		}
-		return nil
-	})
 }

@@ -73,6 +73,14 @@ type Follower struct {
 	// Zero until the first catch-up.
 	caughtUpAt time.Time
 
+	// booting is a one-slot lock a bootstrap holds from just before
+	// FollowerReinit until the bootstrap is counted and its generation
+	// recorded. Reinit publishes the new applied position, so
+	// WaitCaughtUp, once the position is reached, takes and drops the
+	// slot to return only after that bookkeeping. A channel, not a
+	// mutex, so the barrier can still give up on its context.
+	booting chan struct{}
+
 	// progress records that the current replicate pass achieved
 	// something (a clean tail round, applied bytes, or a bootstrap);
 	// run() resets its reconnect backoff when it did.
@@ -128,11 +136,12 @@ func Start(cfg Config) (*Follower, error) {
 		cfg.Logger.Printf("repl: replica %s was unrecoverable and was reset (%v); re-bootstrapping", cfg.Dir, rerr)
 	}
 	f := &Follower{
-		cfg:    cfg,
-		db:     db,
-		client: NewClient(cfg.Leader, cfg.ReplToken),
-		log:    cfg.Logger,
-		done:   make(chan struct{}),
+		cfg:     cfg,
+		db:      db,
+		client:  NewClient(cfg.Leader, cfg.ReplToken),
+		log:     cfg.Logger,
+		done:    make(chan struct{}),
+		booting: make(chan struct{}, 1),
 	}
 	f.registerMetrics(cfg.Metrics)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -372,6 +381,10 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	}
 	if rc != nil {
 		defer rc.Close()
+	}
+	f.booting <- struct{}{}
+	defer func() { <-f.booting }()
+	if rc != nil {
 		if err := f.db.FollowerReinit(rc); err != nil {
 			return fmt.Errorf("restore snapshot: %w", err)
 		}
@@ -380,9 +393,9 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 			return fmt.Errorf("reset replica: %w", err)
 		}
 	}
-	// Count the bootstrap the moment the state swap lands: Reinit moved
-	// the applied position, so a convergence barrier can return from
-	// here on and must already observe the incremented counter.
+	// Reinit has moved the applied position, but a convergence barrier
+	// that sees it waits for the booting slot: it returns only after the
+	// counter below is incremented and the generation recorded.
 	f.progress.Store(true)
 	f.mu.Lock()
 	f.bootstraps++
@@ -530,12 +543,23 @@ func (f *Follower) setErr(err error) {
 // applied position, not the locally durable one: shipped bytes are
 // durable before they are applied, and a barrier that returned in that
 // window would let the caller read state older than the tip it was
-// promised. It returns ctx's error, or the store's once it is closed.
+// promised. A position a bootstrap published counts only once that
+// bootstrap is counted in Status and its generation recorded. It returns
+// ctx's error, or the store's once it is closed.
 func (f *Follower) WaitCaughtUp(ctx context.Context) error {
 	for {
 		tip, err := f.client.Status(ctx)
 		if err == nil {
-			return f.db.WaitFollowerApplied(ctx, relstore.Position{Seq: tip.WALSeq, Off: tip.Durable})
+			if err := f.db.WaitFollowerApplied(ctx, relstore.Position{Seq: tip.WALSeq, Off: tip.Durable}); err != nil {
+				return err
+			}
+			select {
+			case f.booting <- struct{}{}:
+				<-f.booting
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
 		}
 		// The leader is unreachable or restarting: ask again shortly.
 		select {

@@ -52,22 +52,6 @@ func putKV(t *testing.T, db *DB, id string, v int64) {
 	}
 }
 
-// dumpState captures every table's rows (and sequence counter) for
-// whole-store equality checks between replication peers.
-func dumpState(db *DB) map[string]map[string]Row {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make(map[string]map[string]Row, len(db.tables))
-	for name, t := range db.tables {
-		rows := make(map[string]Row, len(t.rows))
-		for id, r := range t.rows {
-			rows[id] = r
-		}
-		out[name] = rows
-	}
-	return out
-}
-
 // shipAll copies every durable byte the leader has (sealed segments in
 // full, the active segment to its durable boundary) into the follower,
 // advancing segments the way the ship protocol would.
@@ -118,58 +102,6 @@ func TestFollowerRejectsLocalWrites(t *testing.T) {
 	}
 }
 
-func TestFollowerMirrorsLeaderAcrossSegments(t *testing.T) {
-	leader := openLeader(t, t.TempDir())
-	if err := leader.CreateTable(replTestSchema()); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 40; i++ { // small segments: this spans several
-		putKV(t, leader, "k", i)
-		putKV(t, leader, "k2", i*10)
-	}
-	pos, _, err := leader.ShipPosition()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pos.WALSeq < 2 {
-		t.Fatalf("test needs multiple segments, leader only at %d", pos.WALSeq)
-	}
-
-	fdir := t.TempDir()
-	follower := openFollower(t, fdir)
-	shipAll(t, leader, follower)
-
-	if got, want := dumpState(follower), dumpState(leader); !reflect.DeepEqual(got, want) {
-		t.Fatalf("follower state diverged:\n got %v\nwant %v", got, want)
-	}
-	fseq, foff := follower.FollowerPosition()
-	if fseq != pos.WALSeq || foff != pos.Durable {
-		t.Fatalf("follower at (%d,%d), leader at (%d,%d)", fseq, foff, pos.WALSeq, pos.Durable)
-	}
-
-	// Restart the follower: the replica must recover everything it
-	// applied and resume at exactly the same position.
-	want := dumpState(follower)
-	if err := follower.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reopened := openFollower(t, fdir)
-	if got := dumpState(reopened); !reflect.DeepEqual(got, want) {
-		t.Fatalf("restarted follower lost state:\n got %v\nwant %v", got, want)
-	}
-	if seq, off := reopened.FollowerPosition(); seq != fseq || off != foff {
-		t.Fatalf("restarted follower at (%d,%d), want (%d,%d)", seq, off, fseq, foff)
-	}
-
-	// And it keeps applying: new leader commits ship into the reopened
-	// replica.
-	putKV(t, leader, "post-restart", 1)
-	shipAll(t, leader, reopened)
-	if got, want := dumpState(reopened), dumpState(leader); !reflect.DeepEqual(got, want) {
-		t.Fatal("follower did not converge after restart")
-	}
-}
-
 func TestFollowerApplyPartialChunkIsTorn(t *testing.T) {
 	// Default segment size: everything stays in segment 1, so the whole
 	// shipped history is one chunk this test can cut mid-frame.
@@ -211,9 +143,7 @@ func TestFollowerApplyPartialChunkIsTorn(t *testing.T) {
 	if m, err := follower.FollowerApply(data[n:]); err != nil || n+m != int64(len(data)) {
 		t.Fatalf("resumed apply = %d, %v", m, err)
 	}
-	if got, want := dumpState(follower), dumpState(leader); !reflect.DeepEqual(got, want) {
-		t.Fatal("state diverged after torn retry")
-	}
+	checkState(t, "state diverged after torn retry", stateOf(leader), stateOf(follower))
 }
 
 func TestFollowerApplyUndecodableFramePoisons(t *testing.T) {
@@ -226,7 +156,7 @@ func TestFollowerApplyUndecodableFramePoisons(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("undecodable frame consumed %d bytes", n)
 	}
-	if len(dumpState(follower)) != 0 {
+	if len(stateOf(follower)) != 0 {
 		t.Fatal("undecodable frame applied state")
 	}
 	// FollowerReinit (the bootstrap path) clears the failure and leaves
@@ -243,9 +173,7 @@ func TestFollowerApplyUndecodableFramePoisons(t *testing.T) {
 	}
 	putKV(t, leader, "x", 7)
 	shipAll(t, leader, follower)
-	if got, want := dumpState(follower), dumpState(leader); !reflect.DeepEqual(got, want) {
-		t.Fatal("replica did not recover after reinit")
-	}
+	checkState(t, "replica did not recover after reinit", stateOf(leader), stateOf(follower))
 }
 
 // TestFollowerUnappliableHistoryResetsOnReopen pins the crash-in-the-
@@ -280,7 +208,7 @@ func TestFollowerUnappliableHistoryResetsOnReopen(t *testing.T) {
 	if seq, off := re.FollowerPosition(); seq != 1 || off != 0 {
 		t.Fatalf("reset replica at (%d,%d), want (1,0)", seq, off)
 	}
-	if got := dumpState(re); len(got) != 0 {
+	if got := stateOf(re); len(got) != 0 {
 		t.Fatalf("reset replica kept state: %v", got)
 	}
 	// And it replicates again from scratch.
@@ -290,48 +218,7 @@ func TestFollowerUnappliableHistoryResetsOnReopen(t *testing.T) {
 	}
 	putKV(t, leader, "alive", 1)
 	shipAll(t, leader, re)
-	if got, want := dumpState(re), dumpState(leader); !reflect.DeepEqual(got, want) {
-		t.Fatal("reset replica did not reconverge")
-	}
-}
-
-func TestFollowerReinitFromSnapshot(t *testing.T) {
-	ldir := t.TempDir()
-	leader := openLeader(t, ldir)
-	if err := leader.CreateTable(replTestSchema()); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 20; i++ {
-		putKV(t, leader, "k", i)
-	}
-	if err := leader.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	snapBoundary := leader.snapSeq.Load()
-	if snapBoundary < 1 {
-		t.Fatal("compaction produced no snapshot")
-	}
-
-	// A follower that had some unrelated state re-bootstraps from the
-	// leader's snapshot stream.
-	follower := openFollower(t, t.TempDir())
-	snap, err := os.Open(leader.SnapshotFilePath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Close()
-	if err := follower.FollowerReinit(snap); err != nil {
-		t.Fatal(err)
-	}
-	if seq, off := follower.FollowerPosition(); seq != snapBoundary+1 || off != 0 {
-		t.Fatalf("after snapshot reinit at (%d,%d), want (%d,0)", seq, off, snapBoundary+1)
-	}
-	// Tail the rest and converge.
-	putKV(t, leader, "tail", 99)
-	shipAll(t, leader, follower)
-	if got, want := dumpState(follower), dumpState(leader); !reflect.DeepEqual(got, want) {
-		t.Fatalf("snapshot bootstrap diverged:\n got %v\nwant %v", got, want)
-	}
+	checkState(t, "reset replica did not reconverge", stateOf(leader), stateOf(re))
 }
 
 // TestRefusedSnapshotIsNeverInstalled: FollowerReinit parses the shipped
@@ -358,7 +245,7 @@ func TestRefusedSnapshotIsNeverInstalled(t *testing.T) {
 	if err := follower.FollowerReinit(bytes.NewReader(snap)); err != nil {
 		t.Fatal(err)
 	}
-	state := dumpState(follower)
+	state := stateOf(follower)
 
 	if err := follower.FollowerReinit(bytes.NewReader(snap[:len(snap)-3])); err == nil {
 		t.Fatal("a truncated snapshot was accepted")
@@ -369,18 +256,14 @@ func TestRefusedSnapshotIsNeverInstalled(t *testing.T) {
 	if _, err := os.Stat(follower.SnapshotFilePath() + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("temp file left behind: %v", err)
 	}
-	if !reflect.DeepEqual(dumpState(follower), state) {
-		t.Fatal("the refused snapshot changed the tables the follower serves")
-	}
+	checkState(t, "the refused snapshot changed the tables the follower serves", state, stateOf(follower))
 	if _, err := follower.FollowerApply(frameCreate(t, fuzzSchema)); !errors.Is(err, ErrWALFailed) {
 		t.Fatalf("FollowerApply after a refused snapshot: %v, want ErrWALFailed", err)
 	}
 	if err := follower.FollowerReinit(bytes.NewReader(snap)); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(dumpState(follower), state) {
-		t.Fatal("re-bootstrap after a refused snapshot diverged")
-	}
+	checkState(t, "re-bootstrap after a refused snapshot diverged", state, stateOf(follower))
 }
 
 // TestFollowerApplyRecordIsAllOrNothing: a shipped record that cannot
@@ -511,7 +394,7 @@ func FuzzFollowerApply(f *testing.F) {
 		}
 		pn, perr := db.FollowerApply(probe)
 		poisoned := perr != nil
-		want := dumpState(db)
+		want := stateOf(db)
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -531,7 +414,7 @@ func FuzzFollowerApply(f *testing.F) {
 			if seq, off := re.FollowerPosition(); seq != 1 || off != 0 {
 				t.Fatalf("reset replica at (%d,%d), want (1,0)", seq, off)
 			}
-			if got := dumpState(re); len(got) != 0 {
+			if got := stateOf(re); len(got) != 0 {
 				t.Fatalf("reset replica kept state: %v", got)
 			}
 			return
@@ -542,7 +425,7 @@ func FuzzFollowerApply(f *testing.F) {
 		if _, off := re.FollowerPosition(); off != base+n+pn {
 			t.Fatalf("recovered position %d, want %d", off, base+n+pn)
 		}
-		if got := dumpState(re); !reflect.DeepEqual(got, want) {
+		if got := stateOf(re); !reflect.DeepEqual(got, want) {
 			t.Fatalf("recovered state diverged:\n got %v\nwant %v", got, want)
 		}
 	})
@@ -638,7 +521,7 @@ func TestWALFrameLargerThanAnyBuffer(t *testing.T) {
 	if err := leader.Update(func(tx *Tx) error { return tx.Put("users", row) }); err != nil {
 		t.Fatal(err)
 	}
-	want := dumpState(leader)
+	want := stateOf(leader)
 	pos, _, err := leader.ShipPosition()
 	if err != nil {
 		t.Fatal(err)
@@ -660,17 +543,13 @@ func TestWALFrameLargerThanAnyBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { reopened.Close() })
-	if got := dumpState(reopened); !reflect.DeepEqual(got, want) {
-		t.Fatal("the 1.5 MB record did not survive close and reopen")
-	}
+	checkState(t, "the 1.5 MB record did not survive close and reopen", want, stateOf(reopened))
 
 	whole := openFollower(t, t.TempDir())
 	if n, err := whole.FollowerApply(data); err != nil || n != int64(len(data)) {
 		t.Fatalf("FollowerApply(whole) = %d, %v; want %d, nil", n, err, len(data))
 	}
-	if got := dumpState(whole); !reflect.DeepEqual(got, want) {
-		t.Fatal("the follower's state differs from the leader's")
-	}
+	checkState(t, "the follower's state differs from the leader's", want, stateOf(whole))
 
 	cut := openFollower(t, t.TempDir())
 	mid := int(created.Durable) + (len(data)-int(created.Durable))/2
@@ -681,7 +560,5 @@ func TestWALFrameLargerThanAnyBuffer(t *testing.T) {
 	if m, err := cut.FollowerApply(data[n:]); err != nil || n+m != int64(len(data)) {
 		t.Fatalf("FollowerApply(rest) = %d, %v; want %d, nil", m, err, int64(len(data))-n)
 	}
-	if got := dumpState(cut); !reflect.DeepEqual(got, want) {
-		t.Fatal("the follower's state after the cut differs from the leader's")
-	}
+	checkState(t, "the follower's state after the cut differs from the leader's", want, stateOf(cut))
 }
