@@ -640,8 +640,10 @@ func durableForm(opts Options, compact bool) func(*testing.T, *script) {
 	}
 }
 
-// storeForms is every form a store can take, each checked against the
-// model its own way; the cheap ones also run under FuzzStoreForms.
+// storeForms is every form a store can take from one writer, each
+// checked against the model its own way; the cheap ones also run under
+// FuzzStoreForms. concurrentForm, the script on concurrent writers, runs
+// under its own tests, once per sync mode.
 var storeForms = []struct {
 	name  string
 	cheap bool
@@ -746,11 +748,14 @@ var storeForms = []struct {
 			}
 		}
 	}},
-	// The script split over one writer per lane, group-committing with
-	// readers scanning beside them, on a store that compacts as they go;
-	// then reopened.
-	{"concurrent", false, func(t *testing.T, sc *script) {
-		dir, opts := t.TempDir(), Options{CompactEvery: 16, SegmentBytes: 4 << 10}
+}
+
+// concurrentForm splits the script over one writer per lane,
+// group-committing with readers scanning beside them, then reopens the
+// store.
+func concurrentForm(opts Options) func(t *testing.T, sc *script) {
+	return func(t *testing.T, sc *script) {
+		dir := t.TempDir()
 		db := openForm(t, dir, opts)
 		created := sc.created()
 		if err := db.CreateTable(created...); err != nil {
@@ -797,18 +802,38 @@ var storeForms = []struct {
 		checkState(t, "store of concurrent writers", sc.final(), stateOf(db))
 		db = reopen(t, db, dir, opts)
 		checkState(t, "store of concurrent writers reopened", sc.final(), stateOf(db))
-	}},
+	}
+}
+
+// seededScript is the script every seeded form test plays.
+func seededScript(t *testing.T) *script {
+	return genScript(rand.New(rand.NewSource(modelSeed(t))), 160)
 }
 
 // TestStoreForms drives one seeded script through every store form.
 func TestStoreForms(t *testing.T) {
-	sc := genScript(rand.New(rand.NewSource(modelSeed(t))), 160)
+	sc := seededScript(t)
 	for _, form := range storeForms {
 		t.Run(form.name, func(t *testing.T) {
 			t.Parallel()
 			form.run(t, sc)
 		})
 	}
+}
+
+// TestConcurrentStoreAgreesWithModel runs the seeded script's lanes on
+// concurrent writers of a batched-sync store that compacts as they go.
+func TestConcurrentStoreAgreesWithModel(t *testing.T) {
+	t.Parallel()
+	concurrentForm(Options{Sync: SyncBatched, CompactEvery: 16, SegmentBytes: 4 << 10})(t, seededScript(t))
+}
+
+// TestGroupCommitConcurrentDurability runs the seeded script's lanes
+// through the fsynced group commit: every acknowledged commit must
+// survive the reopen, replayed from the log alone.
+func TestGroupCommitConcurrentDurability(t *testing.T) {
+	t.Parallel()
+	concurrentForm(Options{CompactEvery: -1, SegmentBytes: 4 << 10})(t, seededScript(t))
 }
 
 // FuzzStoreForms decodes bytes into a script and runs it through the
