@@ -60,25 +60,25 @@ type JobArchive struct {
 func (s *Service) ExportProject(projectID string) ([]byte, error) {
 	var files []archiveFile // in archive order
 	err := s.store.db.View(func(tx *relstore.Tx) error {
-		p, err := tx.Get(tableProjects, projectID)
+		p, err := projects.row(tx, projectID)
 		if err != nil {
-			return mapNotFound(err)
+			return err
 		}
-		files = append(files, entityFile("project.json", p, fromData[Project](tableProjects)))
+		files = append(files, entityFile("project.json", p, projects.from))
 		seenSystems := map[string]bool{}
 		return eachRow(tx, tableExperiments, relstore.NewQuery().Eq("projectId", projectID), func(exp relstore.Row) error {
-			files = append(files, entityFile("experiments/"+exp["id"].(string)+".json", exp, fromData[Experiment](tableExperiments)))
+			files = append(files, entityFile("experiments/"+exp["id"].(string)+".json", exp, experiments.from))
 			if sysID := exp["systemId"].(string); !seenSystems[sysID] {
 				seenSystems[sysID] = true
-				sys, err := tx.Get(tableSystems, sysID)
+				sys, err := systems.row(tx, sysID)
 				if err != nil {
 					return err
 				}
-				files = append(files, entityFile("systems/"+sysID+".json", sys, fromData[System](tableSystems)))
+				files = append(files, entityFile("systems/"+sysID+".json", sys, systems.from))
 			}
 			return eachRow(tx, tableEvaluations, relstore.NewQuery().Eq("experimentId", exp["id"]), func(ev relstore.Row) error {
 				base := "evaluations/" + ev["id"].(string) + "/"
-				files = append(files, entityFile(base+"evaluation.json", ev, fromData[Evaluation](tableEvaluations)))
+				files = append(files, entityFile(base+"evaluation.json", ev, evaluations.from))
 				return eachRow(tx, tableJobs, relstore.NewQuery().Eq("evaluationId", ev["id"]), func(job relstore.Row) error {
 					more, err := s.jobFiles(tx, base, job)
 					files = append(files, more...)

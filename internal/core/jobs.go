@@ -21,33 +21,28 @@ func (s *Service) CreateEvaluation(experimentID string) (*Evaluation, []*Job, er
 		jobs []*Job
 	)
 	err := s.store.db.Update(func(tx *relstore.Tx) error {
-		exp, err := s.store.GetExperiment(tx, experimentID)
+		exp, err := experiments.get(tx, experimentID)
 		if err != nil {
-			return mapNotFound(err)
+			return err
 		}
 		if exp.Archived {
 			return ErrArchived
 		}
-		sys, err := s.store.GetSystem(tx, exp.SystemID)
+		sys, err := systems.get(tx, exp.SystemID)
 		if err != nil {
-			return mapNotFound(err)
+			return err
 		}
 		space, err := params.NewSpace(sys.Parameters, exp.Settings)
 		if err != nil {
 			return err
 		}
-		n, err := tx.NextSeq(tableEvaluations)
+		id, n, err := evaluations.nextID(tx)
 		if err != nil {
 			return err
 		}
 		now := s.now()
-		ev = &Evaluation{
-			ID:           paddedID("evaluation", n),
-			ExperimentID: exp.ID,
-			Number:       n,
-			Created:      now,
-		}
-		if err := s.store.PutEvaluation(tx, ev); err != nil {
+		ev = &Evaluation{ID: id, ExperimentID: exp.ID, Number: n, Created: now}
+		if err := evaluations.put(tx, ev); err != nil {
 			return err
 		}
 		for i, assignment := range space.Expand() {
@@ -83,20 +78,12 @@ func (s *Service) CreateEvaluation(experimentID string) (*Evaluation, []*Job, er
 
 // GetEvaluation returns the evaluation with the given id.
 func (s *Service) GetEvaluation(id string) (*Evaluation, error) {
-	var ev *Evaluation
-	err := s.store.db.View(func(tx *relstore.Tx) error {
-		var err error
-		ev, err = s.store.GetEvaluation(tx, id)
-		return mapNotFound(err)
-	})
-	return ev, err
+	return evaluations.view(s.store.db, id)
 }
 
 // ListEvaluations returns the evaluations of an experiment.
 func (s *Service) ListEvaluations(experimentID string) ([]*Evaluation, error) {
-	return readRows(s.store.db, func(tx *relstore.Tx) (rowsOf[Evaluation], error) {
-		return s.store.ListEvaluations(tx, experimentID)
-	})
+	return evaluations.list(s.store.db, "experimentId", experimentID)
 }
 
 // ListJobs returns the jobs of an evaluation in creation order.
@@ -579,8 +566,8 @@ func (s *Service) GetJobResult(jobID string) (*Result, error) {
 func (s *Service) EvaluationStatusOf(evaluationID string) (EvaluationStatus, error) {
 	var t tally
 	err := s.store.db.View(func(tx *relstore.Tx) error {
-		if _, err := tx.Get(tableEvaluations, evaluationID); err != nil {
-			return mapNotFound(err)
+		if _, err := evaluations.row(tx, evaluationID); err != nil {
+			return err
 		}
 		return s.store.tallyJobs(tx, evaluationID, &t)
 	})

@@ -105,36 +105,19 @@ func (s *Service) CreateUser(name string, role Role) (*User, error) {
 	if !ValidRole(role) {
 		return nil, fmt.Errorf("core: unknown role %q", role)
 	}
-	var u *User
-	err := s.store.db.Update(func(tx *relstore.Tx) error {
+	return users.create(s.store.db, func(tx *relstore.Tx, id string) (*User, error) {
 		if _, err := s.store.FindUserByName(tx, name); err == nil {
-			return fmt.Errorf("core: user %q already exists", name)
+			return nil, fmt.Errorf("core: user %q already exists", name)
 		}
-		n, err := tx.NextSeq(tableUsers)
-		if err != nil {
-			return err
-		}
-		u = &User{ID: paddedID("user", n), Name: name, Role: role, Created: s.now()}
-		return s.store.PutUser(tx, u)
+		return &User{ID: id, Name: name, Role: role, Created: s.now()}, nil
 	})
-	return u, err
 }
 
 // GetUser returns the user with the given id.
-func (s *Service) GetUser(id string) (*User, error) {
-	var u *User
-	err := s.store.db.View(func(tx *relstore.Tx) error {
-		var err error
-		u, err = s.store.GetUser(tx, id)
-		return mapNotFound(err)
-	})
-	return u, err
-}
+func (s *Service) GetUser(id string) (*User, error) { return users.view(s.store.db, id) }
 
 // ListUsers returns all users.
-func (s *Service) ListUsers() ([]*User, error) {
-	return readRows(s.store.db, s.store.ListUsers)
-}
+func (s *Service) ListUsers() ([]*User, error) { return users.list(s.store.db, "", "") }
 
 // --- Projects ---
 
@@ -143,76 +126,52 @@ func (s *Service) CreateProject(name, description, ownerID string, memberIDs []s
 	if name == "" {
 		return nil, fmt.Errorf("core: project needs a name")
 	}
-	var p *Project
-	err := s.store.db.Update(func(tx *relstore.Tx) error {
-		if _, err := s.store.GetUser(tx, ownerID); err != nil {
-			return fmt.Errorf("core: owner %q: %w", ownerID, mapNotFound(err))
+	return projects.create(s.store.db, func(tx *relstore.Tx, id string) (*Project, error) {
+		if _, err := users.row(tx, ownerID); err != nil {
+			return nil, fmt.Errorf("core: owner %q: %w", ownerID, err)
 		}
 		for _, m := range memberIDs {
-			if _, err := s.store.GetUser(tx, m); err != nil {
-				return fmt.Errorf("core: member %q: %w", m, mapNotFound(err))
+			if _, err := users.row(tx, m); err != nil {
+				return nil, fmt.Errorf("core: member %q: %w", m, err)
 			}
 		}
-		n, err := tx.NextSeq(tableProjects)
-		if err != nil {
-			return err
-		}
-		p = &Project{
-			ID: paddedID("project", n), Name: name, Description: description,
+		return &Project{
+			ID: id, Name: name, Description: description,
 			OwnerID: ownerID, MemberIDs: memberIDs, Created: s.now(),
-		}
-		return s.store.PutProject(tx, p)
+		}, nil
 	})
-	return p, err
 }
 
 // GetProject returns the project with the given id.
-func (s *Service) GetProject(id string) (*Project, error) {
-	var p *Project
-	err := s.store.db.View(func(tx *relstore.Tx) error {
-		var err error
-		p, err = s.store.GetProject(tx, id)
-		return mapNotFound(err)
-	})
-	return p, err
-}
+func (s *Service) GetProject(id string) (*Project, error) { return projects.view(s.store.db, id) }
 
 // ListProjects returns all projects.
-func (s *Service) ListProjects() ([]*Project, error) {
-	return readRows(s.store.db, s.store.ListProjects)
-}
+func (s *Service) ListProjects() ([]*Project, error) { return projects.list(s.store.db, "", "") }
 
 // ArchiveProject marks a project (and implicitly its evaluation settings
 // and results) as persistent and read-only (paper §2.1, requirement iv).
 func (s *Service) ArchiveProject(id string) error {
-	return s.store.db.Update(func(tx *relstore.Tx) error {
-		p, err := s.store.GetProject(tx, id)
-		if err != nil {
-			return mapNotFound(err)
-		}
-		p.Archived = true
-		return s.store.PutProject(tx, p)
-	})
+	return projects.update(s.store.db, id, func(p *Project) { p.Archived = true })
 }
 
 // AddProjectMember adds a user to a project.
 func (s *Service) AddProjectMember(projectID, userID string) error {
 	return s.store.db.Update(func(tx *relstore.Tx) error {
-		p, err := s.store.GetProject(tx, projectID)
+		p, err := projects.get(tx, projectID)
 		if err != nil {
-			return mapNotFound(err)
+			return err
 		}
 		if p.Archived {
 			return ErrArchived
 		}
-		if _, err := s.store.GetUser(tx, userID); err != nil {
-			return mapNotFound(err)
+		if _, err := users.row(tx, userID); err != nil {
+			return err
 		}
 		if p.HasMember(userID) {
 			return nil
 		}
 		p.MemberIDs = append(p.MemberIDs, userID)
-		return s.store.PutProject(tx, p)
+		return projects.put(tx, p)
 	})
 }
 
@@ -221,6 +180,14 @@ func (s *Service) AddProjectMember(projectID, userID string) error {
 // RegisterSystem declares a System under Evaluation: its parameters and
 // result diagrams (paper Fig. 2 workflow).
 func (s *Service) RegisterSystem(name, description string, defs []params.Definition, diagrams []DiagramSpec) (*System, error) {
+	return s.RegisterSystemFrom("", name, description, defs, diagrams)
+}
+
+// RegisterSystemFrom is RegisterSystem for a definition taken from an
+// extension repository, recording source, its provenance, in the same
+// commit (paper: systems can be registered "by providing a path to a git
+// or mercurial repository").
+func (s *Service) RegisterSystemFrom(source, name, description string, defs []params.Definition, diagrams []DiagramSpec) (*System, error) {
 	if name == "" {
 		return nil, fmt.Errorf("core: system needs a name")
 	}
@@ -239,90 +206,43 @@ func (s *Service) RegisterSystem(name, description string, defs []params.Definit
 			return nil, fmt.Errorf("core: diagram needs type and metric")
 		}
 	}
-	var sys *System
-	err := s.store.db.Update(func(tx *relstore.Tx) error {
-		n, err := tx.NextSeq(tableSystems)
-		if err != nil {
-			return err
-		}
-		sys = &System{
-			ID: paddedID("system", n), Name: name, Description: description,
+	return systems.create(s.store.db, func(_ *relstore.Tx, id string) (*System, error) {
+		return &System{
+			ID: id, Name: name, Description: description, Source: source,
 			Parameters: defs, Diagrams: diagrams, Created: s.now(),
-		}
-		return s.store.PutSystem(tx, sys)
-	})
-	return sys, err
-}
-
-// SetSystemSource records the extension-repository provenance of a
-// system (paper: systems can be registered "by providing a path to a git
-// or mercurial repository").
-func (s *Service) SetSystemSource(systemID, source string) error {
-	return s.store.db.Update(func(tx *relstore.Tx) error {
-		sys, err := s.store.GetSystem(tx, systemID)
-		if err != nil {
-			return mapNotFound(err)
-		}
-		sys.Source = source
-		return s.store.PutSystem(tx, sys)
+		}, nil
 	})
 }
 
 // GetSystem returns the system with the given id.
-func (s *Service) GetSystem(id string) (*System, error) {
-	var sys *System
-	err := s.store.db.View(func(tx *relstore.Tx) error {
-		var err error
-		sys, err = s.store.GetSystem(tx, id)
-		return mapNotFound(err)
-	})
-	return sys, err
-}
+func (s *Service) GetSystem(id string) (*System, error) { return systems.view(s.store.db, id) }
 
 // ListSystems returns all registered systems.
-func (s *Service) ListSystems() ([]*System, error) {
-	return readRows(s.store.db, s.store.ListSystems)
-}
+func (s *Service) ListSystems() ([]*System, error) { return systems.list(s.store.db, "", "") }
 
 // --- Deployments ---
 
 // CreateDeployment registers an instance of a system in an environment.
 func (s *Service) CreateDeployment(systemID, name, environment, version string) (*Deployment, error) {
-	var d *Deployment
-	err := s.store.db.Update(func(tx *relstore.Tx) error {
-		if _, err := s.store.GetSystem(tx, systemID); err != nil {
-			return fmt.Errorf("core: system %q: %w", systemID, mapNotFound(err))
+	return deployments.create(s.store.db, func(tx *relstore.Tx, id string) (*Deployment, error) {
+		if _, err := systems.row(tx, systemID); err != nil {
+			return nil, fmt.Errorf("core: system %q: %w", systemID, err)
 		}
-		n, err := tx.NextSeq(tableDeployments)
-		if err != nil {
-			return err
-		}
-		d = &Deployment{
-			ID: paddedID("deployment", n), SystemID: systemID, Name: name,
+		return &Deployment{
+			ID: id, SystemID: systemID, Name: name,
 			Environment: environment, Version: version, Active: true, Created: s.now(),
-		}
-		return s.store.PutDeployment(tx, d)
+		}, nil
 	})
-	return d, err
 }
 
 // SetDeploymentActive enables or disables a deployment for scheduling.
 func (s *Service) SetDeploymentActive(id string, active bool) error {
-	return s.store.db.Update(func(tx *relstore.Tx) error {
-		d, err := s.store.GetDeployment(tx, id)
-		if err != nil {
-			return mapNotFound(err)
-		}
-		d.Active = active
-		return s.store.PutDeployment(tx, d)
-	})
+	return deployments.update(s.store.db, id, func(d *Deployment) { d.Active = active })
 }
 
 // ListDeployments returns deployments, optionally filtered by system.
 func (s *Service) ListDeployments(systemID string) ([]*Deployment, error) {
-	return readRows(s.store.db, func(tx *relstore.Tx) (rowsOf[Deployment], error) {
-		return s.store.ListDeployments(tx, systemID)
-	})
+	return deployments.list(s.store.db, "systemId", systemID)
 }
 
 // --- Experiments ---
@@ -338,62 +258,40 @@ func (s *Service) CreateExperiment(projectID, systemID, name, description string
 	if maxAttempts <= 0 {
 		maxAttempts = s.DefaultMaxAttempts
 	}
-	var e *Experiment
-	err := s.store.db.Update(func(tx *relstore.Tx) error {
-		p, err := s.store.GetProject(tx, projectID)
+	return experiments.create(s.store.db, func(tx *relstore.Tx, id string) (*Experiment, error) {
+		p, err := projects.row(tx, projectID)
 		if err != nil {
-			return fmt.Errorf("core: project %q: %w", projectID, mapNotFound(err))
+			return nil, fmt.Errorf("core: project %q: %w", projectID, err)
 		}
-		if p.Archived {
-			return ErrArchived
+		if p["archived"].(bool) {
+			return nil, ErrArchived
 		}
-		sys, err := s.store.GetSystem(tx, systemID)
+		sys, err := systems.get(tx, systemID)
 		if err != nil {
-			return fmt.Errorf("core: system %q: %w", systemID, mapNotFound(err))
+			return nil, fmt.Errorf("core: system %q: %w", systemID, err)
 		}
 		if _, err := params.NewSpace(sys.Parameters, settings); err != nil {
-			return err
+			return nil, err
 		}
-		n, err := tx.NextSeq(tableExperiments)
-		if err != nil {
-			return err
-		}
-		e = &Experiment{
-			ID: paddedID("experiment", n), ProjectID: projectID, SystemID: systemID,
+		return &Experiment{
+			ID: id, ProjectID: projectID, SystemID: systemID,
 			Name: name, Description: description, Settings: settings,
 			MaxAttempts: maxAttempts, Created: s.now(),
-		}
-		return s.store.PutExperiment(tx, e)
+		}, nil
 	})
-	return e, err
 }
 
 // GetExperiment returns the experiment with the given id.
 func (s *Service) GetExperiment(id string) (*Experiment, error) {
-	var e *Experiment
-	err := s.store.db.View(func(tx *relstore.Tx) error {
-		var err error
-		e, err = s.store.GetExperiment(tx, id)
-		return mapNotFound(err)
-	})
-	return e, err
+	return experiments.view(s.store.db, id)
 }
 
 // ListExperiments returns the experiments of a project (all when empty).
 func (s *Service) ListExperiments(projectID string) ([]*Experiment, error) {
-	return readRows(s.store.db, func(tx *relstore.Tx) (rowsOf[Experiment], error) {
-		return s.store.ListExperiments(tx, projectID)
-	})
+	return experiments.list(s.store.db, "projectId", projectID)
 }
 
 // ArchiveExperiment freezes an experiment.
 func (s *Service) ArchiveExperiment(id string) error {
-	return s.store.db.Update(func(tx *relstore.Tx) error {
-		e, err := s.store.GetExperiment(tx, id)
-		if err != nil {
-			return mapNotFound(err)
-		}
-		e.Archived = true
-		return s.store.PutExperiment(tx, e)
-	})
+	return experiments.update(s.store.db, id, func(e *Experiment) { e.Archived = true })
 }

@@ -22,12 +22,11 @@ import (
 // mirroring how the original Chronos Control keeps its MySQL schema thin
 // and reconstructs rich objects in the application layer.
 //
-// Single-row reads build their entity inside the caller's transaction.
-// Multi-row reads return rowsOf — the matching rows themselves — and the
-// Service turns them into entities after its View has returned
-// (readRows): relstore never mutates a committed row, so the rows keep
-// the View's cut, and decoding holds no store lock that an agent commit
-// (or, on a follower, an apply) waits for.
+// Reads that decode take their rows inside a View and decode them after
+// it has returned (jsonTable's view and list, readRows): relstore never
+// mutates a committed row, so the rows keep the View's cut, and decoding
+// holds no store lock that an agent commit (or, on a follower, an apply)
+// waits for.
 type Store struct {
 	db *relstore.DB
 }
@@ -179,35 +178,6 @@ func (s *Store) DB() *relstore.DB { return s.db }
 // daemon logs them; tests assert on them).
 func (s *Store) StorageStats() relstore.Stats { return s.db.Stats() }
 
-// putJSON marshals entity into the table's data column alongside the
-// scalar query columns. The row maps callers pass in are built for this
-// call and never touched again: Put keeps them as the stored rows.
-func putJSON(tx *relstore.Tx, table string, row relstore.Row, entity any) error {
-	data, err := json.Marshal(entity)
-	if err != nil {
-		return fmt.Errorf("core: marshal %s row: %w", table, err)
-	}
-	row["data"] = data
-	return tx.Put(table, row)
-}
-
-// getJSON unmarshals the data column of the row with the given id.
-func getJSON(tx *relstore.Tx, table, id string, out any) error {
-	row, err := tx.Get(table, id)
-	if err != nil {
-		return err
-	}
-	return decodeJSON(table, row["data"].([]byte), out)
-}
-
-// decodeJSON unmarshals one row's data column.
-func decodeJSON(table string, data []byte, out any) error {
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("core: decode %s row: %w", table, err)
-	}
-	return nil
-}
-
 // setNonZero puts v in row[col] unless it is its type's zero value: an
 // absent column reads back as exactly that.
 func setNonZero[T comparable](row relstore.Row, col string, v T) {
@@ -251,14 +221,6 @@ func (r rowsOf[T]) build() ([]*T, error) {
 	return out, nil
 }
 
-// fromData is the from of a table whose rows carry their entity as JSON
-// in the data column.
-func fromData[T any](table string) func(relstore.Row, *T) error {
-	return func(row relstore.Row, v *T) error {
-		return decodeJSON(table, row["data"].([]byte), v)
-	}
-}
-
 // readRows runs read in a View and builds what it took once the View has
 // returned: the store lock is held for the scan alone.
 func readRows[T any](db *relstore.DB, read func(*relstore.Tx) (rowsOf[T], error)) ([]*T, error) {
@@ -288,20 +250,157 @@ func eachRow(tx *relstore.Tx, table string, q *relstore.Query, fn func(relstore.
 	return ferr
 }
 
-// --- Users ---
-
-// PutUser stores a user.
-func (s *Store) PutUser(tx *relstore.Tx, u *User) error {
-	return putJSON(tx, tableUsers, relstore.Row{"id": u.ID, "name": u.Name}, u)
+// jsonTable is one of the six tables whose rows carry their entity as
+// JSON in the data column, beside the scalar columns its queries and the
+// agent path read: users, projects, systems, deployments, experiments and
+// evaluations. Its methods are the one copy of their writes and reads.
+// Readers take rows inside a View and decode them after it (view, list);
+// a transaction that writes an entity back decodes it inside (get), and a
+// check that needs only a row's existence or a scalar column reads the row
+// (row) and decodes nothing.
+type jsonTable[T any] struct {
+	name   string
+	prefix string // ids are prefix-000000001, prefix-000000002, …
+	// cols is the scalar columns of v's row, key included.
+	cols func(v *T) relstore.Row
 }
 
-// GetUser loads a user by id.
-func (s *Store) GetUser(tx *relstore.Tx, id string) (*User, error) {
-	var u User
-	if err := getJSON(tx, tableUsers, id, &u); err != nil {
+var (
+	users = jsonTable[User]{tableUsers, "user", func(u *User) relstore.Row {
+		return relstore.Row{"id": u.ID, "name": u.Name}
+	}}
+	projects = jsonTable[Project]{tableProjects, "project", func(p *Project) relstore.Row {
+		return relstore.Row{"id": p.ID, "archived": p.Archived}
+	}}
+	systems = jsonTable[System]{tableSystems, "system", func(sys *System) relstore.Row {
+		row := relstore.Row{"id": sys.ID, "name": sys.Name}
+		if len(sys.Parameters) > 0 {
+			// put marshalled the system, parameters included, before it
+			// asked for its columns: this marshal cannot fail.
+			row["parameters"], _ = json.Marshal(sys.Parameters)
+		}
+		return row
+	}}
+	deployments = jsonTable[Deployment]{tableDeployments, "deployment", func(d *Deployment) relstore.Row {
+		return relstore.Row{"id": d.ID, "systemId": d.SystemID, "active": d.Active, "name": d.Name}
+	}}
+	experiments = jsonTable[Experiment]{tableExperiments, "experiment", func(e *Experiment) relstore.Row {
+		return relstore.Row{"id": e.ID, "projectId": e.ProjectID, "systemId": e.SystemID, "maxAttempts": int64(e.MaxAttempts)}
+	}}
+	evaluations = jsonTable[Evaluation]{tableEvaluations, "evaluation", func(ev *Evaluation) relstore.Row {
+		return relstore.Row{"id": ev.ID, "experimentId": ev.ExperimentID}
+	}}
+)
+
+// put writes v's row: its scalar columns and v as JSON in data. The row is
+// built for this call, and Put keeps it as the stored row.
+func (t jsonTable[T]) put(tx *relstore.Tx, v *T) error {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("core: marshal %s row: %w", t.name, err)
+	}
+	row := t.cols(v)
+	row["data"] = data
+	return tx.Put(t.name, row)
+}
+
+// row is the stored row with the given id, ErrNotFound when there is none.
+func (t jsonTable[T]) row(tx *relstore.Tx, id string) (relstore.Row, error) {
+	row, err := tx.Get(t.name, id)
+	return row, mapNotFound(err)
+}
+
+// from builds the entity a row holds: the from of the table's rowsOf.
+func (t jsonTable[T]) from(row relstore.Row, v *T) error {
+	if err := json.Unmarshal(row["data"].([]byte), v); err != nil {
+		return fmt.Errorf("core: decode %s row: %w", t.name, err)
+	}
+	return nil
+}
+
+// entity is the entity one row holds.
+func (t jsonTable[T]) entity(row relstore.Row) (*T, error) {
+	v := new(T)
+	if err := t.from(row, v); err != nil {
 		return nil, err
 	}
-	return &u, nil
+	return v, nil
+}
+
+// get reads an entity inside tx, for a transaction that writes it back or
+// needs more of it than its scalar columns.
+func (t jsonTable[T]) get(tx *relstore.Tx, id string) (*T, error) {
+	row, err := t.row(tx, id)
+	if err != nil {
+		return nil, err
+	}
+	return t.entity(row)
+}
+
+// view reads one entity: its row is taken in a View and decoded after it.
+func (t jsonTable[T]) view(db *relstore.DB, id string) (*T, error) {
+	var row relstore.Row
+	err := db.View(func(tx *relstore.Tx) error {
+		var err error
+		row, err = t.row(tx, id)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return t.entity(row)
+}
+
+// list reads the entities whose indexed column col equals val, every one
+// when val is empty, in key order: the rows are taken in a View and
+// decoded after it.
+func (t jsonTable[T]) list(db *relstore.DB, col, val string) ([]*T, error) {
+	q := relstore.NewQuery()
+	if val != "" {
+		q = q.Eq(col, val)
+	}
+	return readRows(db, func(tx *relstore.Tx) (rowsOf[T], error) {
+		return selectRows(tx, t.name, q, t.from)
+	})
+}
+
+// nextID draws the table's next sequence number and the id it makes.
+func (t jsonTable[T]) nextID(tx *relstore.Tx) (string, int64, error) {
+	n, err := tx.NextSeq(t.name)
+	if err != nil {
+		return "", 0, err
+	}
+	return paddedID(t.prefix, n), n, nil
+}
+
+// create stores the entity build makes under the table's next id, in a
+// transaction of its own: build runs the creation's checks inside it.
+func (t jsonTable[T]) create(db *relstore.DB, build func(tx *relstore.Tx, id string) (*T, error)) (*T, error) {
+	var v *T
+	err := db.Update(func(tx *relstore.Tx) error {
+		id, _, err := t.nextID(tx)
+		if err != nil {
+			return err
+		}
+		if v, err = build(tx, id); err != nil {
+			return err
+		}
+		return t.put(tx, v)
+	})
+	return v, err
+}
+
+// update writes an entity back as change leaves it, in a transaction of
+// its own.
+func (t jsonTable[T]) update(db *relstore.DB, id string, change func(*T)) error {
+	return db.Update(func(tx *relstore.Tx) error {
+		v, err := t.get(tx, id)
+		if err != nil {
+			return err
+		}
+		change(v)
+		return t.put(tx, v)
+	})
 }
 
 // FindUserByName returns the user with the given (unique) name.
@@ -313,64 +412,10 @@ func (s *Store) FindUserByName(tx *relstore.Tx, name string) (*User, error) {
 	if len(rows) == 0 {
 		return nil, relstore.ErrNotFound
 	}
-	var u User
-	if err := json.Unmarshal(rows[0]["data"].([]byte), &u); err != nil {
-		return nil, err
-	}
-	return &u, nil
+	return users.entity(rows[0])
 }
 
-// ListUsers returns all users ordered by id.
-func (s *Store) ListUsers(tx *relstore.Tx) (rowsOf[User], error) {
-	return selectRows(tx, tableUsers, relstore.NewQuery(), fromData[User](tableUsers))
-}
-
-// --- Projects ---
-
-// PutProject stores a project.
-func (s *Store) PutProject(tx *relstore.Tx, p *Project) error {
-	return putJSON(tx, tableProjects, relstore.Row{"id": p.ID, "archived": p.Archived}, p)
-}
-
-// GetProject loads a project by id.
-func (s *Store) GetProject(tx *relstore.Tx, id string) (*Project, error) {
-	var p Project
-	if err := getJSON(tx, tableProjects, id, &p); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
-// ListProjects returns all projects ordered by id.
-func (s *Store) ListProjects(tx *relstore.Tx) (rowsOf[Project], error) {
-	return selectRows(tx, tableProjects, relstore.NewQuery(), fromData[Project](tableProjects))
-}
-
-// --- Systems ---
-
-// PutSystem stores a system.
-func (s *Store) PutSystem(tx *relstore.Tx, sys *System) error {
-	row := relstore.Row{"id": sys.ID, "name": sys.Name}
-	if len(sys.Parameters) > 0 {
-		defs, err := json.Marshal(sys.Parameters)
-		if err != nil {
-			return fmt.Errorf("core: marshal system %s parameters: %w", sys.ID, err)
-		}
-		row["parameters"] = defs
-	}
-	return putJSON(tx, tableSystems, row, sys)
-}
-
-// GetSystem loads a system by id.
-func (s *Store) GetSystem(tx *relstore.Tx, id string) (*System, error) {
-	var sys System
-	if err := getJSON(tx, tableSystems, id, &sys); err != nil {
-		return nil, err
-	}
-	return &sys, nil
-}
-
-// systemParameters returns a system's parameter definitions as PutSystem
+// systemParameters returns a system's parameter definitions as its put
 // stored them: JSON, nil for a system that defines none.
 func (s *Store) systemParameters(tx *relstore.Tx, id string) (json.RawMessage, error) {
 	row, err := tx.Get(tableSystems, id)
@@ -379,19 +424,6 @@ func (s *Store) systemParameters(tx *relstore.Tx, id string) (json.RawMessage, e
 	}
 	defs, _ := row["parameters"].([]byte)
 	return defs, nil
-}
-
-// ListSystems returns all systems ordered by id.
-func (s *Store) ListSystems(tx *relstore.Tx) (rowsOf[System], error) {
-	return selectRows(tx, tableSystems, relstore.NewQuery(), fromData[System](tableSystems))
-}
-
-// --- Deployments ---
-
-// PutDeployment stores a deployment.
-func (s *Store) PutDeployment(tx *relstore.Tx, d *Deployment) error {
-	row := relstore.Row{"id": d.ID, "systemId": d.SystemID, "active": d.Active, "name": d.Name}
-	return putJSON(tx, tableDeployments, row, d)
 }
 
 // DeploymentClaimInfo returns the three deployment fields a claim reads —
@@ -405,36 +437,6 @@ func (s *Store) DeploymentClaimInfo(tx *relstore.Tx, id string) (systemID, name 
 	}
 	name, _ = row["name"].(string)
 	return row["systemId"].(string), name, row["active"].(bool), nil
-}
-
-// GetDeployment loads a deployment by id.
-func (s *Store) GetDeployment(tx *relstore.Tx, id string) (*Deployment, error) {
-	var d Deployment
-	if err := getJSON(tx, tableDeployments, id, &d); err != nil {
-		return nil, err
-	}
-	return &d, nil
-}
-
-// ListDeployments returns the deployments of a system (all systems when
-// systemID is empty).
-func (s *Store) ListDeployments(tx *relstore.Tx, systemID string) (rowsOf[Deployment], error) {
-	q := relstore.NewQuery()
-	if systemID != "" {
-		q = q.Eq("systemId", systemID)
-	}
-	return selectRows(tx, tableDeployments, q, fromData[Deployment](tableDeployments))
-}
-
-// --- Experiments ---
-
-// PutExperiment stores an experiment.
-func (s *Store) PutExperiment(tx *relstore.Tx, e *Experiment) error {
-	row := relstore.Row{
-		"id": e.ID, "projectId": e.ProjectID, "systemId": e.SystemID,
-		"maxAttempts": int64(e.MaxAttempts),
-	}
-	return putJSON(tx, tableExperiments, row, e)
 }
 
 // AttemptBudget returns the attempt budget of the experiment behind the
@@ -462,51 +464,6 @@ func (s *Store) AttemptBudget(tx *relstore.Tx, evaluationID string) (budget int6
 	}
 	budget, ok = exp["maxAttempts"].(int64)
 	return budget, ok, nil
-}
-
-// GetExperiment loads an experiment by id.
-func (s *Store) GetExperiment(tx *relstore.Tx, id string) (*Experiment, error) {
-	var e Experiment
-	if err := getJSON(tx, tableExperiments, id, &e); err != nil {
-		return nil, err
-	}
-	return &e, nil
-}
-
-// ListExperiments returns the experiments of a project (all when empty).
-func (s *Store) ListExperiments(tx *relstore.Tx, projectID string) (rowsOf[Experiment], error) {
-	q := relstore.NewQuery()
-	if projectID != "" {
-		q = q.Eq("projectId", projectID)
-	}
-	return selectRows(tx, tableExperiments, q, fromData[Experiment](tableExperiments))
-}
-
-// --- Evaluations ---
-
-// PutEvaluation stores an evaluation.
-func (s *Store) PutEvaluation(tx *relstore.Tx, ev *Evaluation) error {
-	row := relstore.Row{"id": ev.ID, "experimentId": ev.ExperimentID}
-	return putJSON(tx, tableEvaluations, row, ev)
-}
-
-// GetEvaluation loads an evaluation by id.
-func (s *Store) GetEvaluation(tx *relstore.Tx, id string) (*Evaluation, error) {
-	var ev Evaluation
-	if err := getJSON(tx, tableEvaluations, id, &ev); err != nil {
-		return nil, err
-	}
-	return &ev, nil
-}
-
-// ListEvaluations returns the evaluations of an experiment (all when
-// empty).
-func (s *Store) ListEvaluations(tx *relstore.Tx, experimentID string) (rowsOf[Evaluation], error) {
-	q := relstore.NewQuery()
-	if experimentID != "" {
-		q = q.Eq("experimentId", experimentID)
-	}
-	return selectRows(tx, tableEvaluations, q, fromData[Evaluation](tableEvaluations))
 }
 
 // --- Jobs ---

@@ -90,21 +90,6 @@ func TestFindUserByName(t *testing.T) {
 	}
 }
 
-func TestSetSystemSource(t *testing.T) {
-	svc, _ := newTestService(t)
-	sys, _ := svc.RegisterSystem("s", "", nil, nil)
-	if err := svc.SetSystemSource(sys.ID, "repo@v2"); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := svc.GetSystem(sys.ID)
-	if got.Source != "repo@v2" {
-		t.Fatalf("source = %q", got.Source)
-	}
-	if err := svc.SetSystemSource("system-000000404", "x"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("ghost system: %v", err)
-	}
-}
-
 func TestTimestampsAreUTCAndTruncated(t *testing.T) {
 	svc, clock := newTestService(t)
 	_ = clock

@@ -141,15 +141,11 @@ func (r *Repository) InstallSystems(svc *core.Service) ([]*core.System, error) {
 		if present[def.Name+"|"+r.Source()] {
 			continue
 		}
-		sys, err := svc.RegisterSystem(def.Name, def.Description, def.Parameters, def.Diagrams)
+		// One commit each, provenance included: a system is never stored
+		// without the source the check above recognises it by.
+		sys, err := svc.RegisterSystemFrom(r.Source(), def.Name, def.Description, def.Parameters, def.Diagrams)
 		if err != nil {
 			return nil, fmt.Errorf("extension: register %s: %w", def.Name, err)
-		}
-		// Record provenance. RegisterSystem has no source parameter (UI
-		// registrations have none), so patch it afterwards.
-		sys.Source = r.Source()
-		if err := svc.SetSystemSource(sys.ID, sys.Source); err != nil {
-			return nil, err
 		}
 		out = append(out, sys)
 	}

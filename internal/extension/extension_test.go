@@ -8,6 +8,7 @@ import (
 
 	"chronos/internal/analysis"
 	"chronos/internal/core"
+	"chronos/internal/metrics"
 	"chronos/internal/params"
 	"chronos/internal/relstore"
 )
@@ -152,5 +153,51 @@ func TestLoadErrors(t *testing.T) {
 		"diagrams": [{"base": "line"}]}`, nil)
 	if _, err := Load(dir); err == nil {
 		t.Fatal("alias without type accepted")
+	}
+}
+
+// TestInstallIsOneCommitPerSystem: each system is stored with its source
+// in the commit that creates it, so a stop between two commits can never
+// leave a system the re-install check fails to recognise.
+func TestInstallIsOneCommitPerSystem(t *testing.T) {
+	files := map[string]string{}
+	var names []string
+	for _, n := range []string{"a", "b", "c"} {
+		files[n+".json"] = `{"name": "sys-` + n + `", "parameters": []}`
+		names = append(names, `"`+n+`.json"`)
+	}
+	repo, err := Load(writeRepo(t, `{"name": "r", "version": "v1", "systems": [`+strings.Join(names, ",")+`]}`, files))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	db, err := relstore.Open(t.TempDir(), &relstore.Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	svc, err := core.NewService(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commits := reg.Counter("chronos_store_commits_total", "")
+	before := commits.Value()
+	if _, err := repo.InstallSystems(svc); err != nil {
+		t.Fatal(err)
+	}
+	if n := commits.Value() - before; n != int64(len(repo.Systems)) {
+		t.Fatalf("installing %d systems made %d commits, want one each", len(repo.Systems), n)
+	}
+	all, err := svc.ListSystems()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != len(repo.Systems) {
+		t.Fatalf("stored %d systems, want %d", len(all), len(repo.Systems))
+	}
+	for _, sys := range all {
+		if sys.Source != repo.Source() {
+			t.Fatalf("system %s stored with source %q, want %q", sys.Name, sys.Source, repo.Source())
+		}
 	}
 }

@@ -347,8 +347,11 @@ func (db *DB) snapshotPath() string { return filepath.Join(db.dir, "store.snapsh
 
 // Close flushes and closes the WAL and waits for any in-flight
 // background compaction cycle to wind down. The DB must not be used
-// afterwards. An active segment nothing was written to is removed, so
-// repeated open/close cycles don't accumulate empty segment files.
+// afterwards. A leader's active segment that nothing was written to is
+// removed, so repeated open/close cycles don't accumulate empty segment
+// files. A follower keeps its own: it names the position it applied to,
+// and a follower stopped at a segment's start reopened one segment back
+// would be below a snapshot that covers that segment, and re-bootstrap.
 func (db *DB) Close() error {
 	db.walMu.Lock()
 	if db.closed {
@@ -360,7 +363,7 @@ func (db *DB) Close() error {
 	var emptySeg string
 	if db.wal != nil {
 		err = db.wal.Close()
-		if err == nil && db.wal.size == 0 {
+		if err == nil && db.wal.size == 0 && !db.opts.Follower {
 			emptySeg = filepath.Join(db.dir, segmentName(db.walSeq))
 		}
 	}

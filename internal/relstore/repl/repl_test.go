@@ -465,3 +465,65 @@ func TestCorruptingTransportNeverDiverges(t *testing.T) {
 	}
 	assertConverged(t, l, f)
 }
+
+// TestFollowerRestartAtSegmentBoundaryResumes stops a follower that has
+// applied exactly to the start of the leader's active segment — where a
+// leader compaction leaves it, with the snapshot covering every segment
+// before — and restarts it: it must resume at (seq, 0), not one segment
+// back, below the snapshot, where only a re-bootstrap could serve it.
+//
+// When the leader restarts meanwhile, the follower must prove its history
+// before adopting the new generation, and at (seq, 0) the only bytes to
+// compare are segment seq-1's, which the leader's snapshot covers and it
+// no longer serves: a leader that diverged and compacted to the same
+// boundary would look the same, so the follower re-bootstraps, once.
+func TestFollowerRestartAtSegmentBoundaryResumes(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		restartLeader  bool
+		wantBootstraps int64
+	}{
+		{"leader-running", false, 0},
+		{"leader-restarted", true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := &relstore.Options{SegmentBytes: 1 << 20, CompactEvery: -1}
+			l := startLeader(t, opts, nil)
+			if err := l.DB().CreateTable(kvSchema()); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 50; i++ {
+				put(t, l.DB(), "kv", fmt.Sprintf("a-%06d", i), int64(i))
+			}
+			dir := t.TempDir()
+			f := startFollower(t, l, dir)
+			waitConverged(t, f)
+			if err := l.DB().Compact(); err != nil {
+				t.Fatal(err)
+			}
+			pos, _, err := l.DB().ShipPosition()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pos.Durable != 0 || pos.SnapshotSeq != pos.WALSeq-1 {
+				t.Fatalf("leader after compaction at %+v, want the start of the segment after the snapshot", pos)
+			}
+			waitConverged(t, f)
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.restartLeader {
+				l.restart(opts)
+			}
+			for i := 0; i < 50; i++ {
+				put(t, l.DB(), "kv", fmt.Sprintf("b-%06d", i), int64(i))
+			}
+
+			f2 := startFollower(t, l, dir)
+			assertConverged(t, l, f2)
+			if n := f2.Status().Bootstraps; n != tc.wantBootstraps {
+				t.Fatalf("restart at a segment boundary made %d bootstrap(s), want %d", n, tc.wantBootstraps)
+			}
+		})
+	}
+}
