@@ -24,11 +24,16 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
+	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"chronos/internal/auth"
@@ -96,15 +101,44 @@ func main() {
 	}
 }
 
-// run serves the assembled process on its one listener until that fails.
+// shutdownGrace bounds how long a stopping server waits for the requests
+// in flight before it closes their connections.
+const shutdownGrace = 5 * time.Second
+
+// run serves the assembled process on its one listener until that fails
+// or a SIGTERM or SIGINT arrives. On a signal it stops accepting, gives
+// the requests in flight shutdownGrace to finish, closes the connections
+// left, and closes the store (its last group commit and the WAL), so a
+// signalled server exits 0 with everything it acknowledged on disk.
 func run(c config) error {
-	server, closeStore, err := assemble(context.Background(), c)
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
+	server, closeStore, err := assemble(ctx, c)
 	if err != nil {
 		return err
 	}
-	defer closeStore()
+	ln, err := net.Listen("tcp", c.addr)
+	if err != nil {
+		return errors.Join(err, closeStore())
+	}
 	log.Printf("chronos-control listening on %s (data in %s)", c.addr, c.dataDir)
-	return http.ListenAndServe(c.addr, server.Handler())
+	srv := &http.Server{Handler: server.Handler()}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return errors.Join(err, closeStore())
+	case <-ctx.Done():
+	}
+	stop() // a second signal ends the process the default way
+	log.Printf("signal received: shutting down")
+	sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		log.Printf("shutdown: %v; closing the connections left", err)
+		srv.Close()
+	}
+	return closeStore()
 }
 
 // assemble builds the process: a store, the service over it, and the one
@@ -112,8 +146,9 @@ func run(c config) error {
 // the same assembly. They differ in how the store is opened — a follower's
 // is a repl.Follower's replica, kept converging with the leader — and in
 // the steps that write, which are the leader's alone: the watchdog, the
-// -admin bootstrap, the extensions. ctx bounds the watchdog; closeStore
-// ends replication and closes the store.
+// -admin bootstrap, the extensions. ctx bounds the watchdog (run's ends
+// at the stopping signal); closeStore ends replication and closes the
+// store.
 func assemble(ctx context.Context, c config) (server *rest.Server, closeStore func() error, err error) {
 	reg := metrics.NewRegistry()
 	var db *relstore.DB

@@ -1,23 +1,29 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
+	"chronos/internal/core"
 	"chronos/internal/relstore"
+	"chronos/pkg/client"
 )
 
 var update = flag.Bool("update", false, "rewrite the -h golden file from the binary's flags")
@@ -126,6 +132,71 @@ func TestOlderFormatIsRefusedAtStart(t *testing.T) {
 	}
 	if after := segments(); !slices.Equal(after, before) {
 		t.Fatalf("segments %v after the refused start, %v before", after, before)
+	}
+}
+
+// TestSignalStopsCleanly: on SIGTERM chronos-control stops accepting,
+// lets the requests in flight finish, closes its store and exits 0, and
+// the store it leaves holds every write it acknowledged.
+func TestSignalStopsCleanly(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("no SIGTERM to send on windows")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-addr", addr, "-data", dir)
+	cmd.Env = append(os.Environ(), "CHRONOS_CONTROL_AS_MAIN=1")
+	var out bytes.Buffer // read only once the process has exited
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	defer cmd.Process.Kill() //nolint:errcheck // already-exited is fine
+
+	c := client.NewClient("http://"+addr, client.WithVersion("v2"))
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if _, err := c.Ping(); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill() //nolint:errcheck
+			<-exited
+			t.Fatalf("chronos-control never answered on %s:\n%s", addr, out.String())
+		}
+	}
+	u, err := c.CreateUser("stopped-cleanly", core.RoleViewer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("chronos-control ended with %v on SIGTERM, want exit status 0:\n%s", err, out.String())
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("chronos-control did not exit within 15s of SIGTERM")
+	}
+
+	db, err := relstore.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.View(func(tx *relstore.Tx) error {
+		_, err := tx.Get("users", u.ID)
+		return err
+	}); err != nil {
+		t.Fatalf("the acknowledged user %s after the stop: %v", u.ID, err)
 	}
 }
 

@@ -118,14 +118,19 @@ type table struct {
 //     it. Tx operations take no lock of their own.
 //   - group.mu only orders commit batches; it is held for O(1) sections.
 //     With db.mu held exclusively it is the only lock ever taken.
-//   - db.walMu serialises WAL segment writes, rotation and close. The
-//     compactor alone takes walMu with db.mu held (shared): see
-//     sealAndClone for the order and why it is safe.
+//   - db.walMu is the lock of WAL IO: segment appends, fsyncs, rotation
+//     and close, and the follower's apply and re-bootstrap. The compactor
+//     alone takes walMu with db.mu held (shared): see sealAndClone for the
+//     order and why it is safe. Readers of WAL state never take it: every
+//     change made under walMu ends by publishing an immutable walState,
+//     which ReadPosition, ShipPosition, FollowerPosition,
+//     WaitFollowerApplied and Stats load instead.
 //   - db.snapMu serialises compaction cycles (background and manual).
 //
 // A committing Update applies its writes under db.mu, then releases it
-// and waits for the group committer to make the batch durable (one WAL
-// write + fsync may cover many concurrent commits).
+// and waits for its own batch to be made durable (one WAL write + fsync
+// may cover many concurrent commits): it waits out the batch being
+// written ahead of it, never the batches queued behind it.
 // Update does not return success before its record is on stable storage,
 // but concurrent readers may observe a commit slightly before it is
 // durable — the same contract as group commit in classic databases. A WAL
@@ -135,8 +140,7 @@ type table struct {
 // reopening the store recovers the last consistent logged state.
 type DB struct {
 	// dir is "" for OpenMemory and set once at Open otherwise, so "is
-	// there a WAL at all?" never touches walMu, where a group leader may
-	// be mid-fsync.
+	// there a WAL at all?" needs no lock.
 	dir  string
 	opts Options
 
@@ -148,20 +152,13 @@ type DB struct {
 	// poll never queues on mu behind a bulk write.
 	rowTotal, tableCount atomic.Int64
 
-	walMu  sync.Mutex // serialises WAL writes, rotation and close
+	walMu  sync.Mutex // serialises WAL IO: appends, fsyncs, rotation, close
 	wal    *walWriter // active segment writer
 	walSeq int64      // sequence number of the active segment
 	walErr error      // sticky WAL failure; guarded by walMu
-	// walFailed is 1 while walErr is set, for a gauge that must not
-	// queue on walMu behind a group commit's fsync.
-	walFailed atomic.Int64
-	// walNotify is closed and replaced whenever the WAL state or a
-	// follower's applied position advances (new durable bytes, rotation,
-	// poisoning, close, an applied chunk, a re-bootstrap). The replication
-	// ship handler long-polls it to stream the active segment's tail
-	// without busy-waiting, and WaitFollowerApplied blocks on it; each
-	// re-checks its own condition on waking. Guarded by walMu.
-	walNotify chan struct{}
+	// walView is the WAL state readers see, replaced by publishWALLocked
+	// after every change to walSeq, wal, walErr, closed, applied or gen.
+	walView atomic.Pointer[walState]
 	// commitCount is written under walMu but read lock-free by
 	// maybeCompact, so committers don't queue on walMu (where a group
 	// leader may be mid-fsync) just to learn no compaction is due.
@@ -185,19 +182,19 @@ type DB struct {
 	openReset error
 
 	// applied is the follower position whose records are applied to the
-	// in-memory tables, guarded by walMu. FollowerApply makes shipped
-	// bytes durable first and applies them second, so the durable
-	// position (wal.size — where shipping resumes) can briefly run ahead
-	// of this one; convergence barriers must wait on the applied
+	// in-memory tables, guarded by walMu (readers load walView).
+	// FollowerApply makes shipped bytes durable first and applies them
+	// second, so the durable position (wal.size — where shipping
+	// resumes) can briefly run ahead of this one; convergence barriers must wait on the applied
 	// position or they would declare a replica caught up while its reads
 	// still serve older state.
 	applied Position
 
 	// gen is the store generation (see generation.go): the identity of
 	// the WAL history that positions and session tokens are relative to.
-	// Guarded by walMu; a leader's generation is fixed at Open, a
-	// follower's moves as the replication orchestrator verifies it
-	// against its leader.
+	// Guarded by walMu (readers load walView); a leader's generation is
+	// fixed at Open, a follower's moves as the replication orchestrator
+	// verifies it against its leader.
 	gen Generation
 
 	// compacting gates the background compactor to one goroutine;
@@ -218,12 +215,17 @@ type DB struct {
 
 // groupCommitter batches concurrently committing transactions into a
 // single WAL write + fsync. Records are enqueued in apply order (the
-// enqueuer holds db.mu) and one committer — the leader — drains whole
-// batches on behalf of everyone waiting on them, in enqueue order.
+// enqueuer holds db.mu) and batches are written one at a time, in enqueue
+// order, each by one of its own committers (see awaitCommit).
 type groupCommitter struct {
 	mu      sync.Mutex
 	cur     *walBatch // batch currently accumulating, nil if none
-	writing bool      // a leader is flushing batches
+	writing bool      // a leader is writing a batch
+	// heir is set while one of cur's committers waits on lead (whose L
+	// is mu) for writing to end, to lead cur next. There is at most one
+	// heir, so the leader that ends wakes it with a Signal.
+	heir bool
+	lead sync.Cond
 	// last is the done channel of the batch the newest record joined
 	// (nil before the first). Batches are written in enqueue order, so
 	// once it is closed every record enqueued so far has been written or
@@ -236,6 +238,25 @@ type walBatch struct {
 	recs []walRecord
 	done chan struct{}
 	err  error
+}
+
+// walState is one immutable reading of the WAL, published under walMu by
+// publishWALLocked. Its readers load the newest one and take no lock, so
+// none of them waits out a commit's fsync.
+type walState struct {
+	gen Generation
+	// seq is the active segment and size how many of its bytes are
+	// durable (0 while a follower re-bootstraps and has no writer).
+	seq, size int64
+	applied   Position // a follower's applied position
+	// usable is walUsableLocked's answer (errClosed once closed); walErr
+	// is the sticky failure alone.
+	usable, walErr error
+	// notify is closed when the next state is published: a long-poll on
+	// WAL progress (new durable bytes, rotation, poisoning, close, an
+	// applied chunk, a re-bootstrap, a generation change). Each waiter
+	// re-checks its own condition on waking.
+	notify chan struct{}
 }
 
 // Open loads (or creates) a store in dir. Pass opts as nil for defaults.
@@ -262,7 +283,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 		tables: make(map[string]*table),
 		lock:   lock,
 	}
-	db.walNotify = make(chan struct{})
+	db.group.lead.L = &db.group.mu
 	if _, serr := os.Stat(filepath.Join(dir, "store.wal")); serr == nil {
 		lock.release()
 		return nil, fmt.Errorf("%w (the directory holds a single-file store.wal)", ErrLegacyFormat)
@@ -325,6 +346,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 	// Recovery replayed every durable byte, so the applied position
 	// starts equal to the durable one.
 	db.applied = Position{Seq: db.walSeq, Off: w.size}
+	db.publishWALLocked()
 	db.met = newDBMetrics(opts.Metrics, db)
 	return db, nil
 }
@@ -336,10 +358,11 @@ func OpenMemory() *DB {
 		opts:   Options{CompactEvery: -1},
 		tables: make(map[string]*table),
 	}
-	db.walNotify = make(chan struct{})
+	db.group.lead.L = &db.group.mu
 	// A memory store still has an identity so its (never-replicated)
 	// positions are unambiguous; there is just no file to persist it in.
 	db.gen = Generation{StoreID: newGenerationID(), Epoch: 1}
+	db.publishWALLocked()
 	return db
 }
 
@@ -367,7 +390,7 @@ func (db *DB) Close() error {
 			emptySeg = filepath.Join(db.dir, segmentName(db.walSeq))
 		}
 	}
-	db.bumpWALNotifyLocked()
+	db.publishWALLocked()
 	db.walMu.Unlock()
 	db.compactWG.Wait()
 	// A manual Compact() may still be mid-cycle (compactWG only covers
@@ -741,28 +764,54 @@ func (db *DB) enqueueCommit(rec walRecord) *walBatch {
 	return b
 }
 
-// awaitCommit blocks until b is durable. The first waiter to find no
-// active leader becomes one and flushes batches — its own and any that
-// accumulate while it is writing — so every fsync covers all commits
-// that queued up behind the previous one. Called without db.mu.
+// awaitCommit blocks until b is durable. Batches are written one at a
+// time, in enqueue order, each by one of its own committers, its leader:
+// a committer that finds no batch being written detaches b and writes
+// it; one that finds a batch being written becomes b's heir, unless b
+// has one, and is woken to lead b when that write ends. Every other
+// committer waits on b.done. So a commit waits out at most the write
+// ahead of its own, never the batches queued behind it. Called without
+// db.mu.
 func (db *DB) awaitCommit(b *walBatch) error {
 	g := &db.group
 	g.mu.Lock()
-	if !g.writing && g.cur == b {
-		g.writing = true
-		for g.cur != nil {
-			batch := g.cur
-			g.cur = nil
-			g.mu.Unlock()
-			batch.err = db.writeBatch(batch.recs)
-			close(batch.done)
-			g.mu.Lock()
+	switch {
+	case g.cur != b || g.heir:
+		// b is written or being written, or its heir will write it.
+		g.mu.Unlock()
+	case !g.writing:
+		g.cur, g.writing = nil, true
+		g.mu.Unlock()
+		db.leadBatch(b)
+	default:
+		// Until we take it, b stays cur: it keeps accumulating, and any
+		// other committer of it finds the heir and waits on b.done.
+		g.heir = true
+		for g.writing {
+			g.lead.Wait()
 		}
-		g.writing = false
+		g.cur, g.writing, g.heir = nil, true, false
+		g.mu.Unlock()
+		db.leadBatch(b)
 	}
-	g.mu.Unlock()
 	<-b.done
 	return b.err
+}
+
+// leadBatch writes b, detached from the group by its caller, wakes its
+// committers, then wakes the heir of the batch that accumulated
+// meanwhile: one goroutine per batch. Without an heir the next committer
+// to arrive leads.
+func (db *DB) leadBatch(b *walBatch) {
+	b.err = db.writeBatch(b.recs)
+	close(b.done)
+	g := &db.group
+	g.mu.Lock()
+	g.writing = false
+	if g.heir {
+		g.lead.Signal()
+	}
+	g.mu.Unlock()
 }
 
 // writeBatch appends a batch of records to the active WAL segment with a
@@ -793,7 +842,7 @@ func (db *DB) writeBatch(recs []walRecord) error {
 		db.met.commitObserved(len(recs), start, db.opts.Sync == SyncEveryCommit)
 	}
 	db.commitCount.Add(int64(len(recs)))
-	db.bumpWALNotifyLocked()
+	db.publishWALLocked()
 	if db.wal.size >= db.opts.SegmentBytes {
 		// The batch is already durable, so a rotation failure poisons
 		// the store (no writer to append to any more) but still
@@ -829,18 +878,31 @@ func (db *DB) walUsableLocked() error {
 func (db *DB) poisonLocked(err error) error {
 	if db.walErr == nil {
 		db.walErr = fmt.Errorf("%w: %w", ErrWALFailed, err)
-		db.walFailed.Store(1)
 	}
-	db.bumpWALNotifyLocked()
+	db.publishWALLocked()
 	return db.walErr
 }
 
-// bumpWALNotifyLocked wakes everyone waiting on WAL progress (replication
-// ship handlers, WaitFollowerApplied) by closing the current notification
-// channel and installing a fresh one. Caller holds walMu.
-func (db *DB) bumpWALNotifyLocked() {
-	close(db.walNotify)
-	db.walNotify = make(chan struct{})
+// publishWALLocked installs a walState read from the fields walMu guards
+// and then closes the previous state's notify channel, waking everyone
+// waiting on WAL progress (replication ship handlers,
+// WaitFollowerApplied): a woken waiter loads the new state. Caller holds
+// walMu, or owns the DB outright (Open, OpenMemory).
+func (db *DB) publishWALLocked() {
+	s := &walState{
+		gen:     db.gen,
+		seq:     db.walSeq,
+		applied: db.applied,
+		usable:  db.walUsableLocked(),
+		walErr:  db.walErr,
+		notify:  make(chan struct{}),
+	}
+	if db.wal != nil {
+		s.size = db.wal.size
+	}
+	if old := db.walView.Swap(s); old != nil {
+		close(old.notify)
+	}
 }
 
 // rotateLocked seals the active segment and opens the next one. Caller
@@ -858,7 +920,7 @@ func (db *DB) rotateLocked() error {
 	}
 	db.walSeq++
 	db.wal = next
-	db.bumpWALNotifyLocked()
+	db.publishWALLocked()
 	return nil
 }
 
@@ -1073,10 +1135,9 @@ type Stats struct {
 func (db *DB) RowCount() int64 { return db.rowTotal.Load() }
 
 // Stats returns current store statistics. Table and row counts come from
-// the mirrors publishCounts maintains, so Stats never takes db.mu and
-// cannot queue behind a transaction. The WAL fields take walMu, which a
-// group commit holds across its fsync, so Stats can wait out one group
-// commit; RowCount is the read that takes no lock at all.
+// the mirrors publishCounts maintains and the WAL fields from the
+// published walState, so Stats takes no store lock and no WAL lock: it
+// queues neither behind a transaction nor behind a commit's fsync.
 func (db *DB) Stats() Stats {
 	st := Stats{Tables: int(db.tableCount.Load()), Rows: int(db.rowTotal.Load())}
 	if db.dir != "" {
@@ -1091,18 +1152,15 @@ func (db *DB) Stats() Stats {
 		if _, err := os.Stat(db.snapshotPath()); err == nil {
 			st.Snapshots = 1
 		}
-		db.walMu.Lock()
-		st.WALSeq = db.walSeq
-		if db.walErr != nil {
-			st.WALError = db.walErr.Error()
+		ws := db.walView.Load()
+		st.WALSeq = ws.seq
+		if ws.walErr != nil {
+			st.WALError = ws.walErr.Error()
 		}
 		if db.opts.Follower {
 			st.Follower = true
-			if db.wal != nil {
-				st.AppliedBytes = db.wal.size
-			}
+			st.AppliedBytes = ws.size
 		}
-		db.walMu.Unlock()
 		st.SnapshotSeq = db.snapSeq.Load()
 	}
 	st.Compactions = db.compactions.Load()

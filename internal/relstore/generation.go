@@ -151,11 +151,12 @@ func (db *DB) initGeneration() error {
 	return nil
 }
 
-// ReadPosition reports, under one hold of the WAL lock, the generation
-// and the position this store's readers observe: on a leader the
-// durable position of the last acknowledged commit, on a follower the
-// applied position. Read right after an Update returns, it is a valid —
-// if conservative — session token for that write.
+// ReadPosition reports, from one published walState, the generation and
+// the position this store's readers observe: on a leader the durable
+// position of the last acknowledged commit, on a follower the applied
+// position. Read right after an Update returns, it is a valid — if
+// conservative — session token for that write. It takes no lock, so it
+// never waits out a commit's fsync.
 //
 // ok is false when the pair is no token: a memory store (no WAL to name
 // a position in), a closed or poisoned leader, or a follower whose state
@@ -163,15 +164,14 @@ func (db *DB) initGeneration() error {
 // re-bootstrap). A follower's applied position is reported either way;
 // its generation is then zero.
 func (db *DB) ReadPosition() (gen Generation, pos Position, ok bool) {
-	db.walMu.Lock()
-	defer db.walMu.Unlock()
+	ws := db.walView.Load()
 	if db.opts.Follower {
-		return db.gen, db.applied, db.gen.StoreID != ""
+		return ws.gen, ws.applied, ws.gen.StoreID != ""
 	}
-	if db.dir == "" || db.walUsableLocked() != nil {
-		return db.gen, Position{}, false
+	if db.dir == "" || ws.usable != nil {
+		return ws.gen, Position{}, false
 	}
-	return db.gen, Position{Seq: db.walSeq, Off: db.wal.size}, true
+	return ws.gen, Position{Seq: ws.seq, Off: ws.size}, true
 }
 
 // SetFollowerGeneration durably records the leader generation the
@@ -193,6 +193,7 @@ func (db *DB) SetFollowerGeneration(g Generation) error {
 	}
 	db.walMu.Lock()
 	db.gen = g
+	db.publishWALLocked()
 	db.walMu.Unlock()
 	return nil
 }
@@ -209,6 +210,7 @@ func (db *DB) clearGeneration() error {
 	}
 	db.walMu.Lock()
 	db.gen = Generation{}
+	db.publishWALLocked()
 	db.walMu.Unlock()
 	return nil
 }
@@ -223,21 +225,17 @@ func (db *DB) clearGeneration() error {
 // and wakes them).
 func (db *DB) WaitFollowerApplied(ctx context.Context, pos Position) error {
 	for {
-		db.walMu.Lock()
-		applied := db.applied
-		closed := db.closed
-		ch := db.walNotify
-		db.walMu.Unlock()
-		if applied.Covers(pos) {
+		ws := db.walView.Load()
+		if ws.applied.Covers(pos) {
 			return nil
 		}
-		if closed {
+		if ws.usable == errClosed {
 			return errClosed
 		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-ch:
+		case <-ws.notify:
 		}
 	}
 }

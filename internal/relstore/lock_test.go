@@ -1,8 +1,11 @@
 package relstore
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -317,6 +320,294 @@ func TestViewCompletesDuringCommitSync(t *testing.T) {
 		if err := <-ch; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// openGated opens a durable store whose segment files park in Sync while
+// gate is armed, with the users table created before it is. It returns
+// the store and a release that disarms the gate and frees every parked
+// Sync, safe to call more than once; the cleanup calls it before Close.
+func openGated(t *testing.T, gate *syncGate) (*DB, func()) {
+	t.Helper()
+	db, err := Open(t.TempDir(), &Options{
+		CompactEvery: -1,
+		fileHook:     func(f walFile) walFile { return syncGateFile{f, gate} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	release := func() {
+		once.Do(func() {
+			gate.armed.Store(false)
+			close(gate.release)
+		})
+	}
+	t.Cleanup(func() {
+		release()
+		db.Close()
+	})
+	if err := db.CreateTable(usersSchema()); err != nil {
+		t.Fatal(err)
+	}
+	return db, release
+}
+
+// awaitFsync waits until a commit has entered the gate's Sync.
+func awaitFsync(t *testing.T, gate *syncGate, what string) {
+	t.Helper()
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s never reached its fsync", what)
+	}
+}
+
+// TestCommitReturnsAfterItsOwnFsync: a commit waits for its own batch's
+// fsync only. The first commit is parked inside its fsync and a second
+// one enqueued behind it; releasing the first fsync alone must let the
+// first Update return while the second commit sits in its own fsync. A
+// leader that went on to write every batch queued behind its own would
+// hold the first Update until the second fsync ends.
+func TestCommitReturnsAfterItsOwnFsync(t *testing.T) {
+	gate := &syncGate{entered: make(chan struct{}, 2), release: make(chan struct{})}
+	db, release := openGated(t, gate)
+	gate.armed.Store(true)
+	first := make(chan error, 1)
+	go func() {
+		first <- db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u1", "x", 1)) })
+	}()
+	awaitFsync(t, gate, "the first commit")
+
+	second := make(chan error, 1)
+	go func() {
+		second <- db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u2", "y", 2)) })
+	}()
+	// The first batch left the group when its write began, so the second
+	// record accumulates in a batch of its own.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		db.group.mu.Lock()
+		queued := db.group.cur != nil
+		db.group.mu.Unlock()
+		if queued {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the second commit was never enqueued")
+		}
+	}
+
+	gate.release <- struct{}{} // the first fsync only: the gate stays armed
+	select {
+	case err := <-first:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first Update waited for the batch queued behind its own")
+	}
+	awaitFsync(t, gate, "the second commit")
+	select {
+	case err := <-second:
+		t.Fatalf("the second Update returned (%v) while its fsync is parked", err)
+	default:
+	}
+	release()
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALReadersAnswerDuringFsync: ReadPosition, ShipPosition, Stats and
+// WaitFollowerApplied read the published WAL state and take no lock, so
+// they answer while a commit is parked inside its fsync, and report the
+// last durable position: not the parked commit's until its fsync ends.
+func TestWALReadersAnswerDuringFsync(t *testing.T) {
+	gate := &syncGate{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	db, release := openGated(t, gate)
+	if err := db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u1", "x", 1)) }); err != nil {
+		t.Fatal(err)
+	}
+	_, before, ok := db.ReadPosition()
+	if !ok {
+		t.Fatal("no position after a durable commit")
+	}
+	gate.armed.Store(true)
+	parked := make(chan error, 1)
+	go func() {
+		parked <- db.Update(func(tx *Tx) error { return tx.Put("users", userRow("u2", "y", 2)) })
+	}()
+	awaitFsync(t, gate, "the commit")
+
+	type readings struct {
+		pos     Position
+		ok      bool
+		ship    ShipPosition
+		shipErr error
+		st      Stats
+		waitErr error
+	}
+	got := make(chan readings, 1)
+	go func() {
+		var r readings
+		_, r.pos, r.ok = db.ReadPosition()
+		r.ship, _, r.shipErr = db.ShipPosition()
+		r.st = db.Stats()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		r.waitErr = db.WaitFollowerApplied(ctx, Position{})
+		got <- r
+	}()
+	select {
+	case r := <-got:
+		if !r.ok || r.pos != before {
+			t.Errorf("ReadPosition during the fsync = %v (ok %v), want the last durable position %v", r.pos, r.ok, before)
+		}
+		if r.shipErr != nil || r.ship.WALSeq != before.Seq || r.ship.Durable != before.Off {
+			t.Errorf("ShipPosition during the fsync = %+v, %v; want (%d, %d)", r.ship, r.shipErr, before.Seq, before.Off)
+		}
+		if r.st.WALSeq != before.Seq || r.st.WALError != "" {
+			t.Errorf("Stats during the fsync: walSeq %d, walError %q; want %d, none", r.st.WALSeq, r.st.WALError, before.Seq)
+		}
+		if r.waitErr != nil {
+			t.Errorf("WaitFollowerApplied for a covered position: %v", r.waitErr)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a WAL reader queued behind a commit's fsync")
+	}
+	release()
+	if err := <-parked; err != nil {
+		t.Fatal(err)
+	}
+	if _, after, ok := db.ReadPosition(); !ok || after == before || !after.Covers(before) {
+		t.Fatalf("after the fsync ReadPosition = %v (ok %v), want past %v", after, ok, before)
+	}
+}
+
+// lockedFollowerReads answers ReadPosition and FollowerPosition for a
+// follower from the fields walMu guards, read under walMu: what the two
+// reads answered while they took the lock.
+func lockedFollowerReads(db *DB) (gen Generation, pos Position, ok bool, seq, off int64) {
+	db.walMu.Lock()
+	defer db.walMu.Unlock()
+	if db.wal != nil {
+		off = db.wal.size
+	}
+	return db.gen, db.applied, db.gen.StoreID != "", db.walSeq, off
+}
+
+// TestFollowerReadsMatchLockedReads drives a follower through every step
+// that changes its WAL state and checks, after each, that the lock-free
+// ReadPosition and FollowerPosition answer what the same reads answer
+// under walMu. A published state that lagged one of these steps would
+// report "no token" or "not caught up" where the store has caught up,
+// and a follower read would answer 412 or 503 for it.
+func TestFollowerReadsMatchLockedReads(t *testing.T) {
+	leader := openLeader(t, t.TempDir())
+	if err := leader.CreateTable(replTestSchema()); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 12; i++ {
+		putKV(t, leader, fmt.Sprintf("k%02d", i), i)
+	}
+	lgen, _, _ := leader.ReadPosition()
+	f := openFollower(t, t.TempDir())
+	check := func(step string) {
+		t.Helper()
+		wgen, wpos, wok, wseq, woff := lockedFollowerReads(f)
+		gen, pos, ok := f.ReadPosition()
+		seq, off := f.FollowerPosition()
+		if gen != wgen || pos != wpos || ok != wok || seq != wseq || off != woff {
+			t.Errorf("after %s: ReadPosition %v %v %v, FollowerPosition (%d, %d); under walMu %v %v %v, (%d, %d)",
+				step, gen, pos, ok, seq, off, wgen, wpos, wok, wseq, woff)
+		}
+	}
+	check("open")
+	if err := f.SetFollowerGeneration(lgen); err != nil {
+		t.Fatal(err)
+	}
+	check("SetFollowerGeneration")
+
+	// Ship the leader's history a frame-sized chunk at a time.
+	ship, _, err := leader.ShipPosition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for advanced := 0; ; {
+		seq, off := f.FollowerPosition()
+		if seq == ship.WALSeq && off >= ship.Durable {
+			if advanced == 0 {
+				t.Fatal("the leader's history fits one segment: no FollowerAdvanceSegment was checked")
+			}
+			break
+		}
+		data, err := os.ReadFile(leader.SegmentPath(seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq == ship.WALSeq {
+			data = data[:ship.Durable]
+		}
+		if off < int64(len(data)) {
+			end := min(off+FrameSize(data[off:off+FrameHeaderSize]), int64(len(data)))
+			if _, err := f.FollowerApply(data[off:end]); err != nil {
+				t.Fatal(err)
+			}
+			check("FollowerApply")
+			continue
+		}
+		if err := f.FollowerAdvanceSegment(); err != nil {
+			t.Fatal(err)
+		}
+		advanced++
+		check("FollowerAdvanceSegment")
+	}
+
+	if err := leader.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(leader.SnapshotFilePath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.FollowerReinit(bytes.NewReader(snap)); err != nil {
+		t.Fatal(err)
+	}
+	check("FollowerReinit")
+	if err := f.SetFollowerGeneration(lgen); err != nil {
+		t.Fatal(err)
+	}
+	check("SetFollowerGeneration after FollowerReinit")
+	if err := f.clearGeneration(); err != nil {
+		t.Fatal(err)
+	}
+	check("clearGeneration")
+	if err := f.SetFollowerGeneration(lgen); err != nil {
+		t.Fatal(err)
+	}
+
+	bad := opsFrame(t, walOp{Op: opPut, Table: "ghost", ID: "x", rowBin: fuzzRow(t, 1)})
+	if _, err := f.FollowerApply(bad); err == nil {
+		t.Fatal("an unappliable frame applied")
+	}
+	check("a poisoning FollowerApply")
+	if err := f.FollowerReinit(bytes.NewReader(snap[:len(snap)-3])); err == nil {
+		t.Fatal("a truncated snapshot was accepted")
+	}
+	check("a refused FollowerReinit")
+	if err := f.FollowerReinit(nil); err != nil {
+		t.Fatal(err)
+	}
+	check("FollowerReinit(nil)")
+	if err := f.SetFollowerGeneration(lgen); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("Close")
+	if _, _, ok := f.ReadPosition(); !ok {
+		t.Error("a closed follower with a verified generation reports no token")
 	}
 }
 

@@ -59,7 +59,12 @@ func newDBMetrics(reg *metrics.Registry, db *DB) *dbMetrics {
 		func() float64 { return float64(db.compactions.Load()) })
 	reg.GaugeFunc("chronos_store_wal_failed",
 		"1 while a sticky WAL failure refuses every write (the text is storage.walError on /status), else 0.",
-		func() float64 { return float64(db.walFailed.Load()) })
+		func() float64 {
+			if db.walView.Load().walErr != nil {
+				return 1
+			}
+			return 0
+		})
 	return m
 }
 

@@ -52,18 +52,18 @@ type ShipPosition struct {
 // is closed on the next WAL progress (new durable bytes, rotation,
 // close, poisoning) — the long-poll primitive behind tail shipping. It
 // fails once the store is closed or poisoned, or when the store has no
-// WAL at all (OpenMemory).
+// WAL at all (OpenMemory). It reads the published walState and takes no
+// lock.
 func (db *DB) ShipPosition() (ShipPosition, <-chan struct{}, error) {
 	if db.dir == "" {
 		return ShipPosition{}, nil, errors.New("relstore: memory store has no WAL to ship")
 	}
-	db.walMu.Lock()
-	defer db.walMu.Unlock()
-	if err := db.walUsableLocked(); err != nil {
-		return ShipPosition{}, nil, err
+	ws := db.walView.Load()
+	if ws.usable != nil {
+		return ShipPosition{}, nil, ws.usable
 	}
-	pos := ShipPosition{WALSeq: db.walSeq, Durable: db.wal.size, SnapshotSeq: db.snapSeq.Load(), Generation: db.gen}
-	return pos, db.walNotify, nil
+	pos := ShipPosition{WALSeq: ws.seq, Durable: ws.size, SnapshotSeq: db.snapSeq.Load(), Generation: ws.gen}
+	return pos, ws.notify, nil
 }
 
 // SegmentPath returns the path of WAL segment seq inside the store
@@ -90,16 +90,13 @@ func IsTornFrame(err error) bool { return errors.Is(err, errTornRecord) }
 // locally durable bytes it holds of it. Durable bytes may briefly run
 // ahead of what is applied in memory (FollowerApply persists first,
 // applies second — the order recovery replays); use ReadPosition and
-// WaitFollowerApplied for read-visibility barriers.
+// WaitFollowerApplied for read-visibility barriers. Mid-FollowerReinit
+// (or after a failed one) the offset is 0: the position is moot, the
+// orchestrator re-bootstraps before tailing again. It reads the published
+// walState and takes no lock.
 func (db *DB) FollowerPosition() (seq, offset int64) {
-	db.walMu.Lock()
-	defer db.walMu.Unlock()
-	if db.wal == nil {
-		// Mid-FollowerReinit (or after a failed one): the position is
-		// moot — the orchestrator re-bootstraps before tailing again.
-		return db.walSeq, 0
-	}
-	return db.walSeq, db.wal.size
+	ws := db.walView.Load()
+	return ws.seq, ws.size
 }
 
 // FollowerApply ingests a chunk of raw WAL frame bytes shipped from the
@@ -144,7 +141,7 @@ func (db *DB) FollowerApply(data []byte) (int64, error) {
 			return 0, err
 		}
 		db.commitCount.Add(int64(len(recs)))
-		db.bumpWALNotifyLocked()
+		db.publishWALLocked()
 		durSeq, durOff := db.walSeq, db.wal.size
 		db.walMu.Unlock()
 
@@ -166,7 +163,7 @@ func (db *DB) FollowerApply(data []byte) (int64, error) {
 			// while this chunk was applying: its position supersedes ours.
 			if db.walSeq == durSeq && durOff > db.applied.Off {
 				db.applied = Position{Seq: durSeq, Off: durOff}
-				db.bumpWALNotifyLocked()
+				db.publishWALLocked()
 			}
 			db.walMu.Unlock()
 		}
@@ -200,9 +197,9 @@ func (db *DB) FollowerAdvanceSegment() error {
 		return err
 	}
 	// Advance is called only once every byte of the sealed segment is
-	// applied, so the applied position moves to the fresh segment's start
-	// (rotateLocked has bumped walNotify; waiters re-check under walMu).
+	// applied, so the applied position moves to the fresh segment's start.
 	db.applied = Position{Seq: db.walSeq}
+	db.publishWALLocked()
 	return nil
 }
 
@@ -242,7 +239,7 @@ func (db *DB) FollowerReinit(snapshot io.Reader) error {
 		db.wal = nil
 	}
 	db.walErr = nil
-	db.walFailed.Store(0)
+	db.publishWALLocked()
 	db.walMu.Unlock()
 
 	// The generation claim describes the state being discarded; forget it
@@ -323,7 +320,7 @@ func (db *DB) FollowerReinit(snapshot io.Reader) error {
 	db.applied = Position{Seq: snapSeq + 1}
 	db.commitCount.Store(0)
 	db.snapSeq.Store(snapSeq)
-	db.bumpWALNotifyLocked()
+	db.publishWALLocked()
 	db.walMu.Unlock()
 	return nil
 }

@@ -169,11 +169,15 @@
 // buffered writes to the in-memory tables and enqueues the WAL record,
 // then releases the lock and only then waits for the group committer to
 // make the record durable. Concurrent committers batch into a single WAL
-// write and fsync: the first waiter becomes the leader and flushes every
-// record that queued up behind the previous fsync. Update never
-// acknowledges a commit before it is on stable storage (in
-// SyncEveryCommit mode), but readers may observe a commit slightly
-// before its fsync completes — the standard group-commit contract. No
+// write and fsync, and a committer waits for its own batch only: batches
+// are written one at a time in enqueue order, each by one of its own
+// committers (the leader), and a leader that has written its batch
+// returns, handing the lead to one waiter of the batch that queued up
+// meanwhile. So a commit waits out at most the write ahead of its own,
+// never the ones behind it. Update never acknowledges a commit before it
+// is on stable storage (in SyncEveryCommit mode), but readers may observe
+// a commit slightly before its fsync completes — the standard
+// group-commit contract. No
 // file IO — commit, snapshot write or rename — ever happens with the
 // store lock held, with one exception: a compaction cycle seals the
 // active segment (a file close and open) holding it shared, which is what
@@ -213,14 +217,20 @@
 // evaluation submit is ~50 ms) no View proceeds, whichever tables it
 // reads. RowCount and Stats are exempt on purpose — they read store-level
 // atomics published under the lock and never take mu, so /metrics and
-// /status never queue behind a bulk write. Stats does take walMu for its
-// WAL fields, so /status can wait out one group commit's fsync; RowCount
-// takes no lock at all.
+// /status never queue behind a bulk write.
+//
+// Readers of WAL position never take walMu, the lock of WAL IO: every
+// change made under it ends by publishing one immutable state (the
+// generation, the durable and applied positions, the active segment,
+// whether the WAL is usable, a wake-up channel), and ReadPosition,
+// ShipPosition, FollowerPosition, WaitFollowerApplied and Stats read
+// that. None of them waits out a commit's fsync, so a session token or a
+// /status answer never queues behind the next batch's disk write.
 //
 // Lock order: snapMu (compaction cycles, follower re-initialisation),
 // then mu, then group.mu (O(1) sections ordering commit batches) or walMu
-// (WAL writes, rotation, close). No writer and no View takes walMu with
-// mu held; the compactor does, with mu shared, once per cycle, to cut its
+// (WAL appends, fsyncs, rotation, close). No writer and no View takes
+// walMu with mu held; the compactor does, with mu shared, once per cycle, to cut its
 // snapshot exactly at a segment boundary (DB.sealAndClone). The
 // isolation contract — no dirty or ghost reads, commit-order visibility,
 // every View a cross-table cut, writer serialisability — is verified
