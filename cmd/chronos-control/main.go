@@ -122,7 +122,7 @@ func run(c config) error {
 		return errors.Join(err, closeStore())
 	}
 	log.Printf("chronos-control listening on %s (data in %s)", c.addr, c.dataDir)
-	srv := &http.Server{Handler: server.Handler()}
+	srv := newHTTPServer(server.Handler())
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()
 	select {
@@ -139,6 +139,22 @@ func run(c config) error {
 		srv.Close()
 	}
 	return closeStore()
+}
+
+// readHeaderTimeout bounds how long a connection may take to send the
+// headers of a request once it has begun one: without it, a client that
+// trickles header bytes holds a goroutine and a descriptor for as long as
+// it likes. It is the server's one timeout. A read or write timeout would
+// cut a follower's long-poll of the leader's WAL and a large archive
+// upload, and an idle timeout would close agents' keep-alive connections
+// under them, where a POST sent on a connection closed that way fails the
+// agent's call. A kept-alive connection is not timed between requests: the
+// clock starts with the first byte of the next one. A test shortens it.
+var readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer is the http.Server run serves the assembled handler with.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // assemble builds the process: a store, the service over it, and the one

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -302,5 +303,63 @@ func TestSessionAuthIsAFactOfTheData(t *testing.T) {
 	}
 	if got := status(t, "GET", follower.URL+"/projects", resp.Cookies()[0]); got != http.StatusOK {
 		t.Fatalf("page on the follower with a session -> %d, want 200", got)
+	}
+}
+
+// TestSlowHeadersAreCut: a connection that sends half a request line and
+// nothing more is closed once readHeaderTimeout has passed, while a
+// kept-alive connection idle for longer than that still serves its next
+// request.
+func TestSlowHeadersAreCut(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, "ok")
+	}))
+	go srv.Serve(ln) //nolint:errcheck // ends with Close below
+	defer srv.Close()
+
+	slow, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	start := time.Now()
+	if _, err := io.WriteString(slow, "GET /api/v2/pi"); err != nil {
+		t.Fatal(err)
+	}
+	slow.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	if _, err := io.ReadAll(slow); err != nil {
+		t.Fatalf("the half-sent request's connection was not closed: %v", err)
+	}
+	if took := time.Since(start); took < readHeaderTimeout/2 {
+		t.Fatalf("the half-sent request's connection was closed after %v, before the %v timeout", took, readHeaderTimeout)
+	}
+
+	idle, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	br := bufio.NewReader(idle)
+	for i := 0; i < 2; i++ {
+		if i == 1 {
+			time.Sleep(3 * readHeaderTimeout)
+		}
+		if _, err := io.WriteString(idle, "GET / HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("request %d on the kept-alive connection: %v", i+1, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d on the kept-alive connection: %s", i+1, resp.Status)
+		}
 	}
 }

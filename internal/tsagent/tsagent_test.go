@@ -433,6 +433,41 @@ func BenchmarkApply(b *testing.B) {
 	})
 }
 
+// BenchmarkJob is one eval_heavy time-series job's execute phase per
+// iteration: 250,000 operations of the 90:10 append:window mix over keys
+// from the latest distribution, on a freshly loaded store of 1,000 series
+// of 32 points, driven through workload.RunSchedule with one thread per P
+// as chronos-agent runs it. The store's loading is not timed. ns/op is
+// the job's execute time; ns/job-op divides it by the job's operations,
+// the sum of what the workload engine and the store cost one of them.
+func BenchmarkJob(b *testing.B) {
+	const ops = 250_000
+	threads := runtime.GOMAXPROCS(0)
+	var elapsed time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := &sut{db: tssim.NewDB(tssim.Options{Seed: 5}), window: 128, points: 32, series: 1000}
+		s.handles = LoadDB(s.db, &s.clock, s.series, s.points, 8)
+		sched := workload.Config{
+			RecordCount: s.series, OperationCount: ops,
+			Mix:          workload.Mix{workload.OpUpdate: 90, workload.OpRead: 10},
+			Distribution: "latest", Seed: int64(i + 1),
+		}.WithDefaults().Schedule()
+		start := time.Now()
+		b.StartTimer()
+		sm, err := workload.RunSchedule(sched, threads, s.Apply, nil, nil)
+		b.StopTimer()
+		elapsed += time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sm.Total.Operations != ops || sm.Total.Errors != 0 {
+			b.Fatalf("job ran %d operations with %d errors, want %d and 0", sm.Total.Operations, sm.Total.Errors, ops)
+		}
+	}
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N*ops), "ns/job-op")
+}
+
 func TestRunWorkloadExactCountAndUniqueSeries(t *testing.T) {
 	// The remainder-distribution and partitioned-insert-keyspace
 	// guarantees hold for this SUT family too: exactly OperationCount

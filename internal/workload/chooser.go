@@ -16,41 +16,52 @@
 // loop every SUT agent drives its engine with.
 //
 // The engine is the instrument, so what it spends per operation is kept
-// to its bookkeeping: one draw for the type, one for the key, a clock read
-// on each side of apply and one record into the histogram of the
+// to its bookkeeping: one draw for the type, one for the key, one
+// monotonic clock read and one record into the histogram of the
 // operation's type, from which phase and run totals are merged at the end.
+// A worker draws its operations 64 at a time (NextBatch) and then applies
+// them back to back, so one operation's end read is the next one's start:
+// a latency covers apply and the store of the previous latency, never a
+// draw. A fresh read opens every batch and follows anything else the loop
+// does between two applies — a pacing sleep, a progress report, an abort
+// poll, a phase change. A phase bounded by wall time or paced to a rate
+// draws one operation at a time.
 // It allocates nothing per operation: Op carries the key's index and
 // Op.Key formats the key string only for an adapter that asks (tsagent
 // names its series from the index and never does). The choosers keep
-// their draws to arithmetic: Zipfian's constants are computed in its
-// constructor and the scramble hashes FNV-1a inline.
+// their draws to arithmetic and take no lock, since each belongs to one
+// generator: Zipfian's constants are computed in its constructor, its
+// θ = 0.99 draw squares its way to x^100 where math.Pow would spend an Exp
+// and a Log (falling back to Pow only where the two could truncate to
+// different keys), and the scramble hashes FNV-1a inline.
 //
 // Payloads cost a draw per value: each generator owns one pool of
 // run-structured text (64 KiB plus one field length, built from its own
 // seeded stream on the first payload it draws) and a value is a
 // FieldLength-long window into it at a drawn offset; Op.Fields is a
-// prefix of the generator's one field buffer. The contract that buys this:
-// a payload — the Fields slice and every Value in it — is read-only and
-// valid only until apply returns. An adapter that hands a payload to
+// prefix of its op's record-sized slot in the generator's field arena.
+// The contract that buys this: a payload — the Fields slice and every
+// Value in it — is read-only and valid only until apply returns. An adapter that hands a payload to
 // something that keeps it copies it first (mongoagent builds its Document
 // of strings; tsagent's store takes no payload at all). BenchmarkEngineOverhead
 // reports the cost per operation type, TestEngineAllocsPerOp holds the
-// allocation count at zero, TestChooserDigests every distribution's draws
-// and TestSeededStreamGolden the exact bytes of a seeded stream.
+// allocation count at zero, TestChooserDigests every distribution's draws,
+// FuzzZipfianMatchesPow the squared draw to math.Pow's, TestSeededStreamGolden
+// the exact bytes of a seeded stream and TestLatencyChargesApplyAlone what
+// a latency covers.
 package workload
 
 import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sync"
 )
 
 // KeyChooser selects which record a request touches. Implementations are
-// NOT safe for concurrent use unless stated; give each worker goroutine
-// its own chooser with its own rand source (standard YCSB practice) —
-// nothing here touches the process-global generator, so seeded runs
-// replay exactly.
+// not safe for concurrent use: each worker's generator builds its own
+// choosers and draws them from its own rand source (standard YCSB
+// practice) — nothing here touches the process-global generator, so
+// seeded runs replay exactly.
 type KeyChooser interface {
 	// Next returns a record index in [0, n) where n is the chooser's
 	// current item count.
@@ -88,6 +99,9 @@ type Zipfian struct {
 	// second is 1 + 0.5^theta: a draw whose u*zetan falls below it is
 	// item 1.
 	second float64
+	// pow100 is set when x^alpha is x^100 to within the rounding of
+	// math.Pow itself, so that Next can square its way there; see draw.
+	pow100 bool
 }
 
 // NewZipfian returns a Zipfian chooser over n items with the standard
@@ -100,15 +114,28 @@ func NewZipfianTheta(n int64, theta float64) *Zipfian {
 	if n <= 0 {
 		panic(fmt.Sprintf("workload: zipfian over %d items", n))
 	}
+	return newZipfian(n, theta, zetaStatic(n, theta))
+}
+
+// newZipfian computes everything but zeta(n, theta) itself.
+func newZipfian(n int64, theta, zetan float64) *Zipfian {
 	zeta2theta := zetaStatic(2, theta)
-	zetan := zetaStatic(n, theta)
-	return &Zipfian{
+	z := &Zipfian{
 		items:  n,
 		alpha:  1.0 / (1.0 - theta),
 		zetan:  zetan,
 		eta:    (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - zeta2theta/zetan),
 		second: 1.0 + math.Pow(0.5, theta),
 	}
+	// For theta = 0.99, alpha is 99.99999999999991, and math.Pow(x, alpha)
+	// is x^100 times Exp((alpha-100)·Log x). Every draw has x in
+	// [1-eta, 1], so that factor is within |alpha-100|·|log(1-eta)| of 1:
+	// about 1.6e-14 at 1e8 items, 3.6e-14 at 1e18. The squaring
+	// chain may stand in for Pow only while the factor stays below
+	// 1e-13; see draw for the margin that covers it.
+	z.pow100 = math.Round(z.alpha) == 100 &&
+		math.Abs(z.alpha-100)*math.Abs(math.Log1p(-z.eta)) <= 1e-13
+	return z
 }
 
 // zetaStatic computes the zeta(n, theta) normalisation constant.
@@ -130,7 +157,45 @@ func (z *Zipfian) Next(r *rand.Rand) int64 {
 	if uz < z.second {
 		return 1
 	}
-	return int64(float64(z.items) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	return z.draw(z.eta*u - z.eta + 1)
+}
+
+// pow100Margin is how close, relative to q, a key's q = items·x^100 may
+// lie to an integer before draw asks math.Pow which side it falls on.
+//
+// The chain's x^64 carries at most 63 roundings of 2^-53 (each squaring
+// doubles the error it inherits and adds one), x^32 31 and x^4 3; the two
+// products and the scaling by items add three: at most 100·2^-53, about
+// 1.1e-14, relative. math.Pow walks the same chain over x's mantissa
+// (also about 1.1e-14) and scales by Exp(yf·Log x), a few ulps from the
+// factor it approximates, and that factor is within 1e-13 of 1 whenever
+// pow100 is set. So the two q differ by less than 1.5e-13·q, and a q
+// farther than 1e-12·q from every integer truncates to the same key on
+// both paths. The margin is relative because the error is: an absolute
+// one fine at a thousand items is four orders of magnitude short at 1e8,
+// where one ulp of q is 1.5e-8. A draw falls back with probability about
+// 2e-12·q, 2e-4 at 1e8 items.
+const pow100Margin = 1e-12
+
+// draw maps x = eta·u - eta + 1 to a key: items·x^alpha truncated, the
+// result of math.Pow bit for bit. With pow100 set it squares its way to
+// x^100 in eight multiplications, where Pow spends an Exp and a Log, and
+// asks Pow only about a q within the margin of an integer.
+func (z *Zipfian) draw(x float64) int64 {
+	if z.pow100 {
+		x2 := x * x
+		x4 := x2 * x2
+		x8 := x4 * x4
+		x16 := x8 * x8
+		x32 := x16 * x16
+		x64 := x32 * x32
+		q := float64(z.items) * (x64 * x32 * x4)
+		// A NaN q fails both comparisons and takes Pow's answer.
+		if f, m := q-float64(int64(q)), pow100Margin*q; f > m && f < 1-m {
+			return int64(q)
+		}
+	}
+	return int64(float64(z.items) * math.Pow(x, z.alpha))
 }
 
 // ScrambledZipfian spreads the Zipfian popularity mass over the whole key
@@ -171,12 +236,11 @@ func fnvHash64(v uint64) uint64 {
 }
 
 // Latest skews towards recently inserted records: the newest record is
-// the most popular (YCSB workload D's distribution). Safe for concurrent
-// use; the record count advances as workers insert.
+// the most popular (YCSB workload D's distribution). Like every chooser it
+// belongs to one generator, which raises its record count as it inserts.
 type Latest struct {
-	mu sync.Mutex
-	z  *Zipfian
-	n  int64
+	z *Zipfian
+	n int64
 }
 
 // NewLatest returns a Latest chooser over an initial n items.
@@ -188,12 +252,9 @@ func NewLatest(n int64) *Latest {
 }
 
 // GrowTo raises the chooser's item count to at least n; lower values are
-// ignored. Concurrent workers each report their own insert high-water
-// mark and the chooser converges on the global maximum of *distinct*
-// keys, instead of double-counting one insert per worker.
+// ignored, so a generator reports its insert high-water mark and the
+// count never moves backwards.
 func (l *Latest) GrowTo(n int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if n <= l.n {
 		return
 	}
@@ -206,24 +267,19 @@ func (l *Latest) GrowTo(n int64) {
 
 // Next implements KeyChooser.
 func (l *Latest) Next(r *rand.Rand) int64 {
-	l.mu.Lock()
-	n := l.n
-	off := l.z.Next(r)
-	l.mu.Unlock()
-	k := n - 1 - off
+	k := l.n - 1 - l.z.Next(r)
 	if k < 0 {
 		k = 0
 	}
-	if k >= n {
-		k = n - 1
+	if k >= l.n {
+		k = l.n - 1
 	}
 	return k
 }
 
 // Sequential walks the key space in order, wrapping around; used for
-// loading phases. Safe for concurrent use.
+// loading phases. Like every chooser it belongs to one generator.
 type Sequential struct {
-	mu   sync.Mutex
 	next int64
 	n    int64
 }
@@ -238,8 +294,6 @@ func NewSequential(n int64) *Sequential {
 
 // Next implements KeyChooser.
 func (s *Sequential) Next(_ *rand.Rand) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	k := s.next
 	s.next = (s.next + 1) % s.n
 	return k

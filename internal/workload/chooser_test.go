@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -53,4 +55,71 @@ func TestChooserDigests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzZipfianMatchesPow: Zipfian.Next draws the key the math.Pow
+// expression draws, for every u that rand.Float64 can return and every n
+// in [1, 1e8], whether it squares its way to x^100 or asks Pow. The
+// committed seeds include adversarial ones: u solved from
+// (k/items)^(1/alpha) for an integer k, then moved by up to 4 ulps, so
+// that q lands next to an integer and the fallback decides the key.
+//
+// A zeta sum over 1e8 items takes seconds, so past 10,000 items the
+// target builds its Zipfian from zetaTail's estimate of zeta(n). Which
+// constants the chooser holds does not matter to the property: both
+// paths read the same ones.
+func FuzzZipfianMatchesPow(f *testing.F) {
+	f.Add(uint64(1000), math.Float64bits(ZipfianTheta), uint64(1)<<52)
+	f.Add(uint64(99_999_999), math.Float64bits(ZipfianTheta), uint64(1)<<53-1)
+	f.Add(uint64(5000), math.Float64bits(0.5), uint64(12345))
+	f.Fuzz(func(t *testing.T, n, thetaBits, uBits uint64) {
+		items := int64(1 + n%100_000_000)
+		theta := math.Float64frombits(thetaBits)
+		if !(theta > 0 && theta < 1) {
+			theta = ZipfianTheta
+		}
+		z := zipfianForFuzz(items, theta)
+		src := fixedSource(uBits)
+		u := rand.New(&src).Float64()
+		var want int64
+		switch uz := u * z.zetan; {
+		case uz < 1:
+			want = 0
+		case uz < z.second:
+			want = 1
+		default:
+			want = int64(float64(z.items) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+		}
+		if got := z.Next(rand.New(&src)); got != want {
+			t.Fatalf("n=%d theta=%v u=%v (bits %d): Next = %d, math.Pow gives %d", items, theta, u, uBits, got, want)
+		}
+	})
+}
+
+// fixedSource is a rand source that always returns itself: rand.Float64
+// over it is its low 53 bits over 2^53.
+type fixedSource uint64
+
+func (s *fixedSource) Uint64() uint64 { return uint64(*s) }
+
+// zipfianForFuzz builds the Zipfian over items with skew theta: exactly up
+// to 10,000 items, with zetaTail's zeta(n) past that.
+func zipfianForFuzz(items int64, theta float64) *Zipfian {
+	const exact = 10_000
+	if items <= exact {
+		return NewZipfianTheta(items, theta)
+	}
+	return newZipfian(items, theta, zetaStatic(exact, theta)+zetaTail(exact, items, theta))
+}
+
+// zetaTail estimates the sum of i^-theta for i in (m, n] by the
+// Euler–Maclaurin formula to its first-derivative term. From m = 10,000
+// the estimate of zeta(n) is within 4e-14 of the summed one up to three
+// million items, about what the sum's own rounding leaves.
+func zetaTail(m, n int64, theta float64) float64 {
+	f := func(x float64) float64 { return math.Pow(x, -theta) }
+	df := func(x float64) float64 { return -theta * math.Pow(x, -theta-1) }
+	a, b := float64(m), float64(n)
+	integral := (math.Pow(b, 1-theta) - math.Pow(a, 1-theta)) / (1 - theta)
+	return integral + (f(b)-f(a))/2 + (df(b)-df(a))/12
 }

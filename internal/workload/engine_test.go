@@ -2,7 +2,9 @@ package workload
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // engineShapes are the schedules the engine's own cost is measured on:
@@ -67,6 +69,62 @@ func TestEngineAllocsPerOp(t *testing.T) {
 		short, long := mallocs(shape.mix, shape.dist, ops), mallocs(shape.mix, shape.dist, 2*ops)
 		if perOp := float64(long-short) / ops; perOp > 0.01 {
 			t.Errorf("%s: %.2f allocations per operation, want 0", shape.name, perOp)
+		}
+	}
+}
+
+// TestLatencyChargesApplyAlone: a recorded latency is the SuE call's and
+// nothing else's. apply spins until a monotonic deadline d after it is
+// entered and adds up the time it spent. Every recorded latency covers
+// the spin and the median is within 5 µs of it, so the end read follows
+// apply and the store follows the end read. Inserts of 1,000 fields make
+// drawing an operation cost microseconds, so a fresh read taken before
+// the batch draw would add a draw's cost to the recorded total per
+// operation; what the latencies add up to beyond apply's own time stays
+// under half that. A preemption inside apply counts on both sides of that
+// difference, so a loaded host does not move it.
+func TestLatencyChargesApplyAlone(t *testing.T) {
+	const ops = 2000
+	sched := Schedule{RecordCount: 100, FieldsPerRecord: 1000, Seed: 3,
+		Phases: []Phase{{Mix: Mix{OpInsert: 1}, OperationCount: ops}}}
+	g, err := NewScheduleGenerator(sched, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch [opBatch]Op
+	drawStart := time.Now()
+	for g.NextBatch(batch[:]) > 0 {
+	}
+	draw := time.Since(drawStart) / ops
+	for _, d := range []time.Duration{2 * time.Microsecond, 20 * time.Microsecond} {
+		for _, threads := range []int{1, 2} {
+			var own atomic.Int64
+			sm, err := RunSchedule(sched, threads, func(Op) error {
+				start := time.Now()
+				for {
+					if spent := time.Since(start); spent >= d {
+						own.Add(int64(spent))
+						return nil
+					}
+				}
+			}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lat := sm.Total.Latency
+			if lat.Count != ops {
+				t.Fatalf("d=%v threads=%d: %d latencies, want %d", d, threads, lat.Count, ops)
+			}
+			if lat.Min < int64(d) {
+				t.Errorf("d=%v threads=%d: a latency of %v is shorter than the call", d, threads, time.Duration(lat.Min))
+			}
+			if lat.P50 > int64(d+5*time.Microsecond) {
+				t.Errorf("d=%v threads=%d: p50 %v, want at most d+5µs", d, threads, time.Duration(lat.P50))
+			}
+			if extra := time.Duration(lat.Mean - float64(own.Load())/ops); extra > draw/2 {
+				t.Errorf("d=%v threads=%d: latencies exceed the calls by %v an operation, and a draw costs %v: the batch draw is timed",
+					d, threads, extra, draw)
+			}
 		}
 	}
 }

@@ -41,9 +41,19 @@ type ScheduleMeasurements struct {
 //   - every worker draws from its own partition of the insert keyspace,
 //     so concurrent inserts never collide.
 //
+// Each worker draws up to 64 operations of one phase (NextBatch), takes a
+// fresh monotonic clock read and then applies them back to back with one
+// read after each: an operation's latency runs from the previous read to
+// its own end read, and between the two the loop only stores the previous
+// latency and counts its error. Histograms are recorded and progress is
+// reported after the batch. A phase bounded by wall time or paced to a
+// rate draws one operation per batch; its deadline check reuses the end
+// read, and a pacing sleep is followed by a fresh one.
+//
 // abortErr (may be nil) is polled by every worker between batches, so
-// concurrently, and stops workers when non-nil. Rate-curved phases pace workers by accumulating sleep debt and
-// flushing it at millisecond granularity.
+// concurrently, and stops workers when non-nil. Rate-curved phases pace
+// workers by accumulating sleep debt and flushing it at millisecond
+// granularity.
 func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress func(done, total int64), abortErr func() error) (ScheduleMeasurements, error) {
 	if threads < 1 {
 		return ScheduleMeasurements{}, fmt.Errorf("workload: %d threads", threads)
@@ -126,61 +136,67 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 				return
 			}
 
-			const batch = 64
+			var ops [opBatch]Op
+			var lats [opBatch]int64
 			cur := gen.PhaseIndex()
 			enter(cur)
 			defer func() { leave(cur) }()
-			phaseStart := time.Now()
+			// Clock reads are offsets from runStart: time.Since reads the
+			// monotonic clock alone.
+			phaseStart := time.Since(runStart)
 			var debt time.Duration
 			var executed int64 // completed ops not yet reported
 			defer func() { report(executed) }()
 
 			for {
-				// Runner-side advance for duration-bounded phases: the
-				// generator cannot see wall time.
-				if d := sched.Phases[gen.PhaseIndex()].Duration; d > 0 && time.Since(phaseStart) >= d {
-					if !gen.AdvancePhase() {
-						return
-					}
-					phaseStart = time.Now()
-					debt = 0
-				}
-				op, ok := gen.Next()
-				if !ok {
+				n := gen.NextBatch(ops[:])
+				if n == 0 {
 					return
 				}
-				if op.Phase != cur {
+				if p := ops[0].Phase; p != cur {
 					leave(cur)
-					cur = op.Phase
+					cur = p
 					enter(cur)
-					phaseStart = time.Now()
+					phaseStart = time.Since(runStart)
 					debt = 0
 				}
+				ph, po := &sched.Phases[cur], &out[cur]
 
-				// One monotonic clock read on each side of apply: the
-				// operation, payload included, exists before the first.
-				start := time.Since(runStart)
-				po := &out[cur]
-				if err := apply(op); err != nil {
-					po.errors++
+				// One monotonic clock read per operation: an operation's
+				// end is the next one's start. The batch, payloads
+				// included, is drawn before the fresh read that opens it,
+				// and between one end read and the next apply the loop
+				// only stores the latency and counts an error.
+				prev := time.Since(runStart)
+				for i := range ops[:n] {
+					err := apply(ops[i])
+					now := time.Since(runStart)
+					lats[i] = int64(now - prev)
+					prev = now
+					if err != nil {
+						po.errors++
+					}
 				}
-				lat := int64(time.Since(runStart) - start)
-				ord := op.Type.ordinal()
-				h := po.perOp[ord]
-				if h == nil {
-					h = &metrics.Histogram{}
-					po.perOp[ord] = h
+				for i := range ops[:n] {
+					ord := ops[i].Type.ordinal()
+					h := po.perOp[ord]
+					if h == nil {
+						h = &metrics.Histogram{}
+						po.perOp[ord] = h
+					}
+					h.Record(lats[i])
 				}
-				h.Record(lat)
-				po.done++
-				executed++
+				po.done += int64(n)
+				executed += int64(n)
 
-				// Arrival-rate pacing: accumulate this op's target
-				// interval and sleep once the debt is schedulable.
-				if ph := &sched.Phases[cur]; ph.Rate.Throttled() {
+				// A wall-bounded or paced phase draws one op a batch, so
+				// prev is its end. Arrival-rate pacing accumulates the
+				// op's target interval and sleeps once the debt is
+				// schedulable; a sleep is followed by a fresh read.
+				if ph.Rate.Throttled() {
 					var f float64
 					if d := ph.Duration; d > 0 {
-						f = float64(time.Since(phaseStart)) / float64(d)
+						f = float64(prev-phaseStart) / float64(d)
 					} else {
 						f = gen.PhaseFraction()
 					}
@@ -189,11 +205,17 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 						if debt >= time.Millisecond {
 							time.Sleep(debt)
 							debt = 0
+							prev = time.Since(runStart)
 						}
 					}
 				}
+				// Runner-side advance for duration-bounded phases: the
+				// generator cannot see wall time.
+				if d := ph.Duration; d > 0 && prev-phaseStart >= d && !gen.AdvancePhase() {
+					return
+				}
 
-				if executed >= batch {
+				if executed >= opBatch {
 					report(executed)
 					executed = 0
 					if abortErr != nil && abortErr() != nil {
@@ -253,6 +275,12 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 	sm.Total.PerOperation = allPerOp.snapshots()
 	return sm, nil
 }
+
+// opBatch is how many operations a worker draws at once: enough that the
+// draw, the histogram records and the progress report between batches stay
+// out of the timed stretch, small enough that the batch's payload slots
+// stay in cache.
+const opBatch = 64
 
 // perOpHists holds one latency histogram per operation type, indexed by
 // OpType.ordinal; a type that never occurred stays nil.

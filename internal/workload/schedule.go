@@ -242,9 +242,11 @@ type ScheduleGenerator struct {
 	nextInsert int64 // next insert key index owned by this worker
 	highWater  int64 // one past the highest key index this worker has seen
 
-	names  []string // field names, formatted once
-	fields []Field  // the one payload buffer every Op.Fields is a prefix of
-	pool   []byte   // payload text every value is cut from; see value
+	names []string // field names, formatted once
+	// arena holds one record-sized slot per operation of the largest
+	// batch drawn so far; every Op.Fields is a prefix of one slot.
+	arena []Field
+	pool  []byte // payload text every value is cut from; see value
 }
 
 // NewScheduleGenerator builds the generator for worker (0-based) of
@@ -272,7 +274,7 @@ func NewScheduleGenerator(s Schedule, worker, workers int) (*ScheduleGenerator, 
 		nextInsert: s.RecordCount + int64(worker%workers),
 		highWater:  s.RecordCount,
 		names:      make([]string, s.FieldsPerRecord),
-		fields:     make([]Field, s.FieldsPerRecord),
+		arena:      make([]Field, s.FieldsPerRecord),
 	}
 	for i := range g.names {
 		g.names[i] = fmt.Sprintf("field%d", i)
@@ -343,18 +345,57 @@ func (g *ScheduleGenerator) PhaseFraction() float64 {
 // Next returns the next operation, advancing through op-bounded phase
 // boundaries automatically. It returns false once every phase is
 // exhausted. Duration-bounded phases never exhaust on their own — the
-// runner advances them with AdvancePhase.
+// runner advances them with AdvancePhase. It is NextBatch with a batch of
+// one.
 func (g *ScheduleGenerator) Next() (Op, bool) {
-	for g.share >= 0 && g.emitted >= g.share {
-		if !g.advance() {
-			return Op{}, false
-		}
+	var op [1]Op
+	if g.NextBatch(op[:]) == 0 {
+		return Op{}, false
 	}
-	return g.emit(), true
+	return op[0], true
 }
 
-// emit draws one operation from the current phase.
-func (g *ScheduleGenerator) emit() Op {
+// NextBatch fills a prefix of ops with the next operations of one phase
+// and returns its length, advancing through exhausted op-bounded phases
+// first; 0 means every phase is exhausted. The stream is Next's, draw for
+// draw, whatever the batch sizes. Each op's Fields is a slot of the
+// generator's arena, valid until the next draw.
+//
+// A phase bounded by wall time or paced to a rate yields one operation
+// per call. The runner may end the first after any operation, and an
+// insert drawn but never run would leave a hole in the worker's insert
+// keyspace; it paces the second by PhaseFraction, which operations drawn
+// ahead of their run would overstate.
+func (g *ScheduleGenerator) NextBatch(ops []Op) int {
+	for g.share >= 0 && g.emitted >= g.share {
+		if !g.advance() {
+			return 0
+		}
+	}
+	n := len(ops)
+	if g.share < 0 || g.sched.Phases[g.phase].Rate.Throttled() {
+		n = min(n, 1)
+	} else if left := g.share - g.emitted; left < int64(n) {
+		n = int(left)
+	}
+	if need := n * len(g.names); need > len(g.arena) {
+		g.arena = make([]Field, need)
+	}
+	for i := range ops[:n] {
+		ops[i] = g.emit(g.slot(i))
+	}
+	return n
+}
+
+// slot is the arena's i-th record-sized window, its capacity clipped so
+// that appending to one op's Fields cannot write into the next op's.
+func (g *ScheduleGenerator) slot(i int) []Field {
+	f := len(g.names)
+	return g.arena[i*f : (i+1)*f : (i+1)*f]
+}
+
+// emit draws one operation from the current phase, its payload into slot.
+func (g *ScheduleGenerator) emit(slot []Field) Op {
 	t := g.ops.next(g.rng)
 	g.emitted++
 	op := Op{Type: t, Phase: g.phase}
@@ -368,13 +409,13 @@ func (g *ScheduleGenerator) emit() Op {
 		if g.latest != nil && g.grow {
 			g.latest.GrowTo(g.highWater)
 		}
-		op.Fields = g.Record()
+		op.Fields = g.record(slot)
 	case OpScan:
 		op.KeyIndex = g.chooser.Next(g.rng)
 		op.ScanLength = 1 + g.rng.IntN(g.sched.MaxScanLength)
 	case OpUpdate, OpReadModifyWrite:
 		op.KeyIndex = g.chooser.Next(g.rng)
-		op.Fields = g.OneField()
+		op.Fields = g.oneField(slot)
 	default: // OpRead: a validated mix holds no other type
 		op.KeyIndex = g.chooser.Next(g.rng)
 	}
@@ -383,19 +424,25 @@ func (g *ScheduleGenerator) emit() Op {
 
 // Record generates a full record payload, one draw per field. It is valid
 // until the generator's next draw.
-func (g *ScheduleGenerator) Record() []Field {
+func (g *ScheduleGenerator) Record() []Field { return g.record(g.slot(0)) }
+
+// record fills slot with a full record payload.
+func (g *ScheduleGenerator) record(slot []Field) []Field {
 	for i, name := range g.names {
-		g.fields[i] = Field{Name: name, Value: g.value()}
+		slot[i] = Field{Name: name, Value: g.value()}
 	}
-	return g.fields
+	return slot
 }
 
 // OneField generates a single-field update payload in two draws, the
 // field and its value. It is valid until the generator's next draw.
-func (g *ScheduleGenerator) OneField() []Field {
+func (g *ScheduleGenerator) OneField() []Field { return g.oneField(g.slot(0)) }
+
+// oneField fills slot's first field with an update payload.
+func (g *ScheduleGenerator) oneField(slot []Field) []Field {
 	i := g.rng.IntN(len(g.names))
-	g.fields[0] = Field{Name: g.names[i], Value: g.value()}
-	return g.fields[:1]
+	slot[0] = Field{Name: g.names[i], Value: g.value()}
+	return slot[:1]
 }
 
 // poolSpan is the number of offsets a value can start at in the payload

@@ -108,7 +108,7 @@ func TestDegenerateScheduleMatchesGenerator(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			op, ok := sg.Next()
 			if !ok {
-				op = sg.emit()
+				op = sg.emit(sg.slot(0))
 			}
 			digestOp(h, op)
 		}
@@ -260,7 +260,7 @@ func TestPayloadPoolReadOnly(t *testing.T) {
 	}
 	sum := crc32.ChecksumIEEE(g.pool)
 	for i := 0; i < 20000; i++ {
-		op := g.emit()
+		op := g.emit(g.slot(0))
 		for _, f := range op.Fields {
 			if grown := append(f.Value, 'X'); &grown[0] == &f.Value[0] {
 				t.Fatalf("op %d: appending to a payload wrote into the pool", i)

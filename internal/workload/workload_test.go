@@ -205,7 +205,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 	}
 	g2, _ := NewScheduleGenerator(cfg.Schedule(), 0, 1)
 	for i := 0; i < 200; i++ {
-		a, b := g1.emit(), g2.emit()
+		a, b := g1.emit(g1.slot(0)), g2.emit(g2.slot(0))
 		if a.Type != b.Type || a.Key() != b.Key() {
 			t.Fatalf("generators diverged at op %d: %v vs %v", i, a, b)
 		}
@@ -214,7 +214,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 	g3, _ := NewScheduleGenerator(cfg.Schedule(), 1, 1)
 	same := 0
 	for i := 0; i < 100; i++ {
-		a, b := g1.emit(), g3.emit()
+		a, b := g1.emit(g1.slot(0)), g3.emit(g3.slot(0))
 		if a.Type == b.Type && a.Key() == b.Key() {
 			same++
 		}
@@ -237,7 +237,7 @@ func TestGeneratorOpShapes(t *testing.T) {
 	}
 	seen := map[OpType]bool{}
 	for i := 0; i < 2000; i++ {
-		op := g.emit()
+		op := g.emit(g.slot(0))
 		seen[op.Type] = true
 		if !strings.HasPrefix(op.Key(), "user") {
 			t.Fatalf("bad key %q", op.Key())
@@ -277,7 +277,7 @@ func TestGeneratorInsertKeysUniqueAndFresh(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for i := 0; i < 5000; i++ {
-		op := g.emit()
+		op := g.emit(g.slot(0))
 		if op.Type != OpInsert {
 			continue
 		}
