@@ -10,6 +10,7 @@ import (
 	"maps"
 	"math"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -541,4 +542,48 @@ func TestEndToEndThroughChronos(t *testing.T) {
 			t.Fatalf("job %s missing archive", j.ID)
 		}
 	}
+}
+
+// BenchmarkJob is one eval_heavy MongoDB job per iteration: a wiredTiger
+// collection without the simulated write wait loaded with 5,000 records
+// by LoadCollection, then 25,000 operations of the 50:50 read:update mix
+// over zipfian keys, driven through workload.RunSchedule with one thread
+// per P as chronos-agent runs it. load-ms and exec-ms are the two phases'
+// mean times; ns/op is their sum, building and closing the server
+// untimed.
+func BenchmarkJob(b *testing.B) {
+	const records, ops = 5000, 25_000
+	threads := runtime.GOMAXPROCS(0)
+	var load, exec time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		srv, err := mongosim.NewServer(mongosim.EngineWiredTiger, mongosim.Options{WriteLatency: mongosim.NoIO, Seed: int64(i + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		coll := srv.Database("benchmark").Collection("usertable")
+		cfg := workload.Config{
+			RecordCount: records, OperationCount: ops,
+			Mix: workload.MixFromRatio(50, 50), Distribution: "zipfian", Seed: int64(i + 1),
+		}.WithDefaults()
+		b.StartTimer()
+		start := time.Now()
+		if err := LoadCollection(coll, cfg, 8); err != nil {
+			b.Fatal(err)
+		}
+		loaded := time.Now()
+		sm, err := RunScheduleWorkload(coll, cfg.Schedule(), threads, nil, nil)
+		b.StopTimer()
+		load, exec = load+loaded.Sub(start), exec+time.Since(loaded)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sm.Total.Operations != ops || sm.Total.Errors != 0 {
+			b.Fatalf("job ran %d operations with %d errors, want %d and 0", sm.Total.Operations, sm.Total.Errors, ops)
+		}
+		srv.Close()
+	}
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1000 / float64(b.N) }
+	b.ReportMetric(ms(load), "load-ms")
+	b.ReportMetric(ms(exec), "exec-ms")
 }

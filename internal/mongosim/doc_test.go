@@ -2,6 +2,7 @@ package mongosim
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -84,15 +85,114 @@ func TestDocumentCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestDocumentMerge: an update overlays the patch's fields on the
+// stored document, keeps the fields it does not name and leaves the
+// stored bytes it read untouched.
 func TestDocumentMerge(t *testing.T) {
-	base := Document{"_id": "x", "a": "1", "b": "keep"}
-	merged := base.Merge(Document{"a": "2", "c": "new"})
-	if merged["a"] != "2" || merged["b"] != "keep" || merged["c"] != "new" || len(merged) != 4 {
-		t.Fatalf("merge = %#v", merged)
+	base := Encode(Document{"_id": "x", "a": "1", "b": "keep"})
+	stored := bytes.Clone(base)
+	out, err := patchEncoded(stored, Document{"a": "2", "c": "new"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if base["a"] != "1" || len(base) != 3 {
-		t.Fatal("merge mutated receiver")
+	merged, err := Decode(out)
+	if err != nil {
+		t.Fatal(err)
 	}
+	want := Document{"_id": "x", "a": "2", "b": "keep", "c": "new"}
+	if !reflect.DeepEqual(merged, want) {
+		t.Fatalf("merge = %#v, want %#v", merged, want)
+	}
+	if !bytes.Equal(stored, base) {
+		t.Fatal("merge wrote into the stored bytes")
+	}
+}
+
+// mergeReference is the update as the store made it before it patched
+// encodings: decode the stored document into a map, copy the patch over
+// it, encode the map.
+func mergeReference(old []byte, patch Document) ([]byte, error) {
+	doc, err := Decode(old)
+	if err != nil {
+		return nil, err
+	}
+	maps.Copy(doc, patch)
+	return Encode(doc), nil
+}
+
+func must(d Document, err error) Document {
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// fuzzPatch cuts a patch out of arbitrary bytes: a length byte and that
+// many bytes of name, then a length byte and the value, until the input
+// runs out. Names repeat and sort anywhere, the empty name included.
+func fuzzPatch(data []byte) Document {
+	patch := Document{}
+	next := func() string {
+		if len(data) == 0 {
+			return ""
+		}
+		n := min(int(data[0]), len(data)-1)
+		s := string(data[1 : 1+n])
+		data = data[1+n:]
+		return s
+	}
+	for len(data) > 0 {
+		k := next()
+		patch[k] = next()
+	}
+	return patch
+}
+
+// FuzzUpdateOneMatchesMerge holds the in-place update to the reference on
+// arbitrary stored bytes, encodings Encode never writes (fields out of
+// order, names twice, long varints) and malformed ones included: it
+// fails exactly when the reference fails, with its error, and otherwise
+// returns the reference's bytes. Through both engines, UpdateOne leaves
+// the stored bytes the reference produced, or the old ones when it fails.
+// Its seeds in testdata/fuzz cover each of those shapes.
+func FuzzUpdateOneMatchesMerge(f *testing.F) {
+	colls := map[string]*Collection{}
+	for _, engine := range engineNames {
+		srv, err := NewServer(engine, Options{WriteLatency: NoIO, Seed: 1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		defer srv.Close()
+		colls[engine] = srv.Database("db").Collection("coll")
+	}
+	f.Fuzz(func(t *testing.T, stored, patchData []byte) {
+		patch := fuzzPatch(patchData)
+		want, wantErr := mergeReference(stored, patch)
+		got, err := patchEncoded(stored, patch)
+		if (err != nil) != (wantErr != nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("patchEncoded(%x, %q): error %v, reference error %v", stored, patch, err, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("patchEncoded(%x, %q) =\n%x\nreference\n%x", stored, patch, got, want)
+		}
+		for engine, c := range colls {
+			c.engine.Put("doc", bytes.Clone(stored))
+			if err := c.UpdateOne("doc", patch); (err != nil) != (wantErr != nil) {
+				t.Fatalf("%s: UpdateOne error %v, reference error %v", engine, err, wantErr)
+			}
+			if wantErr != nil {
+				want = stored
+			}
+			if raw, _ := c.engine.Get("doc"); !bytes.Equal(raw, want) {
+				t.Fatalf("%s: stored after UpdateOne\n%x\nwant\n%x", engine, raw, want)
+			}
+			if wantErr == nil {
+				if doc, err := c.FindOne("doc"); err != nil || !maps.Equal(doc, must(Decode(want))) {
+					t.Fatalf("%s: FindOne after UpdateOne = %q, %v", engine, doc, err)
+				}
+			}
+		}
+	})
 }
 
 func TestDocumentID(t *testing.T) {

@@ -34,7 +34,8 @@ type Engine interface {
 	Put(key string, val []byte)
 	// Apply atomically transforms the document under key: fn receives the
 	// current value (nil, false when absent) and returns the replacement,
-	// which is stored. Errors from fn abort without modification.
+	// which is stored. Errors from fn abort without modification. The
+	// current value is read-only and valid only until fn returns.
 	Apply(key string, fn func(old []byte, exists bool) ([]byte, error)) error
 	// Scan returns up to limit pairs with key >= start in key order.
 	Scan(start string, limit int) []KV

@@ -101,6 +101,13 @@ func (m *mmapV1) write(ref recordRef, val []byte) recordRef {
 	return ref
 }
 
+// view is the record's bytes in its extent, its capacity clipped so an
+// append cannot run into the slot's padding or the next record. Caller
+// holds the lock and drops the view before releasing it.
+func (m *mmapV1) view(ref recordRef) []byte {
+	return m.extents[ref.extent][ref.off : ref.off+ref.length : ref.off+ref.length]
+}
+
 // readCopy copies the record out of its extent. Caller holds at least the
 // read lock; the copy is what makes the result safe to use after release
 // (a page fault + memcpy is exactly mmapv1's read path).
@@ -152,7 +159,10 @@ func (m *mmapV1) updateLocked(key string, old recordRef, val []byte) {
 	m.cnt.writes.Add(1)
 	m.cnt.bytesLogical.Add(int64(len(val)))
 	if len(val) <= old.cap {
+		// The rewritten slot is stored bytes again, as a moved record's
+		// new slot is: the ratio compares like with like.
 		m.dir[key] = m.write(old, val)
+		m.cnt.bytesStored.Add(int64(old.cap))
 		m.io.Tick()
 		return
 	}
@@ -182,7 +192,7 @@ func (m *mmapV1) Apply(key string, fn func(old []byte, exists bool) ([]byte, err
 	old, exists := m.dir[key]
 	var oldVal []byte
 	if exists {
-		oldVal = m.readCopy(old)
+		oldVal = m.view(old)
 	}
 	repl, err := fn(oldVal, exists)
 	if err != nil {

@@ -123,17 +123,14 @@ func (c *Collection) FindOne(id string) (Document, error) {
 }
 
 // UpdateOne merges the patch fields into the document with the given _id,
-// atomically with respect to other writers of the same document.
+// atomically with respect to other writers of the same document. It
+// patches the stored encoding: the document is never decoded into a map.
 func (c *Collection) UpdateOne(id string, patch Document) error {
 	return c.engine.Apply(id, func(old []byte, exists bool) ([]byte, error) {
 		if !exists {
 			return nil, ErrNoDocument
 		}
-		doc, err := Decode(old)
-		if err != nil {
-			return nil, err
-		}
-		return Encode(doc.Merge(patch)), nil
+		return patchEncoded(old, patch)
 	})
 }
 

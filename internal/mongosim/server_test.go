@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -185,5 +186,69 @@ func TestCollectionStats(t *testing.T) {
 	st := c.Stats()
 	if st.Engine != EngineMMAPv1 || st.Documents != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// record is a workload-shaped document: an _id and ten 100-byte fields.
+func record(id string) Document {
+	doc := Document{IDField: id}
+	for i := 0; i < 10; i++ {
+		doc["field"+strconv.Itoa(i)] = strings.Repeat(strconv.Itoa(i), 100)
+	}
+	return doc
+}
+
+// TestMMAPv1RatioAfterInPlaceUpdates: mmapv1 compresses nothing and pads
+// every record, so it stores at least the bytes it is given, in place
+// updates included: a rewritten slot counts as stored bytes like a new
+// one.
+func TestMMAPv1RatioAfterInPlaceUpdates(t *testing.T) {
+	c := collectionForTest(t, EngineMMAPv1)
+	for i := 0; i < 200; i++ {
+		if err := c.InsertOne(record("user" + strconv.Itoa(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := c.Stats().CompressionRatio(); r > 1 {
+		t.Fatalf("ratio after load = %.3f, want <= 1", r)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := c.UpdateOne("user"+strconv.Itoa(i%200), Document{"field3": strings.Repeat("u", 100)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.Stats()
+	if st.Moves != 0 {
+		t.Fatalf("same-size updates moved %d records", st.Moves)
+	}
+	if r := st.CompressionRatio(); r > 1 {
+		t.Fatalf("ratio after in-place updates = %.3f, want <= 1", r)
+	}
+}
+
+// TestUpdateOneAllocs pins what a one-field update of a cached
+// workload-shaped document allocates on wiredTiger: the closure handed to
+// the engine, the patched encoding and the stored image's exact-size
+// copy.
+func TestUpdateOneAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop compressors, each a fresh flate writer's allocations")
+	}
+	s, err := NewServer(EngineWiredTiger, Options{WriteLatency: NoIO, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := s.Database("db").Collection("coll")
+	if err := c.InsertOne(record("user1")); err != nil {
+		t.Fatal(err)
+	}
+	patch := Document{"field4": strings.Repeat("w", 100)}
+	if a := testing.AllocsPerRun(1000, func() {
+		if err := c.UpdateOne("user1", patch); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 3 {
+		t.Errorf("a one-field UpdateOne allocates %v times, want at most 3", a)
 	}
 }

@@ -32,7 +32,7 @@ type wiredTiger struct {
 	journal  journal
 	perCache int
 
-	comprPool  sync.Pool // *flate.Writer
+	comprPool  sync.Pool // *compressor
 	decompPool sync.Pool // io.ReadCloser implementing flate.Resetter
 }
 
@@ -91,7 +91,7 @@ func newWiredTiger(opts Options) *wiredTiger {
 		if err != nil {
 			panic(err) // BestSpeed is a valid level; cannot happen
 		}
-		return fw
+		return &compressor{fw: fw}
 	}
 	w.decompPool.New = func() any {
 		return flate.NewReader(bytes.NewReader(nil))
@@ -119,28 +119,47 @@ func (w *wiredTiger) stripe(key string) *wtStripe {
 }
 
 // compress produces the stored form: a marker byte (0 raw, 1 flate)
-// followed by the payload. Incompressible payloads stay raw.
+// followed by the payload. Incompressible payloads stay raw. The flate
+// stream is written into the pooled compressor's scratch buffer, sized
+// for an image no longer than the raw one, and kept as an exact-size copy.
 func (w *wiredTiger) compress(val []byte) []byte {
 	if w.opts.DisableCompression {
-		out := make([]byte, len(val)+1)
-		out[0] = 0
-		copy(out[1:], val)
-		return out
+		return rawImage(val)
 	}
-	var buf bytes.Buffer
-	buf.WriteByte(1)
-	fw := w.comprPool.Get().(*flate.Writer)
-	fw.Reset(&buf)
-	fw.Write(val)
-	fw.Close()
-	w.comprPool.Put(fw)
-	if buf.Len() >= len(val)+1 {
-		out := make([]byte, len(val)+1)
-		out[0] = 0
-		copy(out[1:], val)
-		return out
+	c := w.comprPool.Get().(*compressor)
+	defer w.comprPool.Put(c)
+	if cap(c.out) < len(val)+1 {
+		c.out = make([]byte, 0, len(val)+1)
 	}
-	return buf.Bytes()
+	c.out = append(c.out[:0], 1)
+	c.fw.Reset(c)
+	c.fw.Write(val)
+	c.fw.Close()
+	if len(c.out) >= len(val)+1 {
+		return rawImage(val)
+	}
+	out := make([]byte, len(c.out))
+	copy(out, c.out)
+	return out
+}
+
+// rawImage is the stored form of an uncompressed value.
+func rawImage(val []byte) []byte {
+	out := make([]byte, len(val)+1)
+	copy(out[1:], val)
+	return out
+}
+
+// compressor is a pooled flate writer with the buffer it writes into.
+type compressor struct {
+	fw  *flate.Writer
+	out []byte
+}
+
+// Write appends the flate stream to the scratch buffer.
+func (c *compressor) Write(p []byte) (int, error) {
+	c.out = append(c.out, p...)
+	return len(p), nil
 }
 
 // decompress reverses compress.

@@ -178,11 +178,11 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 					}
 				}
 				for i := range ops[:n] {
-					ord := ops[i].Type.ordinal()
-					h := po.perOp[ord]
+					k := ops[i].kind
+					h := po.perOp[k]
 					if h == nil {
 						h = &metrics.Histogram{}
-						po.perOp[ord] = h
+						po.perOp[k] = h
 					}
 					h.Record(lats[i])
 				}
@@ -283,7 +283,7 @@ func RunSchedule(sched Schedule, threads int, apply func(Op) error, progress fun
 const opBatch = 64
 
 // perOpHists holds one latency histogram per operation type, indexed by
-// OpType.ordinal; a type that never occurred stays nil.
+// the type's ordinal (Op.kind); a type that never occurred stays nil.
 type perOpHists [len(opTypes)]*metrics.Histogram
 
 // merge adds o's histograms into hs.

@@ -396,11 +396,11 @@ func (g *ScheduleGenerator) slot(i int) []Field {
 
 // emit draws one operation from the current phase, its payload into slot.
 func (g *ScheduleGenerator) emit(slot []Field) Op {
-	t := g.ops.next(g.rng)
+	k := g.ops.next(g.rng)
 	g.emitted++
-	op := Op{Type: t, Phase: g.phase}
-	switch t {
-	case OpInsert:
+	op := Op{Type: opTypes[k], Phase: g.phase, kind: k}
+	switch k {
+	case kindInsert:
 		op.KeyIndex = g.nextInsert
 		g.nextInsert += int64(g.workers)
 		if op.KeyIndex+1 > g.highWater {
@@ -410,13 +410,13 @@ func (g *ScheduleGenerator) emit(slot []Field) Op {
 			g.latest.GrowTo(g.highWater)
 		}
 		op.Fields = g.record(slot)
-	case OpScan:
+	case kindScan:
 		op.KeyIndex = g.chooser.Next(g.rng)
 		op.ScanLength = 1 + g.rng.IntN(g.sched.MaxScanLength)
-	case OpUpdate, OpReadModifyWrite:
+	case kindUpdate, kindRMW:
 		op.KeyIndex = g.chooser.Next(g.rng)
 		op.Fields = g.oneField(slot)
-	default: // OpRead: a validated mix holds no other type
+	default: // kindRead: a validated mix holds no other type
 		op.KeyIndex = g.chooser.Next(g.rng)
 	}
 	return op

@@ -23,9 +23,21 @@ const (
 	OpReadModifyWrite OpType = "rmw"
 )
 
-// opTypes lists the known operation types; a type's position is the
-// ordinal the run loop indexes its per-type histograms with.
-var opTypes = [...]OpType{OpRead, OpUpdate, OpInsert, OpScan, OpReadModifyWrite}
+// The operation types' ordinals: the op chooser draws one, the generator
+// switches on it and the run loop indexes its per-type histograms with it.
+const (
+	kindRead uint8 = iota
+	kindUpdate
+	kindInsert
+	kindScan
+	kindRMW
+)
+
+// opTypes lists the known operation types, each at its ordinal.
+var opTypes = [...]OpType{
+	kindRead: OpRead, kindUpdate: OpUpdate, kindInsert: OpInsert,
+	kindScan: OpScan, kindRMW: OpReadModifyWrite,
+}
 
 // ordinal is the position of t in opTypes, or -1 for an unknown type.
 func (t OpType) ordinal() int {
@@ -77,10 +89,11 @@ func (m Mix) String() string {
 	return strings.Join(parts, " ")
 }
 
-// opChooser picks operations according to mix weights.
+// opChooser picks operations according to mix weights. It draws an
+// operation's ordinal, its position in opTypes.
 type opChooser struct {
-	ops []OpType
-	cum []float64
+	kinds []uint8
+	cum   []float64
 }
 
 func newOpChooser(m Mix) (*opChooser, error) {
@@ -99,7 +112,7 @@ func newOpChooser(m Mix) (*opChooser, error) {
 			continue
 		}
 		sum += m[op]
-		c.ops = append(c.ops, op)
+		c.kinds = append(c.kinds, uint8(op.ordinal()))
 		c.cum = append(c.cum, sum)
 	}
 	for i := range c.cum {
@@ -108,14 +121,14 @@ func newOpChooser(m Mix) (*opChooser, error) {
 	return c, nil
 }
 
-func (c *opChooser) next(r *rand.Rand) OpType {
+func (c *opChooser) next(r *rand.Rand) uint8 {
 	u := r.Float64()
 	for i, cum := range c.cum {
 		if u <= cum {
-			return c.ops[i]
+			return c.kinds[i]
 		}
 	}
-	return c.ops[len(c.ops)-1]
+	return c.kinds[len(c.kinds)-1]
 }
 
 // Config describes a workload: table size, operation volume, mix and key
@@ -203,6 +216,8 @@ type Op struct {
 	Fields []Field
 	// Phase is the index of the schedule phase that produced the op.
 	Phase int
+	// kind is Type's ordinal, set by the generator that drew the op.
+	kind uint8
 }
 
 // Field is one named payload value. Value is cut from the generator's

@@ -171,7 +171,7 @@ func TestOpChooserProportions(t *testing.T) {
 	reads := 0
 	const draws = 100000
 	for i := 0; i < draws; i++ {
-		if c.next(r) == OpRead {
+		if opTypes[c.next(r)] == OpRead {
 			reads++
 		}
 	}
