@@ -5,6 +5,7 @@
 package api
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -152,7 +153,21 @@ type CreateEvaluationRequest struct {
 // CreateEvaluationResponse returns the evaluation and its jobs.
 type CreateEvaluationResponse struct {
 	Evaluation *core.Evaluation `json:"evaluation"`
-	Jobs       []*core.Job      `json:"jobs"`
+	Jobs       core.Jobs        `json:"jobs"`
+}
+
+// AppendJSON appends r's JSON to dst, what json.Marshal writes for it: the
+// server appends an evaluation's jobs instead of reflecting them.
+func (r CreateEvaluationResponse) AppendJSON(dst []byte) ([]byte, error) {
+	ev, err := json.Marshal(r.Evaluation)
+	if err != nil {
+		return nil, err
+	}
+	dst = append(append(dst, `{"evaluation":`...), ev...)
+	if dst, err = r.Jobs.AppendJSON(append(dst, `,"jobs":`...)); err != nil {
+		return nil, err
+	}
+	return append(dst, '}'), nil
 }
 
 // ClaimRequest asks for work on behalf of a deployment.

@@ -45,7 +45,17 @@ func (s *Service) CreateEvaluation(experimentID string) (*Evaluation, []*Job, er
 		if err := evaluations.put(tx, ev); err != nil {
 			return err
 		}
-		for i, assignment := range space.Expand() {
+		// shared boxes the column values every job row and created event
+		// of the evaluation holds, once for all of them: a row takes each
+		// over instead of boxing its own (jobRow.row, PutEvent).
+		at := any(now)
+		shared := relstore.Row{
+			"evaluationId": ev.ID, "systemId": exp.SystemID, "status": string(StatusScheduled), "created": at,
+			"kind": string(EventCreated), "time": at,
+		}
+		assignments := space.Expand()
+		jobs = make([]*Job, len(assignments))
+		for i, assignment := range assignments {
 			jn, err := tx.NextSeq(tableJobs)
 			if err != nil {
 				return err
@@ -57,16 +67,24 @@ func (s *Service) CreateEvaluation(experimentID string) (*Evaluation, []*Job, er
 				Index:        int64(i),
 				Params:       assignment,
 				Status:       StatusScheduled,
-				Attempts:     0,
 				Created:      now,
 			}
-			if err := s.store.PutJob(tx, j); err != nil {
+			r, err := newJobRow(j, shared)
+			if err != nil {
 				return err
 			}
-			if err := s.putEvent(tx, j.ID, EventCreated, "job created: "+j.Label()); err != nil {
+			if err := s.store.putJobRow(tx, r); err != nil {
 				return err
 			}
-			jobs = append(jobs, j)
+			en, err := tx.NextSeq(tableEvents)
+			if err != nil {
+				return err
+			}
+			e := &Event{ID: paddedID("event", en), JobID: j.ID, Kind: EventCreated, Message: "job created: " + j.Label(), Time: now}
+			if err := s.store.PutEvent(tx, e, shared); err != nil {
+				return err
+			}
+			jobs[i] = j
 		}
 		return nil
 	})
@@ -87,7 +105,7 @@ func (s *Service) ListEvaluations(experimentID string) ([]*Evaluation, error) {
 }
 
 // ListJobs returns the jobs of an evaluation in creation order.
-func (s *Service) ListJobs(evaluationID string) ([]*Job, error) {
+func (s *Service) ListJobs(evaluationID string) (Jobs, error) {
 	return readRows(s.store.db, func(tx *relstore.Tx) (rowsOf[Job], error) {
 		return s.store.ListJobsByEvaluation(tx, evaluationID)
 	})
@@ -120,7 +138,7 @@ func (s *Service) putEvent(tx *relstore.Tx, jobID string, kind EventKind, msg st
 		Kind:    kind,
 		Message: msg,
 		Time:    s.now(),
-	})
+	}, nil)
 }
 
 // transition applies a validated job state change inside tx.

@@ -12,8 +12,10 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
+	"chronos/internal/jsonw"
 	"chronos/internal/params"
 )
 
@@ -230,6 +232,72 @@ type Job struct {
 	// so the watchdog finds stale jobs with an indexed range scan
 	// instead of decoding every running job.
 	Heartbeat time.Time `json:"heartbeat"`
+}
+
+// AppendJSON appends j's JSON to dst. It writes, byte for byte, what
+// encoding/json writes for Job's fields by reflection (null for a nil
+// job), and fails where that fails: on a time RFC 3339 cannot write, or a
+// parameter value with no JSON form. Every job on the wire is written
+// here — MarshalJSON calls it, and a 1,000-job answer is appended with it
+// (Jobs) instead of reflected.
+func (j *Job) AppendJSON(dst []byte) ([]byte, error) {
+	if j == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = jsonw.String(append(dst, `{"id":`...), j.ID)
+	dst = jsonw.String(append(dst, `,"evaluationId":`...), j.EvaluationID)
+	dst = jsonw.String(append(dst, `,"systemId":`...), j.SystemID)
+	dst = strconv.AppendInt(append(dst, `,"index":`...), j.Index, 10)
+	dst, err := j.Params.AppendJSON(append(dst, `,"params":`...))
+	if err != nil {
+		return nil, fmt.Errorf("core: job %s params: %w", j.ID, err)
+	}
+	dst = jsonw.String(append(dst, `,"status":`...), string(j.Status))
+	if j.DeploymentID != "" {
+		dst = jsonw.String(append(dst, `,"deploymentId":`...), j.DeploymentID)
+	}
+	dst = strconv.AppendInt(append(dst, `,"progress":`...), j.Progress, 10)
+	dst = strconv.AppendInt(append(dst, `,"attempts":`...), j.Attempts, 10)
+	if j.Error != "" {
+		dst = jsonw.String(append(dst, `,"error":`...), j.Error)
+	}
+	for _, f := range [...]struct {
+		key string
+		t   time.Time
+	}{{`,"created":`, j.Created}, {`,"started":`, j.Started}, {`,"finished":`, j.Finished}, {`,"heartbeat":`, j.Heartbeat}} {
+		if dst, err = jsonw.Time(append(dst, f.key...), f.t); err != nil {
+			return nil, fmt.Errorf("core: job %s %s: %w", j.ID, f.key[2:len(f.key)-2], err)
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// MarshalJSON implements json.Marshaler with AppendJSON.
+func (j Job) MarshalJSON() ([]byte, error) {
+	return j.AppendJSON(make([]byte, 0, 512))
+}
+
+// Jobs is a list of jobs that appends its own JSON, for the answers that
+// carry a whole evaluation's jobs.
+type Jobs []*Job
+
+// AppendJSON appends js's JSON to dst: what json.Marshal writes for it,
+// null for a nil list.
+func (js Jobs) AppendJSON(dst []byte) ([]byte, error) {
+	if js == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, '[')
+	for i, j := range js {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = j.AppendJSON(dst); err != nil {
+			return nil, err
+		}
+	}
+	return append(dst, ']'), nil
 }
 
 // Label renders the job's parameter assignment for UI lists.

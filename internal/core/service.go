@@ -81,8 +81,8 @@ func mapNotFound(err error) error {
 // Built by hand: it runs twice per claim, and fmt.Sprintf costs two
 // extra allocations (argument boxing and formatter state) per call.
 func paddedID(prefix string, n int64) string {
-	b := make([]byte, 0, len(prefix)+21)
-	b = append(b, prefix...)
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
 	b = append(b, '-')
 	digits := 1
 	for v := n; v >= 10; v /= 10 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -475,21 +476,25 @@ func (s *Store) AttemptBudget(tx *relstore.Tx, evaluationID string) (budget int6
 type jobRow struct {
 	Job    // Params unset
 	params []byte
-	// src is the row the job was read from (nil for a new job). A fresh
-	// row takes over its values of the columns that did not change, so
+	// src is the row the job was read from, or for a new job the values
+	// its evaluation boxed once for all its jobs (nil: none). A fresh row
+	// takes over src's values of the columns it holds unchanged, so
 	// writing a job boxes only what the transition set.
 	src relstore.Row
 }
 
-// newJobRow is j as a jobRow: its assignment encoded once, at creation.
-func newJobRow(j *Job) (*jobRow, error) {
-	r := &jobRow{Job: *j}
+// newJobRow is j as a jobRow taking shared's boxed values: its assignment
+// encoded once, at creation.
+func newJobRow(j *Job, shared relstore.Row) (*jobRow, error) {
+	r := &jobRow{Job: *j, src: shared}
 	r.Params = nil
 	if j.Params != nil {
-		var err error
-		if r.params, err = json.Marshal(j.Params); err != nil {
+		var buf [256]byte
+		b, err := j.Params.AppendJSON(buf[:0])
+		if err != nil {
 			return nil, fmt.Errorf("core: marshal job %s params: %w", j.ID, err)
 		}
+		r.params = bytes.Clone(b)
 	}
 	return r, nil
 }
@@ -516,7 +521,13 @@ func jobFields(row relstore.Row, j *Job) (params []byte) {
 
 // row is r as a fresh row, its stored params carried through.
 func (r *jobRow) row() relstore.Row {
-	row := make(relstore.Row, 14)
+	// A scheduled job with no attempt spent fills at most 7 of the 14
+	// columns: sized for 8, its map is one group instead of a table.
+	n := 14
+	if r.Status == StatusScheduled && r.Attempts == 0 {
+		n = 8
+	}
+	row := make(relstore.Row, n)
 	setCol(row, r.src, "id", r.ID)
 	setCol(row, r.src, "evaluationId", r.EvaluationID)
 	setCol(row, r.src, "systemId", r.SystemID)
@@ -540,11 +551,18 @@ func (r *jobRow) row() relstore.Row {
 
 // setCol is setNonZero that takes src's value when src holds the same one.
 func setCol[T comparable](row, src relstore.Row, col string, v T) {
-	if old, ok := src[col].(T); ok && old == v {
-		row[col] = src[col]
-		return
+	var zero T
+	if v != zero {
+		row[col] = boxed(src, col, v)
 	}
-	setNonZero(row, col, v)
+}
+
+// boxed is v as a column value: src's, when src holds the same one.
+func boxed[T comparable](src relstore.Row, col string, v T) any {
+	if old, ok := src[col].(T); ok && old == v {
+		return src[col]
+	}
+	return v
 }
 
 // job is r for a reader or the wire, its params decoded.
@@ -571,15 +589,6 @@ func jobOf(row relstore.Row, j *Job) error {
 	return decodeParams(j, jobFields(row, j))
 }
 
-// PutJob stores a new job.
-func (s *Store) PutJob(tx *relstore.Tx, j *Job) error {
-	r, err := newJobRow(j)
-	if err != nil {
-		return err
-	}
-	return s.putJobRow(tx, r)
-}
-
 // putJobRow writes r as the job's row.
 func (s *Store) putJobRow(tx *relstore.Tx, r *jobRow) error {
 	return tx.Put(tableJobs, r.row())
@@ -603,7 +612,8 @@ func (s *Store) ListJobsByEvaluation(tx *relstore.Tx, evaluationID string) (rows
 
 // jobsByStatusQuery builds the indexed query for status (+ optional
 // system) lookups. Both conditions are Eq on indexed columns so the
-// planner can drive from the smaller posting list and probe the other.
+// planner can drive from the smaller posting list and check the other
+// on its rows.
 func jobsByStatusQuery(status JobStatus, systemID string) *relstore.Query {
 	q := relstore.NewQuery().Eq("status", string(status))
 	if systemID != "" {
@@ -714,15 +724,16 @@ func (s *Store) ListLogs(tx *relstore.Tx, jobID string) (rowsOf[LogChunk], error
 
 // --- Events ---
 
-// PutEvent stores a timeline event. Events are all scalars — no JSON is
-// marshalled on this path (it sits inside every claim and transition
-// transaction).
-func (s *Store) PutEvent(tx *relstore.Tx, e *Event) error {
+// PutEvent stores a timeline event, taking its time and kind from
+// shared's boxed values where they are the same (shared may be nil).
+// Events are all scalars — no JSON is marshalled on this path (it sits
+// inside every claim and transition transaction).
+func (s *Store) PutEvent(tx *relstore.Tx, e *Event, shared relstore.Row) error {
 	row := relstore.Row{
 		"id":    e.ID,
 		"jobId": e.JobID,
-		"time":  e.Time,
-		"kind":  string(e.Kind),
+		"time":  boxed(shared, "time", e.Time),
+		"kind":  boxed(shared, "kind", string(e.Kind)),
 	}
 	setNonZero(row, "message", e.Message)
 	return tx.Put(tableEvents, row)

@@ -26,9 +26,29 @@ type envelope struct {
 	Error string `json:"error,omitempty"`
 }
 
-// WriteJSON writes a success envelope.
+// appender is a value that writes its own JSON: AppendJSON appends to
+// dst, byte for byte, what encoding/json writes for the value.
+type appender interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// WriteJSON writes a success envelope. data that appends its own JSON is
+// appended straight into the body — encoding/json would re-scan every
+// byte a Marshaler returns — with the bytes json.Encoder writes.
 func WriteJSON(w http.ResponseWriter, status int, data any) {
-	write(w, status, envelope{Data: data})
+	a, ok := data.(appender)
+	if !ok {
+		write(w, status, envelope{Data: data})
+		return
+	}
+	body, err := a.AppendJSON(append(make([]byte, 0, 4096), `{"data":`...))
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if err != nil {
+		log.Printf("httputil: encode response: %v", err)
+		return
+	}
+	w.Write(append(body, "}\n"...))
 }
 
 // WriteError writes an error envelope.

@@ -8,8 +8,8 @@
 // all sweeps is expanded into the individual jobs of an evaluation.
 //
 // The package is deliberately free of dependencies on the rest of the
-// toolkit so that storage, REST, and UI layers can all share one
-// definition of what a parameter is.
+// toolkit, but for the leaf jsonw, so that storage, REST, and UI layers
+// can all share one definition of what a parameter is.
 //
 // A Value's JSON wire form is an object with the kind's name and the one
 // payload member that kind takes, {"kind":"int","int":1400}, with none
@@ -28,9 +28,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+
+	"chronos/internal/jsonw"
 )
 
 // Kind enumerates the concrete runtime types a parameter value can take.
@@ -329,7 +332,7 @@ func (v Value) MarshalJSON() ([]byte, error) {
 
 // appendJSON appends the wire form of v to dst.
 func (v Value) appendJSON(dst []byte) ([]byte, error) {
-	dst = appendString(append(dst, `{"kind":`...), v.kind.String())
+	dst = jsonw.String(append(dst, `{"kind":`...), v.kind.String())
 	switch v.kind {
 	case KindBool:
 		dst = strconv.AppendBool(append(dst, `,"bool":`...), v.b)
@@ -341,13 +344,13 @@ func (v Value) appendJSON(dst []byte) ([]byte, error) {
 			return nil, err
 		}
 	case KindString:
-		dst = appendString(append(dst, `,"string":`...), v.s)
+		dst = jsonw.String(append(dst, `,"string":`...), v.s)
 	case KindStringList:
 		if len(v.list) > 0 {
 			dst = append(dst, `,"list":`...)
 			sep := byte('[')
 			for _, s := range v.list {
-				dst = appendString(append(dst, sep), s)
+				dst = jsonw.String(append(dst, sep), s)
 				sep = ','
 			}
 			dst = append(dst, ']')
@@ -364,22 +367,6 @@ func (v Value) appendJSON(dst []byte) ([]byte, error) {
 		}
 	}
 	return append(dst, '}'), nil
-}
-
-// appendString appends s as a JSON string. A string of printable ASCII
-// without a quote, a backslash, '<', '>' or '&' is copied as it is; any
-// other string is written by encoding/json, whose HTML escaping,
-// U+2028/U+2029 escaping and invalid-UTF-8 replacement it thereby keeps.
-func appendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			b, _ := json.Marshal(s) // a string always marshals
-			return append(dst, b...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }
 
 // appendFloat appends f as encoding/json writes a float64: the shortest
@@ -657,10 +644,39 @@ func (a Assignment) Clone() Assignment {
 	return cp
 }
 
+// AppendJSON appends a's JSON to dst: what json.Marshal writes for it,
+// byte for byte — null for a nil assignment, the names in sorted order,
+// each value as MarshalJSON writes it. It fails where MarshalJSON fails
+// (a float with no JSON form).
+func (a Assignment) AppendJSON(dst []byte) ([]byte, error) {
+	if a == nil {
+		return append(dst, "null"...), nil
+	}
+	var buf [8]string
+	names := buf[:0]
+	for name := range a {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	dst = append(dst, '{')
+	for i, name := range names {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(jsonw.String(dst, name), ':')
+		var err error
+		if dst, err = a[name].appendJSON(dst); err != nil {
+			return nil, err
+		}
+	}
+	return append(dst, '}'), nil
+}
+
 // Encode renders the assignment as a canonical "k=v, k=v" string with keys
 // in sorted order. Used for job labels and archive manifests.
 func (a Assignment) Encode() string {
-	keys := make([]string, 0, len(a))
+	var buf [8]string
+	keys := buf[:0]
 	for k := range a {
 		keys = append(keys, k)
 	}

@@ -92,12 +92,25 @@ func checkEncodesAsReference(t *testing.T, v Value) {
 	}
 }
 
+// checkAssignmentEncodesAsReference fails unless a's AppendJSON writes
+// json.Marshal's bytes, or both refuse it.
+func checkAssignmentEncodesAsReference(t *testing.T, a Assignment) {
+	t.Helper()
+	got, err := a.AppendJSON(nil)
+	want, refErr := json.Marshal(a)
+	if (err == nil) != (refErr == nil) || !bytes.Equal(got, want) {
+		t.Fatalf("%#v appends %s (%v), json.Marshal %s (%v)", a, got, err, want, refErr)
+	}
+}
+
 // FuzzValueCodecMatchesReflection: for any bytes, UnmarshalJSON accepts
 // exactly what the reflective reference accepts, with an Equal value of
 // the same kind, and refuses the rest with the same error; a value it
 // accepts marshals to the reference's bytes. The input also encodes as
 // a string, a list and (from its first eight bytes) a float, so the
-// encoder meets arbitrary bytes too. The seeds, under
+// encoder meets arbitrary bytes too, and as a parameter name beside those
+// values in an Assignment, whose AppendJSON must write json.Marshal's
+// bytes. The seeds, under
 // testdata/fuzz/FuzzValueCodecMatchesReflection, are each kind's
 // canonical form and the near-misses the canonical scanner must pass to
 // the general decoder.
@@ -119,9 +132,16 @@ func FuzzValueCodecMatchesReflection(f *testing.F) {
 		}
 		checkEncodesAsReference(t, String_(string(data)))
 		checkEncodesAsReference(t, StringList(string(data), ""))
-		if len(data) >= 8 {
-			checkEncodesAsReference(t, Float(math.Float64frombits(binary.LittleEndian.Uint64(data))))
+		a := Assignment{string(data): String_(string(data)), "list": StringList(string(data), "")}
+		if err == nil {
+			a["decoded"] = got
 		}
+		if len(data) >= 8 {
+			f := Float(math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			checkEncodesAsReference(t, f)
+			a["f"] = f
+		}
+		checkAssignmentEncodesAsReference(t, a)
 	})
 }
 
@@ -182,6 +202,20 @@ func TestValueWireBytes(t *testing.T) {
 		if _, err := Float(f).MarshalJSON(); err == nil || err.Error() != want {
 			t.Errorf("Float(%v).MarshalJSON error = %v, want %s", f, err, want)
 		}
+	}
+}
+
+// TestAssignmentJSON: the assignments json.Marshal treats specially —
+// nil, empty, names that need escaping, a value with no JSON form — append
+// its bytes or fail with it.
+func TestAssignmentJSON(t *testing.T) {
+	for _, a := range []Assignment{
+		nil,
+		{},
+		{"threads": Int(4), "engine": String_("wiredtiger"), "a<b>&": Bool(true), "é\u2028": Ratio(1, 2), "": StringList()},
+		{"nan": Float(math.NaN())},
+	} {
+		checkAssignmentEncodesAsReference(t, a)
 	}
 }
 

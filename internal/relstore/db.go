@@ -493,7 +493,7 @@ func newTable(s Schema) *table {
 	t := &table{
 		schema: s,
 		rows:   make(map[string]Row),
-		keys:   newPostingList(),
+		keys:   newPostingList("", ""),
 		codec:  newRowCodec(s),
 	}
 	t.initIndexes()
@@ -529,23 +529,25 @@ func schemaEqual(a, b Schema) bool {
 func (t *table) addToIndexes(id string, r Row) {
 	for col, idx := range t.indexes {
 		if v, ok := r[col].(string); ok {
-			indexAdd(idx, v, id)
+			indexAdd(idx, col, v, id)
 		}
 	}
 }
 
-// indexAdd files id under value v of one secondary index.
-func indexAdd(idx map[string]*postingList, v, id string) {
+// indexAdd files id under value v of column col's secondary index.
+func indexAdd(idx map[string]*postingList, col, v, id string) {
 	pl := idx[v]
 	if pl == nil {
-		pl = newPostingList()
+		pl = newPostingList(col, v)
 		idx[v] = pl
 	}
 	pl.add(id)
 }
 
 // applyPut installs a typed row, maintaining the key list and secondary
-// indexes.
+// indexes. It and reindex keep postingList's invariant: a list is told of
+// a row that takes or leaves its value, and of no other, and the rows
+// hold the new row before any list is told it left.
 func (t *table) applyPut(id string, row Row) {
 	if old, ok := t.rows[id]; ok {
 		t.rows[id] = row
@@ -570,14 +572,14 @@ func (t *table) reindex(id string, old, new Row) {
 		}
 		if ook {
 			if pl := idx[ov]; pl != nil {
-				pl.remove(id)
+				pl.remove(t.rows, id)
 				if pl.len() == 0 {
 					delete(idx, ov)
 				}
 			}
 		}
 		if nok {
-			indexAdd(idx, nv, id)
+			indexAdd(idx, col, nv, id)
 		}
 	}
 }

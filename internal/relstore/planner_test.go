@@ -3,6 +3,7 @@ package relstore
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -55,64 +56,85 @@ func sameIDs(a []string, b ...string) bool {
 	return true
 }
 
-// TestPostingList exercises the sorted-slice + live-set structure
-// directly: ordering, stale skipping, compaction and resurrection.
-func TestPostingList(t *testing.T) {
-	p := newPostingList()
-	for _, id := range []string{"c", "a", "e", "b", "d"} {
-		p.add(id)
+// postingFixture is one posting list for status "s" over a table's rows,
+// told of every row that takes or leaves "s" as reindex tells it.
+type postingFixture struct {
+	rows map[string]Row
+	pl   *postingList
+}
+
+func newPostingFixture() *postingFixture {
+	return &postingFixture{rows: map[string]Row{}, pl: newPostingList("status", "s")}
+}
+
+// set gives id's row status v.
+func (f *postingFixture) set(id, v string) {
+	old, _ := f.rows[id]["status"].(string)
+	f.rows[id] = Row{"id": id, "status": v}
+	switch {
+	case v == "s" && old != "s":
+		f.pl.add(id)
+	case old == "s" && v != "s":
+		f.pl.remove(f.rows, id)
 	}
-	p.add("c") // duplicate add is a no-op
-	if p.len() != 5 {
-		t.Fatalf("len = %d, want 5", p.len())
-	}
-	p.remove("b")
-	p.remove("d")
-	p.remove("x") // absent remove is a no-op
+}
+
+// walk is every id the list's cursor yields, in order, checking that each
+// comes with its row.
+func (f *postingFixture) walk(t *testing.T) []string {
+	t.Helper()
 	var got []string
-	cur := plCursor{pl: p}
+	cur := plCursor{pl: f.pl, rows: f.rows}
 	for {
-		id, ok := cur.peek()
+		id, row, ok := cur.peek()
 		if !ok {
-			break
+			return got
+		}
+		if row["id"] != id || row["status"] != "s" {
+			t.Fatalf("cursor handed %q the row %v", id, row)
 		}
 		got = append(got, id)
 		cur.next()
 	}
-	if !sameIDs(got, "a", "c", "e") {
+}
+
+// TestPostingList exercises the sorted slice over a table's rows
+// directly: ordering, stale skipping, compaction and resurrection.
+func TestPostingList(t *testing.T) {
+	f := newPostingFixture()
+	for _, id := range []string{"c", "a", "e", "b", "d"} {
+		f.set(id, "s")
+	}
+	if f.pl.len() != 5 {
+		t.Fatalf("len = %d, want 5", f.pl.len())
+	}
+	f.set("b", "t")
+	f.set("d", "t")
+	if got := f.walk(t); !sameIDs(got, "a", "c", "e") {
 		t.Fatalf("iterated %v", got)
 	}
-	p.add("b") // resurrect after removal
-	if !p.contains("b") || p.len() != 4 {
-		t.Fatalf("resurrection failed: len=%d", p.len())
+	f.set("b", "s") // resurrect after removal
+	if got := f.walk(t); !sameIDs(got, "a", "b", "c", "e") || f.pl.len() != 4 {
+		t.Fatalf("resurrection failed: %v, len=%d", got, f.pl.len())
 	}
-	// Hammer adds/removes so compaction triggers repeatedly.
+	// Hammer moves in and out so compaction triggers repeatedly.
 	rng := rand.New(rand.NewSource(7))
 	live := map[string]bool{"a": true, "b": true, "c": true, "e": true}
 	for i := 0; i < 2000; i++ {
 		id := fmt.Sprintf("k%03d", rng.Intn(50))
 		if rng.Intn(2) == 0 {
-			p.add(id)
+			f.set(id, "s")
 			live[id] = true
 		} else {
-			p.remove(id)
+			f.set(id, "t")
 			delete(live, id)
 		}
 	}
-	want := 0
-	for range live {
-		want++
-	}
-	if p.len() != want {
-		t.Fatalf("after churn len = %d, want %d", p.len(), want)
+	if f.pl.len() != len(live) {
+		t.Fatalf("after churn len = %d, want %d", f.pl.len(), len(live))
 	}
 	prev := ""
-	cur = plCursor{pl: p}
-	for {
-		id, ok := cur.peek()
-		if !ok {
-			break
-		}
+	for _, id := range f.walk(t) {
 		if id <= prev && prev != "" {
 			t.Fatalf("iteration out of order: %q after %q", id, prev)
 		}
@@ -120,7 +142,62 @@ func TestPostingList(t *testing.T) {
 			t.Fatalf("stale id %q surfaced", id)
 		}
 		prev = id
-		cur.next()
+	}
+}
+
+// TestPostingListReturnAcrossCompaction: an id that leaves a value and
+// returns to it after the list compacted its slot away is filed again in
+// order, and counted once.
+func TestPostingListReturnAcrossCompaction(t *testing.T) {
+	f := newPostingFixture()
+	for i := 0; i < 10; i++ {
+		f.set(fmt.Sprintf("k%d", i), "s")
+	}
+	f.set("k3", "t")
+	for _, id := range []string{"k0", "k1", "k2", "k4", "k5"} {
+		f.set(id, "t")
+	}
+	if slices.Contains(f.pl.ids, "k3") || f.pl.stale != 0 {
+		t.Fatalf("fixture: no compaction dropped k3's slot: ids %v, %d stale", f.pl.ids, f.pl.stale)
+	}
+	f.set("k3", "s")
+	if got := f.walk(t); !sameIDs(got, "k3", "k6", "k7", "k8", "k9") || f.pl.len() != 5 {
+		t.Fatalf("after k3 returned: %v, len=%d", got, f.pl.len())
+	}
+}
+
+// TestPostingListEmptiedAndRecreated: a value's list that empties is
+// deleted from its index, and a row that takes the value again files
+// under a new list that a select reads.
+func TestPostingListEmptiedAndRecreated(t *testing.T) {
+	db := newPlannerDB(t)
+	put := func(status string) {
+		t.Helper()
+		if err := db.Update(func(tx *Tx) error { return tx.Put("jobs", jobRow("j1", status, "sysA", 1)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := func(status string) int {
+		t.Helper()
+		var n int
+		if err := db.View(func(tx *Tx) (err error) {
+			n, err = tx.Count("jobs", NewQuery().Eq("status", status))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	idx := db.tables["jobs"].indexes["status"]
+	put("scheduled")
+	first := idx["scheduled"]
+	put("running")
+	if _, ok := idx["scheduled"]; ok || count("scheduled") != 0 || count("running") != 1 {
+		t.Fatalf("emptied list kept: %v, %d scheduled, %d running", ok, count("scheduled"), count("running"))
+	}
+	put("scheduled")
+	if pl := idx["scheduled"]; pl == nil || pl == first || pl.len() != 1 || count("scheduled") != 1 || count("running") != 0 {
+		t.Fatalf("re-created list: %+v, %d scheduled, %d running", pl, count("scheduled"), count("running"))
 	}
 }
 
@@ -269,23 +346,19 @@ func TestPlanDrivesFromSmallestList(t *testing.T) {
 		NewQuery().Eq("system", "small").Eq("status", "scheduled"),
 		NewQuery().Eq("status", "scheduled").Eq("system", "small"),
 	} {
-		driver, probes := tbl.plan(q)
-		if driver.pl != small {
+		if driver := tbl.plan(q); driver.pl != small {
 			t.Fatalf("driver walks a %d-row list, want the 10-row one", driver.pl.len())
 		}
-		if len(probes) != 1 || probes[0] != big {
-			t.Fatalf("probes = %d list(s), want exactly the 5000-row one", len(probes))
-		}
 	}
-	// An Eq no committed row satisfies: the empty driver, nothing probed.
-	// So does an Eq that gives an indexed (string) column another type.
+	// An Eq no committed row satisfies: the empty driver. So does an Eq
+	// that gives an indexed (string) column another type.
 	for _, q := range []*Query{
 		NewQuery().Eq("status", "scheduled").Eq("system", "absent"),
 		NewQuery().Eq("status", "scheduled").Eq("system", int64(0)),
 	} {
-		driver, probes := tbl.plan(q)
-		if _, ok := driver.peek(); ok || driver.pl != nil || probes != nil {
-			t.Fatalf("absent value: driver %+v, %d probe(s)", driver, len(probes))
+		driver := tbl.plan(q)
+		if _, _, ok := driver.peek(); ok || driver.pl != nil {
+			t.Fatalf("absent value: driver %+v", driver)
 		}
 	}
 	db.View(func(tx *Tx) error {

@@ -60,13 +60,16 @@
 // Reads go through a small planner (Tx.scan). Only string columns can be
 // indexed, and each index maps a column's string value to its rows; every
 // secondary index and the per-table primary-key list are sorted posting
-// lists maintained on apply. An Eq that gives an indexed column a value
-// that is not a string matches nothing. For a query the planner picks
-// the smallest posting list among all indexed Eq conditions as the scan
-// driver and turns the remaining indexed conditions into O(1) membership
-// probes; without an indexed condition the primary-key list drives, so
-// even full scans never sort per query. Unindexed Eq conditions are
-// checked against each row the driver yields. Because both the driver
+// lists maintained on apply. A posting list is a sorted id slice and a
+// live count; the rows are its membership record (an id is live in the
+// list for a value when its row holds the value), so the lists hold no
+// second copy of the keys and a scan looks each row up once. An Eq that
+// gives an indexed column a value that is not a string matches nothing.
+// For a query the planner picks the smallest posting list among all
+// indexed Eq conditions as the scan driver; without an indexed condition
+// the primary-key list drives, so even full scans never sort per query.
+// Every Eq condition, indexed or not, is checked against each row the
+// driver yields. Because both the driver
 // and the transaction's pending writes stream in key order, Limit pushes
 // down: the scan stops at the limit instead of materialising and sorting
 // the full candidate set.

@@ -185,9 +185,8 @@ func (tx *Tx) Count(tableName string, q *Query) (int, error) {
 
 // scan is the query planner and executor behind Select, SelectFunc and
 // Count. Committed rows come from the access path chosen by plan (the
-// smallest matching posting list, probing the remaining indexed
-// equalities, or the primary-key list) and every equality, unindexed ones
-// included, is then checked against the resolved row; pending
+// smallest matching posting list, or the primary-key list), each looked
+// up once, and every equality is then checked against the row; pending
 // writes are merged in by id so uncommitted rows and overwrites are
 // both visible.
 // Both sources are sorted, so rows stream in key order and the walk
@@ -202,7 +201,7 @@ func (tx *Tx) scan(tableName string, q *Query, fn func(Row) bool) error {
 	if q == nil {
 		q = NewQuery()
 	}
-	driver, probes := t.plan(q)
+	driver := t.plan(q)
 
 	var pend []string
 	if len(tx.pendingOrder) > 0 {
@@ -215,8 +214,7 @@ func (tx *Tx) scan(tableName string, q *Query, fn func(Row) bool) error {
 	}
 
 	matched := 0
-	emit := func(id string) bool {
-		row := tx.effectiveRow(t, tableName, id)
+	emit := func(row Row) bool {
 		if !matchesQuery(row, q) {
 			return true
 		}
@@ -229,29 +227,26 @@ func (tx *Tx) scan(tableName string, q *Query, fn func(Row) bool) error {
 
 	pi := 0
 	for {
-		cid, cok := driver.peek()
-		// Skip committed ids that fail an indexed probe without paying
-		// for row resolution (matchesQuery would reject them anyway).
-		for cok && !inAll(probes, cid) {
-			driver.next()
-			cid, cok = driver.peek()
-		}
+		cid, crow, cok := driver.peek()
 		pok := pi < len(pend)
 		switch {
 		case !cok && !pok:
 			return nil
 		case cok && (!pok || cid < pend[pi]):
-			if !emit(cid) {
+			if len(tx.pending) > 0 {
+				crow = tx.effectiveRow(t, tableName, cid) // fn may have written it
+			}
+			if !emit(crow) {
 				return nil
 			}
 			driver.next()
 		case pok && (!cok || pend[pi] < cid):
-			if !emit(pend[pi]) {
+			if !emit(tx.pending[pendingKey{tableName, pend[pi]}]) {
 				return nil
 			}
 			pi++
 		default: // same id: the pending write supersedes the committed row
-			if !emit(pend[pi]) {
+			if !emit(tx.pending[pendingKey{tableName, pend[pi]}]) {
 				return nil
 			}
 			driver.next()
@@ -260,19 +255,19 @@ func (tx *Tx) scan(tableName string, q *Query, fn func(Row) bool) error {
 	}
 }
 
-// plan chooses the committed-row access path for q. Candidates are the
-// posting lists of the indexed equality conditions: the smallest drives
-// the scan and the rest become O(1) membership probes. Every equality —
-// unindexed ones included — is re-checked against the resolved row by
-// matchesQuery, so plan only has to narrow the walk, not decide the
-// answer. Without an indexed equality the sorted primary-key list drives
-// (full scan). An equality on a value no committed row holds yields an
-// empty driver: only pending writes can match then. Indexed columns are
-// string columns, so an equality that gives one another type yields the
-// empty driver too, and no pending row matches it either.
-func (t *table) plan(q *Query) (driver *plCursor, probes []*postingList) {
-	var lists []*postingList
-	smallest := 0
+// plan chooses the committed-row access path for q: the smallest posting
+// list of the indexed equality conditions drives the scan. Every equality
+// — the other indexed ones and the unindexed ones — is checked against
+// the row the driver hands back by matchesQuery, so plan only has to
+// narrow the walk, not decide the answer. Without an indexed equality the
+// sorted primary-key list drives (full scan). An equality on a value no
+// committed row holds yields an empty driver: only pending writes can
+// match then. Indexed columns are string columns, so an equality that
+// gives one another type yields the empty driver too, and no pending row
+// matches it either.
+func (t *table) plan(q *Query) *plCursor {
+	drive := t.keys
+	indexed := false
 	for _, eq := range q.eq {
 		idx, ok := t.indexes[eq.col]
 		if !ok {
@@ -281,31 +276,13 @@ func (t *table) plan(q *Query) (driver *plCursor, probes []*postingList) {
 		v, isString := eq.val.(string)
 		pl := idx[v]
 		if !isString || pl == nil || pl.len() == 0 {
-			return &plCursor{}, nil
+			return &plCursor{}
 		}
-		if len(lists) > 0 && pl.len() < lists[smallest].len() {
-			smallest = len(lists)
-		}
-		lists = append(lists, pl)
-	}
-	if len(lists) == 0 {
-		return &plCursor{pl: t.keys}, nil
-	}
-	// The driver is read out before the append below closes the gap over
-	// its slot: Go leaves the order of the two unspecified within one
-	// expression, and reading second lets the larger list drive.
-	drive := lists[smallest]
-	return &plCursor{pl: drive}, append(lists[:smallest], lists[smallest+1:]...)
-}
-
-// inAll reports whether id is live in every posting list.
-func inAll(pls []*postingList, id string) bool {
-	for _, pl := range pls {
-		if !pl.contains(id) {
-			return false
+		if !indexed || pl.len() < drive.len() {
+			drive, indexed = pl, true
 		}
 	}
-	return true
+	return &plCursor{pl: drive, rows: t.rows}
 }
 
 // effectiveRow resolves a row id through the transaction's write buffer,
