@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -233,11 +234,12 @@ type groupCommitter struct {
 	last chan struct{}
 }
 
-// walBatch is one group of commit records flushed by a single WAL write.
+// walBatch is one group of commit records flushed by a single WAL write,
+// each an encoded frame payload.
 type walBatch struct {
-	recs []walRecord
-	done chan struct{}
-	err  error
+	payloads [][]byte
+	done     chan struct{}
+	err      error
 }
 
 // walState is one immutable reading of the WAL, published under walMu by
@@ -451,10 +453,14 @@ func (db *DB) createTablesLocked(ss []Schema) (*walBatch, error) {
 		if db.tables[s.Name] != nil {
 			continue
 		}
-		db.tables[s.Name] = newTable(s)
 		if db.dir != "" {
-			batch = db.enqueueCommit(walRecord{CreateTable: &s})
+			payload, err := json.Marshal(schemaRecord{CreateTable: &s})
+			if err != nil {
+				return nil, fmt.Errorf("relstore: marshal wal record: %w", err)
+			}
+			batch = db.enqueueCommit(payload)
 		}
+		db.tables[s.Name] = newTable(s)
 	}
 	db.publishCounts()
 	return batch, nil
@@ -692,11 +698,12 @@ func (db *DB) View(fn func(tx *Tx) error) error {
 
 // commitApply applies the transaction's buffered writes to the in-memory
 // tables directly from their typed form (no encode/decode round-trip)
-// and, for durable stores, enqueues the WAL record. The caller holds
-// db.mu exclusively — the enqueue happens before it is released so that
-// WAL order is apply order. Rows are encoded in a first pass, before
-// any in-memory mutation: an encode failure (unreachable for rows that
-// passed validation, but never silently absorbed) rolls back clean. The
+// and, for durable stores, encodes the WAL record's payload from the
+// same rows and enqueues it. The caller holds db.mu exclusively — the
+// enqueue happens before it is released so that WAL order is apply
+// order. Rows are encoded in a first pass, before any in-memory
+// mutation: an encode failure (unreachable for rows that passed
+// validation, but never silently absorbed) rolls back clean. The
 // returned batch — nil for memory stores and empty transactions — must
 // be awaited after db.mu is released.
 func (db *DB) commitApply(tx *Tx) (*walBatch, error) {
@@ -704,21 +711,15 @@ func (db *DB) commitApply(tx *Tx) (*walBatch, error) {
 		return nil, nil
 	}
 	durable := db.dir != ""
-	var rec walRecord
+	var payload []byte
 	if durable {
-		rec.Ops = make([]walOp, 0, len(tx.pendingOrder)+len(tx.seqs))
-		// One backing buffer for every row of the record: each op's rowBin
-		// is a capacity-capped subslice, so a growth reallocation mid-loop
-		// leaves earlier subslices valid in the old array.
-		encBuf := make([]byte, 0, 512)
+		payload = appendOpsHeader(make([]byte, 0, 512), len(tx.pendingOrder)+len(tx.seqs))
 		for _, pk := range tx.pendingOrder {
-			start := len(encBuf)
 			var err error
-			encBuf, err = db.tables[pk.table].codec.appendRow(encBuf, tx.pending[pk])
+			payload, err = appendPut(payload, pk.table, pk.id, &db.tables[pk.table].codec, tx.pending[pk])
 			if err != nil {
 				return nil, err
 			}
-			rec.Ops = append(rec.Ops, walOp{Op: opPut, Table: pk.table, ID: pk.id, rowBin: encBuf[start:len(encBuf):len(encBuf)]})
 		}
 	}
 	for _, pk := range tx.pendingOrder {
@@ -741,26 +742,27 @@ func (db *DB) commitApply(tx *Tx) (*walBatch, error) {
 			t.seq = n
 		}
 		if durable {
-			rec.Ops = append(rec.Ops, walOp{Op: opSeq, Table: tbl, Seq: n})
+			payload = appendSeq(payload, tbl, n)
 		}
 	}
 	db.publishCounts()
-	if !durable || len(rec.Ops) == 0 {
+	if !durable {
 		return nil, nil
 	}
-	return db.enqueueCommit(rec), nil
+	return db.enqueueCommit(payload), nil
 }
 
-// enqueueCommit appends rec to the currently accumulating batch. Callers
-// hold db.mu exclusively, so batch order equals apply order.
-func (db *DB) enqueueCommit(rec walRecord) *walBatch {
+// enqueueCommit appends a record's payload to the currently accumulating
+// batch. Callers hold db.mu exclusively, so batch order equals apply
+// order.
+func (db *DB) enqueueCommit(payload []byte) *walBatch {
 	g := &db.group
 	g.mu.Lock()
 	if g.cur == nil {
 		g.cur = &walBatch{done: make(chan struct{})}
 	}
 	b := g.cur
-	b.recs = append(b.recs, rec)
+	b.payloads = append(b.payloads, payload)
 	g.last = b.done
 	g.mu.Unlock()
 	return b
@@ -805,7 +807,7 @@ func (db *DB) awaitCommit(b *walBatch) error {
 // meanwhile: one goroutine per batch. Without an heir the next committer
 // to arrive leads.
 func (db *DB) leadBatch(b *walBatch) {
-	b.err = db.writeBatch(b.recs)
+	b.err = db.writeBatch(b.payloads)
 	close(b.done)
 	g := &db.group
 	g.mu.Lock()
@@ -820,7 +822,7 @@ func (db *DB) leadBatch(b *walBatch) {
 // single flush (and fsync, in SyncEveryCommit mode) at the end, then
 // rotates the segment if it has grown past the threshold. Rotation is a
 // close+open — no snapshotting happens on the commit path.
-func (db *DB) writeBatch(recs []walRecord) error {
+func (db *DB) writeBatch(payloads [][]byte) error {
 	// start stays zero for unsampled batches: the latency summary is
 	// sampled 1-in-8 so the common case pays no clock reads at all.
 	var start time.Time
@@ -832,8 +834,8 @@ func (db *DB) writeBatch(recs []walRecord) error {
 	if err := db.walUsableLocked(); err != nil {
 		return err
 	}
-	for _, rec := range recs {
-		if err := db.wal.append(rec); err != nil {
+	for _, p := range payloads {
+		if err := db.wal.appendPayload(p); err != nil {
 			return db.poisonLocked(err)
 		}
 	}
@@ -841,9 +843,9 @@ func (db *DB) writeBatch(recs []walRecord) error {
 		return db.poisonLocked(err)
 	}
 	if db.met != nil {
-		db.met.commitObserved(len(recs), start, db.opts.Sync == SyncEveryCommit)
+		db.met.commitObserved(len(payloads), start, db.opts.Sync == SyncEveryCommit)
 	}
-	db.commitCount.Add(int64(len(recs)))
+	db.commitCount.Add(int64(len(payloads)))
 	db.publishWALLocked()
 	if db.wal.size >= db.opts.SegmentBytes {
 		// The batch is already durable, so a rotation failure poisons

@@ -16,11 +16,25 @@ var fuzzSchema = Schema{Name: "t", Key: "r", Columns: []Column{
 // opsFrame frames one ops record the way the WAL writer would.
 func opsFrame(t testing.TB, ops ...walOp) []byte {
 	t.Helper()
-	payload, err := appendBinRecord(nil, walRecord{Ops: ops})
-	if err != nil {
-		t.Fatal(err)
+	return frame(opsPayload(ops))
+}
+
+// opsPayload encodes ops as commitApply would, each put's row as the
+// bytes it carries: a decoded record re-encodes to the payload it was
+// read from.
+func opsPayload(ops []walOp) []byte {
+	p := appendOpsHeader(nil, len(ops))
+	for _, op := range ops {
+		if op.Op == opSeq {
+			p = appendSeq(p, op.Table, op.Seq)
+			continue
+		}
+		p = append(p, op.Op)
+		p = appendLenBytes(p, op.Table)
+		p = appendLenBytes(p, op.ID)
+		p = appendLenBytes(p, string(op.rowBin))
 	}
-	return frame(payload)
+	return p
 }
 
 // fuzzRow encodes one fuzzSchema row through the rowcodec.
@@ -159,8 +173,7 @@ func TestReadWALChecksumCatchesEveryBitFlip(t *testing.T) {
 			// Only acceptable if the flip cancelled out to the identical
 			// payload — impossible for a single flip, so re-encode and
 			// compare to be sure nothing altered slipped through.
-			payload, _ := appendBinRecord(nil, recs[0])
-			if !bytes.Equal(payload, seg[8:]) {
+			if !bytes.Equal(opsPayload(recs[0].Ops), seg[8:]) {
 				t.Fatalf("bit %d: altered record accepted", i)
 			}
 		}

@@ -493,8 +493,8 @@ func TestFollowerApplyAllocatesLittle(t *testing.T) {
 		apply()
 	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / applies; per > 16<<10 {
-		t.Fatalf("applying a %d-byte chunk allocated %d bytes per apply, want at most 16 KiB", len(chunk), per)
+	if per := (after.TotalAlloc - before.TotalAlloc) / applies; per > 4<<10 {
+		t.Fatalf("applying a %d-byte chunk allocated %d bytes per apply, want at most 4 KiB", len(chunk), per)
 	}
 }
 

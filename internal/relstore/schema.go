@@ -95,11 +95,14 @@
 // either an ops record, which starts with 0x01 and carries a
 // transaction's puts and sequence bumps, or a CreateTable record, which
 // is rare, starts with '{' and carries one Schema as JSON and nothing
-// else. A snapshot starts with the magic "CHRSNAP2" and holds each
-// table's Schema as JSON ahead of its binary rows. Recovery,
-// FollowerApply and snapshot load refuse, as a decode error and before
-// anything is applied, a delete op (retired opcode 2), a value with the
-// retired float tag (2), and a schema that fails Schema.Check.
+// else. walcodec.go is the one place that writes and reads a payload:
+// a commit's is encoded once, under the store lock, straight from its
+// pending rows, and the WAL writer only frames it. A snapshot starts
+// with the magic "CHRSNAP2" and holds each table's Schema as JSON ahead
+// of its binary rows. Recovery, FollowerApply and snapshot load refuse,
+// as a decode error and before anything is applied, a delete op
+// (retired opcode 2), a value with the retired float tag (2), and a
+// schema that fails Schema.Check.
 //
 // What an older build left behind is refused with ErrLegacyFormat:
 // from a build that wrote JSON rows, a snapshot that starts with '{', a
@@ -169,22 +172,21 @@
 // # Commit path and group commit
 //
 // DB.Update locks the store exclusively, runs its callback, applies the
-// buffered writes to the in-memory tables and enqueues the WAL record,
-// then releases the lock and only then waits for the group committer to
-// make the record durable. Concurrent committers batch into a single WAL
-// write and fsync, and a committer waits for its own batch only: batches
-// are written one at a time in enqueue order, each by one of its own
-// committers (the leader), and a leader that has written its batch
-// returns, handing the lead to one waiter of the batch that queued up
-// meanwhile. So a commit waits out at most the write ahead of its own,
-// never the ones behind it. Update never acknowledges a commit before it
-// is on stable storage (in SyncEveryCommit mode), but readers may observe
-// a commit slightly before its fsync completes — the standard
-// group-commit contract. No
-// file IO — commit, snapshot write or rename — ever happens with the
-// store lock held, with one exception: a compaction cycle seals the
-// active segment (a file close and open) holding it shared, which is what
-// makes its snapshot an exact cut.
+// buffered writes to the in-memory tables and enqueues the WAL record's
+// encoded payload, then releases the lock and only then waits for the
+// group committer to make the record durable. Concurrent committers
+// batch into a single WAL write and fsync, and a committer waits for its
+// own batch only: batches are written one at a time in enqueue order,
+// each by one of its own committers (the leader), and a leader that has
+// written its batch returns, handing the lead to one waiter of the batch
+// that queued up meanwhile. So a commit waits out at most the write
+// ahead of its own, never the ones behind it. Update never acknowledges
+// a commit before it is on stable storage (in SyncEveryCommit mode), but
+// readers may observe a commit slightly before its fsync completes — the
+// standard group-commit contract. No file IO — commit, snapshot write or
+// rename — ever happens with the store lock held, with one exception: a
+// compaction cycle seals the active segment (a file close and open)
+// holding it shared, which is what makes its snapshot an exact cut.
 //
 // # Locking
 //

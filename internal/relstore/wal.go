@@ -16,30 +16,6 @@ import (
 	"sort"
 )
 
-// walOp codes.
-const (
-	opPut = "put"
-	opSeq = "seq"
-)
-
-// walOp is one mutation within a committed transaction. A put carries
-// its row as rowBin, the binary rowcodec form, encoded under db.mu at
-// enqueue time by its table's codec.
-type walOp struct {
-	Op     string
-	Table  string
-	ID     string
-	Seq    int64
-	rowBin []byte
-}
-
-// walRecord is one framed WAL entry: either a table creation or a batch
-// of operations from a single transaction.
-type walRecord struct {
-	CreateTable *Schema
-	Ops         []walOp
-}
-
 // walFile is the file surface the segment writer appends through. It is
 // an interface so tests can interpose a failpoint wrapper (crashFile)
 // that cuts writes after a byte budget, simulating a crash at an exact
@@ -62,9 +38,10 @@ type walFile interface {
 //	uint32 little-endian CRC-32 (IEEE) of the payload
 //	payload
 //
-// The payload's first byte names its kind: binRecordTag opens a batch of
-// operations, '{' a CreateTable record (see walcodec.go). Any other
-// payload whose checksum holds is refused.
+// The payload is encoded once, by walcodec.go, when the record is
+// enqueued; its first byte names its kind: binRecordTag opens a batch of
+// operations, '{' a CreateTable record. Any other payload whose checksum
+// holds is refused.
 //
 // A torn final frame (short write during a crash) is detected by length
 // or checksum mismatch on replay. It is tolerated — and truncated away —
@@ -254,32 +231,9 @@ func FrameSize(hdr []byte) int64 {
 	return FrameHeaderSize + int64(binary.LittleEndian.Uint32(hdr[0:4]))
 }
 
-// append frames one record into the write buffer. Ops records (every
-// commit) encode through a pooled scratch buffer — zero steady-state
-// allocation; CreateTable records (rare) carry their Schema as JSON.
+// appendPayload frames one encoded payload into the write buffer.
 // Nothing is durable until commit is called, letting the group committer
 // amortise a single flush+fsync over many records.
-func (w *walWriter) append(rec walRecord) error {
-	if rec.CreateTable != nil {
-		payload, err := json.Marshal(schemaRecord{CreateTable: rec.CreateTable})
-		if err != nil {
-			return fmt.Errorf("relstore: marshal wal record: %w", err)
-		}
-		return w.appendPayload(payload)
-	}
-	bufp := getFrameBuf()
-	payload, err := appendBinRecord(*bufp, rec)
-	if err != nil {
-		putFrameBuf(bufp)
-		return fmt.Errorf("relstore: encode wal record: %w", err)
-	}
-	*bufp = payload
-	err = w.appendPayload(payload)
-	putFrameBuf(bufp)
-	return err
-}
-
-// appendPayload frames one encoded payload into the write buffer.
 func (w *walWriter) appendPayload(payload []byte) error {
 	var hdr [8]byte
 	putFrameHeader(&hdr, payload)
@@ -337,13 +291,14 @@ func (w *walWriter) Close() error {
 var errTornRecord = errors.New("relstore: torn wal record")
 
 // readWAL parses the frames of b in place, up to its end or the first
-// damaged frame, and returns the decoded records (none aliases b), the
-// byte length of the valid prefix they were read from, and the error that
-// stopped the scan: nil when b ends at a frame boundary, errTornRecord
-// (wrapped) on a short header, a length past the bytes left — a lying
-// length costs nothing — or a checksum mismatch, or a decode error for a
-// frame whose checksum holds but whose payload is not a valid record
-// (which cannot be a torn-write artefact and is never silently dropped).
+// damaged frame, and returns the decoded records (their rows alias b, so
+// they are applied before b is reused), the byte length of the valid
+// prefix they were read from, and the error that stopped the scan: nil
+// when b ends at a frame boundary, errTornRecord (wrapped) on a short
+// header, a length past the bytes left — a lying length costs nothing —
+// or a checksum mismatch, or a decode error for a frame whose checksum
+// holds but whose payload is not a valid record (which cannot be a
+// torn-write artefact and is never silently dropped).
 // No record past the damage is ever returned.
 func readWAL(b []byte) ([]walRecord, int64, error) {
 	var out []walRecord

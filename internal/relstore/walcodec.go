@@ -1,14 +1,14 @@
 package relstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sync"
+	"slices"
 )
 
-// WAL record envelope.
+// WAL record payloads. This file is the one place that writes and
+// reads them; wal.go frames each payload with its length and checksum.
 //
 // A frame payload's first byte names its kind. Every commit is an ops
 // record:
@@ -16,7 +16,7 @@ import (
 //	0x01 (binRecordTag)
 //	uvarint op count
 //	per op:
-//	  1 opcode byte (binOpPut / binOpSeq)
+//	  1 opcode byte (opPut / opSeq)
 //	  uvarint table-name length, table name
 //	  put: uvarint id length, id, uvarint row length, row (rowcodec)
 //	  seq: uvarint sequence value
@@ -32,9 +32,26 @@ import (
 const (
 	binRecordTag = 0x01
 
-	binOpPut = 1
-	binOpSeq = 3
+	opPut = 1
+	opSeq = 3
 )
+
+// walOp is one decoded mutation of an ops record. A put's rowBin is its
+// row in rowcodec form, aliasing the payload it was read from.
+type walOp struct {
+	Op     byte
+	Table  string
+	ID     string
+	Seq    int64
+	rowBin []byte
+}
+
+// walRecord is one decoded WAL payload: either a table creation or the
+// operations of a single transaction.
+type walRecord struct {
+	CreateTable *Schema
+	Ops         []walOp
+}
 
 // schemaRecord is the JSON payload of a CreateTable frame. Ops exists
 // only so decoding can tell a JSON-rows frame from a malformed one.
@@ -43,11 +60,12 @@ type schemaRecord struct {
 	Ops         []json.RawMessage `json:"ops,omitempty"`
 }
 
-// decodeRecord parses one checksum-valid frame payload. Ops records get
-// their own copy of the payload because their decoded rows alias it.
+// decodeRecord parses one checksum-valid frame payload. The rows of an
+// ops record alias payload: every caller applies the record while the
+// bytes it was read from are alive, and decodeRow copies what it keeps.
 func decodeRecord(payload []byte) (walRecord, error) {
 	if len(payload) > 0 && payload[0] == binRecordTag {
-		return decodeBinRecord(bytes.Clone(payload))
+		return decodeBinRecord(payload)
 	}
 	if len(payload) == 0 || payload[0] != '{' {
 		return walRecord{}, fmt.Errorf("relstore: decode wal record: unknown payload format")
@@ -68,38 +86,34 @@ func decodeRecord(payload []byte) (walRecord, error) {
 	return walRecord{}, fmt.Errorf("relstore: decode wal record: a JSON frame must hold createTable and nothing else")
 }
 
-// appendBinRecord appends the binary encoding of an ops-only record to
-// dst. Put ops must carry their pre-encoded row bytes (rowBin), encoded
-// under the store lock at enqueue time; the envelope itself is
-// schema-free, so it is assembled here, after the lock is released.
-// CreateTable records never take this path; they are JSON-framed.
-func appendBinRecord(dst []byte, rec walRecord) ([]byte, error) {
-	if rec.CreateTable != nil {
-		return nil, fmt.Errorf("relstore: CreateTable records are JSON-framed")
-	}
+// appendOpsHeader opens an ops record of n ops in dst.
+func appendOpsHeader(dst []byte, n int) []byte {
 	dst = append(dst, binRecordTag)
-	dst = binary.AppendUvarint(dst, uint64(len(rec.Ops)))
-	for i := range rec.Ops {
-		op := &rec.Ops[i]
-		switch op.Op {
-		case opPut:
-			if op.rowBin == nil {
-				return nil, fmt.Errorf("relstore: put op for table %q without encoded row", op.Table)
-			}
-			dst = append(dst, binOpPut)
-			dst = appendLenBytes(dst, op.Table)
-			dst = appendLenBytes(dst, op.ID)
-			dst = binary.AppendUvarint(dst, uint64(len(op.rowBin)))
-			dst = append(dst, op.rowBin...)
-		case opSeq:
-			dst = append(dst, binOpSeq)
-			dst = appendLenBytes(dst, op.Table)
-			dst = binary.AppendUvarint(dst, uint64(op.Seq))
-		default:
-			return nil, fmt.Errorf("relstore: unknown WAL op %q", op.Op)
-		}
+	return binary.AppendUvarint(dst, uint64(n))
+}
+
+// appendPut appends a put op whose row c encodes in place. The row's
+// length is known only once it is written, so one prefix byte is held
+// for it and widened after when the row is 128 bytes or longer.
+func appendPut(dst []byte, table, id string, c *rowCodec, r Row) ([]byte, error) {
+	dst = append(dst, opPut)
+	dst = appendLenBytes(dst, table)
+	dst = appendLenBytes(dst, id)
+	at := len(dst)
+	dst, err := c.appendRow(append(dst, 0), r)
+	if err != nil {
+		return nil, err
 	}
-	return dst, nil
+	var prefix [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(prefix[:], uint64(len(dst)-at-1))
+	return slices.Replace(dst, at, at+1, prefix[:w]...), nil
+}
+
+// appendSeq appends an op that advances table's sequence to seq.
+func appendSeq(dst []byte, table string, seq int64) []byte {
+	dst = append(dst, opSeq)
+	dst = appendLenBytes(dst, table)
+	return binary.AppendUvarint(dst, uint64(seq))
 }
 
 func appendLenBytes(dst []byte, s string) []byte {
@@ -137,10 +151,9 @@ func decodeBinRecord(payload []byte) (walRecord, error) {
 			return walRecord{}, fmt.Errorf("relstore: decode wal record: table name: %w", err)
 		}
 		b = rest
-		op := walOp{Table: string(tbl)}
+		op := walOp{Op: opcode, Table: string(tbl)}
 		switch opcode {
-		case binOpPut:
-			op.Op = opPut
+		case opPut:
 			id, rest, err := readLenBytes(b)
 			if err != nil {
 				return walRecord{}, fmt.Errorf("relstore: decode wal record: row id: %w", err)
@@ -153,8 +166,7 @@ func decodeBinRecord(payload []byte) (walRecord, error) {
 				return walRecord{}, fmt.Errorf("relstore: decode wal record: row for table %q: %w", op.Table, err)
 			}
 			op.ID, op.rowBin, b = string(id), row, rest2
-		case binOpSeq:
-			op.Op = opSeq
+		case opSeq:
 			seq, n := binary.Uvarint(b)
 			if n <= 0 {
 				return walRecord{}, fmt.Errorf("relstore: decode wal record: truncated sequence")
@@ -169,29 +181,4 @@ func decodeBinRecord(payload []byte) (walRecord, error) {
 		return walRecord{}, fmt.Errorf("relstore: decode wal record: %d trailing bytes", len(b))
 	}
 	return rec, nil
-}
-
-// framePool recycles frame-payload encode buffers so the group committer
-// allocates no per-record scratch on the steady-state commit path.
-var framePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4<<10)
-		return &b
-	},
-}
-
-// maxPooledFrameBuf bounds the capacity of buffers returned to the pool;
-// a one-off giant row must not pin its buffer forever.
-const maxPooledFrameBuf = 1 << 20
-
-func getFrameBuf() *[]byte {
-	return framePool.Get().(*[]byte)
-}
-
-func putFrameBuf(b *[]byte) {
-	if cap(*b) > maxPooledFrameBuf {
-		return
-	}
-	*b = (*b)[:0]
-	framePool.Put(b)
 }
